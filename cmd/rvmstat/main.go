@@ -241,7 +241,9 @@ func render(w io.Writer, sn rvm.Snapshot) {
 		{"spool-flush", m.SpoolFlushNs, true},
 		{"trunc-pause", m.TruncPauseNs, true},
 		{"checkpoint", m.CheckpointNs, true},
+		{"open-scan", m.OpenScanNs, true},
 		{"recov-scan", m.RecoveryScanNs, true},
+		{"recov-build", m.RecoveryBuildNs, true},
 		{"recov-apply", m.RecoveryApplyNs, true},
 		{"force-batch", m.ForceBatch, false},
 	}

@@ -152,7 +152,9 @@ func (sn Snapshot) WritePrometheus(w io.Writer) error {
 	p.summary("rvm_trunc_pause_ns", "Forward-processing pause per truncation.", m.TruncPauseNs)
 	p.summary("rvm_spool_flush_ns", "Spool flush latency.", m.SpoolFlushNs)
 	p.summary("rvm_checkpoint_ns", "Fuzzy checkpoint latency.", m.CheckpointNs)
-	p.summary("rvm_recovery_scan_ns", "Recovery scan+build phase duration.", m.RecoveryScanNs)
+	p.summary("rvm_open_scan_ns", "Tail-finding scan of one log at Open.", m.OpenScanNs)
+	p.summary("rvm_recovery_scan_ns", "Recovery analysis phase duration.", m.RecoveryScanNs)
+	p.summary("rvm_recovery_build_ns", "Recovery decode+build phase duration.", m.RecoveryBuildNs)
 	p.summary("rvm_recovery_apply_ns", "Recovery apply phase duration.", m.RecoveryApplyNs)
 
 	// Commit critical-path phases: one family, labelled by phase, so a

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/rvm-go/rvm/internal/itree"
 	"github.com/rvm-go/rvm/internal/mapping"
 	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/pagevec"
@@ -108,9 +107,17 @@ type txRegion struct {
 	set    rangeset       // coalesced coverage (optimized mode)
 	raw    []span         // verbatim set-range calls (NoIntraOpt mode)
 	rawOld [][]byte       // old values per raw span (restore + NoIntraOpt)
-	old    itree.Tree     // old values for newly covered bytes (restore mode)
+	old    []oldValue     // old values for newly covered bytes (restore mode)
 	pages  map[int64]bool // pages referenced by this tx in this region
 	naive  int64          // log bytes set-ranges would cost unoptimized
+}
+
+// oldValue is the pre-transaction contents of one newly covered span.
+// rangeset.add reports only bytes no earlier set-range covered, so a
+// transaction's captures are pairwise disjoint and restore in any order.
+type oldValue struct {
+	off  int64
+	data []byte
 }
 
 // Tx is an active transaction.  A Tx is not safe for concurrent use by
@@ -195,7 +202,7 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 		if t.mode == Restore {
 			// Only newly covered bytes need old-value copies; bytes already
 			// covered had their pre-transaction values captured earlier.
-			tr.old.Insert(uint64(sp.off), r.data[sp.off:sp.end], itree.OverwriteExisting)
+			tr.old = append(tr.old, oldValue{sp.off, append([]byte(nil), r.data[sp.off:sp.end]...)})
 		}
 		t.refPages(tr, sp.off, sp.end)
 	}
@@ -1081,14 +1088,13 @@ func (t *Tx) CommitUndo(mode CommitMode) ([]UndoRecord, error) {
 				})
 			}
 		} else {
-			tr.old.Walk(func(iv itree.Interval) error {
+			for _, ov := range tr.old {
 				undo = append(undo, UndoRecord{
-					Region: r, Off: int64(iv.Off),
-					SegID: r.seg.ID(), SegOff: r.segOff + int64(iv.Off),
-					Old: append([]byte(nil), iv.Data...),
+					Region: r, Off: ov.off,
+					SegID: r.seg.ID(), SegOff: r.segOff + ov.off,
+					Old: ov.data,
 				})
-				return nil
-			})
+			}
 		}
 	}
 	if err := t.Commit(mode); err != nil {
@@ -1121,10 +1127,9 @@ func (t *Tx) Abort() error {
 				copy(r.data[tr.raw[i].off:tr.raw[i].end], tr.rawOld[i])
 			}
 		} else {
-			tr.old.Walk(func(iv itree.Interval) error {
-				copy(r.data[iv.Off:], iv.Data)
-				return nil
-			})
+			for _, ov := range tr.old {
+				copy(r.data[ov.off:], ov.data)
+			}
 		}
 	}
 	t.unlockRegions(idxs)

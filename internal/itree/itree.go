@@ -6,16 +6,23 @@
 // bytes for every modified range.  Because the scan runs newest-first, an
 // already-covered byte must never be overwritten by an older record; the
 // KeepExisting policy encodes exactly that rule.  The OverwriteExisting
-// policy supports the equivalent oldest-first replay and is used by tests to
-// cross-check the two directions against each other.
+// policy supports the equivalent oldest-first replay used by epoch
+// truncation, and tests cross-check the two directions against each other.
 //
-// Intervals are kept sorted, non-overlapping, and non-adjacent (adjacent
-// ranges with contiguous data are merged), so iterating a finished tree
-// yields the minimal set of writes to apply to a segment.
+// Bytes are bucketed by 4 KiB page.  A page holds a short sorted list of
+// disjoint chunks; an insert copies only the bytes that fill a gap, writes
+// overlapped bytes in place, and never touches a neighbour's data, so its
+// cost is O(len(data)) plus a splice bounded by one page's chunk list — it
+// does not grow with the tree or with the length of the run being extended.
+// Memory is the covered bytes plus one chunk header per gap filled.
+// Adjacent chunks are coalesced only by Walk, so iterating a finished tree
+// still yields the minimal set of writes to apply to a segment.
 package itree
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -42,28 +49,48 @@ type Interval struct {
 // End returns the exclusive upper bound of the interval.
 func (iv Interval) End() uint64 { return iv.Off + uint64(len(iv.Data)) }
 
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
+// chunk is a run of bytes at off within its page; it never crosses the
+// page's end.
+type chunk struct {
+	off  uint32
+	data []byte
+}
+
+func (c chunk) end() uint32 { return c.off + uint32(len(c.data)) }
+
+// search returns the index of the first chunk of a page that ends beyond
+// off: the first that could overlap or follow a range starting there.
+func search(cs []chunk, off uint32) int {
+	return sort.Search(len(cs), func(i int) bool { return cs[i].end() > off })
+}
+
 // Tree is an ordered map from byte offsets to bytes.  The zero value is an
 // empty tree ready for use.  Tree is not safe for concurrent use.
 type Tree struct {
-	ivs []Interval // sorted by Off; pairwise disjoint and non-adjacent
+	// pages maps a page number (offset >> pageShift) to that page's chunks,
+	// sorted by off and pairwise disjoint; adjacent chunks stay separate.
+	pages map[uint64][]chunk
+	bytes uint64
 }
-
-// Len returns the number of maximal intervals in the tree.
-func (t *Tree) Len() int { return len(t.ivs) }
 
 // Bytes returns the total number of bytes covered by the tree.
-func (t *Tree) Bytes() uint64 {
-	var n uint64
-	for _, iv := range t.ivs {
-		n += uint64(len(iv.Data))
+func (t *Tree) Bytes() uint64 { return t.bytes }
+
+// Len returns the number of maximal intervals in the tree.
+func (t *Tree) Len() int {
+	n := 0
+	cs := t.sorted()
+	for i := range cs {
+		if i == 0 || cs[i-1].End() != cs[i].Off {
+			n++
+		}
 	}
 	return n
-}
-
-// search returns the index of the first interval whose End exceeds off, i.e.
-// the first interval that could overlap or follow a range starting at off.
-func (t *Tree) search(off uint64) int {
-	return sort.Search(len(t.ivs), func(i int) bool { return t.ivs[i].End() > off })
 }
 
 // Insert adds data at offset off under the given policy.  The data slice is
@@ -76,144 +103,113 @@ func (t *Tree) Insert(off uint64, data []byte, p Policy) {
 	if off+uint64(len(data)) < off {
 		panic(fmt.Sprintf("itree: range [%d,+%d) overflows uint64", off, len(data)))
 	}
-	switch p {
-	case OverwriteExisting:
-		t.insertOverwrite(off, data)
-	case KeepExisting:
-		t.insertKeep(off, data)
-	default:
+	if p != KeepExisting && p != OverwriteExisting {
 		panic(fmt.Sprintf("itree: unknown policy %d", int(p)))
 	}
-}
-
-// insertOverwrite replaces any overlapped bytes with the new data, merging
-// with neighbours so the invariants hold.
-func (t *Tree) insertOverwrite(off uint64, data []byte) {
-	end := off + uint64(len(data))
-	i := t.search(off)
-
-	// Collect the pieces of existing intervals that survive: a possible
-	// prefix of ivs[i] before off, and a possible suffix of the last
-	// overlapped interval after end.
-	var prefix, suffix Interval
-	hasPrefix, hasSuffix := false, false
-	j := i
-	for j < len(t.ivs) && t.ivs[j].Off < end {
-		iv := t.ivs[j]
-		if iv.Off < off {
-			prefix = Interval{Off: iv.Off, Data: iv.Data[:off-iv.Off]}
-			hasPrefix = true
-		}
-		if iv.End() > end {
-			suffix = Interval{Off: end, Data: iv.Data[end-iv.Off:]}
-			hasSuffix = true
-		}
-		j++
+	if t.pages == nil {
+		t.pages = make(map[uint64][]chunk)
 	}
-
-	// Build the replacement run: prefix + new data + suffix, merged into a
-	// single interval since they are contiguous by construction.
-	runOff := off
-	var run []byte
-	if hasPrefix {
-		runOff = prefix.Off
-		run = append(run, prefix.Data...)
-	}
-	run = append(run, data...)
-	if hasSuffix {
-		run = append(run, suffix.Data...)
-	}
-	t.splice(i, j, Interval{Off: runOff, Data: run})
-}
-
-// insertKeep fills only the gaps left by existing intervals.
-func (t *Tree) insertKeep(off uint64, data []byte) {
-	end := off + uint64(len(data))
-	i := t.search(off)
-	pos := off
-	for pos < end {
-		if i >= len(t.ivs) || t.ivs[i].Off >= end {
-			// No more existing intervals in range: insert the remainder.
-			t.insertOverwrite(pos, data[pos-off:])
-			return
-		}
-		iv := t.ivs[i]
-		if iv.Off > pos {
-			// Gap before the next existing interval.
-			t.insertOverwrite(pos, data[pos-off:iv.Off-off])
-			// insertOverwrite may have merged; recompute position.
-			i = t.search(iv.Off)
-		}
-		// Skip past the existing interval (its bytes win).
-		if t.ivs[i].End() > pos {
-			pos = t.ivs[i].End()
-		}
-		i++
+	for len(data) > 0 {
+		rel := uint32(off & (pageSize - 1))
+		n := min(len(data), pageSize-int(rel))
+		t.insertPage(off>>pageShift, rel, data[:n], p == OverwriteExisting)
+		off += uint64(n)
+		data = data[n:]
 	}
 }
 
-// splice replaces ivs[i:j] with the single interval nv, then merges nv with
-// adjacent neighbours whose data is contiguous.
-func (t *Tree) splice(i, j int, nv Interval) {
-	// Merge with left neighbour if touching.
-	if i > 0 && t.ivs[i-1].End() == nv.Off {
-		nv = Interval{Off: t.ivs[i-1].Off, Data: append(append([]byte(nil), t.ivs[i-1].Data...), nv.Data...)}
-		i--
+// insertPage adds data at off within page pn: gaps between the page's
+// chunks get a copy of the new bytes, overlapped chunks are overwritten in
+// place or left alone.
+func (t *Tree) insertPage(pn uint64, off uint32, data []byte, overwrite bool) {
+	cs := t.pages[pn]
+	end := off + uint32(len(data))
+	i := search(cs, off)
+	for pos := off; pos < end; i++ {
+		if i < len(cs) && cs[i].off <= pos {
+			n := min(cs[i].end(), end) - pos
+			if overwrite {
+				copy(cs[i].data[pos-cs[i].off:], data[pos-off:pos-off+n])
+			}
+			pos += n
+			continue
+		}
+		gapEnd := end
+		if i < len(cs) && cs[i].off < end {
+			gapEnd = cs[i].off
+		}
+		cs = slices.Insert(cs, i, chunk{pos, bytes.Clone(data[pos-off : gapEnd-off])})
+		t.bytes += uint64(gapEnd - pos)
+		pos = gapEnd
 	}
-	// Merge with right neighbour if touching.
-	if j < len(t.ivs) && nv.End() == t.ivs[j].Off {
-		nv.Data = append(nv.Data, t.ivs[j].Data...)
-		j++
-	}
-	out := make([]Interval, 0, len(t.ivs)-(j-i)+1)
-	out = append(out, t.ivs[:i]...)
-	out = append(out, nv)
-	out = append(out, t.ivs[j:]...)
-	t.ivs = out
+	t.pages[pn] = cs
 }
 
-// Get reads the byte at off, reporting whether it is covered.
-func (t *Tree) Get(off uint64) (byte, bool) {
-	i := t.search(off)
-	if i < len(t.ivs) && t.ivs[i].Off <= off {
-		return t.ivs[i].Data[off-t.ivs[i].Off], true
+// sorted returns every chunk as an Interval, in ascending offset order.
+// The intervals' data aliases the tree's.
+func (t *Tree) sorted() []Interval {
+	pns := make([]uint64, 0, len(t.pages))
+	n := 0
+	for pn, cs := range t.pages {
+		pns = append(pns, pn)
+		n += len(cs)
 	}
-	return 0, false
-}
-
-// Covered reports whether every byte of [off, off+n) is present.
-func (t *Tree) Covered(off, n uint64) bool {
-	if n == 0 {
-		return true
+	slices.Sort(pns)
+	out := make([]Interval, 0, n)
+	for _, pn := range pns {
+		for _, c := range t.pages[pn] {
+			out = append(out, Interval{Off: pn<<pageShift | uint64(c.off), Data: c.data})
+		}
 	}
-	i := t.search(off)
-	return i < len(t.ivs) && t.ivs[i].Off <= off && t.ivs[i].End() >= off+n
+	return out
 }
 
 // Walk calls fn for each maximal interval in ascending offset order.  The
-// callback must not retain or mutate the data slice.  Walk stops early if fn
-// returns a non-nil error and returns that error.
+// callback must not retain or mutate the data slice: an interval made of
+// several chunks is assembled in a buffer Walk reuses.  Walk stops early if
+// fn returns a non-nil error and returns that error.
 func (t *Tree) Walk(fn func(iv Interval) error) error {
-	for _, iv := range t.ivs {
+	cs := t.sorted()
+	var buf []byte
+	for i := 0; i < len(cs); {
+		// cs[i:j] is one run of adjacent chunks, n bytes long.
+		j, n := i+1, len(cs[i].Data)
+		for j < len(cs) && cs[j-1].End() == cs[j].Off {
+			n += len(cs[j].Data)
+			j++
+		}
+		iv := cs[i]
+		if j > i+1 {
+			buf = slices.Grow(buf[:0], n)
+			for _, c := range cs[i:j] {
+				buf = append(buf, c.Data...)
+			}
+			iv.Data = buf
+		}
 		if err := fn(iv); err != nil {
 			return err
 		}
+		i = j
 	}
 	return nil
 }
 
-// Reset discards all intervals, retaining no storage.
-func (t *Tree) Reset() { t.ivs = nil }
-
 // checkInvariants panics if the tree's structural invariants are violated.
 // It is exported to the package's tests via export_test.go.
 func (t *Tree) checkInvariants() {
-	for i, iv := range t.ivs {
-		if len(iv.Data) == 0 {
-			panic(fmt.Sprintf("itree: empty interval at index %d", i))
+	var sum uint64
+	for pn, cs := range t.pages {
+		for i, c := range cs {
+			if len(c.data) == 0 || c.end() > pageSize {
+				panic(fmt.Sprintf("itree: page %d chunk %d spans [%d,%d)", pn, i, c.off, c.end()))
+			}
+			if i > 0 && cs[i-1].end() > c.off {
+				panic(fmt.Sprintf("itree: page %d chunks %d and %d overlap or are out of order", pn, i-1, i))
+			}
+			sum += uint64(len(c.data))
 		}
-		if i > 0 && t.ivs[i-1].End() >= iv.Off {
-			panic(fmt.Sprintf("itree: intervals %d and %d overlap or touch", i-1, i))
-		}
+	}
+	if sum != t.bytes {
+		panic(fmt.Sprintf("itree: Bytes()=%d but chunks hold %d", t.bytes, sum))
 	}
 }

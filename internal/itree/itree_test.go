@@ -3,6 +3,8 @@ package itree
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -35,11 +37,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(0); ok {
 		t.Fatal("Get on empty tree succeeded")
 	}
-	if !tr.Covered(5, 0) {
-		t.Fatal("zero-length range must be covered")
-	}
-	if tr.Covered(5, 1) {
-		t.Fatal("empty tree claims coverage")
+	if err := tr.Walk(func(Interval) error { t.Fatal("Walk on empty tree called back"); return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -51,8 +50,11 @@ func TestInsertDisjoint(t *testing.T) {
 	if tr.Len() != 2 || tr.Bytes() != 10 {
 		t.Fatalf("got Len=%d Bytes=%d, want 2/10", tr.Len(), tr.Bytes())
 	}
-	if !tr.Covered(10, 5) || !tr.Covered(30, 5) || tr.Covered(10, 25) {
-		t.Fatal("coverage wrong")
+	if _, ok := tr.Get(14); !ok {
+		t.Fatal("byte 14 not covered")
+	}
+	if _, ok := tr.Get(15); ok {
+		t.Fatal("byte 15 in the gap is covered")
 	}
 }
 
@@ -172,15 +174,6 @@ type errSentinel struct{}
 
 func (errSentinel) Error() string { return "sentinel" }
 
-func TestReset(t *testing.T) {
-	var tr Tree
-	tr.Insert(0, fill('a', 8), OverwriteExisting)
-	tr.Reset()
-	if tr.Len() != 0 || tr.Bytes() != 0 {
-		t.Fatal("reset did not clear tree")
-	}
-}
-
 // op is a single randomized insertion for model-based testing.
 type op struct {
 	Off  uint16
@@ -188,14 +181,65 @@ type op struct {
 	Seed byte
 }
 
+// opBase places the ops' window so that it straddles two bucket
+// boundaries: offsets fall in [opBase, opBase+opSpan+255).
+const (
+	opBase = 2*pageSize - 700
+	opSpan = pageSize + 1400
+)
+
+func (o op) at() uint64 { return opBase + uint64(o.Off)%opSpan }
+
+func (o op) data() []byte {
+	d := make([]byte, o.Len)
+	for i := range d {
+		d[i] = o.Seed + byte(i)
+	}
+	return d
+}
+
 // applyModel mirrors the tree semantics on a flat map.
 func applyModel(model map[uint64]byte, o op, p Policy) {
-	for i := 0; i < int(o.Len); i++ {
-		off := uint64(o.Off) + uint64(i)
+	for i, b := range o.data() {
+		off := o.at() + uint64(i)
 		_, exists := model[off]
 		if p == OverwriteExisting || !exists {
-			model[off] = o.Seed + byte(i)
+			model[off] = b
 		}
+	}
+}
+
+// checkAgainstModel compares the tree with the model byte for byte, through
+// Get and through Walk, and checks that Walk's intervals are maximal.
+func checkAgainstModel(t *testing.T, tr *Tree, model map[uint64]byte) {
+	t.Helper()
+	tr.CheckInvariants()
+	if got, want := tr.Bytes(), uint64(len(model)); got != want {
+		t.Fatalf("Bytes=%d model=%d", got, want)
+	}
+	for off, want := range model {
+		if got, ok := tr.Get(off); !ok || got != want {
+			t.Fatalf("off %d got (%d,%v) want %d", off, got, ok, want)
+		}
+	}
+	ivs := tr.Intervals()
+	if len(ivs) != tr.Len() {
+		t.Fatalf("Walk delivered %d intervals, Len=%d", len(ivs), tr.Len())
+	}
+	var walked uint64
+	for i, iv := range ivs {
+		if i > 0 && ivs[i-1].End() >= iv.Off {
+			t.Fatalf("intervals %d and %d overlap, touch or are out of order", i-1, i)
+		}
+		for j, b := range iv.Data {
+			if want, ok := model[iv.Off+uint64(j)]; !ok || want != b {
+				t.Fatalf("Walk byte at %d = %d, model (%d,%v)", iv.Off+uint64(j), b, want, ok)
+			}
+		}
+		walked += uint64(len(iv.Data))
+	}
+	if walked != uint64(len(model)) {
+		t.Fatalf("Walk delivered %d bytes, model has %d", walked, len(model))
 	}
 }
 
@@ -207,24 +251,12 @@ func runModelTest(t *testing.T, p Policy) {
 		model := map[uint64]byte{}
 		nops := rng.Intn(60)
 		for k := 0; k < nops; k++ {
-			o := op{Off: uint16(rng.Intn(1 << 10)), Len: uint8(rng.Intn(64)), Seed: byte(rng.Intn(256))}
-			data := make([]byte, o.Len)
-			for i := range data {
-				data[i] = o.Seed + byte(i)
-			}
-			tr.Insert(uint64(o.Off), data, p)
+			o := op{Off: uint16(rng.Intn(1 << 16)), Len: uint8(rng.Intn(256)), Seed: byte(rng.Intn(256))}
+			tr.Insert(o.at(), o.data(), p)
 			applyModel(model, o, p)
 			tr.CheckInvariants()
 		}
-		if got, want := tr.Bytes(), uint64(len(model)); got != want {
-			t.Fatalf("trial %d: Bytes=%d model=%d", trial, got, want)
-		}
-		for off, want := range model {
-			got, ok := tr.Get(off)
-			if !ok || got != want {
-				t.Fatalf("trial %d: off %d got (%d,%v) want %d", trial, off, got, ok, want)
-			}
-		}
+		checkAgainstModel(t, &tr, model)
 	}
 }
 
@@ -238,81 +270,171 @@ func TestNewestFirstEqualsOldestLast(t *testing.T) {
 	f := func(ops []op) bool {
 		var fwd, rev Tree
 		for _, o := range ops { // oldest first
-			data := make([]byte, o.Len)
-			for i := range data {
-				data[i] = o.Seed + byte(i)
-			}
-			fwd.Insert(uint64(o.Off), data, OverwriteExisting)
+			fwd.Insert(o.at(), o.data(), OverwriteExisting)
 		}
 		for i := len(ops) - 1; i >= 0; i-- { // newest first
-			o := ops[i]
-			data := make([]byte, o.Len)
-			for j := range data {
-				data[j] = o.Seed + byte(j)
-			}
-			rev.Insert(uint64(o.Off), data, KeepExisting)
+			rev.Insert(ops[i].at(), ops[i].data(), KeepExisting)
 		}
 		fwd.CheckInvariants()
 		rev.CheckInvariants()
 		if fwd.Bytes() != rev.Bytes() || fwd.Len() != rev.Len() {
 			return false
 		}
-		return bytes.Equal(treeBytes(&fwd, 0, 1<<10+256), treeBytes(&rev, 0, 1<<10+256))
+		return reflect.DeepEqual(fwd.Intervals(), rev.Intervals())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestWalkReconstructs verifies Walk yields intervals whose concatenated
-// bytes equal pointwise Gets.
-func TestWalkReconstructs(t *testing.T) {
-	f := func(ops []op) bool {
+// TestStraddlesBuckets: one range over three buckets, then inserts that
+// overlap it across each boundary under both policies.
+func TestStraddlesBuckets(t *testing.T) {
+	for _, p := range []Policy{KeepExisting, OverwriteExisting} {
 		var tr Tree
-		for _, o := range ops {
-			data := make([]byte, o.Len)
-			for i := range data {
-				data[i] = o.Seed
-			}
-			tr.Insert(uint64(o.Off), data, OverwriteExisting)
-		}
-		ok := true
-		prevEnd := uint64(0)
-		first := true
-		tr.Walk(func(iv Interval) error {
-			if !first && iv.Off <= prevEnd {
-				ok = false
-			}
-			first = false
-			prevEnd = iv.End()
-			for i, b := range iv.Data {
-				g, present := tr.Get(iv.Off + uint64(i))
-				if !present || g != b {
-					ok = false
+		model := map[uint64]byte{}
+		ins := func(off uint64, b byte, n int) {
+			tr.Insert(off, fill(b, n), p)
+			for i := 0; i < n; i++ {
+				if _, ok := model[off+uint64(i)]; p == OverwriteExisting || !ok {
+					model[off+uint64(i)] = b
 				}
 			}
-			return nil
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		}
+		ins(pageSize-10, 'a', 2*pageSize+20) // ends 10 bytes into the fourth bucket
+		ins(pageSize-20, 'b', 30)            // across the first boundary, 10 new bytes in front
+		ins(2*pageSize-1, 'c', 2)            // exactly one byte each side
+		ins(3*pageSize+5, 'd', 10)           // overlaps the tail, 5 new bytes behind
+		ins(0, 'e', pageSize-20)             // adjacent in front: one interval from 0
+		checkAgainstModel(t, &tr, model)
+		if tr.Len() != 1 || tr.Bytes() != 3*pageSize+15 {
+			t.Fatalf("policy %d: Len=%d Bytes=%d, want one interval of %d", p, tr.Len(), tr.Bytes(), 3*pageSize+15)
+		}
 	}
 }
 
-func TestCoveredPartial(t *testing.T) {
+// TestEndOfAddressSpace: a range may end at the last representable offset;
+// one that would wrap is a caller bug.
+func TestEndOfAddressSpace(t *testing.T) {
+	const top = ^uint64(0)
 	var tr Tree
-	tr.Insert(10, fill('a', 10), OverwriteExisting)
-	cases := []struct {
-		off, n uint64
-		want   bool
-	}{
-		{10, 10, true}, {10, 1, true}, {19, 1, true},
-		{9, 2, false}, {19, 2, false}, {0, 1, false}, {15, 0, true},
+	tr.Insert(top-8, fill('x', 8), KeepExisting)                 // off+len == top
+	tr.Insert(top-pageSize-8, fill('y', pageSize), KeepExisting) // straddles the last boundary, adjacent
+	tr.Insert(top-20, fill('z', 20), KeepExisting)               // overlaps both, fills nothing
+	tr.CheckInvariants()
+	ivs := tr.Intervals()
+	if len(ivs) != 1 || ivs[0].Off != top-pageSize-8 || ivs[0].End() != top {
+		t.Fatalf("got %d intervals, first [%d,%d)", len(ivs), ivs[0].Off, ivs[0].End())
 	}
-	for _, c := range cases {
-		if got := tr.Covered(c.off, c.n); got != c.want {
-			t.Errorf("Covered(%d,%d)=%v want %v", c.off, c.n, got, c.want)
+	if b, ok := tr.Get(top - 1); !ok || b != 'x' {
+		t.Fatalf("last byte = (%c,%v)", b, ok)
+	}
+	if b, ok := tr.Get(top - 9); !ok || b != 'y' {
+		t.Fatalf("byte before the first insert = (%c,%v)", b, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("range wrapping past the end of the address space did not panic")
 		}
+	}()
+	tr.Insert(top-3, fill('w', 8), KeepExisting)
+}
+
+// Insert patterns shared by the cost-bound test and the benchmarks: n
+// adjacent 64-byte ranges, the shape of TPC-A's audit trail as epoch
+// truncation (ascending) and crash recovery (descending) see it, and the
+// paper's localized account access (70 % of ranges on 5 % of the pages,
+// 25 % on 15 %, 5 % on the rest).
+const recLen = 64
+
+func insertAppendRun(tr *Tree, n int) {
+	d := fill('a', recLen)
+	for i := 0; i < n; i++ {
+		tr.Insert(uint64(i)*recLen, d, OverwriteExisting)
+	}
+}
+
+func insertPrependRun(tr *Tree, n int) {
+	d := fill('p', recLen)
+	for i := n - 1; i >= 0; i-- {
+		tr.Insert(uint64(i)*recLen, d, KeepExisting)
+	}
+}
+
+func insertLocalized(tr *Tree, n int) {
+	const pages = 1024
+	rng := rand.New(rand.NewSource(7))
+	d := fill('l', recLen)
+	for i := 0; i < n; i++ {
+		var pg int
+		switch r := rng.Intn(100); {
+		case r < 70:
+			pg = rng.Intn(pages * 5 / 100)
+		case r < 95:
+			pg = pages*5/100 + rng.Intn(pages*15/100)
+		default:
+			pg = pages*20/100 + rng.Intn(pages*80/100)
+		}
+		tr.Insert(uint64(pg)*pageSize+uint64(rng.Intn(pageSize/recLen))*recLen, d, KeepExisting)
+	}
+}
+
+// TestInsertCostBound asserts the cost model, not a timing: building a tree
+// four times as large allocates at most five times as much, so no insert
+// pays for the tree or the run it extends.  (A structure that reallocates
+// its index or copies a neighbour per insert allocates sixteen times as
+// much.)
+func TestInsertCostBound(t *testing.T) {
+	allocated := func(build func(*Tree, int), n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var tr Tree
+		build(&tr, n)
+		runtime.ReadMemStats(&after)
+		if tr.Bytes() == 0 {
+			t.Fatal("empty tree")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, c := range []struct {
+		name  string
+		build func(*Tree, int)
+	}{
+		{"append", insertAppendRun}, {"prepend", insertPrependRun}, {"localized", insertLocalized},
+	} {
+		small, large := allocated(c.build, 10000), allocated(c.build, 40000)
+		t.Logf("%s: 10k inserts allocate %d B, 40k allocate %d B (%.1fx)", c.name, small, large, float64(large)/float64(small))
+		if large > 5*small {
+			t.Errorf("%s: 40k inserts allocate %d B, more than 5x the %d B of 10k", c.name, large, small)
+		}
+	}
+}
+
+func benchInsert(b *testing.B, build func(*Tree, int)) {
+	const n = 40000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var tr Tree
+		build(&tr, n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/insert")
+}
+
+func BenchmarkInsertAppendRun(b *testing.B)  { benchInsert(b, insertAppendRun) }
+func BenchmarkInsertPrependRun(b *testing.B) { benchInsert(b, insertPrependRun) }
+func BenchmarkInsertLocalized(b *testing.B)  { benchInsert(b, insertLocalized) }
+
+var walkSink uint64
+
+// BenchmarkWalk walks a tree holding one long run (the audit trail) and the
+// localized scatter, the two shapes recovery applies.
+func BenchmarkWalk(b *testing.B) {
+	var tr Tree
+	insertLocalized(&tr, 40000)
+	insertPrependRun(&tr, 40000)
+	b.SetBytes(int64(tr.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Walk(func(iv Interval) error { walkSink += uint64(len(iv.Data)); return nil })
 	}
 }

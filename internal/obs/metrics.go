@@ -31,8 +31,10 @@ type Metrics struct {
 	TruncPause    Hist // time truncation held the engine lock against forward processing
 	SpoolFlush    Hist // spool drain + force latency (explicit or implicit Flush)
 	Checkpoint    Hist // fuzzy checkpoint duration (page write-out + record force)
-	RecoveryScan  Hist // recovery analysis + tree build duration
-	RecoveryApply Hist // recovery segment replay duration
+	OpenScan      Hist // tail-finding scan of one log at Open
+	RecoveryScan  Hist // recovery backward analysis duration
+	RecoveryBuild Hist // recovery record decode + redo-tree build duration (per shard)
+	RecoveryApply Hist // recovery segment replay duration (per shard)
 
 	// Commit-phase histograms: where one flush-mode commit's latency
 	// went (DESIGN.md §14).  The first five partition the commit
@@ -129,10 +131,24 @@ func (m *Metrics) ObserveCheckpoint(ns int64) {
 	}
 }
 
-// ObserveRecoveryScan records one recovery analysis/build duration.
+// ObserveOpenScan records one log's tail-finding scan at Open.
+func (m *Metrics) ObserveOpenScan(ns int64) {
+	if m != nil {
+		m.OpenScan.Observe(ns)
+	}
+}
+
+// ObserveRecoveryScan records one recovery analysis duration.
 func (m *Metrics) ObserveRecoveryScan(ns int64) {
 	if m != nil {
 		m.RecoveryScan.Observe(ns)
+	}
+}
+
+// ObserveRecoveryBuild records one shard's decode + tree-build duration.
+func (m *Metrics) ObserveRecoveryBuild(ns int64) {
+	if m != nil {
+		m.RecoveryBuild.Observe(ns)
 	}
 }
 
@@ -228,7 +244,9 @@ type MetricsSnapshot struct {
 	TruncPauseNs    HistStat `json:"trunc_pause_ns"`
 	SpoolFlushNs    HistStat `json:"spool_flush_ns"`
 	CheckpointNs    HistStat `json:"checkpoint_ns"`
+	OpenScanNs      HistStat `json:"open_scan_ns"`
 	RecoveryScanNs  HistStat `json:"recovery_scan_ns"`
+	RecoveryBuildNs HistStat `json:"recovery_build_ns"`
 	RecoveryApplyNs HistStat `json:"recovery_apply_ns"`
 
 	PhaseLockWaitNs   HistStat `json:"phase_lock_wait_ns"`
@@ -268,7 +286,9 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 		TruncPauseNs:    m.TruncPause.Snapshot(),
 		SpoolFlushNs:    m.SpoolFlush.Snapshot(),
 		CheckpointNs:    m.Checkpoint.Snapshot(),
+		OpenScanNs:      m.OpenScan.Snapshot(),
 		RecoveryScanNs:  m.RecoveryScan.Snapshot(),
+		RecoveryBuildNs: m.RecoveryBuild.Snapshot(),
 		RecoveryApplyNs: m.RecoveryApply.Snapshot(),
 
 		PhaseLockWaitNs:   m.PhaseLockWait.Snapshot(),

@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
+	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/wal"
 )
 
-// TestRecoverParallelEqualsSerial replays the same randomized log at
-// several parallelism levels and requires bit-identical segment images:
-// the stripe sharding must preserve newest-wins per byte no matter how
-// the work is divided.
-func TestRecoverParallelEqualsSerial(t *testing.T) {
+// TestRedoPathsAgree replays the same randomized multi-segment log through
+// every redo path — crash recovery at several parallelism levels (newest
+// first, KeepExisting, stripe-sharded trees) and epoch truncation (oldest
+// first, OverwriteExisting, one tree per segment) — and requires
+// bit-identical segment images and the same count of distinct bytes
+// applied: newest-wins per byte must hold no matter how the work is
+// divided or in which direction the log is read.
+func TestRedoPathsAgree(t *testing.T) {
 	const segLen = 1 << 17 // 2 stripes per segment, so ranges split
 	rnd := rand.New(rand.NewSource(7))
 
@@ -33,11 +38,21 @@ func TestRecoverParallelEqualsSerial(t *testing.T) {
 	}
 
 	var want [][]byte
-	for _, par := range []int{1, 2, 4, 8} {
+	var wantBytes uint64
+	for _, par := range []int{1, 2, 4, 8, 0} { // 0: epoch truncation
 		rnd.Seed(7) // identical log contents per run
 		f := newFixture(t, 3, segLen)
 		build(f)
-		st, err := RecoverParallel(f.log, f.lookup, nil, Config{Parallelism: par})
+		var st Stats
+		var err error
+		if par > 0 {
+			st, err = RecoverParallel(f.log, f.lookup, nil, Config{Parallelism: par})
+		} else {
+			var ep *Epoch
+			if ep, err = CollectEpoch(f.log); err == nil {
+				st, err = ep.Apply(f.lookup, nil)
+			}
+		}
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -52,8 +67,11 @@ func TestRecoverParallelEqualsSerial(t *testing.T) {
 			got = append(got, f.read(t, id, 0, segLen))
 		}
 		if par == 1 {
-			want = got
+			want, wantBytes = got, st.TreeBytes
 			continue
+		}
+		if st.TreeBytes != wantBytes {
+			t.Fatalf("parallelism %d applied %d distinct bytes, serial replay %d", par, st.TreeBytes, wantBytes)
 		}
 		for i := range got {
 			if !bytes.Equal(got[i], want[i]) {
@@ -178,5 +196,51 @@ func TestRecoverParallelismConfigDefaults(t *testing.T) {
 		if got := f.read(t, 1, 0, 64); !bytes.Equal(got, bytes.Repeat([]byte{'q'}, 64)) {
 			t.Fatalf("parallelism %d: segment bytes wrong", par)
 		}
+	}
+}
+
+// TestRecoveryPhasesAttributed: a long restart must be explainable from the
+// engine's own metrics, so the three phases it reports — analysis, decode +
+// tree build, apply — have to account for at least 90 % of the recovery's
+// wall time, and the tail scan Open ran before them must be reported too.
+func TestRecoveryPhasesAttributed(t *testing.T) {
+	const segLen = 1 << 20
+	f := newFixtureLog(t, 2, segLen, 8<<20)
+	met := obs.NewMetrics()
+	f.log.SetObs(nil, met)
+	// The final head move's fsync belongs to no phase; without it the
+	// test measures attribution, not the host's disk.
+	f.log.SetNoSync(true)
+	rnd := rand.New(rand.NewSource(11))
+	d := make([]byte, 128)
+	for i := 0; f.log.Used() < 6<<20; i++ {
+		rnd.Read(d)
+		ranges := []wal.Range{
+			{Seg: 1, Off: uint64(rnd.Intn(segLen/128)) * 128, Data: d},
+			{Seg: 2, Off: uint64(i%(segLen/64)) * 64, Data: d[:64]},
+		}
+		if _, _, _, err := f.log.Append(uint64(i+1), 0, ranges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := time.Now()
+	st, err := RecoverParallel(f.log, f.lookup, nil, Config{Parallelism: 2})
+	wall := time.Since(t0).Nanoseconds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := met.Snapshot()
+	for name, h := range map[string]obs.HistStat{
+		"open scan": sn.OpenScanNs, "scan": sn.RecoveryScanNs, "build": sn.RecoveryBuildNs, "apply": sn.RecoveryApplyNs,
+	} {
+		if h.Count != 1 || h.Sum == 0 {
+			t.Errorf("%s phase observed %d times, %d ns in all; want one non-zero observation", name, h.Count, h.Sum)
+		}
+	}
+	sum := int64(sn.RecoveryScanNs.Sum + sn.RecoveryBuildNs.Sum + sn.RecoveryApplyNs.Sum)
+	t.Logf("%d records, wall %d us = scan %d + build %d + apply %d + %d unattributed", st.Records, wall/1000,
+		sn.RecoveryScanNs.Sum/1000, sn.RecoveryBuildNs.Sum/1000, sn.RecoveryApplyNs.Sum/1000, (wall-sum)/1000)
+	if sum < wall*9/10 || sum > wall {
+		t.Errorf("phases sum to %d ns of a %d ns recovery; want 90-100 %%", sum, wall)
 	}
 }

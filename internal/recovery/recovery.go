@@ -299,9 +299,16 @@ func RecoverShards(logs []*wal.Log, lookup SegmentLookup, retry Retry, cfg Confi
 // redo trees, and applies them to the segments with par workers.
 func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry Retry, par int, met *obs.Metrics, st *Stats) error {
 	tr := l.Tracer()
+	tb := time.Now()
 	shards := make([]treeSet, par)
+	readers := make([]*wal.Reader, par)
 	for i := range shards {
 		shards[i] = make(treeSet)
+		rd, err := l.NewReader()
+		if err != nil {
+			return err
+		}
+		readers[i] = rd
 	}
 
 	// Decode and build in batches: refs are newest-first, and within a
@@ -314,14 +321,17 @@ func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry R
 			enc += refs[hi].Len
 			hi++
 		}
+		// Each worker decodes one contiguous run of the batch through its
+		// own reader, so its device reads are sequential chunks.
 		recs := make([]*wal.Record, hi-lo)
+		per := (hi - lo + par - 1) / par
 		err := runWorkers(par, func(w int) error {
-			for i := lo + w; i < hi; i += par {
-				rec, err := l.ReadRecord(refs[i])
+			for i := w * per; i < min((w+1)*per, len(recs)); i++ {
+				rec, err := readers[w].ReadRecord(refs[lo+i])
 				if err != nil {
 					return err
 				}
-				recs[i-lo] = rec
+				recs[i] = rec
 			}
 			return nil
 		})
@@ -361,6 +371,7 @@ func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry R
 		}
 		lo = hi
 	}
+	met.ObserveRecoveryBuild(time.Since(tb).Nanoseconds())
 
 	applyStart := tr.Now()
 	ta := time.Now()

@@ -19,9 +19,14 @@ type fixture struct {
 
 func newFixture(t *testing.T, nsegs int, segLen int64) *fixture {
 	t.Helper()
+	return newFixtureLog(t, nsegs, segLen, 1<<18)
+}
+
+func newFixtureLog(t *testing.T, nsegs int, segLen, logSize int64) *fixture {
+	t.Helper()
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log.rvm")
-	if err := wal.Create(logPath, 1<<18); err != nil {
+	if err := wal.Create(logPath, logSize); err != nil {
 		t.Fatal(err)
 	}
 	l, err := wal.Open(logPath)

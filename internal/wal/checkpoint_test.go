@@ -188,8 +188,12 @@ func TestReadRecordMatchesScan(t *testing.T) {
 	for _, r := range fwd {
 		byseq[r.Seq] = r
 	}
+	rd, err := l.NewReader()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ref := range refs {
-		rec, err := l.ReadRecord(ref)
+		rec, err := rd.ReadRecord(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +215,7 @@ func TestReadRecordMatchesScan(t *testing.T) {
 	// A ref with the wrong seq must fail validation, not hand back data.
 	bad := refs[0]
 	bad.Seq += 100
-	if _, err := l.ReadRecord(bad); err == nil {
+	if _, err := rd.ReadRecord(bad); err == nil {
 		t.Fatal("ReadRecord accepted a mismatched seq")
 	}
 }

@@ -1,10 +1,44 @@
 package wal
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// FuzzReadRecord: the record decoder must never panic, never size anything
+// by an unbounded length field, and never hand out range data outside the
+// record — even when the bytes carry a correct CRC, which is the one check
+// a hostile log passes for free.
+func FuzzReadRecord(f *testing.F) {
+	valid := encodeRecord(f, []Range{mkRange(1, 64, 'v', 40), mkRange(2, 0, 'w', 9)})
+	f.Add(valid)
+	hostile := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(hostile[12:], 0xFFFFFFFF) // ~160 GB of Range headers
+	f.Add(hostile)
+	f.Add(valid[:minRecordSize])
+	f.Fuzz(func(t *testing.T, in []byte) {
+		data := append([]byte(nil), in...) // the engine's input is read-only
+		if len(data) >= minRecordSize {
+			binary.BigEndian.PutUint32(data[4:], uint32(len(data)))
+			binary.BigEndian.PutUint32(data[len(data)-8:], uint32(len(data)))
+			copy(data[len(data)-trailerSize:], data[16:24])
+			reseal(data)
+		}
+		var rec Record
+		if !decodeRecord(&rec, data, 0, 0) {
+			return
+		}
+		var n int
+		for _, r := range rec.Ranges {
+			n += rangeHdrSize + len(r.Data)
+		}
+		if n > len(data)-minRecordSize {
+			t.Fatalf("%d bytes of ranges decoded from a %d-byte record", n, len(data))
+		}
+	})
+}
 
 // FuzzOpenArbitraryFile: Open and both scans must never panic on
 // arbitrary file contents — a log can be handed any corruption by a dying

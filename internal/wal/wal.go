@@ -26,8 +26,8 @@
 // Records never straddle the end of the record area.  When an append would
 // cross it, a wrap record pads out the remaining gap; when a record would
 // leave a gap too small to hold even a wrap record, the record absorbs the
-// gap as padding.  Consequently every header and trailer is contiguous on
-// disk, and the backward walk is a pair of contiguous reads per record.
+// gap as padding.  Consequently every record is contiguous on disk, and
+// both walks read the area in plain sequential chunks (areaReader).
 package wal
 
 import (
@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -150,6 +151,8 @@ type Log struct {
 	noSync      bool
 	skippedSync bool // a Force skipped its fsync while noSync was set
 
+	openScanNs int64 // how long Open's tail scan took; reported by SetObs
+
 	// Head-move claim: SetHead persists the status block with l.mu
 	// released (fsync under the log mutex would stall the append path),
 	// and the claim serializes concurrent head moves instead.
@@ -167,13 +170,16 @@ type Log struct {
 }
 
 // SetObs attaches a tracer and metrics registry to the log.  Call it
-// before the log is shared between goroutines; nil disables a sink.
+// before the log is shared between goroutines; nil disables a sink.  The
+// registry did not exist yet when Open scanned for the tail, so that scan's
+// duration is reported here.
 func (l *Log) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 	l.mu.Lock()
 	l.tr, l.met = tr, m
-	used := l.used
+	used, openScan := l.used, l.openScanNs
 	l.mu.Unlock()
 	m.SetLogLiveBytes(used)
+	m.ObserveOpenScan(openScan)
 }
 
 // Tracer returns the tracer attached via SetObs (nil when tracing is
@@ -325,9 +331,11 @@ func OpenDevice(dev Device) (*Log, error) {
 		headSeq:  st.headSeq,
 		gen:      st.gen,
 	}
+	t0 := time.Now()
 	if err := l.findTail(); err != nil {
 		return nil, err
 	}
+	l.openScanNs = time.Since(t0).Nanoseconds()
 	// Everything discovered in the log is already on the device, so the
 	// forced-through sequence number starts at the last live record.
 	l.forcedSeq = l.nextSeq - 1
@@ -337,122 +345,192 @@ func OpenDevice(dev Device) (*Log, error) {
 // areaOff converts a record-area offset into a device offset.
 func areaOff(pos int64) int64 { return 2*int64(mapping.PageSize) + pos }
 
-// readRecordAt decodes and validates the record at area offset pos.  It
-// returns (nil, nil) when the bytes there are not a valid next record (torn
-// write or stale data), which ends a forward scan.
-func (l *Log) readRecordAt(pos int64, wantSeq uint64) (*Record, int64, error) {
-	return readRecord(l.dev, l.areaSize, pos, wantSeq)
+// readChunk is the size of one sequential read of the record area.  Every
+// read path (the tail scan at Open, both scan directions, recovery's
+// analysis and decode passes) goes through an areaReader, so a pass over
+// the log costs one positional read per MiB rather than two per record.
+// A reader works up to it from minReadChunk, doubling per refill, so that
+// opening or truncating a nearly empty log does not read a MiB of nothing.
+const (
+	readChunk    = 1 << 20
+	minReadChunk = 4 << 10
+)
+
+// areaReader serves record bytes out of chunk-sized windows of the record
+// area.  Records never straddle the area's end, so a window is a plain
+// contiguous read clipped to the area; a walk that crosses the wrap simply
+// misses and refills on the other side.  Decoded records alias the window
+// they were read from.  The log's own scans, whose callbacks may not keep
+// range data, refill one buffer in place; a Reader sets keep, and every
+// refill then gets a fresh buffer so records outlive the reader's progress.
+// An areaReader is owned by one goroutine; the device's positional reads
+// are what concurrent readers share.
+type areaReader struct {
+	dev      Device
+	areaSize int64
+	keep     bool
+	chunk    int64 // size of the last refill
+	lo       int64 // area offset of win[0]
+	win      []byte
 }
 
-// readRecord is the device-level record decoder.  It is a free function so
-// recovery workers can decode records concurrently through ReadRecord
-// without serializing on the log mutex: it touches only the device (whose
-// ReadAt is positional and concurrency-safe) and immutable geometry.
-func readRecord(dev Device, areaSize, pos int64, wantSeq uint64) (*Record, int64, error) {
-	if areaSize-pos < minRecordSize {
-		return nil, 0, nil // cannot even hold a header+trailer here
+// bytes returns the area bytes [pos, pos+n), which the caller has checked
+// lie inside the area.  On a miss the new window starts at pos, or — for a
+// walk toward the head — ends at pos+n.
+func (r *areaReader) bytes(pos, n int64, backward bool) ([]byte, error) {
+	if pos < r.lo || pos+n > r.lo+int64(len(r.win)) {
+		r.chunk = min(max(2*r.chunk, minReadChunk), readChunk)
+		lo, hi := pos, min(pos+max(n, r.chunk), r.areaSize)
+		if backward {
+			lo, hi = max(pos+n-max(n, r.chunk), 0), pos+n
+		}
+		win := r.win[:0]
+		r.win = nil // no window while its buffer is being overwritten
+		if r.keep || int64(cap(win)) < hi-lo {
+			win = make([]byte, hi-lo)
+		}
+		got, err := r.dev.ReadAt(win[:hi-lo], areaOff(lo))
+		if int64(got) < pos+n-lo {
+			// A window may run past the device's end (a truncated file);
+			// only bytes the caller asked for must be there.
+			return nil, fmt.Errorf("wal: read %d bytes at %d: %w", n, pos, err)
+		}
+		r.lo, r.win = lo, win[:got]
 	}
-	hdr := make([]byte, headerSize)
-	if _, err := dev.ReadAt(hdr, areaOff(pos)); err != nil {
-		return nil, 0, fmt.Errorf("wal: read header at %d: %w", pos, err)
+	return r.win[pos-r.lo : pos-r.lo+n], nil
+}
+
+// next decodes into rec the record a forward walk finds at area offset pos.
+// It reports false when the bytes there are not a valid next record (torn
+// write or stale data), which ends a forward scan.
+func (r *areaReader) next(rec *Record, pos int64, wantSeq uint64) (bool, error) {
+	if r.areaSize-pos < minRecordSize {
+		return false, nil // cannot even hold a header+trailer here
 	}
-	if binary.BigEndian.Uint32(hdr[0:]) != recMagic {
-		return nil, 0, nil
+	hdr, err := r.bytes(pos, headerSize, false)
+	if err != nil {
+		return false, err
 	}
+	// Only the extent is taken from the unvalidated header; decodeRecord
+	// re-reads it, with every other field, once the CRC has checked out.
 	totalLen := int64(binary.BigEndian.Uint32(hdr[4:]))
-	if totalLen < minRecordSize || totalLen%8 != 0 || pos+totalLen > areaSize {
-		return nil, 0, nil
+	if binary.BigEndian.Uint32(hdr[0:]) != recMagic || totalLen < minRecordSize || pos+totalLen > r.areaSize {
+		return false, nil
 	}
-	buf := make([]byte, totalLen)
-	if _, err := dev.ReadAt(buf, areaOff(pos)); err != nil {
-		return nil, 0, fmt.Errorf("wal: read record at %d: %w", pos, err)
+	buf, err := r.bytes(pos, totalLen, false)
+	if err != nil {
+		return false, err
 	}
-	if crc32.ChecksumIEEE(buf[:totalLen-4]) != binary.BigEndian.Uint32(buf[totalLen-4:]) {
-		return nil, 0, nil
+	return decodeRecord(rec, buf, pos, wantSeq), nil
+}
+
+// prev decodes into rec the record a backward walk finds ending at area
+// offset end, located through its reverse displacement.
+func (r *areaReader) prev(rec *Record, end int64, wantSeq uint64) error {
+	trailer, err := r.bytes(end-trailerSize, trailerSize, true)
+	if err != nil {
+		return err
+	}
+	totalLen := int64(binary.BigEndian.Uint32(trailer[8:]))
+	if totalLen < minRecordSize || totalLen > end {
+		return fmt.Errorf("wal: bad reverse displacement %d at %d", totalLen, end)
+	}
+	buf, err := r.bytes(end-totalLen, totalLen, true)
+	if err != nil {
+		return err
+	}
+	if !decodeRecord(rec, buf, end-totalLen, wantSeq) {
+		return fmt.Errorf("wal: live region corrupt at %d (backward, seq %d)", end-totalLen, wantSeq)
+	}
+	return nil
+}
+
+// decodeRecord validates buf as one whole record at area offset pos and
+// decodes it into rec, reusing rec.Ranges' storage; it reports false, with
+// rec in an unspecified state, when buf is not a valid record.  Nothing is
+// trusted before the CRC matches, and every field is parsed from the
+// checked bytes.  A CRC is no defence against a hostile log (an attacker
+// recomputes it), so each length is also bounded by the record's own extent
+// before anything is sized by it.  Range data aliases buf.
+func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
+	totalLen := int64(len(buf))
+	if totalLen < minRecordSize || totalLen%8 != 0 ||
+		binary.BigEndian.Uint32(buf[0:]) != recMagic ||
+		int64(binary.BigEndian.Uint32(buf[4:])) != totalLen ||
+		crc32.ChecksumIEEE(buf[:totalLen-4]) != binary.BigEndian.Uint32(buf[totalLen-4:]) {
+		return false
 	}
 	seq := binary.BigEndian.Uint64(buf[16:])
 	if seq != wantSeq && wantSeq != 0 {
-		return nil, 0, nil
+		return false
 	}
-	if binary.BigEndian.Uint64(buf[totalLen-trailerSize:]) != seq {
-		return nil, 0, nil
+	if binary.BigEndian.Uint64(buf[totalLen-trailerSize:]) != seq ||
+		int64(binary.BigEndian.Uint32(buf[totalLen-8:])) != totalLen {
+		return false
 	}
-	if int64(binary.BigEndian.Uint32(buf[totalLen-8:])) != totalLen {
-		return nil, 0, nil
-	}
-	typ := buf[8]
-	rec := &Record{
+	ranges := rec.Ranges[:0]
+	*rec = Record{
 		Pos:   pos,
 		Len:   totalLen,
 		Seq:   seq,
 		TID:   binary.BigEndian.Uint64(buf[24:]),
-		Type:  typ,
+		Type:  buf[8],
 		Flags: buf[9],
 	}
-	nranges := binary.BigEndian.Uint32(hdr[12:])
-	switch typ {
-	case recWrap:
-		if nranges != 0 {
-			return nil, 0, nil
-		}
-		return rec, totalLen, nil // Ranges stays nil
+	nranges := int64(binary.BigEndian.Uint32(buf[12:]))
+	switch rec.Type {
+	case recWrap, recCmt:
+		// A commit mark's global commit-ID rides in the TID header slot;
+		// it carries no ranges — its presence is the commit point.
 	case recCkpt:
 		// The stable sequence number rides in the TID header slot.
-		if nranges != 0 {
-			return nil, 0, nil
-		}
-		rec.CkptSeq = rec.TID
-		rec.TID = 0
-		return rec, totalLen, nil
-	case recCmt:
-		// The global commit-ID rides in the TID header slot; a commit
-		// mark carries no ranges — its presence is the commit point.
-		if nranges != 0 {
-			return nil, 0, nil
-		}
-		return rec, totalLen, nil
+		rec.CkptSeq, rec.TID = rec.TID, 0
 	case recTx, recPrep:
+		body := buf[headerSize : totalLen-trailerSize]
+		if nranges > int64(len(body))/rangeHdrSize {
+			return false
+		}
+		rec.Ranges = slices.Grow(ranges, int(nranges))
+		for ; nranges > 0; nranges-- {
+			if len(body) < rangeHdrSize {
+				return false
+			}
+			n := int64(binary.BigEndian.Uint32(body[16:]))
+			if n > int64(len(body))-rangeHdrSize {
+				return false
+			}
+			rec.Ranges = append(rec.Ranges, Range{
+				Seg:  binary.BigEndian.Uint64(body[0:]),
+				Off:  binary.BigEndian.Uint64(body[8:]),
+				Data: body[rangeHdrSize : rangeHdrSize+n : rangeHdrSize+n],
+			})
+			body = body[rangeHdrSize+n:]
+		}
+		return true
 	default:
-		return nil, 0, nil
+		return false
 	}
-	p := int64(headerSize)
-	rec.Ranges = make([]Range, 0, nranges)
-	for i := uint32(0); i < nranges; i++ {
-		if p+rangeHdrSize > totalLen-trailerSize {
-			return nil, 0, nil
-		}
-		r := Range{
-			Seg: binary.BigEndian.Uint64(buf[p:]),
-			Off: binary.BigEndian.Uint64(buf[p+8:]),
-		}
-		n := int64(binary.BigEndian.Uint32(buf[p+16:]))
-		p += rangeHdrSize
-		if p+n > totalLen-trailerSize {
-			return nil, 0, nil
-		}
-		r.Data = append([]byte(nil), buf[p:p+n]...)
-		p += n
-		rec.Ranges = append(rec.Ranges, r)
-	}
-	return rec, totalLen, nil
+	return nranges == 0
 }
 
 // findTail scans forward from head to locate the end of the live region.
 func (l *Log) findTail() error {
+	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
 	pos := l.head
 	seq := l.headSeq
 	var used int64
+	var rec Record
 	for used < l.areaSize {
-		rec, n, err := l.readRecordAt(pos, seq)
+		ok, err := rd.next(&rec, pos, seq)
 		if err != nil {
 			return err
 		}
-		if rec == nil {
+		if !ok {
 			break
 		}
-		used += n
+		used += rec.Len
 		seq++
-		pos += n
+		pos += rec.Len
 		if pos == l.areaSize {
 			pos = 0
 		}
@@ -836,14 +914,16 @@ func (l *Log) ScanForward(fn func(*Record) error) error {
 }
 
 func (l *Log) scanForwardLocked(fn func(*Record) error) error {
+	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
 	pos, seq := l.head, l.headSeq
 	var seen int64
 	for seen < l.used {
-		rec, n, err := l.readRecordAt(pos, seq)
+		rec := new(Record) // fn may keep the record, though not its range data
+		ok, err := rd.next(rec, pos, seq)
 		if err != nil {
 			return err
 		}
-		if rec == nil {
+		if !ok {
 			return fmt.Errorf("wal: live region corrupt at %d (seq %d)", pos, seq)
 		}
 		if rec.Type != recWrap {
@@ -851,9 +931,9 @@ func (l *Log) scanForwardLocked(fn func(*Record) error) error {
 				return err
 			}
 		}
-		seen += n
+		seen += rec.Len
 		seq++
-		pos += n
+		pos += rec.Len
 		if pos == l.areaSize {
 			pos = 0
 		}
@@ -864,13 +944,15 @@ func (l *Log) scanForwardLocked(fn func(*Record) error) error {
 // ScanBackward visits live records newest-first, walking the reverse
 // displacements from the tail — the direction crash recovery reads the log
 // (paper §5.1.2).  Wrap records are skipped; checkpoint records are
-// delivered (with nil Ranges).
+// delivered (with nil Ranges).  fn must not retain the record's range data
+// beyond the call.
 func (l *Log) ScanBackward(fn func(*Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dev == nil {
 		return ErrLogClosed
 	}
+	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
 	pos := l.tailPos()
 	seq := l.nextSeq
 	var seen int64
@@ -878,30 +960,18 @@ func (l *Log) ScanBackward(fn func(*Record) error) error {
 		if pos == 0 {
 			pos = l.areaSize
 		}
-		trailer := make([]byte, trailerSize)
-		if _, err := l.dev.ReadAt(trailer, areaOff(pos-trailerSize)); err != nil {
-			return fmt.Errorf("wal: read trailer before %d: %w", pos, err)
-		}
-		totalLen := int64(binary.BigEndian.Uint32(trailer[8:]))
-		if totalLen < minRecordSize || totalLen > pos {
-			return fmt.Errorf("wal: bad reverse displacement %d at %d", totalLen, pos)
-		}
-		start := pos - totalLen
 		seq--
-		rec, n, err := l.readRecordAt(start, seq)
-		if err != nil {
+		rec := new(Record)
+		if err := rd.prev(rec, pos, seq); err != nil {
 			return err
-		}
-		if rec == nil || n != totalLen {
-			return fmt.Errorf("wal: live region corrupt at %d (backward, seq %d)", start, seq)
 		}
 		if rec.Type != recWrap {
 			if err := fn(rec); err != nil {
 				return err
 			}
 		}
-		seen += n
-		pos = start
+		seen += rec.Len
+		pos = rec.Pos
 	}
 	return nil
 }
@@ -934,15 +1004,12 @@ type Analysis struct {
 }
 
 // AnalyzeBackward is recovery's analysis pass: it walks the live region
-// tail-to-head reading only each record's trailer and header, and collects
-// references (newest first) to the transaction and prepare records redo
-// must consider, plus the commit marks that decide the prepares' fate.
-// The walk ends early at the newest checkpoint record's stable sequence
-// number: every record with Seq < stable is already reflected in its
-// segment.  The refs are decoded later — possibly concurrently — with
-// ReadRecord; full CRC validation happens there, while this pass relies
-// on the structural checks findTail already ran over the live region at
-// Open.
+// tail-to-head and collects references (newest first) to the transaction
+// and prepare records redo must consider, plus the commit marks that decide
+// the prepares' fate.  The walk ends early at the newest checkpoint
+// record's stable sequence number: every record with Seq < stable is
+// already reflected in its segment.  The refs are decoded later — possibly
+// concurrently, one Reader per worker — with ReadRecord.
 func (l *Log) AnalyzeBackward() (Analysis, error) {
 	var an Analysis
 	l.mu.Lock()
@@ -950,72 +1017,67 @@ func (l *Log) AnalyzeBackward() (Analysis, error) {
 	if l.dev == nil {
 		return an, ErrLogClosed
 	}
+	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
 	pos := l.tailPos()
 	seq := l.nextSeq
-	var seen int64
-	trailer := make([]byte, trailerSize)
-	hdr := make([]byte, headerSize)
-	for seen < l.used {
+	var rec Record
+	for an.Scanned < l.used {
 		if an.Stable != 0 && seq-1 < an.Stable {
 			break // everything older is reflected in the segments
 		}
 		if pos == 0 {
 			pos = l.areaSize
 		}
-		if _, err := l.dev.ReadAt(trailer, areaOff(pos-trailerSize)); err != nil {
-			return an, fmt.Errorf("wal: read trailer before %d: %w", pos, err)
-		}
-		totalLen := int64(binary.BigEndian.Uint32(trailer[8:]))
-		if totalLen < minRecordSize || totalLen > pos {
-			return an, fmt.Errorf("wal: bad reverse displacement %d at %d", totalLen, pos)
-		}
-		start := pos - totalLen
 		seq--
-		if _, err := l.dev.ReadAt(hdr, areaOff(start)); err != nil {
-			return an, fmt.Errorf("wal: read header at %d: %w", start, err)
+		if err := rd.prev(&rec, pos, seq); err != nil {
+			return an, err
 		}
-		if binary.BigEndian.Uint32(hdr[0:]) != recMagic ||
-			int64(binary.BigEndian.Uint32(hdr[4:])) != totalLen ||
-			binary.BigEndian.Uint64(hdr[16:]) != seq {
-			return an, fmt.Errorf("wal: live region corrupt at %d (analysis, seq %d)", start, seq)
-		}
-		seen += totalLen
-		an.Scanned += totalLen
-		pos = start
-		switch hdr[8] {
+		an.Scanned += rec.Len
+		pos = rec.Pos
+		switch rec.Type {
 		case recTx, recPrep:
-			an.Refs = append(an.Refs, RecordRef{
-				Pos: start, Len: totalLen, Seq: seq,
-				Type: hdr[8], TID: binary.BigEndian.Uint64(hdr[24:]),
-			})
+			an.Refs = append(an.Refs, RecordRef{Pos: rec.Pos, Len: rec.Len, Seq: seq, Type: rec.Type, TID: rec.TID})
 		case recCmt:
-			an.Committed = append(an.Committed, binary.BigEndian.Uint64(hdr[24:]))
+			an.Committed = append(an.Committed, rec.TID)
 		case recCkpt:
 			if an.Stable == 0 {
 				// Newest checkpoint wins; older ones carry smaller
 				// stable values and are subsumed.
-				an.Stable = binary.BigEndian.Uint64(hdr[24:])
+				an.Stable = rec.CkptSeq
 			}
 		}
 	}
 	return an, nil
 }
 
-// ReadRecord decodes and fully validates the record a RecordRef points at.
-// It is safe for concurrent use by recovery workers: the device handle is
-// snapshotted under the lock and all reads are positional.
-func (l *Log) ReadRecord(ref RecordRef) (*Record, error) {
+// Reader decodes the records AnalyzeBackward located.  Each recovery worker
+// owns one and hands it refs in the order analysis produced them (newest
+// first), so its reads are sequential chunks; Readers of one log share
+// nothing but the device's positional reads.
+type Reader struct{ rd areaReader }
+
+// NewReader returns a Reader over the log's device.
+func (l *Log) NewReader() (*Reader, error) {
 	l.mu.Lock()
-	dev, areaSize := l.dev, l.areaSize
-	l.mu.Unlock()
-	if dev == nil {
+	defer l.mu.Unlock()
+	if l.dev == nil {
 		return nil, ErrLogClosed
 	}
-	rec, n, err := readRecord(dev, areaSize, ref.Pos, ref.Seq)
+	return &Reader{areaReader{dev: l.dev, areaSize: l.areaSize, keep: true}}, nil
+}
+
+// ReadRecord decodes and fully validates the record ref points at.  The
+// record's range data stays valid for as long as the caller holds it.
+func (r *Reader) ReadRecord(ref RecordRef) (*Record, error) {
+	if ref.Pos < 0 || ref.Len < minRecordSize || ref.Pos+ref.Len > r.rd.areaSize {
+		return nil, fmt.Errorf("wal: record ref [%d,+%d) outside the log area", ref.Pos, ref.Len)
+	}
+	buf, err := r.rd.bytes(ref.Pos, ref.Len, true)
 	if err != nil {
 		return nil, err
 	}
-	if rec == nil || n != ref.Len {
+	rec := new(Record)
+	if !decodeRecord(rec, buf, ref.Pos, ref.Seq) {
 		return nil, fmt.Errorf("wal: record at %d (seq %d) failed validation", ref.Pos, ref.Seq)
 	}
 	return rec, nil

@@ -2,6 +2,8 @@ package rvm_test
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -258,5 +260,67 @@ func TestRvmstatRoundTrip(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Error("dumped trace is empty")
+	}
+}
+
+// TestRecoveryPhasesSurface: after a restart that had a log to replay, the
+// tail scan at Open and recovery's three phases (analysis, decode + build,
+// apply) are visible on every surface an operator has — Snapshot,
+// /metrics, and rvmstat — so a long restart is explainable afterwards.
+func TestRecoveryPhasesSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tool workflow skipped in -short")
+	}
+	s := newStore(t, rvm.Options{})
+	reg, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, s.db, reg, 20, rvm.Flush)
+	s.db = nil // abandoned without Close: a process failure, the log stays live
+
+	db, err := rvm.Open(rvm.Options{LogPath: s.logPath, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	sn, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sn.Metrics
+	for name, h := range map[string]rvm.HistStat{
+		"open_scan_ns": m.OpenScanNs, "recovery_scan_ns": m.RecoveryScanNs,
+		"recovery_build_ns": m.RecoveryBuildNs, "recovery_apply_ns": m.RecoveryApplyNs,
+	} {
+		if h.Count != 1 || h.Sum == 0 {
+			t.Errorf("snapshot %s: %d observations, %d ns in all; want one non-zero", name, h.Count, h.Sum)
+		}
+	}
+
+	srv := httptest.NewServer(db.DebugHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"rvm_open_scan_ns_count 1", "rvm_recovery_scan_ns_count 1",
+		"rvm_recovery_build_ns_count 1", "rvm_recovery_apply_ns_count 1"} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("/metrics body missing %q", want)
+		}
+	}
+	lintProm(t, string(raw))
+
+	out := runTool(t, "rvmstat", "-url", srv.URL)
+	for _, row := range []string{"open-scan", "recov-scan", "recov-build", "recov-apply"} {
+		if !strings.Contains(out, row) {
+			t.Errorf("rvmstat view missing the %q row:\n%s", row, out)
+		}
 	}
 }
