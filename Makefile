@@ -26,7 +26,7 @@ lint:
 	else echo "govulncheck not installed; go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)"; fi
 
 bench:
-	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange' -benchtime 1x -run '^$$' .
+	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange|CommitNoFlush|AppendBatch' -benchtime 1x -run '^$$' . ./internal/core ./internal/wal
 
 # bench-gates runs the five checked-in regression gates the way CI does:
 # fsyncs/commit + p99, observability overhead, commit scaling, sharded-WAL

@@ -3,7 +3,7 @@
 // must not be retained — returned or stored into longer-lived state —
 // past a deferred Put.
 //
-// The WAL's encode buffers are the motivating case: writeRecord takes
+// The WAL's encode buffers are the motivating case: appendLocked takes
 // an encBuf from the pool and defers its release; once release runs,
 // the pool may hand the same buffer to another goroutine, so any alias
 // that outlives the function (a returned chunk, a slice stashed in a

@@ -6,7 +6,6 @@ import (
 
 	"github.com/rvm-go/rvm/internal/mapping"
 	"github.com/rvm-go/rvm/internal/obs"
-	"github.com/rvm-go/rvm/internal/pagevec"
 	"github.com/rvm-go/rvm/internal/segment"
 	"github.com/rvm-go/rvm/internal/wal"
 )
@@ -162,7 +161,7 @@ func (e *Engine) writeCheckpointPages(sh *shard) (pages, stable uint64, err erro
 			// no-undo/redo invariant (the region lock holds the spool
 			// state for this region steady across the check and copy).
 			p.mu.Lock()
-			blocked = spoolRefsPagePipeLocked(p, d.ID)
+			blocked = r.spoolRefs[d.ID.Page] > 0
 			p.mu.Unlock()
 		}
 		if blocked {
@@ -196,22 +195,6 @@ func (e *Engine) writeCheckpointPages(sh *shard) (pages, stable uint64, err erro
 		}
 	}
 	return pages, stable, nil
-}
-
-// spoolRefsPagePipeLocked reports whether a spooled (committed no-flush,
-// not yet logged) transaction on this pipeline references the page.
-// Writing such a page to its segment would persist committed-but-unlogged
-// bytes: a crash then leaves that transaction partially applied with no
-// log record to finish it, breaking atomicity.  Caller holds p.mu.
-func spoolRefsPagePipeLocked(p *pipeline, id pagevec.PageID) bool {
-	for _, sp := range p.spool {
-		for _, pg := range sp.pages {
-			if pg == id {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // startCheckpointer launches the background fuzzy-checkpoint loop.

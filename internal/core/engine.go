@@ -158,8 +158,7 @@ type Options struct {
 	CheckpointInterval time.Duration
 	// SpoolLimit bounds the bytes of committed no-flush transactions held
 	// in memory awaiting a flush; crossing it triggers an implicit flush
-	// (the real RVM's log buffers were finite too, and an unbounded spool
-	// would make the inter-transaction subsumption scan quadratic).
+	// (the real RVM's log buffers were finite too).
 	// Zero means the 1 MiB default; negative means unlimited.
 	SpoolLimit int64
 	// Tracer records typed engine events (commits, forces, truncation
@@ -268,9 +267,15 @@ type counters struct {
 // different shards are independent; the few paths that hold several at
 // once (regions-slice mutation) take them in ascending shard order.
 type pipeline struct {
-	mu          sync.Mutex
-	spool       []*spooled // committed no-flush transactions not yet in the log
-	spoolBytes  int64
+	mu sync.Mutex
+	// The spool (spool.go): committed no-flush transactions not yet in the
+	// log, in commit order.  Entries a later commit subsumed stay in the
+	// slice, dead, until a drain passes them.
+	spool       []*spooled
+	spoolBytes  int64                  // log cost of the live entries
+	spoolIdx    map[uint64]spoolBucket // live entries by witness bucket
+	spoolChecks uint64                 // full subsumption checks run; tests pin the cost of a commit with it
+	batch       []wal.Entry            // drain scratch, kept for its capacity
 	queue       pagevec.Queue
 	epochEndSeq uint64 // while an epoch truncation is in flight: its EndSeq
 	// inDoubt tracks cross-shard transactions with a prepare record in
@@ -362,15 +367,6 @@ type Engine struct {
 // poisonCause wraps the fail-stop root cause for atomic publication.
 type poisonCause struct{ err error }
 
-// spooled is a committed no-flush transaction awaiting its log write.
-type spooled struct {
-	tid    uint64
-	flags  uint8
-	ranges []wal.Range // data copied at commit time
-	bytes  int64       // encoded log size, for inter-opt accounting
-	pages  []pagevec.PageID
-}
-
 // Region is a mapped region of an external data segment.  Its memory is
 // exposed via Data; applications read and write it directly, bracketing
 // writes with SetRange inside a transaction.
@@ -387,6 +383,10 @@ type Region struct {
 	segOff int64 // region start within the segment's data space
 	length int64
 	pvec   *pagevec.Vector // entries are atomics; mu orders refs-check vs page write
+	// spoolRefs counts, per page, the live spool entries of sh referencing
+	// it: bytes committed but not yet logged, which keep the page out of
+	// its segment and its dirty bit set.  Guarded by sh.pipe.mu.
+	spoolRefs []int32
 
 	mu     sync.Mutex // guards data/buf stability, nTx, mapped
 	buf    *mapping.Buffer
@@ -734,16 +734,17 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		return nil, err
 	}
 	r := &Region{
-		eng:    e,
-		idx:    len(e.regions),
-		sh:     e.shardFor(seg.ID(), segOff),
-		seg:    seg,
-		segOff: segOff,
-		length: length,
-		buf:    buf,
-		data:   buf.Data(),
-		pvec:   pagevec.New(int(length / int64(mapping.PageSize))),
-		mapped: true,
+		eng:       e,
+		idx:       len(e.regions),
+		sh:        e.shardFor(seg.ID(), segOff),
+		seg:       seg,
+		segOff:    segOff,
+		length:    length,
+		buf:       buf,
+		data:      buf.Data(),
+		pvec:      pagevec.New(int(length / int64(mapping.PageSize))),
+		spoolRefs: make([]int32, length/int64(mapping.PageSize)),
+		mapped:    true,
 	}
 	// The regions slice is read under each shard's pipe.mu by the spool
 	// drain and epoch completion, so mutations hold every pipeline lock.

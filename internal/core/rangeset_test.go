@@ -8,11 +8,11 @@ import (
 
 func TestRangesetAddDisjoint(t *testing.T) {
 	var s rangeset
-	a := s.add(10, 20)
+	a := s.add(10, 20, nil)
 	if len(a) != 1 || a[0] != (span{10, 20}) {
 		t.Fatalf("added %v", a)
 	}
-	a = s.add(30, 40)
+	a = s.add(30, 40, nil)
 	if len(a) != 1 || len(s.spans) != 2 {
 		t.Fatalf("spans %v", s.spans)
 	}
@@ -20,11 +20,11 @@ func TestRangesetAddDisjoint(t *testing.T) {
 
 func TestRangesetAddDuplicate(t *testing.T) {
 	var s rangeset
-	s.add(10, 20)
-	if a := s.add(10, 20); len(a) != 0 {
+	s.add(10, 20, nil)
+	if a := s.add(10, 20, nil); len(a) != 0 {
 		t.Fatalf("duplicate added %v", a)
 	}
-	if a := s.add(12, 18); len(a) != 0 {
+	if a := s.add(12, 18, nil); len(a) != 0 {
 		t.Fatalf("contained added %v", a)
 	}
 	if len(s.spans) != 1 {
@@ -34,8 +34,8 @@ func TestRangesetAddDuplicate(t *testing.T) {
 
 func TestRangesetAddOverlap(t *testing.T) {
 	var s rangeset
-	s.add(10, 20)
-	a := s.add(15, 25)
+	s.add(10, 20, nil)
+	a := s.add(15, 25, nil)
 	if len(a) != 1 || a[0] != (span{20, 25}) {
 		t.Fatalf("added %v", a)
 	}
@@ -46,12 +46,12 @@ func TestRangesetAddOverlap(t *testing.T) {
 
 func TestRangesetAddAdjacentMerges(t *testing.T) {
 	var s rangeset
-	s.add(10, 20)
-	s.add(20, 30)
+	s.add(10, 20, nil)
+	s.add(20, 30, nil)
 	if len(s.spans) != 1 || s.spans[0] != (span{10, 30}) {
 		t.Fatalf("adjacent not merged: %v", s.spans)
 	}
-	s.add(0, 10)
+	s.add(0, 10, nil)
 	if len(s.spans) != 1 || s.spans[0] != (span{0, 30}) {
 		t.Fatalf("left-adjacent not merged: %v", s.spans)
 	}
@@ -59,9 +59,9 @@ func TestRangesetAddAdjacentMerges(t *testing.T) {
 
 func TestRangesetBridgesGap(t *testing.T) {
 	var s rangeset
-	s.add(0, 10)
-	s.add(20, 30)
-	a := s.add(5, 25)
+	s.add(0, 10, nil)
+	s.add(20, 30, nil)
+	a := s.add(5, 25, nil)
 	if len(a) != 1 || a[0] != (span{10, 20}) {
 		t.Fatalf("added %v", a)
 	}
@@ -72,8 +72,8 @@ func TestRangesetBridgesGap(t *testing.T) {
 
 func TestRangesetCovers(t *testing.T) {
 	var s rangeset
-	s.add(10, 20)
-	s.add(30, 40)
+	s.add(10, 20, nil)
+	s.add(30, 40, nil)
 	cases := []struct {
 		off, end int64
 		want     bool
@@ -97,7 +97,7 @@ func TestRangesetModel(t *testing.T) {
 		for step := 0; step < 50; step++ {
 			off := int64(rng.Intn(1000))
 			end := off + 1 + int64(rng.Intn(64))
-			added := s.add(off, end)
+			added := s.add(off, end, nil)
 			// Added spans must exactly equal the previously uncovered bits.
 			covered := make([]bool, len(model))
 			for _, sp := range added {
@@ -148,10 +148,10 @@ func TestRangesetAddAllocs(t *testing.T) {
 	}
 	var s rangeset
 	for i := int64(0); i < 64; i++ {
-		s.add(i*100, i*100+50)
+		s.add(i*100, i*100+50, nil)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if got := s.add(1200, 1240); len(got) != 0 {
+		if got := s.add(1200, 1240, nil); len(got) != 0 {
 			t.Fatalf("unexpectedly added %v", got)
 		}
 	}); n != 0 {
@@ -160,7 +160,7 @@ func TestRangesetAddAllocs(t *testing.T) {
 	// A bridging add collapses all 64 spans to one; the splice must shrink
 	// the slice in place, not reallocate.
 	c0 := cap(s.spans)
-	s.add(0, 6400)
+	s.add(0, 6400, nil)
 	if len(s.spans) != 1 || s.spans[0] != (span{0, 6400}) {
 		t.Fatalf("bridge add left spans %v", s.spans)
 	}
@@ -169,7 +169,7 @@ func TestRangesetAddAllocs(t *testing.T) {
 	}
 	// And further covered adds on the collapsed set stay allocation-free.
 	if n := testing.AllocsPerRun(200, func() {
-		s.add(100, 6300)
+		s.add(100, 6300, nil)
 	}); n != 0 {
 		t.Fatalf("covered add after merge allocated %.1f times per run, want 0", n)
 	}
@@ -183,7 +183,7 @@ func TestRangesetTotalBytesQuick(t *testing.T) {
 		for i := 0; i+1 < len(pairs); i += 2 {
 			off := int64(pairs[i] % 2048)
 			n := int64(pairs[i+1]%128) + 1
-			s.add(off, off+n)
+			s.add(off, off+n, nil)
 			for j := off; j < off+n; j++ {
 				model[j] = true
 			}

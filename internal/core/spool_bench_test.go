@@ -1,0 +1,107 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+)
+
+// tpcaShape is the paper's TPC-A transaction (§7.1.1) as the engine sees
+// it: three regions of one segment — 128-byte accounts, a trail of 64-byte
+// audit records, one page of balances — and four ranges per transaction.
+type tpcaShape struct {
+	eng                  *Engine
+	acct, audit, control *Region
+	rng                  *rand.Rand
+	slot                 int64
+}
+
+const (
+	tpcaAcctPages  = 1024
+	tpcaAuditPages = 256
+)
+
+func newTPCAShape(tb testing.TB, opts Options) *tpcaShape {
+	tb.Helper()
+	dir := tb.TempDir()
+	logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
+	if err := CreateLog(logPath, 64<<20); err != nil {
+		tb.Fatal(err)
+	}
+	if err := CreateSegment(segPath, 1, pageBytes(tpcaAcctPages+tpcaAuditPages+1)); err != nil {
+		tb.Fatal(err)
+	}
+	opts.LogPath = logPath
+	eng, err := Open(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { eng.Close() })
+	s := &tpcaShape{eng: eng, rng: rand.New(rand.NewSource(14))}
+	for _, m := range []struct {
+		r          **Region
+		off, pages int
+	}{{&s.acct, 0, tpcaAcctPages}, {&s.audit, tpcaAcctPages, tpcaAuditPages}, {&s.control, tpcaAcctPages + tpcaAuditPages, 1}} {
+		if *m.r, err = eng.Map(segPath, pageBytes(m.off), pageBytes(m.pages)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// commit runs one transfer on a uniformly drawn account and commits it
+// no-flush.
+func (s *tpcaShape) commit(tb testing.TB) {
+	tx, err := s.eng.Begin(Restore)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	acct := s.rng.Int63n(pageBytes(tpcaAcctPages)/128) * 128
+	audit := s.slot % (pageBytes(tpcaAuditPages) / 64) * 64
+	s.slot++
+	for _, sr := range []struct {
+		r      *Region
+		off, n int64
+	}{{s.acct, acct, 128}, {s.audit, audit, 64}, {s.control, 0, 8}, {s.control, 2048, 8}} {
+		if err := tx.SetRange(sr.r, sr.off, sr.n); err != nil {
+			tb.Fatal(err)
+		}
+		sr.r.Data()[sr.off]++
+	}
+	if err := tx.Commit(NoFlush); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkCommitNoFlush measures a TPC-A-shaped Restore transaction
+// committed no-flush into a spool already holding spool entries; the spool
+// is emptied, off the clock, whenever it has doubled.  A commit's cost must
+// not depend on the spool's length.
+func BenchmarkCommitNoFlush(b *testing.B) {
+	for _, spool := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("spool=%d", spool), func(b *testing.B) {
+			s := newTPCAShape(b, Options{SpoolLimit: -1, TruncateThreshold: -1})
+			fill := func() {
+				if err := s.eng.Truncate(); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < spool; i++ {
+					s.commit(b)
+				}
+			}
+			fill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, n := 0, 0; i < b.N; i++ {
+				if n++; n > spool {
+					b.StopTimer()
+					fill()
+					n = 1
+					b.StartTimer()
+				}
+				s.commit(b)
+			}
+		})
+	}
+}

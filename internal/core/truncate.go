@@ -50,7 +50,11 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 		if err != nil && len(p.spool) > 0 {
 			need = wal.EncodedLen(p.spool[0].ranges)
 		}
+		spoolBytes := p.spoolBytes
 		p.mu.Unlock()
+		// The gauge gets what the drain left, read under the lock: a commit
+		// that spools during the force below publishes its own, later value.
+		e.met.SetSpoolBytes(spoolBytes)
 		if err == nil {
 			break
 		}
@@ -74,7 +78,6 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 	}
 	e.stats.flushes.Add(1)
 	e.met.ObserveSpoolFlush(time.Since(t0).Nanoseconds())
-	e.met.SetSpoolBytes(0)
 	e.tr.SpanSince(obs.EvSpoolFlush, t0, 0, uint64(drained), 0)
 	return nil
 }
@@ -254,14 +257,6 @@ func (e *Engine) completeEpochPipe(sh *shard, endSeq uint64) {
 			delete(p.inDoubt, tid)
 		}
 	}
-	// Pages referenced by still-spooled transactions keep their dirty
-	// bits: their changes are only in memory and in the spool.
-	spoolPages := make(map[pagevec.PageID]bool)
-	for _, sp := range p.spool {
-		for _, id := range sp.pages {
-			spoolPages[id] = true
-		}
-	}
 	for _, r := range e.regions {
 		if r == nil || r.sh != sh {
 			// Another shard's epoch says nothing about this region's
@@ -269,8 +264,10 @@ func (e *Engine) completeEpochPipe(sh *shard, endSeq uint64) {
 			continue
 		}
 		for pg := 0; pg < r.pvec.NumPages(); pg++ {
+			// Pages referenced by still-spooled transactions keep their
+			// dirty bits: their changes are only in memory and the spool.
 			id := pagevec.PageID{Region: r.idx, Page: int64(pg)}
-			if r.pvec.IsDirty(pg) && !p.queue.Has(id) && !spoolPages[id] {
+			if r.pvec.IsDirty(pg) && r.spoolRefs[pg] == 0 && !p.queue.Has(id) {
 				r.pvec.ClearDirty(pg)
 			}
 		}
@@ -393,7 +390,7 @@ func (e *Engine) incrementalSteps(sh *shard, targetUsed int64) (bool, error) {
 			// but not yet logged, so writing the page (and moving the head
 			// past its log reference) would break atomicity on a crash.
 			p.mu.Lock()
-			spooled = spoolRefsPagePipeLocked(p, d.ID)
+			spooled = r.spoolRefs[d.ID.Page] > 0
 			p.mu.Unlock()
 		}
 		if blocked || spooled {

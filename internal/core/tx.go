@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -53,13 +54,14 @@ type span struct{ off, end int64 }
 // optimization of paper §5.2.
 type rangeset struct{ spans []span }
 
-// add inserts [off, end) and returns the newly covered pieces.  The span
-// slice is spliced in place: the merge replaces spans[i:j] with a single
-// union span and an insert shifts the tail, so a warm set adds no
-// allocations beyond the amortized growth of the backing array.
-func (s *rangeset) add(off, end int64) []span {
+// add inserts [off, end) and returns the newly covered pieces, appended to
+// buf[:0].  The span slice is spliced in place: the merge replaces
+// spans[i:j] with a single union span and an insert shifts the tail, so a
+// warm set adds no allocations beyond the amortized growth of the backing
+// array.
+func (s *rangeset) add(off, end int64, buf []span) []span {
 	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].end >= off })
-	var added []span
+	added := buf[:0]
 	pos := off
 	j := i
 	for j < len(s.spans) && s.spans[j].off <= end {
@@ -95,21 +97,20 @@ func (s *rangeset) add(off, end int64) []span {
 	return added
 }
 
-// covers reports whether [off,end) is fully covered.
-func (s *rangeset) covers(off, end int64) bool {
-	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].end > off })
-	return i < len(s.spans) && s.spans[i].off <= off && s.spans[i].end >= end
-}
-
 // txRegion is a transaction's bookkeeping for one region.
 type txRegion struct {
 	region *Region
-	set    rangeset       // coalesced coverage (optimized mode)
-	raw    []span         // verbatim set-range calls (NoIntraOpt mode)
-	rawOld [][]byte       // old values per raw span (restore + NoIntraOpt)
-	old    []oldValue     // old values for newly covered bytes (restore mode)
-	pages  map[int64]bool // pages referenced by this tx in this region
-	naive  int64          // log bytes set-ranges would cost unoptimized
+	set    rangeset   // coalesced coverage (optimized mode)
+	raw    []span     // verbatim set-range calls (NoIntraOpt mode)
+	rawOld [][]byte   // old values per raw span (restore + NoIntraOpt)
+	old    []oldValue // old values for newly covered bytes (restore mode)
+	pages  rangeset   // pages referenced by this tx in this region, in page units
+	naive  int64      // log bytes set-ranges would cost unoptimized
+	// First backing arrays of set.spans, pages.spans and old: a region
+	// with a couple of ranges allocates nothing.
+	spanBuf [2]span
+	pageBuf [1]span
+	oldBuf  [2]oldValue
 }
 
 // oldValue is the pre-transaction contents of one newly covered span.
@@ -125,24 +126,34 @@ type oldValue struct {
 // provides no serializability between them (paper §3.1).  Transactions on
 // disjoint regions share no lock: they meet only at the log pipeline.
 type Tx struct {
-	eng     *Engine
-	id      uint64
-	mode    TxMode
-	done    bool
-	regions map[int]*txRegion
+	eng  *Engine
+	id   uint64
+	mode TxMode
+	done bool
+	// regions is the bookkeeping of every region touched, ascending by
+	// region index — both the lock-acquisition order and the deterministic
+	// log order.  The first two regions' books live inside the Tx: every
+	// one costs Begin some 70 ns of zeroing whether it is used or not,
+	// about what allocating a third on demand costs.
+	regions []*txRegion
+	regPtrs [4]*txRegion
+	regBuf  [2]txRegion
+	oldData []byte // old values are captured into one growing buffer
 }
 
 // Begin starts a transaction (paper §4.2 begin_transaction).  It takes no
 // lock: the transaction count and ID source are atomics.  The increment-
 // then-check order pairs with Close's publish-closed-then-read-active so
-// a Begin can never slip into a closing engine unobserved.
+// a Begin can never slip into a closing engine unobserved.  A Tx is never
+// recycled: a caller holding one past Commit must keep seeing ErrTxDone.
 func (e *Engine) Begin(mode TxMode) (*Tx, error) {
 	e.active.Add(1)
 	if err := e.check(); err != nil {
 		e.active.Add(-1)
 		return nil, err
 	}
-	t := &Tx{eng: e, id: e.nextTID.Add(1) - 1, mode: mode, regions: make(map[int]*txRegion)}
+	t := &Tx{eng: e, id: e.nextTID.Add(1) - 1, mode: mode}
+	t.regions = t.regPtrs[:0]
 	e.stats.begins.Add(1)
 	e.met.AddActiveTx(1)
 	e.tr.Record(obs.EvTxBegin, t.id, 0, 0)
@@ -177,12 +188,7 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 	if !r.mapped {
 		return ErrRegionUnmapped
 	}
-	tr := t.regions[r.idx]
-	if tr == nil {
-		tr = &txRegion{region: r, pages: make(map[int64]bool)}
-		t.regions[r.idx] = tr
-		r.nTx++
-	}
+	tr := t.txRegionLocked(r)
 	e.stats.setRanges.Add(1)
 	tr.naive += rangeEncodedLen(n)
 
@@ -193,20 +199,47 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 		} else {
 			tr.rawOld = append(tr.rawOld, nil)
 		}
-		t.refPages(tr, off, off+n)
+		tr.refPages(off, off+n)
 		return nil
 	}
 
-	added := tr.set.add(off, off+n)
-	for _, sp := range added {
+	var buf [2]span
+	for _, sp := range tr.set.add(off, off+n, buf[:0]) {
 		if t.mode == Restore {
 			// Only newly covered bytes need old-value copies; bytes already
 			// covered had their pre-transaction values captured earlier.
-			tr.old = append(tr.old, oldValue{sp.off, append([]byte(nil), r.data[sp.off:sp.end]...)})
+			// A capture keeps its bytes when the buffer later moves.
+			if t.oldData == nil {
+				t.oldData = make([]byte, 0, max(256, sp.end-sp.off))
+			}
+			lo := len(t.oldData)
+			t.oldData = append(t.oldData, r.data[sp.off:sp.end]...)
+			tr.old = append(tr.old, oldValue{sp.off, t.oldData[lo:len(t.oldData):len(t.oldData)]})
 		}
-		t.refPages(tr, sp.off, sp.end)
+		tr.refPages(sp.off, sp.end)
 	}
 	return nil
+}
+
+// txRegionLocked returns the transaction's bookkeeping for r, filing it in
+// index order on first touch.  Caller holds r.mu (for nTx).
+func (t *Tx) txRegionLocked(r *Region) *txRegion {
+	i := len(t.regions)
+	for i > 0 && t.regions[i-1].region.idx >= r.idx {
+		i--
+	}
+	if i == len(t.regions) || t.regions[i].region != r {
+		var tr *txRegion
+		if n := len(t.regions); n < len(t.regBuf) {
+			tr = &t.regBuf[n]
+		} else {
+			tr = new(txRegion)
+		}
+		tr.region, tr.set.spans, tr.pages.spans, tr.old = r, tr.spanBuf[:0], tr.pageBuf[:0], tr.oldBuf[:0]
+		t.regions = slices.Insert(t.regions, i, tr)
+		r.nTx++
+	}
+	return t.regions[i]
 }
 
 // rangeEncodedLen is the log cost of one modification range of n bytes.
@@ -214,12 +247,21 @@ func rangeEncodedLen(n int64) int64 { return 20 + n } // wal range header + data
 
 // refPages increments uncommitted reference counts for pages of [off,end)
 // not yet referenced by this transaction in this region.
-func (t *Tx) refPages(tr *txRegion, off, end int64) {
+func (tr *txRegion) refPages(off, end int64) {
 	ps := int64(mapping.PageSize)
-	for p := off / ps; p <= (end-1)/ps; p++ {
-		if !tr.pages[p] {
-			tr.pages[p] = true
+	var buf [1]span
+	for _, sp := range tr.pages.add(off/ps, (end-1)/ps+1, buf[:0]) {
+		for p := sp.off; p < sp.end; p++ {
 			tr.region.pvec.IncRef(int(p))
+		}
+	}
+}
+
+// eachPage calls fn for every page the transaction references in the region.
+func (tr *txRegion) eachPage(fn func(page int64)) {
+	for _, sp := range tr.pages.spans {
+		for p := sp.off; p < sp.end; p++ {
+			fn(p)
 		}
 	}
 }
@@ -234,51 +276,33 @@ func (t *Tx) Modify(r *Region, off int64, data []byte) error {
 	return nil
 }
 
-// sortedRegions returns the transaction's region indices in ascending
-// order — both the lock-acquisition order and the deterministic log order.
-func (t *Tx) sortedRegions() []int {
-	idxs := make([]int, 0, len(t.regions))
-	for idx := range t.regions {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	return idxs
-}
-
 // txShards returns the distinct WAL shards the transaction's regions log
 // through, in ascending shard order — the order every cross-shard phase
-// visits them in.
+// visits them in.  A one-shard engine has only one answer.
 func (t *Tx) txShards() []*shard {
+	if len(t.eng.shards) == 1 {
+		return t.eng.shards
+	}
 	var shs []*shard
-	for _, tr := range t.regions {
-		sh := tr.region.sh
-		found := false
-		for _, s := range shs {
-			if s == sh {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for i := range t.regions {
+		if sh := t.regions[i].region.sh; !slices.Contains(shs, sh) {
 			shs = append(shs, sh)
 		}
 	}
-	sort.Slice(shs, func(i, j int) bool { return shs[i].idx < shs[j].idx })
+	slices.SortFunc(shs, func(a, b *shard) int { return a.idx - b.idx })
 	return shs
 }
 
 // lockRegions acquires the lock of every region the transaction touched,
 // in ascending index order (the hierarchy's rule for multi-region
-// transactions), and returns the sorted indices.  With metrics on, each
-// acquisition feeds the region-class contention counters; the TryLock
-// fast path keeps the uncontended case at one extra atomic add.  The
-// Lock calls stay literal in each branch so the lockorder/locksync/
-// obsleak walkers keep seeing them.
-func (t *Tx) lockRegions() []int {
-	idxs := t.sortedRegions()
+// transactions).  With metrics on, each acquisition feeds the region-class
+// contention counters; the TryLock fast path keeps the uncontended case at
+// one extra atomic add.  The Lock calls stay literal in each branch so the
+// lockorder/locksync/obsleak walkers keep seeing them.
+func (t *Tx) lockRegions() {
 	met := t.eng.met
-	for _, idx := range idxs {
-		r := t.regions[idx].region
+	for i := range t.regions {
+		r := t.regions[i].region
 		if met == nil {
 			r.mu.Lock()
 		} else if r.mu.TryLock() {
@@ -289,24 +313,26 @@ func (t *Tx) lockRegions() []int {
 			met.LockContended(obs.LockRegion, time.Since(wt).Nanoseconds())
 		}
 	}
-	return idxs
 }
 
-func (t *Tx) unlockRegions(idxs []int) {
-	for _, idx := range idxs {
-		t.regions[idx].region.mu.Unlock()
+func (t *Tx) unlockRegions() {
+	for i := range t.regions {
+		t.regions[i].region.mu.Unlock()
 	}
 }
 
-// finish releases per-region bookkeeping common to commit and abort.
-func (t *Tx) finish() {
+// finish releases per-region bookkeeping common to commit and abort.  held
+// says the caller still holds the region locks, which finish then releases;
+// otherwise each region is locked just long enough to drop its count.
+func (t *Tx) finish(held bool) {
 	e := t.eng
-	for _, tr := range t.regions {
-		for p := range tr.pages {
-			tr.region.pvec.DecRef(int(p))
-		}
+	for i := range t.regions {
+		tr := t.regions[i]
 		r := tr.region
-		r.mu.Lock()
+		tr.eachPage(func(p int64) { r.pvec.DecRef(int(p)) })
+		if !held {
+			r.mu.Lock()
+		}
 		r.nTx--
 		r.mu.Unlock()
 	}
@@ -315,49 +341,67 @@ func (t *Tx) finish() {
 	e.met.AddActiveTx(-1)
 }
 
-// buildRanges reads the current (new) values of the transaction's ranges
-// from region memory.  When copy is true the data is duplicated (needed
-// for spooling, where memory keeps changing after commit); otherwise the
-// ranges alias region memory, which the caller must keep locked until the
-// log consumes them.  It returns the intra-transaction savings for the
-// caller to account once the commit actually succeeds.
-func (t *Tx) buildRanges(idxs []int, copyData bool) ([]wal.Range, []pagevec.PageID, int64) {
-	var ranges []wal.Range
-	var pages []pagevec.PageID
-	var saved int64
-	for _, idx := range idxs {
-		tr := t.regions[idx]
+// loggedSpans returns the spans of the region the transaction will log:
+// the coalesced coverage, or every set-range call verbatim.
+func (t *Tx) loggedSpans(tr *txRegion) []span {
+	if t.eng.opts.NoIntraOpt {
+		return tr.raw
+	}
+	return tr.set.spans
+}
+
+// buildRanges reads the current (new) values of the ranges the transaction
+// logs through shard sh — all of them, unless the commit is cross-shard —
+// from region memory.  When copyData is true the data is duplicated into
+// one buffer (needed for spooling, where memory keeps changing after
+// commit); otherwise the ranges alias region memory, which the caller must
+// keep locked until the log consumes them.  It also returns the pages
+// behind the ranges, their log cost, and the intra-transaction savings for
+// the caller to account once the commit actually succeeds.
+func (t *Tx) buildRanges(sh *shard, copyData bool) (ranges []wal.Range, pages []pagevec.PageID, logged, saved int64) {
+	var nranges, npages int
+	var nbytes, naive int64
+	for i := range t.regions {
+		tr := t.regions[i]
+		if tr.region.sh != sh {
+			continue
+		}
+		spans := t.loggedSpans(tr)
+		nranges += len(spans)
+		for _, sp := range spans {
+			nbytes += sp.end - sp.off
+		}
+		for _, sp := range tr.pages.spans {
+			npages += int(sp.end - sp.off)
+		}
+		naive += tr.naive
+	}
+	ranges = make([]wal.Range, 0, nranges)
+	pages = make([]pagevec.PageID, 0, npages)
+	var buf []byte
+	if copyData {
+		buf = make([]byte, 0, nbytes)
+	}
+	for i := range t.regions {
+		tr := t.regions[i]
 		r := tr.region
-		var actual int64
-		emit := func(sp span) {
+		if r.sh != sh {
+			continue
+		}
+		for _, sp := range t.loggedSpans(tr) {
 			d := r.data[sp.off:sp.end]
 			if copyData {
-				d = append([]byte(nil), d...)
+				buf = append(buf, d...)
+				d = buf[len(buf)-len(d) : len(buf) : len(buf)]
 			}
-			actual += rangeEncodedLen(sp.end - sp.off)
-			ranges = append(ranges, wal.Range{
-				Seg:  r.seg.ID(),
-				Off:  uint64(r.segOff + sp.off),
-				Data: d,
-			})
+			ranges = append(ranges, wal.Range{Seg: r.seg.ID(), Off: uint64(r.segOff + sp.off), Data: d})
 		}
-		if t.eng.opts.NoIntraOpt {
-			for _, sp := range tr.raw {
-				emit(sp)
-			}
-		} else {
-			for _, sp := range tr.set.spans {
-				emit(sp)
-			}
-		}
-		// Exact intra-transaction savings: what verbatim logging of every
-		// set-range call would have cost minus what we will actually log.
-		saved += tr.naive - actual
-		for p := range tr.pages {
-			pages = append(pages, pagevec.PageID{Region: r.idx, Page: p})
-		}
+		tr.eachPage(func(p int64) { pages = append(pages, pagevec.PageID{Region: r.idx, Page: p}) })
 	}
-	return ranges, pages, saved
+	// Exact intra-transaction savings: what verbatim logging of every
+	// set-range call would have cost minus what we will actually log.
+	logged = nbytes + int64(nranges)*rangeEncodedLen(0)
+	return ranges, pages, logged, naive - logged
 }
 
 // Commit ends the transaction, making its changes permanent per the commit
@@ -374,7 +418,12 @@ func (t *Tx) Commit(mode CommitMode) error {
 		return ErrTxDone
 	}
 	e := t.eng
-	t0 := time.Now()
+	// The commit's own latency has no reader with metrics and tracing off,
+	// and then the clock is not read for it (t0 stays zero).
+	var t0 time.Time
+	if e.met != nil || e.tr != nil {
+		t0 = time.Now()
+	}
 	if err := e.check(); err != nil {
 		return err
 	}
@@ -386,7 +435,7 @@ func (t *Tx) Commit(mode CommitMode) error {
 
 	if len(t.regions) == 0 {
 		// Nothing was modified; no log record is needed.
-		t.finish()
+		t.finish(false)
 		e.stats.emptyCommits.Add(1)
 		if mode == Flush {
 			e.stats.flushCommits.Add(1)
@@ -413,30 +462,20 @@ func (t *Tx) Commit(mode CommitMode) error {
 
 func (t *Tx) commitNoFlush(sh *shard, flags uint8, t0 time.Time) error {
 	e := t.eng
-	idxs := t.lockRegions()
-	ranges, _, saved := t.buildRanges(idxs, true)
-	sp := &spooled{tid: t.id, flags: flags, ranges: ranges}
-	for _, r := range ranges {
-		sp.bytes += rangeEncodedLen(int64(len(r.Data)))
-	}
-	for _, idx := range idxs {
-		tr := t.regions[idx]
-		for p := range tr.pages {
-			sp.pages = append(sp.pages, pagevec.PageID{Region: idx, Page: p})
-		}
-	}
+	t.lockRegions()
+	sp := &spooled{tid: t.id, flags: flags}
+	var saved int64
+	sp.ranges, sp.pages, sp.bytes, saved = t.buildRanges(sh, true)
 	p := &sh.pipe
 	p.mu.Lock()
-	if !e.opts.NoInterOpt {
-		e.subsumeSpoolPipeLocked(sh, sp)
-	}
-	p.spool = append(p.spool, sp)
-	p.spoolBytes += sp.bytes
+	e.spoolPipeLocked(sh, sp)
 	spoolBytes := p.spoolBytes
-	t.markDirtyPipeLocked(sh, idxs, nil, 0, 0) // dirty bits only; queue entries at flush
+	t.markDirtyPipeLocked(sh, nil, 0, 0) // dirty bits only; queue entries at flush
 	p.mu.Unlock()
-	t.unlockRegions(idxs)
-	t.finish()
+	// The spool's page references (taken just above) now keep truncation
+	// off these pages, so the transaction's own can go while the region
+	// locks are still held.
+	t.finish(true)
 	sh.commits.Add(1)
 	e.stats.noFlushCommits.Add(1)
 	e.stats.intraSavedBytes.Add(uint64(saved))
@@ -454,8 +493,10 @@ func (t *Tx) commitNoFlush(sh *shard, flags uint8, t0 time.Time) error {
 		}
 	}
 	trigger := e.shouldAutoTruncate()
-	e.met.ObserveCommitNoFlush(time.Since(t0).Nanoseconds())
-	e.tr.SpanSince(obs.EvCommitNoFlush, t0, t.id, uint64(sp.bytes), 0)
+	if !t0.IsZero() {
+		e.met.ObserveCommitNoFlush(time.Since(t0).Nanoseconds())
+		e.tr.SpanSince(obs.EvCommitNoFlush, t0, t.id, uint64(sp.bytes), 0)
+	}
 	if trigger {
 		go e.autoTruncate()
 	}
@@ -484,13 +525,13 @@ func (t *Tx) commitFlush(sh *shard, flags uint8, t0 time.Time) error {
 		if timed {
 			pt = time.Now()
 		}
-		idxs := t.lockRegions()
+		t.lockRegions()
 		if timed {
 			now := time.Now()
 			lockNs += now.Sub(pt).Nanoseconds()
 			pt = now
 		}
-		ranges, pages, sv := t.buildRanges(idxs, false)
+		ranges, pages, _, sv := t.buildRanges(sh, false)
 		if timed {
 			now := time.Now()
 			encodeNs += now.Sub(pt).Nanoseconds()
@@ -525,10 +566,10 @@ func (t *Tx) commitFlush(sh *shard, flags uint8, t0 time.Time) error {
 			// the force completes: this transaction still holds their
 			// uncommitted reference counts until finish, and epoch
 			// truncation forces the log before applying records.
-			t.markDirtyPipeLocked(sh, idxs, pages, pos, seq)
+			t.markDirtyPipeLocked(sh, pages, pos, seq)
 		}
 		p.mu.Unlock()
-		t.unlockRegions(idxs)
+		t.unlockRegions()
 		if timed {
 			appendNs += time.Since(pt).Nanoseconds()
 		}
@@ -590,14 +631,16 @@ func (t *Tx) commitFlush(sh *shard, flags uint8, t0 time.Time) error {
 			fsyncNs = forceNs
 		}
 	}
-	t.finish()
+	t.finish(false)
 	sh.commits.Add(1)
 	e.stats.flushCommits.Add(1)
 	e.stats.intraSavedBytes.Add(uint64(saved))
 	trigger := e.shouldAutoTruncate()
-	e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
-	e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
-	e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seq)
+	if !t0.IsZero() {
+		e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
+		e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
+		e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seq)
+	}
 	if trigger {
 		go e.autoTruncate()
 	}
@@ -638,37 +681,25 @@ func (t *Tx) commitCross(shs []*shard, flags uint8, t0 time.Time) error {
 	var pt time.Time
 	var saved, nbytes int64
 	prepSeqs := make([]uint64, len(shs))
-	slot := func(sh *shard) int {
-		for i, s := range shs {
-			if s == sh {
-				return i
-			}
-		}
-		return -1
-	}
 	for attempt := 0; ; attempt++ {
 		// Ranges are rebuilt per attempt: they alias region memory, which
 		// is only stable while the region locks are held.
 		if timed {
 			pt = time.Now()
 		}
-		idxs := t.lockRegions()
+		t.lockRegions()
 		if timed {
 			now := time.Now()
 			lockNs += now.Sub(pt).Nanoseconds()
 			pt = now
-		}
-		groups := make([][]int, len(shs))
-		for _, idx := range idxs {
-			gi := slot(t.regions[idx].region.sh)
-			groups[gi] = append(groups[gi], idx)
 		}
 		saved, nbytes = 0, 0
 		var err error
 		var fullShard *shard
 		var fullNeed int64
 		for gi, sh := range shs {
-			ranges, pages, sv := t.buildRanges(groups[gi], false)
+			// Each prepare carries its own shard's ranges and pages only.
+			ranges, pages, _, sv := t.buildRanges(sh, false)
 			if timed {
 				now := time.Now()
 				encodeNs += now.Sub(pt).Nanoseconds()
@@ -712,7 +743,7 @@ func (t *Tx) commitCross(shs []*shard, flags uint8, t0 time.Time) error {
 				if p.inDoubt[t.id] == nil {
 					p.inDoubt[t.id] = &inDoubtTx{prepSeq: seq}
 				}
-				t.markDirtyPipeLocked(sh, groups[gi], pages, pos, seq)
+				t.markDirtyPipeLocked(sh, pages, pos, seq)
 				prepSeqs[gi] = seq
 				nbytes += nb
 			}
@@ -729,7 +760,7 @@ func (t *Tx) commitCross(shs []*shard, flags uint8, t0 time.Time) error {
 			}
 			saved += sv
 		}
-		t.unlockRegions(idxs)
+		t.unlockRegions()
 		if err == nil {
 			break
 		}
@@ -835,7 +866,7 @@ func (t *Tx) commitCross(shs []*shard, flags uint8, t0 time.Time) error {
 		}
 	}
 
-	t.finish()
+	t.finish(false)
 	for _, sh := range shs {
 		sh.commits.Add(1)
 	}
@@ -843,9 +874,11 @@ func (t *Tx) commitCross(shs []*shard, flags uint8, t0 time.Time) error {
 	e.stats.crossShardCommits.Add(1)
 	e.stats.intraSavedBytes.Add(uint64(saved))
 	trigger := e.shouldAutoTruncate()
-	e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
-	e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
-	e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), cmtSeqs[len(cmtSeqs)-1])
+	if !t0.IsZero() {
+		e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
+		e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
+		e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), cmtSeqs[len(cmtSeqs)-1])
+	}
 	if trigger {
 		go e.autoTruncate()
 	}
@@ -922,26 +955,24 @@ func (e *Engine) dropInDoubt(shs []*shard, tid uint64) {
 // alive so the caller can retry or abort.
 func (t *Tx) abandonIfPoisoned(err error) {
 	if errors.Is(err, ErrPoisoned) {
-		t.finish()
+		t.finish(false)
 	}
 }
 
-// markDirtyPipeLocked marks the pages of the given regions dirty; when
-// queue position info is supplied (flush path) the supplied pages are
-// also enqueued for incremental truncation on the shard.  Caller holds
-// sh.pipe.mu — the dirty bits are atomic, but setting them inside the
+// markDirtyPipeLocked marks dirty the pages of the transaction's regions on
+// shard sh; when queue position info is supplied (flush path) the supplied
+// pages are also enqueued for incremental truncation on the shard.  Caller
+// holds sh.pipe.mu — the dirty bits are atomic, but setting them inside the
 // pipeline section keeps them consistent with the spool/queue state that
 // epoch completion reads.
-func (t *Tx) markDirtyPipeLocked(sh *shard, idxs []int, pages []pagevec.PageID, pos int64, seq uint64) {
-	e := t.eng
-	for _, idx := range idxs {
-		tr := t.regions[idx]
-		for p := range tr.pages {
-			tr.region.pvec.SetDirty(int(p))
+func (t *Tx) markDirtyPipeLocked(sh *shard, pages []pagevec.PageID, pos int64, seq uint64) {
+	for i := range t.regions {
+		if r := t.regions[i].region; r.sh == sh {
+			t.regions[i].eachPage(func(p int64) { r.pvec.SetDirty(int(p)) })
 		}
 	}
 	for _, id := range pages {
-		e.enqueuePagePipeLocked(sh, id, pos, seq)
+		t.eng.enqueuePagePipeLocked(sh, id, pos, seq)
 	}
 }
 
@@ -974,78 +1005,6 @@ func (e *Engine) appendPipeLocked(sh *shard, tid uint64, flags uint8, ranges []w
 	return pos, seq, n, err
 }
 
-// subsumeSpoolPipeLocked applies the inter-transaction optimization (paper
-// §5.2): if sp's modifications subsume those of an earlier unflushed
-// transaction spooled on the same shard, the older records are discarded.
-// Caller holds sh.pipe.mu.
-func (e *Engine) subsumeSpoolPipeLocked(sh *shard, sp *spooled) {
-	p := &sh.pipe
-	// Coverage of the new transaction, per segment.
-	cover := make(map[uint64]*rangeset)
-	for _, r := range sp.ranges {
-		cs := cover[r.Seg]
-		if cs == nil {
-			cs = &rangeset{}
-			cover[r.Seg] = cs
-		}
-		cs.add(int64(r.Off), int64(r.Off)+int64(len(r.Data)))
-	}
-	kept := p.spool[:0]
-	for _, old := range p.spool {
-		if spoolSubsumed(old, cover) {
-			p.spoolBytes -= old.bytes
-			e.stats.interSavedBytes.Add(uint64(old.bytes))
-			continue
-		}
-		kept = append(kept, old)
-	}
-	for i := len(kept); i < len(p.spool); i++ {
-		p.spool[i] = nil // release subsumed payloads to the GC
-	}
-	p.spool = kept
-}
-
-// spoolSubsumed reports whether every range of old is covered by the new
-// transaction's coverage.
-func spoolSubsumed(old *spooled, cover map[uint64]*rangeset) bool {
-	for _, r := range old.ranges {
-		cs := cover[r.Seg]
-		if cs == nil || !cs.covers(int64(r.Off), int64(r.Off)+int64(len(r.Data))) {
-			return false
-		}
-	}
-	return true
-}
-
-// drainSpoolPipeLocked appends every transaction spooled on the shard to
-// its log (without forcing) and enqueues their pages.  Drained slots are
-// nilled out and the slice head is reset once empty, so spooled payloads
-// become garbage-collectable the moment they reach the log.  Caller holds
-// sh.pipe.mu; the regions slice is readable under it (see Engine.regions).
-func (e *Engine) drainSpoolPipeLocked(sh *shard) error {
-	p := &sh.pipe
-	for len(p.spool) > 0 {
-		sp := p.spool[0]
-		pos, seq, _, err := e.appendPipeLocked(sh, sp.tid, sp.flags, sp.ranges)
-		if err != nil {
-			return err
-		}
-		for _, id := range sp.pages {
-			// The page may belong to a region unmapped since the spool
-			// entry was created; Unmap flushed the spool first, so this
-			// cannot happen — but guard against stale region slots anyway.
-			if id.Region < len(e.regions) && e.regions[id.Region] != nil {
-				e.enqueuePagePipeLocked(sh, id, pos, seq)
-			}
-		}
-		p.spool[0] = nil
-		p.spool = p.spool[1:]
-		p.spoolBytes -= sp.bytes
-	}
-	p.spool = nil
-	return nil
-}
-
 // UndoRecord is an old-value record returned by CommitUndo: the bytes that
 // [Off, Off+len(Old)) of Region held before the transaction modified them.
 // SegID and SegOff give the segment-space address of the same bytes, for
@@ -1076,8 +1035,8 @@ func (t *Tx) CommitUndo(mode CommitMode) ([]UndoRecord, error) {
 		return nil, fmt.Errorf("rvm: CommitUndo requires a restore-mode transaction")
 	}
 	var undo []UndoRecord
-	for _, idx := range t.sortedRegions() {
-		tr := t.regions[idx]
+	for i := range t.regions {
+		tr := t.regions[i]
 		r := tr.region
 		if t.eng.opts.NoIntraOpt {
 			for i, sp := range tr.raw {
@@ -1116,9 +1075,9 @@ func (t *Tx) Abort() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	idxs := t.lockRegions()
-	for _, idx := range idxs {
-		tr := t.regions[idx]
+	t.lockRegions()
+	for i := range t.regions {
+		tr := t.regions[i]
 		r := tr.region
 		if e.opts.NoIntraOpt {
 			// Restore verbatim captures newest-first so earlier captures
@@ -1132,8 +1091,7 @@ func (t *Tx) Abort() error {
 			}
 		}
 	}
-	t.unlockRegions(idxs)
-	t.finish()
+	t.finish(true)
 	e.stats.aborts.Add(1)
 	e.tr.Record(obs.EvTxAbort, t.id, 0, 0)
 	return nil

@@ -19,7 +19,7 @@ func (t *Tree) Get(off uint64) (byte, bool) {
 	cs := t.pages[off>>pageShift]
 	rel := uint32(off & (pageSize - 1))
 	if i := search(cs, rel); i < len(cs) && cs[i].off <= rel {
-		return cs[i].data[rel-cs[i].off], true
+		return t.data(cs[i])[rel-cs[i].off], true
 	}
 	return 0, false
 }

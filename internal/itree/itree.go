@@ -17,10 +17,15 @@
 // Memory is the covered bytes plus one chunk header per gap filled.
 // Adjacent chunks are coalesced only by Walk, so iterating a finished tree
 // still yields the minimal set of writes to apply to a segment.
+//
+// The bytes live in slabs the tree owns and a chunk header names its bytes
+// by slab position, not by pointer: a tree of a hundred thousand chunks is
+// a few large pointer-free objects to the garbage collector, which then has
+// nothing to trace in it and no write barrier to run when a splice moves
+// headers — a restart builds its trees while the collector is running.
 package itree
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -52,16 +57,19 @@ func (iv Interval) End() uint64 { return iv.Off + uint64(len(iv.Data)) }
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
+	slabShift = 16 // a slab holds 64 KiB; a chunk, at most a page, lies in one
+	slabSize  = 1 << slabShift
 )
 
-// chunk is a run of bytes at off within its page; it never crosses the
-// page's end.
+// chunk is a run of n bytes at off within its page; it never crosses the
+// page's end.  Its bytes are at slab position pos (slab index, then offset
+// within the slab).
 type chunk struct {
-	off  uint32
-	data []byte
+	off, n uint32
+	pos    uint64
 }
 
-func (c chunk) end() uint32 { return c.off + uint32(len(c.data)) }
+func (c chunk) end() uint32 { return c.off + c.n }
 
 // search returns the index of the first chunk of a page that ends beyond
 // off: the first that could overlap or follow a range starting there.
@@ -75,7 +83,25 @@ type Tree struct {
 	// pages maps a page number (offset >> pageShift) to that page's chunks,
 	// sorted by off and pairwise disjoint; adjacent chunks stay separate.
 	pages map[uint64][]chunk
+	slabs [][]byte // all full but the last
 	bytes uint64
+}
+
+// data returns the bytes of c.
+func (t *Tree) data(c chunk) []byte {
+	return t.slabs[c.pos>>slabShift][c.pos&(slabSize-1):][:c.n:c.n]
+}
+
+// store copies b, at most a page, into the slabs and returns its position.
+func (t *Tree) store(b []byte) uint64 {
+	k := len(t.slabs) - 1
+	if k < 0 || len(t.slabs[k])+len(b) > slabSize {
+		t.slabs = append(t.slabs, make([]byte, 0, slabSize))
+		k++
+	}
+	pos := uint64(k)<<slabShift | uint64(len(t.slabs[k]))
+	t.slabs[k] = append(t.slabs[k], b...)
+	return pos
 }
 
 // Bytes returns the total number of bytes covered by the tree.
@@ -129,7 +155,7 @@ func (t *Tree) insertPage(pn uint64, off uint32, data []byte, overwrite bool) {
 		if i < len(cs) && cs[i].off <= pos {
 			n := min(cs[i].end(), end) - pos
 			if overwrite {
-				copy(cs[i].data[pos-cs[i].off:], data[pos-off:pos-off+n])
+				copy(t.data(cs[i])[pos-cs[i].off:], data[pos-off:pos-off+n])
 			}
 			pos += n
 			continue
@@ -138,7 +164,7 @@ func (t *Tree) insertPage(pn uint64, off uint32, data []byte, overwrite bool) {
 		if i < len(cs) && cs[i].off < end {
 			gapEnd = cs[i].off
 		}
-		cs = slices.Insert(cs, i, chunk{pos, bytes.Clone(data[pos-off : gapEnd-off])})
+		cs = slices.Insert(cs, i, chunk{pos, gapEnd - pos, t.store(data[pos-off : gapEnd-off])})
 		t.bytes += uint64(gapEnd - pos)
 		pos = gapEnd
 	}
@@ -158,7 +184,7 @@ func (t *Tree) sorted() []Interval {
 	out := make([]Interval, 0, n)
 	for _, pn := range pns {
 		for _, c := range t.pages[pn] {
-			out = append(out, Interval{Off: pn<<pageShift | uint64(c.off), Data: c.data})
+			out = append(out, Interval{Off: pn<<pageShift | uint64(c.off), Data: t.data(c)})
 		}
 	}
 	return out
@@ -200,13 +226,13 @@ func (t *Tree) checkInvariants() {
 	var sum uint64
 	for pn, cs := range t.pages {
 		for i, c := range cs {
-			if len(c.data) == 0 || c.end() > pageSize {
+			if c.n == 0 || c.end() > pageSize {
 				panic(fmt.Sprintf("itree: page %d chunk %d spans [%d,%d)", pn, i, c.off, c.end()))
 			}
 			if i > 0 && cs[i-1].end() > c.off {
 				panic(fmt.Sprintf("itree: page %d chunks %d and %d overlap or are out of order", pn, i-1, i))
 			}
-			sum += uint64(len(c.data))
+			sum += uint64(c.n)
 		}
 	}
 	if sum != t.bytes {

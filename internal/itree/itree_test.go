@@ -410,6 +410,38 @@ func TestInsertCostBound(t *testing.T) {
 	}
 }
 
+// TestTreeHoldsNoPointers pins what the garbage collector sees of a tree:
+// the bytes are in slabs, so an insert that fills a gap allocates nothing of
+// its own (a slab now and then, a chunk list when it grows), and a chunk
+// header, holding a position and not a slice, is nothing to trace.
+func TestTreeHoldsNoPointers(t *testing.T) {
+	if k := reflect.TypeOf(chunk{}); k.Size() != 16 {
+		t.Fatalf("a chunk header is %d bytes", k.Size())
+	}
+	for i := 0; i < reflect.TypeOf(chunk{}).NumField(); i++ {
+		switch reflect.TypeOf(chunk{}).Field(i).Type.Kind() {
+		case reflect.Uint32, reflect.Uint64:
+		default:
+			t.Fatalf("chunk field %d is not a plain integer", i)
+		}
+	}
+	const n = 40000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var tr Tree
+	insertLocalized(&tr, n)
+	runtime.ReadMemStats(&after)
+	tr.CheckInvariants()
+	chunks := 0
+	for _, cs := range tr.pages {
+		chunks += len(cs)
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > uint64(chunks)/2 {
+		t.Fatalf("%d allocations for a tree of %d chunks", mallocs, chunks)
+	}
+	t.Logf("%d chunks, %d allocations", chunks, after.Mallocs-before.Mallocs)
+}
+
 func benchInsert(b *testing.B, build func(*Tree, int)) {
 	const n = 40000
 	b.ReportAllocs()

@@ -16,8 +16,11 @@ import (
 // first, OverwriteExisting, one tree per segment) — and requires
 // bit-identical segment images and the same count of distinct bytes
 // applied: newest-wins per byte must hold no matter how the work is
-// divided or in which direction the log is read.
+// divided or in which direction the log is read.  The second round cuts
+// the build pass into batches of a few records, each decoded into the
+// windows and records of the one before.
 func TestRedoPathsAgree(t *testing.T) {
+	defer func(n int64) { batchBytes = n }(batchBytes)
 	const segLen = 1 << 17 // 2 stripes per segment, so ranges split
 	rnd := rand.New(rand.NewSource(7))
 
@@ -39,7 +42,10 @@ func TestRedoPathsAgree(t *testing.T) {
 
 	var want [][]byte
 	var wantBytes uint64
-	for _, par := range []int{1, 2, 4, 8, 0} { // 0: epoch truncation
+	for _, par := range []int{1, 2, 4, 8, 0, -1, -2, -4, -8} { // 0: epoch truncation; negative: small batches
+		if par < 0 {
+			par, batchBytes = -par, 4<<10
+		}
 		rnd.Seed(7) // identical log contents per run
 		f := newFixture(t, 3, segLen)
 		build(f)
@@ -66,7 +72,7 @@ func TestRedoPathsAgree(t *testing.T) {
 		for id := uint64(1); id <= 3; id++ {
 			got = append(got, f.read(t, id, 0, segLen))
 		}
-		if par == 1 {
+		if want == nil {
 			want, wantBytes = got, st.TreeBytes
 			continue
 		}

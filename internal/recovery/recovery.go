@@ -30,6 +30,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,9 +134,14 @@ func (ts treeSet) apply(lookup SegmentLookup, retry Retry, st *Stats) error {
 const stripeShift = 16
 
 // batchBytes bounds the encoded log bytes decoded and held in memory at
-// once during the build pass; trees copy the bytes they keep, so decoded
-// records are dropped batch by batch.
-const batchBytes = 64 << 20
+// once during the build pass; trees copy the bytes they keep, so each batch
+// decodes into the read windows and records of the one before, and a
+// restart allocates a batch of them, not the log.  A restart starts from
+// an empty heap, so what it allocates decides how many collector cycles
+// fall into it: with the whole log held they were close to half of a
+// 15 MB replay and most of its run-to-run spread (EXPERIMENTS.md, PR 14).
+// A variable so that tests can cut a small log into many batches.
+var batchBytes int64 = 4 << 20
 
 // shardOf maps a (segment, offset) stripe to a shard index.
 func shardOf(seg, off uint64, par int) int {
@@ -314,6 +320,7 @@ func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry R
 	// Decode and build in batches: refs are newest-first, and within a
 	// shard inserts stay newest-first with KeepExisting, so the earliest
 	// insert of a byte — the newest value — wins across batches too.
+	var recs []wal.Record
 	for lo := 0; lo < len(refs); {
 		hi := lo
 		var enc int64
@@ -323,24 +330,18 @@ func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry R
 		}
 		// Each worker decodes one contiguous run of the batch through its
 		// own reader, so its device reads are sequential chunks.
-		recs := make([]*wal.Record, hi-lo)
+		recs = slices.Grow(recs[:0], hi-lo)[:hi-lo]
 		per := (hi - lo + par - 1) / par
 		err := runWorkers(par, func(w int) error {
-			for i := w * per; i < min((w+1)*per, len(recs)); i++ {
-				rec, err := readers[w].ReadRecord(refs[lo+i])
-				if err != nil {
-					return err
-				}
-				recs[i] = rec
-			}
-			return nil
+			i, j := min(w*per, len(recs)), min((w+1)*per, len(recs))
+			return readers[w].ReadRecords(refs[lo+i:lo+j], recs[i:j])
 		})
 		if err != nil {
 			return err
 		}
-		for _, rec := range recs {
-			st.Ranges += len(rec.Ranges)
-			for _, r := range rec.Ranges {
+		for i := range recs {
+			st.Ranges += len(recs[i].Ranges)
+			for _, r := range recs[i].Ranges {
 				st.RecordBytes += uint64(len(r.Data))
 			}
 		}
@@ -348,8 +349,8 @@ func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry R
 		// replayed-record gauge climb batch by batch.
 		met.AddRecoveryReplayed(int64(hi - lo))
 		err = runWorkers(par, func(w int) error {
-			for _, rec := range recs {
-				for _, r := range rec.Ranges {
+			for i := range recs {
+				for _, r := range recs[i].Ranges {
 					off, data := r.Off, r.Data
 					for len(data) > 0 {
 						n := uint64(len(data))

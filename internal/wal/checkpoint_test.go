@@ -192,17 +192,18 @@ func TestReadRecordMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ref := range refs {
-		rec, err := rd.ReadRecord(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
+	recs := make([]Record, len(refs))
+	if err := rd.ReadRecords(refs, recs); err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range refs {
+		rec := &recs[i]
 		want := byseq[ref.Seq]
 		if want == nil {
 			t.Fatalf("ref seq %d not in forward scan", ref.Seq)
 		}
 		if rec.TID != want.TID || len(rec.Ranges) != len(want.Ranges) {
-			t.Fatalf("seq %d: ReadRecord tid=%d ranges=%d, scan tid=%d ranges=%d",
+			t.Fatalf("seq %d: ReadRecords tid=%d ranges=%d, scan tid=%d ranges=%d",
 				ref.Seq, rec.TID, len(rec.Ranges), want.TID, len(want.Ranges))
 		}
 		for j := range rec.Ranges {
@@ -215,7 +216,7 @@ func TestReadRecordMatchesScan(t *testing.T) {
 	// A ref with the wrong seq must fail validation, not hand back data.
 	bad := refs[0]
 	bad.Seq += 100
-	if _, err := rd.ReadRecord(bad); err == nil {
-		t.Fatal("ReadRecord accepted a mismatched seq")
+	if err := rd.ReadRecords([]RecordRef{bad}, recs); err == nil {
+		t.Fatal("ReadRecords accepted a mismatched seq")
 	}
 }

@@ -55,7 +55,7 @@ func sameRecord(got, want *Record) bool {
 }
 
 // checkReadPaths requires every read path of l to deliver exactly want
-// (oldest first): both scans, analysis plus ReadRecord, and — through a
+// (oldest first): both scans, analysis plus ReadRecords, and — through a
 // second handle on the same file — the tail scan at Open.
 func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 	t.Helper()
@@ -91,13 +91,13 @@ func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := make([]Record, len(an.Refs))
+	if err := rd.ReadRecords(an.Refs, recs); err != nil {
+		t.Fatal(err)
+	}
 	for k, ref := range an.Refs {
-		rec, err := rd.ReadRecord(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameRecord(rec, want[len(want)-1-k]) {
-			t.Fatalf("ReadRecord: ref %d (seq %d at %d) differs", k, ref.Seq, ref.Pos)
+		if !sameRecord(&recs[k], want[len(want)-1-k]) {
+			t.Fatalf("ReadRecords: ref %d (seq %d at %d) differs", k, ref.Seq, ref.Pos)
 		}
 	}
 	l2, err := Open(path)
@@ -174,7 +174,7 @@ func TestTornTailMidChunk(t *testing.T) {
 }
 
 // TestConcurrentReaders decodes one log from four workers at once, each
-// through its own Reader and in the worst order for its window (every
+// through its own Reader and in the worst order for its windows (every
 // fourth ref).  Run under -race.
 func TestConcurrentReaders(t *testing.T) {
 	l, _ := newLog(t, readerArea)
@@ -194,18 +194,18 @@ func TestConcurrentReaders(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			var held []*Record
+			var refs []RecordRef
 			for k := w; k < len(an.Refs); k += workers {
-				rec, err := rd.ReadRecord(an.Refs[k])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				held = append(held, rec)
+				refs = append(refs, an.Refs[k])
 			}
-			// Records stay valid after the reader has moved on.
-			for i, rec := range held {
-				if !sameRecord(rec, want[len(want)-1-(w+i*workers)]) {
+			recs := make([]Record, len(refs))
+			if err := rd.ReadRecords(refs, recs); err != nil {
+				t.Error(err)
+				return
+			}
+			// The whole batch is valid once the reader has read it all.
+			for i := range recs {
+				if !sameRecord(&recs[i], want[len(want)-1-(w+i*workers)]) {
 					t.Errorf("worker %d: record %d differs", w, i)
 					return
 				}
@@ -213,6 +213,79 @@ func TestConcurrentReaders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// readCounter counts the positional reads a Reader makes.
+type readCounter struct {
+	Device
+	reads int
+	bytes int64
+}
+
+func (d *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	d.reads++
+	d.bytes += int64(len(p))
+	return d.Device.ReadAt(p, off)
+}
+
+// TestReaderBatches pins what a batch costs: one read per chunk, nothing
+// read beyond the batch's own records — the part of the log below them
+// belongs to another worker —, windows and range storage of one batch
+// reused by the next, across the wrap too.
+func TestReaderBatches(t *testing.T) {
+	l, _ := newLog(t, readerArea)
+	rnd := rand.New(rand.NewSource(5))
+	old := fillLog(t, l, rnd, readChunk)
+	if err := l.SetHead(old[len(old)-1].Pos, old[len(old)-1].Seq); err != nil {
+		t.Fatal(err)
+	}
+	want := append(old[len(old)-1:], fillLog(t, l, rnd, 2*readChunk)...) // wraps
+	an, err := l.AnalyzeBackward()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Refs) != len(want) {
+		t.Fatalf("%d refs for %d records", len(an.Refs), len(want))
+	}
+	dev := &readCounter{Device: l.dev}
+	rd := &Reader{dev: dev, areaSize: l.areaSize}
+	recs := make([]Record, len(an.Refs))
+	const batches = 3
+	per := (len(an.Refs) + batches - 1) / batches
+	pass := func() {
+		for lo := 0; lo < len(an.Refs); lo += per {
+			hi := min(lo+per, len(an.Refs))
+			refs, out := an.Refs[lo:hi], recs[:hi-lo]
+			*dev = readCounter{Device: l.dev}
+			if err := rd.ReadRecords(refs, out); err != nil {
+				t.Fatal(err)
+			}
+			var span int64
+			for k, ref := range refs {
+				span += ref.Len
+				if !sameRecord(&out[k], want[len(want)-1-lo-k]) {
+					t.Fatalf("batch at %d: record %d differs", lo, k)
+				}
+			}
+			if dev.bytes != span {
+				t.Fatalf("batch at %d: read %d bytes for %d bytes of records", lo, dev.bytes, span)
+			}
+			if maxReads := int(span/readChunk) + 3; dev.reads > maxReads {
+				t.Fatalf("batch at %d: %d reads for %d bytes", lo, dev.reads, span)
+			}
+		}
+	}
+	pass()
+	wins := append([][]byte(nil), rd.wins...)
+	pass()
+	if len(rd.wins) != len(wins) {
+		t.Fatalf("a second pass over the same batches took %d windows, the first %d", len(rd.wins), len(wins))
+	}
+	for k := range wins {
+		if &rd.wins[k][:1][0] != &wins[k][:1][0] {
+			t.Fatalf("window %d was not reused", k)
+		}
+	}
 }
 
 // encodeRecord returns the on-disk bytes of one transaction record.

@@ -360,15 +360,13 @@ const (
 // area.  Records never straddle the area's end, so a window is a plain
 // contiguous read clipped to the area; a walk that crosses the wrap simply
 // misses and refills on the other side.  Decoded records alias the window
-// they were read from.  The log's own scans, whose callbacks may not keep
-// range data, refill one buffer in place; a Reader sets keep, and every
-// refill then gets a fresh buffer so records outlive the reader's progress.
-// An areaReader is owned by one goroutine; the device's positional reads
-// are what concurrent readers share.
+// they were read from, and the log's scans, whose callbacks may not keep
+// range data, refill one buffer in place.  An areaReader is owned by one
+// goroutine; the device's positional reads are what concurrent readers
+// share.
 type areaReader struct {
 	dev      Device
 	areaSize int64
-	keep     bool
 	chunk    int64 // size of the last refill
 	lo       int64 // area offset of win[0]
 	win      []byte
@@ -386,7 +384,7 @@ func (r *areaReader) bytes(pos, n int64, backward bool) ([]byte, error) {
 		}
 		win := r.win[:0]
 		r.win = nil // no window while its buffer is being overwritten
-		if r.keep || int64(cap(win)) < hi-lo {
+		if int64(cap(win)) < hi-lo {
 			win = make([]byte, hi-lo)
 		}
 		got, err := r.dev.ReadAt(win[:hi-lo], areaOff(lo))
@@ -548,7 +546,7 @@ func (l *Log) tailPos() int64 { return (l.head + l.used) % l.areaSize }
 // It returns the record's area position, its sequence number, and the total
 // bytes consumed (including any wrap record).
 func (l *Log) Append(tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
-	return l.appendTimed(recTx, tid, flags, ranges)
+	return l.appendOne(recTx, tid, flags, ranges)
 }
 
 // AppendPrepare writes the prepare half of a cross-shard commit: this
@@ -556,7 +554,7 @@ func (l *Log) Append(tid uint64, flags uint8, ranges []Range) (pos int64, seq ui
 // until a commit mark carrying the same tid exists — recovery discards
 // prepares whose tid is confirmed by no shard's commit mark.
 func (l *Log) AppendPrepare(tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
-	return l.appendTimed(recPrep, tid, flags, ranges)
+	return l.appendOne(recPrep, tid, flags, ranges)
 }
 
 // AppendCommitMark writes the commit point of a cross-shard transaction:
@@ -565,12 +563,44 @@ func (l *Log) AppendPrepare(tid uint64, flags uint8, ranges []Range) (pos int64,
 // durable, so any surviving prepare finds a commit mark in its own log
 // or in a peer's.
 func (l *Log) AppendCommitMark(tid uint64) (pos int64, seq uint64, nbytes int64, err error) {
-	return l.appendTimed(recCmt, tid, 0, nil)
+	return l.appendOne(recCmt, tid, 0, nil)
+}
+
+// Entry is one transaction record of an AppendBatch.  The caller fills in
+// TID, Flags and Ranges; Pos, Len and Seq come back for every record the
+// batch appended.
+type Entry struct {
+	TID    uint64
+	Flags  uint8
+	Ranges []Range
+	Pos    int64  // record-area offset of the record's first byte
+	Len    int64  // encoded size on disk, padding included
+	Seq    uint64 // sequence number
+}
+
+// AppendBatch appends ents in order as transaction records, exactly as a
+// loop of Append would — same positions, same bytes, same counters — but
+// with one device write per contiguous run of records instead of one per
+// record.  It returns how many records were appended; the count falls short
+// of len(ents) only with an error, and then the log is as if just that
+// prefix had been appended: on ErrLogFull ents[n] is the record that did
+// not fit, and after a failed write the caller may retry with ents[n:].
+func (l *Log) AppendBatch(ents []Entry) (n int, err error) {
+	n, _, err = l.appendTimed(recTx, ents)
+	return n, err
+}
+
+func (l *Log) appendOne(typ uint8, tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
+	ent := [1]Entry{{TID: tid, Flags: flags, Ranges: ranges}}
+	if _, nbytes, err = l.appendTimed(typ, ent[:]); err != nil {
+		return 0, 0, 0, err
+	}
+	return ent[0].Pos, ent[0].Seq, nbytes, nil
 }
 
 // appendTimed is the locked append shared by the commit-path record
 // types, with lock-contention accounting.
-func (l *Log) appendTimed(typ uint8, tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
+func (l *Log) appendTimed(typ uint8, ents []Entry) (n int, nbytes int64, err error) {
 	// The pre-lock read of l.met is safe under the SetObs contract (set
 	// once before the log is shared).  The uncontended path costs one
 	// TryLock instead of one Lock; the contended path adds two clock reads.
@@ -583,15 +613,19 @@ func (l *Log) appendTimed(typ uint8, tid uint64, flags uint8, ranges []Range) (p
 		l.mu.Lock()
 		m.LockContended(obs.LockWAL, time.Since(wt).Nanoseconds())
 	}
-	pos, seq, nbytes, err = l.appendLocked(typ, tid, flags, ranges)
+	n, nbytes, err = l.appendLocked(typ, ents)
 	used := l.used
 	tr, met := l.tr, l.met
 	l.mu.Unlock()
-	if err == nil {
+	if n > 0 {
 		met.SetLogLiveBytes(used)
-		tr.Record(obs.EvLogAppend, tid, uint64(nbytes), seq)
 	}
-	return pos, seq, nbytes, err
+	if tr != nil {
+		for i := range ents[:n] {
+			tr.Record(obs.EvLogAppend, ents[i].TID, uint64(ents[i].Len), ents[i].Seq)
+		}
+	}
+	return n, nbytes, err
 }
 
 // AppendCheckpoint writes a checkpoint record carrying the stable sequence
@@ -600,85 +634,123 @@ func (l *Log) appendTimed(typ uint8, tid uint64, flags uint8, ranges []Range) (p
 // record is not forced; callers force it like any commit.  The pages it
 // covers must be durable in their segments before this is called.
 func (l *Log) AppendCheckpoint(stable uint64) (pos int64, seq uint64, err error) {
+	ent := [1]Entry{{TID: stable}}
 	l.mu.Lock()
-	var nbytes int64
-	pos, seq, nbytes, err = l.appendLocked(recCkpt, stable, 0, nil)
+	_, nbytes, err := l.appendLocked(recCkpt, ent[:])
 	used := l.used
 	tr, met := l.tr, l.met
 	l.mu.Unlock()
-	if err == nil {
-		met.SetLogLiveBytes(used)
-		tr.Record(obs.EvLogAppend, 0, uint64(nbytes), seq)
+	if err != nil {
+		return 0, 0, err
 	}
-	return pos, seq, err
+	met.SetLogLiveBytes(used)
+	tr.Record(obs.EvLogAppend, 0, uint64(nbytes), ent[0].Seq)
+	return ent[0].Pos, ent[0].Seq, nil
 }
 
-func (l *Log) appendLocked(typ uint8, tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
-	if l.dev == nil {
-		return 0, 0, 0, ErrLogClosed
-	}
-
-	need := encodedLen(ranges)
+// planLocked places a record carrying ranges behind used live bytes.  It
+// returns the tail position at and one of two plans: gap > 0 — the record
+// does not fit before the area's end, so a wrap record of gap bytes goes at
+// at and the record itself, planned again, at 0 — or the record's length
+// need, which absorbs a gap too small to hold even a wrap record so that
+// the area end stays walkable.  It fails unless the record, and its wrap,
+// fit in the free space.
+func (l *Log) planLocked(used int64, ranges []Range) (at, need, gap int64, err error) {
+	need = encodedLen(ranges)
 	if need > l.areaSize {
 		return 0, 0, 0, fmt.Errorf("%w: need %d, area %d", ErrTooBig, need, l.areaSize)
 	}
-
-	total := need
-	at := l.tailPos()
-	gap := l.areaSize - at
-	wrap := false
-	if need > gap {
-		wrap = true
-		total += gap
-	} else if rem := gap - need; rem > 0 && rem < minRecordSize {
-		// Absorb a runt gap as padding so the area end stays walkable.
+	at = (l.head + used) % l.areaSize
+	if room := l.areaSize - at; need > room {
+		gap = room
+	} else if rem := room - need; rem > 0 && rem < minRecordSize {
 		need += rem
-		total = need
 	}
-	if l.used+total > l.areaSize {
-		return 0, 0, 0, fmt.Errorf("%w: need %d, free %d", ErrLogFull, total, l.areaSize-l.used)
+	if used+gap+need > l.areaSize {
+		return 0, 0, 0, fmt.Errorf("%w: need %d, free %d", ErrLogFull, gap+need, l.areaSize-used)
 	}
+	return at, need, gap, nil
+}
 
-	if wrap {
-		if err := l.writeRecord(at, recWrap, 0, 0, nil, gap); err != nil {
-			return 0, 0, 0, err
+// maxRunBytes bounds one device write of a batch, and with it the encoding
+// buffer: a megabyte-sized drain goes out in a few writes from a buffer the
+// pool keeps, not in one write from a buffer grown and dropped every time.
+const maxRunBytes = 256 << 10
+
+// appendLocked appends ents, in order, as records of type typ.  Records are
+// encoded into one pooled buffer for as long as they are contiguous in the
+// area and the run stays within maxRunBytes; a run reaches the device in a
+// single write, and only then are its records published — used, nextSeq and
+// the counters never describe bytes the device may not hold, so a caller
+// that retries after a failed write plans the same records at the same
+// places.  It returns the records and bytes published (wrap records
+// included in the bytes).
+func (l *Log) appendLocked(typ uint8, ents []Entry) (n int, nbytes int64, err error) {
+	if l.dev == nil {
+		return 0, 0, ErrLogClosed
+	}
+	eb := encPool.Get().(*encBuf)
+	defer eb.release()
+	var want int64
+	for i := range ents {
+		want += encodedLen(ents[i].Ranges)
+	}
+	buf := slices.Grow(eb.buf[:0], int(min(want, maxRunBytes)))
+	var runPos int64 // area offset of the run's first byte
+	var wraps int    // wrap records in the run; its other records are ents[n:i]
+	for i := 0; ; {
+		var at, add, gap int64
+		if i < len(ents) {
+			if at, add, gap, err = l.planLocked(l.used+int64(len(buf)), ents[i].Ranges); gap > 0 {
+				add = gap
+			}
 		}
-		l.used += gap
-		l.stats.Wraps++
-		l.stats.BytesAppended += uint64(gap)
-		at = 0
+		if run := int64(len(buf)); run > 0 && (i == len(ents) || err != nil || at != runPos+run || run+add > maxRunBytes) {
+			if _, werr := l.dev.WriteAt(buf, areaOff(runPos)); werr != nil {
+				return n, nbytes, fmt.Errorf("wal: append at %d: %w", runPos, werr)
+			}
+			l.used += run
+			l.nextSeq += uint64(i - n + wraps)
+			l.dirty = true
+			l.stats.Wraps += uint64(wraps)
+			l.stats.BytesAppended += uint64(run)
+			switch typ {
+			case recCkpt:
+				l.stats.Checkpoints += uint64(i - n)
+			case recPrep:
+				l.stats.Prepares += uint64(i - n)
+			case recCmt:
+				l.stats.CommitMarks += uint64(i - n)
+			default:
+				l.stats.Appends += uint64(i - n)
+			}
+			nbytes += run
+			n, wraps, buf = i, 0, buf[:0]
+		}
+		if i == len(ents) || err != nil {
+			return n, nbytes, err
+		}
+		if len(buf) == 0 {
+			runPos = at
+		}
+		seq := l.nextSeq + uint64(i-n+wraps)
+		if gap > 0 {
+			buf = appendRecord(buf, seq, recWrap, 0, 0, nil, gap)
+			wraps++
+		} else {
+			ent := &ents[i]
+			ent.Pos, ent.Len, ent.Seq = at, add, seq
+			buf = appendRecord(buf, seq, typ, ent.TID, ent.Flags, ent.Ranges, add)
+			i++
+		}
+		eb.buf = buf // the pool keeps the buffer as grown
 	}
-	if err := l.writeRecord(at, typ, tid, flags, ranges, need); err != nil {
-		return 0, 0, 0, err
-	}
-	seq = l.nextSeq - 1
-	l.used += need
-	l.dirty = true
-	switch typ {
-	case recCkpt:
-		l.stats.Checkpoints++
-	case recPrep:
-		l.stats.Prepares++
-	case recCmt:
-		l.stats.CommitMarks++
-	default:
-		l.stats.Appends++
-	}
-	l.stats.BytesAppended += uint64(need)
-	return at, seq, total, nil
 }
 
-// encBuf is writeRecord's pooled encoding scratch: the record metadata
-// (header, per-range headers, padding, trailer), the chunk list ordering
-// metadata and caller range data for the device write, and the gather
-// buffer for devices without a vectored-write path.
-type encBuf struct {
-	meta   []byte
-	chunks [][]byte
-	gather []byte
-}
+// encBuf is the pooled buffer appendLocked encodes a run of records into.
+type encBuf struct{ buf []byte }
 
-// encBufMaxRetain bounds the backing arrays a pooled encBuf may keep: a
+// encBufMaxRetain bounds the backing array a pooled encBuf may keep: a
 // one-off giant record (or a huge wrap gap) should not pin megabytes in
 // the pool forever.
 const encBufMaxRetain = 1 << 20
@@ -686,115 +758,43 @@ const encBufMaxRetain = 1 << 20
 var encPool = sync.Pool{New: func() any { return new(encBuf) }}
 
 func (eb *encBuf) release() {
-	for i := range eb.chunks {
-		eb.chunks[i] = nil // do not pin caller range data across reuses
-	}
-	eb.chunks = eb.chunks[:0]
-	if cap(eb.meta) > encBufMaxRetain {
-		eb.meta = nil
-	}
-	if cap(eb.gather) > encBufMaxRetain {
-		eb.gather = nil
+	if cap(eb.buf) > encBufMaxRetain {
+		eb.buf = nil
 	}
 	encPool.Put(eb)
 }
 
-// writeRecord encodes and writes one record of totalLen bytes at area
-// offset pos, consuming the next sequence number.  Encoding is zero-copy:
-// the fixed parts are laid out in a pooled scratch buffer, the caller's
-// range data is referenced in place (never copied into an intermediate
-// record buffer), the CRC streams across the pieces, and the record
-// reaches the device as one vectored write (pwritev on an *os.File) or
-// one gathered WriteAt elsewhere.  Callers guarantee the range data is
-// stable for the duration of the call — the engine holds the owning
-// region locks across the append.
-func (l *Log) writeRecord(pos int64, typ uint8, tid uint64, flags uint8, ranges []Range, totalLen int64) error {
-	eb := encPool.Get().(*encBuf)
-	defer eb.release()
-
-	var dataLen int64
+// appendRecord encodes one record of totalLen bytes, carrying the sequence
+// number seq, onto buf.  It is the only record encoder.  The range data is
+// copied, so it need only be stable for the duration of the call — the
+// engine holds the owning region locks across the append.  Padding
+// (alignment, an absorbed gap, the body of a wrap record) is zeroed: pooled
+// bytes are stale, and records must be byte-reproducible.
+func appendRecord(buf []byte, seq uint64, typ uint8, tid uint64, flags uint8, ranges []Range, totalLen int64) []byte {
+	start := len(buf)
+	buf = slices.Grow(buf, int(totalLen))[:start+int(totalLen)]
+	rec := buf[start:]
+	binary.BigEndian.PutUint32(rec[0:], recMagic)
+	binary.BigEndian.PutUint32(rec[4:], uint32(totalLen))
+	rec[8] = typ
+	rec[9] = flags
+	rec[10], rec[11] = 0, 0
+	binary.BigEndian.PutUint32(rec[12:], uint32(len(ranges)))
+	binary.BigEndian.PutUint64(rec[16:], seq)
+	binary.BigEndian.PutUint64(rec[24:], tid)
+	p := headerSize
 	for _, r := range ranges {
-		dataLen += int64(len(r.Data))
+		binary.BigEndian.PutUint64(rec[p:], r.Seg)
+		binary.BigEndian.PutUint64(rec[p+8:], r.Off)
+		binary.BigEndian.PutUint32(rec[p+16:], uint32(len(r.Data)))
+		p += rangeHdrSize + copy(rec[p+rangeHdrSize:], r.Data)
 	}
-	metaLen := int(totalLen - dataLen) // header + range headers + padding + trailer
-	if cap(eb.meta) < metaLen {
-		eb.meta = make([]byte, metaLen)
-	}
-	meta := eb.meta[:metaLen]
-	chunks := eb.chunks[:0]
-
-	hdr := meta[:headerSize]
-	binary.BigEndian.PutUint32(hdr[0:], recMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(totalLen))
-	hdr[8] = typ
-	hdr[9] = flags
-	hdr[10], hdr[11] = 0, 0
-	binary.BigEndian.PutUint32(hdr[12:], uint32(len(ranges)))
-	seq := l.nextSeq
-	binary.BigEndian.PutUint64(hdr[16:], seq)
-	binary.BigEndian.PutUint64(hdr[24:], tid)
-	chunks = append(chunks, hdr)
-	mp := headerSize
-	for _, r := range ranges {
-		rh := meta[mp : mp+rangeHdrSize]
-		binary.BigEndian.PutUint64(rh[0:], r.Seg)
-		binary.BigEndian.PutUint64(rh[8:], r.Off)
-		binary.BigEndian.PutUint32(rh[16:], uint32(len(r.Data)))
-		mp += rangeHdrSize
-		chunks = append(chunks, rh, r.Data)
-	}
-	// Padding (runt-gap absorption, alignment, wrap gaps) plus trailer
-	// fill the rest of the scratch buffer; pooled bytes are stale, so the
-	// padding is re-zeroed each use to keep records byte-reproducible.
-	tail := meta[mp:]
-	pad := tail[:len(tail)-trailerSize]
-	for i := range pad {
-		pad[i] = 0
-	}
-	trailer := tail[len(tail)-trailerSize:]
+	trailer := rec[totalLen-trailerSize:]
+	clear(rec[p : totalLen-trailerSize])
 	binary.BigEndian.PutUint64(trailer[0:], seq)
 	binary.BigEndian.PutUint32(trailer[8:], uint32(totalLen))
-	chunks = append(chunks, tail)
-	eb.chunks = chunks
-
-	// Streaming CRC over every byte that precedes the crc field itself.
-	var crc uint32
-	for _, c := range chunks[:len(chunks)-1] {
-		crc = crc32.Update(crc, crc32.IEEETable, c)
-	}
-	crc = crc32.Update(crc, crc32.IEEETable, tail[:len(tail)-4])
-	binary.BigEndian.PutUint32(trailer[trailerSize-4:], crc)
-
-	if err := l.writeChunks(eb, chunks, areaOff(pos)); err != nil {
-		return fmt.Errorf("wal: append at %d: %w", pos, err)
-	}
-	l.nextSeq = seq + 1
-	l.dirty = true
-	return nil
-}
-
-// writeChunks lands the record's chunks contiguously at the device offset.
-// A plain *os.File takes the vectored path where the platform has one;
-// wrapped devices (fault injectors, test doubles) get a single gathered
-// WriteAt so their tear/fault semantics keep seeing whole records.
-func (l *Log) writeChunks(eb *encBuf, chunks [][]byte, off int64) error {
-	if f, ok := l.dev.(*os.File); ok && haveWritev {
-		return writevAt(f, chunks, off)
-	}
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	if cap(eb.gather) < n {
-		eb.gather = make([]byte, 0, n)
-	}
-	g := eb.gather[:0]
-	for _, c := range chunks {
-		g = append(g, c...)
-	}
-	eb.gather = g
-	_, err := l.dev.WriteAt(g, off)
-	return err
+	binary.BigEndian.PutUint32(trailer[12:], crc32.ChecksumIEEE(rec[:totalLen-4]))
+	return buf
 }
 
 // Force makes all appended records durable (fsync).  It is a no-op when
@@ -976,7 +976,7 @@ func (l *Log) ScanBackward(fn func(*Record) error) error {
 	return nil
 }
 
-// RecordRef locates one live record for later decoding by ReadRecord.
+// RecordRef locates one live record for later decoding by a Reader.
 type RecordRef struct {
 	Pos  int64  // area offset of the record's first byte
 	Len  int64  // encoded size on disk
@@ -1009,7 +1009,7 @@ type Analysis struct {
 // the prepares' fate.  The walk ends early at the newest checkpoint
 // record's stable sequence number: every record with Seq < stable is
 // already reflected in its segment.  The refs are decoded later — possibly
-// concurrently, one Reader per worker — with ReadRecord.
+// concurrently, one Reader per worker — with ReadRecords.
 func (l *Log) AnalyzeBackward() (Analysis, error) {
 	var an Analysis
 	l.mu.Lock()
@@ -1020,6 +1020,10 @@ func (l *Log) AnalyzeBackward() (Analysis, error) {
 	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
 	pos := l.tailPos()
 	seq := l.nextSeq
+	// Every live record has its own sequence number, so their count bounds
+	// the refs: sized once, the list is not regrown and recopied all along
+	// the walk.
+	an.Refs = make([]RecordRef, 0, seq-l.headSeq)
 	var rec Record
 	for an.Scanned < l.used {
 		if an.Stable != 0 && seq-1 < an.Stable {
@@ -1050,11 +1054,14 @@ func (l *Log) AnalyzeBackward() (Analysis, error) {
 	return an, nil
 }
 
-// Reader decodes the records AnalyzeBackward located.  Each recovery worker
-// owns one and hands it refs in the order analysis produced them (newest
-// first), so its reads are sequential chunks; Readers of one log share
-// nothing but the device's positional reads.
-type Reader struct{ rd areaReader }
+// Reader decodes the records AnalyzeBackward located, a batch at a time.
+// Each recovery worker owns one; Readers of one log share nothing but the
+// device's positional reads.
+type Reader struct {
+	dev      Device
+	areaSize int64
+	wins     [][]byte // windows the last batch's records alias; the next batch reuses them
+}
 
 // NewReader returns a Reader over the log's device.
 func (l *Log) NewReader() (*Reader, error) {
@@ -1063,24 +1070,52 @@ func (l *Log) NewReader() (*Reader, error) {
 	if l.dev == nil {
 		return nil, ErrLogClosed
 	}
-	return &Reader{areaReader{dev: l.dev, areaSize: l.areaSize, keep: true}}, nil
+	return &Reader{dev: l.dev, areaSize: l.areaSize}, nil
 }
 
-// ReadRecord decodes and fully validates the record ref points at.  The
-// record's range data stays valid for as long as the caller holds it.
-func (r *Reader) ReadRecord(ref RecordRef) (*Record, error) {
-	if ref.Pos < 0 || ref.Len < minRecordSize || ref.Pos+ref.Len > r.rd.areaSize {
-		return nil, fmt.Errorf("wal: record ref [%d,+%d) outside the log area", ref.Pos, ref.Len)
+// ReadRecords decodes and fully validates the records refs point at into
+// recs[:len(refs)], reusing their range storage.  refs come in the order
+// analysis produced them (newest first): one positional read ends with a
+// record and reaches down over the refs that follow it for as long as they
+// fit in readChunk bytes, so a batch costs one read per chunk and reads
+// nothing below its last record.  The records' range data aliases the
+// reader's windows and stays valid until the next call, which overwrites
+// them: a pass over a long log holds one batch, not the log.
+func (r *Reader) ReadRecords(refs []RecordRef, recs []Record) error {
+	var win []byte
+	var lo int64
+	nwin := 0
+	for i, ref := range refs {
+		if ref.Pos < 0 || ref.Len < minRecordSize || ref.Pos+ref.Len > r.areaSize {
+			return fmt.Errorf("wal: record ref [%d,+%d) outside the log area", ref.Pos, ref.Len)
+		}
+		if ref.Pos < lo || ref.Pos+ref.Len > lo+int64(len(win)) {
+			hi := ref.Pos + ref.Len
+			lo = ref.Pos
+			for _, nx := range refs[i+1:] {
+				if nx.Pos < 0 || nx.Pos >= lo || hi-nx.Pos > readChunk {
+					break // a bad ref, the far side of the wrap, or a full chunk
+				}
+				lo = nx.Pos
+			}
+			if nwin == len(r.wins) {
+				r.wins = append(r.wins, nil)
+			}
+			if win = r.wins[nwin]; int64(cap(win)) < hi-lo {
+				win = make([]byte, max(hi-lo, readChunk))
+			}
+			win = win[:hi-lo]
+			r.wins[nwin] = win
+			nwin++
+			if got, err := r.dev.ReadAt(win, areaOff(lo)); int64(got) < hi-lo {
+				return fmt.Errorf("wal: read %d bytes at %d: %w", hi-lo, lo, err)
+			}
+		}
+		if !decodeRecord(&recs[i], win[ref.Pos-lo:ref.Pos-lo+ref.Len], ref.Pos, ref.Seq) {
+			return fmt.Errorf("wal: record at %d (seq %d) failed validation", ref.Pos, ref.Seq)
+		}
 	}
-	buf, err := r.rd.bytes(ref.Pos, ref.Len, true)
-	if err != nil {
-		return nil, err
-	}
-	rec := new(Record)
-	if !decodeRecord(rec, buf, ref.Pos, ref.Seq) {
-		return nil, fmt.Errorf("wal: record at %d (seq %d) failed validation", ref.Pos, ref.Seq)
-	}
-	return rec, nil
+	return nil
 }
 
 // SetHead advances the head of the live region to pos, expecting seq there,
