@@ -25,8 +25,9 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck not installed; go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)"; fi
 
+# bench is the one list of smoke benchmarks; CI's bench job calls it.
 bench:
-	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange|CommitNoFlush|AppendBatch' -benchtime 1x -run '^$$' . ./internal/core ./internal/wal
+	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange|ObsOverhead|CommitNoFlush|AppendBatch' -benchtime 1x -run '^$$' . ./internal/core ./internal/wal
 
 # bench-gates runs the five checked-in regression gates the way CI does:
 # fsyncs/commit + p99, observability overhead, commit scaling, sharded-WAL

@@ -132,6 +132,15 @@ func RecvOf(fn *types.Func) types.Type {
 	return sig.Recv().Type()
 }
 
+// RecvName returns the name of a method's receiver type for diagnostics,
+// "?" when it has none.
+func RecvName(fn *types.Func) string {
+	if n := NamedOf(RecvOf(fn)); n != nil {
+		return n.Obj().Name()
+	}
+	return "?"
+}
+
 // IsModuleFunc reports whether fn is declared in this module.
 func IsModuleFunc(fn *types.Func) bool {
 	return fn != nil && fn.Pkg() != nil && strings.HasPrefix(fn.Pkg().Path(), ModulePath)
@@ -188,10 +197,10 @@ func PathCovers(cover, use string) bool {
 	return strings.HasPrefix(use, cover+".")
 }
 
-// IsMutexType reports whether t is sync.Mutex or sync.RWMutex (or a
-// pointer to one).
+// IsMutexType reports whether t is sync.Mutex, sync.RWMutex, or the
+// engine's class-counting obs.Mutex (or a pointer to one).
 func IsMutexType(t types.Type) bool {
-	return TypeIs(t, "sync", "Mutex") || TypeIs(t, "sync", "RWMutex")
+	return TypeIs(t, "sync", "Mutex") || TypeIs(t, "sync", "RWMutex") || TypeIs(t, "internal/obs", "Mutex")
 }
 
 // --- suppression directives ---

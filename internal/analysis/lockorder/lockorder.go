@@ -48,25 +48,10 @@ func NewAnalyzer(h *Hierarchy) *framework.Analyzer {
 }
 
 func run(pass *framework.Pass, h *Hierarchy) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			w := &walker{pass: pass, h: h}
-			w.stmtList(fd.Body.List, nil)
-		}
-	}
+	w := &walker{pass: pass, h: h}
+	hw := &framework.HeldWalker{Info: pass.TypesInfo, Lock: w.checkLock, Call: w.checkCall}
+	hw.Files(pass.Files)
 	return nil
-}
-
-// held is one acquired lock with its classification.
-type held struct {
-	key   framework.LockKey
-	entry *Entry // nil when not in the table
-	path  string // lexical path for diagnostics ("e.pipe.mu")
-	pos   token.Pos
 }
 
 type walker struct {
@@ -74,172 +59,60 @@ type walker struct {
 	h    *Hierarchy
 }
 
-// stmtList threads the held stack through a statement list; branches
-// get a copy, mirroring locksync's path-insensitive walk.
-func (w *walker) stmtList(list []ast.Stmt, hs []held) []held {
-	for _, s := range list {
-		hs = w.stmt(s, hs)
+// checkLock checks a lexical Lock against every lock held around it.
+func (w *walker) checkLock(h framework.Held, held []framework.Held) {
+	for _, hold := range held {
+		w.checkEdge(hold, h.Key, h.Path, "", h.Pos)
 	}
-	return hs
 }
 
-func clone(hs []held) []held {
-	return append([]held(nil), hs...)
-}
-
-func (w *walker) stmt(s ast.Stmt, hs []held) []held {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if recv, op := framework.MutexRef(w.pass.TypesInfo, s.X); op != "" {
-			return w.applyLock(hs, recv, op, s.X)
-		}
-		w.checkCalls(s.X, hs)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held to function end; other
-		// deferred work runs with this frame's locks in an unknown state.
-		return hs
-	case *ast.GoStmt:
-		// The goroutine does not hold our locks; its own body is walked
-		// when its function declaration or literal is visited.
-	case *ast.AssignStmt, *ast.ReturnStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
-		w.checkCalls(s, hs)
-	case *ast.BlockStmt:
-		return w.stmtList(s.List, hs)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, hs)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			hs = w.stmt(s.Init, hs)
-		}
-		w.checkCalls(s.Cond, hs)
-		w.stmtList(s.Body.List, clone(hs))
-		if s.Else != nil {
-			w.stmt(s.Else, clone(hs))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			hs = w.stmt(s.Init, hs)
-		}
-		if s.Cond != nil {
-			w.checkCalls(s.Cond, hs)
-		}
-		w.stmtList(s.Body.List, clone(hs))
-	case *ast.RangeStmt:
-		w.checkCalls(s.X, hs)
-		w.stmtList(s.Body.List, clone(hs))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			hs = w.stmt(s.Init, hs)
-		}
-		if s.Tag != nil {
-			w.checkCalls(s.Tag, hs)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmtList(cc.Body, clone(hs))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmtList(cc.Body, clone(hs))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmtList(cc.Body, clone(hs))
-			}
-		}
-	}
-	return hs
-}
-
-// applyLock checks and records a lexical Lock, or drops on Unlock.
-func (w *walker) applyLock(hs []held, recv ast.Expr, op string, e ast.Expr) []held {
-	key := framework.LockKeyOf(w.pass.TypesInfo, recv)
-	path := framework.ExprPath(recv)
-	if path == "" {
-		path = key.String()
-	}
-	switch op {
-	case "Lock", "RLock":
-		entry := w.h.Lookup(key)
-		for _, hold := range hs {
-			w.checkEdge(hold, key, entry, path, "", e.Pos())
-		}
-		return append(hs, held{key: key, entry: entry, path: path, pos: e.Pos()})
-	case "Unlock", "RUnlock":
-		for i := len(hs) - 1; i >= 0; i-- {
-			if hs[i].path == path {
-				return append(clone(hs[:i]), hs[i+1:]...)
-			}
-		}
-	}
-	return hs
-}
-
-// checkCalls charges every call under the held locks with the lock
-// classes its callee transitively acquires.
-func (w *walker) checkCalls(n ast.Node, hs []held) {
-	if n == nil || len(hs) == 0 {
+// checkCall charges a call under the held locks with the lock classes its
+// callee transitively acquires.
+func (w *walker) checkCall(call *ast.CallExpr, held []framework.Held) {
+	if len(held) == 0 {
 		return
 	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			fn := framework.Callee(w.pass.TypesInfo, m.Fun)
-			for _, sum := range w.pass.Prog.SummariesOf(fn) {
-				for key, eff := range sum.Acquires {
-					entry := w.h.Lookup(key)
-					for _, hold := range hs {
-						w.checkEdge(hold, key, entry, key.String(), eff.Path, m.Pos())
-					}
-				}
+	fn := framework.Callee(w.pass.TypesInfo, call.Fun)
+	for _, sum := range w.pass.Prog.SummariesOf(fn) {
+		for key, eff := range sum.Acquires {
+			for _, hold := range held {
+				w.checkEdge(hold, key, key.String(), eff.Path, call.Pos())
 			}
 		}
-		return true
-	})
+	}
 }
 
-// checkEdge validates acquiring (key, entry) while hold is held.  via
-// names the call chain for summary-derived acquisitions ("" for lexical
-// ones).
-func (w *walker) checkEdge(hold held, key framework.LockKey, entry *Entry, path, via string, pos token.Pos) {
-	if hold.key == key {
-		// Reacquiring the same class: legal only for Ordered classes
-		// (checked below); identical lexical paths would self-deadlock,
-		// but that is go vet's domain, not ordering's.
-		if entry != nil && entry.Ordered {
-			return
-		}
-	}
+// checkEdge validates acquiring key while hold is held.  via names the
+// call chain for summary-derived acquisitions ("" for lexical ones).
+func (w *walker) checkEdge(hold framework.Held, key framework.LockKey, path, via string, pos token.Pos) {
+	entry, holdEntry := w.h.Lookup(key), w.h.Lookup(hold.Key)
 	chain := ""
 	if via != "" {
 		chain = " (via " + via + ")"
 	}
 	switch {
-	case hold.entry != nil && entry != nil:
-		if entry.Level > hold.entry.Level {
+	case holdEntry != nil && entry != nil:
+		if entry.Level > holdEntry.Level {
 			return
 		}
-		if entry == hold.entry {
+		if entry == holdEntry {
+			// Reacquiring the same class is legal only for Ordered classes;
+			// identical lexical paths would self-deadlock, but that is go
+			// vet's domain, not ordering's.
 			if entry.Ordered {
 				return
 			}
 			w.pass.Reportf(pos, "lock %s%s acquired while already holding %s-class lock %s (locked at %s); class %s is not ordered — same-class nesting deadlocks",
-				path, chain, hold.entry.Name, hold.path, w.pass.Fset.Position(hold.pos), entry.Name)
+				path, chain, holdEntry.Name, hold.Path, w.pass.Fset.Position(hold.Pos), entry.Name)
 			return
 		}
 		w.pass.Reportf(pos, "lock-order inversion: %s (level %d, %s)%s acquired while holding %s (level %d, %s, locked at %s); the §12 hierarchy descends %s",
-			path, entry.Level, entry.Name, chain, hold.path, hold.entry.Level, hold.entry.Name, w.pass.Fset.Position(hold.pos), w.h.Order())
-	case hold.entry != nil && entry == nil && w.h.Covers(key):
+			path, entry.Level, entry.Name, chain, hold.Path, holdEntry.Level, holdEntry.Name, w.pass.Fset.Position(hold.Pos), w.h.Order())
+	case holdEntry != nil && entry == nil && w.h.Covers(key):
 		w.pass.Reportf(pos, "unknown lock edge: %s%s is not in the §12 hierarchy table but is acquired while holding %s (%s, locked at %s); add the new lock class to lockorder.DefaultHierarchy deliberately",
-			path, chain, hold.path, hold.entry.Name, w.pass.Fset.Position(hold.pos))
-	case hold.entry == nil && entry != nil && w.h.Covers(hold.key):
+			path, chain, hold.Path, holdEntry.Name, w.pass.Fset.Position(hold.Pos))
+	case holdEntry == nil && entry != nil && w.h.Covers(hold.Key):
 		w.pass.Reportf(pos, "unknown lock edge: table lock %s (%s)%s acquired while holding %s, which belongs to an engine package but is not in the §12 hierarchy table; add it to lockorder.DefaultHierarchy deliberately",
-			path, entry.Name, chain, hold.path)
+			path, entry.Name, chain, hold.Path)
 	}
 }

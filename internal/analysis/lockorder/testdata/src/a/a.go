@@ -4,7 +4,11 @@
 // Log.mu (50).
 package a
 
-import "sync"
+import (
+	"sync"
+
+	"github.com/rvm-go/rvm/internal/obs"
+)
 
 type Engine struct {
 	mu   sync.Mutex
@@ -21,8 +25,10 @@ type pipeline struct {
 	mu sync.Mutex
 }
 
+// Log's mutex is an obs.Mutex: its class is still (a, Log, mu), the owner
+// and field of the declaration, exactly as for a sync.Mutex.
 type Log struct {
-	mu sync.Mutex
+	mu obs.Mutex
 }
 
 // stray is a mutex owned by a covered package but missing from the
@@ -155,4 +161,24 @@ func allowed(e *Engine) {
 	//rvmcheck:allow lockorder -- exercising the directive itself
 	e.mu.Lock()
 	e.mu.Unlock()
+}
+
+// An obs.Mutex is classed by where it is declared: Log.mu is level 50, so
+// the engine lock under it inverts, lexically and through a summary.
+func badObsMutexInversion(e *Engine) {
+	e.log.mu.Lock()
+	defer e.log.mu.Unlock()
+	e.mu.Lock() // want `lock-order inversion: e.mu \(level 10, engine lock\) acquired while holding e.log.mu \(level 50, log lock`
+	e.mu.Unlock()
+}
+
+func lockLog(l *Log) {
+	l.mu.Lock()
+	l.mu.Unlock()
+}
+
+func badObsMutexTransitive(e *Engine, l *Log, s *stray) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lockLog(l) // want `unknown lock edge: table lock a.Log.mu \(log lock\) \(via a.Log.mu.Lock\)`
 }

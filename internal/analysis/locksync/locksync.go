@@ -38,11 +38,8 @@
 // the message.  Method values count as calls: `e.retryIO(e.log.Force)`
 // invokes Force right there for this analysis's purposes.
 //
-// The held-set tracking itself remains a path-insensitive
-// under-approximation: branch and loop bodies are explored with a copy
-// of the held-set (their lock/unlock effects don't leak out), closures
-// are analyzed with an empty held-set, and a deferred Unlock keeps the
-// mutex held to the end of the function.
+// The held-set tracking itself is framework.HeldWalker's path-insensitive
+// under-approximation.
 package locksync
 
 import (
@@ -61,225 +58,35 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			w := &walker{pass: pass}
-			w.stmtList(fd.Body.List, map[string]heldMutex{})
-		}
-	}
+	w := &walker{pass: pass}
+	hw := &framework.HeldWalker{Info: pass.TypesInfo, Lock: w.checkLock, Call: w.checkCall}
+	hw.Files(pass.Files)
 	return nil
-}
-
-// heldMutex records one acquired, not-yet-released mutex.
-type heldMutex struct {
-	path  string // lexical path of the mutex ("gc.mu", "l.mu")
-	owner string // named type owning the mutex field ("Engine", "Log", "" unknown)
-	pos   token.Pos
 }
 
 type walker struct {
 	pass *framework.Pass
 }
 
-// stmtList walks one statement list, threading held through it.
-func (w *walker) stmtList(list []ast.Stmt, held map[string]heldMutex) {
-	for _, s := range list {
-		w.stmt(s, held)
+// checkLock applies Rule C to a lexical Lock: pipeline.mu is the innermost
+// lock of the engine hierarchy; a Region lock acquired under it inverts the
+// order every committer relies on.
+func (w *walker) checkLock(h framework.Held, held []framework.Held) {
+	if h.Key.Type != "Region" {
+		return
 	}
-}
-
-func (w *walker) stmt(s ast.Stmt, held map[string]heldMutex) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if path, op, pos := mutexOp(w.pass.TypesInfo, s.X); op != "" {
-			w.applyLock(held, path, op, pos, s.X)
+	for _, hold := range held {
+		if hold.Key.Type == "pipeline" {
+			w.pass.Reportf(h.Pos, "Region lock %s acquired while holding log-pipeline lock %s (locked at %s); the hierarchy is Engine, then Region locks, then the pipeline lock innermost — acquire region locks before entering the pipeline",
+				h.Path, hold.Path, w.pass.Fset.Position(hold.Pos))
 			return
 		}
-		w.checkExpr(s.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the mutex held for the rest of the
-		// function; any other deferred work runs after the locks of this
-		// frame are in an unknown state, so it is not checked.
-		return
-	case *ast.GoStmt:
-		// Runs concurrently; the spawned goroutine does not hold our locks.
-		w.funcLits(s.Call, held)
-	case *ast.AssignStmt, *ast.ReturnStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
-		w.checkNode(s, held)
-	case *ast.BlockStmt:
-		w.stmtList(s.List, held)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.checkExpr(s.Cond, held)
-		w.stmtList(s.Body.List, clone(held))
-		if s.Else != nil {
-			w.stmt(s.Else, clone(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.checkExpr(s.Cond, held)
-		}
-		w.stmtList(s.Body.List, clone(held))
-	case *ast.RangeStmt:
-		w.checkExpr(s.X, held)
-		w.stmtList(s.Body.List, clone(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.checkExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmtList(cc.Body, clone(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmtList(cc.Body, clone(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmtList(cc.Body, clone(held))
-			}
-		}
 	}
-}
-
-func clone(held map[string]heldMutex) map[string]heldMutex {
-	c := make(map[string]heldMutex, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-// applyLock mutates held for a Lock/RLock/Unlock/RUnlock statement; a
-// Lock is also checked against Rule C before it is recorded.
-func (w *walker) applyLock(held map[string]heldMutex, path, op string, pos token.Pos, e ast.Expr) {
-	switch op {
-	case "Lock", "RLock":
-		owner := ""
-		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-			owner = mutexOwner(w.pass.TypesInfo, call)
-		}
-		// Rule C: pipeline.mu is the innermost lock of the engine
-		// hierarchy; a Region lock acquired under it inverts the order
-		// every committer relies on.
-		if owner == "Region" {
-			for _, h := range held {
-				if h.owner == "pipeline" {
-					w.pass.Reportf(pos, "Region lock %s acquired while holding log-pipeline lock %s (locked at %s); the hierarchy is Engine, then Region locks, then the pipeline lock innermost — acquire region locks before entering the pipeline",
-						path, h.path, w.pass.Fset.Position(h.pos))
-					break
-				}
-			}
-		}
-		held[path] = heldMutex{path: path, owner: owner, pos: pos}
-	case "Unlock", "RUnlock":
-		delete(held, path)
-	}
-}
-
-// mutexOp recognizes path.Lock()/RLock()/Unlock()/RUnlock() on a
-// mutex-typed receiver and returns its lexical path and operation.
-func mutexOp(info *types.Info, e ast.Expr) (path, op string, pos token.Pos) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", "", token.NoPos
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", token.NoPos
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", token.NoPos
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || !framework.IsMutexType(tv.Type) {
-		return "", "", token.NoPos
-	}
-	p := framework.ExprPath(sel.X)
-	if p == "" {
-		return "", "", token.NoPos
-	}
-	return p, sel.Sel.Name, call.Pos()
-}
-
-// mutexOwner names the type holding the mutex field: for gc.mu.Lock()
-// it is the named type of gc.  A bare local mutex has no owner.
-func mutexOwner(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	tv, ok := info.Types[inner.X]
-	if !ok {
-		return ""
-	}
-	if n := framework.NamedOf(tv.Type); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// funcLits walks only the function literals inside n, each with an empty
-// held-set (a goroutine or closure does not inherit our locks lexically).
-func (w *walker) funcLits(n ast.Node, _ map[string]heldMutex) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if fl, ok := m.(*ast.FuncLit); ok {
-			w.stmtList(fl.Body.List, map[string]heldMutex{})
-			return false
-		}
-		return true
-	})
-}
-
-// checkNode scans a statement's expressions for sync work under held.
-func (w *walker) checkNode(n ast.Node, held map[string]heldMutex) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			w.stmtList(m.Body.List, map[string]heldMutex{})
-			return false
-		case *ast.CallExpr:
-			w.checkCall(m, held)
-		}
-		return true
-	})
-}
-
-func (w *walker) checkExpr(e ast.Expr, held map[string]heldMutex) {
-	if e == nil {
-		return
-	}
-	w.checkNode(e, held)
 }
 
 // checkCall applies Rule A and Rule B to one call: its callee, and any
 // method values passed as arguments (e.retryIO(e.log.Force) forces).
-func (w *walker) checkCall(call *ast.CallExpr, held map[string]heldMutex) {
+func (w *walker) checkCall(call *ast.CallExpr, held []framework.Held) {
 	if len(held) == 0 {
 		return
 	}
@@ -297,21 +104,21 @@ func (w *walker) checkCall(call *ast.CallExpr, held map[string]heldMutex) {
 // checkFunc reports fn if it is a sync target forbidden under any of the
 // held mutexes — directly, or transitively through its whole-program
 // effect summary.
-func (w *walker) checkFunc(fn *types.Func, pos token.Pos, held map[string]heldMutex) {
+func (w *walker) checkFunc(fn *types.Func, pos token.Pos, held []framework.Held) {
 	if fn == nil {
 		return
 	}
 	if framework.IsRawSyncFunc(fn) {
 		for _, h := range held {
 			w.pass.Reportf(pos, "%s called while holding %s (locked at %s); release the mutex around the device sync — fsync under a lock serializes group commit",
-				fn.Name(), h.path, w.pass.Fset.Position(h.pos))
+				fn.Name(), h.Path, w.pass.Fset.Position(h.Pos))
 			return
 		}
 	}
 	if framework.IsForceMethod(fn) {
 		for _, h := range held {
 			w.pass.Reportf(pos, "%s.%s called while holding %s (locked at %s); the engine forces the log holding no lock — release the mutex first or group commit re-serializes",
-				recvName(fn), fn.Name(), h.path, w.pass.Fset.Position(h.pos))
+				framework.RecvName(fn), fn.Name(), h.Path, w.pass.Fset.Position(h.Pos))
 			return
 		}
 	}
@@ -322,14 +129,14 @@ func (w *walker) checkFunc(fn *types.Func, pos token.Pos, held map[string]heldMu
 		if sum.Syncs != nil {
 			for _, h := range held {
 				w.pass.Reportf(pos, "call to %s performs a device sync (via %s) while holding %s (locked at %s); release the mutex around the chain — fsync under a lock serializes group commit",
-					fn.Name(), sum.Syncs.Path, h.path, w.pass.Fset.Position(h.pos))
+					fn.Name(), sum.Syncs.Path, h.Path, w.pass.Fset.Position(h.Pos))
 				return
 			}
 		}
 		if sum.Forces != nil {
 			for _, h := range held {
 				w.pass.Reportf(pos, "call to %s forces the log (via %s) while holding %s (locked at %s); the engine forces holding no lock — release the mutex first or group commit re-serializes",
-					fn.Name(), sum.Forces.Path, h.path, w.pass.Fset.Position(h.pos))
+					fn.Name(), sum.Forces.Path, h.Path, w.pass.Fset.Position(h.Pos))
 				return
 			}
 		}
@@ -340,19 +147,12 @@ func (w *walker) checkFunc(fn *types.Func, pos token.Pos, held map[string]heldMu
 				continue
 			}
 			for _, h := range held {
-				if h.owner == "pipeline" {
+				if h.Key.Type == "pipeline" {
 					w.pass.Reportf(pos, "call to %s acquires Region lock %s (via %s) while holding log-pipeline lock %s (locked at %s); the hierarchy is Engine, then Region locks, then the pipeline lock innermost",
-						fn.Name(), key, eff.Path, h.path, w.pass.Fset.Position(h.pos))
+						fn.Name(), key, eff.Path, h.Path, w.pass.Fset.Position(h.Pos))
 					return
 				}
 			}
 		}
 	}
-}
-
-func recvName(fn *types.Func) string {
-	if n := framework.NamedOf(framework.RecvOf(fn)); n != nil {
-		return n.Obj().Name()
-	}
-	return "?"
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"sync"
 
+	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/wal"
 )
 
@@ -191,4 +192,26 @@ func badDispatch(s *store, sy syncer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return sy.persist() // want `performs a device sync \(via`
+}
+
+// The engine's instrumented locks are obs.Mutex, whose Lock is a module
+// method, not sync's: it must still be tracked as held.  (A helper taking
+// a *sync.Mutex would pass every rule silently — the walkers would simply
+// stop seeing the lock.)
+type shardPipe struct {
+	mu obs.Mutex
+	f  *os.File
+}
+
+func badObsMutex(p *shardPipe) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.f.Sync() // want `Sync called while holding p.mu`
+}
+
+func goodObsMutex(p *shardPipe) error {
+	p.mu.Lock()
+	f := p.f
+	p.mu.Unlock()
+	return f.Sync()
 }

@@ -27,9 +27,8 @@
 //     build strings; an allocating argument silently reintroduces the
 //     cost (and GC pressure) the ring buffer exists to avoid.
 //
-// The walker reuses locksync's path-insensitive under-approximation:
-// branch bodies get a copy of the held-set, closures and goroutines an
-// empty one, and a deferred Unlock keeps the mutex held to function end.
+// The held-set tracking is framework.HeldWalker's path-insensitive
+// under-approximation, shared with locksync.
 package obsleak
 
 import (
@@ -48,210 +47,18 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			w := &walker{pass: pass}
-			w.stmtList(fd.Body.List, map[string]heldMutex{})
-		}
-	}
+	w := &walker{pass: pass}
+	hw := &framework.HeldWalker{Info: pass.TypesInfo, Call: w.checkCall}
+	hw.Files(pass.Files)
 	return nil
-}
-
-// heldMutex records one acquired, not-yet-released mutex.
-type heldMutex struct {
-	path  string // lexical path of the mutex ("l.mu", "gc.mu")
-	owner string // named type owning the mutex field ("Engine", "Log", "" unknown)
-	pos   token.Pos
 }
 
 type walker struct {
 	pass *framework.Pass
 }
 
-func (w *walker) stmtList(list []ast.Stmt, held map[string]heldMutex) {
-	for _, s := range list {
-		w.stmt(s, held)
-	}
-}
-
-func (w *walker) stmt(s ast.Stmt, held map[string]heldMutex) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if path, op, pos := mutexOp(w.pass.TypesInfo, s.X); op != "" {
-			w.applyLock(held, path, op, pos, s.X)
-			return
-		}
-		w.checkExpr(s.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the mutex held for the rest of the
-		// function; other deferred work runs with this frame's locks in an
-		// unknown state, so it is not checked.
-		return
-	case *ast.GoStmt:
-		// Runs concurrently; the spawned goroutine does not hold our locks.
-		w.funcLits(s.Call)
-	case *ast.AssignStmt, *ast.ReturnStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
-		w.checkNode(s, held)
-	case *ast.BlockStmt:
-		w.stmtList(s.List, held)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.checkExpr(s.Cond, held)
-		w.stmtList(s.Body.List, clone(held))
-		if s.Else != nil {
-			w.stmt(s.Else, clone(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.checkExpr(s.Cond, held)
-		}
-		w.stmtList(s.Body.List, clone(held))
-	case *ast.RangeStmt:
-		w.checkExpr(s.X, held)
-		w.stmtList(s.Body.List, clone(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.checkExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmtList(cc.Body, clone(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmtList(cc.Body, clone(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmtList(cc.Body, clone(held))
-			}
-		}
-	}
-}
-
-func clone(held map[string]heldMutex) map[string]heldMutex {
-	c := make(map[string]heldMutex, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-// applyLock mutates held for a Lock/RLock/Unlock/RUnlock statement.
-func (w *walker) applyLock(held map[string]heldMutex, path, op string, pos token.Pos, e ast.Expr) {
-	switch op {
-	case "Lock", "RLock":
-		owner := ""
-		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-			owner = mutexOwner(w.pass.TypesInfo, call)
-		}
-		held[path] = heldMutex{path: path, owner: owner, pos: pos}
-	case "Unlock", "RUnlock":
-		delete(held, path)
-	}
-}
-
-// mutexOp recognizes path.Lock()/RLock()/Unlock()/RUnlock() on a
-// mutex-typed receiver and returns its lexical path and operation.
-func mutexOp(info *types.Info, e ast.Expr) (path, op string, pos token.Pos) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", "", token.NoPos
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", token.NoPos
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", token.NoPos
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || !framework.IsMutexType(tv.Type) {
-		return "", "", token.NoPos
-	}
-	p := framework.ExprPath(sel.X)
-	if p == "" {
-		return "", "", token.NoPos
-	}
-	return p, sel.Sel.Name, call.Pos()
-}
-
-// mutexOwner names the type holding the mutex field: for l.mu.Lock() it
-// is the named type of l.  A bare local mutex has no owner.
-func mutexOwner(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	tv, ok := info.Types[inner.X]
-	if !ok {
-		return ""
-	}
-	if n := framework.NamedOf(tv.Type); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// funcLits walks only the function literals inside n, each with an empty
-// held-set.
-func (w *walker) funcLits(n ast.Node) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if fl, ok := m.(*ast.FuncLit); ok {
-			w.stmtList(fl.Body.List, map[string]heldMutex{})
-			return false
-		}
-		return true
-	})
-}
-
-// checkNode scans a statement's expressions for obs emission.
-func (w *walker) checkNode(n ast.Node, held map[string]heldMutex) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			w.stmtList(m.Body.List, map[string]heldMutex{})
-			return false
-		case *ast.CallExpr:
-			w.checkCall(m, held)
-		}
-		return true
-	})
-}
-
-func (w *walker) checkExpr(e ast.Expr, held map[string]heldMutex) {
-	if e == nil {
-		return
-	}
-	w.checkNode(e, held)
-}
-
 // checkCall applies both rules to one call.
-func (w *walker) checkCall(call *ast.CallExpr, held map[string]heldMutex) {
+func (w *walker) checkCall(call *ast.CallExpr, held []framework.Held) {
 	info := w.pass.TypesInfo
 	fn := framework.Callee(info, call.Fun)
 	if !isObsEmit(fn) {
@@ -261,7 +68,7 @@ func (w *walker) checkCall(call *ast.CallExpr, held map[string]heldMutex) {
 	for _, arg := range call.Args {
 		if what, pos := allocates(info, arg); what != "" {
 			w.pass.Reportf(pos, "argument to %s.%s allocates (%s); obs emission is hot-path code and must stay allocation-free — precompute integers outside the instrumentation call",
-				recvName(fn), fn.Name(), what)
+				framework.RecvName(fn), fn.Name(), what)
 		}
 	}
 	// The lock-contention counters are the one sanctioned exception to
@@ -276,7 +83,7 @@ func (w *walker) checkCall(call *ast.CallExpr, held map[string]heldMutex) {
 	// Rule A: emission under any held mutex.
 	for _, h := range held {
 		w.pass.Reportf(call.Pos(), "%s.%s called while holding %s (locked at %s); capture values under the lock and emit after unlocking",
-			recvName(fn), fn.Name(), h.path, w.pass.Fset.Position(h.pos))
+			framework.RecvName(fn), fn.Name(), h.Path, w.pass.Fset.Position(h.Pos))
 		return
 	}
 }
@@ -370,11 +177,4 @@ func isString(info *types.Info, e ast.Expr) bool {
 func isStringType(t types.Type) bool {
 	b, ok := t.(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
-}
-
-func recvName(fn *types.Func) string {
-	if n := framework.NamedOf(framework.RecvOf(fn)); n != nil {
-		return n.Obj().Name()
-	}
-	return "?"
 }

@@ -133,3 +133,24 @@ func allowed(l *log) {
 	//rvmcheck:allow obsleak -- exercising the directive itself
 	l.tr.Record(obs.EvLogAppend, 1, 0, 0)
 }
+
+// An obs.Mutex is held like the sync.Mutex it replaces: emission under it
+// is Rule A.
+type pipe struct {
+	mu    obs.Mutex
+	met   *obs.Metrics
+	spool int64
+}
+
+func badObsMutex(p *pipe) {
+	p.mu.Lock()
+	p.met.ObserveSpoolFlush(p.spool) // want `ObserveSpoolFlush called while holding p.mu`
+	p.mu.Unlock()
+}
+
+func goodObsMutex(p *pipe) {
+	p.mu.Lock()
+	n, met := p.spool, p.met
+	p.mu.Unlock()
+	met.ObserveSpoolFlush(n)
+}

@@ -1,0 +1,329 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"github.com/rvm-go/rvm/internal/obs"
+	"github.com/rvm-go/rvm/internal/wal"
+)
+
+// pathsRegions is the layout of the commit-path scripts: four two-page
+// regions, which byOffset spreads over two shards (0,2 and 1,3).
+const pathsRegions = 4
+
+// pathsSeed is a seed under which no commit mark meets a full log.  A mark
+// that does not fit poisons the engine by design (a failure after the first
+// mark), and with logs this small about one seed in three runs into it.
+const pathsSeed = 1
+
+// recordStream hashes every transaction, prepare and commit-mark record a
+// shard's log ever held — type, tid, flags and ranges, in log order — by
+// scanning for new records after each script step.  An inline truncation
+// only ever drops records an earlier step has already seen: it runs inside
+// a commit, ahead of that commit's own append, and never past an in-doubt
+// prepare.
+type recordStream struct {
+	seen  []uint64 // per shard: the highest seq hashed
+	sums  []hash.Hash64
+	count []int
+}
+
+func newRecordStream(shards int) *recordStream {
+	rs := &recordStream{seen: make([]uint64, shards), count: make([]int, shards)}
+	for i := 0; i < shards; i++ {
+		rs.sums = append(rs.sums, fnv.New64a())
+	}
+	return rs
+}
+
+func (rs *recordStream) scan(t *testing.T, e *Engine) {
+	t.Helper()
+	for k, sh := range e.shards {
+		h := rs.sums[k]
+		word := func(v uint64) {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		err := sh.log.ScanForward(func(rec *wal.Record) error {
+			if rec.Seq <= rs.seen[k] {
+				return nil
+			}
+			rs.seen[k] = rec.Seq
+			switch rec.Type {
+			case wal.RecTx, wal.RecPrepare, wal.RecCommit:
+			default:
+				return nil
+			}
+			rs.count[k]++
+			word(uint64(rec.Type))
+			word(rec.TID)
+			word(uint64(rec.Flags))
+			word(uint64(len(rec.Ranges)))
+			for _, r := range rec.Ranges {
+				word(r.Seg)
+				word(r.Off)
+				word(uint64(len(r.Data)))
+				h.Write(r.Data)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runPathsScript drives one seeded single-goroutine script — Restore and
+// NoRestore transactions over several regions with duplicate and
+// overlapping set-ranges, some aborted, an engine Flush every so often, in
+// a log small enough that commits hit ErrLogFull and truncate inline —
+// through an engine opened with opts, committing with mode.  It crashes the
+// engine at the end and returns the recovered region images, the model's
+// images, and the per-shard record-stream hashes.
+func runPathsScript(t *testing.T, seed int64, opts Options, mode CommitMode) (recovered, model [][]byte, stream []string) {
+	t.Helper()
+	opts.TruncateThreshold = -1
+	v := newEnv(t, 1<<15, pageBytes(2*pathsRegions), opts)
+	var regs []*Region
+	for i := 0; i < pathsRegions; i++ {
+		r, err := v.eng.Map(v.segPath, pageBytes(2*i), pageBytes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs = append(regs, r)
+		model = append(model, make([]byte, r.Length()))
+	}
+	rs := newRecordStream(len(v.eng.shards))
+	rng := rand.New(rand.NewSource(seed))
+	for step := 0; step < 240; step++ {
+		txMode := Restore
+		if rng.Intn(3) == 0 {
+			txMode = NoRestore
+		}
+		tx, err := v.eng.Begin(txMode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type write struct {
+			reg  int
+			off  int64
+			data []byte
+		}
+		var writes []write
+		lastReg, lastOff, lastLen := rng.Intn(pathsRegions), int64(0), int64(8)
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			reg, off, ln := lastReg, lastOff, lastLen
+			switch rng.Intn(4) {
+			case 0: // the same range again
+			case 1: // overlapping the previous one
+				off, ln = lastOff+lastLen/2, 1+int64(rng.Intn(600))
+			default:
+				reg, off, ln = rng.Intn(pathsRegions), int64(rng.Intn(7000)), 1+int64(rng.Intn(900))
+			}
+			if off+ln > regs[reg].Length() {
+				off = regs[reg].Length() - ln
+			}
+			data := make([]byte, ln)
+			rng.Read(data)
+			if err := tx.Modify(regs[reg], off, data); err != nil {
+				t.Fatal(err)
+			}
+			writes = append(writes, write{reg, off, data})
+			lastReg, lastOff, lastLen = reg, off, ln
+		}
+		if txMode == Restore && rng.Intn(8) == 0 {
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := tx.Commit(mode); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			for _, w := range writes {
+				copy(model[w.reg][w.off:], w.data)
+			}
+		}
+		if step%16 == 15 {
+			if err := v.eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs.scan(t, v.eng)
+	}
+	if err := v.eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rs.scan(t, v.eng)
+	st := v.eng.Stats()
+	if st.EpochTruncs == 0 {
+		t.Fatal("the script never filled the log: no ErrLogFull retry was exercised")
+	}
+	if len(v.eng.shards) > 1 && st.CrossShardCommits == 0 {
+		t.Fatal("no transaction spanned the shards")
+	}
+	for k := range rs.sums {
+		stream = append(stream, fmt.Sprintf("%d:%016x", rs.count[k], rs.sums[k].Sum64()))
+	}
+	v.reopen(opts)
+	for i := 0; i < pathsRegions; i++ {
+		r, err := v.eng.Map(v.segPath, pageBytes(2*i), pageBytes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered = append(recovered, append([]byte(nil), r.Data()...))
+	}
+	return recovered, model, stream
+}
+
+// TestCommitPathsAgree runs the same script as flush commits on one shard,
+// as no-flush commits plus Flush on one shard, and as flush commits over
+// two shards (where a transaction touching both commits two-phase).  All
+// three must recover the model's images, and the record streams of the two
+// flush runs must hash to the values the three separate commit functions of
+// the parent commit produced: the one staged commit function logs the same
+// records, not just bytes of the same total size.
+func TestCommitPathsAgree(t *testing.T) {
+	cases := []struct {
+		name   string
+		opts   Options
+		mode   CommitMode
+		stream string // record count and FNV-64a per shard, pinned at the parent commit
+	}{
+		{"flush", Options{}, Flush, "226:6d880f600d853047"},
+		{"noflush+Flush", Options{}, NoFlush, ""},
+		{"two-shards", Options{LogShards: 2, ShardOf: byOffset}, Flush, "243:61418e1bdcc9502b 250:3afdafeaf7c09b38"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			recovered, model, stream := runPathsScript(t, pathsSeed, c.opts, c.mode)
+			for i := range model {
+				if !bytes.Equal(recovered[i], model[i]) {
+					t.Errorf("region %d: recovered image differs from the model", i)
+				}
+			}
+			if got := strings.Join(stream, " "); c.stream != "" && got != c.stream {
+				t.Errorf("record stream %s, want %s (pinned at the parent commit)", got, c.stream)
+			}
+		})
+	}
+}
+
+// TestCommitRejectsUnknownMode: an unknown commit mode is refused for every
+// transaction shape before anything is counted, and leaves the transaction
+// live.
+func TestCommitRejectsUnknownMode(t *testing.T) {
+	opts := Options{LogShards: 2, ShardOf: byOffset, TruncateThreshold: -1}
+	v := newEnv(t, 1<<16, pageBytes(4), opts)
+	r1, _ := v.eng.Map(v.segPath, 0, pageBytes(2))
+	r2, _ := v.eng.Map(v.segPath, pageBytes(2), pageBytes(2))
+	shapes := []struct {
+		name string
+		regs []*Region
+	}{{"empty", nil}, {"one-shard", []*Region{r1}}, {"two-shard", []*Region{r1, r2}}}
+	for _, sh := range shapes {
+		for _, mode := range []CommitMode{Flush, NoFlush, 7} {
+			t.Run(fmt.Sprintf("%s/mode=%d", sh.name, mode), func(t *testing.T) {
+				tx, err := v.eng.Begin(Restore)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range sh.regs {
+					if err := tx.Modify(r, 0, []byte("mode")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := v.eng.Stats()
+				err = tx.Commit(mode)
+				if mode == Flush || mode == NoFlush {
+					if err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), "unknown commit mode") {
+					t.Fatalf("Commit(7) = %v, want an unknown-mode error", err)
+				}
+				if after := v.eng.Stats(); after != before {
+					t.Fatalf("a refused commit moved counters:\n before %+v\n after  %+v", before, after)
+				}
+				if err := tx.Abort(); err != nil {
+					t.Fatalf("the transaction is not live after a refused commit: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestLazyAndCrossCommitPhases: phase attribution covers every commit
+// shape.  N no-flush commits feed the four front-end phase histograms N
+// times and force-wait not at all, and those phases fit inside the commits'
+// total latency; N cross-shard commits feed all five.
+func TestLazyAndCrossCommitPhases(t *testing.T) {
+	const n = 50
+	met := obs.NewMetrics()
+	opts := Options{LogShards: 2, ShardOf: byOffset, TruncateThreshold: -1, Metrics: met, StallBudget: -1}
+	v := newEnv(t, 1<<18, pageBytes(4), opts)
+	r1, _ := v.eng.Map(v.segPath, 0, pageBytes(2))
+	r2, _ := v.eng.Map(v.segPath, pageBytes(2), pageBytes(2))
+	commit := func(mode CommitMode, regs ...*Region) {
+		t.Helper()
+		tx, err := v.eng.Begin(NoRestore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range regs {
+			if err := tx.Modify(r, 64, []byte("phases")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	front := func(s *obs.MetricsSnapshot) []obs.HistStat {
+		return []obs.HistStat{s.PhaseLockWaitNs, s.PhaseEncodeNs, s.PhasePipeWaitNs, s.PhaseAppendNs}
+	}
+
+	for i := 0; i < n; i++ {
+		commit(NoFlush, r1)
+	}
+	s := met.Snapshot()
+	var frontSum uint64
+	for i, h := range front(s) {
+		if h.Count != n {
+			t.Errorf("front-end phase %d observed %d times after %d no-flush commits", i, h.Count, n)
+		}
+		frontSum += uint64(h.Sum)
+	}
+	if s.PhaseForceWaitNs.Count != 0 {
+		t.Errorf("force-wait observed %d times by commits that forced nothing", s.PhaseForceWaitNs.Count)
+	}
+	if s.CommitNoFlushNs.Count != n || frontSum > uint64(s.CommitNoFlushNs.Sum) {
+		t.Errorf("front-end phases sum to %d ns, more than the %d commits' %d ns", frontSum, s.CommitNoFlushNs.Count, s.CommitNoFlushNs.Sum)
+	}
+
+	for i := 0; i < n; i++ {
+		commit(Flush, r1, r2)
+	}
+	if st := v.eng.Stats(); st.CrossShardCommits != n {
+		t.Fatalf("cross-shard commits = %d, want %d", st.CrossShardCommits, n)
+	}
+	s = met.Snapshot()
+	for i, h := range append(front(s), s.PhaseForceWaitNs) {
+		want := uint64(2 * n)
+		if i == 4 {
+			want = n
+		}
+		if h.Count != want {
+			t.Errorf("phase %d observed %d times after %d no-flush and %d cross-shard commits, want %d", i, h.Count, n, n, want)
+		}
+	}
+}

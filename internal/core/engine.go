@@ -1,7 +1,16 @@
 // Package core implements the RVM transaction engine: segment and region
 // management, the transaction lifecycle with intra- and inter-transaction
-// optimizations, commit paths, crash recovery at startup, and both epoch
+// optimizations, the commit path, crash recovery at startup, and both epoch
 // and incremental log truncation.
+//
+// There is one commit path, (*Tx).commit in tx.go (DESIGN.md §15), as the
+// paper's end_transaction is one procedure with a commit_mode flag: under
+// the region locks each participating WAL shard gets the transaction's
+// ranges in one pipeline section — spooled for a lazy (no-flush) commit,
+// else appended as one record, a prepare when several shards take part —
+// then every participant is forced holding no lock, and a cross-shard
+// commit appends and forces its commit marks.  A full log is handled in
+// one place for commits and spool flushes alike (retryLogFull).
 //
 // The public github.com/rvm-go/rvm package is a thin facade over this
 // engine; the split keeps the paper's machinery in one place while the
@@ -30,9 +39,13 @@
 //	    ascending shard order.
 //
 // wal.Log's and groupCommit's mutexes are leaves below all three (one of
-// each per shard).  No fsync runs under any engine lock (locksync Rule
-// A/B).  Engine-wide counters, the active-transaction count, the
-// transaction-ID source, and the poisoned/closed flags are atomics.
+// each per shard).  Those two, r.mu and sh.pipe.mu are obs.Mutex: the lock
+// carries its obs.LockClass and the metrics registry, bound where the lock
+// is created, so every mu.Lock() feeds the class's contention counters and
+// stays a literal Lock call the rvmcheck walkers can follow.  No fsync
+// runs under any engine lock (locksync Rule A/B).  Engine-wide counters,
+// the active-transaction count, the transaction-ID source, and the
+// poisoned/closed flags are atomics.
 package core
 
 import (
@@ -267,7 +280,7 @@ type counters struct {
 // different shards are independent; the few paths that hold several at
 // once (regions-slice mutation) take them in ascending shard order.
 type pipeline struct {
-	mu sync.Mutex
+	mu obs.Mutex // obs.LockPipeline, bound at Open
 	// The spool (spool.go): committed no-flush transactions not yet in the
 	// log, in commit order.  Entries a later commit subsumed stay in the
 	// slice, dead, until a drain passes them.
@@ -388,7 +401,7 @@ type Region struct {
 	// its segment and its dirty bit set.  Guarded by sh.pipe.mu.
 	spoolRefs []int32
 
-	mu     sync.Mutex // guards data/buf stability, nTx, mapped
+	mu     obs.Mutex // obs.LockRegion, bound at Map; guards data/buf stability, nTx, mapped
 	buf    *mapping.Buffer
 	data   []byte
 	nTx    int // active transactions with ranges in this region
@@ -418,6 +431,9 @@ func Open(opts Options) (*Engine, error) {
 	if err != nil {
 		l.Close()
 		return nil, err
+	}
+	if opts.SpoolLimit == 0 {
+		opts.SpoolLimit = 1 << 20
 	}
 	requested := opts.LogShards
 	if requested < 1 {
@@ -469,6 +485,9 @@ func Open(opts Options) (*Engine, error) {
 	used := int64(0)
 	for k, lg := range logs {
 		sh := &shard{idx: k, log: lg}
+		sh.pipe.mu.Bind(obs.LockPipeline, e.met)
+		sh.pipe.inDoubt = make(map[uint64]*inDoubtTx)
+		sh.gc.mu.Bind(obs.LockGroupCommit, e.met)
 		sh.gc.cond = sync.NewCond(&sh.gc.mu)
 		lg.SetObs(e.tr, e.met)
 		if opts.NoSync {
@@ -746,6 +765,7 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		spoolRefs: make([]int32, length/int64(mapping.PageSize)),
 		mapped:    true,
 	}
+	r.mu.Bind(obs.LockRegion, e.met)
 	// The regions slice is read under each shard's pipe.mu by the spool
 	// drain and epoch completion, so mutations hold every pipeline lock.
 	e.lockAllPipes()

@@ -33,7 +33,7 @@ import (
 // acknowledged by a failed force, because ForcedThrough only advances when
 // a force completes successfully.
 type groupCommit struct {
-	mu      sync.Mutex
+	mu      obs.Mutex  // obs.LockGroupCommit, bound at Open
 	cond    *sync.Cond // signalled when a force completes (either outcome)
 	forcing bool       // a leader is mid-force
 	err     error      // sticky outcome of a failed force (engine poisoned)
@@ -83,15 +83,7 @@ func (e *Engine) waitForced(sh *shard, seq uint64) (led bool, fsyncNs int64, err
 	timed := e.met != nil
 	e.met.OpEnter(obs.StallGroupWait)
 	defer e.met.OpExit(obs.StallGroupWait)
-	if !timed {
-		gc.mu.Lock()
-	} else if gc.mu.TryLock() {
-		e.met.LockAcquired(obs.LockGroupCommit)
-	} else {
-		wt := time.Now()
-		gc.mu.Lock()
-		e.met.LockContended(obs.LockGroupCommit, time.Since(wt).Nanoseconds())
-	}
+	gc.mu.Lock()
 	for {
 		if gc.err != nil {
 			err := gc.err

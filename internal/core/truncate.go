@@ -29,11 +29,9 @@ func (e *Engine) Flush() error {
 }
 
 // flushSpool drains one shard's spool into its log and forces it.
-// claimed says whether the caller already holds the truncation slot: it
-// decides how a full log is handled (an unclaimed caller claims the slot
-// to truncate; a claimed caller truncates inline, since waiting for the
-// slot it already owns would deadlock).  The force runs with no lock
-// held.
+// claimed says whether the caller already holds the truncation slot, which
+// decides how a full log is handled (retryLogFull).  The force runs with no
+// lock held.
 func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 	t0 := time.Now()
 	p := &sh.pipe
@@ -58,19 +56,8 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, wal.ErrLogFull) {
+		if err = e.retryLogFull(sh, err, attempt, need, claimed, " while flushing the spool"); err != nil {
 			return err
-		}
-		if attempt >= 3 {
-			// Giving up: even after inline truncations the record does not
-			// fit.  Say why, so the caller can tell "log too small for this
-			// record" from a log that is merely busy.
-			return fmt.Errorf(
-				"rvm: log full after %d inline truncations while flushing the spool (record needs %d bytes, log area %d bytes, %d live): %w",
-				attempt, need, sh.log.AreaSize(), sh.log.Used(), err)
-		}
-		if mkErr := e.makeLogSpace(sh, need, claimed); mkErr != nil {
-			return mkErr
 		}
 	}
 	if err := e.retryIO(sh.log.Force); err != nil {
@@ -82,11 +69,25 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 	return nil
 }
 
-// makeLogSpace frees log space on one shard for a record of need bytes by
-// running an epoch truncation of that shard.  An unclaimed caller first
-// claims the truncation slot — which also waits out any truncation
-// already in flight, after which the space it freed may already suffice.
-func (e *Engine) makeLogSpace(sh *shard, need int64, claimed bool) error {
+// retryLogFull is the one policy for an append that failed on shard sh: it
+// returns nil once there is room and the caller should try again, otherwise
+// the error to give up with.  Only ErrLogFull is retried, three times, each
+// after an epoch truncation of the shard; the give-up error says why, so the
+// caller can tell "log too small for this record" (need bytes) from a log
+// that is merely busy.  A caller that does not hold the truncation slot
+// (claimed false) claims it for the truncation — which also waits out any
+// truncation already in flight, after which the space it freed may already
+// suffice; one that does truncates inline, since waiting for the slot it
+// owns would deadlock.
+func (e *Engine) retryLogFull(sh *shard, err error, attempt int, need int64, claimed bool, doing string) error {
+	if !errors.Is(err, wal.ErrLogFull) {
+		return err
+	}
+	if attempt >= 3 {
+		return fmt.Errorf(
+			"rvm: log full on shard %d after %d inline truncations%s (record needs %d bytes, log area %d bytes, %d live): %w",
+			sh.idx, attempt, doing, need, sh.log.AreaSize(), sh.log.Used(), err)
+	}
 	if !claimed {
 		if err := e.claimTruncation(); err != nil {
 			return err

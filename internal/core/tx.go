@@ -295,23 +295,10 @@ func (t *Tx) txShards() []*shard {
 
 // lockRegions acquires the lock of every region the transaction touched,
 // in ascending index order (the hierarchy's rule for multi-region
-// transactions).  With metrics on, each acquisition feeds the region-class
-// contention counters; the TryLock fast path keeps the uncontended case at
-// one extra atomic add.  The Lock calls stay literal in each branch so the
-// lockorder/locksync/obsleak walkers keep seeing them.
+// transactions).
 func (t *Tx) lockRegions() {
-	met := t.eng.met
 	for i := range t.regions {
-		r := t.regions[i].region
-		if met == nil {
-			r.mu.Lock()
-		} else if r.mu.TryLock() {
-			met.LockAcquired(obs.LockRegion)
-		} else {
-			wt := time.Now()
-			r.mu.Lock()
-			met.LockContended(obs.LockRegion, time.Since(wt).Nanoseconds())
-		}
+		t.regions[i].region.mu.Lock()
 	}
 }
 
@@ -405,17 +392,16 @@ func (t *Tx) buildRanges(sh *shard, copyData bool) (ranges []wal.Range, pages []
 }
 
 // Commit ends the transaction, making its changes permanent per the commit
-// mode (paper §4.2 end_transaction).  The hot path takes only the locks of
-// the regions the transaction touched plus that shard's log-pipeline lock
-// for the append; the force (group or serialized) runs with no lock at
-// all.  A transaction whose regions span several WAL shards commits via
-// the two-phase shard protocol (commitCross); such a commit is always
-// durable when it returns, so a cross-shard NoFlush commit is silently
-// upgraded to flush semantics — spooling one shard's half of an atomic
-// commit would let a crash split it.
+// mode (paper §4.2 end_transaction).  A transaction whose regions span
+// several WAL shards is always durable when Commit returns, so a cross-shard
+// NoFlush commit is silently upgraded to flush semantics — spooling one
+// shard's half of an atomic commit would let a crash split it.
 func (t *Tx) Commit(mode CommitMode) error {
 	if t.done {
 		return ErrTxDone
+	}
+	if mode != Flush && mode != NoFlush {
+		return fmt.Errorf("rvm: unknown commit mode %d", int(mode))
 	}
 	e := t.eng
 	// The commit's own latency has no reader with metrics and tracing off,
@@ -427,12 +413,6 @@ func (t *Tx) Commit(mode CommitMode) error {
 	if err := e.check(); err != nil {
 		return err
 	}
-
-	var flags uint8
-	if t.mode == NoRestore {
-		flags |= flagNoRestore
-	}
-
 	if len(t.regions) == 0 {
 		// Nothing was modified; no log record is needed.
 		t.finish(false)
@@ -444,202 +424,207 @@ func (t *Tx) Commit(mode CommitMode) error {
 		}
 		return nil
 	}
-
 	shs := t.txShards()
-	if len(shs) > 1 {
-		return t.commitCross(shs, flags, t0)
+	lazy := mode == NoFlush && len(shs) == 1
+	var flags uint8
+	if t.mode == NoRestore {
+		flags |= flagNoRestore
 	}
-
-	switch mode {
-	case NoFlush:
-		return t.commitNoFlush(shs[0], flags|flagNoFlush, t0)
-	case Flush:
-		return t.commitFlush(shs[0], flags, t0)
-	default:
-		return fmt.Errorf("rvm: unknown commit mode %d", int(mode))
+	if lazy {
+		flags |= flagNoFlush
 	}
+	return t.commit(shs, lazy, flags, t0)
 }
 
-func (t *Tx) commitNoFlush(sh *shard, flags uint8, t0 time.Time) error {
-	e := t.eng
-	t.lockRegions()
-	sp := &spooled{tid: t.id, flags: flags}
-	var saved int64
-	sp.ranges, sp.pages, sp.bytes, saved = t.buildRanges(sh, true)
-	p := &sh.pipe
-	p.mu.Lock()
-	e.spoolPipeLocked(sh, sp)
-	spoolBytes := p.spoolBytes
-	t.markDirtyPipeLocked(sh, nil, 0, 0) // dirty bits only; queue entries at flush
-	p.mu.Unlock()
-	// The spool's page references (taken just above) now keep truncation
-	// off these pages, so the transaction's own can go while the region
-	// locks are still held.
-	t.finish(true)
-	sh.commits.Add(1)
-	e.stats.noFlushCommits.Add(1)
-	e.stats.intraSavedBytes.Add(uint64(saved))
-	e.met.SetSpoolBytes(spoolBytes)
-	limit := e.opts.SpoolLimit
-	if limit == 0 {
-		limit = 1 << 20
-	}
-	if limit > 0 && spoolBytes > limit {
-		// Implicit flush: this shard's spool is full.  Persistence stays
-		// "bounded by the period between log flushes" (§4.2) — this
-		// just bounds the period by memory as well as by time.
-		if err := e.flushSpool(sh, false); err != nil {
-			return e.maybePoison(err)
-		}
-	}
-	trigger := e.shouldAutoTruncate()
-	if !t0.IsZero() {
-		e.met.ObserveCommitNoFlush(time.Since(t0).Nanoseconds())
-		e.tr.SpanSince(obs.EvCommitNoFlush, t0, t.id, uint64(sp.bytes), 0)
-	}
-	if trigger {
-		go e.autoTruncate()
-	}
-	return nil
+// phaseClock cuts a commit's timeline, from the t it is started with, into
+// consecutive phases (DESIGN.md §14).  Off — metrics disabled — it never
+// reads the clock.  Reading it under a lock is fine (it is not an
+// emission); the histograms are fed only after every lock is released.
+type phaseClock struct {
+	on bool
+	t  time.Time
 }
 
-func (t *Tx) commitFlush(sh *shard, flags uint8, t0 time.Time) error {
+// lap returns the nanoseconds since the previous lap.
+func (c *phaseClock) lap() int64 {
+	if !c.on {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(c.t)
+	c.t = now
+	return d.Nanoseconds()
+}
+
+// commit is the one commit path: put the transaction's records in the log
+// of every participating shard (shs, ascending), in order, then make them
+// durable (DESIGN.md §15).  It takes only the locks of the regions the
+// transaction touched plus each participant's pipeline lock for the append;
+// the forces run with no lock at all.  A commit is staged:
+//
+//  1. Under the region locks, each shard gets its share of the ranges in
+//     one pipeline section.  A lazy commit copies them into the shard's
+//     spool and is done.  Otherwise the spool is drained ahead of it and
+//     one record is appended: the transaction record, or — with several
+//     participants — a prepare, registered in-doubt on the shard so epoch
+//     truncation never separates it from its commit mark.
+//  2. Force every participant (in parallel), holding no lock.  For a single
+//     shard this is the acknowledgement point.
+//  3. Several participants only: once all of the transaction's data is
+//     durable everywhere, every participant gets a commit mark carrying the
+//     TID, and the marks are forced.  The first durable mark is the commit
+//     point — recovery unions the marks of all shards, so one surviving
+//     mark commits the transaction everywhere and a prepare no mark
+//     confirms is discarded on every shard.
+//
+// Region locks are released after stage 1: per-byte redo order is still
+// exact because same-region appends are serialized by the region lock, so
+// within each shard's log sequence order equals memory write order for any
+// byte.  failCommit and appendMarks say what a failure leaves behind.  The
+// phases accumulate across ErrLogFull retries, so they partition the
+// commit's latency up to its last force.
+func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 	e := t.eng
-	var pos int64
-	var seq uint64
-	var nbytes int64
-	var saved int64
-	var need int64
-	// Phase attribution (DESIGN.md §14): with metrics on, the commit's
-	// critical path is carved into lock-wait / encode / pipeline-wait /
-	// append / force-wait, accumulated across ErrLogFull retries so the
-	// phases still partition the commit's total latency.  Taking a
-	// timestamp under a lock is fine (it is not an emission); the
-	// histograms are fed only after every lock is released.
-	timed := e.met != nil
-	var lockNs, encodeNs, pipeNs, appendNs int64
-	var pt time.Time
+	cross := len(shs) > 1
+	clk := phaseClock{on: e.met != nil, t: t0}
+	var lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64
+	var saved, nbytes, spoolBytes int64
+	var led bool
+	// One log sequence number per participant: the prepares', then the
+	// marks'.  Two fit inline so the common shapes allocate nothing here.
+	var seqBuf [2]uint64
+	seqs := append(seqBuf[:0], make([]uint64, len(shs))...)
 	for attempt := 0; ; attempt++ {
 		// Ranges are rebuilt per attempt: they alias region memory, which
 		// is only stable while the region locks are held.
-		if timed {
-			pt = time.Now()
-		}
 		t.lockRegions()
-		if timed {
-			now := time.Now()
-			lockNs += now.Sub(pt).Nanoseconds()
-			pt = now
-		}
-		ranges, pages, _, sv := t.buildRanges(sh, false)
-		if timed {
-			now := time.Now()
-			encodeNs += now.Sub(pt).Nanoseconds()
-			pt = now
-		}
-		p := &sh.pipe
-		if !timed {
+		lockNs += clk.lap()
+		saved, nbytes = 0, 0
+		var err error
+		var full *shard
+		var need int64
+		for gi, sh := range shs {
+			ranges, pages, logged, sv := t.buildRanges(sh, lazy)
+			encodeNs += clk.lap()
+			p := &sh.pipe
 			p.mu.Lock()
-		} else if p.mu.TryLock() {
-			e.met.LockAcquired(obs.LockPipeline)
-			now := time.Now()
-			pipeNs += now.Sub(pt).Nanoseconds()
-			pt = now
-		} else {
-			p.mu.Lock()
-			now := time.Now()
-			w := now.Sub(pt).Nanoseconds()
-			e.met.LockContended(obs.LockPipeline, w)
-			pipeNs += w
-			pt = now
+			pipeNs += clk.lap()
+			if lazy {
+				e.spoolPipeLocked(sh, &spooled{tid: t.id, flags: flags, ranges: ranges, pages: pages, bytes: logged})
+				spoolBytes, nbytes = p.spoolBytes, logged
+				t.markDirtyPipeLocked(sh, nil, 0, 0) // dirty bits only; queue entries at flush
+			} else {
+				err = e.drainSpoolPipeLocked(sh) // older commits reach the log first
+				var pos, nb int64
+				var seq uint64
+				if err == nil {
+					pos, seq, nb, err = e.appendPipeLocked(sh, cross, t.id, flags, ranges)
+				}
+				if err == nil {
+					if cross {
+						// Keep the seq of the *first* prepare across ErrLogFull
+						// retries: an earlier attempt's orphaned prepare must
+						// stay inside the same truncation epoch as the final
+						// commit mark, or epoch replay would see it unpaired.
+						if p.inDoubt[t.id] == nil {
+							p.inDoubt[t.id] = &inDoubtTx{prepSeq: seq}
+						}
+					}
+					// Dirty bits and page enqueues happen in the same
+					// critical section as the append, so the truncation
+					// queue keeps log order.  The pages cannot be written
+					// out before the force completes: this transaction holds
+					// their uncommitted reference counts until finish, and
+					// epoch truncation forces the log before applying records.
+					t.markDirtyPipeLocked(sh, pages, pos, seq)
+					seqs[gi] = seq
+					nbytes += nb
+				}
+			}
+			p.mu.Unlock()
+			appendNs += clk.lap()
+			if err != nil {
+				full, need = sh, wal.EncodedLen(ranges)
+				break
+			}
+			saved += sv
 		}
-		// Older spooled transactions must reach the log first to keep
-		// commit order intact.
-		err := e.drainSpoolPipeLocked(sh)
-		if err == nil {
-			pos, seq, nbytes, err = e.appendPipeLocked(sh, t.id, flags, ranges)
-		}
-		if err == nil {
-			// Dirty bits and page enqueues happen here, in the same
-			// critical section as the append, so the truncation queue
-			// keeps log order.  The pages cannot be written out before
-			// the force completes: this transaction still holds their
-			// uncommitted reference counts until finish, and epoch
-			// truncation forces the log before applying records.
-			t.markDirtyPipeLocked(sh, pages, pos, seq)
-		}
-		p.mu.Unlock()
-		t.unlockRegions()
-		if timed {
-			appendNs += time.Since(pt).Nanoseconds()
-		}
-		if err == nil {
-			saved = sv
+		if lazy {
+			// The spool's page references (taken just above) now keep
+			// truncation off these pages, so the transaction's own can go
+			// while the region locks are still held; finish releases them.
+			t.finish(true)
 			break
 		}
-		if errors.Is(err, wal.ErrLogFull) {
-			if attempt >= 3 {
-				// Giving up: even after inline truncations the record does
-				// not fit.  Say why, so the caller can tell "log too small
-				// for this record" from a log that is merely busy.
-				return fmt.Errorf(
-					"rvm: log full after %d inline truncations (record needs %d bytes, log area %d bytes, %d live): %w",
-					attempt, wal.EncodedLen(ranges), sh.log.AreaSize(), sh.log.Used(), err)
+		t.unlockRegions()
+		if err == nil {
+			break
+		}
+		if err = e.retryLogFull(full, err, attempt, need, false, ""); err != nil {
+			return t.failCommit(shs, err)
+		}
+		appendNs += clk.lap() // making room is part of getting the record in
+	}
+	if !lazy {
+		// A force that fails past the transient retries leaves the device
+		// state unknowable, so it has poisoned the engine rather than risk
+		// acknowledging on a log it cannot trust.
+		for round := 0; ; round++ {
+			l, ns, err := t.forceShards(shs, seqs)
+			if err != nil {
+				t.abandonIfPoisoned(err)
+				return err
 			}
-			need = wal.EncodedLen(ranges)
-			if mkErr := e.makeLogSpace(sh, need, false); mkErr != nil {
-				mkErr = e.maybePoison(mkErr)
-				t.abandonIfPoisoned(mkErr)
-				return mkErr
+			led, fsyncNs = led || l, fsyncNs+ns
+			if !cross || round == 1 {
+				break
 			}
-			continue
+			if err := t.appendMarks(shs, seqs); err != nil {
+				return err
+			}
 		}
-		err = e.maybePoison(err)
-		t.abandonIfPoisoned(err)
-		return err
-	}
-	// The force is the acknowledgement point: the transaction is only
-	// reported committed once its record is durable.  It runs with no
-	// lock held.  A force that fails past the transient retries leaves
-	// the device state unknowable, so the engine poisons itself rather
-	// than risk acknowledging on a log it cannot trust.
-	var fsyncNs int64
-	led := true // the direct path always runs its own force
-	if timed {
-		pt = time.Now()
-	}
-	if e.opts.GroupCommit {
-		var err error
-		led, fsyncNs, err = e.waitForced(sh, seq)
-		if err != nil {
-			t.abandonIfPoisoned(err)
-			return err
-		}
-	} else {
-		if err := e.retryIO(sh.log.Force); err != nil {
-			err = e.maybePoison(err)
-			t.abandonIfPoisoned(err)
-			return err
-		}
-	}
-	var forceNs int64
-	if timed {
-		forceNs = time.Since(pt).Nanoseconds()
+		forceNs = clk.lap()
 		if !e.opts.GroupCommit {
 			// Direct path: the force wait is the fsync (plus retryIO's
 			// negligible bookkeeping).
 			fsyncNs = forceNs
 		}
+		t.finish(false)
 	}
-	t.finish(false)
-	sh.commits.Add(1)
-	e.stats.flushCommits.Add(1)
+	for _, sh := range shs {
+		sh.commits.Add(1)
+	}
 	e.stats.intraSavedBytes.Add(uint64(saved))
+	if cross {
+		e.stats.crossShardCommits.Add(1)
+	}
+	if lazy {
+		e.stats.noFlushCommits.Add(1)
+		e.met.SetSpoolBytes(spoolBytes)
+		if limit := e.opts.SpoolLimit; limit > 0 && spoolBytes > limit {
+			// Implicit flush: this shard's spool is full.  Persistence stays
+			// "bounded by the period between log flushes" (§4.2) — this
+			// just bounds the period by memory as well as by time.
+			if err := e.flushSpool(shs[0], false); err != nil {
+				return e.maybePoison(err)
+			}
+		}
+	} else {
+		e.stats.flushCommits.Add(1)
+	}
 	trigger := e.shouldAutoTruncate()
 	if !t0.IsZero() {
-		e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
-		e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
-		e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seq)
+		// Force-wait is observed only when a force ran: a lazy commit's
+		// durability is the later Flush's, timed there.
+		if lazy {
+			e.met.ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs)
+			e.met.ObserveCommitNoFlush(time.Since(t0).Nanoseconds())
+			e.tr.SpanSince(obs.EvCommitNoFlush, t0, t.id, uint64(nbytes), 0)
+		} else {
+			e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
+			e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
+			e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seqs[len(seqs)-1])
+		}
 	}
 	if trigger {
 		go e.autoTruncate()
@@ -647,170 +632,30 @@ func (t *Tx) commitFlush(sh *shard, flags uint8, t0 time.Time) error {
 	return nil
 }
 
-// commitCross commits a transaction whose regions span several WAL
-// shards, atomically, via a two-phase shard protocol (DESIGN.md §15)
-// turned inward from the rvmdist machinery the paper sketches in §8:
-//
-//  1. Prepare: each participating shard, visited in ascending shard
-//     order, gets a prepare record carrying that shard's value ranges
-//     (appended under its pipeline lock, behind its spool).  The
-//     transaction is registered in-doubt on the shard so epoch
-//     truncation never separates the prepare from its commit mark.
-//  2. Force the prepares on every participant (in parallel): all of the
-//     transaction's data is durable everywhere before any outcome
-//     record exists.
-//  3. Commit: every participant gets a tiny commit-mark record carrying
-//     the global commit-ID (the TID).  The first durable mark is the
-//     commit point — recovery unions the commit marks of all shards, so
-//     one surviving mark commits the transaction everywhere, and a
-//     prepare whose ID no mark confirms is discarded on every shard.
-//  4. Force the marks and acknowledge.
-//
-// Region locks are released after phase 1: per-byte redo order is still
-// exact because same-region appends are serialized by the region lock,
-// so within each shard's log sequence order equals memory write order
-// for any byte (the property per-shard recovery and truncation sort by).
-// A failure before any mark is appended aborts cleanly (the orphaned
-// prepares are discarded by truncation and recovery); a failure after
-// the first mark poisons the engine — the outcome may already be
-// durable on one shard but can no longer be completed on the rest.
-func (t *Tx) commitCross(shs []*shard, flags uint8, t0 time.Time) error {
+// failCommit ends a commit that failed before any commit mark existed.  A
+// storage fault poisons the engine and abandons the transaction; a logical
+// failure (log full) leaves it live for the caller to retry or abort.  A
+// cross-shard transaction's durable prepares are then orphans that can never
+// gain a mark: its in-doubt entries go, so truncation stops fencing epochs
+// on them (epoch replay and recovery both discard unconfirmed prepares).
+func (t *Tx) failCommit(shs []*shard, err error) error {
+	err = t.eng.maybePoison(err)
+	if len(shs) > 1 && !errors.Is(err, ErrPoisoned) {
+		for _, sh := range shs {
+			sh.pipe.mu.Lock()
+			delete(sh.pipe.inDoubt, t.id)
+			sh.pipe.mu.Unlock()
+		}
+	}
+	t.abandonIfPoisoned(err)
+	return err
+}
+
+// appendMarks appends the transaction's commit mark to every participant,
+// ascending, leaving each mark's seq in seqs.  Marks go on every
+// participant so each shard's log is self-contained for truncation.
+func (t *Tx) appendMarks(shs []*shard, seqs []uint64) error {
 	e := t.eng
-	timed := e.met != nil
-	var lockNs, encodeNs, pipeNs, appendNs int64
-	var pt time.Time
-	var saved, nbytes int64
-	prepSeqs := make([]uint64, len(shs))
-	for attempt := 0; ; attempt++ {
-		// Ranges are rebuilt per attempt: they alias region memory, which
-		// is only stable while the region locks are held.
-		if timed {
-			pt = time.Now()
-		}
-		t.lockRegions()
-		if timed {
-			now := time.Now()
-			lockNs += now.Sub(pt).Nanoseconds()
-			pt = now
-		}
-		saved, nbytes = 0, 0
-		var err error
-		var fullShard *shard
-		var fullNeed int64
-		for gi, sh := range shs {
-			// Each prepare carries its own shard's ranges and pages only.
-			ranges, pages, _, sv := t.buildRanges(sh, false)
-			if timed {
-				now := time.Now()
-				encodeNs += now.Sub(pt).Nanoseconds()
-				pt = now
-			}
-			p := &sh.pipe
-			if !timed {
-				p.mu.Lock()
-			} else if p.mu.TryLock() {
-				e.met.LockAcquired(obs.LockPipeline)
-				now := time.Now()
-				pipeNs += now.Sub(pt).Nanoseconds()
-				pt = now
-			} else {
-				p.mu.Lock()
-				now := time.Now()
-				w := now.Sub(pt).Nanoseconds()
-				e.met.LockContended(obs.LockPipeline, w)
-				pipeNs += w
-				pt = now
-			}
-			err = e.drainSpoolPipeLocked(sh)
-			var pos int64
-			var seq uint64
-			var nb int64
-			if err == nil {
-				err = e.retryIO(func() error {
-					var aerr error
-					pos, seq, nb, aerr = sh.log.AppendPrepare(t.id, flags, ranges)
-					return aerr
-				})
-			}
-			if err == nil {
-				if p.inDoubt == nil {
-					p.inDoubt = make(map[uint64]*inDoubtTx)
-				}
-				// Keep the seq of the *first* prepare across ErrLogFull
-				// retries: an earlier attempt's orphaned prepare must stay
-				// inside the same truncation epoch as the final commit
-				// mark, or epoch replay would see it unpaired.
-				if p.inDoubt[t.id] == nil {
-					p.inDoubt[t.id] = &inDoubtTx{prepSeq: seq}
-				}
-				t.markDirtyPipeLocked(sh, pages, pos, seq)
-				prepSeqs[gi] = seq
-				nbytes += nb
-			}
-			p.mu.Unlock()
-			if timed {
-				now := time.Now()
-				appendNs += now.Sub(pt).Nanoseconds()
-				pt = now
-			}
-			if err != nil {
-				fullShard = sh
-				fullNeed = wal.EncodedLen(ranges)
-				break
-			}
-			saved += sv
-		}
-		t.unlockRegions()
-		if err == nil {
-			break
-		}
-		if errors.Is(err, wal.ErrLogFull) {
-			if attempt >= 3 {
-				// Giving up: the orphaned prepares of earlier attempts can
-				// never gain a commit mark — drop the in-doubt entries so
-				// truncation stops fencing epochs on them (epoch replay and
-				// recovery both discard unconfirmed prepares).
-				e.dropInDoubt(shs, t.id)
-				return fmt.Errorf(
-					"rvm: log full on shard %d after %d inline truncations (record needs %d bytes, log area %d bytes, %d live): %w",
-					fullShard.idx, attempt, fullNeed, fullShard.log.AreaSize(), fullShard.log.Used(), err)
-			}
-			if mkErr := e.makeLogSpace(fullShard, fullNeed, false); mkErr != nil {
-				mkErr = e.maybePoison(mkErr)
-				if !errors.Is(mkErr, ErrPoisoned) {
-					e.dropInDoubt(shs, t.id)
-				}
-				t.abandonIfPoisoned(mkErr)
-				return mkErr
-			}
-			continue
-		}
-		err = e.maybePoison(err)
-		if !errors.Is(err, ErrPoisoned) {
-			e.dropInDoubt(shs, t.id)
-		}
-		t.abandonIfPoisoned(err)
-		return err
-	}
-
-	// Phase 2: force every participant's prepares, in parallel — the
-	// transaction's whole payload must be durable on every shard before
-	// any commit mark exists, or a crash could surface a mark whose data
-	// did not survive.  No lock is held.
-	if timed {
-		pt = time.Now()
-	}
-	led, fsyncNs, err := t.forceShards(shs, prepSeqs)
-	if err != nil {
-		t.abandonIfPoisoned(err)
-		return err
-	}
-
-	// Phase 3: append the commit marks, ascending.  The transaction's
-	// commit point is the first mark that reaches a platter; marks are
-	// appended on every participant so each shard's log is self-
-	// contained for truncation.
-	cmtSeqs := make([]uint64, len(shs))
 	for gi, sh := range shs {
 		p := &sh.pipe
 		p.mu.Lock()
@@ -824,63 +669,23 @@ func (t *Tx) commitCross(shs []*shard, flags uint8, t0 time.Time) error {
 			if d := p.inDoubt[t.id]; d != nil {
 				d.cmtSeq = seq
 			}
-			cmtSeqs[gi] = seq
+			seqs[gi] = seq
 		}
 		p.mu.Unlock()
-		if err != nil {
-			if gi == 0 {
-				// No mark exists anywhere: abort cleanly.  The durable
-				// prepares are orphans recovery and truncation discard.
-				err = e.maybePoison(err)
-				if !errors.Is(err, ErrPoisoned) {
-					e.dropInDoubt(shs, t.id)
-				}
-				t.abandonIfPoisoned(err)
-				return err
-			}
-			// A mark is already in some shard's log (and may reach its
-			// device at any moment), but the rest cannot be written: the
-			// outcome is undecidable at runtime.  Fail stop; the next
-			// recovery decides it consistently from the surviving marks.
-			err = e.poison(fmt.Errorf("rvm: cross-shard commit %d: mark write failed on shard %d after %d mark(s): %w",
-				t.id, sh.idx, gi, err))
-			t.abandonIfPoisoned(err)
-			return err
+		if err == nil {
+			continue
 		}
-	}
-
-	// Phase 4: force the marks everywhere; the commit is acknowledged
-	// only once every shard's mark is durable.
-	led2, fsyncNs2, err := t.forceShards(shs, cmtSeqs)
-	if err != nil {
+		if gi == 0 {
+			return t.failCommit(shs, err) // no mark exists anywhere
+		}
+		// A mark is already in some shard's log (and may reach its device
+		// at any moment), but the rest cannot be written: the outcome is
+		// undecidable at runtime.  Fail stop; the next recovery decides it
+		// consistently from the surviving marks.
+		err = e.poison(fmt.Errorf("rvm: cross-shard commit %d: mark write failed on shard %d after %d mark(s): %w",
+			t.id, sh.idx, gi, err))
 		t.abandonIfPoisoned(err)
 		return err
-	}
-	led = led || led2
-	fsyncNs += fsyncNs2
-	var forceNs int64
-	if timed {
-		forceNs = time.Since(pt).Nanoseconds()
-		if !e.opts.GroupCommit {
-			fsyncNs = forceNs
-		}
-	}
-
-	t.finish(false)
-	for _, sh := range shs {
-		sh.commits.Add(1)
-	}
-	e.stats.flushCommits.Add(1)
-	e.stats.crossShardCommits.Add(1)
-	e.stats.intraSavedBytes.Add(uint64(saved))
-	trigger := e.shouldAutoTruncate()
-	if !t0.IsZero() {
-		e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
-		e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
-		e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), cmtSeqs[len(cmtSeqs)-1])
-	}
-	if trigger {
-		go e.autoTruncate()
 	}
 	return nil
 }
@@ -901,10 +706,11 @@ func (t *Tx) forceShards(shs []*shard, seqs []uint64) (led bool, fsyncNs int64, 
 	}, len(shs))
 	for i := range shs {
 		wg.Add(1)
-		go func(i int) {
+		// By value: seqs may live on the caller's stack.
+		go func(i int, sh *shard, seq uint64) {
 			defer wg.Done()
-			results[i].led, results[i].fsyncNs, results[i].err = t.forceOne(shs[i], seqs[i])
-		}(i)
+			results[i].led, results[i].fsyncNs, results[i].err = t.forceOne(sh, seq)
+		}(i, shs[i], seqs[i])
 	}
 	wg.Wait()
 	for _, r := range results {
@@ -918,35 +724,14 @@ func (t *Tx) forceShards(shs []*shard, seqs []uint64) (led bool, fsyncNs int64, 
 }
 
 // forceOne forces one shard's log through seq, via its group-commit
-// ticket protocol when enabled.
+// ticket protocol when enabled.  The direct path leaves timing the fsync
+// to the caller, whose whole force wait it is.
 func (t *Tx) forceOne(sh *shard, seq uint64) (led bool, fsyncNs int64, err error) {
 	e := t.eng
 	if e.opts.GroupCommit {
 		return e.waitForced(sh, seq)
 	}
-	var fst time.Time
-	if e.met != nil {
-		fst = time.Now()
-	}
-	if err := e.retryIO(sh.log.Force); err != nil {
-		return true, 0, e.maybePoison(err)
-	}
-	if e.met != nil {
-		fsyncNs = time.Since(fst).Nanoseconds()
-	}
-	return true, fsyncNs, nil
-}
-
-// dropInDoubt removes the transaction's in-doubt entries on every
-// participating shard after a two-phase commit failed before any commit
-// mark was appended: the orphaned prepares will never be confirmed, so
-// truncation must stop fencing epochs on them.
-func (e *Engine) dropInDoubt(shs []*shard, tid uint64) {
-	for _, sh := range shs {
-		sh.pipe.mu.Lock()
-		delete(sh.pipe.inDoubt, tid)
-		sh.pipe.mu.Unlock()
-	}
+	return true, 0, e.maybePoison(e.retryIO(sh.log.Force))
 }
 
 // abandonIfPoisoned resolves a transaction whose commit just poisoned the
@@ -993,13 +778,18 @@ func (e *Engine) enqueuePagePipeLocked(sh *shard, id pagevec.PageID, pos int64, 
 	p.queue.Push(id, pos, seq)
 }
 
-// appendPipeLocked appends one record to the shard's log, retrying
-// transient faults.  Caller holds sh.pipe.mu, which is what serializes
-// commit order into that log.
-func (e *Engine) appendPipeLocked(sh *shard, tid uint64, flags uint8, ranges []wal.Range) (pos int64, seq uint64, n int64, err error) {
+// appendPipeLocked appends the transaction's record — a prepare when the
+// commit has several participants — to the shard's log, retrying transient
+// faults.  Caller holds sh.pipe.mu, which is what serializes commit order
+// into that log.
+func (e *Engine) appendPipeLocked(sh *shard, prepare bool, tid uint64, flags uint8, ranges []wal.Range) (pos int64, seq uint64, n int64, err error) {
 	err = e.retryIO(func() error {
 		var aerr error
-		pos, seq, n, aerr = sh.log.Append(tid, flags, ranges)
+		if prepare {
+			pos, seq, n, aerr = sh.log.AppendPrepare(tid, flags, ranges)
+		} else {
+			pos, seq, n, aerr = sh.log.Append(tid, flags, ranges)
+		}
 		return aerr
 	})
 	return pos, seq, n, err

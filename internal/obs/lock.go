@@ -1,6 +1,10 @@
 package obs
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // LockClass identifies one class in the engine's lock hierarchy.  The
 // classes — and their levels — mirror lockorder.DefaultHierarchy
@@ -127,3 +131,36 @@ func (m *Metrics) lockStats() []LockStat {
 	}
 	return out
 }
+
+// Mutex is a sync.Mutex that knows its class in the hierarchy: with a
+// registry bound, every Lock feeds that class's contention counters; with
+// none it is a plain mutex.  The engine's instrumented locks (Region.mu,
+// pipeline.mu, groupCommit.mu, wal.Log.mu) are declared with it, so a call
+// site is a literal mu.Lock() — which is what the rvmcheck walkers track.
+type Mutex struct {
+	mu    sync.Mutex
+	met   *Metrics
+	class LockClass
+}
+
+// Bind sets the class and the registry (nil: uncounted).  Call it once,
+// before the mutex is shared between goroutines.
+func (m *Mutex) Bind(c LockClass, met *Metrics) { m.class, m.met = c, met }
+
+// Lock acquires the mutex.  Counted, an uncontended acquisition costs one
+// TryLock and one atomic add; a contended one adds two clock reads.
+func (m *Mutex) Lock() {
+	switch {
+	case m.met == nil:
+		m.mu.Lock()
+	case m.mu.TryLock():
+		m.met.LockAcquired(m.class)
+	default:
+		t0 := time.Now()
+		m.mu.Lock()
+		m.met.LockContended(m.class, time.Since(t0).Nanoseconds())
+	}
+}
+
+// Unlock releases the mutex.
+func (m *Mutex) Unlock() { m.mu.Unlock() }

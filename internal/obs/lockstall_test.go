@@ -3,7 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestHistSingleObservation(t *testing.T) {
@@ -104,6 +107,55 @@ func TestLockCounters(t *testing.T) {
 	nilM.LockContended(LockWAL, 1)
 	m.LockAcquired(LockClass(250))
 	m.LockContended(LockClass(250), 1)
+}
+
+// TestMutexCountsItsClass: an unbound Mutex is a plain mutex; bound, every
+// Lock is one acquisition of its class, a blocked one slow with its wait;
+// and it is the Locker of a sync.Cond, as groupCommit and wal.Log use it.
+func TestMutexCountsItsClass(t *testing.T) {
+	var mu Mutex
+	mu.Lock()
+	mu.Unlock()
+
+	m := NewMetrics()
+	mu.Bind(LockPipeline, m)
+	stat := func() LockStat { return m.Snapshot().Locks[LockPipeline] }
+	mu.Lock()
+	if s := stat(); s.Acquires != 1 || s.Slow != 0 {
+		t.Fatalf("after one free Lock: %+v", s)
+	}
+	acquired := make(chan struct{})
+	go func() {
+		mu.Lock() // blocks until the Unlock below
+		mu.Unlock()
+		close(acquired)
+	}()
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched() // let the goroutine reach its Lock
+	}
+	time.Sleep(time.Millisecond)
+	mu.Unlock()
+	<-acquired
+	if s := stat(); s.Class != "pipeline" || s.Acquires != 2 || s.Slow > 1 || (s.Slow == 1) != (s.WaitNs > 0) {
+		t.Fatalf("after a second, possibly blocked Lock: %+v", s)
+	}
+
+	cond := sync.NewCond(&mu)
+	ready := false
+	go func() {
+		mu.Lock()
+		ready = true
+		mu.Unlock()
+		cond.Broadcast()
+	}()
+	mu.Lock()
+	for !ready {
+		cond.Wait()
+	}
+	mu.Unlock()
+	if s := stat(); s.Acquires < 4 {
+		t.Fatalf("Locks around a Cond went uncounted: %+v", s)
+	}
 }
 
 func TestStallGatesAndRecord(t *testing.T) {

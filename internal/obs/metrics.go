@@ -159,13 +159,10 @@ func (m *Metrics) ObserveRecoveryApply(ns int64) {
 	}
 }
 
-// ObserveCommitPhases records one flush-mode commit's phase breakdown
-// (DESIGN.md §14).  lockNs, encodeNs, pipeNs, appendNs, and forceNs
-// partition the commit's critical path; group says whether the force
-// wait went through the group-commit window, and led whether this
-// commit ran the force itself.  fsyncNs is the device-sync portion of a
-// force this commit ran (0 when it was covered by someone else's).
-func (m *Metrics) ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64, group, led bool) {
+// ObserveCommitFront records the front-end phases every commit passes
+// through, lazy ones included (DESIGN.md §14): region-lock wait, range
+// build, pipeline-lock wait, and the pipeline section (spool or append).
+func (m *Metrics) ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs int64) {
 	if m == nil {
 		return
 	}
@@ -173,6 +170,19 @@ func (m *Metrics) ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceN
 	m.PhaseEncode.Observe(encodeNs)
 	m.PhasePipeWait.Observe(pipeNs)
 	m.PhaseAppend.Observe(appendNs)
+}
+
+// ObserveCommitPhases records the phase breakdown of a commit that forced
+// the log.  lockNs, encodeNs, pipeNs, appendNs, and forceNs partition the
+// commit's critical path; group says whether the force wait went through
+// the group-commit window, and led whether this commit ran the force
+// itself.  fsyncNs is the device-sync portion of a force this commit ran
+// (0 when it was covered by someone else's).
+func (m *Metrics) ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64, group, led bool) {
+	if m == nil {
+		return
+	}
+	m.ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs)
 	m.PhaseForceWait.Observe(forceNs)
 	if group {
 		if led {

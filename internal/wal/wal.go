@@ -136,7 +136,7 @@ type Stats struct {
 
 // Log is an open write-ahead log.  All methods are safe for concurrent use.
 type Log struct {
-	mu       sync.Mutex
+	mu       obs.Mutex // class bound by SetObs
 	dev      Device
 	areaSize int64
 
@@ -174,6 +174,7 @@ type Log struct {
 // registry did not exist yet when Open scanned for the tail, so that scan's
 // duration is reported here.
 func (l *Log) SetObs(tr *obs.Tracer, m *obs.Metrics) {
+	l.mu.Bind(obs.LockWAL, m)
 	l.mu.Lock()
 	l.tr, l.met = tr, m
 	used, openScan := l.used, l.openScanNs
@@ -586,33 +587,22 @@ type Entry struct {
 // prefix had been appended: on ErrLogFull ents[n] is the record that did
 // not fit, and after a failed write the caller may retry with ents[n:].
 func (l *Log) AppendBatch(ents []Entry) (n int, err error) {
-	n, _, err = l.appendTimed(recTx, ents)
+	n, _, err = l.appendRecords(recTx, ents)
 	return n, err
 }
 
 func (l *Log) appendOne(typ uint8, tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
 	ent := [1]Entry{{TID: tid, Flags: flags, Ranges: ranges}}
-	if _, nbytes, err = l.appendTimed(typ, ent[:]); err != nil {
+	if _, nbytes, err = l.appendRecords(typ, ent[:]); err != nil {
 		return 0, 0, 0, err
 	}
 	return ent[0].Pos, ent[0].Seq, nbytes, nil
 }
 
-// appendTimed is the locked append shared by the commit-path record
-// types, with lock-contention accounting.
-func (l *Log) appendTimed(typ uint8, ents []Entry) (n int, nbytes int64, err error) {
-	// The pre-lock read of l.met is safe under the SetObs contract (set
-	// once before the log is shared).  The uncontended path costs one
-	// TryLock instead of one Lock; the contended path adds two clock reads.
-	if m := l.met; m == nil {
-		l.mu.Lock()
-	} else if l.mu.TryLock() {
-		m.LockAcquired(obs.LockWAL)
-	} else {
-		wt := time.Now()
-		l.mu.Lock()
-		m.LockContended(obs.LockWAL, time.Since(wt).Nanoseconds())
-	}
+// appendRecords is the locked append shared by the commit-path record
+// types.
+func (l *Log) appendRecords(typ uint8, ents []Entry) (n int, nbytes int64, err error) {
+	l.mu.Lock()
 	n, nbytes, err = l.appendLocked(typ, ents)
 	used := l.used
 	tr, met := l.tr, l.met
