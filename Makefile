@@ -29,10 +29,10 @@ lint:
 bench:
 	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange|ObsOverhead|CommitNoFlush|AppendBatch' -benchtime 1x -run '^$$' . ./internal/core ./internal/wal
 
-# bench-gates runs the five checked-in regression gates the way CI does:
-# fsyncs/commit + p99, observability overhead, commit scaling, sharded-WAL
-# scaling, and recovery (serial and parallel ns/MB + checkpoint-bounded
-# restart scan).
+# bench-gates is the one list of the five checked-in regression gates; CI's
+# bench job calls it: fsyncs/commit + p99, observability overhead, commit
+# scaling, sharded-WAL scaling, and recovery (serial and parallel ns/MB +
+# checkpoint-bounded restart scan).
 bench-gates:
 	go run ./cmd/rvmbench -experiment concurrent -json BENCH_ci.json -thresholds bench_thresholds.json
 	go run ./cmd/rvmbench -experiment obs -thresholds bench_thresholds.json

@@ -85,10 +85,15 @@ func (rs *recordStream) scan(t *testing.T, e *Engine) {
 // NoRestore transactions over several regions with duplicate and
 // overlapping set-ranges, some aborted, an engine Flush every so often, in
 // a log small enough that commits hit ErrLogFull and truncate inline —
-// through an engine opened with opts, committing with mode.  It crashes the
-// engine at the end and returns the recovered region images, the model's
-// images, and the per-shard record-stream hashes.
-func runPathsScript(t *testing.T, seed int64, opts Options, mode CommitMode) (recovered, model [][]byte, stream []string) {
+// through an engine opened with opts, committing with the modes by turns.
+// It crashes the engine at the end and returns the recovered region images,
+// the model's images, and the per-shard record-stream hashes.
+//
+// With a finish function the script is the write-back one: a transaction
+// pins page 0 of region 0 over the middle of the run, where a checkpoint and
+// an incremental truncation meet it, and finish runs before the crash and
+// must leave every committed byte in the segment (finishedInSegment).
+func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, finish func(*testing.T, *env, []*Region) []*Region) (recovered, model [][]byte, stream []string) {
 	t.Helper()
 	opts.TruncateThreshold = -1
 	v := newEnv(t, 1<<15, pageBytes(2*pathsRegions), opts)
@@ -103,7 +108,11 @@ func runPathsScript(t *testing.T, seed int64, opts Options, mode CommitMode) (re
 	}
 	rs := newRecordStream(len(v.eng.shards))
 	rng := rand.New(rand.NewSource(seed))
+	var pin *Tx
 	for step := 0; step < 240; step++ {
+		if finish != nil {
+			pin = pinnedPageStep(t, v, step, pin, regs[0], model[0])
+		}
 		txMode := Restore
 		if rng.Intn(3) == 0 {
 			txMode = NoRestore
@@ -144,7 +153,7 @@ func runPathsScript(t *testing.T, seed int64, opts Options, mode CommitMode) (re
 				t.Fatal(err)
 			}
 		} else {
-			if err := tx.Commit(mode); err != nil {
+			if err := tx.Commit(modes[step%len(modes)]); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			for _, w := range writes {
@@ -172,6 +181,9 @@ func runPathsScript(t *testing.T, seed int64, opts Options, mode CommitMode) (re
 	for k := range rs.sums {
 		stream = append(stream, fmt.Sprintf("%d:%016x", rs.count[k], rs.sums[k].Sum64()))
 	}
+	if finish != nil {
+		finishedInSegment(t, v, finish(t, v, regs), model)
+	}
 	v.reopen(opts)
 	for i := 0; i < pathsRegions; i++ {
 		r, err := v.eng.Map(v.segPath, pageBytes(2*i), pageBytes(2))
@@ -181,6 +193,71 @@ func runPathsScript(t *testing.T, seed int64, opts Options, mode CommitMode) (re
 		recovered = append(recovered, append([]byte(nil), r.Data()...))
 	}
 	return recovered, model, stream
+}
+
+// pinnedPageStep is the write-back script's pinned page.  At step 96 page 0
+// of r is queued by a flush commit and then pinned by a transaction that
+// stays open; at step 120 a checkpoint and an incremental truncation meet
+// the pinned page at the head of the queue — the checkpoint must leave it
+// queued, the truncation must fall back to an epoch; at step 144 the
+// transaction commits.  It returns the open transaction.
+func pinnedPageStep(t *testing.T, v *env, step int, pin *Tx, r *Region, model []byte) *Tx {
+	t.Helper()
+	const off, n = 64, 32
+	switch step {
+	case 96:
+		v.commit1(r, off, bytes.Repeat([]byte{0xA5}, n))
+		copy(model[off:], r.Data()[off:off+n])
+		var err error
+		if pin, err = v.eng.Begin(Restore); err != nil {
+			t.Fatal(err)
+		}
+		if err := pin.Modify(r, off+8, bytes.Repeat([]byte{0x5A}, n)); err != nil {
+			t.Fatal(err)
+		}
+	case 120:
+		if err := v.eng.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if qi, _ := v.eng.Query(r); qi.QueuedPages == 0 || qi.UncommittedTxs != 1 {
+			t.Fatalf("after a checkpoint over the pinned page: %+v; want it still queued", qi)
+		}
+		epochs := v.eng.Stats().EpochTruncs
+		if err := v.eng.TruncateIncremental(0); err != nil {
+			t.Fatal(err)
+		}
+		if qi, _ := v.eng.Query(r); v.eng.Stats().EpochTruncs == epochs || qi.LogUsed != 0 {
+			t.Fatalf("an incremental truncation blocked by the pinned page did not fall back to an epoch: %+v", qi)
+		}
+	case 144:
+		if err := pin.Commit(Flush); err != nil {
+			t.Fatal(err)
+		}
+		// Other transactions wrote over parts of the range meanwhile; the
+		// record carries what memory holds now.
+		copy(model[off+8:], r.Data()[off+8:off+8+n])
+		pin = nil
+	}
+	return pin
+}
+
+// finishedInSegment checks what every write-back path must leave behind:
+// the regions' segment bytes equal to the model, nothing queued, no page
+// dirty.
+func finishedInSegment(t *testing.T, v *env, regs []*Region, model [][]byte) {
+	t.Helper()
+	for i, r := range regs {
+		img := make([]byte, r.Length())
+		if err := r.seg.ReadAt(img, r.segOff); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(img, model[i]) {
+			t.Errorf("region %d: the segment differs from the model before the crash", i)
+		}
+		if qi, err := v.eng.Query(r); err != nil || qi.QueuedPages != 0 || qi.DirtyPages != 0 {
+			t.Errorf("region %d: %+v, %v; want nothing queued and nothing dirty", i, qi, err)
+		}
+	}
 }
 
 // TestCommitPathsAgree runs the same script as flush commits on one shard,
@@ -203,7 +280,7 @@ func TestCommitPathsAgree(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			recovered, model, stream := runPathsScript(t, pathsSeed, c.opts, c.mode)
+			recovered, model, stream := runPathsScript(t, pathsSeed, c.opts, []CommitMode{c.mode}, nil)
 			for i := range model {
 				if !bytes.Equal(recovered[i], model[i]) {
 					t.Errorf("region %d: recovered image differs from the model", i)
@@ -211,6 +288,85 @@ func TestCommitPathsAgree(t *testing.T) {
 			}
 			if got := strings.Join(stream, " "); c.stream != "" && got != c.stream {
 				t.Errorf("record stream %s, want %s (pinned at the parent commit)", got, c.stream)
+			}
+		})
+	}
+}
+
+// TestWriteBackPathsAgree finishes the same script — flush and no-flush
+// commits by turns, a page pinned over the middle of the run — in each of
+// the ways a committed byte reaches its segment: the page cleaner as
+// incremental truncation, the cleaner as a checkpoint with the truncation
+// moving the head after it, log replay by an epoch, and Unmap's sweep.  Each
+// must leave the model's image in the segment with nothing queued or dirty,
+// and recover it after a crash.
+func TestWriteBackPathsAgree(t *testing.T) {
+	truncated := func(t *testing.T, v *env, epochs uint64) {
+		t.Helper()
+		if qi, _ := v.eng.Query(nil); qi.LogUsed != 0 || v.eng.Stats().EpochTruncs != epochs {
+			t.Errorf("log holds %d bytes after %d epoch(s) in the finish; want an empty log and no epoch", qi.LogUsed, v.eng.Stats().EpochTruncs-epochs)
+		}
+	}
+	cases := []struct {
+		name   string
+		finish func(t *testing.T, v *env, regs []*Region) []*Region
+	}{
+		{"incremental", func(t *testing.T, v *env, regs []*Region) []*Region {
+			epochs := v.eng.Stats().EpochTruncs
+			if err := v.eng.TruncateIncremental(0); err != nil {
+				t.Fatal(err)
+			}
+			truncated(t, v, epochs)
+			return regs
+		}},
+		{"checkpoint+incremental", func(t *testing.T, v *env, regs []*Region) []*Region {
+			before := v.eng.Stats()
+			if err := v.eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.eng.TruncateIncremental(0); err != nil {
+				t.Fatal(err)
+			}
+			truncated(t, v, before.EpochTruncs)
+			if st := v.eng.Stats(); st.CheckpointPages == before.CheckpointPages || st.IncrSteps != before.IncrSteps {
+				t.Errorf("checkpoint pages %d -> %d, incremental steps %d -> %d; want the checkpoint to write the pages and the truncation none",
+					before.CheckpointPages, st.CheckpointPages, before.IncrSteps, st.IncrSteps)
+			}
+			return regs
+		}},
+		{"epoch", func(t *testing.T, v *env, regs []*Region) []*Region {
+			if err := v.eng.Truncate(); err != nil {
+				t.Fatal(err)
+			}
+			return regs
+		}},
+		{"unmap+map", func(t *testing.T, v *env, regs []*Region) []*Region {
+			for i, r := range regs {
+				if err := v.eng.Unmap(r); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if regs[i], err = v.eng.Map(v.segPath, pageBytes(2*i), pageBytes(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return regs
+		}},
+	}
+	var first [][]byte
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			recovered, model, _ := runPathsScript(t, pathsSeed, Options{}, []CommitMode{Flush, NoFlush, NoFlush}, c.finish)
+			if first == nil {
+				first = recovered
+			}
+			for i := range model {
+				if !bytes.Equal(recovered[i], model[i]) {
+					t.Errorf("region %d: recovered image differs from the model", i)
+				}
+				if !bytes.Equal(recovered[i], first[i]) {
+					t.Errorf("region %d: recovered image differs from the first finisher's", i)
+				}
 			}
 		})
 	}

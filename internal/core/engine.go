@@ -357,16 +357,11 @@ type Engine struct {
 	truncThreshold atomic.Uint64 // math.Float64bits
 	incremental    atomic.Bool
 
-	// Background fuzzy-checkpoint loop (nil channels when disabled).
-	// Per-shard checkpoint cursors live on the shards.
-	ckptStop chan struct{}
-	ckptDone chan struct{}
-	ckptOnce sync.Once
-
-	// Stall-watchdog loop (stall.go; nil channels when disabled).
-	stallStop chan struct{}
-	stallDone chan struct{}
-	stallOnce sync.Once
+	// Background loops, never started when disabled: the fuzzy checkpointer
+	// (checkpoint.go; per-shard checkpoint cursors live on the shards) and
+	// the stall watchdog (stall.go).
+	ckptLoop  bgLoop
+	stallLoop bgLoop
 
 	// Observability sinks, copied from Options at Open.  Both are
 	// nil-safe.  Emission never runs under a mutex: call sites capture
@@ -375,6 +370,47 @@ type Engine struct {
 	met *obs.Metrics
 
 	stats counters
+}
+
+// bgLoop is a background goroutine that calls a function on every tick
+// until the function asks to stop or stop is called.  The zero value is a
+// loop that was never started.
+type bgLoop struct {
+	quit chan struct{}
+	done chan struct{}
+	once sync.Once
+}
+
+func (l *bgLoop) start(tick time.Duration, fn func() (stop bool)) {
+	l.quit = make(chan struct{})
+	l.done = make(chan struct{})
+	go func() {
+		defer close(l.done)
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for {
+			select {
+			case <-l.quit:
+				return
+			case <-t.C:
+				if fn() {
+					return
+				}
+			}
+		}
+	}()
+}
+
+// stop ends the loop and waits for it to exit.  Idempotent; a no-op when
+// the loop was never started.
+func (l *bgLoop) stop() {
+	if l.quit == nil {
+		return
+	}
+	l.once.Do(func() {
+		close(l.quit)
+		<-l.done
+	})
 }
 
 // poisonCause wraps the fail-stop root cause for atomic publication.
@@ -830,8 +866,23 @@ func (e *Engine) Unmap(r *Region) error {
 	if err := e.flushSpool(r.sh, true); err != nil {
 		return fail(err)
 	}
-	if err := e.writeDirtyPages(r); err != nil {
-		return fail(err)
+	// The region is sealed and the truncation slot claimed, so its dirty
+	// set is stable: write every dirty page and sync with no lock held.
+	if r.pvec.DirtyCount() > 0 {
+		r.mu.Lock()
+		var err error
+		for pg := 0; pg < r.pvec.NumPages() && err == nil; pg++ {
+			if r.pvec.IsDirty(pg) {
+				err = e.writePageLocked(r, int64(pg))
+			}
+		}
+		r.mu.Unlock()
+		if err == nil {
+			err = e.retryIO(r.seg.Sync)
+		}
+		if err != nil {
+			return fail(err)
+		}
 	}
 	e.mu.Lock()
 	e.lockAllPipes()
@@ -847,44 +898,6 @@ func (e *Engine) Unmap(r *Region) error {
 	err := buf.Free()
 	e.releaseTruncation()
 	return err
-}
-
-// writeDirtyPages writes every dirty page of r from memory to its segment
-// and syncs, clearing the dirty bits.  Only called on sealed or quiescent
-// regions (Unmap, with the truncation slot claimed), so the dirty set is
-// stable; the sync runs with no lock held.
-func (e *Engine) writeDirtyPages(r *Region) error {
-	if r.pvec.DirtyCount() == 0 {
-		return nil
-	}
-	ps := int64(mapping.PageSize)
-	wrote := false
-	r.mu.Lock()
-	for p := 0; p < r.pvec.NumPages(); p++ {
-		if !r.pvec.IsDirty(p) {
-			continue
-		}
-		off := int64(p) * ps
-		err := e.retryIO(func() error {
-			return r.seg.WriteAt(r.data[off:off+ps], r.segOff+off)
-		})
-		if err != nil {
-			r.mu.Unlock()
-			return err
-		}
-		wrote = true
-		e.stats.pagesWritten.Add(1)
-	}
-	r.mu.Unlock()
-	if wrote {
-		if err := e.retryIO(r.seg.Sync); err != nil {
-			return err
-		}
-	}
-	for p := 0; p < r.pvec.NumPages(); p++ {
-		r.pvec.ClearDirty(p)
-	}
-	return nil
 }
 
 // claimTruncation blocks until it owns the truncation slot.  The slot
@@ -1139,8 +1152,8 @@ func (e *Engine) Close() error {
 	// transactions); only explicit Checkpoint calls run after that.
 	// The stall watchdog goes too — it only reads atomics, but letting
 	// it outlive the engine's files would be sloppy.
-	e.stopStallWatchdog()
-	e.stopCheckpointer()
+	e.stallLoop.stop()
+	e.ckptLoop.stop()
 	e.mu.Lock()
 	e.waitTruncationLocked()
 	if e.closed.Load() {
@@ -1174,12 +1187,7 @@ func (e *Engine) Close() error {
 	if cause := e.poisonCause(); cause != nil {
 		poisonErr = fmt.Errorf("%w: %w", ErrPoisoned, cause)
 	} else {
-		for _, sh := range e.shards {
-			if err := e.flushSpool(sh, true); err != nil {
-				return fail(err)
-			}
-		}
-		if err := e.inlineEpochTruncate(); err != nil {
+		if err := e.epochAllClaimed(); err != nil {
 			return fail(err)
 		}
 	}

@@ -324,17 +324,28 @@ func TestSpoolPageRefs(t *testing.T) {
 	if err := v.eng.claimTruncation(); err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint's page writer finds page 0 first in the queue, waits
-	// out its grace period and gives up on it: nothing is written and the
-	// stable LSN stays at the page's first record.
-	pages, stable, err := v.eng.writeCheckpointPages(sh)
-	if err != nil || pages != 0 || stable != 1 {
-		t.Fatalf("checkpoint wrote %d page(s), stable %d, %v; want 0, 1, nil", pages, stable, err)
+	// The cleaner, run as a checkpoint runs it, finds page 0 first in the
+	// queue with spooled bytes in it: it turns the spool into log records
+	// before it writes anything, then writes both pages, and the stable LSN
+	// is the next append's — the flush commit and the three live spool entries
+	// are all reflected.
+	pages, _, stable, err := v.eng.cleanShard(sh, cleanEverything, &v.eng.stats.checkpointPages)
+	v.eng.releaseTruncation()
+	if _, next := sh.log.Tail(); err != nil || pages != 2 || stable != next || stable != 5 || v.eng.Stats().Flushes != 1 {
+		t.Fatalf("cleaner wrote %d page(s), stable %d, %v, %d flush(es); want 2, 5, nil, 1", pages, stable, err, v.eng.Stats().Flushes)
+	}
+	// The cleaner drained the spool, so the epoch below gets its state made
+	// again: a logged page that the spool then references.
+	v.commit1(r, 0, []byte("logged"))
+	noFlush(10, "xx")
+	noFlush(pageBytes(1), "other")
+	if err := v.eng.claimTruncation(); err != nil {
+		t.Fatal(err)
 	}
 	// An inline epoch truncation leaves the spool alone.  It applies the
 	// flush commit and drops page 0 from the queue — dirty, unqueued, but
 	// spooled: the dirty bit must stay.
-	err = v.eng.inlineEpochTruncateShard(sh)
+	err = v.eng.epochShard(sh)
 	v.eng.releaseTruncation()
 	if err != nil {
 		t.Fatal(err)
@@ -373,10 +384,10 @@ func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	if err := v.eng.claimTruncation(); err != nil {
 		t.Fatal(err)
 	}
-	done, err := v.eng.incrementalSteps(v.eng.shards[0], 0)
+	pages, _, _, err := v.eng.cleanShard(v.eng.shards[0], 0, &v.eng.stats.incrSteps)
 	v.eng.releaseTruncation()
-	if err != nil || !done {
-		t.Fatal(done, err)
+	if err != nil || pages != 1 {
+		t.Fatal(pages, err)
 	}
 	if st := v.eng.Stats(); st.Flushes != 1 || st.PagesWritten != 1 {
 		t.Fatalf("flushes %d, pages written %d; want 1 and 1", st.Flushes, st.PagesWritten)

@@ -42,45 +42,22 @@ func (e *Engine) startStallWatchdog(budget time.Duration) {
 	if tick > 250*time.Millisecond {
 		tick = 250 * time.Millisecond
 	}
-	e.stallStop = make(chan struct{})
-	e.stallDone = make(chan struct{})
-	go func() {
-		defer close(e.stallDone)
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		var reported [obs.NumStallClasses]int64 // gate start last reported per class
-		for {
-			select {
-			case <-e.stallStop:
-				return
-			case <-t.C:
-				now := time.Now().UnixNano()
-				for c := obs.StallClass(0); c < obs.NumStallClasses; c++ {
-					start := e.met.OpActiveSince(c)
-					if start == 0 || now-start < budget.Nanoseconds() {
-						continue
-					}
-					if reported[c] == start {
-						continue // this episode was already reported
-					}
-					reported[c] = start
-					dur := now - start
-					e.met.RecordStall(c, dur)
-					e.tr.Record(obs.EvStall, 0, uint64(c), uint64(dur))
-				}
+	var reported [obs.NumStallClasses]int64 // gate start last reported per class
+	e.stallLoop.start(tick, func() bool {
+		now := time.Now().UnixNano()
+		for c := obs.StallClass(0); c < obs.NumStallClasses; c++ {
+			start := e.met.OpActiveSince(c)
+			if start == 0 || now-start < budget.Nanoseconds() {
+				continue
 			}
+			if reported[c] == start {
+				continue // this episode was already reported
+			}
+			reported[c] = start
+			dur := now - start
+			e.met.RecordStall(c, dur)
+			e.tr.Record(obs.EvStall, 0, uint64(c), uint64(dur))
 		}
-	}()
-}
-
-// stopStallWatchdog stops the loop and waits for it to exit.
-// Idempotent; a no-op when no watchdog was started.
-func (e *Engine) stopStallWatchdog() {
-	if e.stallStop == nil {
-		return
-	}
-	e.stallOnce.Do(func() {
-		close(e.stallStop)
-		<-e.stallDone
+		return false
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 )
@@ -264,5 +265,128 @@ func TestSetOptionsChangesTruncationBehaviour(t *testing.T) {
 	}
 	if v.eng.Stats().IncrSteps == 0 {
 		t.Fatal("incremental truncation did not run after SetOptions")
+	}
+}
+
+// TestCheckpointThenIncrementalMovesHeadOnly: a checkpoint drains the page
+// queue and leaves the head where it was; the incremental truncation after
+// it finds nothing to write and moves the head to the tail — the tail it
+// read in the pipeline section that saw the queue empty.
+func TestCheckpointThenIncrementalMovesHeadOnly(t *testing.T) {
+	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true, TruncateThreshold: -1})
+	r := v.mapWhole()
+	v.commit1(r, 0, []byte("checkpointed"))
+	v.commit1(r, pageBytes(1), []byte("second page"))
+	if err := v.eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before := v.eng.Stats()
+	if qi, _ := v.eng.Query(r); qi.LogUsed == 0 || qi.QueuedPages != 0 || before.PagesWritten != 2 {
+		t.Fatalf("after the checkpoint: %+v, %d pages written; want a live log, an empty queue and 2", qi, before.PagesWritten)
+	}
+	if err := v.eng.TruncateIncremental(0); err != nil {
+		t.Fatal(err)
+	}
+	after := v.eng.Stats()
+	if qi, _ := v.eng.Query(r); qi.LogUsed != 0 || after.PagesWritten != before.PagesWritten ||
+		after.IncrSteps != 0 || after.EpochTruncs != 0 {
+		t.Fatalf("after the truncation: %+v, stats %+v; want an empty log and no page written", qi, after)
+	}
+	v.reopen(Options{})
+	r2 := v.mapWhole()
+	if !bytes.Equal(r2.Data()[:12], []byte("checkpointed")) || !bytes.Equal(r2.Data()[pageBytes(1):pageBytes(1)+11], []byte("second page")) {
+		t.Fatal("data lost after a checkpoint and a head-only truncation")
+	}
+}
+
+// TestHeadNeverPassesQueuedPage: a queued page's first log reference is a
+// live record, whatever interleaving of commits, checkpoints (which drain
+// the queue and leave the head) and incremental truncations (which move the
+// head to where the queue starts) produced the state.  A head beyond a
+// queued reference is an acknowledged commit a crash would lose.
+func TestHeadNeverPassesQueuedPage(t *testing.T) {
+	const workers = 3
+	v := newEnv(t, 1<<19, pageBytes(workers), Options{Incremental: true, TruncateThreshold: -1})
+	r, err := v.eng.Map(v.segPath, 0, pageBytes(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	last := make([]byte, workers) // each worker's last acknowledged value
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx, err := v.eng.Begin(NoRestore)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mode := Flush
+				if w == 0 && i%2 == 0 {
+					mode = NoFlush
+				}
+				if err := tx.Modify(r, pageBytes(w), []byte{byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tx.Commit(mode); err != nil {
+					t.Error(err)
+					return
+				}
+				last[w] = byte(i)
+				// A pause now and then, so the cleaner gets to see the queue
+				// empty with the next commit close behind.
+				time.Sleep(time.Duration(i%4) * 100 * time.Microsecond)
+			}
+		}(w)
+	}
+	sh := v.eng.shards[0]
+	// A truncation that meets a pinned page waits out its grace period, so
+	// the rounds are bounded by time as well as by count.
+	deadline := time.Now().Add(time.Second)
+	for i := 0; i < 200 && time.Now().Before(deadline) && !t.Failed(); i++ {
+		// The checkpoint first: it is what leaves a truncation an empty
+		// queue to find while commits keep appending.
+		if err := v.eng.Checkpoint(); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := v.eng.TruncateIncremental(0); err != nil {
+			t.Error(err)
+			break
+		}
+		sh.pipe.mu.Lock()
+		d, queued := sh.pipe.queue.First()
+		_, headSeq := sh.log.Head()
+		sh.pipe.mu.Unlock()
+		if queued && d.Seq < headSeq {
+			t.Errorf("round %d: page %v is queued at seq %d, behind the head at seq %d", i, d.ID, d.Seq, headSeq)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := v.eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v.reopen(Options{})
+	r2, err := v.eng.Map(v.segPath, 0, pageBytes(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		if got := r2.Data()[pageBytes(w)]; got != last[w] {
+			t.Errorf("worker %d: recovered %d, last acknowledged %d", w, got, last[w])
+		}
 	}
 }

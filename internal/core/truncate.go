@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"github.com/rvm-go/rvm/internal/mapping"
@@ -97,83 +98,79 @@ func (e *Engine) retryLogFull(sh *shard, err error, attempt int, need int64, cla
 			return nil
 		}
 	}
-	return e.inlineEpochTruncateShard(sh)
+	// The spool is intentionally not drained — there may be no room for it;
+	// it stays in memory and flows into the next epoch.
+	return e.epochShard(sh)
 }
 
 // Truncate blocks until all committed changes in the write-ahead logs
 // have been reflected to the external data segments (paper §4.2
 // truncate).  A full reflection is exactly an epoch truncation of every
-// shard whose epoch is that shard's whole live log.
+// shard whose epoch is that shard's whole live log.  Each shard's epoch
+// (its live log at collection time) is applied to the segments while
+// forward processing continues; commits only stall on their own shard's
+// pipeline lock during collection and completion (paper §5.1.2, Figure 6).
+// Callers must hold no engine lock.
 func (e *Engine) Truncate() error {
-	return e.epochTruncate()
-}
-
-// epochTruncate runs one epoch truncation on every shard.  Each shard's
-// epoch (its live log at collection time) is applied to the segments
-// while forward processing continues; commits only stall on their own
-// shard's pipeline lock during collection and completion (paper §5.1.2,
-// Figure 6).  Callers must hold no engine lock.
-func (e *Engine) epochTruncate() error {
-	t0 := time.Now()
 	e.met.OpEnter(obs.StallTruncation)
 	defer e.met.OpExit(obs.StallTruncation)
 	if err := e.claimTruncation(); err != nil {
 		return err
 	}
-	var records uint64
+	defer e.releaseTruncation()
+	return e.epochAllClaimed()
+}
+
+// epochAllClaimed is Truncate's body, for callers that already hold
+// the truncation claim (Close).
+func (e *Engine) epochAllClaimed() error {
 	for _, sh := range e.shards {
-		n, err := e.epochTruncateShard(sh)
-		records += n
-		if err != nil {
-			e.releaseTruncation()
+		// Spooled commits become log records now so the epoch covers them.
+		if err := e.flushSpool(sh, true); err != nil {
+			return e.maybePoison(err)
+		}
+		if err := e.epochShard(sh); err != nil {
 			return err
 		}
 	}
-	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, records, 0)
-	e.releaseTruncation()
 	return nil
 }
 
-// epochTruncateShard runs one shard's epoch truncation under the caller's
-// truncation claim, returning the number of records the epoch contained.
-func (e *Engine) epochTruncateShard(sh *shard) (uint64, error) {
-	pause := time.Now() // the shard's pipeline is busy while the epoch is collected
-	fail := func(err error) (uint64, error) {
-		err = e.maybePoison(err)
-		e.clearEpochSeq(sh)
-		return 0, err
+// epochShard runs one shard's epoch truncation — the paper's log-replay
+// fallback — under the caller's truncation claim.  The spool is not touched:
+// callers that want it in the epoch flush it first.  The leading force (a
+// no-op on a clean log) makes every record the epoch will contain durable
+// before any of it reaches a segment (the no-undo/redo invariant).
+func (e *Engine) epochShard(sh *shard) error {
+	t0 := time.Now()
+	fail := func(err error) error {
+		// The head was not advanced, so the log still covers everything
+		// the segments may have partially absorbed; recovery stays
+		// correct.  The engine, however, can no longer trust the device.
+		sh.pipe.mu.Lock()
+		sh.pipe.epochEndSeq = 0
+		sh.pipe.mu.Unlock()
+		return e.maybePoison(err)
 	}
-	// Spooled commits become log records now so the epoch covers them,
-	// and the force inside guarantees nothing unforced is ever applied to
-	// a segment (the no-undo/redo invariant).
-	if err := e.flushSpool(sh, true); err != nil {
+	if err := e.retryIO(sh.log.Force); err != nil {
 		return fail(err)
 	}
 	ep, err := e.collectEpochPipe(sh)
 	if err != nil {
 		return fail(err)
 	}
-	e.met.ObserveTruncPause(time.Since(pause).Nanoseconds())
-	e.tr.SpanSince(obs.EvTruncPause, pause, 0, 0, 0)
-
 	// Apply outside every lock: commits keep flowing into the current
-	// epoch meanwhile.
-	_, err = ep.Apply(e.lookupSegmentSync, e.retryIO)
-
-	pause = time.Now()
-	if err == nil {
-		e.completeEpochPipe(sh, ep.EndSeq())
-		e.stats.epochTruncs.Add(1)
-	} else {
-		// The head was not advanced, so the log still covers everything
-		// the segments may have partially absorbed; recovery stays
-		// correct.  The engine, however, can no longer trust the device.
-		err = e.maybePoison(err)
-		e.clearEpochSeq(sh)
+	// epoch meanwhile, so the apply is not part of the pause.
+	applyT := time.Now()
+	if _, err := ep.Apply(e.lookupSegmentSync, e.retryIO); err != nil {
+		return fail(err)
 	}
-	e.met.ObserveTruncPause(time.Since(pause).Nanoseconds())
-	e.tr.SpanSince(obs.EvTruncPause, pause, 0, 0, 0)
-	return uint64(ep.Records()), err
+	applied := time.Since(applyT)
+	e.completeEpochPipe(sh, ep.EndSeq())
+	e.stats.epochTruncs.Add(1)
+	e.met.ObserveTruncPause((time.Since(t0) - applied).Nanoseconds())
+	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, uint64(ep.Records()), 0)
+	return nil
 }
 
 // epochBoundPipeLocked computes the highest end sequence an epoch on this
@@ -205,7 +202,7 @@ func epochBoundPipeLocked(p *pipeline, tailSeq uint64) uint64 {
 // epoch and publishes its end sequence, all under the shard's pipeline
 // lock: any commit appending after the collection then sees epochEndSeq
 // set and promotes re-modified pages to their new (surviving) log
-// reference.  Records can append unforced between the spool flush and
+// reference.  Records can append unforced between the caller's force and
 // the collection, so the epoch's tail is forced before it may be applied.
 func (e *Engine) collectEpochPipe(sh *shard) (*recovery.Epoch, error) {
 	p := &sh.pipe
@@ -231,13 +228,6 @@ func (e *Engine) collectEpochPipe(sh *shard) (*recovery.Epoch, error) {
 		}
 	}
 	return ep, nil
-}
-
-// clearEpochSeq resets the in-flight epoch marker after a failed epoch.
-func (e *Engine) clearEpochSeq(sh *shard) {
-	sh.pipe.mu.Lock()
-	sh.pipe.epochEndSeq = 0
-	sh.pipe.mu.Unlock()
 }
 
 // completeEpochPipe drops queue descriptors the epoch made obsolete,
@@ -277,43 +267,6 @@ func (e *Engine) completeEpochPipe(sh *shard, endSeq uint64) {
 	p.mu.Unlock()
 }
 
-// inlineEpochTruncate is epoch truncation of every shard for callers that
-// already hold the truncation claim (Close).
-func (e *Engine) inlineEpochTruncate() error {
-	for _, sh := range e.shards {
-		if err := e.inlineEpochTruncateShard(sh); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// inlineEpochTruncateShard is one shard's epoch truncation for callers
-// that already hold the truncation claim (log-full recovery, Close).
-// The spool is intentionally not drained — there may be no room for it;
-// it stays in memory and flows into the next epoch.  The leading force
-// makes every record the epoch will contain durable before any of it
-// reaches a segment (no-undo/redo invariant).
-func (e *Engine) inlineEpochTruncateShard(sh *shard) error {
-	tt := time.Now()
-	if err := e.retryIO(sh.log.Force); err != nil {
-		return err
-	}
-	ep, err := e.collectEpochPipe(sh)
-	if err != nil {
-		return err
-	}
-	if _, err := ep.Apply(e.lookupSegmentSync, e.retryIO); err != nil {
-		e.clearEpochSeq(sh)
-		return err
-	}
-	e.completeEpochPipe(sh, ep.EndSeq())
-	e.stats.epochTruncs.Add(1)
-	e.met.ObserveTruncPause(time.Since(tt).Nanoseconds())
-	e.tr.SpanSince(obs.EvTruncEpoch, tt, 0, uint64(ep.Records()), 0)
-	return nil
-}
-
 // lookupSegmentSync is lookupSegment under the engine lock, for use from
 // code running outside it.
 func (e *Engine) lookupSegmentSync(id uint64) (*segment.Segment, error) {
@@ -322,150 +275,158 @@ func (e *Engine) lookupSegmentSync(id uint64) (*segment.Segment, error) {
 	return e.lookupSegment(id)
 }
 
-// incrementalSteps performs incremental truncation steps (paper Figure 7)
-// on one shard until its live log shrinks to targetUsed bytes or the head
-// of the shard's page queue is blocked by an uncommitted reference.  It
-// reports whether the target was reached.  Caller holds the truncation
-// claim and must have flushed the shard's spool.
+// A page pinned by an uncommitted reference is usually mid-commit: the
+// committer holds the reference across its log force (no lock held) and
+// drops it within milliseconds.  The cleaner waits out such transient pins,
+// blockedHeadGrace in all per walk, before it declares the queue blocked.
+// Each retry is paced by blockedHeadPace: a committer re-spooling the page
+// on every visit would otherwise turn the wait into a flush spin that
+// starves the very commits it is waiting on.
+const (
+	blockedHeadGrace = 50 * time.Millisecond
+	blockedHeadPace  = 200 * time.Microsecond
+)
+
+// cleanEverything is the cleanShard target no log usage satisfies.
+const cleanEverything = -1
+
+// cleanShard is the page cleaner (paper Figure 7): it writes the pages of
+// the shard's FIFO queue to their segments, oldest log reference first,
+// until the live log less what a head move would free is at most targetUsed
+// bytes, or the queue is drained, or its first page stays blocked.  It
+// counts each page on the caller's counter as it goes and returns the pages
+// written and the log position and sequence number of the first reference
+// it did not retire — the next append's when the queue drained.  Everything before that reference is durably in the segments:
+// incremental truncation moves the head there, a checkpoint records the
+// sequence number as the stable LSN.  Caller holds the truncation claim.
 //
 // Each step holds the page's region lock across the write-out, the dirty
 // clear, and the queue pop: the region lock excludes commits on that
 // region, so no commit can re-enqueue (and dedup against) a descriptor in
 // the middle of being retired.  Page write-outs are batched: pages are
-// written without syncing, the touched segments are synced once with no
-// lock held, and only then does the log head move — a single status write
-// per batch instead of one per page, with the same guarantee (a page is
-// durably in its segment before the head passes its first log reference).
+// written without syncing and the touched segments are synced once with no
+// lock held, before the caller may act on the result — a single status
+// write per batch instead of one per page, with the same guarantee (a page
+// is durably in its segment before the head passes its first log
+// reference).
 //
 // In-doubt prepares need no special casing here: a cross-shard
 // transaction holds its pages' uncommitted reference counts until the
 // commit completes, so the queue blocks on them exactly as it does for a
 // single-shard commit in flight, and once the counts drop the pages are
 // committed and safe to write.
-func (e *Engine) incrementalSteps(sh *shard, targetUsed int64) (bool, error) {
-	ps := int64(mapping.PageSize)
+func (e *Engine) cleanShard(sh *shard, targetUsed int64, count *atomic.Uint64) (pages uint64, pos int64, seq uint64, err error) {
 	p := &sh.pipe
 	wrote := make(map[*segment.Segment]bool)
-	var newPos int64
-	var newSeq uint64
-	moved := false
-	// A page blocked by an uncommitted reference is usually mid-commit:
-	// the committer holds the reference across its log force (no lock
-	// held) and drops it within milliseconds.  Wait briefly for such
-	// transient references to drain before declaring the queue blocked
-	// and reverting to an epoch truncation.
-	blockDeadline := time.Now().Add(50 * time.Millisecond)
-	for sh.log.Used()-e.reclaimableTo(sh, newPos, moved) > targetUsed {
+	deadline := time.Now().Add(blockedHeadGrace)
+	for {
 		p.mu.Lock()
 		d, ok := p.queue.First()
+		if ok {
+			pos, seq = d.Pos, d.Seq
+		} else {
+			// Every live record's pages have been written out.  The tail is
+			// read while still holding the pipeline lock — appends hold it
+			// too, so no commit can slip a record (and its queue entries)
+			// between the empty-queue observation and this read.
+			pos, seq = sh.log.Tail()
+		}
 		p.mu.Unlock()
-		if !ok {
-			// Every live record's pages have been written out: the whole
-			// log is reflected; the head can move to the tail.
-			newPos, newSeq = sh.log.Tail()
-			moved = true
+		if !ok || sh.log.Used()-e.reclaimableTo(sh, pos) <= targetUsed {
 			break
 		}
 		r := e.regions[d.ID.Region] // stable under the truncation claim
-		if r == nil {
-			// Unmap removes descriptors, so this is unreachable; tolerate
-			// a stale descriptor by skipping it.
+		if r != nil {
+			r.mu.Lock()
+		}
+		if r == nil || !r.mapped {
+			// Unmap removes its region's descriptors, so this is
+			// unreachable; tolerate a stale descriptor by skipping it.
+			if r != nil {
+				r.mu.Unlock()
+			}
 			p.mu.Lock()
 			p.queue.PopFirst()
 			p.mu.Unlock()
 			continue
 		}
-		r.mu.Lock()
-		if !r.mapped {
-			r.mu.Unlock()
-			p.mu.Lock()
-			p.queue.PopFirst()
-			p.mu.Unlock()
-			continue
-		}
-		blocked := r.pvec.Refs(int(d.ID.Page)) > 0
+		pinned := r.pvec.Refs(int(d.ID.Page)) > 0
 		spooled := false
-		if !blocked {
+		if !pinned {
 			// A no-flush transaction committed after the caller's spool
 			// flush may have re-dirtied this page: its bytes are committed
 			// but not yet logged, so writing the page (and moving the head
-			// past its log reference) would break atomicity on a crash.
+			// or a stable LSN past its log reference) would break atomicity
+			// on a crash.  The region lock holds the spool state for this
+			// region steady across the check and the copy.
 			p.mu.Lock()
 			spooled = r.spoolRefs[d.ID.Page] > 0
 			p.mu.Unlock()
 		}
-		if blocked || spooled {
+		if pinned || spooled {
 			// The first page in the queue has uncommitted or unlogged
 			// changes and cannot be written without violating no-undo/redo;
-			// the head cannot move past it (paper: truncation is blocked
-			// until the count drops to zero).
+			// nothing may pass it (paper: truncation is blocked until the
+			// count drops to zero).
 			r.mu.Unlock()
-			if !time.Now().Before(blockDeadline) {
+			if !time.Now().Before(deadline) {
 				break
 			}
 			if spooled {
 				// A spooled reference never drains on its own; turn the
 				// spooled bytes into log records (legal: the caller holds
 				// the truncation claim and no locks are held here) so the
-				// page becomes writable and stepping continues.
-				if err := e.flushSpool(sh, true); err != nil {
-					return false, err
+				// page becomes writable and the walk continues.
+				if err = e.flushSpool(sh, true); err != nil {
+					return pages, 0, 0, err
 				}
 			}
-			// Pace the retry in both cases: a committer re-spooling the
-			// page on every visit would otherwise turn this loop into a
-			// flush spin that starves the very commits it is waiting on.
-			time.Sleep(200 * time.Microsecond)
+			time.Sleep(blockedHeadPace)
 			continue
 		}
-		off := d.ID.Page * ps
-		err := e.retryIO(func() error {
-			return r.seg.WriteAt(r.data[off:off+ps], r.segOff+off)
-		})
-		if err != nil {
-			r.mu.Unlock()
-			return false, err
+		err = e.writePageLocked(r, d.ID.Page)
+		if err == nil {
+			p.mu.Lock()
+			p.queue.PopFirst()
+			p.mu.Unlock()
 		}
-		r.pvec.ClearDirty(int(d.ID.Page))
-		p.mu.Lock()
-		p.queue.PopFirst()
-		if next, ok := p.queue.First(); ok {
-			newPos, newSeq = next.Pos, next.Seq
-		} else {
-			newPos, newSeq = sh.log.Tail()
-		}
-		p.mu.Unlock()
 		r.mu.Unlock()
+		if err != nil {
+			return pages, 0, 0, err
+		}
 		wrote[r.seg] = true
-		e.stats.incrSteps.Add(1)
-		e.stats.pagesWritten.Add(1)
-		moved = true
+		pages++
+		count.Add(1)
 	}
 	for seg := range wrote {
-		if err := e.retryIO(seg.Sync); err != nil {
-			return false, err
+		if err = e.retryIO(seg.Sync); err != nil {
+			return pages, 0, 0, err
 		}
 	}
-	if moved {
-		if hp, hs := sh.log.Head(); hp != newPos || hs != newSeq {
-			err := e.retryIO(func() error {
-				return sh.log.SetHead(newPos, newSeq)
-			})
-			if err != nil {
-				return false, err
-			}
-		}
-	}
-	return sh.log.Used() <= targetUsed, nil
+	return pages, pos, seq, nil
 }
 
-// reclaimableTo returns the bytes that a pending head move to pos would
-// free on the shard (0 when no move is pending).  Used to decide when a
-// batch has reclaimed enough.
-func (e *Engine) reclaimableTo(sh *shard, pos int64, moved bool) int64 {
-	if !moved {
-		return 0
+// writePageLocked is the one place a page is copied from memory to its
+// segment: write (unsynced — the caller syncs the segment before anything
+// relies on the page being there), clear the dirty bit, count.  Caller
+// holds r.mu, which keeps r.data stable and commits on the region out.
+func (e *Engine) writePageLocked(r *Region, page int64) error {
+	ps := int64(mapping.PageSize)
+	off := page * ps
+	err := e.retryIO(func() error {
+		return r.seg.WriteAt(r.data[off:off+ps], r.segOff+off)
+	})
+	if err != nil {
+		return err
 	}
+	r.pvec.ClearDirty(int(page))
+	e.stats.pagesWritten.Add(1)
+	return nil
+}
+
+// reclaimableTo returns the bytes a head move to pos, the position of a
+// live record, would free on the shard.
+func (e *Engine) reclaimableTo(sh *shard, pos int64) int64 {
 	hp, _ := sh.log.Head()
 	freed := pos - hp
 	if freed < 0 {
@@ -488,7 +449,7 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 		return err
 	}
 	pause := time.Now()
-	stepsBefore := e.stats.incrSteps.Load()
+	var pages uint64
 	done := true
 	var err error
 	for _, sh := range e.shards {
@@ -502,22 +463,28 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 		if sh.log.Used() <= target {
 			continue
 		}
-		var shardDone bool
-		shardDone, err = e.incrementalSteps(sh, target)
-		if err != nil {
+		n, pos, seq, cerr := e.cleanShard(sh, target, &e.stats.incrSteps)
+		pages += n
+		if err = cerr; err != nil {
 			break
 		}
-		done = done && shardDone
+		// Everything before the first reference the cleaner left is durably
+		// in the segments: that is where the head goes.
+		if hp, hs := sh.log.Head(); hp != pos || hs != seq {
+			if err = e.retryIO(func() error { return sh.log.SetHead(pos, seq) }); err != nil {
+				break
+			}
+		}
+		done = done && sh.log.Used() <= target
 	}
 	err = e.maybePoison(err)
-	pages := e.stats.incrSteps.Load() - stepsBefore
 	e.met.ObserveTruncPause(time.Since(pause).Nanoseconds())
 	e.tr.SpanSince(obs.EvTruncPause, pause, 0, pages, 0)
 	e.releaseTruncation()
 	if err == nil && !done {
 		// Blocked with a log still above target: revert to epoch
 		// truncation (paper §5.1.2).
-		err = e.epochTruncate()
+		err = e.Truncate()
 	}
 	// The operation span closes only now so it covers the epoch
 	// fallback too: a fallback's apply phase is the longest part of the
@@ -554,7 +521,7 @@ func (e *Engine) autoTruncate() {
 		// Aim well below the trigger so truncations are not continuous.
 		err = e.TruncateIncremental(thr / 2)
 	} else {
-		err = e.epochTruncate()
+		err = e.Truncate()
 	}
 	if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, wal.ErrLogClosed) {
 		// Poisoning (when warranted) already happened inside the truncation

@@ -515,6 +515,10 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 				t.markDirtyPipeLocked(sh, nil, 0, 0) // dirty bits only; queue entries at flush
 			} else {
 				err = e.drainSpoolPipeLocked(sh) // older commits reach the log first
+				if err != nil && len(p.spool) > 0 {
+					// It is the oldest spooled commit that found no room.
+					need = wal.EncodedLen(p.spool[0].ranges)
+				}
 				var pos, nb int64
 				var seq uint64
 				if err == nil {
@@ -544,7 +548,10 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 			p.mu.Unlock()
 			appendNs += clk.lap()
 			if err != nil {
-				full, need = sh, wal.EncodedLen(ranges)
+				full = sh
+				if need == 0 {
+					need = wal.EncodedLen(ranges)
+				}
 				break
 			}
 			saved += sv
