@@ -13,7 +13,7 @@
 // that recovery will discard.
 //
 //	rvmlogview [flags] <log>
-//	  -backward       walk tail-to-head (newest first), as recovery does
+//	  -backward       walk tail-to-head (newest first)
 //	  -shard N        only shard N (default: every shard present)
 //	  -seg N          only records touching segment N
 //	  -tid N          only the transaction with this id
@@ -109,7 +109,7 @@ func viewLog(path string, shard int, sharded bool,
 		case wal.RecCheckpoint:
 			// Checkpoint records carry no ranges; segment and offset
 			// filters never match them, but an unfiltered or tid=0 view
-			// shows where a restart's backward scan would stop.
+			// shows where a restart's redo starts.
 			if tidFilter > 0 || segFilter >= 0 {
 				return nil
 			}

@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("at crash:     %q\n", reg.Data()[:31])
 	// (crash: the process state vanishes; the files remain)
 
-	// Restart: recovery replays the log tail-to-head.
+	// Restart: recovery replays the log, head to tail.
 	db2, err := rvm.Open(rvm.Options{LogPath: logPath})
 	if err != nil {
 		log.Fatal(err)

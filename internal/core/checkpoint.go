@@ -12,7 +12,7 @@ import (
 // the spool, writes the queued dirty pages to their segments, syncs them,
 // and appends a checkpoint record carrying that shard's stable LSN — the
 // sequence number below which every record in that shard's log is fully
-// reflected.  A later recovery ends each shard's backward scan at its own
+// reflected.  A later recovery starts each shard's redo at its own
 // checkpoint, so restart time is bounded by the log written since the last
 // checkpoint on the busiest shard, not the whole live log.
 //

@@ -160,9 +160,9 @@ type Options struct {
 	// longer, trading commit latency for bigger batches when committers
 	// are slow to arrive.  Only meaningful with GroupCommit.
 	MaxForceDelay time.Duration
-	// RecoveryParallelism is the number of workers recovery uses to decode,
-	// build, and replay redo trees at Open.  Zero selects GOMAXPROCS;
-	// negative forces a serial recovery.
+	// RecoveryParallelism is the number of workers recovery uses to replay
+	// redo trees at Open; it builds them with one fewer, the log scan being
+	// one itself.  Zero selects GOMAXPROCS; negative forces a serial recovery.
 	RecoveryParallelism int
 	// CheckpointInterval enables background fuzzy checkpoints: every
 	// interval the engine writes queued dirty pages to their segments
@@ -209,7 +209,7 @@ type Statistics struct {
 	PagesWritten      uint64 `json:"pages_written"`       // pages written to segments by truncation/unmap
 	Recoveries        uint64 `json:"recoveries"`          // recoveries performed at Open (0 or 1)
 	RecoveredBytes    uint64 `json:"recovered_bytes"`     // bytes applied to segments during recovery
-	RecoveryScanned   uint64 `json:"recovery_scanned"`    // log bytes visited by recovery's analysis pass
+	RecoveryScanned   uint64 `json:"recovery_scanned"`    // log bytes recovery had to consider: stable LSN to tail
 	Retries           uint64 `json:"retries"`             // transient storage faults retried on log/segment paths
 	TruncFailures     uint64 `json:"trunc_failures"`      // background truncations that failed
 	ForcesSaved       uint64 `json:"forces_saved"`        // flush commits acknowledged by another committer's force
@@ -453,55 +453,55 @@ type Region struct {
 // logs, so the shard count and region placement may change freely
 // between runs.
 func Open(opts Options) (*Engine, error) {
-	var l *wal.Log
-	var err error
-	if opts.LogDevice != nil {
-		l, err = wal.OpenDevice(opts.LogDevice)
-	} else {
-		l, err = wal.Open(opts.LogPath)
-	}
-	if err != nil {
-		return nil, err
-	}
+	// The dictionary comes first: it says how many logs there are, and with
+	// that how the recovery workers are shared out, before the first log's
+	// tail scan — the one read of the log a restart makes — starts
+	// feeding them.
 	d, err := loadDict(dictPath(opts.LogPath))
 	if err != nil {
-		l.Close()
 		return nil, err
 	}
 	if opts.SpoolLimit == 0 {
 		opts.SpoolLimit = 1 << 20
 	}
-	requested := opts.LogShards
-	if requested < 1 {
-		requested = 1
-	}
+	requested := max(opts.LogShards, 1)
 	recorded := d.shardCount()
-	if requested > recorded {
-		// Record the grown count before creating any new shard log, so a
-		// crash mid-open can never leave shard logs the dictionary does
-		// not know about.  (The reverse — a recorded count with missing
-		// files — is benign: the files are recreated empty below.)
-		if err := d.setShards(requested); err != nil {
-			l.Close()
-			return nil, err
-		}
+	numOpen := max(requested, recorded)
+	par := opts.RecoveryParallelism
+	if par == 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
-	numOpen := requested
-	if recorded > numOpen {
-		numOpen = recorded
-	}
-	logs := []*wal.Log{l}
-	devs := []wal.Device{opts.LogDevice}
+	redo := recovery.NewRestart(numOpen, recovery.Config{Parallelism: par}, opts.Metrics)
+	defer redo.Abort()
+	var logs []*wal.Log
+	var devs []wal.Device
 	closeAll := func() {
 		for _, lg := range logs {
 			lg.Close()
 		}
 	}
-	for k := 1; k < numOpen; k++ {
-		lk, dev, err := openShardLog(opts, k, l.AreaSize())
+	for k := 0; k < numOpen; k++ {
+		if k == 1 && requested > recorded {
+			// Record the grown count before creating any new shard log, so a
+			// crash mid-open can never leave shard logs the dictionary does
+			// not know about.  (The reverse — a recorded count with missing
+			// files — is benign: the files are recreated empty below.)
+			if err := d.setShards(requested); err != nil {
+				closeAll()
+				return nil, err
+			}
+		}
+		var size int64
+		if k > 0 {
+			size = logs[0].AreaSize()
+		}
+		lk, dev, err := openShardLog(opts, k, size, redo)
 		if err != nil {
 			closeAll()
-			return nil, fmt.Errorf("rvm: open log shard %d: %w", k, err)
+			if k > 0 {
+				err = fmt.Errorf("rvm: open log shard %d: %w", k, err)
+			}
+			return nil, err
 		}
 		logs = append(logs, lk)
 		devs = append(devs, dev)
@@ -536,12 +536,7 @@ func Open(opts Options) (*Engine, error) {
 		e.shards = append(e.shards, sh)
 	}
 	if used > 0 {
-		par := opts.RecoveryParallelism
-		if par == 0 {
-			par = runtime.GOMAXPROCS(0)
-		}
-		st, err := recovery.RecoverShards(logs, e.lookupSegment, e.retryIO,
-			recovery.Config{Parallelism: par})
+		st, err := redo.Finish(e.lookupSegment, e.retryIO)
 		if err != nil {
 			e.closeFiles()
 			// The partial stats say how far redo got before the failure.
@@ -587,26 +582,38 @@ func shardLogPath(logPath string, k int) string {
 	return fmt.Sprintf("%s.shard%d", logPath, k)
 }
 
-// openShardLog opens shard k's log (k >= 1), creating it with the given
-// record-area size when it does not exist yet.
-func openShardLog(opts Options, k int, size int64) (*wal.Log, wal.Device, error) {
-	if opts.ShardLogDevice != nil {
-		dev, err := opts.ShardLogDevice(k)
-		if err != nil {
-			return nil, nil, err
+// openShardLog opens shard k's log, handing what its tail scan reads to
+// redo.  Shard 0 must exist; a later shard's log is created, with a record
+// area of size bytes, when it does not exist yet.
+func openShardLog(opts Options, k int, size int64, redo *recovery.Restart) (*wal.Log, wal.Device, error) {
+	dev := opts.LogDevice
+	if k > 0 {
+		dev = nil
+		if opts.ShardLogDevice != nil {
+			var err error
+			if dev, err = opts.ShardLogDevice(k); err != nil {
+				return nil, nil, err
+			}
 		}
-		l, err := wal.OpenDevice(dev)
+	}
+	if dev != nil {
+		l, err := redo.Open(k, dev)
 		return l, dev, err
 	}
 	path := shardLogPath(opts.LogPath, k)
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if err := wal.Create(path, size); err != nil {
-			return nil, nil, err
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if k > 0 && os.IsNotExist(err) {
+		if err = wal.Create(path, size); err == nil {
+			f, err = os.OpenFile(path, os.O_RDWR, 0)
 		}
-	} else if err != nil {
-		return nil, nil, err
 	}
-	l, err := wal.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("rvm: open log: %w", err)
+	}
+	l, err := redo.Open(k, f)
+	if err != nil {
+		f.Close()
+	}
 	return l, nil, err
 }
 

@@ -103,7 +103,7 @@ func (sn Snapshot) WritePrometheus(w io.Writer) error {
 	p.counter("rvm_pages_written_total", "Pages written to segments by truncation and unmap.", s.PagesWritten)
 	p.counter("rvm_recoveries_total", "Recoveries performed at open.", s.Recoveries)
 	p.counter("rvm_recovery_applied_bytes_total", "Bytes applied to segments during recovery.", s.RecoveredBytes)
-	p.counter("rvm_recovery_scanned_bytes_total", "Log bytes visited by recovery analysis.", s.RecoveryScanned)
+	p.counter("rvm_recovery_scanned_bytes_total", "Log bytes recovery had to consider (stable LSN to tail).", s.RecoveryScanned)
 	p.counter("rvm_recovery_discarded_prepares_total", "Orphaned cross-shard prepares discarded by recovery.", s.DiscardedPrepares)
 	p.counter("rvm_io_retries_total", "Transient storage faults retried.", s.Retries)
 	p.counter("rvm_checkpoints_total", "Fuzzy checkpoints completed.", s.Checkpoints)
@@ -152,9 +152,9 @@ func (sn Snapshot) WritePrometheus(w io.Writer) error {
 	p.summary("rvm_trunc_pause_ns", "Forward-processing pause per truncation.", m.TruncPauseNs)
 	p.summary("rvm_spool_flush_ns", "Spool flush latency.", m.SpoolFlushNs)
 	p.summary("rvm_checkpoint_ns", "Fuzzy checkpoint latency.", m.CheckpointNs)
-	p.summary("rvm_open_scan_ns", "Tail-finding scan of one log at Open.", m.OpenScanNs)
-	p.summary("rvm_recovery_scan_ns", "Recovery analysis phase duration.", m.RecoveryScanNs)
-	p.summary("rvm_recovery_build_ns", "Recovery decode+build phase duration.", m.RecoveryBuildNs)
+	p.summary("rvm_open_scan_ns", "Scan of one log at Open: finds the tail and feeds the redo builders.", m.OpenScanNs)
+	p.summary("rvm_recovery_scan_ns", "Recovery scanning after Open (second scans from a prepare or a checkpoint).", m.RecoveryScanNs)
+	p.summary("rvm_recovery_build_ns", "Recovery wait for the redo-tree builders after the scans.", m.RecoveryBuildNs)
 	p.summary("rvm_recovery_apply_ns", "Recovery apply phase duration.", m.RecoveryApplyNs)
 
 	// Commit critical-path phases: one family, labelled by phase, so a
@@ -177,7 +177,7 @@ func (sn Snapshot) WritePrometheus(w io.Writer) error {
 	}
 
 	// Recovery progress gauges (climb while a restart replays the log).
-	p.gauge("rvm_recovery_scan_bytes", "Log bytes scanned by recovery analysis.", m.RecoveryScanBytes)
+	p.gauge("rvm_recovery_scan_bytes", "Log bytes recovery has to consider (stable LSN to tail).", m.RecoveryScanBytes)
 	p.gauge("rvm_recovery_apply_bytes", "Modification bytes applied by recovery so far.", m.RecoveryApplyBytes)
 	p.gauge("rvm_recovery_replayed_records", "Log records replayed by recovery so far.", m.RecoveryReplayed)
 

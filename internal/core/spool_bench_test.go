@@ -15,6 +15,7 @@ type tpcaShape struct {
 	acct, audit, control *Region
 	rng                  *rand.Rand
 	slot                 int64
+	localized            bool // draw accounts as the paper's TPC-A does, not uniformly
 }
 
 const (
@@ -52,12 +53,27 @@ func newTPCAShape(tb testing.TB, opts Options) *tpcaShape {
 
 // commit runs one transfer on a uniformly drawn account and commits it
 // no-flush.
-func (s *tpcaShape) commit(tb testing.TB) {
+func (s *tpcaShape) commit(tb testing.TB) { s.commitMode(tb, NoFlush) }
+
+func (s *tpcaShape) commitMode(tb testing.TB, mode CommitMode) {
 	tx, err := s.eng.Begin(Restore)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	acct := s.rng.Int63n(pageBytes(tpcaAcctPages)/128) * 128
+	if s.localized {
+		// 70 % of the transfers on 5 % of the account pages, 25 % on another
+		// 15 %, 5 % on the rest (§7.1.1).
+		const hot, warm = tpcaAcctPages * 5 / 100, tpcaAcctPages * 15 / 100
+		page := hot + warm + s.rng.Intn(tpcaAcctPages-hot-warm)
+		switch r := s.rng.Intn(100); {
+		case r < 70:
+			page = s.rng.Intn(hot)
+		case r < 95:
+			page = hot + s.rng.Intn(warm)
+		}
+		acct = pageBytes(page) + acct%pageBytes(1)
+	}
 	audit := s.slot % (pageBytes(tpcaAuditPages) / 64) * 64
 	s.slot++
 	for _, sr := range []struct {
@@ -69,7 +85,7 @@ func (s *tpcaShape) commit(tb testing.TB) {
 		}
 		sr.r.Data()[sr.off]++
 	}
-	if err := tx.Commit(NoFlush); err != nil {
+	if err := tx.Commit(mode); err != nil {
 		tb.Fatal(err)
 	}
 }

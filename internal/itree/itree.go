@@ -1,13 +1,13 @@
 // Package itree implements an interval map over byte ranges.
 //
-// It is the data structure behind RVM's recovery trees: crash recovery scans
-// the write-ahead log from tail to head (newest committed transaction first)
-// and builds, for each external data segment, the set of latest committed
-// bytes for every modified range.  Because the scan runs newest-first, an
-// already-covered byte must never be overwritten by an older record; the
-// KeepExisting policy encodes exactly that rule.  The OverwriteExisting
-// policy supports the equivalent oldest-first replay used by epoch
-// truncation, and tests cross-check the two directions against each other.
+// It is the data structure behind RVM's recovery trees: crash recovery and
+// epoch truncation read the write-ahead log from head to tail and build, for
+// each external data segment, the set of latest committed bytes for every
+// modified range.  The read runs oldest-first, so a later record's bytes
+// replace what an earlier one left: the OverwriteExisting policy.  The
+// KeepExisting policy encodes the rule of the paper's newest-first read —
+// an already-covered byte is never overwritten by an older record — and
+// tests cross-check the two directions against each other.
 //
 // Bytes are bucketed by 4 KiB page.  A page holds a short sorted list of
 // disjoint chunks; an insert copies only the bytes that fill a gap, writes

@@ -31,9 +31,9 @@ type Metrics struct {
 	TruncPause    Hist // time truncation held the engine lock against forward processing
 	SpoolFlush    Hist // spool drain + force latency (explicit or implicit Flush)
 	Checkpoint    Hist // fuzzy checkpoint duration (page write-out + record force)
-	OpenScan      Hist // tail-finding scan of one log at Open
-	RecoveryScan  Hist // recovery backward analysis duration
-	RecoveryBuild Hist // recovery record decode + redo-tree build duration (per shard)
+	OpenScan      Hist // one log's scan at Open: finds the tail and feeds recovery's builders as it reads
+	RecoveryScan  Hist // what the Open scans left for second scans (next to nothing when nothing was), or the scan of a log already open
+	RecoveryBuild Hist // waiting for the redo-tree builders once the scans are done; most building overlaps a scan
 	RecoveryApply Hist // recovery segment replay duration (per shard)
 
 	// Commit-phase histograms: where one flush-mode commit's latency
@@ -59,7 +59,7 @@ type Metrics struct {
 
 	// Recovery-progress gauges: live levels while a restart replays the
 	// log, so a multi-GB recovery is observable as it runs.
-	RecoveryScanBytes  Gauge // log bytes scanned by backward analysis
+	RecoveryScanBytes  Gauge // log bytes redo has to consider: from the stable LSN to the tail
 	RecoveryApplyBytes Gauge // modification bytes applied to segments so far
 	RecoveryReplayed   Gauge // log records replayed so far
 
@@ -131,21 +131,21 @@ func (m *Metrics) ObserveCheckpoint(ns int64) {
 	}
 }
 
-// ObserveOpenScan records one log's tail-finding scan at Open.
+// ObserveOpenScan records one log's scan at Open.
 func (m *Metrics) ObserveOpenScan(ns int64) {
 	if m != nil {
 		m.OpenScan.Observe(ns)
 	}
 }
 
-// ObserveRecoveryScan records one recovery analysis duration.
+// ObserveRecoveryScan records one recovery's scanning after Open's.
 func (m *Metrics) ObserveRecoveryScan(ns int64) {
 	if m != nil {
 		m.RecoveryScan.Observe(ns)
 	}
 }
 
-// ObserveRecoveryBuild records one shard's decode + tree-build duration.
+// ObserveRecoveryBuild records one recovery's wait for its tree builders.
 func (m *Metrics) ObserveRecoveryBuild(ns int64) {
 	if m != nil {
 		m.RecoveryBuild.Observe(ns)

@@ -1,7 +1,7 @@
 // Package recovery implements RVM crash recovery and the epoch-truncation
 // reuse of it (paper §5.1.2).
 //
-// Crash recovery reads the log from tail to head, constructing in-memory
+// Crash recovery reads the log once, head to tail, constructing in-memory
 // trees of the latest committed changes for the data segments encountered
 // in the log.  The trees are then traversed, applying their modifications
 // to the corresponding external data segments.  Finally the log's head and
@@ -10,17 +10,17 @@
 // syncing the segments — are complete: a crash during recovery simply
 // replays it.
 //
-// Beyond the paper's single-threaded scan, recovery here is split into an
-// analysis pass and an apply pass so restart time stays bounded on large
-// logs.  Analysis walks the reverse displacements tail-to-head collecting
-// record references, stopping at the newest checkpoint record's stable
-// sequence number (every older record is already reflected in its
-// segment).  The apply pass then decodes records and replays interval
-// trees across a worker pool.  Redo order only matters within a page: the
-// trees are sharded by 64KB-aligned segment stripes, each stripe's bytes
-// are inserted newest-first into exactly one shard and applied by exactly
-// one worker, so intra-page ordering is preserved while disjoint stripes
-// replay concurrently.
+// The read is the scan that finds the log's tail (or Log.Scan on a log
+// already open): each window of validated records goes straight to a pool
+// of tree builders, which insert oldest-first and let a later value
+// overwrite an earlier one while the scan reads on.  Redo order only matters
+// within a page: the trees are sharded by 64KB-aligned segment stripes, each
+// stripe's bytes are inserted in log order into exactly one shard and
+// applied by exactly one worker, so intra-page ordering is preserved while
+// disjoint stripes build and replay concurrently.  Building from the scan
+// stops at the first record whose effect it cannot decide yet — a
+// cross-shard prepare or a checkpoint record — and a second scan from there,
+// or from the checkpoint's stable LSN, builds the rest (Restart).
 //
 // Epoch truncation applies the same procedure to an initial portion of the
 // log while forward processing continues in the rest: records are collected
@@ -30,7 +30,6 @@ package recovery
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,8 +61,8 @@ func retried(retry Retry, op func() error) error {
 
 // Config tunes a recovery pass.
 type Config struct {
-	// Parallelism is the number of workers decoding, building, and
-	// applying redo trees.  Values below 1 mean serial.
+	// Parallelism is the number of workers building and applying redo
+	// trees, shared out among the logs.  Values below 1 mean one.
 	Parallelism int
 }
 
@@ -77,7 +76,7 @@ type Stats struct {
 	RecordBytes   uint64 // bytes carried by the processed records
 	Segments      int    // distinct segments written
 	WritesMerged  int    // maximal intervals written (tree writes)
-	ScannedBytes  uint64 // log bytes visited by the analysis pass
+	ScannedBytes  uint64 // log bytes from the stable LSN (else the head) to the tail
 	CheckpointSeq uint64 // stable seq of shard 0's bounding checkpoint (0: none)
 	// DiscardedPrepares counts cross-shard prepare records whose global
 	// commit-ID no shard's commit mark confirmed: the transaction never
@@ -86,40 +85,73 @@ type Stats struct {
 	DiscardedPrepares int
 }
 
-// treeSet accumulates ranges into per-segment trees under a policy.
+// treeSet accumulates ranges into per-segment trees, oldest first: a later
+// range overwrites what an earlier one left.
 type treeSet map[uint64]*itree.Tree
 
-func (ts treeSet) add(r wal.Range, p itree.Policy) {
+func (ts treeSet) add(r wal.Range) {
 	tr := ts[r.Seg]
 	if tr == nil {
 		tr = &itree.Tree{}
 		ts[r.Seg] = tr
 	}
-	tr.Insert(r.Off, r.Data, p)
+	tr.Insert(r.Off, r.Data, itree.OverwriteExisting)
 }
 
-// apply writes every tree interval to its segment and syncs the touched
-// segments.  Stats accumulate per interval written, not per tree, so a
-// failure mid-segment still reports the work done up to it.
-func (ts treeSet) apply(lookup SegmentLookup, retry Retry, st *Stats) error {
-	for segID, tr := range ts {
-		seg, err := lookup(segID)
-		if err != nil {
-			return fmt.Errorf("recovery: segment %d referenced by log: %w", segID, err)
+// applyTrees writes every tree interval of sets to its segment, par trees
+// at a time, and then syncs the touched segments.  Stats accumulate per
+// interval written, not per tree, so a failure mid-segment still reports
+// the work done up to it.  met, nil outside crash recovery, shows progress.
+func applyTrees(sets []treeSet, lookup SegmentLookup, retry Retry, par int, met *obs.Metrics, st *Stats) error {
+	type task struct {
+		seg  *segment.Segment
+		tree *itree.Tree
+	}
+	// lookup need not be safe for concurrent use: resolve every segment
+	// before fanning out.
+	segs := make(map[uint64]*segment.Segment)
+	var tasks []task
+	for _, ts := range sets {
+		for id, t := range ts {
+			if segs[id] == nil {
+				seg, err := lookup(id)
+				if err != nil {
+					return fmt.Errorf("recovery: segment %d referenced by log: %w", id, err)
+				}
+				segs[id] = seg
+			}
+			tasks = append(tasks, task{segs[id], t})
 		}
-		err = tr.Walk(func(iv itree.Interval) error {
-			if err := retried(retry, func() error {
-				return seg.WriteAt(iv.Data, int64(iv.Off))
-			}); err != nil {
+	}
+	var treeBytes, writesMerged atomic.Uint64
+	err := runWorkers(par, func(w int) error {
+		for i := w; i < len(tasks); i += par {
+			seg := tasks[i].seg
+			err := tasks[i].tree.Walk(func(iv itree.Interval) error {
+				if err := retried(retry, func() error {
+					return seg.WriteAt(iv.Data, int64(iv.Off))
+				}); err != nil {
+					return err
+				}
+				writesMerged.Add(1)
+				treeBytes.Add(uint64(len(iv.Data)))
+				met.AddRecoveryApplyBytes(int64(len(iv.Data)))
+				return nil
+			})
+			if err != nil {
 				return err
 			}
-			st.WritesMerged++
-			st.TreeBytes += uint64(len(iv.Data))
-			return nil
-		})
-		if err != nil {
-			return err
 		}
+		return nil
+	})
+	// Fold partial progress in before checking the error, so poisoning
+	// reports how far redo got.
+	st.WritesMerged += int(writesMerged.Load())
+	st.TreeBytes += treeBytes.Load()
+	if err != nil {
+		return err
+	}
+	for _, seg := range segs {
 		if err := retried(retry, seg.Sync); err != nil {
 			return err
 		}
@@ -132,16 +164,6 @@ func (ts treeSet) apply(lookup SegmentLookup, retry Retry, st *Stats) error {
 // stripe of a segment belongs to exactly one shard, so any page's bytes
 // are built into and applied from exactly one tree by one worker.
 const stripeShift = 16
-
-// batchBytes bounds the encoded log bytes decoded and held in memory at
-// once during the build pass; trees copy the bytes they keep, so each batch
-// decodes into the read windows and records of the one before, and a
-// restart allocates a batch of them, not the log.  A restart starts from
-// an empty heap, so what it allocates decides how many collector cycles
-// fall into it: with the whole log held they were close to half of a
-// 15 MB replay and most of its run-to-run spread (EXPERIMENTS.md, PR 14).
-// A variable so that tests can cut a small log into many batches.
-var batchBytes int64 = 4 << 20
 
 // shardOf maps a (segment, offset) stripe to a shard index.
 func shardOf(seg, off uint64, par int) int {
@@ -176,123 +198,308 @@ func runWorkers(n int, fn func(w int) error) error {
 	return nil
 }
 
-// Recover replays the live log onto the external data segments serially
-// and resets the log to empty.  It must run before any region is mapped.
-// retry (optional) wraps each storage operation.
-func Recover(l *wal.Log, lookup SegmentLookup, retry Retry) (Stats, error) {
-	return RecoverParallel(l, lookup, retry, Config{})
+// inlineBytes is how much of a log its feeder builds itself before workers
+// take over.  Handing a window to another goroutine gains when a second
+// processor is free at that moment and loses when it is not; over a few
+// megabytes that varies a restart's length by more than it can shorten it
+// (EXPERIMENTS.md, PR 22).  A variable for the tests.
+var inlineBytes int64 = 4 << 20
+
+// builder builds one log's redo trees, stripe-sharded into one set per apply
+// worker, in the order its windows are fed: a later value overwrites an
+// earlier one, so feeding in log order is all newest-wins takes.  The first
+// inlineBytes of records are built by the goroutine that feeds them; past
+// that, workers build while the log is still being read, every one walking
+// every window and inserting the stripes of the sets it owns.
+type builder struct {
+	sets   []treeSet
+	work   []chan *wal.Window // worker w's queue; nil while there are no workers
+	wg     sync.WaitGroup
+	inline int64 // record bytes the feeder built
+	// What the windows carried, tallied by whoever is worker 0; read after stop.
+	ranges      int
+	recordBytes uint64
 }
 
-// RecoverParallel is Recover with a worker pool: analysis collects record
-// references (bounded by the newest checkpoint), then cfg.Parallelism
-// workers decode records, build stripe-sharded redo trees, and replay them
-// concurrently.  On error the returned Stats hold partial progress.
-func RecoverParallel(l *wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
-	return RecoverShards([]*wal.Log{l}, lookup, retry, cfg)
+func newBuilder(par int) *builder {
+	b := &builder{sets: make([]treeSet, par)}
+	for s := range b.sets {
+		b.sets[s] = make(treeSet)
+	}
+	return b
 }
 
-// RecoverShards replays a sharded engine's logs in parallel.  Analysis
-// runs once per shard, the commit marks of every shard are unioned into
-// one committed set, and then each shard replays concurrently — a
-// prepare record applies only when its global commit-ID is in the union
-// (the transaction reached its commit point on some shard before the
-// crash), and is discarded otherwise.  The shards' heads advance only
-// after every shard has applied and synced, so a crash mid-recovery
-// replays all of it.  Distinct shards never log the same page (a region
-// lives on exactly one shard for the life of a run), so cross-shard
-// apply order is free.  On error the returned Stats hold partial
-// progress summed across shards.
-func RecoverShards(logs []*wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
-	par := cfg.Parallelism
-	if par < 1 {
-		par = 1
+// insert adds the window's ranges, cut at stripe boundaries, to the sets
+// worker w of n owns — set s where s%n == w — and releases the window.
+func (b *builder) insert(win *wal.Window, w, n int) {
+	par := len(b.sets)
+	for i := range win.Recs {
+		for _, r := range win.Recs[i].Ranges {
+			if w == 0 {
+				b.ranges++
+				b.recordBytes += uint64(len(r.Data))
+			}
+			off, data := r.Off, r.Data
+			for len(data) > 0 {
+				m := uint64(len(data))
+				if end := (off>>stripeShift + 1) << stripeShift; off+m > end {
+					m = end - off
+				}
+				if s := shardOf(r.Seg, off, par); s%n == w {
+					b.sets[s].add(wal.Range{Seg: r.Seg, Off: off, Data: data[:m]})
+				}
+				off += m
+				data = data[m:]
+			}
+		}
 	}
-	perShard := par / len(logs)
-	if perShard < 1 {
-		perShard = 1
+	win.Release()
+}
+
+// feed builds from the window's records, the next in log order: itself, or
+// once there are workers by queueing it for each; the last one through
+// releases it.
+func (b *builder) feed(win *wal.Window) {
+	if b.work == nil {
+		if b.inline < inlineBytes {
+			for i := range win.Recs {
+				b.inline += win.Recs[i].Len
+			}
+			b.insert(win, 0, 1)
+			return
+		}
+		// The feeder is reading the log on a processor of its own, so the
+		// workers are one fewer than the sets.
+		n := max(len(b.sets)-1, 1)
+		b.work = make([]chan *wal.Window, n)
+		for w := range b.work {
+			// As many slots as a scan has windows out, so that the scan waits
+			// for a window to come back, never on a queue.
+			c := make(chan *wal.Window, wal.ScanWindows)
+			b.work[w] = c
+			b.wg.Add(1)
+			go func() {
+				defer b.wg.Done()
+				for win := range c {
+					b.insert(win, w, n)
+				}
+			}()
+		}
 	}
-	var st Stats
-	tr := logs[0].Tracer()
-	met := logs[0].Metrics()
-	// The whole replay runs under the recovery stall gate: restart hangs
-	// (a dead segment device, a wedged read) surface through the watchdog
-	// like any other stalled operation.
+	win.Share(len(b.work))
+	for _, c := range b.work {
+		c <- win
+	}
+}
+
+// stop ends the workers once they have walked everything fed.  Idempotent.
+func (b *builder) stop() {
+	for _, c := range b.work {
+		close(c)
+	}
+	b.work = nil
+	b.wg.Wait()
+}
+
+// Restart is one crash recovery, of one log or of a sharded engine's logs
+// together.  Open opens log i and builds redo trees from what its tail scan
+// reads, as it reads it; Finish then builds what the scans had to leave for
+// later, applies the trees and empties the logs.  Abort releases a restart
+// that will not finish.
+type Restart struct {
+	par    int // stripe sets, and apply workers, per log
+	met    *obs.Metrics
+	scanNs int64 // spent scanning logs that were already open
+	shards []restartShard
+}
+
+// restartShard is one log's part of a Restart.
+type restartShard struct {
+	log       *wal.Log
+	an        wal.Analysis
+	b         *builder
+	deferFrom uint64 // seq of the first record not built from the scan; 0: none
+	records   int    // transaction records built from the scan
+}
+
+// NewRestart starts the recovery of nlogs logs.  met (nil-safe) is the
+// registry the logs get too; it sees the replayed-record gauge climb while
+// they are scanned.
+func NewRestart(nlogs int, cfg Config, met *obs.Metrics) *Restart {
+	r := &Restart{par: max(cfg.Parallelism/nlogs, 1), met: met, shards: make([]restartShard, nlogs)}
+	for i := range r.shards {
+		r.shards[i].b = newBuilder(r.par)
+	}
+	return r
+}
+
+// Open opens log i of the restart on dev.
+func (r *Restart) Open(i int, dev wal.Device) (*wal.Log, error) {
+	sh := &r.shards[i]
+	var err error
+	sh.log, sh.an, err = wal.OpenScan(dev, r.consumer(i))
+	return sh.log, err
+}
+
+// consumer returns the function log i's scan hands its windows to.  It
+// builds from every record up to the first one whose effect the scan cannot
+// decide: a cross-shard prepare applies only if some shard — maybe one not
+// scanned yet — holds its commit mark, and a checkpoint record means the
+// trees built so far reach below what redo has to consider.  What follows
+// is left in the log for a second scan (remainder).
+func (r *Restart) consumer(i int) func(*wal.Window) error {
+	sh := &r.shards[i]
+	return func(w *wal.Window) error {
+		n, txs := 0, 0
+		for n < len(w.Recs) && sh.deferFrom == 0 {
+			switch w.Recs[n].Type {
+			case wal.RecPrepare, wal.RecCheckpoint:
+				sh.deferFrom = w.Recs[n].Seq
+				continue
+			case wal.RecTx:
+				txs++
+			}
+			n++
+		}
+		if w.Recs = w.Recs[:n]; n == 0 {
+			w.Release()
+			return nil
+		}
+		sh.records += txs
+		r.met.AddRecoveryReplayed(int64(txs))
+		sh.b.feed(w)
+		return nil
+	}
+}
+
+// Abort stops the restart's workers.  Idempotent, and a no-op after Finish.
+func (r *Restart) Abort() {
+	for i := range r.shards {
+		r.shards[i].b.stop()
+	}
+}
+
+// remainder builds what the shard's scan left for later, now that every
+// shard's commit marks are known: a second scan, from the first record the
+// first one could not decide to the tail.
+func (r *Restart) remainder(i int, committed map[uint64]bool, st *Stats) error {
+	sh, met := &r.shards[i], r.met
+	from := sh.deferFrom
+	if _, head := sh.log.Head(); sh.an.Stable > head {
+		// A checkpoint bounds redo at its stable LSN: every older record
+		// is reflected in its segment.  The scan could not know while it
+		// built from the head, so those trees go and redo starts over at
+		// the bound — which is what keeps a checkpointed restart bounded
+		// by the log written since, not by the live log.  A stable LSN the
+		// head has since moved past bounds nothing: the trees stand.
+		sh.b.stop()
+		sh.b = newBuilder(r.par)
+		met.AddRecoveryReplayed(-int64(sh.records))
+		sh.records, from = 0, sh.an.Stable
+	}
+	st.Records = sh.records
+	if from == 0 {
+		return nil
+	}
+	if _, next := sh.log.Tail(); from > next {
+		from = next // a stable LSN past the tail leaves nothing to redo
+	}
+	_, err := sh.log.Scan(sh.an.Pos(from), from, func(w *wal.Window) error {
+		n := st.Records
+		for i := range w.Recs {
+			// Transaction records always replay; prepares only with a
+			// confirming commit mark on some shard.
+			switch rec := &w.Recs[i]; {
+			case rec.Type == wal.RecTx, rec.Type == wal.RecPrepare && committed[rec.TID]:
+				st.Records++
+			case rec.Type == wal.RecPrepare:
+				st.DiscardedPrepares++
+				rec.Ranges = rec.Ranges[:0]
+			}
+		}
+		met.AddRecoveryReplayed(int64(st.Records - n))
+		sh.b.feed(w)
+		return nil
+	})
+	return err
+}
+
+// Finish completes the restart once every log is scanned: a prepare record
+// applies only when its global commit-ID is in the union of all shards'
+// commit marks (the transaction reached its commit point on some shard
+// before the crash) and is discarded otherwise; the trees are applied and
+// the segments synced; and only then do the logs' heads advance, so a
+// crash mid-recovery replays all of it.  Distinct shards never log the
+// same page (a region lives on exactly one shard for the life of a run),
+// so cross-shard apply order is free.  retry (optional) wraps each storage
+// operation.  On error the returned Stats hold partial progress.
+//
+// The phases it reports are consecutive stretches of wall time: scan (the
+// second scans, next to nothing when the first built everything; plus any
+// scan of a log already open), build (waiting for the workers), apply.
+func (r *Restart) Finish(lookup SegmentLookup, retry Retry) (st Stats, err error) {
+	defer r.Abort()
+	tr, met := r.shards[0].log.Tracer(), r.met
+	// The replay runs under the recovery stall gate: restart hangs (a dead
+	// segment device, a wedged read) surface through the watchdog like any
+	// other stalled operation.
 	met.OpEnter(obs.StallRecovery)
 	defer met.OpExit(obs.StallRecovery)
 
-	scanStart := tr.Now()
-	t0 := time.Now()
-	analyses := make([]wal.Analysis, len(logs))
-	err := runWorkers(len(logs), func(w int) error {
-		an, err := logs[w].AnalyzeBackward()
-		analyses[w] = an
-		return err
-	})
-	if err != nil {
-		return st, err
-	}
+	scanStart, t0 := tr.Now(), time.Now()
 	// The commit point of a cross-shard transaction is the first durable
 	// commit mark on any shard, so the committed set is the union.
 	committed := make(map[uint64]bool)
 	var scanned int64
-	for _, an := range analyses {
-		scanned += an.Scanned
-		for _, tid := range an.Committed {
+	for i := range r.shards {
+		scanned += r.shards[i].an.Scanned
+		for _, tid := range r.shards[i].an.Committed {
 			committed[tid] = true
 		}
 	}
 	st.ScannedBytes = uint64(scanned)
 	met.SetRecoveryScanBytes(scanned)
-	st.CheckpointSeq = analyses[0].Stable
-
-	// Filter each shard's refs: transaction records always replay;
-	// prepares replay only with a confirming commit mark.
-	shardRefs := make([][]wal.RecordRef, len(logs))
-	for i, an := range analyses {
-		refs := an.Refs[:0]
-		for _, ref := range an.Refs {
-			if ref.Type == wal.RecPrepare && !committed[ref.TID] {
-				st.DiscardedPrepares++
-				continue
-			}
-			refs = append(refs, ref)
-		}
-		shardRefs[i] = refs
-		st.Records += len(refs)
-	}
-
-	// Replay every shard concurrently.  lookup is not safe for concurrent
-	// use, so shard replays share it behind a mutex; segment writes from
-	// different shards touch disjoint byte ranges by construction.
-	var lookupMu sync.Mutex
-	locked := func(segID uint64) (*segment.Segment, error) {
-		lookupMu.Lock()
-		defer lookupMu.Unlock()
-		return lookup(segID)
-	}
-	scanDur := time.Since(t0).Nanoseconds()
-	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(st.Records), st.CheckpointSeq)
-	met.ObserveRecoveryScan(scanDur)
-	sub := make([]Stats, len(logs))
-	err = runWorkers(len(logs), func(w int) error {
-		return replayShard(logs[w], shardRefs[w], locked, retry, perShard, met, &sub[w])
+	st.CheckpointSeq = r.shards[0].an.Stable
+	sub := make([]Stats, len(r.shards))
+	err = runWorkers(len(r.shards), func(i int) error {
+		return r.remainder(i, committed, &sub[i])
 	})
 	for i := range sub {
-		st.Ranges += sub[i].Ranges
-		st.RecordBytes += sub[i].RecordBytes
-		st.TreeBytes += sub[i].TreeBytes
-		st.WritesMerged += sub[i].WritesMerged
-		st.Segments += sub[i].Segments
+		st.Records += sub[i].Records
+		st.DiscardedPrepares += sub[i].DiscardedPrepares
 	}
 	if err != nil {
 		return st, err
 	}
+	t1 := time.Now()
+	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(st.Records), st.CheckpointSeq)
+	met.ObserveRecoveryScan(r.scanNs + t1.Sub(t0).Nanoseconds())
+
+	var sets []treeSet
+	for i := range r.shards {
+		b := r.shards[i].b
+		b.stop()
+		sets = append(sets, b.sets...)
+		st.Ranges += b.ranges
+		st.RecordBytes += b.recordBytes
+	}
+	applyStart, t2 := tr.Now(), time.Now()
+	met.ObserveRecoveryBuild(t2.Sub(t1).Nanoseconds())
+
+	par := r.par * len(r.shards)
+	err = applyTrees(sets, lookup, retry, par, met, &st)
+	if err != nil {
+		return st, err
+	}
+	tr.Span(obs.EvRecovApply, applyStart, 0, st.TreeBytes, uint64(par))
+	met.ObserveRecoveryApply(time.Since(t2).Nanoseconds())
 
 	// All recovery actions are complete; only now mark the logs empty.
 	// Records older than a shard checkpoint's stable seq were skipped
 	// above precisely because they are already in the segments, so each
 	// whole live region — prefix included — is safe to discard.
-	for _, l := range logs {
+	for i := range r.shards {
+		l := r.shards[i].log
 		pos, seq := l.Tail()
 		if err := retried(retry, func() error { return l.SetHead(pos, seq) }); err != nil {
 			return st, err
@@ -301,147 +508,38 @@ func RecoverShards(logs []*wal.Log, lookup SegmentLookup, retry Retry, cfg Confi
 	return st, nil
 }
 
-// replayShard decodes one shard's filtered refs, builds stripe-sharded
-// redo trees, and applies them to the segments with par workers.
-func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry Retry, par int, met *obs.Metrics, st *Stats) error {
-	tr := l.Tracer()
-	tb := time.Now()
-	shards := make([]treeSet, par)
-	readers := make([]*wal.Reader, par)
-	for i := range shards {
-		shards[i] = make(treeSet)
-		rd, err := l.NewReader()
-		if err != nil {
-			return err
-		}
-		readers[i] = rd
-	}
+// Recover replays the live log onto the external data segments with one
+// build worker and resets the log to empty.  It must run before any region
+// is mapped.  retry (optional) wraps each storage operation.
+func Recover(l *wal.Log, lookup SegmentLookup, retry Retry) (Stats, error) {
+	return RecoverParallel(l, lookup, retry, Config{})
+}
 
-	// Decode and build in batches: refs are newest-first, and within a
-	// shard inserts stay newest-first with KeepExisting, so the earliest
-	// insert of a byte — the newest value — wins across batches too.
-	var recs []wal.Record
-	for lo := 0; lo < len(refs); {
-		hi := lo
-		var enc int64
-		for hi < len(refs) && (hi == lo || enc+refs[hi].Len <= batchBytes) {
-			enc += refs[hi].Len
-			hi++
-		}
-		// Each worker decodes one contiguous run of the batch through its
-		// own reader, so its device reads are sequential chunks.
-		recs = slices.Grow(recs[:0], hi-lo)[:hi-lo]
-		per := (hi - lo + par - 1) / par
-		err := runWorkers(par, func(w int) error {
-			i, j := min(w*per, len(recs)), min((w+1)*per, len(recs))
-			return readers[w].ReadRecords(refs[lo+i:lo+j], recs[i:j])
-		})
-		if err != nil {
-			return err
-		}
-		for i := range recs {
-			st.Ranges += len(recs[i].Ranges)
-			for _, r := range recs[i].Ranges {
-				st.RecordBytes += uint64(len(r.Data))
-			}
-		}
-		// Live progress: a scraper watching a long restart sees the
-		// replayed-record gauge climb batch by batch.
-		met.AddRecoveryReplayed(int64(hi - lo))
-		err = runWorkers(par, func(w int) error {
-			for i := range recs {
-				for _, r := range recs[i].Ranges {
-					off, data := r.Off, r.Data
-					for len(data) > 0 {
-						n := uint64(len(data))
-						if end := (off>>stripeShift + 1) << stripeShift; off+n > end {
-							n = end - off
-						}
-						if par == 1 || shardOf(r.Seg, off, par) == w {
-							shards[w].add(wal.Range{Seg: r.Seg, Off: off, Data: data[:n]}, itree.KeepExisting)
-						}
-						off += n
-						data = data[n:]
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		lo = hi
-	}
-	met.ObserveRecoveryBuild(time.Since(tb).Nanoseconds())
+// RecoverParallel is Recover with cfg.Parallelism workers building and
+// replaying stripe-sharded redo trees.  On error the returned Stats hold
+// partial progress.
+func RecoverParallel(l *wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
+	return RecoverShards([]*wal.Log{l}, lookup, retry, cfg)
+}
 
-	applyStart := tr.Now()
-	ta := time.Now()
-	// Resolve every referenced segment before fanning out apply workers.
-	segs := make(map[uint64]*segment.Segment)
-	for _, ts := range shards {
-		for id := range ts {
-			if _, ok := segs[id]; ok {
-				continue
-			}
-			seg, err := lookup(id)
-			if err != nil {
-				return fmt.Errorf("recovery: segment %d referenced by log: %w", id, err)
-			}
-			segs[id] = seg
-		}
-	}
-	type applyTask struct {
-		seg  *segment.Segment
-		tree *itree.Tree
-	}
-	var tasks []applyTask
-	for _, ts := range shards {
-		for id, t := range ts {
-			tasks = append(tasks, applyTask{segs[id], t})
-		}
-	}
-	var nextTask atomic.Int64
-	var treeBytes, writesMerged atomic.Uint64
-	err := runWorkers(par, func(int) error {
-		for {
-			i := int(nextTask.Add(1)) - 1
-			if i >= len(tasks) {
-				return nil
-			}
-			task := tasks[i]
-			err := task.tree.Walk(func(iv itree.Interval) error {
-				if err := retried(retry, func() error {
-					return task.seg.WriteAt(iv.Data, int64(iv.Off))
-				}); err != nil {
-					return err
-				}
-				writesMerged.Add(1)
-				treeBytes.Add(uint64(len(iv.Data)))
-				met.AddRecoveryApplyBytes(int64(len(iv.Data)))
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		}
-	})
-	// Fold partial progress in before checking the error, so poisoning
-	// reports how far redo got.
-	st.WritesMerged = int(writesMerged.Load())
-	st.TreeBytes = treeBytes.Load()
-	if err != nil {
+// RecoverShards is a Restart over logs that are already open: each is
+// scanned from its head to its known tail, all of them concurrently.
+func RecoverShards(logs []*wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
+	r := NewRestart(len(logs), cfg, logs[0].Metrics())
+	defer r.Abort()
+	t0 := time.Now()
+	err := runWorkers(len(logs), func(i int) (err error) {
+		sh := &r.shards[i]
+		sh.log = logs[i]
+		pos, seq := sh.log.Head()
+		sh.an, err = sh.log.Scan(pos, seq, r.consumer(i))
 		return err
+	})
+	if err != nil {
+		return Stats{}, err
 	}
-	for _, seg := range segs {
-		if err := retried(retry, seg.Sync); err != nil {
-			return err
-		}
-		st.Segments++
-	}
-	applyDur := time.Since(ta).Nanoseconds()
-	tr.Span(obs.EvRecovApply, applyStart, 0, st.TreeBytes, uint64(par))
-	met.ObserveRecoveryApply(applyDur)
-	return nil
+	r.scanNs = time.Since(t0).Nanoseconds()
+	return r.Finish(lookup, retry)
 }
 
 // CollectEpoch snapshots the log's current live records (the "truncation
@@ -461,7 +559,7 @@ func CollectEpoch(l *wal.Log) (*Epoch, error) {
 //
 // When the epoch contains cross-shard records, collection runs two
 // passes: the first notes which commit-IDs have a mark inside the epoch,
-// the second rebuilds the trees inserting plain transaction records and
+// the second builds the trees inserting plain transaction records and
 // confirmed prepares each at their own log position — per-page redo order
 // is exactly log order, because region locks serialize same-region
 // appends regardless of where a transaction's commit mark later lands.
@@ -472,89 +570,69 @@ func CollectEpoch(l *wal.Log) (*Epoch, error) {
 // common case — no prepares — stays single-pass.
 func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 	tailPos, tailSeq := l.Tail()
-	pos, seq := tailPos, tailSeq
-	if limit < seq {
-		// The epoch ends early: its head lands at the first record the
-		// scan delivers with Seq >= limit, discovered below.
-		seq = limit
-		pos = -1
+	// An epoch that ends early ends at the first record the scan delivers
+	// with Seq >= limit, discovered below; headPos < 0 until then.
+	e := &Epoch{headPos: tailPos, headSeq: tailSeq, log: l}
+	if limit < tailSeq {
+		e.headPos, e.headSeq = -1, limit
 	}
-	e := &Epoch{trees: make(treeSet), headPos: pos, headSeq: seq, log: l}
-	var committed map[uint64]bool
+	committed := make(map[uint64]bool)
 	prepares := false
 	stop := fmt.Errorf("stop")
-	err := l.ScanForward(func(rec *wal.Record) error {
-		if rec.Seq >= seq {
-			if e.headPos < 0 {
-				// First record past the bound: the epoch's new head.
-				// (Wrap records are skipped by the scan but are freed
-				// with the epoch since the head lands beyond them.)
-				e.headPos = rec.Pos
-				e.headSeq = rec.Seq
+	pass := func() error {
+		e.trees, e.stats = make(treeSet), Stats{}
+		err := l.ScanForward(func(rec *wal.Record) error {
+			if rec.Seq >= e.headSeq {
+				// A record at or past the bound (or appended between the
+				// Tail snapshot and the scan) belongs to the current
+				// epoch, not this truncation; the first one is the new
+				// head.  (Wrap records are skipped by the scan but are
+				// freed with the epoch since the head lands beyond them.)
+				if e.headPos < 0 {
+					e.headPos, e.headSeq = rec.Pos, rec.Seq
+				}
+				return stop
 			}
-			// A record at or past the bound (or appended between the
-			// Tail snapshot and the scan) belongs to the current epoch,
-			// not this truncation.
-			return stop
-		}
-		switch rec.Type {
-		case wal.RecTx:
+			switch rec.Type {
+			case wal.RecTx:
+			case wal.RecPrepare:
+				prepares = true
+				if !committed[rec.TID] {
+					e.stats.DiscardedPrepares++
+					return nil
+				}
+			case wal.RecCommit:
+				committed[rec.TID] = true
+				return nil
+			default:
+				return nil // checkpoint records carry no segment bytes
+			}
 			e.stats.Records++
 			for _, r := range rec.Ranges {
 				e.stats.Ranges++
 				e.stats.RecordBytes += uint64(len(r.Data))
-				e.trees.add(r, itree.OverwriteExisting)
+				e.trees.add(r)
 			}
-		case wal.RecPrepare:
-			prepares = true
-		case wal.RecCommit:
-			if committed == nil {
-				committed = make(map[uint64]bool)
-			}
-			committed[rec.TID] = true
-		}
-		return nil // checkpoint records carry no segment bytes
-	})
-	if err != nil && err != stop {
-		return nil, err
-	}
-	if e.headPos < 0 {
-		// No live record reached the bound: the epoch is the whole
-		// snapshot after all.
-		e.headPos, e.headSeq = tailPos, tailSeq
-	}
-	if !prepares {
-		return e, nil
-	}
-	// Second pass: cross-shard records are present, so rebuild with
-	// confirmed prepares merged in at their own positions.  The epoch's
-	// end is already fixed; records appended since the first pass fall
-	// outside it.
-	e.trees = make(treeSet)
-	e.stats = Stats{}
-	err = l.ScanForward(func(rec *wal.Record) error {
-		if rec.Seq >= e.headSeq {
-			return stop
-		}
-		switch rec.Type {
-		case wal.RecTx:
-		case wal.RecPrepare:
-			if !committed[rec.TID] {
-				e.stats.DiscardedPrepares++
-				return nil
-			}
-		default:
 			return nil
+		})
+		if err == stop {
+			err = nil
 		}
-		e.stats.Records++
-		for _, r := range rec.Ranges {
-			e.stats.Ranges++
-			e.stats.RecordBytes += uint64(len(r.Data))
-			e.trees.add(r, itree.OverwriteExisting)
+		if e.headPos < 0 {
+			// No live record reached the bound: the epoch is the whole
+			// snapshot after all.
+			e.headPos, e.headSeq = tailPos, tailSeq
 		}
-		return nil
-	})
-	if err != nil && err != stop {
+		return err
+	}
+	err := pass()
+	if err == nil && prepares {
+		// Cross-shard records are present and a mark follows its prepare:
+		// build again, now that the epoch's marks are known and its end is
+		// fixed (records appended since fall outside it).
+		err = pass()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -580,7 +658,7 @@ func (e *Epoch) EndSeq() uint64 { return e.headSeq }
 // advances the log head past the epoch.  retry (optional) wraps each
 // storage operation.
 func (e *Epoch) Apply(lookup SegmentLookup, retry Retry) (Stats, error) {
-	if err := e.trees.apply(lookup, retry, &e.stats); err != nil {
+	if err := applyTrees([]treeSet{e.trees}, lookup, retry, 1, nil, &e.stats); err != nil {
 		return e.stats, err
 	}
 	err := retried(retry, func() error {

@@ -13,8 +13,9 @@ import (
 )
 
 type fixture struct {
-	log  *wal.Log
-	segs map[uint64]*segment.Segment
+	log     *wal.Log
+	logPath string
+	segs    map[uint64]*segment.Segment
 }
 
 func newFixture(t *testing.T, nsegs int, segLen int64) *fixture {
@@ -34,7 +35,7 @@ func newFixtureLog(t *testing.T, nsegs int, segLen, logSize int64) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	f := &fixture{log: l, segs: map[uint64]*segment.Segment{}}
+	f := &fixture{log: l, logPath: logPath, segs: map[uint64]*segment.Segment{}}
 	for i := 1; i <= nsegs; i++ {
 		s, err := segment.Create(filepath.Join(dir, fmt.Sprintf("seg%d.rvm", i)), uint64(i), segLen)
 		if err != nil {

@@ -4,11 +4,52 @@ import (
 	"testing"
 )
 
-// seqs extracts the sequence numbers of a ref slice.
-func seqs(refs []RecordRef) []uint64 {
-	out := make([]uint64, len(refs))
-	for i, r := range refs {
-		out[i] = r.Seq
+// scanFrom collects, deep-copied, the records a Scan from (pos, seq) to the
+// tail delivers.
+func scanFrom(t *testing.T, l *Log, pos int64, seq uint64) ([]*Record, Analysis) {
+	t.Helper()
+	var recs []*Record
+	an, err := l.Scan(pos, seq, func(w *Window) error {
+		defer w.Release()
+		for i := range w.Recs {
+			recs = append(recs, cloneRecord(&w.Recs[i]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, an
+}
+
+// analyze scans l's live region and checks what every analysis promises:
+// it locates each live record, and the tail for a sequence number past them.
+func analyze(t *testing.T, l *Log) Analysis {
+	t.Helper()
+	recs, an := scanFrom(t, l, l.head, l.headSeq)
+	for _, r := range recs {
+		if pos := an.Pos(r.Seq); pos != r.Pos {
+			t.Fatalf("analysis puts seq %d at %d, the scan delivered it from %d", r.Seq, pos, r.Pos)
+		}
+	}
+	if pos, tail := an.Pos(l.nextSeq), l.tailPos(); pos != tail {
+		t.Fatalf("analysis puts the tail at %d, the log at %d", pos, tail)
+	}
+	return an
+}
+
+// redoSeqs returns the sequence numbers of what redo has to consider given
+// an analysis, oldest first: the transaction and prepare records a second
+// scan from the stable LSN delivers.
+func redoSeqs(t *testing.T, l *Log, an Analysis) []uint64 {
+	t.Helper()
+	from := max(an.Stable, l.headSeq)
+	recs, _ := scanFrom(t, l, an.Pos(from), from)
+	var out []uint64
+	for _, r := range recs {
+		if r.Type == RecTx || r.Type == RecPrepare {
+			out = append(out, r.Seq)
+		}
 	}
 	return out
 }
@@ -71,6 +112,9 @@ func TestCheckpointAppendScanRoundTrip(t *testing.T) {
 	check(collectForward(t, l2), "reopened")
 }
 
+// The TestAnalyzeBackward* cases predate the forward scanner (PR 22) and keep
+// their names; what they pin is its analysis: refs, the newest stable LSN,
+// and Scanned, the bytes from that LSN's record to the tail.
 func TestAnalyzeBackwardNoCheckpoint(t *testing.T) {
 	l, _ := newLog(t, 1<<16)
 	for i := 1; i <= 4; i++ {
@@ -78,18 +122,15 @@ func TestAnalyzeBackwardNoCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	an, err := l.AnalyzeBackward()
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := analyze(t, l)
 	if an.Stable != 0 {
 		t.Fatalf("stable = %d without any checkpoint", an.Stable)
 	}
 	if an.Scanned != l.Used() {
 		t.Fatalf("scanned %d bytes, log has %d live", an.Scanned, l.Used())
 	}
-	want := []uint64{4, 3, 2, 1}
-	got := seqs(an.Refs)
+	want := []uint64{1, 2, 3, 4}
+	got := redoSeqs(t, l, an)
 	if len(got) != len(want) {
 		t.Fatalf("refs %v, want %v", got, want)
 	}
@@ -119,19 +160,16 @@ func TestAnalyzeBackwardCheckpointCutoff(t *testing.T) {
 		}
 	}
 
-	an, err := l.AnalyzeBackward()
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := analyze(t, l)
 	if an.Stable != 4 {
 		t.Fatalf("stable = %d, want 4", an.Stable)
 	}
-	if an.Scanned >= l.Used() {
-		t.Fatalf("scanned %d bytes, want a bounded suffix of the %d live", an.Scanned, l.Used())
+	if want := l.Used() - an.Pos(4); an.Scanned != want {
+		t.Fatalf("scanned %d bytes, want the %d from seq 4 to the tail of the %d live", an.Scanned, want, l.Used())
 	}
-	// Replay set: seq >= stable, newest first; seq 1..3 are cut off.
-	want := []uint64{8, 7, 5, 4}
-	got := seqs(an.Refs)
+	// Replay set: seq >= stable, oldest first; seq 1..3 are cut off.
+	want := []uint64{4, 5, 7, 8}
+	got := redoSeqs(t, l, an)
 	if len(got) != len(want) {
 		t.Fatalf("refs %v, want %v", got, want)
 	}
@@ -158,19 +196,19 @@ func TestAnalyzeBackwardNewestCheckpointWins(t *testing.T) {
 	if _, _, err := l.AppendCheckpoint(5); err != nil { // seq 6
 		t.Fatal(err)
 	}
-	an, err := l.AnalyzeBackward()
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := analyze(t, l)
 	if an.Stable != 5 {
 		t.Fatalf("stable = %d, want the newest checkpoint's 5", an.Stable)
 	}
-	got := seqs(an.Refs)
+	got := redoSeqs(t, l, an)
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("refs %v, want [5]", got)
 	}
 }
 
+// TestReadRecordMatchesScan: a scan started at any record an analysis
+// located reads exactly the records the whole forward scan delivers from
+// there on.
 func TestReadRecordMatchesScan(t *testing.T) {
 	l, _ := newLog(t, 1<<16)
 	for i := 1; i <= 6; i++ {
@@ -178,45 +216,37 @@ func TestReadRecordMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	an, err := l.AnalyzeBackward()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := an.Refs
+	an := analyze(t, l)
 	fwd := collectForward(t, l)
-	byseq := map[uint64]*Record{}
-	for _, r := range fwd {
-		byseq[r.Seq] = r
-	}
-	rd, err := l.NewReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]Record, len(refs))
-	if err := rd.ReadRecords(refs, recs); err != nil {
-		t.Fatal(err)
-	}
-	for i, ref := range refs {
-		rec := &recs[i]
-		want := byseq[ref.Seq]
-		if want == nil {
-			t.Fatalf("ref seq %d not in forward scan", ref.Seq)
+	for k, first := range fwd {
+		recs, _ := scanFrom(t, l, an.Pos(first.Seq), first.Seq)
+		if len(recs) != len(fwd)-k {
+			t.Fatalf("scan from seq %d delivered %d records, want %d", first.Seq, len(recs), len(fwd)-k)
 		}
-		if rec.TID != want.TID || len(rec.Ranges) != len(want.Ranges) {
-			t.Fatalf("seq %d: ReadRecords tid=%d ranges=%d, scan tid=%d ranges=%d",
-				ref.Seq, rec.TID, len(rec.Ranges), want.TID, len(want.Ranges))
-		}
-		for j := range rec.Ranges {
-			a, b := rec.Ranges[j], want.Ranges[j]
-			if a.Seg != b.Seg || a.Off != b.Off || string(a.Data) != string(b.Data) {
-				t.Fatalf("seq %d range %d mismatch", ref.Seq, j)
+		for i, rec := range recs {
+			want := fwd[k+i]
+			if rec.Seq != want.Seq || rec.Pos != want.Pos || rec.TID != want.TID || len(rec.Ranges) != len(want.Ranges) {
+				t.Fatalf("from seq %d: record %d is seq %d tid %d ranges %d, forward scan seq %d tid %d ranges %d",
+					first.Seq, i, rec.Seq, rec.TID, len(rec.Ranges), want.Seq, want.TID, len(want.Ranges))
+			}
+			for j := range rec.Ranges {
+				a, b := rec.Ranges[j], want.Ranges[j]
+				if a.Seg != b.Seg || a.Off != b.Off || string(a.Data) != string(b.Data) {
+					t.Fatalf("from seq %d: seq %d range %d mismatch", first.Seq, rec.Seq, j)
+				}
 			}
 		}
 	}
-	// A ref with the wrong seq must fail validation, not hand back data.
-	bad := refs[0]
-	bad.Seq += 100
-	if err := rd.ReadRecords([]RecordRef{bad}, recs); err == nil {
-		t.Fatal("ReadRecords accepted a mismatched seq")
+	// A start with the wrong seq, or outside the live region, must fail,
+	// not hand back data.
+	fail := func(*Window) error { t.Fatal("a scan from a bad start delivered records"); return nil }
+	if _, err := l.Scan(an.Pos(3), 4, fail); err == nil {
+		t.Fatal("Scan accepted a mismatched seq")
+	}
+	if _, err := l.Scan(l.tailPos()+64, 3, fail); err == nil {
+		t.Fatal("Scan accepted a start beyond the tail")
+	}
+	if recs, _ := scanFrom(t, l, l.tailPos(), l.nextSeq); len(recs) != 0 {
+		t.Fatalf("a scan from the tail delivered %d records", len(recs))
 	}
 }

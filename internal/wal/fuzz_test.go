@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -18,6 +19,8 @@ func FuzzReadRecord(f *testing.F) {
 	binary.BigEndian.PutUint32(hostile[12:], 0xFFFFFFFF) // ~160 GB of Range headers
 	f.Add(hostile)
 	f.Add(valid[:minRecordSize])
+	const area = 1 << 14
+	image := newMemImage(f, area)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		data := append([]byte(nil), in...) // the engine's input is read-only
 		if len(data) >= minRecordSize {
@@ -25,6 +28,16 @@ func FuzzReadRecord(f *testing.F) {
 			binary.BigEndian.PutUint32(data[len(data)-8:], uint32(len(data)))
 			copy(data[len(data)-trailerSize:], data[16:24])
 			reseal(data)
+			// The same bytes as the first record of a log whose head expects
+			// their sequence number: the scanner must stop where the
+			// reference tail finder stops, having passed the same records.
+			dev := &memDev{b: bytes.Clone(image)}
+			copy(dev.b[areaOff(0):], data)
+			st := statusBlock{gen: 2, areaSize: area, headSeq: binary.BigEndian.Uint64(data[16:])}
+			if err := writeStatus(dev, 0, st); err != nil {
+				t.Fatal(err)
+			}
+			checkTailOracle(t, dev)
 		}
 		var rec Record
 		if !decodeRecord(&rec, data, 0, 0) {

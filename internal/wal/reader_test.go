@@ -10,10 +10,14 @@ import (
 	"testing"
 )
 
-// readerArea is larger than two read chunks, so every pass over a full log
-// refills its window mid-walk and records of a few hundred bytes to a few
-// KB straddle the chunk boundaries.
-const readerArea = 2*readChunk + readChunk/2
+// readChunk is these tests' unit of log: eight scan windows.  readerArea is
+// larger than two of them, so every pass over a full log takes some twenty
+// windows — more than a scan has out at once — and records of a few hundred
+// bytes to a few KB straddle nearly every window's end.
+const (
+	readChunk  = 8 * scanChunk
+	readerArea = 2*readChunk + readChunk/2
+)
 
 // fillLog appends records of random shape until about nbytes more are
 // live, and returns what it appended, oldest first.
@@ -55,8 +59,9 @@ func sameRecord(got, want *Record) bool {
 }
 
 // checkReadPaths requires every read path of l to deliver exactly want
-// (oldest first): both scans, analysis plus ReadRecords, and — through a
-// second handle on the same file — the tail scan at Open.
+// (oldest first): both scans, a scan that starts where the analysis puts a
+// record in mid-log, and — through a second handle on the same file — the
+// tail scan at Open, which must also agree with the reference tail finder.
 func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 	t.Helper()
 	i := 0
@@ -80,24 +85,18 @@ func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 	if err != nil || i != 0 {
 		t.Fatalf("backward scan stopped %d records short: %v", i, err)
 	}
-	an, err := l.AnalyzeBackward()
-	if err != nil {
-		t.Fatal(err)
+	an := analyze(t, l)
+	if an.Scanned != l.Used() {
+		t.Fatalf("analysis covers %d bytes, want %d", an.Scanned, l.Used())
 	}
-	if len(an.Refs) != len(want) || an.Scanned != l.Used() {
-		t.Fatalf("analysis found %d refs over %d bytes, want %d over %d", len(an.Refs), an.Scanned, len(want), l.Used())
+	mid := len(want) / 2
+	recs, _ := scanFrom(t, l, an.Pos(want[mid].Seq), want[mid].Seq)
+	if len(recs) != len(want)-mid {
+		t.Fatalf("scan from record %d delivered %d records, want %d", mid, len(recs), len(want)-mid)
 	}
-	rd, err := l.NewReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]Record, len(an.Refs))
-	if err := rd.ReadRecords(an.Refs, recs); err != nil {
-		t.Fatal(err)
-	}
-	for k, ref := range an.Refs {
-		if !sameRecord(&recs[k], want[len(want)-1-k]) {
-			t.Fatalf("ReadRecords: ref %d (seq %d at %d) differs", k, ref.Seq, ref.Pos)
+	for k, r := range recs {
+		if !sameRecord(r, want[mid+k]) {
+			t.Fatalf("scan from record %d: record %d (seq %d at %d) differs", mid, k, r.Seq, r.Pos)
 		}
 	}
 	l2, err := Open(path)
@@ -105,6 +104,7 @@ func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	checkTailOracle(t, l2.dev)
 	tp, ts := l.Tail()
 	if tp2, ts2 := l2.Tail(); tp2 != tp || ts2 != ts || l2.Used() != l.Used() {
 		t.Fatalf("reopen found tail (%d, seq %d) with %d live, want (%d, seq %d) with %d",
@@ -115,15 +115,6 @@ func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 func TestReadersAcrossChunkBoundaries(t *testing.T) {
 	l, path := newLog(t, readerArea)
 	want := fillLog(t, l, rand.New(rand.NewSource(1)), readerArea-8192)
-	straddles := 0
-	for _, r := range want {
-		if r.Pos/readChunk != (r.Pos+EncodedLen(r.Ranges)-1)/readChunk {
-			straddles++
-		}
-	}
-	if straddles < 2 {
-		t.Fatalf("%d records straddle a chunk boundary, want one per boundary", straddles)
-	}
 	checkReadPaths(t, l, path, want)
 }
 
@@ -173,65 +164,84 @@ func TestTornTailMidChunk(t *testing.T) {
 	checkReadPaths(t, l2, path, want[:len(want)-1])
 }
 
-// TestConcurrentReaders decodes one log from four workers at once, each
-// through its own Reader and in the worst order for its windows (every
-// fourth ref).  Run under -race.
+// TestConcurrentReaders walks one log's windows on four workers at once
+// while the scan that delivers them reads on: each worker sees every
+// window, in order, and releases it from its own goroutine; the last
+// release recycles it — how recovery's builders use a scan.  Run under
+// -race.
 func TestConcurrentReaders(t *testing.T) {
 	l, _ := newLog(t, readerArea)
 	want := fillLog(t, l, rand.New(rand.NewSource(4)), readChunk+readChunk/2)
-	an, err := l.AnalyzeBackward()
-	if err != nil {
-		t.Fatal(err)
-	}
 	const workers = 4
+	type job struct {
+		w     *Window
+		first int // index in want of the window's first record
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	queues := make([]chan job, workers)
+	for k := range queues {
+		queues[k] = make(chan job, ScanWindows)
 		wg.Add(1)
-		go func(w int) {
+		go func(q <-chan job) {
 			defer wg.Done()
-			rd, err := l.NewReader()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			var refs []RecordRef
-			for k := w; k < len(an.Refs); k += workers {
-				refs = append(refs, an.Refs[k])
-			}
-			recs := make([]Record, len(refs))
-			if err := rd.ReadRecords(refs, recs); err != nil {
-				t.Error(err)
-				return
-			}
-			// The whole batch is valid once the reader has read it all.
-			for i := range recs {
-				if !sameRecord(&recs[i], want[len(want)-1-(w+i*workers)]) {
-					t.Errorf("worker %d: record %d differs", w, i)
-					return
+			for j := range q {
+				for i := range j.w.Recs {
+					if !sameRecord(&j.w.Recs[i], want[j.first+i]) {
+						t.Errorf("record %d differs", j.first+i)
+					}
 				}
+				j.w.Release()
 			}
-		}(w)
+		}(queues[k])
+	}
+	seen, windows := 0, 0
+	_, err := l.Scan(l.head, l.headSeq, func(w *Window) error {
+		j := job{w: w, first: seen}
+		seen += len(w.Recs)
+		windows++
+		w.Share(workers)
+		for _, q := range queues {
+			q <- j
+		}
+		return nil
+	})
+	for _, q := range queues {
+		close(q)
 	}
 	wg.Wait()
+	if err != nil || seen != len(want) {
+		t.Fatalf("scan delivered %d of %d records: %v", seen, len(want), err)
+	}
+	if windows <= ScanWindows {
+		t.Fatalf("the log took %d windows; want more than the %d a scan has out, so that some are reused", windows, ScanWindows)
+	}
 }
 
-// readCounter counts the positional reads a Reader makes.
+// readCounter counts the positional reads made of a device.
 type readCounter struct {
 	Device
-	reads int
-	bytes int64
+	reads    int
+	bytes    int64
+	lo, hi   int64 // device extent read
+	anything bool
 }
 
 func (d *readCounter) ReadAt(p []byte, off int64) (int, error) {
 	d.reads++
 	d.bytes += int64(len(p))
+	if !d.anything || off < d.lo {
+		d.lo = off
+	}
+	d.hi, d.anything = max(d.hi, off+int64(len(p))), true
 	return d.Device.ReadAt(p, off)
 }
 
-// TestReaderBatches pins what a batch costs: one read per chunk, nothing
-// read beyond the batch's own records — the part of the log below them
-// belongs to another worker —, windows and range storage of one batch
-// reused by the next, across the wrap too.
+// TestReaderBatches pins what a scan to the known tail costs: it reads in
+// windows of scanChunk bytes, about one read per window; it reads nothing
+// below the record it starts at nor beyond the tail, across the wrap too;
+// what it reads twice is the records that straddle a window's end; and a
+// consumer that releases each window before returning has the scan refill
+// one buffer.
 func TestReaderBatches(t *testing.T) {
 	l, _ := newLog(t, readerArea)
 	rnd := rand.New(rand.NewSource(5))
@@ -240,50 +250,46 @@ func TestReaderBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(old[len(old)-1:], fillLog(t, l, rnd, 2*readChunk)...) // wraps
-	an, err := l.AnalyzeBackward()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(an.Refs) != len(want) {
-		t.Fatalf("%d refs for %d records", len(an.Refs), len(want))
-	}
+	an := analyze(t, l)
 	dev := &readCounter{Device: l.dev}
-	rd := &Reader{dev: dev, areaSize: l.areaSize}
-	recs := make([]Record, len(an.Refs))
-	const batches = 3
-	per := (len(an.Refs) + batches - 1) / batches
-	pass := func() {
-		for lo := 0; lo < len(an.Refs); lo += per {
-			hi := min(lo+per, len(an.Refs))
-			refs, out := an.Refs[lo:hi], recs[:hi-lo]
-			*dev = readCounter{Device: l.dev}
-			if err := rd.ReadRecords(refs, out); err != nil {
-				t.Fatal(err)
+	l.dev = dev
+	defer func() { l.dev = dev.Device }()
+	for _, start := range []int{0, len(want) / 3, len(want) - 1} {
+		*dev = readCounter{Device: dev.Device}
+		first := want[start]
+		var bufs [][]byte
+		k := start
+		_, err := l.Scan(an.Pos(first.Seq), first.Seq, func(w *Window) error {
+			defer w.Release()
+			if len(bufs) == 0 || &bufs[len(bufs)-1][0] != &w.buf[:1][0] {
+				bufs = append(bufs, w.buf)
 			}
-			var span int64
-			for k, ref := range refs {
-				span += ref.Len
-				if !sameRecord(&out[k], want[len(want)-1-lo-k]) {
-					t.Fatalf("batch at %d: record %d differs", lo, k)
+			for i := range w.Recs {
+				if !sameRecord(&w.Recs[i], want[k]) {
+					t.Fatalf("from record %d: record %d differs", start, k)
 				}
+				k++
 			}
-			if dev.bytes != span {
-				t.Fatalf("batch at %d: read %d bytes for %d bytes of records", lo, dev.bytes, span)
-			}
-			if maxReads := int(span/readChunk) + 3; dev.reads > maxReads {
-				t.Fatalf("batch at %d: %d reads for %d bytes", lo, dev.reads, span)
-			}
+			return nil
+		})
+		if err != nil || k != len(want) {
+			t.Fatalf("from record %d: scan delivered up to record %d of %d: %v", start, k, len(want), err)
 		}
-	}
-	pass()
-	wins := append([][]byte(nil), rd.wins...)
-	pass()
-	if len(rd.wins) != len(wins) {
-		t.Fatalf("a second pass over the same batches took %d windows, the first %d", len(rd.wins), len(wins))
-	}
-	for k := range wins {
-		if &rd.wins[k][:1][0] != &wins[k][:1][0] {
-			t.Fatalf("window %d was not reused", k)
+		// Live bytes from the start record to the tail, wrap record included.
+		span := (l.tailPos() - first.Pos + l.areaSize) % l.areaSize
+		if maxBytes := span + span/scanChunk*2048 + 2048; dev.bytes < span || dev.bytes > maxBytes {
+			t.Fatalf("from record %d: read %d bytes for %d bytes of records; want at most %d", start, dev.bytes, span, maxBytes)
+		}
+		if maxReads := int(span/scanChunk) + 12; dev.reads > maxReads {
+			t.Fatalf("from record %d: %d reads for %d bytes", start, dev.reads, span)
+		}
+		if first.Pos < l.tailPos() && (dev.lo < areaOff(first.Pos) || dev.hi > areaOff(l.tailPos())) {
+			t.Fatalf("from record %d: read [%d,%d), outside the records' [%d,%d)", start, dev.lo, dev.hi, areaOff(first.Pos), areaOff(l.tailPos()))
+		}
+		// The buffer is regrown while the windows work up to scanChunk and
+		// refilled in place from then on.
+		if grow := 8; len(bufs) > grow {
+			t.Fatalf("from record %d: the scan used %d buffers for a consumer that holds one window at a time", start, len(bufs))
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 // bytes, not zeroes.  Reopening must yield the live records plus exactly
 // the longest prefix of the batch whose every sector persisted, and resume
 // the sequence right after it; no record of the previous lap, and none that
-// a lost sector cut, may surface.
+// a lost sector cut, may surface.  On every one of these images the scanner
+// must also find exactly the tail and the records the reference tail finder
+// does (checkTailOracle).
 func TestAppendBatchSectorSubsetTear(t *testing.T) {
 	const sector = 512
 	const area = 16 << 10
@@ -102,6 +104,7 @@ func TestAppendBatchSectorSubsetTear(t *testing.T) {
 					}
 					whole++
 				}
+				checkTailOracle(t, &memDev{b: img})
 				l2, _ := openMem(t, img)
 				var got []uint64
 				seq := nextSeq - uint64(len(live))

@@ -8,7 +8,7 @@
 // commitment.  As in the paper's Figure 5, every record carries both a
 // forward displacement (totalLen in the header) and a reverse displacement
 // (totalLen repeated in the trailer), allowing the log to be read in either
-// direction; crash recovery walks it tail-to-head.
+// direction; crash recovery reads it head-to-tail, once (scan).
 //
 // On-disk layout:
 //
@@ -27,7 +27,7 @@
 // cross it, a wrap record pads out the remaining gap; when a record would
 // leave a gap too small to hold even a wrap record, the record absorbs the
 // gap as padding.  Consequently every record is contiguous on disk, and
-// both walks read the area in plain sequential chunks (areaReader).
+// every walk reads the area in plain sequential chunks.
 package wal
 
 import (
@@ -38,6 +38,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/rvm-go/rvm/internal/iofault"
@@ -301,14 +302,23 @@ func Open(path string) (*Log, error) {
 	l, err := OpenDevice(f)
 	if err != nil {
 		f.Close()
-		return nil, err
 	}
-	return l, nil
+	return l, err
 }
 
 // OpenDevice opens a log on an arbitrary device (used by tests to inject
 // faults).
 func OpenDevice(dev Device) (*Log, error) {
+	l, _, err := OpenScan(dev, nil)
+	return l, err
+}
+
+// OpenScan is OpenDevice for a caller that wants what the tail-finding scan
+// reads, so that a restart reads its log once: every window of valid records
+// goes to fn as the scan passes it (see Window), and the scan's analysis
+// comes back with the log.
+func OpenScan(dev Device, fn func(*Window) error) (*Log, Analysis, error) {
+	var an Analysis
 	a, okA := readStatus(dev, 0)
 	b, okB := readStatus(dev, 1)
 	var st statusBlock
@@ -323,7 +333,7 @@ func OpenDevice(dev Device) (*Log, error) {
 	case okB:
 		st = b
 	default:
-		return nil, ErrNotLog
+		return nil, an, ErrNotLog
 	}
 	l := &Log{
 		dev:      dev,
@@ -333,115 +343,203 @@ func OpenDevice(dev Device) (*Log, error) {
 		gen:      st.gen,
 	}
 	t0 := time.Now()
-	if err := l.findTail(); err != nil {
-		return nil, err
+	var err error
+	if l.used, l.nextSeq, err = scan(dev, l.areaSize, l.head, l.headSeq, -1, &an, fn); err != nil {
+		return nil, an, err
 	}
 	l.openScanNs = time.Since(t0).Nanoseconds()
 	// Everything discovered in the log is already on the device, so the
 	// forced-through sequence number starts at the last live record.
 	l.forcedSeq = l.nextSeq - 1
-	return l, nil
+	return l, an, nil
 }
 
 // areaOff converts a record-area offset into a device offset.
 func areaOff(pos int64) int64 { return 2*int64(mapping.PageSize) + pos }
 
-// readChunk is the size of one sequential read of the record area.  Every
-// read path (the tail scan at Open, both scan directions, recovery's
-// analysis and decode passes) goes through an areaReader, so a pass over
-// the log costs one positional read per MiB rather than two per record.
-// A reader works up to it from minReadChunk, doubling per refill, so that
-// opening or truncating a nearly empty log does not read a MiB of nothing.
+// A scan reads the record area in windows of scanChunk bytes, so a pass
+// over the log costs one positional read per window rather than two per
+// record; it works up to that size from minReadChunk, doubling per window,
+// so that opening or truncating a nearly empty log reads next to nothing.
+// ScanWindows bounds the windows one scan has out at a time: the one it is
+// reading into and the ones its consumer still holds.  A consumer that
+// builds from them on other goroutines overlaps with the reading; one that
+// releases each before returning makes the scan refill a single buffer.
+// Eight windows of 128 KiB are deep enough a queue that a scan and builders
+// running at different paces rarely wait for each other, and still stay in
+// a processor's second-level cache from the read through the checksum to
+// the consumer (EXPERIMENTS.md, PR 22).
 const (
-	readChunk    = 1 << 20
+	ScanWindows  = 8
+	scanChunk    = 128 << 10
 	minReadChunk = 4 << 10
 )
 
-// areaReader serves record bytes out of chunk-sized windows of the record
-// area.  Records never straddle the area's end, so a window is a plain
-// contiguous read clipped to the area; a walk that crosses the wrap simply
-// misses and refills on the other side.  Decoded records alias the window
-// they were read from, and the log's scans, whose callbacks may not keep
-// range data, refill one buffer in place.  An areaReader is owned by one
-// goroutine; the device's positional reads are what concurrent readers
-// share.
-type areaReader struct {
-	dev      Device
+// Window is one stretch of validated records as a scan hands it to its
+// consumer: the records oldest first, wrap records left out, their range
+// data aliasing the window's bytes.  The consumer calls Release, from any
+// goroutine, once it is done with them; the scan then reads a later stretch
+// into the same storage, so a pass over a long log holds ScanWindows
+// windows, not the log.
+type Window struct {
+	Recs    []Record
+	buf     []byte
+	holders atomic.Int32 // Releases still to come, less one
+	free    chan *Window // the scan's recycling queue; holds every window it made
+}
+
+// Share makes the window wait for n Releases, one from each goroutine its
+// consumer hands it to.
+func (w *Window) Share(n int) { w.holders.Store(int32(n - 1)) }
+
+// Release gives the window's storage back to the scan that made it.
+func (w *Window) Release() {
+	if w.holders.Add(-1) < 0 {
+		w.holders.Store(0)
+		w.free <- w
+	}
+}
+
+// Analysis is what a scan learns about the records it passes besides
+// their contents: where each one is, the commit marks, and the checkpoint
+// bound.
+type Analysis struct {
+	// recs holds the length of every record passed, wrap records included,
+	// oldest first.
+	recs     []uint32
+	head     int64 // area offset and sequence number of the first record
+	first    uint64
 	areaSize int64
-	chunk    int64 // size of the last refill
-	lo       int64 // area offset of win[0]
-	win      []byte
+	// Committed holds the global commit-IDs of the commit marks.  With
+	// sharded logs the caller unions the sets of all shards before
+	// deciding a prepare.
+	Committed []uint64
+	// Stable is the newest checkpoint's stable sequence number (0 when no
+	// checkpoint bounds redo): every record with Seq < Stable is already
+	// reflected in its segment.
+	Stable uint64
+	// Scanned is the bytes from the record Stable names to the tail — all
+	// that were passed without a checkpoint: what redo has to consider.
+	Scanned int64
 }
 
-// bytes returns the area bytes [pos, pos+n), which the caller has checked
-// lie inside the area.  On a miss the new window starts at pos, or — for a
-// walk toward the head — ends at pos+n.
-func (r *areaReader) bytes(pos, n int64, backward bool) ([]byte, error) {
-	if pos < r.lo || pos+n > r.lo+int64(len(r.win)) {
-		r.chunk = min(max(2*r.chunk, minReadChunk), readChunk)
-		lo, hi := pos, min(pos+max(n, r.chunk), r.areaSize)
-		if backward {
-			lo, hi = max(pos+n-max(n, r.chunk), 0), pos+n
+// Pos returns the area offset of the record carrying seq, so that a later
+// Scan can start there; for a seq past the last record, the tail's.
+func (an Analysis) Pos(seq uint64) int64 {
+	pos := an.head
+	for i := 0; i < len(an.recs) && an.first+uint64(i) < seq; i++ {
+		if pos += int64(an.recs[i]); pos == an.areaSize {
+			pos = 0
 		}
-		win := r.win[:0]
-		r.win = nil // no window while its buffer is being overwritten
-		if int64(cap(win)) < hi-lo {
-			win = make([]byte, hi-lo)
+	}
+	return pos
+}
+
+// scan is the one forward pass over a log's records.  From the record at
+// area offset pos, expected to carry seq, it reads the area a window at a
+// time, validates and decodes each record once, notes it in an (unless nil)
+// and hands each window's records to fn (unless nil; fn owns the window
+// until it releases it).  With live < 0 the pass ends at the first bytes that are not
+// the next record — a torn write or stale data — which is how Open finds the
+// tail; otherwise exactly live bytes must hold valid records.  It returns
+// the bytes walked and the sequence number after the last record.
+func scan(dev Device, areaSize, pos int64, seq uint64, live int64, an *Analysis, fn func(*Window) error) (used int64, next uint64, err error) {
+	toTail := live >= 0
+	if !toTail {
+		live = areaSize
+	}
+	if an != nil {
+		an.head, an.first, an.areaSize = pos, seq, areaSize
+	}
+	free := make(chan *Window, ScanWindows)
+	var made int
+	var chunk int64
+	need := int64(minRecordSize) // bytes the next window must hold to make progress
+	for valid := true; valid && used < live; {
+		limit := min(areaSize-pos, live-used)
+		if limit < need {
+			valid = false // not even a wrap record fits before the area's end
+			break
 		}
-		got, err := r.dev.ReadAt(win[:hi-lo], areaOff(lo))
-		if int64(got) < pos+n-lo {
+		var w *Window
+		select {
+		case w = <-free:
+		default:
+			if made == ScanWindows {
+				w = <-free
+			} else {
+				w, made = &Window{free: free}, made+1
+			}
+		}
+		chunk = min(max(2*chunk, minReadChunk), scanChunk)
+		n := min(max(need, chunk), limit)
+		if int64(cap(w.buf)) < n {
+			w.buf = make([]byte, n)
+		}
+		got, rerr := dev.ReadAt(w.buf[:n], areaOff(pos))
+		if int64(got) < need {
 			// A window may run past the device's end (a truncated file);
-			// only bytes the caller asked for must be there.
-			return nil, fmt.Errorf("wal: read %d bytes at %d: %w", n, pos, err)
+			// only the bytes the next record needs must be there.
+			return used, seq, fmt.Errorf("wal: read %d bytes at %d: %w", need, pos, rerr)
 		}
-		r.lo, r.win = lo, win[:got]
+		buf, recs := w.buf[:got], w.Recs[:0]
+		need = minRecordSize
+		for used < live && len(buf) >= minRecordSize {
+			// Only the extent is taken from the unvalidated header;
+			// decodeRecord re-reads it, with every other field, once the
+			// CRC has checked out.
+			totalLen := int64(binary.BigEndian.Uint32(buf[4:]))
+			if binary.BigEndian.Uint32(buf[0:]) != recMagic || totalLen < minRecordSize || totalLen > min(areaSize-pos, live-used) {
+				valid = false
+				break
+			}
+			if totalLen > int64(len(buf)) {
+				need = totalLen // straddles the window's end: the next one starts here
+				break
+			}
+			if len(recs) < cap(recs) {
+				recs = recs[:len(recs)+1] // reuse the slot's range storage
+			} else {
+				recs = append(recs, Record{})
+			}
+			rec := &recs[len(recs)-1]
+			if valid = decodeRecord(rec, buf[:totalLen], pos, seq); !valid {
+				recs = recs[:len(recs)-1]
+				break
+			}
+			if rec.Type == recWrap {
+				recs = recs[:len(recs)-1]
+			}
+			if an != nil {
+				an.recs = append(an.recs, uint32(totalLen))
+				switch rec.Type {
+				case recCmt:
+					an.Committed = append(an.Committed, rec.TID)
+				case recCkpt:
+					an.Stable = rec.CkptSeq // the newest one wins
+				}
+			}
+			used, seq, buf = used+totalLen, seq+1, buf[totalLen:]
+			if pos += totalLen; pos == areaSize {
+				pos = 0
+			}
+		}
+		if w.Recs = recs; len(recs) == 0 || fn == nil {
+			w.Release()
+		} else if err := fn(w); err != nil {
+			return used, seq, err
+		}
 	}
-	return r.win[pos-r.lo : pos-r.lo+n], nil
-}
-
-// next decodes into rec the record a forward walk finds at area offset pos.
-// It reports false when the bytes there are not a valid next record (torn
-// write or stale data), which ends a forward scan.
-func (r *areaReader) next(rec *Record, pos int64, wantSeq uint64) (bool, error) {
-	if r.areaSize-pos < minRecordSize {
-		return false, nil // cannot even hold a header+trailer here
+	if toTail && used < live {
+		return used, seq, fmt.Errorf("wal: live region corrupt at %d (seq %d)", pos, seq)
 	}
-	hdr, err := r.bytes(pos, headerSize, false)
-	if err != nil {
-		return false, err
+	if an != nil {
+		an.Scanned = used
+		for i := 0; i < len(an.recs) && an.first+uint64(i) < an.Stable; i++ {
+			an.Scanned -= int64(an.recs[i]) // below the stable LSN
+		}
 	}
-	// Only the extent is taken from the unvalidated header; decodeRecord
-	// re-reads it, with every other field, once the CRC has checked out.
-	totalLen := int64(binary.BigEndian.Uint32(hdr[4:]))
-	if binary.BigEndian.Uint32(hdr[0:]) != recMagic || totalLen < minRecordSize || pos+totalLen > r.areaSize {
-		return false, nil
-	}
-	buf, err := r.bytes(pos, totalLen, false)
-	if err != nil {
-		return false, err
-	}
-	return decodeRecord(rec, buf, pos, wantSeq), nil
-}
-
-// prev decodes into rec the record a backward walk finds ending at area
-// offset end, located through its reverse displacement.
-func (r *areaReader) prev(rec *Record, end int64, wantSeq uint64) error {
-	trailer, err := r.bytes(end-trailerSize, trailerSize, true)
-	if err != nil {
-		return err
-	}
-	totalLen := int64(binary.BigEndian.Uint32(trailer[8:]))
-	if totalLen < minRecordSize || totalLen > end {
-		return fmt.Errorf("wal: bad reverse displacement %d at %d", totalLen, end)
-	}
-	buf, err := r.bytes(end-totalLen, totalLen, true)
-	if err != nil {
-		return err
-	}
-	if !decodeRecord(rec, buf, end-totalLen, wantSeq) {
-		return fmt.Errorf("wal: live region corrupt at %d (backward, seq %d)", end-totalLen, wantSeq)
-	}
-	return nil
+	return used, seq, nil
 }
 
 // decodeRecord validates buf as one whole record at area offset pos and
@@ -510,33 +608,6 @@ func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
 		return false
 	}
 	return nranges == 0
-}
-
-// findTail scans forward from head to locate the end of the live region.
-func (l *Log) findTail() error {
-	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
-	pos := l.head
-	seq := l.headSeq
-	var used int64
-	var rec Record
-	for used < l.areaSize {
-		ok, err := rd.next(&rec, pos, seq)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		used += rec.Len
-		seq++
-		pos += rec.Len
-		if pos == l.areaSize {
-			pos = 0
-		}
-	}
-	l.used = used
-	l.nextSeq = seq
-	return nil
 }
 
 // tailPos returns the current append position.
@@ -620,9 +691,8 @@ func (l *Log) appendRecords(typ uint8, ents []Entry) (n int, nbytes int64, err e
 
 // AppendCheckpoint writes a checkpoint record carrying the stable sequence
 // number: every record with Seq < stable is fully reflected in its segment,
-// so a later recovery may end its backward scan once it passes stable.  The
-// record is not forced; callers force it like any commit.  The pages it
-// covers must be durable in their segments before this is called.
+// so a later recovery starts its redo at stable.  The record is not forced;
+// callers force it like any commit, after the pages it covers are durable.
 func (l *Log) AppendCheckpoint(stable uint64) (pos int64, seq uint64, err error) {
 	ent := [1]Entry{{TID: stable}}
 	l.mu.Lock()
@@ -891,219 +961,93 @@ func (l *Log) SetNoSync(v bool) {
 	l.noSync = v
 }
 
-// ScanForward visits live records oldest-first.  Wrap records are
-// skipped; checkpoint records are delivered (with nil Ranges).
-// fn must not retain the record's range data beyond the call.
-func (l *Log) ScanForward(fn func(*Record) error) error {
+// Scan runs the forward pass over an open log's live records from the one
+// at area offset pos, which carries seq, to the tail: the head (Head), or a
+// record an earlier Analysis located.  fn gets every window of records (see
+// Window) and the analysis of what was passed comes back.  The log stays
+// locked for the pass, so appends wait for it.
+func (l *Log) Scan(pos int64, seq uint64, fn func(*Window) error) (an Analysis, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	err = l.scanLocked(pos, seq, &an, fn)
+	return an, err
+}
+
+func (l *Log) scanLocked(pos int64, seq uint64, an *Analysis, fn func(*Window) error) error {
 	if l.dev == nil {
 		return ErrLogClosed
 	}
-	return l.scanForwardLocked(fn)
+	// The bytes from pos to the tail; the sequence number tells a full
+	// log's head from its tail.
+	live := l.used - (pos-l.head+l.areaSize)%l.areaSize
+	if seq == l.nextSeq {
+		live = 0
+	}
+	if seq < l.headSeq || seq > l.nextSeq || live < 0 {
+		return fmt.Errorf("wal: Scan(%d, seq %d) does not start at a live record", pos, seq)
+	}
+	_, _, err := scan(l.dev, l.areaSize, pos, seq, live, an, fn)
+	return err
 }
 
-func (l *Log) scanForwardLocked(fn func(*Record) error) error {
-	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
-	pos, seq := l.head, l.headSeq
-	var seen int64
-	for seen < l.used {
-		rec := new(Record) // fn may keep the record, though not its range data
-		ok, err := rd.next(rec, pos, seq)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("wal: live region corrupt at %d (seq %d)", pos, seq)
-		}
-		if rec.Type != recWrap {
-			if err := fn(rec); err != nil {
+// ScanForward visits live records oldest-first.  Wrap records are
+// skipped; checkpoint records are delivered (with nil Ranges).
+// fn must not retain the record or its range data beyond the call.
+func (l *Log) ScanForward(fn func(*Record) error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.scanLocked(l.head, l.headSeq, nil, func(w *Window) error {
+		defer w.Release()
+		for i := range w.Recs {
+			if err := fn(&w.Recs[i]); err != nil {
 				return err
 			}
 		}
-		seen += rec.Len
-		seq++
-		pos += rec.Len
-		if pos == l.areaSize {
-			pos = 0
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ScanBackward visits live records newest-first, walking the reverse
-// displacements from the tail — the direction crash recovery reads the log
-// (paper §5.1.2).  Wrap records are skipped; checkpoint records are
-// delivered (with nil Ranges).  fn must not retain the record's range data
-// beyond the call.
+// displacements from the tail (the direction the paper's recovery reads the
+// log, §5.1.2).  Only tools walk this way now, so it reads record by
+// record.  Wrap records are skipped; checkpoint records are delivered (with
+// nil Ranges).  fn must not retain the record or its range data beyond the
+// call.
 func (l *Log) ScanBackward(fn func(*Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dev == nil {
 		return ErrLogClosed
 	}
-	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
-	pos := l.tailPos()
-	seq := l.nextSeq
-	var seen int64
-	for seen < l.used {
-		if pos == 0 {
-			pos = l.areaSize
+	end, seq := l.tailPos(), l.nextSeq
+	var rec Record
+	var buf []byte
+	for seen := int64(0); seen < l.used; seen += rec.Len {
+		if end == 0 {
+			end = l.areaSize
 		}
 		seq--
-		rec := new(Record)
-		if err := rd.prev(rec, pos, seq); err != nil {
-			return err
+		trailer := slices.Grow(buf[:0], trailerSize)[:trailerSize]
+		if n, err := l.dev.ReadAt(trailer, areaOff(end-trailerSize)); n < trailerSize {
+			return fmt.Errorf("wal: read trailer at %d: %w", end-trailerSize, err)
+		}
+		totalLen := int64(binary.BigEndian.Uint32(trailer[8:]))
+		if totalLen < minRecordSize || totalLen > end {
+			return fmt.Errorf("wal: bad reverse displacement %d at %d", totalLen, end)
+		}
+		buf = slices.Grow(buf[:0], int(totalLen))[:totalLen]
+		if n, err := l.dev.ReadAt(buf, areaOff(end-totalLen)); int64(n) < totalLen {
+			return fmt.Errorf("wal: read %d bytes at %d: %w", totalLen, end-totalLen, err)
+		}
+		if !decodeRecord(&rec, buf, end-totalLen, seq) {
+			return fmt.Errorf("wal: live region corrupt at %d (backward, seq %d)", end-totalLen, seq)
 		}
 		if rec.Type != recWrap {
-			if err := fn(rec); err != nil {
+			if err := fn(&rec); err != nil {
 				return err
 			}
 		}
-		seen += rec.Len
-		pos = rec.Pos
-	}
-	return nil
-}
-
-// RecordRef locates one live record for later decoding by a Reader.
-type RecordRef struct {
-	Pos  int64  // area offset of the record's first byte
-	Len  int64  // encoded size on disk
-	Seq  uint64 // sequence number
-	Type uint8  // record type (RecTx or RecPrepare from analysis)
-	TID  uint64 // transaction / global commit ID from the header
-}
-
-// Analysis is the result of AnalyzeBackward: the records redo must
-// consider, the commit marks seen, and the scan's bookkeeping.
-type Analysis struct {
-	// Refs are the transaction and prepare records, newest first.  A
-	// prepare ref (Type == RecPrepare) must only be replayed when its
-	// TID appears in some shard's Committed set.
-	Refs []RecordRef
-	// Committed holds the global commit-IDs of every commit mark in the
-	// scanned suffix.  With sharded logs the caller unions the sets of
-	// all shards before filtering prepares.
-	Committed []uint64
-	// Stable is the newest checkpoint's stable sequence number (0 when
-	// no checkpoint bounds the scan).
-	Stable uint64
-	// Scanned is the log bytes visited by the walk.
-	Scanned int64
-}
-
-// AnalyzeBackward is recovery's analysis pass: it walks the live region
-// tail-to-head and collects references (newest first) to the transaction
-// and prepare records redo must consider, plus the commit marks that decide
-// the prepares' fate.  The walk ends early at the newest checkpoint
-// record's stable sequence number: every record with Seq < stable is
-// already reflected in its segment.  The refs are decoded later — possibly
-// concurrently, one Reader per worker — with ReadRecords.
-func (l *Log) AnalyzeBackward() (Analysis, error) {
-	var an Analysis
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dev == nil {
-		return an, ErrLogClosed
-	}
-	rd := areaReader{dev: l.dev, areaSize: l.areaSize}
-	pos := l.tailPos()
-	seq := l.nextSeq
-	// Every live record has its own sequence number, so their count bounds
-	// the refs: sized once, the list is not regrown and recopied all along
-	// the walk.
-	an.Refs = make([]RecordRef, 0, seq-l.headSeq)
-	var rec Record
-	for an.Scanned < l.used {
-		if an.Stable != 0 && seq-1 < an.Stable {
-			break // everything older is reflected in the segments
-		}
-		if pos == 0 {
-			pos = l.areaSize
-		}
-		seq--
-		if err := rd.prev(&rec, pos, seq); err != nil {
-			return an, err
-		}
-		an.Scanned += rec.Len
-		pos = rec.Pos
-		switch rec.Type {
-		case recTx, recPrep:
-			an.Refs = append(an.Refs, RecordRef{Pos: rec.Pos, Len: rec.Len, Seq: seq, Type: rec.Type, TID: rec.TID})
-		case recCmt:
-			an.Committed = append(an.Committed, rec.TID)
-		case recCkpt:
-			if an.Stable == 0 {
-				// Newest checkpoint wins; older ones carry smaller
-				// stable values and are subsumed.
-				an.Stable = rec.CkptSeq
-			}
-		}
-	}
-	return an, nil
-}
-
-// Reader decodes the records AnalyzeBackward located, a batch at a time.
-// Each recovery worker owns one; Readers of one log share nothing but the
-// device's positional reads.
-type Reader struct {
-	dev      Device
-	areaSize int64
-	wins     [][]byte // windows the last batch's records alias; the next batch reuses them
-}
-
-// NewReader returns a Reader over the log's device.
-func (l *Log) NewReader() (*Reader, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dev == nil {
-		return nil, ErrLogClosed
-	}
-	return &Reader{dev: l.dev, areaSize: l.areaSize}, nil
-}
-
-// ReadRecords decodes and fully validates the records refs point at into
-// recs[:len(refs)], reusing their range storage.  refs come in the order
-// analysis produced them (newest first): one positional read ends with a
-// record and reaches down over the refs that follow it for as long as they
-// fit in readChunk bytes, so a batch costs one read per chunk and reads
-// nothing below its last record.  The records' range data aliases the
-// reader's windows and stays valid until the next call, which overwrites
-// them: a pass over a long log holds one batch, not the log.
-func (r *Reader) ReadRecords(refs []RecordRef, recs []Record) error {
-	var win []byte
-	var lo int64
-	nwin := 0
-	for i, ref := range refs {
-		if ref.Pos < 0 || ref.Len < minRecordSize || ref.Pos+ref.Len > r.areaSize {
-			return fmt.Errorf("wal: record ref [%d,+%d) outside the log area", ref.Pos, ref.Len)
-		}
-		if ref.Pos < lo || ref.Pos+ref.Len > lo+int64(len(win)) {
-			hi := ref.Pos + ref.Len
-			lo = ref.Pos
-			for _, nx := range refs[i+1:] {
-				if nx.Pos < 0 || nx.Pos >= lo || hi-nx.Pos > readChunk {
-					break // a bad ref, the far side of the wrap, or a full chunk
-				}
-				lo = nx.Pos
-			}
-			if nwin == len(r.wins) {
-				r.wins = append(r.wins, nil)
-			}
-			if win = r.wins[nwin]; int64(cap(win)) < hi-lo {
-				win = make([]byte, max(hi-lo, readChunk))
-			}
-			win = win[:hi-lo]
-			r.wins[nwin] = win
-			nwin++
-			if got, err := r.dev.ReadAt(win, areaOff(lo)); int64(got) < hi-lo {
-				return fmt.Errorf("wal: read %d bytes at %d: %w", hi-lo, lo, err)
-			}
-		}
-		if !decodeRecord(&recs[i], win[ref.Pos-lo:ref.Pos-lo+ref.Len], ref.Pos, ref.Seq) {
-			return fmt.Errorf("wal: record at %d (seq %d) failed validation", ref.Pos, ref.Seq)
-		}
+		end = rec.Pos
 	}
 	return nil
 }

@@ -35,16 +35,22 @@ func mkRange(seg, off uint64, b byte, n int) Range {
 	return Range{Seg: seg, Off: off, Data: d}
 }
 
+// cloneRecord returns a copy of r that shares nothing with the window r's
+// range data aliases.
+func cloneRecord(r *Record) *Record {
+	cp := *r
+	cp.Ranges = nil // stays nil for a record without ranges
+	for _, rg := range r.Ranges {
+		cp.Ranges = append(cp.Ranges, Range{Seg: rg.Seg, Off: rg.Off, Data: bytes.Clone(rg.Data)})
+	}
+	return &cp
+}
+
 func collectForward(t *testing.T, l *Log) []*Record {
 	t.Helper()
 	var recs []*Record
 	err := l.ScanForward(func(r *Record) error {
-		cp := *r
-		cp.Ranges = append([]Range(nil), r.Ranges...)
-		for i := range cp.Ranges {
-			cp.Ranges[i].Data = append([]byte(nil), r.Ranges[i].Data...)
-		}
-		recs = append(recs, &cp)
+		recs = append(recs, cloneRecord(r))
 		return nil
 	})
 	if err != nil {

@@ -264,9 +264,10 @@ func TestRvmstatRoundTrip(t *testing.T) {
 }
 
 // TestRecoveryPhasesSurface: after a restart that had a log to replay, the
-// tail scan at Open and recovery's three phases (analysis, decode + build,
-// apply) are visible on every surface an operator has — Snapshot,
-// /metrics, and rvmstat — so a long restart is explainable afterwards.
+// scan at Open (which builds as it reads) and recovery's three phases after
+// it (second scans, the wait for the builders, apply) are visible on every
+// surface an operator has — Snapshot, /metrics, and rvmstat — so a long
+// restart is explainable afterwards.
 func TestRecoveryPhasesSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tool workflow skipped in -short")
