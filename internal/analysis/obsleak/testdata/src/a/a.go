@@ -25,7 +25,7 @@ func bad(l *log) {
 
 func badMetric(l *log) {
 	l.mu.Lock()
-	l.met.SetLogLiveBytes(l.used) // want `SetLogLiveBytes called while holding l.mu`
+	l.met.SetRecoveryScanBytes(l.used) // want `SetRecoveryScanBytes called while holding l.mu`
 	l.mu.Unlock()
 }
 
@@ -35,7 +35,7 @@ func good(l *log) {
 	used := l.used
 	tr, met := l.tr, l.met
 	l.mu.Unlock()
-	met.SetLogLiveBytes(used)
+	met.SetRecoveryScanBytes(used)
 	tr.Record(obs.EvLogAppend, 1, 2, 3)
 }
 
@@ -93,7 +93,7 @@ func badAlloc(tr *obs.Tracer, name string) {
 }
 
 func badConcat(m *obs.Metrics, a, b string) {
-	m.SetLogLiveBytes(int64(len(a + b))) // want `allocates \(string concatenation\)`
+	m.SetRecoveryScanBytes(int64(len(a + b))) // want `allocates \(string concatenation\)`
 }
 
 func badConvert(h *obs.Hist, s string) {

@@ -58,7 +58,7 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	e.stats.checkpoints.Add(1)
+	e.stats.Checkpoints.Add(1)
 	e.met.ObserveCheckpoint(time.Since(t0).Nanoseconds())
 	e.tr.SpanSince(obs.EvCheckpoint, t0, 0, pages, stable)
 	return nil
@@ -75,7 +75,7 @@ func (e *Engine) checkpointShardClaimed(sh *shard) (pages, stable uint64, err er
 	}
 	// Everything the cleaner can write goes out; a page that stays pinned
 	// bounds the stable LSN at its first log reference.
-	pages, _, stable, err = e.cleanShard(sh, cleanEverything, &e.stats.checkpointPages)
+	pages, _, stable, err = e.cleanShard(sh, cleanEverything, &e.stats.CheckpointPages)
 	if err != nil {
 		return pages, stable, err
 	}

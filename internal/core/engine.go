@@ -55,6 +55,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,86 +191,59 @@ type Options struct {
 	StallBudget time.Duration
 }
 
-// Statistics are cumulative counters since Open, in the spirit of the real
-// RVM's rvm_statistics call.
-type Statistics struct {
-	Begins            uint64 `json:"begins"`              // transactions begun
-	FlushCommits      uint64 `json:"flush_commits"`       // commits in flush mode
-	NoFlushCommits    uint64 `json:"noflush_commits"`     // commits in no-flush (lazy) mode
-	Aborts            uint64 `json:"aborts"`              // explicit aborts
-	SetRanges         uint64 `json:"set_ranges"`          // set-range calls
-	EmptyCommits      uint64 `json:"empty_commits"`       // commits that logged nothing
-	LogBytes          uint64 `json:"log_bytes"`           // record bytes appended to the log
-	LogForces         uint64 `json:"log_forces"`          // fsyncs of the log on the commit/flush path
-	IntraSavedBytes   uint64 `json:"intra_saved_bytes"`   // log bytes avoided by intra-transaction optimization
-	InterSavedBytes   uint64 `json:"inter_saved_bytes"`   // log bytes avoided by inter-transaction optimization
-	Flushes           uint64 `json:"flushes"`             // explicit or implicit spool flushes
-	EpochTruncs       uint64 `json:"epoch_truncs"`        // epoch truncations completed
-	IncrSteps         uint64 `json:"incr_steps"`          // incremental truncation page write-outs
-	PagesWritten      uint64 `json:"pages_written"`       // pages written to segments by truncation/unmap
-	Recoveries        uint64 `json:"recoveries"`          // recoveries performed at Open (0 or 1)
-	RecoveredBytes    uint64 `json:"recovered_bytes"`     // bytes applied to segments during recovery
-	RecoveryScanned   uint64 `json:"recovery_scanned"`    // log bytes recovery had to consider: stable LSN to tail
-	Retries           uint64 `json:"retries"`             // transient storage faults retried on log/segment paths
-	TruncFailures     uint64 `json:"trunc_failures"`      // background truncations that failed
-	ForcesSaved       uint64 `json:"forces_saved"`        // flush commits acknowledged by another committer's force
-	GroupCommitSize   uint64 `json:"group_commit_size"`   // largest number of flush commits covered by one force
-	Checkpoints       uint64 `json:"checkpoints"`         // fuzzy checkpoints completed
-	CheckpointPages   uint64 `json:"checkpoint_pages"`    // pages written to segments by checkpoints
-	CrossShardCommits uint64 `json:"cross_shard_commits"` // commits that spanned WAL shards (two-phase)
+// statsOf is the one declaration of the engine's cumulative counters
+// (obs/declare.go explains the tags): Statistics is it on plain uint64s,
+// the engine's live counters are it on atomics, so the two cannot drift
+// and Stats() is a positional load.
+type statsOf[T any] struct {
+	Begins            T `json:"begins" prom:"rvm_tx_begins_total" help:"Transactions begun."`
+	FlushCommits      T `json:"flush_commits" prom:"rvm_tx_flush_commits_total" help:"Commits in flush mode."`
+	NoFlushCommits    T `json:"noflush_commits" prom:"rvm_tx_noflush_commits_total" help:"Commits in no-flush (lazy) mode."`
+	Aborts            T `json:"aborts" prom:"rvm_tx_aborts_total" help:"Explicit aborts."`
+	SetRanges         T `json:"set_ranges" prom:"rvm_tx_set_ranges_total" help:"Set-range calls."`
+	EmptyCommits      T `json:"empty_commits" prom:"rvm_tx_empty_commits_total" help:"Commits that logged nothing."`
+	LogBytes          T `json:"log_bytes" prom:"rvm_log_appended_bytes_total" help:"Record bytes appended to the log."`
+	LogForces         T `json:"log_forces" prom:"rvm_log_forces_total" help:"Log fsyncs on the commit/flush path."`
+	IntraSavedBytes   T `json:"intra_saved_bytes" prom:"rvm_log_intra_saved_bytes_total" help:"Log bytes avoided by intra-transaction optimization."`
+	InterSavedBytes   T `json:"inter_saved_bytes" prom:"rvm_log_inter_saved_bytes_total" help:"Log bytes avoided by inter-transaction optimization."`
+	Flushes           T `json:"flushes" prom:"rvm_spool_flushes_total" help:"Explicit or implicit spool flushes."`
+	EpochTruncs       T `json:"epoch_truncs" prom:"rvm_truncation_epochs_total" help:"Epoch truncations completed."`
+	IncrSteps         T `json:"incr_steps" prom:"rvm_truncation_incr_steps_total" help:"Incremental truncation page write-outs."`
+	PagesWritten      T `json:"pages_written" prom:"rvm_pages_written_total" help:"Pages written to segments by truncation and unmap."`
+	Recoveries        T `json:"recoveries" prom:"rvm_recoveries_total" help:"Recoveries performed at open."`
+	RecoveredBytes    T `json:"recovered_bytes" prom:"rvm_recovery_applied_bytes_total" help:"Bytes applied to segments during recovery."`
+	RecoveryScanned   T `json:"recovery_scanned" prom:"rvm_recovery_scanned_bytes_total" help:"Log bytes recovery had to consider (stable LSN to tail)."`
+	Retries           T `json:"retries" prom:"rvm_io_retries_total" help:"Transient storage faults retried."`
+	TruncFailures     T `json:"trunc_failures" prom:"rvm_truncation_failures_total" help:"Background truncations that failed."`
+	ForcesSaved       T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
+	GroupCommitSize   T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
+	Checkpoints       T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Fuzzy checkpoints completed."`
+	CheckpointPages   T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
+	CrossShardCommits T `json:"cross_shard_commits" prom:"rvm_tx_cross_shard_commits_total" help:"Commits that spanned WAL shards (two-phase)."`
 	// DiscardedPrepares counts cross-shard prepare records recovery found
 	// with no confirming commit mark on any shard: the crash (or an abort)
 	// struck between the prepares and the commit record, and the
 	// transaction was correctly discarded everywhere.
-	DiscardedPrepares uint64 `json:"discarded_prepares"`
+	DiscardedPrepares T `json:"discarded_prepares" prom:"rvm_recovery_discarded_prepares_total" help:"Orphaned cross-shard prepares discarded by recovery."`
 }
+
+// Statistics are cumulative counters since Open, in the spirit of the real
+// RVM's rvm_statistics call.
+type Statistics statsOf[uint64]
 
 // String renders the counters as a compact multi-line summary, so tools
 // stop hand-formatting the struct.
 func (s Statistics) String() string {
-	return fmt.Sprintf(
-		"tx: begins=%d flush=%d noflush=%d aborts=%d empty=%d setranges=%d cross-shard=%d\n"+
-			"log: bytes=%d forces=%d flushes=%d intra-saved=%d inter-saved=%d\n"+
-			"truncation: epochs=%d incr-steps=%d pages=%d failures=%d\n"+
-			"recovery: runs=%d bytes=%d scanned=%d discarded-prepares=%d\n"+
-			"checkpoint: runs=%d pages=%d\n"+
-			"faults: retries=%d\n"+
-			"group-commit: saved=%d max-batch=%d",
-		s.Begins, s.FlushCommits, s.NoFlushCommits, s.Aborts, s.EmptyCommits, s.SetRanges, s.CrossShardCommits,
-		s.LogBytes, s.LogForces, s.Flushes, s.IntraSavedBytes, s.InterSavedBytes,
-		s.EpochTruncs, s.IncrSteps, s.PagesWritten, s.TruncFailures,
-		s.Recoveries, s.RecoveredBytes, s.RecoveryScanned, s.DiscardedPrepares,
-		s.Checkpoints, s.CheckpointPages,
-		s.Retries,
-		s.ForcesSaved, s.GroupCommitSize)
+	var b strings.Builder
+	_ = obs.WriteText(&b, s) // a Builder cannot fail, and the declaration is checked by tests
+	return strings.TrimSuffix(b.String(), "\n")
 }
 
 // counters are the engine's cumulative statistics as atomics, so the
 // transaction hot path and background truncation bump them without any
-// lock.  Stats() assembles the public Statistics from a load of each.
-type counters struct {
-	begins            atomic.Uint64
-	flushCommits      atomic.Uint64
-	noFlushCommits    atomic.Uint64
-	aborts            atomic.Uint64
-	setRanges         atomic.Uint64
-	emptyCommits      atomic.Uint64
-	intraSavedBytes   atomic.Uint64
-	interSavedBytes   atomic.Uint64
-	flushes           atomic.Uint64
-	epochTruncs       atomic.Uint64
-	incrSteps         atomic.Uint64
-	pagesWritten      atomic.Uint64
-	recoveries        atomic.Uint64
-	recoveredBytes    atomic.Uint64
-	recoveryScanned   atomic.Uint64
-	retries           atomic.Uint64
-	truncFailures     atomic.Uint64
-	checkpoints       atomic.Uint64
-	checkpointPages   atomic.Uint64
-	crossShardCommits atomic.Uint64
-	discardedPrepares atomic.Uint64
-}
+// lock.  The four Stats() derives from the shards (LogBytes, LogForces,
+// ForcesSaved, GroupCommitSize) stay zero here.
+type counters = statsOf[atomic.Uint64]
 
 // pipeline is one shard's log-pipeline stage: the serialization point a
 // commit on that shard passes through.  Its mutex orders record appends
@@ -543,10 +517,10 @@ func Open(opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("rvm: recovery: applied %d byte(s) in %d write(s), %d segment(s) synced: %w",
 				st.TreeBytes, st.WritesMerged, st.Segments, err)
 		}
-		e.stats.recoveries.Store(1)
-		e.stats.recoveredBytes.Store(st.TreeBytes)
-		e.stats.recoveryScanned.Store(st.ScannedBytes)
-		e.stats.discardedPrepares.Store(uint64(st.DiscardedPrepares))
+		e.stats.Recoveries.Store(1)
+		e.stats.RecoveredBytes.Store(st.TreeBytes)
+		e.stats.RecoveryScanned.Store(st.ScannedBytes)
+		e.stats.DiscardedPrepares.Store(uint64(st.DiscardedPrepares))
 	}
 	if requested < len(e.shards) {
 		// Recovery emptied every log; drop the shards beyond the
@@ -977,7 +951,7 @@ func (e *Engine) Query(r *Region) (QueryInfo, error) {
 	qi := QueryInfo{
 		ActiveTxs:     int(e.active.Load()),
 		Poisoned:      e.poisonCause() != nil,
-		TruncFailures: e.stats.truncFailures.Load(),
+		TruncFailures: e.stats.TruncFailures.Load(),
 	}
 	for _, sh := range e.shards {
 		qi.LogUsed += sh.log.Used()
@@ -1025,30 +999,8 @@ func (e *Engine) SetOptions(truncateThreshold float64, incremental bool) {
 // "resolved ≤ begun" identity holds in every snapshot (a transaction
 // bumps begins strictly before it can bump a resolution counter).
 func (e *Engine) Stats() Statistics {
-	c := &e.stats
-	st := Statistics{
-		FlushCommits:    c.flushCommits.Load(),
-		NoFlushCommits:  c.noFlushCommits.Load(),
-		Aborts:          c.aborts.Load(),
-		SetRanges:       c.setRanges.Load(),
-		EmptyCommits:    c.emptyCommits.Load(),
-		IntraSavedBytes: c.intraSavedBytes.Load(),
-		InterSavedBytes: c.interSavedBytes.Load(),
-		Flushes:         c.flushes.Load(),
-		EpochTruncs:     c.epochTruncs.Load(),
-		IncrSteps:       c.incrSteps.Load(),
-		PagesWritten:    c.pagesWritten.Load(),
-		Recoveries:      c.recoveries.Load(),
-		RecoveredBytes:  c.recoveredBytes.Load(),
-		RecoveryScanned: c.recoveryScanned.Load(),
-		Retries:         c.retries.Load(),
-		TruncFailures:   c.truncFailures.Load(),
-		Checkpoints:     c.checkpoints.Load(),
-		CheckpointPages: c.checkpointPages.Load(),
-	}
-	st.Begins = c.begins.Load()
-	st.CrossShardCommits = c.crossShardCommits.Load()
-	st.DiscardedPrepares = c.discardedPrepares.Load()
+	var st Statistics
+	obs.Load(&st, &e.stats) // last field first: Begins is declared first
 	for _, sh := range e.shards {
 		ls := sh.log.Stats()
 		st.LogBytes += ls.BytesAppended
@@ -1071,32 +1023,35 @@ func (e *Engine) Stats() Statistics {
 type Snapshot struct {
 	Stats       Statistics           `json:"stats"`
 	Metrics     *obs.MetricsSnapshot `json:"metrics,omitempty"`
-	LogUsed     int64                `json:"log_used"`
-	LogSize     int64                `json:"log_size"`
-	SpoolBytes  int64                `json:"spool_bytes"`
-	ActiveTxs   int                  `json:"active_txs"`
-	DirtyPages  int                  `json:"dirty_pages"`
-	TraceEvents uint64               `json:"trace_events,omitempty"` // events ever recorded
-	Truncating  bool                 `json:"truncating"`
-	Poisoned    bool                 `json:"poisoned"`
+	LogUsed     int64                `json:"log_used" prom:"rvm_log_used_bytes" help:"Live bytes in the log area."`
+	LogSize     int64                `json:"log_size" prom:"rvm_log_size_bytes" help:"Size of the log area."`
+	SpoolBytes  int64                `json:"spool_bytes" prom:"rvm_spool_bytes" help:"Committed no-flush bytes awaiting the log."`
+	ActiveTxs   int                  `json:"active_txs" prom:"rvm_active_txs" help:"Transactions currently active."`
+	DirtyPages  int                  `json:"dirty_pages" prom:"rvm_dirty_pages" help:"Mapped pages with unreflected changes."`
+	TraceEvents uint64               `json:"trace_events,omitempty" prom:"rvm_trace_events_total" help:"Trace events ever recorded."`
+	Truncating  bool                 `json:"truncating" prom:"rvm_truncating" help:"1 while a truncation holds the slot."`
+	Poisoned    bool                 `json:"poisoned" prom:"rvm_poisoned" help:"1 after a fail-stop storage fault."`
 	Shards      []ShardSnapshot      `json:"shards"` // one entry per WAL shard
 }
 
 // ShardSnapshot is one WAL shard's live state inside a Snapshot: which
-// shard, how many commits it has logged, and where its log stands.
+// shard, how many commits it has logged, and where its log stands.  On
+// /metrics the shard index is a label, so a single-shard engine exposes
+// one shard="0" sample and dashboards keyed on the label work unchanged
+// at any shard count.
 type ShardSnapshot struct {
-	Shard      int    `json:"shard"`
-	Commits    uint64 `json:"commits"`     // commits that logged through this shard
-	LogUsed    int64  `json:"log_used"`    // live log bytes
-	LogSize    int64  `json:"log_size"`    // record-area capacity
-	LogForces  uint64 `json:"log_forces"`  // fsyncs of this shard's log
-	SpoolBytes int64  `json:"spool_bytes"` // committed no-flush bytes awaiting this shard's log
+	Shard      int    `json:"shard" label:"shard"`
+	Commits    uint64 `json:"commits" prom:"rvm_shard_commits_total" help:"Commits logged through each WAL shard."`
+	LogUsed    int64  `json:"log_used" prom:"rvm_shard_log_bytes" help:"Live log bytes per WAL shard."`
+	LogSize    int64  `json:"log_size" prom:"-"` // record-area capacity
+	LogForces  uint64 `json:"log_forces" prom:"rvm_shard_log_forces_total" help:"Log fsyncs per WAL shard."`
+	SpoolBytes int64  `json:"spool_bytes" prom:"-"` // committed no-flush bytes awaiting this shard's log
 }
 
-// Snapshot assembles the counters, metric summaries, and live gauges.
-// The dirty-page gauge is computed here (walking the page vectors on
-// every commit would not be allocation-free), so a snapshot is the
-// moment it refreshes.
+// Snapshot assembles the counters, metric summaries, and live levels.
+// The levels are computed here, each from its one source — the shards'
+// logs and pipelines, the active count, the page vectors — and kept
+// nowhere else, so a snapshot is the moment they are read.
 func (e *Engine) Snapshot() (Snapshot, error) {
 	if e.closed.Load() {
 		return Snapshot{}, ErrClosed
@@ -1134,7 +1089,6 @@ func (e *Engine) Snapshot() (Snapshot, error) {
 		sn.LogSize += sn.Shards[i].LogSize
 		sn.SpoolBytes += spoolBytes
 	}
-	e.met.SetDirtyPages(int64(dirty))
 	sn.Stats = e.Stats()
 	sn.Metrics = e.met.Snapshot()
 	sn.TraceEvents = e.tr.Recorded()

@@ -45,7 +45,7 @@ func (e *Engine) retryIO(op func() error) error {
 		if err == nil || attempt >= max || !iofault.IsTransient(err) {
 			return err
 		}
-		e.stats.retries.Add(1)
+		e.stats.Retries.Add(1)
 		e.tr.Record(obs.EvRetry, 0, uint64(attempt+1), 0)
 		time.Sleep(backoff)
 		backoff *= 2

@@ -124,7 +124,7 @@ func (e *Engine) spoolPipeLocked(sh *shard, sp *spooled) {
 							link = &old.next
 							continue
 						}
-						e.stats.interSavedBytes.Add(uint64(old.bytes))
+						e.stats.InterSavedBytes.Add(uint64(old.bytes))
 						e.retireSpooledPipeLocked(sh, old, nil)
 					}
 					*link = old.next

@@ -329,7 +329,7 @@ func TestSpoolPageRefs(t *testing.T) {
 	// before it writes anything, then writes both pages, and the stable LSN
 	// is the next append's — the flush commit and the three live spool entries
 	// are all reflected.
-	pages, _, stable, err := v.eng.cleanShard(sh, cleanEverything, &v.eng.stats.checkpointPages)
+	pages, _, stable, err := v.eng.cleanShard(sh, cleanEverything, &v.eng.stats.CheckpointPages)
 	v.eng.releaseTruncation()
 	if _, next := sh.log.Tail(); err != nil || pages != 2 || stable != next || stable != 5 || v.eng.Stats().Flushes != 1 {
 		t.Fatalf("cleaner wrote %d page(s), stable %d, %v, %d flush(es); want 2, 5, nil, 1", pages, stable, err, v.eng.Stats().Flushes)
@@ -384,7 +384,7 @@ func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	if err := v.eng.claimTruncation(); err != nil {
 		t.Fatal(err)
 	}
-	pages, _, _, err := v.eng.cleanShard(v.eng.shards[0], 0, &v.eng.stats.incrSteps)
+	pages, _, _, err := v.eng.cleanShard(v.eng.shards[0], 0, &v.eng.stats.IncrSteps)
 	v.eng.releaseTruncation()
 	if err != nil || pages != 1 {
 		t.Fatal(pages, err)
@@ -411,8 +411,9 @@ func (d *syncHookDevice) Sync() error {
 }
 
 // TestSpoolGaugeSurvivesFlush: a no-flush commit that spools while a flush
-// is forcing the log must not have its spool-bytes gauge overwritten with
-// the flusher's stale zero.
+// is forcing the log shows in the snapshot's spool level, which has one
+// source — the pipeline's own count — and no gauge a flusher could
+// overwrite with its stale zero.
 func TestSpoolGaugeSurvivesFlush(t *testing.T) {
 	v := newEnv(t, 1<<18, pageBytes(2), Options{})
 	if err := v.eng.Close(); err != nil {
@@ -450,8 +451,12 @@ func TestSpoolGaugeSurvivesFlush(t *testing.T) {
 	if qi.SpoolBytes == 0 {
 		t.Fatal("the racing commit did not spool")
 	}
-	if got := met.Snapshot().SpoolBytes; got != qi.SpoolBytes {
-		t.Fatalf("spool gauge reads %d with %d bytes spooled", got, qi.SpoolBytes)
+	sn, err := v.eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.SpoolBytes != qi.SpoolBytes {
+		t.Fatalf("snapshot spool level reads %d with %d bytes spooled", sn.SpoolBytes, qi.SpoolBytes)
 	}
 }
 

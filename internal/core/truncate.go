@@ -49,11 +49,7 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 		if err != nil && len(p.spool) > 0 {
 			need = wal.EncodedLen(p.spool[0].ranges)
 		}
-		spoolBytes := p.spoolBytes
 		p.mu.Unlock()
-		// The gauge gets what the drain left, read under the lock: a commit
-		// that spools during the force below publishes its own, later value.
-		e.met.SetSpoolBytes(spoolBytes)
 		if err == nil {
 			break
 		}
@@ -64,7 +60,7 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 	if err := e.retryIO(sh.log.Force); err != nil {
 		return err
 	}
-	e.stats.flushes.Add(1)
+	e.stats.Flushes.Add(1)
 	e.met.ObserveSpoolFlush(time.Since(t0).Nanoseconds())
 	e.tr.SpanSince(obs.EvSpoolFlush, t0, 0, uint64(drained), 0)
 	return nil
@@ -167,7 +163,7 @@ func (e *Engine) epochShard(sh *shard) error {
 	}
 	applied := time.Since(applyT)
 	e.completeEpochPipe(sh, ep.EndSeq())
-	e.stats.epochTruncs.Add(1)
+	e.stats.EpochTruncs.Add(1)
 	e.met.ObserveTruncPause((time.Since(t0) - applied).Nanoseconds())
 	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, uint64(ep.Records()), 0)
 	return nil
@@ -420,7 +416,7 @@ func (e *Engine) writePageLocked(r *Region, page int64) error {
 		return err
 	}
 	r.pvec.ClearDirty(int(page))
-	e.stats.pagesWritten.Add(1)
+	e.stats.PagesWritten.Add(1)
 	return nil
 }
 
@@ -463,7 +459,7 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 		if sh.log.Used() <= target {
 			continue
 		}
-		n, pos, seq, cerr := e.cleanShard(sh, target, &e.stats.incrSteps)
+		n, pos, seq, cerr := e.cleanShard(sh, target, &e.stats.IncrSteps)
 		pages += n
 		if err = cerr; err != nil {
 			break
@@ -529,7 +525,7 @@ func (e *Engine) autoTruncate() {
 		// correct either way — the log head did not advance, so recovery
 		// still covers every acknowledged commit — but the log will keep
 		// filling until the operator notices via Query/Stats.
-		e.stats.truncFailures.Add(1)
+		e.stats.TruncFailures.Add(1)
 		e.mu.Lock()
 		e.truncErr = err
 		e.mu.Unlock()

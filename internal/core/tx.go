@@ -154,8 +154,7 @@ func (e *Engine) Begin(mode TxMode) (*Tx, error) {
 	}
 	t := &Tx{eng: e, id: e.nextTID.Add(1) - 1, mode: mode}
 	t.regions = t.regPtrs[:0]
-	e.stats.begins.Add(1)
-	e.met.AddActiveTx(1)
+	e.stats.Begins.Add(1)
 	e.tr.Record(obs.EvTxBegin, t.id, 0, 0)
 	return t, nil
 }
@@ -189,7 +188,7 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 		return ErrRegionUnmapped
 	}
 	tr := t.txRegionLocked(r)
-	e.stats.setRanges.Add(1)
+	e.stats.SetRanges.Add(1)
 	tr.naive += rangeEncodedLen(n)
 
 	if e.opts.NoIntraOpt {
@@ -325,7 +324,6 @@ func (t *Tx) finish(held bool) {
 	}
 	t.done = true
 	e.active.Add(-1)
-	e.met.AddActiveTx(-1)
 }
 
 // loggedSpans returns the spans of the region the transaction will log:
@@ -416,11 +414,11 @@ func (t *Tx) Commit(mode CommitMode) error {
 	if len(t.regions) == 0 {
 		// Nothing was modified; no log record is needed.
 		t.finish(false)
-		e.stats.emptyCommits.Add(1)
+		e.stats.EmptyCommits.Add(1)
 		if mode == Flush {
-			e.stats.flushCommits.Add(1)
+			e.stats.FlushCommits.Add(1)
 		} else {
-			e.stats.noFlushCommits.Add(1)
+			e.stats.NoFlushCommits.Add(1)
 		}
 		return nil
 	}
@@ -601,13 +599,12 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 	for _, sh := range shs {
 		sh.commits.Add(1)
 	}
-	e.stats.intraSavedBytes.Add(uint64(saved))
+	e.stats.IntraSavedBytes.Add(uint64(saved))
 	if cross {
-		e.stats.crossShardCommits.Add(1)
+		e.stats.CrossShardCommits.Add(1)
 	}
 	if lazy {
-		e.stats.noFlushCommits.Add(1)
-		e.met.SetSpoolBytes(spoolBytes)
+		e.stats.NoFlushCommits.Add(1)
 		if limit := e.opts.SpoolLimit; limit > 0 && spoolBytes > limit {
 			// Implicit flush: this shard's spool is full.  Persistence stays
 			// "bounded by the period between log flushes" (§4.2) — this
@@ -617,7 +614,7 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 			}
 		}
 	} else {
-		e.stats.flushCommits.Add(1)
+		e.stats.FlushCommits.Add(1)
 	}
 	trigger := e.shouldAutoTruncate()
 	if !t0.IsZero() {
@@ -889,7 +886,7 @@ func (t *Tx) Abort() error {
 		}
 	}
 	t.finish(true)
-	e.stats.aborts.Add(1)
+	e.stats.Aborts.Add(1)
 	e.tr.Record(obs.EvTxAbort, t.id, 0, 0)
 	return nil
 }

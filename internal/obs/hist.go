@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Hist is a log2-bucketed histogram: values land in bucket
-// bits.Len64(v), i.e. bucket i holds [2^(i-1), 2^i).  Observing is one
-// atomic increment per counter — no locks, no allocation — which keeps
-// it cheap enough for the commit hot path while still answering
-// quantile questions to within a factor of two (plenty for telling a
-// 100 µs no-flush commit from a 10 ms forced one).
+// Hist is a log-linear histogram: every power-of-two octave is cut into
+// four equal sub-buckets (values below 8 get a bucket each), so a value
+// is known to within a quarter of itself — tight enough that the p50s of
+// a commit's phases add up to the commit's p50 (DESIGN.md §14), which
+// whole octaves miss by a third.  Observing is one index computation and
+// a few atomic adds — no locks, no allocation.
 //
 // The zero Hist is ready to use.  All methods are safe for concurrent
 // use.
@@ -19,10 +19,36 @@ type Hist struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
 	max     atomic.Uint64
-	buckets [65]atomic.Uint64
+	buckets [numBuckets]atomic.Uint64
 }
 
-// Observe records one value.  Negative values are clamped to zero.
+// numBuckets covers the whole uint64 range: 0..3 exactly, then four
+// sub-buckets for each of the octaves [2^2, 2^3) .. [2^63, 2^64).
+const numBuckets = 4 + 4*62
+
+// bucketOf returns the index of the bucket v lands in.
+func bucketOf(u uint64) int {
+	if u < 4 {
+		return int(u)
+	}
+	e := bits.Len64(u) - 1 // the octave: 2^e <= u < 2^(e+1), e >= 2
+	return 4*(e-1) + int(u>>(e-2))&3
+}
+
+// bucketRange returns bucket i's lowest value and its width.
+func bucketRange(i int) (lo, width uint64) {
+	if i < 4 {
+		return uint64(i), 1
+	}
+	e := i/4 + 1
+	return uint64(4+i%4) << (e - 2), 1 << (e - 2)
+}
+
+// Observe records one value.  Negative values are clamped to zero.  It is
+// the out-of-line call of the observation path — too big for the inliner,
+// which is what lets the nil-safe (*Metrics).Observe* wrappers around it
+// inline into their callers, so an engine without metrics pays a nil
+// check, not a call (TestObserveEntryPointsInline).
 func (h *Hist) Observe(v int64) {
 	if v < 0 {
 		v = 0
@@ -36,7 +62,7 @@ func (h *Hist) Observe(v int64) {
 			break
 		}
 	}
-	h.buckets[bits.Len64(u)].Add(1)
+	h.buckets[bucketOf(u)].Add(1)
 }
 
 // Count returns the number of observations.
@@ -46,9 +72,9 @@ func (h *Hist) Count() uint64 { return h.count.Load() }
 func (h *Hist) Sum() uint64 { return h.sum.Load() }
 
 // HistStat is a JSON-marshalable summary of a histogram: cumulative
-// count and sum plus quantiles estimated from the log2 buckets (each
-// quantile is the geometric midpoint of the bucket it falls in, so it is
-// accurate to within a factor of two).
+// count and sum plus quantiles estimated from the buckets (each quantile
+// is interpolated inside the bucket it falls in, so it is accurate to
+// within a quarter of its value).
 type HistStat struct {
 	Count uint64  `json:"count"`
 	Sum   uint64  `json:"sum"`
@@ -63,7 +89,7 @@ type HistStat struct {
 // lock, so a snapshot taken during concurrent observation is consistent
 // per counter, not across counters — fine for monitoring.
 func (h *Hist) Snapshot() HistStat {
-	var counts [65]uint64
+	var counts [numBuckets]uint64
 	var total uint64
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
@@ -93,11 +119,8 @@ func (h *Hist) Snapshot() HistStat {
 
 // quantile returns the estimated q-quantile: a point inside the bucket
 // containing the q*total'th observation, linearly interpolated by the
-// rank's position within the bucket.  Interpolation tightens the
-// factor-of-two bucket granularity when many observations share a
-// bucket — important for the phase-attribution check that per-phase
-// p50s sum to roughly the total commit p50 (DESIGN.md §14).
-func quantile(counts *[65]uint64, total uint64, q float64) int64 {
+// rank's position within the bucket.
+func quantile(counts *[numBuckets]uint64, total uint64, q float64) int64 {
 	rank := uint64(math.Ceil(q * float64(total)))
 	if rank == 0 {
 		rank = 1
@@ -109,21 +132,16 @@ func quantile(counts *[65]uint64, total uint64, q float64) int64 {
 		}
 		seen += c
 	}
-	return bucketAt(64, 1)
+	return bucketAt(numBuckets-1, 1)
 }
 
 // bucketAt returns the point a fraction frac (in (0, 1]) of the way
-// through bucket i, whose range is [2^(i-1), 2^i).  Bucket 0 holds only
-// the value 0, and the overflow buckets (>= 63) have no finite upper
-// edge, so both return a fixed point; Snapshot's clamp against the
-// observed maximum keeps overflow quantiles honest.
+// through bucket i, never past the bucket's last value.
 func bucketAt(i int, frac float64) int64 {
-	if i == 0 {
-		return 0
+	lo, width := bucketRange(i)
+	off := uint64(float64(width) * frac)
+	if off >= width {
+		off = width - 1
 	}
-	if i >= 63 {
-		return math.MaxInt64
-	}
-	lo := int64(1) << (i - 1)
-	return lo + int64(float64(lo)*frac)
+	return int64(min(lo+off, math.MaxInt64))
 }

@@ -110,11 +110,11 @@ func (m *Metrics) LockContended(c LockClass, waitNs int64) {
 // LockStat is the JSON-marshalable contention summary of one lock
 // class.
 type LockStat struct {
-	Class    string `json:"class"`
-	Level    int    `json:"level"`
-	Acquires uint64 `json:"acquires"`
-	Slow     uint64 `json:"slow"`
-	WaitNs   uint64 `json:"wait_ns"`
+	Class    string `json:"class" label:"class"`
+	Level    int    `json:"level" prom:"-"`
+	Acquires uint64 `json:"acquires" prom:"rvm_lock_acquires_total" help:"Lock acquisitions by class."`
+	Slow     uint64 `json:"slow" prom:"rvm_lock_slow_total" help:"Lock acquisitions that waited."`
+	WaitNs   uint64 `json:"wait_ns" prom:"rvm_lock_wait_ns_total" help:"Nanoseconds spent waiting for locks."`
 }
 
 // lockStats summarizes every class, in hierarchy order.

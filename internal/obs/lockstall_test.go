@@ -29,16 +29,15 @@ func TestHistSingleObservation(t *testing.T) {
 
 func TestHistOverflowBucketClamped(t *testing.T) {
 	var h Hist
-	// All mass in the overflow bucket (values >= 1<<63 land in bucket 64).
+	// All mass in the last bucket an int64 can reach, whose upper edge is
+	// 2^63: interpolation must stay inside the bucket and inside int64.
 	huge := int64(math.MaxInt64)
 	for i := 0; i < 10; i++ {
 		h.Observe(huge)
 	}
 	st := h.Snapshot()
-	// The overflow bucket has no upper edge; the quantile estimate must
-	// clamp to the recorded max, not report 2^63.
-	if st.P50 != huge || st.P99 != huge {
-		t.Errorf("p50=%d p99=%d, want both clamped to max %d", st.P50, st.P99, huge)
+	if lo := huge - huge/8; st.P50 < lo || st.P50 > huge || st.P99 < st.P50 || st.P99 > huge {
+		t.Errorf("p50=%d p99=%d, want both in [%d, %d] and ordered", st.P50, st.P99, lo, huge)
 	}
 	if st.Max != huge {
 		t.Errorf("max = %d, want %d", st.Max, huge)
@@ -49,7 +48,7 @@ func TestHistQuantileNeverExceedsMax(t *testing.T) {
 	var h Hist
 	// A value near a bucket's lower edge: interpolation toward the upper
 	// edge must still clamp at the true max.
-	h.Observe(1025) // bucket [1024, 2048)
+	h.Observe(1025) // bucket [1024, 1280)
 	h.Observe(1025)
 	st := h.Snapshot()
 	if st.P99 > st.Max {

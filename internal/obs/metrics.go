@@ -15,53 +15,54 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Load returns the gauge's current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Metrics is the engine's metric registry: log2-bucketed histograms for
-// the latencies and sizes the paper's evaluation measures, plus live
-// gauges.  It is a fixed struct rather than a name-keyed map so the hot
-// path pays one atomic increment, never a lookup or an allocation.
+// metricsOf is the one declaration of the engine's histograms and
+// recovery-progress gauges (declare.go explains the tags).  The live
+// registry instantiates it on Hist and Gauge, the snapshot on HistStat
+// and int64, so the two cannot drift: a histogram added here is in
+// Snapshot JSON, /metrics, rvmstat and the README table once its
+// Observe method below has a caller.  Latencies are nanoseconds.
+type metricsOf[H, G any] struct {
+	CommitFlushNs   H `json:"commit_flush_ns" prom:"rvm_commit_flush_ns" help:"Flush-mode commit latency."`
+	CommitNoFlushNs H `json:"commit_noflush_ns" prom:"rvm_commit_noflush_ns" help:"No-flush commit latency."`
+	ForceLatencyNs  H `json:"force_latency_ns" prom:"rvm_force_latency_ns" help:"Log force (fsync) latency."`
+	ForceBatch      H `json:"force_batch" prom:"rvm_force_batch" help:"Records covered per force."`
+	TruncPauseNs    H `json:"trunc_pause_ns" prom:"rvm_trunc_pause_ns" help:"Forward-processing pause per truncation."`
+	SpoolFlushNs    H `json:"spool_flush_ns" prom:"rvm_spool_flush_ns" help:"Spool flush latency."`
+	CheckpointNs    H `json:"checkpoint_ns" prom:"rvm_checkpoint_ns" help:"Fuzzy checkpoint latency."`
+	OpenScanNs      H `json:"open_scan_ns" prom:"rvm_open_scan_ns" help:"Scan of one log at Open: finds the tail and feeds the redo builders."`
+	RecoveryScanNs  H `json:"recovery_scan_ns" prom:"rvm_recovery_scan_ns" help:"Recovery scanning after Open (second scans from a prepare or a checkpoint)."`
+	RecoveryBuildNs H `json:"recovery_build_ns" prom:"rvm_recovery_build_ns" help:"Recovery wait for the redo-tree builders after the scans."`
+	RecoveryApplyNs H `json:"recovery_apply_ns" prom:"rvm_recovery_apply_ns" help:"Recovery apply phase duration."`
+
+	// Where one commit's latency went (DESIGN.md §14).  The first five
+	// partition the commit critical path, so their per-commit values sum
+	// to roughly the commit's latency; GCLeader/GCFollower split the
+	// force wait by role under group commit, and Fsync isolates the
+	// device sync inside a led (or direct) force.
+	PhaseLockWaitNs   H `json:"phase_lock_wait_ns" prom:"rvm_commit_phase_ns,phase=lock_wait" help:"Flush-commit critical-path phase latency."`
+	PhaseEncodeNs     H `json:"phase_encode_ns" prom:",phase=encode"`
+	PhasePipeWaitNs   H `json:"phase_pipe_wait_ns" prom:",phase=pipe_wait"`
+	PhaseAppendNs     H `json:"phase_append_ns" prom:",phase=append"`
+	PhaseForceWaitNs  H `json:"phase_force_wait_ns" prom:",phase=force_wait"`
+	PhaseGCLeaderNs   H `json:"phase_gc_leader_ns" prom:",phase=gc_leader"`
+	PhaseGCFollowerNs H `json:"phase_gc_follower_ns" prom:",phase=gc_follower"`
+	PhaseFsyncNs      H `json:"phase_fsync_ns" prom:",phase=fsync"`
+
+	// Live levels while a restart replays the log, so a multi-GB
+	// recovery is observable as it runs.
+	RecoveryScanBytes  G `json:"recovery_scan_bytes" prom:"rvm_recovery_scan_bytes" help:"Log bytes recovery has to consider (stable LSN to tail)."`
+	RecoveryApplyBytes G `json:"recovery_apply_bytes" prom:"rvm_recovery_apply_bytes" help:"Modification bytes applied by recovery so far."`
+	RecoveryReplayed   G `json:"recovery_replayed" prom:"rvm_recovery_replayed_records" help:"Log records replayed by recovery so far."`
+}
+
+// Metrics is the engine's live metric store.  It is a fixed struct rather
+// than a name-keyed map so the hot path pays one atomic increment, never
+// a lookup or an allocation.
 //
 // All methods are nil-safe: a nil *Metrics discards every observation,
 // so instrumented code needs no enabled-checks.
 type Metrics struct {
-	// Histograms (latencies in nanoseconds unless noted).
-	CommitFlush   Hist // flush-mode commit latency (includes the force wait)
-	CommitNoFlush Hist // no-flush commit latency (spool only, no force)
-	ForceLatency  Hist // device fsync duration on the log force path
-	ForceBatch    Hist // records made durable per completed force (group-commit batch size)
-	TruncPause    Hist // time truncation held the engine lock against forward processing
-	SpoolFlush    Hist // spool drain + force latency (explicit or implicit Flush)
-	Checkpoint    Hist // fuzzy checkpoint duration (page write-out + record force)
-	OpenScan      Hist // one log's scan at Open: finds the tail and feeds recovery's builders as it reads
-	RecoveryScan  Hist // what the Open scans left for second scans (next to nothing when nothing was), or the scan of a log already open
-	RecoveryBuild Hist // waiting for the redo-tree builders once the scans are done; most building overlaps a scan
-	RecoveryApply Hist // recovery segment replay duration (per shard)
-
-	// Commit-phase histograms: where one flush-mode commit's latency
-	// went (DESIGN.md §14).  The first five partition the commit
-	// critical path, so their per-commit values sum to roughly the
-	// CommitFlush observation; GCLeader/GCFollower split PhaseForceWait
-	// by role under group commit, and PhaseFsync isolates the device
-	// sync inside a led (or direct) force.
-	PhaseLockWait   Hist // waiting for the transaction's region locks
-	PhaseEncode     Hist // building the WAL record (range copy + header)
-	PhasePipeWait   Hist // waiting for the log-pipeline lock
-	PhaseAppend     Hist // wal.Append: encode-to-device staging under the WAL lock
-	PhaseForceWait  Hist // waiting for durability (own force or a leader's)
-	PhaseGCLeader   Hist // PhaseForceWait of commits that led a group force
-	PhaseGCFollower Hist // PhaseForceWait of commits covered by someone else's force
-	PhaseFsync      Hist // device sync duration inside a force this commit ran
-
-	// Gauges (live levels, updated by the engine and WAL).
-	LogLiveBytes Gauge // live bytes in the log record area
-	SpoolBytes   Gauge // committed no-flush bytes awaiting a flush
-	ActiveTx     Gauge // transactions begun and not yet resolved
-	DirtyPages   Gauge // pages with committed changes not yet in their segments
-
-	// Recovery-progress gauges: live levels while a restart replays the
-	// log, so a multi-GB recovery is observable as it runs.
-	RecoveryScanBytes  Gauge // log bytes redo has to consider: from the stable LSN to the tail
-	RecoveryApplyBytes Gauge // modification bytes applied to segments so far
-	RecoveryReplayed   Gauge // log records replayed so far
+	metricsOf[Hist, Gauge]
 
 	// Per-lock-class contention counters (lock.go) and stall-watchdog
 	// state (stall.go).
@@ -90,14 +91,14 @@ func NewMetrics() *Metrics { return &Metrics{} }
 // ObserveCommitFlush records one flush-mode commit latency.
 func (m *Metrics) ObserveCommitFlush(ns int64) {
 	if m != nil {
-		m.CommitFlush.Observe(ns)
+		m.CommitFlushNs.Observe(ns)
 	}
 }
 
 // ObserveCommitNoFlush records one no-flush commit latency.
 func (m *Metrics) ObserveCommitNoFlush(ns int64) {
 	if m != nil {
-		m.CommitNoFlush.Observe(ns)
+		m.CommitNoFlushNs.Observe(ns)
 	}
 }
 
@@ -105,7 +106,7 @@ func (m *Metrics) ObserveCommitNoFlush(ns int64) {
 // records the force made durable.
 func (m *Metrics) ObserveForce(ns int64, batch uint64) {
 	if m != nil {
-		m.ForceLatency.Observe(ns)
+		m.ForceLatencyNs.Observe(ns)
 		m.ForceBatch.Observe(int64(batch))
 	}
 }
@@ -113,49 +114,49 @@ func (m *Metrics) ObserveForce(ns int64, batch uint64) {
 // ObserveTruncPause records time truncation held the engine lock.
 func (m *Metrics) ObserveTruncPause(ns int64) {
 	if m != nil {
-		m.TruncPause.Observe(ns)
+		m.TruncPauseNs.Observe(ns)
 	}
 }
 
 // ObserveSpoolFlush records one spool-flush latency.
 func (m *Metrics) ObserveSpoolFlush(ns int64) {
 	if m != nil {
-		m.SpoolFlush.Observe(ns)
+		m.SpoolFlushNs.Observe(ns)
 	}
 }
 
 // ObserveCheckpoint records one fuzzy-checkpoint duration.
 func (m *Metrics) ObserveCheckpoint(ns int64) {
 	if m != nil {
-		m.Checkpoint.Observe(ns)
+		m.CheckpointNs.Observe(ns)
 	}
 }
 
 // ObserveOpenScan records one log's scan at Open.
 func (m *Metrics) ObserveOpenScan(ns int64) {
 	if m != nil {
-		m.OpenScan.Observe(ns)
+		m.OpenScanNs.Observe(ns)
 	}
 }
 
 // ObserveRecoveryScan records one recovery's scanning after Open's.
 func (m *Metrics) ObserveRecoveryScan(ns int64) {
 	if m != nil {
-		m.RecoveryScan.Observe(ns)
+		m.RecoveryScanNs.Observe(ns)
 	}
 }
 
 // ObserveRecoveryBuild records one recovery's wait for its tree builders.
 func (m *Metrics) ObserveRecoveryBuild(ns int64) {
 	if m != nil {
-		m.RecoveryBuild.Observe(ns)
+		m.RecoveryBuildNs.Observe(ns)
 	}
 }
 
 // ObserveRecoveryApply records one recovery replay duration.
 func (m *Metrics) ObserveRecoveryApply(ns int64) {
 	if m != nil {
-		m.RecoveryApply.Observe(ns)
+		m.RecoveryApplyNs.Observe(ns)
 	}
 }
 
@@ -166,10 +167,10 @@ func (m *Metrics) ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs int64) {
 	if m == nil {
 		return
 	}
-	m.PhaseLockWait.Observe(lockNs)
-	m.PhaseEncode.Observe(encodeNs)
-	m.PhasePipeWait.Observe(pipeNs)
-	m.PhaseAppend.Observe(appendNs)
+	m.PhaseLockWaitNs.Observe(lockNs)
+	m.PhaseEncodeNs.Observe(encodeNs)
+	m.PhasePipeWaitNs.Observe(pipeNs)
+	m.PhaseAppendNs.Observe(appendNs)
 }
 
 // ObserveCommitPhases records the phase breakdown of a commit that forced
@@ -183,16 +184,16 @@ func (m *Metrics) ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceN
 		return
 	}
 	m.ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs)
-	m.PhaseForceWait.Observe(forceNs)
+	m.PhaseForceWaitNs.Observe(forceNs)
 	if group {
 		if led {
-			m.PhaseGCLeader.Observe(forceNs)
+			m.PhaseGCLeaderNs.Observe(forceNs)
 		} else {
-			m.PhaseGCFollower.Observe(forceNs)
+			m.PhaseGCFollowerNs.Observe(forceNs)
 		}
 	}
 	if fsyncNs > 0 {
-		m.PhaseFsync.Observe(fsyncNs)
+		m.PhaseFsyncNs.Observe(fsyncNs)
 	}
 }
 
@@ -217,65 +218,11 @@ func (m *Metrics) AddRecoveryReplayed(d int64) {
 	}
 }
 
-// SetLogLiveBytes updates the live-log gauge.
-func (m *Metrics) SetLogLiveBytes(v int64) {
-	if m != nil {
-		m.LogLiveBytes.Set(v)
-	}
-}
-
-// SetSpoolBytes updates the spool gauge.
-func (m *Metrics) SetSpoolBytes(v int64) {
-	if m != nil {
-		m.SpoolBytes.Set(v)
-	}
-}
-
-// AddActiveTx adjusts the active-transaction gauge.
-func (m *Metrics) AddActiveTx(d int64) {
-	if m != nil {
-		m.ActiveTx.Add(d)
-	}
-}
-
-// SetDirtyPages updates the dirty-page gauge.
-func (m *Metrics) SetDirtyPages(v int64) {
-	if m != nil {
-		m.DirtyPages.Set(v)
-	}
-}
-
-// MetricsSnapshot is the JSON-marshalable summary of a registry.
+// MetricsSnapshot is the JSON-marshalable summary of a registry: the
+// declaration above with every histogram summarized and every gauge
+// loaded, plus the label-keyed lock and stall tables.
 type MetricsSnapshot struct {
-	CommitFlushNs   HistStat `json:"commit_flush_ns"`
-	CommitNoFlushNs HistStat `json:"commit_noflush_ns"`
-	ForceLatencyNs  HistStat `json:"force_latency_ns"`
-	ForceBatch      HistStat `json:"force_batch"`
-	TruncPauseNs    HistStat `json:"trunc_pause_ns"`
-	SpoolFlushNs    HistStat `json:"spool_flush_ns"`
-	CheckpointNs    HistStat `json:"checkpoint_ns"`
-	OpenScanNs      HistStat `json:"open_scan_ns"`
-	RecoveryScanNs  HistStat `json:"recovery_scan_ns"`
-	RecoveryBuildNs HistStat `json:"recovery_build_ns"`
-	RecoveryApplyNs HistStat `json:"recovery_apply_ns"`
-
-	PhaseLockWaitNs   HistStat `json:"phase_lock_wait_ns"`
-	PhaseEncodeNs     HistStat `json:"phase_encode_ns"`
-	PhasePipeWaitNs   HistStat `json:"phase_pipe_wait_ns"`
-	PhaseAppendNs     HistStat `json:"phase_append_ns"`
-	PhaseForceWaitNs  HistStat `json:"phase_force_wait_ns"`
-	PhaseGCLeaderNs   HistStat `json:"phase_gc_leader_ns"`
-	PhaseGCFollowerNs HistStat `json:"phase_gc_follower_ns"`
-	PhaseFsyncNs      HistStat `json:"phase_fsync_ns"`
-
-	LogLiveBytes int64 `json:"log_live_bytes"`
-	SpoolBytes   int64 `json:"spool_bytes"`
-	ActiveTx     int64 `json:"active_tx"`
-	DirtyPages   int64 `json:"dirty_pages"`
-
-	RecoveryScanBytes  int64 `json:"recovery_scan_bytes"`
-	RecoveryApplyBytes int64 `json:"recovery_apply_bytes"`
-	RecoveryReplayed   int64 `json:"recovery_replayed"`
+	metricsOf[HistStat, int64]
 
 	Locks     []LockStat  `json:"locks,omitempty"`
 	Stalls    []StallStat `json:"stalls,omitempty"`
@@ -288,39 +235,7 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 	if m == nil {
 		return nil
 	}
-	return &MetricsSnapshot{
-		CommitFlushNs:   m.CommitFlush.Snapshot(),
-		CommitNoFlushNs: m.CommitNoFlush.Snapshot(),
-		ForceLatencyNs:  m.ForceLatency.Snapshot(),
-		ForceBatch:      m.ForceBatch.Snapshot(),
-		TruncPauseNs:    m.TruncPause.Snapshot(),
-		SpoolFlushNs:    m.SpoolFlush.Snapshot(),
-		CheckpointNs:    m.Checkpoint.Snapshot(),
-		OpenScanNs:      m.OpenScan.Snapshot(),
-		RecoveryScanNs:  m.RecoveryScan.Snapshot(),
-		RecoveryBuildNs: m.RecoveryBuild.Snapshot(),
-		RecoveryApplyNs: m.RecoveryApply.Snapshot(),
-
-		PhaseLockWaitNs:   m.PhaseLockWait.Snapshot(),
-		PhaseEncodeNs:     m.PhaseEncode.Snapshot(),
-		PhasePipeWaitNs:   m.PhasePipeWait.Snapshot(),
-		PhaseAppendNs:     m.PhaseAppend.Snapshot(),
-		PhaseForceWaitNs:  m.PhaseForceWait.Snapshot(),
-		PhaseGCLeaderNs:   m.PhaseGCLeader.Snapshot(),
-		PhaseGCFollowerNs: m.PhaseGCFollower.Snapshot(),
-		PhaseFsyncNs:      m.PhaseFsync.Snapshot(),
-
-		LogLiveBytes: m.LogLiveBytes.Load(),
-		SpoolBytes:   m.SpoolBytes.Load(),
-		ActiveTx:     m.ActiveTx.Load(),
-		DirtyPages:   m.DirtyPages.Load(),
-
-		RecoveryScanBytes:  m.RecoveryScanBytes.Load(),
-		RecoveryApplyBytes: m.RecoveryApplyBytes.Load(),
-		RecoveryReplayed:   m.RecoveryReplayed.Load(),
-
-		Locks:     m.lockStats(),
-		Stalls:    m.stallStats(),
-		LastStall: m.lastStall(),
-	}
+	sn := &MetricsSnapshot{Locks: m.lockStats(), Stalls: m.stallStats(), LastStall: m.lastStall()}
+	Load(&sn.metricsOf, &m.metricsOf)
+	return sn
 }

@@ -13,8 +13,9 @@
 //     nanosecond timestamps and durations, written lock-free from any
 //     goroutine and exportable as JSON or Chrome trace_event format
 //     (chrome://tracing, Perfetto).
-//   - Metrics: log2-bucketed latency/size histograms plus live gauges,
-//     all updated with single atomic operations.
+//   - Metrics: log-linear latency/size histograms plus live gauges, all
+//     updated with single atomic operations; declared once, as tagged
+//     struct fields every surface is derived from (declare.go).
 //
 // Both types are nil-safe: a nil *Tracer or *Metrics accepts every call
 // and does nothing, so instrumented code needs no "is observability on?"

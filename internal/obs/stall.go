@@ -101,15 +101,15 @@ func (m *Metrics) RecordStall(c StallClass, durNs int64) {
 
 // StallStat is the JSON-marshalable stall tally of one class.
 type StallStat struct {
-	Class string `json:"class"`
-	Count uint64 `json:"count"`
+	Class string `json:"class" label:"class"`
+	Count uint64 `json:"count" prom:"rvm_stalls_total" help:"Operations the watchdog saw exceed the stall budget."`
 }
 
 // LastStall describes the most recently detected stall.
 type LastStall struct {
-	Class string `json:"class"`
-	DurNs int64  `json:"dur_ns"`
-	AgoNs int64  `json:"ago_ns"`
+	Class string `json:"class" label:"class"`
+	DurNs int64  `json:"dur_ns" prom:"rvm_last_stall_duration_ns" help:"In-flight time of the most recent stall when detected."`
+	AgoNs int64  `json:"ago_ns" prom:"rvm_last_stall_age_ns" help:"Nanoseconds since the most recent stall was detected."`
 }
 
 // stallStats summarizes the per-class tallies, in class order.

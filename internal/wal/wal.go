@@ -178,9 +178,8 @@ func (l *Log) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 	l.mu.Bind(obs.LockWAL, m)
 	l.mu.Lock()
 	l.tr, l.met = tr, m
-	used, openScan := l.used, l.openScanNs
+	openScan := l.openScanNs
 	l.mu.Unlock()
-	m.SetLogLiveBytes(used)
 	m.ObserveOpenScan(openScan)
 }
 
@@ -675,12 +674,8 @@ func (l *Log) appendOne(typ uint8, tid uint64, flags uint8, ranges []Range) (pos
 func (l *Log) appendRecords(typ uint8, ents []Entry) (n int, nbytes int64, err error) {
 	l.mu.Lock()
 	n, nbytes, err = l.appendLocked(typ, ents)
-	used := l.used
-	tr, met := l.tr, l.met
+	tr := l.tr
 	l.mu.Unlock()
-	if n > 0 {
-		met.SetLogLiveBytes(used)
-	}
 	if tr != nil {
 		for i := range ents[:n] {
 			tr.Record(obs.EvLogAppend, ents[i].TID, uint64(ents[i].Len), ents[i].Seq)
@@ -697,13 +692,11 @@ func (l *Log) AppendCheckpoint(stable uint64) (pos int64, seq uint64, err error)
 	ent := [1]Entry{{TID: stable}}
 	l.mu.Lock()
 	_, nbytes, err := l.appendLocked(recCkpt, ent[:])
-	used := l.used
-	tr, met := l.tr, l.met
+	tr := l.tr
 	l.mu.Unlock()
 	if err != nil {
 		return 0, 0, err
 	}
-	met.SetLogLiveBytes(used)
 	tr.Record(obs.EvLogAppend, 0, uint64(nbytes), ent[0].Seq)
 	return ent[0].Pos, ent[0].Seq, nil
 }
@@ -1113,10 +1106,7 @@ func (l *Log) SetHead(pos int64, seq uint64) error {
 	l.stats.Forces++
 	l.head, l.headSeq = pos, seq
 	l.used -= freed
-	used := l.used
-	met := l.met
 	l.mu.Unlock()
-	met.SetLogLiveBytes(used)
 	return nil
 }
 

@@ -312,8 +312,9 @@ func TestPublishExpvarTwice(t *testing.T) {
 // TestCommitPhaseAttribution is the acceptance check for the phase
 // model: the five phases partition the flush-commit critical path, so
 // with 16 concurrent committers the sum of the phase p50s must land
-// within 20% of the observed CommitFlush p50.  Scheduling noise can
-// skew any single run; best of three attempts must pass.
+// within 10% of the observed CommitFlush p50 (the histograms resolve a
+// quarter of an octave).  Scheduling noise can skew any single run; best
+// of three attempts must pass.
 func TestCommitPhaseAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive sweep")
@@ -371,7 +372,7 @@ func TestCommitPhaseAttribution(t *testing.T) {
 			t.Fatalf("phase count = %d, want %d", m.PhaseLockWaitNs.Count, workers*commitsEach)
 		}
 		ratio := float64(phaseSum) / float64(total)
-		if ratio >= 0.8 && ratio <= 1.2 {
+		if ratio >= 0.9 && ratio <= 1.1 {
 			return // attribution holds
 		}
 		lastErr = fmt.Sprintf("attempt %d: phase p50 sum %d vs commit p50 %d (ratio %.2f)",
@@ -380,5 +381,5 @@ func TestCommitPhaseAttribution(t *testing.T) {
 		s.db.Close()
 		s.db = nil
 	}
-	t.Fatalf("phase attribution off by more than 20%% in all attempts: %s", lastErr)
+	t.Fatalf("phase attribution off by more than 10%% in all attempts: %s", lastErr)
 }

@@ -72,11 +72,11 @@ type Snapshot = core.Snapshot
 type ShardSnapshot = core.ShardSnapshot
 
 // MetricsSnapshot summarizes the metric registry: one HistStat per
-// histogram plus the gauges.
+// histogram, the recovery-progress gauges, and the lock and stall tables.
 type MetricsSnapshot = obs.MetricsSnapshot
 
-// HistStat is a histogram summary: count, sum, mean, and log2-bucket
-// quantile estimates (accurate to within a factor of two).
+// HistStat is a histogram summary: count, sum, mean, and quantile
+// estimates from quarter-octave buckets (accurate to within a quarter).
 type HistStat = obs.HistStat
 
 // TraceEvent is one decoded entry of the event trace.

@@ -232,7 +232,7 @@ func TestRvmstatRoundTrip(t *testing.T) {
 
 	// The rendered view from the same file mentions the headline numbers.
 	out = runTool(t, "rvmstat", "-snapshot", snapPath)
-	for _, frag := range []string{"flush 6", "noflush 2", "commit-flush", "log-force"} {
+	for _, frag := range []string{"flush-commits 6", "noflush-commits 2", "commit-flush", "force-latency"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("rvmstat view missing %q:\n%s", frag, out)
 		}
@@ -242,7 +242,7 @@ func TestRvmstatRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(s.db.DebugHandler())
 	defer srv.Close()
 	out = runTool(t, "rvmstat", "-url", srv.URL)
-	if !strings.Contains(out, "flush 6") {
+	if !strings.Contains(out, "flush-commits 6") {
 		t.Errorf("rvmstat -url view: %s", out)
 	}
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
@@ -319,7 +319,7 @@ func TestRecoveryPhasesSurface(t *testing.T) {
 	lintProm(t, string(raw))
 
 	out := runTool(t, "rvmstat", "-url", srv.URL)
-	for _, row := range []string{"open-scan", "recov-scan", "recov-build", "recov-apply"} {
+	for _, row := range []string{"open-scan", "recovery-scan", "recovery-build", "recovery-apply"} {
 		if !strings.Contains(out, row) {
 			t.Errorf("rvmstat view missing the %q row:\n%s", row, out)
 		}
