@@ -3,7 +3,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: build test lint bench bench-gates
+.PHONY: build test lint loc bench bench-gates
 
 build:
 	go build ./...
@@ -24,6 +24,17 @@ lint:
 	else echo "staticcheck not installed; go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck not installed; go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)"; fi
+
+# loc prints the sizes CHANGES.md entries quote, so that nobody counts by
+# hand: non-test, non-testdata Go lines of the engine's packages and of
+# rvm.go, and the fields of the two Options structs (TestOptionsForwarded is
+# their ratchet; this only prints).  CI's lint job runs it.
+loc:
+	@for d in core wal recovery obs analysis; do \
+		printf '%-22s %6d lines\n' internal/$$d $$(find internal/$$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); done
+	@printf '%-22s %6d lines\n' rvm.go $$(wc -l < rvm.go)
+	@printf '%-22s %6d fields\n' rvm.Options $$(go doc . Options | awk '/^\t[A-Z]/ {n++} END {print n}')
+	@printf '%-22s %6d fields\n' core.Options $$(go doc ./internal/core Options | awk '/^\t[A-Z]/ {n++} END {print n}')
 
 # bench is the one list of smoke benchmarks; CI's bench job calls it.
 bench:

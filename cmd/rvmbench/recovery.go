@@ -16,7 +16,7 @@ import (
 
 // The recovery experiment is the regression gate for bounded restart:
 // time-to-recover per MB of log must stay under a ceiling both serially
-// and at RecoveryParallelism N — redo is linear in log bytes, so a per-MB
+// and on N processors — redo is linear in log bytes, so a per-MB
 // figure on the largest log catches any return of a superlinear term —
 // and with periodic fuzzy checkpoints the log bytes a restart scans must
 // be bounded by the checkpoint interval, independent of total log size.
@@ -271,7 +271,8 @@ func recovCopy(srcDir string) (string, error) {
 }
 
 // recovOpen clones dir and times a recovering Open at the given
-// parallelism (-1 = serial).  It returns the wall time and the engine's
+// parallelism.  Recovery is as wide as GOMAXPROCS, so that is what the
+// timed Open is bracketed with.  It returns the wall time and the engine's
 // post-recovery statistics.
 func recovOpen(dir string, parallelism int) (int64, rvm.Statistics, error) {
 	run, err := recovCopy(dir)
@@ -279,11 +280,11 @@ func recovOpen(dir string, parallelism int) (int64, rvm.Statistics, error) {
 		return 0, rvm.Statistics{}, err
 	}
 	defer os.RemoveAll(run)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(parallelism, 1)))
 	start := time.Now()
 	db, err := rvm.Open(rvm.Options{
-		LogPath:             filepath.Join(run, "r.log"),
-		TruncateThreshold:   -1,
-		RecoveryParallelism: parallelism,
+		LogPath:           filepath.Join(run, "r.log"),
+		TruncateThreshold: -1,
 	})
 	if err != nil {
 		return 0, rvm.Statistics{}, err
@@ -296,13 +297,9 @@ func recovOpen(dir string, parallelism int) (int64, rvm.Statistics, error) {
 
 // recovMeasure is the best-of-trials restart time at one parallelism.
 func recovMeasure(dir string, mb, parallelism int) (recovCell, error) {
-	p := parallelism
-	if p <= 1 {
-		p = -1 // engine: negative means serial; 0 would mean GOMAXPROCS
-	}
 	cell := recovCell{LogMB: mb, Parallelism: parallelism}
 	for i := 0; i < recovTrials; i++ {
-		ns, st, err := recovOpen(dir, p)
+		ns, st, err := recovOpen(dir, parallelism)
 		if err != nil {
 			return cell, err
 		}

@@ -3,21 +3,23 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"github.com/rvm-go/rvm/internal/mapping"
 )
 
-// The demand-paging option must satisfy the same semantics as the
+// The demand-paging backend must satisfy the same semantics as the
 // copy-at-map backends: committed image at Map, recoverable writes, clean
 // unmap/remap, and truncation writing through to the file without
 // corrupting live mappings.
 
 func TestDemandPagingBasicRoundTrip(t *testing.T) {
-	v := newEnv(t, 1<<17, pageBytes(2), Options{DemandPaging: true})
+	v := newEnv(t, 1<<17, pageBytes(2), Options{Backend: mapping.DemandPaging})
 	r := v.mapWhole()
 	v.commit1(r, 100, []byte("demand-paged"))
 	if !bytes.Equal(r.Data()[100:112], []byte("demand-paged")) {
 		t.Fatal("write not visible")
 	}
-	v.reopen(Options{DemandPaging: true})
+	v.reopen(Options{Backend: mapping.DemandPaging})
 	r2 := v.mapWhole()
 	if !bytes.Equal(r2.Data()[100:112], []byte("demand-paged")) {
 		t.Fatal("recovery + demand-paged map lost data")
@@ -33,7 +35,7 @@ func TestDemandPagingSeesCommittedImageLazily(t *testing.T) {
 	if err := v.eng.Truncate(); err != nil { // push into the segment file
 		t.Fatal(err)
 	}
-	v.reopen(Options{DemandPaging: true})
+	v.reopen(Options{Backend: mapping.DemandPaging})
 	r2 := v.mapWhole()
 	if !bytes.Equal(r2.Data()[:22], []byte("written-by-copy-engine")) {
 		t.Fatalf("demand-paged view: %q", r2.Data()[:22])
@@ -43,7 +45,7 @@ func TestDemandPagingSeesCommittedImageLazily(t *testing.T) {
 func TestDemandPagingWritesNeverReachFile(t *testing.T) {
 	// The no-undo/redo invariant: uncommitted (and even committed-but-
 	// untruncated) writes must not appear in the segment file.
-	v := newEnv(t, 1<<17, pageBytes(2), Options{DemandPaging: true})
+	v := newEnv(t, 1<<17, pageBytes(2), Options{Backend: mapping.DemandPaging})
 	r := v.mapWhole()
 	tx, _ := v.eng.Begin(Restore)
 	tx.Modify(r, 0, []byte("uncommitted-scribble"))
@@ -61,7 +63,7 @@ func TestDemandPagingWritesNeverReachFile(t *testing.T) {
 }
 
 func TestDemandPagingAbortAndUnmap(t *testing.T) {
-	v := newEnv(t, 1<<17, pageBytes(2), Options{DemandPaging: true})
+	v := newEnv(t, 1<<17, pageBytes(2), Options{Backend: mapping.DemandPaging})
 	r := v.mapWhole()
 	v.commit1(r, 0, []byte("base"))
 	tx, _ := v.eng.Begin(Restore)
@@ -85,7 +87,7 @@ func TestDemandPagingWithTruncationUnderLiveMapping(t *testing.T) {
 	// Truncation writes committed pages to the file while the private
 	// mapping is live; the mapping must keep showing the right bytes
 	// (the pages it wrote were COWed by the very writes being truncated).
-	v := newEnv(t, 1<<17, pageBytes(2), Options{DemandPaging: true, Incremental: true})
+	v := newEnv(t, 1<<17, pageBytes(2), Options{Backend: mapping.DemandPaging, Incremental: true})
 	r := v.mapWhole()
 	for i := 0; i < 20; i++ {
 		v.commit1(r, int64(i*64), []byte{byte(i + 1)})
@@ -99,7 +101,7 @@ func TestDemandPagingWithTruncationUnderLiveMapping(t *testing.T) {
 		}
 	}
 	// And the file now has the data (fresh demand mapping sees it).
-	v.reopen(Options{DemandPaging: true})
+	v.reopen(Options{Backend: mapping.DemandPaging})
 	r2 := v.mapWhole()
 	for i := 0; i < 20; i++ {
 		if r2.Data()[i*64] != byte(i+1) {
@@ -110,5 +112,5 @@ func TestDemandPagingWithTruncationUnderLiveMapping(t *testing.T) {
 
 func TestDemandPagingModelSequence(t *testing.T) {
 	// Reuse the randomized model against the demand-paged configuration.
-	runEngineModelWithOpts(t, 7, Options{DemandPaging: true})
+	runEngineModelWithOpts(t, 7, Options{Backend: mapping.DemandPaging})
 }

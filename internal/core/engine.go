@@ -113,20 +113,9 @@ type Options struct {
 	// (shard 0 uses LogDevice); tests inject per-shard fault devices.
 	// nil opens — creating if missing — the file at the shard's path.
 	ShardLogDevice func(shard int) (wal.Device, error)
-	// MaxRetries bounds the retry attempts (beyond the first try) for
-	// transient storage faults on the log-force and segment-write paths.
-	// Zero selects the default of 3; negative disables retries.
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling with
-	// each subsequent attempt.  Zero selects 1ms.
-	RetryBackoff time.Duration
-	// Backend selects region memory (heap or anonymous mmap).
+	// Backend selects region memory: the Go heap, anonymous mmap, or a
+	// copy-on-write mapping of the segment file (mapping.DemandPaging).
 	Backend mapping.Backend
-	// DemandPaging maps regions copy-on-write over the segment file
-	// instead of copying them in at Map time — the optional external-
-	// pager behaviour §4.1 lists as future work.  Pages are read on
-	// first touch; writes go to private pages, never the file.
-	DemandPaging bool
 	// TruncateThreshold is the fraction of log capacity that triggers a
 	// background truncation after a commit (paper §4.2 set_options knob).
 	// Zero or negative disables automatic truncation.
@@ -134,13 +123,6 @@ type Options struct {
 	// Incremental enables incremental truncation (paper §5.1.2); when
 	// disabled every truncation is an epoch truncation.
 	Incremental bool
-	// NoIntraOpt disables intra-transaction optimizations (duplicate,
-	// overlapping and adjacent set-ranges are logged verbatim).  For
-	// measurement and ablation only.
-	NoIntraOpt bool
-	// NoInterOpt disables inter-transaction optimizations (no-flush
-	// records are never subsumed).  For measurement and ablation only.
-	NoInterOpt bool
 	// NoSync disables physical fsyncs, forfeiting permanence.  For
 	// benchmark harnesses that measure log traffic, not durability.
 	NoSync bool
@@ -161,10 +143,6 @@ type Options struct {
 	// longer, trading commit latency for bigger batches when committers
 	// are slow to arrive.  Only meaningful with GroupCommit.
 	MaxForceDelay time.Duration
-	// RecoveryParallelism is the number of workers recovery uses to replay
-	// redo trees at Open; it builds them with one fewer, the log scan being
-	// one itself.  Zero selects GOMAXPROCS; negative forces a serial recovery.
-	RecoveryParallelism int
 	// CheckpointInterval enables background fuzzy checkpoints: every
 	// interval the engine writes queued dirty pages to their segments
 	// without stalling committers and records the stable LSN in the log,
@@ -441,11 +419,9 @@ func Open(opts Options) (*Engine, error) {
 	requested := max(opts.LogShards, 1)
 	recorded := d.shardCount()
 	numOpen := max(requested, recorded)
-	par := opts.RecoveryParallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	redo := recovery.NewRestart(numOpen, recovery.Config{Parallelism: par}, opts.Metrics)
+	// Recovery is as wide as the process: GOMAXPROCS workers replay the redo
+	// trees, and one fewer build them, the log scan being one itself.
+	redo := recovery.NewRestart(numOpen, recovery.Config{Parallelism: runtime.GOMAXPROCS(0)}, opts.Metrics)
 	defer redo.Abort()
 	var logs []*wal.Log
 	var devs []wal.Device
@@ -735,7 +711,8 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		return nil, e.maybePoison(err)
 	}
 	var buf *mapping.Buffer
-	if e.opts.DemandPaging {
+	switch e.opts.Backend {
+	case mapping.DemandPaging:
 		// Copy-on-write file mapping: the committed image pages in on
 		// demand.  Sound because recovery ran before any Map, and
 		// truncation only ever writes file pages the application has
@@ -744,7 +721,7 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		if err != nil {
 			return nil, err
 		}
-	} else {
+	default:
 		buf, err = mapping.New(length, e.opts.Backend)
 		if err != nil {
 			return nil, err

@@ -18,31 +18,21 @@ import (
 // root cause is wrapped; Query reports the state via QueryInfo.Poisoned.
 var ErrPoisoned = errors.New("rvm: engine poisoned by unrecoverable I/O error")
 
-// retryPolicy resolves the retry knobs: attempts beyond the first try, and
-// the initial backoff (doubled per retry).
-func (e *Engine) retryPolicy() (int, time.Duration) {
-	max := e.opts.MaxRetries
-	switch {
-	case max == 0:
-		max = 3
-	case max < 0:
-		max = 0
-	}
-	backoff := e.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
-	return max, backoff
-}
+// Transient storage faults are retried a fixed number of times beyond the
+// first try, sleeping before each retry and doubling the sleep: 1+2+4 ms in
+// all before the fault counts as persistent.
+const (
+	maxRetries   = 3
+	retryBackoff = time.Millisecond
+)
 
 // retryIO runs op, retrying transient storage faults with exponential
 // backoff.  Non-transient errors return immediately.
 func (e *Engine) retryIO(op func() error) error {
-	max, backoff := e.retryPolicy()
-	var err error
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		err = op()
-		if err == nil || attempt >= max || !iofault.IsTransient(err) {
+		err := op()
+		if err == nil || attempt >= maxRetries || !iofault.IsTransient(err) {
 			return err
 		}
 		e.stats.Retries.Add(1)

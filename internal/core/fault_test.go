@@ -72,7 +72,7 @@ func newFaultEnv(t *testing.T, logSize, segSize int64, seed int64,
 // counted.
 func TestTransientFaultRetried(t *testing.T) {
 	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, nil, nil,
-		Options{RetryBackoff: 50 * time.Microsecond})
+		Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTransientFaultRetried(t *testing.T) {
 // acknowledged commit.
 func TestPoisonedEngineFailStop(t *testing.T) {
 	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, nil, nil,
-		Options{RetryBackoff: 50 * time.Microsecond})
+		Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPoisonedEngineFailStop(t *testing.T) {
 func TestBackgroundTruncFailureObservable(t *testing.T) {
 	segFaults := []iofault.Fault{{Ops: iofault.OpWrite, Count: -1}}
 	v, err := newFaultEnv(t, 1<<15, pageBytes(2), 1, nil, segFaults,
-		Options{TruncateThreshold: 0.3, RetryBackoff: 50 * time.Microsecond})
+		Options{TruncateThreshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,6 @@ func TestGroupCommitForceFaultPoisonsAll(t *testing.T) {
 		Options{
 			GroupCommit:   true,
 			MaxForceDelay: time.Millisecond,
-			RetryBackoff:  50 * time.Microsecond,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +344,6 @@ func TestFaultScheduleProperty(t *testing.T) {
 			Options{
 				TruncateThreshold: 0.5,
 				Incremental:       trial%2 == 0,
-				RetryBackoff:      20 * time.Microsecond,
 			})
 
 		acked := make([]byte, size)     // state at the last acknowledged commit

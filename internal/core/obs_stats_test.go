@@ -21,7 +21,6 @@ func TestStatsRaceWithTruncation(t *testing.T) {
 		Options{
 			Incremental:       true,
 			TruncateThreshold: -1,
-			RetryBackoff:      50 * time.Microsecond,
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"testing"
-	"time"
 
 	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/segment"
@@ -91,7 +90,7 @@ func newCrossFaultEnv(t *testing.T, logSize, segSize int64, seed int64,
 func TestCrossShardCrashBetweenPreparesAndMark(t *testing.T) {
 	v, err := newCrossFaultEnv(t, 1<<16, pageBytes(4), 7,
 		[][]iofault.Fault{nil, nil}, nil,
-		Options{TruncateThreshold: -1, RetryBackoff: 20 * time.Microsecond})
+		Options{TruncateThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestCrossShardCrashBetweenPreparesAndMark(t *testing.T) {
 func TestCrossShardMarkOnOneShardCommitsEverywhere(t *testing.T) {
 	v, err := newCrossFaultEnv(t, 1<<16, pageBytes(4), 11,
 		[][]iofault.Fault{nil, nil}, nil,
-		Options{TruncateThreshold: -1, RetryBackoff: 20 * time.Microsecond})
+		Options{TruncateThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,6 @@ func TestCrossShardFaultScheduleProperty(t *testing.T) {
 				Options{
 					TruncateThreshold: 0.5,
 					Incremental:       trial%2 == 0,
-					RetryBackoff:      20 * time.Microsecond,
 				})
 
 			acked := make([]byte, size)     // state at the last acknowledged commit

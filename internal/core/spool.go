@@ -107,44 +107,42 @@ func (p *pipeline) subsumedPipeLocked(old *spooled, cover []segSpan) bool {
 // Caller holds sh.pipe.mu and the locks of sp's regions.
 func (e *Engine) spoolPipeLocked(sh *shard, sp *spooled) {
 	p := &sh.pipe
-	if !e.opts.NoInterOpt {
-		var buf [8]segSpan
-		cover := coverOf(buf[:0], sp.ranges)
-		for _, c := range cover {
-			for off := c.off; off < c.end; off = (off>>spoolBucketShift + 1) << spoolBucketShift {
-				key := spoolBucketKey(c.seg, off)
-				b, ok := p.spoolIdx[key]
-				if !ok {
-					continue
-				}
-				link := &b.head
-				for old := *link; old != nil; old = *link {
-					if !old.dead { // an entry a partial drain logged lingers, dead
-						if !covers(cover, old.witness) || !p.subsumedPipeLocked(old, cover) {
-							link = &old.next
-							continue
-						}
-						e.stats.InterSavedBytes.Add(uint64(old.bytes))
-						e.retireSpooledPipeLocked(sh, old, nil)
+	var buf [8]segSpan
+	cover := coverOf(buf[:0], sp.ranges)
+	for _, c := range cover {
+		for off := c.off; off < c.end; off = (off>>spoolBucketShift + 1) << spoolBucketShift {
+			key := spoolBucketKey(c.seg, off)
+			b, ok := p.spoolIdx[key]
+			if !ok {
+				continue
+			}
+			link := &b.head
+			for old := *link; old != nil; old = *link {
+				if !old.dead { // an entry a partial drain logged lingers, dead
+					if !covers(cover, old.witness) || !p.subsumedPipeLocked(old, cover) {
+						link = &old.next
+						continue
 					}
-					*link = old.next
+					e.stats.InterSavedBytes.Add(uint64(old.bytes))
+					e.retireSpooledPipeLocked(sh, old, nil)
 				}
-				b.visits++
-				p.spoolIdx[key] = b
+				*link = old.next
 			}
+			b.visits++
+			p.spoolIdx[key] = b
 		}
-		var witness spoolBucket
-		for i, r := range sp.ranges {
-			if b := p.spoolIdx[spoolBucketKey(r.Seg, int64(r.Off))]; i == 0 || b.visits < witness.visits {
-				sp.witness, witness = rangeSpan(r), b
-			}
-		}
-		if p.spoolIdx == nil {
-			p.spoolIdx = make(map[uint64]spoolBucket)
-		}
-		sp.next = witness.head
-		p.spoolIdx[spoolBucketKey(sp.witness.seg, sp.witness.off)] = spoolBucket{sp, witness.visits + 1}
 	}
+	var witness spoolBucket
+	for i, r := range sp.ranges {
+		if b := p.spoolIdx[spoolBucketKey(r.Seg, int64(r.Off))]; i == 0 || b.visits < witness.visits {
+			sp.witness, witness = rangeSpan(r), b
+		}
+	}
+	if p.spoolIdx == nil {
+		p.spoolIdx = make(map[uint64]spoolBucket)
+	}
+	sp.next = witness.head
+	p.spoolIdx[spoolBucketKey(sp.witness.seg, sp.witness.off)] = spoolBucket{sp, witness.visits + 1}
 	for _, id := range sp.pages {
 		e.regions[id.Region].spoolRefs[id.Page]++
 	}

@@ -20,11 +20,11 @@ import (
 // and checks it against every spooled entry.  It survives as the reference
 // the index must agree with.
 type scanSpool struct {
-	interOpt bool
-	limit    int64 // implicit flush beyond this many spooled bytes; 0 never
-	ents     []scanEntry
-	bytes    int64
-	saved    uint64
+	limit   int64 // implicit flush beyond this many spooled bytes; 0 never
+	ents    []scanEntry
+	bytes   int64
+	saved   uint64
+	framing uint64 // bytes of the flushed entries' records that are not ranges
 }
 
 // covers reports whether [off,end) is fully covered: the scan's test, which
@@ -45,32 +45,30 @@ func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 	for _, r := range ranges {
 		ent.bytes += rangeEncodedLen(r.end - r.off)
 	}
-	if s.interOpt {
-		cover := make(map[uint64]*rangeset)
-		for _, r := range ranges {
-			if cover[r.seg] == nil {
-				cover[r.seg] = &rangeset{}
-			}
-			cover[r.seg].add(r.off, r.end, nil)
+	cover := make(map[uint64]*rangeset)
+	for _, r := range ranges {
+		if cover[r.seg] == nil {
+			cover[r.seg] = &rangeset{}
 		}
-		kept := s.ents[:0]
-		for _, old := range s.ents {
-			subsumed := true
-			for _, r := range old.ranges {
-				if cs := cover[r.seg]; cs == nil || !cs.covers(r.off, r.end) {
-					subsumed = false
-					break
-				}
-			}
-			if subsumed {
-				s.bytes -= old.bytes
-				s.saved += uint64(old.bytes)
-				continue
-			}
-			kept = append(kept, old)
-		}
-		s.ents = kept
+		cover[r.seg].add(r.off, r.end, nil)
 	}
+	kept := s.ents[:0]
+	for _, old := range s.ents {
+		subsumed := true
+		for _, r := range old.ranges {
+			if cs := cover[r.seg]; cs == nil || !cs.covers(r.off, r.end) {
+				subsumed = false
+				break
+			}
+		}
+		if subsumed {
+			s.bytes -= old.bytes
+			s.saved += uint64(old.bytes)
+			continue
+		}
+		kept = append(kept, old)
+	}
+	s.ents = kept
 	s.ents = append(s.ents, ent)
 	s.bytes += ent.bytes
 	if s.limit > 0 && s.bytes > s.limit {
@@ -78,7 +76,14 @@ func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 	}
 }
 
-func (s *scanSpool) flush() { s.ents, s.bytes = s.ents[:0], 0 }
+// flush logs the entries, one record each: the framing the log reports for
+// a record with no ranges, and padding to 8 bytes.
+func (s *scanSpool) flush() {
+	for _, ent := range s.ents {
+		s.framing += uint64((wal.EncodedLen(nil)+ent.bytes+7)&^7 - ent.bytes)
+	}
+	s.ents, s.bytes = s.ents[:0], 0
+}
 
 func (s *scanSpool) tids() []uint64 {
 	var tids []uint64
@@ -93,7 +98,9 @@ func (s *scanSpool) tids() []uint64 {
 // boundaries, multi-range transactions, bursts that rewrite, widen or
 // shrink what was just written, interleaved flushes — and requires, after
 // every commit, the spool the whole-spool scan would have left: the same
-// transactions in the same order, the same bytes saved and spooled.
+// transactions in the same order, the same bytes saved and spooled.  At the
+// end the counters must add up to what a verbatim logger (opt_test.go) would
+// have written for the same set-range calls.
 func TestSpoolIndexMatchesScan(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -102,12 +109,12 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 	}{
 		{"inter-opt", Options{SpoolLimit: -1}, 12000},
 		{"spool-limit", Options{SpoolLimit: 24 << 10}, 6000},
-		{"no-intra-opt", Options{SpoolLimit: -1, NoIntraOpt: true}, 4000},
-		{"no-inter-opt", Options{SpoolLimit: 24 << 10, NoInterOpt: true}, 3000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.TruncateThreshold = -1
-			v := newEnv(t, 8<<20, pageBytes(16), tc.opts)
+			// The log never wraps: a wrap record is framing only the log's
+			// layout predicts.
+			v := newEnv(t, 40<<20, pageBytes(16), tc.opts)
 			seg2 := filepath.Join(v.dir, "seg2.rvm")
 			if err := CreateSegment(seg2, 2, pageBytes(8)); err != nil {
 				t.Fatal(err)
@@ -125,7 +132,8 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 				}
 				regs = append(regs, r)
 			}
-			ref := &scanSpool{interOpt: !tc.opts.NoInterOpt, limit: max(tc.opts.SpoolLimit, 0)}
+			ref := &scanSpool{limit: max(tc.opts.SpoolLimit, 0)}
+			var verbatim verbatimLog
 			rng := rand.New(rand.NewSource(int64(len(tc.name))))
 
 			type setRange struct {
@@ -184,18 +192,15 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				// What the engine will log: per region, in region order, the
-				// coalesced spans — or the verbatim calls without intra-opt.
+				// coalesced spans.
 				perRegion := make([]rangeset, len(regs))
 				for _, sr := range srs {
 					if err := tx.SetRange(regs[sr.reg], sr.off, sr.n); err != nil {
 						t.Fatal(err)
 					}
+					verbatim.setRange(sr.n)
 					regs[sr.reg].Data()[sr.off] = byte(i)
-					if tc.opts.NoIntraOpt {
-						perRegion[sr.reg].spans = append(perRegion[sr.reg].spans, span{sr.off, sr.off + sr.n})
-					} else {
-						perRegion[sr.reg].add(sr.off, sr.off+sr.n, nil)
-					}
+					perRegion[sr.reg].add(sr.off, sr.off+sr.n, nil)
 				}
 				var logged []segSpan
 				for ri, rs := range perRegion {
@@ -231,13 +236,15 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 					ref.flush()
 				}
 			}
-			if ref.interOpt && ref.saved == 0 {
+			if ref.saved == 0 {
 				t.Fatal("nothing was ever subsumed: the walk does not test the index")
 			}
-			// Every page reference the spool took has been given back.
 			if err := v.eng.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			ref.flush()
+			verbatim.check(t, v.eng.Stats(), ref.framing)
+			// Every page reference the spool took has been given back.
 			for _, r := range regs {
 				for pg := 0; pg < r.pvec.NumPages(); pg++ {
 					if n := r.spoolRefCount(pg); n != 0 {

@@ -100,9 +100,7 @@ func (s *rangeset) add(off, end int64, buf []span) []span {
 // txRegion is a transaction's bookkeeping for one region.
 type txRegion struct {
 	region *Region
-	set    rangeset   // coalesced coverage (optimized mode)
-	raw    []span     // verbatim set-range calls (NoIntraOpt mode)
-	rawOld [][]byte   // old values per raw span (restore + NoIntraOpt)
+	set    rangeset   // coalesced coverage: what the transaction logs
 	old    []oldValue // old values for newly covered bytes (restore mode)
 	pages  rangeset   // pages referenced by this tx in this region, in page units
 	naive  int64      // log bytes set-ranges would cost unoptimized
@@ -165,9 +163,8 @@ func (t *Tx) ID() uint64 { return t.id }
 // SetRange declares that the transaction is about to modify [off, off+n)
 // of region r (paper §4.2).  For Restore transactions the current contents
 // are copied so an abort can undo the change.  Duplicate, overlapping, and
-// adjacent ranges are coalesced unless intra-transaction optimization is
-// disabled.  Only r's own lock is taken, so set-ranges on disjoint regions
-// run concurrently.
+// adjacent ranges are coalesced (paper §5.2).  Only r's own lock is taken, so
+// set-ranges on disjoint regions run concurrently.
 func (t *Tx) SetRange(r *Region, off, n int64) error {
 	if t.done {
 		return ErrTxDone
@@ -190,17 +187,6 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 	tr := t.txRegionLocked(r)
 	e.stats.SetRanges.Add(1)
 	tr.naive += rangeEncodedLen(n)
-
-	if e.opts.NoIntraOpt {
-		tr.raw = append(tr.raw, span{off, off + n})
-		if t.mode == Restore {
-			tr.rawOld = append(tr.rawOld, append([]byte(nil), r.data[off:off+n]...))
-		} else {
-			tr.rawOld = append(tr.rawOld, nil)
-		}
-		tr.refPages(off, off+n)
-		return nil
-	}
 
 	var buf [2]span
 	for _, sp := range tr.set.add(off, off+n, buf[:0]) {
@@ -326,15 +312,6 @@ func (t *Tx) finish(held bool) {
 	e.active.Add(-1)
 }
 
-// loggedSpans returns the spans of the region the transaction will log:
-// the coalesced coverage, or every set-range call verbatim.
-func (t *Tx) loggedSpans(tr *txRegion) []span {
-	if t.eng.opts.NoIntraOpt {
-		return tr.raw
-	}
-	return tr.set.spans
-}
-
 // buildRanges reads the current (new) values of the ranges the transaction
 // logs through shard sh — all of them, unless the commit is cross-shard —
 // from region memory.  When copyData is true the data is duplicated into
@@ -351,9 +328,8 @@ func (t *Tx) buildRanges(sh *shard, copyData bool) (ranges []wal.Range, pages []
 		if tr.region.sh != sh {
 			continue
 		}
-		spans := t.loggedSpans(tr)
-		nranges += len(spans)
-		for _, sp := range spans {
+		nranges += len(tr.set.spans)
+		for _, sp := range tr.set.spans {
 			nbytes += sp.end - sp.off
 		}
 		for _, sp := range tr.pages.spans {
@@ -373,7 +349,7 @@ func (t *Tx) buildRanges(sh *shard, copyData bool) (ranges []wal.Range, pages []
 		if r.sh != sh {
 			continue
 		}
-		for _, sp := range t.loggedSpans(tr) {
+		for _, sp := range tr.set.spans {
 			d := r.data[sp.off:sp.end]
 			if copyData {
 				buf = append(buf, d...)
@@ -832,22 +808,12 @@ func (t *Tx) CommitUndo(mode CommitMode) ([]UndoRecord, error) {
 	for i := range t.regions {
 		tr := t.regions[i]
 		r := tr.region
-		if t.eng.opts.NoIntraOpt {
-			for i, sp := range tr.raw {
-				undo = append(undo, UndoRecord{
-					Region: r, Off: sp.off,
-					SegID: r.seg.ID(), SegOff: r.segOff + sp.off,
-					Old: append([]byte(nil), tr.rawOld[i]...),
-				})
-			}
-		} else {
-			for _, ov := range tr.old {
-				undo = append(undo, UndoRecord{
-					Region: r, Off: ov.off,
-					SegID: r.seg.ID(), SegOff: r.segOff + ov.off,
-					Old: ov.data,
-				})
-			}
+		for _, ov := range tr.old {
+			undo = append(undo, UndoRecord{
+				Region: r, Off: ov.off,
+				SegID: r.seg.ID(), SegOff: r.segOff + ov.off,
+				Old: ov.data,
+			})
 		}
 	}
 	if err := t.Commit(mode); err != nil {
@@ -873,16 +839,8 @@ func (t *Tx) Abort() error {
 	for i := range t.regions {
 		tr := t.regions[i]
 		r := tr.region
-		if e.opts.NoIntraOpt {
-			// Restore verbatim captures newest-first so earlier captures
-			// (pre-transaction values) land last.
-			for i := len(tr.raw) - 1; i >= 0; i-- {
-				copy(r.data[tr.raw[i].off:tr.raw[i].end], tr.rawOld[i])
-			}
-		} else {
-			for _, ov := range tr.old {
-				copy(r.data[ov.off:], ov.data)
-			}
+		for _, ov := range tr.old {
+			copy(r.data[ov.off:], ov.data)
 		}
 	}
 	t.finish(true)

@@ -29,17 +29,17 @@ func TestCommitUndoReturnsOldValues(t *testing.T) {
 	}
 }
 
-func TestCommitUndoNoIntraOptOrder(t *testing.T) {
-	// With optimizations disabled, overlapping set-ranges produce
-	// multiple captures; applying the returned records in reverse must
-	// still compensate exactly.
-	v := newEnv(t, 1<<17, pageBytes(2), Options{NoIntraOpt: true})
+func TestCommitUndoOverlapCompensates(t *testing.T) {
+	// Overlapping set-ranges produce several captures, the second of
+	// bytes the first did not cover; applying the returned records in
+	// reverse must compensate exactly.
+	v := newEnv(t, 1<<17, pageBytes(2), Options{})
 	r := v.mapWhole()
 	v.commit1(r, 0, []byte("abcdefghij"))
 
 	tx, _ := v.eng.Begin(Restore)
 	tx.Modify(r, 0, []byte("11111"))
-	tx.Modify(r, 3, []byte("22222")) // overlaps; captures post-1 bytes
+	tx.Modify(r, 3, []byte("22222")) // overlaps; only [5,8) is captured anew
 	undo, err := tx.CommitUndo(Flush)
 	if err != nil {
 		t.Fatal(err)

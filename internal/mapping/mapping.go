@@ -12,7 +12,8 @@
 //
 // Both satisfy RVM's mapping restrictions: region sizes are multiples of the
 // page size and buffers are page-aligned, eliminating aliasing concerns
-// (paper §4.1).
+// (paper §4.1).  A third backend, DemandPaging, is not anonymous memory at
+// all but a private mapping of the segment file (NewFileMapped).
 package mapping
 
 import (
@@ -49,10 +50,15 @@ const (
 	Heap Backend = iota
 	// Mmap allocates anonymous non-heap memory via syscall.Mmap.
 	Mmap
+	// DemandPaging maps the region copy-on-write over the segment file.
+	// Such a buffer needs the file, so it comes from NewFileMapped (which
+	// says what it is for), not from New.
+	DemandPaging
 )
 
-// New returns a zeroed page-aligned buffer of exactly size bytes.  size must
-// be a positive multiple of the page size.
+// New returns a zeroed page-aligned buffer of exactly size bytes from one of
+// the two anonymous backends.  size must be a positive multiple of the page
+// size.
 func New(size int64, b Backend) (*Buffer, error) {
 	if size <= 0 || !IsAligned(size) {
 		return nil, fmt.Errorf("mapping: size %d is not a positive multiple of the page size %d", size, PageSize)
@@ -74,6 +80,8 @@ func New(size int64, b Backend) (*Buffer, error) {
 			off = PageSize - rem
 		}
 		return &Buffer{data: raw[off : off+int(size) : off+int(size)]}, nil
+	case DemandPaging:
+		return nil, fmt.Errorf("mapping: a DemandPaging buffer needs the file: use NewFileMapped")
 	default:
 		return nil, fmt.Errorf("mapping: unknown backend %d", int(b))
 	}

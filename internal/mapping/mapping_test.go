@@ -62,7 +62,10 @@ func TestNewRejectsBadSizes(t *testing.T) {
 			t.Errorf("New(%d) succeeded, want error", size)
 		}
 	}
-	if _, err := New(int64(PageSize), Backend(99)); err == nil {
-		t.Error("unknown backend accepted")
+	// DemandPaging is a backend, but not one New can serve: it needs a file.
+	for _, b := range []Backend{DemandPaging, Backend(99)} {
+		if _, err := New(int64(PageSize), b); err == nil {
+			t.Errorf("New accepted backend %d", int(b))
+		}
 	}
 }

@@ -37,7 +37,8 @@
 // Duplicate, overlapping and adjacent SetRange calls within a transaction
 // are coalesced (intra-transaction optimization), and a no-flush commit
 // that subsumes an earlier unflushed one replaces it in the spool
-// (inter-transaction optimization), exactly as in §5.2 of the paper.
+// (inter-transaction optimization), exactly as in §5.2 of the paper; Stats
+// reports the log bytes each saved.
 package rvm
 
 import (
@@ -128,7 +129,8 @@ var (
 	ErrBadAlignment   = core.ErrBadAlignment
 	ErrActiveTx       = core.ErrActiveTx
 	// ErrPoisoned marks an engine that hit a non-recoverable storage fault
-	// and fail-stopped: mutating calls are rejected, nothing more is
+	// (a transient one is first retried three times, backing off 1, 2 and
+	// 4 ms) and fail-stopped: mutating calls are rejected, nothing more is
 	// written, and a fresh Open on healthy storage recovers every
 	// acknowledged flush-mode commit.  Query reports the state.
 	ErrPoisoned = core.ErrPoisoned
@@ -138,29 +140,34 @@ var (
 // passed to Map must be multiples of it.
 var PageSize = mapping.PageSize
 
+// Backend selects the memory behind mapped regions (Options.Backend).
+type Backend = mapping.Backend
+
+const (
+	// Heap, the default, and Mmap fill a region from its segment at Map
+	// time, into the Go heap or into anonymous mmap memory.  Both are
+	// correct; mmap keeps large regions out of the GC's working set.
+	Heap = mapping.Heap
+	Mmap = mapping.Mmap
+	// DemandPaging maps regions copy-on-write over the segment file: pages
+	// are read on first touch instead of en masse at Map time (the
+	// external-pager option the paper lists as future work).  Writes stay
+	// private; the segment file is only ever updated by truncation.
+	DemandPaging = mapping.DemandPaging
+)
+
 // Options configures Open.
 type Options struct {
 	// LogPath names the write-ahead log created earlier with CreateLog.
 	LogPath string
-	// UseMmap backs regions with anonymous mmap memory instead of the Go
-	// heap.  Both are correct; mmap keeps large regions out of the GC's
-	// working set.
-	UseMmap bool
-	// DemandPaging maps regions copy-on-write over the segment file:
-	// pages are read on first touch instead of en masse at Map time (the
-	// external-pager option the paper lists as future work).  Writes stay
-	// private; the segment file is only ever updated by truncation.
-	DemandPaging bool
+	// Backend is the memory behind mapped regions: Heap, Mmap or DemandPaging.
+	Backend Backend
 	// TruncateThreshold is the fraction of log capacity that triggers
 	// background truncation (default 0.5; set negative to disable).
 	TruncateThreshold float64
 	// Incremental selects incremental truncation for background
 	// truncations; otherwise epoch truncation is used (paper §5.1.2).
 	Incremental bool
-	// NoIntraOpt and NoInterOpt disable the two log optimizations of
-	// paper §5.2.  They exist for measurement; leave them false.
-	NoIntraOpt bool
-	NoInterOpt bool
 	// NoSync disables physical fsyncs, forfeiting the permanence
 	// guarantee.  For benchmark harnesses that measure log traffic, not
 	// durability; leave it false.
@@ -185,11 +192,6 @@ type Options struct {
 	// transactions awaiting a Flush; crossing it flushes implicitly.
 	// Zero selects the 1 MiB default, negative disables the bound.
 	SpoolLimit int64
-	// RecoveryParallelism is the number of workers crash recovery uses at
-	// Open to decode log records, build redo trees, and replay them to the
-	// segments.  Zero selects GOMAXPROCS; negative forces a serial
-	// recovery.  Redo order within a page is preserved at any setting.
-	RecoveryParallelism int
 	// CheckpointInterval enables background fuzzy checkpoints: every
 	// interval, committed dirty pages are written to their segments
 	// without stalling committers and a checkpoint record with the stable
@@ -197,14 +199,6 @@ type Options struct {
 	// since the last checkpoint.  Zero disables; Checkpoint can still be
 	// called explicitly.
 	CheckpointInterval time.Duration
-	// MaxRetries bounds the retries for transient storage faults on the
-	// log and segment paths.  Zero selects the default of 3; negative
-	// disables retries.  Non-transient faults poison the engine instead
-	// (see ErrPoisoned).
-	MaxRetries int
-	// RetryBackoff is the initial backoff between retries, doubled per
-	// attempt.  Zero selects 1ms.
-	RetryBackoff time.Duration
 	// TraceEvents enables event tracing, retaining the most recent
 	// TraceEvents events in a lock-free ring (rounded up to a power of
 	// two, minimum 64).  Zero disables tracing entirely; recording is
@@ -259,17 +253,28 @@ func CreateSegment(path string, id uint64, length int64) error {
 	return core.CreateSegment(path, id, length)
 }
 
-// Open initializes RVM on an existing log, performing crash recovery
-// before returning (the paper's initialize primitive).
+// Open initializes RVM on an existing log, performing crash recovery, as
+// wide as GOMAXPROCS, before returning (the paper's initialize primitive).
 func Open(o Options) (*RVM, error) {
-	thr := o.TruncateThreshold
+	eng, err := core.Open(o.engine())
+	if err != nil {
+		return nil, err
+	}
+	return &RVM{eng: eng}, nil
+}
+
+// truncateThreshold applies Options.TruncateThreshold's default, at Open and
+// at SetOptions alike.
+func truncateThreshold(thr float64) float64 {
 	if thr == 0 {
-		thr = 0.5
+		return 0.5
 	}
-	backend := mapping.Heap
-	if o.UseMmap {
-		backend = mapping.Mmap
-	}
+	return thr
+}
+
+// engine is the one place Options is forwarded to the engine's; a field
+// added to Options and not here fails TestOptionsForwarded.
+func (o Options) engine() core.Options {
 	var tracer *obs.Tracer
 	if o.TraceEvents > 0 {
 		tracer = obs.NewTracer(o.TraceEvents)
@@ -278,32 +283,22 @@ func Open(o Options) (*RVM, error) {
 	if o.Metrics {
 		metrics = obs.NewMetrics()
 	}
-	eng, err := core.Open(core.Options{
-		LogPath:             o.LogPath,
-		Backend:             backend,
-		DemandPaging:        o.DemandPaging,
-		TruncateThreshold:   thr,
-		Incremental:         o.Incremental,
-		NoIntraOpt:          o.NoIntraOpt,
-		NoInterOpt:          o.NoInterOpt,
-		NoSync:              o.NoSync,
-		GroupCommit:         o.GroupCommit,
-		MaxForceDelay:       o.MaxForceDelay,
-		SpoolLimit:          o.SpoolLimit,
-		RecoveryParallelism: o.RecoveryParallelism,
-		CheckpointInterval:  o.CheckpointInterval,
-		MaxRetries:          o.MaxRetries,
-		RetryBackoff:        o.RetryBackoff,
-		Tracer:              tracer,
-		Metrics:             metrics,
-		StallBudget:         o.StallBudget,
-		LogShards:           o.LogShards,
-		ShardOf:             o.ShardOf,
-	})
-	if err != nil {
-		return nil, err
+	return core.Options{
+		LogPath:            o.LogPath,
+		Backend:            o.Backend,
+		TruncateThreshold:  truncateThreshold(o.TruncateThreshold),
+		Incremental:        o.Incremental,
+		NoSync:             o.NoSync,
+		GroupCommit:        o.GroupCommit,
+		MaxForceDelay:      o.MaxForceDelay,
+		SpoolLimit:         o.SpoolLimit,
+		CheckpointInterval: o.CheckpointInterval,
+		Tracer:             tracer,
+		Metrics:            metrics,
+		StallBudget:        o.StallBudget,
+		LogShards:          o.LogShards,
+		ShardOf:            o.ShardOf,
 	}
-	return &RVM{eng: eng}, nil
 }
 
 // Close flushes committed work, truncates the log so the next Open is
@@ -353,9 +348,10 @@ func (r *RVM) Checkpoint() error { return r.eng.Checkpoint() }
 // Query reports engine state, plus region state when reg is non-nil.
 func (r *RVM) Query(reg *Region) (QueryInfo, error) { return r.eng.Query(reg) }
 
-// SetOptions adjusts the truncation tunables at runtime.
-func (r *RVM) SetOptions(truncateThreshold float64, incremental bool) {
-	r.eng.SetOptions(truncateThreshold, incremental)
+// SetOptions adjusts the truncation tunables at runtime; the threshold
+// reads as Options.TruncateThreshold does (zero selects the default).
+func (r *RVM) SetOptions(threshold float64, incremental bool) {
+	r.eng.SetOptions(truncateThreshold(threshold), incremental)
 }
 
 // Stats returns a snapshot of cumulative counters, in the spirit of the

@@ -81,27 +81,62 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicAPIWithMmapRegions(t *testing.T) {
-	s := newStore(t, rvm.Options{UseMmap: true})
-	reg, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
+	for name, backend := range map[string]rvm.Backend{"anonymous": rvm.Mmap, "demand-paged": rvm.DemandPaging} {
+		t.Run(name, func(t *testing.T) {
+			s := newStore(t, rvm.Options{Backend: backend})
+			reg, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx, _ := s.db.Begin(rvm.Restore)
+			if err := tx.Modify(reg, 8, []byte("mmap")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(rvm.Flush); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.db.Unmap(reg); err != nil {
+				t.Fatal(err)
+			}
+			reg2, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reg2.Data()[8:12], []byte("mmap")) {
+				t.Fatal("mmap-backed region lost data across unmap")
+			}
+		})
+	}
+}
+
+// TestSetOptionsZeroThresholdIsDefault: a zero threshold selects the
+// documented 0.5 at SetOptions as it does at Open; it does not switch
+// background truncation off.
+func TestSetOptionsZeroThresholdIsDefault(t *testing.T) {
+	s := newStore(t, rvm.Options{TruncateThreshold: -1})
+	reg, err := s.db.Map(s.segPath, 0, 4*int64(rvm.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, _ := s.db.Begin(rvm.Restore)
-	if err := tx.Modify(reg, 8, []byte("mmap")); err != nil {
-		t.Fatal(err)
+	s.db.SetOptions(0, false)
+	// 160 KB into a 256 KiB log: past half, well short of full.
+	payload := bytes.Repeat([]byte{7}, 4000)
+	for i := 0; i < 40; i++ {
+		tx, _ := s.db.Begin(rvm.NoRestore)
+		if err := tx.Modify(reg, int64(i%4)*4000, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(rvm.Flush); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tx.Commit(rvm.Flush); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.db.Unmap(reg); err != nil {
-		t.Fatal(err)
-	}
-	reg2, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reg2.Data()[8:12], []byte("mmap")) {
-		t.Fatal("mmap-backed region lost data across unmap")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if st := s.db.Stats(); st.EpochTruncs+st.IncrSteps > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no background truncation ran with the log past half: SetOptions(0, ...) disabled it")
+		}
 	}
 }
 
