@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/rvm-go/rvm/internal/wal"
@@ -151,7 +152,17 @@ func viewLog(path string, shard int, sharded bool,
 		return nil
 	}
 	if backward {
-		err = l.ScanBackward(visit)
+		// Newest first is the forward scan reversed: every trailer's reverse
+		// displacement was checked against its header on the way.
+		var recs []wal.Record
+		if err = l.ScanForward(func(r *wal.Record) error {
+			recs = append(recs, cloneRecord(r))
+			return nil
+		}); err == nil {
+			for i := len(recs) - 1; i >= 0 && err == nil; i-- {
+				err = visit(&recs[i])
+			}
+		}
 	} else {
 		err = l.ScanForward(visit)
 	}
@@ -160,6 +171,16 @@ func viewLog(path string, shard int, sharded bool,
 	}
 	fmt.Printf("%d record(s)\n", shown)
 	return nil
+}
+
+// cloneRecord copies r out of the scan's window, which is reused.
+func cloneRecord(r *wal.Record) wal.Record {
+	cp := *r
+	cp.Ranges = slices.Clone(r.Ranges)
+	for i := range cp.Ranges {
+		cp.Ranges[i].Data = slices.Clone(cp.Ranges[i].Data)
+	}
+	return cp
 }
 
 // flagNames decodes the record flags written by the engine.

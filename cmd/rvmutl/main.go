@@ -190,9 +190,11 @@ func copyLog(srcPath, dstPath string, size int64) {
 	}
 }
 
-// verify checks a store offline: on every shard both log scan directions
-// agree, every segment the log references resolves through the
-// dictionary, and each referenced range lies inside its segment.  For
+// verify checks a store offline: every shard's log scans clean — the scan
+// checks each record's trailer, its reverse displacement, against its
+// header, so the log reads newest-first as it reads oldest-first — every
+// segment the log references resolves through the dictionary, and each
+// referenced range lies inside its segment.  For
 // sharded stores it additionally pairs cross-shard prepares with commit
 // marks: a prepare whose id has a mark nowhere is an orphan — legal (it
 // is a crash remnant recovery will discard) but reported.
@@ -250,14 +252,9 @@ func verifyShard(path string, shard int, dict map[uint64]string, segs map[uint64
 	}
 	defer l.Close()
 	problems := 0
-	var fwd []uint64
-	err = l.ScanForward(func(r *wal.Record) error {
-		fwd = append(fwd, r.Seq)
-		switch r.Type {
-		case wal.RecPrepare:
+	check := func(r *wal.Record) {
+		if r.Type == wal.RecPrepare {
 			prepShards[r.TID] = append(prepShards[r.TID], shard)
-		case wal.RecCommit:
-			marked[r.TID] = true
 		}
 		for _, rg := range r.Ranges {
 			s, ok := segs[rg.Seg]
@@ -282,25 +279,23 @@ func verifyShard(path string, shard int, dict map[uint64]string, segs map[uint64
 				problems++
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		fmt.Printf("PROBLEM: shard %d forward scan: %v\n", shard, err)
-		problems++
 	}
-	i := len(fwd)
-	err = l.ScanBackward(func(r *wal.Record) error {
-		i--
-		if i < 0 || fwd[i] != r.Seq {
-			return fmt.Errorf("backward scan disagrees with forward at seq %d", r.Seq)
+	headPos, headSeq := l.Head()
+	an, err := l.Scan(headPos, headSeq, func(w *wal.Window) error {
+		defer w.Release()
+		for i := range w.Recs {
+			*records++
+			check(&w.Recs[i])
 		}
 		return nil
 	})
-	if err != nil || i != 0 {
-		fmt.Printf("PROBLEM: shard %d backward scan: %v (remaining %d)\n", shard, err, i)
+	if err != nil {
+		fmt.Printf("PROBLEM: shard %d scan: %v\n", shard, err)
 		problems++
 	}
-	*records += len(fwd)
+	for _, tid := range an.Committed {
+		marked[tid] = true
+	}
 	return problems
 }
 

@@ -294,6 +294,9 @@ type Engine struct {
 	regions    []*Region                   // index = region handle; nil after unmap
 	truncating atomic.Bool                 // truncation claim; written under mu
 	truncErr   error                       // most recent background-truncation failure
+	// pending is the redo of the restart that opened the engine, not yet in
+	// the segments (applyPending).  Only truncation-claim holders touch it.
+	pending *recovery.Epoch
 
 	// shards is immutable after Open: one entry per WAL shard, never
 	// nil, never resized.  Reading it needs no lock.
@@ -397,13 +400,14 @@ type Region struct {
 }
 
 // Open opens (or re-opens) an RVM instance on an existing log, performing
-// crash recovery before returning.  The log must have been created with
-// CreateLog.  With LogShards > 1 the extra shard logs are created on
-// first open (after the count is durably recorded in the dictionary) and
-// every shard the dictionary knows about is recovered, even when the
-// requested count differs from the recorded one — recovery empties all
-// logs, so the shard count and region placement may change freely
-// between runs.
+// crash recovery before returning: it builds the redo, which the first
+// truncation writes to the segments, and Map presents until then.  The log
+// must have been created with CreateLog.  With LogShards > 1 the extra
+// shard logs are created on first open (after the count is durably recorded
+// in the dictionary) and every shard the dictionary knows about is
+// recovered, even when the requested count differs from the recorded one —
+// recovery of several logs empties them all at once, so the shard count and
+// region placement may change freely between runs.
 func Open(opts Options) (*Engine, error) {
 	// The dictionary comes first: it says how many logs there are, and with
 	// that how the recovery workers are shared out, before the first log's
@@ -486,17 +490,25 @@ func Open(opts Options) (*Engine, error) {
 		e.shards = append(e.shards, sh)
 	}
 	if used > 0 {
-		st, err := redo.Finish(e.lookupSegment, e.retryIO)
+		ep, st, err := redo.Redo(e.lookupSegment)
 		if err != nil {
 			e.closeFiles()
-			// The partial stats say how far redo got before the failure.
-			return nil, fmt.Errorf("rvm: recovery: applied %d byte(s) in %d write(s), %d segment(s) synced: %w",
-				st.TreeBytes, st.WritesMerged, st.Segments, err)
+			return nil, fmt.Errorf("rvm: recovery: %w", err)
 		}
 		e.stats.Recoveries.Store(1)
 		e.stats.RecoveredBytes.Store(st.TreeBytes)
 		e.stats.RecoveryScanned.Store(st.ScannedBytes)
 		e.stats.DiscardedPrepares.Store(uint64(st.DiscardedPrepares))
+		// The redo is the run's first truncation epoch (DESIGN.md §13).
+		// Several logs apply it now: a page may change logs between runs,
+		// and no two logs may hold it before anything more is logged.
+		e.pending = ep
+		if len(logs) > 1 {
+			if err := e.applyPending(); err != nil {
+				e.closeFiles()
+				return nil, err
+			}
+		}
 	}
 	if requested < len(e.shards) {
 		// Recovery emptied every log; drop the shards beyond the
@@ -714,9 +726,9 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 	switch e.opts.Backend {
 	case mapping.DemandPaging:
 		// Copy-on-write file mapping: the committed image pages in on
-		// demand.  Sound because recovery ran before any Map, and
-		// truncation only ever writes file pages the application has
-		// already written (hence already copied privately).
+		// demand.  Sound because truncation only ever writes file pages
+		// the application has already written, or a pending redo laid
+		// over them below (hence already copied privately).
 		buf, err = seg.MapPrivate(segOff, length)
 		if err != nil {
 			return nil, err
@@ -735,6 +747,11 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 			buf.Free()
 			return nil, err
 		}
+	}
+	if e.pending != nil {
+		// The restart's redo is not in the segment yet: it goes over the
+		// image, not dirty, since applying the redo writes those bytes.
+		e.pending.Overlay(seg.ID(), segOff, buf.Data())
 	}
 
 	// Publish the region.  The truncation slot excludes Unmap, Close,
@@ -827,6 +844,9 @@ func (e *Engine) Unmap(r *Region) error {
 	// The region is sealed and the truncation slot claimed, so its dirty
 	// set is stable: write every dirty page and sync with no lock held.
 	if r.pvec.DirtyCount() > 0 {
+		if err := e.applyPending(); err != nil {
+			return fail(err)
+		}
 		r.mu.Lock()
 		var err error
 		for pg := 0; pg < r.pvec.NumPages() && err == nil; pg++ {

@@ -56,6 +56,44 @@ func TestLogFullGiveUpContext(t *testing.T) {
 	}
 }
 
+// TestWrapSplitFreeSpaceTruncates: free bytes that the wrap splits —
+// enough for the record in all, but short of it before the area's end, and
+// short of it plus the wrap record — are no room.  The commit must truncate,
+// not count the free bytes and retry until it gives up: one epoch empties
+// the log.
+func TestWrapSplitFreeSpaceTruncates(t *testing.T) {
+	v := newEnv(t, 1<<14, pageBytes(4), Options{TruncateThreshold: -1})
+	r, err := v.eng.Map(v.segPath, 0, pageBytes(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := v.eng.shards[0].log
+	filler := make([]byte, 1000)
+	v.commit1(r, 0, filler)
+	if err := v.eng.Truncate(); err != nil { // the head leaves offset 0
+		t.Fatal(err)
+	}
+	// Fill until the space before the area's end holds one filler record
+	// but not two.
+	rec := wal.EncodedLen([]wal.Range{{Data: filler}})
+	for tail, _ := lg.Tail(); lg.AreaSize()-tail >= 2*rec; tail, _ = lg.Tail() {
+		v.commit1(r, 0, filler)
+	}
+	tail, _ := lg.Tail()
+	head, _ := lg.Head()
+	gap := lg.AreaSize() - tail
+	data := make([]byte, gap+268) // a record of gap+336 bytes
+	need := wal.EncodedLen([]wal.Range{{Data: data}})
+	if need <= gap || need <= head || need > gap+head || lg.AreaSize()-lg.Used() < need {
+		t.Fatalf("head %d, tail %d, record %d: not the log this test is about", head, tail, need)
+	}
+	before := v.eng.Stats().EpochTruncs
+	v.commit1(r, 0, data)
+	if got := v.eng.Stats().EpochTruncs - before; got != 1 {
+		t.Fatalf("the commit ran %d epoch truncations, want one", got)
+	}
+}
+
 // TestCloseRacesAutoTruncate: Close must serialize cleanly with the
 // background truncation goroutine kicked off by a threshold-crossing
 // commit.  Run under -race this doubles as a data-race check on the

@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/rvm-go/rvm/internal/mapping"
+	"github.com/rvm-go/rvm/internal/segment"
 )
 
 // crashImage is what a process failure leaves of a flush-mode TPC-A-shaped
@@ -66,10 +69,11 @@ func newCrashImage(tb testing.TB, logBytes, ckptAt int64) *crashImage {
 	return img
 }
 
-// countingLog is a log device that counts what is read from it.
+// countingLog is a log device that counts the bytes read from it, the
+// writes made to it and its syncs.
 type countingLog struct {
 	*os.File
-	readBytes atomic.Int64
+	readBytes, writes, syncs atomic.Int64
 }
 
 func (d *countingLog) ReadAt(p []byte, off int64) (int, error) {
@@ -77,12 +81,52 @@ func (d *countingLog) ReadAt(p []byte, off int64) (int, error) {
 	return d.File.ReadAt(p, off)
 }
 
-// restarted is one restart from a crashImage and what it cost.
+func (d *countingLog) WriteAt(p []byte, off int64) (int, error) {
+	d.writes.Add(1)
+	return d.File.WriteAt(p, off)
+}
+
+func (d *countingLog) Sync() error {
+	d.syncs.Add(1)
+	return d.File.Sync()
+}
+
+// segCounts is what the segment devices of a restart saw: bytes read from
+// the data area (the header page aside), bytes written, syncs.
+type segCounts struct{ read, written, syncs atomic.Int64 }
+
+// countingSeg is a segment device that counts into n.
+type countingSeg struct {
+	*os.File
+	n *segCounts
+}
+
+func (d countingSeg) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(mapping.PageSize) {
+		d.n.read.Add(int64(len(p)))
+	}
+	return d.File.ReadAt(p, off)
+}
+
+func (d countingSeg) WriteAt(p []byte, off int64) (int, error) {
+	d.n.written.Add(int64(len(p)))
+	return d.File.WriteAt(p, off)
+}
+
+func (d countingSeg) Sync() error {
+	d.n.syncs.Add(1)
+	return d.File.Sync()
+}
+
+// restarted is one restart from a crashImage and what it cost; the devices
+// go on counting.
 type restarted struct {
-	eng   *Engine
-	read  int64 // log bytes read
-	alloc int64 // bytes allocated
-	took  time.Duration
+	eng    *Engine
+	log    *countingLog
+	seg    *segCounts
+	mapped int64 // bytes the regions map
+	alloc  int64 // bytes allocated
+	took   time.Duration
 }
 
 // restart puts the image back and restarts from it: Open, which recovers,
@@ -103,8 +147,9 @@ func (img *crashImage) restart(tb testing.TB, opts Options) restarted {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dev := &countingLog{File: f}
+	dev, sc := &countingLog{File: f}, &segCounts{}
 	opts.LogPath, opts.LogDevice = f.Name(), dev
+	opts.SegmentDevice = func(_ string, f *os.File) segment.Device { return countingSeg{f, sc} }
 	seg := filepath.Join(dir, "seg.rvm")
 	runtime.GC() // every restart starts from the same heap
 	var before, after runtime.MemStats
@@ -114,14 +159,32 @@ func (img *crashImage) restart(tb testing.TB, opts Options) restarted {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	var mapped int64
 	for _, m := range []struct{ off, pages int }{{0, tpcaAcctPages}, {tpcaAcctPages, tpcaAuditPages}, {tpcaAcctPages + tpcaAuditPages, 1}} {
 		if _, err := eng.Map(seg, pageBytes(m.off), pageBytes(m.pages)); err != nil {
 			tb.Fatal(err)
 		}
+		mapped += pageBytes(m.pages)
 	}
 	took := time.Since(t0)
 	runtime.ReadMemStats(&after)
-	return restarted{eng, dev.readBytes.Load(), int64(after.TotalAlloc - before.TotalAlloc), took}
+	return restarted{eng, dev, sc, mapped, int64(after.TotalAlloc - before.TotalAlloc), took}
+}
+
+// writesNothing requires a restart to have written and synced nothing,
+// log or segment, and to have read each mapped byte from its segment once:
+// the redo reaches the regions by Map, and the segments by the first
+// truncation.
+func (r restarted) writesNothing(tb testing.TB) {
+	tb.Helper()
+	lw, ls, sw, ss := r.log.writes.Load(), r.log.syncs.Load(), r.seg.written.Load(), r.seg.syncs.Load()
+	if lw != 0 || ls != 0 || sw != 0 || ss != 0 {
+		tb.Errorf("Open and Map wrote the log %d time(s) and synced it %d time(s), wrote %d segment bytes and synced %d time(s); want nothing",
+			lw, ls, sw, ss)
+	}
+	if read := r.seg.read.Load(); read != r.mapped {
+		tb.Errorf("Map read %d segment bytes for %d mapped; want each once", read, r.mapped)
+	}
 }
 
 // TestRestartReadsLogOnce pins what the fused scan is for: a restart reads
@@ -140,25 +203,38 @@ func TestRestartReadsLogOnce(t *testing.T) {
 		img := newCrashImage(t, 15<<20, 0)
 		r := img.restart(t, Options{})
 		defer r.eng.Close()
+		r.writesNothing(t)
 		st := r.eng.Stats()
 		if st.Recoveries != 1 || st.RecoveryScanned != uint64(img.logBytes) {
 			t.Fatalf("recovered %d time(s) over %d bytes, want once over %d", st.Recoveries, st.RecoveryScanned, img.logBytes)
 		}
-		if limit := img.logBytes*11/10 + status; r.read > limit {
-			t.Errorf("Open read %d log bytes for %d live; want at most %d", r.read, img.logBytes, limit)
+		read := r.log.readBytes.Load()
+		if limit := img.logBytes*11/10 + status; read > limit {
+			t.Errorf("Open read %d log bytes for %d live; want at most %d", read, img.logBytes, limit)
 		}
 		// Three passes and a batch of decoded records made it 28.5 MB before
 		// the scan was fused (PR 22); 5 MB are the mapped regions, and what
 		// is left is mostly the trees.
-		t.Logf("read %d log bytes for %d live, allocated %d bytes", r.read, img.logBytes, r.alloc)
+		t.Logf("read %d log bytes for %d live, allocated %d bytes", read, img.logBytes, r.alloc)
 		if r.alloc > 16<<20 {
 			t.Errorf("restart allocated %d bytes; want at most 16 MB", r.alloc)
+		}
+		// The first truncation writes the redo and empties the log: the
+		// segment synced once and the log twice, the head moving past the
+		// redo and then past the empty epoch — what restart and truncation
+		// synced when restart applied the redo itself.
+		if err := r.eng.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		if ls, ss := r.log.syncs.Load(), r.seg.syncs.Load(); ls != 2 || ss != 1 {
+			t.Errorf("restart and truncation synced the log %d time(s) and the segment %d; want 2 and 1", ls, ss)
 		}
 	})
 	t.Run("checkpoint", func(t *testing.T) {
 		img := newCrashImage(t, 3<<20, 2<<20)
 		r := img.restart(t, Options{})
 		defer r.eng.Close()
+		r.writesNothing(t)
 		st := r.eng.Stats()
 		if st.RecoveryScanned != uint64(img.stable) {
 			t.Fatalf("recovery considered %d bytes, want the %d from the stable LSN on", st.RecoveryScanned, img.stable)
@@ -166,24 +242,28 @@ func TestRestartReadsLogOnce(t *testing.T) {
 		if img.stable > img.logBytes/2 {
 			t.Fatalf("the checkpoint bounds redo at %d of %d bytes only", img.stable, img.logBytes)
 		}
-		if limit := img.logBytes + img.stable*11/10 + window + status; r.read > limit {
-			t.Errorf("Open read %d log bytes for %d live, %d past the stable LSN; want at most %d", r.read, img.logBytes, img.stable, limit)
+		read := r.log.readBytes.Load()
+		if limit := img.logBytes + img.stable*11/10 + window + status; read > limit {
+			t.Errorf("Open read %d log bytes for %d live, %d past the stable LSN; want at most %d", read, img.logBytes, img.stable, limit)
 		}
-		t.Logf("read %d log bytes for %d live, %d past the stable LSN", r.read, img.logBytes, img.stable)
+		t.Logf("read %d log bytes for %d live, %d past the stable LSN", read, img.logBytes, img.stable)
 	})
 }
 
 // BenchmarkOpenRecover times a restart from a 15 MB flush-mode TPC-A-shaped
 // crash image: Open, which recovers, plus Map of the regions.  MB/s is
-// live log per second; logread-B/op says how often the log was read.
+// live log per second; logread-B/op says how often the log was read,
+// segwrite-B/op and sync/op what the restart wrote and synced (log and
+// segment).
 func BenchmarkOpenRecover(b *testing.B) {
 	img := newCrashImage(b, 15<<20, 0)
 	b.SetBytes(img.logBytes)
-	var read int64
+	var read, segWritten, syncs int64
 	var took time.Duration
 	for i := 0; i < b.N; i++ {
 		r := img.restart(b, Options{})
-		read, took = read+r.read, took+r.took
+		read, took = read+r.log.readBytes.Load(), took+r.took
+		segWritten, syncs = segWritten+r.seg.written.Load(), syncs+r.log.syncs.Load()+r.seg.syncs.Load()
 		if err := r.eng.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -193,6 +273,8 @@ func BenchmarkOpenRecover(b *testing.B) {
 	b.ReportMetric(float64(took.Nanoseconds())/float64(b.N), "ns/op")
 	b.ReportMetric(float64(img.logBytes)*float64(b.N)/1e6/took.Seconds(), "MB/s")
 	b.ReportMetric(float64(read)/float64(b.N), "logread-B/op")
+	b.ReportMetric(float64(segWritten)/float64(b.N), "segwrite-B/op")
+	b.ReportMetric(float64(syncs)/float64(b.N), "sync/op")
 }
 
 // TestRestartCheckpointBelowHead crashes with a live checkpoint record whose

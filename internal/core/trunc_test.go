@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/rvm-go/rvm/internal/segment"
 )
 
 func TestEpochTruncateReflectsAndEmptiesLog(t *testing.T) {
@@ -388,5 +393,146 @@ func TestHeadNeverPassesQueuedPage(t *testing.T) {
 		if got := r2.Data()[pageBytes(w)]; got != last[w] {
 			t.Errorf("worker %d: recovered %d, last acknowledged %d", w, got, last[w])
 		}
+	}
+}
+
+// gatedLog is a log device whose Sync, while gated, announces itself on
+// entered and waits for release; synced counts the Syncs that completed.
+type gatedLog struct {
+	*os.File
+	gated   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+	synced  atomic.Int64
+}
+
+func (d *gatedLog) Sync() error {
+	if d.gated.Load() {
+		d.entered <- struct{}{}
+		<-d.release
+	}
+	err := d.File.Sync()
+	d.synced.Add(1)
+	return err
+}
+
+// writeWatch is a segment device that notes the offset of every write made
+// before its log's first Sync completed.
+type writeWatch struct {
+	*os.File
+	log   *gatedLog
+	mu    sync.Mutex
+	early []int64
+}
+
+func (d *writeWatch) WriteAt(p []byte, off int64) (int, error) {
+	if d.log.synced.Load() == 0 {
+		d.mu.Lock()
+		d.early = append(d.early, off)
+		d.mu.Unlock()
+	}
+	return d.File.WriteAt(p, off)
+}
+
+// TestCleanerForcesDrainedRecords: a flush commit drains a no-flush
+// transaction's record into the log and releases its region locks before it
+// forces.  The page cleaner must not write that transaction's pages until
+// the log is durable past its record: a crash that lost the unsynced tail
+// would leave the transaction half in its segment.
+func TestCleanerForcesDrainedRecords(t *testing.T) {
+	dir := t.TempDir()
+	logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
+	if err := CreateLog(logPath, 1<<16); err != nil {
+		t.Fatal(err)
+	}
+	if err := CreateSegment(segPath, 1, pageBytes(3)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for both Syncs the test provokes, the commit's and the cleaner's,
+	// so neither blocks on announcing itself.
+	lg := &gatedLog{File: f, entered: make(chan struct{}, 2), release: make(chan struct{})}
+	var watch *writeWatch
+	eng, err := Open(Options{LogPath: logPath, LogDevice: lg, TruncateThreshold: -1,
+		SegmentDevice: func(_ string, sf *os.File) segment.Device {
+			watch = &writeWatch{File: sf, log: lg}
+			return watch
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	a, err := eng.Map(segPath, 0, pageBytes(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := eng.Map(segPath, pageBytes(2), pageBytes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := eng.Begin(Restore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Modify(a, 0, []byte("first half")); err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Modify(a, pageBytes(1), []byte("second half")); err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Commit(NoFlush); err != nil {
+		t.Fatal(err)
+	}
+
+	lg.gated.Store(true)
+	committed := make(chan error, 1)
+	go func() {
+		tx, err := eng.Begin(Restore)
+		if err == nil {
+			err = tx.Modify(b, 0, []byte("forced"))
+		}
+		if err == nil {
+			err = tx.Commit(Flush)
+		}
+		committed <- err
+	}()
+	<-lg.entered // the commit drained the lazy record and waits in its force
+	cleaned := make(chan error, 1)
+	go func() {
+		if err := eng.claimTruncation(); err != nil {
+			cleaned <- err
+			return
+		}
+		var pages atomic.Uint64
+		_, _, _, err := eng.cleanShard(eng.shards[0], cleanEverything, &pages)
+		eng.releaseTruncation()
+		cleaned <- err
+	}()
+	var cleanErr error
+	done := false
+	select {
+	case <-lg.entered: // the cleaner forces the log before writing the pages
+	case cleanErr = <-cleaned:
+		done = true
+	}
+	lg.gated.Store(false)
+	close(lg.release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		cleanErr = <-cleaned
+	}
+	if cleanErr != nil {
+		t.Fatal(cleanErr)
+	}
+	if len(watch.early) > 0 {
+		t.Fatalf("segment written at %v before the log record behind it was durable", watch.early)
+	}
+	if qi, err := eng.Query(a); err != nil || qi.DirtyPages != 0 {
+		t.Fatalf("the cleaner left %d page(s) of the lazy transaction dirty (%v)", qi.DirtyPages, err)
 	}
 }

@@ -90,7 +90,7 @@ func (e *Engine) retryLogFull(sh *shard, err error, attempt int, need int64, cla
 			return err
 		}
 		defer e.releaseTruncation()
-		if sh.log.AreaSize()-sh.log.Used() >= need {
+		if sh.log.Fits(need) {
 			return nil
 		}
 	}
@@ -148,6 +148,9 @@ func (e *Engine) epochShard(sh *shard) error {
 		sh.pipe.mu.Unlock()
 		return e.maybePoison(err)
 	}
+	if err := e.applyPending(); err != nil {
+		return fail(err)
+	}
 	if err := e.retryIO(sh.log.Force); err != nil {
 		return fail(err)
 	}
@@ -166,6 +169,26 @@ func (e *Engine) epochShard(sh *shard) error {
 	e.stats.EpochTruncs.Add(1)
 	e.met.ObserveTruncPause((time.Since(t0) - applied).Nanoseconds())
 	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, uint64(ep.Records()), 0)
+	return nil
+}
+
+// applyPending applies the redo the restart left pending (Open), the run's
+// first truncation epoch.  Every claim holder that writes a page from memory
+// or moves a head or a stable LSN calls it first: applied later, the redo
+// would write older bytes over such a page, and a head moved first would drop
+// records whose bytes are in no segment yet.  Nothing queued or in doubt
+// predates the redo, so there is nothing to reconcile.  Caller holds the
+// truncation claim.
+func (e *Engine) applyPending() error {
+	if e.pending == nil {
+		return nil
+	}
+	if st, err := e.pending.Apply(e.lookupSegmentSync, e.retryIO); err != nil {
+		// The partial stats say how far redo got before the failure.
+		return fmt.Errorf("rvm: recovery: applied %d byte(s) in %d write(s), %d segment(s) synced: %w",
+			st.TreeBytes, st.WritesMerged, st.Segments, err)
+	}
+	e.pending = nil
 	return nil
 }
 
@@ -312,6 +335,9 @@ const cleanEverything = -1
 // single-shard commit in flight, and once the counts drop the pages are
 // committed and safe to write.
 func (e *Engine) cleanShard(sh *shard, targetUsed int64, count *atomic.Uint64) (pages uint64, pos int64, seq uint64, err error) {
+	if err := e.applyPending(); err != nil {
+		return 0, 0, 0, err
+	}
 	p := &sh.pipe
 	wrote := make(map[*segment.Segment]bool)
 	deadline := time.Now().Add(blockedHeadGrace)
@@ -354,9 +380,11 @@ func (e *Engine) cleanShard(sh *shard, targetUsed int64, count *atomic.Uint64) (
 			// but not yet logged, so writing the page (and moving the head
 			// or a stable LSN past its log reference) would break atomicity
 			// on a crash.  The region lock holds the spool state for this
-			// region steady across the check and the copy.
+			// region, and with it the page's newest log reference, steady
+			// across the checks and the copy.
 			p.mu.Lock()
 			spooled = r.spoolRefs[d.ID.Page] > 0
+			d, _ = p.queue.Get(d.ID)
 			p.mu.Unlock()
 		}
 		if pinned || spooled {
@@ -378,6 +406,17 @@ func (e *Engine) cleanShard(sh *shard, targetUsed int64, count *atomic.Uint64) (
 				}
 			}
 			time.Sleep(blockedHeadPace)
+			continue
+		}
+		if d.Last > sh.log.ForcedThrough() {
+			// A flush commit drained no-flush records touching this page and
+			// released its locks before its force; the page must not reach its
+			// segment ahead of them (write-ahead rule).  Forcing beats waiting
+			// for that force: the walk goes on with all appended so far durable.
+			r.mu.Unlock()
+			if err = e.retryIO(sh.log.Force); err != nil {
+				return pages, 0, 0, err
+			}
 			continue
 		}
 		err = e.writePageLocked(r, d.ID.Page)

@@ -746,16 +746,14 @@ func (t *Tx) markDirtyPipeLocked(sh *shard, pages []pagevec.PageID, pos int64, s
 // rule.  Caller holds sh.pipe.mu.
 func (e *Engine) enqueuePagePipeLocked(sh *shard, id pagevec.PageID, pos int64, seq uint64) {
 	p := &sh.pipe
-	if d, ok := p.queue.Get(id); ok {
-		// Already queued at its earliest reference — unless that reference
-		// is inside an epoch being truncated right now, in which case the
-		// earliest *surviving* reference is this record.
-		if p.epochEndSeq > 0 && d.Seq < p.epochEndSeq {
-			p.queue.Promote(id, pos, seq)
-		}
-		return
+	if p.queue.Push(id, pos, seq) || p.epochEndSeq == 0 {
+		return // newly queued, or already queued and noting its newest reference
 	}
-	p.queue.Push(id, pos, seq)
+	if d, _ := p.queue.Get(id); d.Seq < p.epochEndSeq {
+		// Queued at a reference inside an epoch being truncated right now:
+		// the earliest *surviving* reference is this record.
+		p.queue.Promote(id, pos, seq)
+	}
 }
 
 // appendPipeLocked appends the transaction's record — a prepare when the

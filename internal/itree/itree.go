@@ -220,6 +220,24 @@ func (t *Tree) Walk(fn func(iv Interval) error) error {
 	return nil
 }
 
+// Overlay copies every byte the tree holds in [off, off+len(dst)) to its
+// place in dst, leaving the bytes it does not hold as they are.
+func (t *Tree) Overlay(dst []byte, off uint64) {
+	end := off + uint64(len(dst))
+	for pn, cs := range t.pages {
+		base := pn << pageShift
+		if base >= end || base+pageSize <= off {
+			continue
+		}
+		for _, c := range cs {
+			lo, hi := max(base+uint64(c.off), off), min(base+uint64(c.end()), end)
+			if lo < hi {
+				copy(dst[lo-off:hi-off], t.data(c)[lo-base-uint64(c.off):])
+			}
+		}
+	}
+}
+
 // checkInvariants panics if the tree's structural invariants are violated.
 // It is exported to the package's tests via export_test.go.
 func (t *Tree) checkInvariants() {

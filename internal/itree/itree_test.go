@@ -241,6 +241,19 @@ func checkAgainstModel(t *testing.T, tr *Tree, model map[uint64]byte) {
 	if walked != uint64(len(model)) {
 		t.Fatalf("Walk delivered %d bytes, model has %d", walked, len(model))
 	}
+	// Overlay onto a window that cuts chunks at both ends.
+	const lo = opBase + 300
+	dst := bytes.Repeat([]byte{0xEE}, opSpan-200)
+	tr.Overlay(dst, lo)
+	for i, got := range dst {
+		want, ok := model[lo+uint64(i)]
+		if !ok {
+			want = 0xEE
+		}
+		if got != want {
+			t.Fatalf("Overlay byte at %d = %d, want %d", lo+uint64(i), got, want)
+		}
+	}
 }
 
 func runModelTest(t *testing.T, p Policy) {

@@ -91,6 +91,10 @@ type Descriptor struct {
 	ID  PageID
 	Pos int64  // log-area offset of the first record referencing the page
 	Seq uint64 // sequence number of that record
+	// Last is the sequence number of the newest record referencing the
+	// page: the page may reach its segment only once the log is durable
+	// that far (the write-ahead rule).
+	Last uint64
 }
 
 // Queue is the FIFO of page-modification descriptors.  The zero value is
@@ -112,15 +116,17 @@ func (q *Queue) ensure() {
 func (q *Queue) Len() int { return q.live }
 
 // Push enqueues a descriptor for id unless the page is already queued
-// (the earlier descriptor wins, per the no-duplicates rule).  It reports
-// whether a new descriptor was added.
+// (the earlier descriptor wins, per the no-duplicates rule, and only notes
+// seq as its newest reference).  It reports whether a new descriptor was
+// added.
 func (q *Queue) Push(id PageID, pos int64, seq uint64) bool {
 	q.ensure()
-	if _, ok := q.index[id]; ok {
+	if i, ok := q.index[id]; ok {
+		q.items[i].Last = max(q.items[i].Last, seq)
 		return false
 	}
 	q.index[id] = len(q.items)
-	q.items = append(q.items, Descriptor{ID: id, Pos: pos, Seq: seq})
+	q.items = append(q.items, Descriptor{ID: id, Pos: pos, Seq: seq, Last: seq})
 	q.live++
 	return true
 }

@@ -25,7 +25,8 @@
 // Epoch truncation applies the same procedure to an initial portion of the
 // log while forward processing continues in the rest: records are collected
 // under the log lock, applied to segments without it, and only then is the
-// log head advanced.
+// log head advanced.  A restart's trees are such an epoch too (Restart.Redo),
+// which the engine applies as its first truncation (Epoch.Overlay until then).
 package recovery
 
 import (
@@ -303,9 +304,9 @@ func (b *builder) stop() {
 
 // Restart is one crash recovery, of one log or of a sharded engine's logs
 // together.  Open opens log i and builds redo trees from what its tail scan
-// reads, as it reads it; Finish then builds what the scans had to leave for
-// later, applies the trees and empties the logs.  Abort releases a restart
-// that will not finish.
+// reads, as it reads it; Redo then builds what the scans had to leave for
+// later and returns the trees as an epoch, which Finish also applies,
+// emptying the logs.  Abort releases a restart that will not finish.
 type Restart struct {
 	par    int // stripe sets, and apply workers, per log
 	met    *obs.Metrics
@@ -424,20 +425,19 @@ func (r *Restart) remainder(i int, committed map[uint64]bool, st *Stats) error {
 	return err
 }
 
-// Finish completes the restart once every log is scanned: a prepare record
-// applies only when its global commit-ID is in the union of all shards'
-// commit marks (the transaction reached its commit point on some shard
-// before the crash) and is discarded otherwise; the trees are applied and
-// the segments synced; and only then do the logs' heads advance, so a
-// crash mid-recovery replays all of it.  Distinct shards never log the
-// same page (a region lives on exactly one shard for the life of a run),
-// so cross-shard apply order is free.  retry (optional) wraps each storage
-// operation.  On error the returned Stats hold partial progress.
+// Redo completes the restart once every log is scanned, short of writing
+// anything: a prepare record applies only when its global commit-ID is in
+// the union of all shards' commit marks (the transaction reached its commit
+// point on some shard before the crash), and the builders finish.  It
+// returns the redo as one Epoch over every log, its heads at the tails the
+// scans found, and Stats whose TreeBytes the epoch's Apply will write.  A
+// segment lookup cannot resolve fails it.  On error the Stats are partial.
 //
 // The phases it reports are consecutive stretches of wall time: scan (the
 // second scans, next to nothing when the first built everything; plus any
-// scan of a log already open), build (waiting for the workers), apply.
-func (r *Restart) Finish(lookup SegmentLookup, retry Retry) (st Stats, err error) {
+// scan of a log already open) and build (waiting for the workers); Apply
+// reports the third, apply, whenever it runs.
+func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	defer r.Abort()
 	tr, met := r.shards[0].log.Tracer(), r.met
 	// The replay runs under the recovery stall gate: restart hangs (a dead
@@ -469,43 +469,50 @@ func (r *Restart) Finish(lookup SegmentLookup, retry Retry) (st Stats, err error
 		st.DiscardedPrepares += sub[i].DiscardedPrepares
 	}
 	if err != nil {
-		return st, err
+		return nil, st, err
 	}
 	t1 := time.Now()
 	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(st.Records), st.CheckpointSeq)
 	met.ObserveRecoveryScan(r.scanNs + t1.Sub(t0).Nanoseconds())
 
-	var sets []treeSet
+	ep = &Epoch{par: r.par * len(r.shards), restart: true}
 	for i := range r.shards {
-		b := r.shards[i].b
+		b, l := r.shards[i].b, r.shards[i].log
 		b.stop()
-		sets = append(sets, b.sets...)
+		ep.sets = append(ep.sets, b.sets...)
 		st.Ranges += b.ranges
 		st.RecordBytes += b.recordBytes
+		// Records older than a shard checkpoint's stable seq were skipped
+		// above precisely because they are already in the segments, so each
+		// whole live region — prefix included — goes with the epoch.
+		pos, seq := l.Tail()
+		ep.heads = append(ep.heads, epochHead{l, pos, seq})
 	}
-	applyStart, t2 := tr.Now(), time.Now()
-	met.ObserveRecoveryBuild(t2.Sub(t1).Nanoseconds())
+	met.ObserveRecoveryBuild(time.Since(t1).Nanoseconds())
+	ep.stats = st
+	for _, ts := range ep.sets {
+		for id, t := range ts {
+			st.TreeBytes += t.Bytes()
+			if _, err := lookup(id); err != nil {
+				return nil, st, fmt.Errorf("recovery: segment %d referenced by log: %w", id, err)
+			}
+		}
+	}
+	return ep, st, nil
+}
 
-	par := r.par * len(r.shards)
-	err = applyTrees(sets, lookup, retry, par, met, &st)
+// Finish is Redo, then the epoch's Apply: the trees are applied and the
+// segments synced, and only then do the logs' heads advance, so a crash
+// mid-recovery replays all of it.  Apply order across logs is free as long
+// as no two logs hold the same page (a remap at another offset can break
+// that: ROADMAP, hazard 5).  retry (optional) wraps each storage operation.
+// On error the returned Stats hold partial progress.
+func (r *Restart) Finish(lookup SegmentLookup, retry Retry) (Stats, error) {
+	ep, st, err := r.Redo(lookup)
 	if err != nil {
 		return st, err
 	}
-	tr.Span(obs.EvRecovApply, applyStart, 0, st.TreeBytes, uint64(par))
-	met.ObserveRecoveryApply(time.Since(t2).Nanoseconds())
-
-	// All recovery actions are complete; only now mark the logs empty.
-	// Records older than a shard checkpoint's stable seq were skipped
-	// above precisely because they are already in the segments, so each
-	// whole live region — prefix included — is safe to discard.
-	for i := range r.shards {
-		l := r.shards[i].log
-		pos, seq := l.Tail()
-		if err := retried(retry, func() error { return l.SetHead(pos, seq) }); err != nil {
-			return st, err
-		}
-	}
-	return st, nil
+	return ep.Apply(lookup, retry)
 }
 
 // Recover replays the live log onto the external data segments with one
@@ -571,25 +578,27 @@ func CollectEpoch(l *wal.Log) (*Epoch, error) {
 func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 	tailPos, tailSeq := l.Tail()
 	// An epoch that ends early ends at the first record the scan delivers
-	// with Seq >= limit, discovered below; headPos < 0 until then.
-	e := &Epoch{headPos: tailPos, headSeq: tailSeq, log: l}
+	// with Seq >= limit, discovered below; h.pos < 0 until then.
+	e := &Epoch{heads: []epochHead{{l, tailPos, tailSeq}}, par: 1}
+	h := &e.heads[0]
 	if limit < tailSeq {
-		e.headPos, e.headSeq = -1, limit
+		h.pos, h.seq = -1, limit
 	}
 	committed := make(map[uint64]bool)
 	prepares := false
 	stop := fmt.Errorf("stop")
 	pass := func() error {
-		e.trees, e.stats = make(treeSet), Stats{}
+		trees := make(treeSet)
+		e.sets, e.stats = []treeSet{trees}, Stats{}
 		err := l.ScanForward(func(rec *wal.Record) error {
-			if rec.Seq >= e.headSeq {
+			if rec.Seq >= h.seq {
 				// A record at or past the bound (or appended between the
 				// Tail snapshot and the scan) belongs to the current
 				// epoch, not this truncation; the first one is the new
 				// head.  (Wrap records are skipped by the scan but are
 				// freed with the epoch since the head lands beyond them.)
-				if e.headPos < 0 {
-					e.headPos, e.headSeq = rec.Pos, rec.Seq
+				if h.pos < 0 {
+					h.pos, h.seq = rec.Pos, rec.Seq
 				}
 				return stop
 			}
@@ -611,17 +620,17 @@ func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 			for _, r := range rec.Ranges {
 				e.stats.Ranges++
 				e.stats.RecordBytes += uint64(len(r.Data))
-				e.trees.add(r)
+				trees.add(r)
 			}
 			return nil
 		})
 		if err == stop {
 			err = nil
 		}
-		if e.headPos < 0 {
+		if h.pos < 0 {
 			// No live record reached the bound: the epoch is the whole
 			// snapshot after all.
-			e.headPos, e.headSeq = tailPos, tailSeq
+			h.pos, h.seq = tailPos, tailSeq
 		}
 		return err
 	}
@@ -638,34 +647,62 @@ func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 	return e, nil
 }
 
-// Epoch is a collected truncation epoch awaiting application.
+// Epoch is a truncation epoch, or a restart's redo, awaiting application:
+// redo trees, and for each log where its head goes once they are in the
+// segments.
 type Epoch struct {
-	log     *wal.Log
-	trees   treeSet
-	headPos int64  // the tail snapshot: new head after Apply
-	headSeq uint64 // sequence number expected at the new head
+	sets    []treeSet // stripe-sharded: any page's bytes are in one set
+	par     int       // apply workers
+	heads   []epochHead
+	restart bool // a restart's redo: Apply reports recovery's apply phase
 	stats   Stats
+}
+
+// epochHead is one log's head move after an Apply.
+type epochHead struct {
+	log *wal.Log
+	pos int64  // the tail snapshot: new head after Apply
+	seq uint64 // sequence number expected at the new head
 }
 
 // Records returns the number of transaction records in the epoch.
 func (e *Epoch) Records() int { return e.stats.Records }
 
 // EndSeq returns the first sequence number NOT in the epoch (records with
-// Seq < EndSeq are truncated by Apply).
-func (e *Epoch) EndSeq() uint64 { return e.headSeq }
+// Seq < EndSeq are truncated by Apply) in its first log, the only one of a
+// truncation epoch.
+func (e *Epoch) EndSeq() uint64 { return e.heads[0].seq }
+
+// Overlay copies the epoch's bytes of segment seg in [off, off+len(dst)) to
+// their place in dst: laid over the segment's image of the range, they make
+// what the segment will hold once the epoch is applied.
+func (e *Epoch) Overlay(seg uint64, off int64, dst []byte) {
+	for _, ts := range e.sets {
+		if t := ts[seg]; t != nil {
+			t.Overlay(dst, uint64(off))
+		}
+	}
+}
 
 // Apply writes the epoch's changes to the segments, syncs them, and then
-// advances the log head past the epoch.  retry (optional) wraps each
+// advances every log's head past the epoch.  retry (optional) wraps each
 // storage operation.
 func (e *Epoch) Apply(lookup SegmentLookup, retry Retry) (Stats, error) {
-	if err := applyTrees([]treeSet{e.trees}, lookup, retry, 1, nil, &e.stats); err != nil {
+	var tr *obs.Tracer
+	var met *obs.Metrics
+	if e.restart {
+		tr, met = e.heads[0].log.Tracer(), e.heads[0].log.Metrics()
+	}
+	start, t0 := tr.Now(), time.Now()
+	if err := applyTrees(e.sets, lookup, retry, e.par, met, &e.stats); err != nil {
 		return e.stats, err
 	}
-	err := retried(retry, func() error {
-		return e.log.SetHead(e.headPos, e.headSeq)
-	})
-	if err != nil {
-		return e.stats, err
+	tr.Span(obs.EvRecovApply, start, 0, e.stats.TreeBytes, uint64(e.par))
+	met.ObserveRecoveryApply(time.Since(t0).Nanoseconds())
+	for _, h := range e.heads {
+		if err := retried(retry, func() error { return h.log.SetHead(h.pos, h.seq) }); err != nil {
+			return e.stats, err
+		}
 	}
 	return e.stats, nil
 }

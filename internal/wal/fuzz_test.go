@@ -92,7 +92,6 @@ func FuzzOpenArbitraryFile(f *testing.F) {
 		}
 		defer l.Close()
 		l.ScanForward(func(*Record) error { return nil })
-		l.ScanBackward(func(*Record) error { return nil })
 		l.Append(99, 0, []Range{{Seg: 1, Off: 0, Data: []byte("post")}})
 	})
 }

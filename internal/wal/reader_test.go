@@ -59,9 +59,10 @@ func sameRecord(got, want *Record) bool {
 }
 
 // checkReadPaths requires every read path of l to deliver exactly want
-// (oldest first): both scans, a scan that starts where the analysis puts a
-// record in mid-log, and — through a second handle on the same file — the
-// tail scan at Open, which must also agree with the reference tail finder.
+// (oldest first): the scan and its newest-first reverse, a scan that starts
+// where the analysis puts a record in mid-log, and — through a second handle
+// on the same file — the tail scan at Open, which must also agree with the
+// reference tail finder.
 func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 	t.Helper()
 	i := 0
@@ -75,15 +76,11 @@ func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 	if err != nil || i != len(want) {
 		t.Fatalf("forward scan delivered %d of %d records: %v", i, len(want), err)
 	}
-	err = l.ScanBackward(func(r *Record) error {
+	for _, r := range collectBackward(t, l) {
 		i--
-		if i < 0 || !sameRecord(r, want[i]) {
-			t.Fatalf("backward scan: record %d (seq %d at %d) differs", i, r.Seq, r.Pos)
+		if !sameRecord(r, want[i]) {
+			t.Fatalf("newest-first: record %d (seq %d at %d) differs", i, r.Seq, r.Pos)
 		}
-		return nil
-	})
-	if err != nil || i != 0 {
-		t.Fatalf("backward scan stopped %d records short: %v", i, err)
 	}
 	an := analyze(t, l)
 	if an.Scanned != l.Used() {

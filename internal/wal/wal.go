@@ -701,28 +701,38 @@ func (l *Log) AppendCheckpoint(stable uint64) (pos int64, seq uint64, err error)
 	return ent[0].Pos, ent[0].Seq, nil
 }
 
-// planLocked places a record carrying ranges behind used live bytes.  It
-// returns the tail position at and one of two plans: gap > 0 — the record
+// Fits reports whether a record of need encoded bytes (EncodedLen) could be
+// appended now: whether the free space holds it together with the wrap
+// record or the padding its place at the tail calls for.  Free bytes alone do
+// not say, because the space before the area's end may be too short for it.
+func (l *Log) Fits(need int64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, _, _, err := l.planLocked(l.used, need)
+	return err == nil
+}
+
+// planLocked places a record of need encoded bytes behind used live bytes.
+// It returns the tail position at and one of two plans: gap > 0 — the record
 // does not fit before the area's end, so a wrap record of gap bytes goes at
 // at and the record itself, planned again, at 0 — or the record's length
 // need, which absorbs a gap too small to hold even a wrap record so that
 // the area end stays walkable.  It fails unless the record, and its wrap,
 // fit in the free space.
-func (l *Log) planLocked(used int64, ranges []Range) (at, need, gap int64, err error) {
-	need = encodedLen(ranges)
+func (l *Log) planLocked(used, need int64) (at, add, gap int64, err error) {
 	if need > l.areaSize {
 		return 0, 0, 0, fmt.Errorf("%w: need %d, area %d", ErrTooBig, need, l.areaSize)
 	}
-	at = (l.head + used) % l.areaSize
+	at, add = (l.head+used)%l.areaSize, need
 	if room := l.areaSize - at; need > room {
 		gap = room
 	} else if rem := room - need; rem > 0 && rem < minRecordSize {
-		need += rem
+		add += rem
 	}
-	if used+gap+need > l.areaSize {
-		return 0, 0, 0, fmt.Errorf("%w: need %d, free %d", ErrLogFull, gap+need, l.areaSize-used)
+	if used+gap+add > l.areaSize {
+		return 0, 0, 0, fmt.Errorf("%w: need %d, free %d", ErrLogFull, gap+add, l.areaSize-used)
 	}
-	return at, need, gap, nil
+	return at, add, gap, nil
 }
 
 // maxRunBytes bounds one device write of a batch, and with it the encoding
@@ -754,7 +764,7 @@ func (l *Log) appendLocked(typ uint8, ents []Entry) (n int, nbytes int64, err er
 	for i := 0; ; {
 		var at, add, gap int64
 		if i < len(ents) {
-			if at, add, gap, err = l.planLocked(l.used+int64(len(buf)), ents[i].Ranges); gap > 0 {
+			if at, add, gap, err = l.planLocked(l.used+int64(len(buf)), encodedLen(ents[i].Ranges)); gap > 0 {
 				add = gap
 			}
 		}
@@ -998,51 +1008,6 @@ func (l *Log) ScanForward(fn func(*Record) error) error {
 		}
 		return nil
 	})
-}
-
-// ScanBackward visits live records newest-first, walking the reverse
-// displacements from the tail (the direction the paper's recovery reads the
-// log, §5.1.2).  Only tools walk this way now, so it reads record by
-// record.  Wrap records are skipped; checkpoint records are delivered (with
-// nil Ranges).  fn must not retain the record or its range data beyond the
-// call.
-func (l *Log) ScanBackward(fn func(*Record) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dev == nil {
-		return ErrLogClosed
-	}
-	end, seq := l.tailPos(), l.nextSeq
-	var rec Record
-	var buf []byte
-	for seen := int64(0); seen < l.used; seen += rec.Len {
-		if end == 0 {
-			end = l.areaSize
-		}
-		seq--
-		trailer := slices.Grow(buf[:0], trailerSize)[:trailerSize]
-		if n, err := l.dev.ReadAt(trailer, areaOff(end-trailerSize)); n < trailerSize {
-			return fmt.Errorf("wal: read trailer at %d: %w", end-trailerSize, err)
-		}
-		totalLen := int64(binary.BigEndian.Uint32(trailer[8:]))
-		if totalLen < minRecordSize || totalLen > end {
-			return fmt.Errorf("wal: bad reverse displacement %d at %d", totalLen, end)
-		}
-		buf = slices.Grow(buf[:0], int(totalLen))[:totalLen]
-		if n, err := l.dev.ReadAt(buf, areaOff(end-totalLen)); int64(n) < totalLen {
-			return fmt.Errorf("wal: read %d bytes at %d: %w", totalLen, end-totalLen, err)
-		}
-		if !decodeRecord(&rec, buf, end-totalLen, seq) {
-			return fmt.Errorf("wal: live region corrupt at %d (backward, seq %d)", end-totalLen, seq)
-		}
-		if rec.Type != recWrap {
-			if err := fn(&rec); err != nil {
-				return err
-			}
-		}
-		end = rec.Pos
-	}
-	return nil
 }
 
 // SetHead advances the head of the live region to pos, expecting seq there,

@@ -59,17 +59,19 @@ func collectForward(t *testing.T, l *Log) []*Record {
 	return recs
 }
 
+// collectBackward returns the live records newest-first, the order the
+// paper's recovery walks: the forward scan reversed (it checks every
+// trailer's reverse displacement against its header), each record where the
+// scan's analysis locates it.
 func collectBackward(t *testing.T, l *Log) []*Record {
 	t.Helper()
-	var recs []*Record
-	err := l.ScanBackward(func(r *Record) error {
-		cp := *r
-		cp.Ranges = append([]Range(nil), r.Ranges...)
-		recs = append(recs, &cp)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	fwd, an := collectForward(t, l), analyze(t, l)
+	recs := make([]*Record, 0, len(fwd))
+	for i := len(fwd) - 1; i >= 0; i-- {
+		if pos := an.Pos(fwd[i].Seq); pos != fwd[i].Pos {
+			t.Fatalf("analysis puts seq %d at %d, the scan found it at %d", fwd[i].Seq, pos, fwd[i].Pos)
+		}
+		recs = append(recs, fwd[i])
 	}
 	return recs
 }

@@ -255,6 +255,8 @@ func CreateSegment(path string, id uint64, length int64) error {
 
 // Open initializes RVM on an existing log, performing crash recovery, as
 // wide as GOMAXPROCS, before returning (the paper's initialize primitive).
+// Recovery writes nothing: Map presents the redo over the segment image,
+// and the first truncation writes it to the segments.
 func Open(o Options) (*RVM, error) {
 	eng, err := core.Open(o.engine())
 	if err != nil {
