@@ -40,13 +40,12 @@ loc:
 bench:
 	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange|ObsOverhead|CommitNoFlush|AppendBatch|OpenRecover' -benchtime 1x -run '^$$' . ./internal/core ./internal/wal
 
-# bench-gates is the one list of the five checked-in regression gates; CI's
+# bench-gates is the one list of the four checked-in regression gates; CI's
 # bench job calls it: fsyncs/commit + p99, observability overhead, commit
-# scaling, sharded-WAL scaling, and recovery (serial and parallel ns/MB +
-# checkpoint-bounded restart scan).
+# scaling, and recovery (serial and parallel ns/MB + checkpoint-bounded
+# restart scan).
 bench-gates:
 	go run ./cmd/rvmbench -experiment concurrent -json BENCH_ci.json -thresholds bench_thresholds.json
 	go run ./cmd/rvmbench -experiment obs -thresholds bench_thresholds.json
 	go run ./cmd/rvmbench -experiment scaling -json BENCH_ci.json -thresholds bench_thresholds.json
-	go run ./cmd/rvmbench -experiment sharding -json BENCH_ci.json -thresholds bench_thresholds.json
 	go run ./cmd/rvmbench -experiment recovery -json BENCH_ci.json -thresholds bench_thresholds.json

@@ -74,11 +74,6 @@ type concThresholds struct {
 		Workers    int     `json:"workers"`
 		MinSpeedup float64 `json:"min_speedup"`
 	} `json:"scaling"`
-	Sharding struct {
-		Workers    int     `json:"workers"`
-		Shards     int     `json:"shards"`
-		MinSpeedup float64 `json:"min_speedup"`
-	} `json:"sharding"`
 	Recovery struct {
 		Parallelism      int    `json:"parallelism"`
 		SerialMaxNsPerMB int64  `json:"serial_max_ns_per_mb"`

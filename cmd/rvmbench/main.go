@@ -19,11 +19,7 @@
 // the lock decomposition: flush-commit throughput on disjoint regions at
 // 16 workers must stay a healthy multiple of the single-worker number
 // (bench_thresholds.json's scaling entry); its results merge into the
-// -json file under a "scaling" key.  -experiment sharding gates the
-// multi-WAL commit engine the same way: a 1/2/4/8-shard sweep at 64
-// goroutines (group commit on, each shard's log on a simulated
-// dedicated disk) whose 4-shard cell must stay a healthy multiple of
-// the single-shard throughput; results merge under a "sharding" key.
+// -json file under a "scaling" key.
 //
 // Table 1 / Figures 8-9 run in simulation mode: the workload and the
 // logging/optimization logic are real, but I/O and CPU are charged to a
@@ -52,7 +48,7 @@ var accounts = []int{
 var patterns = []tpca.Pattern{tpca.Sequential, tpca.Random, tpca.Localized}
 
 func main() {
-	experiment := flag.String("experiment", "all", "table1 | fig8 | fig9 | table2 | future | concurrent | obs | scaling | sharding | recovery | all")
+	experiment := flag.String("experiment", "all", "table1 | fig8 | fig9 | table2 | future | concurrent | obs | scaling | recovery | all")
 	quick := flag.Bool("quick", false, "fewer simulated transactions per cell")
 	scale := flag.Int("scale", 30, "Table 2 transaction-count divisor")
 	jsonPath := flag.String("json", "", "write concurrent-experiment results to this JSON file")
@@ -82,11 +78,6 @@ func main() {
 		}
 	case "scaling":
 		if err := scaling(*jsonPath, *thresholds); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case "sharding":
-		if err := sharding(*jsonPath, *thresholds); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

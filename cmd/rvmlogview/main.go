@@ -2,24 +2,16 @@
 // "transparent logging as a technique for debugging" — save a copy of the
 // log before truncation and search or display the history of
 // modifications it records, to trace the source of corrupted persistent
-// data structures.
-//
-// A sharded store has several WAL files (the base log plus
-// <log>.shard1, <log>.shard2, …); rvmlogview enumerates all of them by
-// default, printing each shard's status line (including its
-// forced-through LSN) before its records.  Cross-shard transactions
-// appear as a prepare record on every participating shard plus one
-// commit mark per shard; a prepare with no mark anywhere is an orphan
-// that recovery will discard.
+// data structures.  The log's status line, its forced-through LSN
+// included, comes before its records.
 //
 //	rvmlogview [flags] <log>
 //	  -backward       walk tail-to-head (newest first)
-//	  -shard N        only shard N (default: every shard present)
 //	  -seg N          only records touching segment N
 //	  -tid N          only the transaction with this id
 //	  -touches OFF    only records modifying byte OFF (with -seg)
 //	  -data           hex-dump each range's new values
-//	  -max N          stop after N records (per shard)
+//	  -max N          stop after N records
 package main
 
 import (
@@ -33,57 +25,26 @@ import (
 	"github.com/rvm-go/rvm/internal/wal"
 )
 
-// shardLogs enumerates the WAL files of a (possibly sharded) store:
-// the base log, then every contiguous <base>.shard<k> sibling.
-func shardLogs(base string) []string {
-	paths := []string{base}
-	for k := 1; ; k++ {
-		p := fmt.Sprintf("%s.shard%d", base, k)
-		if _, err := os.Stat(p); err != nil {
-			break
-		}
-		paths = append(paths, p)
-	}
-	return paths
-}
-
 func main() {
 	backward := flag.Bool("backward", false, "walk tail-to-head (newest first)")
-	shard := flag.Int("shard", -1, "only this shard (default: all shards present)")
 	segFilter := flag.Int64("seg", -1, "only records touching this segment id")
 	tidFilter := flag.Int64("tid", -1, "only this transaction id")
 	touches := flag.Int64("touches", -1, "only records modifying this byte offset (requires -seg)")
 	dumpData := flag.Bool("data", false, "hex-dump range contents")
-	max := flag.Int("max", 0, "stop after this many records per shard (0 = all)")
+	max := flag.Int("max", 0, "stop after this many records (0 = all)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: rvmlogview [flags] <log>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	paths := shardLogs(flag.Arg(0))
-	if *shard >= 0 {
-		if *shard >= len(paths) {
-			fmt.Fprintf(os.Stderr, "rvmlogview: shard %d not present (store has %d)\n", *shard, len(paths))
-			os.Exit(1)
-		}
-		paths = paths[*shard : *shard+1]
-	}
-	for i, path := range paths {
-		idx := i
-		if *shard >= 0 {
-			idx = *shard
-		}
-		if err := viewLog(path, idx, len(paths) > 1 || *shard >= 0,
-			*backward, *segFilter, *tidFilter, *touches, *dumpData, *max); err != nil {
-			fmt.Fprintln(os.Stderr, "rvmlogview:", err)
-			os.Exit(1)
-		}
+	if err := viewLog(flag.Arg(0), *backward, *segFilter, *tidFilter, *touches, *dumpData, *max); err != nil {
+		fmt.Fprintln(os.Stderr, "rvmlogview:", err)
+		os.Exit(1)
 	}
 }
 
-func viewLog(path string, shard int, sharded bool,
-	backward bool, segFilter, tidFilter, touches int64, dumpData bool, max int) error {
+func viewLog(path string, backward bool, segFilter, tidFilter, touches int64, dumpData bool, max int) error {
 	l, err := wal.Open(path)
 	if err != nil {
 		return err
@@ -96,12 +57,8 @@ func viewLog(path string, shard int, sharded bool,
 	// so it equals the newest live sequence number.
 	headPos, headSeq := l.Head()
 	tailPos, nextSeq := l.Tail()
-	label := "log"
-	if sharded {
-		label = fmt.Sprintf("shard %d (%s)", shard, path)
-	}
-	fmt.Printf("%s: area %d bytes, %d live; head pos %d (seq %d), tail pos %d (next seq %d), forced-through LSN %d\n",
-		label, l.AreaSize(), l.Used(), headPos, headSeq, tailPos, nextSeq, l.ForcedThrough())
+	fmt.Printf("log: area %d bytes, %d live; head pos %d (seq %d), tail pos %d (next seq %d), forced-through LSN %d\n",
+		l.AreaSize(), l.Used(), headPos, headSeq, tailPos, nextSeq, l.ForcedThrough())
 
 	shown := 0
 	stop := fmt.Errorf("done")
@@ -116,18 +73,7 @@ func viewLog(path string, shard int, sharded bool,
 			}
 			fmt.Printf("seq %-6d checkpoint  pos %-8d len %-8d stable seq %d (records below are reflected)\n",
 				r.Seq, r.Pos, r.Len, r.CkptSeq)
-		case wal.RecCommit:
-			// The TID slot holds the global commit id; a mark commits
-			// every prepare with that id on every shard.
-			if tidFilter >= 0 && r.TID != uint64(tidFilter) {
-				return nil
-			}
-			if segFilter >= 0 {
-				return nil
-			}
-			fmt.Printf("seq %-6d commit-mark pos %-8d len %-8d gid %d (commits this id's prepares on all shards)\n",
-				r.Seq, r.Pos, r.Len, r.TID)
-		default: // RecTx, RecPrepare
+		default: // RecTx
 			if tidFilter >= 0 && r.TID != uint64(tidFilter) {
 				return nil
 			}
@@ -203,12 +149,8 @@ func printRecord(r *wal.Record, dump bool) {
 	for _, rg := range r.Ranges {
 		bytes += len(rg.Data)
 	}
-	kind := "tx"
-	if r.Type == wal.RecPrepare {
-		kind = "prepare"
-	}
 	fmt.Printf("seq %-6d %-11s tid %-6d pos %-8d len %-8d %-18s %d range(s), %d payload byte(s)\n",
-		r.Seq, kind, r.TID, r.Pos, r.Len, flagNames(r.Flags), len(r.Ranges), bytes)
+		r.Seq, "tx", r.TID, r.Pos, r.Len, flagNames(r.Flags), len(r.Ranges), bytes)
 	for _, rg := range r.Ranges {
 		fmt.Printf("    seg %-4d [%d, +%d)\n", rg.Seg, rg.Off, len(rg.Data))
 		if dump {

@@ -11,13 +11,8 @@
 //	rvmutl verify      <log>             # offline consistency check
 //	rvmutl copy-log    <src> <dst> <n>   # resize or archive a log
 //
-// Sharded stores are handled transparently: status and verify read the
-// shard count from the dictionary superblock and walk every shard log
-// (<log>, <log>.shard1, …), verify additionally cross-checks that every
-// prepare record of a cross-shard transaction has a confirming commit
-// mark, and truncate preserves the recorded shard count.  copy-log
-// operates on one WAL file; archive a sharded store by copying each
-// shard file in turn.
+// status, verify and truncate read the segment dictionary as the engine
+// does, so they refuse a store the engine refuses.
 package main
 
 import (
@@ -26,6 +21,7 @@ import (
 	"strconv"
 
 	rvm "github.com/rvm-go/rvm"
+	"github.com/rvm-go/rvm/internal/core"
 	"github.com/rvm-go/rvm/internal/segment"
 	"github.com/rvm-go/rvm/internal/wal"
 )
@@ -54,30 +50,6 @@ func parseInt(s string) int64 {
 		die(fmt.Errorf("bad number %q", s))
 	}
 	return n
-}
-
-// recordedShards reads the shard count from the dictionary superblock
-// next to the log; 1 when absent (pre-sharding or single-shard store).
-func recordedShards(logPath string) int {
-	data, err := os.ReadFile(logPath + ".segs")
-	if err != nil {
-		return 1
-	}
-	for _, line := range splitLines(string(data)) {
-		var n int
-		if c, _ := fmt.Sscanf(line, "#shards\t%d", &n); c == 1 && n > 1 {
-			return n
-		}
-	}
-	return 1
-}
-
-// shardPath names shard k's WAL file: shard 0 is the base log itself.
-func shardPath(logPath string, k int) string {
-	if k == 0 {
-		return logPath
-	}
-	return fmt.Sprintf("%s.shard%d", logPath, k)
 }
 
 func main() {
@@ -190,78 +162,35 @@ func copyLog(srcPath, dstPath string, size int64) {
 	}
 }
 
-// verify checks a store offline: every shard's log scans clean — the scan
-// checks each record's trailer, its reverse displacement, against its
-// header, so the log reads newest-first as it reads oldest-first — every
-// segment the log references resolves through the dictionary, and each
-// referenced range lies inside its segment.  For
-// sharded stores it additionally pairs cross-shard prepares with commit
-// marks: a prepare whose id has a mark nowhere is an orphan — legal (it
-// is a crash remnant recovery will discard) but reported.
+// verify checks a store offline: the log scans clean — the scan checks
+// each record's trailer, its reverse displacement, against its header, so
+// the log reads newest-first as it reads oldest-first — every segment the
+// log references resolves through the dictionary, and each referenced range
+// lies inside its segment.
 func verify(logPath string) {
-	dict := map[uint64]string{}
-	if data, err := os.ReadFile(logPath + ".segs"); err == nil && len(data) > 0 {
-		lines := splitLines(string(data))
-		if len(lines) > 0 {
-			lines = lines[1:] // skip the header
-		}
-		for _, line := range lines {
-			var id uint64
-			var path string
-			if n, _ := fmt.Sscanf(line, "%d\t%s", &id, &path); n == 2 {
-				dict[id] = path
-			}
-		}
+	dict, err := core.SegmentDictionary(logPath)
+	if err != nil {
+		die(err)
 	}
+	l, err := wal.Open(logPath)
+	if err != nil {
+		die(err)
+	}
+	defer l.Close()
 	segs := map[uint64]*segment.Segment{}
 	defer func() {
 		for _, s := range segs {
 			s.Close()
 		}
 	}()
-	shards := recordedShards(logPath)
 	problems, records := 0, 0
-	prepShards := map[uint64][]int{} // prepare tid -> shards holding one
-	marked := map[uint64]bool{}      // commit-mark ids (union of shards)
-	for k := 0; k < shards; k++ {
-		problems += verifyShard(shardPath(logPath, k), k, dict, segs, &records, prepShards, marked)
-	}
-	orphans := 0
-	for tid, on := range prepShards {
-		if !marked[tid] {
-			fmt.Printf("note: tid %d prepared on shard(s) %v with no commit mark on any shard (recovery discards it)\n", tid, on)
-			orphans++
-		}
-	}
-	if problems == 0 {
-		fmt.Printf("ok: %d live record(s), %d segment(s) verified\n", records, len(segs))
-		if orphans > 0 {
-			fmt.Printf("%d orphaned prepare(s) pending discard\n", orphans)
-		}
-		return
-	}
-	fmt.Printf("%d problem(s) found\n", problems)
-	os.Exit(1)
-}
-
-func verifyShard(path string, shard int, dict map[uint64]string, segs map[uint64]*segment.Segment,
-	records *int, prepShards map[uint64][]int, marked map[uint64]bool) int {
-	l, err := wal.Open(path)
-	if err != nil {
-		die(err)
-	}
-	defer l.Close()
-	problems := 0
 	check := func(r *wal.Record) {
-		if r.Type == wal.RecPrepare {
-			prepShards[r.TID] = append(prepShards[r.TID], shard)
-		}
 		for _, rg := range r.Ranges {
 			s, ok := segs[rg.Seg]
 			if !ok {
 				segPath, found := dict[rg.Seg]
 				if !found {
-					fmt.Printf("PROBLEM: shard %d record seq %d references segment %d not in dictionary\n", shard, r.Seq, rg.Seg)
+					fmt.Printf("PROBLEM: record seq %d references segment %d not in dictionary\n", r.Seq, rg.Seg)
 					problems++
 					continue
 				}
@@ -274,62 +203,37 @@ func verifyShard(path string, shard int, dict map[uint64]string, segs map[uint64
 				segs[rg.Seg] = s
 			}
 			if int64(rg.Off)+int64(len(rg.Data)) > s.Length() {
-				fmt.Printf("PROBLEM: shard %d record seq %d range [%d,+%d) exceeds segment %d length %d\n",
-					shard, r.Seq, rg.Off, len(rg.Data), rg.Seg, s.Length())
+				fmt.Printf("PROBLEM: record seq %d range [%d,+%d) exceeds segment %d length %d\n",
+					r.Seq, rg.Off, len(rg.Data), rg.Seg, s.Length())
 				problems++
 			}
 		}
 	}
 	headPos, headSeq := l.Head()
-	an, err := l.Scan(headPos, headSeq, func(w *wal.Window) error {
+	if _, err := l.Scan(headPos, headSeq, func(w *wal.Window) error {
 		defer w.Release()
 		for i := range w.Recs {
-			*records++
+			records++
 			check(&w.Recs[i])
 		}
 		return nil
-	})
-	if err != nil {
-		fmt.Printf("PROBLEM: shard %d scan: %v\n", shard, err)
+	}); err != nil {
+		fmt.Printf("PROBLEM: scan: %v\n", err)
 		problems++
 	}
-	for _, tid := range an.Committed {
-		marked[tid] = true
+	if problems == 0 {
+		fmt.Printf("ok: %d live record(s), %d segment(s) verified\n", records, len(segs))
+		return
 	}
-	return problems
+	fmt.Printf("%d problem(s) found\n", problems)
+	os.Exit(1)
 }
 
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
-// status prints each shard's log status block and a summary of its live
-// records; single-shard stores print exactly the pre-sharding layout.
+// status prints the log's status block and a summary of its live records.
 func status(path string) {
-	shards := recordedShards(path)
-	for k := 0; k < shards; k++ {
-		if shards > 1 {
-			if k > 0 {
-				fmt.Println()
-			}
-			fmt.Printf("shard %d of %d:\n", k, shards)
-		}
-		statusOne(shardPath(path, k))
+	if _, err := core.SegmentDictionary(path); err != nil {
+		die(err)
 	}
-}
-
-func statusOne(path string) {
 	l, err := wal.Open(path)
 	if err != nil {
 		die(err)
@@ -343,24 +247,17 @@ func statusOne(path string) {
 	fmt.Printf("head:         offset %d, seq %d\n", head, headSeq)
 	fmt.Printf("tail:         offset %d, next seq %d\n", tail, nextSeq)
 	fmt.Printf("forced LSN:   %d\n", l.ForcedThrough())
-	var recs, ranges, ckpts, preps, marks int
+	var recs, ranges, ckpts int
 	var bytes uint64
 	var stable uint64
 	segs := map[uint64]bool{}
 	err = l.ScanForward(func(r *wal.Record) error {
-		switch r.Type {
-		case wal.RecCheckpoint:
+		if r.Type == wal.RecCheckpoint {
 			ckpts++
 			stable = r.CkptSeq // forward scan: the last one seen is newest
 			return nil
-		case wal.RecPrepare:
-			preps++
-		case wal.RecCommit:
-			marks++
-			return nil
-		default:
-			recs++
 		}
+		recs++
 		for _, rg := range r.Ranges {
 			ranges++
 			bytes += uint64(len(rg.Data))
@@ -373,9 +270,6 @@ func statusOne(path string) {
 	}
 	fmt.Printf("live records: %d transactions, %d ranges, %d data bytes, %d segment(s)\n",
 		recs, ranges, bytes, len(segs))
-	if preps > 0 || marks > 0 {
-		fmt.Printf("cross-shard:  %d prepare(s), %d commit mark(s)\n", preps, marks)
-	}
 	if ckpts > 0 {
 		fmt.Printf("checkpoints:  %d record(s), newest stable seq %d (recovery scans from there)\n",
 			ckpts, stable)
@@ -407,14 +301,9 @@ func segInfo(path string) {
 	fmt.Printf("length:  %d bytes\n", s.Length())
 }
 
-// truncate opens the store (running recovery) and truncates the log,
-// preserving the shard count the dictionary records.
+// truncate opens the store (running recovery) and truncates the log.
 func truncate(logPath string) {
-	db, err := rvm.Open(rvm.Options{
-		LogPath:           logPath,
-		LogShards:         recordedShards(logPath),
-		TruncateThreshold: -1,
-	})
+	db, err := rvm.Open(rvm.Options{LogPath: logPath, TruncateThreshold: -1})
 	if err != nil {
 		die(err)
 	}

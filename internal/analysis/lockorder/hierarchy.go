@@ -29,10 +29,8 @@ type Entry struct {
 	// Ordered allows same-class nesting under an intra-class discipline
 	// the table cannot express statically: Region locks nest in
 	// ascending index order (asserted at runtime by core.lockRegions),
-	// shard pipeline and shard group-commit locks nest in ascending
-	// shard index (cross-shard commits and lockAllPipes walk shards
-	// low-to-high), and stacked fault injectors nest in wrap order,
-	// outer before inner, fixed at construction.
+	// and stacked fault injectors nest in wrap order, outer before
+	// inner, fixed at construction.
 	Ordered bool
 	// Name is the human name used in diagnostics and DESIGN.md.
 	Name string
@@ -54,8 +52,8 @@ type Hierarchy struct {
 // outermost first:
 //
 //	Engine.mu → dict.mu → Region.mu (ascending index) →
-//	pipeline.mu (ascending shard) → groupCommit.mu (ascending shard) →
-//	wal.Log.mu → iofault.Injector.mu (wrap order)
+//	pipeline.mu → groupCommit.mu → wal.Log.mu →
+//	iofault.Injector.mu (wrap order)
 //
 // Engine.mu is the structural outermost lock; the segment dictionary's
 // mutex guards its in-memory map (lookups run under e.mu; the durable
@@ -66,20 +64,17 @@ type Hierarchy struct {
 // fault injector's mutex is the innermost leaf, taken by the WAL's
 // device operations.
 //
-// With the sharded WAL there is one pipeline and one group-commit lock
-// per shard, so both classes are Ordered: a cross-shard commit's
-// prepare/mark loops and Engine.lockAllPipes acquire same-class locks
-// strictly in ascending shard index, which the table cannot express
-// but the code discipline guarantees.  Injector is Ordered because
-// injectors stack: an Injector's inner device may itself be an
-// Injector, and same-class nesting then follows the wrap order fixed
-// at construction.
+// An engine has one pipeline and one group-commit lock, so nesting two
+// of either class is two engines' locks taken in no fixed order, and is
+// flagged.  Injector is Ordered because injectors stack: an Injector's
+// inner device may itself be an Injector, and same-class nesting then
+// follows the wrap order fixed at construction.
 var DefaultHierarchy = &Hierarchy{Entries: []Entry{
 	{Pkg: "internal/core", Type: "Engine", Field: "mu", Level: obs.LockEngine.Level(), Class: obs.LockEngine, Name: "engine structural lock"},
 	{Pkg: "internal/core", Type: "dict", Field: "mu", Level: obs.LockDict.Level(), Class: obs.LockDict, Name: "segment-dictionary lock"},
 	{Pkg: "internal/core", Type: "Region", Field: "mu", Level: obs.LockRegion.Level(), Class: obs.LockRegion, Ordered: true, Name: "region lock"},
-	{Pkg: "internal/core", Type: "pipeline", Field: "mu", Level: obs.LockPipeline.Level(), Class: obs.LockPipeline, Ordered: true, Name: "log-pipeline lock"},
-	{Pkg: "internal/core", Type: "groupCommit", Field: "mu", Level: obs.LockGroupCommit.Level(), Class: obs.LockGroupCommit, Ordered: true, Name: "group-commit window lock"},
+	{Pkg: "internal/core", Type: "pipeline", Field: "mu", Level: obs.LockPipeline.Level(), Class: obs.LockPipeline, Name: "log-pipeline lock"},
+	{Pkg: "internal/core", Type: "groupCommit", Field: "mu", Level: obs.LockGroupCommit.Level(), Class: obs.LockGroupCommit, Name: "group-commit window lock"},
 	{Pkg: "internal/wal", Type: "Log", Field: "mu", Level: obs.LockWAL.Level(), Class: obs.LockWAL, Name: "WAL mutex"},
 	{Pkg: "internal/iofault", Type: "Injector", Field: "mu", Level: obs.LockInjector.Level(), Ordered: true, Class: obs.LockInjector, Name: "fault-injector lock"},
 }}

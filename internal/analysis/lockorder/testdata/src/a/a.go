@@ -1,7 +1,6 @@
 // Golden cases for the lockorder analyzer, checked against a test
 // hierarchy mirroring the engine's: Engine.mu (level 10) → Region.mu
-// (20, ordered) → pipeline.mu (30, ordered: one per WAL shard) →
-// Log.mu (50).
+// (20, ordered) → pipeline.mu (30) → Log.mu (50).
 package a
 
 import (
@@ -58,13 +57,13 @@ func goodOrderedNesting(a, b *Region) {
 	a.mu.Unlock()
 }
 
-// pipeline is Ordered too: one pipeline lock exists per WAL shard, and
-// cross-shard commits take them in ascending shard index.
-func goodShardPipeNesting(a, b *Engine) {
+// pipeline is not Ordered: an engine has one, so two nested are two
+// engines' pipelines in no fixed order.
+func badPipeNesting(a, b *Engine) {
 	a.pipe.mu.Lock()
-	b.pipe.mu.Lock()
+	defer a.pipe.mu.Unlock()
+	b.pipe.mu.Lock() // want `same-class nesting deadlocks`
 	b.pipe.mu.Unlock()
-	a.pipe.mu.Unlock()
 }
 
 // Releasing before acquiring outward is legal; only held locks order.

@@ -198,18 +198,18 @@ func badDispatch(s *store, sy syncer) error {
 // method, not sync's: it must still be tracked as held.  (A helper taking
 // a *sync.Mutex would pass every rule silently — the walkers would simply
 // stop seeing the lock.)
-type shardPipe struct {
+type obsPipe struct {
 	mu obs.Mutex
 	f  *os.File
 }
 
-func badObsMutex(p *shardPipe) error {
+func badObsMutex(p *obsPipe) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.f.Sync() // want `Sync called while holding p.mu`
 }
 
-func goodObsMutex(p *shardPipe) error {
+func goodObsMutex(p *obsPipe) error {
 	p.mu.Lock()
 	f := p.f
 	p.mu.Unlock()

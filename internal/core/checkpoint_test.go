@@ -74,7 +74,7 @@ func TestCheckpointIdempotentWhenClean(t *testing.T) {
 		t.Fatalf("checkpoint runs = %d", st.Checkpoints)
 	}
 	// Only the first post-commit checkpoint had progress to record.
-	ls := v.eng.shards[0].log.Stats()
+	ls := v.eng.log.Stats()
 	if ls.Checkpoints != 1 {
 		t.Fatalf("checkpoint records appended = %d, want 1", ls.Checkpoints)
 	}

@@ -15,69 +15,53 @@ import (
 )
 
 // pathsRegions is the layout of the commit-path scripts: four two-page
-// regions, which byOffset spreads over two shards (0,2 and 1,3).
+// regions.
 const pathsRegions = 4
 
-// pathsSeed is a seed under which no commit mark meets a full log.  A mark
-// that does not fit poisons the engine by design (a failure after the first
-// mark), and with logs this small about one seed in three runs into it.
+// pathsSeed is the seed the pinned record hashes were taken with.
 const pathsSeed = 1
 
-// recordStream hashes every transaction, prepare and commit-mark record a
-// shard's log ever held — type, tid, flags and ranges, in log order — by
-// scanning for new records after each script step.  An inline truncation
-// only ever drops records an earlier step has already seen: it runs inside
-// a commit, ahead of that commit's own append, and never past an in-doubt
-// prepare.
+// recordStream hashes every transaction record the log ever held — type,
+// tid, flags and ranges, in log order — by scanning for new records after
+// each script step.  An inline truncation only ever drops records an
+// earlier step has already seen: it runs inside a commit, ahead of that
+// commit's own append.
 type recordStream struct {
-	seen  []uint64 // per shard: the highest seq hashed
-	sums  []hash.Hash64
-	count []int
-}
-
-func newRecordStream(shards int) *recordStream {
-	rs := &recordStream{seen: make([]uint64, shards), count: make([]int, shards)}
-	for i := 0; i < shards; i++ {
-		rs.sums = append(rs.sums, fnv.New64a())
-	}
-	return rs
+	seen  uint64 // the highest seq hashed
+	sum   hash.Hash64
+	count int
 }
 
 func (rs *recordStream) scan(t *testing.T, e *Engine) {
 	t.Helper()
-	for k, sh := range e.shards {
-		h := rs.sums[k]
-		word := func(v uint64) {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], v)
-			h.Write(b[:])
-		}
-		err := sh.log.ScanForward(func(rec *wal.Record) error {
-			if rec.Seq <= rs.seen[k] {
-				return nil
-			}
-			rs.seen[k] = rec.Seq
-			switch rec.Type {
-			case wal.RecTx, wal.RecPrepare, wal.RecCommit:
-			default:
-				return nil
-			}
-			rs.count[k]++
-			word(uint64(rec.Type))
-			word(rec.TID)
-			word(uint64(rec.Flags))
-			word(uint64(len(rec.Ranges)))
-			for _, r := range rec.Ranges {
-				word(r.Seg)
-				word(r.Off)
-				word(uint64(len(r.Data)))
-				h.Write(r.Data)
-			}
+	word := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		rs.sum.Write(b[:])
+	}
+	err := e.log.ScanForward(func(rec *wal.Record) error {
+		if rec.Seq <= rs.seen {
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		rs.seen = rec.Seq
+		if rec.Type != wal.RecTx {
+			return nil
+		}
+		rs.count++
+		word(uint64(rec.Type))
+		word(rec.TID)
+		word(uint64(rec.Flags))
+		word(uint64(len(rec.Ranges)))
+		for _, r := range rec.Ranges {
+			word(r.Seg)
+			word(r.Off)
+			word(uint64(len(r.Data)))
+			rs.sum.Write(r.Data)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -87,13 +71,13 @@ func (rs *recordStream) scan(t *testing.T, e *Engine) {
 // a log small enough that commits hit ErrLogFull and truncate inline —
 // through an engine opened with opts, committing with the modes by turns.
 // It crashes the engine at the end and returns the recovered region images,
-// the model's images, and the per-shard record-stream hashes.
+// the model's images, and the record-stream hash.
 //
 // With a finish function the script is the write-back one: a transaction
 // pins page 0 of region 0 over the middle of the run, where a checkpoint and
 // an incremental truncation meet it, and finish runs before the crash and
 // must leave every committed byte in the segment (finishedInSegment).
-func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, finish func(*testing.T, *env, []*Region) []*Region) (recovered, model [][]byte, stream []string) {
+func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, finish func(*testing.T, *env, []*Region) []*Region) (recovered, model [][]byte, stream string) {
 	t.Helper()
 	opts.TruncateThreshold = -1
 	v := newEnv(t, 1<<15, pageBytes(2*pathsRegions), opts)
@@ -106,7 +90,7 @@ func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, 
 		regs = append(regs, r)
 		model = append(model, make([]byte, r.Length()))
 	}
-	rs := newRecordStream(len(v.eng.shards))
+	rs := &recordStream{sum: fnv.New64a()}
 	rng := rand.New(rand.NewSource(seed))
 	var pin *Tx
 	for step := 0; step < 240; step++ {
@@ -175,12 +159,7 @@ func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, 
 	if st.EpochTruncs == 0 {
 		t.Fatal("the script never filled the log: no ErrLogFull retry was exercised")
 	}
-	if len(v.eng.shards) > 1 && st.CrossShardCommits == 0 {
-		t.Fatal("no transaction spanned the shards")
-	}
-	for k := range rs.sums {
-		stream = append(stream, fmt.Sprintf("%d:%016x", rs.count[k], rs.sums[k].Sum64()))
-	}
+	stream = fmt.Sprintf("%d:%016x", rs.count, rs.sum.Sum64())
 	if finish != nil {
 		finishedInSegment(t, v, finish(t, v, regs), model)
 	}
@@ -260,34 +239,31 @@ func finishedInSegment(t *testing.T, v *env, regs []*Region, model [][]byte) {
 	}
 }
 
-// TestCommitPathsAgree runs the same script as flush commits on one shard,
-// as no-flush commits plus Flush on one shard, and as flush commits over
-// two shards (where a transaction touching both commits two-phase).  All
-// three must recover the model's images, and the record streams of the two
-// flush runs must hash to the values the three separate commit functions of
-// the parent commit produced: the one staged commit function logs the same
-// records, not just bytes of the same total size.
+// TestCommitPathsAgree runs the same script as flush commits and as
+// no-flush commits plus Flush.  Both must recover the model's images, and
+// the record stream of the flush run must hash to the value the three
+// separate commit functions of the commit before the one commit path
+// produced: the one staged commit function logs the same records, not just
+// bytes of the same total size.
 func TestCommitPathsAgree(t *testing.T) {
 	cases := []struct {
 		name   string
-		opts   Options
 		mode   CommitMode
-		stream string // record count and FNV-64a per shard, pinned at the parent commit
+		stream string // record count and FNV-64a, pinned before the one commit path
 	}{
-		{"flush", Options{}, Flush, "226:6d880f600d853047"},
-		{"noflush+Flush", Options{}, NoFlush, ""},
-		{"two-shards", Options{LogShards: 2, ShardOf: byOffset}, Flush, "243:61418e1bdcc9502b 250:3afdafeaf7c09b38"},
+		{"flush", Flush, "226:6d880f600d853047"},
+		{"noflush+Flush", NoFlush, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			recovered, model, stream := runPathsScript(t, pathsSeed, c.opts, []CommitMode{c.mode}, nil)
+			recovered, model, stream := runPathsScript(t, pathsSeed, Options{}, []CommitMode{c.mode}, nil)
 			for i := range model {
 				if !bytes.Equal(recovered[i], model[i]) {
 					t.Errorf("region %d: recovered image differs from the model", i)
 				}
 			}
-			if got := strings.Join(stream, " "); c.stream != "" && got != c.stream {
-				t.Errorf("record stream %s, want %s (pinned at the parent commit)", got, c.stream)
+			if c.stream != "" && stream != c.stream {
+				t.Errorf("record stream %s, want %s (pinned before the one commit path)", stream, c.stream)
 			}
 		})
 	}
@@ -376,14 +352,13 @@ func TestWriteBackPathsAgree(t *testing.T) {
 // transaction shape before anything is counted, and leaves the transaction
 // live.
 func TestCommitRejectsUnknownMode(t *testing.T) {
-	opts := Options{LogShards: 2, ShardOf: byOffset, TruncateThreshold: -1}
-	v := newEnv(t, 1<<16, pageBytes(4), opts)
+	v := newEnv(t, 1<<16, pageBytes(4), Options{TruncateThreshold: -1})
 	r1, _ := v.eng.Map(v.segPath, 0, pageBytes(2))
 	r2, _ := v.eng.Map(v.segPath, pageBytes(2), pageBytes(2))
 	shapes := []struct {
 		name string
 		regs []*Region
-	}{{"empty", nil}, {"one-shard", []*Region{r1}}, {"two-shard", []*Region{r1, r2}}}
+	}{{"empty", nil}, {"one-region", []*Region{r1}}, {"two-region", []*Region{r1, r2}}}
 	for _, sh := range shapes {
 		for _, mode := range []CommitMode{Flush, NoFlush, 7} {
 			t.Run(fmt.Sprintf("%s/mode=%d", sh.name, mode), func(t *testing.T) {
@@ -418,14 +393,14 @@ func TestCommitRejectsUnknownMode(t *testing.T) {
 	}
 }
 
-// TestLazyAndCrossCommitPhases: phase attribution covers every commit
+// TestLazyAndFlushCommitPhases: phase attribution covers every commit
 // shape.  N no-flush commits feed the four front-end phase histograms N
 // times and force-wait not at all, and those phases fit inside the commits'
-// total latency; N cross-shard commits feed all five.
-func TestLazyAndCrossCommitPhases(t *testing.T) {
+// total latency; N flush commits over two regions feed all five.
+func TestLazyAndFlushCommitPhases(t *testing.T) {
 	const n = 50
 	met := obs.NewMetrics()
-	opts := Options{LogShards: 2, ShardOf: byOffset, TruncateThreshold: -1, Metrics: met, StallBudget: -1}
+	opts := Options{TruncateThreshold: -1, Metrics: met, StallBudget: -1}
 	v := newEnv(t, 1<<18, pageBytes(4), opts)
 	r1, _ := v.eng.Map(v.segPath, 0, pageBytes(2))
 	r2, _ := v.eng.Map(v.segPath, pageBytes(2), pageBytes(2))
@@ -469,9 +444,6 @@ func TestLazyAndCrossCommitPhases(t *testing.T) {
 	for i := 0; i < n; i++ {
 		commit(Flush, r1, r2)
 	}
-	if st := v.eng.Stats(); st.CrossShardCommits != n {
-		t.Fatalf("cross-shard commits = %d, want %d", st.CrossShardCommits, n)
-	}
 	s = met.Snapshot()
 	for i, h := range append(front(s), s.PhaseForceWaitNs) {
 		want := uint64(2 * n)
@@ -479,7 +451,7 @@ func TestLazyAndCrossCommitPhases(t *testing.T) {
 			want = n
 		}
 		if h.Count != want {
-			t.Errorf("phase %d observed %d times after %d no-flush and %d cross-shard commits, want %d", i, h.Count, n, n, want)
+			t.Errorf("phase %d observed %d times after %d no-flush and %d flush commits, want %d", i, h.Count, n, n, want)
 		}
 	}
 }

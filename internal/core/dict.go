@@ -34,18 +34,20 @@ type dict struct {
 	cond    *sync.Cond // lazily created; signalled when a persist finishes
 	busy    bool       // persist claim
 	entries map[uint64]string
-	shards  int // shard-map superblock: number of WAL shards recorded on disk (0 = absent, meaning 1)
 }
 
 const dictHeader = "# RVM segment dictionary v1"
 
-// shardsPrefix introduces the shard-map superblock line ("#shards\t<N>").
-// The line records how many WAL shard logs exist, so recovery after a
-// crash opens and replays every shard even if the caller reopens with a
-// different LogShards setting.  It is written before any shard log file
-// beyond shard 0 is created, and omitted entirely for single-shard
-// instances so their dictionaries stay byte-identical to prior versions.
-const shardsPrefix = "#shards\t"
+// SegmentDictionary returns the segment dictionary of the store whose log
+// is at logPath, segment ID to file path, exactly as Open loads it: a store
+// Open refuses is refused here too.  Offline tools read it.
+func SegmentDictionary(logPath string) (map[uint64]string, error) {
+	d, err := loadDict(dictPath(logPath))
+	if err != nil {
+		return nil, err
+	}
+	return d.entries, nil
+}
 
 // loadDict reads the dictionary at path; a missing file is an empty dict.
 func loadDict(path string) (*dict, error) {
@@ -72,12 +74,20 @@ func loadDict(path string) (*dict, error) {
 		if line == "" {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, shardsPrefix); ok {
+		if rest, ok := strings.CutPrefix(line, "#shards\t"); ok {
+			// Earlier versions could split an engine's log N ways and
+			// recorded N here.  Such a store is refused, not misread as its
+			// first log alone.
 			n, err := strconv.Atoi(rest)
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("core: %s: bad shard count %q", path, rest)
 			}
-			d.shards = n
+			if n > 1 {
+				logPath := strings.TrimSuffix(path, ".segs")
+				return nil, fmt.Errorf("core: %s: the store is sharded over %d logs (%s and %s.shard1 to .shard%d), "+
+					"and an engine now owns one log: reopen it once as one shard under the version that wrote it, "+
+					"which recovers every log into the segments", path, n, logPath, logPath, n-1)
+			}
 			continue
 		}
 		id, p, ok := strings.Cut(line, "\t")
@@ -104,52 +114,6 @@ func (d *dict) lookup(id uint64) (string, bool) {
 	return p, ok
 }
 
-// shardCount returns the number of WAL shards the dictionary records; a
-// dictionary without the superblock line (all pre-sharding instances)
-// implies one.
-func (d *dict) shardCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.shards < 1 {
-		return 1
-	}
-	return d.shards
-}
-
-// setShards records the shard count durably.  Callers invoke it before
-// creating any new shard log file, so a crash can never leave shard logs
-// the dictionary does not know about.
-func (d *dict) setShards(n int) error {
-	d.mu.Lock()
-	if d.cond == nil {
-		d.cond = sync.NewCond(&d.mu)
-	}
-	for d.busy {
-		d.cond.Wait()
-	}
-	if d.shards == n || (n == 1 && d.shards == 0) {
-		d.mu.Unlock()
-		return nil
-	}
-	d.busy = true
-	snap := make(map[uint64]string, len(d.entries))
-	for k, v := range d.entries {
-		snap[k] = v
-	}
-	d.mu.Unlock()
-
-	err := persistEntries(d.path, snap, n)
-
-	d.mu.Lock()
-	if err == nil {
-		d.shards = n
-	}
-	d.busy = false
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return err
-}
-
 // set records id -> path and persists the dictionary if anything changed.
 // It returns only after the entry is durable (or already was).
 func (d *dict) set(id uint64, path string) error {
@@ -170,10 +134,9 @@ func (d *dict) set(id uint64, path string) error {
 		snap[k] = v
 	}
 	snap[id] = path
-	shards := d.shards
 	d.mu.Unlock()
 
-	err := persistEntries(d.path, snap, shards)
+	err := persistEntries(d.path, snap)
 
 	d.mu.Lock()
 	if err == nil {
@@ -188,7 +151,7 @@ func (d *dict) set(id uint64, path string) error {
 // persistEntries writes one version of the dictionary durably and
 // atomically.  It takes a private snapshot rather than the dict so no
 // lock is needed across the fsyncs.
-func persistEntries(path string, entries map[uint64]string, shards int) error {
+func persistEntries(path string, entries map[uint64]string) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -196,9 +159,6 @@ func persistEntries(path string, entries map[uint64]string, shards int) error {
 	}
 	w := bufio.NewWriter(f)
 	fmt.Fprintln(w, dictHeader)
-	if shards > 1 {
-		fmt.Fprintf(w, "%s%d\n", shardsPrefix, shards)
-	}
 	ids := make([]uint64, 0, len(entries))
 	for id := range entries {
 		ids = append(ids, id)

@@ -3,14 +3,17 @@
 // optimizations, the commit path, crash recovery at startup, and both epoch
 // and incremental log truncation.
 //
-// There is one commit path, (*Tx).commit in tx.go (DESIGN.md §15), as the
-// paper's end_transaction is one procedure with a commit_mode flag: under
-// the region locks each participating WAL shard gets the transaction's
-// ranges in one pipeline section — spooled for a lazy (no-flush) commit,
-// else appended as one record, a prepare when several shards take part —
-// then every participant is forced holding no lock, and a cross-shard
-// commit appends and forces its commit marks.  A full log is handled in
-// one place for commits and spool flushes alike (retryLogFull).
+// An engine owns exactly one write-ahead log, as the paper's RVM does
+// (DESIGN.md §15).  Several logs on several devices are several engines,
+// and atomicity across engines is a library layered on them (package
+// rvmdist, the paper's §8).
+//
+// There is one commit path, (*Tx).commit in tx.go, as the paper's
+// end_transaction is one procedure with a commit_mode flag: under the
+// region locks the transaction's ranges go through the log pipeline in one
+// section — spooled for a lazy (no-flush) commit, else appended as one
+// record — and then the log is forced holding no lock.  A full log is
+// handled in one place for commits and spool flushes alike (retryLogFull).
 //
 // The public github.com/rvm-go/rvm package is a thin facade over this
 // engine; the split keeps the paper's machinery in one place while the
@@ -20,9 +23,9 @@
 //
 // The engine scales across CPUs by never taking a global lock on the
 // transaction hot path.  Three lock levels exist, acquired strictly in
-// this order (DESIGN.md §12, §15):
+// this order (DESIGN.md §12):
 //
-//		e.mu (Engine)  >  r.mu (Region, ascending index)  >  sh.pipe.mu (shard pipeline, ascending shard)
+//		e.mu (Engine)  >  r.mu (Region, ascending index)  >  e.pipe.mu (log pipeline)
 //
 //	  - e.mu is structural: Map/Unmap/Close/Query/Snapshot, the segment and
 //	    dictionary tables, the regions slice, and the truncation claim
@@ -30,16 +33,13 @@
 //	  - r.mu is per-region: it guards r.data stability, r.nTx, r.mapped,
 //	    and orders pvec reference-count checks against the page writes they
 //	    gate.  Transactions on disjoint regions share no lock.
-//	  - sh.pipe.mu is a shard's log pipeline: it serializes buildRanges-to-
-//	    append ordering, the shard's spool, and its truncation queue.  It
-//	    is the innermost engine lock; holding it while acquiring a region
-//	    lock is a lock-order inversion (flagged by the rvmcheck locksync
-//	    analyzer).  When several shard pipelines must be held at once
-//	    (Map/Unmap mutating the regions slice), they are taken in
-//	    ascending shard order.
+//	  - e.pipe.mu is the log pipeline: it serializes buildRanges-to-append
+//	    ordering, the spool, and the truncation queue.  It is the innermost
+//	    engine lock; holding it while acquiring a region lock is a
+//	    lock-order inversion (flagged by the rvmcheck locksync analyzer).
 //
-// wal.Log's and groupCommit's mutexes are leaves below all three (one of
-// each per shard).  Those two, r.mu and sh.pipe.mu are obs.Mutex: the lock
+// wal.Log's and groupCommit's mutexes are leaves below all three.  Those
+// two, r.mu and e.pipe.mu are obs.Mutex: the lock
 // carries its obs.LockClass and the metrics registry, bound where the lock
 // is created, so every mu.Lock() feeds the class's contention counters and
 // stays a literal Lock call the rvmcheck walkers can follow.  No fsync
@@ -93,26 +93,6 @@ type Options struct {
 	// opens, mirroring LogDevice for the segment side of the seam; tests
 	// inject fault devices.  nil uses the bare file.
 	SegmentDevice segment.DeviceWrap
-	// LogShards is the number of independent write-ahead logs the engine
-	// commits through.  Each shard owns its own pipeline lock, group-
-	// commit leader, forced-through LSN, and truncation, so commits on
-	// regions placed on different shards never contend on a lock or an
-	// fsync device.  Zero or one selects the classic single log, byte-
-	// compatible with pre-sharding instances.  Shard 0 lives at LogPath;
-	// shard k at LogPath+".shard<k>" (created on first open, sized like
-	// shard 0).  The shard count is recorded in the segment dictionary
-	// so recovery replays every shard even when the count changes
-	// between runs.
-	LogShards int
-	// ShardOf optionally places regions on shards explicitly: it is
-	// called at Map time with the segment ID and region offset and
-	// returns the shard index (reduced modulo LogShards).  nil hashes
-	// (segID, segOff), which spreads independent regions evenly.
-	ShardOf func(segID uint64, segOff int64) int
-	// ShardLogDevice overrides the log storage of shards beyond shard 0
-	// (shard 0 uses LogDevice); tests inject per-shard fault devices.
-	// nil opens — creating if missing — the file at the shard's path.
-	ShardLogDevice func(shard int) (wal.Device, error)
 	// Backend selects region memory: the Go heap, anonymous mmap, or a
 	// copy-on-write mapping of the segment file (mapping.DemandPaging).
 	Backend mapping.Backend
@@ -174,35 +154,29 @@ type Options struct {
 // the engine's live counters are it on atomics, so the two cannot drift
 // and Stats() is a positional load.
 type statsOf[T any] struct {
-	Begins            T `json:"begins" prom:"rvm_tx_begins_total" help:"Transactions begun."`
-	FlushCommits      T `json:"flush_commits" prom:"rvm_tx_flush_commits_total" help:"Commits in flush mode."`
-	NoFlushCommits    T `json:"noflush_commits" prom:"rvm_tx_noflush_commits_total" help:"Commits in no-flush (lazy) mode."`
-	Aborts            T `json:"aborts" prom:"rvm_tx_aborts_total" help:"Explicit aborts."`
-	SetRanges         T `json:"set_ranges" prom:"rvm_tx_set_ranges_total" help:"Set-range calls."`
-	EmptyCommits      T `json:"empty_commits" prom:"rvm_tx_empty_commits_total" help:"Commits that logged nothing."`
-	LogBytes          T `json:"log_bytes" prom:"rvm_log_appended_bytes_total" help:"Record bytes appended to the log."`
-	LogForces         T `json:"log_forces" prom:"rvm_log_forces_total" help:"Log fsyncs on the commit/flush path."`
-	IntraSavedBytes   T `json:"intra_saved_bytes" prom:"rvm_log_intra_saved_bytes_total" help:"Log bytes avoided by intra-transaction optimization."`
-	InterSavedBytes   T `json:"inter_saved_bytes" prom:"rvm_log_inter_saved_bytes_total" help:"Log bytes avoided by inter-transaction optimization."`
-	Flushes           T `json:"flushes" prom:"rvm_spool_flushes_total" help:"Explicit or implicit spool flushes."`
-	EpochTruncs       T `json:"epoch_truncs" prom:"rvm_truncation_epochs_total" help:"Epoch truncations completed."`
-	IncrSteps         T `json:"incr_steps" prom:"rvm_truncation_incr_steps_total" help:"Incremental truncation page write-outs."`
-	PagesWritten      T `json:"pages_written" prom:"rvm_pages_written_total" help:"Pages written to segments by truncation and unmap."`
-	Recoveries        T `json:"recoveries" prom:"rvm_recoveries_total" help:"Recoveries performed at open."`
-	RecoveredBytes    T `json:"recovered_bytes" prom:"rvm_recovery_applied_bytes_total" help:"Bytes applied to segments during recovery."`
-	RecoveryScanned   T `json:"recovery_scanned" prom:"rvm_recovery_scanned_bytes_total" help:"Log bytes recovery had to consider (stable LSN to tail)."`
-	Retries           T `json:"retries" prom:"rvm_io_retries_total" help:"Transient storage faults retried."`
-	TruncFailures     T `json:"trunc_failures" prom:"rvm_truncation_failures_total" help:"Background truncations that failed."`
-	ForcesSaved       T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
-	GroupCommitSize   T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
-	Checkpoints       T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Fuzzy checkpoints completed."`
-	CheckpointPages   T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
-	CrossShardCommits T `json:"cross_shard_commits" prom:"rvm_tx_cross_shard_commits_total" help:"Commits that spanned WAL shards (two-phase)."`
-	// DiscardedPrepares counts cross-shard prepare records recovery found
-	// with no confirming commit mark on any shard: the crash (or an abort)
-	// struck between the prepares and the commit record, and the
-	// transaction was correctly discarded everywhere.
-	DiscardedPrepares T `json:"discarded_prepares" prom:"rvm_recovery_discarded_prepares_total" help:"Orphaned cross-shard prepares discarded by recovery."`
+	Begins          T `json:"begins" prom:"rvm_tx_begins_total" help:"Transactions begun."`
+	FlushCommits    T `json:"flush_commits" prom:"rvm_tx_flush_commits_total" help:"Commits in flush mode."`
+	NoFlushCommits  T `json:"noflush_commits" prom:"rvm_tx_noflush_commits_total" help:"Commits in no-flush (lazy) mode."`
+	Aborts          T `json:"aborts" prom:"rvm_tx_aborts_total" help:"Explicit aborts."`
+	SetRanges       T `json:"set_ranges" prom:"rvm_tx_set_ranges_total" help:"Set-range calls."`
+	EmptyCommits    T `json:"empty_commits" prom:"rvm_tx_empty_commits_total" help:"Commits that logged nothing."`
+	LogBytes        T `json:"log_bytes" prom:"rvm_log_appended_bytes_total" help:"Record bytes appended to the log."`
+	LogForces       T `json:"log_forces" prom:"rvm_log_forces_total" help:"Log fsyncs on the commit/flush path."`
+	IntraSavedBytes T `json:"intra_saved_bytes" prom:"rvm_log_intra_saved_bytes_total" help:"Log bytes avoided by intra-transaction optimization."`
+	InterSavedBytes T `json:"inter_saved_bytes" prom:"rvm_log_inter_saved_bytes_total" help:"Log bytes avoided by inter-transaction optimization."`
+	Flushes         T `json:"flushes" prom:"rvm_spool_flushes_total" help:"Explicit or implicit spool flushes."`
+	EpochTruncs     T `json:"epoch_truncs" prom:"rvm_truncation_epochs_total" help:"Epoch truncations completed."`
+	IncrSteps       T `json:"incr_steps" prom:"rvm_truncation_incr_steps_total" help:"Incremental truncation page write-outs."`
+	PagesWritten    T `json:"pages_written" prom:"rvm_pages_written_total" help:"Pages written to segments by truncation and unmap."`
+	Recoveries      T `json:"recoveries" prom:"rvm_recoveries_total" help:"Recoveries performed at open."`
+	RecoveredBytes  T `json:"recovered_bytes" prom:"rvm_recovery_applied_bytes_total" help:"Bytes applied to segments during recovery."`
+	RecoveryScanned T `json:"recovery_scanned" prom:"rvm_recovery_scanned_bytes_total" help:"Log bytes recovery had to consider (stable LSN to tail)."`
+	Retries         T `json:"retries" prom:"rvm_io_retries_total" help:"Transient storage faults retried."`
+	TruncFailures   T `json:"trunc_failures" prom:"rvm_truncation_failures_total" help:"Background truncations that failed."`
+	ForcesSaved     T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
+	GroupCommitSize T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
+	Checkpoints     T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Fuzzy checkpoints completed."`
+	CheckpointPages T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
 }
 
 // Statistics are cumulative counters since Open, in the spirit of the real
@@ -219,18 +193,16 @@ func (s Statistics) String() string {
 
 // counters are the engine's cumulative statistics as atomics, so the
 // transaction hot path and background truncation bump them without any
-// lock.  The four Stats() derives from the shards (LogBytes, LogForces,
-// ForcesSaved, GroupCommitSize) stay zero here.
+// lock.  The four Stats() derives from the log and the group-commit state
+// (LogBytes, LogForces, ForcesSaved, GroupCommitSize) stay zero here.
 type counters = statsOf[atomic.Uint64]
 
-// pipeline is one shard's log-pipeline stage: the serialization point a
-// commit on that shard passes through.  Its mutex orders record appends
-// (and with them the truncation-queue pushes and spool drains that must
-// keep log order), and guards the spool and the incremental-truncation
-// queue.  It is the innermost engine lock: code holding pipe.mu must not
-// acquire e.mu or any Region lock, and must never fsync.  Pipelines of
-// different shards are independent; the few paths that hold several at
-// once (regions-slice mutation) take them in ascending shard order.
+// pipeline is the log-pipeline stage: the serialization point every
+// commit passes through.  Its mutex orders record appends (and with them
+// the truncation-queue pushes and spool drains that must keep log order),
+// and guards the spool and the incremental-truncation queue.  It is the
+// innermost engine lock: code holding pipe.mu must not acquire e.mu or any
+// Region lock, and must never fsync.
 type pipeline struct {
 	mu obs.Mutex // obs.LockPipeline, bound at Open
 	// The spool (spool.go): committed no-flush transactions not yet in the
@@ -243,44 +215,22 @@ type pipeline struct {
 	batch       []wal.Entry            // drain scratch, kept for its capacity
 	queue       pagevec.Queue
 	epochEndSeq uint64 // while an epoch truncation is in flight: its EndSeq
-	// inDoubt tracks cross-shard transactions with a prepare record in
-	// this shard's log whose truncation fate is not yet settled, keyed by
-	// global commit-ID.  Epoch truncation uses it to bound the epoch so a
-	// prepare and its commit mark are never separated (truncate.go,
-	// epochBoundPipeLocked); completed entries are dropped once an epoch
-	// truncates past their commit mark.
-	inDoubt map[uint64]*inDoubtTx
-}
-
-// inDoubtTx is one cross-shard transaction's footprint in a shard's log.
-type inDoubtTx struct {
-	prepSeq uint64 // seq of the first prepare record on this shard
-	cmtSeq  uint64 // seq of the commit mark; 0 while the outcome is undecided
-}
-
-// shard owns one write-ahead log and the full commit machinery in front
-// of it: the pipeline lock and spool, the group-commit ticket state, and
-// the fuzzy-checkpoint cursor.  Commits on regions placed on different
-// shards share no locks and fsync different devices.  Shard 0 always
-// exists; with LogShards <= 1 it is the whole engine and behaves exactly
-// like the pre-sharding single-log build.
-type shard struct {
-	idx  int
-	log  *wal.Log
-	pipe pipeline
-	gc   groupCommit // group-commit ticket state (own mutex; see groupcommit.go)
-
-	// Fuzzy-checkpoint cursor, touched only under the truncation claim.
-	lastCkptStable uint64 // stable seq the shard's newest checkpoint record carries
-	lastCkptSeq    uint64 // seq of that checkpoint record itself
-
-	commits atomic.Uint64 // commits that logged through this shard (observability)
 }
 
 // Engine is an open RVM instance: one log plus any number of mapped
 // regions.  All methods are safe for concurrent use.
 type Engine struct {
 	opts Options // immutable after Open (runtime knobs below are atomics)
+
+	// The log and the commit machinery in front of it: the pipeline lock
+	// and spool, and the group-commit ticket state.
+	log  *wal.Log
+	pipe pipeline
+	gc   groupCommit // group-commit ticket state (own mutex; see groupcommit.go)
+
+	// Fuzzy-checkpoint cursor, touched only under the truncation claim.
+	lastCkptStable uint64 // stable seq the newest checkpoint record carries
+	lastCkptSeq    uint64 // seq of that checkpoint record itself
 
 	// Structural state, guarded by mu.  The regions slice is additionally
 	// mutated only while also holding pipe.mu, so either lock suffices to
@@ -298,10 +248,6 @@ type Engine struct {
 	// the segments (applyPending).  Only truncation-claim holders touch it.
 	pending *recovery.Epoch
 
-	// shards is immutable after Open: one entry per WAL shard, never
-	// nil, never resized.  Reading it needs no lock.
-	shards []*shard
-
 	nextTID  atomic.Uint64
 	active   atomic.Int64 // transactions begun and not yet resolved
 	closed   atomic.Bool
@@ -313,8 +259,7 @@ type Engine struct {
 	incremental    atomic.Bool
 
 	// Background loops, never started when disabled: the fuzzy checkpointer
-	// (checkpoint.go; per-shard checkpoint cursors live on the shards) and
-	// the stall watchdog (stall.go).
+	// (checkpoint.go) and the stall watchdog (stall.go).
 	ckptLoop  bgLoop
 	stallLoop bgLoop
 
@@ -382,14 +327,13 @@ type poisonCause struct{ err error }
 type Region struct {
 	eng    *Engine
 	idx    int
-	sh     *shard // the WAL shard this region's commits log through; immutable
 	seg    *segment.Segment
 	segOff int64 // region start within the segment's data space
 	length int64
 	pvec   *pagevec.Vector // entries are atomics; mu orders refs-check vs page write
-	// spoolRefs counts, per page, the live spool entries of sh referencing
-	// it: bytes committed but not yet logged, which keep the page out of
-	// its segment and its dirty bit set.  Guarded by sh.pipe.mu.
+	// spoolRefs counts, per page, the live spool entries referencing it:
+	// bytes committed but not yet logged, which keep the page out of its
+	// segment and its dirty bit set.  Guarded by eng.pipe.mu.
 	spoolRefs []int32
 
 	mu     obs.Mutex // obs.LockRegion, bound at Map; guards data/buf stability, nTx, mapped
@@ -402,17 +346,10 @@ type Region struct {
 // Open opens (or re-opens) an RVM instance on an existing log, performing
 // crash recovery before returning: it builds the redo, which the first
 // truncation writes to the segments, and Map presents until then.  The log
-// must have been created with CreateLog.  With LogShards > 1 the extra
-// shard logs are created on first open (after the count is durably recorded
-// in the dictionary) and every shard the dictionary knows about is
-// recovered, even when the requested count differs from the recorded one —
-// recovery of several logs empties them all at once, so the shard count and
-// region placement may change freely between runs.
+// must have been created with CreateLog.
 func Open(opts Options) (*Engine, error) {
-	// The dictionary comes first: it says how many logs there are, and with
-	// that how the recovery workers are shared out, before the first log's
-	// tail scan — the one read of the log a restart makes — starts
-	// feeding them.
+	// The dictionary comes first: a store it does not describe is refused
+	// before the log is opened or anything is written.
 	d, err := loadDict(dictPath(opts.LogPath))
 	if err != nil {
 		return nil, err
@@ -420,48 +357,28 @@ func Open(opts Options) (*Engine, error) {
 	if opts.SpoolLimit == 0 {
 		opts.SpoolLimit = 1 << 20
 	}
-	requested := max(opts.LogShards, 1)
-	recorded := d.shardCount()
-	numOpen := max(requested, recorded)
 	// Recovery is as wide as the process: GOMAXPROCS workers replay the redo
 	// trees, and one fewer build them, the log scan being one itself.
-	redo := recovery.NewRestart(numOpen, recovery.Config{Parallelism: runtime.GOMAXPROCS(0)}, opts.Metrics)
+	redo := recovery.NewRestart(recovery.Config{Parallelism: runtime.GOMAXPROCS(0)}, opts.Metrics)
 	defer redo.Abort()
-	var logs []*wal.Log
-	var devs []wal.Device
-	closeAll := func() {
-		for _, lg := range logs {
-			lg.Close()
-		}
-	}
-	for k := 0; k < numOpen; k++ {
-		if k == 1 && requested > recorded {
-			// Record the grown count before creating any new shard log, so a
-			// crash mid-open can never leave shard logs the dictionary does
-			// not know about.  (The reverse — a recorded count with missing
-			// files — is benign: the files are recreated empty below.)
-			if err := d.setShards(requested); err != nil {
-				closeAll()
-				return nil, err
-			}
-		}
-		var size int64
-		if k > 0 {
-			size = logs[0].AreaSize()
-		}
-		lk, dev, err := openShardLog(opts, k, size, redo)
+	dev := opts.LogDevice
+	if dev == nil {
+		f, err := os.OpenFile(opts.LogPath, os.O_RDWR, 0)
 		if err != nil {
-			closeAll()
-			if k > 0 {
-				err = fmt.Errorf("rvm: open log shard %d: %w", k, err)
-			}
-			return nil, err
+			return nil, fmt.Errorf("rvm: open log: %w", err)
 		}
-		logs = append(logs, lk)
-		devs = append(devs, dev)
+		dev = f
+	}
+	lg, err := redo.Open(dev)
+	if err != nil {
+		if opts.LogDevice == nil {
+			dev.Close()
+		}
+		return nil, err
 	}
 	e := &Engine{
 		opts:   opts,
+		log:    lg,
 		dict:   d,
 		segs:   make(map[uint64]*segment.Segment),
 		byPath: make(map[string]uint64),
@@ -472,24 +389,17 @@ func Open(opts Options) (*Engine, error) {
 	e.truncThreshold.Store(math.Float64bits(opts.TruncateThreshold))
 	e.incremental.Store(opts.Incremental)
 	e.cond = sync.NewCond(&e.mu)
-	used := int64(0)
-	for k, lg := range logs {
-		sh := &shard{idx: k, log: lg}
-		sh.pipe.mu.Bind(obs.LockPipeline, e.met)
-		sh.pipe.inDoubt = make(map[uint64]*inDoubtTx)
-		sh.gc.mu.Bind(obs.LockGroupCommit, e.met)
-		sh.gc.cond = sync.NewCond(&sh.gc.mu)
-		lg.SetObs(e.tr, e.met)
-		if opts.NoSync {
-			lg.SetNoSync(true)
-		}
-		if inj, ok := devs[k].(*iofault.Injector); ok {
-			inj.SetTracer(e.tr)
-		}
-		used += lg.Used()
-		e.shards = append(e.shards, sh)
+	e.pipe.mu.Bind(obs.LockPipeline, e.met)
+	e.gc.mu.Bind(obs.LockGroupCommit, e.met)
+	e.gc.cond = sync.NewCond(&e.gc.mu)
+	lg.SetObs(e.tr, e.met)
+	if opts.NoSync {
+		lg.SetNoSync(true)
 	}
-	if used > 0 {
+	if inj, ok := dev.(*iofault.Injector); ok {
+		inj.SetTracer(e.tr)
+	}
+	if lg.Used() > 0 {
 		ep, st, err := redo.Redo(e.lookupSegment)
 		if err != nil {
 			e.closeFiles()
@@ -498,33 +408,8 @@ func Open(opts Options) (*Engine, error) {
 		e.stats.Recoveries.Store(1)
 		e.stats.RecoveredBytes.Store(st.TreeBytes)
 		e.stats.RecoveryScanned.Store(st.ScannedBytes)
-		e.stats.DiscardedPrepares.Store(uint64(st.DiscardedPrepares))
 		// The redo is the run's first truncation epoch (DESIGN.md §13).
-		// Several logs apply it now: a page may change logs between runs,
-		// and no two logs may hold it before anything more is logged.
 		e.pending = ep
-		if len(logs) > 1 {
-			if err := e.applyPending(); err != nil {
-				e.closeFiles()
-				return nil, err
-			}
-		}
-	}
-	if requested < len(e.shards) {
-		// Recovery emptied every log; drop the shards beyond the
-		// requested count and record the shrunken map.  The now-empty
-		// log files linger on disk, harmless.
-		for _, sh := range e.shards[requested:] {
-			if err := sh.log.Close(); err != nil {
-				e.closeFiles()
-				return nil, err
-			}
-		}
-		e.shards = e.shards[:requested]
-		if err := d.setShards(requested); err != nil {
-			e.closeFiles()
-			return nil, err
-		}
 	}
 	if opts.CheckpointInterval > 0 {
 		e.startCheckpointer(opts.CheckpointInterval)
@@ -533,89 +418,6 @@ func Open(opts Options) (*Engine, error) {
 		e.startStallWatchdog(opts.StallBudget)
 	}
 	return e, nil
-}
-
-// shardLogPath names shard k's log file: shard 0 is the log itself (the
-// pre-sharding layout), shard k > 0 a sibling with a ".shard<k>" suffix.
-func shardLogPath(logPath string, k int) string {
-	if k == 0 {
-		return logPath
-	}
-	return fmt.Sprintf("%s.shard%d", logPath, k)
-}
-
-// openShardLog opens shard k's log, handing what its tail scan reads to
-// redo.  Shard 0 must exist; a later shard's log is created, with a record
-// area of size bytes, when it does not exist yet.
-func openShardLog(opts Options, k int, size int64, redo *recovery.Restart) (*wal.Log, wal.Device, error) {
-	dev := opts.LogDevice
-	if k > 0 {
-		dev = nil
-		if opts.ShardLogDevice != nil {
-			var err error
-			if dev, err = opts.ShardLogDevice(k); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if dev != nil {
-		l, err := redo.Open(k, dev)
-		return l, dev, err
-	}
-	path := shardLogPath(opts.LogPath, k)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if k > 0 && os.IsNotExist(err) {
-		if err = wal.Create(path, size); err == nil {
-			f, err = os.OpenFile(path, os.O_RDWR, 0)
-		}
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("rvm: open log: %w", err)
-	}
-	l, err := redo.Open(k, f)
-	if err != nil {
-		f.Close()
-	}
-	return l, nil, err
-}
-
-// shardFor places a region on a shard: the explicit ShardOf policy when
-// set, else a hash of (segment ID, region offset).  The placement is
-// only a performance decision — recovery and cross-shard commits are
-// correct under any placement, including one that changes across runs
-// (recovery always drains every log).
-func (e *Engine) shardFor(segID uint64, segOff int64) *shard {
-	n := len(e.shards)
-	if n == 1 {
-		return e.shards[0]
-	}
-	if f := e.opts.ShardOf; f != nil {
-		i := f(segID, segOff) % n
-		if i < 0 {
-			i += n
-		}
-		return e.shards[i]
-	}
-	x := segID ^ uint64(segOff)*0x9e3779b97f4a7c15
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return e.shards[int(x%uint64(n))]
-}
-
-// lockAllPipes acquires every shard's pipeline lock in ascending shard
-// order; unlockAllPipes releases them.  Only the regions-slice mutators
-// (Map/Unmap) need all pipelines at once.
-func (e *Engine) lockAllPipes() {
-	for _, sh := range e.shards {
-		sh.pipe.mu.Lock()
-	}
-}
-
-func (e *Engine) unlockAllPipes() {
-	for i := len(e.shards) - 1; i >= 0; i-- {
-		e.shards[i].pipe.mu.Unlock()
-	}
 }
 
 // CreateLog creates a new write-ahead log of the given record-area size.
@@ -766,7 +568,6 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 	r := &Region{
 		eng:       e,
 		idx:       len(e.regions),
-		sh:        e.shardFor(seg.ID(), segOff),
 		seg:       seg,
 		segOff:    segOff,
 		length:    length,
@@ -777,11 +578,11 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		mapped:    true,
 	}
 	r.mu.Bind(obs.LockRegion, e.met)
-	// The regions slice is read under each shard's pipe.mu by the spool
-	// drain and epoch completion, so mutations hold every pipeline lock.
-	e.lockAllPipes()
+	// The regions slice is read under pipe.mu by the spool drain and epoch
+	// completion, so mutations hold the pipeline lock too.
+	e.pipe.mu.Lock()
 	e.regions = append(e.regions, r)
-	e.unlockAllPipes()
+	e.pipe.mu.Unlock()
 	e.mu.Unlock()
 	return r, nil
 }
@@ -836,9 +637,8 @@ func (e *Engine) Unmap(r *Region) error {
 	}
 	// Spooled commits may reference this region's memory state; make them
 	// durable first so the page write-out below cannot expose committed-
-	// but-unlogged bytes (no-undo/redo invariant).  Only this region's
-	// shard can hold such spool entries.
-	if err := e.flushSpool(r.sh, true); err != nil {
+	// but-unlogged bytes (no-undo/redo invariant).
+	if err := e.flushSpool(true); err != nil {
 		return fail(err)
 	}
 	// The region is sealed and the truncation slot claimed, so its dirty
@@ -863,10 +663,10 @@ func (e *Engine) Unmap(r *Region) error {
 		}
 	}
 	e.mu.Lock()
-	e.lockAllPipes()
-	r.sh.pipe.queue.RemoveRegion(r.idx)
+	e.pipe.mu.Lock()
+	e.pipe.queue.RemoveRegion(r.idx)
 	e.regions[r.idx] = nil
-	e.unlockAllPipes()
+	e.pipe.mu.Unlock()
 	e.mu.Unlock()
 	r.mu.Lock()
 	r.data = nil
@@ -930,7 +730,7 @@ type QueryInfo struct {
 	UncommittedTxs int    // transactions with unresolved ranges in the region
 	DirtyPages     int    // pages with committed changes not yet in the segment
 	QueuedPages    int    // pages in the incremental-truncation queue
-	LogUsed        int64  // live log bytes (engine-wide)
+	LogUsed        int64  // live log bytes
 	LogSize        int64  // log record-area capacity
 	SpoolBytes     int64  // committed no-flush bytes not yet in the log
 	ActiveTxs      int    // engine-wide unresolved transactions
@@ -949,27 +749,23 @@ func (e *Engine) Query(r *Region) (QueryInfo, error) {
 		ActiveTxs:     int(e.active.Load()),
 		Poisoned:      e.poisonCause() != nil,
 		TruncFailures: e.stats.TruncFailures.Load(),
-	}
-	for _, sh := range e.shards {
-		qi.LogUsed += sh.log.Used()
-		qi.LogSize += sh.log.AreaSize()
+		LogUsed:       e.log.Used(),
+		LogSize:       e.log.AreaSize(),
 	}
 	e.mu.Lock()
 	qi.LastFault = e.lastFaultLocked()
 	e.mu.Unlock()
-	for _, sh := range e.shards {
-		p := &sh.pipe
-		p.mu.Lock()
-		qi.SpoolBytes += p.spoolBytes
-		if r != nil && r.sh == sh {
-			p.queue.Walk(func(d pagevec.Descriptor) {
-				if d.ID.Region == r.idx {
-					qi.QueuedPages++
-				}
-			})
-		}
-		p.mu.Unlock()
+	p := &e.pipe
+	p.mu.Lock()
+	qi.SpoolBytes = p.spoolBytes
+	if r != nil {
+		p.queue.Walk(func(d pagevec.Descriptor) {
+			if d.ID.Region == r.idx {
+				qi.QueuedPages++
+			}
+		})
 	}
+	p.mu.Unlock()
 	if r != nil {
 		r.mu.Lock()
 		if !r.mapped {
@@ -998,17 +794,11 @@ func (e *Engine) SetOptions(truncateThreshold float64, incremental bool) {
 func (e *Engine) Stats() Statistics {
 	var st Statistics
 	obs.Load(&st, &e.stats) // last field first: Begins is declared first
-	for _, sh := range e.shards {
-		ls := sh.log.Stats()
-		st.LogBytes += ls.BytesAppended
-		st.LogForces += ls.Forces
-		sh.gc.mu.Lock()
-		st.ForcesSaved += sh.gc.saved
-		if sh.gc.maxBatch > st.GroupCommitSize {
-			st.GroupCommitSize = sh.gc.maxBatch
-		}
-		sh.gc.mu.Unlock()
-	}
+	ls := e.log.Stats()
+	st.LogBytes, st.LogForces = ls.BytesAppended, ls.Forces
+	e.gc.mu.Lock()
+	st.ForcesSaved, st.GroupCommitSize = e.gc.saved, e.gc.maxBatch
+	e.gc.mu.Unlock()
 	return st
 }
 
@@ -1028,27 +818,12 @@ type Snapshot struct {
 	TraceEvents uint64               `json:"trace_events,omitempty" prom:"rvm_trace_events_total" help:"Trace events ever recorded."`
 	Truncating  bool                 `json:"truncating" prom:"rvm_truncating" help:"1 while a truncation holds the slot."`
 	Poisoned    bool                 `json:"poisoned" prom:"rvm_poisoned" help:"1 after a fail-stop storage fault."`
-	Shards      []ShardSnapshot      `json:"shards"` // one entry per WAL shard
-}
-
-// ShardSnapshot is one WAL shard's live state inside a Snapshot: which
-// shard, how many commits it has logged, and where its log stands.  On
-// /metrics the shard index is a label, so a single-shard engine exposes
-// one shard="0" sample and dashboards keyed on the label work unchanged
-// at any shard count.
-type ShardSnapshot struct {
-	Shard      int    `json:"shard" label:"shard"`
-	Commits    uint64 `json:"commits" prom:"rvm_shard_commits_total" help:"Commits logged through each WAL shard."`
-	LogUsed    int64  `json:"log_used" prom:"rvm_shard_log_bytes" help:"Live log bytes per WAL shard."`
-	LogSize    int64  `json:"log_size" prom:"-"` // record-area capacity
-	LogForces  uint64 `json:"log_forces" prom:"rvm_shard_log_forces_total" help:"Log fsyncs per WAL shard."`
-	SpoolBytes int64  `json:"spool_bytes" prom:"-"` // committed no-flush bytes awaiting this shard's log
 }
 
 // Snapshot assembles the counters, metric summaries, and live levels.
-// The levels are computed here, each from its one source — the shards'
-// logs and pipelines, the active count, the page vectors — and kept
-// nowhere else, so a snapshot is the moment they are read.
+// The levels are computed here, each from its one source — the log and
+// the pipeline, the active count, the page vectors — and kept nowhere
+// else, so a snapshot is the moment they are read.
 func (e *Engine) Snapshot() (Snapshot, error) {
 	if e.closed.Load() {
 		return Snapshot{}, ErrClosed
@@ -1066,26 +841,12 @@ func (e *Engine) Snapshot() (Snapshot, error) {
 		DirtyPages: dirty,
 		Truncating: e.truncating.Load(),
 		Poisoned:   e.poisonCause() != nil,
-		Shards:     make([]ShardSnapshot, len(e.shards)),
+		LogUsed:    e.log.Used(),
+		LogSize:    e.log.AreaSize(),
 	}
-	for i, sh := range e.shards {
-		p := &sh.pipe
-		p.mu.Lock()
-		spoolBytes := p.spoolBytes
-		p.mu.Unlock()
-		ls := sh.log.Stats()
-		sn.Shards[i] = ShardSnapshot{
-			Shard:      i,
-			Commits:    sh.commits.Load(),
-			LogUsed:    sh.log.Used(),
-			LogSize:    sh.log.AreaSize(),
-			LogForces:  ls.Forces,
-			SpoolBytes: spoolBytes,
-		}
-		sn.LogUsed += sn.Shards[i].LogUsed
-		sn.LogSize += sn.Shards[i].LogSize
-		sn.SpoolBytes += spoolBytes
-	}
+	e.pipe.mu.Lock()
+	sn.SpoolBytes = e.pipe.spoolBytes
+	e.pipe.mu.Unlock()
 	sn.Stats = e.Stats()
 	sn.Metrics = e.met.Snapshot()
 	sn.TraceEvents = e.tr.Recorded()
@@ -1177,12 +938,7 @@ func (e *Engine) Close() error {
 }
 
 func (e *Engine) closeFiles() error {
-	var first error
-	for _, sh := range e.shards {
-		if err := sh.log.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	first := e.log.Close()
 	for _, s := range e.segs {
 		if err := s.Close(); err != nil && first == nil {
 			first = err

@@ -2,10 +2,10 @@ package core
 
 // Test-only views of unexported engine state.
 
-// spoolTIDs returns the transaction IDs of shard 0's live spool entries, in
+// spoolTIDs returns the transaction IDs of the live spool entries, in
 // spool (and so in log) order.
 func (e *Engine) spoolTIDs() []uint64 {
-	p := &e.shards[0].pipe
+	p := &e.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var tids []uint64
@@ -17,10 +17,10 @@ func (e *Engine) spoolTIDs() []uint64 {
 	return tids
 }
 
-// spoolChecks returns how many full subsumption checks shard 0 has run:
+// spoolChecks returns how many full subsumption checks the spool has run:
 // what a no-flush commit pays for the spool it joins.
 func (e *Engine) spoolChecks() uint64 {
-	p := &e.shards[0].pipe
+	p := &e.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.spoolChecks
@@ -28,7 +28,7 @@ func (e *Engine) spoolChecks() uint64 {
 
 // spoolRefCount returns the live spool references on page pg of r.
 func (r *Region) spoolRefCount(pg int) int32 {
-	p := &r.sh.pipe
+	p := &r.eng.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return r.spoolRefs[pg]

@@ -68,19 +68,6 @@ func (e *Engine) maybePoison(err error) error {
 	return fmt.Errorf("%w: %w", ErrPoisoned, err)
 }
 
-// poison marks the engine failed regardless of the error's class, unlike
-// maybePoison.  The cross-shard commit path uses it when a failure —
-// even a logical one like a full log — strikes after the first commit
-// mark reached a log: the commit point may already be durable on some
-// shards but can no longer be completed on the rest, so fail-stop is the
-// only state from which every future recovery is consistent.
-func (e *Engine) poison(err error) error {
-	if e.poisoned.CompareAndSwap(nil, &poisonCause{err: err}) {
-		e.tr.Record(obs.EvPoisoned, 0, 0, 0)
-	}
-	return fmt.Errorf("%w: %w", ErrPoisoned, err)
-}
-
 // poisonCause returns the poisoning root cause, or nil.
 func (e *Engine) poisonCause() error {
 	if c := e.poisoned.Load(); c != nil {

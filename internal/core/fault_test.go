@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"sync"
@@ -399,5 +400,96 @@ func TestFaultScheduleProperty(t *testing.T) {
 		eng := v.eng
 		v.eng = nil
 		eng.closeFiles()
+	}
+}
+
+// TestCrossShardFaultScheduleProperty is TestFaultScheduleProperty over two
+// regions of one segment, with a mix of one-region and two-region flush
+// commits.  The name dates from when the two regions sat on two logs of one
+// engine; they now share the engine's single log, and the contract is the
+// same: after a crash and a pristine reopen the recovered state is exactly
+// the last acknowledged state, or that state plus the whole in-flight
+// transaction — for a two-region transaction, both halves or neither.
+func TestCrossShardFaultScheduleProperty(t *testing.T) {
+	const trials = 120
+	size := pageBytes(4)
+	half := pageBytes(2)
+	for trial := 0; trial < trials; trial++ {
+		trial := trial
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(trial)*6271 + 1))
+			v, err := newFaultEnv(t, 1<<15, size, int64(trial), randomFaults(rng), randomFaults(rng),
+				Options{
+					TruncateThreshold: 0.5,
+					Incremental:       trial%2 == 0,
+				})
+
+			acked := make([]byte, size)     // state at the last acknowledged commit
+			attempted := make([]byte, size) // acked + the failed in-flight tx, if any
+			if err == nil {
+				r1, e1 := v.eng.Map(v.segPath, 0, half)
+				r2, e2 := v.eng.Map(v.segPath, half, half)
+				if e1 == nil && e2 == nil {
+					for i := 0; i < 12; i++ {
+						copy(attempted, acked)
+						tx, berr := v.eng.Begin(Restore)
+						if berr != nil {
+							break
+						}
+						cerr := error(nil)
+						both := rng.Intn(2) == 0
+						mods := 1 + rng.Intn(3)
+						for j := 0; j < mods && cerr == nil; j++ {
+							reg, base := r1, int64(0)
+							if (both && j%2 == 1) || (!both && i%2 == 1) {
+								reg, base = r2, half
+							}
+							off := rng.Int63n(half - 64)
+							data := make([]byte, 1+rng.Intn(48))
+							for k := range data {
+								data[k] = byte(rng.Intn(256))
+							}
+							if cerr = tx.Modify(reg, off, data); cerr == nil {
+								copy(attempted[base+off:], data)
+							}
+						}
+						if cerr == nil {
+							cerr = tx.Commit(Flush)
+						} else {
+							_ = tx.Abort()
+						}
+						if cerr != nil {
+							break
+						}
+						copy(acked, attempted)
+					}
+				}
+			}
+
+			// Crash: drop the engine without flushing, reopen on pristine
+			// devices, and let recovery replay the log.
+			if v.eng != nil {
+				v.eng.closeFiles()
+				v.eng = nil
+			}
+			v.reopen(Options{})
+			got := make([]byte, 0, size)
+			ra, err := v.eng.Map(v.segPath, 0, half)
+			if err != nil {
+				t.Fatalf("trial %d: pristine Map failed: %v", trial, err)
+			}
+			rb, err := v.eng.Map(v.segPath, half, half)
+			if err != nil {
+				t.Fatalf("trial %d: pristine Map failed: %v", trial, err)
+			}
+			got = append(got, ra.Data()...)
+			got = append(got, rb.Data()...)
+			if !bytes.Equal(got, acked) && !bytes.Equal(got, attempted) {
+				t.Fatalf("trial %d: recovered state matches neither the acknowledged state nor the whole in-flight transaction (two-region atomicity broken)", trial)
+			}
+			eng := v.eng
+			v.eng = nil
+			eng.closeFiles()
+		})
 	}
 }

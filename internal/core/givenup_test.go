@@ -67,7 +67,7 @@ func TestWrapSplitFreeSpaceTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := v.eng.shards[0].log
+	lg := v.eng.log
 	filler := make([]byte, 1000)
 	v.commit1(r, 0, filler)
 	if err := v.eng.Truncate(); err != nil { // the head leaves offset 0

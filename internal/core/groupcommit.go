@@ -52,11 +52,11 @@ type groupCommit struct {
 // oversleeps past the cost of the fsync it was meant to amortize).  A
 // nonzero MaxForceDelay then lingers the given duration on top, catching
 // committers that are slow to arrive.
-func (e *Engine) joinWindow(sh *shard) {
-	last := sh.log.LastSeq()
+func (e *Engine) joinWindow() {
+	last := e.log.LastSeq()
 	for idle := 0; idle < 2; {
 		runtime.Gosched()
-		if cur := sh.log.LastSeq(); cur != last {
+		if cur := e.log.LastSeq(); cur != last {
 			last, idle = cur, 0
 		} else {
 			idle++
@@ -67,10 +67,8 @@ func (e *Engine) joinWindow(sh *shard) {
 	}
 }
 
-// waitForced blocks until the shard's log is durably forced through seq,
-// electing this committer as the shard's force leader when no force is in
-// flight.  Each shard runs its own independent ticket protocol — leaders
-// on different shards fsync different devices concurrently.  Callers
+// waitForced blocks until the log is durably forced through seq, electing
+// this committer as the force leader when no force is in flight.  Callers
 // must hold no engine lock.  A nil error means a successful force covered
 // seq; a non-nil error is the sticky group-force failure (wrapped
 // ErrPoisoned).  led reports whether this committer ran a force itself
@@ -78,8 +76,8 @@ func (e *Engine) joinWindow(sh *shard) {
 // device-sync duration of a force it led (0 for followers).  The whole
 // wait runs under the group-wait stall gate so the watchdog can flag a
 // window nobody closes.
-func (e *Engine) waitForced(sh *shard, seq uint64) (led bool, fsyncNs int64, err error) {
-	gc := &sh.gc
+func (e *Engine) waitForced(seq uint64) (led bool, fsyncNs int64, err error) {
+	gc := &e.gc
 	timed := e.met != nil
 	e.met.OpEnter(obs.StallGroupWait)
 	defer e.met.OpExit(obs.StallGroupWait)
@@ -90,7 +88,7 @@ func (e *Engine) waitForced(sh *shard, seq uint64) (led bool, fsyncNs int64, err
 			gc.mu.Unlock()
 			return led, fsyncNs, err
 		}
-		if sh.log.ForcedThrough() >= seq {
+		if e.log.ForcedThrough() >= seq {
 			gc.batch++
 			if gc.batch > gc.maxBatch {
 				gc.maxBatch = gc.batch
@@ -108,12 +106,12 @@ func (e *Engine) waitForced(sh *shard, seq uint64) (led bool, fsyncNs int64, err
 		// Lead: force on behalf of every record appended so far.
 		gc.forcing = true
 		gc.mu.Unlock()
-		e.joinWindow(sh)
+		e.joinWindow()
 		var fst time.Time
 		if timed {
 			fst = time.Now()
 		}
-		err := e.retryIO(sh.log.Force)
+		err := e.retryIO(e.log.Force)
 		if timed {
 			fsyncNs += time.Since(fst).Nanoseconds()
 		}

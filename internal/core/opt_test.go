@@ -245,7 +245,7 @@ func TestSavedBytesMatchVerbatimLogger(t *testing.T) {
 			// Framing as the engine's log reports it: each record's length
 			// less its ranges.
 			var framing int64
-			err := v.eng.shards[0].log.ScanForward(func(rec *wal.Record) error {
+			err := v.eng.log.ScanForward(func(rec *wal.Record) error {
 				framing += rec.Len
 				for _, rg := range rec.Ranges {
 					framing -= 20 + int64(len(rg.Data))

@@ -8,20 +8,25 @@ import (
 	"testing"
 
 	"github.com/rvm-go/rvm/internal/segment"
-	"github.com/rvm-go/rvm/internal/wal"
 )
+
+// fuzzSegPages are the sizes of the script's two segments, in pages.
+var fuzzSegPages = [2]int{6, 1}
 
 // fuzzRegions are the script's three regions: two of segment 1 and the one
 // page of segment 2, which is never mapped again once the first crash has
-// struck, so its redo reaches it only by truncation.
+// struck, so its redo reaches it only by truncation.  The first two can be
+// mapped one page further on (restartScript.shifted), overlapping where they
+// were at another page offset, but never each other.
 var fuzzRegions = [3]struct {
 	seg      int
 	off, len int64
-}{{0, 0, pageBytes(2)}, {0, pageBytes(2), pageBytes(2)}, {1, 0, pageBytes(1)}}
+}{{0, 0, pageBytes(2)}, {0, pageBytes(3), pageBytes(2)}, {1, 0, pageBytes(1)}}
 
-// fuzzWrite is one set-range of a committed transaction.
+// fuzzWrite is one set-range of a committed transaction, at its segment
+// offset: the model is the segments' images, whatever regions map them.
 type fuzzWrite struct {
-	reg  int
+	seg  int
 	off  int64
 	data []byte
 }
@@ -36,10 +41,11 @@ type restartScript struct {
 	opts    Options
 	eng     *Engine
 	regs    [3]*Region
-	durable [3][]byte
-	// pending holds each log's committed no-flush writes not yet drained
-	// into it: a crash loses them.
-	pending [2][]fuzzWrite
+	shifted [3]bool // the region is mapped, or was last, one page further on
+	durable [2][]byte
+	// pending holds the committed no-flush writes not yet drained into the
+	// log: a crash loses them.
+	pending []fuzzWrite
 }
 
 // next returns the script's next byte, zero once it has run out.
@@ -52,34 +58,33 @@ func (s *restartScript) next() int {
 	return int(c)
 }
 
-func (s *restartScript) shardOf(reg int) int { return s.regs[reg].sh.idx }
-
-// drain is a spool drain of log k: its no-flush writes become durable.
-func (s *restartScript) drain(k int) {
-	for _, w := range s.pending[k] {
-		copy(s.durable[w.reg][w.off:], w.data)
+// segOff is where region i starts in its segment.
+func (s *restartScript) segOff(i int) int64 {
+	if s.shifted[i] {
+		return fuzzRegions[i].off + pageBytes(1)
 	}
-	s.pending[k] = nil
+	return fuzzRegions[i].off
 }
 
-func (s *restartScript) drainAll() {
-	for k := range s.pending {
-		s.drain(k)
+// drain is a spool drain: the no-flush writes become durable.
+func (s *restartScript) drain() {
+	for _, w := range s.pending {
+		copy(s.durable[w.seg][w.off:], w.data)
 	}
+	s.pending = nil
 }
 
-// committed is the image a Map of reg presents: what is durable, and the
-// no-flush writes still spooled on top.
-func (s *restartScript) committed(reg int) []byte {
-	img := bytes.Clone(s.durable[reg])
-	for _, p := range s.pending {
-		for _, w := range p {
-			if w.reg == reg {
-				copy(img[w.off:], w.data)
-			}
+// committed is the image a Map of region i presents: what is durable, and
+// the no-flush writes still spooled on top.
+func (s *restartScript) committed(i int) []byte {
+	seg, off := fuzzRegions[i].seg, s.segOff(i)
+	img := bytes.Clone(s.durable[seg])
+	for _, w := range s.pending {
+		if w.seg == seg {
+			copy(img[w.off:], w.data)
 		}
 	}
-	return img
+	return img[off : off+fuzzRegions[i].len]
 }
 
 func (s *restartScript) check(what string) {
@@ -93,16 +98,30 @@ func (s *restartScript) check(what string) {
 
 func (s *restartScript) mapRegion(i int) {
 	s.t.Helper()
-	r, err := s.eng.Map(s.segs[fuzzRegions[i].seg], fuzzRegions[i].off, fuzzRegions[i].len)
+	r, err := s.eng.Map(s.segs[fuzzRegions[i].seg], s.segOff(i), fuzzRegions[i].len)
 	if err != nil {
 		s.t.Fatal(err)
 	}
 	s.regs[i] = r
 }
 
+// unmap unmaps region i, which flushes the spool.
+func (s *restartScript) unmap(i int) {
+	s.t.Helper()
+	if err := s.eng.Unmap(s.regs[i]); err != nil {
+		s.t.Fatal(err)
+	}
+	s.drain()
+	s.regs[i] = nil
+}
+
 // commit commits one or two writes to mapped regions, flush or no-flush.
 func (s *restartScript) commit() {
 	s.t.Helper()
+	tx, err := s.eng.Begin(Restore)
+	if err != nil {
+		s.t.Fatal(err)
+	}
 	var writes []fuzzWrite
 	for n := 1 + s.next()%2; len(writes) < n; {
 		i := s.next() % 3
@@ -110,23 +129,19 @@ func (s *restartScript) commit() {
 			break
 		}
 		size := 1 + s.next()*2
-		w := fuzzWrite{reg: i, off: int64(s.next()*61) % (fuzzRegions[i].len - int64(size)), data: make([]byte, size)}
+		off := int64(s.next()*61) % (fuzzRegions[i].len - int64(size))
+		w := fuzzWrite{seg: fuzzRegions[i].seg, off: s.segOff(i) + off, data: make([]byte, size)}
 		rand.New(rand.NewSource(int64(s.next()))).Read(w.data)
+		if err := tx.Modify(s.regs[i], off, w.data); err != nil {
+			s.t.Fatal(err)
+		}
 		writes = append(writes, w)
 	}
 	if len(writes) == 0 {
-		return
-	}
-	tx, err := s.eng.Begin(Restore)
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	shards := map[int]bool{}
-	for _, w := range writes {
-		if err := tx.Modify(s.regs[w.reg], w.off, w.data); err != nil {
+		if err := tx.Abort(); err != nil {
 			s.t.Fatal(err)
 		}
-		shards[s.shardOf(w.reg)] = true
+		return
 	}
 	mode := Flush
 	if s.next()%2 == 0 {
@@ -135,38 +150,14 @@ func (s *restartScript) commit() {
 	if err := tx.Commit(mode); err != nil {
 		s.t.Fatal(err)
 	}
-	if mode == NoFlush && len(shards) == 1 {
-		k := s.shardOf(writes[0].reg)
-		s.pending[k] = append(s.pending[k], writes...)
+	if mode == NoFlush {
+		s.pending = append(s.pending, writes...)
 		return
 	}
-	// Every participant drains its spool ahead of the record.
-	for k := range shards {
-		s.drain(k)
-	}
+	s.drain() // the spool is drained ahead of the record
 	for _, w := range writes {
-		copy(s.durable[w.reg][w.off:], w.data)
+		copy(s.durable[w.seg][w.off:], w.data)
 	}
-}
-
-// decidedPrepares appends, as a crash between a cross-shard commit's prepares
-// and its marks would leave them, two prepares of region 0 to log 0: one no
-// mark confirms, and one whose only mark is on log 1.
-func (s *restartScript) decidedPrepares() {
-	s.t.Helper()
-	orphan := wal.Range{Seg: 1, Off: 100, Data: bytes.Repeat([]byte{0xA5}, 50)}
-	marked := wal.Range{Seg: 1, Off: 300, Data: bytes.Repeat([]byte{0x5A}, 50)}
-	l0, l1 := s.eng.shards[0].log, s.eng.shards[1].log
-	if _, _, _, err := l0.AppendPrepare(1<<40, 0, []wal.Range{orphan}); err != nil {
-		s.t.Fatal(err)
-	}
-	if _, _, _, err := l0.AppendPrepare(1<<40+1, 0, []wal.Range{marked}); err != nil {
-		s.t.Fatal(err)
-	}
-	if _, _, _, err := l1.AppendCommitMark(1<<40 + 1); err != nil {
-		s.t.Fatal(err)
-	}
-	copy(s.durable[0][marked.Off:], marked.Data)
 }
 
 // crash drops the engine as a process failure would — what it wrote stays,
@@ -174,7 +165,7 @@ func (s *restartScript) decidedPrepares() {
 func (s *restartScript) crash() {
 	s.t.Helper()
 	s.eng.closeFiles()
-	s.pending = [2][]fuzzWrite{}
+	s.pending = nil
 	s.regs = [3]*Region{}
 	var err error
 	if s.eng, err = Open(s.opts); err != nil {
@@ -185,27 +176,19 @@ func (s *restartScript) crash() {
 	s.check("restart")
 }
 
-// runRestartScript runs one FuzzRestart case over nlogs logs.
-func runRestartScript(t *testing.T, nlogs int, script []byte) {
+// runRestartScript runs one FuzzRestart case.
+func runRestartScript(t *testing.T, script []byte) {
 	s := &restartScript{t: t, b: script, dir: t.TempDir()}
-	s.opts = Options{LogPath: filepath.Join(s.dir, "log.rvm"), NoSync: true, TruncateThreshold: -1, LogShards: nlogs,
-		ShardOf: func(seg uint64, off int64) int {
-			if seg == 1 && off > 0 {
-				return 1
-			}
-			return 0
-		}}
+	s.opts = Options{LogPath: filepath.Join(s.dir, "log.rvm"), NoSync: true, TruncateThreshold: -1}
 	if err := CreateLog(s.opts.LogPath, 1<<18); err != nil {
 		t.Fatal(err)
 	}
-	for i, pages := range []int{4, 1} {
+	for i, pages := range fuzzSegPages {
 		s.segs[i] = filepath.Join(s.dir, fmt.Sprintf("seg%d.rvm", i+1))
 		if err := CreateSegment(s.segs[i], uint64(i+1), pageBytes(pages)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := range s.durable {
-		s.durable[i] = make([]byte, fuzzRegions[i].len)
+		s.durable[i] = make([]byte, pageBytes(pages))
 	}
 	var err error
 	if s.eng, err = Open(s.opts); err != nil {
@@ -225,31 +208,25 @@ func runRestartScript(t *testing.T, nlogs int, script []byte) {
 			if err := s.eng.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			s.drainAll()
+			s.drain()
 		} else {
 			s.commit()
 		}
 		s.check("before the first crash")
 	}
-	if nlogs > 1 && s.next()%2 == 0 {
-		s.decidedPrepares()
-	}
 	s.crash()
-	// Between the crashes: everything that applies the redo, and Maps
-	// that must lay it over the segment until then.
-	for op := s.next(); op%8 != 7 && len(s.b) > 0; op = s.next() {
-		switch i := s.next() % 2; op % 8 {
+	// Between the crashes: everything that applies the redo, Maps that must
+	// lay it over the segment until then, and remaps that log a page under
+	// a second region at another page offset.
+	for op := s.next(); op%9 != 8 && len(s.b) > 0; op = s.next() {
+		switch i := s.next() % 2; op % 9 {
 		case 0, 1:
 			s.commit()
 		case 2:
 			if s.regs[i] == nil {
 				s.mapRegion(i)
 			} else {
-				if err := s.eng.Unmap(s.regs[i]); err != nil {
-					t.Fatal(err)
-				}
-				s.drain(s.regs[i].sh.idx)
-				s.regs[i] = nil
+				s.unmap(i)
 			}
 		case 3:
 			err = s.eng.TruncateIncremental(float64(i) / 2)
@@ -259,36 +236,42 @@ func runRestartScript(t *testing.T, nlogs int, script []byte) {
 			err = s.eng.Truncate()
 		case 6:
 			err = s.eng.Flush()
+		case 7:
+			if s.regs[i] != nil {
+				s.unmap(i)
+			}
+			s.shifted[i] = !s.shifted[i]
+			s.mapRegion(i)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op%8 >= 3 {
-			s.drainAll()
+		if op%9 >= 3 {
+			s.drain()
 		}
 		s.check("between the crashes")
 	}
 	s.crash()
 	// Close applies what is left; then the segments hold the model, the
-	// one never mapped again included.
+	// region never mapped again included.
 	eng := s.eng
 	s.eng = nil
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, reg := range fuzzRegions {
-		seg, err := segment.Open(s.segs[reg.seg])
+	for i, path := range s.segs {
+		seg, err := segment.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]byte, reg.len)
-		err = seg.ReadAt(got, reg.off)
+		got := make([]byte, len(s.durable[i]))
+		err = seg.ReadAt(got, 0)
 		seg.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, s.durable[i]) {
-			t.Fatalf("after Close: segment of region %d differs from the model", i)
+			t.Fatalf("after Close: segment %d differs from the model", i+1)
 		}
 	}
 }
@@ -296,19 +279,18 @@ func runRestartScript(t *testing.T, nlogs int, script []byte) {
 // FuzzRestart: a restart's redo is the run's first truncation epoch, laid
 // over the segment image by Map and written by whatever first writes a page
 // or moves the head.  A script of flush and no-flush commits, a crash, then
-// Maps, Unmaps, commits and every kind of truncation, and a second crash,
-// must leave every mapped region equal to the model after each reopen; a
-// Close then must leave every segment so, the one never mapped after the
-// first crash included.  With two logs, prepares the first restart decides
-// — one discarded, one confirmed by a mark on the other log only — stay
-// decided so at the second.  The seed corpus is 250 scripts, 500 crashes.
+// Maps, Unmaps, remaps one page further on, commits and every kind of
+// truncation, and a second crash, must leave every mapped region equal to
+// the model after each reopen; a Close then must leave every segment so.  A
+// remap logs the page the two ranges share under a second region at another
+// page offset, so the records of one page come from two regions in one run
+// and must still apply in log order.  The seed corpus is 250 scripts, 500
+// crashes.
 func FuzzRestart(f *testing.F) {
 	for i := 0; i < 250; i++ {
 		script := make([]byte, 160)
 		rand.New(rand.NewSource(int64(i))).Read(script)
-		f.Add(uint8(i%2), script)
+		f.Add(script)
 	}
-	f.Fuzz(func(t *testing.T, logs uint8, script []byte) {
-		runRestartScript(t, 1+int(logs%2), script)
-	})
+	f.Fuzz(runRestartScript)
 }

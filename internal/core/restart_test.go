@@ -312,11 +312,11 @@ func TestRestartCheckpointBelowHead(t *testing.T) {
 	if err := v.eng.TruncateIncremental(0.01); err != nil {
 		t.Fatal(err)
 	}
-	lg := v.eng.shards[0].log
+	lg := v.eng.log
 	_, head := lg.Head()
-	if stable := v.eng.shards[0].lastCkptStable; stable >= head || head > v.eng.shards[0].lastCkptSeq {
+	if stable := v.eng.lastCkptStable; stable >= head || head > v.eng.lastCkptSeq {
 		t.Fatalf("head at seq %d, stable LSN %d, checkpoint record %d: not the image this test is about",
-			head, stable, v.eng.shards[0].lastCkptSeq)
+			head, stable, v.eng.lastCkptSeq)
 	}
 
 	v.reopen(Options{})

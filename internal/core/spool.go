@@ -11,7 +11,7 @@ import (
 
 // spooled is a committed no-flush transaction awaiting its log write.
 // Everything about it, and about the index it is filed in, is guarded by
-// its shard's pipe.mu.
+// pipe.mu.
 type spooled struct {
 	next    *spooled // the next entry filed in the same index bucket
 	witness segSpan  // the range the entry is filed under
@@ -92,8 +92,7 @@ func (p *pipeline) subsumedPipeLocked(old *spooled, cover []segSpan) bool {
 	return true
 }
 
-// spoolPipeLocked adds a committed no-flush transaction to the shard's
-// spool, after applying the inter-transaction optimization (paper §5.2): an
+// spoolPipeLocked adds a committed no-flush transaction to the spool, after applying the inter-transaction optimization (paper §5.2): an
 // earlier unflushed transaction whose modifications sp's subsume is
 // discarded.  The cost is that of sp's own ranges, whatever the spool
 // holds, because the spool is indexed (DESIGN.md §12).  Each live entry is
@@ -104,9 +103,9 @@ func (p *pipeline) subsumedPipeLocked(old *spooled, cover []segSpan) bool {
 // whose witness is indeed covered.  The witness is the range whose bucket
 // commits have visited least: what every transaction writes (a balance, a
 // counter) is a poor witness, one that every commit would have to look at.
-// Caller holds sh.pipe.mu and the locks of sp's regions.
-func (e *Engine) spoolPipeLocked(sh *shard, sp *spooled) {
-	p := &sh.pipe
+// Caller holds e.pipe.mu and the locks of sp's regions.
+func (e *Engine) spoolPipeLocked(sp *spooled) {
+	p := &e.pipe
 	var buf [8]segSpan
 	cover := coverOf(buf[:0], sp.ranges)
 	for _, c := range cover {
@@ -124,7 +123,7 @@ func (e *Engine) spoolPipeLocked(sh *shard, sp *spooled) {
 						continue
 					}
 					e.stats.InterSavedBytes.Add(uint64(old.bytes))
-					e.retireSpooledPipeLocked(sh, old, nil)
+					e.retireSpooledPipeLocked(old, nil)
 				}
 				*link = old.next
 			}
@@ -154,9 +153,9 @@ func (e *Engine) spoolPipeLocked(sh *shard, sp *spooled) {
 // subsumed (ent nil) — releasing its page references and its payload.  The
 // entry keeps its slot in p.spool, dead, until a drain passes it: the
 // slice's order is the log's order.  A logged entry's pages join the
-// truncation queue at its record.  Caller holds sh.pipe.mu; the regions
+// truncation queue at its record.  Caller holds e.pipe.mu; the regions
 // slice is readable under it (see Engine.regions).
-func (e *Engine) retireSpooledPipeLocked(sh *shard, sp *spooled, ent *wal.Entry) {
+func (e *Engine) retireSpooledPipeLocked(sp *spooled, ent *wal.Entry) {
 	for _, id := range sp.pages {
 		// Unmap flushes the spool before it clears the region's slot, so the
 		// region is still there — but guard against stale slots anyway.
@@ -165,20 +164,20 @@ func (e *Engine) retireSpooledPipeLocked(sh *shard, sp *spooled, ent *wal.Entry)
 		}
 		e.regions[id.Region].spoolRefs[id.Page]--
 		if ent != nil {
-			e.enqueuePagePipeLocked(sh, id, ent.Pos, ent.Seq)
+			e.enqueuePagePipeLocked(id, ent.Pos, ent.Seq)
 		}
 	}
-	sh.pipe.spoolBytes -= sp.bytes
+	e.pipe.spoolBytes -= sp.bytes
 	sp.dead, sp.ranges, sp.pages = true, nil, nil
 }
 
-// drainSpoolPipeLocked appends every transaction spooled on the shard to
-// its log (without forcing) — one device write for the lot, short of a wrap
+// drainSpoolPipeLocked appends every spooled transaction to the log
+// (without forcing) — one device write for the lot, short of a wrap
 // or a very large spool — and enqueues their pages.  On an error the
 // entries that did reach the log are gone from the spool and p.spool[0] is
-// the first that did not.  Caller holds sh.pipe.mu.
-func (e *Engine) drainSpoolPipeLocked(sh *shard) error {
-	p := &sh.pipe
+// the first that did not.  Caller holds e.pipe.mu.
+func (e *Engine) drainSpoolPipeLocked() error {
+	p := &e.pipe
 	if len(p.spool) == 0 {
 		return nil
 	}
@@ -190,14 +189,14 @@ func (e *Engine) drainSpoolPipeLocked(sh *shard) error {
 	}
 	logged := 0
 	err := e.retryIO(func() error {
-		n, err := sh.log.AppendBatch(ents[logged:])
+		n, err := e.log.AppendBatch(ents[logged:])
 		logged += n
 		return err
 	})
 	k := 0
 	for i := 0; i < logged; k++ {
 		if sp := p.spool[k]; !sp.dead {
-			e.retireSpooledPipeLocked(sh, sp, &ents[i])
+			e.retireSpooledPipeLocked(sp, &ents[i])
 			i++
 		}
 	}

@@ -327,7 +327,6 @@ func TestSpoolPageRefs(t *testing.T) {
 		t.Fatalf("InterSavedBytes %d, want %d", got, rangeEncodedLen(7))
 	}
 
-	sh := v.eng.shards[0]
 	if err := v.eng.claimTruncation(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +335,9 @@ func TestSpoolPageRefs(t *testing.T) {
 	// before it writes anything, then writes both pages, and the stable LSN
 	// is the next append's — the flush commit and the three live spool entries
 	// are all reflected.
-	pages, _, stable, err := v.eng.cleanShard(sh, cleanEverything, &v.eng.stats.CheckpointPages)
+	pages, _, stable, err := v.eng.clean(cleanEverything, &v.eng.stats.CheckpointPages)
 	v.eng.releaseTruncation()
-	if _, next := sh.log.Tail(); err != nil || pages != 2 || stable != next || stable != 5 || v.eng.Stats().Flushes != 1 {
+	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || stable != next || stable != 5 || v.eng.Stats().Flushes != 1 {
 		t.Fatalf("cleaner wrote %d page(s), stable %d, %v, %d flush(es); want 2, 5, nil, 1", pages, stable, err, v.eng.Stats().Flushes)
 	}
 	// The cleaner drained the spool, so the epoch below gets its state made
@@ -352,7 +351,7 @@ func TestSpoolPageRefs(t *testing.T) {
 	// An inline epoch truncation leaves the spool alone.  It applies the
 	// flush commit and drops page 0 from the queue — dirty, unqueued, but
 	// spooled: the dirty bit must stay.
-	err = v.eng.epochShard(sh)
+	err = v.eng.epoch()
 	v.eng.releaseTruncation()
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +390,7 @@ func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	if err := v.eng.claimTruncation(); err != nil {
 		t.Fatal(err)
 	}
-	pages, _, _, err := v.eng.cleanShard(v.eng.shards[0], 0, &v.eng.stats.IncrSteps)
+	pages, _, _, err := v.eng.clean(0, &v.eng.stats.IncrSteps)
 	v.eng.releaseTruncation()
 	if err != nil || pages != 1 {
 		t.Fatal(pages, err)
@@ -469,11 +468,10 @@ func TestSpoolGaugeSurvivesFlush(t *testing.T) {
 
 // TestTxBookkeepingTraps pins behaviour the slice-based bookkeeping must
 // keep: regions touched in any order are locked and logged in index order,
-// more regions than a Tx holds inline work, a cross-shard prepare carries its
-// own shard's ranges only, and a finished Tx stays finished.
+// more regions than a Tx holds inline work, and a finished Tx stays
+// finished.
 func TestTxBookkeepingTraps(t *testing.T) {
-	opts := Options{LogShards: 2, ShardOf: func(_ uint64, off int64) int { return int(off / pageBytes(1) % 2) }, TruncateThreshold: -1}
-	v := newEnv(t, 1<<18, pageBytes(8), opts)
+	v := newEnv(t, 1<<18, pageBytes(8), Options{TruncateThreshold: -1})
 	var regs []*Region
 	for i := 0; i < 6; i++ {
 		r, err := v.eng.Map(v.segPath, pageBytes(i), pageBytes(1))
@@ -496,26 +494,25 @@ func TestTxBookkeepingTraps(t *testing.T) {
 	if len(tx.regions) != 6 || regs[0].nTx != 1 {
 		t.Fatalf("%d regions, nTx %d; want 6 and 1", len(tx.regions), regs[0].nTx)
 	}
-	if err := tx.Commit(NoFlush); err != nil { // upgraded: it spans both shards
+	if err := tx.Commit(Flush); err != nil {
 		t.Fatal(err)
 	}
-	for k, sh := range v.eng.shards {
-		var offs []uint64
-		err := sh.log.ScanForward(func(rec *wal.Record) error {
-			if rec.Type == wal.RecPrepare {
-				for _, rg := range rec.Ranges {
-					offs = append(offs, rg.Off)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	var offs []uint64
+	err := v.eng.log.ScanForward(func(rec *wal.Record) error {
+		for _, rg := range rec.Ranges {
+			offs = append(offs, rg.Off)
 		}
-		want := []uint64{uint64(pageBytes(k) + int64(k)), uint64(pageBytes(k+2) + int64(k+2)), uint64(pageBytes(k+4) + int64(k+4))}
-		if !reflect.DeepEqual(offs, want) {
-			t.Fatalf("shard %d's prepare carries ranges at %v, want %v", k, offs, want)
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for i := 0; i < 6; i++ {
+		want = append(want, uint64(pageBytes(i)+int64(i)))
+	}
+	if !reflect.DeepEqual(offs, want) {
+		t.Fatalf("the record carries ranges at %v, want %v", offs, want)
 	}
 	for _, r := range regs {
 		if r.nTx != 0 || r.pvec.Refs(0) != 0 {

@@ -353,7 +353,7 @@ func TestHeadNeverPassesQueuedPage(t *testing.T) {
 			}
 		}(w)
 	}
-	sh := v.eng.shards[0]
+	e := v.eng
 	// A truncation that meets a pinned page waits out its grace period, so
 	// the rounds are bounded by time as well as by count.
 	deadline := time.Now().Add(time.Second)
@@ -368,10 +368,10 @@ func TestHeadNeverPassesQueuedPage(t *testing.T) {
 			t.Error(err)
 			break
 		}
-		sh.pipe.mu.Lock()
-		d, queued := sh.pipe.queue.First()
-		_, headSeq := sh.log.Head()
-		sh.pipe.mu.Unlock()
+		e.pipe.mu.Lock()
+		d, queued := e.pipe.queue.First()
+		_, headSeq := e.log.Head()
+		e.pipe.mu.Unlock()
 		if queued && d.Seq < headSeq {
 			t.Errorf("round %d: page %v is queued at seq %d, behind the head at seq %d", i, d.ID, d.Seq, headSeq)
 		}
@@ -507,7 +507,7 @@ func TestCleanerForcesDrainedRecords(t *testing.T) {
 			return
 		}
 		var pages atomic.Uint64
-		_, _, _, err := eng.cleanShard(eng.shards[0], cleanEverything, &pages)
+		_, _, _, err := eng.clean(cleanEverything, &pages)
 		eng.releaseTruncation()
 		cleaned <- err
 	}()

@@ -16,26 +16,20 @@ import (
 )
 
 // Flush blocks until all committed no-flush transactions have been forced
-// to the log (paper §4.2 flush), on every shard.
+// to the log (paper §4.2 flush).
 func (e *Engine) Flush() error {
 	if err := e.check(); err != nil {
 		return err
 	}
-	for _, sh := range e.shards {
-		if err := e.flushSpool(sh, false); err != nil {
-			return e.maybePoison(err)
-		}
-	}
-	return nil
+	return e.maybePoison(e.flushSpool(false))
 }
 
-// flushSpool drains one shard's spool into its log and forces it.
-// claimed says whether the caller already holds the truncation slot, which
+// flushSpool drains the spool into the log and forces it.  claimed says whether the caller already holds the truncation slot, which
 // decides how a full log is handled (retryLogFull).  The force runs with no
 // lock held.
-func (e *Engine) flushSpool(sh *shard, claimed bool) error {
+func (e *Engine) flushSpool(claimed bool) error {
 	t0 := time.Now()
-	p := &sh.pipe
+	p := &e.pipe
 	var drained int64
 	first := true
 	for attempt := 0; ; attempt++ {
@@ -44,7 +38,7 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 			drained = p.spoolBytes
 			first = false
 		}
-		err := e.drainSpoolPipeLocked(sh)
+		err := e.drainSpoolPipeLocked()
 		var need int64
 		if err != nil && len(p.spool) > 0 {
 			need = wal.EncodedLen(p.spool[0].ranges)
@@ -53,11 +47,11 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 		if err == nil {
 			break
 		}
-		if err = e.retryLogFull(sh, err, attempt, need, claimed, " while flushing the spool"); err != nil {
+		if err = e.retryLogFull(err, attempt, need, claimed, " while flushing the spool"); err != nil {
 			return err
 		}
 	}
-	if err := e.retryIO(sh.log.Force); err != nil {
+	if err := e.retryIO(e.log.Force); err != nil {
 		return err
 	}
 	e.stats.Flushes.Add(1)
@@ -66,45 +60,44 @@ func (e *Engine) flushSpool(sh *shard, claimed bool) error {
 	return nil
 }
 
-// retryLogFull is the one policy for an append that failed on shard sh: it
-// returns nil once there is room and the caller should try again, otherwise
-// the error to give up with.  Only ErrLogFull is retried, three times, each
-// after an epoch truncation of the shard; the give-up error says why, so the
+// retryLogFull is the one policy for an append that failed: it returns nil
+// once there is room and the caller should try again, otherwise the error
+// to give up with.  Only ErrLogFull is retried, three times, each after an
+// epoch truncation; the give-up error says why, so the
 // caller can tell "log too small for this record" (need bytes) from a log
 // that is merely busy.  A caller that does not hold the truncation slot
 // (claimed false) claims it for the truncation — which also waits out any
 // truncation already in flight, after which the space it freed may already
 // suffice; one that does truncates inline, since waiting for the slot it
 // owns would deadlock.
-func (e *Engine) retryLogFull(sh *shard, err error, attempt int, need int64, claimed bool, doing string) error {
+func (e *Engine) retryLogFull(err error, attempt int, need int64, claimed bool, doing string) error {
 	if !errors.Is(err, wal.ErrLogFull) {
 		return err
 	}
 	if attempt >= 3 {
 		return fmt.Errorf(
-			"rvm: log full on shard %d after %d inline truncations%s (record needs %d bytes, log area %d bytes, %d live): %w",
-			sh.idx, attempt, doing, need, sh.log.AreaSize(), sh.log.Used(), err)
+			"rvm: log full after %d inline truncations%s (record needs %d bytes, log area %d bytes, %d live): %w",
+			attempt, doing, need, e.log.AreaSize(), e.log.Used(), err)
 	}
 	if !claimed {
 		if err := e.claimTruncation(); err != nil {
 			return err
 		}
 		defer e.releaseTruncation()
-		if sh.log.Fits(need) {
+		if e.log.Fits(need) {
 			return nil
 		}
 	}
 	// The spool is intentionally not drained — there may be no room for it;
 	// it stays in memory and flows into the next epoch.
-	return e.epochShard(sh)
+	return e.epoch()
 }
 
-// Truncate blocks until all committed changes in the write-ahead logs
-// have been reflected to the external data segments (paper §4.2
-// truncate).  A full reflection is exactly an epoch truncation of every
-// shard whose epoch is that shard's whole live log.  Each shard's epoch
-// (its live log at collection time) is applied to the segments while
-// forward processing continues; commits only stall on their own shard's
+// Truncate blocks until all committed changes in the write-ahead log have
+// been reflected to the external data segments (paper §4.2 truncate).  A
+// full reflection is exactly an epoch truncation whose epoch is the whole
+// live log.  The epoch (the live log at collection time) is applied to the
+// segments while forward processing continues; commits only stall on the
 // pipeline lock during collection and completion (paper §5.1.2, Figure 6).
 // Callers must hold no engine lock.
 func (e *Engine) Truncate() error {
@@ -120,41 +113,36 @@ func (e *Engine) Truncate() error {
 // epochAllClaimed is Truncate's body, for callers that already hold
 // the truncation claim (Close).
 func (e *Engine) epochAllClaimed() error {
-	for _, sh := range e.shards {
-		// Spooled commits become log records now so the epoch covers them.
-		if err := e.flushSpool(sh, true); err != nil {
-			return e.maybePoison(err)
-		}
-		if err := e.epochShard(sh); err != nil {
-			return err
-		}
+	// Spooled commits become log records now so the epoch covers them.
+	if err := e.flushSpool(true); err != nil {
+		return e.maybePoison(err)
 	}
-	return nil
+	return e.epoch()
 }
 
-// epochShard runs one shard's epoch truncation — the paper's log-replay
-// fallback — under the caller's truncation claim.  The spool is not touched:
+// epoch runs an epoch truncation — the paper's log-replay fallback — under
+// the caller's truncation claim.  The spool is not touched:
 // callers that want it in the epoch flush it first.  The leading force (a
 // no-op on a clean log) makes every record the epoch will contain durable
 // before any of it reaches a segment (the no-undo/redo invariant).
-func (e *Engine) epochShard(sh *shard) error {
+func (e *Engine) epoch() error {
 	t0 := time.Now()
 	fail := func(err error) error {
 		// The head was not advanced, so the log still covers everything
 		// the segments may have partially absorbed; recovery stays
 		// correct.  The engine, however, can no longer trust the device.
-		sh.pipe.mu.Lock()
-		sh.pipe.epochEndSeq = 0
-		sh.pipe.mu.Unlock()
+		e.pipe.mu.Lock()
+		e.pipe.epochEndSeq = 0
+		e.pipe.mu.Unlock()
 		return e.maybePoison(err)
 	}
 	if err := e.applyPending(); err != nil {
 		return fail(err)
 	}
-	if err := e.retryIO(sh.log.Force); err != nil {
+	if err := e.retryIO(e.log.Force); err != nil {
 		return fail(err)
 	}
-	ep, err := e.collectEpochPipe(sh)
+	ep, err := e.collectEpochPipe()
 	if err != nil {
 		return fail(err)
 	}
@@ -165,7 +153,7 @@ func (e *Engine) epochShard(sh *shard) error {
 		return fail(err)
 	}
 	applied := time.Since(applyT)
-	e.completeEpochPipe(sh, ep.EndSeq())
+	e.completeEpochPipe(ep.EndSeq())
 	e.stats.EpochTruncs.Add(1)
 	e.met.ObserveTruncPause((time.Since(t0) - applied).Nanoseconds())
 	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, uint64(ep.Records()), 0)
@@ -176,9 +164,9 @@ func (e *Engine) epochShard(sh *shard) error {
 // first truncation epoch.  Every claim holder that writes a page from memory
 // or moves a head or a stable LSN calls it first: applied later, the redo
 // would write older bytes over such a page, and a head moved first would drop
-// records whose bytes are in no segment yet.  Nothing queued or in doubt
-// predates the redo, so there is nothing to reconcile.  Caller holds the
-// truncation claim.
+// records whose bytes are in no segment yet.  Nothing queued predates the
+// redo, so there is nothing to reconcile.  Caller holds the truncation
+// claim.
 func (e *Engine) applyPending() error {
 	if e.pending == nil {
 		return nil
@@ -192,46 +180,19 @@ func (e *Engine) applyPending() error {
 	return nil
 }
 
-// epochBoundPipeLocked computes the highest end sequence an epoch on this
-// shard may use: the given log tail, lowered to a fixpoint so that no
-// in-doubt prepare is separated from its commit mark.  An entry whose
-// outcome is undecided (cmtSeq == 0), or decided at or beyond the
-// current bound, forces the bound down to its prepare — and that move
-// can expose another entry's mark, hence the fixpoint.  Without the
-// bound, an epoch could contain P(T1) but not C(T1) (for example with
-// another transaction's in-doubt prepare between them), and replaying or
-// discarding P(T1) alone would corrupt an acknowledged commit.  Caller
-// holds sh.pipe.mu.
-func epochBoundPipeLocked(p *pipeline, tailSeq uint64) uint64 {
-	end := tailSeq
-	for changed := true; changed; {
-		changed = false
-		for _, d := range p.inDoubt {
-			if (d.cmtSeq == 0 || d.cmtSeq >= end) && d.prepSeq < end {
-				end = d.prepSeq
-				changed = true
-			}
-		}
-	}
-	return end
-}
-
-// collectEpochPipe snapshots one shard's live log (bounded so no in-doubt
-// cross-shard prepare is split from its commit mark) as a truncation
-// epoch and publishes its end sequence, all under the shard's pipeline
-// lock: any commit appending after the collection then sees epochEndSeq
-// set and promotes re-modified pages to their new (surviving) log
-// reference.  Records can append unforced between the caller's force and
-// the collection, so the epoch's tail is forced before it may be applied.
-func (e *Engine) collectEpochPipe(sh *shard) (*recovery.Epoch, error) {
-	p := &sh.pipe
+// collectEpochPipe snapshots the live log as a truncation epoch and
+// publishes its end sequence, both under the pipeline lock: any commit
+// appending after the collection then sees epochEndSeq set and promotes
+// re-modified pages to their new (surviving) log reference.  Records can
+// append unforced between the caller's force and the collection, so the
+// epoch's tail is forced before it may be applied.
+func (e *Engine) collectEpochPipe() (*recovery.Epoch, error) {
+	p := &e.pipe
 	p.mu.Lock()
-	_, tailSeq := sh.log.Tail()
-	bound := epochBoundPipeLocked(p, tailSeq)
 	var ep *recovery.Epoch
 	err := e.retryIO(func() error {
 		var err error
-		ep, err = recovery.CollectEpochBounded(sh.log, bound)
+		ep, err = recovery.CollectEpoch(e.log)
 		return err
 	})
 	if err == nil {
@@ -241,36 +202,25 @@ func (e *Engine) collectEpochPipe(sh *shard) (*recovery.Epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if end := ep.EndSeq(); end > 0 && sh.log.ForcedThrough() < end-1 {
-		if ferr := e.retryIO(sh.log.Force); ferr != nil {
+	if end := ep.EndSeq(); end > 0 && e.log.ForcedThrough() < end-1 {
+		if ferr := e.retryIO(e.log.Force); ferr != nil {
 			return nil, ferr
 		}
 	}
 	return ep, nil
 }
 
-// completeEpochPipe drops queue descriptors the epoch made obsolete,
+// completeEpochPipe drops queue descriptors the epoch made obsolete and
 // clears dirty bits for pages whose committed changes are now fully in
-// their segments, and retires in-doubt entries whose commit mark the
-// epoch consumed.  Callers hold the truncation claim (so the regions
-// slice and mapped-state are stable); the queue/spool/dirty
-// reconciliation runs under the shard's pipeline lock so it cannot
-// interleave with a commit's enqueue.
-func (e *Engine) completeEpochPipe(sh *shard, endSeq uint64) {
-	p := &sh.pipe
+// their segments.  Callers hold the truncation claim (so the regions slice
+// and mapped-state are stable); the queue/spool/dirty reconciliation runs
+// under the pipeline lock so it cannot interleave with a commit's enqueue.
+func (e *Engine) completeEpochPipe(endSeq uint64) {
+	p := &e.pipe
 	p.mu.Lock()
 	p.queue.DropOlderThan(endSeq)
-	for tid, d := range p.inDoubt {
-		// Both the prepare and its mark are behind the new head; the
-		// entry no longer bounds anything.
-		if d.cmtSeq != 0 && d.cmtSeq < endSeq {
-			delete(p.inDoubt, tid)
-		}
-	}
 	for _, r := range e.regions {
-		if r == nil || r.sh != sh {
-			// Another shard's epoch says nothing about this region's
-			// pages; its own epochs reconcile them.
+		if r == nil {
 			continue
 		}
 		for pg := 0; pg < r.pvec.NumPages(); pg++ {
@@ -306,11 +256,11 @@ const (
 	blockedHeadPace  = 200 * time.Microsecond
 )
 
-// cleanEverything is the cleanShard target no log usage satisfies.
+// cleanEverything is the clean target no log usage satisfies.
 const cleanEverything = -1
 
-// cleanShard is the page cleaner (paper Figure 7): it writes the pages of
-// the shard's FIFO queue to their segments, oldest log reference first,
+// clean is the page cleaner (paper Figure 7): it writes the pages of the
+// FIFO queue to their segments, oldest log reference first,
 // until the live log less what a head move would free is at most targetUsed
 // bytes, or the queue is drained, or its first page stays blocked.  It
 // counts each page on the caller's counter as it goes and returns the pages
@@ -328,17 +278,11 @@ const cleanEverything = -1
 // write per batch instead of one per page, with the same guarantee (a page
 // is durably in its segment before the head passes its first log
 // reference).
-//
-// In-doubt prepares need no special casing here: a cross-shard
-// transaction holds its pages' uncommitted reference counts until the
-// commit completes, so the queue blocks on them exactly as it does for a
-// single-shard commit in flight, and once the counts drop the pages are
-// committed and safe to write.
-func (e *Engine) cleanShard(sh *shard, targetUsed int64, count *atomic.Uint64) (pages uint64, pos int64, seq uint64, err error) {
+func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, pos int64, seq uint64, err error) {
 	if err := e.applyPending(); err != nil {
 		return 0, 0, 0, err
 	}
-	p := &sh.pipe
+	p := &e.pipe
 	wrote := make(map[*segment.Segment]bool)
 	deadline := time.Now().Add(blockedHeadGrace)
 	for {
@@ -351,10 +295,10 @@ func (e *Engine) cleanShard(sh *shard, targetUsed int64, count *atomic.Uint64) (
 			// read while still holding the pipeline lock — appends hold it
 			// too, so no commit can slip a record (and its queue entries)
 			// between the empty-queue observation and this read.
-			pos, seq = sh.log.Tail()
+			pos, seq = e.log.Tail()
 		}
 		p.mu.Unlock()
-		if !ok || sh.log.Used()-e.reclaimableTo(sh, pos) <= targetUsed {
+		if !ok || e.log.Used()-e.reclaimableTo(pos) <= targetUsed {
 			break
 		}
 		r := e.regions[d.ID.Region] // stable under the truncation claim
@@ -401,20 +345,20 @@ func (e *Engine) cleanShard(sh *shard, targetUsed int64, count *atomic.Uint64) (
 				// spooled bytes into log records (legal: the caller holds
 				// the truncation claim and no locks are held here) so the
 				// page becomes writable and the walk continues.
-				if err = e.flushSpool(sh, true); err != nil {
+				if err = e.flushSpool(true); err != nil {
 					return pages, 0, 0, err
 				}
 			}
 			time.Sleep(blockedHeadPace)
 			continue
 		}
-		if d.Last > sh.log.ForcedThrough() {
+		if d.Last > e.log.ForcedThrough() {
 			// A flush commit drained no-flush records touching this page and
 			// released its locks before its force; the page must not reach its
 			// segment ahead of them (write-ahead rule).  Forcing beats waiting
 			// for that force: the walk goes on with all appended so far durable.
 			r.mu.Unlock()
-			if err = e.retryIO(sh.log.Force); err != nil {
+			if err = e.retryIO(e.log.Force); err != nil {
 				return pages, 0, 0, err
 			}
 			continue
@@ -460,19 +404,19 @@ func (e *Engine) writePageLocked(r *Region, page int64) error {
 }
 
 // reclaimableTo returns the bytes a head move to pos, the position of a
-// live record, would free on the shard.
-func (e *Engine) reclaimableTo(sh *shard, pos int64) int64 {
-	hp, _ := sh.log.Head()
+// live record, would free.
+func (e *Engine) reclaimableTo(pos int64) int64 {
+	hp, _ := e.log.Head()
 	freed := pos - hp
 	if freed < 0 {
-		freed += sh.log.AreaSize()
+		freed += e.log.AreaSize()
 	}
 	return freed
 }
 
 // TruncateIncremental runs incremental truncation down to targetFraction
-// of each shard's log size, reverting to an epoch truncation if any shard
-// blocks while its log remains above the fraction.  Exposed for tests,
+// of the log size, reverting to an epoch truncation if it blocks while the
+// log remains above the fraction.  Exposed for tests,
 // tools, and benchmarks; background truncation uses the same path.
 func (e *Engine) TruncateIncremental(targetFraction float64) error {
 	// Like Commit, the operation span starts at the call so traces show
@@ -484,34 +428,7 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 		return err
 	}
 	pause := time.Now()
-	var pages uint64
-	done := true
-	var err error
-	for _, sh := range e.shards {
-		// The spool flush runs even on a shard already below target:
-		// truncation's contract includes making spooled no-flush commits
-		// durable.
-		if err = e.flushSpool(sh, true); err != nil {
-			break
-		}
-		target := int64(targetFraction * float64(sh.log.AreaSize()))
-		if sh.log.Used() <= target {
-			continue
-		}
-		n, pos, seq, cerr := e.cleanShard(sh, target, &e.stats.IncrSteps)
-		pages += n
-		if err = cerr; err != nil {
-			break
-		}
-		// Everything before the first reference the cleaner left is durably
-		// in the segments: that is where the head goes.
-		if hp, hs := sh.log.Head(); hp != pos || hs != seq {
-			if err = e.retryIO(func() error { return sh.log.SetHead(pos, seq) }); err != nil {
-				break
-			}
-		}
-		done = done && sh.log.Used() <= target
-	}
+	pages, done, err := e.incrementalClaimed(targetFraction)
 	err = e.maybePoison(err)
 	e.met.ObserveTruncPause(time.Since(pause).Nanoseconds())
 	e.tr.SpanSince(obs.EvTruncPause, pause, 0, pages, 0)
@@ -529,6 +446,32 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 	return err
 }
 
+// incrementalClaimed is TruncateIncremental's body under the truncation
+// claim.  done reports whether the log is down to the target.
+func (e *Engine) incrementalClaimed(targetFraction float64) (pages uint64, done bool, err error) {
+	// The spool flush runs even on a log already below target: truncation's
+	// contract includes making spooled no-flush commits durable.
+	if err := e.flushSpool(true); err != nil {
+		return 0, true, err
+	}
+	target := int64(targetFraction * float64(e.log.AreaSize()))
+	if e.log.Used() <= target {
+		return 0, true, nil
+	}
+	pages, pos, seq, err := e.clean(target, &e.stats.IncrSteps)
+	if err != nil {
+		return pages, true, err
+	}
+	// Everything before the first reference the cleaner left is durably in
+	// the segments: that is where the head goes.
+	if hp, hs := e.log.Head(); hp != pos || hs != seq {
+		if err := e.retryIO(func() error { return e.log.SetHead(pos, seq) }); err != nil {
+			return pages, true, err
+		}
+	}
+	return pages, e.log.Used() <= target, nil
+}
+
 // shouldAutoTruncate reports whether a commit should kick off a background
 // truncation.  Lock-free: all inputs are atomics.
 func (e *Engine) shouldAutoTruncate() bool {
@@ -536,12 +479,7 @@ func (e *Engine) shouldAutoTruncate() bool {
 	if thr <= 0 || e.truncating.Load() || e.closed.Load() {
 		return false
 	}
-	for _, sh := range e.shards {
-		if float64(sh.log.Used()) > thr*float64(sh.log.AreaSize()) {
-			return true
-		}
-	}
-	return false
+	return float64(e.log.Used()) > thr*float64(e.log.AreaSize())
 }
 
 // autoTruncate is the background truncation started after a commit crosses

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/rvm-go/rvm/internal/mapping"
@@ -261,23 +260,6 @@ func (t *Tx) Modify(r *Region, off int64, data []byte) error {
 	return nil
 }
 
-// txShards returns the distinct WAL shards the transaction's regions log
-// through, in ascending shard order — the order every cross-shard phase
-// visits them in.  A one-shard engine has only one answer.
-func (t *Tx) txShards() []*shard {
-	if len(t.eng.shards) == 1 {
-		return t.eng.shards
-	}
-	var shs []*shard
-	for i := range t.regions {
-		if sh := t.regions[i].region.sh; !slices.Contains(shs, sh) {
-			shs = append(shs, sh)
-		}
-	}
-	slices.SortFunc(shs, func(a, b *shard) int { return a.idx - b.idx })
-	return shs
-}
-
 // lockRegions acquires the lock of every region the transaction touched,
 // in ascending index order (the hierarchy's rule for multi-region
 // transactions).
@@ -312,22 +294,18 @@ func (t *Tx) finish(held bool) {
 	e.active.Add(-1)
 }
 
-// buildRanges reads the current (new) values of the ranges the transaction
-// logs through shard sh — all of them, unless the commit is cross-shard —
+// buildRanges reads the current (new) values of the transaction's ranges
 // from region memory.  When copyData is true the data is duplicated into
 // one buffer (needed for spooling, where memory keeps changing after
 // commit); otherwise the ranges alias region memory, which the caller must
 // keep locked until the log consumes them.  It also returns the pages
 // behind the ranges, their log cost, and the intra-transaction savings for
 // the caller to account once the commit actually succeeds.
-func (t *Tx) buildRanges(sh *shard, copyData bool) (ranges []wal.Range, pages []pagevec.PageID, logged, saved int64) {
+func (t *Tx) buildRanges(copyData bool) (ranges []wal.Range, pages []pagevec.PageID, logged, saved int64) {
 	var nranges, npages int
 	var nbytes, naive int64
 	for i := range t.regions {
 		tr := t.regions[i]
-		if tr.region.sh != sh {
-			continue
-		}
 		nranges += len(tr.set.spans)
 		for _, sp := range tr.set.spans {
 			nbytes += sp.end - sp.off
@@ -346,9 +324,6 @@ func (t *Tx) buildRanges(sh *shard, copyData bool) (ranges []wal.Range, pages []
 	for i := range t.regions {
 		tr := t.regions[i]
 		r := tr.region
-		if r.sh != sh {
-			continue
-		}
 		for _, sp := range tr.set.spans {
 			d := r.data[sp.off:sp.end]
 			if copyData {
@@ -366,10 +341,7 @@ func (t *Tx) buildRanges(sh *shard, copyData bool) (ranges []wal.Range, pages []
 }
 
 // Commit ends the transaction, making its changes permanent per the commit
-// mode (paper §4.2 end_transaction).  A transaction whose regions span
-// several WAL shards is always durable when Commit returns, so a cross-shard
-// NoFlush commit is silently upgraded to flush semantics — spooling one
-// shard's half of an atomic commit would let a crash split it.
+// mode (paper §4.2 end_transaction).
 func (t *Tx) Commit(mode CommitMode) error {
 	if t.done {
 		return ErrTxDone
@@ -398,8 +370,7 @@ func (t *Tx) Commit(mode CommitMode) error {
 		}
 		return nil
 	}
-	shs := t.txShards()
-	lazy := mode == NoFlush && len(shs) == 1
+	lazy := mode == NoFlush
 	var flags uint8
 	if t.mode == NoRestore {
 		flags |= flagNoRestore
@@ -407,7 +378,7 @@ func (t *Tx) Commit(mode CommitMode) error {
 	if lazy {
 		flags |= flagNoFlush
 	}
-	return t.commit(shs, lazy, flags, t0)
+	return t.commit(lazy, flags, t0)
 }
 
 // phaseClock cuts a commit's timeline, from the t it is started with, into
@@ -430,105 +401,71 @@ func (c *phaseClock) lap() int64 {
 	return d.Nanoseconds()
 }
 
-// commit is the one commit path: put the transaction's records in the log
-// of every participating shard (shs, ascending), in order, then make them
-// durable (DESIGN.md §15).  It takes only the locks of the regions the
-// transaction touched plus each participant's pipeline lock for the append;
-// the forces run with no lock at all.  A commit is staged:
+// commit is the one commit path: put the transaction's record in the log,
+// in order, then make it durable (DESIGN.md §15).  It takes only the locks
+// of the regions the transaction touched plus the pipeline lock for the
+// append; the force runs with no lock at all.  A commit is staged:
 //
-//  1. Under the region locks, each shard gets its share of the ranges in
-//     one pipeline section.  A lazy commit copies them into the shard's
-//     spool and is done.  Otherwise the spool is drained ahead of it and
-//     one record is appended: the transaction record, or — with several
-//     participants — a prepare, registered in-doubt on the shard so epoch
-//     truncation never separates it from its commit mark.
-//  2. Force every participant (in parallel), holding no lock.  For a single
-//     shard this is the acknowledgement point.
-//  3. Several participants only: once all of the transaction's data is
-//     durable everywhere, every participant gets a commit mark carrying the
-//     TID, and the marks are forced.  The first durable mark is the commit
-//     point — recovery unions the marks of all shards, so one surviving
-//     mark commits the transaction everywhere and a prepare no mark
-//     confirms is discarded on every shard.
+//  1. Under the region locks, the ranges go through the pipeline in one
+//     section.  A lazy commit copies them into the spool and is done.
+//     Otherwise the spool is drained ahead of it and one record is
+//     appended.
+//  2. Force the log, holding no lock.  This is the acknowledgement point.
 //
 // Region locks are released after stage 1: per-byte redo order is still
 // exact because same-region appends are serialized by the region lock, so
-// within each shard's log sequence order equals memory write order for any
-// byte.  failCommit and appendMarks say what a failure leaves behind.  The
-// phases accumulate across ErrLogFull retries, so they partition the
-// commit's latency up to its last force.
-func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
+// sequence order equals memory write order for any byte.  The phases
+// accumulate across ErrLogFull retries, so they partition the commit's
+// latency up to its force.
+func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	e := t.eng
-	cross := len(shs) > 1
+	p := &e.pipe
 	clk := phaseClock{on: e.met != nil, t: t0}
 	var lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64
 	var saved, nbytes, spoolBytes int64
 	var led bool
-	// One log sequence number per participant: the prepares', then the
-	// marks'.  Two fit inline so the common shapes allocate nothing here.
-	var seqBuf [2]uint64
-	seqs := append(seqBuf[:0], make([]uint64, len(shs))...)
+	var seq uint64
 	for attempt := 0; ; attempt++ {
 		// Ranges are rebuilt per attempt: they alias region memory, which
 		// is only stable while the region locks are held.
 		t.lockRegions()
 		lockNs += clk.lap()
-		saved, nbytes = 0, 0
+		ranges, pages, logged, sv := t.buildRanges(lazy)
+		encodeNs += clk.lap()
+		p.mu.Lock()
+		pipeNs += clk.lap()
 		var err error
-		var full *shard
 		var need int64
-		for gi, sh := range shs {
-			ranges, pages, logged, sv := t.buildRanges(sh, lazy)
-			encodeNs += clk.lap()
-			p := &sh.pipe
-			p.mu.Lock()
-			pipeNs += clk.lap()
-			if lazy {
-				e.spoolPipeLocked(sh, &spooled{tid: t.id, flags: flags, ranges: ranges, pages: pages, bytes: logged})
-				spoolBytes, nbytes = p.spoolBytes, logged
-				t.markDirtyPipeLocked(sh, nil, 0, 0) // dirty bits only; queue entries at flush
-			} else {
-				err = e.drainSpoolPipeLocked(sh) // older commits reach the log first
-				if err != nil && len(p.spool) > 0 {
-					// It is the oldest spooled commit that found no room.
-					need = wal.EncodedLen(p.spool[0].ranges)
-				}
-				var pos, nb int64
-				var seq uint64
-				if err == nil {
-					pos, seq, nb, err = e.appendPipeLocked(sh, cross, t.id, flags, ranges)
-				}
-				if err == nil {
-					if cross {
-						// Keep the seq of the *first* prepare across ErrLogFull
-						// retries: an earlier attempt's orphaned prepare must
-						// stay inside the same truncation epoch as the final
-						// commit mark, or epoch replay would see it unpaired.
-						if p.inDoubt[t.id] == nil {
-							p.inDoubt[t.id] = &inDoubtTx{prepSeq: seq}
-						}
-					}
-					// Dirty bits and page enqueues happen in the same
-					// critical section as the append, so the truncation
-					// queue keeps log order.  The pages cannot be written
-					// out before the force completes: this transaction holds
-					// their uncommitted reference counts until finish, and
-					// epoch truncation forces the log before applying records.
-					t.markDirtyPipeLocked(sh, pages, pos, seq)
-					seqs[gi] = seq
-					nbytes += nb
-				}
+		if lazy {
+			e.spoolPipeLocked(&spooled{tid: t.id, flags: flags, ranges: ranges, pages: pages, bytes: logged})
+			spoolBytes, nbytes = p.spoolBytes, logged
+			t.markDirtyPipeLocked(nil, 0, 0) // dirty bits only; queue entries at flush
+		} else {
+			err = e.drainSpoolPipeLocked() // older commits reach the log first
+			if err != nil && len(p.spool) > 0 {
+				// It is the oldest spooled commit that found no room.
+				need = wal.EncodedLen(p.spool[0].ranges)
 			}
-			p.mu.Unlock()
-			appendNs += clk.lap()
-			if err != nil {
-				full = sh
-				if need == 0 {
-					need = wal.EncodedLen(ranges)
-				}
-				break
+			var pos int64
+			if err == nil {
+				pos, seq, nbytes, err = e.appendPipeLocked(t.id, flags, ranges)
 			}
-			saved += sv
+			if err == nil {
+				// Dirty bits and page enqueues happen in the same critical
+				// section as the append, so the truncation queue keeps log
+				// order.  The pages cannot be written out before the force
+				// completes: this transaction holds their uncommitted
+				// reference counts until finish, and epoch truncation forces
+				// the log before applying records.
+				t.markDirtyPipeLocked(pages, pos, seq)
+			}
+		}
+		p.mu.Unlock()
+		appendNs += clk.lap()
+		if err == nil {
+			saved = sv
+		} else if need == 0 {
+			need = wal.EncodedLen(ranges)
 		}
 		if lazy {
 			// The spool's page references (taken just above) now keep
@@ -541,8 +478,13 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 		if err == nil {
 			break
 		}
-		if err = e.retryLogFull(full, err, attempt, need, false, ""); err != nil {
-			return t.failCommit(shs, err)
+		if err = e.retryLogFull(err, attempt, need, false, ""); err != nil {
+			// A storage fault poisons the engine and abandons the
+			// transaction; a logical failure (log full) leaves it live for
+			// the caller to retry or abort.
+			err = e.maybePoison(err)
+			t.abandonIfPoisoned(err)
+			return err
 		}
 		appendNs += clk.lap() // making room is part of getting the record in
 	}
@@ -550,19 +492,10 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 		// A force that fails past the transient retries leaves the device
 		// state unknowable, so it has poisoned the engine rather than risk
 		// acknowledging on a log it cannot trust.
-		for round := 0; ; round++ {
-			l, ns, err := t.forceShards(shs, seqs)
-			if err != nil {
-				t.abandonIfPoisoned(err)
-				return err
-			}
-			led, fsyncNs = led || l, fsyncNs+ns
-			if !cross || round == 1 {
-				break
-			}
-			if err := t.appendMarks(shs, seqs); err != nil {
-				return err
-			}
+		var err error
+		if led, fsyncNs, err = e.force(seq); err != nil {
+			t.abandonIfPoisoned(err)
+			return err
 		}
 		forceNs = clk.lap()
 		if !e.opts.GroupCommit {
@@ -572,20 +505,14 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 		}
 		t.finish(false)
 	}
-	for _, sh := range shs {
-		sh.commits.Add(1)
-	}
 	e.stats.IntraSavedBytes.Add(uint64(saved))
-	if cross {
-		e.stats.CrossShardCommits.Add(1)
-	}
 	if lazy {
 		e.stats.NoFlushCommits.Add(1)
 		if limit := e.opts.SpoolLimit; limit > 0 && spoolBytes > limit {
-			// Implicit flush: this shard's spool is full.  Persistence stays
-			// "bounded by the period between log flushes" (§4.2) — this
-			// just bounds the period by memory as well as by time.
-			if err := e.flushSpool(shs[0], false); err != nil {
+			// Implicit flush: the spool is full.  Persistence stays "bounded
+			// by the period between log flushes" (§4.2) — this just bounds
+			// the period by memory as well as by time.
+			if err := e.flushSpool(false); err != nil {
 				return e.maybePoison(err)
 			}
 		}
@@ -603,7 +530,7 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 		} else {
 			e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
 			e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
-			e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seqs[len(seqs)-1])
+			e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seq)
 		}
 	}
 	if trigger {
@@ -612,106 +539,16 @@ func (t *Tx) commit(shs []*shard, lazy bool, flags uint8, t0 time.Time) error {
 	return nil
 }
 
-// failCommit ends a commit that failed before any commit mark existed.  A
-// storage fault poisons the engine and abandons the transaction; a logical
-// failure (log full) leaves it live for the caller to retry or abort.  A
-// cross-shard transaction's durable prepares are then orphans that can never
-// gain a mark: its in-doubt entries go, so truncation stops fencing epochs
-// on them (epoch replay and recovery both discard unconfirmed prepares).
-func (t *Tx) failCommit(shs []*shard, err error) error {
-	err = t.eng.maybePoison(err)
-	if len(shs) > 1 && !errors.Is(err, ErrPoisoned) {
-		for _, sh := range shs {
-			sh.pipe.mu.Lock()
-			delete(sh.pipe.inDoubt, t.id)
-			sh.pipe.mu.Unlock()
-		}
-	}
-	t.abandonIfPoisoned(err)
-	return err
-}
-
-// appendMarks appends the transaction's commit mark to every participant,
-// ascending, leaving each mark's seq in seqs.  Marks go on every
-// participant so each shard's log is self-contained for truncation.
-func (t *Tx) appendMarks(shs []*shard, seqs []uint64) error {
-	e := t.eng
-	for gi, sh := range shs {
-		p := &sh.pipe
-		p.mu.Lock()
-		var seq uint64
-		err := e.retryIO(func() error {
-			var aerr error
-			_, seq, _, aerr = sh.log.AppendCommitMark(t.id)
-			return aerr
-		})
-		if err == nil {
-			if d := p.inDoubt[t.id]; d != nil {
-				d.cmtSeq = seq
-			}
-			seqs[gi] = seq
-		}
-		p.mu.Unlock()
-		if err == nil {
-			continue
-		}
-		if gi == 0 {
-			return t.failCommit(shs, err) // no mark exists anywhere
-		}
-		// A mark is already in some shard's log (and may reach its device
-		// at any moment), but the rest cannot be written: the outcome is
-		// undecidable at runtime.  Fail stop; the next recovery decides it
-		// consistently from the surviving marks.
-		err = e.poison(fmt.Errorf("rvm: cross-shard commit %d: mark write failed on shard %d after %d mark(s): %w",
-			t.id, sh.idx, gi, err))
-		t.abandonIfPoisoned(err)
-		return err
-	}
-	return nil
-}
-
-// forceShards makes every shard's log durable through the given seq (one
-// per shard, parallel across shards): group-commit tickets when enabled,
-// direct forces otherwise.  It returns whether any force was self-led and
-// the summed leader fsync time; the first error wins.
-func (t *Tx) forceShards(shs []*shard, seqs []uint64) (led bool, fsyncNs int64, err error) {
-	if len(shs) == 1 {
-		return t.forceOne(shs[0], seqs[0])
-	}
-	var wg sync.WaitGroup
-	results := make([]struct {
-		led     bool
-		fsyncNs int64
-		err     error
-	}, len(shs))
-	for i := range shs {
-		wg.Add(1)
-		// By value: seqs may live on the caller's stack.
-		go func(i int, sh *shard, seq uint64) {
-			defer wg.Done()
-			results[i].led, results[i].fsyncNs, results[i].err = t.forceOne(sh, seq)
-		}(i, shs[i], seqs[i])
-	}
-	wg.Wait()
-	for _, r := range results {
-		led = led || r.led
-		fsyncNs += r.fsyncNs
-		if err == nil {
-			err = r.err
-		}
-	}
-	return led, fsyncNs, err
-}
-
-// forceOne forces one shard's log through seq, via its group-commit
-// ticket protocol when enabled.  The direct path leaves timing the fsync
-// to the caller, whose whole force wait it is.
-func (t *Tx) forceOne(sh *shard, seq uint64) (led bool, fsyncNs int64, err error) {
-	e := t.eng
+// force makes the log durable through seq: the group-commit ticket protocol
+// when enabled, a direct force otherwise.  It returns whether this
+// committer ran the force itself and the fsync time of a force it led; the
+// direct path leaves timing the fsync to the caller, whose whole force wait
+// it is.
+func (e *Engine) force(seq uint64) (led bool, fsyncNs int64, err error) {
 	if e.opts.GroupCommit {
-		return e.waitForced(sh, seq)
+		return e.waitForced(seq)
 	}
-	return true, 0, e.maybePoison(e.retryIO(sh.log.Force))
+	return true, 0, e.maybePoison(e.retryIO(e.log.Force))
 }
 
 // abandonIfPoisoned resolves a transaction whose commit just poisoned the
@@ -724,28 +561,26 @@ func (t *Tx) abandonIfPoisoned(err error) {
 	}
 }
 
-// markDirtyPipeLocked marks dirty the pages of the transaction's regions on
-// shard sh; when queue position info is supplied (flush path) the supplied
-// pages are also enqueued for incremental truncation on the shard.  Caller
-// holds sh.pipe.mu — the dirty bits are atomic, but setting them inside the
-// pipeline section keeps them consistent with the spool/queue state that
-// epoch completion reads.
-func (t *Tx) markDirtyPipeLocked(sh *shard, pages []pagevec.PageID, pos int64, seq uint64) {
+// markDirtyPipeLocked marks dirty the pages of the transaction's regions;
+// when queue position info is supplied (flush path) the supplied pages are
+// also enqueued for incremental truncation.  Caller holds e.pipe.mu — the
+// dirty bits are atomic, but setting them inside the pipeline section keeps
+// them consistent with the spool/queue state that epoch completion reads.
+func (t *Tx) markDirtyPipeLocked(pages []pagevec.PageID, pos int64, seq uint64) {
 	for i := range t.regions {
-		if r := t.regions[i].region; r.sh == sh {
-			t.regions[i].eachPage(func(p int64) { r.pvec.SetDirty(int(p)) })
-		}
+		r := t.regions[i].region
+		t.regions[i].eachPage(func(p int64) { r.pvec.SetDirty(int(p)) })
 	}
 	for _, id := range pages {
-		t.eng.enqueuePagePipeLocked(sh, id, pos, seq)
+		t.eng.enqueuePagePipeLocked(id, pos, seq)
 	}
 }
 
-// enqueuePagePipeLocked records a page's log reference in the shard's
-// FIFO queue, honouring the no-duplicates rule and the epoch-promotion
-// rule.  Caller holds sh.pipe.mu.
-func (e *Engine) enqueuePagePipeLocked(sh *shard, id pagevec.PageID, pos int64, seq uint64) {
-	p := &sh.pipe
+// enqueuePagePipeLocked records a page's log reference in the FIFO queue,
+// honouring the no-duplicates rule and the epoch-promotion rule.  Caller
+// holds e.pipe.mu.
+func (e *Engine) enqueuePagePipeLocked(id pagevec.PageID, pos int64, seq uint64) {
+	p := &e.pipe
 	if p.queue.Push(id, pos, seq) || p.epochEndSeq == 0 {
 		return // newly queued, or already queued and noting its newest reference
 	}
@@ -756,18 +591,13 @@ func (e *Engine) enqueuePagePipeLocked(sh *shard, id pagevec.PageID, pos int64, 
 	}
 }
 
-// appendPipeLocked appends the transaction's record — a prepare when the
-// commit has several participants — to the shard's log, retrying transient
-// faults.  Caller holds sh.pipe.mu, which is what serializes commit order
-// into that log.
-func (e *Engine) appendPipeLocked(sh *shard, prepare bool, tid uint64, flags uint8, ranges []wal.Range) (pos int64, seq uint64, n int64, err error) {
+// appendPipeLocked appends the transaction's record to the log, retrying
+// transient faults.  Caller holds e.pipe.mu, which is what serializes
+// commit order into the log.
+func (e *Engine) appendPipeLocked(tid uint64, flags uint8, ranges []wal.Range) (pos int64, seq uint64, n int64, err error) {
 	err = e.retryIO(func() error {
 		var aerr error
-		if prepare {
-			pos, seq, n, aerr = sh.log.AppendPrepare(tid, flags, ranges)
-		} else {
-			pos, seq, n, aerr = sh.log.Append(tid, flags, ranges)
-		}
+		pos, seq, n, aerr = e.log.Append(tid, flags, ranges)
 		return aerr
 	})
 	return pos, seq, n, err

@@ -14,95 +14,72 @@ import (
 
 // TestRedoPathsAgree replays the same randomized multi-segment logs through
 // every redo path and requires bit-identical segment images and equal
-// counts — records replayed, prepares discarded, distinct bytes applied —
-// against a byte-array model that applies the records in log order: a later
-// value wins per byte no matter how the work is divided.  The shapes are
-// the three ways a restart's scan can end up building: everything from the
-// scan itself (one log of plain records; epoch truncation — one tree per
-// segment, no workers — must agree too); from a second scan that starts at
-// a cross-shard prepare (two logs; on each an orphaned and a confirmed
-// prepare sit between plain records that touch the same bytes, and a mark
-// may be on the other shard only); from a second scan that starts at a
-// checkpoint's stable LSN (what lies below must not be replayed); and from a
-// checkpoint record whose stable LSN a truncation has since moved the head
-// past (it bounds nothing, and the second scan must not start below the
-// head).  Each at parallelism 1/2/4/8, over logs that are already open
-// (RecoverShards) and over logs a Restart opens itself, and built by the
-// scan's goroutine, by workers, and by the one and then the others; the logs
-// span several scan windows, which start small.
+// counts — records replayed, distinct bytes applied — against a byte-array
+// model that applies the records in log order: a later value wins per byte
+// no matter how the work is divided.  The shapes are the ways a restart's
+// scan can end up building: everything from the scan itself (a log of
+// plain records; epoch truncation — one tree per segment, no workers —
+// must agree too); from a second scan that starts at a checkpoint's stable
+// LSN (what lies below must not be replayed); and from a checkpoint record
+// whose stable LSN a truncation has since moved the head past (it bounds
+// nothing, and the second scan must not start below the head).  Each at
+// parallelism 1/2/4/8, over a log that is already open (RecoverParallel)
+// and over a log a Restart opens itself, and built by the scan's goroutine,
+// by workers, and by the one and then the others; the logs span several
+// scan windows, which start small.
 func TestRedoPathsAgree(t *testing.T) {
 	const segLen = 1 << 17 // 2 stripes per segment, so ranges split
 	const nsegs = 3
 	type shape struct {
-		name  string
-		nlogs int
-		// build appends to the logs and returns the sequence number from
-		// which log 0 is replayed (0: all of it) and the orphaned tids.
-		build func(rnd *rand.Rand, logs []*wal.Log, rec func(l int, typ uint8, tid uint64)) (stable uint64, orphans map[uint64]bool)
+		name string
+		// build appends to the log through rec and returns the sequence
+		// number from which it is replayed (0: all of it).
+		build func(l *wal.Log, rec func(tid uint64)) (stable uint64)
 	}
 	shapes := []shape{
-		{"scan only", 1, func(rnd *rand.Rand, logs []*wal.Log, rec func(int, uint8, uint64)) (uint64, map[uint64]bool) {
+		{"scan only", func(l *wal.Log, rec func(uint64)) uint64 {
 			for i := 0; i < 100; i++ {
-				rec(0, wal.RecTx, uint64(i+1))
+				rec(uint64(i + 1))
 			}
-			return 0, nil
+			return 0
 		}},
-		{"from a prepare", 2, func(rnd *rand.Rand, logs []*wal.Log, rec func(int, uint8, uint64)) (uint64, map[uint64]bool) {
-			orphans := map[uint64]bool{}
-			for i := 0; i < 120; i++ {
-				l, tid := i%2, uint64(i+1)
-				switch {
-				case i < 20 || i%5 != 0:
-					rec(l, wal.RecTx, tid)
-				case i%10 == 0: // confirmed, by a mark on this shard or on the other one only
-					rec(l, wal.RecPrepare, tid)
-					if _, _, _, err := logs[(l+i/10)%2].AppendCommitMark(tid); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					rec(l, wal.RecPrepare, tid)
-					orphans[tid] = true
-				}
-			}
-			return 0, orphans
-		}},
-		{"from a checkpoint", 1, func(rnd *rand.Rand, logs []*wal.Log, rec func(int, uint8, uint64)) (uint64, map[uint64]bool) {
+		{"from a checkpoint", func(l *wal.Log, rec func(uint64)) uint64 {
 			var stable uint64
 			for i := 0; i < 100; i++ {
 				if i == 40 || i == 70 {
 					// Pages still pinned hold the stable LSN a few records back.
-					_, next := logs[0].Tail()
+					_, next := l.Tail()
 					stable = next - 5
-					if _, _, err := logs[0].AppendCheckpoint(stable); err != nil {
+					if _, _, err := l.AppendCheckpoint(stable); err != nil {
 						t.Fatal(err)
 					}
 				}
-				rec(0, wal.RecTx, uint64(i+1))
+				rec(uint64(i + 1))
 			}
-			return stable, nil
+			return stable
 		}},
-		{"from a checkpoint below the head", 1, func(rnd *rand.Rand, logs []*wal.Log, rec func(int, uint8, uint64)) (uint64, map[uint64]bool) {
+		{"from a checkpoint below the head", func(l *wal.Log, rec func(uint64)) uint64 {
 			var ckpt uint64
 			for i := 0; i < 100; i++ {
 				if i == 40 {
-					_, ckpt = logs[0].Tail()
-					if _, _, err := logs[0].AppendCheckpoint(ckpt - 5); err != nil {
+					_, ckpt = l.Tail()
+					if _, _, err := l.AppendCheckpoint(ckpt - 5); err != nil {
 						t.Fatal(err)
 					}
 				}
-				rec(0, wal.RecTx, uint64(i+1))
+				rec(uint64(i + 1))
 			}
 			// A truncation frees the log up to two records short of the
 			// checkpoint record.
-			pos, seq := logs[0].Head()
-			an, err := logs[0].Scan(pos, seq, func(w *wal.Window) error { w.Release(); return nil })
+			pos, seq := l.Head()
+			an, err := l.Scan(pos, seq, func(w *wal.Window) error { w.Release(); return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := logs[0].SetHead(an.Pos(ckpt-2), ckpt-2); err != nil {
+			if err := l.SetHead(an.Pos(ckpt-2), ckpt-2); err != nil {
 				t.Fatal(err)
 			}
-			return 0, nil
+			return 0
 		}},
 	}
 	// Who builds: the scan's own goroutine all the way (these logs are far
@@ -113,40 +90,23 @@ func TestRedoPathsAgree(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/inline %d", sh.name, inline), func(t *testing.T) {
 				defer func(n int64) { inlineBytes = n }(inlineBytes)
 				inlineBytes = inline
-				for _, par := range []int{1, 2, 4, 8, -1, -2, -4, -8, 0} { // 0: epoch truncation; < 0: the Restart opens the logs
-					if par == 0 && sh.nlogs > 1 {
-						continue // an epoch is one log's
-					}
+				for _, par := range []int{1, 2, 4, 8, -1, -2, -4, -8, 0} { // 0: epoch truncation; < 0: the Restart opens the log
 					rnd := rand.New(rand.NewSource(7)) // identical log contents per run
 					f := newFixture(t, nsegs, segLen)
-					logs, paths := []*wal.Log{f.log}, []string{f.logPath}
-					for len(logs) < sh.nlogs {
-						g := newFixture(t, 0, 0)
-						logs, paths = append(logs, g.log), append(paths, g.logPath)
-					}
-					// What each log holds, for the model.
+					// What the log holds, for the model.
 					type logged struct {
-						typ uint8
-						tid uint64
 						seq uint64
 						rg  wal.Range
 					}
-					held := make([][]logged, sh.nlogs)
-					stable, orphans := sh.build(rnd, logs, func(l int, typ uint8, tid uint64) {
-						// Log l owns the segments l+1, l+1+nlogs, ...: distinct
-						// shards never log the same page.
-						seg := uint64(1 + l + sh.nlogs*rnd.Intn((nsegs-l+sh.nlogs-1)/sh.nlogs))
-						rg := wal.Range{Seg: seg, Off: uint64(rnd.Intn(segLen - 2048)), Data: make([]byte, 1+rnd.Intn(1500))}
+					var held []logged
+					stable := sh.build(f.log, func(tid uint64) {
+						rg := wal.Range{Seg: uint64(1 + rnd.Intn(nsegs)), Off: uint64(rnd.Intn(segLen - 2048)), Data: make([]byte, 1+rnd.Intn(1500))}
 						rnd.Read(rg.Data)
-						appendRec := logs[l].Append
-						if typ == wal.RecPrepare {
-							appendRec = logs[l].AppendPrepare
-						}
-						_, seq, _, err := appendRec(tid, 0, []wal.Range{rg})
+						_, seq, _, err := f.log.Append(tid, 0, []wal.Range{rg})
 						if err != nil {
 							t.Fatal(err)
 						}
-						held[l] = append(held[l], logged{typ, tid, seq, rg})
+						held = append(held, logged{seq, rg})
 					})
 					model := make([][]byte, nsegs)
 					touched := make([][]bool, nsegs)
@@ -154,20 +114,16 @@ func TestRedoPathsAgree(t *testing.T) {
 						model[i], touched[i] = make([]byte, segLen), make([]bool, segLen)
 					}
 					var want Stats
-					for l := range held {
-						_, head := logs[l].Head()
-						for _, r := range held[l] {
-							switch {
-							case r.seq < head: // truncated
-							case par != 0 && l == 0 && r.seq < stable: // an epoch replays what a checkpoint bounds away
-							case orphans[r.tid]:
-								want.DiscardedPrepares++
-							default:
-								want.Records++
-								copy(model[r.rg.Seg-1][r.rg.Off:], r.rg.Data)
-								for i := range r.rg.Data {
-									touched[r.rg.Seg-1][int(r.rg.Off)+i] = true
-								}
+					_, head := f.log.Head()
+					for _, r := range held {
+						switch {
+						case r.seq < head: // truncated
+						case par != 0 && r.seq < stable: // an epoch replays what a checkpoint bounds away
+						default:
+							want.Records++
+							copy(model[r.rg.Seg-1][r.rg.Off:], r.rg.Data)
+							for i := range r.rg.Data {
+								touched[r.rg.Seg-1][int(r.rg.Off)+i] = true
 							}
 						}
 					}
@@ -181,19 +137,18 @@ func TestRedoPathsAgree(t *testing.T) {
 
 					var st Stats
 					var err error
+					l := f.log
 					if par > 0 {
-						st, err = RecoverShards(logs, f.lookup, nil, Config{Parallelism: par})
+						st, err = RecoverParallel(l, f.lookup, nil, Config{Parallelism: par})
 					} else if par < 0 {
-						r := NewRestart(len(logs), Config{Parallelism: -par}, nil)
-						for i, path := range paths {
-							dev, err := os.OpenFile(path, os.O_RDWR, 0)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if logs[i], err = r.Open(i, dev); err != nil {
-								t.Fatalf("parallelism %d: %v", par, err)
-							}
-							t.Cleanup(func() { dev.Close() })
+						r := NewRestart(Config{Parallelism: -par}, nil)
+						dev, oerr := os.OpenFile(f.logPath, os.O_RDWR, 0)
+						if oerr != nil {
+							t.Fatal(oerr)
+						}
+						t.Cleanup(func() { dev.Close() })
+						if l, err = r.Open(dev); err != nil {
+							t.Fatalf("parallelism %d: %v", par, err)
 						}
 						st, err = r.Finish(f.lookup, nil)
 					} else {
@@ -205,14 +160,12 @@ func TestRedoPathsAgree(t *testing.T) {
 					if err != nil {
 						t.Fatalf("parallelism %d: %v", par, err)
 					}
-					if st.Records != want.Records || st.DiscardedPrepares != want.DiscardedPrepares || st.TreeBytes != want.TreeBytes {
-						t.Fatalf("parallelism %d: %d records, %d discarded prepares, %d distinct bytes; the model has %d, %d and %d",
-							par, st.Records, st.DiscardedPrepares, st.TreeBytes, want.Records, want.DiscardedPrepares, want.TreeBytes)
+					if st.Records != want.Records || st.TreeBytes != want.TreeBytes {
+						t.Fatalf("parallelism %d: %d records, %d distinct bytes; the model has %d and %d",
+							par, st.Records, st.TreeBytes, want.Records, want.TreeBytes)
 					}
-					for _, l := range logs {
-						if l.Used() != 0 {
-							t.Fatalf("parallelism %d left %d live bytes", par, l.Used())
-						}
+					if l.Used() != 0 {
+						t.Fatalf("parallelism %d left %d live bytes", par, l.Used())
 					}
 					for id := uint64(1); id <= nsegs; id++ {
 						if !bytes.Equal(f.read(t, id, 0, segLen), model[id-1]) {

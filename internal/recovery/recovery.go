@@ -18,9 +18,8 @@
 // stripe's bytes are inserted in log order into exactly one shard and
 // applied by exactly one worker, so intra-page ordering is preserved while
 // disjoint stripes build and replay concurrently.  Building from the scan
-// stops at the first record whose effect it cannot decide yet — a
-// cross-shard prepare or a checkpoint record — and a second scan from there,
-// or from the checkpoint's stable LSN, builds the rest (Restart).
+// stops at a checkpoint record, and a second scan from the checkpoint's
+// stable LSN builds the rest (Restart).
 //
 // Epoch truncation applies the same procedure to an initial portion of the
 // log while forward processing continues in the rest: records are collected
@@ -63,7 +62,7 @@ func retried(retry Retry, op func() error) error {
 // Config tunes a recovery pass.
 type Config struct {
 	// Parallelism is the number of workers building and applying redo
-	// trees, shared out among the logs.  Values below 1 mean one.
+	// trees.  Values below 1 mean one.
 	Parallelism int
 }
 
@@ -78,12 +77,7 @@ type Stats struct {
 	Segments      int    // distinct segments written
 	WritesMerged  int    // maximal intervals written (tree writes)
 	ScannedBytes  uint64 // log bytes from the stable LSN (else the head) to the tail
-	CheckpointSeq uint64 // stable seq of shard 0's bounding checkpoint (0: none)
-	// DiscardedPrepares counts cross-shard prepare records whose global
-	// commit-ID no shard's commit mark confirmed: the transaction never
-	// reached its commit point, so its prepares are dropped on every
-	// shard, keeping the crash atomic.
-	DiscardedPrepares int
+	CheckpointSeq uint64 // stable seq of the bounding checkpoint (0: none)
 }
 
 // treeSet accumulates ranges into per-segment trees, oldest first: a later
@@ -302,20 +296,15 @@ func (b *builder) stop() {
 	b.wg.Wait()
 }
 
-// Restart is one crash recovery, of one log or of a sharded engine's logs
-// together.  Open opens log i and builds redo trees from what its tail scan
-// reads, as it reads it; Redo then builds what the scans had to leave for
-// later and returns the trees as an epoch, which Finish also applies,
-// emptying the logs.  Abort releases a restart that will not finish.
+// Restart is one crash recovery.  Open opens the log and builds redo trees
+// from what its tail scan reads, as it reads it; Redo then builds what the
+// scan had to leave for later and returns the trees as an epoch, which
+// Finish also applies, emptying the log.  Abort releases a restart that will
+// not finish.
 type Restart struct {
-	par    int // stripe sets, and apply workers, per log
-	met    *obs.Metrics
-	scanNs int64 // spent scanning logs that were already open
-	shards []restartShard
-}
-
-// restartShard is one log's part of a Restart.
-type restartShard struct {
+	par       int // stripe sets, and apply workers
+	met       *obs.Metrics
+	scanNs    int64 // spent scanning a log that was already open
 	log       *wal.Log
 	an        wal.Analysis
 	b         *builder
@@ -323,123 +312,100 @@ type restartShard struct {
 	records   int    // transaction records built from the scan
 }
 
-// NewRestart starts the recovery of nlogs logs.  met (nil-safe) is the
-// registry the logs get too; it sees the replayed-record gauge climb while
-// they are scanned.
-func NewRestart(nlogs int, cfg Config, met *obs.Metrics) *Restart {
-	r := &Restart{par: max(cfg.Parallelism/nlogs, 1), met: met, shards: make([]restartShard, nlogs)}
-	for i := range r.shards {
-		r.shards[i].b = newBuilder(r.par)
-	}
-	return r
+// NewRestart starts a recovery.  met (nil-safe) is the registry the log
+// gets too; it sees the replayed-record gauge climb while the log is
+// scanned.
+func NewRestart(cfg Config, met *obs.Metrics) *Restart {
+	par := max(cfg.Parallelism, 1)
+	return &Restart{par: par, met: met, b: newBuilder(par)}
 }
 
-// Open opens log i of the restart on dev.
-func (r *Restart) Open(i int, dev wal.Device) (*wal.Log, error) {
-	sh := &r.shards[i]
+// Open opens the restart's log on dev.
+func (r *Restart) Open(dev wal.Device) (*wal.Log, error) {
 	var err error
-	sh.log, sh.an, err = wal.OpenScan(dev, r.consumer(i))
-	return sh.log, err
+	r.log, r.an, err = wal.OpenScan(dev, r.consume)
+	return r.log, err
 }
 
-// consumer returns the function log i's scan hands its windows to.  It
-// builds from every record up to the first one whose effect the scan cannot
-// decide: a cross-shard prepare applies only if some shard — maybe one not
-// scanned yet — holds its commit mark, and a checkpoint record means the
-// trees built so far reach below what redo has to consider.  What follows
-// is left in the log for a second scan (remainder).
-func (r *Restart) consumer(i int) func(*wal.Window) error {
-	sh := &r.shards[i]
-	return func(w *wal.Window) error {
-		n, txs := 0, 0
-		for n < len(w.Recs) && sh.deferFrom == 0 {
-			switch w.Recs[n].Type {
-			case wal.RecPrepare, wal.RecCheckpoint:
-				sh.deferFrom = w.Recs[n].Seq
-				continue
-			case wal.RecTx:
-				txs++
-			}
-			n++
+// consume takes the windows the log's scan reads.  It builds from every
+// record up to the first checkpoint record, which means the trees built so
+// far reach below what redo has to consider.  What follows is left in the
+// log for a second scan (remainder).
+func (r *Restart) consume(w *wal.Window) error {
+	n, txs := 0, 0
+	for n < len(w.Recs) && r.deferFrom == 0 {
+		switch w.Recs[n].Type {
+		case wal.RecCheckpoint:
+			r.deferFrom = w.Recs[n].Seq
+			continue
+		case wal.RecTx:
+			txs++
 		}
-		if w.Recs = w.Recs[:n]; n == 0 {
-			w.Release()
-			return nil
-		}
-		sh.records += txs
-		r.met.AddRecoveryReplayed(int64(txs))
-		sh.b.feed(w)
+		n++
+	}
+	if w.Recs = w.Recs[:n]; n == 0 {
+		w.Release()
 		return nil
 	}
+	r.records += txs
+	r.met.AddRecoveryReplayed(int64(txs))
+	r.b.feed(w)
+	return nil
 }
 
 // Abort stops the restart's workers.  Idempotent, and a no-op after Finish.
-func (r *Restart) Abort() {
-	for i := range r.shards {
-		r.shards[i].b.stop()
-	}
-}
+func (r *Restart) Abort() { r.b.stop() }
 
-// remainder builds what the shard's scan left for later, now that every
-// shard's commit marks are known: a second scan, from the first record the
-// first one could not decide to the tail.
-func (r *Restart) remainder(i int, committed map[uint64]bool, st *Stats) error {
-	sh, met := &r.shards[i], r.met
-	from := sh.deferFrom
-	if _, head := sh.log.Head(); sh.an.Stable > head {
+// remainder builds what the scan left for later: a second scan, from the
+// checkpoint record the first one stopped at to the tail.
+func (r *Restart) remainder(st *Stats) error {
+	from := r.deferFrom
+	if _, head := r.log.Head(); r.an.Stable > head {
 		// A checkpoint bounds redo at its stable LSN: every older record
 		// is reflected in its segment.  The scan could not know while it
 		// built from the head, so those trees go and redo starts over at
 		// the bound — which is what keeps a checkpointed restart bounded
 		// by the log written since, not by the live log.  A stable LSN the
 		// head has since moved past bounds nothing: the trees stand.
-		sh.b.stop()
-		sh.b = newBuilder(r.par)
-		met.AddRecoveryReplayed(-int64(sh.records))
-		sh.records, from = 0, sh.an.Stable
+		r.b.stop()
+		r.b = newBuilder(r.par)
+		r.met.AddRecoveryReplayed(-int64(r.records))
+		r.records, from = 0, r.an.Stable
 	}
-	st.Records = sh.records
+	st.Records = r.records
 	if from == 0 {
 		return nil
 	}
-	if _, next := sh.log.Tail(); from > next {
+	if _, next := r.log.Tail(); from > next {
 		from = next // a stable LSN past the tail leaves nothing to redo
 	}
-	_, err := sh.log.Scan(sh.an.Pos(from), from, func(w *wal.Window) error {
+	_, err := r.log.Scan(r.an.Pos(from), from, func(w *wal.Window) error {
 		n := st.Records
 		for i := range w.Recs {
-			// Transaction records always replay; prepares only with a
-			// confirming commit mark on some shard.
-			switch rec := &w.Recs[i]; {
-			case rec.Type == wal.RecTx, rec.Type == wal.RecPrepare && committed[rec.TID]:
+			if w.Recs[i].Type == wal.RecTx {
 				st.Records++
-			case rec.Type == wal.RecPrepare:
-				st.DiscardedPrepares++
-				rec.Ranges = rec.Ranges[:0]
 			}
 		}
-		met.AddRecoveryReplayed(int64(st.Records - n))
-		sh.b.feed(w)
+		r.met.AddRecoveryReplayed(int64(st.Records - n))
+		r.b.feed(w)
 		return nil
 	})
 	return err
 }
 
-// Redo completes the restart once every log is scanned, short of writing
-// anything: a prepare record applies only when its global commit-ID is in
-// the union of all shards' commit marks (the transaction reached its commit
-// point on some shard before the crash), and the builders finish.  It
-// returns the redo as one Epoch over every log, its heads at the tails the
-// scans found, and Stats whose TreeBytes the epoch's Apply will write.  A
-// segment lookup cannot resolve fails it.  On error the Stats are partial.
+// Redo completes the restart once the log is scanned, short of writing
+// anything: the builders finish.  It returns the redo as an Epoch, its head
+// at the tail the scan found, and Stats whose TreeBytes the epoch's Apply
+// will write.  A segment lookup cannot resolve fails it.  On error the
+// Stats are partial.
 //
 // The phases it reports are consecutive stretches of wall time: scan (the
-// second scans, next to nothing when the first built everything; plus any
+// second scan, next to nothing when the first built everything; plus any
 // scan of a log already open) and build (waiting for the workers); Apply
 // reports the third, apply, whenever it runs.
 func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	defer r.Abort()
-	tr, met := r.shards[0].log.Tracer(), r.met
+	tr, met := r.log.Tracer(), r.met
 	// The replay runs under the recovery stall gate: restart hangs (a dead
 	// segment device, a wedged read) surface through the watchdog like any
 	// other stalled operation.
@@ -447,47 +413,23 @@ func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	defer met.OpExit(obs.StallRecovery)
 
 	scanStart, t0 := tr.Now(), time.Now()
-	// The commit point of a cross-shard transaction is the first durable
-	// commit mark on any shard, so the committed set is the union.
-	committed := make(map[uint64]bool)
-	var scanned int64
-	for i := range r.shards {
-		scanned += r.shards[i].an.Scanned
-		for _, tid := range r.shards[i].an.Committed {
-			committed[tid] = true
-		}
-	}
-	st.ScannedBytes = uint64(scanned)
-	met.SetRecoveryScanBytes(scanned)
-	st.CheckpointSeq = r.shards[0].an.Stable
-	sub := make([]Stats, len(r.shards))
-	err = runWorkers(len(r.shards), func(i int) error {
-		return r.remainder(i, committed, &sub[i])
-	})
-	for i := range sub {
-		st.Records += sub[i].Records
-		st.DiscardedPrepares += sub[i].DiscardedPrepares
-	}
-	if err != nil {
+	st.ScannedBytes = uint64(r.an.Scanned)
+	met.SetRecoveryScanBytes(r.an.Scanned)
+	st.CheckpointSeq = r.an.Stable
+	if err = r.remainder(&st); err != nil {
 		return nil, st, err
 	}
 	t1 := time.Now()
 	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(st.Records), st.CheckpointSeq)
 	met.ObserveRecoveryScan(r.scanNs + t1.Sub(t0).Nanoseconds())
 
-	ep = &Epoch{par: r.par * len(r.shards), restart: true}
-	for i := range r.shards {
-		b, l := r.shards[i].b, r.shards[i].log
-		b.stop()
-		ep.sets = append(ep.sets, b.sets...)
-		st.Ranges += b.ranges
-		st.RecordBytes += b.recordBytes
-		// Records older than a shard checkpoint's stable seq were skipped
-		// above precisely because they are already in the segments, so each
-		// whole live region — prefix included — goes with the epoch.
-		pos, seq := l.Tail()
-		ep.heads = append(ep.heads, epochHead{l, pos, seq})
-	}
+	r.b.stop()
+	st.Ranges, st.RecordBytes = r.b.ranges, r.b.recordBytes
+	// Records older than a checkpoint's stable seq were skipped above
+	// precisely because they are already in the segments, so the whole live
+	// region — prefix included — goes with the epoch.
+	pos, seq := r.log.Tail()
+	ep = &Epoch{sets: r.b.sets, par: r.par, head: epochHead{r.log, pos, seq}, restart: true}
 	met.ObserveRecoveryBuild(time.Since(t1).Nanoseconds())
 	ep.stats = st
 	for _, ts := range ep.sets {
@@ -502,11 +444,9 @@ func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 }
 
 // Finish is Redo, then the epoch's Apply: the trees are applied and the
-// segments synced, and only then do the logs' heads advance, so a crash
-// mid-recovery replays all of it.  Apply order across logs is free as long
-// as no two logs hold the same page (a remap at another offset can break
-// that: ROADMAP, hazard 5).  retry (optional) wraps each storage operation.
-// On error the returned Stats hold partial progress.
+// segments synced, and only then does the log's head advance, so a crash
+// mid-recovery replays all of it.  retry (optional) wraps each storage
+// operation.  On error the returned Stats hold partial progress.
 func (r *Restart) Finish(lookup SegmentLookup, retry Retry) (Stats, error) {
 	ep, st, err := r.Redo(lookup)
 	if err != nil {
@@ -523,26 +463,17 @@ func Recover(l *wal.Log, lookup SegmentLookup, retry Retry) (Stats, error) {
 }
 
 // RecoverParallel is Recover with cfg.Parallelism workers building and
-// replaying stripe-sharded redo trees.  On error the returned Stats hold
-// partial progress.
+// replaying stripe-sharded redo trees, on a log that is already open: it is
+// scanned from its head to its known tail.  On error the returned Stats
+// hold partial progress.
 func RecoverParallel(l *wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
-	return RecoverShards([]*wal.Log{l}, lookup, retry, cfg)
-}
-
-// RecoverShards is a Restart over logs that are already open: each is
-// scanned from its head to its known tail, all of them concurrently.
-func RecoverShards(logs []*wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
-	r := NewRestart(len(logs), cfg, logs[0].Metrics())
+	r := NewRestart(cfg, l.Metrics())
 	defer r.Abort()
 	t0 := time.Now()
-	err := runWorkers(len(logs), func(i int) (err error) {
-		sh := &r.shards[i]
-		sh.log = logs[i]
-		pos, seq := sh.log.Head()
-		sh.an, err = sh.log.Scan(pos, seq, r.consumer(i))
-		return err
-	})
-	if err != nil {
+	r.log = l
+	pos, seq := l.Head()
+	var err error
+	if r.an, err = l.Scan(pos, seq, r.consume); err != nil {
 		return Stats{}, err
 	}
 	r.scanNs = time.Since(t0).Nanoseconds()
@@ -555,110 +486,46 @@ func RecoverShards(logs []*wal.Log, lookup SegmentLookup, retry Retry, cfg Confi
 // epoch is applied: collection takes the log lock only for the scan, and
 // Apply advances the head to the snapshotted tail afterwards (Figure 6).
 func CollectEpoch(l *wal.Log) (*Epoch, error) {
-	return CollectEpochBounded(l, ^uint64(0))
-}
-
-// CollectEpochBounded is CollectEpoch with an upper sequence bound: no
-// record with Seq >= limit enters the epoch.  A sharded engine passes
-// the bound computed from its in-flight cross-shard transactions
-// (epochBoundPipeLocked) so an epoch never separates a prepare record
-// from the commit mark that decides it.
-//
-// When the epoch contains cross-shard records, collection runs two
-// passes: the first notes which commit-IDs have a mark inside the epoch,
-// the second builds the trees inserting plain transaction records and
-// confirmed prepares each at their own log position — per-page redo order
-// is exactly log order, because region locks serialize same-region
-// appends regardless of where a transaction's commit mark later lands.
-// A prepare with no mark in the epoch is discarded: the engine's bound
-// keeps every undecided or committed prepare with its mark, so an
-// unpaired prepare can only be the remnant of a cleanly aborted
-// cross-shard commit, and its bytes must not reach the segments.  The
-// common case — no prepares — stays single-pass.
-func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 	tailPos, tailSeq := l.Tail()
-	// An epoch that ends early ends at the first record the scan delivers
-	// with Seq >= limit, discovered below; h.pos < 0 until then.
-	e := &Epoch{heads: []epochHead{{l, tailPos, tailSeq}}, par: 1}
-	h := &e.heads[0]
-	if limit < tailSeq {
-		h.pos, h.seq = -1, limit
-	}
-	committed := make(map[uint64]bool)
-	prepares := false
+	trees := make(treeSet)
+	e := &Epoch{sets: []treeSet{trees}, par: 1, head: epochHead{l, tailPos, tailSeq}}
 	stop := fmt.Errorf("stop")
-	pass := func() error {
-		trees := make(treeSet)
-		e.sets, e.stats = []treeSet{trees}, Stats{}
-		err := l.ScanForward(func(rec *wal.Record) error {
-			if rec.Seq >= h.seq {
-				// A record at or past the bound (or appended between the
-				// Tail snapshot and the scan) belongs to the current
-				// epoch, not this truncation; the first one is the new
-				// head.  (Wrap records are skipped by the scan but are
-				// freed with the epoch since the head lands beyond them.)
-				if h.pos < 0 {
-					h.pos, h.seq = rec.Pos, rec.Seq
-				}
-				return stop
-			}
-			switch rec.Type {
-			case wal.RecTx:
-			case wal.RecPrepare:
-				prepares = true
-				if !committed[rec.TID] {
-					e.stats.DiscardedPrepares++
-					return nil
-				}
-			case wal.RecCommit:
-				committed[rec.TID] = true
-				return nil
-			default:
-				return nil // checkpoint records carry no segment bytes
-			}
-			e.stats.Records++
-			for _, r := range rec.Ranges {
-				e.stats.Ranges++
-				e.stats.RecordBytes += uint64(len(r.Data))
-				trees.add(r)
-			}
-			return nil
-		})
-		if err == stop {
-			err = nil
+	err := l.ScanForward(func(rec *wal.Record) error {
+		if rec.Seq >= tailSeq {
+			// A record appended between the Tail snapshot and the scan
+			// belongs to the current epoch, not this truncation.  (Wrap
+			// records are skipped by the scan but are freed with the epoch
+			// since the head lands beyond them.)
+			return stop
 		}
-		if h.pos < 0 {
-			// No live record reached the bound: the epoch is the whole
-			// snapshot after all.
-			h.pos, h.seq = tailPos, tailSeq
+		if rec.Type != wal.RecTx {
+			return nil // checkpoint records carry no segment bytes
 		}
-		return err
-	}
-	err := pass()
-	if err == nil && prepares {
-		// Cross-shard records are present and a mark follows its prepare:
-		// build again, now that the epoch's marks are known and its end is
-		// fixed (records appended since fall outside it).
-		err = pass()
-	}
-	if err != nil {
+		e.stats.Records++
+		for _, r := range rec.Ranges {
+			e.stats.Ranges++
+			e.stats.RecordBytes += uint64(len(r.Data))
+			trees.add(r)
+		}
+		return nil
+	})
+	if err != nil && err != stop {
 		return nil, err
 	}
 	return e, nil
 }
 
 // Epoch is a truncation epoch, or a restart's redo, awaiting application:
-// redo trees, and for each log where its head goes once they are in the
-// segments.
+// redo trees, and where the log's head goes once they are in the segments.
 type Epoch struct {
 	sets    []treeSet // stripe-sharded: any page's bytes are in one set
 	par     int       // apply workers
-	heads   []epochHead
+	head    epochHead
 	restart bool // a restart's redo: Apply reports recovery's apply phase
 	stats   Stats
 }
 
-// epochHead is one log's head move after an Apply.
+// epochHead is the log's head move after an Apply.
 type epochHead struct {
 	log *wal.Log
 	pos int64  // the tail snapshot: new head after Apply
@@ -668,10 +535,9 @@ type epochHead struct {
 // Records returns the number of transaction records in the epoch.
 func (e *Epoch) Records() int { return e.stats.Records }
 
-// EndSeq returns the first sequence number NOT in the epoch (records with
-// Seq < EndSeq are truncated by Apply) in its first log, the only one of a
-// truncation epoch.
-func (e *Epoch) EndSeq() uint64 { return e.heads[0].seq }
+// EndSeq returns the first sequence number NOT in the epoch: records with
+// Seq < EndSeq are truncated by Apply.
+func (e *Epoch) EndSeq() uint64 { return e.head.seq }
 
 // Overlay copies the epoch's bytes of segment seg in [off, off+len(dst)) to
 // their place in dst: laid over the segment's image of the range, they make
@@ -685,13 +551,14 @@ func (e *Epoch) Overlay(seg uint64, off int64, dst []byte) {
 }
 
 // Apply writes the epoch's changes to the segments, syncs them, and then
-// advances every log's head past the epoch.  retry (optional) wraps each
+// advances the log's head past the epoch.  retry (optional) wraps each
 // storage operation.
 func (e *Epoch) Apply(lookup SegmentLookup, retry Retry) (Stats, error) {
 	var tr *obs.Tracer
 	var met *obs.Metrics
+	h := e.head
 	if e.restart {
-		tr, met = e.heads[0].log.Tracer(), e.heads[0].log.Metrics()
+		tr, met = h.log.Tracer(), h.log.Metrics()
 	}
 	start, t0 := tr.Now(), time.Now()
 	if err := applyTrees(e.sets, lookup, retry, e.par, met, &e.stats); err != nil {
@@ -699,10 +566,8 @@ func (e *Epoch) Apply(lookup SegmentLookup, retry Retry) (Stats, error) {
 	}
 	tr.Span(obs.EvRecovApply, start, 0, e.stats.TreeBytes, uint64(e.par))
 	met.ObserveRecoveryApply(time.Since(t0).Nanoseconds())
-	for _, h := range e.heads {
-		if err := retried(retry, func() error { return h.log.SetHead(h.pos, h.seq) }); err != nil {
-			return e.stats, err
-		}
+	if err := retried(retry, func() error { return h.log.SetHead(h.pos, h.seq) }); err != nil {
+		return e.stats, err
 	}
 	return e.stats, nil
 }

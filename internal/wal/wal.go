@@ -69,8 +69,6 @@ const (
 	recTx   uint8 = 1 // a committed transaction's new-value records
 	recWrap uint8 = 2 // padding to the end of the record area
 	recCkpt uint8 = 3 // fuzzy checkpoint: stable LSN, no ranges
-	recPrep uint8 = 4 // cross-shard prepare: one shard's ranges of a 2PC commit
-	recCmt  uint8 = 5 // cross-shard commit mark: global commit-ID, no ranges
 )
 
 // Exported record types, as reported in Record.Type.
@@ -78,8 +76,6 @@ const (
 	RecTx         = recTx
 	RecWrap       = recWrap
 	RecCheckpoint = recCkpt
-	RecPrepare    = recPrep
-	RecCommit     = recCmt
 )
 
 var (
@@ -131,8 +127,6 @@ type Stats struct {
 	Forces        uint64 // fsyncs issued
 	Wraps         uint64 // wrap records written
 	Checkpoints   uint64 // checkpoint records appended
-	Prepares      uint64 // cross-shard prepare records appended
-	CommitMarks   uint64 // cross-shard commit marks appended
 }
 
 // Log is an open write-ahead log.  All methods are safe for concurrent use.
@@ -400,8 +394,7 @@ func (w *Window) Release() {
 }
 
 // Analysis is what a scan learns about the records it passes besides
-// their contents: where each one is, the commit marks, and the checkpoint
-// bound.
+// their contents: where each one is, and the checkpoint bound.
 type Analysis struct {
 	// recs holds the length of every record passed, wrap records included,
 	// oldest first.
@@ -409,10 +402,6 @@ type Analysis struct {
 	head     int64 // area offset and sequence number of the first record
 	first    uint64
 	areaSize int64
-	// Committed holds the global commit-IDs of the commit marks.  With
-	// sharded logs the caller unions the sets of all shards before
-	// deciding a prepare.
-	Committed []uint64
 	// Stable is the newest checkpoint's stable sequence number (0 when no
 	// checkpoint bounds redo): every record with Seq < Stable is already
 	// reflected in its segment.
@@ -511,10 +500,7 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, an *Analysis,
 			}
 			if an != nil {
 				an.recs = append(an.recs, uint32(totalLen))
-				switch rec.Type {
-				case recCmt:
-					an.Committed = append(an.Committed, rec.TID)
-				case recCkpt:
+				if rec.Type == recCkpt {
 					an.Stable = rec.CkptSeq // the newest one wins
 				}
 			}
@@ -575,13 +561,11 @@ func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
 	}
 	nranges := int64(binary.BigEndian.Uint32(buf[12:]))
 	switch rec.Type {
-	case recWrap, recCmt:
-		// A commit mark's global commit-ID rides in the TID header slot;
-		// it carries no ranges — its presence is the commit point.
+	case recWrap:
 	case recCkpt:
 		// The stable sequence number rides in the TID header slot.
 		rec.CkptSeq, rec.TID = rec.TID, 0
-	case recTx, recPrep:
+	case recTx:
 		body := buf[headerSize : totalLen-trailerSize]
 		if nranges > int64(len(body))/rangeHdrSize {
 			return false
@@ -617,24 +601,11 @@ func (l *Log) tailPos() int64 { return (l.head + l.used) % l.areaSize }
 // It returns the record's area position, its sequence number, and the total
 // bytes consumed (including any wrap record).
 func (l *Log) Append(tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
-	return l.appendOne(recTx, tid, flags, ranges)
-}
-
-// AppendPrepare writes the prepare half of a cross-shard commit: this
-// shard's modification ranges for transaction tid.  A prepare is inert
-// until a commit mark carrying the same tid exists — recovery discards
-// prepares whose tid is confirmed by no shard's commit mark.
-func (l *Log) AppendPrepare(tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
-	return l.appendOne(recPrep, tid, flags, ranges)
-}
-
-// AppendCommitMark writes the commit point of a cross-shard transaction:
-// a record carrying the global commit-ID and no ranges.  The engine
-// appends one to every participating shard after all prepares are
-// durable, so any surviving prepare finds a commit mark in its own log
-// or in a peer's.
-func (l *Log) AppendCommitMark(tid uint64) (pos int64, seq uint64, nbytes int64, err error) {
-	return l.appendOne(recCmt, tid, 0, nil)
+	ent := [1]Entry{{TID: tid, Flags: flags, Ranges: ranges}}
+	if _, nbytes, err = l.appendRecords(ent[:]); err != nil {
+		return 0, 0, 0, err
+	}
+	return ent[0].Pos, ent[0].Seq, nbytes, nil
 }
 
 // Entry is one transaction record of an AppendBatch.  The caller fills in
@@ -657,23 +628,15 @@ type Entry struct {
 // prefix had been appended: on ErrLogFull ents[n] is the record that did
 // not fit, and after a failed write the caller may retry with ents[n:].
 func (l *Log) AppendBatch(ents []Entry) (n int, err error) {
-	n, _, err = l.appendRecords(recTx, ents)
+	n, _, err = l.appendRecords(ents)
 	return n, err
 }
 
-func (l *Log) appendOne(typ uint8, tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
-	ent := [1]Entry{{TID: tid, Flags: flags, Ranges: ranges}}
-	if _, nbytes, err = l.appendRecords(typ, ent[:]); err != nil {
-		return 0, 0, 0, err
-	}
-	return ent[0].Pos, ent[0].Seq, nbytes, nil
-}
-
-// appendRecords is the locked append shared by the commit-path record
-// types.
-func (l *Log) appendRecords(typ uint8, ents []Entry) (n int, nbytes int64, err error) {
+// appendRecords is the locked append of transaction records that Append and
+// AppendBatch share.
+func (l *Log) appendRecords(ents []Entry) (n int, nbytes int64, err error) {
 	l.mu.Lock()
-	n, nbytes, err = l.appendLocked(typ, ents)
+	n, nbytes, err = l.appendLocked(recTx, ents)
 	tr := l.tr
 	l.mu.Unlock()
 	if tr != nil {
@@ -777,14 +740,9 @@ func (l *Log) appendLocked(typ uint8, ents []Entry) (n int, nbytes int64, err er
 			l.dirty = true
 			l.stats.Wraps += uint64(wraps)
 			l.stats.BytesAppended += uint64(run)
-			switch typ {
-			case recCkpt:
+			if typ == recCkpt {
 				l.stats.Checkpoints += uint64(i - n)
-			case recPrep:
-				l.stats.Prepares += uint64(i - n)
-			case recCmt:
-				l.stats.CommitMarks += uint64(i - n)
-			default:
+			} else {
 				l.stats.Appends += uint64(i - n)
 			}
 			nbytes += run

@@ -178,9 +178,6 @@ func TestPrometheusEndpoint(t *testing.T) {
 		`rvm_stalls_total{class="force"}`,
 		"rvm_log_used_bytes",
 		"rvm_recovery_replayed_records",
-		`rvm_shard_commits_total{shard="0"} 6`,
-		`rvm_shard_log_bytes{shard="0"}`,
-		`rvm_shard_log_forces_total{shard="0"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics body missing %q", want)
@@ -196,11 +193,11 @@ func TestPrometheusLintRejectsBadFormat(t *testing.T) {
 		"# HELP rvm_x x\n# TYPE rvm_x counter\nrvm_x 1\n",                 // counter without _total
 		"# HELP rvm_y_total y\n# TYPE rvm_y_total gauge\nrvm_y_total 1\n", // _total on a gauge
 		"# HELP rvm_z_total z\n# TYPE rvm_z_total counter\nrvm_z_total notanumber\n",
-		// The per-shard families: label names are lowercase, label values
+		// Labelled families: label names are lowercase, label values
 		// quoted, and the gauge must not take the counter suffix.
-		"# HELP rvm_shard_commits_total c\n# TYPE rvm_shard_commits_total counter\nrvm_shard_commits_total{Shard=\"0\"} 1\n",
-		"# HELP rvm_shard_log_bytes b\n# TYPE rvm_shard_log_bytes gauge\nrvm_shard_log_bytes{shard=0} 1\n",
-		"# HELP rvm_shard_log_bytes_total b\n# TYPE rvm_shard_log_bytes_total gauge\nrvm_shard_log_bytes_total{shard=\"0\"} 1\n",
+		"# HELP rvm_lock_waits_total c\n# TYPE rvm_lock_waits_total counter\nrvm_lock_waits_total{Class=\"wal\"} 1\n",
+		"# HELP rvm_lock_held_bytes b\n# TYPE rvm_lock_held_bytes gauge\nrvm_lock_held_bytes{class=wal} 1\n",
+		"# HELP rvm_lock_held_bytes_total b\n# TYPE rvm_lock_held_bytes_total gauge\nrvm_lock_held_bytes_total{class=\"wal\"} 1\n",
 	}
 	for i, body := range bad {
 		rec := &lintRecorder{}
@@ -209,59 +206,6 @@ func TestPrometheusLintRejectsBadFormat(t *testing.T) {
 			t.Errorf("case %d: lint accepted %q", i, body)
 		}
 	}
-}
-
-// TestPrometheusShardFamilies scrapes a 2-shard store after a
-// cross-shard commit: every shard appears in the labelled families, the
-// two-phase counter registers the commit, and the body still lints.
-func TestPrometheusShardFamilies(t *testing.T) {
-	pair := 2 * int64(rvm.PageSize)
-	s := newStore(t, rvm.Options{
-		Metrics:   true,
-		LogShards: 2,
-		ShardOf:   func(seg uint64, off int64) int { return int(off / pair) },
-	})
-	ra, err := s.db.Map(s.segPath, 0, pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := s.db.Map(s.segPath, pair, pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitN(t, s.db, ra, 3, rvm.Flush)
-	tx, _ := s.db.Begin(rvm.NoRestore)
-	tx.Modify(ra, 0, []byte("x"))
-	tx.Modify(rb, 0, []byte("y"))
-	if err := tx.Commit(rvm.Flush); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := httptest.NewServer(s.db.DebugHandler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, want := range []string{
-		`rvm_shard_commits_total{shard="0"} 4`,
-		`rvm_shard_commits_total{shard="1"} 1`,
-		`rvm_shard_log_bytes{shard="0"}`,
-		`rvm_shard_log_bytes{shard="1"}`,
-		`rvm_shard_log_forces_total{shard="1"}`,
-		"rvm_tx_cross_shard_commits_total 1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics body missing %q", want)
-		}
-	}
-	lintProm(t, body)
 }
 
 // TestPrometheusMetricsDisabled serves a counters-only exposition when
@@ -314,9 +258,10 @@ func TestPublishExpvarTwice(t *testing.T) {
 // with 16 concurrent committers the sum of the phase p50s must land
 // within 10% of the observed CommitFlush p50 (the histograms resolve a
 // quarter of an octave).  Scheduling noise can skew any single run; best
-// of three attempts must pass.
+// of three attempts must pass.  The race detector slows the phases unevenly
+// enough to fail the ratio about half the time, so it skips under -race.
 func TestCommitPhaseAttribution(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("timing-sensitive sweep")
 	}
 	const workers, commitsEach = 16, 25

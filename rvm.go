@@ -68,10 +68,6 @@ type Statistics = core.Statistics
 // the debug handler both serve exactly this.
 type Snapshot = core.Snapshot
 
-// ShardSnapshot is one WAL shard's live state inside a Snapshot: its
-// commit count, log levels, and fsyncs.
-type ShardSnapshot = core.ShardSnapshot
-
 // MetricsSnapshot summarizes the metric registry: one HistStat per
 // histogram, the recovery-progress gauges, and the lock and stall tables.
 type MetricsSnapshot = obs.MetricsSnapshot
@@ -215,28 +211,12 @@ type Options struct {
 	// events).  Zero selects the 1s default; negative disables the
 	// watchdog.  Only meaningful with Metrics.
 	StallBudget time.Duration
-	// LogShards splits the durability engine into that many independent
-	// write-ahead logs, each with its own pipeline, group-commit leader,
-	// and fsync stream (shard k > 0 lives at LogPath+".shardK").  Regions
-	// are distributed across shards at Map time; transactions confined to
-	// one shard keep the plain commit path, while transactions spanning
-	// shards commit atomically via per-shard prepare records and commit
-	// marks.  Zero or one selects the classic single log, byte-compatible
-	// with logs written by earlier versions.  The shard count may change
-	// between runs; recovery consults the count recorded in the log's
-	// dictionary.
-	LogShards int
-	// ShardOf overrides the default placement hash, mapping a region
-	// (its segment ID and byte offset) to a shard.  Results are taken
-	// modulo LogShards.  Deterministic placement lets an application keep
-	// hot regions that commit together on one shard (single-shard commits
-	// are cheaper than cross-shard ones).  nil selects the built-in hash.
-	ShardOf func(segID uint64, segOff int64) int
 }
 
 // RVM is an open recoverable-virtual-memory instance: one write-ahead log
 // and any number of mapped regions.  All methods are safe for concurrent
-// use.
+// use.  Logs on several devices are several instances; package rvmdist
+// makes a transaction atomic across them (the paper's §8).
 type RVM struct {
 	eng *core.Engine
 }
@@ -298,8 +278,6 @@ func (o Options) engine() core.Options {
 		Tracer:             tracer,
 		Metrics:            metrics,
 		StallBudget:        o.StallBudget,
-		LogShards:          o.LogShards,
-		ShardOf:            o.ShardOf,
 	}
 }
 

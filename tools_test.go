@@ -175,87 +175,27 @@ func TestLogviewBackwardWrapped(t *testing.T) {
 	}
 }
 
-// TestShardedOperatorWorkflow drives the offline tools against a 2-shard
-// store holding a cross-shard transaction: status and verify enumerate
-// both shard logs and pair the prepares with their commit marks, rvmlogview
-// decodes the two-phase records, and truncate preserves the shard count.
-func TestShardedOperatorWorkflow(t *testing.T) {
+// TestStatusRefusesShardedStore: rvmutl status refuses a store whose
+// dictionary records several logs, as earlier versions sharded them, with
+// the error Open gives, naming the count and the other logs.
+func TestStatusRefusesShardedStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tool workflow skipped in -short")
 	}
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "s.log")
-	segPath := filepath.Join(dir, "s.seg")
-	runTool(t, "rvmutl", "create-log", logPath, "262144")
-	runTool(t, "rvmutl", "create-seg", segPath, "3", "65536")
-
-	pair := 2 * int64(rvm.PageSize)
-	opts := rvm.Options{
-		LogPath:           logPath,
-		LogShards:         2,
-		ShardOf:           func(seg uint64, off int64) int { return int(off / pair) },
-		TruncateThreshold: -1,
-	}
-	db, err := rvm.Open(opts)
-	if err != nil {
+	logPath := filepath.Join(t.TempDir(), "s.log")
+	if err := rvm.CreateLog(logPath, 1<<16); err != nil {
 		t.Fatal(err)
 	}
-	ra, err := db.Map(segPath, 0, pair)
-	if err != nil {
+	if err := os.WriteFile(logPath+".segs", []byte("# RVM segment dictionary v1\n#shards\t2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := db.Map(segPath, pair, pair)
-	if err != nil {
-		t.Fatal(err)
+	_, openErr := rvm.Open(rvm.Options{LogPath: logPath})
+	out, err := exec.Command("go", "run", "./cmd/rvmutl", "status", logPath).CombinedOutput()
+	if err == nil || openErr == nil {
+		t.Fatalf("status and Open accepted a store sharded over two logs: %s", out)
 	}
-	tx, _ := db.Begin(rvm.Restore)
-	tx.Modify(ra, 0, []byte("sharded-left"))
-	tx.Modify(rb, 0, []byte("sharded-right"))
-	if err := tx.Commit(rvm.Flush); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: no Close, so the prepare/mark pairs stay in both shard logs.
-
-	out := runTool(t, "rvmutl", "status", logPath)
-	for _, frag := range []string{"shard 0 of 2", "shard 1 of 2", "cross-shard:  1 prepare(s), 1 commit mark(s)", "forced LSN:"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("status missing %q:\n%s", frag, out)
-		}
-	}
-	out = runTool(t, "rvmutl", "verify", logPath)
-	if !strings.Contains(out, "ok: 4 live record(s), 1 segment(s) verified") ||
-		strings.Contains(out, "orphaned") {
-		t.Errorf("verify: %s", out)
-	}
-	out = runTool(t, "rvmlogview", logPath)
-	for _, frag := range []string{"shard 0 (", "shard 1 (", "prepare", "commit-mark", "forced-through LSN"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("rvmlogview missing %q:\n%s", frag, out)
-		}
-	}
-	out = runTool(t, "rvmlogview", "-shard", "1", "-data", logPath)
-	if strings.Contains(out, "shard 0 (") || !strings.Contains(out, "sharded-right") {
-		t.Errorf("rvmlogview -shard 1: %s", out)
-	}
-
-	out = runTool(t, "rvmutl", "truncate", logPath)
-	if !strings.Contains(out, "log now 0/") {
-		t.Fatalf("truncate: %s", out)
-	}
-	// The superblock (and so the shard count) must survive the utility.
-	out = runTool(t, "rvmutl", "segments", logPath)
-	if !strings.Contains(out, "#shards\t2") {
-		t.Errorf("truncate dropped the shard superblock:\n%s", out)
-	}
-	db2, err := rvm.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	ra2, _ := db2.Map(segPath, 0, pair)
-	rb2, _ := db2.Map(segPath, pair, pair)
-	if string(ra2.Data()[:12]) != "sharded-left" || string(rb2.Data()[:13]) != "sharded-right" {
-		t.Fatal("cross-shard data lost through operator workflow")
+	if !strings.Contains(string(out), openErr.Error()) || !strings.Contains(string(out), logPath+".shard1") {
+		t.Fatalf("status says %q, Open %q", out, openErr)
 	}
 }
 
