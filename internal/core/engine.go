@@ -175,6 +175,7 @@ type statsOf[T any] struct {
 	TruncFailures   T `json:"trunc_failures" prom:"rvm_truncation_failures_total" help:"Background truncations that failed."`
 	ForcesSaved     T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
 	GroupCommitSize T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
+	JoinExpired     T `json:"join_expired" prom:"rvm_group_commit_join_expired_total" help:"Force-leader join waits that ran out before the predicted committers arrived."`
 	Checkpoints     T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Fuzzy checkpoints completed."`
 	CheckpointPages T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
 }

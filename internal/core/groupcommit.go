@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/rvm-go/rvm/internal/obs"
@@ -21,9 +22,12 @@ import (
 // WAL tracks a forced-through LSN (wal.Log.ForcedThrough): a ticket is
 // satisfied the moment any completed force covers its sequence number,
 // whoever issued it.  If no force is in flight, the committer elects
-// itself leader, waits out a short join window (see joinWindow) to let
-// more appends join the batch, and issues one Force for everyone; waiters
+// itself leader, waits out a join window (see joinWindow) to let more
+// appends join the batch, and issues one Force for everyone; waiters
 // sleep on the ticket condition until the leader broadcasts the outcome.
+// Each leader leaves the next one a prediction — how many committers
+// waited on its force, covered by it or queued behind it — and the
+// force's duration, which bounds how long the next window waits for them.
 //
 // Failure semantics are fail-stop, exactly as on the serialized path: a
 // force that fails past the transient retries leaves the device state
@@ -41,17 +45,27 @@ type groupCommit struct {
 	batch    uint64 // commits acknowledged since the last force completed
 	maxBatch uint64 // largest batch observed (Statistics.GroupCommitSize)
 	saved    uint64 // commits acked without leading (Statistics.ForcesSaved)
+
+	// The join window's inputs (joinWindow), written by each leader.
+	arrived   atomic.Int64 // committers that entered waitForced since a leader last issued a force
+	predicted atomic.Int64 // committers the last led force covered or queued behind it
+	forceNs   atomic.Int64 // how long the last led force took
 }
 
-// joinWindow is the leader's batching wait: it yields the processor while
-// new records keep arriving and forces as soon as arrivals pause for two
-// consecutive yields.  Yielding (rather than a timed sleep) matters on
-// loaded or single-CPU hosts: it hands the CPU straight to committers that
-// are runnable but not yet appended, growing the batch without adding
-// timer-granularity latency (a sub-millisecond time.Sleep routinely
-// oversleeps past the cost of the fsync it was meant to amortize).  A
-// nonzero MaxForceDelay then lingers the given duration on top, catching
-// committers that are slow to arrive.
+// joinWindow is the leader's batching wait, in two parts.  First it yields
+// the processor while new records keep arriving and stops as soon as
+// arrivals pause for two consecutive yields.  Yielding (rather than a
+// timed sleep) matters on loaded or single-CPU hosts: it hands the CPU
+// straight to committers that are runnable but not yet appended, growing
+// the batch without adding timer-granularity latency (a sub-millisecond
+// time.Sleep routinely oversleeps past the cost of the fsync it was meant
+// to amortize).  Then it keeps yielding until as many committers have
+// entered waitForced since the last force was issued as waited on that
+// force, for at most half its duration: a committer tens of microseconds
+// behind its peers joins this force instead of paying the next one, a lone
+// committer (a prediction of one) waits for nothing, and a committer that
+// has left costs one bounded wait, after which the prediction falls.  A
+// nonzero MaxForceDelay then lingers the given duration on top.
 func (e *Engine) joinWindow() {
 	last := e.log.LastSeq()
 	for idle := 0; idle < 2; {
@@ -60,6 +74,17 @@ func (e *Engine) joinWindow() {
 			last, idle = cur, 0
 		} else {
 			idle++
+		}
+	}
+	gc := &e.gc
+	if want := gc.predicted.Load(); gc.arrived.Load() < want {
+		deadline := time.Now().Add(time.Duration(gc.forceNs.Load() / 2))
+		for gc.arrived.Load() < want {
+			if time.Now().After(deadline) {
+				e.stats.JoinExpired.Add(1)
+				break
+			}
+			runtime.Gosched()
 		}
 	}
 	if d := e.opts.MaxForceDelay; d > 0 {
@@ -78,7 +103,7 @@ func (e *Engine) joinWindow() {
 // window nobody closes.
 func (e *Engine) waitForced(seq uint64) (led bool, fsyncNs int64, err error) {
 	gc := &e.gc
-	timed := e.met != nil
+	gc.arrived.Add(1)
 	e.met.OpEnter(obs.StallGroupWait)
 	defer e.met.OpExit(obs.StallGroupWait)
 	gc.mu.Lock()
@@ -107,14 +132,13 @@ func (e *Engine) waitForced(seq uint64) (led bool, fsyncNs int64, err error) {
 		gc.forcing = true
 		gc.mu.Unlock()
 		e.joinWindow()
-		var fst time.Time
-		if timed {
-			fst = time.Now()
-		}
+		issued := gc.arrived.Swap(0) // each appended before entering, so this force covers it
+		fst := time.Now()
 		err := e.retryIO(e.log.Force)
-		if timed {
-			fsyncNs += time.Since(fst).Nanoseconds()
-		}
+		ns := time.Since(fst).Nanoseconds()
+		fsyncNs += ns
+		gc.predicted.Store(issued + gc.arrived.Load())
+		gc.forceNs.Store(ns)
 		if err != nil {
 			err = e.maybePoison(err)
 		}

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -180,5 +183,238 @@ func TestGroupCommitOrderPreserved(t *testing.T) {
 	r2 := v.mapWhole()
 	if got := r2.Data()[0:7]; !bytes.Equal(got, []byte("gen-009")) {
 		t.Fatalf("recovered %q, want last committed generation", got)
+	}
+}
+
+// sleepLog is a log device whose Sync costs a fixed sleep and serves one
+// call at a time, as one disk arm would; reads and writes pass through to
+// the file.  On it the number of forces, not the host's fsync, sets what a
+// flush commit costs, so batching shows up in time as well as in counts.
+type sleepLog struct {
+	*os.File
+	cost time.Duration
+	born time.Time
+	arm  sync.Mutex
+	busy atomic.Int64 // ns spent in Sync
+	last atomic.Int64 // ns the latest Sync took
+	done atomic.Int64 // ns after born the latest Sync returned
+}
+
+func (d *sleepLog) Sync() error {
+	d.arm.Lock()
+	defer d.arm.Unlock()
+	t0 := time.Now()
+	time.Sleep(d.cost)
+	ns := time.Since(t0).Nanoseconds()
+	d.busy.Add(ns)
+	d.last.Store(ns)
+	d.done.Store(time.Since(d.born).Nanoseconds())
+	return nil
+}
+
+// sinceSync is how long ago the latest Sync returned.
+func (d *sleepLog) sinceSync() time.Duration {
+	return time.Since(d.born) - time.Duration(d.done.Load())
+}
+
+// newSleepEngine opens an engine on a 1 ms sleepLog with MaxForceDelay
+// unset and maps a two-page region.
+func newSleepEngine(tb testing.TB, group bool) (*Engine, *Region, *sleepLog) {
+	tb.Helper()
+	dir := tb.TempDir()
+	logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
+	if err := CreateLog(logPath, 8<<20); err != nil {
+		tb.Fatal(err)
+	}
+	if err := CreateSegment(segPath, 1, pageBytes(2)); err != nil {
+		tb.Fatal(err)
+	}
+	f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dev := &sleepLog{File: f, cost: time.Millisecond, born: time.Now()}
+	eng, err := Open(Options{LogPath: logPath, LogDevice: dev, GroupCommit: group, TruncateThreshold: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { eng.Close() })
+	r, err := eng.Map(segPath, 0, pageBytes(2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng, r, dev
+}
+
+// flushCommit writes a committer's 8-byte slot at off in one flush
+// transaction; before, if not nil, runs between Begin and Commit.
+func flushCommit(eng *Engine, r *Region, off int64, before func()) error {
+	tx, err := eng.Begin(NoRestore)
+	if err != nil {
+		return err
+	}
+	if before != nil {
+		before()
+	}
+	if err := tx.Modify(r, off, []byte("slot-val")); err != nil {
+		return err
+	}
+	return tx.Commit(Flush)
+}
+
+// TestGroupCommitKeepsItsBatch: of two committers, one spends 100 µs of
+// processor between Begin and Commit — later than the leader's two idle
+// yields, well inside half a force.  The join window must wait for it, so
+// the two share every force instead of leading in turn.  (At 50 µs the
+// yields alone still caught it in about half the runs.)  A commit that
+// reaches Commit more than 400 µs after the latest force returned was
+// kept off the processor, by another process, past what the window can
+// wait for, and is allowed a force of its own.
+func TestGroupCommitKeepsItsBatch(t *testing.T) {
+	const each = 200
+	eng, r, dev := newSleepEngine(t, true)
+	var late atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spin := time.Duration(w) * 100 * time.Microsecond
+			work := func() {
+				for t0 := time.Now(); time.Since(t0) < spin; {
+				}
+				if dev.sinceSync() > 400*time.Microsecond {
+					late.Add(1)
+				}
+			}
+			for range each {
+				if errs[w] = flushCommit(eng, r, int64(w)*64, work); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("committer %d: %v", w, err)
+		}
+	}
+	st := eng.Stats()
+	if st.FlushCommits != 2*each {
+		t.Fatalf("FlushCommits = %d, want %d", st.FlushCommits, 2*each)
+	}
+	if late.Load() > each/4 {
+		t.Skipf("%d of %d commits were kept off the processor: too busy a host to tell", late.Load(), 2*each)
+	}
+	if limit := 0.55*float64(st.FlushCommits) + float64(late.Load()); float64(st.LogForces) > limit {
+		t.Fatalf("%d forces for %d commits, %d of them late (%.3f a commit, want ≤ 0.55 + late): the leaders alternate",
+			st.LogForces, st.FlushCommits, late.Load(), float64(st.LogForces)/float64(st.FlushCommits))
+	}
+	t.Logf("%d forces for %d commits, %d late", st.LogForces, st.FlushCommits, late.Load())
+}
+
+// TestGroupCommitWaitIsBounded: the join window's wait costs a lone
+// committer nothing, and a committer whose peer has stopped at most one
+// wait of half a force, after which its commits cost one force again.
+func TestGroupCommitWaitIsBounded(t *testing.T) {
+	const slack = 300 * time.Microsecond
+	eng, r, dev := newSleepEngine(t, true)
+	// beyond is how much longer than the syncs it waited on one commit
+	// takes when no other committer is running.
+	beyond := func() time.Duration {
+		t.Helper()
+		busy, t0 := dev.busy.Load(), time.Now()
+		if err := flushCommit(eng, r, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(t0) - time.Duration(dev.busy.Load()-busy)
+	}
+	for i := range 10 {
+		if d := beyond(); d > slack {
+			t.Fatalf("lone committer: commit %d took %v beyond its force", i, d)
+		}
+	}
+	if n := eng.Stats().JoinExpired; n != 0 {
+		t.Fatalf("lone committer: %d join waits ran out, want 0", n)
+	}
+
+	stop, done := make(chan struct{}), make(chan error, 1) // the peer's one send never blocks
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := flushCommit(eng, r, 64, nil); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	for range 50 {
+		if err := flushCommit(eng, r, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	expired := eng.Stats().JoinExpired
+	half := time.Duration(dev.last.Load() / 2)
+	if d := beyond(); d > half+slack {
+		t.Fatalf("first commit after the peer stopped took %v beyond its force, want ≤ %v + %v", d, half, slack)
+	}
+	for i := range 10 {
+		if d := beyond(); d > slack {
+			t.Fatalf("commit %d after the peer stopped took %v beyond its force, want ≤ %v", i+2, d, slack)
+		}
+	}
+	if n := eng.Stats().JoinExpired - expired; n > 1 {
+		t.Fatalf("%d join waits ran out after the peer stopped, want ≤ 1", n)
+	}
+}
+
+// BenchmarkForcePaths compares the two force paths — a direct force per
+// commit, and group commit with MaxForceDelay unset — at 1, 2, 8 and 64
+// committers on a log whose Sync sleeps 1 ms one call at a time.  b.N is
+// the number of commits, shared among the committers.
+func BenchmarkForcePaths(b *testing.B) {
+	for _, path := range []struct {
+		name  string
+		group bool
+	}{{"direct", false}, {"group", true}} {
+		for _, n := range []int{1, 2, 8, 64} {
+			b.Run(fmt.Sprintf("%s/committers=%d", path.name, n), func(b *testing.B) {
+				eng, r, _ := newSleepEngine(b, path.group)
+				before := eng.Stats()
+				var left atomic.Int64
+				left.Store(int64(b.N))
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for w := range n {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for left.Add(-1) >= 0 {
+							if err := flushCommit(eng, r, int64(w)*64, nil); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				st := eng.Stats()
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
+				b.ReportMetric(float64(st.LogForces-before.LogForces)/float64(st.FlushCommits-before.FlushCommits), "forces/commit")
+			})
+		}
 	}
 }
