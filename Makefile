@@ -26,12 +26,15 @@ lint:
 	else echo "govulncheck not installed; go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)"; fi
 
 # loc prints the sizes CHANGES.md entries quote, so that nobody counts by
-# hand: non-test, non-testdata Go lines of the engine's packages and of
-# rvm.go, and the fields of the two Options structs (TestOptionsForwarded is
-# their ratchet; this only prints).  CI's lint job runs it.
+# hand: non-test, non-testdata Go lines of the engine's packages, of the
+# device stack's test seams (iofault + testutil), of cmd/ and of rvm.go, and
+# the fields of the two Options structs (TestOptionsForwarded is their
+# ratchet; this only prints).  CI's lint job runs it.
 loc:
 	@for d in core wal recovery obs analysis; do \
 		printf '%-22s %6d lines\n' internal/$$d $$(find internal/$$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); done
+	@printf '%-22s %6d lines\n' 'iofault + testutil' $$(find internal/iofault internal/testutil -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-22s %6d lines\n' cmd/ $$(find cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
 	@printf '%-22s %6d lines\n' rvm.go $$(wc -l < rvm.go)
 	@printf '%-22s %6d fields\n' rvm.Options $$(go doc . Options | awk '/^\t[A-Z]/ {n++} END {print n}')
 	@printf '%-22s %6d fields\n' core.Options $$(go doc ./internal/core Options | awk '/^\t[A-Z]/ {n++} END {print n}')

@@ -11,15 +11,15 @@ import (
 	"time"
 
 	rvm "github.com/rvm-go/rvm"
-	"github.com/rvm-go/rvm/internal/wal"
 )
 
 // The recovery experiment is the regression gate for bounded restart:
 // time-to-recover per MB of log must stay under a ceiling both serially
 // and on N processors — redo is linear in log bytes, so a per-MB
 // figure on the largest log catches any return of a superlinear term —
-// and with periodic fuzzy checkpoints the log bytes a restart scans must
-// be bounded by the checkpoint interval, independent of total log size.
+// and with periodic checkpoints, each of which moves the log's head, the
+// log bytes a restart scans must be bounded by the checkpoint interval,
+// independent of the log written in all.
 //
 // Each measured cell opens a fresh byte-for-byte copy of a crashed store,
 // because recovery consumes its input: a successful replay empties the
@@ -46,7 +46,7 @@ type recovCell struct {
 // recovCkptCell is one checkpointed-store restart measurement.
 type recovCkptCell struct {
 	LogMB        int    `json:"log_mb"`
-	LiveBytes    int64  `json:"live_bytes"`
+	WrittenBytes uint64 `json:"written_bytes"` // log bytes the build appended
 	ScannedBytes uint64 `json:"scanned_bytes"`
 	RecoverNs    int64  `json:"recover_ns"`
 }
@@ -103,7 +103,7 @@ func recoveryBench(jsonPath, thresholdsPath string, quick bool) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		if err := recovBuild(dir, mb, 0); err != nil {
+		if _, err := recovBuild(dir, mb, 0); err != nil {
 			return err
 		}
 		for _, p := range []int{1, par} {
@@ -122,23 +122,25 @@ func recoveryBench(jsonPath, thresholdsPath string, quick bool) error {
 	}
 	fmt.Printf("speedup at parallelism %d (largest log): %.2fx\n", par, report.Speedup)
 
-	fmt.Printf("\nCheckpointed restart: fuzzy checkpoint every %dMB of commits\n", recovCkptMB)
-	fmt.Printf("%7s %12s %14s %12s\n", "log", "live bytes", "scanned bytes", "recover")
+	fmt.Printf("\nCheckpointed restart: a checkpoint (a head move) every %dMB of commits\n", recovCkptMB)
+	fmt.Printf("%7s %14s %14s %12s\n", "log", "written bytes", "scanned bytes", "recover")
 	for _, mb := range ckptSizes {
 		dir, err := os.MkdirTemp("", "rvmbench-ckpt-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		if err := recovBuild(dir, mb, recovCkptMB); err != nil {
+		written, err := recovBuild(dir, mb, recovCkptMB)
+		if err != nil {
 			return err
 		}
 		cell, err := recovMeasureCkpt(dir, mb, par)
 		if err != nil {
 			return err
 		}
+		cell.WrittenBytes = written
 		report.Checkpoint = append(report.Checkpoint, cell)
-		fmt.Printf("%5dMB %12d %14d %12s\n", cell.LogMB, cell.LiveBytes,
+		fmt.Printf("%5dMB %14d %14d %12s\n", cell.LogMB, cell.WrittenBytes,
 			cell.ScannedBytes, time.Duration(cell.RecoverNs))
 	}
 
@@ -177,20 +179,20 @@ func recoveryBench(jsonPath, thresholdsPath string, quick bool) error {
 
 // recovBuild creates a store in dir, commits about mb MB of modifications,
 // and abandons it without Close — a crash image whose live log holds the
-// full workload (truncation is disabled).  ckptEveryMB > 0 runs a fuzzy
-// checkpoint every that many MB, so the crash image's restart is bounded
-// by the suffix behind the last checkpoint instead of the whole log.
-func recovBuild(dir string, mb, ckptEveryMB int) error {
+// full workload (truncation is disabled).  ckptEveryMB > 0 runs a
+// checkpoint every that many MB, so the crash image's live log is only what
+// was written after the last one.  It returns the log bytes appended.
+func recovBuild(dir string, mb, ckptEveryMB int) (uint64, error) {
 	logPath := filepath.Join(dir, "r.log")
 	segPath := filepath.Join(dir, "r.seg")
 	segLen := int64(mb) << 20
-	// Headers, wraps, and checkpoint records ride along with the payload;
-	// double capacity keeps the build clear of log-full truncation stalls.
+	// Headers and wraps ride along with the payload; double capacity keeps
+	// the build clear of log-full truncation stalls.
 	if err := rvm.CreateLog(logPath, 2*segLen+(1<<20)); err != nil {
-		return err
+		return 0, err
 	}
 	if err := rvm.CreateSegment(segPath, 1, segLen); err != nil {
-		return err
+		return 0, err
 	}
 	db, err := rvm.Open(rvm.Options{
 		LogPath:           logPath,
@@ -198,11 +200,11 @@ func recovBuild(dir string, mb, ckptEveryMB int) error {
 		SpoolLimit:        64 << 20,
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	reg, err := db.Map(segPath, 0, segLen)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	payload := bytes.Repeat([]byte{0xAB}, recovPayload)
 	commits := int(segLen) / recovPayload
@@ -213,18 +215,18 @@ func recovBuild(dir string, mb, ckptEveryMB int) error {
 	for i := 0; i < commits; i++ {
 		tx, err := db.Begin(rvm.NoRestore)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		payload[0], payload[1] = byte(i), byte(i>>8) // distinct per commit
 		if err := tx.Modify(reg, int64(i)*recovPayload, payload); err != nil {
-			return err
+			return 0, err
 		}
 		if err := tx.Commit(rvm.NoFlush); err != nil {
-			return err
+			return 0, err
 		}
 		if (i+1)%recovFlushTxs == 0 {
 			if err := db.Flush(); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		// Offset the cadence by half an interval so a tail of commits
@@ -233,14 +235,15 @@ func recovBuild(dir string, mb, ckptEveryMB int) error {
 		// checkpoint that landed exactly at the crash point.
 		if ckptEvery > 0 && (i+1)%ckptEvery == ckptEvery/2 {
 			if err := db.Checkpoint(); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
 	// Force the tail durable, then abandon the handles: no Close means no
 	// final truncation, so the next Open replays the log like a restart
 	// after a power failure.
-	return db.Flush()
+	err = db.Flush()
+	return db.Stats().LogBytes, err
 }
 
 // recovCopy clones the crash image into a fresh directory, rewriting the
@@ -335,26 +338,5 @@ func recovMeasureCkpt(dir string, mb, parallelism int) (recovCkptCell, error) {
 			cell.ScannedBytes = st.RecoveryScanned
 		}
 	}
-	qi, err := recovLiveBytes(dir)
-	if err != nil {
-		return cell, err
-	}
-	cell.LiveBytes = qi
 	return cell, nil
-}
-
-// recovLiveBytes reports the crash image's live log bytes, read from a
-// clone so the image itself stays replayable.
-func recovLiveBytes(dir string) (int64, error) {
-	run, err := recovCopy(dir)
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(run)
-	l, err := wal.Open(filepath.Join(run, "r.log"))
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	return l.Used(), nil
 }

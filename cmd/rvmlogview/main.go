@@ -63,34 +63,22 @@ func viewLog(path string, backward bool, segFilter, tidFilter, touches int64, du
 	shown := 0
 	stop := fmt.Errorf("done")
 	visit := func(r *wal.Record) error {
-		switch r.Type {
-		case wal.RecCheckpoint:
-			// Checkpoint records carry no ranges; segment and offset
-			// filters never match them, but an unfiltered or tid=0 view
-			// shows where a restart's redo starts.
-			if tidFilter > 0 || segFilter >= 0 {
-				return nil
-			}
-			fmt.Printf("seq %-6d checkpoint  pos %-8d len %-8d stable seq %d (records below are reflected)\n",
-				r.Seq, r.Pos, r.Len, r.CkptSeq)
-		default: // RecTx
-			if tidFilter >= 0 && r.TID != uint64(tidFilter) {
-				return nil
-			}
-			match := segFilter < 0
-			for _, rg := range r.Ranges {
-				if segFilter >= 0 && rg.Seg == uint64(segFilter) {
-					if touches < 0 ||
-						(uint64(touches) >= rg.Off && uint64(touches) < rg.Off+uint64(len(rg.Data))) {
-						match = true
-					}
+		if tidFilter >= 0 && r.TID != uint64(tidFilter) {
+			return nil
+		}
+		match := segFilter < 0
+		for _, rg := range r.Ranges {
+			if segFilter >= 0 && rg.Seg == uint64(segFilter) {
+				if touches < 0 ||
+					(uint64(touches) >= rg.Off && uint64(touches) < rg.Off+uint64(len(rg.Data))) {
+					match = true
 				}
 			}
-			if !match {
-				return nil
-			}
-			printRecord(r, dumpData)
 		}
+		if !match {
+			return nil
+		}
+		printRecord(r, dumpData)
 		shown++
 		if max > 0 && shown >= max {
 			return stop

@@ -128,16 +128,8 @@ func copyLog(srcPath, dstPath string, size int64) {
 		die(err)
 	}
 	defer dst.Close()
-	records, ckpts := 0, 0
+	records := 0
 	err = src.ScanForward(func(r *wal.Record) error {
-		if r.Type == wal.RecCheckpoint {
-			// A checkpoint's stable LSN names sequence numbers of the
-			// source log; copying it would bound recovery of the copy
-			// with a cutoff that means nothing there.  The copy simply
-			// replays from its head, which is always correct.
-			ckpts++
-			return nil
-		}
 		if _, _, _, err := dst.Append(r.TID, r.Flags, r.Ranges); err != nil {
 			return err
 		}
@@ -157,9 +149,6 @@ func copyLog(srcPath, dstPath string, size int64) {
 	}
 	fmt.Printf("copied %d live record(s) into %s (%d-byte record area)\n",
 		records, dstPath, dst.AreaSize())
-	if ckpts > 0 {
-		fmt.Printf("skipped %d checkpoint record(s) (stable LSNs do not survive renumbering)\n", ckpts)
-	}
 }
 
 // verify checks a store offline: the log scans clean — the scan checks
@@ -210,7 +199,7 @@ func verify(logPath string) {
 		}
 	}
 	headPos, headSeq := l.Head()
-	if _, err := l.Scan(headPos, headSeq, func(w *wal.Window) error {
+	if err := l.Scan(headPos, headSeq, func(w *wal.Window) error {
 		defer w.Release()
 		for i := range w.Recs {
 			records++
@@ -247,16 +236,10 @@ func status(path string) {
 	fmt.Printf("head:         offset %d, seq %d\n", head, headSeq)
 	fmt.Printf("tail:         offset %d, next seq %d\n", tail, nextSeq)
 	fmt.Printf("forced LSN:   %d\n", l.ForcedThrough())
-	var recs, ranges, ckpts int
+	var recs, ranges int
 	var bytes uint64
-	var stable uint64
 	segs := map[uint64]bool{}
 	err = l.ScanForward(func(r *wal.Record) error {
-		if r.Type == wal.RecCheckpoint {
-			ckpts++
-			stable = r.CkptSeq // forward scan: the last one seen is newest
-			return nil
-		}
 		recs++
 		for _, rg := range r.Ranges {
 			ranges++
@@ -270,10 +253,6 @@ func status(path string) {
 	}
 	fmt.Printf("live records: %d transactions, %d ranges, %d data bytes, %d segment(s)\n",
 		recs, ranges, bytes, len(segs))
-	if ckpts > 0 {
-		fmt.Printf("checkpoints:  %d record(s), newest stable seq %d (recovery scans from there)\n",
-			ckpts, stable)
-	}
 }
 
 // segments prints the segment dictionary next to the log.

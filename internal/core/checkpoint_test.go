@@ -6,15 +6,13 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/rvm-go/rvm/internal/iofault"
 )
 
-// TestCheckpointBoundsRecoveryScan is the acceptance check for fuzzy
-// checkpoints: after a checkpoint, a crash's recovery scans only the log
-// suffix written since, not the whole live log — even with truncation
-// disabled.
+// TestCheckpointBoundsRecoveryScan is the acceptance check for checkpoints:
+// after a checkpoint, a crash's recovery scans only the log written since,
+// not everything committed — even with automatic truncation disabled.
 func TestCheckpointBoundsRecoveryScan(t *testing.T) {
 	v := newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
@@ -26,8 +24,8 @@ func TestCheckpointBoundsRecoveryScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := v.eng.Stats()
-	if st.Checkpoints != 1 || st.CheckpointPages == 0 {
-		t.Fatalf("checkpoint stats: runs=%d pages=%d", st.Checkpoints, st.CheckpointPages)
+	if qi, _ := v.eng.Query(nil); st.Checkpoints != 1 || st.CheckpointPages == 0 || qi.LogUsed != 0 {
+		t.Fatalf("checkpoint stats: runs=%d pages=%d, %d live log bytes", st.Checkpoints, st.CheckpointPages, qi.LogUsed)
 	}
 	// A handful of post-checkpoint commits are all recovery should replay.
 	v.commit1(r, 0, []byte("after-checkpoint"))
@@ -38,8 +36,8 @@ func TestCheckpointBoundsRecoveryScan(t *testing.T) {
 	if st.RecoveryScanned == 0 {
 		t.Fatal("reopen reported no scanned bytes")
 	}
-	// 40 ×512B commits ≈ 23 KiB of live log; the bounded scan covers only
-	// the two post-checkpoint records plus the checkpoint record itself.
+	// 40 ×512B commits ≈ 23 KiB of log; the bounded scan covers only the
+	// two post-checkpoint records.
 	if st.RecoveryScanned > 4096 {
 		t.Fatalf("recovery scanned %d bytes; checkpoint did not bound the scan", st.RecoveryScanned)
 	}
@@ -56,8 +54,8 @@ func TestCheckpointBoundsRecoveryScan(t *testing.T) {
 	}
 }
 
-// TestCheckpointIdempotentWhenClean: checkpoints with nothing new to
-// stabilize must succeed without appending more checkpoint records.
+// TestCheckpointIdempotentWhenClean: checkpoints with nothing new to write
+// must succeed without touching the log — no record, no head move.
 func TestCheckpointIdempotentWhenClean(t *testing.T) {
 	v := newEnv(t, 1<<16, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
@@ -65,23 +63,27 @@ func TestCheckpointIdempotentWhenClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.commit1(r, 0, []byte("x"))
+	if err := v.eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Only the first post-commit checkpoint had a page to write and a head
+	// to move.
+	before := v.eng.log.Stats()
 	for i := 0; i < 3; i++ {
 		if err := v.eng.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := v.eng.Stats(); st.Checkpoints != 4 {
-		t.Fatalf("checkpoint runs = %d", st.Checkpoints)
+	if st := v.eng.Stats(); st.Checkpoints != 5 || st.CheckpointPages != 1 {
+		t.Fatalf("checkpoint runs = %d, pages = %d; want 5 and 1", st.Checkpoints, st.CheckpointPages)
 	}
-	// Only the first post-commit checkpoint had progress to record.
-	ls := v.eng.log.Stats()
-	if ls.Checkpoints != 1 {
-		t.Fatalf("checkpoint records appended = %d, want 1", ls.Checkpoints)
+	if after := v.eng.log.Stats(); after != before {
+		t.Fatalf("checkpoints of a clean engine touched the log: %+v, then %+v", before, after)
 	}
 }
 
 // TestCrashDuringCheckpointProperty injects permanent (optionally torn)
-// write faults on the segment device — the fuzzy checkpoint's write path —
+// write faults on the segment device — the checkpoint's write path —
 // and crashes the engine mid-checkpoint.  Whatever the checkpoint managed
 // to do before failing, recovery on the real device must reproduce exactly
 // the acknowledged state: checkpoint page write-out is redo of committed
@@ -215,26 +217,4 @@ func TestCheckpointConcurrentCommitters(t *testing.T) {
 			t.Fatalf("worker %d: recovered %q, want %q", w, got, want)
 		}
 	}
-}
-
-// TestBackgroundCheckpointer: Options.CheckpointInterval runs checkpoints
-// on its own, and Close stops the loop cleanly.
-func TestBackgroundCheckpointer(t *testing.T) {
-	v := newEnv(t, 1<<17, pageBytes(2), Options{
-		TruncateThreshold:  -1,
-		CheckpointInterval: 2 * time.Millisecond,
-	})
-	r := v.mapWhole()
-	deadline := time.Now().Add(2 * time.Second)
-	for v.eng.Stats().Checkpoints == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background checkpointer never ran")
-		}
-		v.commit1(r, 0, []byte("tick"))
-		time.Sleep(time.Millisecond)
-	}
-	if err := v.eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v.eng = nil
 }

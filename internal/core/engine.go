@@ -123,11 +123,6 @@ type Options struct {
 	// longer, trading commit latency for bigger batches when committers
 	// are slow to arrive.  Only meaningful with GroupCommit.
 	MaxForceDelay time.Duration
-	// CheckpointInterval enables background fuzzy checkpoints: every
-	// interval the engine writes queued dirty pages to their segments
-	// without stalling committers and records the stable LSN in the log,
-	// bounding the suffix a future recovery must scan.  Zero disables.
-	CheckpointInterval time.Duration
 	// SpoolLimit bounds the bytes of committed no-flush transactions held
 	// in memory awaiting a flush; crossing it triggers an implicit flush
 	// (the real RVM's log buffers were finite too).
@@ -170,13 +165,13 @@ type statsOf[T any] struct {
 	PagesWritten    T `json:"pages_written" prom:"rvm_pages_written_total" help:"Pages written to segments by truncation and unmap."`
 	Recoveries      T `json:"recoveries" prom:"rvm_recoveries_total" help:"Recoveries performed at open."`
 	RecoveredBytes  T `json:"recovered_bytes" prom:"rvm_recovery_applied_bytes_total" help:"Bytes applied to segments during recovery."`
-	RecoveryScanned T `json:"recovery_scanned" prom:"rvm_recovery_scanned_bytes_total" help:"Log bytes recovery had to consider (stable LSN to tail)."`
+	RecoveryScanned T `json:"recovery_scanned" prom:"rvm_recovery_scanned_bytes_total" help:"Log bytes recovery had to consider (head to tail)."`
 	Retries         T `json:"retries" prom:"rvm_io_retries_total" help:"Transient storage faults retried."`
 	TruncFailures   T `json:"trunc_failures" prom:"rvm_truncation_failures_total" help:"Background truncations that failed."`
 	ForcesSaved     T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
 	GroupCommitSize T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
 	JoinExpired     T `json:"join_expired" prom:"rvm_group_commit_join_expired_total" help:"Force-leader join waits that ran out before the predicted committers arrived."`
-	Checkpoints     T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Fuzzy checkpoints completed."`
+	Checkpoints     T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Checkpoints completed."`
 	CheckpointPages T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
 }
 
@@ -229,10 +224,6 @@ type Engine struct {
 	pipe pipeline
 	gc   groupCommit // group-commit ticket state (own mutex; see groupcommit.go)
 
-	// Fuzzy-checkpoint cursor, touched only under the truncation claim.
-	lastCkptStable uint64 // stable seq the newest checkpoint record carries
-	lastCkptSeq    uint64 // seq of that checkpoint record itself
-
 	// Structural state, guarded by mu.  The regions slice is additionally
 	// mutated only while also holding pipe.mu, so either lock suffices to
 	// read it; the truncation claim (truncating) gives claim holders
@@ -259,9 +250,7 @@ type Engine struct {
 	truncThreshold atomic.Uint64 // math.Float64bits
 	incremental    atomic.Bool
 
-	// Background loops, never started when disabled: the fuzzy checkpointer
-	// (checkpoint.go) and the stall watchdog (stall.go).
-	ckptLoop  bgLoop
+	// The stall watchdog (stall.go), never started when disabled.
 	stallLoop bgLoop
 
 	// Observability sinks, copied from Options at Open.  Both are
@@ -274,15 +263,14 @@ type Engine struct {
 }
 
 // bgLoop is a background goroutine that calls a function on every tick
-// until the function asks to stop or stop is called.  The zero value is a
-// loop that was never started.
+// until stop is called.  The zero value is a loop that was never started.
 type bgLoop struct {
 	quit chan struct{}
 	done chan struct{}
 	once sync.Once
 }
 
-func (l *bgLoop) start(tick time.Duration, fn func() (stop bool)) {
+func (l *bgLoop) start(tick time.Duration, fn func()) {
 	l.quit = make(chan struct{})
 	l.done = make(chan struct{})
 	go func() {
@@ -294,9 +282,7 @@ func (l *bgLoop) start(tick time.Duration, fn func() (stop bool)) {
 			case <-l.quit:
 				return
 			case <-t.C:
-				if fn() {
-					return
-				}
+				fn()
 			}
 		}
 	}()
@@ -411,9 +397,6 @@ func Open(opts Options) (*Engine, error) {
 		e.stats.RecoveryScanned.Store(st.ScannedBytes)
 		// The redo is the run's first truncation epoch (DESIGN.md §13).
 		e.pending = ep
-	}
-	if opts.CheckpointInterval > 0 {
-		e.startCheckpointer(opts.CheckpointInterval)
 	}
 	if e.met != nil && opts.StallBudget >= 0 {
 		e.startStallWatchdog(opts.StallBudget)
@@ -866,14 +849,6 @@ func (e *Engine) Metrics() *obs.Metrics { return e.met }
 // the flush and truncation (fail-stop: no further storage writes) and
 // reports the poisoned state.
 func (e *Engine) Close() error {
-	// Stop the background checkpointer first: it claims the truncation
-	// slot, and no claim is held here yet, so waiting for it cannot
-	// deadlock.  It stays stopped even if this Close fails (active
-	// transactions); only explicit Checkpoint calls run after that.
-	// The stall watchdog goes too — it only reads atomics, but letting
-	// it outlive the engine's files would be sloppy.
-	e.stallLoop.stop()
-	e.ckptLoop.stop()
 	e.mu.Lock()
 	e.waitTruncationLocked()
 	if e.closed.Load() {
@@ -932,6 +907,11 @@ func (e *Engine) Close() error {
 	e.truncating.Store(false)
 	e.cond.Broadcast()
 	e.mu.Unlock()
+	// The stall watchdog stops only now that nothing can fail the close: an
+	// engine whose Close failed goes on running, watched.  It reads atomics
+	// alone, so it never waits on the teardown; it just must not outlive
+	// the files.
+	e.stallLoop.stop()
 	if err := e.closeFiles(); err != nil && poisonErr == nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,41 +19,39 @@ import (
 type crashImage struct {
 	dir      string // holds the image files
 	home     string // where they came from, and go back for a restart: the dictionary names the segment there
-	logBytes int64  // live log bytes in the image
-	stable   int64  // of them, the bytes from the last checkpoint's stable LSN on (all without one)
+	logBytes int64  // log bytes written in all
+	since    int64  // of them, the bytes written after the checkpoint (all without one): the live log
 }
 
 var crashFiles = []string{"log.rvm", "log.rvm.segs", "seg.rvm"}
 
 // newCrashImage commits flush-mode transfers until logBytes of log are
-// live, checkpointing once ckptAt of them are written (0: never), and
-// copies the files as they stand; the engine then lets go of them as a
-// dying process would, without a write.
+// written, checkpointing once ckptAt of them are (0: never), and copies the
+// files as they stand; the engine then lets go of them as a dying process
+// would, without a write.
 func newCrashImage(tb testing.TB, logBytes, ckptAt int64) *crashImage {
 	tb.Helper()
 	s := newTPCAShape(tb, Options{NoSync: true, TruncateThreshold: -1})
 	s.localized = true
-	live := func() int64 {
-		qi, err := s.eng.Query(nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return qi.LogUsed
-	}
+	written := func() int64 { return int64(s.eng.Stats().LogBytes) }
 	img := &crashImage{dir: tb.TempDir()}
-	for live() < logBytes {
-		if ckptAt > 0 && live() >= ckptAt {
-			// Every page goes out, so the stable LSN is the checkpoint
-			// record's own.
-			img.stable, ckptAt = live(), 0
+	var ckpt int64 // bytes written when the checkpoint ran
+	for written() < logBytes {
+		if ckptAt > 0 && written() >= ckptAt {
+			ckpt, ckptAt = written(), 0
 			if err := s.eng.Checkpoint(); err != nil {
 				tb.Fatal(err)
+			}
+			// No page is pinned, so every page goes out and the head moves
+			// to the tail.
+			if qi, err := s.eng.Query(nil); err != nil || qi.LogUsed != 0 {
+				tb.Fatalf("a checkpoint with no page pinned left %d live log bytes (%v)", qi.LogUsed, err)
 			}
 		}
 		s.commitMode(tb, Flush)
 	}
-	img.logBytes = live()
-	img.stable = img.logBytes - img.stable
+	img.logBytes = written()
+	img.since = img.logBytes - ckpt
 	img.home = filepath.Dir(s.eng.opts.LogPath)
 	for _, name := range crashFiles {
 		b, err := os.ReadFile(filepath.Join(img.home, name))
@@ -188,11 +185,11 @@ func (r restarted) writesNothing(tb testing.TB) {
 }
 
 // TestRestartReadsLogOnce pins what the fused scan is for: a restart reads
-// its log once.  Without a checkpoint everything is built from the scan
-// that finds the tail, so Open reads the live bytes (plus what windows
-// re-read of records straddling their ends) and the two status blocks; with
-// one, the records from the stable LSN on are read a second time, and only
-// those.  What a restart allocates is pinned too: the scan's windows are
+// its log once.  Everything is built from the scan that finds the tail, so
+// Open reads the live bytes (plus what windows re-read of records straddling
+// their ends) and the two status blocks; after a checkpoint, which moved the
+// head, the live bytes are the log written since, and nothing before them
+// is read.  What a restart allocates is pinned too: the scan's windows are
 // recycled, so the heap sees the trees, the regions and a few windows, not
 // the log.
 func TestRestartReadsLogOnce(t *testing.T) {
@@ -236,17 +233,17 @@ func TestRestartReadsLogOnce(t *testing.T) {
 		defer r.eng.Close()
 		r.writesNothing(t)
 		st := r.eng.Stats()
-		if st.RecoveryScanned != uint64(img.stable) {
-			t.Fatalf("recovery considered %d bytes, want the %d from the stable LSN on", st.RecoveryScanned, img.stable)
+		if st.RecoveryScanned != uint64(img.since) {
+			t.Fatalf("recovery considered %d bytes, want the %d written since the checkpoint", st.RecoveryScanned, img.since)
 		}
-		if img.stable > img.logBytes/2 {
-			t.Fatalf("the checkpoint bounds redo at %d of %d bytes only", img.stable, img.logBytes)
+		if img.since > img.logBytes/2 {
+			t.Fatalf("the checkpoint bounds redo at %d of %d bytes only", img.since, img.logBytes)
 		}
 		read := r.log.readBytes.Load()
-		if limit := img.logBytes + img.stable*11/10 + window + status; read > limit {
-			t.Errorf("Open read %d log bytes for %d live, %d past the stable LSN; want at most %d", read, img.logBytes, img.stable, limit)
+		if limit := img.since*11/10 + window + status; read > limit {
+			t.Errorf("Open read %d log bytes for %d written, %d since the checkpoint; want at most %d", read, img.logBytes, img.since, limit)
 		}
-		t.Logf("read %d log bytes for %d live, %d past the stable LSN", read, img.logBytes, img.stable)
+		t.Logf("read %d log bytes for %d written, %d since the checkpoint", read, img.logBytes, img.since)
 	})
 }
 
@@ -275,63 +272,4 @@ func BenchmarkOpenRecover(b *testing.B) {
 	b.ReportMetric(float64(read)/float64(b.N), "logread-B/op")
 	b.ReportMetric(float64(segWritten)/float64(b.N), "segwrite-B/op")
 	b.ReportMetric(float64(syncs)/float64(b.N), "sync/op")
-}
-
-// TestRestartCheckpointBelowHead crashes with a live checkpoint record whose
-// stable LSN a truncation has since moved the head past: the checkpoint met
-// a pinned page and recorded that page's first log reference, the pin went,
-// and incremental truncation wrote the page and freed its record — but not
-// the checkpoint record.  The restart must replay from the head, not look
-// for the record the checkpoint names.
-func TestRestartCheckpointBelowHead(t *testing.T) {
-	v := newEnv(t, 1<<16, pageBytes(3), Options{TruncateThreshold: -1})
-	r, err := v.eng.Map(v.segPath, 0, pageBytes(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		v.commit1(r, 0, bytes.Repeat([]byte{byte('a' + i)}, 3000))
-	}
-	v.commit1(r, pageBytes(1), bytes.Repeat([]byte{'S'}, 2000)) // the stable LSN to be
-	pin, err := v.eng.Begin(Restore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pin.SetRange(r, pageBytes(1), 8); err != nil {
-		t.Fatal(err)
-	}
-	v.commit1(r, pageBytes(2), []byte("kept in the log"))
-	if err := v.eng.Checkpoint(); err != nil { // page 0 goes out; page 1 is pinned
-		t.Fatal(err)
-	}
-	if err := pin.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	// Down to 1 % of the log: page 1 goes out and the head moves to page 2's
-	// record, between the stable LSN and the checkpoint record.
-	if err := v.eng.TruncateIncremental(0.01); err != nil {
-		t.Fatal(err)
-	}
-	lg := v.eng.log
-	_, head := lg.Head()
-	if stable := v.eng.lastCkptStable; stable >= head || head > v.eng.lastCkptSeq {
-		t.Fatalf("head at seq %d, stable LSN %d, checkpoint record %d: not the image this test is about",
-			head, stable, v.eng.lastCkptSeq)
-	}
-
-	v.reopen(Options{})
-	if st := v.eng.Stats(); st.RecoveredBytes != uint64(len("kept in the log")) {
-		t.Fatalf("recovered %d bytes, want the one record above the head", st.RecoveredBytes)
-	}
-	r2, err := v.eng.Map(v.segPath, 0, pageBytes(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, pageBytes(3))
-	copy(want, bytes.Repeat([]byte{'j'}, 3000))
-	copy(want[pageBytes(1):], bytes.Repeat([]byte{'S'}, 2000))
-	copy(want[pageBytes(2):], "kept in the log")
-	if !bytes.Equal(r2.Data(), want) {
-		t.Fatal("restart did not reproduce the committed state")
-	}
 }

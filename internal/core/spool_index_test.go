@@ -332,13 +332,13 @@ func TestSpoolPageRefs(t *testing.T) {
 	}
 	// The cleaner, run as a checkpoint runs it, finds page 0 first in the
 	// queue with spooled bytes in it: it turns the spool into log records
-	// before it writes anything, then writes both pages, and the stable LSN
-	// is the next append's — the flush commit and the three live spool entries
+	// before it writes anything, then writes both pages, and the head goes
+	// to the next append's — the flush commit and the three live spool entries
 	// are all reflected.
-	pages, _, stable, err := v.eng.clean(cleanEverything, &v.eng.stats.CheckpointPages)
+	pages, _, head, err := v.eng.clean(cleanEverything, &v.eng.stats.CheckpointPages)
 	v.eng.releaseTruncation()
-	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || stable != next || stable != 5 || v.eng.Stats().Flushes != 1 {
-		t.Fatalf("cleaner wrote %d page(s), stable %d, %v, %d flush(es); want 2, 5, nil, 1", pages, stable, err, v.eng.Stats().Flushes)
+	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || head != next || head != 5 || v.eng.Stats().Flushes != 1 {
+		t.Fatalf("cleaner wrote %d page(s), head seq %d, %v, %d flush(es); want 2, 5, nil, 1", pages, head, err, v.eng.Stats().Flushes)
 	}
 	// The cleaner drained the spool, so the epoch below gets its state made
 	// again: a logged page that the spool then references.

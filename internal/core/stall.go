@@ -43,7 +43,7 @@ func (e *Engine) startStallWatchdog(budget time.Duration) {
 		tick = 250 * time.Millisecond
 	}
 	var reported [obs.NumStallClasses]int64 // gate start last reported per class
-	e.stallLoop.start(tick, func() bool {
+	e.stallLoop.start(tick, func() {
 		now := time.Now().UnixNano()
 		for c := obs.StallClass(0); c < obs.NumStallClasses; c++ {
 			start := e.met.OpActiveSince(c)
@@ -58,6 +58,5 @@ func (e *Engine) startStallWatchdog(budget time.Duration) {
 			e.met.RecordStall(c, dur)
 			e.tr.Record(obs.EvStall, 0, uint64(c), uint64(dur))
 		}
-		return false
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -98,5 +99,27 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 			t.Fatal(msg)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestCloseFailureKeepsWatchdog: a Close refused for an active transaction
+// leaves the engine running, and the stall watchdog with it.
+func TestCloseFailureKeepsWatchdog(t *testing.T) {
+	met := obs.NewMetrics()
+	v := newEnv(t, 1<<18, pageBytes(2), Options{Metrics: met, StallBudget: 20 * time.Millisecond})
+	tx, err := v.eng.Begin(Restore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.eng.Close(); !errors.Is(err, ErrActiveTx) {
+		t.Fatalf("Close with an active transaction: %v, want ErrActiveTx", err)
+	}
+	met.OpEnter(obs.StallForce)
+	defer met.OpExit(obs.StallForce)
+	waitFor(t, time.Second, func() bool {
+		return stallCount(met.Snapshot(), "force") == 1
+	}, "the watchdog stopped with the failed Close")
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -273,42 +274,74 @@ func TestSetOptionsChangesTruncationBehaviour(t *testing.T) {
 	}
 }
 
-// TestCheckpointThenIncrementalMovesHeadOnly: a checkpoint drains the page
-// queue and leaves the head where it was; the incremental truncation after
-// it finds nothing to write and moves the head to the tail — the tail it
-// read in the pipeline section that saw the queue empty.
-func TestCheckpointThenIncrementalMovesHeadOnly(t *testing.T) {
+// TestCommitInCleanWindowStaysLive is ROADMAP hazard 4 made deterministic:
+// a flush commit lands right after the cleaner has seen the queue empty and
+// read the tail, before the head moves there.  The tail read under the
+// pipeline lock is what keeps that commit's record live; read any later, the
+// head would pass a queued page's first reference and a crash would lose an
+// acknowledged commit.  Both head movers meet it: a checkpoint, and the
+// incremental truncation after it.
+func TestCommitInCleanWindowStaysLive(t *testing.T) {
 	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true, TruncateThreshold: -1})
 	r := v.mapWhole()
-	v.commit1(r, 0, []byte("checkpointed"))
-	v.commit1(r, pageBytes(1), []byte("second page"))
-	if err := v.eng.Checkpoint(); err != nil {
+	e := v.eng
+	var committed []string
+	armed := false
+	cleanPeeked = func() {
+		e.pipe.mu.Lock()
+		_, queued := e.pipe.queue.First()
+		e.pipe.mu.Unlock()
+		if armed && !queued {
+			armed = false
+			val := fmt.Sprintf("in the window %d", len(committed))
+			v.commit1(r, pageBytes(1), []byte(val))
+			committed = append(committed, val)
+		}
+	}
+	defer func() { cleanPeeked = nil }()
+	headBehindQueue := func(after string) {
+		t.Helper()
+		e.pipe.mu.Lock()
+		d, queued := e.pipe.queue.First()
+		_, headSeq := e.log.Head()
+		e.pipe.mu.Unlock()
+		if queued && d.Seq < headSeq {
+			t.Fatalf("after %s: page %v is queued at seq %d, behind the head at seq %d", after, d.ID, d.Seq, headSeq)
+		}
+	}
+	v.commit1(r, 0, []byte("before the checkpoint"))
+	armed = true
+	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	before := v.eng.Stats()
-	if qi, _ := v.eng.Query(r); qi.LogUsed == 0 || qi.QueuedPages != 0 || before.PagesWritten != 2 {
-		t.Fatalf("after the checkpoint: %+v, %d pages written; want a live log, an empty queue and 2", qi, before.PagesWritten)
-	}
-	if err := v.eng.TruncateIncremental(0); err != nil {
+	headBehindQueue("the checkpoint")
+	armed = true
+	if err := e.TruncateIncremental(0); err != nil {
 		t.Fatal(err)
 	}
-	after := v.eng.Stats()
-	if qi, _ := v.eng.Query(r); qi.LogUsed != 0 || after.PagesWritten != before.PagesWritten ||
-		after.IncrSteps != 0 || after.EpochTruncs != 0 {
-		t.Fatalf("after the truncation: %+v, stats %+v; want an empty log and no page written", qi, after)
+	if len(committed) != 2 {
+		t.Fatalf("%d commits landed in the window, want 2", len(committed))
 	}
+	// The commit keeps the log above the target, so the truncation falls
+	// back to an epoch, which empties the queue; a head moved past the
+	// commit would have reached the target and queued the page behind it.
+	headBehindQueue("the incremental truncation")
 	v.reopen(Options{})
 	r2 := v.mapWhole()
-	if !bytes.Equal(r2.Data()[:12], []byte("checkpointed")) || !bytes.Equal(r2.Data()[pageBytes(1):pageBytes(1)+11], []byte("second page")) {
-		t.Fatal("data lost after a checkpoint and a head-only truncation")
+	want := committed[len(committed)-1]
+	if got := string(r2.Data()[pageBytes(1) : pageBytes(1)+int64(len(want))]); got != want {
+		t.Fatalf("recovered %q, want the last commit of the window, %q", got, want)
+	}
+	if got := string(r2.Data()[:21]); got != "before the checkpoint" {
+		t.Fatalf("recovered %q before the checkpoint", got)
 	}
 }
 
 // TestHeadNeverPassesQueuedPage: a queued page's first log reference is a
 // live record, whatever interleaving of commits, checkpoints (which drain
-// the queue and leave the head) and incremental truncations (which move the
-// head to where the queue starts) produced the state.  A head beyond a
-// queued reference is an acknowledged commit a crash would lose.
+// the queue) and incremental truncations produced the state; both move the
+// head to where the queue starts.  A head beyond a queued reference is an
+// acknowledged commit a crash would lose.
 func TestHeadNeverPassesQueuedPage(t *testing.T) {
 	const workers = 3
 	v := newEnv(t, 1<<19, pageBytes(workers), Options{Incremental: true, TruncateThreshold: -1})
@@ -358,8 +391,8 @@ func TestHeadNeverPassesQueuedPage(t *testing.T) {
 	// the rounds are bounded by time as well as by count.
 	deadline := time.Now().Add(time.Second)
 	for i := 0; i < 200 && time.Now().Before(deadline) && !t.Failed(); i++ {
-		// The checkpoint first: it is what leaves a truncation an empty
-		// queue to find while commits keep appending.
+		// The checkpoint first: it drains the queue, so both it and the
+		// truncation find the queue empty while commits keep appending.
 		if err := v.eng.Checkpoint(); err != nil {
 			t.Error(err)
 			break

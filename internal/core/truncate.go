@@ -162,9 +162,9 @@ func (e *Engine) epoch() error {
 
 // applyPending applies the redo the restart left pending (Open), the run's
 // first truncation epoch.  Every claim holder that writes a page from memory
-// or moves a head or a stable LSN calls it first: applied later, the redo
-// would write older bytes over such a page, and a head moved first would drop
-// records whose bytes are in no segment yet.  Nothing queued predates the
+// or moves the head calls it first: applied later, the redo would write
+// older bytes over such a page, and a head moved first would drop records
+// whose bytes are in no segment yet.  Nothing queued predates the
 // redo, so there is nothing to reconcile.  Caller holds the truncation
 // claim.
 func (e *Engine) applyPending() error {
@@ -259,15 +259,20 @@ const (
 // cleanEverything is the clean target no log usage satisfies.
 const cleanEverything = -1
 
+// cleanPeeked, when set, runs each time clean leaves the pipeline section
+// that read the queue's first page or the log's tail.  Tests commit from it
+// to land an append between that read and the head move.
+var cleanPeeked func()
+
 // clean is the page cleaner (paper Figure 7): it writes the pages of the
 // FIFO queue to their segments, oldest log reference first,
 // until the live log less what a head move would free is at most targetUsed
 // bytes, or the queue is drained, or its first page stays blocked.  It
 // counts each page on the caller's counter as it goes and returns the pages
 // written and the log position and sequence number of the first reference
-// it did not retire — the next append's when the queue drained.  Everything before that reference is durably in the segments:
-// incremental truncation moves the head there, a checkpoint records the
-// sequence number as the stable LSN.  Caller holds the truncation claim.
+// it did not retire — the next append's when the queue drained.  Everything
+// before that reference is durably in the segments, so truncateClaimed
+// moves the head there.  Caller holds the truncation claim.
 //
 // Each step holds the page's region lock across the write-out, the dirty
 // clear, and the queue pop: the region lock excludes commits on that
@@ -298,6 +303,9 @@ func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, po
 			pos, seq = e.log.Tail()
 		}
 		p.mu.Unlock()
+		if cleanPeeked != nil {
+			cleanPeeked()
+		}
 		if !ok || e.log.Used()-e.reclaimableTo(pos) <= targetUsed {
 			break
 		}
@@ -322,7 +330,7 @@ func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, po
 			// A no-flush transaction committed after the caller's spool
 			// flush may have re-dirtied this page: its bytes are committed
 			// but not yet logged, so writing the page (and moving the head
-			// or a stable LSN past its log reference) would break atomicity
+			// past its log reference) would break atomicity
 			// on a crash.  The region lock holds the spool state for this
 			// region, and with it the page's newest log reference, steady
 			// across the checks and the copy.
@@ -428,7 +436,7 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 		return err
 	}
 	pause := time.Now()
-	pages, done, err := e.incrementalClaimed(targetFraction)
+	pages, done, err := e.truncateClaimed(int64(targetFraction*float64(e.log.AreaSize())), &e.stats.IncrSteps)
 	err = e.maybePoison(err)
 	e.met.ObserveTruncPause(time.Since(pause).Nanoseconds())
 	e.tr.SpanSince(obs.EvTruncPause, pause, 0, pages, 0)
@@ -446,19 +454,20 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 	return err
 }
 
-// incrementalClaimed is TruncateIncremental's body under the truncation
-// claim.  done reports whether the log is down to the target.
-func (e *Engine) incrementalClaimed(targetFraction float64) (pages uint64, done bool, err error) {
+// truncateClaimed is the body of incremental truncation and of a checkpoint
+// under the truncation claim: it cleans pages, counting them on count, until
+// at most target log bytes would stay live, and moves the head.  done
+// reports whether the log is down to the target.
+func (e *Engine) truncateClaimed(target int64, count *atomic.Uint64) (pages uint64, done bool, err error) {
 	// The spool flush runs even on a log already below target: truncation's
 	// contract includes making spooled no-flush commits durable.
 	if err := e.flushSpool(true); err != nil {
 		return 0, true, err
 	}
-	target := int64(targetFraction * float64(e.log.AreaSize()))
 	if e.log.Used() <= target {
 		return 0, true, nil
 	}
-	pages, pos, seq, err := e.clean(target, &e.stats.IncrSteps)
+	pages, pos, seq, err := e.clean(target, count)
 	if err != nil {
 		return pages, true, err
 	}

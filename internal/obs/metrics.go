@@ -28,10 +28,10 @@ type metricsOf[H, G any] struct {
 	ForceBatch      H `json:"force_batch" prom:"rvm_force_batch" help:"Records covered per force."`
 	TruncPauseNs    H `json:"trunc_pause_ns" prom:"rvm_trunc_pause_ns" help:"Forward-processing pause per truncation."`
 	SpoolFlushNs    H `json:"spool_flush_ns" prom:"rvm_spool_flush_ns" help:"Spool flush latency."`
-	CheckpointNs    H `json:"checkpoint_ns" prom:"rvm_checkpoint_ns" help:"Fuzzy checkpoint latency."`
+	CheckpointNs    H `json:"checkpoint_ns" prom:"rvm_checkpoint_ns" help:"Checkpoint latency."`
 	OpenScanNs      H `json:"open_scan_ns" prom:"rvm_open_scan_ns" help:"Scan of one log at Open: finds the tail and feeds the redo builders."`
-	RecoveryScanNs  H `json:"recovery_scan_ns" prom:"rvm_recovery_scan_ns" help:"Recovery scanning after Open (second scans from a prepare or a checkpoint)."`
-	RecoveryBuildNs H `json:"recovery_build_ns" prom:"rvm_recovery_build_ns" help:"Recovery wait for the redo-tree builders after the scans."`
+	RecoveryScanNs  H `json:"recovery_scan_ns" prom:"rvm_recovery_scan_ns" help:"Recovery scanning of a log already open; a restart scans at Open (open_scan_ns)."`
+	RecoveryBuildNs H `json:"recovery_build_ns" prom:"rvm_recovery_build_ns" help:"Recovery wait for the redo-tree builders after the scan."`
 	RecoveryApplyNs H `json:"recovery_apply_ns" prom:"rvm_recovery_apply_ns" help:"Recovery apply phase duration."`
 
 	// Where one commit's latency went (DESIGN.md §14).  The first five
@@ -50,7 +50,7 @@ type metricsOf[H, G any] struct {
 
 	// Live levels while a restart replays the log, so a multi-GB
 	// recovery is observable as it runs.
-	RecoveryScanBytes  G `json:"recovery_scan_bytes" prom:"rvm_recovery_scan_bytes" help:"Log bytes recovery has to consider (stable LSN to tail)."`
+	RecoveryScanBytes  G `json:"recovery_scan_bytes" prom:"rvm_recovery_scan_bytes" help:"Log bytes recovery has to consider (head to tail)."`
 	RecoveryApplyBytes G `json:"recovery_apply_bytes" prom:"rvm_recovery_apply_bytes" help:"Modification bytes applied by recovery so far."`
 	RecoveryReplayed   G `json:"recovery_replayed" prom:"rvm_recovery_replayed_records" help:"Log records replayed by recovery so far."`
 }
@@ -125,7 +125,7 @@ func (m *Metrics) ObserveSpoolFlush(ns int64) {
 	}
 }
 
-// ObserveCheckpoint records one fuzzy-checkpoint duration.
+// ObserveCheckpoint records one checkpoint duration.
 func (m *Metrics) ObserveCheckpoint(ns int64) {
 	if m != nil {
 		m.CheckpointNs.Observe(ns)

@@ -54,7 +54,7 @@ const (
 	EvRetry                   // instant: transient fault retried
 	EvFault                   // instant: fault injected (A = op class)
 	EvPoisoned                // instant: engine fail-stopped
-	EvCheckpoint              // span: fuzzy checkpoint (A = pages written, B = stable seq)
+	EvCheckpoint              // span: checkpoint (A = pages written, B = head seq after)
 	EvStall                   // instant: watchdog-detected stall (A = StallClass, B = ns in flight)
 )
 

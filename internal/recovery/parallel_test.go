@@ -15,15 +15,14 @@ import (
 // TestRedoPathsAgree replays the same randomized multi-segment logs through
 // every redo path and requires bit-identical segment images and equal
 // counts — records replayed, distinct bytes applied — against a byte-array
-// model that applies the records in log order: a later value wins per byte
-// no matter how the work is divided.  The shapes are the ways a restart's
-// scan can end up building: everything from the scan itself (a log of
-// plain records; epoch truncation — one tree per segment, no workers —
-// must agree too); from a second scan that starts at a checkpoint's stable
-// LSN (what lies below must not be replayed); and from a checkpoint record
-// whose stable LSN a truncation has since moved the head past (it bounds
-// nothing, and the second scan must not start below the head).  Each at
-// parallelism 1/2/4/8, over a log that is already open (RecoverParallel)
+// model that applies the records in log order from the head: a later value
+// wins per byte no matter how the work is divided.  The shapes are a log of
+// plain records (epoch truncation — one tree per segment, no workers — must
+// agree too) and a log written before checkpoints moved the head, which
+// still holds checkpoint records, from the head the log was written with
+// and behind a head a truncation moved: they bound nothing, and the scan
+// passes over them to the records behind.  Each
+// at parallelism 1/2/4/8, over a log that is already open (RecoverParallel)
 // and over a log a Restart opens itself, and built by the scan's goroutine,
 // by workers, and by the one and then the others; the logs span several
 // scan windows, which start small.
@@ -32,54 +31,43 @@ func TestRedoPathsAgree(t *testing.T) {
 	const nsegs = 3
 	type shape struct {
 		name string
-		// build appends to the log through rec and returns the sequence
-		// number from which it is replayed (0: all of it).
-		build func(l *wal.Log, rec func(tid uint64)) (stable uint64)
+		// build appends to the log through rec, which returns the record's
+		// area offset and sequence number.
+		build func(f *fixture, rec func(tid uint64) (int64, uint64))
 	}
 	shapes := []shape{
-		{"scan only", func(l *wal.Log, rec func(uint64)) uint64 {
+		{"scan only", func(f *fixture, rec func(uint64) (int64, uint64)) {
 			for i := 0; i < 100; i++ {
 				rec(uint64(i + 1))
 			}
-			return 0
 		}},
-		{"from a checkpoint", func(l *wal.Log, rec func(uint64)) uint64 {
-			var stable uint64
+		{"from a checkpoint", func(f *fixture, rec func(uint64) (int64, uint64)) {
 			for i := 0; i < 100; i++ {
 				if i == 40 || i == 70 {
-					// Pages still pinned hold the stable LSN a few records back.
-					_, next := l.Tail()
-					stable = next - 5
-					if _, _, err := l.AppendCheckpoint(stable); err != nil {
-						t.Fatal(err)
-					}
+					// Pages still pinned held the stable LSN a few records back.
+					_, next := f.log.Tail()
+					f.appendRetiredCheckpoint(t, next-5)
 				}
 				rec(uint64(i + 1))
 			}
-			return stable
 		}},
-		{"from a checkpoint below the head", func(l *wal.Log, rec func(uint64)) uint64 {
-			var ckpt uint64
+		{"from a checkpoint below the head", func(f *fixture, rec func(uint64) (int64, uint64)) {
+			var headPos int64
+			var headSeq uint64
 			for i := 0; i < 100; i++ {
-				if i == 40 {
-					_, ckpt = l.Tail()
-					if _, _, err := l.AppendCheckpoint(ckpt - 5); err != nil {
-						t.Fatal(err)
-					}
+				if i == 40 || i == 70 {
+					_, next := f.log.Tail()
+					f.appendRetiredCheckpoint(t, next-5)
 				}
-				rec(uint64(i + 1))
+				if pos, seq := rec(uint64(i + 1)); i == 38 {
+					headPos, headSeq = pos, seq
+				}
 			}
-			// A truncation frees the log up to two records short of the
-			// checkpoint record.
-			pos, seq := l.Head()
-			an, err := l.Scan(pos, seq, func(w *wal.Window) error { w.Release(); return nil })
-			if err != nil {
+			// A truncation freed the log up to two records short of the
+			// first checkpoint record.
+			if err := f.log.SetHead(headPos, headSeq); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.SetHead(an.Pos(ckpt-2), ckpt-2); err != nil {
-				t.Fatal(err)
-			}
-			return 0
 		}},
 	}
 	// Who builds: the scan's own goroutine all the way (these logs are far
@@ -99,14 +87,15 @@ func TestRedoPathsAgree(t *testing.T) {
 						rg  wal.Range
 					}
 					var held []logged
-					stable := sh.build(f.log, func(tid uint64) {
+					sh.build(f, func(tid uint64) (int64, uint64) {
 						rg := wal.Range{Seg: uint64(1 + rnd.Intn(nsegs)), Off: uint64(rnd.Intn(segLen - 2048)), Data: make([]byte, 1+rnd.Intn(1500))}
 						rnd.Read(rg.Data)
-						_, seq, _, err := f.log.Append(tid, 0, []wal.Range{rg})
+						pos, seq, _, err := f.log.Append(tid, 0, []wal.Range{rg})
 						if err != nil {
 							t.Fatal(err)
 						}
 						held = append(held, logged{seq, rg})
+						return pos, seq
 					})
 					model := make([][]byte, nsegs)
 					touched := make([][]bool, nsegs)
@@ -116,15 +105,13 @@ func TestRedoPathsAgree(t *testing.T) {
 					var want Stats
 					_, head := f.log.Head()
 					for _, r := range held {
-						switch {
-						case r.seq < head: // truncated
-						case par != 0 && r.seq < stable: // an epoch replays what a checkpoint bounds away
-						default:
-							want.Records++
-							copy(model[r.rg.Seg-1][r.rg.Off:], r.rg.Data)
-							for i := range r.rg.Data {
-								touched[r.rg.Seg-1][int(r.rg.Off)+i] = true
-							}
+						if r.seq < head {
+							continue // truncated
+						}
+						want.Records++
+						copy(model[r.rg.Seg-1][r.rg.Off:], r.rg.Data)
+						for i := range r.rg.Data {
+							touched[r.rg.Seg-1][int(r.rg.Off)+i] = true
 						}
 					}
 					for _, seg := range touched {
@@ -178,59 +165,16 @@ func TestRedoPathsAgree(t *testing.T) {
 	}
 }
 
-// TestRecoverStartsAtCheckpoint puts wrong bytes UNDER the checkpoint
-// cutoff: if recovery replayed the full log it would clobber the
-// segment with the pre-checkpoint value, and if it honors the cutoff the
-// deliberately divergent segment byte survives.
-func TestRecoverStartsAtCheckpoint(t *testing.T) {
-	f := newFixture(t, 1, 4096)
-	// seq 1 says offset 0 holds 'O' (old). Pretend a checkpoint wrote the
-	// page afterwards with a different, newer value the log never saw
-	// again ('S' at offset 0 directly in the segment).
-	f.log.Append(1, 0, rng1(1, 0, 'O', 8))
-	// seq 2: a post-stable record recovery must replay.
-	f.log.Append(2, 0, rng1(1, 100, 'N', 4))
-	// Checkpoint (seq 3) declaring everything below seq 2 reflected.
-	if _, _, err := f.log.AppendCheckpoint(2); err != nil {
-		t.Fatal(err)
-	}
-	f.log.Force()
-	if err := f.segs[1].WriteAt(bytes.Repeat([]byte{'S'}, 8), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Recover(f.log, f.lookup, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CheckpointSeq != 2 {
-		t.Fatalf("CheckpointSeq = %d, want 2", st.CheckpointSeq)
-	}
-	if st.Records != 1 {
-		t.Fatalf("replayed %d records, want only the post-stable one", st.Records)
-	}
-	if got := f.read(t, 1, 0, 8); !bytes.Equal(got, bytes.Repeat([]byte{'S'}, 8)) {
-		t.Fatalf("pre-stable record was replayed over the segment: %q", got)
-	}
-	if got := f.read(t, 1, 100, 4); !bytes.Equal(got, bytes.Repeat([]byte{'N'}, 4)) {
-		t.Fatalf("post-stable record not replayed: %q", got)
-	}
-	if f.log.Used() != 0 {
-		t.Fatalf("recovery left %d live bytes", f.log.Used())
-	}
-}
-
-// TestRecoverScannedBytesBounded: the analysis pass must visit only the
-// suffix past the stable seq, so ScannedBytes stays well under the live
-// log size when a checkpoint is present.
+// TestRecoverScannedBytesBounded: recovery considers the log from its head,
+// so a truncation that moved the head bounds the bytes it scans and the
+// records it replays.
 func TestRecoverScannedBytesBounded(t *testing.T) {
 	f := newFixture(t, 1, 1<<16)
 	for i := 1; i <= 50; i++ {
 		f.log.Append(uint64(i), 0, rng1(1, uint64(i*16), byte(i), 512))
 	}
-	tailPos, next := f.log.Tail()
-	_ = tailPos
-	if _, _, err := f.log.AppendCheckpoint(next); err != nil {
+	pos, next := f.log.Tail()
+	if err := f.log.SetHead(pos, next); err != nil {
 		t.Fatal(err)
 	}
 	f.log.Append(uint64(60), 0, rng1(1, 0, 'z', 16))
@@ -241,8 +185,8 @@ func TestRecoverScannedBytesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ScannedBytes >= uint64(live)/2 {
-		t.Fatalf("scanned %d of %d live bytes; checkpoint did not bound the scan", st.ScannedBytes, live)
+	if st.ScannedBytes != uint64(live) {
+		t.Fatalf("scanned %d bytes; want the %d from the head on", st.ScannedBytes, live)
 	}
 	if st.Records != 1 {
 		t.Fatalf("replayed %d records, want 1", st.Records)

@@ -17,9 +17,9 @@
 // within a page: the trees are sharded by 64KB-aligned segment stripes, each
 // stripe's bytes are inserted in log order into exactly one shard and
 // applied by exactly one worker, so intra-page ordering is preserved while
-// disjoint stripes build and replay concurrently.  Building from the scan
-// stops at a checkpoint record, and a second scan from the checkpoint's
-// stable LSN builds the rest (Restart).
+// disjoint stripes build and replay concurrently.  Everything behind the head
+// is in the segments already — truncation and checkpoints write pages before
+// they move it — so the one scan builds everything (Restart).
 //
 // Epoch truncation applies the same procedure to an initial portion of the
 // log while forward processing continues in the rest: records are collected
@@ -70,14 +70,13 @@ type Config struct {
 // counters hold the partial progress made before the failure, so a
 // poisoning report can say how far redo got.
 type Stats struct {
-	Records       int    // committed transaction records processed
-	Ranges        int    // modification ranges processed
-	TreeBytes     uint64 // distinct bytes applied to segments
-	RecordBytes   uint64 // bytes carried by the processed records
-	Segments      int    // distinct segments written
-	WritesMerged  int    // maximal intervals written (tree writes)
-	ScannedBytes  uint64 // log bytes from the stable LSN (else the head) to the tail
-	CheckpointSeq uint64 // stable seq of the bounding checkpoint (0: none)
+	Records      int    // committed transaction records processed
+	Ranges       int    // modification ranges processed
+	TreeBytes    uint64 // distinct bytes applied to segments
+	RecordBytes  uint64 // bytes carried by the processed records
+	Segments     int    // distinct segments written
+	WritesMerged int    // maximal intervals written (tree writes)
+	ScannedBytes uint64 // log bytes from the head to the tail
 }
 
 // treeSet accumulates ranges into per-segment trees, oldest first: a later
@@ -297,19 +296,16 @@ func (b *builder) stop() {
 }
 
 // Restart is one crash recovery.  Open opens the log and builds redo trees
-// from what its tail scan reads, as it reads it; Redo then builds what the
-// scan had to leave for later and returns the trees as an epoch, which
-// Finish also applies, emptying the log.  Abort releases a restart that will
-// not finish.
+// from what its tail scan reads, as it reads it; Redo then waits for the
+// builders and returns the trees as an epoch, which Finish also applies,
+// emptying the log.  Abort releases a restart that will not finish.
 type Restart struct {
-	par       int // stripe sets, and apply workers
-	met       *obs.Metrics
-	scanNs    int64 // spent scanning a log that was already open
-	log       *wal.Log
-	an        wal.Analysis
-	b         *builder
-	deferFrom uint64 // seq of the first record not built from the scan; 0: none
-	records   int    // transaction records built from the scan
+	par     int // stripe sets, and apply workers
+	met     *obs.Metrics
+	scanNs  int64 // spent scanning a log that was already open
+	log     *wal.Log
+	b       *builder
+	records int // transaction records built from the scan
 }
 
 // NewRestart starts a recovery.  met (nil-safe) is the registry the log
@@ -323,32 +319,14 @@ func NewRestart(cfg Config, met *obs.Metrics) *Restart {
 // Open opens the restart's log on dev.
 func (r *Restart) Open(dev wal.Device) (*wal.Log, error) {
 	var err error
-	r.log, r.an, err = wal.OpenScan(dev, r.consume)
+	r.log, err = wal.OpenScan(dev, r.consume)
 	return r.log, err
 }
 
-// consume takes the windows the log's scan reads.  It builds from every
-// record up to the first checkpoint record, which means the trees built so
-// far reach below what redo has to consider.  What follows is left in the
-// log for a second scan (remainder).
+// consume takes the windows the log's scan reads and builds from them.
 func (r *Restart) consume(w *wal.Window) error {
-	n, txs := 0, 0
-	for n < len(w.Recs) && r.deferFrom == 0 {
-		switch w.Recs[n].Type {
-		case wal.RecCheckpoint:
-			r.deferFrom = w.Recs[n].Seq
-			continue
-		case wal.RecTx:
-			txs++
-		}
-		n++
-	}
-	if w.Recs = w.Recs[:n]; n == 0 {
-		w.Release()
-		return nil
-	}
-	r.records += txs
-	r.met.AddRecoveryReplayed(int64(txs))
+	r.records += len(w.Recs)
+	r.met.AddRecoveryReplayed(int64(len(w.Recs)))
 	r.b.feed(w)
 	return nil
 }
@@ -356,53 +334,16 @@ func (r *Restart) consume(w *wal.Window) error {
 // Abort stops the restart's workers.  Idempotent, and a no-op after Finish.
 func (r *Restart) Abort() { r.b.stop() }
 
-// remainder builds what the scan left for later: a second scan, from the
-// checkpoint record the first one stopped at to the tail.
-func (r *Restart) remainder(st *Stats) error {
-	from := r.deferFrom
-	if _, head := r.log.Head(); r.an.Stable > head {
-		// A checkpoint bounds redo at its stable LSN: every older record
-		// is reflected in its segment.  The scan could not know while it
-		// built from the head, so those trees go and redo starts over at
-		// the bound — which is what keeps a checkpointed restart bounded
-		// by the log written since, not by the live log.  A stable LSN the
-		// head has since moved past bounds nothing: the trees stand.
-		r.b.stop()
-		r.b = newBuilder(r.par)
-		r.met.AddRecoveryReplayed(-int64(r.records))
-		r.records, from = 0, r.an.Stable
-	}
-	st.Records = r.records
-	if from == 0 {
-		return nil
-	}
-	if _, next := r.log.Tail(); from > next {
-		from = next // a stable LSN past the tail leaves nothing to redo
-	}
-	_, err := r.log.Scan(r.an.Pos(from), from, func(w *wal.Window) error {
-		n := st.Records
-		for i := range w.Recs {
-			if w.Recs[i].Type == wal.RecTx {
-				st.Records++
-			}
-		}
-		r.met.AddRecoveryReplayed(int64(st.Records - n))
-		r.b.feed(w)
-		return nil
-	})
-	return err
-}
-
 // Redo completes the restart once the log is scanned, short of writing
 // anything: the builders finish.  It returns the redo as an Epoch, its head
 // at the tail the scan found, and Stats whose TreeBytes the epoch's Apply
 // will write.  A segment lookup cannot resolve fails it.  On error the
 // Stats are partial.
 //
-// The phases it reports are consecutive stretches of wall time: scan (the
-// second scan, next to nothing when the first built everything; plus any
-// scan of a log already open) and build (waiting for the workers); Apply
-// reports the third, apply, whenever it runs.
+// The phases it reports are consecutive stretches of wall time: scan (of a
+// log that was already open; a restart scans at Open, so next to nothing)
+// and build (waiting for the workers); Apply reports the third, apply,
+// whenever it runs.
 func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	defer r.Abort()
 	tr, met := r.log.Tracer(), r.met
@@ -413,21 +354,14 @@ func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	defer met.OpExit(obs.StallRecovery)
 
 	scanStart, t0 := tr.Now(), time.Now()
-	st.ScannedBytes = uint64(r.an.Scanned)
-	met.SetRecoveryScanBytes(r.an.Scanned)
-	st.CheckpointSeq = r.an.Stable
-	if err = r.remainder(&st); err != nil {
-		return nil, st, err
-	}
+	st.Records, st.ScannedBytes = r.records, uint64(r.log.Used())
+	met.SetRecoveryScanBytes(r.log.Used())
 	t1 := time.Now()
-	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(st.Records), st.CheckpointSeq)
+	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(st.Records), 0)
 	met.ObserveRecoveryScan(r.scanNs + t1.Sub(t0).Nanoseconds())
 
 	r.b.stop()
 	st.Ranges, st.RecordBytes = r.b.ranges, r.b.recordBytes
-	// Records older than a checkpoint's stable seq were skipped above
-	// precisely because they are already in the segments, so the whole live
-	// region — prefix included — goes with the epoch.
 	pos, seq := r.log.Tail()
 	ep = &Epoch{sets: r.b.sets, par: r.par, head: epochHead{r.log, pos, seq}, restart: true}
 	met.ObserveRecoveryBuild(time.Since(t1).Nanoseconds())
@@ -472,8 +406,7 @@ func RecoverParallel(l *wal.Log, lookup SegmentLookup, retry Retry, cfg Config) 
 	t0 := time.Now()
 	r.log = l
 	pos, seq := l.Head()
-	var err error
-	if r.an, err = l.Scan(pos, seq, r.consume); err != nil {
+	if err := l.Scan(pos, seq, r.consume); err != nil {
 		return Stats{}, err
 	}
 	r.scanNs = time.Since(t0).Nanoseconds()
@@ -497,9 +430,6 @@ func CollectEpoch(l *wal.Log) (*Epoch, error) {
 			// records are skipped by the scan but are freed with the epoch
 			// since the head lands beyond them.)
 			return stop
-		}
-		if rec.Type != wal.RecTx {
-			return nil // checkpoint records carry no segment bytes
 		}
 		e.stats.Records++
 		for _, r := range rec.Ranges {

@@ -60,7 +60,7 @@ func sameRecord(got, want *Record) bool {
 
 // checkReadPaths requires every read path of l to deliver exactly want
 // (oldest first): the scan and its newest-first reverse, a scan that starts
-// where the analysis puts a record in mid-log, and — through a second handle
+// at a record in mid-log, and — through a second handle
 // on the same file — the tail scan at Open, which must also agree with the
 // reference tail finder.
 func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
@@ -82,12 +82,8 @@ func checkReadPaths(t *testing.T, l *Log, path string, want []*Record) {
 			t.Fatalf("newest-first: record %d (seq %d at %d) differs", i, r.Seq, r.Pos)
 		}
 	}
-	an := analyze(t, l)
-	if an.Scanned != l.Used() {
-		t.Fatalf("analysis covers %d bytes, want %d", an.Scanned, l.Used())
-	}
 	mid := len(want) / 2
-	recs, _ := scanFrom(t, l, an.Pos(want[mid].Seq), want[mid].Seq)
+	recs := scanFrom(t, l, want[mid].Pos, want[mid].Seq)
 	if len(recs) != len(want)-mid {
 		t.Fatalf("scan from record %d delivered %d records, want %d", mid, len(recs), len(want)-mid)
 	}
@@ -192,7 +188,7 @@ func TestConcurrentReaders(t *testing.T) {
 		}(queues[k])
 	}
 	seen, windows := 0, 0
-	_, err := l.Scan(l.head, l.headSeq, func(w *Window) error {
+	err := l.Scan(l.head, l.headSeq, func(w *Window) error {
 		j := job{w: w, first: seen}
 		seen += len(w.Recs)
 		windows++
@@ -247,7 +243,6 @@ func TestReaderBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(old[len(old)-1:], fillLog(t, l, rnd, 2*readChunk)...) // wraps
-	an := analyze(t, l)
 	dev := &readCounter{Device: l.dev}
 	l.dev = dev
 	defer func() { l.dev = dev.Device }()
@@ -256,7 +251,7 @@ func TestReaderBatches(t *testing.T) {
 		first := want[start]
 		var bufs [][]byte
 		k := start
-		_, err := l.Scan(an.Pos(first.Seq), first.Seq, func(w *Window) error {
+		err := l.Scan(first.Pos, first.Seq, func(w *Window) error {
 			defer w.Release()
 			if len(bufs) == 0 || &bufs[len(bufs)-1][0] != &w.buf[:1][0] {
 				bufs = append(bufs, w.buf)

@@ -64,19 +64,17 @@ const (
 	statusSize = 4 + 4 + 8 + 8 + 8 + 8 + 4 // magic, ver, gen, areaSize, head, headSeq, crc
 )
 
-// Record types.
+// Record types.  Type 3 was a checkpoint record carrying a stable sequence
+// number, which nothing writes any more: a scan passes over one like a wrap
+// record, so a log written with it still recovers every record behind it.
 const (
-	recTx   uint8 = 1 // a committed transaction's new-value records
-	recWrap uint8 = 2 // padding to the end of the record area
-	recCkpt uint8 = 3 // fuzzy checkpoint: stable LSN, no ranges
+	recTx      uint8 = 1 // a committed transaction's new-value records
+	recWrap    uint8 = 2 // padding to the end of the record area
+	recRetired uint8 = 3 // a retired checkpoint record, no ranges
 )
 
-// Exported record types, as reported in Record.Type.
-const (
-	RecTx         = recTx
-	RecWrap       = recWrap
-	RecCheckpoint = recCkpt
-)
+// RecTx is the type of every record a scan delivers.
+const RecTx = recTx
 
 var (
 	// ErrLogFull is returned by Append when the record does not fit in the
@@ -106,18 +104,15 @@ type Range struct {
 	Data []byte
 }
 
-// Record is a decoded log record.  Checkpoint records carry the stable
-// sequence number in CkptSeq and have nil Ranges; scans deliver them so
-// tools can display them, but only transaction records modify segments.
+// Record is a decoded transaction record.
 type Record struct {
-	Pos     int64 // record-area offset of the record's first byte
-	Len     int64 // encoded size on disk, header through trailer
-	Seq     uint64
-	TID     uint64
-	Type    uint8
-	Flags   uint8
-	CkptSeq uint64 // checkpoint records: the stable sequence number
-	Ranges  []Range
+	Pos    int64 // record-area offset of the record's first byte
+	Len    int64 // encoded size on disk, header through trailer
+	Seq    uint64
+	TID    uint64
+	Type   uint8
+	Flags  uint8
+	Ranges []Range
 }
 
 // Stats counts log activity since Open.
@@ -126,7 +121,6 @@ type Stats struct {
 	BytesAppended uint64 // bytes of records appended (incl. wrap/padding)
 	Forces        uint64 // fsyncs issued
 	Wraps         uint64 // wrap records written
-	Checkpoints   uint64 // checkpoint records appended
 }
 
 // Log is an open write-ahead log.  All methods are safe for concurrent use.
@@ -302,16 +296,13 @@ func Open(path string) (*Log, error) {
 // OpenDevice opens a log on an arbitrary device (used by tests to inject
 // faults).
 func OpenDevice(dev Device) (*Log, error) {
-	l, _, err := OpenScan(dev, nil)
-	return l, err
+	return OpenScan(dev, nil)
 }
 
 // OpenScan is OpenDevice for a caller that wants what the tail-finding scan
 // reads, so that a restart reads its log once: every window of valid records
-// goes to fn as the scan passes it (see Window), and the scan's analysis
-// comes back with the log.
-func OpenScan(dev Device, fn func(*Window) error) (*Log, Analysis, error) {
-	var an Analysis
+// goes to fn as the scan passes it (see Window).
+func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
 	a, okA := readStatus(dev, 0)
 	b, okB := readStatus(dev, 1)
 	var st statusBlock
@@ -326,7 +317,7 @@ func OpenScan(dev Device, fn func(*Window) error) (*Log, Analysis, error) {
 	case okB:
 		st = b
 	default:
-		return nil, an, ErrNotLog
+		return nil, ErrNotLog
 	}
 	l := &Log{
 		dev:      dev,
@@ -337,14 +328,14 @@ func OpenScan(dev Device, fn func(*Window) error) (*Log, Analysis, error) {
 	}
 	t0 := time.Now()
 	var err error
-	if l.used, l.nextSeq, err = scan(dev, l.areaSize, l.head, l.headSeq, -1, &an, fn); err != nil {
-		return nil, an, err
+	if l.used, l.nextSeq, err = scan(dev, l.areaSize, l.head, l.headSeq, -1, fn); err != nil {
+		return nil, err
 	}
 	l.openScanNs = time.Since(t0).Nanoseconds()
 	// Everything discovered in the log is already on the device, so the
 	// forced-through sequence number starts at the last live record.
 	l.forcedSeq = l.nextSeq - 1
-	return l, an, nil
+	return l, nil
 }
 
 // areaOff converts a record-area offset into a device offset.
@@ -369,7 +360,7 @@ const (
 )
 
 // Window is one stretch of validated records as a scan hands it to its
-// consumer: the records oldest first, wrap records left out, their range
+// consumer: the transaction records oldest first, their range
 // data aliasing the window's bytes.  The consumer calls Release, from any
 // goroutine, once it is done with them; the scan then reads a later stretch
 // into the same storage, so a pass over a long log holds ScanWindows
@@ -393,51 +384,18 @@ func (w *Window) Release() {
 	}
 }
 
-// Analysis is what a scan learns about the records it passes besides
-// their contents: where each one is, and the checkpoint bound.
-type Analysis struct {
-	// recs holds the length of every record passed, wrap records included,
-	// oldest first.
-	recs     []uint32
-	head     int64 // area offset and sequence number of the first record
-	first    uint64
-	areaSize int64
-	// Stable is the newest checkpoint's stable sequence number (0 when no
-	// checkpoint bounds redo): every record with Seq < Stable is already
-	// reflected in its segment.
-	Stable uint64
-	// Scanned is the bytes from the record Stable names to the tail — all
-	// that were passed without a checkpoint: what redo has to consider.
-	Scanned int64
-}
-
-// Pos returns the area offset of the record carrying seq, so that a later
-// Scan can start there; for a seq past the last record, the tail's.
-func (an Analysis) Pos(seq uint64) int64 {
-	pos := an.head
-	for i := 0; i < len(an.recs) && an.first+uint64(i) < seq; i++ {
-		if pos += int64(an.recs[i]); pos == an.areaSize {
-			pos = 0
-		}
-	}
-	return pos
-}
-
 // scan is the one forward pass over a log's records.  From the record at
 // area offset pos, expected to carry seq, it reads the area a window at a
-// time, validates and decodes each record once, notes it in an (unless nil)
-// and hands each window's records to fn (unless nil; fn owns the window
-// until it releases it).  With live < 0 the pass ends at the first bytes that are not
+// time, validates and decodes each record once, and hands each window's
+// transaction records to fn (unless nil; fn owns the window until it
+// releases it).  With live < 0 the pass ends at the first bytes that are not
 // the next record — a torn write or stale data — which is how Open finds the
 // tail; otherwise exactly live bytes must hold valid records.  It returns
 // the bytes walked and the sequence number after the last record.
-func scan(dev Device, areaSize, pos int64, seq uint64, live int64, an *Analysis, fn func(*Window) error) (used int64, next uint64, err error) {
+func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Window) error) (used int64, next uint64, err error) {
 	toTail := live >= 0
 	if !toTail {
 		live = areaSize
-	}
-	if an != nil {
-		an.head, an.first, an.areaSize = pos, seq, areaSize
 	}
 	free := make(chan *Window, ScanWindows)
 	var made int
@@ -495,14 +453,8 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, an *Analysis,
 				recs = recs[:len(recs)-1]
 				break
 			}
-			if rec.Type == recWrap {
-				recs = recs[:len(recs)-1]
-			}
-			if an != nil {
-				an.recs = append(an.recs, uint32(totalLen))
-				if rec.Type == recCkpt {
-					an.Stable = rec.CkptSeq // the newest one wins
-				}
+			if rec.Type != recTx {
+				recs = recs[:len(recs)-1] // a wrap or a retired checkpoint record
 			}
 			used, seq, buf = used+totalLen, seq+1, buf[totalLen:]
 			if pos += totalLen; pos == areaSize {
@@ -517,12 +469,6 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, an *Analysis,
 	}
 	if toTail && used < live {
 		return used, seq, fmt.Errorf("wal: live region corrupt at %d (seq %d)", pos, seq)
-	}
-	if an != nil {
-		an.Scanned = used
-		for i := 0; i < len(an.recs) && an.first+uint64(i) < an.Stable; i++ {
-			an.Scanned -= int64(an.recs[i]) // below the stable LSN
-		}
 	}
 	return used, seq, nil
 }
@@ -561,10 +507,7 @@ func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
 	}
 	nranges := int64(binary.BigEndian.Uint32(buf[12:]))
 	switch rec.Type {
-	case recWrap:
-	case recCkpt:
-		// The stable sequence number rides in the TID header slot.
-		rec.CkptSeq, rec.TID = rec.TID, 0
+	case recWrap, recRetired:
 	case recTx:
 		body := buf[headerSize : totalLen-trailerSize]
 		if nranges > int64(len(body))/rangeHdrSize {
@@ -636,7 +579,7 @@ func (l *Log) AppendBatch(ents []Entry) (n int, err error) {
 // AppendBatch share.
 func (l *Log) appendRecords(ents []Entry) (n int, nbytes int64, err error) {
 	l.mu.Lock()
-	n, nbytes, err = l.appendLocked(recTx, ents)
+	n, nbytes, err = l.appendLocked(ents)
 	tr := l.tr
 	l.mu.Unlock()
 	if tr != nil {
@@ -645,23 +588,6 @@ func (l *Log) appendRecords(ents []Entry) (n int, nbytes int64, err error) {
 		}
 	}
 	return n, nbytes, err
-}
-
-// AppendCheckpoint writes a checkpoint record carrying the stable sequence
-// number: every record with Seq < stable is fully reflected in its segment,
-// so a later recovery starts its redo at stable.  The record is not forced;
-// callers force it like any commit, after the pages it covers are durable.
-func (l *Log) AppendCheckpoint(stable uint64) (pos int64, seq uint64, err error) {
-	ent := [1]Entry{{TID: stable}}
-	l.mu.Lock()
-	_, nbytes, err := l.appendLocked(recCkpt, ent[:])
-	tr := l.tr
-	l.mu.Unlock()
-	if err != nil {
-		return 0, 0, err
-	}
-	tr.Record(obs.EvLogAppend, 0, uint64(nbytes), ent[0].Seq)
-	return ent[0].Pos, ent[0].Seq, nil
 }
 
 // Fits reports whether a record of need encoded bytes (EncodedLen) could be
@@ -703,7 +629,7 @@ func (l *Log) planLocked(used, need int64) (at, add, gap int64, err error) {
 // pool keeps, not in one write from a buffer grown and dropped every time.
 const maxRunBytes = 256 << 10
 
-// appendLocked appends ents, in order, as records of type typ.  Records are
+// appendLocked appends ents, in order, as transaction records.  Records are
 // encoded into one pooled buffer for as long as they are contiguous in the
 // area and the run stays within maxRunBytes; a run reaches the device in a
 // single write, and only then are its records published — used, nextSeq and
@@ -711,7 +637,7 @@ const maxRunBytes = 256 << 10
 // that retries after a failed write plans the same records at the same
 // places.  It returns the records and bytes published (wrap records
 // included in the bytes).
-func (l *Log) appendLocked(typ uint8, ents []Entry) (n int, nbytes int64, err error) {
+func (l *Log) appendLocked(ents []Entry) (n int, nbytes int64, err error) {
 	if l.dev == nil {
 		return 0, 0, ErrLogClosed
 	}
@@ -740,11 +666,7 @@ func (l *Log) appendLocked(typ uint8, ents []Entry) (n int, nbytes int64, err er
 			l.dirty = true
 			l.stats.Wraps += uint64(wraps)
 			l.stats.BytesAppended += uint64(run)
-			if typ == recCkpt {
-				l.stats.Checkpoints += uint64(i - n)
-			} else {
-				l.stats.Appends += uint64(i - n)
-			}
+			l.stats.Appends += uint64(i - n)
 			nbytes += run
 			n, wraps, buf = i, 0, buf[:0]
 		}
@@ -761,7 +683,7 @@ func (l *Log) appendLocked(typ uint8, ents []Entry) (n int, nbytes int64, err er
 		} else {
 			ent := &ents[i]
 			ent.Pos, ent.Len, ent.Seq = at, add, seq
-			buf = appendRecord(buf, seq, typ, ent.TID, ent.Flags, ent.Ranges, add)
+			buf = appendRecord(buf, seq, recTx, ent.TID, ent.Flags, ent.Ranges, add)
 			i++
 		}
 		eb.buf = buf // the pool keeps the buffer as grown
@@ -923,18 +845,17 @@ func (l *Log) SetNoSync(v bool) {
 }
 
 // Scan runs the forward pass over an open log's live records from the one
-// at area offset pos, which carries seq, to the tail: the head (Head), or a
-// record an earlier Analysis located.  fn gets every window of records (see
-// Window) and the analysis of what was passed comes back.  The log stays
-// locked for the pass, so appends wait for it.
-func (l *Log) Scan(pos int64, seq uint64, fn func(*Window) error) (an Analysis, err error) {
+// at area offset pos, which carries seq, to the tail: from the head (Head),
+// or from a record an earlier scan delivered.  fn gets every window of
+// records (see Window).  The log stays locked for the pass, so appends wait
+// for it.
+func (l *Log) Scan(pos int64, seq uint64, fn func(*Window) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err = l.scanLocked(pos, seq, &an, fn)
-	return an, err
+	return l.scanLocked(pos, seq, fn)
 }
 
-func (l *Log) scanLocked(pos int64, seq uint64, an *Analysis, fn func(*Window) error) error {
+func (l *Log) scanLocked(pos int64, seq uint64, fn func(*Window) error) error {
 	if l.dev == nil {
 		return ErrLogClosed
 	}
@@ -947,17 +868,16 @@ func (l *Log) scanLocked(pos int64, seq uint64, an *Analysis, fn func(*Window) e
 	if seq < l.headSeq || seq > l.nextSeq || live < 0 {
 		return fmt.Errorf("wal: Scan(%d, seq %d) does not start at a live record", pos, seq)
 	}
-	_, _, err := scan(l.dev, l.areaSize, pos, seq, live, an, fn)
+	_, _, err := scan(l.dev, l.areaSize, pos, seq, live, fn)
 	return err
 }
 
-// ScanForward visits live records oldest-first.  Wrap records are
-// skipped; checkpoint records are delivered (with nil Ranges).
-// fn must not retain the record or its range data beyond the call.
+// ScanForward visits live transaction records oldest-first.  fn must not
+// retain the record or its range data beyond the call.
 func (l *Log) ScanForward(fn func(*Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.scanLocked(l.head, l.headSeq, nil, func(w *Window) error {
+	return l.scanLocked(l.head, l.headSeq, func(w *Window) error {
 		defer w.Release()
 		for i := range w.Recs {
 			if err := fn(&w.Recs[i]); err != nil {

@@ -188,13 +188,6 @@ type Options struct {
 	// transactions awaiting a Flush; crossing it flushes implicitly.
 	// Zero selects the 1 MiB default, negative disables the bound.
 	SpoolLimit int64
-	// CheckpointInterval enables background fuzzy checkpoints: every
-	// interval, committed dirty pages are written to their segments
-	// without stalling committers and a checkpoint record with the stable
-	// LSN is logged, so a post-crash Open replays only the log written
-	// since the last checkpoint.  Zero disables; Checkpoint can still be
-	// called explicitly.
-	CheckpointInterval time.Duration
 	// TraceEvents enables event tracing, retaining the most recent
 	// TraceEvents events in a lock-free ring (rounded up to a power of
 	// two, minimum 64).  Zero disables tracing entirely; recording is
@@ -266,18 +259,17 @@ func (o Options) engine() core.Options {
 		metrics = obs.NewMetrics()
 	}
 	return core.Options{
-		LogPath:            o.LogPath,
-		Backend:            o.Backend,
-		TruncateThreshold:  truncateThreshold(o.TruncateThreshold),
-		Incremental:        o.Incremental,
-		NoSync:             o.NoSync,
-		GroupCommit:        o.GroupCommit,
-		MaxForceDelay:      o.MaxForceDelay,
-		SpoolLimit:         o.SpoolLimit,
-		CheckpointInterval: o.CheckpointInterval,
-		Tracer:             tracer,
-		Metrics:            metrics,
-		StallBudget:        o.StallBudget,
+		LogPath:           o.LogPath,
+		Backend:           o.Backend,
+		TruncateThreshold: truncateThreshold(o.TruncateThreshold),
+		Incremental:       o.Incremental,
+		NoSync:            o.NoSync,
+		GroupCommit:       o.GroupCommit,
+		MaxForceDelay:     o.MaxForceDelay,
+		SpoolLimit:        o.SpoolLimit,
+		Tracer:            tracer,
+		Metrics:           metrics,
+		StallBudget:       o.StallBudget,
 	}
 }
 
@@ -318,11 +310,12 @@ func (r *RVM) TruncateIncremental(targetFraction float64) error {
 	return r.eng.TruncateIncremental(targetFraction)
 }
 
-// Checkpoint runs one fuzzy checkpoint: committed dirty pages are written
-// to their segments without stalling committers, and a checkpoint record
-// carrying the stable LSN is forced to the log.  A post-crash Open then
-// replays only the records written since this point, bounding restart
-// time.  The log head does not move (see Truncate for reclaiming space).
+// Checkpoint writes committed dirty pages to their segments without
+// stalling committers and moves the log's head past the records they
+// cover: an incremental truncation down to an empty log that never falls
+// back to log replay.  A post-crash Open then replays only the records
+// written since, bounding restart time.  A page an open transaction still
+// holds keeps its records, and the head stops at the first of them.
 func (r *RVM) Checkpoint() error { return r.eng.Checkpoint() }
 
 // Query reports engine state, plus region state when reg is non-nil.

@@ -269,8 +269,8 @@ func TestRvmstatRoundTrip(t *testing.T) {
 
 // TestRecoveryPhasesSurface: after a restart that had a log to replay, the
 // scan at Open (which builds as it reads) and recovery's three phases after
-// it (second scans, the wait for the builders, and apply, which the first
-// truncation runs) are visible on every
+// it (scan, next to nothing since Open read the log; the wait for the
+// builders; and apply, which the first truncation runs) are visible on every
 // surface an operator has — Snapshot, /metrics, and rvmstat — so a long
 // restart is explainable afterwards.
 func TestRecoveryPhasesSurface(t *testing.T) {
