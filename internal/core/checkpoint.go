@@ -26,9 +26,8 @@ func (e *Engine) Checkpoint() error {
 		return err
 	}
 	e.met.OpEnter(obs.StallCheckpoint)
-	pages, _, err := e.truncateClaimed(cleanEverything, &e.stats.CheckpointPages)
+	pages, err := e.truncateClaimed(cleanEverything, &e.stats.CheckpointPages, false)
 	e.met.OpExit(obs.StallCheckpoint)
-	err = e.maybePoison(err)
 	e.releaseTruncation()
 	if err != nil {
 		return err

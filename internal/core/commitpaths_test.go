@@ -311,8 +311,30 @@ func TestWriteBackPathsAgree(t *testing.T) {
 			return regs
 		}},
 		{"epoch", func(t *testing.T, v *env, regs []*Region) []*Region {
+			// A transaction pins the queue's first page, so the cleaner
+			// blocks at once and Truncate reverts to an epoch.
+			v.eng.pipe.mu.Lock()
+			d, queued := v.eng.pipe.queue.First()
+			v.eng.pipe.mu.Unlock()
+			if !queued {
+				t.Fatal("nothing queued for the finish")
+			}
+			pin, err := v.eng.Begin(Restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pin.SetRange(regs[d.ID.Region], d.ID.Page*pageBytes(1), 1); err != nil {
+				t.Fatal(err)
+			}
+			epochs := v.eng.Stats().EpochTruncs
 			if err := v.eng.Truncate(); err != nil {
 				t.Fatal(err)
+			}
+			if err := pin.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if qi, _ := v.eng.Query(nil); qi.LogUsed != 0 || v.eng.Stats().EpochTruncs != epochs+1 {
+				t.Errorf("log holds %d bytes after %d epoch(s) in the finish; want an empty log and one epoch", qi.LogUsed, v.eng.Stats().EpochTruncs-epochs)
 			}
 			return regs
 		}},

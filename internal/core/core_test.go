@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"syscall"
 	"testing"
+	"time"
 
 	"github.com/rvm-go/rvm/internal/mapping"
 )
@@ -421,6 +423,40 @@ func TestCloseSemantics(t *testing.T) {
 		t.Fatalf("map after close: %v", err)
 	}
 	v.eng = nil
+}
+
+// TestCloseCompletesWhenAFreeFails: a region whose memory cannot be released
+// fails Close, but the close still completes — the other resources are let
+// go and the truncation slot is released — so a second Close returns.  The
+// test unmaps the region's memory behind the engine's back, which makes the
+// engine's own Munmap fail with EINVAL.
+func TestCloseCompletesWhenAFreeFails(t *testing.T) {
+	v := newEnv(t, 1<<16, pageBytes(4), Options{Backend: mapping.Mmap})
+	r, err := v.eng.Map(v.segPath, 0, pageBytes(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.eng.Map(v.segPath, pageBytes(2), pageBytes(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Munmap(r.Data()); err != nil {
+		t.Fatal(err)
+	}
+	eng := v.eng
+	v.eng = nil
+	if err := eng.Close(); !errors.Is(err, syscall.EINVAL) {
+		t.Fatalf("Close over a region that cannot be freed: %v, want EINVAL", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- eng.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a second Close still blocks after 1s")
+	}
 }
 
 func TestCloseTruncatesForFastReopen(t *testing.T) {

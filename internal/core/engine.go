@@ -1,7 +1,7 @@
 // Package core implements the RVM transaction engine: segment and region
 // management, the transaction lifecycle with intra- and inter-transaction
-// optimizations, the commit path, crash recovery at startup, and both epoch
-// and incremental log truncation.
+// optimizations, the commit path, crash recovery at startup, and log
+// truncation: the page cleaner, reverting to an epoch when it is blocked.
 //
 // An engine owns exactly one write-ahead log, as the paper's RVM does
 // (DESIGN.md §15).  Several logs on several devices are several engines,
@@ -100,8 +100,8 @@ type Options struct {
 	// background truncation after a commit (paper §4.2 set_options knob).
 	// Zero or negative disables automatic truncation.
 	TruncateThreshold float64
-	// Incremental enables incremental truncation (paper §5.1.2); when
-	// disabled every truncation is an epoch truncation.
+	// Incremental makes background truncation stop at half the threshold
+	// rather than empty the log (paper §5.1.2).
 	Incremental bool
 	// NoSync disables physical fsyncs, forfeiting permanence.  For
 	// benchmark harnesses that measure log traffic, not durability.
@@ -869,8 +869,11 @@ func (e *Engine) Close() error {
 	// truncation interleaves with the teardown.
 	e.truncating.Store(true)
 	e.mu.Unlock()
-	fail := func(err error) error {
-		err = e.maybePoison(err)
+	var first error
+	if cause := e.poisonCause(); cause != nil {
+		first = fmt.Errorf("%w: %w", ErrPoisoned, cause)
+	} else if _, err := e.truncateClaimed(cleanEverything, &e.stats.IncrSteps, true); err != nil {
+		// Nothing is released yet: the engine goes on running.
 		e.mu.Lock()
 		e.closed.Store(false)
 		e.truncating.Store(false)
@@ -878,14 +881,8 @@ func (e *Engine) Close() error {
 		e.mu.Unlock()
 		return err
 	}
-	var poisonErr error
-	if cause := e.poisonCause(); cause != nil {
-		poisonErr = fmt.Errorf("%w: %w", ErrPoisoned, cause)
-	} else {
-		if err := e.epochAllClaimed(); err != nil {
-			return fail(err)
-		}
-	}
+	// From here on the close completes whatever fails: a failed release is
+	// remembered, and the rest is released all the same.
 	e.mu.Lock()
 	for _, r := range e.regions {
 		if r == nil {
@@ -895,10 +892,8 @@ func (e *Engine) Close() error {
 		if r.mapped {
 			r.mapped = false
 			r.data = nil
-			if err := r.buf.Free(); err != nil {
-				r.mu.Unlock()
-				e.mu.Unlock()
-				return err
+			if err := r.buf.Free(); err != nil && first == nil {
+				first = err
 			}
 			r.buf = nil
 		}
@@ -907,15 +902,15 @@ func (e *Engine) Close() error {
 	e.truncating.Store(false)
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	// The stall watchdog stops only now that nothing can fail the close: an
-	// engine whose Close failed goes on running, watched.  It reads atomics
-	// alone, so it never waits on the teardown; it just must not outlive
-	// the files.
+	// The stall watchdog stops only now that the close can no longer be
+	// refused: an engine whose Close failed goes on running, watched.  It
+	// reads atomics alone, so it never waits on the teardown; it just must
+	// not outlive the files.
 	e.stallLoop.stop()
-	if err := e.closeFiles(); err != nil && poisonErr == nil {
-		return err
+	if err := e.closeFiles(); err != nil && first == nil {
+		first = err
 	}
-	return poisonErr
+	return first
 }
 
 func (e *Engine) closeFiles() error {

@@ -217,14 +217,13 @@ func TestRestartReadsLogOnce(t *testing.T) {
 			t.Errorf("restart allocated %d bytes; want at most 16 MB", r.alloc)
 		}
 		// The first truncation writes the redo and empties the log: the
-		// segment synced once and the log twice, the head moving past the
-		// redo and then past the empty epoch — what restart and truncation
-		// synced when restart applied the redo itself.
+		// segment synced once and the log once, the head moving past the
+		// redo.
 		if err := r.eng.Truncate(); err != nil {
 			t.Fatal(err)
 		}
-		if ls, ss := r.log.syncs.Load(), r.seg.syncs.Load(); ls != 2 || ss != 1 {
-			t.Errorf("restart and truncation synced the log %d time(s) and the segment %d; want 2 and 1", ls, ss)
+		if ls, ss := r.log.syncs.Load(), r.seg.syncs.Load(); ls != 1 || ss != 1 {
+			t.Errorf("restart and truncation synced the log %d time(s) and the segment %d; want 1 and 1", ls, ss)
 		}
 	})
 	t.Run("checkpoint", func(t *testing.T) {

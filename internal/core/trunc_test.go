@@ -13,6 +13,9 @@ import (
 	"github.com/rvm-go/rvm/internal/segment"
 )
 
+// TestEpochTruncateReflectsAndEmptiesLog: a page pinned by an open
+// transaction blocks the cleaner, so Truncate reverts to an epoch, which
+// replays the log into the segment and empties it.
 func TestEpochTruncateReflectsAndEmptiesLog(t *testing.T) {
 	v := newEnv(t, 1<<18, pageBytes(2), Options{})
 	r := v.mapWhole()
@@ -23,7 +26,14 @@ func TestEpochTruncateReflectsAndEmptiesLog(t *testing.T) {
 	if qi.LogUsed == 0 {
 		t.Fatal("log empty before truncation")
 	}
+	pin, _ := v.eng.Begin(Restore)
+	if err := pin.SetRange(r, 0, 4); err != nil {
+		t.Fatal(err)
+	}
 	if err := v.eng.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pin.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	qi, _ = v.eng.Query(r)
@@ -33,8 +43,8 @@ func TestEpochTruncateReflectsAndEmptiesLog(t *testing.T) {
 	if qi.DirtyPages != 0 || qi.QueuedPages != 0 {
 		t.Fatalf("pages not cleaned: %+v", qi)
 	}
-	if v.eng.Stats().EpochTruncs == 0 {
-		t.Fatal("no epoch truncation counted")
+	if st := v.eng.Stats(); st.EpochTruncs != 1 || st.IncrSteps != 0 {
+		t.Fatalf("%d epoch(s) and %d cleaned page(s); want the pinned page to leave one epoch and no page", st.EpochTruncs, st.IncrSteps)
 	}
 	// Data survives a crash with an empty log: it is in the segment now.
 	v.reopen(Options{})
@@ -43,6 +53,80 @@ func TestEpochTruncateReflectsAndEmptiesLog(t *testing.T) {
 		if r2.Data()[i*16] != byte(i+1) {
 			t.Fatalf("byte %d lost after truncation+crash", i*16)
 		}
+	}
+}
+
+// TestTruncateAndCloseReadNoLog: with no transaction open nothing pins a
+// page, so Truncate and Close write the queued pages from memory and never
+// read the log back; and a Close with an empty log and nothing queued
+// writes and syncs nothing.
+func TestTruncateAndCloseReadNoLog(t *testing.T) {
+	dir := t.TempDir()
+	logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
+	if err := CreateLog(logPath, 1<<18); err != nil {
+		t.Fatal(err)
+	}
+	if err := CreateSegment(segPath, 1, pageBytes(2)); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*Engine, *Region, *countingLog, *segCounts) {
+		t.Helper()
+		f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg, sc := &countingLog{File: f}, &segCounts{}
+		eng, err := Open(Options{LogPath: logPath, LogDevice: lg, TruncateThreshold: -1,
+			SegmentDevice: func(_ string, sf *os.File) segment.Device { return countingSeg{sf, sc} }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := eng.Map(segPath, 0, pageBytes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, r, lg, sc
+	}
+	eng, r, lg, _ := open()
+	commit := func(off int64, mode CommitMode) {
+		t.Helper()
+		tx, _ := eng.Begin(Restore)
+		if err := tx.Modify(r, off, []byte{byte(off)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opened := lg.readBytes.Load()
+	for i := int64(0); i < 8; i++ {
+		commit(i*600, Flush)
+	}
+	if err := eng.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 8; i++ {
+		commit(i*600+1, NoFlush)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, read := eng.Stats(), lg.readBytes.Load()-opened; read != 0 || st.EpochTruncs != 0 || st.IncrSteps == 0 {
+		t.Fatalf("Truncate and Close read %d log bytes, ran %d epoch(s) and cleaned %d page(s); want no byte, no epoch, the pages",
+			read, st.EpochTruncs, st.IncrSteps)
+	}
+
+	eng, r, lg, sc := open()
+	const last = 7*600 + 1
+	if qi, _ := eng.Query(r); qi.LogUsed != 0 || r.Data()[last] != byte(last%256) {
+		t.Fatalf("after Close: %d live log bytes, byte %d", qi.LogUsed, r.Data()[last])
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lw, ls, sw, ss := lg.writes.Load(), lg.syncs.Load(), sc.written.Load(), sc.syncs.Load(); lw+ls+sw+ss != 0 {
+		t.Fatalf("a Close with nothing to truncate wrote the log %d time(s), synced it %d time(s), wrote %d segment bytes and synced %d time(s); want nothing",
+			lw, ls, sw, ss)
 	}
 }
 
@@ -77,34 +161,44 @@ func TestIncrementalTruncation(t *testing.T) {
 
 func TestIncrementalBlockedByUncommittedRefFallsBackToEpoch(t *testing.T) {
 	// An uncommitted set-range pins its page: the queue head cannot be
-	// written out (no-undo/redo), so incremental truncation blocks and the
-	// engine reverts to epoch truncation (paper §5.1.2).
-	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true})
-	r := v.mapWhole()
-	v.commit1(r, 0, []byte("committed")) // dirties page 0, queues it
+	// written out (no-undo/redo), so the cleaner blocks and the engine
+	// reverts to epoch truncation (paper §5.1.2), whichever entry point
+	// asked for the truncation.
+	for _, c := range []struct {
+		name     string
+		truncate func(*Engine) error
+	}{
+		{"TruncateIncremental(0)", func(e *Engine) error { return e.TruncateIncremental(0) }},
+		{"Truncate", (*Engine).Truncate},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true})
+			r := v.mapWhole()
+			v.commit1(r, 0, []byte("committed")) // dirties page 0, queues it
 
-	hold, _ := v.eng.Begin(Restore)
-	if err := hold.SetRange(r, 4, 4); err != nil { // pins page 0
-		t.Fatal(err)
-	}
-	if err := v.eng.TruncateIncremental(0); err != nil {
-		t.Fatal(err)
-	}
-	st := v.eng.Stats()
-	if st.EpochTruncs == 0 {
-		t.Fatal("blocked incremental truncation did not revert to epoch")
-	}
-	qi, _ := v.eng.Query(nil)
-	if qi.LogUsed != 0 {
-		t.Fatalf("log not truncated: %d", qi.LogUsed)
-	}
-	if err := hold.Commit(Flush); err != nil {
-		t.Fatal(err)
-	}
-	v.reopen(Options{})
-	r2 := v.mapWhole()
-	if !bytes.Equal(r2.Data()[:9], []byte("committed")) {
-		t.Fatal("data lost through blocked truncation")
+			hold, _ := v.eng.Begin(Restore)
+			if err := hold.SetRange(r, 4, 4); err != nil { // pins page 0
+				t.Fatal(err)
+			}
+			if err := c.truncate(v.eng); err != nil {
+				t.Fatal(err)
+			}
+			if n := v.eng.Stats().EpochTruncs; n != 1 {
+				t.Fatalf("blocked truncation ran %d epoch(s), want 1", n)
+			}
+			qi, _ := v.eng.Query(nil)
+			if qi.LogUsed != 0 {
+				t.Fatalf("log not truncated: %d", qi.LogUsed)
+			}
+			if err := hold.Commit(Flush); err != nil {
+				t.Fatal(err)
+			}
+			v.reopen(Options{})
+			r2 := v.mapWhole()
+			if !bytes.Equal(r2.Data()[:9], []byte("committed")) {
+				t.Fatal("data lost through blocked truncation")
+			}
+		})
 	}
 }
 
@@ -186,8 +280,8 @@ func TestAutoTruncation(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if v.eng.Stats().EpochTruncs == 0 {
-		t.Fatal("no truncation ran")
+	if v.eng.Stats().IncrSteps == 0 {
+		t.Fatal("the cleaner wrote no page")
 	}
 }
 
@@ -322,9 +416,9 @@ func TestCommitInCleanWindowStaysLive(t *testing.T) {
 	if len(committed) != 2 {
 		t.Fatalf("%d commits landed in the window, want 2", len(committed))
 	}
-	// The commit keeps the log above the target, so the truncation falls
-	// back to an epoch, which empties the queue; a head moved past the
-	// commit would have reached the target and queued the page behind it.
+	// The commit keeps the log above the target with nothing blocked, so
+	// the truncation ends there, the commit's page queued; a head moved
+	// past the commit would have left that page queued behind it.
 	headBehindQueue("the incremental truncation")
 	v.reopen(Options{})
 	r2 := v.mapWhole()
@@ -540,7 +634,7 @@ func TestCleanerForcesDrainedRecords(t *testing.T) {
 			return
 		}
 		var pages atomic.Uint64
-		_, _, _, err := eng.clean(cleanEverything, &pages)
+		_, _, _, _, err := eng.clean(cleanEverything, &pages)
 		eng.releaseTruncation()
 		cleaned <- err
 	}()

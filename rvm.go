@@ -161,8 +161,8 @@ type Options struct {
 	// TruncateThreshold is the fraction of log capacity that triggers
 	// background truncation (default 0.5; set negative to disable).
 	TruncateThreshold float64
-	// Incremental selects incremental truncation for background
-	// truncations; otherwise epoch truncation is used (paper §5.1.2).
+	// Incremental makes background truncation stop at half the threshold
+	// rather than empty the log (paper §5.1.2).
 	Incremental bool
 	// NoSync disables physical fsyncs, forfeiting the permanence
 	// guarantee.  For benchmark harnesses that measure log traffic, not
@@ -298,14 +298,14 @@ func (r *RVM) Begin(mode TxMode) (*Tx, error) { return r.eng.Begin(mode) }
 func (r *RVM) Flush() error { return r.eng.Flush() }
 
 // Truncate blocks until all committed changes in the log are reflected to
-// the external data segments and the log is empty.  RVM also truncates
-// transparently in the background; this hands the timing to the
-// application (paper §4.2).
+// the external data segments and the log is empty, reverting to epoch
+// truncation only if an open transaction keeps a page pinned.  RVM also
+// truncates in the background; this hands the timing to the application
+// (paper §4.2, §5.1.2).
 func (r *RVM) Truncate() error { return r.eng.Truncate() }
 
-// TruncateIncremental runs incremental truncation until the live log drops
-// to targetFraction of capacity, reverting to epoch truncation if blocked
-// (paper §5.1.2).
+// TruncateIncremental is Truncate stopped once the live log is down to
+// targetFraction of capacity (paper §5.1.2).
 func (r *RVM) TruncateIncremental(targetFraction float64) error {
 	return r.eng.TruncateIncremental(targetFraction)
 }
