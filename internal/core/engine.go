@@ -203,12 +203,15 @@ type pipeline struct {
 	mu obs.Mutex // obs.LockPipeline, bound at Open
 	// The spool (spool.go): committed no-flush transactions not yet in the
 	// log, in commit order.  Entries a later commit subsumed stay in the
-	// slice, dead, until a drain passes them.
+	// slice, dead, until a drain passes them or a compaction drops them.
 	spool       []*spooled
-	spoolBytes  int64                  // log cost of the live entries
-	spoolIdx    map[uint64]spoolBucket // live entries by witness bucket
-	spoolChecks uint64                 // full subsumption checks run; tests pin the cost of a commit with it
-	batch       []wal.Entry            // drain scratch, kept for its capacity
+	spoolBytes  int64                   // log cost of the live entries
+	deadBytes   int64                   // log cost of the dead entries mem still holds
+	spoolIdx    map[uint64]*spoolBucket // live entries by witness bucket
+	spoolChecks uint64                  // full subsumption checks run; tests pin the cost of a commit with it
+	mem         spoolMem                // what entries are cut from
+	buckets     arena[spoolBucket]      // spoolIdx's buckets
+	batch       []wal.Entry             // drain scratch, kept for its capacity
 	queue       pagevec.Queue
 	epochEndSeq uint64 // while an epoch truncation is in flight: its EndSeq
 }

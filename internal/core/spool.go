@@ -11,7 +11,8 @@ import (
 
 // spooled is a committed no-flush transaction awaiting its log write.
 // Everything about it, and about the index it is filed in, is guarded by
-// pipe.mu.
+// pipe.mu.  It is cut from the pipeline's spoolMem, as are its ranges, the
+// bytes they hold, and its pages.
 type spooled struct {
 	next    *spooled // the next entry filed in the same index bucket
 	witness segSpan  // the range the entry is filed under
@@ -19,7 +20,7 @@ type spooled struct {
 	flags   uint8
 	tid     uint64
 	bytes   int64       // encoded log size, for inter-opt accounting
-	ranges  []wal.Range // data copied at commit time, into one buffer
+	ranges  []wal.Range // data copied at commit time
 	pages   []pagevec.PageID
 }
 
@@ -29,6 +30,79 @@ type spooled struct {
 type spoolBucket struct {
 	head   *spooled
 	visits int
+}
+
+// count is b's visits; an absent bucket (nil) has had none.
+func (b *spoolBucket) count() int {
+	if b == nil {
+		return 0
+	}
+	return b.visits
+}
+
+// arena is memory of one kind that spool entries are cut from, recycled
+// whole by reset (DESIGN.md §12).  A cut bigger than a slab gets a slab of
+// its own, which the arena does not keep.
+type arena[T any] struct {
+	slabs [][]T // slabs[cur] is being cut; those after it are empty
+	cur   int
+}
+
+// take cuts n elements, in slabs of size elements.
+func (a *arena[T]) take(n, size int) []T {
+	if n > size {
+		return make([]T, n)
+	}
+	for ; a.cur < len(a.slabs); a.cur++ {
+		if s := a.slabs[a.cur]; len(s)+n <= cap(s) {
+			a.slabs[a.cur] = s[:len(s)+n]
+			return s[len(s) : len(s)+n : len(s)+n]
+		}
+	}
+	a.slabs = append(a.slabs, make([]T, n, size))
+	return a.slabs[a.cur][:n:n]
+}
+
+func (a *arena[T]) reset() {
+	for i, s := range a.slabs {
+		clear(s)
+		a.slabs[i] = s[:0]
+	}
+	a.cur = 0
+}
+
+// spoolMem is the memory spool entries are cut from.
+type spoolMem struct {
+	ents   arena[spooled]
+	ranges arena[wal.Range]
+	pages  arena[pagevec.PageID]
+	data   arena[byte]
+}
+
+// clone copies sp — its ranges, the bytes they hold, and its pages — into
+// m.  The index links are not copied.
+func (m *spoolMem) clone(sp *spooled) *spooled {
+	n := 0
+	for _, r := range sp.ranges {
+		n += len(r.Data)
+	}
+	c := &m.ents.take(1, 512)[0]
+	*c = spooled{witness: sp.witness, flags: sp.flags, tid: sp.tid, bytes: sp.bytes, ranges: m.ranges.take(len(sp.ranges), 512)[:0]}
+	c.pages = append(m.pages.take(len(sp.pages), 512)[:0], sp.pages...)
+	data := m.data.take(n, 64<<10)[:0]
+	for _, r := range sp.ranges {
+		data = append(data, r.Data...)
+		r.Data = data[len(data)-len(r.Data) : len(data) : len(data)]
+		c.ranges = append(c.ranges, r)
+	}
+	return c
+}
+
+func (m *spoolMem) reset() {
+	m.ents.reset()
+	m.ranges.reset()
+	m.pages.reset()
+	m.data.reset()
 }
 
 // spoolBucketShift sizes the index's buckets: 4 KiB.
@@ -92,7 +166,8 @@ func (p *pipeline) subsumedPipeLocked(old *spooled, cover []segSpan) bool {
 	return true
 }
 
-// spoolPipeLocked adds a committed no-flush transaction to the spool, after applying the inter-transaction optimization (paper §5.2): an
+// spoolPipeLocked adds a committed no-flush transaction to the spool,
+// after applying the inter-transaction optimization (paper §5.2): an
 // earlier unflushed transaction whose modifications sp's subsume is
 // discarded.  The cost is that of sp's own ranges, whatever the spool
 // holds, because the spool is indexed (DESIGN.md §12).  Each live entry is
@@ -103,16 +178,23 @@ func (p *pipeline) subsumedPipeLocked(old *spooled, cover []segSpan) bool {
 // whose witness is indeed covered.  The witness is the range whose bucket
 // commits have visited least: what every transaction writes (a balance, a
 // counter) is a poor witness, one that every commit would have to look at.
-// Caller holds e.pipe.mu and the locks of sp's regions.
+// Caller holds e.pipe.mu and the locks of sp's regions; sp may move once
+// it is spooled.
 func (e *Engine) spoolPipeLocked(sp *spooled) {
 	p := &e.pipe
 	var buf [8]segSpan
 	cover := coverOf(buf[:0], sp.ranges)
+	var at [8]*spoolBucket // the walk's lookup of each range's first byte
 	for _, c := range cover {
 		for off := c.off; off < c.end; off = (off>>spoolBucketShift + 1) << spoolBucketShift {
 			key := spoolBucketKey(c.seg, off)
-			b, ok := p.spoolIdx[key]
-			if !ok {
+			b := p.spoolIdx[key]
+			for i, r := range sp.ranges[:min(len(sp.ranges), len(at))] {
+				if spoolBucketKey(r.Seg, int64(r.Off)) == key {
+					at[i] = b
+				}
+			}
+			if b == nil {
 				continue
 			}
 			link := &b.head
@@ -128,33 +210,66 @@ func (e *Engine) spoolPipeLocked(sp *spooled) {
 				*link = old.next
 			}
 			b.visits++
-			p.spoolIdx[key] = b
 		}
 	}
-	var witness spoolBucket
+	var witness *spoolBucket
 	for i, r := range sp.ranges {
-		if b := p.spoolIdx[spoolBucketKey(r.Seg, int64(r.Off))]; i == 0 || b.visits < witness.visits {
+		b := at[i%len(at)]
+		if i >= len(at) {
+			b = p.spoolIdx[spoolBucketKey(r.Seg, int64(r.Off))]
+		}
+		if i == 0 || b.count() < witness.count() {
 			sp.witness, witness = rangeSpan(r), b
 		}
 	}
-	if p.spoolIdx == nil {
-		p.spoolIdx = make(map[uint64]spoolBucket)
+	if witness == nil {
+		if p.spoolIdx == nil {
+			p.spoolIdx = make(map[uint64]*spoolBucket)
+		}
+		witness = &p.buckets.take(1, 512)[0]
+		p.spoolIdx[spoolBucketKey(sp.witness.seg, sp.witness.off)] = witness
 	}
-	sp.next = witness.head
-	p.spoolIdx[spoolBucketKey(sp.witness.seg, sp.witness.off)] = spoolBucket{sp, witness.visits + 1}
+	sp.next, witness.head = witness.head, sp
+	witness.visits++
 	for _, id := range sp.pages {
 		e.regions[id.Region].spoolRefs[id.Page]++
 	}
 	p.spool = append(p.spool, sp)
 	p.spoolBytes += sp.bytes
+	if p.deadBytes > p.spoolBytes+1<<20 {
+		p.compactSpoolPipeLocked()
+	}
+}
+
+// compactSpoolPipeLocked moves the live entries, in order, into fresh
+// memory and files them again under the same witnesses, in buckets that
+// keep their visits: the memory of the dead entries goes without a drain,
+// so the log is that of a spool that never moved.  Caller holds pipe.mu.
+func (p *pipeline) compactSpoolPipeLocked() {
+	p.mem = spoolMem{}
+	for _, b := range p.spoolIdx {
+		b.head = nil
+	}
+	live := p.spool[:0]
+	for _, old := range p.spool {
+		if !old.dead {
+			sp := p.mem.clone(old)
+			b := p.spoolIdx[spoolBucketKey(sp.witness.seg, sp.witness.off)]
+			sp.next, b.head = b.head, sp
+			live = append(live, sp)
+		}
+	}
+	clear(p.spool[len(live):])
+	p.spool = live
+	p.deadBytes = 0
 }
 
 // retireSpooledPipeLocked takes sp out of the spool — logged as ent, or
-// subsumed (ent nil) — releasing its page references and its payload.  The
-// entry keeps its slot in p.spool, dead, until a drain passes it: the
-// slice's order is the log's order.  A logged entry's pages join the
-// truncation queue at its record.  Caller holds e.pipe.mu; the regions
-// slice is readable under it (see Engine.regions).
+// subsumed (ent nil) — releasing its page references.  The entry keeps its
+// slot in p.spool and its memory, dead, until a drain passes it or the
+// spool is compacted: the slice's order is the log's order.  A logged
+// entry's pages join the truncation queue at its record.  Caller holds
+// e.pipe.mu; the regions slice is readable under it (see Engine.regions).
 func (e *Engine) retireSpooledPipeLocked(sp *spooled, ent *wal.Entry) {
 	for _, id := range sp.pages {
 		// Unmap flushes the spool before it clears the region's slot, so the
@@ -168,7 +283,8 @@ func (e *Engine) retireSpooledPipeLocked(sp *spooled, ent *wal.Entry) {
 		}
 	}
 	e.pipe.spoolBytes -= sp.bytes
-	sp.dead, sp.ranges, sp.pages = true, nil, nil
+	e.pipe.deadBytes += sp.bytes
+	sp.dead = true
 }
 
 // drainSpoolPipeLocked appends every spooled transaction to the log
@@ -204,10 +320,13 @@ func (e *Engine) drainSpoolPipeLocked() error {
 		k++
 	}
 	rest := copy(p.spool, p.spool[k:])
-	clear(p.spool[rest:]) // logged payloads are garbage now
+	clear(p.spool[rest:])
 	p.spool = p.spool[:rest]
-	if rest == 0 {
+	if rest == 0 { // nothing refers to the spool's memory any more
 		clear(p.spoolIdx)
+		p.buckets.reset()
+		p.mem.reset()
+		p.deadBytes = 0
 	}
 	clear(ents)
 	p.batch = ents[:0]

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/wal"
@@ -282,15 +283,51 @@ func TestNoFlushCommitCostBound(t *testing.T) {
 			t.Fatalf("spool of %d: %.1f subsumption checks per commit, want at most 4", spool, perCommit)
 		}
 	}
+	// Go allocates objects above 512 bytes with a malloc header, a slower
+	// path every Begin would take.
+	if n := unsafe.Sizeof(Tx{}); n > 512 {
+		t.Fatalf("a Tx is %d bytes, want at most 512", n)
+	}
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	s := newTPCAShape(t, Options{TruncateThreshold: -1})
-	// The Tx, the third region's books, the old values, and the spool entry
-	// with its ranges, data and pages: seven, where the map-based
-	// bookkeeping took 53.
-	if n := testing.AllocsPerRun(500, func() { s.commit(t) }); n > 8 {
-		t.Fatalf("a 4-range Restore no-flush transaction allocated %.1f times, want at most 8", n)
+	// The Tx, the books of the second and third regions (allocated
+	// together) and the old values: the spool entry, its ranges, data and
+	// pages are cut from the spool's memory.  The map-based bookkeeping
+	// took 53, and the entry's own allocations seven.
+	if n := testing.AllocsPerRun(500, func() { s.commit(t) }); n > 3 {
+		t.Fatalf("a 4-range Restore no-flush transaction allocated %.1f times, want at most 3", n)
+	}
+	// Coda-shaped (the client mix of the paper's §7.3): NoRestore, one
+	// region, two to four ranges on as many pages, each declared again in
+	// part and then whole.  Only the Tx is allocated.
+	v := newEnv(t, 16<<20, pageBytes(64), Options{TruncateThreshold: -1})
+	r, err := v.eng.Map(v.segPath, 0, pageBytes(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, offs := range [][]int64{{100, 9000}, {100, 9000, 30000}, {100, 9000, 30000, 60000}} {
+		n := testing.AllocsPerRun(500, func() {
+			tx, err := v.eng.Begin(NoRestore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, off := range offs {
+				for _, sr := range [][2]int64{{off, 100}, {off + 50, 58}, {off, 100}} {
+					if err := tx.SetRange(r, sr[0], sr[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r.Data()[off]++
+			}
+			if err := tx.Commit(NoFlush); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 1 {
+			t.Fatalf("a %d-range NoRestore no-flush transaction allocated %.1f times, want at most 1", len(offs), n)
+		}
 	}
 }
 

@@ -24,9 +24,9 @@ func (e *Engine) Flush() error {
 	return e.maybePoison(e.flushSpool(false))
 }
 
-// flushSpool drains the spool into the log and forces it.  claimed says whether the caller already holds the truncation slot, which
-// decides how a full log is handled (retryLogFull).  The force runs with no
-// lock held.
+// flushSpool drains the spool into the log and forces it.  claimed says
+// whether the caller already holds the truncation slot, which decides how
+// a full log is handled (retryLogFull).  The force runs with no lock held.
 func (e *Engine) flushSpool(claimed bool) error {
 	t0 := time.Now()
 	p := &e.pipe

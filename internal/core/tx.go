@@ -54,45 +54,30 @@ type span struct{ off, end int64 }
 type rangeset struct{ spans []span }
 
 // add inserts [off, end) and returns the newly covered pieces, appended to
-// buf[:0].  The span slice is spliced in place: the merge replaces
-// spans[i:j] with a single union span and an insert shifts the tail, so a
+// buf[:0].  The span slice is spliced in place: spans[i:j], the spans the
+// new one overlaps or touches, are replaced by their union with it, so a
 // warm set adds no allocations beyond the amortized growth of the backing
 // array.
 func (s *rangeset) add(off, end int64, buf []span) []span {
 	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].end >= off })
-	added := buf[:0]
-	pos := off
-	j := i
-	for j < len(s.spans) && s.spans[j].off <= end {
+	added, pos, j := buf[:0], off, i
+	for ; j < len(s.spans) && s.spans[j].off <= end; j++ {
 		if s.spans[j].off > pos {
 			added = append(added, span{pos, s.spans[j].off})
 		}
-		if s.spans[j].end > pos {
-			pos = s.spans[j].end
-		}
-		j++
+		pos = max(pos, s.spans[j].end)
 	}
 	if pos < end {
 		added = append(added, span{pos, end})
 	}
-	// Replace spans[i:j] with their union with [off,end).
-	newOff, newEnd := off, end
-	if i < j {
-		if s.spans[i].off < newOff {
-			newOff = s.spans[i].off
-		}
-		if s.spans[j-1].end > newEnd {
-			newEnd = s.spans[j-1].end
-		}
-		s.spans[i] = span{newOff, newEnd}
-		if j > i+1 {
-			s.spans = append(s.spans[:i+1], s.spans[j:]...)
-		}
-	} else {
+	if i == j {
 		s.spans = append(s.spans, span{})
 		copy(s.spans[i+1:], s.spans[i:])
-		s.spans[i] = span{newOff, newEnd}
+	} else {
+		off, end = min(off, s.spans[i].off), max(end, s.spans[j-1].end)
+		s.spans = append(s.spans[:i+1], s.spans[j:]...)
 	}
+	s.spans[i] = span{off, end}
 	return added
 }
 
@@ -104,9 +89,10 @@ type txRegion struct {
 	pages  rangeset   // pages referenced by this tx in this region, in page units
 	naive  int64      // log bytes set-ranges would cost unoptimized
 	// First backing arrays of set.spans, pages.spans and old: a region
-	// with a couple of ranges allocates nothing.
-	spanBuf [2]span
-	pageBuf [1]span
+	// with up to four ranges on as many pages, two of them captured,
+	// allocates nothing.
+	spanBuf [4]span
+	pageBuf [4]span
 	oldBuf  [2]oldValue
 }
 
@@ -129,12 +115,14 @@ type Tx struct {
 	done bool
 	// regions is the bookkeeping of every region touched, ascending by
 	// region index — both the lock-acquisition order and the deterministic
-	// log order.  The first two regions' books live inside the Tx: every
-	// one costs Begin some 70 ns of zeroing whether it is used or not,
-	// about what allocating a third on demand costs.
+	// log order.  The first region's books live inside the Tx, and further
+	// regions' are allocated two at a time (more): books inside the Tx cost
+	// Begin their zeroing whether used or not, and a Tx over 512 bytes is
+	// a slower allocation.
 	regions []*txRegion
 	regPtrs [4]*txRegion
-	regBuf  [2]txRegion
+	regBuf  txRegion
+	more    []txRegion
 	oldData []byte // old values are captured into one growing buffer
 }
 
@@ -214,10 +202,13 @@ func (t *Tx) txRegionLocked(r *Region) *txRegion {
 	}
 	if i == len(t.regions) || t.regions[i].region != r {
 		var tr *txRegion
-		if n := len(t.regions); n < len(t.regBuf) {
-			tr = &t.regBuf[n]
+		if len(t.regions) == 0 {
+			tr = &t.regBuf
 		} else {
-			tr = new(txRegion)
+			if len(t.more) == 0 {
+				t.more = make([]txRegion, 2)
+			}
+			tr, t.more = &t.more[0], t.more[1:]
 		}
 		tr.region, tr.set.spans, tr.pages.spans, tr.old = r, tr.spanBuf[:0], tr.pageBuf[:0], tr.oldBuf[:0]
 		t.regions = slices.Insert(t.regions, i, tr)
@@ -294,49 +285,24 @@ func (t *Tx) finish(held bool) {
 	e.active.Add(-1)
 }
 
-// buildRanges reads the current (new) values of the transaction's ranges
-// from region memory.  When copyData is true the data is duplicated into
-// one buffer (needed for spooling, where memory keeps changing after
-// commit); otherwise the ranges alias region memory, which the caller must
-// keep locked until the log consumes them.  It also returns the pages
-// behind the ranges, their log cost, and the intra-transaction savings for
-// the caller to account once the commit actually succeeds.
-func (t *Tx) buildRanges(copyData bool) (ranges []wal.Range, pages []pagevec.PageID, logged, saved int64) {
-	var nranges, npages int
-	var nbytes, naive int64
-	for i := range t.regions {
-		tr := t.regions[i]
-		nranges += len(tr.set.spans)
-		for _, sp := range tr.set.spans {
-			nbytes += sp.end - sp.off
-		}
-		for _, sp := range tr.pages.spans {
-			npages += int(sp.end - sp.off)
-		}
-		naive += tr.naive
-	}
-	ranges = make([]wal.Range, 0, nranges)
-	pages = make([]pagevec.PageID, 0, npages)
-	var buf []byte
-	if copyData {
-		buf = make([]byte, 0, nbytes)
-	}
-	for i := range t.regions {
-		tr := t.regions[i]
+// buildRanges appends the transaction's ranges to ranges and the pages
+// behind them to pages.  The ranges alias region memory, which the caller
+// must keep locked until the log or the spool has consumed them.  It also
+// returns their log cost and the intra-transaction savings, for the caller
+// to account once the commit actually succeeds.
+func (t *Tx) buildRanges(ranges []wal.Range, pages []pagevec.PageID) (_ []wal.Range, _ []pagevec.PageID, logged, saved int64) {
+	var naive int64
+	for _, tr := range t.regions {
 		r := tr.region
 		for _, sp := range tr.set.spans {
-			d := r.data[sp.off:sp.end]
-			if copyData {
-				buf = append(buf, d...)
-				d = buf[len(buf)-len(d) : len(buf) : len(buf)]
-			}
-			ranges = append(ranges, wal.Range{Seg: r.seg.ID(), Off: uint64(r.segOff + sp.off), Data: d})
+			ranges = append(ranges, wal.Range{Seg: r.seg.ID(), Off: uint64(r.segOff + sp.off), Data: r.data[sp.off:sp.end]})
+			logged += rangeEncodedLen(sp.end - sp.off)
 		}
 		tr.eachPage(func(p int64) { pages = append(pages, pagevec.PageID{Region: r.idx, Page: p}) })
+		naive += tr.naive
 	}
 	// Exact intra-transaction savings: what verbatim logging of every
 	// set-range call would have cost minus what we will actually log.
-	logged = nbytes + int64(nranges)*rangeEncodedLen(0)
 	return ranges, pages, logged, naive - logged
 }
 
@@ -425,19 +391,22 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	var saved, nbytes, spoolBytes int64
 	var led bool
 	var seq uint64
+	var rangeBuf [4]wal.Range // what a transaction of a few ranges builds in
+	var pageBuf [8]pagevec.PageID
 	for attempt := 0; ; attempt++ {
 		// Ranges are rebuilt per attempt: they alias region memory, which
 		// is only stable while the region locks are held.
 		t.lockRegions()
 		lockNs += clk.lap()
-		ranges, pages, logged, sv := t.buildRanges(lazy)
+		ranges, pages, logged, sv := t.buildRanges(rangeBuf[:0], pageBuf[:0])
 		encodeNs += clk.lap()
 		p.mu.Lock()
 		pipeNs += clk.lap()
 		var err error
 		var need int64
 		if lazy {
-			e.spoolPipeLocked(&spooled{tid: t.id, flags: flags, ranges: ranges, pages: pages, bytes: logged})
+			// The copy is cut from the spool's memory, which pipe.mu guards.
+			e.spoolPipeLocked(p.mem.clone(&spooled{tid: t.id, flags: flags, ranges: ranges, pages: pages, bytes: logged}))
 			spoolBytes, nbytes = p.spoolBytes, logged
 			t.markDirtyPipeLocked(nil, 0, 0) // dirty bits only; queue entries at flush
 		} else {

@@ -98,18 +98,34 @@ type Descriptor struct {
 }
 
 // Queue is the FIFO of page-modification descriptors.  The zero value is
-// an empty queue.
+// an empty queue.  Positions are absolute: items[i] is position base+i, and
+// slots[region][page] holds one more than the position of the page's
+// descriptor (zero: not queued), so every lookup is an array access and
+// compaction only moves base.
 type Queue struct {
-	items []Descriptor
-	head  int
-	live  int            // non-tombstone entries in items[head:]
-	index map[PageID]int // PageID -> absolute index (head-relative + head)
+	items      []Descriptor
+	head, base int
+	live       int     // non-tombstone entries in items[head:]
+	slots      [][]int // per region, per page: 1 + absolute position, or 0
 }
 
-func (q *Queue) ensure() {
-	if q.index == nil {
-		q.index = make(map[PageID]int)
+// slot returns id's slot, growing the tables to hold it.
+func (q *Queue) slot(id PageID) *int {
+	if id.Region >= len(q.slots) {
+		q.slots = append(q.slots, make([][]int, id.Region+1-len(q.slots))...)
 	}
+	if s := q.slots[id.Region]; id.Page >= int64(len(s)) {
+		q.slots[id.Region] = append(s, make([]int, int(id.Page)+1-len(s))...)
+	}
+	return &q.slots[id.Region][id.Page]
+}
+
+// at returns the index in items of id's descriptor, or -1.
+func (q *Queue) at(id PageID) int {
+	if id.Region < len(q.slots) && id.Page < int64(len(q.slots[id.Region])) {
+		return q.slots[id.Region][id.Page] - 1 - q.base
+	}
+	return -1
 }
 
 // Len returns the number of queued descriptors.
@@ -120,12 +136,12 @@ func (q *Queue) Len() int { return q.live }
 // seq as its newest reference).  It reports whether a new descriptor was
 // added.
 func (q *Queue) Push(id PageID, pos int64, seq uint64) bool {
-	q.ensure()
-	if i, ok := q.index[id]; ok {
+	s := q.slot(id)
+	if i := *s - 1 - q.base; i >= 0 {
 		q.items[i].Last = max(q.items[i].Last, seq)
 		return false
 	}
-	q.index[id] = len(q.items)
+	*s = q.base + len(q.items) + 1
 	q.items = append(q.items, Descriptor{ID: id, Pos: pos, Seq: seq, Last: seq})
 	q.live++
 	return true
@@ -137,21 +153,27 @@ func (q *Queue) Push(id PageID, pos int64, seq uint64) bool {
 // modified again, the page's earliest surviving reference is the new
 // record.  If the page is not queued, Promote behaves like Push.
 func (q *Queue) Promote(id PageID, pos int64, seq uint64) {
-	q.ensure()
-	if i, ok := q.index[id]; ok {
-		q.items[i] = Descriptor{} // tombstone; skipped on pop/first
-		delete(q.index, id)
-		q.live--
-	}
+	q.Remove(id)
 	q.Push(id, pos, seq)
 }
 
-// skipTombstones advances head past removed entries.
+// drop tombstones items[i], the descriptor of a queued page.
+func (q *Queue) drop(i int) {
+	q.slots[q.items[i].ID.Region][q.items[i].ID.Page] = 0
+	q.items[i] = Descriptor{} // skipped on pop/first
+	q.live--
+}
+
+// skipTombstones advances head past removed entries, and reclaims the
+// popped prefix when it dominates the slice.
 func (q *Queue) skipTombstones() {
 	for q.head < len(q.items) && q.items[q.head] == (Descriptor{}) {
 		q.head++
 	}
-	q.maybeCompact()
+	if q.head > 64 && q.head > len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		q.items, q.base, q.head = q.items[:n], q.base+q.head, 0
+	}
 }
 
 // First returns the oldest descriptor without removing it.
@@ -169,39 +191,28 @@ func (q *Queue) PopFirst() Descriptor {
 	if !ok {
 		panic("pagevec: PopFirst on empty queue")
 	}
-	delete(q.index, d.ID)
-	q.items[q.head] = Descriptor{}
-	q.live--
-	q.head++
-	q.maybeCompact()
+	q.Remove(d.ID)
 	return d
 }
 
 // Get returns id's descriptor if the page is queued.
 func (q *Queue) Get(id PageID) (Descriptor, bool) {
-	q.ensure()
-	if i, ok := q.index[id]; ok {
+	if i := q.at(id); i >= 0 {
 		return q.items[i], true
 	}
 	return Descriptor{}, false
 }
 
 // Has reports whether the page is queued.
-func (q *Queue) Has(id PageID) bool {
-	_, ok := q.Get(id)
-	return ok
-}
+func (q *Queue) Has(id PageID) bool { return q.at(id) >= 0 }
 
 // Remove deletes id's descriptor if present, reporting whether it was.
 func (q *Queue) Remove(id PageID) bool {
-	q.ensure()
-	i, ok := q.index[id]
-	if !ok {
+	i := q.at(id)
+	if i < 0 {
 		return false
 	}
-	q.items[i] = Descriptor{}
-	delete(q.index, id)
-	q.live--
+	q.drop(i)
 	q.skipTombstones()
 	return true
 }
@@ -211,12 +222,16 @@ func (q *Queue) Remove(id PageID) bool {
 // the number removed.
 func (q *Queue) RemoveRegion(region int) int {
 	n := 0
-	for id := range q.index {
-		if id.Region == region {
-			q.Remove(id)
-			n++
+	if region < len(q.slots) {
+		for _, s := range q.slots[region] {
+			if s != 0 {
+				q.drop(s - 1 - q.base)
+				n++
+			}
 		}
+		q.slots[region] = nil
 	}
+	q.skipTombstones()
 	return n
 }
 
@@ -226,11 +241,8 @@ func (q *Queue) RemoveRegion(region int) int {
 func (q *Queue) DropOlderThan(seq uint64) int {
 	n := 0
 	for i := q.head; i < len(q.items); i++ {
-		d := q.items[i]
-		if d != (Descriptor{}) && d.Seq < seq {
-			q.items[i] = Descriptor{}
-			delete(q.index, d.ID)
-			q.live--
+		if d := q.items[i]; d != (Descriptor{}) && d.Seq < seq {
+			q.drop(i)
 			n++
 		}
 	}
@@ -244,18 +256,5 @@ func (q *Queue) Walk(fn func(Descriptor)) {
 		if q.items[i] != (Descriptor{}) {
 			fn(q.items[i])
 		}
-	}
-}
-
-// maybeCompact reclaims the popped prefix when it dominates the slice.
-func (q *Queue) maybeCompact() {
-	if q.head > 64 && q.head > len(q.items)/2 {
-		live := q.items[q.head:]
-		copy(q.items, live)
-		q.items = q.items[:len(live)]
-		for id, i := range q.index {
-			q.index[id] = i - q.head
-		}
-		q.head = 0
 	}
 }

@@ -2,6 +2,7 @@ package pagevec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -237,4 +238,126 @@ func TestQueueRandomizedModel(t *testing.T) {
 			t.Fatalf("step %d: Len=%d model=%d", step, q.Len(), len(model))
 		}
 	}
+	t.Run("all operations across compactions", func(t *testing.T) { queueModelAllOps(t, rand.New(rand.NewSource(33))) })
+}
+
+// queueModelAllOps drives every mutating operation of a Queue against a
+// list kept in queue order, and checks every lookup and the whole order as
+// it goes, across many compactions of the page-indexed slots.
+func queueModelAllOps(t *testing.T, rng *rand.Rand) {
+	var q Queue
+	var model []Descriptor
+	find := func(id PageID) int {
+		for i, d := range model {
+			if d.ID == id {
+				return i
+			}
+		}
+		return -1
+	}
+	remove := func(keep func(Descriptor) bool) int {
+		kept := model[:0]
+		for _, d := range model {
+			if keep(d) {
+				kept = append(kept, d)
+			}
+		}
+		n := len(model) - len(kept)
+		model = kept
+		return n
+	}
+	seq, compactions, base := uint64(0), 0, 0
+	for step := 0; step < 40000; step++ {
+		id := PageID{rng.Intn(4), int64(rng.Intn(64))}
+		seq++
+		switch op := rng.Intn(16); {
+		case op < 6:
+			i := find(id)
+			if q.Push(id, int64(seq), seq) != (i < 0) {
+				t.Fatalf("step %d: Push(%v) disagrees with the model", step, id)
+			}
+			if i < 0 {
+				model = append(model, Descriptor{id, int64(seq), seq, seq})
+			} else {
+				model[i].Last = seq
+			}
+		case op < 8:
+			q.Promote(id, int64(seq), seq)
+			remove(func(d Descriptor) bool { return d.ID != id })
+			model = append(model, Descriptor{id, int64(seq), seq, seq})
+		case op < 9:
+			if q.Remove(id) != (remove(func(d Descriptor) bool { return d.ID != id }) == 1) {
+				t.Fatalf("step %d: Remove(%v) disagrees with the model", step, id)
+			}
+		case op < 14:
+			if len(model) > 0 {
+				if d := q.PopFirst(); d != model[0] {
+					t.Fatalf("step %d: popped %+v, want %+v", step, d, model[0])
+				}
+				model = model[1:]
+			}
+		case op < 15 && rng.Intn(8) == 0:
+			below := seq - uint64(rng.Intn(200))
+			if n, want := q.DropOlderThan(below), remove(func(d Descriptor) bool { return d.Seq >= below }); n != want {
+				t.Fatalf("step %d: DropOlderThan(%d) removed %d, want %d", step, below, n, want)
+			}
+		case op == 15 && rng.Intn(8) == 0:
+			if n, want := q.RemoveRegion(id.Region), remove(func(d Descriptor) bool { return d.ID.Region != id.Region }); n != want {
+				t.Fatalf("step %d: RemoveRegion(%d) removed %d, want %d", step, id.Region, n, want)
+			}
+		}
+		if q.base != base {
+			compactions, base = compactions+1, q.base
+		}
+		probe := PageID{rng.Intn(5), int64(rng.Intn(70))}
+		if d, ok := q.Get(probe); ok != (find(probe) >= 0) || ok && d != model[find(probe)] || q.Has(probe) != ok {
+			t.Fatalf("step %d: Get(%v) = %+v, %v disagrees with the model", step, probe, d, ok)
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: Len=%d model=%d", step, q.Len(), len(model))
+		}
+		if step%97 == 0 {
+			var got []Descriptor
+			q.Walk(func(d Descriptor) { got = append(got, d) })
+			if !slices.Equal(got, model) {
+				t.Fatalf("step %d: queue order %v, want %v", step, got, model)
+			}
+		}
+	}
+	if compactions < 20 {
+		t.Fatalf("%d compactions: the walk does not test them", compactions)
+	}
+	t.Logf("%d compactions", compactions)
+}
+
+// BenchmarkQueuePush measures the truncation queue's hot call on 1 024
+// pages of three regions, what a Flush on tpca_noflush enqueues: a hit (the
+// page is queued; Push notes its newest reference) and a miss (the page is
+// queued anew; the queue is drained, off the clock, once all are in).
+func BenchmarkQueuePush(b *testing.B) {
+	const pages = 1024
+	id := func(i int) PageID { return PageID{i % 3, int64(i % pages)} }
+	b.Run("hit", func(b *testing.B) {
+		var q Queue
+		for i := 0; i < pages; i++ {
+			q.Push(id(i), int64(i), uint64(i)+1)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q.Push(id(i), int64(i), uint64(i)+1)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		var q Queue
+		for i := 0; i < b.N; i++ {
+			if i%pages == 0 && i > 0 {
+				b.StopTimer()
+				for q.Len() > 0 {
+					q.PopFirst()
+				}
+				b.StartTimer()
+			}
+			q.Push(id(i), int64(i), uint64(i)+1)
+		}
+	})
 }
