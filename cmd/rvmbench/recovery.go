@@ -197,7 +197,6 @@ func recovBuild(dir string, mb, ckptEveryMB int) (uint64, error) {
 	db, err := rvm.Open(rvm.Options{
 		LogPath:           logPath,
 		TruncateThreshold: -1,
-		SpoolLimit:        64 << 20,
 	})
 	if err != nil {
 		return 0, err

@@ -273,9 +273,10 @@ func TestCommitPathsAgree(t *testing.T) {
 // commits by turns, a page pinned over the middle of the run — in each of
 // the ways a committed byte reaches its segment: the page cleaner as
 // incremental truncation, the cleaner as a checkpoint with the truncation
-// moving the head after it, log replay by an epoch, and Unmap's sweep.  Each
-// must leave the model's image in the segment with nothing queued or dirty,
-// and recover it after a crash.
+// moving the head after it, log replay by an epoch, a crash's redo applied
+// as the restart's first truncation, and Unmap's sweep.  Each must leave the
+// model's image in the segment with nothing queued or dirty, and recover it
+// after a crash.
 func TestWriteBackPathsAgree(t *testing.T) {
 	truncated := func(t *testing.T, v *env, epochs uint64) {
 		t.Helper()
@@ -336,6 +337,20 @@ func TestWriteBackPathsAgree(t *testing.T) {
 			if qi, _ := v.eng.Query(nil); qi.LogUsed != 0 || v.eng.Stats().EpochTruncs != epochs+1 {
 				t.Errorf("log holds %d bytes after %d epoch(s) in the finish; want an empty log and one epoch", qi.LogUsed, v.eng.Stats().EpochTruncs-epochs)
 			}
+			return regs
+		}},
+		{"restart", func(t *testing.T, v *env, regs []*Region) []*Region {
+			v.reopen(Options{TruncateThreshold: -1}) // a crash: no Close
+			for i := range regs {
+				var err error
+				if regs[i], err = v.eng.Map(v.segPath, pageBytes(2*i), pageBytes(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := v.eng.Truncate(); err != nil {
+				t.Fatal(err)
+			}
+			truncated(t, v, 0)
 			return regs
 		}},
 		{"unmap+map", func(t *testing.T, v *env, regs []*Region) []*Region {
@@ -422,7 +437,8 @@ func TestCommitRejectsUnknownMode(t *testing.T) {
 func TestLazyAndFlushCommitPhases(t *testing.T) {
 	const n = 50
 	met := obs.NewMetrics()
-	opts := Options{TruncateThreshold: -1, Metrics: met, StallBudget: -1}
+	setVar(t, &stallBudget, -1)
+	opts := Options{TruncateThreshold: -1, Metrics: met}
 	v := newEnv(t, 1<<18, pageBytes(4), opts)
 	r1, _ := v.eng.Map(v.segPath, 0, pageBytes(2))
 	r2, _ := v.eng.Map(v.segPath, pageBytes(2), pageBytes(2))

@@ -22,6 +22,13 @@ type env struct {
 
 func pageBytes(n int) int64 { return int64(n) * int64(mapping.PageSize) }
 
+// setVar sets, for the rest of the test, a package variable Open reads.
+func setVar[T any](tb testing.TB, v *T, x T) {
+	old := *v
+	*v = x
+	tb.Cleanup(func() { *v = old })
+}
+
 func newEnv(t *testing.T, logSize, segSize int64, opts Options) *env {
 	t.Helper()
 	dir := t.TempDir()

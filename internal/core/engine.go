@@ -123,11 +123,6 @@ type Options struct {
 	// longer, trading commit latency for bigger batches when committers
 	// are slow to arrive.  Only meaningful with GroupCommit.
 	MaxForceDelay time.Duration
-	// SpoolLimit bounds the bytes of committed no-flush transactions held
-	// in memory awaiting a flush; crossing it triggers an implicit flush
-	// (the real RVM's log buffers were finite too).
-	// Zero means the 1 MiB default; negative means unlimited.
-	SpoolLimit int64
 	// Tracer records typed engine events (commits, forces, truncation
 	// phases, recovery, faults) into a fixed-size ring.  nil disables
 	// tracing at zero cost.
@@ -135,13 +130,6 @@ type Options struct {
 	// Metrics aggregates latency/size histograms and live gauges.  nil
 	// disables metrics at zero cost.
 	Metrics *obs.Metrics
-	// StallBudget is how long a watched operation (force, group-commit
-	// wait, truncation, checkpoint, recovery) may stay in flight before
-	// the stall watchdog counts it as a stall, records an EvStall trace
-	// event, and updates LastStall in the metrics snapshot.  Zero
-	// selects a 1s default; negative disables the watchdog.  Only
-	// meaningful with Metrics set (the gates live in the registry).
-	StallBudget time.Duration
 }
 
 // statsOf is the one declaration of the engine's cumulative counters
@@ -219,7 +207,8 @@ type pipeline struct {
 // Engine is an open RVM instance: one log plus any number of mapped
 // regions.  All methods are safe for concurrent use.
 type Engine struct {
-	opts Options // immutable after Open (runtime knobs below are atomics)
+	opts       Options // immutable after Open (runtime knobs below are atomics)
+	spoolLimit int64   // spoolLimit, read at Open
 
 	// The log and the commit machinery in front of it: the pipeline lock
 	// and spool, and the group-commit ticket state.
@@ -344,9 +333,6 @@ func Open(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.SpoolLimit == 0 {
-		opts.SpoolLimit = 1 << 20
-	}
 	// Recovery is as wide as the process: GOMAXPROCS workers replay the redo
 	// trees, and one fewer build them, the log scan being one itself.
 	redo := recovery.NewRestart(recovery.Config{Parallelism: runtime.GOMAXPROCS(0)}, opts.Metrics)
@@ -367,13 +353,14 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		opts:   opts,
-		log:    lg,
-		dict:   d,
-		segs:   make(map[uint64]*segment.Segment),
-		byPath: make(map[string]uint64),
-		tr:     opts.Tracer,
-		met:    opts.Metrics,
+		opts:       opts,
+		spoolLimit: spoolLimit,
+		log:        lg,
+		dict:       d,
+		segs:       make(map[uint64]*segment.Segment),
+		byPath:     make(map[string]uint64),
+		tr:         opts.Tracer,
+		met:        opts.Metrics,
 	}
 	e.nextTID.Store(1)
 	e.truncThreshold.Store(math.Float64bits(opts.TruncateThreshold))
@@ -401,8 +388,8 @@ func Open(opts Options) (*Engine, error) {
 		// The redo is the run's first truncation epoch (DESIGN.md §13).
 		e.pending = ep
 	}
-	if e.met != nil && opts.StallBudget >= 0 {
-		e.startStallWatchdog(opts.StallBudget)
+	if e.met != nil && stallBudget >= 0 {
+		e.startStallWatchdog(stallBudget)
 	}
 	return e, nil
 }

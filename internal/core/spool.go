@@ -9,6 +9,12 @@ import (
 	"github.com/rvm-go/rvm/internal/wal"
 )
 
+// spoolLimit bounds the log bytes of the committed no-flush transactions the
+// spool holds: a commit that takes it past the limit flushes the spool (the
+// real RVM's log buffers were finite too).  Zero or less means no limit.
+// Open reads it once; a variable for the tests.
+var spoolLimit int64 = 1 << 20
+
 // spooled is a committed no-flush transaction awaiting its log write.
 // Everything about it, and about the index it is filed in, is guarded by
 // pipe.mu.  It is cut from the pipeline's spoolMem, as are its ranges, the

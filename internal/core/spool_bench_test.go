@@ -97,7 +97,8 @@ func (s *tpcaShape) commitMode(tb testing.TB, mode CommitMode) {
 func BenchmarkCommitNoFlush(b *testing.B) {
 	for _, spool := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("spool=%d", spool), func(b *testing.B) {
-			s := newTPCAShape(b, Options{SpoolLimit: -1, TruncateThreshold: -1})
+			setVar(b, &spoolLimit, -1)
+			s := newTPCAShape(b, Options{TruncateThreshold: -1})
 			fill := func() {
 				if err := s.eng.Truncate(); err != nil {
 					b.Fatal(err)

@@ -105,17 +105,17 @@ func (s *scanSpool) tids() []uint64 {
 func TestSpoolIndexMatchesScan(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		opts    Options
+		limit   int64
 		commits int
 	}{
-		{"inter-opt", Options{SpoolLimit: -1}, 12000},
-		{"spool-limit", Options{SpoolLimit: 24 << 10}, 6000},
+		{"inter-opt", -1, 12000},
+		{"spool-limit", 24 << 10, 6000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.opts.TruncateThreshold = -1
+			setVar(t, &spoolLimit, tc.limit)
 			// The log never wraps: a wrap record is framing only the log's
 			// layout predicts.
-			v := newEnv(t, 40<<20, pageBytes(16), tc.opts)
+			v := newEnv(t, 40<<20, pageBytes(16), Options{TruncateThreshold: -1})
 			seg2 := filepath.Join(v.dir, "seg2.rvm")
 			if err := CreateSegment(seg2, 2, pageBytes(8)); err != nil {
 				t.Fatal(err)
@@ -133,7 +133,7 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 				}
 				regs = append(regs, r)
 			}
-			ref := &scanSpool{limit: max(tc.opts.SpoolLimit, 0)}
+			ref := &scanSpool{limit: max(tc.limit, 0)}
 			var verbatim verbatimLog
 			rng := rand.New(rand.NewSource(int64(len(tc.name))))
 
@@ -263,7 +263,8 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 // allocations are few.
 func TestNoFlushCommitCostBound(t *testing.T) {
 	for _, spool := range []int{256, 8192} {
-		s := newTPCAShape(t, Options{SpoolLimit: -1, TruncateThreshold: -1})
+		setVar(t, &spoolLimit, -1)
+		s := newTPCAShape(t, Options{TruncateThreshold: -1})
 		for i := 0; i < spool; i++ {
 			s.commit(t)
 		}
@@ -336,7 +337,8 @@ func TestNoFlushCommitCostBound(t *testing.T) {
 // completion may not clear its dirty bit, and a subsumed entry gives its
 // references back exactly once.
 func TestSpoolPageRefs(t *testing.T) {
-	v := newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: -1, SpoolLimit: -1})
+	setVar(t, &spoolLimit, -1)
+	v := newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
 	noFlush := func(off int64, data string) {
 		t.Helper()
@@ -416,7 +418,8 @@ func TestSpoolPageRefs(t *testing.T) {
 // the queue's first page, incremental truncation must turn the spool into
 // log records before it writes the page — never the page first.
 func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
-	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true, TruncateThreshold: -1, SpoolLimit: -1})
+	setVar(t, &spoolLimit, -1)
+	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true, TruncateThreshold: -1})
 	r := v.mapWhole()
 	v.commit1(r, 0, []byte("logged"))
 	tx, _ := v.eng.Begin(Restore)

@@ -11,7 +11,8 @@ import (
 )
 
 func TestSpoolLimitTriggersImplicitFlush(t *testing.T) {
-	v := newEnv(t, 1<<20, pageBytes(2), Options{SpoolLimit: 4096})
+	setVar(t, &spoolLimit, 4096)
+	v := newEnv(t, 1<<20, pageBytes(2), Options{})
 	r := v.mapWhole()
 	payload := bytes.Repeat([]byte{1}, 1024)
 	// Four ~1KB no-flush commits cross the 4KB limit and must flush.
@@ -40,7 +41,8 @@ func TestSpoolLimitTriggersImplicitFlush(t *testing.T) {
 }
 
 func TestSpoolUnlimitedWhenNegative(t *testing.T) {
-	v := newEnv(t, 1<<20, pageBytes(2), Options{SpoolLimit: -1})
+	setVar(t, &spoolLimit, -1)
+	v := newEnv(t, 1<<20, pageBytes(2), Options{})
 	r := v.mapWhole()
 	payload := bytes.Repeat([]byte{1}, 1024)
 	for i := 0; i < 6; i++ {
@@ -70,7 +72,8 @@ func TestSpoolUnlimitedWhenNegative(t *testing.T) {
 // written twice, so a lost entry cannot hide behind a later one.
 func TestSpoolSurvivesPartialDrain(t *testing.T) {
 	const area, pages = 32 << 10, 256
-	v := newEnv(t, area, pageBytes(pages), Options{TruncateThreshold: -1, SpoolLimit: -1})
+	setVar(t, &spoolLimit, -1)
+	v := newEnv(t, area, pageBytes(pages), Options{TruncateThreshold: -1})
 	r, err := v.eng.Map(v.segPath, 0, pageBytes(pages))
 	if err != nil {
 		t.Fatal(err)

@@ -22,17 +22,16 @@ import (
 // over.  The counters are detection events, not durations — LastStall
 // and the trace carry the observed in-flight time at detection.
 
-// defaultStallBudget is used when Options.StallBudget is zero: long
-// enough that a healthy fsync or truncation never trips it, short
-// enough that a wedged device is flagged promptly.
-const defaultStallBudget = time.Second
+// stallBudget is how long a watched operation may stay in flight before
+// the watchdog counts it as a stall: long enough that a healthy fsync or
+// truncation never trips it, short enough that a wedged device is flagged
+// promptly.  Negative disables the watchdog.  Open reads it once; a
+// variable for the tests.
+var stallBudget = time.Second
 
 // startStallWatchdog launches the watchdog loop.  Only called when the
 // engine has a metrics registry (the gates live in it).
 func (e *Engine) startStallWatchdog(budget time.Duration) {
-	if budget == 0 {
-		budget = defaultStallBudget
-	}
 	// Poll several times per budget so detection lags the budget by a
 	// fraction, clamped to keep the idle engine's wakeup rate sane.
 	tick := budget / 8

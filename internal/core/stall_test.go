@@ -23,11 +23,8 @@ func stallCount(sn *obs.MetricsSnapshot, class string) uint64 {
 func TestStallWatchdogDetects(t *testing.T) {
 	met := obs.NewMetrics()
 	tr := obs.NewTracer(256)
-	v := newEnv(t, 1<<18, pageBytes(2), Options{
-		Metrics:     met,
-		Tracer:      tr,
-		StallBudget: 20 * time.Millisecond,
-	})
+	setVar(t, &stallBudget, 20*time.Millisecond)
+	v := newEnv(t, 1<<18, pageBytes(2), Options{Metrics: met, Tracer: tr})
 	_ = v
 
 	// Simulate a wedged fsync: enter the gate and never exit.  The hung
@@ -78,10 +75,8 @@ func TestStallWatchdogDetects(t *testing.T) {
 // long-busy gate goes unreported.
 func TestStallWatchdogDisabled(t *testing.T) {
 	met := obs.NewMetrics()
-	v := newEnv(t, 1<<18, pageBytes(2), Options{
-		Metrics:     met,
-		StallBudget: -1,
-	})
+	setVar(t, &stallBudget, -1)
+	v := newEnv(t, 1<<18, pageBytes(2), Options{Metrics: met})
 	_ = v
 	met.OpEnter(obs.StallForce)
 	time.Sleep(30 * time.Millisecond)
@@ -106,7 +101,8 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 // leaves the engine running, and the stall watchdog with it.
 func TestCloseFailureKeepsWatchdog(t *testing.T) {
 	met := obs.NewMetrics()
-	v := newEnv(t, 1<<18, pageBytes(2), Options{Metrics: met, StallBudget: 20 * time.Millisecond})
+	setVar(t, &stallBudget, 20*time.Millisecond)
+	v := newEnv(t, 1<<18, pageBytes(2), Options{Metrics: met})
 	tx, err := v.eng.Begin(Restore)
 	if err != nil {
 		t.Fatal(err)

@@ -126,9 +126,10 @@ func (e *Engine) truncate(target int64) error {
 // epoch runs an epoch truncation — the paper's log-replay fallback — under
 // the caller's truncation claim.  It has two callers: retryLogFull, whose
 // caller's own page references are among the pins, and truncateClaimed,
-// when the cleaner is blocked.  The spool is not touched.  The leading
-// force (a no-op on a clean log) makes every record the epoch will contain
-// durable before any of it reaches a segment (the no-undo/redo invariant).
+// when the cleaner is blocked.  The spool is not touched.  Every record the
+// epoch contains is durable before any of it reaches a segment (the
+// no-undo/redo invariant): collectEpochPipe forces the log through the
+// epoch's end before it returns it.
 func (e *Engine) epoch() error {
 	t0 := time.Now()
 	fail := func(err error) error {
@@ -141,9 +142,6 @@ func (e *Engine) epoch() error {
 		return e.maybePoison(err)
 	}
 	if err := e.applyPending(); err != nil {
-		return fail(err)
-	}
-	if err := e.retryIO(e.log.Force); err != nil {
 		return fail(err)
 	}
 	ep, err := e.collectEpochPipe()
@@ -187,9 +185,9 @@ func (e *Engine) applyPending() error {
 // collectEpochPipe snapshots the live log as a truncation epoch and
 // publishes its end sequence, both under the pipeline lock: any commit
 // appending after the collection then sees epochEndSeq set and promotes
-// re-modified pages to their new (surviving) log reference.  Records can
-// append unforced between the caller's force and the collection, so the
-// epoch's tail is forced before it may be applied.
+// re-modified pages to their new (surviving) log reference.  The epoch may
+// hold records not yet forced, so its tail is forced before it is returned
+// to be applied.
 func (e *Engine) collectEpochPipe() (*recovery.Epoch, error) {
 	p := &e.pipe
 	p.mu.Lock()

@@ -477,7 +477,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	e.stats.IntraSavedBytes.Add(uint64(saved))
 	if lazy {
 		e.stats.NoFlushCommits.Add(1)
-		if limit := e.opts.SpoolLimit; limit > 0 && spoolBytes > limit {
+		if limit := e.spoolLimit; limit > 0 && spoolBytes > limit {
 			// Implicit flush: the spool is full.  Persistence stays "bounded
 			// by the period between log flushes" (§4.2) — this just bounds
 			// the period by memory as well as by time.

@@ -17,15 +17,15 @@ import (
 // counts — records replayed, distinct bytes applied — against a byte-array
 // model that applies the records in log order from the head: a later value
 // wins per byte no matter how the work is divided.  The shapes are a log of
-// plain records (epoch truncation — one tree per segment, no workers — must
-// agree too) and a log written before checkpoints moved the head, which
+// plain records and a log written before checkpoints moved the head, which
 // still holds checkpoint records, from the head the log was written with
 // and behind a head a truncation moved: they bound nothing, and the scan
-// passes over them to the records behind.  Each
-// at parallelism 1/2/4/8, over a log that is already open (RecoverParallel)
-// and over a log a Restart opens itself, and built by the scan's goroutine,
-// by workers, and by the one and then the others; the logs span several
-// scan windows, which start small.
+// passes over them to the records behind.  Each at parallelism 1/2/4/8,
+// over a log that is already open (RecoverParallel) and over a log a Restart
+// opens itself (Redo, then Apply), and as an epoch truncation (CollectEpoch,
+// the same builder at GOMAXPROCS); built by the scan's goroutine, by
+// workers, and by the one and then the others; the logs span several scan
+// windows, which start small.
 func TestRedoPathsAgree(t *testing.T) {
 	const segLen = 1 << 17 // 2 stripes per segment, so ranges split
 	const nsegs = 3
@@ -137,7 +137,10 @@ func TestRedoPathsAgree(t *testing.T) {
 						if l, err = r.Open(dev); err != nil {
 							t.Fatalf("parallelism %d: %v", par, err)
 						}
-						st, err = r.Finish(f.lookup, nil)
+						var ep *Epoch
+						if ep, st, err = r.Redo(f.lookup); err == nil {
+							st, err = ep.Apply(f.lookup, nil)
+						}
 					} else {
 						var ep *Epoch
 						if ep, err = CollectEpoch(f.log); err == nil {
@@ -181,7 +184,7 @@ func TestRecoverScannedBytesBounded(t *testing.T) {
 	f.log.Force()
 
 	live := f.log.Used()
-	st, err := Recover(f.log, f.lookup, nil)
+	st, err := RecoverParallel(f.log, f.lookup, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +207,7 @@ func TestRecoverPartialStatsOnError(t *testing.T) {
 	f.log.Append(2, 0, rng1(2, 4000, 'b', 256))
 	f.log.Force()
 
-	st, err := Recover(f.log, f.lookup, nil)
+	st, err := RecoverParallel(f.log, f.lookup, nil, Config{})
 	if err == nil {
 		t.Fatal("recovery succeeded with a closed segment")
 	}

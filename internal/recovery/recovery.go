@@ -22,14 +22,16 @@
 // they move it — so the one scan builds everything (Restart).
 //
 // Epoch truncation applies the same procedure to an initial portion of the
-// log while forward processing continues in the rest: records are collected
-// under the log lock, applied to segments without it, and only then is the
-// log head advanced.  A restart's trees are such an epoch too (Restart.Redo),
-// which the engine applies as its first truncation (Epoch.Overlay until then).
+// log while forward processing continues in the rest: the same builder
+// collects the records while appends are held off, they are applied to
+// segments without any lock, and only then is the log head advanced.  A
+// restart's trees are such an epoch too (Restart.Redo), which the engine
+// applies as its first truncation (Epoch.Overlay until then).
 package recovery
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,11 +94,12 @@ func (ts treeSet) add(r wal.Range) {
 	tr.Insert(r.Off, r.Data, itree.OverwriteExisting)
 }
 
-// applyTrees writes every tree interval of sets to its segment, par trees
-// at a time, and then syncs the touched segments.  Stats accumulate per
+// applyTrees writes every tree interval of sets to its segment, one worker
+// per set, and then syncs the touched segments.  Stats accumulate per
 // interval written, not per tree, so a failure mid-segment still reports
 // the work done up to it.  met, nil outside crash recovery, shows progress.
-func applyTrees(sets []treeSet, lookup SegmentLookup, retry Retry, par int, met *obs.Metrics, st *Stats) error {
+func applyTrees(sets []treeSet, lookup SegmentLookup, retry Retry, met *obs.Metrics, st *Stats) error {
+	par := len(sets)
 	type task struct {
 		seg  *segment.Segment
 		tree *itree.Tree
@@ -210,7 +213,9 @@ type builder struct {
 	work   []chan *wal.Window // worker w's queue; nil while there are no workers
 	wg     sync.WaitGroup
 	inline int64 // record bytes the feeder built
-	// What the windows carried, tallied by whoever is worker 0; read after stop.
+	// What the windows carried: records counted by the feeder, the rest
+	// tallied by whoever is worker 0; read after stop.
+	records     int
 	ranges      int
 	recordBytes uint64
 }
@@ -252,15 +257,16 @@ func (b *builder) insert(win *wal.Window, w, n int) {
 
 // feed builds from the window's records, the next in log order: itself, or
 // once there are workers by queueing it for each; the last one through
-// releases it.
-func (b *builder) feed(win *wal.Window) {
+// releases it.  It is a scan's consumer, and never fails.
+func (b *builder) feed(win *wal.Window) error {
+	b.records += len(win.Recs)
 	if b.work == nil {
 		if b.inline < inlineBytes {
 			for i := range win.Recs {
 				b.inline += win.Recs[i].Len
 			}
 			b.insert(win, 0, 1)
-			return
+			return nil
 		}
 		// The feeder is reading the log on a processor of its own, so the
 		// workers are one fewer than the sets.
@@ -284,6 +290,7 @@ func (b *builder) feed(win *wal.Window) {
 	for _, c := range b.work {
 		c <- win
 	}
+	return nil
 }
 
 // stop ends the workers once they have walked everything fed.  Idempotent.
@@ -295,25 +302,31 @@ func (b *builder) stop() {
 	b.wg.Wait()
 }
 
+// epoch stops the builder and returns what it built as an epoch whose Apply
+// moves l's head to its tail.
+func (b *builder) epoch(l *wal.Log) *Epoch {
+	b.stop()
+	pos, seq := l.Tail()
+	return &Epoch{sets: b.sets, head: epochHead{l, pos, seq},
+		stats: Stats{Records: b.records, Ranges: b.ranges, RecordBytes: b.recordBytes}}
+}
+
 // Restart is one crash recovery.  Open opens the log and builds redo trees
 // from what its tail scan reads, as it reads it; Redo then waits for the
-// builders and returns the trees as an epoch, which Finish also applies,
-// emptying the log.  Abort releases a restart that will not finish.
+// builders and returns the trees as an epoch, whose Apply empties the log.
+// Abort releases a restart that will not finish.
 type Restart struct {
-	par     int // stripe sets, and apply workers
-	met     *obs.Metrics
-	scanNs  int64 // spent scanning a log that was already open
-	log     *wal.Log
-	b       *builder
-	records int // transaction records built from the scan
+	met    *obs.Metrics
+	scanNs int64 // spent scanning a log that was already open
+	log    *wal.Log
+	b      *builder
 }
 
 // NewRestart starts a recovery.  met (nil-safe) is the registry the log
 // gets too; it sees the replayed-record gauge climb while the log is
 // scanned.
 func NewRestart(cfg Config, met *obs.Metrics) *Restart {
-	par := max(cfg.Parallelism, 1)
-	return &Restart{par: par, met: met, b: newBuilder(par)}
+	return &Restart{met: met, b: newBuilder(max(cfg.Parallelism, 1))}
 }
 
 // Open opens the restart's log on dev.
@@ -325,13 +338,11 @@ func (r *Restart) Open(dev wal.Device) (*wal.Log, error) {
 
 // consume takes the windows the log's scan reads and builds from them.
 func (r *Restart) consume(w *wal.Window) error {
-	r.records += len(w.Recs)
 	r.met.AddRecoveryReplayed(int64(len(w.Recs)))
-	r.b.feed(w)
-	return nil
+	return r.b.feed(w)
 }
 
-// Abort stops the restart's workers.  Idempotent, and a no-op after Finish.
+// Abort stops the restart's workers.  Idempotent, and a no-op after Redo.
 func (r *Restart) Abort() { r.b.stop() }
 
 // Redo completes the restart once the log is scanned, short of writing
@@ -354,18 +365,17 @@ func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	defer met.OpExit(obs.StallRecovery)
 
 	scanStart, t0 := tr.Now(), time.Now()
-	st.Records, st.ScannedBytes = r.records, uint64(r.log.Used())
-	met.SetRecoveryScanBytes(r.log.Used())
+	used := r.log.Used()
+	met.SetRecoveryScanBytes(used)
 	t1 := time.Now()
-	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(st.Records), 0)
+	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(r.b.records), 0)
 	met.ObserveRecoveryScan(r.scanNs + t1.Sub(t0).Nanoseconds())
 
-	r.b.stop()
-	st.Ranges, st.RecordBytes = r.b.ranges, r.b.recordBytes
-	pos, seq := r.log.Tail()
-	ep = &Epoch{sets: r.b.sets, par: r.par, head: epochHead{r.log, pos, seq}, restart: true}
+	ep = r.b.epoch(r.log)
 	met.ObserveRecoveryBuild(time.Since(t1).Nanoseconds())
-	ep.stats = st
+	ep.restart = true
+	ep.stats.ScannedBytes = uint64(used)
+	st = ep.stats
 	for _, ts := range ep.sets {
 		for id, t := range ts {
 			st.TreeBytes += t.Bytes()
@@ -377,29 +387,11 @@ func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	return ep, st, nil
 }
 
-// Finish is Redo, then the epoch's Apply: the trees are applied and the
-// segments synced, and only then does the log's head advance, so a crash
-// mid-recovery replays all of it.  retry (optional) wraps each storage
+// RecoverParallel replays the live records of a log that is already open
+// onto the external data segments and empties it, before any region is
+// mapped: a scan from the head, Redo, then Apply, with cfg.Parallelism
+// stripe sets built and applied.  retry (optional) wraps each storage
 // operation.  On error the returned Stats hold partial progress.
-func (r *Restart) Finish(lookup SegmentLookup, retry Retry) (Stats, error) {
-	ep, st, err := r.Redo(lookup)
-	if err != nil {
-		return st, err
-	}
-	return ep.Apply(lookup, retry)
-}
-
-// Recover replays the live log onto the external data segments with one
-// build worker and resets the log to empty.  It must run before any region
-// is mapped.  retry (optional) wraps each storage operation.
-func Recover(l *wal.Log, lookup SegmentLookup, retry Retry) (Stats, error) {
-	return RecoverParallel(l, lookup, retry, Config{})
-}
-
-// RecoverParallel is Recover with cfg.Parallelism workers building and
-// replaying stripe-sharded redo trees, on a log that is already open: it is
-// scanned from its head to its known tail.  On error the returned Stats
-// hold partial progress.
 func RecoverParallel(l *wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
 	r := NewRestart(cfg, l.Metrics())
 	defer r.Abort()
@@ -410,46 +402,34 @@ func RecoverParallel(l *wal.Log, lookup SegmentLookup, retry Retry, cfg Config) 
 		return Stats{}, err
 	}
 	r.scanNs = time.Since(t0).Nanoseconds()
-	return r.Finish(lookup, retry)
+	ep, st, err := r.Redo(lookup)
+	if err != nil {
+		return st, err
+	}
+	return ep.Apply(lookup, retry)
 }
 
-// CollectEpoch snapshots the log's current live records (the "truncation
-// epoch") into per-segment trees, oldest-first.  Records appended after the
-// snapshot form the paper's "current epoch" and keep flowing while the
-// epoch is applied: collection takes the log lock only for the scan, and
-// Apply advances the head to the snapshotted tail afterwards (Figure 6).
+// CollectEpoch snapshots the log's live records (the "truncation epoch")
+// into redo trees, built as a restart builds them, GOMAXPROCS stripe sets
+// wide.  Records appended after it form the paper's "current epoch" and keep
+// flowing while the epoch is applied, and Apply advances the head to the
+// snapshotted tail afterwards (Figure 6).  The caller keeps appends out until
+// it returns — the engine holds its pipeline lock, and a replay runs on one
+// goroutine — so the tail the scan reaches is the epoch's end.
 func CollectEpoch(l *wal.Log) (*Epoch, error) {
-	tailPos, tailSeq := l.Tail()
-	trees := make(treeSet)
-	e := &Epoch{sets: []treeSet{trees}, par: 1, head: epochHead{l, tailPos, tailSeq}}
-	stop := fmt.Errorf("stop")
-	err := l.ScanForward(func(rec *wal.Record) error {
-		if rec.Seq >= tailSeq {
-			// A record appended between the Tail snapshot and the scan
-			// belongs to the current epoch, not this truncation.  (Wrap
-			// records are skipped by the scan but are freed with the epoch
-			// since the head lands beyond them.)
-			return stop
-		}
-		e.stats.Records++
-		for _, r := range rec.Ranges {
-			e.stats.Ranges++
-			e.stats.RecordBytes += uint64(len(r.Data))
-			trees.add(r)
-		}
-		return nil
-	})
-	if err != nil && err != stop {
+	b := newBuilder(runtime.GOMAXPROCS(0))
+	defer b.stop()
+	pos, seq := l.Head()
+	if err := l.Scan(pos, seq, b.feed); err != nil {
 		return nil, err
 	}
-	return e, nil
+	return b.epoch(l), nil
 }
 
 // Epoch is a truncation epoch, or a restart's redo, awaiting application:
 // redo trees, and where the log's head goes once they are in the segments.
 type Epoch struct {
-	sets    []treeSet // stripe-sharded: any page's bytes are in one set
-	par     int       // apply workers
+	sets    []treeSet // stripe-sharded: any page's bytes are in one set, one worker's
 	head    epochHead
 	restart bool // a restart's redo: Apply reports recovery's apply phase
 	stats   Stats
@@ -491,10 +471,10 @@ func (e *Epoch) Apply(lookup SegmentLookup, retry Retry) (Stats, error) {
 		tr, met = h.log.Tracer(), h.log.Metrics()
 	}
 	start, t0 := tr.Now(), time.Now()
-	if err := applyTrees(e.sets, lookup, retry, e.par, met, &e.stats); err != nil {
+	if err := applyTrees(e.sets, lookup, retry, met, &e.stats); err != nil {
 		return e.stats, err
 	}
-	tr.Span(obs.EvRecovApply, start, 0, e.stats.TreeBytes, uint64(e.par))
+	tr.Span(obs.EvRecovApply, start, 0, e.stats.TreeBytes, uint64(len(e.sets)))
 	met.ObserveRecoveryApply(time.Since(t0).Nanoseconds())
 	if err := retried(retry, func() error { return h.log.SetHead(h.pos, h.seq) }); err != nil {
 		return e.stats, err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -108,7 +109,7 @@ func rng1(seg, off uint64, b byte, n int) []wal.Range {
 
 func TestRecoverEmptyLog(t *testing.T) {
 	f := newFixture(t, 1, 4096)
-	st, err := Recover(f.log, f.lookup, nil)
+	st, err := RecoverParallel(f.log, f.lookup, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestRecoverAppliesCommittedChanges(t *testing.T) {
 	f.log.Append(2, 0, rng1(2, 0, 'b', 5))
 	f.log.Force()
 
-	st, err := Recover(f.log, f.lookup, nil)
+	st, err := RecoverParallel(f.log, f.lookup, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestRecoverNewestWins(t *testing.T) {
 	f.log.Append(1, 0, rng1(1, 0, 'o', 10)) // older
 	f.log.Append(2, 0, rng1(1, 5, 'n', 10)) // newer, overlaps
 	f.log.Force()
-	if _, err := Recover(f.log, f.lookup, nil); err != nil {
+	if _, err := RecoverParallel(f.log, f.lookup, nil, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []byte("ooooonnnnnnnnnn")
@@ -163,7 +164,7 @@ func TestRecoverNewestWins(t *testing.T) {
 func TestOverlapWithinRecordLaterRangeWins(t *testing.T) {
 	for name, redo := range map[string]func(*fixture) error{
 		"recover": func(f *fixture) error {
-			_, err := Recover(f.log, f.lookup, nil)
+			_, err := RecoverParallel(f.log, f.lookup, nil, Config{})
 			return err
 		},
 		"epoch": func(f *fixture) error {
@@ -196,12 +197,12 @@ func TestRecoverIdempotent(t *testing.T) {
 	f := newFixture(t, 1, 4096)
 	f.log.Append(1, 0, rng1(1, 0, 'x', 64))
 	f.log.Force()
-	if _, err := Recover(f.log, f.lookup, nil); err != nil {
+	if _, err := RecoverParallel(f.log, f.lookup, nil, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	before := f.read(t, 1, 0, 64)
 	// Running recovery again on the now-empty log must change nothing.
-	st, err := Recover(f.log, f.lookup, nil)
+	st, err := RecoverParallel(f.log, f.lookup, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestRecoverUnknownSegmentFails(t *testing.T) {
 	f := newFixture(t, 1, 4096)
 	f.log.Append(1, 0, rng1(99, 0, 'x', 8))
 	f.log.Force()
-	if _, err := Recover(f.log, f.lookup, nil); err == nil {
+	if _, err := RecoverParallel(f.log, f.lookup, nil, Config{}); err == nil {
 		t.Fatal("recovery with unknown segment succeeded")
 	}
 }
@@ -258,7 +259,7 @@ func TestEpochTruncation(t *testing.T) {
 		t.Fatalf("live records after epoch: %v", tids)
 	}
 	// And a final recovery applies it too.
-	if _, err := Recover(f.log, f.lookup, nil); err != nil {
+	if _, err := RecoverParallel(f.log, f.lookup, nil, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.read(t, 1, 32, 16); !bytes.Equal(got, bytes.Repeat([]byte{'c'}, 16)) {
@@ -291,7 +292,7 @@ func TestEpochOldestFirstEqualsRecovery(t *testing.T) {
 		if _, err := e.Apply(fa.lookup, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Recover(fb.log, fb.lookup, nil); err != nil {
+		if _, err := RecoverParallel(fb.log, fb.lookup, nil, Config{}); err != nil {
 			t.Fatal(err)
 		}
 		ga := fa.read(t, 1, 0, 4096)
@@ -314,4 +315,53 @@ func TestCollectEpochOnEmptyLog(t *testing.T) {
 	if _, err := e.Apply(f.lookup, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOverflowingRangeIsNotRedone: a hostile log can carry a record with a
+// valid CRC whose range ends past the segments' address space.  The scan
+// refuses it as it refuses any other impossible length, so redo over a log
+// already open fails on it, and a restart takes it for the tail and replays
+// the record before it; none of them panics building a tree.
+func TestOverflowingRangeIsNotRedone(t *testing.T) {
+	setup := func(t *testing.T) *fixture {
+		f := newFixture(t, 1, 4096)
+		f.log.Append(1, 0, rng1(1, 0, 'a', 16))
+		f.log.Append(2, 0, []wal.Range{{Seg: 1, Off: math.MaxUint64 - 9, Data: make([]byte, 20)}})
+		f.log.Force()
+		return f
+	}
+	t.Run("recover", func(t *testing.T) {
+		f := setup(t)
+		if _, err := RecoverParallel(f.log, f.lookup, nil, Config{Parallelism: 2}); err == nil {
+			t.Fatal("recovery of a log holding an overflowing range succeeded")
+		}
+	})
+	t.Run("epoch", func(t *testing.T) {
+		f := setup(t)
+		if _, err := CollectEpoch(f.log); err == nil {
+			t.Fatal("an epoch of a log holding an overflowing range was collected")
+		}
+	})
+	t.Run("restart", func(t *testing.T) {
+		f := setup(t)
+		dev, err := os.OpenFile(f.logPath, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dev.Close() })
+		r := NewRestart(Config{Parallelism: 2}, nil)
+		if _, err := r.Open(dev); err != nil {
+			t.Fatal(err)
+		}
+		ep, st, err := r.Redo(f.lookup)
+		if err == nil {
+			st, err = ep.Apply(f.lookup, nil)
+		}
+		if err != nil || st.Records != 1 {
+			t.Fatalf("restart replayed %d records (%v); want the one before the overflowing range", st.Records, err)
+		}
+		if got := f.read(t, 1, 0, 16); !bytes.Equal(got, bytes.Repeat([]byte{'a'}, 16)) {
+			t.Fatalf("segment holds %q", got)
+		}
+	})
 }

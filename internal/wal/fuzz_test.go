@@ -3,14 +3,16 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzReadRecord: the record decoder must never panic, never size anything
-// by an unbounded length field, and never hand out range data outside the
-// record — even when the bytes carry a correct CRC, which is the one check
+// by an unbounded length field, never hand out range data outside the
+// record, and never a range that ends past MaxInt64, where no segment can
+// hold it — even when the bytes carry a correct CRC, which is the one check
 // a hostile log passes for free.
 func FuzzReadRecord(f *testing.F) {
 	valid := encodeRecord(f, []Range{mkRange(1, 64, 'v', 40), mkRange(2, 0, 'w', 9)})
@@ -19,6 +21,7 @@ func FuzzReadRecord(f *testing.F) {
 	binary.BigEndian.PutUint32(hostile[12:], 0xFFFFFFFF) // ~160 GB of Range headers
 	f.Add(hostile)
 	f.Add(valid[:minRecordSize])
+	f.Add(encodeRecord(f, []Range{mkRange(1, math.MaxUint64-9, 'o', 20)}))
 	const area = 1 << 14
 	image := newMemImage(f, area)
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -46,6 +49,9 @@ func FuzzReadRecord(f *testing.F) {
 		var n int
 		for _, r := range rec.Ranges {
 			n += rangeHdrSize + len(r.Data)
+			if r.Off > math.MaxInt64-uint64(len(r.Data)) {
+				t.Fatalf("range [%d,+%d) decoded: it ends past MaxInt64", r.Off, len(r.Data))
+			}
 		}
 		if n > len(data)-minRecordSize {
 			t.Fatalf("%d bytes of ranges decoded from a %d-byte record", n, len(data))

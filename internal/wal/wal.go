@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"slices"
 	"sync"
@@ -479,7 +480,8 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 // trusted before the CRC matches, and every field is parsed from the
 // checked bytes.  A CRC is no defence against a hostile log (an attacker
 // recomputes it), so each length is also bounded by the record's own extent
-// before anything is sized by it.  Range data aliases buf.
+// before anything is sized by it, and a range may not end past MaxInt64, the
+// end of a segment's address space.  Range data aliases buf.
 func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
 	totalLen := int64(len(buf))
 	if totalLen < minRecordSize || totalLen%8 != 0 ||
@@ -519,12 +521,13 @@ func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
 				return false
 			}
 			n := int64(binary.BigEndian.Uint32(body[16:]))
-			if n > int64(len(body))-rangeHdrSize {
-				return false
+			off := binary.BigEndian.Uint64(body[8:])
+			if n > int64(len(body))-rangeHdrSize || off > math.MaxInt64-uint64(n) {
+				return false // past the record, or past a segment's address space
 			}
 			rec.Ranges = append(rec.Ranges, Range{
 				Seg:  binary.BigEndian.Uint64(body[0:]),
-				Off:  binary.BigEndian.Uint64(body[8:]),
+				Off:  off,
 				Data: body[rangeHdrSize : rangeHdrSize+n : rangeHdrSize+n],
 			})
 			body = body[rangeHdrSize+n:]

@@ -31,8 +31,9 @@
 // Begin(NoRestore) declares that the transaction will never Abort, letting
 // RVM skip old-value copies.  Commit(NoFlush) spools the commit instead of
 // forcing it ("lazy" transactions with bounded persistence); an explicit
-// Flush makes all spooled commits durable at once.  Atomicity holds in
-// every combination; only permanence is weakened by NoFlush.
+// Flush makes all spooled commits durable at once, and so does a commit
+// that takes the spool past 1 MiB of log bytes.  Atomicity holds in every
+// combination; only permanence is weakened by NoFlush.
 //
 // Duplicate, overlapping and adjacent SetRange calls within a transaction
 // are coalesced (intra-transaction optimization), and a no-flush commit
@@ -109,7 +110,8 @@ const (
 
 	// Flush forces the commit to the log before returning.
 	Flush = core.Flush
-	// NoFlush spools the commit for a later Flush (bounded persistence).
+	// NoFlush spools the commit for a later Flush, or for the implicit one
+	// at 1 MiB of spooled log bytes (bounded persistence).
 	NoFlush = core.NoFlush
 )
 
@@ -184,10 +186,6 @@ type Options struct {
 	// batches at the cost of added commit latency.  Only meaningful with
 	// GroupCommit.
 	MaxForceDelay time.Duration
-	// SpoolLimit bounds the memory held by committed no-flush
-	// transactions awaiting a Flush; crossing it flushes implicitly.
-	// Zero selects the 1 MiB default, negative disables the bound.
-	SpoolLimit int64
 	// TraceEvents enables event tracing, retaining the most recent
 	// TraceEvents events in a lock-free ring (rounded up to a power of
 	// two, minimum 64).  Zero disables tracing entirely; recording is
@@ -196,14 +194,11 @@ type Options struct {
 	TraceEvents int
 	// Metrics enables the latency/size histograms and live gauges
 	// reported by Snapshot.  Observation is a handful of atomic adds per
-	// operation; false disables the registry entirely.
+	// operation; false disables the registry entirely.  With it, a stall
+	// watchdog counts a log force, group-commit wait, truncation,
+	// checkpoint or recovery in flight for over a second as stalled
+	// (Snapshot's stalls/last_stall, trace "stall" events).
 	Metrics bool
-	// StallBudget is how long a log force, group-commit wait, truncation,
-	// checkpoint, or recovery may stay in flight before the stall watchdog
-	// counts it as stalled (Snapshot's stalls/last_stall, trace "stall"
-	// events).  Zero selects the 1s default; negative disables the
-	// watchdog.  Only meaningful with Metrics.
-	StallBudget time.Duration
 }
 
 // RVM is an open recoverable-virtual-memory instance: one write-ahead log
@@ -266,10 +261,8 @@ func (o Options) engine() core.Options {
 		NoSync:            o.NoSync,
 		GroupCommit:       o.GroupCommit,
 		MaxForceDelay:     o.MaxForceDelay,
-		SpoolLimit:        o.SpoolLimit,
 		Tracer:            tracer,
 		Metrics:           metrics,
-		StallBudget:       o.StallBudget,
 	}
 }
 
