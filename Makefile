@@ -12,7 +12,7 @@ test:
 	go build ./... && go test ./...
 
 # lint runs everything that needs no network: gofmt, go vet, and the
-# repo's own rvmcheck suite (all eight discipline analyzers, run
+# repo's own rvmcheck suite (all six discipline analyzers, run
 # whole-program; see DESIGN.md §10).  staticcheck and govulncheck run
 # when installed (go install <module>@$(VERSION)) and are skipped
 # otherwise, so `make lint` works in offline sandboxes.

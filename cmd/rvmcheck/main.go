@@ -1,6 +1,6 @@
 // Command rvmcheck runs the RVM static-analysis suite: unloggedstore,
-// txlifecycle, uncheckedcommit, locksync, obsleak, lockorder,
-// atomicfield, and poolescape (see internal/analysis).
+// txlifecycle, uncheckedcommit, locksync, obsleak, and lockorder (see
+// internal/analysis).
 //
 // Standalone mode analyzes the packages matching the given patterns and
 // exits 1 if any diagnostic is reported:

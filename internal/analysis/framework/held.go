@@ -23,8 +23,15 @@ type Held struct {
 // deferred Unlock keeps the mutex held to the end of the function — other
 // deferred work runs with this frame's locks in an unknown state, so it is
 // not visited.  What counts as a mutex is MutexRef's decision.
+//
+// A call statement also applies its callee's lock hand-offs, from Prog's
+// summaries: the classes the callee locks and never unlocks join held, and
+// those it unlocks and never locks leave it (Summary.Leaves and Drops).
+// Only a static callee whose body is loaded counts — under go vet, a helper
+// from another package is not seen.
 type HeldWalker struct {
 	Info *types.Info
+	Prog *Program
 	// Lock, when set, sees each Lock/RLock statement before the mutex
 	// joins held.
 	Lock func(h Held, held []Held)
@@ -62,6 +69,9 @@ func (w *HeldWalker) stmt(s ast.Stmt, held []Held) []Held {
 			return w.mutexOp(recv, op, s.X.Pos(), held)
 		}
 		w.calls(s.X, held)
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+			return w.handOff(call, held)
+		}
 	case *ast.GoStmt:
 		w.calls(s.Call, nil)
 	case *ast.AssignStmt, *ast.ReturnStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
@@ -136,6 +146,22 @@ func (w *HeldWalker) mutexOp(recv ast.Expr, op string, pos token.Pos, held []Hel
 				return append(slices.Clone(held[:i]), held[i+1:]...)
 			}
 		}
+	}
+	return held
+}
+
+// handOff applies the lock hand-offs of call's callee to held.  An entry a
+// helper left has its class for a path.
+func (w *HeldWalker) handOff(call *ast.CallExpr, held []Held) []Held {
+	sum := w.Prog.SummaryOf(Callee(w.Info, call.Fun))
+	if sum == nil {
+		return held
+	}
+	for _, key := range sum.Drops {
+		held = slices.DeleteFunc(slices.Clone(held), func(h Held) bool { return h.Key == key })
+	}
+	for _, key := range sum.Leaves {
+		held = append(held, Held{Key: key, Path: key.String(), Pos: call.Pos()})
 	}
 	return held
 }

@@ -5,9 +5,8 @@
 //   - does calling this function (transitively) perform a raw device
 //     sync, or call a module Force/Sync method?
 //   - which lock classes does it (transitively) acquire?
-//   - which struct fields does it touch through sync/atomic, and which
-//     does it read or write plainly?
-//   - does it hand a parameter (or its receiver) to a sync.Pool's Put?
+//   - which lock classes does its own body hand to its caller — locked
+//     and never unlocked, or unlocked and never locked?
 //
 // Effects are "at any point" facts: a function that acquires and then
 // releases a lock still Acquires it, because a caller holding another
@@ -22,6 +21,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -56,40 +56,6 @@ type Effect struct {
 	Path string    // "setHeadLocked → persistStatusLocked → Device.Sync"
 }
 
-// A FieldKey identifies a struct field across packages.
-type FieldKey struct {
-	Pkg   string
-	Type  string
-	Field string
-}
-
-func (k FieldKey) String() string {
-	pkg := k.Pkg
-	if i := strings.LastIndex(pkg, "/"); i >= 0 {
-		pkg = pkg[i+1:]
-	}
-	return pkg + "." + k.Type + "." + k.Field
-}
-
-// A FieldOp is one access to a field: through sync/atomic, or plain.
-type FieldOp struct {
-	Field FieldKey
-	Pos   token.Pos
-	Write bool // write or read-modify-write
-	Alias bool // address taken outside a sync/atomic call
-	// Exempt marks init-path accesses: inside a function named init, or
-	// through a local variable freshly allocated in the same function.
-	Exempt bool
-}
-
-// putFlow records "parameter From is passed onward to parameter To of
-// Callee", used to resolve transitive pool Puts (eb.release()).
-type putFlow struct {
-	From   int // parameter index in this function; -1 = receiver
-	Callee string
-	To     int // parameter index in the callee; -1 = receiver
-}
-
 // Summary is the effect summary of one function.
 type Summary struct {
 	// Syncs is non-nil when the function transitively performs a raw
@@ -101,15 +67,12 @@ type Summary struct {
 	// Acquires maps each lock class the function transitively acquires
 	// to a witness effect.
 	Acquires map[LockKey]Effect
-	// Atomic and Plain list the function's own (not transitive) field
-	// accesses through sync/atomic and outside it.
-	Atomic []FieldOp
-	Plain  []FieldOp
-	// Puts marks parameters handed to a sync.Pool's Put (transitively);
-	// index -1 is the receiver.
-	Puts map[int]bool
-
-	flows []putFlow
+	// Leaves lists the lock classes the function's own body locks and
+	// never unlocks (Tx.lockRegions), Drops those it unlocks and never
+	// locks (Tx.unlockRegions): a helper that hands a lock to its caller or
+	// takes one back.  They are not transitive; HeldWalker applies them at
+	// the call.
+	Leaves, Drops []LockKey
 }
 
 // Program is the whole-program view handed to every analyzer pass: the
@@ -264,128 +227,25 @@ func MutexRef(info *types.Info, e ast.Expr) (recv ast.Expr, op string) {
 
 // --- direct (intra-function) effect collection ---
 
-// FieldKeyOf resolves a selector to the struct field it denotes, or a
-// zero key.
-func FieldKeyOf(info *types.Info, sel *ast.SelectorExpr) FieldKey {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return FieldKey{}
-	}
-	v, ok := s.Obj().(*types.Var)
-	if !ok || !v.IsField() || v.Pkg() == nil {
-		return FieldKey{}
-	}
-	// Name the field by the type that declares it (the last embedded
-	// step of the selection path).
-	owner := s.Recv()
-	if n := NamedOf(owner); n != nil {
-		return FieldKey{Pkg: v.Pkg().Path(), Type: n.Obj().Name(), Field: v.Name()}
-	}
-	return FieldKey{}
-}
-
-// isAtomicCall reports whether call is a sync/atomic package-level
-// function (Load*/Store*/Add*/Swap*/CompareAndSwap*), with fn resolved.
-func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := Callee(info, call.Fun)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && RecvOf(fn) == nil
-}
-
-// isPoolPut reports whether fn is (*sync.Pool).Put.
-func isPoolPut(fn *types.Func) bool {
-	return fn != nil && fn.Name() == "Put" && TypeIs(RecvOf(fn), "sync", "Pool")
-}
-
-// IsPoolGet reports whether fn is (*sync.Pool).Get.
-func IsPoolGet(fn *types.Func) bool {
-	return fn != nil && fn.Name() == "Get" && TypeIs(RecvOf(fn), "sync", "Pool")
-}
-
-// paramIndex maps an identifier to the parameter (or receiver, -1) of
-// node it names, or -2.
-func paramIndex(node *Node, info *types.Info, e ast.Expr) int {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return -2
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return -2
-	}
-	if node.Func != nil {
-		sig := node.Func.Type().(*types.Signature)
-		if sig.Recv() != nil && obj == sig.Recv() {
-			return -1
-		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			if obj == sig.Params().At(i) {
-				return i
-			}
-		}
-	}
-	return -2
-}
-
-// freshLocals finds local variables whose single initialization in this
-// function is a fresh allocation (composite literal, &composite, or
-// new(T)): plain access to atomic fields through them is the init path.
-func freshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	fresh := map[types.Object]bool{}
-	isFresh := func(e ast.Expr) bool {
-		switch e := ast.Unparen(e).(type) {
-		case *ast.CompositeLit:
-			return true
-		case *ast.UnaryExpr:
-			if e.Op == token.AND {
-				_, ok := ast.Unparen(e.X).(*ast.CompositeLit)
-				return ok
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n, ok := n.(*ast.AssignStmt); ok && n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
-			for i, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && isFresh(n.Rhs[i]) {
-					if obj := info.Defs[id]; obj != nil {
-						fresh[obj] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return fresh
-}
-
 // directEffects computes node's own effects, not yet including callees.
 func directEffects(node *Node) *Summary {
 	info := node.Pkg.TypesInfo
-	sum := &Summary{Acquires: map[LockKey]Effect{}, Puts: map[int]bool{}}
-	body := node.Body()
-	isInit := node.Func != nil && node.Func.Name() == "init" && RecvOf(node.Func) == nil
-	fresh := freshLocals(info, body)
-
-	// atomicArgs marks the &field operands of sync/atomic calls so the
-	// plain-access walk below skips them.
-	atomicArgs := map[ast.Expr]bool{}
-
-	ast.Inspect(body, func(n ast.Node) bool {
+	sum := &Summary{Acquires: map[LockKey]Effect{}}
+	var locked, unlocked []LockKey
+	ast.Inspect(node.Body(), func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if recv, op := MutexRef(info, n); op == "Lock" || op == "RLock" {
-				if key := LockKeyOf(info, recv); !key.IsZero() {
-					if _, ok := sum.Acquires[key]; !ok {
-						sum.Acquires[key] = Effect{Pos: n.Pos(), Path: key.String() + ".Lock"}
-					}
+			if recv, op := MutexRef(info, n); op != "" {
+				key := LockKeyOf(info, recv)
+				switch {
+				case key.IsZero():
+				case op == "Unlock" || op == "RUnlock":
+					unlocked = append(unlocked, key)
+				case !slices.Contains(locked, key):
+					locked = append(locked, key)
+					sum.Acquires[key] = Effect{Pos: n.Pos(), Path: key.String() + ".Lock"}
 				}
 				return true
 			}
@@ -408,120 +268,20 @@ func directEffects(node *Node) *Summary {
 					}
 				}
 			}
-			if isAtomicCall(info, n) && len(n.Args) > 0 {
-				if u, ok := ast.Unparen(n.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
-					if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
-						if key := FieldKeyOf(info, sel); key != (FieldKey{}) {
-							write := fn != nil && !strings.HasPrefix(fn.Name(), "Load")
-							sum.Atomic = append(sum.Atomic, FieldOp{Field: key, Pos: u.X.Pos(), Write: write})
-							atomicArgs[u.X] = true
-						}
-					}
-				}
-			}
-			if isPoolPut(fn) && len(n.Args) == 1 {
-				if i := paramIndex(node, info, n.Args[0]); i >= -1 {
-					sum.Puts[i] = true
-				}
-			} else if fn != nil && IsModuleFunc(fn) {
-				// Record parameter flows for transitive Put resolution.
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && RecvOf(fn) != nil {
-					if i := paramIndex(node, info, sel.X); i >= -1 {
-						sum.flows = append(sum.flows, putFlow{From: i, Callee: FuncKey(fn), To: -1})
-					}
-				}
-				for ai, arg := range n.Args {
-					if i := paramIndex(node, info, arg); i >= -1 {
-						sum.flows = append(sum.flows, putFlow{From: i, Callee: FuncKey(fn), To: ai})
-					}
-				}
-			}
 		}
 		return true
 	})
-
-	// Plain accesses to fields: every field selection that is not a
-	// sync/atomic operand.  Whether the field matters is decided later,
-	// by aggregating atomic ops over the whole program.
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op != token.AND {
-				return true
-			}
-			if atomicArgs[n.X] {
-				return false
-			}
-			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-				if key := FieldKeyOf(info, sel); key != (FieldKey{}) {
-					sum.Plain = append(sum.Plain, FieldOp{
-						Field: key, Pos: n.Pos(), Alias: true,
-						Exempt: isInit || fresh[rootObj(info, sel)],
-					})
-					return false
-				}
-			}
-		case *ast.SelectorExpr:
-			if atomicArgs[ast.Expr(n)] {
-				return false
-			}
-			key := FieldKeyOf(info, n)
-			if key == (FieldKey{}) {
-				return true
-			}
-			sum.Plain = append(sum.Plain, FieldOp{
-				Field: key, Pos: n.Pos(), Write: isAssigned(body, n),
-				Exempt: isInit || fresh[rootObj(info, n)],
-			})
-		}
-		return true
-	})
-	return sum
-}
-
-// rootObj returns the object of the leftmost identifier of a selector
-// chain (the e of e.pipe.mu), or nil.
-func rootObj(info *types.Info, sel *ast.SelectorExpr) types.Object {
-	e := ast.Expr(sel)
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.Ident:
-			return info.Uses[x]
-		default:
-			return nil
+	for _, key := range locked {
+		if !slices.Contains(unlocked, key) {
+			sum.Leaves = append(sum.Leaves, key)
 		}
 	}
-}
-
-// isAssigned reports whether sel appears as an assignment target or
-// IncDec operand anywhere in body.  (A coarse but cheap classification;
-// the analyzers only use it to word diagnostics.)
-func isAssigned(body *ast.BlockStmt, sel *ast.SelectorExpr) bool {
-	assigned := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if ast.Unparen(lhs) == ast.Expr(sel) {
-					assigned = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if ast.Unparen(n.X) == ast.Expr(sel) {
-				assigned = true
-			}
+	for _, key := range unlocked {
+		if !slices.Contains(locked, key) && !slices.Contains(sum.Drops, key) {
+			sum.Drops = append(sum.Drops, key)
 		}
-		return !assigned
-	})
-	return assigned
+	}
+	return sum
 }
 
 // propagate runs the bottom-up fixpoint: callee effects flow to callers
@@ -550,16 +310,6 @@ func propagate(g *CallGraph) {
 						changed = true
 					}
 				}
-			}
-			// Transitive pool Puts: a parameter passed to a callee
-			// parameter the callee Puts is itself Put.
-			for _, f := range sum.flows {
-				callee := g.ByKey[f.Callee]
-				if callee == nil || !callee.Sum.Puts[f.To] || sum.Puts[f.From] {
-					continue
-				}
-				sum.Puts[f.From] = true
-				changed = true
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func NewAnalyzer(h *Hierarchy) *framework.Analyzer {
 
 func run(pass *framework.Pass, h *Hierarchy) error {
 	w := &walker{pass: pass, h: h}
-	hw := &framework.HeldWalker{Info: pass.TypesInfo, Lock: w.checkLock, Call: w.checkCall}
+	hw := &framework.HeldWalker{Info: pass.TypesInfo, Prog: pass.Prog, Lock: w.checkLock, Call: w.checkCall}
 	hw.Files(pass.Files)
 	return nil
 }

@@ -59,7 +59,7 @@ var Analyzer = &framework.Analyzer{
 
 func run(pass *framework.Pass) error {
 	w := &walker{pass: pass}
-	hw := &framework.HeldWalker{Info: pass.TypesInfo, Lock: w.checkLock, Call: w.checkCall}
+	hw := &framework.HeldWalker{Info: pass.TypesInfo, Prog: pass.Prog, Lock: w.checkLock, Call: w.checkCall}
 	hw.Files(pass.Files)
 	return nil
 }

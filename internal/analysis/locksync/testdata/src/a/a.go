@@ -215,3 +215,40 @@ func goodObsMutex(p *obsPipe) error {
 	p.mu.Unlock()
 	return f.Sync()
 }
+
+// Locks taken and released by helpers, as the commit path's region locks
+// are (Tx.lockRegions, Tx.unlockRegions): a force between the two calls
+// runs under the locks the first one left held.
+type tx struct {
+	e       *Engine
+	regions []*Region
+}
+
+func (t *tx) lockRegions() {
+	for _, r := range t.regions {
+		r.mu.Lock()
+	}
+}
+
+func (t *tx) unlockRegions() {
+	for _, r := range t.regions {
+		r.mu.Unlock()
+	}
+}
+
+func badHelperLock(t *tx) error {
+	t.lockRegions()
+	if err := retry(t.e.log.Force); err != nil { // want `Log.Force called while holding a.Region.mu`
+		t.unlockRegions()
+		return err
+	}
+	t.unlockRegions()
+	return nil
+}
+
+func goodHelperLock(t *tx) error {
+	t.lockRegions()
+	t.regions[0].data[0] = 1
+	t.unlockRegions()
+	return retry(t.e.log.Force)
+}

@@ -48,7 +48,7 @@ var Analyzer = &framework.Analyzer{
 
 func run(pass *framework.Pass) error {
 	w := &walker{pass: pass}
-	hw := &framework.HeldWalker{Info: pass.TypesInfo, Call: w.checkCall}
+	hw := &framework.HeldWalker{Info: pass.TypesInfo, Prog: pass.Prog, Call: w.checkCall}
 	hw.Files(pass.Files)
 	return nil
 }

@@ -6,12 +6,10 @@
 package analysis
 
 import (
-	"github.com/rvm-go/rvm/internal/analysis/atomicfield"
 	"github.com/rvm-go/rvm/internal/analysis/framework"
 	"github.com/rvm-go/rvm/internal/analysis/lockorder"
 	"github.com/rvm-go/rvm/internal/analysis/locksync"
 	"github.com/rvm-go/rvm/internal/analysis/obsleak"
-	"github.com/rvm-go/rvm/internal/analysis/poolescape"
 	"github.com/rvm-go/rvm/internal/analysis/txlifecycle"
 	"github.com/rvm-go/rvm/internal/analysis/uncheckedcommit"
 	"github.com/rvm-go/rvm/internal/analysis/unloggedstore"
@@ -26,7 +24,5 @@ func All() []*framework.Analyzer {
 		locksync.Analyzer,
 		obsleak.Analyzer,
 		lockorder.Analyzer,
-		atomicfield.Analyzer,
-		poolescape.Analyzer,
 	}
 }

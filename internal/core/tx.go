@@ -266,18 +266,14 @@ func (t *Tx) unlockRegions() {
 	}
 }
 
-// finish releases per-region bookkeeping common to commit and abort.  held
-// says the caller still holds the region locks, which finish then releases;
-// otherwise each region is locked just long enough to drop its count.
-func (t *Tx) finish(held bool) {
+// finish releases per-region bookkeeping common to commit and abort, and
+// with it the region locks, which the caller holds.
+func (t *Tx) finish() {
 	e := t.eng
 	for i := range t.regions {
 		tr := t.regions[i]
 		r := tr.region
 		tr.eachPage(func(p int64) { r.pvec.DecRef(int(p)) })
-		if !held {
-			r.mu.Lock()
-		}
 		r.nTx--
 		r.mu.Unlock()
 	}
@@ -327,7 +323,8 @@ func (t *Tx) Commit(mode CommitMode) error {
 	}
 	if len(t.regions) == 0 {
 		// Nothing was modified; no log record is needed.
-		t.finish(false)
+		t.lockRegions()
+		t.finish()
 		e.stats.EmptyCommits.Add(1)
 		if mode == Flush {
 			e.stats.FlushCommits.Add(1)
@@ -440,7 +437,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			// The spool's page references (taken just above) now keep
 			// truncation off these pages, so the transaction's own can go
 			// while the region locks are still held; finish releases them.
-			t.finish(true)
+			t.finish()
 			break
 		}
 		t.unlockRegions()
@@ -472,7 +469,8 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			// negligible bookkeeping).
 			fsyncNs = forceNs
 		}
-		t.finish(false)
+		t.lockRegions()
+		t.finish()
 	}
 	e.stats.IntraSavedBytes.Add(uint64(saved))
 	if lazy {
@@ -526,7 +524,8 @@ func (e *Engine) force(seq uint64) (led bool, fsyncNs int64, err error) {
 // alive so the caller can retry or abort.
 func (t *Tx) abandonIfPoisoned(err error) {
 	if errors.Is(err, ErrPoisoned) {
-		t.finish(false)
+		t.lockRegions()
+		t.finish()
 	}
 }
 
@@ -640,7 +639,7 @@ func (t *Tx) Abort() error {
 			copy(r.data[ov.off:], ov.data)
 		}
 	}
-	t.finish(true)
+	t.finish()
 	e.stats.Aborts.Add(1)
 	e.tr.Record(obs.EvTxAbort, t.id, 0, 0)
 	return nil

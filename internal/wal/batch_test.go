@@ -374,6 +374,29 @@ func TestAppendBatchTornWrite(t *testing.T) {
 	}
 }
 
+// TestEncodeBufferRetentionBound appends a record larger than encMaxRetain:
+// the log must not keep the buffer that record grew, and the next small
+// append, encoded into a buffer of its own, must still write exactly what
+// appendRecord encodes for it.
+func TestEncodeBufferRetentionBound(t *testing.T) {
+	l, dev := openMem(t, newMemImage(t, 4<<20))
+	if _, _, _, err := l.Append(1, 0, []Range{mkRange(1, 0, 'a', encMaxRetain+1)}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(l.enc) > encMaxRetain {
+		t.Fatalf("log keeps a %d-byte encode buffer after a giant record; the bound is %d", cap(l.enc), encMaxRetain)
+	}
+	small := []Range{mkRange(1, 8, 'b', 100)}
+	pos, seq, n, err := l.Append(2, 0, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := appendRecord(nil, seq, recTx, 2, 0, small, n)
+	if got := dev.b[areaOff(pos) : areaOff(pos)+n]; !bytes.Equal(got, want) {
+		t.Fatalf("small record after a giant one differs from its encoding:\n got % x\nwant % x", got[:64], want[:64])
+	}
+}
+
 // TestAppendBatchTransientRetry fails — and tears — device writes of a
 // batch that spans a wrap, retrying as the engine's retryIO does: the log
 // must end up byte for byte where a fault-free batch leaves it, with no

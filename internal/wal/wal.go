@@ -151,6 +151,10 @@ type Log struct {
 
 	stats Stats
 
+	// enc is the buffer appendLocked encodes into, kept as grown for the
+	// next append unless it grew past encMaxRetain.
+	enc []byte
+
 	// Observability sinks (nil-safe).  Set once via SetObs before the log
 	// is shared; emission happens outside l.mu (enforced by the rvmcheck
 	// obsleak analyzer), so handles are snapshotted under the lock and
@@ -629,11 +633,15 @@ func (l *Log) planLocked(used, need int64) (at, add, gap int64, err error) {
 
 // maxRunBytes bounds one device write of a batch, and with it the encoding
 // buffer: a megabyte-sized drain goes out in a few writes from a buffer the
-// pool keeps, not in one write from a buffer grown and dropped every time.
+// log keeps, not in one write from a buffer grown and dropped every time.
 const maxRunBytes = 256 << 10
 
+// encMaxRetain bounds the encoding buffer the log keeps between appends: a
+// single record (or wrap gap) larger than a run grows it past maxRunBytes.
+const encMaxRetain = 1 << 20
+
 // appendLocked appends ents, in order, as transaction records.  Records are
-// encoded into one pooled buffer for as long as they are contiguous in the
+// encoded into the log's buffer for as long as they are contiguous in the
 // area and the run stays within maxRunBytes; a run reaches the device in a
 // single write, and only then are its records published — used, nextSeq and
 // the counters never describe bytes the device may not hold, so a caller
@@ -644,13 +652,14 @@ func (l *Log) appendLocked(ents []Entry) (n int, nbytes int64, err error) {
 	if l.dev == nil {
 		return 0, 0, ErrLogClosed
 	}
-	eb := encPool.Get().(*encBuf)
-	defer eb.release()
-	var want int64
+	var want, largest int64
 	for i := range ents {
-		want += encodedLen(ents[i].Ranges)
+		n := encodedLen(ents[i].Ranges)
+		want, largest = want+n, max(largest, n)
 	}
-	buf := slices.Grow(eb.buf[:0], int(min(want, maxRunBytes)))
+	// One allocation: the buffer never holds more than a run, or than one
+	// record (or the wrap gap in front of it) larger than a run.
+	buf := slices.Grow(l.enc[:0], int(min(want, max(maxRunBytes, largest))))
 	var runPos int64 // area offset of the run's first byte
 	var wraps int    // wrap records in the run; its other records are ents[n:i]
 	for i := 0; ; {
@@ -689,32 +698,17 @@ func (l *Log) appendLocked(ents []Entry) (n int, nbytes int64, err error) {
 			buf = appendRecord(buf, seq, recTx, ent.TID, ent.Flags, ent.Ranges, add)
 			i++
 		}
-		eb.buf = buf // the pool keeps the buffer as grown
+		if l.enc = buf; cap(buf) > encMaxRetain {
+			l.enc = nil // a one-off giant record does not pin its buffer
+		}
 	}
-}
-
-// encBuf is the pooled buffer appendLocked encodes a run of records into.
-type encBuf struct{ buf []byte }
-
-// encBufMaxRetain bounds the backing array a pooled encBuf may keep: a
-// one-off giant record (or a huge wrap gap) should not pin megabytes in
-// the pool forever.
-const encBufMaxRetain = 1 << 20
-
-var encPool = sync.Pool{New: func() any { return new(encBuf) }}
-
-func (eb *encBuf) release() {
-	if cap(eb.buf) > encBufMaxRetain {
-		eb.buf = nil
-	}
-	encPool.Put(eb)
 }
 
 // appendRecord encodes one record of totalLen bytes, carrying the sequence
 // number seq, onto buf.  It is the only record encoder.  The range data is
 // copied, so it need only be stable for the duration of the call — the
 // engine holds the owning region locks across the append.  Padding
-// (alignment, an absorbed gap, the body of a wrap record) is zeroed: pooled
+// (alignment, an absorbed gap, the body of a wrap record) is zeroed: reused
 // bytes are stale, and records must be byte-reproducible.
 func appendRecord(buf []byte, seq uint64, typ uint8, tid uint64, flags uint8, ranges []Range, totalLen int64) []byte {
 	start := len(buf)

@@ -2,6 +2,9 @@ package rvm_test
 
 import (
 	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -15,10 +18,10 @@ import (
 )
 
 // TestRvmcheckClean gates the tree on its own static-analysis suite: all
-// eight rvmcheck analyzers (unloggedstore, txlifecycle, uncheckedcommit,
-// locksync, obsleak, lockorder, atomicfield, poolescape) must report
-// nothing.  A finding either reveals a real discipline violation — fix
-// the code — or, for the rare intentional exception, demands an explicit
+// six rvmcheck analyzers (unloggedstore, txlifecycle, uncheckedcommit,
+// locksync, obsleak, lockorder) must report nothing.  A finding either
+// reveals a real discipline violation — fix the code — or, for the rare
+// intentional exception, demands an explicit
 // `//rvmcheck:allow <analyzer> -- reason` at the site, so every waiver
 // is visible in review.
 func TestRvmcheckClean(t *testing.T) {
@@ -102,6 +105,68 @@ func TestWaiverBudget(t *testing.T) {
 		t.Errorf("waiver count = %d, budget = %d; sites:\n\t%s\nre-audit before moving the budget",
 			len(waivers), budget, strings.Join(waivers, "\n\t"))
 	}
+}
+
+// TestNoRetiredShapes keeps out of shipping code the two shapes whose
+// analyzers were deleted once nothing had them: a call of a package-level
+// sync/atomic function (atomicfield checked the fields such calls touch;
+// typed atomics need no check, the compiler forbids plain access), and a
+// sync.Pool (poolescape checked that pooled buffers neither outlive their
+// Put nor are used after it).
+func TestNoRetiredShapes(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := map[string]string{} // local import name -> path
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			names[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && pkgIs(names, sel, "sync/atomic") {
+					t.Errorf("%s: atomic.%s is back; atomicfield, which checked that fields touched through sync/atomic functions are never accessed plainly, was deleted when the last such call went — bringing the shape back means bringing the check back (or use a typed atomic)",
+						fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "Pool" && pkgIs(names, n, "sync") {
+					t.Errorf("%s: sync.Pool is back; poolescape, which checked that pooled buffers neither outlive their Put nor are used after it, was deleted when the last pool went — bringing the shape back means bringing the check back",
+						fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pkgIs reports whether sel selects from the package imported as path.
+func pkgIs(names map[string]string, sel *ast.SelectorExpr, path string) bool {
+	id, ok := sel.X.(*ast.Ident)
+	return ok && names[id.Name] == path
 }
 
 // TestAnalyzerRegistryComplete keeps analysis.All() in sync with the
