@@ -4,7 +4,7 @@
 //
 //	rvmutl create-log  <path> <bytes>
 //	rvmutl create-seg  <path> <id> <bytes>
-//	rvmutl status      <log>             # status block, live records
+//	rvmutl status      <log>             # format, status block, live records
 //	rvmutl segments    <log>             # segment dictionary
 //	rvmutl seg-info    <segment>         # segment header
 //	rvmutl truncate    <log>             # recover + truncate the log
@@ -12,7 +12,9 @@
 //	rvmutl copy-log    <src> <dst> <n>   # resize or archive a log
 //
 // status, verify and truncate read the segment dictionary as the engine
-// does, so they refuse a store the engine refuses.
+// does, so they refuse a store the engine refuses.  They open the log as the
+// engine does too: a version-1 log with no live records is upgraded, and one
+// with live records is refused, naming its version.
 package main
 
 import (
@@ -231,6 +233,7 @@ func status(path string) {
 	head, headSeq := l.Head()
 	tail, nextSeq := l.Tail()
 	fmt.Printf("log:          %s\n", path)
+	fmt.Printf("format:       version %d\n", wal.FormatVersion)
 	fmt.Printf("record area:  %d bytes\n", l.AreaSize())
 	fmt.Printf("live bytes:   %d (%.1f%%)\n", l.Used(), 100*float64(l.Used())/float64(l.AreaSize()))
 	fmt.Printf("head:         offset %d, seq %d\n", head, headSeq)

@@ -82,7 +82,7 @@ func TestWrapSplitFreeSpaceTruncates(t *testing.T) {
 	tail, _ := lg.Tail()
 	head, _ := lg.Head()
 	gap := lg.AreaSize() - tail
-	data := make([]byte, gap+268) // a record of gap+336 bytes
+	data := make([]byte, gap+268) // a record of gap+316 bytes
 	need := wal.EncodedLen([]wal.Range{{Data: data}})
 	if need <= gap || need <= head || need > gap+head || lg.AreaSize()-lg.Used() < need {
 		t.Fatalf("head %d, tail %d, record %d: not the log this test is about", head, tail, need)

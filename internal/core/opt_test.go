@@ -59,8 +59,8 @@ func TestIntraOptOverlapAndAdjacency(t *testing.T) {
 	if st.IntraSavedBytes == 0 {
 		t.Fatal("no intra-transaction savings recorded")
 	}
-	// One coalesced range of 250 bytes: 20 header + 250 data (+record
-	// framing).  Three separate ranges would cost 60 + 300.
+	// One coalesced range of 250 bytes: an 8-byte header + 250 data (+record
+	// framing).  Three separate ranges would cost 24 + 300.
 	if st.LogBytes > 400 {
 		t.Fatalf("log bytes %d suggest ranges were not coalesced", st.LogBytes)
 	}
@@ -71,11 +71,11 @@ func TestIntraSavingsAccounting(t *testing.T) {
 	r := v.mapWhole()
 	tx, _ := v.eng.Begin(Restore)
 	tx.SetRange(r, 0, 100)
-	tx.SetRange(r, 0, 100) // fully duplicate: saves 20+100
+	tx.SetRange(r, 0, 100) // fully duplicate: saves its header and 100 bytes
 	tx.Commit(Flush)
 	st := v.eng.Stats()
-	if st.IntraSavedBytes != 120 {
-		t.Fatalf("IntraSavedBytes=%d want 120", st.IntraSavedBytes)
+	if want := uint64(wal.RangeLen(r.SegmentID(), 0, 100)); st.IntraSavedBytes != want {
+		t.Fatalf("IntraSavedBytes=%d want %d", st.IntraSavedBytes, want)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestInterOptSubsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nine of the ten records never reached the log.
-	if got, want := v.eng.Stats().InterSavedBytes, uint64(9*rangeEncodedLen(300)); got != want {
+	if got, want := v.eng.Stats().InterSavedBytes, uint64(9*wal.RangeLen(r.SegmentID(), 0, 300)); got != want {
 		t.Fatalf("InterSavedBytes=%d want %d", got, want)
 	}
 	// Durability check: the final value must survive a crash.
@@ -169,11 +169,13 @@ func TestInterOptOnlyAppliesToNoFlush(t *testing.T) {
 
 // verbatimLog is the logger the two optimizations of paper §5.2 are measured
 // against.  It lives here, not in the engine: every set-range call is logged
-// as its own range — the 20-byte range header and the bytes it names —
+// as its own range — its range header and the bytes it names, wal.RangeLen —
 // whatever earlier calls or later transactions cover.
 type verbatimLog struct{ rangeBytes uint64 }
 
-func (l *verbatimLog) setRange(n int64) { l.rangeBytes += 20 + uint64(n) }
+func (l *verbatimLog) setRange(r *Region, off, n int64) {
+	l.rangeBytes += uint64(wal.RangeLen(r.SegmentID(), uint64(r.SegmentOffset()+off), n))
+}
 
 // check requires the engine's counters to add up to the verbatim logger's
 // bill: the bytes the engine logged plus the bytes it says each optimization
@@ -233,7 +235,7 @@ func TestSavedBytesMatchVerbatimLogger(t *testing.T) {
 					if err := tx.SetRange(r, c.off, c.n); err != nil {
 						t.Fatal(err)
 					}
-					ref.setRange(c.n)
+					ref.setRange(r, c.off, c.n)
 				}
 				if err := tx.Commit(x.mode); err != nil {
 					t.Fatal(err)
@@ -248,7 +250,7 @@ func TestSavedBytesMatchVerbatimLogger(t *testing.T) {
 			err := v.eng.log.ScanForward(func(rec *wal.Record) error {
 				framing += rec.Len
 				for _, rg := range rec.Ranges {
-					framing -= 20 + int64(len(rg.Data))
+					framing -= wal.RangeLen(rg.Seg, rg.Off, int64(len(rg.Data)))
 				}
 				return nil
 			})

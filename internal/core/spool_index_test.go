@@ -44,7 +44,7 @@ type scanEntry struct {
 func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 	ent := scanEntry{tid: tid, ranges: ranges}
 	for _, r := range ranges {
-		ent.bytes += rangeEncodedLen(r.end - r.off)
+		ent.bytes += wal.RangeLen(r.seg, uint64(r.off), r.end-r.off)
 	}
 	cover := make(map[uint64]*rangeset)
 	for _, r := range ranges {
@@ -199,7 +199,7 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 					if err := tx.SetRange(regs[sr.reg], sr.off, sr.n); err != nil {
 						t.Fatal(err)
 					}
-					verbatim.setRange(sr.n)
+					verbatim.setRange(regs[sr.reg], sr.off, sr.n)
 					regs[sr.reg].Data()[sr.off] = byte(i)
 					perRegion[sr.reg].add(sr.off, sr.off+sr.n, nil)
 				}
@@ -362,8 +362,8 @@ func TestSpoolPageRefs(t *testing.T) {
 	if a := r.spoolRefCount(0); a != 2 {
 		t.Fatalf("page 0 has %d spool references after a subsumption and an overlap, want 2", a)
 	}
-	if got := v.eng.Stats().InterSavedBytes; got != uint64(rangeEncodedLen(7)) {
-		t.Fatalf("InterSavedBytes %d, want %d", got, rangeEncodedLen(7))
+	if got, want := v.eng.Stats().InterSavedBytes, uint64(wal.RangeLen(r.SegmentID(), 8, 7)); got != want {
+		t.Fatalf("InterSavedBytes %d, want %d", got, want)
 	}
 
 	if err := v.eng.claimTruncation(); err != nil {

@@ -173,7 +173,7 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 	}
 	tr := t.txRegionLocked(r)
 	e.stats.SetRanges.Add(1)
-	tr.naive += rangeEncodedLen(n)
+	tr.naive += wal.RangeLen(r.seg.ID(), uint64(r.segOff+off), n)
 
 	var buf [2]span
 	for _, sp := range tr.set.add(off, off+n, buf[:0]) {
@@ -216,9 +216,6 @@ func (t *Tx) txRegionLocked(r *Region) *txRegion {
 	}
 	return t.regions[i]
 }
-
-// rangeEncodedLen is the log cost of one modification range of n bytes.
-func rangeEncodedLen(n int64) int64 { return 20 + n } // wal range header + data
 
 // refPages increments uncommitted reference counts for pages of [off,end)
 // not yet referenced by this transaction in this region.
@@ -291,14 +288,16 @@ func (t *Tx) buildRanges(ranges []wal.Range, pages []pagevec.PageID) (_ []wal.Ra
 	for _, tr := range t.regions {
 		r := tr.region
 		for _, sp := range tr.set.spans {
-			ranges = append(ranges, wal.Range{Seg: r.seg.ID(), Off: uint64(r.segOff + sp.off), Data: r.data[sp.off:sp.end]})
-			logged += rangeEncodedLen(sp.end - sp.off)
+			rg := wal.Range{Seg: r.seg.ID(), Off: uint64(r.segOff + sp.off), Data: r.data[sp.off:sp.end]}
+			ranges, logged = append(ranges, rg), logged+wal.RangeLen(rg.Seg, rg.Off, sp.end-sp.off)
 		}
 		tr.eachPage(func(p int64) { pages = append(pages, pagevec.PageID{Region: r.idx, Page: p}) })
 		naive += tr.naive
 	}
 	// Exact intra-transaction savings: what verbatim logging of every
-	// set-range call would have cost minus what we will actually log.
+	// set-range call would have cost minus what we will actually log.  Short
+	// set-ranges that merge into a span of 64 KiB or more take a wide range
+	// header, so this can be a few bytes below zero.
 	return ranges, pages, logged, naive - logged
 }
 

@@ -17,10 +17,8 @@ import (
 // counts — records replayed, distinct bytes applied — against a byte-array
 // model that applies the records in log order from the head: a later value
 // wins per byte no matter how the work is divided.  The shapes are a log of
-// plain records and a log written before checkpoints moved the head, which
-// still holds checkpoint records, from the head the log was written with
-// and behind a head a truncation moved: they bound nothing, and the scan
-// passes over them to the records behind.  Each at parallelism 1/2/4/8,
+// plain records from the head it was written with and behind a head a
+// truncation moved.  Each at parallelism 1/2/4/8,
 // over a log that is already open (RecoverParallel) and over a log a Restart
 // opens itself (Redo, then Apply), and as an epoch truncation (CollectEpoch,
 // the same builder at GOMAXPROCS); built by the scan's goroutine, by
@@ -41,30 +39,15 @@ func TestRedoPathsAgree(t *testing.T) {
 				rec(uint64(i + 1))
 			}
 		}},
-		{"from a checkpoint", func(f *fixture, rec func(uint64) (int64, uint64)) {
-			for i := 0; i < 100; i++ {
-				if i == 40 || i == 70 {
-					// Pages still pinned held the stable LSN a few records back.
-					_, next := f.log.Tail()
-					f.appendRetiredCheckpoint(t, next-5)
-				}
-				rec(uint64(i + 1))
-			}
-		}},
 		{"from a checkpoint below the head", func(f *fixture, rec func(uint64) (int64, uint64)) {
 			var headPos int64
 			var headSeq uint64
 			for i := 0; i < 100; i++ {
-				if i == 40 || i == 70 {
-					_, next := f.log.Tail()
-					f.appendRetiredCheckpoint(t, next-5)
-				}
 				if pos, seq := rec(uint64(i + 1)); i == 38 {
 					headPos, headSeq = pos, seq
 				}
 			}
-			// A truncation freed the log up to two records short of the
-			// first checkpoint record.
+			// A truncation freed the log up to the 39th record.
 			if err := f.log.SetHead(headPos, headSeq); err != nil {
 				t.Fatal(err)
 			}

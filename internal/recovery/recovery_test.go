@@ -2,9 +2,7 @@ package recovery
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -49,37 +47,6 @@ func newFixtureLog(t *testing.T, nsegs int, segLen, logSize int64) *fixture {
 		f.segs[uint64(i)] = s
 	}
 	return f
-}
-
-// appendRetiredCheckpoint appends a checkpoint record as logs written before
-// checkpoints moved the head carried them: type 3, the stable sequence
-// number in the TID slot, no ranges.  Nothing writes the type any more, so
-// it appends the empty transaction record with that header and rewrites its
-// type byte and checksum in the file.
-func (f *fixture) appendRetiredCheckpoint(t *testing.T, stable uint64) {
-	t.Helper()
-	pos, _, n, err := f.log.Append(stable, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 48 {
-		t.Fatalf("the checkpoint record took %d bytes; place it where it needs no wrap or padding", n)
-	}
-	dev, err := os.OpenFile(f.logPath, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	rec := make([]byte, n)
-	off := 2*int64(mapping.PageSize) + pos
-	if _, err := dev.ReadAt(rec, off); err != nil {
-		t.Fatal(err)
-	}
-	rec[8] = 3
-	binary.BigEndian.PutUint32(rec[n-4:], crc32.ChecksumIEEE(rec[:n-4]))
-	if _, err := dev.WriteAt(rec, off); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func (f *fixture) lookup(id uint64) (*segment.Segment, error) {

@@ -157,7 +157,7 @@ func (p *pair) setHead(r int) {
 }
 
 // sizeFor returns the range length whose record encodes to exactly need bytes.
-func sizeFor(need int64) int { return int(need - headerSize - trailerSize - rangeHdrSize) }
+func sizeFor(need int64) int { return int(need - EncodedLen(nil) - RangeLen(1, 0, 0)) }
 
 func TestAppendBatchMatchesAppend(t *testing.T) {
 	const area = 64 << 10
@@ -339,7 +339,7 @@ func TestAppendBatchTornWrite(t *testing.T) {
 	var ends []int64 // where each record of the batch ends within the write
 	var total int64
 	for _, e := range batch() {
-		total += encodedLen(e.Ranges)
+		total += EncodedLen(e.Ranges)
 		ends = append(ends, total)
 	}
 	for k := int64(0); k < total; k++ {

@@ -31,54 +31,6 @@ func seqsOf(recs []*Record) []uint64 {
 	return out
 }
 
-// TestCheckpointAppendScanRoundTrip: a checkpoint record a log written before
-// checkpoints moved the head may still hold is passed over like a wrap
-// record.  It cuts nothing off — its stable sequence number bounds no redo —
-// and a reopen finds the tail behind it.
-func TestCheckpointAppendScanRoundTrip(t *testing.T) {
-	l, path := newLog(t, 1<<16)
-	if _, _, _, err := l.Append(1, 0, []Range{mkRange(1, 0, 'a', 64)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, seq, err := l.appendRetiredCheckpoint(2); err != nil {
-		t.Fatal(err)
-	} else if seq != 2 {
-		t.Fatalf("checkpoint got seq %d, want 2", seq)
-	}
-	if _, _, _, err := l.Append(2, 0, []Range{mkRange(1, 100, 'b', 32)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	check := func(recs []*Record, want []uint64, label string) {
-		t.Helper()
-		if got := seqsOf(recs); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("%s scan delivered seqs %v, want %v", label, got, want)
-		}
-		for _, r := range recs {
-			if r.Type != RecTx || len(r.Ranges) != 1 {
-				t.Fatalf("%s scan delivered seq %d of type %d with %d ranges", label, r.Seq, r.Type, len(r.Ranges))
-			}
-		}
-	}
-	check(collectForward(t, l), []uint64{1, 3}, "forward")
-	check(collectBackward(t, l), []uint64{3, 1}, "backward")
-
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if _, next := l2.Tail(); next != 4 {
-		t.Fatalf("reopen next seq = %d, want 4", next)
-	}
-	check(collectForward(t, l2), []uint64{1, 3}, "reopened")
-}
-
 // TestAnalyzeBackwardNoCheckpoint predates the forward scanner (PR 22) and
 // keeps its name: a log's live records are all redo has to consider, from
 // the head on, and the scan that finds the tail walks exactly their bytes.

@@ -22,6 +22,7 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add(hostile)
 	f.Add(valid[:minRecordSize])
 	f.Add(encodeRecord(f, []Range{mkRange(1, math.MaxUint64-9, 'o', 20)}))
+	f.Add(encodeRecord(f, []Range{mkRange(1<<16, 1<<32, 'w', 24), mkRange(3, 8, 's', 8)}))
 	const area = 1 << 14
 	image := newMemImage(f, area)
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -29,7 +30,6 @@ func FuzzReadRecord(f *testing.F) {
 		if len(data) >= minRecordSize {
 			binary.BigEndian.PutUint32(data[4:], uint32(len(data)))
 			binary.BigEndian.PutUint32(data[len(data)-8:], uint32(len(data)))
-			copy(data[len(data)-trailerSize:], data[16:24])
 			reseal(data)
 			// The same bytes as the first record of a log whose head expects
 			// their sequence number: the scanner must stop where the
@@ -48,7 +48,7 @@ func FuzzReadRecord(f *testing.F) {
 		}
 		var n int
 		for _, r := range rec.Ranges {
-			n += rangeHdrSize + len(r.Data)
+			n += int(RangeLen(r.Seg, r.Off, int64(len(r.Data))))
 			if r.Off > math.MaxInt64-uint64(len(r.Data)) {
 				t.Fatalf("range [%d,+%d) decoded: it ends past MaxInt64", r.Off, len(r.Data))
 			}

@@ -142,7 +142,7 @@ func TestTornTailMidChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{^last.Ranges[0].Data[0]}, areaOff(last.Pos)+headerSize+rangeHdrSize); err != nil {
+	if _, err := f.WriteAt([]byte{^last.Ranges[0].Data[0]}, areaOff(last.Pos)+headerSize+RangeLen(last.Ranges[0].Seg, last.Ranges[0].Off, 0)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -330,11 +330,25 @@ func TestDecodeRejectsHostileRangeCount(t *testing.T) {
 			t.Fatalf("record claiming %d ranges in %d bytes decoded to %d ranges", n, len(buf), len(rec.Ranges))
 		}
 	}
-	// A range length running past the record's end is no better.
+	// A range length running past the record's end is no better, in a
+	// short range header (len u16 first) or in a wide one (len u32 last).
 	binary.BigEndian.PutUint32(buf[12:], 1)
-	binary.BigEndian.PutUint32(buf[headerSize+16:], 0xFFFFFFF0)
+	binary.BigEndian.PutUint16(buf[headerSize:], 0xFFF0)
 	reseal(buf)
 	if decodeRecord(&rec, buf, 0, 1) {
-		t.Fatal("record with a range longer than itself decoded")
+		t.Fatal("record with a short range longer than itself decoded")
+	}
+	binary.BigEndian.PutUint16(buf[headerSize:], 0xFFFF)
+	binary.BigEndian.PutUint32(buf[headerSize+wideHdr-4:], 0xFFFFFFF0)
+	reseal(buf)
+	if decodeRecord(&rec, buf, 0, 1) {
+		t.Fatal("record with a wide range longer than itself decoded")
+	}
+	// Nor is a wide header cut short by the record's end.
+	short := encodeRecord(t, []Range{mkRange(1, 64, 'c', 8)})
+	binary.BigEndian.PutUint16(short[headerSize:], 0xFFFF)
+	reseal(short)
+	if len(short)-headerSize-trailerSize >= wideHdr || decodeRecord(&rec, short, 0, 1) {
+		t.Fatalf("a %d-byte record with a wide range header decoded", len(short))
 	}
 }

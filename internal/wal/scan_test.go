@@ -94,7 +94,7 @@ func posOf(t testing.TB, l *Log, seq uint64) int64 {
 // (which checks every image it generates) and the read-path tests of
 // reader_test.go (wrapped, chunk-straddling, torn mid-window): a tear
 // exactly at a window boundary, a log filled to its last byte, stale
-// records of the previous lap behind the tail, and every record type.
+// records of the previous lap behind the tail, and wrap records.
 func TestScannerMatchesReferenceTail(t *testing.T) {
 	t.Run("torn at a window boundary", func(t *testing.T) {
 		// The first window is minReadChunk bytes: make a record end exactly
@@ -108,7 +108,7 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkTailOracle(t, &memDev{b: bytes.Clone(dev.b)})
-		dev.b[areaOff(minReadChunk)+headerSize+rangeHdrSize] ^= 1
+		dev.b[areaOff(minReadChunk)+headerSize+RangeLen(1, 0, 0)] ^= 1
 		checkTailOracle(t, dev)
 		if l2, _ := openMem(t, dev.b); l2.used != minReadChunk || l2.nextSeq != 3 {
 			t.Fatalf("reopened to %d live bytes, next seq %d; want %d and 3", l2.used, l2.nextSeq, minReadChunk)
@@ -145,14 +145,9 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 		rnd := rand.New(rand.NewSource(22))
 		l, dev := openMem(t, newMemImage(t, 3*minReadChunk))
 		for round := 0; round < 200; round++ {
-			var err error
-			switch k := rnd.Intn(10); {
-			case k == 0:
-				_, _, err = l.appendRetiredCheckpoint(l.headSeq + uint64(rnd.Intn(int(l.nextSeq-l.headSeq)+1)))
-			default:
-				_, _, _, err = l.Append(uint64(round), uint8(k), []Range{mkRange(1, 16, byte(round), 1+rnd.Intn(900))})
-			}
-			if err != nil { // full: drop the older half and go on
+			flags := uint8(rnd.Intn(10))
+			if _, _, _, err := l.Append(uint64(round), flags, []Range{mkRange(1, 16, byte(round), 1+rnd.Intn(900))}); err != nil {
+				// Full: drop the older half and go on.
 				mid := l.headSeq + (l.nextSeq-l.headSeq)/2
 				if err := l.SetHead(posOf(t, l, mid), mid); err != nil {
 					t.Fatal(err)

@@ -3,12 +3,13 @@
 // RVM uses a no-undo/redo value logging strategy (paper §5.1.1): because
 // uncommitted changes are never reflected to an external data segment, only
 // the new-value records of committed transactions are written to the log.
-// One log record holds an entire committed transaction — its modification
-// ranges followed by the commit trailer — so a record is the atomic unit of
-// commitment.  As in the paper's Figure 5, every record carries both a
-// forward displacement (totalLen in the header) and a reverse displacement
-// (totalLen repeated in the trailer), allowing the log to be read in either
-// direction; crash recovery reads it head-to-tail, once (scan).
+// One log record holds an entire committed transaction — a 32-byte header,
+// its modification ranges (RangeLen), zero padding to a multiple of 8 and an
+// 8-byte trailer — so a record is the atomic unit of commitment.  As in the
+// paper's Figure 5, every record carries both a forward displacement
+// (totalLen in the header) and a reverse displacement (totalLen in the
+// trailer, ahead of a CRC of every byte before it), allowing the log to be
+// read in either direction; crash recovery reads it head-to-tail, once (scan).
 //
 // On-disk layout:
 //
@@ -52,26 +53,24 @@ const (
 	statusMagic = 0x52564c53 // "RVLS"
 	// recMagic identifies a log record header.
 	recMagic = 0x52564c47 // "RVLG"
-	// formatVersion is the on-disk format version.
-	formatVersion = 1
+	// FormatVersion is the on-disk format version.  Version 1 had 20-byte
+	// range headers and a trailer that repeated the sequence number.
+	FormatVersion = 2
 
 	headerSize  = 32 // magic, totalLen, type, flags, nranges, seqno, tid
-	trailerSize = 16 // seqno, totalLen (reverse displacement), crc
+	trailerSize = 8  // totalLen (reverse displacement), crc
 	// minRecordSize is the smallest encodable record (a wrap record).
 	minRecordSize = headerSize + trailerSize
-	// rangeHdrSize prefixes each modification range: segID, off, len.
-	rangeHdrSize = 8 + 8 + 4
+	shortHdr      = 8  // a range header (RangeLen)
+	wideHdr       = 22 // a wide one, behind the len 0xFFFF
 
 	statusSize = 4 + 4 + 8 + 8 + 8 + 8 + 4 // magic, ver, gen, areaSize, head, headSeq, crc
 )
 
-// Record types.  Type 3 was a checkpoint record carrying a stable sequence
-// number, which nothing writes any more: a scan passes over one like a wrap
-// record, so a log written with it still recovers every record behind it.
+// Record types.
 const (
-	recTx      uint8 = 1 // a committed transaction's new-value records
-	recWrap    uint8 = 2 // padding to the end of the record area
-	recRetired uint8 = 3 // a retired checkpoint record, no ranges
+	recTx   uint8 = 1 // a committed transaction's new-value records
+	recWrap uint8 = 2 // padding to the end of the record area
 )
 
 // RecTx is the type of every record a scan delivers.
@@ -86,6 +85,8 @@ var (
 	ErrTooBig = errors.New("wal: record larger than log")
 	// ErrNotLog is returned when a file lacks a valid status block.
 	ErrNotLog = errors.New("wal: file is not an RVM log")
+	// ErrLogVersion is returned by Open for a log of a version it cannot upgrade.
+	ErrLogVersion = errors.New("wal: unsupported log format version")
 	// ErrLogClosed is returned by operations on a closed log — reachable
 	// when a crash simulation or shutdown closes the device while a
 	// background truncation still holds a reference to the log.
@@ -147,7 +148,7 @@ type Log struct {
 	// released (fsync under the log mutex would stall the append path),
 	// and the claim serializes concurrent head moves instead.
 	headBusy bool
-	headCond *sync.Cond // lazily created; signalled when a head move finishes
+	headCond *sync.Cond // signalled when a head move finishes
 
 	stats Stats
 
@@ -193,21 +194,24 @@ func (l *Log) Metrics() *obs.Metrics {
 	return l.met
 }
 
-// align8 rounds n up to a multiple of 8.
-func align8(n int64) int64 { return (n + 7) &^ 7 }
-
 // EncodedLen returns the encoded log size of a transaction record carrying
-// ranges, excluding any wrap record.  Exposed so the engine can report how
-// large a record that will not fit actually is.
-func EncodedLen(ranges []Range) int64 { return encodedLen(ranges) }
-
-// encodedLen returns the unpadded encoded length of a transaction record.
-func encodedLen(ranges []Range) int64 {
+// ranges, padding included and any wrap record excluded.
+func EncodedLen(ranges []Range) int64 {
 	n := int64(headerSize + trailerSize)
 	for _, r := range ranges {
-		n += rangeHdrSize + int64(len(r.Data))
+		n += RangeLen(r.Seg, r.Off, int64(len(r.Data)))
 	}
-	return align8(n)
+	return (n + 7) &^ 7 // records are 8-byte aligned
+}
+
+// RangeLen is the log cost of a range of n bytes at off in segment seg: its
+// data and its header, 8 bytes (len u16, seg u16, off u32) when the fields fit
+// them, else 22 (the len 0xFFFF, then seg u64, off u64, len u32).
+func RangeLen(seg, off uint64, n int64) int64 {
+	if n < math.MaxUint16 && seg <= math.MaxUint16 && off <= math.MaxUint32 {
+		return shortHdr + n
+	}
+	return wideHdr + n
 }
 
 // Create initializes a new log file at path with a record area of at least
@@ -222,27 +226,18 @@ func Create(path string, areaSize int64) error {
 		return fmt.Errorf("wal: create %s: %w", path, err)
 	}
 	defer f.Close()
-	if err := f.Truncate(2*int64(mapping.PageSize) + areaSize); err != nil {
-		os.Remove(path)
-		return fmt.Errorf("wal: size log: %w", err)
+	if err = f.Truncate(2*int64(mapping.PageSize) + areaSize); err == nil {
+		err = writeStatuses(f, statusBlock{gen: 1, areaSize: areaSize, headSeq: 1})
 	}
-	st := statusBlock{gen: 1, areaSize: areaSize, head: 0, headSeq: 1}
-	if err := writeStatus(f, 0, st); err != nil {
+	if err != nil {
 		os.Remove(path)
-		return err
-	}
-	if err := writeStatus(f, 1, st); err != nil {
-		os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		os.Remove(path)
-		return fmt.Errorf("wal: sync: %w", err)
+		return fmt.Errorf("wal: initialize %s: %w", path, err)
 	}
 	return nil
 }
 
 type statusBlock struct {
+	version  uint32 // as read; writeStatus writes FormatVersion
 	gen      uint64
 	areaSize int64
 	head     int64
@@ -252,7 +247,7 @@ type statusBlock struct {
 func writeStatus(dev Device, slot int, st statusBlock) error {
 	b := make([]byte, statusSize)
 	binary.BigEndian.PutUint32(b[0:], statusMagic)
-	binary.BigEndian.PutUint32(b[4:], formatVersion)
+	binary.BigEndian.PutUint32(b[4:], FormatVersion)
 	binary.BigEndian.PutUint64(b[8:], st.gen)
 	binary.BigEndian.PutUint64(b[16:], uint64(st.areaSize))
 	binary.BigEndian.PutUint64(b[24:], uint64(st.head))
@@ -265,6 +260,16 @@ func writeStatus(dev Device, slot int, st statusBlock) error {
 	return nil
 }
 
+// writeStatuses writes st to both slots and syncs them.
+func writeStatuses(dev Device, st statusBlock) error {
+	for slot := range 2 {
+		if err := writeStatus(dev, slot, st); err != nil {
+			return err
+		}
+	}
+	return dev.Sync()
+}
+
 func readStatus(dev Device, slot int) (statusBlock, bool) {
 	b := make([]byte, statusSize)
 	off := int64(slot) * int64(mapping.PageSize)
@@ -272,11 +277,11 @@ func readStatus(dev Device, slot int) (statusBlock, bool) {
 		return statusBlock{}, false
 	}
 	if binary.BigEndian.Uint32(b[0:]) != statusMagic ||
-		binary.BigEndian.Uint32(b[4:]) != formatVersion ||
 		crc32.ChecksumIEEE(b[:40]) != binary.BigEndian.Uint32(b[40:]) {
 		return statusBlock{}, false
 	}
 	return statusBlock{
+		version:  binary.BigEndian.Uint32(b[4:]),
 		gen:      binary.BigEndian.Uint64(b[8:]),
 		areaSize: int64(binary.BigEndian.Uint64(b[16:])),
 		head:     int64(binary.BigEndian.Uint64(b[24:])),
@@ -308,21 +313,17 @@ func OpenDevice(dev Device) (*Log, error) {
 // reads, so that a restart reads its log once: every window of valid records
 // goes to fn as the scan passes it (see Window).
 func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
-	a, okA := readStatus(dev, 0)
-	b, okB := readStatus(dev, 1)
-	var st statusBlock
-	switch {
-	case okA && okB:
-		st = a
-		if b.gen > a.gen {
-			st = b
-		}
-	case okA:
-		st = a
-	case okB:
-		st = b
-	default:
+	st, ok := readStatus(dev, 0)
+	if b, okB := readStatus(dev, 1); okB && (!ok || b.gen > st.gen) {
+		st, ok = b, true
+	}
+	if !ok {
 		return nil, ErrNotLog
+	}
+	if st.version != FormatVersion {
+		if err := upgrade(dev, &st); err != nil {
+			return nil, err
+		}
 	}
 	l := &Log{
 		dev:      dev,
@@ -331,6 +332,7 @@ func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
 		headSeq:  st.headSeq,
 		gen:      st.gen,
 	}
+	l.headCond = sync.NewCond(&l.mu)
 	t0 := time.Now()
 	var err error
 	if l.used, l.nextSeq, err = scan(dev, l.areaSize, l.head, l.headSeq, -1, fn); err != nil {
@@ -341,6 +343,27 @@ func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
 	// forced-through sequence number starts at the last live record.
 	l.forcedSeq = l.nextSeq - 1
 	return l, nil
+}
+
+// upgrade rewrites and syncs both status blocks of a version-1 log as this
+// version's when nothing validates at its head by the framing the versions
+// share (framed).  Nothing reads version-1 records: a log holding any is
+// refused unchanged.
+func upgrade(dev Device, st *statusBlock) error {
+	buf := make([]byte, headerSize)
+	_, err := dev.ReadAt(buf, areaOff(st.head))
+	if n := int64(binary.BigEndian.Uint32(buf[4:])); err == nil && n >= minRecordSize && n <= st.areaSize-st.head {
+		buf = make([]byte, n)
+		_, err = dev.ReadAt(buf, areaOff(st.head))
+	}
+	if err != nil {
+		return fmt.Errorf("wal: read the head of a version-%d log: %w", st.version, err)
+	}
+	if st.version != 1 || framed(buf, st.headSeq) {
+		return fmt.Errorf("%w: the log is version %d, version %d wanted; only a version-1 log with no live record upgrades", ErrLogVersion, st.version, FormatVersion)
+	}
+	st.gen++
+	return writeStatuses(dev, *st)
 }
 
 // areaOff converts a record-area offset into a device offset.
@@ -459,7 +482,7 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 				break
 			}
 			if rec.Type != recTx {
-				recs = recs[:len(recs)-1] // a wrap or a retired checkpoint record
+				recs = recs[:len(recs)-1] // a wrap record
 			}
 			used, seq, buf = used+totalLen, seq+1, buf[totalLen:]
 			if pos += totalLen; pos == areaSize {
@@ -487,60 +510,60 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 // before anything is sized by it, and a range may not end past MaxInt64, the
 // end of a segment's address space.  Range data aliases buf.
 func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
+	if !framed(buf, wantSeq) {
+		return false
+	}
 	totalLen := int64(len(buf))
-	if totalLen < minRecordSize || totalLen%8 != 0 ||
-		binary.BigEndian.Uint32(buf[0:]) != recMagic ||
-		int64(binary.BigEndian.Uint32(buf[4:])) != totalLen ||
-		crc32.ChecksumIEEE(buf[:totalLen-4]) != binary.BigEndian.Uint32(buf[totalLen-4:]) {
-		return false
-	}
-	seq := binary.BigEndian.Uint64(buf[16:])
-	if seq != wantSeq && wantSeq != 0 {
-		return false
-	}
-	if binary.BigEndian.Uint64(buf[totalLen-trailerSize:]) != seq ||
-		int64(binary.BigEndian.Uint32(buf[totalLen-8:])) != totalLen {
-		return false
-	}
 	ranges := rec.Ranges[:0]
 	*rec = Record{
 		Pos:   pos,
 		Len:   totalLen,
-		Seq:   seq,
+		Seq:   binary.BigEndian.Uint64(buf[16:]),
 		TID:   binary.BigEndian.Uint64(buf[24:]),
 		Type:  buf[8],
 		Flags: buf[9],
 	}
 	nranges := int64(binary.BigEndian.Uint32(buf[12:]))
 	switch rec.Type {
-	case recWrap, recRetired:
+	case recWrap:
 	case recTx:
 		body := buf[headerSize : totalLen-trailerSize]
-		if nranges > int64(len(body))/rangeHdrSize {
+		if nranges > int64(len(body))/shortHdr {
 			return false
 		}
 		rec.Ranges = slices.Grow(ranges, int(nranges))
 		for ; nranges > 0; nranges-- {
-			if len(body) < rangeHdrSize {
+			if len(body) < shortHdr {
 				return false
 			}
-			n := int64(binary.BigEndian.Uint32(body[16:]))
-			off := binary.BigEndian.Uint64(body[8:])
-			if n > int64(len(body))-rangeHdrSize || off > math.MaxInt64-uint64(n) {
-				return false // past the record, or past a segment's address space
+			v := binary.BigEndian.Uint64(body)
+			h, n, seg, off := int64(shortHdr), int64(v>>48), v>>32&0xFFFF, v&0xFFFFFFFF
+			if n == math.MaxUint16 && len(body) >= wideHdr {
+				h, n, seg, off = wideHdr, int64(binary.BigEndian.Uint32(body[18:])), binary.BigEndian.Uint64(body[2:]), binary.BigEndian.Uint64(body[10:])
 			}
-			rec.Ranges = append(rec.Ranges, Range{
-				Seg:  binary.BigEndian.Uint64(body[0:]),
-				Off:  off,
-				Data: body[rangeHdrSize : rangeHdrSize+n : rangeHdrSize+n],
-			})
-			body = body[rangeHdrSize+n:]
+			if n > int64(len(body))-h || off > math.MaxInt64-uint64(n) {
+				return false // past the record (as is a cut-short wide header's 0xFFFF), or past MaxInt64
+			}
+			rec.Ranges = append(rec.Ranges, Range{Seg: seg, Off: off, Data: body[h : h+n : h+n]})
+			body = body[h+n:]
 		}
 		return true
 	default:
 		return false
 	}
 	return nranges == 0
+}
+
+// framed reports whether buf is one whole record carrying wantSeq (any, if
+// 0) by the framing every format version shares: the magic, totalLen in the
+// header and in the trailer's first half, the sequence number at byte 16, and
+// the CRC of the rest in the last 4 bytes.
+func framed(buf []byte, wantSeq uint64) bool {
+	n := int64(len(buf))
+	return n >= minRecordSize && n%8 == 0 && binary.BigEndian.Uint32(buf[0:]) == recMagic &&
+		int64(binary.BigEndian.Uint32(buf[4:])) == n && int64(binary.BigEndian.Uint32(buf[n-8:])) == n &&
+		(wantSeq == 0 || binary.BigEndian.Uint64(buf[16:]) == wantSeq) &&
+		crc32.ChecksumIEEE(buf[:n-4]) == binary.BigEndian.Uint32(buf[n-4:])
 }
 
 // tailPos returns the current append position.
@@ -654,7 +677,7 @@ func (l *Log) appendLocked(ents []Entry) (n int, nbytes int64, err error) {
 	}
 	var want, largest int64
 	for i := range ents {
-		n := encodedLen(ents[i].Ranges)
+		n := EncodedLen(ents[i].Ranges)
 		want, largest = want+n, max(largest, n)
 	}
 	// One allocation: the buffer never holds more than a run, or than one
@@ -665,7 +688,7 @@ func (l *Log) appendLocked(ents []Entry) (n int, nbytes int64, err error) {
 	for i := 0; ; {
 		var at, add, gap int64
 		if i < len(ents) {
-			if at, add, gap, err = l.planLocked(l.used+int64(len(buf)), encodedLen(ents[i].Ranges)); gap > 0 {
+			if at, add, gap, err = l.planLocked(l.used+int64(len(buf)), EncodedLen(ents[i].Ranges)); gap > 0 {
 				add = gap
 			}
 		}
@@ -724,16 +747,21 @@ func appendRecord(buf []byte, seq uint64, typ uint8, tid uint64, flags uint8, ra
 	binary.BigEndian.PutUint64(rec[24:], tid)
 	p := headerSize
 	for _, r := range ranges {
-		binary.BigEndian.PutUint64(rec[p:], r.Seg)
-		binary.BigEndian.PutUint64(rec[p+8:], r.Off)
-		binary.BigEndian.PutUint32(rec[p+16:], uint32(len(r.Data)))
-		p += rangeHdrSize + copy(rec[p+rangeHdrSize:], r.Data)
+		n := int64(len(r.Data))
+		h := RangeLen(r.Seg, r.Off, n) - n
+		if h == shortHdr {
+			binary.BigEndian.PutUint64(rec[p:], uint64(n)<<48|r.Seg<<32|r.Off)
+		} else {
+			binary.BigEndian.PutUint16(rec[p:], math.MaxUint16)
+			binary.BigEndian.PutUint64(rec[p+2:], r.Seg)
+			binary.BigEndian.PutUint64(rec[p+10:], r.Off)
+			binary.BigEndian.PutUint32(rec[p+18:], uint32(n))
+		}
+		p += int(h) + copy(rec[p+int(h):], r.Data)
 	}
-	trailer := rec[totalLen-trailerSize:]
 	clear(rec[p : totalLen-trailerSize])
-	binary.BigEndian.PutUint64(trailer[0:], seq)
-	binary.BigEndian.PutUint32(trailer[8:], uint32(totalLen))
-	binary.BigEndian.PutUint32(trailer[12:], crc32.ChecksumIEEE(rec[:totalLen-4]))
+	binary.BigEndian.PutUint32(rec[totalLen-8:], uint32(totalLen))
+	binary.BigEndian.PutUint32(rec[totalLen-4:], crc32.ChecksumIEEE(rec[:totalLen-4]))
 	return buf
 }
 
@@ -900,9 +928,6 @@ func (l *Log) ScanForward(fn func(*Record) error) error {
 // a delta when the lock is retaken.
 func (l *Log) SetHead(pos int64, seq uint64) error {
 	l.mu.Lock()
-	if l.headCond == nil {
-		l.headCond = sync.NewCond(&l.mu)
-	}
 	for l.headBusy {
 		l.headCond.Wait()
 	}

@@ -64,7 +64,7 @@ func TestOperatorWorkflow(t *testing.T) {
 	}
 
 	out = runTool(t, "rvmutl", "status", logPath)
-	if !strings.Contains(out, "5 transactions") {
+	if !strings.Contains(out, "5 transactions") || !strings.Contains(out, "format:       version 2") {
 		t.Fatalf("status: %s", out)
 	}
 	out = runTool(t, "rvmutl", "verify", logPath)
