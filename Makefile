@@ -3,7 +3,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: build test lint loc bench bench-gates
+.PHONY: build test lint loc bench bench-gates mutants-sync
 
 build:
 	go build ./...
@@ -27,14 +27,14 @@ lint:
 
 # loc prints the sizes CHANGES.md entries quote, so that nobody counts by
 # hand: non-test, non-testdata Go lines of the engine's packages, of the
-# device stack's test seams (iofault + testutil), of cmd/ and of rvm.go, of
+# device stack's test devices (iofault), of cmd/ and of rvm.go, of
 # the truncation code (truncate.go + checkpoint.go), and the fields of the two
 # Options structs (TestOptionsForwarded is their
 # ratchet; this only prints).  CI's lint job runs it.
 loc:
 	@for d in core wal recovery obs analysis; do \
 		printf '%-22s %6d lines\n' internal/$$d $$(find internal/$$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); done
-	@printf '%-22s %6d lines\n' 'iofault + testutil' $$(find internal/iofault internal/testutil -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-22s %6d lines\n' internal/iofault $$(find internal/iofault -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-22s %6d lines\n' cmd/ $$(find cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
 	@printf '%-22s %6d lines\n' rvm.go $$(wc -l < rvm.go)
 	@printf '%-22s %6d lines\n' 'truncate + checkpoint' $$(cat internal/core/truncate.go internal/core/checkpoint.go | wc -l)
@@ -54,3 +54,9 @@ bench-gates:
 	go run ./cmd/rvmbench -experiment obs -thresholds bench_thresholds.json
 	go run ./cmd/rvmbench -experiment scaling -json BENCH_ci.json -thresholds bench_thresholds.json
 	go run ./cmd/rvmbench -experiment recovery -json BENCH_ci.json -thresholds bench_thresholds.json
+
+# mutants-sync re-runs the sync mutation table of DESIGN.md §8: each row
+# deletes one sync in a temporary copy of the tree and must turn its
+# data-checking test red within 60 s.  CI's mutants job calls it.
+mutants-sync:
+	bash scripts/mutants-sync.sh

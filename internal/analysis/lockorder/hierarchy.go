@@ -53,22 +53,23 @@ type Hierarchy struct {
 //
 //	Engine.mu → dict.mu → Region.mu (ascending index) →
 //	pipeline.mu → groupCommit.mu → wal.Log.mu →
-//	iofault.Injector.mu (wrap order)
+//	iofault.machine.mu (wrap order) → iofault.Injector.mu (wrap order)
 //
 // Engine.mu is the structural outermost lock; the segment dictionary's
 // mutex guards its in-memory map (lookups run under e.mu; the durable
 // persist runs under a claim, holding no mutex); Region locks are held
 // across the commit pipeline section; pipeline.mu is the innermost
 // engine-side lock; the group-commit window and the WAL's own mutex sit
-// below the engine (a commit holding no engine lock may take them); the
-// fault injector's mutex is the innermost leaf, taken by the WAL's
-// device operations.
+// below the engine (a commit holding no engine lock may take them); a
+// write cache's machine lock is held across its device's operations, and
+// the fault injector's mutex is the innermost leaf: both are taken by the
+// WAL's and the segments' device operations.
 //
 // An engine has one pipeline and one group-commit lock, so nesting two
 // of either class is two engines' locks taken in no fixed order, and is
-// flagged.  Injector is Ordered because injectors stack: an Injector's
-// inner device may itself be an Injector, and same-class nesting then
-// follows the wrap order fixed at construction.
+// flagged.  Injector and machine are Ordered because devices stack: an
+// Injector's or a Cache's inner device may itself be one, and same-class
+// nesting then follows the wrap order fixed at construction.
 var DefaultHierarchy = &Hierarchy{Entries: []Entry{
 	{Pkg: "internal/core", Type: "Engine", Field: "mu", Level: obs.LockEngine.Level(), Class: obs.LockEngine, Name: "engine structural lock"},
 	{Pkg: "internal/core", Type: "dict", Field: "mu", Level: obs.LockDict.Level(), Class: obs.LockDict, Name: "segment-dictionary lock"},
@@ -76,6 +77,7 @@ var DefaultHierarchy = &Hierarchy{Entries: []Entry{
 	{Pkg: "internal/core", Type: "pipeline", Field: "mu", Level: obs.LockPipeline.Level(), Class: obs.LockPipeline, Name: "log-pipeline lock"},
 	{Pkg: "internal/core", Type: "groupCommit", Field: "mu", Level: obs.LockGroupCommit.Level(), Class: obs.LockGroupCommit, Name: "group-commit window lock"},
 	{Pkg: "internal/wal", Type: "Log", Field: "mu", Level: obs.LockWAL.Level(), Class: obs.LockWAL, Name: "WAL mutex"},
+	{Pkg: "internal/iofault", Type: "machine", Field: "mu", Level: obs.LockCache.Level(), Ordered: true, Class: obs.LockCache, Name: "write-cache lock"},
 	{Pkg: "internal/iofault", Type: "Injector", Field: "mu", Level: obs.LockInjector.Level(), Ordered: true, Class: obs.LockInjector, Name: "fault-injector lock"},
 }}
 

@@ -89,9 +89,15 @@ func TestCheckpointIdempotentWhenClean(t *testing.T) {
 // the acknowledged state: checkpoint page write-out is redo of committed
 // data, so a torn or partial write-out is always repaired by replay.
 func TestCrashDuringCheckpointProperty(t *testing.T) {
+	for _, m := range crashModes {
+		t.Run(m.name, func(t *testing.T) { crashDuringCheckpointProperty(t, m.lossy) })
+	}
+}
+
+func crashDuringCheckpointProperty(t *testing.T, lossy bool) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
-		v, err := newFaultEnv(t, 1<<17, pageBytes(4), int64(trial),
+		v, err := newFaultEnv(t, 1<<17, pageBytes(4), int64(trial), lossy,
 			nil, nil, Options{TruncateThreshold: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -121,6 +127,9 @@ func TestCrashDuringCheckpointProperty(t *testing.T) {
 			t.Fatalf("trial %d: checkpoint swallowed injected faults", trial)
 		}
 		// Crash and restart on the real files.
+		if lossy {
+			powerFail(t, v.cache, lossy, int64(trial))
+		}
 		v.reopen(Options{TruncateThreshold: -1})
 		r2, err := v.eng.Map(v.segPath, 0, pageBytes(4))
 		if err != nil {

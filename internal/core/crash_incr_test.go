@@ -7,13 +7,19 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/rvm-go/rvm/internal/testutil"
+	"github.com/rvm-go/rvm/internal/iofault"
 )
 
-// TestCrashDuringIncrementalTruncation arms the fault device while
+// TestCrashDuringIncrementalTruncation arms the machine's budget while
 // incremental truncation is moving the log head (each step persists a
 // status block); the acknowledged state must survive any cut point.
 func TestCrashDuringIncrementalTruncation(t *testing.T) {
+	for _, m := range crashModes {
+		t.Run(m.name, func(t *testing.T) { crashDuringIncrementalTruncation(t, m.lossy) })
+	}
+}
+
+func crashDuringIncrementalTruncation(t *testing.T, lossy bool) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 25; trial++ {
 		dir := t.TempDir()
@@ -29,8 +35,8 @@ func TestCrashDuringIncrementalTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev := testutil.NewFaultDevice(f, -1)
-		eng, err := Open(Options{LogPath: logPath, LogDevice: dev, Incremental: true})
+		dev := iofault.NewCache(f, -1)
+		eng, err := Open(onMachine(Options{LogPath: logPath, Incremental: true}, dev, lossy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,9 +59,10 @@ func TestCrashDuringIncrementalTruncation(t *testing.T) {
 			copy(shadow[off:], data)
 		}
 		// Crash somewhere inside the incremental pass: the log-status
-		// updates go through the fault device.
+		// updates go through the write cache.
 		dev.SetBudget(int64(rng.Intn(200)))
 		_ = eng.TruncateIncremental(0) // may fail mid-way; that is the point
+		powerFail(t, dev, lossy, int64(trial))
 		eng.closeFiles()
 
 		eng2, err := Open(Options{LogPath: logPath})

@@ -8,14 +8,53 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/rvm-go/rvm/internal/testutil"
+	"github.com/rvm-go/rvm/internal/iofault"
+	"github.com/rvm-go/rvm/internal/segment"
 )
+
+// crashModes are the two runs of a crash test.  keep-all is the crash model
+// the tests began with: the log alone behind a write cache, and every write
+// made before the power failed kept, the crossing one torn.  lossy joins
+// each segment to the log's machine and keeps each unsynced sector with a
+// probability the trial's seed draws.
+var crashModes = []struct {
+	name  string
+	lossy bool
+}{{"keep-all", false}, {"lossy", true}}
+
+// onMachine returns opts with the log on c and, in a lossy run, each
+// segment the engine opens joined to c's machine.
+func onMachine(opts Options, c *iofault.Cache, lossy bool) Options {
+	opts.LogDevice = c
+	if lossy {
+		opts.SegmentDevice = func(_ string, f *os.File) segment.Device { return c.Join(f) }
+	}
+	return opts
+}
+
+// powerFail crashes c's machine: a keep-all run keeps every unsynced
+// sector, a lossy one each with the probability seed draws.
+func powerFail(t *testing.T, c *iofault.Cache, lossy bool, seed int64) {
+	t.Helper()
+	if !lossy {
+		seed = iofault.KeepAll
+	}
+	if err := c.Crash(seed); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestCrashInjectionProperty is the core atomicity + permanence property:
 // for randomized transaction schedules crashed at a random write-budget
 // boundary, the recovered state must be exactly the state after the last
 // acknowledged commit — never a torn transaction, never a lost one.
 func TestCrashInjectionProperty(t *testing.T) {
+	for _, m := range crashModes {
+		t.Run(m.name, func(t *testing.T) { crashInjectionProperty(t, m.lossy) })
+	}
+}
+
+func crashInjectionProperty(t *testing.T, lossy bool) {
 	rng := rand.New(rand.NewSource(99))
 	trials := 60
 	if testing.Short() {
@@ -37,8 +76,8 @@ func TestCrashInjectionProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev := testutil.NewFaultDevice(f, -1)
-		eng, err := Open(Options{LogPath: logPath, LogDevice: dev})
+		dev := iofault.NewCache(f, -1)
+		eng, err := Open(onMachine(Options{LogPath: logPath}, dev, lossy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +132,9 @@ func TestCrashInjectionProperty(t *testing.T) {
 				copy(shadow[w.off:], w.data)
 			}
 		}
-		if !dev.Crashed() {
-			// Budget was generous enough to never crash; that trial still
-			// verifies plain recovery below.
-			acked = acked + 0
-		}
+		// A budget generous enough never to run out still leaves a crash
+		// here, and plain recovery below.
+		powerFail(t, dev, lossy, int64(trial))
 		eng.closeFiles()
 
 		// Restart on the real file and verify.
@@ -123,10 +160,17 @@ func TestCrashInjectionProperty(t *testing.T) {
 
 // TestCrashDuringTruncation arms the crash while a truncation is writing
 // segment pages and status blocks; recovery must still produce the
-// acknowledged state.  The segment itself is not fault-injected (segment
-// writes are idempotent replays of logged data), but the log's status
-// updates are, exercising the doubly-buffered status block.
+// acknowledged state.  In the keep-all run the segment is not in the
+// machine (segment writes are idempotent replays of logged data), but the
+// log's status updates are, exercising the doubly-buffered status block;
+// the lossy run loses unsynced segment pages as well.
 func TestCrashDuringTruncation(t *testing.T) {
+	for _, m := range crashModes {
+		t.Run(m.name, func(t *testing.T) { crashDuringTruncation(t, m.lossy) })
+	}
+}
+
+func crashDuringTruncation(t *testing.T, lossy bool) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
 		dir := t.TempDir()
@@ -142,8 +186,8 @@ func TestCrashDuringTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev := testutil.NewFaultDevice(f, -1)
-		eng, err := Open(Options{LogPath: logPath, LogDevice: dev})
+		dev := iofault.NewCache(f, -1)
+		eng, err := Open(onMachine(Options{LogPath: logPath}, dev, lossy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,6 +210,7 @@ func TestCrashDuringTruncation(t *testing.T) {
 		// Crash somewhere inside the upcoming truncation's status write.
 		dev.SetBudget(int64(rng.Intn(60)))
 		_ = eng.Truncate() // may or may not fail; either way we crash next
+		powerFail(t, dev, lossy, int64(trial))
 		eng.closeFiles()
 
 		eng2, err := Open(Options{LogPath: logPath})
@@ -186,6 +231,12 @@ func TestCrashDuringTruncation(t *testing.T) {
 // TestRepeatedCrashesAccumulate runs several crash/recover cycles on the
 // same store, checking that state accumulates correctly across them.
 func TestRepeatedCrashesAccumulate(t *testing.T) {
+	for _, m := range crashModes {
+		t.Run(m.name, func(t *testing.T) { repeatedCrashesAccumulate(t, m.lossy) })
+	}
+}
+
+func repeatedCrashesAccumulate(t *testing.T, lossy bool) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log.rvm")
 	segPath := filepath.Join(dir, "seg.rvm")
@@ -196,7 +247,12 @@ func TestRepeatedCrashesAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cycle := 0; cycle < 8; cycle++ {
-		eng, err := Open(Options{LogPath: logPath})
+		f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := iofault.NewCache(f, -1)
+		eng, err := Open(onMachine(Options{LogPath: logPath}, dev, lossy))
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
@@ -220,6 +276,7 @@ func TestRepeatedCrashesAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Crash without Close.
+		powerFail(t, dev, lossy, int64(cycle))
 		eng.closeFiles()
 	}
 }

@@ -196,10 +196,13 @@ type pipeline struct {
 	spoolBytes  int64                   // log cost of the live entries
 	deadBytes   int64                   // log cost of the dead entries mem still holds
 	spoolIdx    map[uint64]*spoolBucket // live entries by witness bucket
-	spoolChecks uint64                  // full subsumption checks run; tests pin the cost of a commit with it
-	mem         spoolMem                // what entries are cut from
-	buckets     arena[spoolBucket]      // spoolIdx's buckets
-	batch       []wal.Entry             // drain scratch, kept for its capacity
+	ord         uint64                  // the last spooled entry's ord
+	tiedFrom    uint64                  // entries with ords in (tiedFrom, tiedTo] are logged as one record
+	tiedTo      uint64
+	spoolChecks uint64             // full subsumption checks run; tests pin the cost of a commit with it
+	mem         spoolMem           // what entries are cut from
+	buckets     arena[spoolBucket] // spoolIdx's buckets
+	batch       []wal.Entry        // drain scratch, kept for its capacity
 	queue       pagevec.Queue
 	epochEndSeq uint64 // while an epoch truncation is in flight: its EndSeq
 }

@@ -20,11 +20,13 @@ type faultEnv struct {
 	*env
 	logInj *iofault.Injector
 	segInj *iofault.Injector
+	cache  *iofault.Cache // under the injectors of a lossy fixture
 }
 
 // newFaultEnv builds the fixture.  logFaults and segFaults are the fault
-// schedules; seed drives any probabilistic faults.
-func newFaultEnv(t *testing.T, logSize, segSize int64, seed int64,
+// schedules; seed drives any probabilistic faults.  A lossy fixture puts
+// the log and the segment in one machine of write caches.
+func newFaultEnv(t *testing.T, logSize, segSize int64, seed int64, lossy bool,
 	logFaults, segFaults []iofault.Fault, opts Options) (*faultEnv, error) {
 	t.Helper()
 	v := &faultEnv{env: &env{t: t, dir: t.TempDir()}}
@@ -40,14 +42,23 @@ func newFaultEnv(t *testing.T, logSize, segSize int64, seed int64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.logInj = iofault.NewInjector(f, seed)
+	var logDev iofault.Device = f
+	if lossy {
+		v.cache = iofault.NewCache(f, -1)
+		logDev = v.cache
+	}
+	v.logInj = iofault.NewInjector(logDev, seed)
 	for _, fl := range logFaults {
 		v.logInj.Add(fl)
 	}
 	opts.LogPath = v.logPath
 	opts.LogDevice = v.logInj
 	opts.SegmentDevice = func(path string, sf *os.File) segment.Device {
-		inj := iofault.NewInjector(sf, seed+1)
+		var dev iofault.Device = sf
+		if lossy {
+			dev = v.cache.Join(sf)
+		}
+		inj := iofault.NewInjector(dev, seed+1)
 		for _, fl := range segFaults {
 			inj.Add(fl)
 		}
@@ -72,7 +83,7 @@ func newFaultEnv(t *testing.T, logSize, segSize int64, seed int64,
 // absorbed by the retry policy — the commit succeeds and the retries are
 // counted.
 func TestTransientFaultRetried(t *testing.T) {
-	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, nil, nil,
+	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil,
 		Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +109,7 @@ func TestTransientFaultRetried(t *testing.T) {
 // reports the state, and a reopen on pristine devices still recovers every
 // acknowledged commit.
 func TestPoisonedEngineFailStop(t *testing.T) {
-	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, nil, nil,
+	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil,
 		Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +169,7 @@ func TestPoisonedEngineFailStop(t *testing.T) {
 // instead of vanishing.
 func TestBackgroundTruncFailureObservable(t *testing.T) {
 	segFaults := []iofault.Fault{{Ops: iofault.OpWrite, Count: -1}}
-	v, err := newFaultEnv(t, 1<<15, pageBytes(2), 1, nil, segFaults,
+	v, err := newFaultEnv(t, 1<<15, pageBytes(2), 1, false, nil, segFaults,
 		Options{TruncateThreshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +231,7 @@ func TestBackgroundTruncFailureObservable(t *testing.T) {
 // committer, either its whole write or none of it.
 func TestGroupCommitForceFaultPoisonsAll(t *testing.T) {
 	const workers = 8
-	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, nil, nil,
+	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil,
 		Options{
 			GroupCommit:   true,
 			MaxForceDelay: time.Millisecond,
@@ -341,7 +352,7 @@ func TestFaultScheduleProperty(t *testing.T) {
 	size := pageBytes(2)
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
-		v, err := newFaultEnv(t, 1<<15, size, int64(trial), randomFaults(rng), randomFaults(rng),
+		v, err := newFaultEnv(t, 1<<15, size, int64(trial), false, randomFaults(rng), randomFaults(rng),
 			Options{
 				TruncateThreshold: 0.5,
 				Incremental:       trial%2 == 0,
@@ -418,7 +429,7 @@ func TestCrossShardFaultScheduleProperty(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial)*6271 + 1))
-			v, err := newFaultEnv(t, 1<<15, size, int64(trial), randomFaults(rng), randomFaults(rng),
+			v, err := newFaultEnv(t, 1<<15, size, int64(trial), false, randomFaults(rng), randomFaults(rng),
 				Options{
 					TruncateThreshold: 0.5,
 					Incremental:       trial%2 == 0,

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/rvm-go/rvm/internal/iofault"
 )
 
 // TestGroupCommitSingleCommitter: with nobody to share a force with, a
@@ -186,21 +188,24 @@ func TestGroupCommitOrderPreserved(t *testing.T) {
 	}
 }
 
-// sleepLog is a log device whose Sync costs a fixed sleep and serves one
-// call at a time, as one disk arm would; reads and writes pass through to
-// the file.  On it the number of forces, not the host's fsync, sets what a
-// flush commit costs, so batching shows up in time as well as in counts.
+// sleepLog is an Injector hook that makes a log device's Sync cost a fixed
+// sleep, served one call at a time, as one disk arm would; the device is in
+// memory.  On it the
+// number of forces, not the host's fsync, sets what a flush commit costs,
+// so batching shows up in time as well as in counts.
 type sleepLog struct {
-	*os.File
 	cost time.Duration
 	born time.Time
 	arm  sync.Mutex
-	busy atomic.Int64 // ns spent in Sync
-	last atomic.Int64 // ns the latest Sync took
-	done atomic.Int64 // ns after born the latest Sync returned
+	busy atomic.Int64 // ns spent in the sleeps
+	last atomic.Int64 // ns the latest sleep took
+	done atomic.Int64 // ns after born the latest sleep ended
 }
 
-func (d *sleepLog) Sync() error {
+func (d *sleepLog) hook(op iofault.Op, _ int64, _ int) {
+	if op != iofault.OpSync {
+		return
+	}
 	d.arm.Lock()
 	defer d.arm.Unlock()
 	t0 := time.Now()
@@ -209,7 +214,6 @@ func (d *sleepLog) Sync() error {
 	d.busy.Add(ns)
 	d.last.Store(ns)
 	d.done.Store(time.Since(d.born).Nanoseconds())
-	return nil
 }
 
 // sinceSync is how long ago the latest Sync returned.
@@ -229,12 +233,14 @@ func newSleepEngine(tb testing.TB, group bool) (*Engine, *Region, *sleepLog) {
 	if err := CreateSegment(segPath, 1, pageBytes(2)); err != nil {
 		tb.Fatal(err)
 	}
-	f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+	image, err := os.ReadFile(logPath)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dev := &sleepLog{File: f, cost: time.Millisecond, born: time.Now()}
-	eng, err := Open(Options{LogPath: logPath, LogDevice: dev, GroupCommit: group, TruncateThreshold: -1})
+	dev := &sleepLog{cost: time.Millisecond, born: time.Now()}
+	inj := iofault.NewInjector(iofault.NewMem(image), 1) // the sleep is the whole Sync
+	inj.SetHook(dev.hook)
+	eng, err := Open(Options{LogPath: logPath, LogDevice: inj, GroupCommit: group, TruncateThreshold: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // -race witness that the merge is sound, including the load ordering
 // that keeps commits <= begins in every snapshot.
 func TestStatsRaceWithTruncation(t *testing.T) {
-	v, err := newFaultEnv(t, 1<<20, pageBytes(2), 42,
+	v, err := newFaultEnv(t, 1<<20, pageBytes(2), 42, false,
 		[]iofault.Fault{{Ops: iofault.OpSync, Count: 1 << 30, Prob: 0.05}}, nil,
 		Options{
 			Incremental:       true,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/mapping"
 	"github.com/rvm-go/rvm/internal/segment"
 )
@@ -66,61 +67,39 @@ func newCrashImage(tb testing.TB, logBytes, ckptAt int64) *crashImage {
 	return img
 }
 
-// countingLog is a log device that counts the bytes read from it, the
-// writes made to it and its syncs.
-type countingLog struct {
-	*os.File
-	readBytes, writes, syncs atomic.Int64
+// counts is what a device saw: the bytes read past its first skip bytes
+// (a segment's header page), its writes, the bytes written and its syncs.
+type counts struct {
+	skip                         int64
+	read, writes, written, syncs atomic.Int64
 }
 
-func (d *countingLog) ReadAt(p []byte, off int64) (int, error) {
-	d.readBytes.Add(int64(len(p)))
-	return d.File.ReadAt(p, off)
+// wrap puts f behind an Injector that counts into n.
+func (n *counts) wrap(f *os.File) *iofault.Injector {
+	inj := iofault.NewInjector(f, 1)
+	inj.SetHook(func(op iofault.Op, off int64, size int) {
+		switch {
+		case op == iofault.OpRead && off >= n.skip:
+			n.read.Add(int64(size))
+		case op == iofault.OpWrite:
+			n.writes.Add(1)
+			n.written.Add(int64(size))
+		case op == iofault.OpSync:
+			n.syncs.Add(1)
+		}
+	})
+	return inj
 }
 
-func (d *countingLog) WriteAt(p []byte, off int64) (int, error) {
-	d.writes.Add(1)
-	return d.File.WriteAt(p, off)
-}
-
-func (d *countingLog) Sync() error {
-	d.syncs.Add(1)
-	return d.File.Sync()
-}
-
-// segCounts is what the segment devices of a restart saw: bytes read from
-// the data area (the header page aside), bytes written, syncs.
-type segCounts struct{ read, written, syncs atomic.Int64 }
-
-// countingSeg is a segment device that counts into n.
-type countingSeg struct {
-	*os.File
-	n *segCounts
-}
-
-func (d countingSeg) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(mapping.PageSize) {
-		d.n.read.Add(int64(len(p)))
-	}
-	return d.File.ReadAt(p, off)
-}
-
-func (d countingSeg) WriteAt(p []byte, off int64) (int, error) {
-	d.n.written.Add(int64(len(p)))
-	return d.File.WriteAt(p, off)
-}
-
-func (d countingSeg) Sync() error {
-	d.n.syncs.Add(1)
-	return d.File.Sync()
-}
+// segCounts returns the counts of a segment's devices.
+func segCounts() *counts { return &counts{skip: int64(mapping.PageSize)} }
 
 // restarted is one restart from a crashImage and what it cost; the devices
 // go on counting.
 type restarted struct {
 	eng    *Engine
-	log    *countingLog
-	seg    *segCounts
+	log    *counts
+	seg    *counts
 	mapped int64 // bytes the regions map
 	alloc  int64 // bytes allocated
 	took   time.Duration
@@ -144,9 +123,9 @@ func (img *crashImage) restart(tb testing.TB, opts Options) restarted {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dev, sc := &countingLog{File: f}, &segCounts{}
-	opts.LogPath, opts.LogDevice = f.Name(), dev
-	opts.SegmentDevice = func(_ string, f *os.File) segment.Device { return countingSeg{f, sc} }
+	lg, sc := &counts{}, segCounts()
+	opts.LogPath, opts.LogDevice = f.Name(), lg.wrap(f)
+	opts.SegmentDevice = func(_ string, f *os.File) segment.Device { return sc.wrap(f) }
 	seg := filepath.Join(dir, "seg.rvm")
 	runtime.GC() // every restart starts from the same heap
 	var before, after runtime.MemStats
@@ -165,7 +144,7 @@ func (img *crashImage) restart(tb testing.TB, opts Options) restarted {
 	}
 	took := time.Since(t0)
 	runtime.ReadMemStats(&after)
-	return restarted{eng, dev, sc, mapped, int64(after.TotalAlloc - before.TotalAlloc), took}
+	return restarted{eng, lg, sc, mapped, int64(after.TotalAlloc - before.TotalAlloc), took}
 }
 
 // writesNothing requires a restart to have written and synced nothing,
@@ -205,7 +184,7 @@ func TestRestartReadsLogOnce(t *testing.T) {
 		if st.Recoveries != 1 || st.RecoveryScanned != uint64(img.logBytes) {
 			t.Fatalf("recovered %d time(s) over %d bytes, want once over %d", st.Recoveries, st.RecoveryScanned, img.logBytes)
 		}
-		read := r.log.readBytes.Load()
+		read := r.log.read.Load()
 		if limit := img.logBytes*11/10 + status; read > limit {
 			t.Errorf("Open read %d log bytes for %d live; want at most %d", read, img.logBytes, limit)
 		}
@@ -238,7 +217,7 @@ func TestRestartReadsLogOnce(t *testing.T) {
 		if img.since > img.logBytes/2 {
 			t.Fatalf("the checkpoint bounds redo at %d of %d bytes only", img.since, img.logBytes)
 		}
-		read := r.log.readBytes.Load()
+		read := r.log.read.Load()
 		if limit := img.since*11/10 + window + status; read > limit {
 			t.Errorf("Open read %d log bytes for %d written, %d since the checkpoint; want at most %d", read, img.logBytes, img.since, limit)
 		}
@@ -258,7 +237,7 @@ func BenchmarkOpenRecover(b *testing.B) {
 	var took time.Duration
 	for i := 0; i < b.N; i++ {
 		r := img.restart(b, Options{})
-		read, took = read+r.log.readBytes.Load(), took+r.took
+		read, took = read+r.log.read.Load(), took+r.took
 		segWritten, syncs = segWritten+r.seg.written.Load(), syncs+r.log.syncs.Load()+r.seg.syncs.Load()
 		if err := r.eng.Close(); err != nil {
 			b.Fatal(err)

@@ -23,6 +23,8 @@ type spooled struct {
 	next    *spooled // the next entry filed in the same index bucket
 	witness segSpan  // the range the entry is filed under
 	dead    bool     // logged or subsumed: no longer part of the spool
+	ord     uint64   // its place in commit order, from 1
+	rec     int      // while a drain runs: the record of the batch it goes into
 	flags   uint8
 	tid     uint64
 	bytes   int64       // encoded log size, for inter-opt accounting
@@ -93,7 +95,7 @@ func (m *spoolMem) clone(sp *spooled) *spooled {
 		n += len(r.Data)
 	}
 	c := &m.ents.take(1, 512)[0]
-	*c = spooled{witness: sp.witness, flags: sp.flags, tid: sp.tid, bytes: sp.bytes, ranges: m.ranges.take(len(sp.ranges), 512)[:0]}
+	*c = spooled{witness: sp.witness, ord: sp.ord, flags: sp.flags, tid: sp.tid, bytes: sp.bytes, ranges: m.ranges.take(len(sp.ranges), 512)[:0]}
 	c.pages = append(m.pages.take(len(sp.pages), 512)[:0], sp.pages...)
 	data := m.data.take(n, 64<<10)[:0]
 	for _, r := range sp.ranges {
@@ -184,10 +186,23 @@ func (p *pipeline) subsumedPipeLocked(old *spooled, cover []segSpan) bool {
 // whose witness is indeed covered.  The witness is the range whose bucket
 // commits have visited least: what every transaction writes (a balance, a
 // counter) is a poor witness, one that every commit would have to look at.
-// Caller holds e.pipe.mu and the locks of sp's regions; sp may move once
-// it is spooled.
+//
+// A crash can tear a drain anywhere and keep a prefix of its records.  A
+// discarded entry with a live one after it leaves a hole: that later
+// commit, logged on its own, could survive a crash that lost sp, and the
+// restart would hold it without the discarded one's bytes, a state after
+// no commit (TestSpoolDiscardKeepsCommitOrder).  So the entries from the
+// hole to sp are tied (p.tiedFrom, p.tiedTo): the drain logs them as one
+// record, which a crash keeps whole or not at all.  Ties are made only
+// while the spool is small enough for any such record to fit in the log
+// after an epoch frees it; past that, nothing is discarded.  Caller holds
+// e.pipe.mu and the locks of sp's regions; sp may move once it is spooled.
 func (e *Engine) spoolPipeLocked(sp *spooled) {
 	p := &e.pipe
+	p.ord++
+	sp.ord = p.ord
+	tieOK := p.spoolBytes+sp.bytes <= e.log.AreaSize()/4
+	var first uint64 // the oldest entry discarded
 	var buf [8]segSpan
 	cover := coverOf(buf[:0], sp.ranges)
 	var at [8]*spoolBucket // the walk's lookup of each range's first byte
@@ -206,12 +221,15 @@ func (e *Engine) spoolPipeLocked(sp *spooled) {
 			link := &b.head
 			for old := *link; old != nil; old = *link {
 				if !old.dead { // an entry a partial drain logged lingers, dead
-					if !covers(cover, old.witness) || !p.subsumedPipeLocked(old, cover) {
+					if !tieOK || !covers(cover, old.witness) || !p.subsumedPipeLocked(old, cover) {
 						link = &old.next
 						continue
 					}
 					e.stats.InterSavedBytes.Add(uint64(old.bytes))
 					e.retireSpooledPipeLocked(old, nil)
+					if first == 0 || old.ord < first {
+						first = old.ord
+					}
 				}
 				*link = old.next
 			}
@@ -237,6 +255,20 @@ func (e *Engine) spoolPipeLocked(sp *spooled) {
 	}
 	sp.next, witness.head = witness.head, sp
 	witness.visits++
+	if first != 0 {
+		last := uint64(0) // the newest entry that stays
+		for i := len(p.spool) - 1; i >= 0 && last == 0; i-- {
+			if !p.spool[i].dead {
+				last = p.spool[i].ord
+			}
+		}
+		if first < last || first <= p.tiedTo {
+			if p.tiedTo == 0 || first < p.tiedFrom {
+				p.tiedFrom = first
+			}
+			p.tiedTo = sp.ord
+		}
+	}
 	for _, id := range sp.pages {
 		e.regions[id.Region].spoolRefs[id.Page]++
 	}
@@ -295,17 +327,30 @@ func (e *Engine) retireSpooledPipeLocked(sp *spooled, ent *wal.Entry) {
 
 // drainSpoolPipeLocked appends every spooled transaction to the log
 // (without forcing) — one device write for the lot, short of a wrap
-// or a very large spool — and enqueues their pages.  On an error the
-// entries that did reach the log are gone from the spool and p.spool[0] is
-// the first that did not.  Caller holds e.pipe.mu.
+// or a very large spool — and enqueues their pages.  Each transaction is a
+// record of its own, but the tied ones share one, their ranges in commit
+// order.  On an error the entries that did reach the log are gone from the
+// spool and p.spool[0] is the first that did not.  Caller holds e.pipe.mu.
 func (e *Engine) drainSpoolPipeLocked() error {
 	p := &e.pipe
 	if len(p.spool) == 0 {
 		return nil
 	}
 	ents := p.batch[:0]
+	tied := -1 // the record of the tied entries
 	for _, sp := range p.spool {
-		if !sp.dead {
+		switch {
+		case sp.dead:
+		case sp.ord > p.tiedFrom && sp.ord <= p.tiedTo:
+			if tied < 0 {
+				tied = len(ents)
+				ents = append(ents, wal.Entry{})
+			}
+			rec := &ents[tied]
+			rec.TID, rec.Flags, rec.Ranges = sp.tid, sp.flags, append(rec.Ranges, sp.ranges...)
+			sp.rec = tied
+		default:
+			sp.rec = len(ents)
 			ents = append(ents, wal.Entry{TID: sp.tid, Flags: sp.flags, Ranges: sp.ranges})
 		}
 	}
@@ -316,11 +361,16 @@ func (e *Engine) drainSpoolPipeLocked() error {
 		return err
 	})
 	k := 0
-	for i := 0; i < logged; k++ {
+	for ; k < len(p.spool); k++ {
 		if sp := p.spool[k]; !sp.dead {
-			e.retireSpooledPipeLocked(sp, &ents[i])
-			i++
+			if sp.rec >= logged {
+				break
+			}
+			e.retireSpooledPipeLocked(sp, &ents[sp.rec])
 		}
+	}
+	if tied >= 0 && tied < logged {
+		p.tiedFrom, p.tiedTo = 0, 0
 	}
 	for k < len(p.spool) && p.spool[k].dead {
 		k++
@@ -329,6 +379,7 @@ func (e *Engine) drainSpoolPipeLocked() error {
 	clear(p.spool[rest:])
 	p.spool = p.spool[:rest]
 	if rest == 0 { // nothing refers to the spool's memory any more
+		p.tiedFrom, p.tiedTo = 0, 0
 		clear(p.spoolIdx)
 		p.buckets.reset()
 		p.mem.reset()

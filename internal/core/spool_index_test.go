@@ -8,10 +8,10 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
+	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/wal"
 )
@@ -19,13 +19,18 @@ import (
 // scanSpool is the inter-transaction optimization as the engine did it
 // before its spool was indexed: every commit builds its coverage per segment
 // and checks it against every spooled entry.  It survives as the reference
-// the index must agree with.
+// the index must agree with, ties included: a discard that leaves a hole
+// ties the entries from it to the commit into one record, and none is made
+// while the spool holds more than tieCap bytes.
 type scanSpool struct {
-	limit   int64 // implicit flush beyond this many spooled bytes; 0 never
-	ents    []scanEntry
-	bytes   int64
-	saved   uint64
-	framing uint64 // bytes of the flushed entries' records that are not ranges
+	limit            int64 // implicit flush beyond this many spooled bytes; 0 never
+	tieCap           int64
+	ents             []scanEntry
+	bytes            int64
+	saved            uint64
+	framing          uint64 // bytes of the flushed entries' records that are not ranges
+	ord              uint64
+	tiedFrom, tiedTo uint64
 }
 
 // covers reports whether [off,end) is fully covered: the scan's test, which
@@ -37,12 +42,14 @@ func (s *rangeset) covers(off, end int64) bool {
 
 type scanEntry struct {
 	tid    uint64
+	ord    uint64
 	ranges []segSpan
 	bytes  int64
 }
 
 func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
-	ent := scanEntry{tid: tid, ranges: ranges}
+	s.ord++
+	ent := scanEntry{tid: tid, ord: s.ord, ranges: ranges}
 	for _, r := range ranges {
 		ent.bytes += wal.RangeLen(r.seg, uint64(r.off), r.end-r.off)
 	}
@@ -53,9 +60,11 @@ func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 		}
 		cover[r.seg].add(r.off, r.end, nil)
 	}
+	tieOK := s.bytes+ent.bytes <= s.tieCap
+	var first uint64 // the oldest entry discarded
 	kept := s.ents[:0]
 	for _, old := range s.ents {
-		subsumed := true
+		subsumed := tieOK
 		for _, r := range old.ranges {
 			if cs := cover[r.seg]; cs == nil || !cs.covers(r.off, r.end) {
 				subsumed = false
@@ -65,11 +74,20 @@ func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 		if subsumed {
 			s.bytes -= old.bytes
 			s.saved += uint64(old.bytes)
+			if first == 0 {
+				first = old.ord
+			}
 			continue
 		}
 		kept = append(kept, old)
 	}
 	s.ents = kept
+	if first != 0 && (len(kept) > 0 && first < kept[len(kept)-1].ord || first <= s.tiedTo) {
+		if s.tiedTo == 0 || first < s.tiedFrom {
+			s.tiedFrom = first
+		}
+		s.tiedTo = ent.ord
+	}
 	s.ents = append(s.ents, ent)
 	s.bytes += ent.bytes
 	if s.limit > 0 && s.bytes > s.limit {
@@ -80,10 +98,19 @@ func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 // flush logs the entries, one record each: the framing the log reports for
 // a record with no ranges, and padding to 8 bytes.
 func (s *scanSpool) flush() {
+	frame := func(bytes int64) uint64 { return uint64((wal.EncodedLen(nil)+bytes+7)&^7 - bytes) }
+	tied := int64(-1) // range bytes of the tied entries' one record
 	for _, ent := range s.ents {
-		s.framing += uint64((wal.EncodedLen(nil)+ent.bytes+7)&^7 - ent.bytes)
+		if ent.ord > s.tiedFrom && ent.ord <= s.tiedTo {
+			tied = max(tied, 0) + ent.bytes
+			continue
+		}
+		s.framing += frame(ent.bytes)
 	}
-	s.ents, s.bytes = s.ents[:0], 0
+	if tied >= 0 {
+		s.framing += frame(tied)
+	}
+	s.ents, s.bytes, s.tiedFrom, s.tiedTo = s.ents[:0], 0, 0, 0
 }
 
 func (s *scanSpool) tids() []uint64 {
@@ -133,7 +160,7 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 				}
 				regs = append(regs, r)
 			}
-			ref := &scanSpool{limit: max(tc.limit, 0)}
+			ref := &scanSpool{limit: max(tc.limit, 0), tieCap: v.eng.log.AreaSize() / 4}
 			var verbatim verbatimLog
 			rng := rand.New(rand.NewSource(int64(len(tc.name))))
 
@@ -373,11 +400,12 @@ func TestSpoolPageRefs(t *testing.T) {
 	// queue with spooled bytes in it: it turns the spool into log records
 	// before it writes anything, then writes both pages, and the head goes
 	// to the next append's — the flush commit and the three live spool entries
-	// are all reflected.
+	// are all reflected, in three records: the subsumption left a hole, so
+	// the entry after it and the subsuming one share a record.
 	pages, _, head, _, err := v.eng.clean(cleanEverything, &v.eng.stats.CheckpointPages)
 	v.eng.releaseTruncation()
-	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || head != next || head != 5 || v.eng.Stats().Flushes != 1 {
-		t.Fatalf("cleaner wrote %d page(s), head seq %d, %v, %d flush(es); want 2, 5, nil, 1", pages, head, err, v.eng.Stats().Flushes)
+	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || head != next || head != 4 || v.eng.Stats().Flushes != 1 {
+		t.Fatalf("cleaner wrote %d page(s), head seq %d, %v, %d flush(es); want 2, 4, nil, 1", pages, head, err, v.eng.Stats().Flushes)
 	}
 	// The cleaner drained the spool, so the epoch below gets its state made
 	// again: a logged page that the spool then references.
@@ -443,19 +471,6 @@ func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	}
 }
 
-// syncHookDevice runs a hook inside every Sync.
-type syncHookDevice struct {
-	wal.Device
-	hook atomic.Pointer[func()]
-}
-
-func (d *syncHookDevice) Sync() error {
-	if h := d.hook.Load(); h != nil {
-		(*h)()
-	}
-	return d.Device.Sync()
-}
-
 // TestSpoolGaugeSurvivesFlush: a no-flush commit that spools while a flush
 // is forcing the log shows in the snapshot's spool level, which has one
 // source — the pipeline's own count — and no gauge a flusher could
@@ -469,7 +484,7 @@ func TestSpoolGaugeSurvivesFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &syncHookDevice{Device: f}
+	dev := iofault.NewInjector(f, 1)
 	met := obs.NewMetrics()
 	v.eng, err = Open(Options{LogPath: v.logPath, LogDevice: dev, Metrics: met, TruncateThreshold: -1})
 	if err != nil {
@@ -487,12 +502,15 @@ func TestSpoolGaugeSurvivesFlush(t *testing.T) {
 	}
 	commit()
 	var once sync.Once
-	hook := func() { once.Do(commit) } // a committer gets in while the flusher forces
-	dev.hook.Store(&hook)
+	dev.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op == iofault.OpSync {
+			once.Do(commit) // a committer gets in while the flusher forces
+		}
+	})
 	if err := v.eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dev.hook.Store(nil)
+	dev.SetHook(nil)
 	qi, _ := v.eng.Query(nil)
 	if qi.SpoolBytes == 0 {
 		t.Fatal("the racing commit did not spool")

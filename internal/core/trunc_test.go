@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/segment"
 )
 
@@ -69,15 +70,15 @@ func TestTruncateAndCloseReadNoLog(t *testing.T) {
 	if err := CreateSegment(segPath, 1, pageBytes(2)); err != nil {
 		t.Fatal(err)
 	}
-	open := func() (*Engine, *Region, *countingLog, *segCounts) {
+	open := func() (*Engine, *Region, *counts, *counts) {
 		t.Helper()
 		f, err := os.OpenFile(logPath, os.O_RDWR, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lg, sc := &countingLog{File: f}, &segCounts{}
-		eng, err := Open(Options{LogPath: logPath, LogDevice: lg, TruncateThreshold: -1,
-			SegmentDevice: func(_ string, sf *os.File) segment.Device { return countingSeg{sf, sc} }})
+		lg, sc := &counts{}, segCounts()
+		eng, err := Open(Options{LogPath: logPath, LogDevice: lg.wrap(f), TruncateThreshold: -1,
+			SegmentDevice: func(_ string, sf *os.File) segment.Device { return sc.wrap(sf) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestTruncateAndCloseReadNoLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opened := lg.readBytes.Load()
+	opened := lg.read.Load()
 	for i := int64(0); i < 8; i++ {
 		commit(i*600, Flush)
 	}
@@ -111,7 +112,7 @@ func TestTruncateAndCloseReadNoLog(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st, read := eng.Stats(), lg.readBytes.Load()-opened; read != 0 || st.EpochTruncs != 0 || st.IncrSteps == 0 {
+	if st, read := eng.Stats(), lg.read.Load()-opened; read != 0 || st.EpochTruncs != 0 || st.IncrSteps == 0 {
 		t.Fatalf("Truncate and Close read %d log bytes, ran %d epoch(s) and cleaned %d page(s); want no byte, no epoch, the pages",
 			read, st.EpochTruncs, st.IncrSteps)
 	}
@@ -523,50 +524,37 @@ func TestHeadNeverPassesQueuedPage(t *testing.T) {
 	}
 }
 
-// gatedLog is a log device whose Sync, while gated, announces itself on
-// entered and waits for release; synced counts the Syncs that completed.
-type gatedLog struct {
-	*os.File
-	gated   atomic.Bool
-	entered chan struct{}
-	release chan struct{}
-	synced  atomic.Int64
-}
-
-func (d *gatedLog) Sync() error {
-	if d.gated.Load() {
-		d.entered <- struct{}{}
-		<-d.release
+// within waits at most 5 s for ch to deliver, and fails the test saying
+// what never happened if it does not.
+func within[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("after 5 s: %s", what)
 	}
-	err := d.File.Sync()
-	d.synced.Add(1)
-	return err
-}
-
-// writeWatch is a segment device that notes the offset of every write made
-// before its log's first Sync completed.
-type writeWatch struct {
-	*os.File
-	log   *gatedLog
-	mu    sync.Mutex
-	early []int64
-}
-
-func (d *writeWatch) WriteAt(p []byte, off int64) (int, error) {
-	if d.log.synced.Load() == 0 {
-		d.mu.Lock()
-		d.early = append(d.early, off)
-		d.mu.Unlock()
-	}
-	return d.File.WriteAt(p, off)
+	var zero T
+	return zero
 }
 
 // TestCleanerForcesDrainedRecords: a flush commit drains a no-flush
 // transaction's record into the log and releases its region locks before it
 // forces.  The page cleaner must not write that transaction's pages until
 // the log is durable past its record: a crash that lost the unsynced tail
-// would leave the transaction half in its segment.
+// would leave the transaction half in its segment.  The "crashed" run shows
+// that crash: power fails while the commit's force is held, after one page
+// of segment writes at most, and the restart must hold the transaction
+// whole or not at all.
 func TestCleanerForcesDrainedRecords(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(map[bool]string{false: "synced", true: "crashed"}[crash], func(t *testing.T) {
+			cleanerForcesDrainedRecords(t, crash)
+		})
+	}
+}
+
+func cleanerForcesDrainedRecords(t *testing.T, crash bool) {
 	dir := t.TempDir()
 	logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
 	if err := CreateLog(logPath, 1<<16); err != nil {
@@ -579,19 +567,38 @@ func TestCleanerForcesDrainedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for both Syncs the test provokes, the commit's and the cleaner's,
-	// so neither blocks on announcing itself.
-	lg := &gatedLog{File: f, entered: make(chan struct{}, 2), release: make(chan struct{})}
-	var watch *writeWatch
+	// The log and the segment are one machine's; while gated, the log's
+	// Syncs announce themselves on entered and wait for release, and the
+	// segment notes the offset of every write.  Room for both Syncs the
+	// test provokes, the commit's and the cleaner's, so neither blocks on
+	// announcing itself.
+	cache := iofault.NewCache(f, -1)
+	lg := iofault.NewInjector(cache, 1)
+	var gated atomic.Bool
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	lg.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op == iofault.OpSync && gated.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+	})
+	var mu sync.Mutex
+	var early []int64 // segment writes made while the commit's force is held
 	eng, err := Open(Options{LogPath: logPath, LogDevice: lg, TruncateThreshold: -1,
 		SegmentDevice: func(_ string, sf *os.File) segment.Device {
-			watch = &writeWatch{File: sf, log: lg}
-			return watch
+			seg := iofault.NewInjector(cache.Join(sf), 1)
+			seg.SetHook(func(op iofault.Op, off int64, _ int) {
+				if op == iofault.OpWrite && gated.Load() {
+					mu.Lock()
+					early = append(early, off)
+					mu.Unlock()
+				}
+			})
+			return seg
 		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	a, err := eng.Map(segPath, 0, pageBytes(2))
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +621,7 @@ func TestCleanerForcesDrainedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lg.gated.Store(true)
+	gated.Store(true)
 	committed := make(chan error, 1)
 	go func() {
 		tx, err := eng.Begin(Restore)
@@ -626,7 +633,10 @@ func TestCleanerForcesDrainedRecords(t *testing.T) {
 		}
 		committed <- err
 	}()
-	<-lg.entered // the commit drained the lazy record and waits in its force
+	within(t, entered, "the flush commit never reached its force")
+	if crash {
+		cache.SetBudget(pageBytes(1)) // power fails in the second page write
+	}
 	cleaned := make(chan error, 1)
 	go func() {
 		if err := eng.claimTruncation(); err != nil {
@@ -641,23 +651,46 @@ func TestCleanerForcesDrainedRecords(t *testing.T) {
 	var cleanErr error
 	done := false
 	select {
-	case <-lg.entered: // the cleaner forces the log before writing the pages
+	case <-entered: // the cleaner forces the log before writing the pages
 	case cleanErr = <-cleaned:
 		done = true
+	case <-time.After(5 * time.Second):
+		t.Fatal("after 5 s: the cleaner neither forced the log nor returned")
 	}
-	lg.gated.Store(false)
-	close(lg.release)
-	if err := <-committed; err != nil {
-		t.Fatal(err)
+	if crash {
+		// The log keeps none of the drained records; the segment, whatever
+		// reached it.
+		if err := cache.CrashKeeping(func(d *iofault.Cache, _ int64) bool { return d != cache }); err != nil {
+			t.Fatal(err)
+		}
 	}
+	gated.Store(false)
+	close(release)
+	commitErr := within(t, committed, "the flush commit never returned")
 	if !done {
-		cleanErr = <-cleaned
+		cleanErr = within(t, cleaned, "the cleaner never returned")
 	}
-	if cleanErr != nil {
-		t.Fatal(cleanErr)
+	if crash {
+		eng.closeFiles()
+		eng, err = Open(Options{LogPath: logPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err = eng.Map(segPath, 0, pageBytes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := bytes.Equal(a.Data()[:10], []byte("first half"))
+		second := bytes.Equal(a.Data()[pageBytes(1):pageBytes(1)+11], []byte("second half"))
+		if first != second {
+			t.Fatalf("the restart holds half of the no-flush transaction (first page %v, second %v)", first, second)
+		}
+	} else if commitErr != nil || cleanErr != nil {
+		t.Fatalf("commit: %v; cleaner: %v", commitErr, cleanErr)
 	}
-	if len(watch.early) > 0 {
-		t.Fatalf("segment written at %v before the log record behind it was durable", watch.early)
+	defer eng.Close()
+	if len(early) > 0 {
+		t.Fatalf("segment written at %v before the log record behind it was durable", early)
 	}
 	if qi, err := eng.Query(a); err != nil || qi.DirtyPages != 0 {
 		t.Fatalf("the cleaner left %d page(s) of the lazy transaction dirty (%v)", qi.DirtyPages, err)

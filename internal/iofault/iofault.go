@@ -1,14 +1,21 @@
 // Package iofault is the storage seam shared by the WAL and segment layers,
-// plus a composable fault injector for exercising it.
+// and the three devices that tests put behind it.
 //
 // The paper factors media resilience out of RVM (§2): the library assumes
-// the log force and segment writes either succeed or the process dies.  A
-// production storage stack is messier — transient errors that clear on
-// retry, permanent device failures, torn sector writes, fsync failures.
-// Every byte RVM persists flows through the Device interface below, so a
-// single injection point can simulate all of those against both the log and
-// the external data segments, and the engine's retry/fail-stop policy can
-// be tested without real hardware faults.
+// the log force and segment writes either succeed or the process dies.
+// Every byte RVM persists flows through the Device interface below, so one
+// seam simulates a messier storage stack against both the log and the
+// external data segments:
+//
+//   - Injector fails operations on a schedule — transient errors that clear
+//     on retry, permanent failures, torn writes, fsync failures — counts
+//     operations and bytes, and runs a test's hook before each one.
+//   - Cache is a volatile write cache: what a crash keeps of the writes
+//     since the last Sync.  The log and the segments join one machine,
+//     which loses power after a write budget; Crash then keeps every
+//     unsynced sector (KeepAll: the crossing write torn as a prefix), none
+//     (DropAll), each with a seeded probability, or a chosen set.
+//   - Mem is a device in memory.
 //
 // Fault classification: an error that wraps ErrTransient (or EINTR/EAGAIN
 // from a real kernel) is worth retrying; anything else is treated as
@@ -25,8 +32,7 @@ import (
 	"github.com/rvm-go/rvm/internal/obs"
 )
 
-// Device is the storage a log or segment runs on.  *os.File satisfies it;
-// tests inject Injector or crash devices.
+// Device is the storage a log or segment runs on.  *os.File satisfies it.
 type Device interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
@@ -80,16 +86,11 @@ type Fault struct {
 	// TornFrac is the fraction of the buffer a torn write persists;
 	// 0 means half.  The prefix is always strictly shorter than the buffer.
 	TornFrac float64
-	// Err overrides the error returned.  nil selects ErrPermanent for
-	// permanent faults (Count < 0) and ErrTransient otherwise.
-	Err error
 }
 
-// err returns the error this fault injects.
+// err returns the error this fault injects: ErrPermanent for a permanent
+// fault (Count < 0), ErrTransient otherwise.
 func (f *Fault) err() error {
-	if f.Err != nil {
-		return f.Err
-	}
 	if f.Count < 0 {
 		return fmt.Errorf("%w (injected)", ErrPermanent)
 	}
@@ -98,21 +99,27 @@ func (f *Fault) err() error {
 
 // Stats counts injector activity.
 type Stats struct {
-	Reads  uint64 // read operations attempted
-	Writes uint64 // write operations attempted
-	Syncs  uint64 // sync operations attempted
-	Faults uint64 // operations that were failed by a fault
-	Torn   uint64 // writes that were torn
+	Reads      uint64 // read operations attempted
+	Writes     uint64 // write operations attempted
+	Syncs      uint64 // sync operations attempted
+	ReadBytes  uint64 // bytes the reads asked for
+	WriteBytes uint64 // bytes the writes offered
+	Faults     uint64 // operations that were failed by a fault
 }
 
 // Injector wraps a Device and applies a configured schedule of faults.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use.  The hook and the device call
+// run outside the injector's lock: the injector wraps the WAL device, and
+// group commit depends on a sync (or a hook holding one up) never
+// serializing concurrent appends through the wrapper, the discipline
+// wal.Log.Force follows with its own mutex.
 type Injector struct {
 	mu     sync.Mutex
 	dev    Device
 	rng    *rand.Rand
 	faults []*Fault
 	stats  Stats
+	hook   func(op Op, off int64, n int)
 	tr     *obs.Tracer // fault events; emission happens outside mu
 }
 
@@ -121,6 +128,14 @@ type Injector struct {
 func (in *Injector) SetTracer(tr *obs.Tracer) {
 	in.mu.Lock()
 	in.tr = tr
+	in.mu.Unlock()
+}
+
+// SetHook makes h run before every operation, with the operation's class,
+// offset and length (0, 0 for a sync), in place of any earlier hook.
+func (in *Injector) SetHook(h func(op Op, off int64, n int)) {
+	in.mu.Lock()
+	in.hook = h
 	in.mu.Unlock()
 }
 
@@ -151,9 +166,22 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// match returns the fault that fires for one operation of class op, or nil.
-// Caller holds in.mu.  Skip counters and fault budgets are consumed here.
-func (in *Injector) match(op Op) *Fault {
+// begin counts one operation, runs the hook and returns a copy of the fault
+// that fires for it, or nil.  Skip counters and fault budgets are consumed
+// here, under mu; the copy is what the caller may read without it.
+func (in *Injector) begin(op Op, off int64, n int) *Fault {
+	in.mu.Lock()
+	switch op {
+	case OpRead:
+		in.stats.Reads++
+		in.stats.ReadBytes += uint64(n)
+	case OpWrite:
+		in.stats.Writes++
+		in.stats.WriteBytes += uint64(n)
+	default:
+		in.stats.Syncs++
+	}
+	var fired *Fault
 	for _, f := range in.faults {
 		if f.Ops&op == 0 {
 			continue
@@ -171,97 +199,59 @@ func (in *Injector) match(op Op) *Fault {
 		if f.Count > 0 {
 			f.Count--
 		}
-		return f
+		c := *f
+		fired = &c
+		in.stats.Faults++
+		break
 	}
-	return nil
+	hook, tr := in.hook, in.tr
+	in.mu.Unlock()
+	if fired != nil {
+		tr.Record(obs.EvFault, 0, uint64(op), 0)
+	}
+	if hook != nil {
+		hook(op, off, n)
+	}
+	return fired
 }
 
 // ReadAt reads through to the device unless a read fault fires.
 func (in *Injector) ReadAt(p []byte, off int64) (int, error) {
-	in.mu.Lock()
-	in.stats.Reads++
-	var n int
-	var err error
-	faulted := false
-	if f := in.match(OpRead); f != nil {
-		in.stats.Faults++
-		faulted = true
-		err = f.err()
-	} else {
-		n, err = in.dev.ReadAt(p, off)
+	if f := in.begin(OpRead, off, len(p)); f != nil {
+		return 0, f.err()
 	}
-	tr := in.tr
-	in.mu.Unlock()
-	if faulted {
-		tr.Record(obs.EvFault, 0, uint64(OpRead), 0)
-	}
-	return n, err
+	return in.dev.ReadAt(p, off)
 }
 
 // WriteAt writes through to the device unless a write fault fires; a torn
 // fault persists a strict prefix of p first.
 func (in *Injector) WriteAt(p []byte, off int64) (int, error) {
-	in.mu.Lock()
-	n, faulted, err := in.writeAtLocked(p, off)
-	tr := in.tr
-	in.mu.Unlock()
-	if faulted {
-		tr.Record(obs.EvFault, 0, uint64(OpWrite), 0)
-	}
-	return n, err
-}
-
-func (in *Injector) writeAtLocked(p []byte, off int64) (int, bool, error) {
-	in.stats.Writes++
-	f := in.match(OpWrite)
+	f := in.begin(OpWrite, off, len(p))
 	if f == nil {
-		n, err := in.dev.WriteAt(p, off)
-		return n, false, err
+		return in.dev.WriteAt(p, off)
 	}
-	in.stats.Faults++
 	if f.Torn && len(p) > 1 {
 		frac := f.TornFrac
 		if frac <= 0 || frac >= 1 {
 			frac = 0.5
 		}
-		n := int(float64(len(p)) * frac)
-		if n >= len(p) {
-			n = len(p) - 1
-		}
-		if n > 0 {
-			in.stats.Torn++
+		if n := min(int(float64(len(p))*frac), len(p)-1); n > 0 {
 			if _, werr := in.dev.WriteAt(p[:n], off); werr != nil {
-				return 0, true, werr
+				return 0, werr
 			}
-			return n, true, f.err()
+			return n, f.err()
 		}
 	}
-	return 0, true, f.err()
+	return 0, f.err()
 }
 
-// Sync syncs the device unless a sync fault fires.  The injector's lock
-// is released before the real sync: the injector wraps the WAL device in
-// the fault-injection harness, and group commit depends on a sync never
-// serializing concurrent appends through the wrapper (the same
-// discipline wal.Log.Force follows with its own mutex).
+// Sync syncs the device unless a sync fault fires.
 func (in *Injector) Sync() error {
-	in.mu.Lock()
-	in.stats.Syncs++
-	if f := in.match(OpSync); f != nil {
-		in.stats.Faults++
-		tr := in.tr
-		err := f.err() // resolve under mu: match() mutates fault budgets
-		in.mu.Unlock()
-		tr.Record(obs.EvFault, 0, uint64(OpSync), 0)
-		return err
+	if f := in.begin(OpSync, 0, 0); f != nil {
+		return f.err()
 	}
-	in.mu.Unlock()
 	return in.dev.Sync()
 }
 
 // Close closes the backing device; faults never block release of resources.
-func (in *Injector) Close() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dev.Close()
-}
+func (in *Injector) Close() error { return in.dev.Close() }

@@ -8,24 +8,7 @@ import (
 	"testing"
 )
 
-// memDevice is an in-memory Device for exercising the injector.
-type memDevice struct {
-	data  []byte
-	syncs int
-}
-
-func newMemDevice(n int) *memDevice { return &memDevice{data: make([]byte, n)} }
-
-func (d *memDevice) ReadAt(p []byte, off int64) (int, error) {
-	return copy(p, d.data[off:]), nil
-}
-
-func (d *memDevice) WriteAt(p []byte, off int64) (int, error) {
-	return copy(d.data[off:], p), nil
-}
-
-func (d *memDevice) Sync() error  { d.syncs++; return nil }
-func (d *memDevice) Close() error { return nil }
+func newMemDevice(n int) *Mem { return NewMem(make([]byte, n)) }
 
 func TestTransientFaultClearsAfterCount(t *testing.T) {
 	m := newMemDevice(64)
@@ -39,13 +22,13 @@ func TestTransientFaultClearsAfterCount(t *testing.T) {
 	if _, err := in.WriteAt([]byte("y"), 0); err != nil {
 		t.Fatalf("fault did not clear: %v", err)
 	}
-	if m.data[0] != 'y' {
+	if m.Bytes()[0] != 'y' {
 		t.Fatal("cleared write did not reach the device")
 	}
 }
 
 func TestPermanentFaultNeverClears(t *testing.T) {
-	m := newMemDevice(64)
+	m := NewInjector(newMemDevice(64), 1)
 	in := NewInjector(m, 1)
 	in.Add(Fault{Ops: OpSync, Count: -1})
 	for i := 0; i < 5; i++ {
@@ -57,7 +40,7 @@ func TestPermanentFaultNeverClears(t *testing.T) {
 			t.Fatalf("sync %d: error not marked permanent: %v", i, err)
 		}
 	}
-	if m.syncs != 0 {
+	if m.Stats().Syncs != 0 {
 		t.Fatal("faulted syncs reached the device")
 	}
 }
@@ -91,10 +74,11 @@ func TestTornWritePersistsStrictPrefix(t *testing.T) {
 	if n <= 0 || n >= len(payload) {
 		t.Fatalf("torn write persisted %d of %d bytes; want strict prefix", n, len(payload))
 	}
-	if !bytes.Equal(m.data[:n], payload[:n]) {
+	data := m.Bytes()
+	if !bytes.Equal(data[:n], payload[:n]) {
 		t.Fatal("torn prefix differs from payload")
 	}
-	for _, b := range m.data[n:16] {
+	for _, b := range data[n:16] {
 		if b != 0 {
 			t.Fatal("bytes beyond the torn prefix reached the device")
 		}

@@ -27,6 +27,7 @@ const (
 	LockPipeline
 	LockGroupCommit
 	LockWAL
+	LockCache
 	LockInjector
 	NumLockClasses
 )
@@ -38,6 +39,7 @@ var lockNames = [NumLockClasses]string{
 	LockPipeline:    "pipeline",
 	LockGroupCommit: "group_commit",
 	LockWAL:         "wal",
+	LockCache:       "cache",
 	LockInjector:    "injector",
 }
 
@@ -48,6 +50,7 @@ var lockLevels = [NumLockClasses]int{
 	LockPipeline:    30,
 	LockGroupCommit: 40,
 	LockWAL:         50,
+	LockCache:       55,
 	LockInjector:    60,
 }
 

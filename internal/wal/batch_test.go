@@ -13,20 +13,6 @@ import (
 	"github.com/rvm-go/rvm/internal/iofault"
 )
 
-// memDev is a log device in memory that counts its writes.
-type memDev struct {
-	b      []byte
-	writes int
-}
-
-func (d *memDev) ReadAt(p []byte, off int64) (int, error) { return copy(p, d.b[off:]), nil }
-func (d *memDev) WriteAt(p []byte, off int64) (int, error) {
-	d.writes++
-	return copy(d.b[off:], p), nil
-}
-func (d *memDev) Sync() error  { return nil }
-func (d *memDev) Close() error { return nil }
-
 // newMemImage returns the bytes of a freshly created log.
 func newMemImage(t testing.TB, areaSize int64) []byte {
 	t.Helper()
@@ -41,15 +27,20 @@ func newMemImage(t testing.TB, areaSize int64) []byte {
 	return b
 }
 
-func openMem(t testing.TB, image []byte) (*Log, *memDev) {
+// openMem opens a log on a copy of image in memory, through an Injector
+// that counts the device operations (writes).
+func openMem(t testing.TB, image []byte) (*Log, *iofault.Mem) {
 	t.Helper()
-	dev := &memDev{b: bytes.Clone(image)}
-	l, err := OpenDevice(dev)
+	dev := iofault.NewMem(image)
+	l, err := OpenDevice(iofault.NewInjector(dev, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l, dev
 }
+
+// writes is how many device writes a log from openMem has made.
+func writes(l *Log) uint64 { return l.dev.(*iofault.Injector).Stats().Writes }
 
 // ref is what an append reports about one record.
 type ref struct {
@@ -63,7 +54,7 @@ type ref struct {
 type pair struct {
 	t             *testing.T
 	loop, batch   *Log
-	loopD, batchD *memDev
+	loopD, batchD *iofault.Mem
 	tid           uint64
 	refs          []ref // of every record appended so far
 }
@@ -120,9 +111,9 @@ func (p *pair) append(ents []Entry) (int, error) {
 // same checks the two logs' device images and visible state.
 func (p *pair) same() {
 	p.t.Helper()
-	if !bytes.Equal(p.loopD.b, p.batchD.b) {
-		for i := range p.loopD.b {
-			if p.loopD.b[i] != p.batchD.b[i] {
+	if a, b := p.loopD.Bytes(), p.batchD.Bytes(); !bytes.Equal(a, b) {
+		for i := range a {
+			if a[i] != b[i] {
 				p.t.Fatalf("device images differ from byte %d (area offset %d)", i, int64(i)-areaOff(0))
 			}
 		}
@@ -167,8 +158,8 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		if n, err := p.append(p.ents(1, 100, 4000, 7, 0, 513)); n != 6 || err != nil {
 			t.Fatal(n, err)
 		}
-		if p.batchD.writes != 1 || p.loopD.writes != 6 {
-			t.Fatalf("device writes: batch %d, loop %d", p.batchD.writes, p.loopD.writes)
+		if writes(p.batch) != 1 || writes(p.loop) != 6 {
+			t.Fatalf("device writes: batch %d, loop %d", writes(p.batch), writes(p.loop))
 		}
 	})
 
@@ -176,7 +167,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		p := newPair(t, area)
 		p.append(p.ents(sizeFor(60 << 10)))
 		p.setHead(1)
-		writes := p.batchD.writes
+		before := writes(p.batch)
 		if n, err := p.append(p.ents(1000, 1000, 1000, 2000, 1000, 1000)); n != 6 || err != nil {
 			t.Fatal(n, err)
 		}
@@ -184,7 +175,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			t.Fatalf("wraps %d, want 1", st.Wraps)
 		}
 		// One run up to and including the wrap record, one from offset 0.
-		if got := p.batchD.writes - writes; got != 2 {
+		if got := writes(p.batch) - before; got != 2 {
 			t.Fatalf("batch took %d device writes, want 2", got)
 		}
 		if p.refs[len(p.refs)-1].pos >= p.refs[1].pos {
@@ -264,8 +255,8 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			t.Fatal(n, err)
 		}
 		// 40 records of 30 KiB in runs of at most 256 KiB: 8 to a run.
-		if p.batchD.writes != 5 {
-			t.Fatalf("batch took %d device writes, want 5", p.batchD.writes)
+		if writes(p.batch) != 5 {
+			t.Fatalf("batch took %d device writes, want 5", writes(p.batch))
 		}
 		// A record larger than a run still goes out whole.
 		if n, err := p.append(p.ents(100, 600<<10, 100)); n != 3 || err != nil {
@@ -311,8 +302,8 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			t.Fatalf("only %d wraps: the walk did not exercise the area end", p.batch.Stats().Wraps)
 		}
 		// Both sides reopen to the same live records.
-		for _, d := range []*memDev{p.loopD, p.batchD} {
-			l, _ := openMem(t, d.b)
+		for _, d := range []*iofault.Mem{p.loopD, p.batchD} {
+			l, _ := openMem(t, d.Bytes())
 			if l.Used() != p.loop.Used() {
 				t.Fatalf("reopened log holds %d live bytes, want %d", l.Used(), p.loop.Used())
 			}
@@ -343,7 +334,7 @@ func TestAppendBatchTornWrite(t *testing.T) {
 		ends = append(ends, total)
 	}
 	for k := int64(0); k < total; k++ {
-		dev := &memDev{b: bytes.Clone(baseDev.b)}
+		dev := iofault.NewMem(baseDev.Bytes())
 		inj := iofault.NewInjector(dev, 1)
 		l, err := OpenDevice(inj)
 		if err != nil {
@@ -360,7 +351,7 @@ func TestAppendBatchTornWrite(t *testing.T) {
 		for whole < len(ends) && ends[whole] <= k {
 			whole++
 		}
-		l2, _ := openMem(t, dev.b)
+		l2, _ := openMem(t, dev.Bytes())
 		var tids []uint64
 		if err := l2.ScanForward(func(r *Record) error { tids = append(tids, r.TID); return nil }); err != nil {
 			t.Fatalf("tear at %d: %v", k, err)
@@ -392,7 +383,7 @@ func TestEncodeBufferRetentionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := appendRecord(nil, seq, recTx, 2, 0, small, n)
-	if got := dev.b[areaOff(pos) : areaOff(pos)+n]; !bytes.Equal(got, want) {
+	if got := dev.Bytes()[areaOff(pos) : areaOff(pos)+n]; !bytes.Equal(got, want) {
 		t.Fatalf("small record after a giant one differs from its encoding:\n got % x\nwant % x", got[:64], want[:64])
 	}
 }
@@ -403,8 +394,8 @@ func TestEncodeBufferRetentionBound(t *testing.T) {
 // sequence number duplicated or skipped.
 func TestAppendBatchTransientRetry(t *testing.T) {
 	image := newMemImage(t, 64<<10)
-	run := func(faults ...iofault.Fault) (*Log, *memDev, int) {
-		dev := &memDev{b: bytes.Clone(image)}
+	run := func(faults ...iofault.Fault) (*Log, *iofault.Mem, int) {
+		dev := iofault.NewMem(image)
 		inj := iofault.NewInjector(dev, 1)
 		l, err := OpenDevice(inj)
 		if err != nil {
@@ -456,7 +447,7 @@ func TestAppendBatchTransientRetry(t *testing.T) {
 		if retries == 0 {
 			t.Fatalf("%s: no fault fired", name)
 		}
-		if !bytes.Equal(dev.b, cleanDev.b) {
+		if !bytes.Equal(dev.Bytes(), cleanDev.Bytes()) {
 			t.Fatalf("%s: device image differs from the fault-free run", name)
 		}
 		if l.Stats() != clean.Stats() || l.Used() != clean.Used() {

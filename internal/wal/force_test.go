@@ -5,42 +5,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/rvm-go/rvm/internal/iofault"
 )
 
-// countingDev counts physical Sync calls and can gate them open/closed so a
-// test can hold an fsync in flight.
-type countingDev struct {
-	*os.File
-	mu    sync.Mutex
-	syncs int
-	gate  chan struct{} // non-nil: Sync blocks until the channel is closed
-	entry chan struct{} // non-nil: closed when a Sync arrives
-}
-
-func (d *countingDev) Sync() error {
-	d.mu.Lock()
-	d.syncs++
-	gate, entry := d.gate, d.entry
-	d.mu.Unlock()
-	if entry != nil {
-		close(entry)
-		d.mu.Lock()
-		d.entry = nil
-		d.mu.Unlock()
-	}
-	if gate != nil {
-		<-gate
-	}
-	return d.File.Sync()
-}
-
-func (d *countingDev) syncCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.syncs
-}
-
-func newCountingLog(t *testing.T, areaSize int64) (*Log, *countingDev) {
+// newCountingLog opens a log whose device is an Injector over its file,
+// counting its operations.
+func newCountingLog(t *testing.T, areaSize int64) (*Log, *iofault.Injector) {
 	t.Helper()
 	path := t.TempDir() + "/log.rvm"
 	if err := Create(path, areaSize); err != nil {
@@ -50,7 +21,7 @@ func newCountingLog(t *testing.T, areaSize int64) (*Log, *countingDev) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &countingDev{File: f}
+	dev := iofault.NewInjector(f, 1)
 	l, err := OpenDevice(dev)
 	if err != nil {
 		f.Close()
@@ -58,6 +29,20 @@ func newCountingLog(t *testing.T, areaSize int64) (*Log, *countingDev) {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l, dev
+}
+
+// holdSyncs makes dev's Syncs wait until gate is closed; entry closes when
+// the first one arrives.
+func holdSyncs(dev *iofault.Injector) (entry, gate chan struct{}) {
+	entry, gate = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	dev.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op == iofault.OpSync {
+			once.Do(func() { close(entry) })
+			<-gate
+		}
+	})
+	return entry, gate
 }
 
 // TestForcedThroughAdvances: ForcedThrough trails appends and catches up on
@@ -125,21 +110,21 @@ func TestSetNoSyncToggleForcesRealSync(t *testing.T) {
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if n := dev.syncCount(); n != 0 {
+	if n := dev.Stats().Syncs; n != 0 {
 		t.Fatalf("Force under NoSync issued %d physical syncs, want 0", n)
 	}
 	l.SetNoSync(false)
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if n := dev.syncCount(); n != 1 {
+	if n := dev.Stats().Syncs; n != 1 {
 		t.Fatalf("Force after SetNoSync(false) issued %d physical syncs, want 1", n)
 	}
 	// Once really synced, Force is a no-op again.
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if n := dev.syncCount(); n != 1 {
+	if n := dev.Stats().Syncs; n != 1 {
 		t.Fatalf("redundant Force issued a physical sync (total %d)", n)
 	}
 }
@@ -155,11 +140,7 @@ func TestAppendDuringForce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate := make(chan struct{})
-	entry := make(chan struct{})
-	dev.mu.Lock()
-	dev.gate, dev.entry = gate, entry
-	dev.mu.Unlock()
+	entry, gate := holdSyncs(dev)
 
 	forceDone := make(chan error, 1)
 	go func() { forceDone <- l.Force() }()

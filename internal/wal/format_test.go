@@ -114,7 +114,7 @@ func TestOpenUpgradesCleanV1Log(t *testing.T) {
 	if _, _, _, err := l.Append(9, 0, []Range{mkRange(1, 64, 'n', 9)}); err != nil {
 		t.Fatal(err)
 	}
-	l2, _ := openMem(t, dev.b)
+	l2, _ := openMem(t, dev.Bytes())
 	if recs := collectForward(t, l2); len(recs) != 1 || recs[0].Seq != 5 || string(recs[0].Ranges[0].Data) != "nnnnnnnnn" {
 		t.Fatalf("reopened upgraded log holds %d records", len(recs))
 	}

@@ -1,12 +1,13 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/rvm-go/rvm/internal/iofault"
 )
 
 // FuzzReadRecord: the record decoder must never panic, never size anything
@@ -34,8 +35,8 @@ func FuzzReadRecord(f *testing.F) {
 			// The same bytes as the first record of a log whose head expects
 			// their sequence number: the scanner must stop where the
 			// reference tail finder stops, having passed the same records.
-			dev := &memDev{b: bytes.Clone(image)}
-			copy(dev.b[areaOff(0):], data)
+			dev := iofault.NewMem(image)
+			dev.WriteAt(data[:min(len(data), len(image)-int(areaOff(0)))], areaOff(0))
 			st := statusBlock{gen: 2, areaSize: area, headSeq: binary.BigEndian.Uint64(data[16:])}
 			if err := writeStatus(dev, 0, st); err != nil {
 				t.Fatal(err)

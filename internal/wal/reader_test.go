@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"testing"
+
+	"github.com/rvm-go/rvm/internal/iofault"
 )
 
 // readChunk is these tests' unit of log: eight scan windows.  readerArea is
@@ -210,25 +212,6 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// readCounter counts the positional reads made of a device.
-type readCounter struct {
-	Device
-	reads    int
-	bytes    int64
-	lo, hi   int64 // device extent read
-	anything bool
-}
-
-func (d *readCounter) ReadAt(p []byte, off int64) (int, error) {
-	d.reads++
-	d.bytes += int64(len(p))
-	if !d.anything || off < d.lo {
-		d.lo = off
-	}
-	d.hi, d.anything = max(d.hi, off+int64(len(p))), true
-	return d.Device.ReadAt(p, off)
-}
-
 // TestReaderBatches pins what a scan to the known tail costs: it reads in
 // windows of scanChunk bytes, about one read per window; it reads nothing
 // below the record it starts at nor beyond the tail, across the wrap too;
@@ -243,11 +226,20 @@ func TestReaderBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(old[len(old)-1:], fillLog(t, l, rnd, 2*readChunk)...) // wraps
-	dev := &readCounter{Device: l.dev}
-	l.dev = dev
-	defer func() { l.dev = dev.Device }()
+	file := l.dev
+	defer func() { l.dev = file }()
 	for _, start := range []int{0, len(want) / 3, len(want) - 1} {
-		*dev = readCounter{Device: dev.Device}
+		dev := iofault.NewInjector(file, 1)
+		var lo, hi int64 // device extent read
+		dev.SetHook(func(op iofault.Op, off int64, n int) {
+			if op == iofault.OpRead {
+				if hi == 0 || off < lo {
+					lo = off
+				}
+				hi = max(hi, off+int64(n))
+			}
+		})
+		l.dev = dev
 		first := want[start]
 		var bufs [][]byte
 		k := start
@@ -269,14 +261,15 @@ func TestReaderBatches(t *testing.T) {
 		}
 		// Live bytes from the start record to the tail, wrap record included.
 		span := (l.tailPos() - first.Pos + l.areaSize) % l.areaSize
-		if maxBytes := span + span/scanChunk*2048 + 2048; dev.bytes < span || dev.bytes > maxBytes {
-			t.Fatalf("from record %d: read %d bytes for %d bytes of records; want at most %d", start, dev.bytes, span, maxBytes)
+		st := dev.Stats()
+		if maxBytes := span + span/scanChunk*2048 + 2048; int64(st.ReadBytes) < span || int64(st.ReadBytes) > maxBytes {
+			t.Fatalf("from record %d: read %d bytes for %d bytes of records; want at most %d", start, st.ReadBytes, span, maxBytes)
 		}
-		if maxReads := int(span/scanChunk) + 12; dev.reads > maxReads {
-			t.Fatalf("from record %d: %d reads for %d bytes", start, dev.reads, span)
+		if maxReads := uint64(span/scanChunk) + 12; st.Reads > maxReads {
+			t.Fatalf("from record %d: %d reads for %d bytes", start, st.Reads, span)
 		}
-		if first.Pos < l.tailPos() && (dev.lo < areaOff(first.Pos) || dev.hi > areaOff(l.tailPos())) {
-			t.Fatalf("from record %d: read [%d,%d), outside the records' [%d,%d)", start, dev.lo, dev.hi, areaOff(first.Pos), areaOff(l.tailPos()))
+		if first.Pos < l.tailPos() && (lo < areaOff(first.Pos) || hi > areaOff(l.tailPos())) {
+			t.Fatalf("from record %d: read [%d,%d), outside the records' [%d,%d)", start, lo, hi, areaOff(first.Pos), areaOff(l.tailPos()))
 		}
 		// The buffer is regrown while the windows work up to scanChunk and
 		// refilled in place from then on.

@@ -1,11 +1,12 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/rvm-go/rvm/internal/iofault"
 )
 
 // refFindTail is the tail finder Open ran before the fused scanner replaced
@@ -107,10 +108,11 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		checkTailOracle(t, &memDev{b: bytes.Clone(dev.b)})
-		dev.b[areaOff(minReadChunk)+headerSize+RangeLen(1, 0, 0)] ^= 1
-		checkTailOracle(t, dev)
-		if l2, _ := openMem(t, dev.b); l2.used != minReadChunk || l2.nextSeq != 3 {
+		checkTailOracle(t, iofault.NewMem(dev.Bytes()))
+		img := dev.Bytes()
+		img[areaOff(minReadChunk)+headerSize+RangeLen(1, 0, 0)] ^= 1
+		checkTailOracle(t, iofault.NewMem(img))
+		if l2, _ := openMem(t, img); l2.used != minReadChunk || l2.nextSeq != 3 {
 			t.Fatalf("reopened to %d live bytes, next seq %d; want %d and 3", l2.used, l2.nextSeq, minReadChunk)
 		}
 	})
@@ -153,7 +155,7 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			checkTailOracle(t, &memDev{b: bytes.Clone(dev.b)})
+			checkTailOracle(t, iofault.NewMem(dev.Bytes()))
 		}
 		if l.Stats().Wraps == 0 {
 			t.Fatal("the log never wrapped")

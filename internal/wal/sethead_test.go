@@ -24,11 +24,7 @@ func TestAppendDuringSetHead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate := make(chan struct{})
-	entry := make(chan struct{})
-	dev.mu.Lock()
-	dev.gate, dev.entry = gate, entry
-	dev.mu.Unlock()
+	entry, gate := holdSyncs(dev)
 
 	setHeadDone := make(chan error, 1)
 	go func() { setHeadDone <- l.SetHead(pos2, seq2) }()

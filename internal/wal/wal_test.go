@@ -10,8 +10,8 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/mapping"
-	"github.com/rvm-go/rvm/internal/testutil"
 )
 
 func newLog(t *testing.T, areaSize int64) (*Log, string) {
@@ -396,7 +396,7 @@ func TestTornWriteDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := testutil.NewFaultDevice(f, -1)
+	dev := iofault.NewCache(f, -1)
 	l, err := OpenDevice(dev)
 	if err != nil {
 		t.Fatal(err)
@@ -410,8 +410,11 @@ func TestTornWriteDetection(t *testing.T) {
 	// Allow only 100 more bytes: the next append tears.
 	dev.SetBudget(100)
 	_, _, _, err = l.Append(2, 0, []Range{mkRange(1, 0, 'b', 500)})
-	if !errors.Is(err, testutil.ErrCrashed) {
+	if !errors.Is(err, iofault.ErrCrashed) {
 		t.Fatalf("append during crash returned %v", err)
+	}
+	if err := dev.Crash(iofault.KeepAll); err != nil {
+		t.Fatal(err)
 	}
 	l.Close()
 
