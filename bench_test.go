@@ -306,8 +306,9 @@ func BenchmarkAblateTruncation(b *testing.B) {
 }
 
 // BenchmarkConcurrentCommit measures flush-mode commit throughput under
-// goroutine concurrency, serialized force vs. group commit.  Real fsyncs:
-// the contended log force is exactly what group commit exists to amortize.
+// goroutine concurrency, without and with the join window (GroupCommit);
+// both share forces through the one ticket.  Real fsyncs: the contended
+// log force is exactly what group commit exists to amortize.
 // Each benchmark iteration has every worker commit a fixed number of
 // transactions to its own disjoint slots, so one iteration (-benchtime 1x)
 // already yields a meaningful fsyncs/commit ratio.
@@ -319,7 +320,7 @@ func BenchmarkConcurrentCommit(b *testing.B) {
 		name string
 		opts rvm.Options
 	}{
-		{"Serial", rvm.Options{}},
+		{"NoWindow", rvm.Options{}},
 		{"Group", rvm.Options{GroupCommit: true}},
 	} {
 		for _, workers := range []int{1, 2, 4, 8, 16, 32, 64} {

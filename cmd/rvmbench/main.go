@@ -8,14 +8,14 @@
 //	rvmbench -experiment all
 //
 // Beyond the paper, -experiment concurrent measures flush-mode commit
-// throughput under goroutine concurrency on the real engine (serialized
-// force vs. group commit), with commit-latency p50/p99 from the engine's
-// histogram layer.  With -json FILE it writes the results as JSON; with
+// throughput under goroutine concurrency on the real engine over a log
+// whose sync costs a fixed 1 ms (without and with the join window), with
+// commit-latency p50/p99 from the engine's histogram layer.  With -json FILE it writes the results as JSON; with
 // -thresholds FILE it enforces the checked-in CI regression gate on
 // fsyncs/commit and p99 commit latency and exits nonzero on violation.
 // -experiment obs measures the observability tax itself: the 16-committer
-// group cell with tracing+metrics on vs off, gated to stay within
-// bench_thresholds.json's obs_overhead budget.  -experiment scaling gates
+// group cell with tracing+metrics on vs off in alternating pairs, its
+// median gated to stay within bench_thresholds.json's obs_overhead budget.  -experiment scaling gates
 // the lock decomposition: flush-commit throughput on disjoint regions at
 // 16 workers must stay a healthy multiple of the single-worker number
 // (bench_thresholds.json's scaling entry); its results merge into the

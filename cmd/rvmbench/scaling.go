@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	rvm "github.com/rvm-go/rvm"
+	"github.com/rvm-go/rvm/internal/core"
 )
 
 // The scaling experiment is the regression gate for the decomposed engine
@@ -19,9 +19,10 @@ import (
 // the group-commit window.  The speedup at 16 workers therefore measures
 // fsync amortization plus hot-path concurrency, and collapses back toward
 // 1x if a global lock ever reappears around commit — which is exactly the
-// regression the gate exists to catch.  Like the concurrent experiment the
-// fsyncs are real, so each cell keeps the best of several trials (a slow
-// CI fsync can only hurt a trial, never help one).
+// regression the gate exists to catch.  Like the concurrent experiment it
+// runs on a log whose Sync costs a fixed modelSync (openModelled), and each
+// cell keeps the best of several trials (a slow CI fsync or a descheduled
+// committer can only hurt a trial, never help one).
 const (
 	scalTotalCommits = 128
 	scalTrials       = 5
@@ -71,7 +72,7 @@ func scaling(jsonPath, thresholdsPath string) error {
 		NumCPU:    runtime.NumCPU(),
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 	}
-	fmt.Printf("Commit scaling: group commit, disjoint regions, best of %d trials\n", scalTrials)
+	fmt.Printf("Commit scaling: group commit on a %v log sync, disjoint regions, best of %d trials\n", modelSync, scalTrials)
 	fmt.Printf("%8s %9s %12s\n", "goros", "commits", "commits/s")
 	for _, n := range []int{1, workers} {
 		var top scalCell
@@ -109,8 +110,8 @@ func scaling(jsonPath, thresholdsPath string) error {
 	return nil
 }
 
-// scalRun measures one worker count on a fresh store: flush commits with
-// real fsyncs under group commit, each worker on its own region, total
+// scalRun measures one worker count on a fresh store: flush commits on the
+// modelled log sync under group commit, each worker on its own region, total
 // work held constant so ops/sec is comparable across counts.
 func scalRun(workers int) (scalCell, error) {
 	dir, err := os.MkdirTemp("", "rvmbench-scal-*")
@@ -120,23 +121,18 @@ func scalRun(workers int) (scalCell, error) {
 	defer os.RemoveAll(dir)
 	logPath := filepath.Join(dir, "s.log")
 	segPath := filepath.Join(dir, "s.seg")
-	if err := rvm.CreateLog(logPath, 64<<20); err != nil {
+	if err := core.CreateLog(logPath, 4<<20); err != nil {
 		return scalCell{}, err
 	}
-	if err := rvm.CreateSegment(segPath, 1, int64(workers)*scalRegionLen); err != nil {
+	if err := core.CreateSegment(segPath, 1, int64(workers)*scalRegionLen); err != nil {
 		return scalCell{}, err
 	}
-	db, err := rvm.Open(rvm.Options{
-		LogPath:           logPath,
-		TruncateThreshold: -1,
-		GroupCommit:       true,
-		MaxForceDelay:     concForceDelay,
-	})
+	db, err := openModelled(logPath, core.Options{TruncateThreshold: -1, GroupCommit: true})
 	if err != nil {
 		return scalCell{}, err
 	}
 	defer db.Close()
-	regions := make([]*rvm.Region, workers)
+	regions := make([]*core.Region, workers)
 	for w := range regions {
 		if regions[w], err = db.Map(segPath, int64(w)*scalRegionLen, scalRegionLen); err != nil {
 			return scalCell{}, err
@@ -155,7 +151,7 @@ func scalRun(workers int) (scalCell, error) {
 		go func(w int) {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				tx, err := db.Begin(rvm.NoRestore)
+				tx, err := db.Begin(core.NoRestore)
 				if err != nil {
 					errs[w] = err
 					return
@@ -164,7 +160,7 @@ func scalRun(workers int) (scalCell, error) {
 					errs[w] = err
 					return
 				}
-				if err := tx.Commit(rvm.Flush); err != nil {
+				if err := tx.Commit(core.Flush); err != nil {
 					errs[w] = err
 					return
 				}

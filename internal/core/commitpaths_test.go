@@ -239,24 +239,27 @@ func finishedInSegment(t *testing.T, v *env, regs []*Region, model [][]byte) {
 	}
 }
 
-// TestCommitPathsAgree runs the same script as flush commits and as
-// no-flush commits plus Flush.  Both must recover the model's images, and
-// the record stream of the flush run must hash to the value the three
-// separate commit functions of the commit before the one commit path
-// produced: the one staged commit function logs the same records, not just
-// bytes of the same total size.
+// TestCommitPathsAgree runs the same script as flush commits, as flush
+// commits with GroupCommit set, and as no-flush commits plus Flush.  All
+// must recover the model's images, and the record stream of the flush runs
+// must hash to the value the three separate commit functions of the commit
+// before the one commit path produced: the one staged commit function logs
+// the same records, not just bytes of the same total size, and the join
+// window changes no record.
 func TestCommitPathsAgree(t *testing.T) {
 	cases := []struct {
 		name   string
 		mode   CommitMode
+		opts   Options
 		stream string // record count and FNV-64a, pinned before the one commit path
 	}{
-		{"flush", Flush, "226:6d880f600d853047"},
-		{"noflush+Flush", NoFlush, ""},
+		{"flush", Flush, Options{}, "226:6d880f600d853047"},
+		{"group", Flush, Options{GroupCommit: true}, "226:6d880f600d853047"},
+		{"noflush+Flush", NoFlush, Options{}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			recovered, model, stream := runPathsScript(t, pathsSeed, Options{}, []CommitMode{c.mode}, nil)
+			recovered, model, stream := runPathsScript(t, pathsSeed, c.opts, []CommitMode{c.mode}, nil)
 			for i := range model {
 				if !bytes.Equal(recovered[i], model[i]) {
 					t.Errorf("region %d: recovered image differs from the model", i)

@@ -14,6 +14,9 @@
 // section — spooled for a lazy (no-flush) commit, else appended as one
 // record — and then the log is forced holding no lock.  A full log is
 // handled in one place for commits and spool flushes alike (retryLogFull).
+// There is one force protocol too: a flush commit, Flush and an epoch
+// truncation all force through one ticket (waitForced in groupcommit.go),
+// and only the page cleaner's write-ahead force calls the log directly.
 //
 // The public github.com/rvm-go/rvm package is a thin facade over this
 // engine; the split keeps the paper's machinery in one place while the
@@ -106,23 +109,13 @@ type Options struct {
 	// NoSync disables physical fsyncs, forfeiting permanence.  For
 	// benchmark harnesses that measure log traffic, not durability.
 	NoSync bool
-	// GroupCommit batches the log forces of concurrent flush-mode
-	// commits.  A committer appends its record under the log-pipeline
-	// lock, releases it, and waits on a group-commit ticket: one
-	// leader-elected committer issues a single fsync covering every
-	// record appended since the last force and wakes all waiters with
-	// the shared outcome.  N concurrent committers then pay ~1 fsync per
-	// batch instead of N back-to-back fsyncs.  A failed group force
-	// poisons the engine and fails every ticket holder (fail-stop, same
-	// model as a failed serialized force).
+	// GroupCommit makes a flush commit that leads a log force wait out a
+	// join window first (joinWindow), so that committers still arriving
+	// share the force.  It decides nothing else: every flush commit, Flush
+	// and epoch truncation forces through one ticket (waitForced), so
+	// concurrent callers share a force either way, and a failed force
+	// poisons the engine and fails every ticket holder (fail-stop).
 	GroupCommit bool
-	// MaxForceDelay extends the force leader's batching window with a
-	// timed wait.  A leader always yields the processor while new commit
-	// records keep arriving and forces once arrivals pause (see
-	// joinWindow); a nonzero MaxForceDelay makes it linger that much
-	// longer, trading commit latency for bigger batches when committers
-	// are slow to arrive.  Only meaningful with GroupCommit.
-	MaxForceDelay time.Duration
 	// Tracer records typed engine events (commits, forces, truncation
 	// phases, recovery, faults) into a fixed-size ring.  nil disables
 	// tracing at zero cost.

@@ -232,10 +232,7 @@ func TestBackgroundTruncFailureObservable(t *testing.T) {
 func TestGroupCommitForceFaultPoisonsAll(t *testing.T) {
 	const workers = 8
 	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil,
-		Options{
-			GroupCommit:   true,
-			MaxForceDelay: time.Millisecond,
-		})
+		Options{GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +240,10 @@ func TestGroupCommitForceFaultPoisonsAll(t *testing.T) {
 	v.commit1(r, 0, []byte("pre-fault"))
 
 	// Every sync from here on fails permanently: the next group force is
-	// doomed, and with it every committer sharing it.
+	// doomed, and with it every committer sharing it.  It is held until
+	// every worker has appended.
 	v.logInj.Add(iofault.Fault{Ops: iofault.OpSync, Count: -1})
+	holdFirstSync(v.logInj, workers)
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

@@ -9,39 +9,41 @@ import (
 	"github.com/rvm-go/rvm/internal/obs"
 )
 
-// Group commit (Options.GroupCommit) batches the log forces of concurrent
-// flush-mode commits.  The paper identifies the log force as the dominant
-// cost of a flush-mode commit (§4.2); serializing N committers behind the
-// engine lock makes them pay N back-to-back fsyncs for records that a
-// single fsync would have covered.
+// The force ticket is the one way a caller makes the log durable through a
+// sequence number: a flush commit through its record, Flush through the
+// last record it drained, an epoch truncation through the epoch's end.
+// The paper identifies the log force as the dominant cost of a flush-mode
+// commit (§4.2); concurrent callers share one fsync instead of paying one
+// each.  Only the page cleaner's write-ahead force (clean) forces directly.
 //
 // Protocol: a committer appends its record under the log-pipeline lock
 // (so records, page enqueues, and spool drains keep their log order),
 // releases it, and calls waitForced with its record's sequence number —
-// its ticket.  The
-// WAL tracks a forced-through LSN (wal.Log.ForcedThrough): a ticket is
-// satisfied the moment any completed force covers its sequence number,
-// whoever issued it.  If no force is in flight, the committer elects
-// itself leader, waits out a join window (see joinWindow) to let more
-// appends join the batch, and issues one Force for everyone; waiters
-// sleep on the ticket condition until the leader broadcasts the outcome.
-// Each leader leaves the next one a prediction — how many committers
-// waited on its force, covered by it or queued behind it — and the
-// force's duration, which bounds how long the next window waits for them.
+// its ticket.  The WAL tracks a forced-through LSN (wal.Log.ForcedThrough):
+// a ticket is satisfied the moment any completed force covers its sequence
+// number, whoever issued it.  If no force is in flight, the caller elects
+// itself leader and issues one Force for everyone; a flush commit leading
+// under Options.GroupCommit first waits out a join window (see joinWindow)
+// to let more appends join the batch.  Waiters sleep on the ticket
+// condition until the leader broadcasts the outcome.  Each leader leaves
+// the next one a prediction — how many committers waited on its force,
+// covered by it or queued behind it — and the force's duration, which
+// bounds how long the next window waits for them.
 //
-// Failure semantics are fail-stop, exactly as on the serialized path: a
-// force that fails past the transient retries leaves the device state
-// unknowable, so the leader poisons the engine and the error is recorded
-// sticky in the ticket state — every current waiter and every future
-// ticket holder gets the same wrapped ErrPoisoned.  No waiter can be
-// acknowledged by a failed force, because ForcedThrough only advances when
-// a force completes successfully.
+// Failure semantics are fail-stop: a force that fails past the transient
+// retries leaves the device state unknowable, so the leader poisons the
+// engine and the error is recorded sticky in the ticket state — every
+// current waiter and every future ticket holder gets the same wrapped
+// ErrPoisoned.  No waiter can be acknowledged by a failed force, because
+// ForcedThrough only advances when a force completes successfully.
 type groupCommit struct {
 	mu      obs.Mutex  // obs.LockGroupCommit, bound at Open
 	cond    *sync.Cond // signalled when a force completes (either outcome)
 	forcing bool       // a leader is mid-force
 	err     error      // sticky outcome of a failed force (engine poisoned)
 
+	// Flush commits only: a ticket held by Flush or a truncation counts in
+	// none of these.
 	batch    uint64 // commits acknowledged since the last force completed
 	maxBatch uint64 // largest batch observed (Statistics.GroupCommitSize)
 	saved    uint64 // commits acked without leading (Statistics.ForcesSaved)
@@ -64,8 +66,7 @@ type groupCommit struct {
 // force, for at most half its duration: a committer tens of microseconds
 // behind its peers joins this force instead of paying the next one, a lone
 // committer (a prediction of one) waits for nothing, and a committer that
-// has left costs one bounded wait, after which the prediction falls.  A
-// nonzero MaxForceDelay then lingers the given duration on top.
+// has left costs one bounded wait, after which the prediction falls.
 func (e *Engine) joinWindow() {
 	last := e.log.LastSeq()
 	for idle := 0; idle < 2; {
@@ -87,23 +88,24 @@ func (e *Engine) joinWindow() {
 			runtime.Gosched()
 		}
 	}
-	if d := e.opts.MaxForceDelay; d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // waitForced blocks until the log is durably forced through seq, electing
-// this committer as the force leader when no force is in flight.  Callers
-// must hold no engine lock.  A nil error means a successful force covered
-// seq; a non-nil error is the sticky group-force failure (wrapped
-// ErrPoisoned).  led reports whether this committer ran a force itself
-// (phase attribution splits the force wait by role), and fsyncNs is the
+// the caller as the force leader when no force is in flight.  commit says
+// the caller is a flush commit: only commits count as arrivals and in the
+// batch statistics, and only a commit's force waits out the join window.
+// Callers must hold no engine lock.  A nil error means a successful force
+// covered seq; a non-nil error is the sticky force failure (wrapped
+// ErrPoisoned).  led reports whether the caller ran a force itself (phase
+// attribution splits the force wait by role), and fsyncNs is the
 // device-sync duration of a force it led (0 for followers).  The whole
 // wait runs under the group-wait stall gate so the watchdog can flag a
 // window nobody closes.
-func (e *Engine) waitForced(seq uint64) (led bool, fsyncNs int64, err error) {
+func (e *Engine) waitForced(seq uint64, commit bool) (led bool, fsyncNs int64, err error) {
 	gc := &e.gc
-	gc.arrived.Add(1)
+	if commit {
+		gc.arrived.Add(1)
+	}
 	e.met.OpEnter(obs.StallGroupWait)
 	defer e.met.OpExit(obs.StallGroupWait)
 	gc.mu.Lock()
@@ -114,12 +116,12 @@ func (e *Engine) waitForced(seq uint64) (led bool, fsyncNs int64, err error) {
 			return led, fsyncNs, err
 		}
 		if e.log.ForcedThrough() >= seq {
-			gc.batch++
-			if gc.batch > gc.maxBatch {
-				gc.maxBatch = gc.batch
-			}
-			if !led {
-				gc.saved++
+			if commit {
+				gc.batch++
+				gc.maxBatch = max(gc.maxBatch, gc.batch)
+				if !led {
+					gc.saved++
+				}
 			}
 			gc.mu.Unlock()
 			return led, fsyncNs, nil
@@ -131,7 +133,9 @@ func (e *Engine) waitForced(seq uint64) (led bool, fsyncNs int64, err error) {
 		// Lead: force on behalf of every record appended so far.
 		gc.forcing = true
 		gc.mu.Unlock()
-		e.joinWindow()
+		if commit && e.opts.GroupCommit {
+			e.joinWindow()
+		}
 		issued := gc.arrived.Swap(0) // each appended before entering, so this force covers it
 		fst := time.Now()
 		err := e.retryIO(e.log.Force)
@@ -150,7 +154,7 @@ func (e *Engine) waitForced(seq uint64) (led bool, fsyncNs int64, err error) {
 			gc.err = err
 		}
 		gc.cond.Broadcast()
-		// Loop: re-check coverage (the force may have raced a concurrent
-		// truncation force, or failed — both cases resolve above).
+		// Loop: re-check coverage (the force may have raced the cleaner's
+		// force, or failed — both cases resolve above).
 	}
 }

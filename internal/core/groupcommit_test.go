@@ -31,20 +31,43 @@ func TestGroupCommitSingleCommitter(t *testing.T) {
 	}
 }
 
+// holdFirstSync makes the next Sync through inj wait until n writes have
+// reached it since this call — n committers appended behind the first
+// force — or a second has passed.  The first force covers only what was
+// appended before it started, so the n-1 committers behind it share the
+// next one, on any host and without a timed batching window.
+func holdFirstSync(inj *iofault.Injector, n int64) {
+	var writes atomic.Int64
+	var held atomic.Bool
+	inj.SetHook(func(op iofault.Op, _ int64, _ int) {
+		switch {
+		case op == iofault.OpWrite:
+			writes.Add(1)
+		case op == iofault.OpSync && held.CompareAndSwap(false, true):
+			for deadline := time.Now().Add(time.Second); writes.Load() < n && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	})
+}
+
 // TestGroupCommitConcurrent drives many goroutines through the group-commit
 // path: every commit must be acknowledged, every acknowledged value must
 // survive a crash, and the force count must show sharing (fewer fsyncs than
-// commits).  MaxForceDelay makes the batching deterministic even on devices
-// whose fsync is nearly free.
+// commits).  The first force is held until every worker has appended, so
+// the batching does not depend on how cheap the host's fsync is.
 func TestGroupCommitConcurrent(t *testing.T) {
 	const workers = 8
 	const commitsEach = 6
-	v := newEnv(t, 1<<20, pageBytes(2), Options{
+	v, err := newFaultEnv(t, 1<<20, pageBytes(2), 1, false, nil, nil, Options{
 		GroupCommit:       true,
-		MaxForceDelay:     2 * time.Millisecond,
 		TruncateThreshold: -1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := v.mapWhole()
+	holdFirstSync(v.logInj, workers)
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -108,13 +131,13 @@ func TestGroupCommitConcurrent(t *testing.T) {
 // TestGroupCommitWithSpoolAndTruncation mixes group-commit flush
 // transactions with no-flush spooling and explicit truncation, checking the
 // paths compose: spool drains keep commit order ahead of flush commits, and
-// truncation's own forces satisfy group tickets.
+// every caller's ticket — a commit's, Flush's, a truncation's — is
+// satisfied by whichever force covers it.
 func TestGroupCommitWithSpoolAndTruncation(t *testing.T) {
 	const workers = 4
 	v := newEnv(t, 1<<20, pageBytes(2), Options{
-		GroupCommit:   true,
-		MaxForceDelay: time.Millisecond,
-		Incremental:   true,
+		GroupCommit: true,
+		Incremental: true,
 	})
 	r := v.mapWhole()
 
@@ -221,8 +244,8 @@ func (d *sleepLog) sinceSync() time.Duration {
 	return time.Since(d.born) - time.Duration(d.done.Load())
 }
 
-// newSleepEngine opens an engine on a 1 ms sleepLog with MaxForceDelay
-// unset and maps a two-page region.
+// newSleepEngine opens an engine on a 1 ms sleepLog and maps a two-page
+// region.
 func newSleepEngine(tb testing.TB, group bool) (*Engine, *Region, *sleepLog) {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -386,15 +409,15 @@ func TestGroupCommitWaitIsBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkForcePaths compares the two force paths — a direct force per
-// commit, and group commit with MaxForceDelay unset — at 1, 2, 8 and 64
+// BenchmarkForcePaths compares flush commits through the force ticket
+// without and with the join window (GroupCommit) at 1, 2, 8 and 64
 // committers on a log whose Sync sleeps 1 ms one call at a time.  b.N is
 // the number of commits, shared among the committers.
 func BenchmarkForcePaths(b *testing.B) {
 	for _, path := range []struct {
 		name  string
 		group bool
-	}{{"direct", false}, {"group", true}} {
+	}{{"nowindow", false}, {"window", true}} {
 		for _, n := range []int{1, 2, 8, 64} {
 			b.Run(fmt.Sprintf("%s/committers=%d", path.name, n), func(b *testing.B) {
 				eng, r, _ := newSleepEngine(b, path.group)

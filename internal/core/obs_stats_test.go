@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/rvm-go/rvm/internal/iofault"
 )
@@ -154,7 +153,6 @@ func TestStatsRaceWithTruncation(t *testing.T) {
 func TestGroupCommitStatsSweep(t *testing.T) {
 	v := newEnv(t, 1<<22, pageBytes(2), Options{
 		GroupCommit:       true,
-		MaxForceDelay:     time.Millisecond,
 		TruncateThreshold: -1,
 	})
 	r := v.mapWhole()
@@ -220,5 +218,56 @@ func TestGroupCommitStatsSweep(t *testing.T) {
 	}
 	if st.ForcesSaved == 0 {
 		t.Fatal("ForcesSaved = 0 after 64-way contention, want > 0")
+	}
+}
+
+// TestForceCountersCountFlushCommitsOnly: Flush and truncation force the
+// log through the same ticket as a flush commit, and a Flush can ride
+// another's force, but ForcesSaved, GroupCommitSize and JoinExpired count
+// flush commits only.  Workers that commit no-flush and call Flush and
+// Truncate, with no flush commit at all, leave all three at zero.
+func TestForceCountersCountFlushCommitsOnly(t *testing.T) {
+	const workers, iters = 4, 24
+	v := newEnv(t, 1<<20, pageBytes(2), Options{GroupCommit: true, TruncateThreshold: -1})
+	r := v.mapWhole()
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range iters {
+				tx, err := v.eng.Begin(NoRestore)
+				if err == nil {
+					err = tx.Modify(r, int64(w)*64, []byte(fmt.Sprintf("w%d-%02d", w, i)))
+				}
+				if err == nil {
+					err = tx.Commit(NoFlush)
+				}
+				if err == nil && i%3 == 1 {
+					err = v.eng.Flush()
+				}
+				if err == nil && i%8 == 7 {
+					err = v.eng.Truncate()
+				}
+				if errs[w] = err; err != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	st := v.eng.Stats()
+	if st.FlushCommits != 0 || st.LogForces == 0 {
+		t.Fatalf("%d flush commits and %d forces; want none and some", st.FlushCommits, st.LogForces)
+	}
+	if st.ForcesSaved != 0 || st.GroupCommitSize != 0 || st.JoinExpired != 0 {
+		t.Fatalf("ForcesSaved %d, GroupCommitSize %d, JoinExpired %d with no flush commit; want 0, 0, 0",
+			st.ForcesSaved, st.GroupCommitSize, st.JoinExpired)
 	}
 }

@@ -29,7 +29,8 @@ var crashFiles = []string{"log.rvm", "log.rvm.segs", "seg.rvm"}
 // newCrashImage commits flush-mode transfers until logBytes of log are
 // written, checkpointing once ckptAt of them are (0: never), and copies the
 // files as they stand; the engine then lets go of them as a dying process
-// would, without a write.
+// would, without a write, and is dropped: a Close after its files are gone
+// would write through them.
 func newCrashImage(tb testing.TB, logBytes, ckptAt int64) *crashImage {
 	tb.Helper()
 	s := newTPCAShape(tb, Options{NoSync: true, TruncateThreshold: -1})
@@ -64,6 +65,7 @@ func newCrashImage(tb testing.TB, logBytes, ckptAt int64) *crashImage {
 		}
 	}
 	s.eng.closeFiles()
+	s.eng = nil
 	return img
 }
 

@@ -38,8 +38,12 @@ func newTPCAShape(tb testing.TB, opts Options) *tpcaShape {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { eng.Close() })
 	s := &tpcaShape{eng: eng, rng: rand.New(rand.NewSource(14))}
+	tb.Cleanup(func() {
+		if s.eng != nil {
+			s.eng.Close()
+		}
+	})
 	for _, m := range []struct {
 		r          **Region
 		off, pages int

@@ -22,7 +22,6 @@ func TestConcurrentStress(t *testing.T) {
 		Incremental:       true,
 		TruncateThreshold: 0.5,
 		GroupCommit:       true,
-		MaxForceDelay:     time.Millisecond,
 	}
 	v := newEnv(t, 1<<22, pageBytes(2*workers), opts)
 

@@ -24,13 +24,16 @@ func (e *Engine) Flush() error {
 	return e.maybePoison(e.flushSpool(false))
 }
 
-// flushSpool drains the spool into the log and forces it.  claimed says
-// whether the caller already holds the truncation slot, which decides how
-// a full log is handled (retryLogFull).  The force runs with no lock held.
+// flushSpool drains the spool into the log and forces it through the last
+// record drained, which also covers every record a flush commit drained
+// before it.  claimed says whether the caller already holds the truncation
+// slot, which decides how a full log is handled (retryLogFull).  The force
+// is a ticket (waitForced), taken with no lock held.
 func (e *Engine) flushSpool(claimed bool) error {
 	t0 := time.Now()
 	p := &e.pipe
 	var drained int64
+	var last uint64
 	first := true
 	for attempt := 0; ; attempt++ {
 		p.mu.Lock()
@@ -43,6 +46,7 @@ func (e *Engine) flushSpool(claimed bool) error {
 		if err != nil && len(p.spool) > 0 {
 			need = wal.EncodedLen(p.spool[0].ranges)
 		}
+		last = e.log.LastSeq()
 		p.mu.Unlock()
 		if err == nil {
 			break
@@ -51,7 +55,7 @@ func (e *Engine) flushSpool(claimed bool) error {
 			return err
 		}
 	}
-	if err := e.retryIO(e.log.Force); err != nil {
+	if _, _, err := e.waitForced(last, false); err != nil {
 		return err
 	}
 	e.stats.Flushes.Add(1)
@@ -186,8 +190,8 @@ func (e *Engine) applyPending() error {
 // publishes its end sequence, both under the pipeline lock: any commit
 // appending after the collection then sees epochEndSeq set and promotes
 // re-modified pages to their new (surviving) log reference.  The epoch may
-// hold records not yet forced, so its tail is forced before it is returned
-// to be applied.
+// hold records not yet forced, so it takes a ticket through its last
+// record before it is returned to be applied.
 func (e *Engine) collectEpochPipe() (*recovery.Epoch, error) {
 	p := &e.pipe
 	p.mu.Lock()
@@ -204,9 +208,9 @@ func (e *Engine) collectEpochPipe() (*recovery.Epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if end := ep.EndSeq(); end > 0 && e.log.ForcedThrough() < end-1 {
-		if ferr := e.retryIO(e.log.Force); ferr != nil {
-			return nil, ferr
+	if end := ep.EndSeq(); end > 0 {
+		if _, _, err := e.waitForced(end-1, false); err != nil {
+			return nil, err
 		}
 	}
 	return ep, nil
@@ -368,6 +372,12 @@ func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, po
 			// released its locks before its force; the page must not reach its
 			// segment ahead of them (write-ahead rule).  Forcing beats waiting
 			// for that force: the walk goes on with all appended so far durable.
+			// This force alone does not take a ticket.  Riding the client's
+			// force in flight instead, together with the spool flush's and
+			// the epoch's tickets, cost tpca_noflush 6 % of its throughput
+			// and brought back six epochs per window (EXPERIMENTS.md, "One
+			// force ticket"): the cleaner then waits on a client force
+			// instead of stalling it and loses the hot page to re-spooling.
 			r.mu.Unlock()
 			if err = e.retryIO(e.log.Force); err != nil {
 				return pages, 0, 0, false, err

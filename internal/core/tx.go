@@ -348,18 +348,20 @@ func (t *Tx) Commit(mode CommitMode) error {
 // reads the clock.  Reading it under a lock is fine (it is not an
 // emission); the histograms are fed only after every lock is released.
 type phaseClock struct {
-	on bool
-	t  time.Time
+	on   bool
+	t    time.Time
+	last time.Duration // since t, at the previous lap
 }
 
-// lap returns the nanoseconds since the previous lap.
+// lap returns the nanoseconds since the previous lap.  time.Since reads
+// only the monotonic clock, about half the price of a time.Now.
 func (c *phaseClock) lap() int64 {
 	if !c.on {
 		return 0
 	}
-	now := time.Now()
-	d := now.Sub(c.t)
-	c.t = now
+	now := time.Since(c.t)
+	d := now - c.last
+	c.last = now
 	return d.Nanoseconds()
 }
 
@@ -458,16 +460,11 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		// state unknowable, so it has poisoned the engine rather than risk
 		// acknowledging on a log it cannot trust.
 		var err error
-		if led, fsyncNs, err = e.force(seq); err != nil {
+		if led, fsyncNs, err = e.waitForced(seq, true); err != nil {
 			t.abandonIfPoisoned(err)
 			return err
 		}
 		forceNs = clk.lap()
-		if !e.opts.GroupCommit {
-			// Direct path: the force wait is the fsync (plus retryIO's
-			// negligible bookkeeping).
-			fsyncNs = forceNs
-		}
 		t.lockRegions()
 		t.finish()
 	}
@@ -503,18 +500,6 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		go e.autoTruncate()
 	}
 	return nil
-}
-
-// force makes the log durable through seq: the group-commit ticket protocol
-// when enabled, a direct force otherwise.  It returns whether this
-// committer ran the force itself and the fsync time of a force it led; the
-// direct path leaves timing the fsync to the caller, whose whole force wait
-// it is.
-func (e *Engine) force(seq uint64) (led bool, fsyncNs int64, err error) {
-	if e.opts.GroupCommit {
-		return e.waitForced(seq)
-	}
-	return true, 0, e.maybePoison(e.retryIO(e.log.Force))
 }
 
 // abandonIfPoisoned resolves a transaction whose commit just poisoned the

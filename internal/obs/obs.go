@@ -171,7 +171,7 @@ func (t *Tracer) SpanSince(typ EventType, start time.Time, tid, a, b uint64) {
 		return
 	}
 	end := int64(time.Since(t.base))
-	dur := int64(time.Since(start))
+	dur := end - int64(start.Sub(t.base)) // one clock read for both
 	if dur < 0 {
 		dur = 0
 	}

@@ -44,7 +44,6 @@ package rvm
 
 import (
 	"io"
-	"time"
 
 	"github.com/rvm-go/rvm/internal/core"
 	"github.com/rvm-go/rvm/internal/mapping"
@@ -170,22 +169,13 @@ type Options struct {
 	// guarantee.  For benchmark harnesses that measure log traffic, not
 	// durability; leave it false.
 	NoSync bool
-	// GroupCommit batches the log forces of concurrent flush-mode
-	// commits: a committer appends its record, releases the engine lock,
-	// and waits for a shared force that covers every record appended
-	// since the last one.  N goroutines committing concurrently then pay
-	// about one fsync per batch instead of N serialized fsyncs, with the
-	// same durability guarantee — a commit is only acknowledged after a
-	// successful force covers its record, and a failed force fail-stops
-	// every waiter (see ErrPoisoned).
+	// GroupCommit makes the committer that issues a log force first wait
+	// briefly for concurrent flush commits still arriving, so that they
+	// share its fsync.  Concurrent committers share a force without it
+	// too, and the durability guarantee is the same either way: a commit
+	// is only acknowledged after a successful force covers its record, and
+	// a failed force fail-stops every waiter (see ErrPoisoned).
 	GroupCommit bool
-	// MaxForceDelay extends the group-commit leader's batching window
-	// with a timed wait.  A leader always yields briefly while new
-	// commit records keep arriving and forces once arrivals pause; a
-	// nonzero delay makes it linger that much longer, buying larger
-	// batches at the cost of added commit latency.  Only meaningful with
-	// GroupCommit.
-	MaxForceDelay time.Duration
 	// TraceEvents enables event tracing, retaining the most recent
 	// TraceEvents events in a lock-free ring (rounded up to a power of
 	// two, minimum 64).  Zero disables tracing entirely; recording is
@@ -260,7 +250,6 @@ func (o Options) engine() core.Options {
 		Incremental:       o.Incremental,
 		NoSync:            o.NoSync,
 		GroupCommit:       o.GroupCommit,
-		MaxForceDelay:     o.MaxForceDelay,
 		Tracer:            tracer,
 		Metrics:           metrics,
 	}

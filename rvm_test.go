@@ -249,7 +249,7 @@ func TestGroupCommitPublicAPI(t *testing.T) {
 	// The group-commit options must flow through the facade: concurrent
 	// flush-mode committers share forces (ForcesSaved > 0), and every
 	// acknowledged commit survives a close/reopen.
-	s := newStore(t, rvm.Options{GroupCommit: true, MaxForceDelay: 2 * time.Millisecond})
+	s := newStore(t, rvm.Options{GroupCommit: true})
 	reg, err := s.db.Map(s.segPath, 0, 4*int64(rvm.PageSize))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # mutants-sync.sh re-runs the sync mutation table of DESIGN.md §8: each row
-# deletes one sync or force of the engine by a one-line edit, made in a
-# temporary copy of the tree (never the working tree), and runs the
+# deletes one sync, force or force ticket of the engine by a one-line edit,
+# made in a temporary copy of the tree (never the working tree), and runs the
 # data-checking test the row names.  A row passes when that test fails
 # within 60 s; the script fails when any row's test passes, hangs, or does
 # not build, or when a row's line is no longer found exactly once.
@@ -11,12 +11,12 @@ set -euo pipefail
 
 # name | file | line as it stands | line with the sync gone | package | tests
 rows=(
-	"direct flush force|internal/core/tx.go|	return true, 0, e.maybePoison(e.retryIO(e.log.Force))|	return true, 0, nil|./internal/core|^TestLossyCrashProperty\$"
+	"the log force's sync|internal/wal/wal.go|		err := dev.Sync()|		err, _ := error(nil), dev|./internal/core|^TestLossyCrashProperty\$"
 	"clean's segment syncs|internal/core/truncate.go|		wrote[r.seg] = true|		_ = wrote|./internal/core|^TestLossyCrashProperty\$"
-	"flushSpool's force|internal/core/truncate.go|	if err := e.retryIO(e.log.Force); err != nil {|	if err := error(nil); err != nil {|./internal/core|^TestLossyCrashProperty\$"
+	"flushSpool's ticket|internal/core/truncate.go|	if _, _, err := e.waitForced(last, false); err != nil {|	if _, _, err := e.waitForced(0*last, false); err != nil {|./internal/core|^TestLossyCrashProperty\$"
 	"SetHead's status sync|internal/wal/wal.go|		if err := dev.Sync(); err != nil {|		if err := error(nil); err != nil {|./internal/core|^TestLossyCrashProperty\$"
 	"clean's write-ahead force|internal/core/truncate.go|		if d.Last > e.log.ForcedThrough() {|		if false {|./internal/core|^TestCleanerForcesDrainedRecords\$/^crashed\$"
-	"the epoch's force before it applies|internal/core/truncate.go|		if ferr := e.retryIO(e.log.Force); ferr != nil {|		if ferr := error(nil); ferr != nil {|./internal/core|^TestLossyCrashProperty\$"
+	"the epoch's ticket before it applies|internal/core/truncate.go|	if end := ep.EndSeq(); end > 0 {|	if end := ep.EndSeq(); false && end > 0 {|./internal/core|^TestLossyCrashProperty\$"
 	"Unmap's segment sync|internal/core/engine.go|			err = e.retryIO(r.seg.Sync)|			err = nil|./internal/core|^TestLossyCrashProperty\$"
 )
 
