@@ -11,8 +11,9 @@
 // There is one commit path, (*Tx).commit in tx.go, as the paper's
 // end_transaction is one procedure with a commit_mode flag: under the
 // region locks the transaction's ranges go through the log pipeline in one
-// section — spooled for a lazy (no-flush) commit, else appended as one
-// record — and then the log is forced holding no lock.  A full log is
+// section — spooled for a lazy (no-flush) commit the spool can take, else
+// appended as one record behind the spool's, the drain — and then the log
+// is forced holding no lock.  A full log is
 // handled in one place for commits and spool flushes alike (retryLogFull).
 // There is one force protocol too: a flush commit, Flush and an epoch
 // truncation all force through one ticket (waitForced in groupcommit.go),
@@ -184,18 +185,15 @@ type pipeline struct {
 	mu obs.Mutex // obs.LockPipeline, bound at Open
 	// The spool (spool.go): committed no-flush transactions not yet in the
 	// log, in commit order.  Entries a later commit subsumed stay in the
-	// slice, dead, until a drain passes them or a compaction drops them.
+	// slice, dead, until a drain empties it or a compaction drops them.
 	spool       []*spooled
 	spoolBytes  int64                   // log cost of the live entries
 	deadBytes   int64                   // log cost of the dead entries mem still holds
 	spoolIdx    map[uint64]*spoolBucket // live entries by witness bucket
-	ord         uint64                  // the last spooled entry's ord
-	tiedFrom    uint64                  // entries with ords in (tiedFrom, tiedTo] are logged as one record
-	tiedTo      uint64
-	spoolChecks uint64             // full subsumption checks run; tests pin the cost of a commit with it
-	mem         spoolMem           // what entries are cut from
-	buckets     arena[spoolBucket] // spoolIdx's buckets
-	batch       []wal.Entry        // drain scratch, kept for its capacity
+	spoolChecks uint64                  // full subsumption checks run; tests pin the cost of a commit with it
+	mem         spoolMem                // what entries are cut from
+	buckets     arena[spoolBucket]      // spoolIdx's buckets
+	ranges      []wal.Range             // drain scratch, kept for its capacity
 	queue       pagevec.Queue
 	epochEndSeq uint64 // while an epoch truncation is in flight: its EndSeq
 }
@@ -204,7 +202,7 @@ type pipeline struct {
 // regions.  All methods are safe for concurrent use.
 type Engine struct {
 	opts       Options // immutable after Open (runtime knobs below are atomics)
-	spoolLimit int64   // spoolLimit, read at Open
+	spoolLimit int64   // spoolLimit, capped at Open (spool.go)
 
 	// The log and the commit machinery in front of it: the pipeline lock
 	// and spool, and the group-commit ticket state.
@@ -350,7 +348,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		opts:       opts,
-		spoolLimit: spoolLimit,
+		spoolLimit: min(spoolLimit, lg.AreaSize()/4-wal.EncodedLen(nil)),
 		log:        lg,
 		dict:       d,
 		segs:       make(map[uint64]*segment.Segment),

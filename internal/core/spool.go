@@ -11,8 +11,10 @@ import (
 
 // spoolLimit bounds the log bytes of the committed no-flush transactions the
 // spool holds: a commit that takes it past the limit flushes the spool (the
-// real RVM's log buffers were finite too).  Zero or less means no limit.
-// Open reads it once; a variable for the tests.
+// real RVM's log buffers were finite too).  Open caps it at a quarter of the
+// log less a record's framing, so that a drain — one record of at most two
+// limits' worth — fits in half the log, which any record fits in once an
+// epoch has emptied the log.  Open reads it once; a variable for the tests.
 var spoolLimit int64 = 1 << 20
 
 // spooled is a committed no-flush transaction awaiting its log write.
@@ -22,9 +24,7 @@ var spoolLimit int64 = 1 << 20
 type spooled struct {
 	next    *spooled // the next entry filed in the same index bucket
 	witness segSpan  // the range the entry is filed under
-	dead    bool     // logged or subsumed: no longer part of the spool
-	ord     uint64   // its place in commit order, from 1
-	rec     int      // while a drain runs: the record of the batch it goes into
+	dead    bool     // subsumed: no longer part of the spool
 	flags   uint8
 	tid     uint64
 	bytes   int64       // encoded log size, for inter-opt accounting
@@ -95,7 +95,7 @@ func (m *spoolMem) clone(sp *spooled) *spooled {
 		n += len(r.Data)
 	}
 	c := &m.ents.take(1, 512)[0]
-	*c = spooled{witness: sp.witness, ord: sp.ord, flags: sp.flags, tid: sp.tid, bytes: sp.bytes, ranges: m.ranges.take(len(sp.ranges), 512)[:0]}
+	*c = spooled{witness: sp.witness, flags: sp.flags, tid: sp.tid, bytes: sp.bytes, ranges: m.ranges.take(len(sp.ranges), 512)[:0]}
 	c.pages = append(m.pages.take(len(sp.pages), 512)[:0], sp.pages...)
 	data := m.data.take(n, 64<<10)[:0]
 	for _, r := range sp.ranges {
@@ -187,22 +187,12 @@ func (p *pipeline) subsumedPipeLocked(old *spooled, cover []segSpan) bool {
 // commits have visited least: what every transaction writes (a balance, a
 // counter) is a poor witness, one that every commit would have to look at.
 //
-// A crash can tear a drain anywhere and keep a prefix of its records.  A
-// discarded entry with a live one after it leaves a hole: that later
-// commit, logged on its own, could survive a crash that lost sp, and the
-// restart would hold it without the discarded one's bytes, a state after
-// no commit (TestSpoolDiscardKeepsCommitOrder).  So the entries from the
-// hole to sp are tied (p.tiedFrom, p.tiedTo): the drain logs them as one
-// record, which a crash keeps whole or not at all.  Ties are made only
-// while the spool is small enough for any such record to fit in the log
-// after an epoch frees it; past that, nothing is discarded.  Caller holds
-// e.pipe.mu and the locks of sp's regions; sp may move once it is spooled.
+// A discard leaves a hole in commit order that no crash can expose: the
+// drain logs the spool as one record, which a crash keeps whole or not at
+// all (TestSpoolDiscardKeepsCommitOrder).  Caller holds e.pipe.mu and the
+// locks of sp's regions; sp may move once it is spooled.
 func (e *Engine) spoolPipeLocked(sp *spooled) {
 	p := &e.pipe
-	p.ord++
-	sp.ord = p.ord
-	tieOK := p.spoolBytes+sp.bytes <= e.log.AreaSize()/4
-	var first uint64 // the oldest entry discarded
 	var buf [8]segSpan
 	cover := coverOf(buf[:0], sp.ranges)
 	var at [8]*spoolBucket // the walk's lookup of each range's first byte
@@ -220,17 +210,12 @@ func (e *Engine) spoolPipeLocked(sp *spooled) {
 			}
 			link := &b.head
 			for old := *link; old != nil; old = *link {
-				if !old.dead { // an entry a partial drain logged lingers, dead
-					if !tieOK || !covers(cover, old.witness) || !p.subsumedPipeLocked(old, cover) {
-						link = &old.next
-						continue
-					}
-					e.stats.InterSavedBytes.Add(uint64(old.bytes))
-					e.retireSpooledPipeLocked(old, nil)
-					if first == 0 || old.ord < first {
-						first = old.ord
-					}
+				if !covers(cover, old.witness) || !p.subsumedPipeLocked(old, cover) {
+					link = &old.next
+					continue
 				}
+				e.stats.InterSavedBytes.Add(uint64(old.bytes))
+				e.retireSpooledPipeLocked(old, 0, 0)
 				*link = old.next
 			}
 			b.visits++
@@ -255,20 +240,6 @@ func (e *Engine) spoolPipeLocked(sp *spooled) {
 	}
 	sp.next, witness.head = witness.head, sp
 	witness.visits++
-	if first != 0 {
-		last := uint64(0) // the newest entry that stays
-		for i := len(p.spool) - 1; i >= 0 && last == 0; i-- {
-			if !p.spool[i].dead {
-				last = p.spool[i].ord
-			}
-		}
-		if first < last || first <= p.tiedTo {
-			if p.tiedTo == 0 || first < p.tiedFrom {
-				p.tiedFrom = first
-			}
-			p.tiedTo = sp.ord
-		}
-	}
 	for _, id := range sp.pages {
 		e.regions[id.Region].spoolRefs[id.Page]++
 	}
@@ -302,13 +273,13 @@ func (p *pipeline) compactSpoolPipeLocked() {
 	p.deadBytes = 0
 }
 
-// retireSpooledPipeLocked takes sp out of the spool — logged as ent, or
-// subsumed (ent nil) — releasing its page references.  The entry keeps its
-// slot in p.spool and its memory, dead, until a drain passes it or the
-// spool is compacted: the slice's order is the log's order.  A logged
-// entry's pages join the truncation queue at its record.  Caller holds
-// e.pipe.mu; the regions slice is readable under it (see Engine.regions).
-func (e *Engine) retireSpooledPipeLocked(sp *spooled, ent *wal.Entry) {
+// retireSpooledPipeLocked takes sp out of the spool — logged in the record
+// at pos, seq, or subsumed (seq 0) — releasing its page references.  A
+// subsumed entry keeps its slot in p.spool and its memory, dead, until a
+// drain empties the spool or a compaction drops it.  A logged entry's pages
+// join the truncation queue at its record.  Caller holds e.pipe.mu; the
+// regions slice is readable under it (see Engine.regions).
+func (e *Engine) retireSpooledPipeLocked(sp *spooled, pos int64, seq uint64) {
 	for _, id := range sp.pages {
 		// Unmap flushes the spool before it clears the region's slot, so the
 		// region is still there — but guard against stale slots anyway.
@@ -316,8 +287,8 @@ func (e *Engine) retireSpooledPipeLocked(sp *spooled, ent *wal.Entry) {
 			continue
 		}
 		e.regions[id.Region].spoolRefs[id.Page]--
-		if ent != nil {
-			e.enqueuePagePipeLocked(id, ent.Pos, ent.Seq)
+		if seq != 0 {
+			e.enqueuePagePipeLocked(id, pos, seq)
 		}
 	}
 	e.pipe.spoolBytes -= sp.bytes
@@ -325,67 +296,43 @@ func (e *Engine) retireSpooledPipeLocked(sp *spooled, ent *wal.Entry) {
 	sp.dead = true
 }
 
-// drainSpoolPipeLocked appends every spooled transaction to the log
-// (without forcing) — one device write for the lot, short of a wrap
-// or a very large spool — and enqueues their pages.  Each transaction is a
-// record of its own, but the tied ones share one, their ranges in commit
-// order.  On an error the entries that did reach the log are gone from the
-// spool and p.spool[0] is the first that did not.  Caller holds e.pipe.mu.
-func (e *Engine) drainSpoolPipeLocked() error {
+// drainSpoolPipeLocked appends the spool to the log (without forcing) as one
+// record: the ranges of every live entry, in commit order, under the newest
+// entry's TID and flags.  A crash keeps the drain whole or not at all, so
+// the restart holds every drained commit or none.  Every drained page is
+// enqueued at the record.  On an error nothing is logged, the spool is
+// unchanged, and need is the record's encoded size.  Caller holds e.pipe.mu.
+func (e *Engine) drainSpoolPipeLocked() (need int64, err error) {
 	p := &e.pipe
 	if len(p.spool) == 0 {
-		return nil
+		return 0, nil
 	}
-	ents := p.batch[:0]
-	tied := -1 // the record of the tied entries
+	ranges := p.ranges[:0]
 	for _, sp := range p.spool {
-		switch {
-		case sp.dead:
-		case sp.ord > p.tiedFrom && sp.ord <= p.tiedTo:
-			if tied < 0 {
-				tied = len(ents)
-				ents = append(ents, wal.Entry{})
-			}
-			rec := &ents[tied]
-			rec.TID, rec.Flags, rec.Ranges = sp.tid, sp.flags, append(rec.Ranges, sp.ranges...)
-			sp.rec = tied
-		default:
-			sp.rec = len(ents)
-			ents = append(ents, wal.Entry{TID: sp.tid, Flags: sp.flags, Ranges: sp.ranges})
+		if !sp.dead {
+			ranges = append(ranges, sp.ranges...)
 		}
 	}
-	logged := 0
-	err := e.retryIO(func() error {
-		n, err := e.log.AppendBatch(ents[logged:])
-		logged += n
-		return err
-	})
-	k := 0
-	for ; k < len(p.spool); k++ {
-		if sp := p.spool[k]; !sp.dead {
-			if sp.rec >= logged {
-				break
-			}
-			e.retireSpooledPipeLocked(sp, &ents[sp.rec])
+	newest := p.spool[len(p.spool)-1] // never subsumed: nothing came after it
+	pos, seq, _, err := e.appendPipeLocked(newest.tid, newest.flags, ranges)
+	if err != nil {
+		need = wal.EncodedLen(ranges)
+	}
+	clear(ranges)
+	p.ranges = ranges[:0]
+	if err != nil {
+		return need, err
+	}
+	for _, sp := range p.spool {
+		if !sp.dead {
+			e.retireSpooledPipeLocked(sp, pos, seq)
 		}
 	}
-	if tied >= 0 && tied < logged {
-		p.tiedFrom, p.tiedTo = 0, 0
-	}
-	for k < len(p.spool) && p.spool[k].dead {
-		k++
-	}
-	rest := copy(p.spool, p.spool[k:])
-	clear(p.spool[rest:])
-	p.spool = p.spool[:rest]
-	if rest == 0 { // nothing refers to the spool's memory any more
-		p.tiedFrom, p.tiedTo = 0, 0
-		clear(p.spoolIdx)
-		p.buckets.reset()
-		p.mem.reset()
-		p.deadBytes = 0
-	}
-	clear(ents)
-	p.batch = ents[:0]
-	return err
+	clear(p.spool) // nothing refers to the spool's memory any more
+	p.spool = p.spool[:0]
+	clear(p.spoolIdx)
+	p.buckets.reset()
+	p.mem.reset()
+	p.deadBytes = 0
+	return 0, nil
 }

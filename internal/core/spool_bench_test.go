@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -101,7 +103,7 @@ func (s *tpcaShape) commitMode(tb testing.TB, mode CommitMode) {
 func BenchmarkCommitNoFlush(b *testing.B) {
 	for _, spool := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("spool=%d", spool), func(b *testing.B) {
-			setVar(b, &spoolLimit, -1)
+			setVar(b, &spoolLimit, math.MaxInt64)
 			s := newTPCAShape(b, Options{TruncateThreshold: -1})
 			fill := func() {
 				if err := s.eng.Truncate(); err != nil {
@@ -125,4 +127,39 @@ func BenchmarkCommitNoFlush(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSpoolDrain measures a Flush of 256 TPC-A-shaped no-flush commits,
+// spooled off the clock: the drain's one record, encoded and written, and
+// the page enqueues, per drained commit.  The log is not synced, so the
+// figure is the drain's own cost, not the disk's.
+func BenchmarkSpoolDrain(b *testing.B) {
+	const commits = 256
+	s := newTPCAShape(b, Options{TruncateThreshold: -1, NoSync: true})
+	var ms runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if s.eng.log.Used() > 32<<20 {
+			if err := s.eng.Truncate(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for j := 0; j < commits; j++ {
+			s.commit(b)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		if err := s.eng.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*commits), "ns/commit")
+	b.ReportMetric(float64(mallocs)/float64(b.N*commits), "allocs/commit")
 }

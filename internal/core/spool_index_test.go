@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -19,18 +20,15 @@ import (
 // scanSpool is the inter-transaction optimization as the engine did it
 // before its spool was indexed: every commit builds its coverage per segment
 // and checks it against every spooled entry.  It survives as the reference
-// the index must agree with, ties included: a discard that leaves a hole
-// ties the entries from it to the commit into one record, and none is made
-// while the spool holds more than tieCap bytes.
+// the index must agree with.  An entry the spool cannot take — larger than
+// the limit, or the spool past it — drains the spool and is logged on its
+// own.
 type scanSpool struct {
-	limit            int64 // implicit flush beyond this many spooled bytes; 0 never
-	tieCap           int64
-	ents             []scanEntry
-	bytes            int64
-	saved            uint64
-	framing          uint64 // bytes of the flushed entries' records that are not ranges
-	ord              uint64
-	tiedFrom, tiedTo uint64
+	limit   int64 // the engine's: an implicit flush beyond this many spooled bytes
+	ents    []scanEntry
+	bytes   int64
+	saved   uint64
+	framing uint64 // bytes of the flushed entries' records that are not ranges
 }
 
 // covers reports whether [off,end) is fully covered: the scan's test, which
@@ -42,16 +40,23 @@ func (s *rangeset) covers(off, end int64) bool {
 
 type scanEntry struct {
 	tid    uint64
-	ord    uint64
 	ranges []segSpan
 	bytes  int64
 }
 
+// frame is the framing the log reports for a record of bytes range bytes:
+// a record with no ranges, and padding to 8 bytes.
+func frame(bytes int64) uint64 { return uint64((wal.EncodedLen(nil)+bytes+7)&^7 - bytes) }
+
 func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
-	s.ord++
-	ent := scanEntry{tid: tid, ord: s.ord, ranges: ranges}
+	ent := scanEntry{tid: tid, ranges: ranges}
 	for _, r := range ranges {
 		ent.bytes += wal.RangeLen(r.seg, uint64(r.off), r.end-r.off)
+	}
+	if ent.bytes > s.limit || s.bytes > s.limit {
+		s.flush()
+		s.framing += frame(ent.bytes)
+		return
 	}
 	cover := make(map[uint64]*rangeset)
 	for _, r := range ranges {
@@ -60,11 +65,9 @@ func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 		}
 		cover[r.seg].add(r.off, r.end, nil)
 	}
-	tieOK := s.bytes+ent.bytes <= s.tieCap
-	var first uint64 // the oldest entry discarded
 	kept := s.ents[:0]
 	for _, old := range s.ents {
-		subsumed := tieOK
+		subsumed := true
 		for _, r := range old.ranges {
 			if cs := cover[r.seg]; cs == nil || !cs.covers(r.off, r.end) {
 				subsumed = false
@@ -74,43 +77,23 @@ func (s *scanSpool) commit(tid uint64, ranges []segSpan) {
 		if subsumed {
 			s.bytes -= old.bytes
 			s.saved += uint64(old.bytes)
-			if first == 0 {
-				first = old.ord
-			}
 			continue
 		}
 		kept = append(kept, old)
 	}
-	s.ents = kept
-	if first != 0 && (len(kept) > 0 && first < kept[len(kept)-1].ord || first <= s.tiedTo) {
-		if s.tiedTo == 0 || first < s.tiedFrom {
-			s.tiedFrom = first
-		}
-		s.tiedTo = ent.ord
-	}
-	s.ents = append(s.ents, ent)
+	s.ents = append(kept, ent)
 	s.bytes += ent.bytes
-	if s.limit > 0 && s.bytes > s.limit {
+	if s.bytes > s.limit {
 		s.flush()
 	}
 }
 
-// flush logs the entries, one record each: the framing the log reports for
-// a record with no ranges, and padding to 8 bytes.
+// flush logs the entries as one record.
 func (s *scanSpool) flush() {
-	frame := func(bytes int64) uint64 { return uint64((wal.EncodedLen(nil)+bytes+7)&^7 - bytes) }
-	tied := int64(-1) // range bytes of the tied entries' one record
-	for _, ent := range s.ents {
-		if ent.ord > s.tiedFrom && ent.ord <= s.tiedTo {
-			tied = max(tied, 0) + ent.bytes
-			continue
-		}
-		s.framing += frame(ent.bytes)
+	if len(s.ents) > 0 {
+		s.framing += frame(s.bytes)
 	}
-	if tied >= 0 {
-		s.framing += frame(tied)
-	}
-	s.ents, s.bytes, s.tiedFrom, s.tiedTo = s.ents[:0], 0, 0, 0
+	s.ents, s.bytes = s.ents[:0], 0
 }
 
 func (s *scanSpool) tids() []uint64 {
@@ -135,7 +118,7 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 		limit   int64
 		commits int
 	}{
-		{"inter-opt", -1, 12000},
+		{"inter-opt", math.MaxInt64, 12000},
 		{"spool-limit", 24 << 10, 6000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,7 +143,7 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 				}
 				regs = append(regs, r)
 			}
-			ref := &scanSpool{limit: max(tc.limit, 0), tieCap: v.eng.log.AreaSize() / 4}
+			ref := &scanSpool{limit: v.eng.spoolLimit}
 			var verbatim verbatimLog
 			rng := rand.New(rand.NewSource(int64(len(tc.name))))
 
@@ -290,7 +273,7 @@ func TestSpoolIndexMatchesScan(t *testing.T) {
 // allocations are few.
 func TestNoFlushCommitCostBound(t *testing.T) {
 	for _, spool := range []int{256, 8192} {
-		setVar(t, &spoolLimit, -1)
+		setVar(t, &spoolLimit, math.MaxInt64)
 		s := newTPCAShape(t, Options{TruncateThreshold: -1})
 		for i := 0; i < spool; i++ {
 			s.commit(t)
@@ -364,7 +347,7 @@ func TestNoFlushCommitCostBound(t *testing.T) {
 // completion may not clear its dirty bit, and a subsumed entry gives its
 // references back exactly once.
 func TestSpoolPageRefs(t *testing.T) {
-	setVar(t, &spoolLimit, -1)
+	setVar(t, &spoolLimit, math.MaxInt64)
 	v := newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
 	noFlush := func(off int64, data string) {
@@ -400,12 +383,11 @@ func TestSpoolPageRefs(t *testing.T) {
 	// queue with spooled bytes in it: it turns the spool into log records
 	// before it writes anything, then writes both pages, and the head goes
 	// to the next append's — the flush commit and the three live spool entries
-	// are all reflected, in three records: the subsumption left a hole, so
-	// the entry after it and the subsuming one share a record.
+	// are all reflected, in two records: the flush commit's and the drain's.
 	pages, _, head, _, err := v.eng.clean(cleanEverything, &v.eng.stats.CheckpointPages)
 	v.eng.releaseTruncation()
-	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || head != next || head != 4 || v.eng.Stats().Flushes != 1 {
-		t.Fatalf("cleaner wrote %d page(s), head seq %d, %v, %d flush(es); want 2, 4, nil, 1", pages, head, err, v.eng.Stats().Flushes)
+	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || head != next || head != 3 || v.eng.Stats().Flushes != 1 {
+		t.Fatalf("cleaner wrote %d page(s), head seq %d, %v, %d flush(es); want 2, 3, nil, 1", pages, head, err, v.eng.Stats().Flushes)
 	}
 	// The cleaner drained the spool, so the epoch below gets its state made
 	// again: a logged page that the spool then references.
@@ -446,7 +428,7 @@ func TestSpoolPageRefs(t *testing.T) {
 // the queue's first page, incremental truncation must turn the spool into
 // log records before it writes the page — never the page first.
 func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
-	setVar(t, &spoolLimit, -1)
+	setVar(t, &spoolLimit, math.MaxInt64)
 	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true, TruncateThreshold: -1})
 	r := v.mapWhole()
 	v.commit1(r, 0, []byte("logged"))

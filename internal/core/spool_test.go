@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
-
-	"github.com/rvm-go/rvm/internal/wal"
 )
 
 func TestSpoolLimitTriggersImplicitFlush(t *testing.T) {
@@ -40,82 +38,49 @@ func TestSpoolLimitTriggersImplicitFlush(t *testing.T) {
 	}
 }
 
-func TestSpoolUnlimitedWhenNegative(t *testing.T) {
-	setVar(t, &spoolLimit, -1)
-	v := newEnv(t, 1<<20, pageBytes(2), Options{})
-	r := v.mapWhole()
-	payload := bytes.Repeat([]byte{1}, 1024)
-	for i := 0; i < 6; i++ {
-		tx, _ := v.eng.Begin(NoRestore)
-		if err := tx.Modify(r, int64(i)*1200, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(NoFlush); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v.eng.Stats().Flushes != 0 {
-		t.Fatal("unlimited spool flushed implicitly")
-	}
-	qi, _ := v.eng.Query(nil)
-	if qi.SpoolBytes < 6*1024 {
-		t.Fatalf("spool bytes %d", qi.SpoolBytes)
-	}
-}
-
-// TestSpoolSurvivesPartialDrain: a drain that runs out of log midway logs a
-// prefix of the spool and leaves the rest in the spool's memory, which is
-// recycled only once a drain leaves the spool empty.  A Flush over a spool
-// five logs long gives up after its third inline truncation; the commits
-// that follow, as many again, are cut from the same memory; Flushes that
-// finally succeed must then have logged every committed byte.  No byte is
-// written twice, so a lost entry cannot hide behind a later one.
-func TestSpoolSurvivesPartialDrain(t *testing.T) {
-	const area, pages = 32 << 10, 256
-	setVar(t, &spoolLimit, -1)
-	v := newEnv(t, area, pageBytes(pages), Options{TruncateThreshold: -1})
+// TestSpoolDrainFitsTheLog: a drain is one record, so it must fit the log
+// whole.  Behind a tail parked near the middle of a 64 KiB log, 15 spooled
+// commits of 1000 bytes and one of 40 000 would make a 55 168-byte drain,
+// which no epoch can make room for: the wrap in front of it does not fit.
+// The large commit must go to the log on its own, behind the drain, and
+// every byte must survive a restart.
+func TestSpoolDrainFitsTheLog(t *testing.T) {
+	const pages = 16
+	v := newEnv(t, 64<<10, pageBytes(pages), Options{TruncateThreshold: -1})
 	r, err := v.eng.Map(v.segPath, 0, pageBytes(pages))
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := make([]byte, pageBytes(pages))
-	rng := rand.New(rand.NewSource(33))
-	var next int64
-	spoolTo := func(bytes int64) {
+	rng := rand.New(rand.NewSource(39))
+	commit := func(off, n int64, mode CommitMode) {
 		t.Helper()
-		for qi, _ := v.eng.Query(nil); qi.SpoolBytes < bytes; qi, _ = v.eng.Query(nil) {
-			tx, err := v.eng.Begin(NoRestore)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 3; i++ {
-				off, n := next+rng.Int63n(64), 16+rng.Int63n(185)
-				next = off + n
-				if err := tx.SetRange(r, off, n); err != nil {
-					t.Fatal(err)
-				}
-				rng.Read(model[off : off+n])
-				copy(r.Data()[off:], model[off:off+n])
-			}
-			if err := tx.Commit(NoFlush); err != nil {
-				t.Fatal(err)
-			}
+		tx, err := v.eng.Begin(NoRestore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng.Read(model[off : off+n])
+		if err := tx.Modify(r, off, model[off:off+n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(mode); err != nil {
+			t.Fatal(err)
 		}
 	}
-	spoolTo(5 * area)
-	if err := v.eng.Flush(); !errors.Is(err, wal.ErrLogFull) {
-		t.Fatalf("Flush of a spool five logs long: %v, want log full", err)
+	for i := int64(0); i < 3; i++ {
+		commit(i*10000, 10000, Flush)
 	}
-	qi, _ := v.eng.Query(nil)
-	if qi.SpoolBytes == 0 {
-		t.Fatal("the failed Flush drained the whole spool: no partial drain to test")
+	if err := v.eng.Truncate(); err != nil {
+		t.Fatal(err)
 	}
-	spoolTo(qi.SpoolBytes + 5*area)
-	err = v.eng.Flush() // each try logs four logs' worth before it gives up
-	for try := 0; try < 4 && errors.Is(err, wal.ErrLogFull); try++ {
-		err = v.eng.Flush()
+	if hp, _ := v.eng.log.Head(); hp < 29<<10 || v.eng.log.Used() != 0 {
+		t.Fatalf("head at %d with %d bytes live; want an empty log from about 30 KiB", hp, v.eng.log.Used())
 	}
-	if err != nil {
+	for i := int64(0); i < 15; i++ {
+		commit(i*1000, 1000, NoFlush)
+	}
+	commit(15000, 40000, NoFlush)
+	if err := v.eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	v.reopen(Options{})
@@ -125,6 +90,94 @@ func TestSpoolSurvivesPartialDrain(t *testing.T) {
 	}
 	if !bytes.Equal(r2.Data(), model) {
 		t.Fatal("the recovered image is not what was committed")
+	}
+}
+
+// TestSpoolLimitHoldsUnderConcurrency: no-flush commits from several
+// goroutines, one in ten larger than the spool's limit, race each other, the
+// implicit flushes they trigger and truncations.  The spool may
+// never hold more than two limits' worth, which is what keeps a drain inside
+// the log, and every commit must survive a restart.
+func TestSpoolLimitHoldsUnderConcurrency(t *testing.T) {
+	const workers, iters, limit, pages = 4, 200, 4096, 4
+	setVar(t, &spoolLimit, limit)
+	v := newEnv(t, 1<<20, pageBytes(workers*pages), Options{TruncateThreshold: -1})
+	regions := make([]*Region, workers)
+	models := make([][]byte, workers)
+	for w := range regions {
+		r, err := v.eng.Map(v.segPath, pageBytes(w*pages), pageBytes(pages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions[w], models[w] = r, make([]byte, pageBytes(pages))
+	}
+	var wg sync.WaitGroup
+	for w := range regions {
+		wg.Add(1)
+		go func(r *Region, model []byte, rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				n := 100 + rng.Int63n(2000)
+				if i%10 == 0 {
+					n = limit + rng.Int63n(4000)
+				}
+				off := rng.Int63n(r.Length() - n)
+				rng.Read(model[off : off+n])
+				tx, err := v.eng.Begin(NoRestore)
+				if err == nil {
+					err = tx.Modify(r, off, model[off:off+n])
+				}
+				if err == nil {
+					err = tx.Commit(NoFlush)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if qi, _ := v.eng.Query(nil); qi.SpoolBytes > 2*limit {
+					t.Errorf("the spool holds %d bytes, more than two limits' worth", qi.SpoolBytes)
+					return
+				}
+			}
+		}(regions[w], models[w], rand.New(rand.NewSource(int64(w))))
+	}
+	done := make(chan struct{})
+	truncated := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-done:
+				truncated <- nil
+				return
+			default:
+			}
+			if err := v.eng.TruncateIncremental(0.25); err != nil {
+				<-done
+				truncated <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	if err := <-truncated; err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	if err := v.eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v.reopen(Options{})
+	for w, model := range models {
+		r, err := v.eng.Map(v.segPath, pageBytes(w*pages), pageBytes(pages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.Data(), model) {
+			t.Fatalf("region %d: the recovered image is not what was committed", w)
+		}
 	}
 }
 

@@ -24,8 +24,8 @@ func (e *Engine) Flush() error {
 	return e.maybePoison(e.flushSpool(false))
 }
 
-// flushSpool drains the spool into the log and forces it through the last
-// record drained, which also covers every record a flush commit drained
+// flushSpool drains the spool into the log and forces it through the
+// drain's record, which also covers every record a flush commit drained
 // before it.  claimed says whether the caller already holds the truncation
 // slot, which decides how a full log is handled (retryLogFull).  The force
 // is a ticket (waitForced), taken with no lock held.
@@ -34,18 +34,12 @@ func (e *Engine) flushSpool(claimed bool) error {
 	p := &e.pipe
 	var drained int64
 	var last uint64
-	first := true
 	for attempt := 0; ; attempt++ {
 		p.mu.Lock()
-		if first {
+		if attempt == 0 {
 			drained = p.spoolBytes
-			first = false
 		}
-		err := e.drainSpoolPipeLocked()
-		var need int64
-		if err != nil && len(p.spool) > 0 {
-			need = wal.EncodedLen(p.spool[0].ranges)
-		}
+		need, err := e.drainSpoolPipeLocked()
 		last = e.log.LastSeq()
 		p.mu.Unlock()
 		if err == nil {

@@ -373,7 +373,9 @@ func (c *phaseClock) lap() int64 {
 //  1. Under the region locks, the ranges go through the pipeline in one
 //     section.  A lazy commit copies them into the spool and is done.
 //     Otherwise the spool is drained ahead of it and one record is
-//     appended.
+//     appended; so too for a lazy commit the spool cannot take (it is
+//     larger than the spool's limit, or the spool is past it), which the
+//     implicit flush then forces.
 //  2. Force the log, holding no lock.  This is the acknowledgement point.
 //
 // Region locks are released after stage 1: per-byte redo order is still
@@ -387,7 +389,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	clk := phaseClock{on: e.met != nil, t: t0}
 	var lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64
 	var saved, nbytes, spoolBytes int64
-	var led bool
+	var led, inSpool bool
 	var seq uint64
 	var rangeBuf [4]wal.Range // what a transaction of a few ranges builds in
 	var pageBuf [8]pagevec.PageID
@@ -402,17 +404,15 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		pipeNs += clk.lap()
 		var err error
 		var need int64
-		if lazy {
+		// A no-flush commit is spooled unless a drain could then outgrow
+		// the log: the spool never holds more than two limits' worth.
+		if inSpool = lazy && logged <= e.spoolLimit && p.spoolBytes <= e.spoolLimit; inSpool {
 			// The copy is cut from the spool's memory, which pipe.mu guards.
 			e.spoolPipeLocked(p.mem.clone(&spooled{tid: t.id, flags: flags, ranges: ranges, pages: pages, bytes: logged}))
 			spoolBytes, nbytes = p.spoolBytes, logged
 			t.markDirtyPipeLocked(nil, 0, 0) // dirty bits only; queue entries at flush
 		} else {
-			err = e.drainSpoolPipeLocked() // older commits reach the log first
-			if err != nil && len(p.spool) > 0 {
-				// It is the oldest spooled commit that found no room.
-				need = wal.EncodedLen(p.spool[0].ranges)
-			}
+			need, err = e.drainSpoolPipeLocked() // older commits reach the log first
 			var pos int64
 			if err == nil {
 				pos, seq, nbytes, err = e.appendPipeLocked(t.id, flags, ranges)
@@ -420,10 +420,11 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			if err == nil {
 				// Dirty bits and page enqueues happen in the same critical
 				// section as the append, so the truncation queue keeps log
-				// order.  The pages cannot be written out before the force
-				// completes: this transaction holds their uncommitted
-				// reference counts until finish, and epoch truncation forces
-				// the log before applying records.
+				// order.  The pages cannot be written out before the record
+				// is forced: a flush commit holds their uncommitted reference
+				// counts until finish, the cleaner forces the log before it
+				// writes a page queued at an unforced record, and epoch
+				// truncation forces the log before applying records.
 				t.markDirtyPipeLocked(pages, pos, seq)
 			}
 		}
@@ -434,10 +435,12 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		} else if need == 0 {
 			need = wal.EncodedLen(ranges)
 		}
-		if lazy {
-			// The spool's page references (taken just above) now keep
-			// truncation off these pages, so the transaction's own can go
-			// while the region locks are still held; finish releases them.
+		if lazy && err == nil {
+			// The spool's page references (taken just above), or the queue
+			// entries at a record the cleaner forces before it writes a page,
+			// now keep truncation off these pages, so the transaction's own
+			// can go while the region locks are still held; finish releases
+			// them.
 			t.finish()
 			break
 		}
@@ -471,7 +474,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	e.stats.IntraSavedBytes.Add(uint64(saved))
 	if lazy {
 		e.stats.NoFlushCommits.Add(1)
-		if limit := e.spoolLimit; limit > 0 && spoolBytes > limit {
+		if !inSpool || spoolBytes > e.spoolLimit {
 			// Implicit flush: the spool is full.  Persistence stays "bounded
 			// by the period between log flushes" (§4.2) — this just bounds
 			// the period by memory as well as by time.

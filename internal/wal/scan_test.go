@@ -91,7 +91,7 @@ func posOf(t testing.TB, l *Log, seq uint64) int64 {
 }
 
 // TestScannerMatchesReferenceTail runs the oracle over the shapes a tail
-// scan meets beyond the torn batches of TestAppendBatchSectorSubsetTear
+// scan meets beyond the torn records of TestAppendSectorSubsetTear
 // (which checks every image it generates) and the read-path tests of
 // reader_test.go (wrapped, chunk-straddling, torn mid-window): a tear
 // exactly at a window boundary, a log filled to its last byte, stale
@@ -101,12 +101,10 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 		// The first window is minReadChunk bytes: make a record end exactly
 		// there and tear the one that starts the second window.
 		l, dev := openMem(t, newMemImage(t, 1<<16))
-		if _, err := l.AppendBatch([]Entry{
-			{TID: 1, Ranges: []Range{mkRange(1, 0, 'a', sizeFor(minReadChunk-1024))}},
-			{TID: 2, Ranges: []Range{mkRange(1, 0, 'b', sizeFor(1024))}},
-			{TID: 3, Ranges: []Range{mkRange(1, 0, 'c', sizeFor(2048))}},
-		}); err != nil {
-			t.Fatal(err)
+		for i, need := range []int64{minReadChunk - 1024, 1024, 2048} {
+			if _, _, _, err := l.Append(uint64(i+1), 0, []Range{mkRange(1, 0, byte('a'+i), sizeFor(need))}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		checkTailOracle(t, iofault.NewMem(dev.Bytes()))
 		img := dev.Bytes()
@@ -119,25 +117,28 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 	t.Run("full log", func(t *testing.T) {
 		const area = 1 << 14
 		l, dev := openMem(t, newMemImage(t, area))
-		var ents []Entry
-		for i := 0; i < 8; i++ {
-			ents = append(ents, Entry{TID: uint64(i + 1), Ranges: []Range{mkRange(1, 0, byte(i), sizeFor(area/8))}})
+		var refs []ref
+		appendN := func(n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				pos, seq, _, err := l.Append(uint64(len(refs)+1), 0, []Range{mkRange(1, 0, byte(i), sizeFor(area/8))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs = append(refs, ref{pos, seq})
+			}
 		}
-		if _, err := l.AppendBatch(ents); err != nil {
-			t.Fatal(err)
-		}
+		appendN(8)
 		if l.Used() != area {
 			t.Fatalf("%d live bytes, want the whole area", l.Used())
 		}
 		checkTailOracle(t, dev)
 		// The same, with the head mid-area: the live region ends where it
 		// starts, after a lap.
-		if err := l.SetHead(ents[3].Pos, ents[3].Seq); err != nil {
+		if err := l.SetHead(refs[3].pos, refs[3].seq); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.AppendBatch(ents[:3]); err != nil {
-			t.Fatal(err)
-		}
+		appendN(3)
 		if l.Used() != area {
 			t.Fatalf("%d live bytes after the lap, want the whole area", l.Used())
 		}

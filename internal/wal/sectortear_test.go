@@ -9,56 +9,55 @@ import (
 	"github.com/rvm-go/rvm/internal/iofault"
 )
 
-// TestAppendBatchSectorSubsetTear crashes a batch append on a write cache
-// that persists an arbitrary subset of the sectors the write touched — not
-// only a prefix of them, which is all TestAppendBatchTornWrite tears.  The batch
-// lands behind live records, in a stretch of the area that still holds the
-// records of the previous lap: a lost sector shows old, well-formed log
-// bytes, not zeroes.  Reopening must yield the live records plus exactly
-// the longest prefix of the batch whose every sector persisted, and resume
-// the sequence right after it; no record of the previous lap, and none that
-// a lost sector cut, may surface.  On every one of these images the scanner
-// must also find exactly the tail and the records the reference tail finder
-// does (checkTailOracle).
-func TestAppendBatchSectorSubsetTear(t *testing.T) {
+// TestAppendSectorSubsetTear crashes the append of a record of many
+// sectors — a spool drain's shape — on a write cache that persists an
+// arbitrary subset of the sectors the write touched, not only a prefix of
+// them, which is all TestAppendTornWrite tears.  The record lands behind
+// live records, in a stretch of the area that still holds the records of
+// the previous lap: a lost sector shows old, well-formed log bytes, not
+// zeroes.  No proper subset of the record's sectors may validate:
+// reopening must yield the live records, plus the record only when every
+// sector of it persisted, and resume the sequence right after them; no
+// record of the previous lap may surface.  On every one of these images the
+// scanner must also find exactly the tail and the records the reference
+// tail finder does (checkTailOracle).
+func TestAppendSectorSubsetTear(t *testing.T) {
 	const sector = 512
 	const area = 16 << 10
 	cases := []struct {
-		name               string
-		stale, live, batch []int64 // encoded record sizes
+		name        string
+		stale, live []int64 // encoded record sizes
+		record      int64
 	}{
 		// The previous lap's record boundaries fall anywhere.
-		{"mixed", []int64{3000, 1816, 4096, 2504, 3200}, []int64{2048, 1400},
-			[]int64{1208, 96, 2600, 520, 1024, 1800}},
-		// Every record is 2 KiB and the area a multiple of it, so under each
-		// record of the batch lies a whole, CRC-clean record of the previous
-		// lap: only its sequence number gives it away.
-		{"aligned", []int64{2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048}, []int64{2048, 2048},
-			[]int64{2048, 2048, 2048, 2048}},
+		{"mixed", []int64{3000, 1816, 4096, 2504, 3200}, []int64{2048, 1400}, 7248},
+		// Every record of the previous lap is 2 KiB and the area a multiple
+		// of it, so under the record lie four whole, CRC-clean records of
+		// the previous lap: only their sequence numbers give them away.
+		{"aligned", []int64{2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048}, []int64{2048, 2048}, 8192},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			image := newMemImage(t, area)
-			tid := uint64(100)
-			ents := func(sizes []int64) []Entry {
-				out := make([]Entry, len(sizes))
-				for i, need := range sizes {
-					tid++
-					out[i] = Entry{TID: tid, Ranges: []Range{mkRange(1, tid*64, byte(tid), sizeFor(need))}}
+			// appendAll appends a record of each encoded size, numbering
+			// them from tid, and returns their TIDs.
+			appendAll := func(l *Log, tid uint64, sizes ...int64) (tids []uint64) {
+				t.Helper()
+				for _, need := range sizes {
+					if _, _, _, err := l.Append(tid, 0, []Range{mkRange(1, tid*64, byte(tid), sizeFor(need))}); err != nil {
+						t.Fatal(err)
+					}
+					tids, tid = append(tids, tid), tid+1
 				}
-				return out
+				return tids
 			}
-			tids := func(ents []Entry) (out []uint64) {
-				for _, e := range ents {
-					out = append(out, e.TID)
-				}
-				return out
-			}
-			stale, live, batch := ents(c.stale), ents(c.live), ents(c.batch)
+			const recTID = 99
+			var live []uint64
 			// crash runs the case on a fresh log over a write cache: the
 			// previous lap, the head move and the live records, synced,
-			// then the batch, whose one device write the crash cuts,
+			// then the record, whose one device write the crash cuts,
 			// keeping the sectors keep names.  It returns the image left.
+			var recPos int64
 			var nextSeq uint64
 			crash := func(keep func(sector int64) bool) []byte {
 				t.Helper()
@@ -68,25 +67,19 @@ func TestAppendBatchSectorSubsetTear(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n, err := l.AppendBatch(stale); err != nil {
-					t.Fatalf("previous lap: %d appended, %v", n, err)
-				}
+				appendAll(l, 1, c.stale...)
 				if err := l.SetHead(l.Tail()); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := l.AppendBatch(live); err != nil {
-					t.Fatal(err)
-				}
+				live = appendAll(l, 100, c.live...)
 				if err := l.Force(); err != nil {
 					t.Fatal(err)
 				}
-				_, nextSeq = l.Tail()
+				recPos, nextSeq = l.Tail()
 				w := writes(l)
-				if _, err := l.AppendBatch(batch); err != nil {
-					t.Fatal(err)
-				}
+				appendAll(l, recTID, c.record)
 				if writes(l) != w+1 {
-					t.Fatalf("the batch took %d device writes, want one", writes(l)-w)
+					t.Fatalf("the record took %d device writes, want one", writes(l)-w)
 				}
 				if err := cache.CrashKeeping(func(_ *iofault.Cache, s int64) bool { return keep(s) }); err != nil {
 					t.Fatal(err)
@@ -95,33 +88,25 @@ func TestAppendBatchSectorSubsetTear(t *testing.T) {
 			}
 			before := crash(func(int64) bool { return false })
 			after := crash(func(int64) bool { return true })
-			first := areaOff(batch[0].Pos) / sector
-			end := areaOff(batch[len(batch)-1].Pos + batch[len(batch)-1].Len)
+			first := areaOff(recPos) / sector
+			end := areaOff(recPos + c.record)
 			nsec := int((end-1)/sector - first + 1)
 			if nsec < 8 {
-				t.Fatalf("the batch spans %d sectors, want at least 8", nsec)
+				t.Fatalf("the record spans %d sectors, want at least 8", nsec)
 			}
 			if bytes.Equal(before[first*sector:end], after[first*sector:end]) {
-				t.Fatal("the batch did not overwrite anything")
+				t.Fatal("the record did not overwrite anything")
 			}
 
 			check := func(persist []bool) {
 				t.Helper()
 				img := crash(func(s int64) bool { return persist[s-first] })
-				ok := make([]bool, nsec) // sector holds the batch's bytes
-				for i := range ok {
+				whole := 1 // every sector holds the record's bytes
+				for i := range persist {
 					lo, hi := (first+int64(i))*sector, (first+int64(i)+1)*sector
-					ok[i] = persist[i] || bytes.Equal(before[lo:hi], after[lo:hi])
-				}
-				whole := 0
-			prefix:
-				for _, e := range batch {
-					for s := areaOff(e.Pos) / sector; s <= (areaOff(e.Pos+e.Len)-1)/sector; s++ {
-						if !ok[s-first] {
-							break prefix
-						}
+					if !persist[i] && !bytes.Equal(before[lo:hi], after[lo:hi]) {
+						whole = 0
 					}
-					whole++
 				}
 				checkTailOracle(t, iofault.NewMem(img))
 				l2, _ := openMem(t, img)
@@ -138,7 +123,7 @@ func TestAppendBatchSectorSubsetTear(t *testing.T) {
 				if err != nil {
 					t.Fatalf("persisted %v: %v", persist, err)
 				}
-				if want := append(tids(live), tids(batch[:whole])...); !reflect.DeepEqual(got, want) {
+				if want := append(live, recTID)[:len(live)+whole]; !reflect.DeepEqual(got, want) {
 					t.Fatalf("persisted %v: reopened to records %v, want %v", persist, got, want)
 				}
 				if _, seq, _, err := l2.Append(9, 0, []Range{mkRange(1, 0, 'z', 50)}); err != nil || seq != nextSeq+uint64(whole) {

@@ -3,13 +3,14 @@
 // RVM uses a no-undo/redo value logging strategy (paper §5.1.1): because
 // uncommitted changes are never reflected to an external data segment, only
 // the new-value records of committed transactions are written to the log.
-// One log record holds an entire committed transaction — a 32-byte header,
-// its modification ranges (RangeLen), zero padding to a multiple of 8 and an
-// 8-byte trailer — so a record is the atomic unit of commitment.  As in the
-// paper's Figure 5, every record carries both a forward displacement
-// (totalLen in the header) and a reverse displacement (totalLen in the
-// trailer, ahead of a CRC of every byte before it), allowing the log to be
-// read in either direction; crash recovery reads it head-to-tail, once (scan).
+// One log record holds an entire committed transaction, or a whole spool
+// drain of them — a 32-byte header, its modification ranges (RangeLen), zero
+// padding to a multiple of 8 and an 8-byte trailer — so a record is the
+// atomic unit of commitment.  As in the paper's Figure 5, every record
+// carries both a forward displacement (totalLen in the header) and a reverse
+// displacement (totalLen in the trailer, ahead of a CRC of every byte before
+// it), allowing the log to be read in either direction; crash recovery reads
+// it head-to-tail, once (scan).
 //
 // On-disk layout:
 //
@@ -574,50 +575,14 @@ func (l *Log) tailPos() int64 { return (l.head + l.used) % l.areaSize }
 // It returns the record's area position, its sequence number, and the total
 // bytes consumed (including any wrap record).
 func (l *Log) Append(tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
-	ent := [1]Entry{{TID: tid, Flags: flags, Ranges: ranges}}
-	if _, nbytes, err = l.appendRecords(ent[:]); err != nil {
-		return 0, 0, 0, err
-	}
-	return ent[0].Pos, ent[0].Seq, nbytes, nil
-}
-
-// Entry is one transaction record of an AppendBatch.  The caller fills in
-// TID, Flags and Ranges; Pos, Len and Seq come back for every record the
-// batch appended.
-type Entry struct {
-	TID    uint64
-	Flags  uint8
-	Ranges []Range
-	Pos    int64  // record-area offset of the record's first byte
-	Len    int64  // encoded size on disk, padding included
-	Seq    uint64 // sequence number
-}
-
-// AppendBatch appends ents in order as transaction records, exactly as a
-// loop of Append would — same positions, same bytes, same counters — but
-// with one device write per contiguous run of records instead of one per
-// record.  It returns how many records were appended; the count falls short
-// of len(ents) only with an error, and then the log is as if just that
-// prefix had been appended: on ErrLogFull ents[n] is the record that did
-// not fit, and after a failed write the caller may retry with ents[n:].
-func (l *Log) AppendBatch(ents []Entry) (n int, err error) {
-	n, _, err = l.appendRecords(ents)
-	return n, err
-}
-
-// appendRecords is the locked append of transaction records that Append and
-// AppendBatch share.
-func (l *Log) appendRecords(ents []Entry) (n int, nbytes int64, err error) {
 	l.mu.Lock()
-	n, nbytes, err = l.appendLocked(ents)
+	pos, seq, nbytes, err = l.appendLocked(tid, flags, ranges)
 	tr := l.tr
 	l.mu.Unlock()
-	if tr != nil {
-		for i := range ents[:n] {
-			tr.Record(obs.EvLogAppend, ents[i].TID, uint64(ents[i].Len), ents[i].Seq)
-		}
+	if err == nil {
+		tr.Record(obs.EvLogAppend, tid, uint64(nbytes), seq)
 	}
-	return n, nbytes, err
+	return pos, seq, nbytes, err
 }
 
 // Fits reports whether a record of need encoded bytes (EncodedLen) could be
@@ -654,77 +619,61 @@ func (l *Log) planLocked(used, need int64) (at, add, gap int64, err error) {
 	return at, add, gap, nil
 }
 
-// maxRunBytes bounds one device write of a batch, and with it the encoding
-// buffer: a megabyte-sized drain goes out in a few writes from a buffer the
-// log keeps, not in one write from a buffer grown and dropped every time.
-const maxRunBytes = 256 << 10
+// encMaxRetain bounds the encoding buffer the log keeps between appends:
+// it holds a spool drain of the engine's default limit (1 MiB), twice over,
+// so the drains of a busy no-flush workload reuse one buffer.
+const encMaxRetain = 4 << 20
 
-// encMaxRetain bounds the encoding buffer the log keeps between appends: a
-// single record (or wrap gap) larger than a run grows it past maxRunBytes.
-const encMaxRetain = 1 << 20
-
-// appendLocked appends ents, in order, as transaction records.  Records are
-// encoded into the log's buffer for as long as they are contiguous in the
-// area and the run stays within maxRunBytes; a run reaches the device in a
-// single write, and only then are its records published — used, nextSeq and
-// the counters never describe bytes the device may not hold, so a caller
-// that retries after a failed write plans the same records at the same
-// places.  It returns the records and bytes published (wrap records
-// included in the bytes).
-func (l *Log) appendLocked(ents []Entry) (n int, nbytes int64, err error) {
+// appendLocked appends one transaction record, behind a wrap record when the
+// record does not fit before the area's end.  Only once the device has taken
+// every byte are the records published: used, nextSeq and the counters never
+// describe bytes the device may not hold, so a caller that retries after a
+// failed write plans the same record at the same place.  It returns the
+// record's position and sequence number and the bytes it took, the wrap
+// record's included.
+func (l *Log) appendLocked(tid uint64, flags uint8, ranges []Range) (pos int64, seq uint64, nbytes int64, err error) {
 	if l.dev == nil {
-		return 0, 0, ErrLogClosed
+		return 0, 0, 0, ErrLogClosed
 	}
-	var want, largest int64
-	for i := range ents {
-		n := EncodedLen(ents[i].Ranges)
-		want, largest = want+n, max(largest, n)
+	need := EncodedLen(ranges)
+	pos, add, gap, err := l.planLocked(l.used, need)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	// One allocation: the buffer never holds more than a run, or than one
-	// record (or the wrap gap in front of it) larger than a run.
-	buf := slices.Grow(l.enc[:0], int(min(want, max(maxRunBytes, largest))))
-	var runPos int64 // area offset of the run's first byte
-	var wraps int    // wrap records in the run; its other records are ents[n:i]
-	for i := 0; ; {
-		var at, add, gap int64
-		if i < len(ents) {
-			if at, add, gap, err = l.planLocked(l.used+int64(len(buf)), EncodedLen(ents[i].Ranges)); gap > 0 {
-				add = gap
-			}
+	seq = l.nextSeq
+	if gap > 0 {
+		if err := l.writeLocked(appendRecord(l.enc[:0], seq, recWrap, 0, 0, nil, gap), pos); err != nil {
+			return 0, 0, 0, err
 		}
-		if run := int64(len(buf)); run > 0 && (i == len(ents) || err != nil || at != runPos+run || run+add > maxRunBytes) {
-			if _, werr := l.dev.WriteAt(buf, areaOff(runPos)); werr != nil {
-				return n, nbytes, fmt.Errorf("wal: append at %d: %w", runPos, werr)
-			}
-			l.used += run
-			l.nextSeq += uint64(i - n + wraps)
-			l.dirty = true
-			l.stats.Wraps += uint64(wraps)
-			l.stats.BytesAppended += uint64(run)
-			l.stats.Appends += uint64(i - n)
-			nbytes += run
-			n, wraps, buf = i, 0, buf[:0]
-		}
-		if i == len(ents) || err != nil {
-			return n, nbytes, err
-		}
-		if len(buf) == 0 {
-			runPos = at
-		}
-		seq := l.nextSeq + uint64(i-n+wraps)
-		if gap > 0 {
-			buf = appendRecord(buf, seq, recWrap, 0, 0, nil, gap)
-			wraps++
-		} else {
-			ent := &ents[i]
-			ent.Pos, ent.Len, ent.Seq = at, add, seq
-			buf = appendRecord(buf, seq, recTx, ent.TID, ent.Flags, ent.Ranges, add)
-			i++
-		}
-		if l.enc = buf; cap(buf) > encMaxRetain {
-			l.enc = nil // a one-off giant record does not pin its buffer
+		seq++
+		if pos, add, _, err = l.planLocked(l.used+gap, need); err != nil {
+			return 0, 0, 0, err
 		}
 	}
+	if err := l.writeLocked(appendRecord(l.enc[:0], seq, recTx, tid, flags, ranges, add), pos); err != nil {
+		return 0, 0, 0, err
+	}
+	l.used += gap + add
+	l.nextSeq = seq + 1
+	l.dirty = true
+	if gap > 0 {
+		l.stats.Wraps++
+	}
+	l.stats.BytesAppended += uint64(gap + add)
+	l.stats.Appends++
+	return pos, seq, gap + add, nil
+}
+
+// writeLocked writes the encoded buf at area offset pos, keeping buf as the
+// next append's encoding buffer unless it grew past encMaxRetain.
+func (l *Log) writeLocked(buf []byte, pos int64) error {
+	if l.enc = buf; cap(buf) > encMaxRetain {
+		l.enc = nil // a one-off giant record does not pin its buffer
+	}
+	if _, err := l.dev.WriteAt(buf, areaOff(pos)); err != nil {
+		return fmt.Errorf("wal: append at %d: %w", pos, err)
+	}
+	return nil
 }
 
 // appendRecord encodes one record of totalLen bytes, carrying the sequence

@@ -32,7 +32,8 @@
 // RVM skip old-value copies.  Commit(NoFlush) spools the commit instead of
 // forcing it ("lazy" transactions with bounded persistence); an explicit
 // Flush makes all spooled commits durable at once, and so does a commit
-// that takes the spool past 1 MiB of log bytes.  Atomicity holds in every
+// that takes the spool past 1 MiB of log bytes (a quarter of a smaller
+// log).  Atomicity holds in every
 // combination; only permanence is weakened by NoFlush.
 //
 // Duplicate, overlapping and adjacent SetRange calls within a transaction
@@ -110,7 +111,8 @@ const (
 	// Flush forces the commit to the log before returning.
 	Flush = core.Flush
 	// NoFlush spools the commit for a later Flush, or for the implicit one
-	// at 1 MiB of spooled log bytes (bounded persistence).
+	// at 1 MiB of spooled log bytes, a quarter of a smaller log (bounded
+	// persistence).
 	NoFlush = core.NoFlush
 )
 
