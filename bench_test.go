@@ -121,9 +121,9 @@ func BenchmarkTable2(b *testing.B) {
 // Ablations on the real library.
 // ---------------------------------------------------------------------------
 
-// benchStore opens a fresh store for ablation benchmarks.  NoSync keeps
-// the numbers about code paths, not the host's fsync latency, except
-// where a bench explicitly wants durability costs.
+// benchStore opens a fresh store for ablation benchmarks.  Their commits
+// are no-flush, except where a bench wants the log force in the number,
+// so the log syncs only at Flush, Truncate and Close.
 func benchStore(b *testing.B, opts rvm.Options) (*rvm.RVM, *rvm.Region) {
 	b.Helper()
 	dir := b.TempDir()
@@ -152,8 +152,8 @@ func benchStore(b *testing.B, opts rvm.Options) (*rvm.RVM, *rvm.Region) {
 }
 
 // BenchmarkAblateCommitMode compares flush against no-flush commit
-// latency — the paper's motivation for lazy transactions (§4.2).  Run
-// without NoSync: the difference IS the log force.
+// latency — the paper's motivation for lazy transactions (§4.2).  The
+// difference IS the log force.
 func BenchmarkAblateCommitMode(b *testing.B) {
 	payload := bytes.Repeat([]byte{7}, 256)
 	for _, mode := range []struct {
@@ -189,7 +189,7 @@ func BenchmarkAblateTxMode(b *testing.B) {
 		m    rvm.TxMode
 	}{{"Restore", rvm.Restore}, {"NoRestore", rvm.NoRestore}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db, reg := benchStore(b, rvm.Options{NoSync: true})
+			db, reg := benchStore(b, rvm.Options{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tx, _ := db.Begin(mode.m)
@@ -213,7 +213,7 @@ func BenchmarkAblateTxMode(b *testing.B) {
 // intra-transaction optimization saved of it, from the engine's counters:
 // log-B/tx + saved-B/tx is what logging the set-ranges verbatim costs.
 func BenchmarkAblateIntraOpt(b *testing.B) {
-	db, reg := benchStore(b, rvm.Options{NoSync: true})
+	db, reg := benchStore(b, rvm.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx, _ := db.Begin(rvm.NoRestore)
@@ -244,7 +244,7 @@ func BenchmarkAblateIntraOpt(b *testing.B) {
 // of a subsumed transaction is saved too, and not counted).
 func BenchmarkAblateInterOpt(b *testing.B) {
 	payload := bytes.Repeat([]byte{3}, 300)
-	db, reg := benchStore(b, rvm.Options{NoSync: true})
+	db, reg := benchStore(b, rvm.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx, _ := db.Begin(rvm.NoRestore)
@@ -280,7 +280,7 @@ func BenchmarkAblateTruncation(b *testing.B) {
 		db.Flush()
 	}
 	b.Run("Epoch", func(b *testing.B) {
-		db, reg := benchStore(b, rvm.Options{NoSync: true})
+		db, reg := benchStore(b, rvm.Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -292,7 +292,7 @@ func BenchmarkAblateTruncation(b *testing.B) {
 		}
 	})
 	b.Run("Incremental", func(b *testing.B) {
-		db, reg := benchStore(b, rvm.Options{NoSync: true, Incremental: true})
+		db, reg := benchStore(b, rvm.Options{Incremental: true})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -431,9 +431,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 // goroutine concurrency with every worker on its own region: after the
 // engine-lock decomposition, transactions on disjoint regions contend
 // only at the log pipeline, never on a shared region or global mutex.
-// NoSync keeps the numbers about lock contention rather than fsync
-// latency; the durability-side scaling gate is `rvmbench -experiment
-// scaling`, which runs real fsyncs under group commit.
+// The commits are no-flush, so the numbers are about lock contention
+// rather than fsync latency; the durability-side scaling gate is `rvmbench
+// -experiment scaling`, which forces the log under group commit.
 func BenchmarkConcurrentSetRange(b *testing.B) {
 	const commitsPerWorker = 32
 	const regionLen = int64(1) << 14 // 4 pages per worker
@@ -449,7 +449,7 @@ func BenchmarkConcurrentSetRange(b *testing.B) {
 			if err := rvm.CreateSegment(segPath, 1, int64(workers)*regionLen); err != nil {
 				b.Fatal(err)
 			}
-			db, err := rvm.Open(rvm.Options{LogPath: logPath, NoSync: true, TruncateThreshold: -1})
+			db, err := rvm.Open(rvm.Options{LogPath: logPath, TruncateThreshold: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -504,7 +504,7 @@ func BenchmarkConcurrentSetRange(b *testing.B) {
 // copy) — the operation the paper calls out as RVM's per-modification
 // overhead.
 func BenchmarkSetRange(b *testing.B) {
-	db, reg := benchStore(b, rvm.Options{NoSync: true})
+	db, reg := benchStore(b, rvm.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx, _ := db.Begin(rvm.Restore)
@@ -625,7 +625,7 @@ func BenchmarkMapStartup(b *testing.B) {
 				if err := rvm.CreateSegment(segPath, 1, mb<<20); err != nil {
 					b.Fatal(err)
 				}
-				db, err := rvm.Open(rvm.Options{LogPath: logPath, NoSync: true, Backend: backend})
+				db, err := rvm.Open(rvm.Options{LogPath: logPath, Backend: backend})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -665,7 +665,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err := rvm.CreateSegment(segPath, 1, 1<<20); err != nil {
 			b.Fatal(err)
 		}
-		db, err := rvm.Open(rvm.Options{LogPath: logPath, NoSync: true, TruncateThreshold: -1})
+		db, err := rvm.Open(rvm.Options{LogPath: logPath, TruncateThreshold: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -683,7 +683,7 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		// Crash: abandon db without Close.
 		b.StartTimer()
-		db2, err := rvm.Open(rvm.Options{LogPath: logPath, NoSync: true, TruncateThreshold: -1})
+		db2, err := rvm.Open(rvm.Options{LogPath: logPath, TruncateThreshold: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,12 +39,12 @@ const (
 // modelSync, one sleep at a time: the sleep is the whole cost of a force,
 // with none of the host's own fsync in it.  The segments stay files.
 func openModelled(logPath string, opts core.Options) (*core.Engine, error) {
-	image, err := os.ReadFile(logPath)
+	mem, err := iofault.ReadMem(logPath)
 	if err != nil {
 		return nil, err
 	}
 	var arm sync.Mutex
-	inj := iofault.NewInjector(iofault.NewMem(image), 1)
+	inj := iofault.NewInjector(mem, 1)
 	inj.SetHook(func(op iofault.Op, _ int64, _ int) {
 		if op == iofault.OpSync {
 			arm.Lock()

@@ -19,7 +19,7 @@ func benchHeap(b *testing.B, pages int) (*rvm.RVM, *Heap) {
 	if err := rvm.CreateSegment(segPath, 1, page(1+2*pages)); err != nil {
 		b.Fatal(err)
 	}
-	db, err := rvm.Open(rvm.Options{LogPath: logPath, NoSync: true})
+	db, err := rvm.Open(rvm.Options{LogPath: logPath})
 	if err != nil {
 		b.Fatal(err)
 	}

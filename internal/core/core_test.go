@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -217,6 +218,96 @@ func TestSetRangeBounds(t *testing.T) {
 	}
 	if err := tx.SetRange(r, 0, 0); err != nil {
 		t.Fatalf("zero-length set-range: %v", err)
+	}
+}
+
+// TestSetRangeOffsetOverflow: a range whose end lies past the largest
+// int64 is out of bounds, though off+n wraps to a small number, and the
+// transaction goes on to commit normally.
+func TestSetRangeOffsetOverflow(t *testing.T) {
+	v := newEnv(t, 1<<16, pageBytes(2), Options{})
+	r := v.mapWhole()
+	tx, _ := v.eng.Begin(Restore)
+	if err := tx.SetRange(r, math.MaxInt64-5, 10); !errors.Is(err, ErrBounds) {
+		t.Fatalf("SetRange(MaxInt64-5, 10) = %v, want ErrBounds", err)
+	}
+	if err := tx.Modify(r, math.MaxInt64-5, make([]byte, 10)); !errors.Is(err, ErrBounds) {
+		t.Fatalf("Modify(MaxInt64-5, 10 bytes) = %v, want ErrBounds", err)
+	}
+	if err := tx.Modify(r, 8, []byte("in range")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(Flush); err != nil {
+		t.Fatal(err)
+	}
+	v.reopen(Options{})
+	if got := v.mapWhole().Data()[8:16]; !bytes.Equal(got, []byte("in range")) {
+		t.Fatalf("recovered %q", got)
+	}
+}
+
+// TestBeginRejectsUnknownMode: only Restore and NoRestore begin a
+// transaction; any other mode is refused before the transaction counts as
+// active, so Close still succeeds.
+func TestBeginRejectsUnknownMode(t *testing.T) {
+	v := newEnv(t, 1<<16, pageBytes(2), Options{})
+	if tx, err := v.eng.Begin(TxMode(2)); err == nil || tx != nil {
+		t.Fatalf("Begin(2) = (transaction %t, %v); want an unknown-mode error", tx != nil, err)
+	}
+	if qi, err := v.eng.Query(nil); err != nil || qi.ActiveTxs != 0 {
+		t.Fatalf("after a refused Begin: %d active transactions (%v), want 0", qi.ActiveTxs, err)
+	}
+	eng := v.eng
+	v.eng = nil
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForeignRegionRefused: a region belongs to the engine that mapped it.
+// Another engine's SetRange, Unmap and Query refuse it as unmapped and
+// change nothing, so neither engine's log names the other's segment, and
+// both stores still reopen.
+func TestForeignRegionRefused(t *testing.T) {
+	a := newEnv(t, 1<<16, pageBytes(2), Options{})
+	ra := a.mapWhole()
+	b := newEnv(t, 1<<16, pageBytes(2), Options{})
+	seg9 := filepath.Join(b.dir, "seg9.rvm")
+	if err := CreateSegment(seg9, 9, pageBytes(1)); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.eng.Map(seg9, 0, pageBytes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := a.eng.Begin(Restore)
+	if err := tx.Modify(rb, 0, []byte("foreign")); !errors.Is(err, ErrRegionUnmapped) {
+		t.Fatalf("A's SetRange on B's region = %v, want ErrRegionUnmapped", err)
+	}
+	if _, err := a.eng.Query(rb); !errors.Is(err, ErrRegionUnmapped) {
+		t.Fatalf("A's Query of B's region = %v, want ErrRegionUnmapped", err)
+	}
+	if err := a.eng.Unmap(rb); !errors.Is(err, ErrRegionUnmapped) {
+		t.Fatalf("A's Unmap of B's region = %v, want ErrRegionUnmapped", err)
+	}
+	if err := tx.Modify(ra, 0, []byte("own")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(Flush); err != nil {
+		t.Fatal(err)
+	}
+	b.commit1(rb, 0, []byte("b's"))
+	a.reopen(Options{})
+	if got := a.mapWhole().Data()[:3]; !bytes.Equal(got, []byte("own")) {
+		t.Fatalf("A recovered %q", got)
+	}
+	b.reopen(Options{})
+	rb, err = b.eng.Map(seg9, 0, pageBytes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rb.Data()[:3]; !bytes.Equal(got, []byte("b's")) {
+		t.Fatalf("B recovered %q", got)
 	}
 }
 

@@ -77,7 +77,7 @@ import (
 var (
 	ErrClosed         = errors.New("rvm: engine is closed")
 	ErrTxDone         = errors.New("rvm: transaction already committed or aborted")
-	ErrRegionUnmapped = errors.New("rvm: region is not mapped")
+	ErrRegionUnmapped = errors.New("rvm: region is not mapped") // or is another engine's
 	ErrUncommitted    = errors.New("rvm: region has uncommitted transactions outstanding")
 	ErrNoRestoreAbort = errors.New("rvm: cannot abort a no-restore transaction")
 	ErrBounds         = errors.New("rvm: range outside region")
@@ -91,7 +91,9 @@ type Options struct {
 	// LogPath is the write-ahead log file.  Required unless LogDevice is
 	// set, in which case LogPath only names the segment dictionary.
 	LogPath string
-	// LogDevice overrides the log storage (tests inject fault devices).
+	// LogDevice overrides the log storage.  Tests inject fault devices;
+	// harnesses that count log bytes or time phases run the log on an
+	// iofault.Mem, whose Sync is free, for every force syncs its device.
 	LogDevice wal.Device
 	// SegmentDevice wraps the storage behind each segment the engine
 	// opens, mirroring LogDevice for the segment side of the seam; tests
@@ -107,9 +109,6 @@ type Options struct {
 	// Incremental makes background truncation stop at half the threshold
 	// rather than empty the log (paper §5.1.2).
 	Incremental bool
-	// NoSync disables physical fsyncs, forfeiting permanence.  For
-	// benchmark harnesses that measure log traffic, not durability.
-	NoSync bool
 	// GroupCommit makes a flush commit that leads a log force wait out a
 	// join window first (joinWindow), so that committers still arriving
 	// share the force.  It decides nothing else: every flush commit, Flush
@@ -364,9 +363,6 @@ func Open(opts Options) (*Engine, error) {
 	e.gc.mu.Bind(obs.LockGroupCommit, e.met)
 	e.gc.cond = sync.NewCond(&e.gc.mu)
 	lg.SetObs(e.tr, e.met)
-	if opts.NoSync {
-		lg.SetNoSync(true)
-	}
 	if inj, ok := dev.(*iofault.Injector); ok {
 		inj.SetTracer(e.tr)
 	}
@@ -582,7 +578,7 @@ func (e *Engine) Unmap(r *Region) error {
 		return err
 	}
 	r.mu.Lock()
-	if !r.mapped {
+	if !r.mapped || r.eng != e {
 		r.mu.Unlock()
 		e.releaseTruncation()
 		return ErrRegionUnmapped
@@ -736,7 +732,7 @@ func (e *Engine) Query(r *Region) (QueryInfo, error) {
 	p.mu.Unlock()
 	if r != nil {
 		r.mu.Lock()
-		if !r.mapped {
+		if !r.mapped || r.eng != e {
 			r.mu.Unlock()
 			return QueryInfo{}, ErrRegionUnmapped
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -256,12 +255,12 @@ func newSleepEngine(tb testing.TB, group bool) (*Engine, *Region, *sleepLog) {
 	if err := CreateSegment(segPath, 1, pageBytes(2)); err != nil {
 		tb.Fatal(err)
 	}
-	image, err := os.ReadFile(logPath)
+	mem, err := iofault.ReadMem(logPath)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	dev := &sleepLog{cost: time.Millisecond, born: time.Now()}
-	inj := iofault.NewInjector(iofault.NewMem(image), 1) // the sleep is the whole Sync
+	inj := iofault.NewInjector(mem, 1) // the sleep is the whole Sync
 	inj.SetHook(dev.hook)
 	eng, err := Open(Options{LogPath: logPath, LogDevice: inj, GroupCommit: group, TruncateThreshold: -1})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/segment"
 )
 
@@ -179,10 +180,17 @@ func (s *restartScript) crash() {
 // runRestartScript runs one FuzzRestart case.
 func runRestartScript(t *testing.T, script []byte) {
 	s := &restartScript{t: t, b: script, dir: t.TempDir()}
-	s.opts = Options{LogPath: filepath.Join(s.dir, "log.rvm"), NoSync: true, TruncateThreshold: -1}
+	s.opts = Options{LogPath: filepath.Join(s.dir, "log.rvm"), TruncateThreshold: -1}
 	if err := CreateLog(s.opts.LogPath, 1<<18); err != nil {
 		t.Fatal(err)
 	}
+	// The log lives in memory, where a force is free; every engine of the
+	// script opens the same Mem, which keeps every write as the file would.
+	mem, err := iofault.ReadMem(s.opts.LogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.opts.LogDevice = mem
 	for i, pages := range fuzzSegPages {
 		s.segs[i] = filepath.Join(s.dir, fmt.Sprintf("seg%d.rvm", i+1))
 		if err := CreateSegment(s.segs[i], uint64(i+1), pageBytes(pages)); err != nil {
@@ -190,7 +198,6 @@ func runRestartScript(t *testing.T, script []byte) {
 		}
 		s.durable[i] = make([]byte, pageBytes(pages))
 	}
-	var err error
 	if s.eng, err = Open(s.opts); err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,12 @@ var crashFiles = []string{"log.rvm", "log.rvm.segs", "seg.rvm"}
 
 // newCrashImage commits flush-mode transfers until logBytes of log are
 // written, checkpointing once ckptAt of them are (0: never), and copies the
-// files as they stand; the engine then lets go of them as a dying process
-// would, without a write, and is dropped: a Close after its files are gone
-// would write through them.
+// log and the files as they stand; the engine then lets go of them as a
+// dying process would, without a write, and is dropped: a Close after its
+// files are gone would write through them.
 func newCrashImage(tb testing.TB, logBytes, ckptAt int64) *crashImage {
 	tb.Helper()
-	s := newTPCAShape(tb, Options{NoSync: true, TruncateThreshold: -1})
+	s := newTPCAShape(tb, Options{TruncateThreshold: -1})
 	s.localized = true
 	written := func() int64 { return int64(s.eng.Stats().LogBytes) }
 	img := &crashImage{dir: tb.TempDir()}
@@ -55,7 +55,11 @@ func newCrashImage(tb testing.TB, logBytes, ckptAt int64) *crashImage {
 	img.logBytes = written()
 	img.since = img.logBytes - ckpt
 	img.home = filepath.Dir(s.eng.opts.LogPath)
-	for _, name := range crashFiles {
+	// The log is the shape's Mem; the dictionary and the segment are files.
+	if err := os.WriteFile(filepath.Join(img.dir, crashFiles[0]), s.log.Bytes(), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	for _, name := range crashFiles[1:] {
 		b, err := os.ReadFile(filepath.Join(img.home, name))
 		if err != nil {
 			tb.Fatal(err)

@@ -132,6 +132,9 @@ type Tx struct {
 // a Begin can never slip into a closing engine unobserved.  A Tx is never
 // recycled: a caller holding one past Commit must keep seeing ErrTxDone.
 func (e *Engine) Begin(mode TxMode) (*Tx, error) {
+	if mode != Restore && mode != NoRestore {
+		return nil, fmt.Errorf("rvm: unknown transaction mode %d", int(mode))
+	}
 	e.active.Add(1)
 	if err := e.check(); err != nil {
 		e.active.Add(-1)
@@ -156,7 +159,7 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 	if t.done {
 		return ErrTxDone
 	}
-	if n < 0 || off < 0 || off+n > r.length {
+	if n < 0 || off < 0 || n > r.length-off {
 		return fmt.Errorf("%w: [%d,+%d) in region of %d bytes", ErrBounds, off, n, r.length)
 	}
 	if n == 0 {
@@ -168,7 +171,7 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.mapped {
+	if !r.mapped || r.eng != e {
 		return ErrRegionUnmapped
 	}
 	tr := t.txRegionLocked(r)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"slices"
 	"sync"
 )
@@ -190,6 +191,16 @@ type Mem struct{ b []byte }
 
 // NewMem returns a Mem holding a copy of image.
 func NewMem(image []byte) *Mem { return &Mem{slices.Clone(image)} }
+
+// ReadMem returns a Mem holding the file at path: a log or segment image
+// whose Sync costs nothing.
+func ReadMem(path string) (*Mem, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Mem{b}, nil
+}
 
 // Bytes returns a copy of the contents.
 func (m *Mem) Bytes() []byte { return slices.Clone(m.b) }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/wal"
 )
@@ -235,11 +236,18 @@ func TestRecoverParallelismConfigDefaults(t *testing.T) {
 func TestRecoveryPhasesAttributed(t *testing.T) {
 	const segLen = 1 << 20
 	f := newFixtureLog(t, 2, segLen, 8<<20)
+	// The final head move's fsync belongs to no phase; on a log in memory
+	// it is free, and the test measures attribution, not the host's disk.
+	mem, err := iofault.ReadMem(f.logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.log, err = wal.OpenDevice(mem); err != nil {
+		t.Fatal(err)
+	}
+	defer f.log.Close()
 	met := obs.NewMetrics()
 	f.log.SetObs(nil, met)
-	// The final head move's fsync belongs to no phase; without it the
-	// test measures attribution, not the host's disk.
-	f.log.SetNoSync(true)
 	rnd := rand.New(rand.NewSource(11))
 	d := make([]byte, 128)
 	for i := 0; f.log.Used() < 6<<20; i++ {

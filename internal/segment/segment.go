@@ -53,7 +53,7 @@ type DeviceWrap func(path string, f *os.File) Device
 // Segment is an open external data segment.
 type Segment struct {
 	dev    Device
-	f      *os.File // backing file; needed for MapPrivate and Resize
+	f      *os.File // backing file, which MapPrivate maps
 	path   string
 	id     uint64
 	length int64 // data bytes, excluding the header page
@@ -209,44 +209,6 @@ func (s *Segment) Sync() error {
 	if err := s.dev.Sync(); err != nil {
 		return fmt.Errorf("segment %d: sync: %w", s.id, err)
 	}
-	return nil
-}
-
-// Resize grows or shrinks the segment's data area to length bytes (rounded
-// up to whole pages).  Growth zero-fills.  The header is rewritten before a
-// shrink and after a growth, so a crash between the two steps always leaves
-// the file at least as large as the header claims.
-func (s *Segment) Resize(length int64) error {
-	if length <= 0 {
-		return fmt.Errorf("segment: invalid length %d", length)
-	}
-	length = mapping.RoundUp(length)
-	writeHdr := func() error {
-		if _, err := s.dev.WriteAt(headerBytes(s.id, length), 0); err != nil {
-			return fmt.Errorf("segment %d: rewrite header: %w", s.id, err)
-		}
-		return nil
-	}
-	if length < s.length {
-		if err := writeHdr(); err != nil {
-			return err
-		}
-		if err := s.dev.Sync(); err != nil {
-			return fmt.Errorf("segment %d: sync: %w", s.id, err)
-		}
-	}
-	if err := s.f.Truncate(int64(mapping.PageSize) + length); err != nil {
-		return fmt.Errorf("segment %d: resize: %w", s.id, err)
-	}
-	if length >= s.length {
-		if err := writeHdr(); err != nil {
-			return err
-		}
-	}
-	if err := s.dev.Sync(); err != nil {
-		return fmt.Errorf("segment %d: sync: %w", s.id, err)
-	}
-	s.length = length
 	return nil
 }
 

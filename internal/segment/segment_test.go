@@ -147,42 +147,6 @@ func TestOpenRejectsTruncated(t *testing.T) {
 	}
 }
 
-func TestResize(t *testing.T) {
-	s, path := createTemp(t, 5, int64(mapping.PageSize))
-	if err := s.WriteAt([]byte("persist"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Resize(4 * int64(mapping.PageSize)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Length() != 4*int64(mapping.PageSize) {
-		t.Fatalf("length after grow = %d", s.Length())
-	}
-	// Old data survives, new area is zero and addressable.
-	buf := make([]byte, 7)
-	if err := s.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "persist" {
-		t.Fatalf("data lost on resize: %q", buf)
-	}
-	tail := make([]byte, 16)
-	if err := s.ReadAt(tail, s.Length()-16); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Header change survives reopen.
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Length() != 4*int64(mapping.PageSize) {
-		t.Fatalf("resize not persistent: %d", s2.Length())
-	}
-}
-
 func TestCloseIdempotent(t *testing.T) {
 	s, _ := createTemp(t, 1, 1)
 	if err := s.Close(); err != nil {

@@ -96,39 +96,6 @@ func TestForcedThroughSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestSetNoSyncToggleForcesRealSync is the regression test for the NoSync
-// toggle race: a Force that skipped its fsync while NoSync was set must not
-// let the log stay "clean" once NoSync is cleared — the next Force has to
-// issue a physical sync covering the skipped bytes, even when nothing new
-// was appended in between.
-func TestSetNoSyncToggleForcesRealSync(t *testing.T) {
-	l, dev := newCountingLog(t, 1<<16)
-	if _, _, _, err := l.Append(1, 0, []Range{mkRange(1, 0, 'a', 32)}); err != nil {
-		t.Fatal(err)
-	}
-	l.SetNoSync(true)
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if n := dev.Stats().Syncs; n != 0 {
-		t.Fatalf("Force under NoSync issued %d physical syncs, want 0", n)
-	}
-	l.SetNoSync(false)
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if n := dev.Stats().Syncs; n != 1 {
-		t.Fatalf("Force after SetNoSync(false) issued %d physical syncs, want 1", n)
-	}
-	// Once really synced, Force is a no-op again.
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if n := dev.Stats().Syncs; n != 1 {
-		t.Fatalf("redundant Force issued a physical sync (total %d)", n)
-	}
-}
-
 // TestAppendDuringForce: Force must not hold the log mutex across the
 // fsync — an Append issued mid-force completes, and the forced-through
 // sequence number advances only to the pre-fsync snapshot, leaving the log

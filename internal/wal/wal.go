@@ -140,9 +140,6 @@ type Log struct {
 	dirty     bool   // appended bytes not yet forced
 	forcedSeq uint64 // highest seqno covered by a completed Force
 
-	noSync      bool
-	skippedSync bool // a Force skipped its fsync while noSync was set
-
 	openScanNs int64 // how long Open's tail scan took; reported by SetObs
 
 	// Head-move claim: SetHead persists the status block with l.mu
@@ -738,27 +735,18 @@ func (l *Log) Force() error {
 	coverSeq := l.nextSeq - 1
 	prevForced := l.forcedSeq
 	dev := l.dev
-	sync := !l.noSync
-	if !sync {
-		// The fsync is being skipped: remember that, so a later
-		// SetNoSync(false) can re-dirty the log and the next Force issues
-		// a real fsync covering these bytes.
-		l.skippedSync = true
-	}
 	tr, met := l.tr, l.met
 	l.mu.Unlock()
 	start := tr.Now()
 	t0 := time.Now()
-	if sync {
-		// Bracket the fsync with the force stall gate: a device that
-		// wedges here is exactly what the engine's watchdog exists to
-		// flag, and the hung goroutine cannot report itself.
-		met.OpEnter(obs.StallForce)
-		err := dev.Sync()
-		met.OpExit(obs.StallForce)
-		if err != nil {
-			return fmt.Errorf("wal: force: %w", err)
-		}
+	// Bracket the fsync with the force stall gate: a device that wedges
+	// here is exactly what the engine's watchdog exists to flag, and the
+	// hung goroutine cannot report itself.
+	met.OpEnter(obs.StallForce)
+	err := dev.Sync()
+	met.OpExit(obs.StallForce)
+	if err != nil {
+		return fmt.Errorf("wal: force: %w", err)
 	}
 	dur := time.Since(t0).Nanoseconds()
 	l.mu.Lock()
@@ -797,25 +785,6 @@ func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextSeq - 1
-}
-
-// SetNoSync disables the physical fsyncs behind Force and SetHead.  All
-// logging, optimization, and truncation logic is unaffected — only the
-// permanence guarantee is forfeited.  Used by benchmark harnesses that
-// measure log traffic, not durability.
-//
-// Re-enabling sync after forces were skipped marks the log dirty again, so
-// the next Force issues a real fsync even if nothing new was appended:
-// toggling NoSync around a commit can therefore never leave bytes that were
-// reported forced without a physical sync ever covering them.
-func (l *Log) SetNoSync(v bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !v && l.skippedSync {
-		l.dirty = true
-		l.skippedSync = false
-	}
-	l.noSync = v
 }
 
 // Scan runs the forward pass over an open log's live records from the one
@@ -890,13 +859,13 @@ func (l *Log) SetHead(pos int64, seq uint64) error {
 		return err
 	}
 	l.headBusy = true
-	dev, noSync := l.dev, l.noSync
+	dev := l.dev
 	gen := l.gen + 1
 	st := statusBlock{gen: gen, areaSize: l.areaSize, head: pos, headSeq: seq}
 	l.mu.Unlock()
 
 	werr := writeStatus(dev, int(gen%2), st)
-	if werr == nil && !noSync {
+	if werr == nil {
 		if err := dev.Sync(); err != nil {
 			werr = fmt.Errorf("wal: sync status: %w", err)
 		}

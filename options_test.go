@@ -13,7 +13,7 @@ import (
 // fails.  It also pins the two field counts, so the next knob has to edit a
 // number in this test.
 func TestOptionsForwarded(t *testing.T) {
-	const maxFields, maxEngineFields = 8, 10
+	const maxFields, maxEngineFields = 7, 9
 
 	var o Options
 	v := reflect.ValueOf(&o).Elem()

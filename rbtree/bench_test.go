@@ -20,7 +20,7 @@ func benchTree(b *testing.B) (*rvm.RVM, *Tree) {
 	if err := rvm.CreateSegment(segPath, 1, 16<<20); err != nil {
 		b.Fatal(err)
 	}
-	db, err := rvm.Open(rvm.Options{LogPath: logPath, NoSync: true, TruncateThreshold: 0.5})
+	db, err := rvm.Open(rvm.Options{LogPath: logPath, TruncateThreshold: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func newFixture(t *testing.T, pages int) *fixture {
 	if err := rvm.CreateSegment(f.segPath, 1, int64(pages)*int64(rvm.PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	db, err := rvm.Open(rvm.Options{LogPath: f.logPath, NoSync: true})
+	db, err := rvm.Open(rvm.Options{LogPath: f.logPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func newFixture(t *testing.T, pages int) *fixture {
 // reopen simulates a crash and re-attaches to the tree via the heap root.
 func (f *fixture) reopen(t *testing.T) {
 	t.Helper()
-	db, err := rvm.Open(rvm.Options{LogPath: f.logPath, NoSync: true})
+	db, err := rvm.Open(rvm.Options{LogPath: f.logPath})
 	if err != nil {
 		t.Fatal(err)
 	}

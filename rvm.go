@@ -155,7 +155,8 @@ const (
 	DemandPaging = mapping.DemandPaging
 )
 
-// Options configures Open.
+// Options configures Open.  None of them weakens permanence: a flush
+// commit always syncs the log.
 type Options struct {
 	// LogPath names the write-ahead log created earlier with CreateLog.
 	LogPath string
@@ -167,10 +168,6 @@ type Options struct {
 	// Incremental makes background truncation stop at half the threshold
 	// rather than empty the log (paper §5.1.2).
 	Incremental bool
-	// NoSync disables physical fsyncs, forfeiting the permanence
-	// guarantee.  For benchmark harnesses that measure log traffic, not
-	// durability; leave it false.
-	NoSync bool
 	// GroupCommit makes the committer that issues a log force first wait
 	// briefly for concurrent flush commits still arriving, so that they
 	// share its fsync.  Concurrent committers share a force without it
@@ -250,7 +247,6 @@ func (o Options) engine() core.Options {
 		Backend:           o.Backend,
 		TruncateThreshold: truncateThreshold(o.TruncateThreshold),
 		Incremental:       o.Incremental,
-		NoSync:            o.NoSync,
 		GroupCommit:       o.GroupCommit,
 		Tracer:            tracer,
 		Metrics:           metrics,

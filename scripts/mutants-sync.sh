@@ -11,7 +11,7 @@ set -euo pipefail
 
 # name | file | line as it stands | line with the sync gone | package | tests
 rows=(
-	"the log force's sync|internal/wal/wal.go|		err := dev.Sync()|		err, _ := error(nil), dev|./internal/core|^TestLossyCrashProperty\$"
+	"the log force's sync|internal/wal/wal.go|	err := dev.Sync()|	err, _ := error(nil), dev|./internal/core|^TestLossyCrashProperty\$"
 	"clean's segment syncs|internal/core/truncate.go|		wrote[r.seg] = true|		_ = wrote|./internal/core|^TestLossyCrashProperty\$"
 	"flushSpool's ticket|internal/core/truncate.go|	if _, _, err := e.waitForced(last, false); err != nil {|	if _, _, err := e.waitForced(0*last, false); err != nil {|./internal/core|^TestLossyCrashProperty\$"
 	"SetHead's status sync|internal/wal/wal.go|		if err := dev.Sync(); err != nil {|		if err := error(nil); err != nil {|./internal/core|^TestLossyCrashProperty\$"

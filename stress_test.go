@@ -31,7 +31,6 @@ func TestStressConcurrentMixedLoad(t *testing.T) {
 	}
 	db, err := rvm.Open(rvm.Options{
 		LogPath:           logPath,
-		NoSync:            true, // stress code paths, not the disk
 		TruncateThreshold: 0.25, // keep background truncation busy
 		Incremental:       true,
 	})
