@@ -3,7 +3,7 @@
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: build test lint loc bench bench-gates mutants-sync
+.PHONY: build test lint loc bench bench-gates mutants-sync tier1-repeat
 
 build:
 	go build ./...
@@ -60,3 +60,9 @@ bench-gates:
 # data-checking test red within 60 s.  CI's mutants job calls it.
 mutants-sync:
 	bash scripts/mutants-sync.sh
+
+# tier1-repeat runs `go clean -testcache && go test ./...` 20 times and
+# names the failing tests of each run, so a flake shows as a count.  About
+# seven minutes on a 2-CPU host, so CI does not call it.
+tier1-repeat:
+	bash scripts/tier1-repeat.sh

@@ -51,13 +51,13 @@ type Hierarchy struct {
 // DefaultHierarchy is the engine's lock order from DESIGN.md §12,
 // outermost first:
 //
-//	Engine.mu → dict.mu → Region.mu (ascending index) →
+//	Engine.mu → Region.mu (ascending index) →
 //	pipeline.mu → groupCommit.mu → wal.Log.mu →
 //	iofault.machine.mu (wrap order) → iofault.Injector.mu (wrap order)
 //
-// Engine.mu is the structural outermost lock; the segment dictionary's
-// mutex guards its in-memory map (lookups run under e.mu; the durable
-// persist runs under a claim, holding no mutex); Region locks are held
+// Engine.mu is the truncation claim's lock, held only to take, give back
+// or wait for the claim; the claim's holder owns the segment table and
+// the regions slice with no lock held.  Region locks are held
 // across the commit pipeline section; pipeline.mu is the innermost
 // engine-side lock; the group-commit window and the WAL's own mutex sit
 // below the engine (a commit holding no engine lock may take them); a
@@ -71,8 +71,7 @@ type Hierarchy struct {
 // Injector's or a Cache's inner device may itself be one, and same-class
 // nesting then follows the wrap order fixed at construction.
 var DefaultHierarchy = &Hierarchy{Entries: []Entry{
-	{Pkg: "internal/core", Type: "Engine", Field: "mu", Level: obs.LockEngine.Level(), Class: obs.LockEngine, Name: "engine structural lock"},
-	{Pkg: "internal/core", Type: "dict", Field: "mu", Level: obs.LockDict.Level(), Class: obs.LockDict, Name: "segment-dictionary lock"},
+	{Pkg: "internal/core", Type: "Engine", Field: "mu", Level: obs.LockEngine.Level(), Class: obs.LockEngine, Name: "truncation-claim lock"},
 	{Pkg: "internal/core", Type: "Region", Field: "mu", Level: obs.LockRegion.Level(), Class: obs.LockRegion, Ordered: true, Name: "region lock"},
 	{Pkg: "internal/core", Type: "pipeline", Field: "mu", Level: obs.LockPipeline.Level(), Class: obs.LockPipeline, Name: "log-pipeline lock"},
 	{Pkg: "internal/core", Type: "groupCommit", Field: "mu", Level: obs.LockGroupCommit.Level(), Class: obs.LockGroupCommit, Name: "group-commit window lock"},

@@ -18,7 +18,7 @@
 //   - Rule B: a module method named Force or Sync (which syncs
 //     transitively) under ANY held mutex.  Since the engine-lock
 //     decomposition there is no exception: the engine forces the log
-//     after releasing its structural mutex, the region locks, and the
+//     after releasing the truncation-claim lock, the region locks, and the
 //     pipeline lock, so a force under wal.Log.mu, groupCommit.mu,
 //     iofault.Injector.mu, Engine.mu, Region.mu, or pipeline.mu is
 //     always a regression that re-serializes group commit.

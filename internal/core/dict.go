@@ -8,53 +8,35 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// dict is the persistent segment dictionary: it maps the segment IDs that
-// appear in log records to the file paths of their external data segments,
-// so crash recovery can locate every segment the log references.  The real
-// RVM kept an equivalent mapping in its log status area; a sidecar file
-// (<log>.segs) keeps the log format simple here.
+// The segment dictionary maps the segment IDs that appear in log records
+// to the file paths of their external data segments, so crash recovery can
+// locate every segment the log references.  The real RVM kept an
+// equivalent mapping in its log status area; a sidecar file (<log>.segs)
+// keeps the log format simple here.  In memory it is Engine.paths, state of
+// the truncation claim like the segments and regions.
 //
 // The dictionary is written atomically (temp file + fsync + rename) and is
 // always persisted *before* the first log record referencing a new segment,
 // so a crash can never leave the log mentioning an unknown ID.
-//
-// The durable write runs with no mutex held (fsync under a lock is the
-// discipline violation the locksync analyzer exists for); a claim (busy)
-// serializes writers, and a new entry becomes visible to lookup — and to
-// other set callers' already-recorded checks — only after it is durable,
-// so a concurrent set of the same ID can never skip the persist and
-// return before the entry is on disk.
-type dict struct {
-	path string
 
-	mu      sync.Mutex
-	cond    *sync.Cond // lazily created; signalled when a persist finishes
-	busy    bool       // persist claim
-	entries map[uint64]string
-}
-
+// dictHeader is the first line of every dictionary file.
 const dictHeader = "# RVM segment dictionary v1"
 
 // SegmentDictionary returns the segment dictionary of the store whose log
 // is at logPath, segment ID to file path, exactly as Open loads it: a store
 // Open refuses is refused here too.  Offline tools read it.
 func SegmentDictionary(logPath string) (map[uint64]string, error) {
-	d, err := loadDict(dictPath(logPath))
-	if err != nil {
-		return nil, err
-	}
-	return d.entries, nil
+	return loadDict(dictPath(logPath))
 }
 
-// loadDict reads the dictionary at path; a missing file is an empty dict.
-func loadDict(path string) (*dict, error) {
-	d := &dict{path: path, entries: make(map[uint64]string)}
+// loadDict reads the dictionary at path; a missing file is an empty one.
+func loadDict(path string) (map[uint64]string, error) {
+	entries := make(map[uint64]string)
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return d, nil
+		return entries, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: open segment dictionary: %w", err)
@@ -98,59 +80,17 @@ func loadDict(path string) (*dict, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: bad segment id %q", path, id)
 		}
-		d.entries[n] = p
+		entries[n] = p
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("core: read segment dictionary: %w", err)
 	}
-	return d, nil
-}
-
-// lookup returns the path recorded for a segment ID.
-func (d *dict) lookup(id uint64) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p, ok := d.entries[id]
-	return p, ok
-}
-
-// set records id -> path and persists the dictionary if anything changed.
-// It returns only after the entry is durable (or already was).
-func (d *dict) set(id uint64, path string) error {
-	d.mu.Lock()
-	if d.cond == nil {
-		d.cond = sync.NewCond(&d.mu)
-	}
-	for d.busy {
-		d.cond.Wait()
-	}
-	if cur, ok := d.entries[id]; ok && cur == path {
-		d.mu.Unlock()
-		return nil
-	}
-	d.busy = true
-	snap := make(map[uint64]string, len(d.entries)+1)
-	for k, v := range d.entries {
-		snap[k] = v
-	}
-	snap[id] = path
-	d.mu.Unlock()
-
-	err := persistEntries(d.path, snap)
-
-	d.mu.Lock()
-	if err == nil {
-		d.entries[id] = path
-	}
-	d.busy = false
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return err
+	return entries, nil
 }
 
 // persistEntries writes one version of the dictionary durably and
-// atomically.  It takes a private snapshot rather than the dict so no
-// lock is needed across the fsyncs.
+// atomically.  It runs holding no mutex: its caller holds the truncation
+// claim, which serializes every writer.
 func persistEntries(path string, entries map[uint64]string) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -13,36 +13,38 @@ import (
 // without error (the rename alone is not durable until the directory entry
 // is synced).
 func TestDictPersistAtomicDurable(t *testing.T) {
-	dir := t.TempDir()
-	d := &dict{path: filepath.Join(dir, "log.segs"), entries: make(map[uint64]string)}
-	if err := d.set(7, "/data/seg7.rvm"); err != nil {
+	path := filepath.Join(t.TempDir(), "log.segs")
+	entries := map[uint64]string{7: "/data/seg7.rvm"}
+	if err := persistEntries(path, entries); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.set(1, "seg1.rvm"); err != nil {
+	entries[1] = "seg1.rvm"
+	if err := persistEntries(path, entries); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(d.path + ".tmp"); !os.IsNotExist(err) {
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind after persist: %v", err)
 	}
 
-	got, err := loadDict(d.path)
+	got, err := loadDict(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.entries) != 2 || got.entries[7] != "/data/seg7.rvm" || got.entries[1] != "seg1.rvm" {
-		t.Fatalf("reloaded entries = %v", got.entries)
+	if len(got) != 2 || got[7] != "/data/seg7.rvm" || got[1] != "seg1.rvm" {
+		t.Fatalf("reloaded entries = %v", got)
 	}
 
 	// Updating an entry replaces the file atomically.
-	if err := d.set(7, "/data/moved.rvm"); err != nil {
+	entries[7] = "/data/moved.rvm"
+	if err := persistEntries(path, entries); err != nil {
 		t.Fatal(err)
 	}
-	got, err = loadDict(d.path)
+	got, err = loadDict(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.entries[7] != "/data/moved.rvm" {
-		t.Fatalf("updated entry = %q", got.entries[7])
+	if got[7] != "/data/moved.rvm" {
+		t.Fatalf("updated entry = %q", got[7])
 	}
 }
 

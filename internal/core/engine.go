@@ -31,9 +31,13 @@
 //
 //		e.mu (Engine)  >  r.mu (Region, ascending index)  >  e.pipe.mu (log pipeline)
 //
-//	  - e.mu is structural: Map/Unmap/Close/Query/Snapshot, the segment and
-//	    dictionary tables, the regions slice, and the truncation claim
-//	    (truncating + cond).  Begin/SetRange/Commit/Abort never touch it.
+//	  - e.mu is the truncation claim's lock: it is held only to take the
+//	    claim, give it back, or wait for it (claimTruncation,
+//	    releaseTruncation, Close).  The claim's holder — a truncation,
+//	    Map, Unmap or Close — owns the segment table (segs and the
+//	    dictionary), the regions slice and the pending redo with no lock
+//	    held.  Begin/SetRange/Commit/Abort, Query and Snapshot never touch
+//	    e.mu.
 //	  - r.mu is per-region: it guards r.data stability, r.nTx, r.mapped,
 //	    and orders pvec reference-count checks against the page writes they
 //	    gate.  Transactions on disjoint regions share no lock.
@@ -48,13 +52,14 @@
 // is created, so every mu.Lock() feeds the class's contention counters and
 // stays a literal Lock call the rvmcheck walkers can follow.  No fsync
 // runs under any engine lock (locksync Rule A/B).  Engine-wide counters,
-// the active-transaction count, the transaction-ID source, and the
-// poisoned/closed flags are atomics.
+// the active-transaction count, the transaction-ID source, the
+// poisoned/closed flags and the last truncation failure are atomics.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -209,26 +214,27 @@ type Engine struct {
 	pipe pipeline
 	gc   groupCommit // group-commit ticket state (own mutex; see groupcommit.go)
 
-	// Structural state, guarded by mu.  The regions slice is additionally
-	// mutated only while also holding pipe.mu, so either lock suffices to
-	// read it; the truncation claim (truncating) gives claim holders
-	// stable reads of the slice with neither.
+	// The truncation claim (claimTruncation), and its lock: mu guards only
+	// the claim.
 	mu         sync.Mutex
-	cond       *sync.Cond // signalled when a truncation finishes
-	dict       *dict
-	segs       map[uint64]*segment.Segment // open segments by ID
-	byPath     map[string]uint64           // canonical path -> segment ID
-	regions    []*Region                   // index = region handle; nil after unmap
-	truncating atomic.Bool                 // truncation claim; written under mu
-	truncErr   error                       // most recent background-truncation failure
+	cond       *sync.Cond  // signalled when the claim is released
+	truncating atomic.Bool // the claim; written under mu
+
+	// State of the truncation claim: its holder reads and writes these
+	// with no lock.  The regions slice is read by the pipeline too, so it
+	// also changes under pipe.mu, and pipe.mu alone suffices to read it.
+	segs    map[uint64]*segment.Segment // open segments by ID
+	paths   map[uint64]string           // the segment dictionary (dict.go) as it is on disk
+	regions []*Region                   // index = region handle; nil after unmap
 	// pending is the redo of the restart that opened the engine, not yet in
-	// the segments (applyPending).  Only truncation-claim holders touch it.
+	// the segments (applyPending).
 	pending *recovery.Epoch
 
 	nextTID  atomic.Uint64
 	active   atomic.Int64 // transactions begun and not yet resolved
 	closed   atomic.Bool
-	poisoned atomic.Pointer[poisonCause] // non-nil after an unrecoverable I/O error
+	poisoned atomic.Pointer[boxedErr] // non-nil after an unrecoverable I/O error
+	truncErr atomic.Pointer[boxedErr] // most recent background-truncation failure
 
 	// Runtime-adjustable truncation knobs (SetOptions); read lock-free on
 	// the commit path.
@@ -285,8 +291,8 @@ func (l *bgLoop) stop() {
 	})
 }
 
-// poisonCause wraps the fail-stop root cause for atomic publication.
-type poisonCause struct{ err error }
+// boxedErr wraps an error for atomic publication.
+type boxedErr struct{ err error }
 
 // Region is a mapped region of an external data segment.  Its memory is
 // exposed via Data; applications read and write it directly, bracketing
@@ -322,7 +328,7 @@ type Region struct {
 func Open(opts Options) (*Engine, error) {
 	// The dictionary comes first: a store it does not describe is refused
 	// before the log is opened or anything is written.
-	d, err := loadDict(dictPath(opts.LogPath))
+	paths, err := loadDict(dictPath(opts.LogPath))
 	if err != nil {
 		return nil, err
 	}
@@ -349,9 +355,8 @@ func Open(opts Options) (*Engine, error) {
 		opts:       opts,
 		spoolLimit: min(spoolLimit, lg.AreaSize()/4-wal.EncodedLen(nil)),
 		log:        lg,
-		dict:       d,
 		segs:       make(map[uint64]*segment.Segment),
-		byPath:     make(map[string]uint64),
+		paths:      paths,
 		tr:         opts.Tracer,
 		met:        opts.Metrics,
 	}
@@ -399,13 +404,13 @@ func CreateSegment(path string, id uint64, length int64) error {
 func dictPath(logPath string) string { return logPath + ".segs" }
 
 // lookupSegment resolves a segment ID via the dictionary, opening and
-// caching the segment.  Used by recovery and truncation.  Caller holds
-// e.mu (or is the only goroutine, at Open).
+// caching the segment.  Used by recovery and truncation.  Caller holds the
+// truncation claim (or is the only goroutine, at Open).
 func (e *Engine) lookupSegment(id uint64) (*segment.Segment, error) {
 	if s, ok := e.segs[id]; ok {
 		return s, nil
 	}
-	path, ok := e.dict.lookup(id)
+	path, ok := e.paths[id]
 	if !ok {
 		return nil, fmt.Errorf("rvm: segment %d not in dictionary", id)
 	}
@@ -418,7 +423,6 @@ func (e *Engine) lookupSegment(id uint64) (*segment.Segment, error) {
 		return nil, fmt.Errorf("rvm: %s holds segment %d, dictionary says %d", path, s.ID(), id)
 	}
 	e.segs[id] = s
-	e.byPath[path] = id
 	return s, nil
 }
 
@@ -428,65 +432,62 @@ func (e *Engine) lookupSegment(id uint64) (*segment.Segment, error) {
 // currently mapped region of the same segment (paper §4.1 restrictions).
 // The returned region's memory holds the committed image of the range.
 //
-// The durable and bulk work — persisting the segment dictionary (which
-// fsyncs) and copying the committed image in — runs with e.mu released,
-// so a Map of a large region does not stall every Begin/Commit behind a
-// disk flush.  Holding the truncation slot across the whole operation
-// keeps the unlocked window sound: truncation, Unmap, Close, and other
-// Maps are serialized against it (none of them can touch the segment
-// range being copied), while the commit path never takes the slot and
-// runs unimpeded.
+// Map runs under the truncation claim and holds no lock otherwise: the
+// claim serializes it against truncation, Unmap, Close and other Maps, and
+// owns the segment table and the regions slice, so the durable and bulk
+// work — persisting the segment dictionary (which fsyncs) and copying the
+// committed image in — never stalls a Begin or Commit, which do not take
+// the claim.
 func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 	if err := e.claimTruncation(); err != nil {
 		return nil, err
 	}
 	defer e.releaseTruncation()
 
-	e.mu.Lock()
 	if !mapping.IsAligned(segOff) || !mapping.IsAligned(length) || length <= 0 {
-		e.mu.Unlock()
 		return nil, fmt.Errorf("%w: off=%d len=%d", ErrBadAlignment, segOff, length)
 	}
 	abs, err := filepath.Abs(segPath)
 	if err != nil {
-		e.mu.Unlock()
 		return nil, fmt.Errorf("rvm: resolve %s: %w", segPath, err)
 	}
 	var seg *segment.Segment
-	if id, ok := e.byPath[abs]; ok {
-		seg = e.segs[id]
-	} else {
+	for _, s := range e.segs {
+		if s.Path() == abs {
+			seg = s
+		}
+	}
+	if seg == nil {
 		seg, err = segment.OpenWith(abs, e.opts.SegmentDevice)
 		if err != nil {
-			e.mu.Unlock()
 			return nil, err
 		}
-		if other, ok := e.segs[seg.ID()]; ok && other != seg {
-			e.mu.Unlock()
+		if other, ok := e.segs[seg.ID()]; ok {
 			seg.Close()
 			return nil, fmt.Errorf("rvm: segment id %d already open from %s", other.ID(), other.Path())
 		}
 		e.segs[seg.ID()] = seg
-		e.byPath[abs] = seg.ID()
 	}
 	if segOff+length > seg.Length() {
-		e.mu.Unlock()
 		return nil, fmt.Errorf("%w: [%d,+%d) exceeds segment length %d", ErrBounds, segOff, length, seg.Length())
 	}
-	if r := e.overlapLocked(seg.ID(), segOff, length); r != nil {
-		e.mu.Unlock()
+	if r := e.overlap(seg.ID(), segOff, length); r != nil {
 		return nil, fmt.Errorf("%w: [%d,+%d) vs existing [%d,+%d)", ErrOverlap, segOff, length, r.segOff, r.length)
 	}
-	e.mu.Unlock()
 
 	// Persist the dictionary entry before any log record can reference
-	// this segment — that is, before the region exists, not before the
-	// engine lock drops.  A failure here poisons the engine: the
-	// in-memory dictionary and its durable copy could otherwise diverge,
-	// leaving future log records referencing a segment recovery cannot
-	// find.
-	if err := e.dict.set(seg.ID(), abs); err != nil {
-		return nil, e.maybePoison(err)
+	// this segment, that is, before the region exists.  The new version is
+	// published only once it is durable.  A failure here poisons the
+	// engine: the in-memory dictionary and its durable copy could otherwise
+	// diverge, leaving future log records referencing a segment recovery
+	// cannot find.
+	if cur, ok := e.paths[seg.ID()]; !ok || cur != abs {
+		paths := maps.Clone(e.paths)
+		paths[seg.ID()] = abs
+		if err := persistEntries(dictPath(e.opts.LogPath), paths); err != nil {
+			return nil, e.maybePoison(err)
+		}
+		e.paths = paths
 	}
 	var buf *mapping.Buffer
 	switch e.opts.Backend {
@@ -520,12 +521,9 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		e.pending.Overlay(seg.ID(), segOff, buf.Data())
 	}
 
-	// Publish the region.  The truncation slot excludes Unmap, Close,
-	// and other Maps, so the regions slice cannot have changed; a commit
-	// can still poison the engine mid-window, so poisoning is rechecked.
-	e.mu.Lock()
+	// Publish the region.  A commit can poison the engine while Map runs,
+	// so poisoning is rechecked.
 	if err := e.check(); err != nil {
-		e.mu.Unlock()
 		buf.Free()
 		return nil, err
 	}
@@ -542,18 +540,15 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		mapped:    true,
 	}
 	r.mu.Bind(obs.LockRegion, e.met)
-	// The regions slice is read under pipe.mu by the spool drain and epoch
-	// completion, so mutations hold the pipeline lock too.
 	e.pipe.mu.Lock()
 	e.regions = append(e.regions, r)
 	e.pipe.mu.Unlock()
-	e.mu.Unlock()
 	return r, nil
 }
 
-// overlapLocked returns a mapped region of segment id overlapping
-// [off, off+length), or nil.  Caller holds e.mu.
-func (e *Engine) overlapLocked(id uint64, off, length int64) *Region {
+// overlap returns a mapped region of segment id overlapping
+// [off, off+length), or nil.  Caller holds the truncation claim.
+func (e *Engine) overlap(id uint64, off, length int64) *Region {
 	for _, r := range e.regions {
 		if r != nil && r.seg.ID() == id &&
 			off < r.segOff+r.length && r.segOff < off+length {
@@ -626,12 +621,10 @@ func (e *Engine) Unmap(r *Region) error {
 			return fail(err)
 		}
 	}
-	e.mu.Lock()
 	e.pipe.mu.Lock()
 	e.pipe.queue.RemoveRegion(r.idx)
 	e.regions[r.idx] = nil
 	e.pipe.mu.Unlock()
-	e.mu.Unlock()
 	r.mu.Lock()
 	r.data = nil
 	buf := r.buf
@@ -644,8 +637,9 @@ func (e *Engine) Unmap(r *Region) error {
 
 // claimTruncation blocks until it owns the truncation slot.  The slot
 // serializes truncations, Map, Unmap, and Close against each other, and
-// gives its holder stable reads of the regions slice and region
-// mapped-state.  The commit path never takes it.
+// its holder owns the segment table, the regions slice and the pending
+// redo, and has stable reads of region mapped-state.  The commit path
+// never takes it.
 func (e *Engine) claimTruncation() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -665,14 +659,6 @@ func (e *Engine) releaseTruncation() {
 	e.truncating.Store(false)
 	e.cond.Broadcast()
 	e.mu.Unlock()
-}
-
-// waitTruncationLocked blocks until no truncation is in flight.  Callers
-// hold e.mu; the condition variable releases it while waiting.
-func (e *Engine) waitTruncationLocked() {
-	for e.truncating.Load() {
-		e.cond.Wait()
-	}
 }
 
 // Data returns the region's mapped memory.  Reads need no RVM
@@ -715,10 +701,8 @@ func (e *Engine) Query(r *Region) (QueryInfo, error) {
 		TruncFailures: e.stats.TruncFailures.Load(),
 		LogUsed:       e.log.Used(),
 		LogSize:       e.log.AreaSize(),
+		LastFault:     e.lastFault(),
 	}
-	e.mu.Lock()
-	qi.LastFault = e.lastFaultLocked()
-	e.mu.Unlock()
 	p := &e.pipe
 	p.mu.Lock()
 	qi.SpoolBytes = p.spoolBytes
@@ -792,17 +776,8 @@ func (e *Engine) Snapshot() (Snapshot, error) {
 	if e.closed.Load() {
 		return Snapshot{}, ErrClosed
 	}
-	dirty := 0
-	e.mu.Lock()
-	for _, r := range e.regions {
-		if r != nil {
-			dirty += r.pvec.DirtyCount()
-		}
-	}
-	e.mu.Unlock()
 	sn := Snapshot{
 		ActiveTxs:  int(e.active.Load()),
-		DirtyPages: dirty,
 		Truncating: e.truncating.Load(),
 		Poisoned:   e.poisonCause() != nil,
 		LogUsed:    e.log.Used(),
@@ -810,6 +785,11 @@ func (e *Engine) Snapshot() (Snapshot, error) {
 	}
 	e.pipe.mu.Lock()
 	sn.SpoolBytes = e.pipe.spoolBytes
+	for _, r := range e.regions {
+		if r != nil {
+			sn.DirtyPages += r.pvec.DirtyCount()
+		}
+	}
 	e.pipe.mu.Unlock()
 	sn.Stats = e.Stats()
 	sn.Metrics = e.met.Snapshot()
@@ -830,7 +810,9 @@ func (e *Engine) Metrics() *obs.Metrics { return e.met }
 // reports the poisoned state.
 func (e *Engine) Close() error {
 	e.mu.Lock()
-	e.waitTruncationLocked()
+	for e.truncating.Load() {
+		e.cond.Wait()
+	}
 	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil
@@ -854,16 +836,12 @@ func (e *Engine) Close() error {
 		first = fmt.Errorf("%w: %w", ErrPoisoned, cause)
 	} else if _, err := e.truncateClaimed(cleanEverything, &e.stats.IncrSteps, true); err != nil {
 		// Nothing is released yet: the engine goes on running.
-		e.mu.Lock()
 		e.closed.Store(false)
-		e.truncating.Store(false)
-		e.cond.Broadcast()
-		e.mu.Unlock()
+		e.releaseTruncation()
 		return err
 	}
 	// From here on the close completes whatever fails: a failed release is
 	// remembered, and the rest is released all the same.
-	e.mu.Lock()
 	for _, r := range e.regions {
 		if r == nil {
 			continue
@@ -879,9 +857,7 @@ func (e *Engine) Close() error {
 		}
 		r.mu.Unlock()
 	}
-	e.truncating.Store(false)
-	e.cond.Broadcast()
-	e.mu.Unlock()
+	e.releaseTruncation()
 	// The stall watchdog stops only now that the close can no longer be
 	// refused: an engine whose Close failed goes on running, watched.  It
 	// reads atomics alone, so it never waits on the teardown; it just must

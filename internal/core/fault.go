@@ -62,7 +62,7 @@ func (e *Engine) maybePoison(err error) error {
 	if err == nil || isLogicalErr(err) {
 		return err
 	}
-	if e.poisoned.CompareAndSwap(nil, &poisonCause{err: err}) {
+	if e.poisoned.CompareAndSwap(nil, &boxedErr{err: err}) {
 		e.tr.Record(obs.EvPoisoned, 0, 0, 0)
 	}
 	return fmt.Errorf("%w: %w", ErrPoisoned, err)
@@ -88,12 +88,14 @@ func (e *Engine) check() error {
 	return nil
 }
 
-// lastFaultLocked is the root cause surfaced by Query: the poisoning error,
-// or failing that the most recent background-truncation failure.  Caller
-// holds e.mu (which guards truncErr).
-func (e *Engine) lastFaultLocked() error {
+// lastFault is the root cause surfaced by Query: the poisoning error, or
+// failing that the most recent background-truncation failure.
+func (e *Engine) lastFault() error {
 	if cause := e.poisonCause(); cause != nil {
 		return cause
 	}
-	return e.truncErr
+	if c := e.truncErr.Load(); c != nil {
+		return c.err
+	}
+	return nil
 }

@@ -64,10 +64,18 @@ type groupCommit struct {
 // to amortize).  Then it keeps yielding until as many committers have
 // entered waitForced since the last force was issued as waited on that
 // force, for at most half its duration: a committer tens of microseconds
-// behind its peers joins this force instead of paying the next one, a lone
-// committer (a prediction of one) waits for nothing, and a committer that
-// has left costs one bounded wait, after which the prediction falls.
+// behind its peers joins this force instead of paying the next one, and a
+// committer that has left costs one bounded wait, after which the
+// prediction falls.  A lone committer skips the window altogether: when at
+// most one committer waited on the last force and no other has arrived
+// since, it forces at once, for under load even the two idle yields can
+// cost it a scheduler quantum.
 func (e *Engine) joinWindow() {
+	gc := &e.gc
+	want := gc.predicted.Load()
+	if want <= 1 && gc.arrived.Load() <= 1 {
+		return
+	}
 	last := e.log.LastSeq()
 	for idle := 0; idle < 2; {
 		runtime.Gosched()
@@ -77,8 +85,7 @@ func (e *Engine) joinWindow() {
 			idle++
 		}
 	}
-	gc := &e.gc
-	if want := gc.predicted.Load(); gc.arrived.Load() < want {
+	if gc.arrived.Load() < want {
 		deadline := time.Now().Add(time.Duration(gc.forceNs.Load() / 2))
 		for gc.arrived.Load() < want {
 			if time.Now().After(deadline) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/rvm-go/rvm/internal/iofault"
+	"github.com/rvm-go/rvm/internal/obs"
 )
 
 // TestGroupCommitSingleCommitter: with nobody to share a force with, a
@@ -27,6 +28,34 @@ func TestGroupCommitSingleCommitter(t *testing.T) {
 	r2 := v.mapWhole()
 	if got := r2.Data()[0:5]; !bytes.Equal(got, []byte("alone")) {
 		t.Fatalf("recovered %q, want %q", got, "alone")
+	}
+}
+
+// TestEveryFlushCommitHasARole: every flush commit takes a force ticket, so
+// without the join window too each one is filed as the leader or a
+// follower of the force that covered it.
+func TestEveryFlushCommitHasARole(t *testing.T) {
+	met := obs.NewMetrics()
+	v := newEnv(t, 1<<20, pageBytes(2), Options{Metrics: met, TruncateThreshold: -1})
+	r := v.mapWhole()
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				if err := flushCommit(v.eng, r, int64(w)*64, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sn := met.Snapshot()
+	leaders, followers := sn.PhaseGCLeaderNs.Count, sn.PhaseGCFollowerNs.Count
+	if n := v.eng.Stats().FlushCommits; n != 40 || leaders+followers != n {
+		t.Fatalf("%d leaders + %d followers, want the %d flush commits", leaders, followers, n)
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // commits on an existing region must proceed while new segments are being
 // mapped, and every dictionary entry must still be durable before its
 // region can carry committed data — proven by crash-reopening and letting
-// recovery resolve every segment the log references.
+// recovery resolve every segment the log references.  Snapshot and Query,
+// which read the regions slice and the last fault without the truncation
+// claim, run throughout, and one fresh region is unmapped before the
+// crash; under -race this checks the claim's owners.
 func TestMapConcurrentWithCommits(t *testing.T) {
 	v := newEnv(t, 1<<20, pageBytes(2), Options{})
 	r := v.mapWhole()
@@ -22,7 +25,7 @@ func TestMapConcurrentWithCommits(t *testing.T) {
 	const extra = 4
 	stop := make(chan struct{})
 	var committer sync.WaitGroup
-	committer.Add(1)
+	committer.Add(2)
 	go func() {
 		defer committer.Done()
 		for i := 0; ; i++ {
@@ -32,6 +35,24 @@ func TestMapConcurrentWithCommits(t *testing.T) {
 			default:
 			}
 			v.commit1(r, int64(i%64)*8, []byte("busywork"))
+		}
+	}()
+	go func() {
+		defer committer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := v.eng.Snapshot(); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := v.eng.Query(nil); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 
@@ -64,6 +85,11 @@ func TestMapConcurrentWithCommits(t *testing.T) {
 			t.Fatal("a Map failed")
 		}
 		v.commit1(reg, 0, []byte{byte('A' + i)})
+	}
+	// The last region is unmapped: its page goes to its segment, and the
+	// reopened engine maps it from there.
+	if err := v.eng.Unmap(regions[extra-1]); err != nil {
+		t.Fatal(err)
 	}
 
 	// Crash and recover: the dictionary must resolve every segment the

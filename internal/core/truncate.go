@@ -149,7 +149,7 @@ func (e *Engine) epoch() error {
 	// Apply outside every lock: commits keep flowing into the current
 	// epoch meanwhile, so the apply is not part of the pause.
 	applyT := time.Now()
-	if _, err := ep.Apply(e.lookupSegmentSync, e.retryIO); err != nil {
+	if _, err := ep.Apply(e.lookupSegment, e.retryIO); err != nil {
 		return fail(err)
 	}
 	applied := time.Since(applyT)
@@ -171,7 +171,7 @@ func (e *Engine) applyPending() error {
 	if e.pending == nil {
 		return nil
 	}
-	if st, err := e.pending.Apply(e.lookupSegmentSync, e.retryIO); err != nil {
+	if st, err := e.pending.Apply(e.lookupSegment, e.retryIO); err != nil {
 		// The partial stats say how far redo got before the failure.
 		return fmt.Errorf("rvm: recovery: applied %d byte(s) in %d write(s), %d segment(s) synced: %w",
 			st.TreeBytes, st.WritesMerged, st.Segments, err)
@@ -234,14 +234,6 @@ func (e *Engine) completeEpochPipe(endSeq uint64) {
 	}
 	p.epochEndSeq = 0
 	p.mu.Unlock()
-}
-
-// lookupSegmentSync is lookupSegment under the engine lock, for use from
-// code running outside it.
-func (e *Engine) lookupSegmentSync(id uint64) (*segment.Segment, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lookupSegment(id)
 }
 
 // A page pinned by an uncommitted reference is usually mid-commit: the
@@ -497,8 +489,6 @@ func (e *Engine) autoTruncate() {
 		// still covers every acknowledged commit — but the log will keep
 		// filling until the operator notices via Query/Stats.
 		e.stats.TruncFailures.Add(1)
-		e.mu.Lock()
-		e.truncErr = err
-		e.mu.Unlock()
+		e.truncErr.Store(&boxedErr{err: err})
 	}
 }

@@ -497,7 +497,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			e.met.ObserveCommitNoFlush(time.Since(t0).Nanoseconds())
 			e.tr.SpanSince(obs.EvCommitNoFlush, t0, t.id, uint64(nbytes), 0)
 		} else {
-			e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, e.opts.GroupCommit, led)
+			e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, led)
 			e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
 			e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seq)
 		}

@@ -22,7 +22,6 @@ type LockClass int
 // arrays.
 const (
 	LockEngine LockClass = iota
-	LockDict
 	LockRegion
 	LockPipeline
 	LockGroupCommit
@@ -34,7 +33,6 @@ const (
 
 var lockNames = [NumLockClasses]string{
 	LockEngine:      "engine",
-	LockDict:        "dict",
 	LockRegion:      "region",
 	LockPipeline:    "pipeline",
 	LockGroupCommit: "group_commit",
@@ -45,7 +43,6 @@ var lockNames = [NumLockClasses]string{
 
 var lockLevels = [NumLockClasses]int{
 	LockEngine:      10,
-	LockDict:        15,
 	LockRegion:      20,
 	LockPipeline:    30,
 	LockGroupCommit: 40,

@@ -216,20 +216,20 @@ func TestStallGatesAndRecord(t *testing.T) {
 
 func TestObserveCommitPhases(t *testing.T) {
 	m := NewMetrics()
-	// Ungrouped commit: role histograms stay empty, fsync observed.
-	m.ObserveCommitPhases(10, 20, 30, 40, 50, 50, false, true)
-	// Grouped follower: no fsync of its own.
-	m.ObserveCommitPhases(1, 2, 3, 4, 500, 0, true, false)
-	// Grouped leader.
-	m.ObserveCommitPhases(1, 2, 3, 4, 100, 80, true, true)
+	// A lone commit leads its own force: fsync observed.
+	m.ObserveCommitPhases(10, 20, 30, 40, 50, 50, true)
+	// Follower: no fsync of its own.
+	m.ObserveCommitPhases(1, 2, 3, 4, 500, 0, false)
+	// Leader of a shared force.
+	m.ObserveCommitPhases(1, 2, 3, 4, 100, 80, true)
 
 	sn := m.Snapshot()
 	if sn.PhaseLockWaitNs.Count != 3 || sn.PhaseForceWaitNs.Count != 3 {
 		t.Errorf("phase counts = %d/%d, want 3/3",
 			sn.PhaseLockWaitNs.Count, sn.PhaseForceWaitNs.Count)
 	}
-	if sn.PhaseGCLeaderNs.Count != 1 || sn.PhaseGCFollowerNs.Count != 1 {
-		t.Errorf("role counts = leader %d follower %d, want 1/1",
+	if sn.PhaseGCLeaderNs.Count != 2 || sn.PhaseGCFollowerNs.Count != 1 {
+		t.Errorf("role counts = leader %d follower %d, want 2/1",
 			sn.PhaseGCLeaderNs.Count, sn.PhaseGCFollowerNs.Count)
 	}
 	if sn.PhaseFsyncNs.Count != 2 {

@@ -37,8 +37,8 @@ type metricsOf[H, G any] struct {
 	// Where one commit's latency went (DESIGN.md §14).  The first five
 	// partition the commit critical path, so their per-commit values sum
 	// to roughly the commit's latency; GCLeader/GCFollower split the
-	// force wait by role under group commit, and Fsync isolates the
-	// device sync inside a led (or direct) force.
+	// force wait by the commit's role at its force ticket, and Fsync
+	// isolates the device sync inside a led force.
 	PhaseLockWaitNs   H `json:"phase_lock_wait_ns" prom:"rvm_commit_phase_ns,phase=lock_wait" help:"Flush-commit critical-path phase latency."`
 	PhaseEncodeNs     H `json:"phase_encode_ns" prom:",phase=encode"`
 	PhasePipeWaitNs   H `json:"phase_pipe_wait_ns" prom:",phase=pipe_wait"`
@@ -175,22 +175,20 @@ func (m *Metrics) ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs int64) {
 
 // ObserveCommitPhases records the phase breakdown of a commit that forced
 // the log.  lockNs, encodeNs, pipeNs, appendNs, and forceNs partition the
-// commit's critical path; group says whether the force wait went through
-// the group-commit window, and led whether this commit ran the force
-// itself.  fsyncNs is the device-sync portion of a force this commit ran
-// (0 when it was covered by someone else's).
-func (m *Metrics) ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64, group, led bool) {
+// commit's critical path; led says whether this commit ran the force
+// itself (every flush commit takes a force ticket, so it is a leader or a
+// follower).  fsyncNs is the device-sync portion of a force this commit
+// ran (0 when it was covered by someone else's).
+func (m *Metrics) ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64, led bool) {
 	if m == nil {
 		return
 	}
 	m.ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs)
 	m.PhaseForceWaitNs.Observe(forceNs)
-	if group {
-		if led {
-			m.PhaseGCLeaderNs.Observe(forceNs)
-		} else {
-			m.PhaseGCFollowerNs.Observe(forceNs)
-		}
+	if led {
+		m.PhaseGCLeaderNs.Observe(forceNs)
+	} else {
+		m.PhaseGCFollowerNs.Observe(forceNs)
 	}
 	if fsyncNs > 0 {
 		m.PhaseFsyncNs.Observe(fsyncNs)
