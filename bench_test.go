@@ -113,6 +113,7 @@ func BenchmarkTable2(b *testing.B) {
 			}
 			b.ReportMetric(row.IntraPct, "intra-%")
 			b.ReportMetric(row.InterPct, "inter-%")
+			b.ReportMetric(row.DrainPct, "drain-%")
 		})
 	}
 }

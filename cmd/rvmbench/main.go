@@ -202,17 +202,17 @@ func table2(scale int) {
 		log.Fatal(err)
 	}
 	fmt.Printf("Table 2: savings due to RVM optimizations (workload scaled 1/%d)\n", scale)
-	fmt.Printf("%-9s %6s %13s %15s %7s %15s %7s %7s\n",
-		"machine", "", "transactions", "bytes to log", "", "", "", "")
-	fmt.Printf("%-9s %6s %13s %15s %7s %15s %7s %7s\n",
-		"", "type", "committed", "(after opts)", "intra", "", "inter", "total")
+	fmt.Printf("%-9s %6s %13s %15s %7s %15s %7s %7s %7s\n",
+		"machine", "", "transactions", "bytes to log", "", "", "", "", "")
+	fmt.Printf("%-9s %6s %13s %15s %7s %15s %7s %7s %7s\n",
+		"", "type", "committed", "(after opts)", "intra", "", "inter", "total", "drain")
 	profiles := codasim.Profiles()
 	for i, r := range rows {
 		kind := "client"
 		if profiles[i].Server {
 			kind = "server"
 		}
-		fmt.Printf("%-9s %6s %13d %15d %6.1f%% %15s %6.1f%% %6.1f%%\n",
-			r.Name, kind, r.Transactions, r.LogBytes, r.IntraPct, "", r.InterPct, r.TotalPct)
+		fmt.Printf("%-9s %6s %13d %15d %6.1f%% %15s %6.1f%% %6.1f%% %6.1f%%\n",
+			r.Name, kind, r.Transactions, r.LogBytes, r.IntraPct, "", r.InterPct, r.TotalPct, r.DrainPct)
 	}
 }

@@ -145,6 +145,7 @@ type statsOf[T any] struct {
 	LogForces       T `json:"log_forces" prom:"rvm_log_forces_total" help:"Log fsyncs on the commit/flush path."`
 	IntraSavedBytes T `json:"intra_saved_bytes" prom:"rvm_log_intra_saved_bytes_total" help:"Log bytes avoided by intra-transaction optimization."`
 	InterSavedBytes T `json:"inter_saved_bytes" prom:"rvm_log_inter_saved_bytes_total" help:"Log bytes avoided by inter-transaction optimization."`
+	DrainSavedBytes T `json:"drain_saved_bytes" prom:"rvm_log_drain_saved_bytes_total" help:"Log bytes avoided by logging each spooled byte once per drain."`
 	Flushes         T `json:"flushes" prom:"rvm_spool_flushes_total" help:"Explicit or implicit spool flushes."`
 	EpochTruncs     T `json:"epoch_truncs" prom:"rvm_truncation_epochs_total" help:"Epoch truncations completed."`
 	IncrSteps       T `json:"incr_steps" prom:"rvm_truncation_incr_steps_total" help:"Incremental truncation page write-outs."`
@@ -197,7 +198,7 @@ type pipeline struct {
 	spoolChecks uint64                  // full subsumption checks run; tests pin the cost of a commit with it
 	mem         spoolMem                // what entries are cut from
 	buckets     arena[spoolBucket]      // spoolIdx's buckets
-	ranges      []wal.Range             // drain scratch, kept for its capacity
+	drain       drainScratch
 	queue       pagevec.Queue
 	epochEndSeq uint64 // while an epoch truncation is in flight: its EndSeq
 }
@@ -213,6 +214,11 @@ type Engine struct {
 	log  *wal.Log
 	pipe pipeline
 	gc   groupCommit // group-commit ticket state (own mutex; see groupcommit.go)
+
+	// Books that finished transactions handed back, for Begin to take
+	// (tx.go).  Each slot is taken with a Swap, so two Begins never share
+	// one; a finish that finds every slot full drops its books.
+	books [4]atomic.Pointer[txBooks]
 
 	// The truncation claim (claimTruncation), and its lock: mu guards only
 	// the claim.

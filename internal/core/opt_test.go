@@ -179,16 +179,17 @@ func (l *verbatimLog) setRange(r *Region, off, n int64) {
 
 // check requires the engine's counters to add up to the verbatim logger's
 // bill: the bytes the engine logged plus the bytes it says each optimization
-// saved are the verbatim range bytes plus framing, the bytes of the engine's
-// log that are not ranges (record headers, trailers, padding).  A record the
+// saved — and the drains' merge, which logs each spooled byte once — are the
+// verbatim range bytes plus framing, the bytes of the engine's log that are
+// not ranges (record headers, trailers, padding).  A record the
 // inter-transaction optimization dropped was never framed; what it saved
-// counts the record's ranges only.
+// counts the record's ranges only, as does what a drain left out.
 func (l *verbatimLog) check(t *testing.T, st Statistics, framing uint64) {
 	t.Helper()
-	got := st.LogBytes + st.IntraSavedBytes + st.InterSavedBytes
+	got := st.LogBytes + st.IntraSavedBytes + st.InterSavedBytes + st.DrainSavedBytes
 	if want := l.rangeBytes + framing; got != want {
-		t.Fatalf("log %d + intra-saved %d + inter-saved %d = %d bytes; verbatim logging costs %d in ranges + %d of framing = %d",
-			st.LogBytes, st.IntraSavedBytes, st.InterSavedBytes, got, l.rangeBytes, framing, want)
+		t.Fatalf("log %d + intra-saved %d + inter-saved %d + drain-saved %d = %d bytes; verbatim logging costs %d in ranges + %d of framing = %d",
+			st.LogBytes, st.IntraSavedBytes, st.InterSavedBytes, st.DrainSavedBytes, got, l.rangeBytes, framing, want)
 	}
 }
 

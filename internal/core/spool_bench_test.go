@@ -137,14 +137,16 @@ func BenchmarkCommitNoFlush(b *testing.B) {
 }
 
 // BenchmarkSpoolDrain measures a Flush of 256 TPC-A-shaped no-flush commits,
-// spooled off the clock: the drain's one record, encoded and written, and
-// the page enqueues, per drained commit.  The log is in memory, so the
-// figure is the drain's own cost, not the disk's.
+// spooled off the clock: the merge of the spooled ranges into the drain's
+// one record, the record encoded and written, and the page enqueues, per
+// drained commit, next to the log bytes the drain wrote per drained commit.
+// The log is in memory, so the figure is the drain's own cost, not the
+// disk's.
 func BenchmarkSpoolDrain(b *testing.B) {
 	const commits = 256
 	s := newTPCAShape(b, Options{TruncateThreshold: -1})
 	var ms runtime.MemStats
-	var mallocs uint64
+	var mallocs, logged uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -157,7 +159,7 @@ func BenchmarkSpoolDrain(b *testing.B) {
 			s.commit(b)
 		}
 		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
+		before, logBefore := ms.Mallocs, s.eng.Stats().LogBytes
 		b.StartTimer()
 		if err := s.eng.Flush(); err != nil {
 			b.Fatal(err)
@@ -165,8 +167,10 @@ func BenchmarkSpoolDrain(b *testing.B) {
 		b.StopTimer()
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - before
+		logged += s.eng.Stats().LogBytes - logBefore
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*commits), "ns/commit")
+	b.ReportMetric(float64(logged)/float64(b.N*commits), "log-B/commit")
 	b.ReportMetric(float64(mallocs)/float64(b.N*commits), "allocs/commit")
 }

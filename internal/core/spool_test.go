@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
+
+	"github.com/rvm-go/rvm/internal/iofault"
+	"github.com/rvm-go/rvm/internal/wal"
 )
 
 func TestSpoolLimitTriggersImplicitFlush(t *testing.T) {
@@ -234,5 +239,165 @@ func TestSpoolMemoryStaysBounded(t *testing.T) {
 	v.reopen(Options{})
 	if !bytes.Equal(v.mapWhole().Data(), model) {
 		t.Fatal("the recovered image is not what was committed")
+	}
+}
+
+// TestDrainLogsNewestBytes: a drain logs each byte its entries cover once,
+// with the value of the newest entry.  Three commits overlap in part —
+// [0,10), then [5,15), then [0,4) — so that none subsumes another, and 256
+// commits each rewrite one 8-byte field and append a 4-byte audit record of
+// their own, which keeps the inter-transaction optimization from dropping
+// them.  The drain's one record must carry as many range bytes as the union
+// of the writes, and a crash at every point of the drain's device writes
+// must restart to the image before the drain or to exactly the newest
+// bytes.
+func TestDrainLogsNewestBytes(t *testing.T) {
+	type write struct {
+		off  int64
+		data []byte
+	}
+	txs := [][]write{{{0, []byte("AAAAAAAAAA")}}, {{5, []byte("BBBBBBBBBB")}}, {{0, []byte("CCCC")}}}
+	for i := 0; i < 256; i++ {
+		field := bytes.Repeat([]byte{byte(i)}, 8)
+		txs = append(txs, []write{{100, field}, {1000 + 4*int64(i), []byte{'a', byte(i), 'z', byte(i >> 8)}}})
+	}
+	const union = 15 + 8 + 4*256
+	newest := make([]byte, pageBytes(2))
+	for _, tx := range txs {
+		for _, w := range tx {
+			copy(newest[w.off:], w.data)
+		}
+	}
+	for budget := int64(-1); ; budget += 8 {
+		dir := t.TempDir()
+		logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
+		if err := CreateLog(logPath, 1<<16); err != nil {
+			t.Fatal(err)
+		}
+		if err := CreateSegment(segPath, 1, pageBytes(2)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := iofault.NewCache(f, -1)
+		eng, err := Open(onMachine(Options{LogPath: logPath, TruncateThreshold: -1}, cache, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := eng.Map(segPath, 0, pageBytes(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ws := range txs {
+			tx, _ := eng.Begin(Restore)
+			for _, w := range ws {
+				if err := tx.Modify(r, w.off, w.data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(NoFlush); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cache.SetBudget(budget)
+		flushed := eng.Flush() == nil
+		if budget < 0 {
+			// No crash: look at the record the drain wrote.
+			var recs, logged int
+			err := eng.log.ScanForward(func(rec *wal.Record) error {
+				recs++
+				for _, rg := range rec.Ranges {
+					logged += len(rg.Data)
+				}
+				return nil
+			})
+			if err != nil || !flushed || recs != 1 || logged != union {
+				t.Fatalf("the drain logged %d record(s) of %d range bytes (flushed %v, %v); want 1 of %d", recs, logged, flushed, err, union)
+			}
+			if eng.Stats().DrainSavedBytes == 0 {
+				t.Fatal("the drain saved nothing")
+			}
+			eng.Close()
+			continue
+		}
+		if err := cache.Crash(iofault.KeepAll); err != nil {
+			t.Fatal(err)
+		}
+		eng.closeFiles()
+		eng, err = Open(Options{LogPath: logPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err = eng.Map(segPath, 0, pageBytes(2)); err != nil {
+			t.Fatal(err)
+		}
+		got := bytes.Clone(r.Data())
+		eng.Close()
+		if !bytes.Equal(got, make([]byte, len(got))) && !bytes.Equal(got, newest) {
+			t.Fatalf("a drain torn after %d bytes restarts to neither the old image nor the newest bytes", budget)
+		}
+		if flushed {
+			if !bytes.Equal(got, newest) {
+				t.Fatal("a drain that returned restarts without it")
+			}
+			return
+		}
+	}
+}
+
+// TestDrainNeverLogsMoreThanItsEntries: pieces of 65 534 bytes cannot share
+// a short range header, so a drain that merged an old 262 139-byte range and
+// three newer bytes that cut it into four such pieces would log seven
+// ranges, 56 header bytes, where the four entries cost 22 + 3 × 8 and three
+// bytes.  The drain logs the entries as they are instead — the spool's
+// bound sizes the log for them — and the newer bytes still win.
+func TestDrainNeverLogsMoreThanItsEntries(t *testing.T) {
+	v := newEnv(t, 4<<20, pageBytes(72), Options{TruncateThreshold: -1})
+	mapAll := func() *Region {
+		r, err := v.eng.Map(v.segPath, 0, pageBytes(72))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := mapAll()
+	const piece = 65534
+	want := bytes.Repeat([]byte{'o'}, 4*piece+3)
+	writes := [][2]int64{{0, int64(len(want))}}
+	for i := int64(1); i <= 3; i++ {
+		at := i*piece + i - 1
+		want[at] = 'n'
+		writes = append(writes, [2]int64{at, 1})
+	}
+	for _, w := range writes {
+		tx, _ := v.eng.Begin(NoRestore)
+		if err := tx.Modify(r, w[0], want[w[0]:w[0]+w[1]]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(NoFlush); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var ranges []int
+	err := v.eng.log.ScanForward(func(rec *wal.Record) error {
+		for _, rg := range rec.Ranges {
+			ranges = append(ranges, len(rg.Data))
+		}
+		return nil
+	})
+	if err != nil || len(ranges) != 4 || ranges[0] != len(want) {
+		t.Fatalf("the drain logged ranges of %v bytes (%v); want the entries' %d, 1, 1 and 1", ranges, err, len(want))
+	}
+	if st := v.eng.Stats(); st.DrainSavedBytes != 0 {
+		t.Fatalf("DrainSavedBytes %d for a drain logged as its entries", st.DrainSavedBytes)
+	}
+	v.reopen(Options{})
+	if got := mapAll().Data()[:len(want)]; !bytes.Equal(got, want) {
+		t.Fatal("the restart lost the newer bytes")
 	}
 }

@@ -108,29 +108,41 @@ type oldValue struct {
 // multiple goroutines, but many transactions may be active at once; RVM
 // provides no serializability between them (paper §3.1).  Transactions on
 // disjoint regions share no lock: they meet only at the log pipeline.
+//
+// A Tx is a small handle that is never recycled: a caller holding one past
+// Commit must keep seeing ErrTxDone.  Its books are recycled: finish hands
+// them back to the engine, so that a Begin allocates only the handle.
 type Tx struct {
-	eng  *Engine
-	id   uint64
-	mode TxMode
-	done bool
+	eng      *Engine
+	id       uint64
+	mode     TxMode
+	done     bool
+	*txBooks // nil once the transaction is done
+}
+
+// txBooks is a transaction's bookkeeping: what a Begin would otherwise
+// allocate and zero, so the engine recycles it (Engine.books).
+type txBooks struct {
 	// regions is the bookkeeping of every region touched, ascending by
 	// region index — both the lock-acquisition order and the deterministic
-	// log order.  The first region's books live inside the Tx, and further
-	// regions' are allocated two at a time (more): books inside the Tx cost
-	// Begin their zeroing whether used or not, and a Tx over 512 bytes is
-	// a slower allocation.
+	// log order.  The first region's books are regBuf, further regions'
+	// are more[0], more[1], ...: each kept, once allocated, for the next
+	// transaction.
 	regions []*txRegion
 	regPtrs [4]*txRegion
 	regBuf  txRegion
-	more    []txRegion
+	more    []*txRegion
 	oldData []byte // old values are captured into one growing buffer
 }
 
+// maxOldRetain bounds the old-value buffer a recycled transaction keeps.
+const maxOldRetain = 64 << 10
+
 // Begin starts a transaction (paper §4.2 begin_transaction).  It takes no
-// lock: the transaction count and ID source are atomics.  The increment-
-// then-check order pairs with Close's publish-closed-then-read-active so
-// a Begin can never slip into a closing engine unobserved.  A Tx is never
-// recycled: a caller holding one past Commit must keep seeing ErrTxDone.
+// lock: the transaction count, the ID source and the slots of recycled
+// books are atomics.  The increment-then-check order pairs with Close's
+// publish-closed-then-read-active so a Begin can never slip into a closing
+// engine unobserved.
 func (e *Engine) Begin(mode TxMode) (*Tx, error) {
 	if mode != Restore && mode != NoRestore {
 		return nil, fmt.Errorf("rvm: unknown transaction mode %d", int(mode))
@@ -140,8 +152,19 @@ func (e *Engine) Begin(mode TxMode) (*Tx, error) {
 		e.active.Add(-1)
 		return nil, err
 	}
-	t := &Tx{eng: e, id: e.nextTID.Add(1) - 1, mode: mode}
-	t.regions = t.regPtrs[:0]
+	var b *txBooks
+	for i := range e.books {
+		if e.books[i].Load() != nil {
+			if b = e.books[i].Swap(nil); b != nil {
+				break
+			}
+		}
+	}
+	if b == nil {
+		b = new(txBooks)
+	}
+	b.regions = b.regPtrs[:0]
+	t := &Tx{eng: e, id: e.nextTID.Add(1) - 1, mode: mode, txBooks: b}
 	e.stats.Begins.Add(1)
 	e.tr.Record(obs.EvTxBegin, t.id, 0, 0)
 	return t, nil
@@ -204,14 +227,12 @@ func (t *Tx) txRegionLocked(r *Region) *txRegion {
 		i--
 	}
 	if i == len(t.regions) || t.regions[i].region != r {
-		var tr *txRegion
-		if len(t.regions) == 0 {
-			tr = &t.regBuf
-		} else {
-			if len(t.more) == 0 {
-				t.more = make([]txRegion, 2)
+		tr := &t.regBuf
+		if n := len(t.regions); n > 0 {
+			if n > len(t.more) {
+				t.more = append(t.more, new(txRegion))
 			}
-			tr, t.more = &t.more[0], t.more[1:]
+			tr = t.more[n-1]
 		}
 		tr.region, tr.set.spans, tr.pages.spans, tr.old = r, tr.spanBuf[:0], tr.pageBuf[:0], tr.oldBuf[:0]
 		t.regions = slices.Insert(t.regions, i, tr)
@@ -267,18 +288,30 @@ func (t *Tx) unlockRegions() {
 }
 
 // finish releases per-region bookkeeping common to commit and abort, and
-// with it the region locks, which the caller holds.
+// with it the region locks, which the caller holds.  The books go back to
+// the engine, emptied.
 func (t *Tx) finish() {
 	e := t.eng
-	for i := range t.regions {
-		tr := t.regions[i]
+	b := t.txBooks
+	for _, tr := range b.regions {
 		r := tr.region
 		tr.eachPage(func(p int64) { r.pvec.DecRef(int(p)) })
 		r.nTx--
 		r.mu.Unlock()
+		*tr = txRegion{}
 	}
-	t.done = true
+	t.done, t.txBooks = true, nil
 	e.active.Add(-1)
+	clear(b.regPtrs[:])
+	b.regions = nil
+	if b.oldData = b.oldData[:0]; cap(b.oldData) > maxOldRetain {
+		b.oldData = nil
+	}
+	for i := range e.books {
+		if e.books[i].CompareAndSwap(nil, b) {
+			break
+		}
+	}
 }
 
 // buildRanges appends the transaction's ranges to ranges and the pages
@@ -602,6 +635,9 @@ func (t *Tx) CommitUndo(mode CommitMode) ([]UndoRecord, error) {
 			})
 		}
 	}
+	// The records alias the buffer the old values were captured in, which
+	// the transaction's books would hand to the next one.
+	t.oldData = nil
 	if err := t.Commit(mode); err != nil {
 		return nil, err
 	}

@@ -109,3 +109,31 @@ func TestCommitUndoMultiRegion(t *testing.T) {
 		t.Fatalf("seg offsets %d, %d", undo[0].SegOff, undo[1].SegOff)
 	}
 }
+
+// TestCommitUndoRecordsOutliveTheBooks: a transaction's books, old-value
+// buffer included, go back to the engine when it finishes, but the records
+// CommitUndo returned alias that buffer, so their bytes must stay theirs
+// while later transactions capture old values of their own.
+func TestCommitUndoRecordsOutliveTheBooks(t *testing.T) {
+	v := newEnv(t, 1<<17, pageBytes(2), Options{})
+	r := v.mapWhole()
+	v.commit1(r, 0, []byte("0123456789"))
+	tx, _ := v.eng.Begin(Restore)
+	tx.Modify(r, 2, []byte("XXXX"))
+	undo, err := tx.CommitUndo(NoFlush)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		later, _ := v.eng.Begin(Restore)
+		later.Modify(r, 0, bytes.Repeat([]byte{byte('a' + i%26)}, 16))
+		if i%2 == 0 {
+			later.Abort()
+		} else if err := later.Commit(NoFlush); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(undo) != 1 || !bytes.Equal(undo[0].Old, []byte("2345")) {
+		t.Fatalf("undo records %+v after later transactions; want the old bytes \"2345\"", undo)
+	}
+}

@@ -132,13 +132,13 @@ type Log struct {
 	dev      Device
 	areaSize int64
 
-	head      int64  // area offset of oldest live byte
-	headSeq   uint64 // seqno expected at head
-	used      int64  // live bytes (head..tail, circular)
-	nextSeq   uint64 // seqno of the next record to append
-	gen       uint64 // status block generation
-	dirty     bool   // appended bytes not yet forced
-	forcedSeq uint64 // highest seqno covered by a completed Force
+	head      int64        // area offset of oldest live byte
+	headSeq   uint64       // seqno expected at head
+	used      atomic.Int64 // live bytes (head..tail, circular); written under mu, read by Used without it
+	nextSeq   uint64       // seqno of the next record to append
+	gen       uint64       // status block generation
+	dirty     bool         // appended bytes not yet forced
+	forcedSeq uint64       // highest seqno covered by a completed Force
 
 	openScanNs int64 // how long Open's tail scan took; reported by SetObs
 
@@ -332,10 +332,12 @@ func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
 	}
 	l.headCond = sync.NewCond(&l.mu)
 	t0 := time.Now()
-	var err error
-	if l.used, l.nextSeq, err = scan(dev, l.areaSize, l.head, l.headSeq, -1, fn); err != nil {
+	used, next, err := scan(dev, l.areaSize, l.head, l.headSeq, -1, fn)
+	if err != nil {
 		return nil, err
 	}
+	l.used.Store(used)
+	l.nextSeq = next
 	l.openScanNs = time.Since(t0).Nanoseconds()
 	// Everything discovered in the log is already on the device, so the
 	// forced-through sequence number starts at the last live record.
@@ -565,7 +567,7 @@ func framed(buf []byte, wantSeq uint64) bool {
 }
 
 // tailPos returns the current append position.
-func (l *Log) tailPos() int64 { return (l.head + l.used) % l.areaSize }
+func (l *Log) tailPos() int64 { return (l.head + l.used.Load()) % l.areaSize }
 
 // Append writes one committed transaction's new-value records at the tail.
 // The write reaches the OS but is not forced; call Force for durability.
@@ -589,7 +591,7 @@ func (l *Log) Append(tid uint64, flags uint8, ranges []Range) (pos int64, seq ui
 func (l *Log) Fits(need int64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, _, _, err := l.planLocked(l.used, need)
+	_, _, _, err := l.planLocked(l.used.Load(), need)
 	return err == nil
 }
 
@@ -633,7 +635,7 @@ func (l *Log) appendLocked(tid uint64, flags uint8, ranges []Range) (pos int64, 
 		return 0, 0, 0, ErrLogClosed
 	}
 	need := EncodedLen(ranges)
-	pos, add, gap, err := l.planLocked(l.used, need)
+	pos, add, gap, err := l.planLocked(l.used.Load(), need)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -643,14 +645,14 @@ func (l *Log) appendLocked(tid uint64, flags uint8, ranges []Range) (pos int64, 
 			return 0, 0, 0, err
 		}
 		seq++
-		if pos, add, _, err = l.planLocked(l.used+gap, need); err != nil {
+		if pos, add, _, err = l.planLocked(l.used.Load()+gap, need); err != nil {
 			return 0, 0, 0, err
 		}
 	}
 	if err := l.writeLocked(appendRecord(l.enc[:0], seq, recTx, tid, flags, ranges, add), pos); err != nil {
 		return 0, 0, 0, err
 	}
-	l.used += gap + add
+	l.used.Add(gap + add)
 	l.nextSeq = seq + 1
 	l.dirty = true
 	if gap > 0 {
@@ -804,7 +806,7 @@ func (l *Log) scanLocked(pos int64, seq uint64, fn func(*Window) error) error {
 	}
 	// The bytes from pos to the tail; the sequence number tells a full
 	// log's head from its tail.
-	live := l.used - (pos-l.head+l.areaSize)%l.areaSize
+	live := l.used.Load() - (pos-l.head+l.areaSize)%l.areaSize
 	if seq == l.nextSeq {
 		live = 0
 	}
@@ -888,7 +890,7 @@ func (l *Log) SetHead(pos int64, seq uint64) error {
 	l.gen = gen
 	l.stats.Forces++
 	l.head, l.headSeq = pos, seq
-	l.used -= freed
+	l.used.Add(-freed)
 	l.mu.Unlock()
 	return nil
 }
@@ -904,13 +906,13 @@ func (l *Log) headFreedLocked(pos int64, seq uint64) (int64, error) {
 		// pos == head is ambiguous when the log is completely full: the
 		// sequence number distinguishes "free nothing" (seq == headSeq)
 		// from "free everything" (seq == nextSeq, i.e. the tail).
-		if seq == l.nextSeq && l.used == l.areaSize {
-			freed = l.used
+		if seq == l.nextSeq && l.used.Load() == l.areaSize {
+			freed = l.areaSize
 		} else {
 			return 0, fmt.Errorf("wal: SetHead(%d, seq %d) does not match a live record", pos, seq)
 		}
 	}
-	if freed > l.used {
+	if freed > l.used.Load() {
 		return 0, fmt.Errorf("wal: SetHead(%d) beyond tail", pos)
 	}
 	return freed, nil
@@ -932,12 +934,10 @@ func (l *Log) Tail() (int64, uint64) {
 	return l.tailPos(), l.nextSeq
 }
 
-// Used returns the number of live bytes in the record area.
-func (l *Log) Used() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.used
-}
+// Used returns the number of live bytes in the record area.  It takes no
+// lock: a commit reads it to decide on a truncation, and for a no-flush
+// commit that would be the only time it locked the log.
+func (l *Log) Used() int64 { return l.used.Load() }
 
 // AreaSize returns the record area capacity in bytes.
 func (l *Log) AreaSize() int64 { return l.areaSize }

@@ -39,8 +39,10 @@
 // Duplicate, overlapping and adjacent SetRange calls within a transaction
 // are coalesced (intra-transaction optimization), and a no-flush commit
 // that subsumes an earlier unflushed one replaces it in the spool
-// (inter-transaction optimization), exactly as in §5.2 of the paper; Stats
-// reports the log bytes each saved.
+// (inter-transaction optimization), exactly as in §5.2 of the paper.  A
+// flush then writes the spool as one log record holding each spooled byte
+// once, with its newest value, however the spooled commits overlap.  Stats
+// reports the log bytes each of the three saved.
 package rvm
 
 import (
@@ -112,7 +114,9 @@ const (
 	Flush = core.Flush
 	// NoFlush spools the commit for a later Flush, or for the implicit one
 	// at 1 MiB of spooled log bytes, a quarter of a smaller log (bounded
-	// persistence).
+	// persistence).  The flush logs the spool as one record, which a crash
+	// keeps whole or not at all, holding each spooled byte once, with the
+	// value of the newest commit that wrote it.
 	NoFlush = core.NoFlush
 )
 

@@ -121,8 +121,8 @@ func surfaceFingerprint(t *testing.T) string {
 
 // TestSurfaceGolden pins the machine-read surfaces against
 // testdata/surface.golden, captured at the commit before the metrics
-// declaration became one tagged struct; the only edit since is the
-// removal of the four gauge keys that repeated the top-level levels.
+// declaration became one tagged struct; it is edited only where the
+// declaration adds or removes a metric.
 func TestSurfaceGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/surface.golden")
 	if err != nil {
