@@ -154,9 +154,10 @@ func benchStore(b *testing.B, opts rvm.Options) (*rvm.RVM, *rvm.Region) {
 
 // BenchmarkAblateCommitMode compares flush against no-flush commit
 // latency — the paper's motivation for lazy transactions (§4.2).  The
-// difference IS the log force.
+// difference IS the log force.  A slot's every other rewrite changes all
+// of its words, so that each commit logs the whole payload.
 func BenchmarkAblateCommitMode(b *testing.B) {
-	payload := bytes.Repeat([]byte{7}, 256)
+	payloads := [2][]byte{bytes.Repeat([]byte{7}, 256), bytes.Repeat([]byte{8}, 256)}
 	for _, mode := range []struct {
 		name string
 		m    rvm.CommitMode
@@ -166,7 +167,7 @@ func BenchmarkAblateCommitMode(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tx, _ := db.Begin(rvm.Restore)
-				if err := tx.Modify(reg, int64(i%1024)*256, payload); err != nil {
+				if err := tx.Modify(reg, int64(i%1024)*256, payloads[i/1024%2]); err != nil {
 					b.Fatal(err)
 				}
 				if err := tx.Commit(mode.m); err != nil {
@@ -183,8 +184,11 @@ func BenchmarkAblateCommitMode(b *testing.B) {
 }
 
 // BenchmarkAblateTxMode compares restore against no-restore transactions:
-// no-restore skips the old-value copies on set-range (§5.1.1).
+// no-restore skips the old-value copies on set-range (§5.1.1).  Each
+// transaction changes every word it declares, so that both modes log the
+// same bytes and the difference is the copy (and restore's diff against it).
 func BenchmarkAblateTxMode(b *testing.B) {
+	fill := [2][]byte{bytes.Repeat([]byte{1}, 64<<10), bytes.Repeat([]byte{2}, 64<<10)}
 	for _, mode := range []struct {
 		name string
 		m    rvm.TxMode
@@ -197,6 +201,7 @@ func BenchmarkAblateTxMode(b *testing.B) {
 				if err := tx.SetRange(reg, 0, 64<<10); err != nil {
 					b.Fatal(err)
 				}
+				copy(reg.Data(), fill[i%2])
 				if err := tx.Commit(rvm.NoFlush); err != nil {
 					b.Fatal(err)
 				}

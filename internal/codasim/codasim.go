@@ -220,7 +220,7 @@ func Run(p Profile, scale int, dir string) (Row, error) {
 		return Row{}, err
 	}
 	st := db.Stats()
-	original := float64(st.LogBytes + st.IntraSavedBytes + st.InterSavedBytes + st.DrainSavedBytes)
+	original := float64(st.LogBytes + st.IntraSavedBytes + st.InterSavedBytes + st.DrainSavedBytes + st.DiffSavedBytes)
 	row := Row{
 		Name:         p.Name,
 		Transactions: txs,

@@ -146,6 +146,7 @@ type statsOf[T any] struct {
 	IntraSavedBytes T `json:"intra_saved_bytes" prom:"rvm_log_intra_saved_bytes_total" help:"Log bytes avoided by intra-transaction optimization."`
 	InterSavedBytes T `json:"inter_saved_bytes" prom:"rvm_log_inter_saved_bytes_total" help:"Log bytes avoided by inter-transaction optimization."`
 	DrainSavedBytes T `json:"drain_saved_bytes" prom:"rvm_log_drain_saved_bytes_total" help:"Log bytes avoided by logging each spooled byte once per drain."`
+	DiffSavedBytes  T `json:"diff_saved_bytes" prom:"rvm_log_diff_saved_bytes_total" help:"Log bytes avoided by leaving out the declared words a restore transaction did not change."`
 	Flushes         T `json:"flushes" prom:"rvm_spool_flushes_total" help:"Explicit or implicit spool flushes."`
 	EpochTruncs     T `json:"epoch_truncs" prom:"rvm_truncation_epochs_total" help:"Epoch truncations completed."`
 	IncrSteps       T `json:"incr_steps" prom:"rvm_truncation_incr_steps_total" help:"Incremental truncation page write-outs."`
@@ -325,6 +326,10 @@ type Region struct {
 	data   []byte
 	nTx    int // active transactions with ranges in this region
 	mapped bool
+	// ends counts the transactions that committed or aborted over the
+	// region.  A restore transaction leaves its unchanged words out of the
+	// log (Tx.buildRanges) while ends is what it was at its first touch.
+	ends uint64
 }
 
 // Open opens (or re-opens) an RVM instance on an existing log, performing

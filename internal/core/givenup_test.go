@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -16,18 +17,20 @@ func TestLogFullGiveUpContext(t *testing.T) {
 	// Log area 16384.  First commit parks the tail near 4400, so the big
 	// record (≈12100 encoded) needs a wrap whose gap (≈12000) plus the
 	// record exceed the area no matter how much truncation frees.
+	// The bytes differ from the region's, for a restore transaction logs
+	// only the words it changed.
 	v := newEnv(t, 1<<14, pageBytes(4), Options{})
 	r, err := v.eng.Map(v.segPath, 0, pageBytes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.commit1(r, 0, make([]byte, 4300))
+	v.commit1(r, 0, bytes.Repeat([]byte{1}, 4300))
 
 	tx, err := v.eng.Begin(Restore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Modify(r, 0, make([]byte, 12000)); err != nil {
+	if err := tx.Modify(r, 0, bytes.Repeat([]byte{2}, 12000)); err != nil {
 		t.Fatal(err)
 	}
 	err = tx.Commit(Flush)
@@ -68,8 +71,16 @@ func TestWrapSplitFreeSpaceTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg := v.eng.log
+	// Each commit writes bytes the region does not hold, so that it logs
+	// all of them.
 	filler := make([]byte, 1000)
-	v.commit1(r, 0, filler)
+	fill := func() {
+		for i := range filler {
+			filler[i]++
+		}
+		v.commit1(r, 0, filler)
+	}
+	fill()
 	if err := v.eng.Truncate(); err != nil { // the head leaves offset 0
 		t.Fatal(err)
 	}
@@ -77,12 +88,12 @@ func TestWrapSplitFreeSpaceTruncates(t *testing.T) {
 	// but not two.
 	rec := wal.EncodedLen([]wal.Range{{Data: filler}})
 	for tail, _ := lg.Tail(); lg.AreaSize()-tail >= 2*rec; tail, _ = lg.Tail() {
-		v.commit1(r, 0, filler)
+		fill()
 	}
 	tail, _ := lg.Tail()
 	head, _ := lg.Head()
 	gap := lg.AreaSize() - tail
-	data := make([]byte, gap+268) // a record of gap+316 bytes
+	data := bytes.Repeat([]byte{0xA5}, int(gap+268)) // a record of gap+316 bytes
 	need := wal.EncodedLen([]wal.Range{{Data: data}})
 	if need <= gap || need <= head || need > gap+head || lg.AreaSize()-lg.Used() < need {
 		t.Fatalf("head %d, tail %d, record %d: not the log this test is about", head, tail, need)

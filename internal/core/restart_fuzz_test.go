@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -37,7 +38,6 @@ type fuzzWrite struct {
 type restartScript struct {
 	t       *testing.T
 	b       []byte // the rest of the script
-	dir     string
 	segs    [2]string
 	opts    Options
 	eng     *Engine
@@ -117,6 +117,12 @@ func (s *restartScript) unmap(i int) {
 }
 
 // commit commits one or two writes to mapped regions, flush or no-flush.
+// A write declares its range and, by the low two bits of the byte that
+// seeds its data, fills all of it, none of it, all but its ends, or its
+// ends but not its middle: a restore transaction logs of each range only
+// the part from its first to its last changed word, so the log holds whole
+// ranges, trimmed ones, ranges with an unchanged middle and records with
+// no range at all.
 func (s *restartScript) commit() {
 	s.t.Helper()
 	tx, err := s.eng.Begin(Restore)
@@ -131,12 +137,22 @@ func (s *restartScript) commit() {
 		}
 		size := 1 + s.next()*2
 		off := int64(s.next()*61) % (fuzzRegions[i].len - int64(size))
-		w := fuzzWrite{seg: fuzzRegions[i].seg, off: s.segOff(i) + off, data: make([]byte, size)}
-		rand.New(rand.NewSource(int64(s.next()))).Read(w.data)
-		if err := tx.Modify(s.regs[i], off, w.data); err != nil {
+		if err := tx.SetRange(s.regs[i], off, int64(size)); err != nil {
 			s.t.Fatal(err)
 		}
-		writes = append(writes, w)
+		data := s.regs[i].Data()[off : off+int64(size)]
+		seed := s.next()
+		rng := rand.New(rand.NewSource(int64(seed)))
+		switch q := size / 4; seed % 4 {
+		case 0:
+			rng.Read(data)
+		case 2:
+			rng.Read(data[q : size-q])
+		case 3:
+			rng.Read(data[:q])
+			rng.Read(data[size-q:])
+		}
+		writes = append(writes, fuzzWrite{seg: fuzzRegions[i].seg, off: s.segOff(i) + off, data: bytes.Clone(data)})
 	}
 	if len(writes) == 0 {
 		if err := tx.Abort(); err != nil {
@@ -177,27 +193,58 @@ func (s *restartScript) crash() {
 	s.check("restart")
 }
 
-// runRestartScript runs one FuzzRestart case.
-func runRestartScript(t *testing.T, script []byte) {
-	s := &restartScript{t: t, b: script, dir: t.TempDir()}
-	s.opts = Options{LogPath: filepath.Join(s.dir, "log.rvm"), TruncateThreshold: -1}
-	if err := CreateLog(s.opts.LogPath, 1<<18); err != nil {
-		t.Fatal(err)
+// restartStore is the store every FuzzRestart script starts from, made
+// once: a log and the two segments, both already in the log's dictionary.
+// A script runs the log and the segments on Mems holding their images, so
+// it writes no file and syncs nothing: the files are only opened.
+type restartStore struct {
+	log  string
+	segs [2]string
+	imgs [3][]byte // the log's, then each segment's
+}
+
+func newRestartStore(tb testing.TB, dir string) *restartStore {
+	st := &restartStore{log: filepath.Join(dir, "log.rvm")}
+	if err := CreateLog(st.log, 1<<18); err != nil {
+		tb.Fatal(err)
 	}
-	// The log lives in memory, where a force is free; every engine of the
-	// script opens the same Mem, which keeps every write as the file would.
-	mem, err := iofault.ReadMem(s.opts.LogPath)
+	eng, err := Open(Options{LogPath: st.log})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	s.opts.LogDevice = mem
 	for i, pages := range fuzzSegPages {
-		s.segs[i] = filepath.Join(s.dir, fmt.Sprintf("seg%d.rvm", i+1))
-		if err := CreateSegment(s.segs[i], uint64(i+1), pageBytes(pages)); err != nil {
-			t.Fatal(err)
+		st.segs[i] = filepath.Join(dir, fmt.Sprintf("seg%d.rvm", i+1))
+		if err := CreateSegment(st.segs[i], uint64(i+1), pageBytes(pages)); err != nil {
+			tb.Fatal(err)
 		}
-		s.durable[i] = make([]byte, pageBytes(pages))
+		if _, err := eng.Map(st.segs[i], 0, pageBytes(pages)); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	if err := eng.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	for i, path := range append([]string{st.log}, st.segs[:]...) {
+		if st.imgs[i], err = os.ReadFile(path); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return st
+}
+
+// runRestartScript runs one FuzzRestart case on a fresh copy of st.
+func runRestartScript(t *testing.T, st *restartStore, script []byte) {
+	s := &restartScript{t: t, b: script, segs: st.segs}
+	s.opts = Options{LogPath: st.log, TruncateThreshold: -1, LogDevice: iofault.NewMem(st.imgs[0])}
+	// Every engine of the script opens the same Mems, which keep every
+	// write as the files would.
+	segMems := map[string]*iofault.Mem{}
+	for i, path := range st.segs {
+		segMems[path] = iofault.NewMem(st.imgs[1+i])
+		s.durable[i] = make([]byte, pageBytes(fuzzSegPages[i]))
+	}
+	s.opts.SegmentDevice = func(path string, _ *os.File) segment.Device { return segMems[path] }
+	var err error
 	if s.eng, err = Open(s.opts); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +300,9 @@ func runRestartScript(t *testing.T, script []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op%9 >= 3 {
+		// Truncations and Flush drain the spool, an Unmap too (s.unmap);
+		// a Map does not.
+		if op%9 >= 3 && op%9 <= 6 {
 			s.drain()
 		}
 		s.check("between the crashes")
@@ -267,7 +316,7 @@ func runRestartScript(t *testing.T, script []byte) {
 		t.Fatal(err)
 	}
 	for i, path := range s.segs {
-		seg, err := segment.Open(path)
+		seg, err := segment.OpenWith(path, s.opts.SegmentDevice)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,5 +348,6 @@ func FuzzRestart(f *testing.F) {
 		rand.New(rand.NewSource(int64(i))).Read(script)
 		f.Add(script)
 	}
-	f.Fuzz(runRestartScript)
+	st := newRestartStore(f, f.TempDir())
+	f.Fuzz(func(t *testing.T, script []byte) { runRestartScript(t, st, script) })
 }

@@ -130,10 +130,14 @@ type segSpan struct {
 }
 
 // coverOf returns the coverage of ranges as disjoint, non-adjacent spans
-// sorted by (segment, offset), built in buf.
+// sorted by (segment, offset), built in buf.  A restore transaction that
+// changed nothing has no ranges, and covers nothing.
 func coverOf(buf []segSpan, ranges []wal.Range) []segSpan {
 	for _, r := range ranges {
 		buf = append(buf, rangeSpan(r))
+	}
+	if len(buf) == 0 {
+		return buf
 	}
 	slices.SortFunc(buf, func(a, b segSpan) int {
 		return cmp.Or(cmp.Compare(a.seg, b.seg), cmp.Compare(a.off, b.off))

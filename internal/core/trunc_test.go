@@ -237,10 +237,9 @@ func TestLogFullTriggersInlineTruncation(t *testing.T) {
 	// via inline epoch truncations.
 	v := newEnv(t, pageBytes(1), pageBytes(2), Options{})
 	r := v.mapWhole()
-	payload := bytes.Repeat([]byte{0xEE}, 700)
 	for i := 0; i < 30; i++ {
 		tx, _ := v.eng.Begin(Restore)
-		payload[0] = byte(i)
+		payload := bytes.Repeat([]byte{byte(i + 1)}, 700) // every word changes
 		if err := tx.Modify(r, 0, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +252,7 @@ func TestLogFullTriggersInlineTruncation(t *testing.T) {
 	}
 	v.reopen(Options{})
 	r2 := v.mapWhole()
-	if r2.Data()[0] != 29 {
+	if r2.Data()[0] != 30 {
 		t.Fatalf("final committed value lost: %d", r2.Data()[0])
 	}
 }
@@ -261,10 +260,9 @@ func TestLogFullTriggersInlineTruncation(t *testing.T) {
 func TestAutoTruncation(t *testing.T) {
 	v := newEnv(t, pageBytes(2), pageBytes(2), Options{TruncateThreshold: 0.3})
 	r := v.mapWhole()
-	payload := bytes.Repeat([]byte{1}, 400)
 	for i := 0; i < 10; i++ {
 		tx, _ := v.eng.Begin(Restore)
-		tx.Modify(r, int64(i%4)*500, payload)
+		tx.Modify(r, int64(i%4)*500, bytes.Repeat([]byte{byte(i + 1)}, 400)) // every word changes
 		if err := tx.Commit(Flush); err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +287,9 @@ func TestAutoTruncation(t *testing.T) {
 func TestAutoTruncationIncremental(t *testing.T) {
 	v := newEnv(t, pageBytes(2), pageBytes(2), Options{TruncateThreshold: 0.3, Incremental: true})
 	r := v.mapWhole()
-	payload := bytes.Repeat([]byte{1}, 400)
 	for i := 0; i < 10; i++ {
 		tx, _ := v.eng.Begin(Restore)
-		tx.Modify(r, int64(i%4)*500, payload)
+		tx.Modify(r, int64(i%4)*500, bytes.Repeat([]byte{byte(i + 1)}, 400)) // every word changes
 		if err := tx.Commit(Flush); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -18,7 +21,9 @@ type TxMode int
 
 const (
 	// Restore transactions may abort: RVM copies the old values of every
-	// set-range so it can undo changes.
+	// set-range so it can undo changes.  The copies also let the commit log
+	// of each span only the part from the first to the last 8-byte word the
+	// transaction changed (Tx.buildRanges).
 	Restore TxMode = iota
 	// NoRestore transactions promise never to abort explicitly; RVM skips
 	// the old-value copies, saving time and space.
@@ -88,6 +93,7 @@ type txRegion struct {
 	old    []oldValue // old values for newly covered bytes (restore mode)
 	pages  rangeset   // pages referenced by this tx in this region, in page units
 	naive  int64      // log bytes set-ranges would cost unoptimized
+	ends   uint64     // region.ends at the first touch
 	// First backing arrays of set.spans, pages.spans and old: a region
 	// with up to four ranges on as many pages, two of them captured,
 	// allocates nothing.
@@ -220,7 +226,7 @@ func (t *Tx) SetRange(r *Region, off, n int64) error {
 }
 
 // txRegionLocked returns the transaction's bookkeeping for r, filing it in
-// index order on first touch.  Caller holds r.mu (for nTx).
+// index order on first touch.  Caller holds r.mu (for nTx and ends).
 func (t *Tx) txRegionLocked(r *Region) *txRegion {
 	i := len(t.regions)
 	for i > 0 && t.regions[i-1].region.idx >= r.idx {
@@ -235,6 +241,7 @@ func (t *Tx) txRegionLocked(r *Region) *txRegion {
 			tr = t.more[n-1]
 		}
 		tr.region, tr.set.spans, tr.pages.spans, tr.old = r, tr.spanBuf[:0], tr.pageBuf[:0], tr.oldBuf[:0]
+		tr.ends = r.ends
 		t.regions = slices.Insert(t.regions, i, tr)
 		r.nTx++
 	}
@@ -317,24 +324,145 @@ func (t *Tx) finish() {
 // buildRanges appends the transaction's ranges to ranges and the pages
 // behind them to pages.  The ranges alias region memory, which the caller
 // must keep locked until the log or the spool has consumed them.  It also
-// returns their log cost and the intra-transaction savings, for the caller
-// to account once the commit actually succeeds.
-func (t *Tx) buildRanges(ranges []wal.Range, pages []pagevec.PageID) (_ []wal.Range, _ []pagevec.PageID, logged, saved int64) {
-	var naive int64
+// returns their log cost, the intra-transaction savings and what the diff
+// left out, for the caller to account once the commit actually succeeds.
+//
+// A restore transaction logs of each coalesced span only the words it
+// changed (changedSpan), unless another transaction committed or aborted
+// over the region since this one first touched it: then the old values
+// may no longer be what the log holds, and the spans go whole.
+func (t *Tx) buildRanges(ranges []wal.Range, pages []pagevec.PageID) (_ []wal.Range, _ []pagevec.PageID, logged, intra, diff int64) {
+	var naive, whole int64
 	for _, tr := range t.regions {
 		r := tr.region
+		seg := r.seg.ID()
+		old := tr.old
+		if t.mode != Restore || r.ends != tr.ends {
+			old = nil
+		} else if !slices.IsSortedFunc(old, byOff) {
+			slices.SortFunc(old, byOff) // captures are disjoint: any order restores
+		}
 		for _, sp := range tr.set.spans {
-			rg := wal.Range{Seg: r.seg.ID(), Off: uint64(r.segOff + sp.off), Data: r.data[sp.off:sp.end]}
-			ranges, logged = append(ranges, rg), logged+wal.RangeLen(rg.Seg, rg.Off, sp.end-sp.off)
+			cost := wal.RangeLen(seg, uint64(r.segOff+sp.off), sp.end-sp.off)
+			whole += cost
+			if old != nil {
+				// The captures that tile sp come next in old.
+				n := 0
+				for at := sp.off; at < sp.end; n++ {
+					at += int64(len(old[n].data))
+				}
+				ch := r.changedSpan(sp, old[:n])
+				old = old[n:]
+				if ch.off == ch.end {
+					continue
+				}
+				// A range moved past a short header's offset could cost
+				// more than the span whole; then the span goes whole.
+				if c := wal.RangeLen(seg, uint64(r.segOff+ch.off), ch.end-ch.off); c <= cost {
+					sp, cost = ch, c
+				}
+			}
+			ranges, logged = append(ranges, r.wholeRange(sp)), logged+cost
 		}
 		tr.eachPage(func(p int64) { pages = append(pages, pagevec.PageID{Region: r.idx, Page: p}) })
 		naive += tr.naive
 	}
 	// Exact intra-transaction savings: what verbatim logging of every
-	// set-range call would have cost minus what we will actually log.  Short
+	// set-range call would have cost minus the coalesced spans.  Short
 	// set-ranges that merge into a span of 64 KiB or more take a wide range
 	// header, so this can be a few bytes below zero.
-	return ranges, pages, logged, naive - logged
+	return ranges, pages, logged, naive - whole, whole - logged
+}
+
+func byOff(a, b oldValue) int { return cmp.Compare(a.off, b.off) }
+
+// wholeRange is span sp of r as one range.
+func (r *Region) wholeRange(sp span) wal.Range {
+	return wal.Range{Seg: r.seg.ID(), Off: uint64(r.segOff + sp.off), Data: r.data[sp.off:sp.end]}
+}
+
+// changedSpan returns the part of span sp that differs from old, the
+// captures that tile it in offset order: from the first changed unit to the
+// last, or an empty span if nothing changed.  The unit compared is an
+// 8-byte word of the segment-offset grid (a region starts on a page
+// boundary, so the region-offset grid is the same), or the partial word at
+// either end of sp: a word of random data matches its old value once in
+// 2^64 tries, where a byte at a span's edge would once in 256.  An
+// unchanged run inside the span is logged with it.
+//
+// An unchanged word needs no log record because the old value is what the
+// log, the spool or the segment already holds for it (DESIGN.md §8):
+// SetRange precedes the store, and buildRanges diffs only while no other
+// transaction has ended over the region.  Caller holds r.mu.
+func (r *Region) changedSpan(sp span, old []oldValue) span {
+	lo, k := int64(-1), 0 // the first changed byte, in old[k]
+	for ; k < len(old); k++ {
+		c := old[k]
+		if i := firstDiff(r.data[c.off:c.off+int64(len(c.data))], c.data); i >= 0 {
+			lo = c.off + int64(i)
+			break
+		}
+	}
+	if lo < 0 {
+		return span{}
+	}
+	// The span ends with the unit of the last changed byte.  Most often
+	// that is lo's own, and one comparison of what follows shows it.
+	hi := min(sp.end, lo&^7+8)
+	for j := len(old) - 1; j >= k && old[j].off+int64(len(old[j].data)) > hi; j-- {
+		c := old[j]
+		from := max(hi-c.off, 0)
+		if i := lastDiff(r.data[c.off+from:c.off+int64(len(c.data))], c.data[from:]); i >= 0 {
+			hi = min(sp.end, (c.off+from+int64(i))&^7+8)
+			break
+		}
+	}
+	return span{max(sp.off, lo&^7), hi}
+}
+
+// firstDiff returns the index of the first byte in which a and b, of equal
+// length, differ, or -1 if they are equal.
+func firstDiff(a, b []byte) int {
+	if len(a) >= 8 {
+		if x := binary.LittleEndian.Uint64(a) ^ binary.LittleEndian.Uint64(b); x != 0 {
+			return bits.TrailingZeros64(x) / 8
+		}
+	}
+	if string(a) == string(b) {
+		return -1
+	}
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// lastDiff returns the index of the last byte in which a and b, of equal
+// length, differ, or -1 if they are equal.
+func lastDiff(a, b []byte) int {
+	if string(a) == string(b) {
+		return -1
+	}
+	i := len(a)
+	for ; i >= 8; i -= 8 {
+		if x := binary.LittleEndian.Uint64(a[i-8:]) ^ binary.LittleEndian.Uint64(b[i-8:]); x != 0 {
+			return i - 1 - bits.LeadingZeros64(x)/8
+		}
+	}
+	for i--; i >= 0; i-- {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // Commit ends the transaction, making its changes permanent per the commit
@@ -424,7 +552,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	p := &e.pipe
 	clk := phaseClock{on: e.met != nil, t: t0}
 	var lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64
-	var saved, nbytes, spoolBytes int64
+	var intra, diff, nbytes, spoolBytes int64
 	var led, inSpool bool
 	var seq uint64
 	var rangeBuf [4]wal.Range // what a transaction of a few ranges builds in
@@ -434,7 +562,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		// is only stable while the region locks are held.
 		t.lockRegions()
 		lockNs += clk.lap()
-		ranges, pages, logged, sv := t.buildRanges(rangeBuf[:0], pageBuf[:0])
+		ranges, pages, logged, in, df := t.buildRanges(rangeBuf[:0], pageBuf[:0])
 		encodeNs += clk.lap()
 		p.mu.Lock()
 		pipeNs += clk.lap()
@@ -467,7 +595,10 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		p.mu.Unlock()
 		appendNs += clk.lap()
 		if err == nil {
-			saved = sv
+			intra, diff = in, df
+			for _, tr := range t.regions {
+				tr.region.ends++
+			}
 		} else if need == 0 {
 			need = wal.EncodedLen(ranges)
 		}
@@ -507,7 +638,8 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		t.lockRegions()
 		t.finish()
 	}
-	e.stats.IntraSavedBytes.Add(uint64(saved))
+	e.stats.IntraSavedBytes.Add(uint64(intra))
+	e.stats.DiffSavedBytes.Add(uint64(diff))
 	if lazy {
 		e.stats.NoFlushCommits.Add(1)
 		if !inSpool || spoolBytes > e.spoolLimit {
@@ -664,6 +796,9 @@ func (t *Tx) Abort() error {
 		for _, ov := range tr.old {
 			copy(r.data[ov.off:], ov.data)
 		}
+		// The restored bytes are what this transaction saw, which another
+		// one may have captured as its old values before they were restored.
+		r.ends++
 	}
 	t.finish()
 	e.stats.Aborts.Add(1)

@@ -41,8 +41,12 @@
 // that subsumes an earlier unflushed one replaces it in the spool
 // (inter-transaction optimization), exactly as in §5.2 of the paper.  A
 // flush then writes the spool as one log record holding each spooled byte
-// once, with its newest value, however the spooled commits overlap.  Stats
-// reports the log bytes each of the three saved.
+// once, with its newest value, however the spooled commits overlap.  A
+// Restore transaction logs of each declared range only the part from the
+// first to the last 8-byte word it changed: the words still equal to the
+// old values SetRange copied are left out at either end, unless another
+// transaction committed over the region meanwhile.  Stats reports the log
+// bytes each of the four saved.
 package rvm
 
 import (
@@ -105,7 +109,9 @@ type TxMode = core.TxMode
 type CommitMode = core.CommitMode
 
 const (
-	// Restore transactions may Abort; RVM keeps old-value copies.
+	// Restore transactions may Abort; RVM keeps old-value copies, and
+	// with them a commit logs of each declared range only the part from
+	// the first to the last 8-byte word the transaction changed.
 	Restore = core.Restore
 	// NoRestore transactions promise never to Abort and skip the copies.
 	NoRestore = core.NoRestore
