@@ -43,7 +43,7 @@ loc:
 
 # bench is the one list of smoke benchmarks; CI's bench job calls it.
 bench:
-	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange|ObsOverhead|CommitNoFlush|SpoolDrain|OpenRecover|ForcePaths|QueuePush' -benchtime 1x -run '^$$' . ./internal/core ./internal/pagevec
+	go test -bench 'Table1|ConcurrentCommit|ConcurrentSetRange|ObsOverhead|CommitNoFlush|SpoolDrain|OpenRecover|ForcePaths|QueuePush|Scan' -benchtime 1x -run '^$$' . ./internal/core ./internal/pagevec ./internal/wal
 
 # bench-gates is the one list of the four checked-in regression gates; CI's
 # bench job calls it: fsyncs/commit + p99, observability overhead, commit

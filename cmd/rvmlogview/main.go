@@ -8,7 +8,7 @@
 //	rvmlogview [flags] <log>
 //	  -backward       walk tail-to-head (newest first)
 //	  -seg N          only records touching segment N
-//	  -tid N          only the transaction with this id
+//	  -tid N          only the transaction with this id (its low 32 bits, what a record keeps)
 //	  -touches OFF    only records modifying byte OFF (with -seg)
 //	  -data           hex-dump each range's new values
 //	  -max N          stop after N records
@@ -28,7 +28,7 @@ import (
 func main() {
 	backward := flag.Bool("backward", false, "walk tail-to-head (newest first)")
 	segFilter := flag.Int64("seg", -1, "only records touching this segment id")
-	tidFilter := flag.Int64("tid", -1, "only this transaction id")
+	tidFilter := flag.Int64("tid", -1, "only this transaction id (its low 32 bits)")
 	touches := flag.Int64("touches", -1, "only records modifying this byte offset (requires -seg)")
 	dumpData := flag.Bool("data", false, "hex-dump range contents")
 	max := flag.Int("max", 0, "stop after this many records (0 = all)")
@@ -63,7 +63,7 @@ func viewLog(path string, backward bool, segFilter, tidFilter, touches int64, du
 	shown := 0
 	stop := fmt.Errorf("done")
 	visit := func(r *wal.Record) error {
-		if tidFilter >= 0 && r.TID != uint64(tidFilter) {
+		if tidFilter >= 0 && uint32(r.TID) != uint32(tidFilter) {
 			return nil
 		}
 		match := segFilter < 0
@@ -86,8 +86,8 @@ func viewLog(path string, backward bool, segFilter, tidFilter, touches int64, du
 		return nil
 	}
 	if backward {
-		// Newest first is the forward scan reversed: every trailer's reverse
-		// displacement was checked against its header on the way.
+		// Newest first is the forward scan reversed: a record keeps no
+		// reverse displacement, and the scan checked each one on the way.
 		var recs []wal.Record
 		if err = l.ScanForward(func(r *wal.Record) error {
 			recs = append(recs, cloneRecord(r))

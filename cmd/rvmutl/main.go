@@ -153,11 +153,10 @@ func copyLog(srcPath, dstPath string, size int64) {
 		records, dstPath, dst.AreaSize())
 }
 
-// verify checks a store offline: the log scans clean — the scan checks
-// each record's trailer, its reverse displacement, against its header, so
-// the log reads newest-first as it reads oldest-first — every segment the
-// log references resolves through the dictionary, and each referenced range
-// lies inside its segment.
+// verify checks a store offline: the log scans clean — the scan checks each
+// record's extent, check bytes and CRC under the sequence number it expects
+// there — every segment the log references resolves through the dictionary,
+// and each referenced range lies inside its segment.
 func verify(logPath string) {
 	dict, err := core.SegmentDictionary(logPath)
 	if err != nil {

@@ -370,3 +370,45 @@ func diffCrash(t *testing.T, s diffScript, hook func(iofault.Op, int64, int), bu
 	t.Fatalf("seed %d, power lost after %d bytes: the restart holds no state after commit %d or later",
 		s.seed, budget, d.durable)
 }
+
+// TestTPCAFlushRecordBytes pins what a TPC-A transfer (paper §7.1.1) costs
+// the log: a restore flush commit that declares the 128-byte account, the
+// 64-byte audit record and both 8-byte balances, and changes the account's
+// balance word, 24 audit bytes and the balances, logs those 48 bytes under
+// four 8-byte range headers and the record's 16-byte frame — 96 bytes, each
+// time.
+func TestTPCAFlushRecordBytes(t *testing.T) {
+	s := newTPCAShape(t, Options{TruncateThreshold: -1})
+	for i := range int64(4) {
+		before := s.eng.Stats().LogBytes
+		tx, err := s.eng.Begin(Restore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acct, audit := 128*(7+i%2), 64*i
+		for _, sr := range []struct {
+			r      *Region
+			off, n int64
+		}{{s.acct, acct, 128}, {s.audit, audit, 64}, {s.control, 0, 8}, {s.control, 2048, 8}} {
+			if err := tx.SetRange(sr.r, sr.off, sr.n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const delta = 25
+		add := func(b []byte) { binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+delta) }
+		add(s.acct.Data()[acct:])
+		rec := s.audit.Data()[audit:]
+		binary.LittleEndian.PutUint64(rec, uint64(i+1))
+		binary.LittleEndian.PutUint32(rec[8:], uint32(acct/128))
+		binary.LittleEndian.PutUint32(rec[12:], 1)
+		binary.LittleEndian.PutUint64(rec[16:], delta)
+		add(s.control.Data()[0:])
+		add(s.control.Data()[2048:])
+		if err := tx.Commit(Flush); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.eng.Stats().LogBytes - before; got != 96 {
+			t.Fatalf("transfer %d logged %d bytes, want 96", i, got)
+		}
+	}
+}

@@ -14,23 +14,26 @@ import (
 // must come back as ErrLogFull wrapped with sizing context after the inline
 // truncations give up, and must leave the engine healthy (not poisoned).
 func TestLogFullGiveUpContext(t *testing.T) {
-	// Log area 16384.  First commit parks the tail near 4400, so the big
-	// record (≈12100 encoded) needs a wrap whose gap (≈12000) plus the
-	// record exceed the area no matter how much truncation frees.
-	// The bytes differ from the region's, for a restore transaction logs
-	// only the words it changed.
-	v := newEnv(t, 1<<14, pageBytes(4), Options{})
+	// Log area 16384.  First commit parks the tail at the end of its
+	// record, and the big one has as many data bytes as the room behind it,
+	// so its record (the data and a 24-byte frame and range header) needs a
+	// wrap whose gap plus the record exceed the area no matter how much
+	// truncation frees.  The bytes differ from the region's, for a restore
+	// transaction logs only the words it changed.
+	const area = 1 << 14
+	v := newEnv(t, area, pageBytes(4), Options{})
 	r, err := v.eng.Map(v.segPath, 0, pageBytes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	v.commit1(r, 0, bytes.Repeat([]byte{1}, 4300))
+	room := area - wal.EncodedLen([]wal.Range{{Seg: r.SegmentID(), Data: make([]byte, 4300)}})
 
 	tx, err := v.eng.Begin(Restore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Modify(r, 0, bytes.Repeat([]byte{2}, 12000)); err != nil {
+	if err := tx.Modify(r, 0, bytes.Repeat([]byte{2}, int(room))); err != nil {
 		t.Fatal(err)
 	}
 	err = tx.Commit(Flush)

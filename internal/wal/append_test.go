@@ -155,11 +155,11 @@ func TestAppendPlacement(t *testing.T) {
 
 	t.Run("runt gap absorbed", func(t *testing.T) {
 		a := newAppender(t, area)
-		// The second record would leave 16 bytes before the area's end:
+		// The second record would leave 8 bytes before the area's end:
 		// too few for a wrap record, so it absorbs them.
 		a.append(sizeFor(area - 1024))
 		a.setHead(1)
-		if n, err := a.append(sizeFor(512), sizeFor(512-16), 300, 300); n != 4 || err != nil {
+		if n, err := a.append(sizeFor(512), sizeFor(512-8), 300, 300); n != 4 || err != nil {
 			t.Fatal(n, err)
 		}
 		if a.refs[3].pos != 0 || a.l.Stats().Wraps != 0 {

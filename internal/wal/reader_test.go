@@ -27,7 +27,7 @@ func fillLog(t *testing.T, l *Log, rnd *rand.Rand, nbytes int64) []*Record {
 	t.Helper()
 	var recs []*Record
 	for start := l.Used(); l.Used()-start < nbytes; {
-		rec := &Record{TID: rnd.Uint64() | 1, Flags: uint8(rnd.Intn(4))}
+		rec := &Record{TID: uint64(rnd.Uint32() | 1), Flags: uint8(rnd.Intn(4))}
 		for k := rnd.Intn(4); k >= 0; k-- {
 			r := mkRange(uint64(rnd.Intn(5)), rnd.Uint64()>>8, byte(rnd.Intn(256)), 1+rnd.Intn(1200))
 			r.Data[0] = byte(len(recs))
@@ -302,46 +302,64 @@ func encodeRecord(t testing.TB, ranges []Range) []byte {
 	return buf
 }
 
-// reseal recomputes a record's CRC, as an attacker editing the log would.
-func reseal(buf []byte) {
-	binary.BigEndian.PutUint32(buf[len(buf)-4:], crc32.ChecksumIEEE(buf[:len(buf)-4]))
+// reseal recomputes the CRC of a record carrying seq, as an attacker editing
+// the log would.
+func reseal(buf []byte, seq uint64) {
+	n := len(buf) - trailerSize
+	binary.BigEndian.PutUint32(buf[n:], crc32.Update(crcSeed(seq), castagnoli, buf[:n]))
 }
 
-// TestDecodeRejectsHostileRangeCount: a record whose header claims 2^32-1
-// ranges, with a matching CRC, must be rejected before anything is sized
-// by that count.
-func TestDecodeRejectsHostileRangeCount(t *testing.T) {
-	buf := encodeRecord(t, []Range{mkRange(1, 64, 'h', 40)})
-	var rec Record
-	if !decodeRecord(&rec, buf, 0, 1) || len(rec.Ranges) != 1 {
-		t.Fatal("the unmodified record does not decode")
-	}
-	for _, n := range []uint32{0xFFFFFFFF, 3, 2} {
-		binary.BigEndian.PutUint32(buf[12:], n)
-		reseal(buf)
-		if decodeRecord(&rec, buf, 0, 1) {
-			t.Fatalf("record claiming %d ranges in %d bytes decoded to %d ranges", n, len(buf), len(rec.Ranges))
+// TestDecodeBoundsRangesByBody: the decoder sizes nothing by a field of the
+// record.  The ranges it decodes from a body of n bytes are at most n/8 —
+// even in a record packed with one-byte ranges, the densest a CRC-sealed
+// record can be — so the slice that holds them is at most twice that; and a
+// range length that runs past the record, a wide header the record cuts
+// short or a range of no bytes is refused, CRC or not.
+func TestDecodeBoundsRangesByBody(t *testing.T) {
+	var dense, mixed []Range
+	for i := range 4000 {
+		dense = append(dense, mkRange(1, uint64(i), 'd', 1))
+		if i%2 == 0 {
+			mixed = append(mixed, mkRange(1, uint64(i), 'd', 1), mkRange(1<<20, uint64(i), 'w', 1))
 		}
 	}
-	// A range length running past the record's end is no better, in a
-	// short range header (len u16 first) or in a wide one (len u32 last).
-	binary.BigEndian.PutUint32(buf[12:], 1)
+	for _, ranges := range [][]Range{{mkRange(1, 64, 'h', 40)}, dense, mixed} {
+		buf := encodeRecord(t, ranges)
+		var rec Record
+		body := len(buf) - minRecordSize
+		if !decodeRecord(&rec, buf, 0, 1) || len(rec.Ranges) != len(ranges) {
+			t.Fatalf("a record of %d ranges does not decode", len(ranges))
+		}
+		if len(rec.Ranges) > body/8 || cap(rec.Ranges) > 2*(body/8) {
+			t.Fatalf("%d ranges in a slice of %d decoded from a %d-byte body", len(rec.Ranges), cap(rec.Ranges), body)
+		}
+	}
+	buf := encodeRecord(t, []Range{mkRange(1, 64, 'h', 40)})
+	var rec Record
+	// A range length running past the record's end, in a short range header
+	// (len u16 first) or in a wide one (len u32 last).
 	binary.BigEndian.PutUint16(buf[headerSize:], 0xFFF0)
-	reseal(buf)
+	reseal(buf, 1)
 	if decodeRecord(&rec, buf, 0, 1) {
 		t.Fatal("record with a short range longer than itself decoded")
 	}
 	binary.BigEndian.PutUint16(buf[headerSize:], 0xFFFF)
 	binary.BigEndian.PutUint32(buf[headerSize+wideHdr-4:], 0xFFFFFFF0)
-	reseal(buf)
+	reseal(buf, 1)
 	if decodeRecord(&rec, buf, 0, 1) {
 		t.Fatal("record with a wide range longer than itself decoded")
+	}
+	// A range of no bytes is never encoded: its header is not the end.
+	binary.BigEndian.PutUint16(buf[headerSize:], 0)
+	reseal(buf, 1)
+	if decodeRecord(&rec, buf, 0, 1) {
+		t.Fatal("record with an empty range decoded")
 	}
 	// Nor is a wide header cut short by the record's end.
 	short := encodeRecord(t, []Range{mkRange(1, 64, 'c', 8)})
 	binary.BigEndian.PutUint16(short[headerSize:], 0xFFFF)
-	reseal(short)
-	if len(short)-headerSize-trailerSize >= wideHdr || decodeRecord(&rec, short, 0, 1) {
+	reseal(short, 1)
+	if len(short)-minRecordSize >= wideHdr || decodeRecord(&rec, short, 0, 1) {
 		t.Fatalf("a %d-byte record with a wide range header decoded", len(short))
 	}
 }

@@ -4,13 +4,14 @@
 // uncommitted changes are never reflected to an external data segment, only
 // the new-value records of committed transactions are written to the log.
 // One log record holds an entire committed transaction, or a whole spool
-// drain of them — a 32-byte header, its modification ranges (RangeLen), zero
-// padding to a multiple of 8 and an 8-byte trailer — so a record is the
-// atomic unit of commitment.  As in the paper's Figure 5, every record
-// carries both a forward displacement (totalLen in the header) and a reverse
-// displacement (totalLen in the trailer, ahead of a CRC of every byte before
-// it), allowing the log to be read in either direction; crash recovery reads
-// it head-to-tail, once (scan).
+// drain of them — a 12-byte header, its modification ranges (RangeLen), zero
+// padding to a multiple of 8 and a 4-byte CRC — so a record is the atomic
+// unit of commitment.  The header's totalLen is the forward displacement of
+// the paper's Figure 5; crash recovery reads the log head-to-tail, once
+// (scan), so no record repeats it as a reverse displacement.  Nor does a
+// record store its sequence number: the CRC starts from it, so a record
+// checks out only where the scan expects that number, and a record left from
+// an earlier lap of the area reads as the tail.
 //
 // On-disk layout:
 //
@@ -20,8 +21,8 @@
 //
 // The status block records the head of the live region and the sequence
 // number expected there.  The tail is never persisted on the commit path:
-// Open rediscovers it by scanning forward from the head while records carry
-// consecutive sequence numbers and valid CRCs.  This keeps a committing
+// Open rediscovers it by scanning forward from the head while records check
+// out under consecutive sequence numbers.  This keeps a committing
 // transaction at a single fsync, matching the paper's single log force per
 // commit (17.4 ms on their disks).
 //
@@ -52,30 +53,31 @@ import (
 const (
 	// statusMagic identifies a log status block.
 	statusMagic = 0x52564c53 // "RVLS"
-	// recMagic identifies a log record header.
-	recMagic = 0x52564c47 // "RVLG"
-	// FormatVersion is the on-disk format version.  Version 1 had 20-byte
-	// range headers and a trailer that repeated the sequence number.
-	FormatVersion = 2
+	// FormatVersion is the on-disk format version (DESIGN.md §16).  Version
+	// 2 framed a record in 40 bytes; version 1 also had 20-byte range headers.
+	FormatVersion = 3
 
-	headerSize  = 32 // magic, totalLen, type, flags, nranges, seqno, tid
-	trailerSize = 8  // totalLen (reverse displacement), crc
-	// minRecordSize is the smallest encodable record (a wrap record).
-	minRecordSize = headerSize + trailerSize
-	shortHdr      = 8  // a range header (RangeLen)
-	wideHdr       = 22 // a wide one, behind the len 0xFFFF
+	// A record is a header — totalLen u32, the kind (type in bits 0-1, flags
+	// in bits 2-3), three zero check bytes, tid u32 — its ranges, padding and
+	// a trailer, the CRC-32C of every byte before it seeded by the sequence
+	// number (crcSeed).  checkMask picks out of a header's first 8 bytes the
+	// bits that must be zero: the kind's upper four and the check bytes.
+	headerSize    = 12
+	trailerSize   = 4
+	minRecordSize = headerSize + trailerSize // a wrap record's size
+	shortHdr      = 8                        // a range header (RangeLen); all zeros ends the ranges
+	wideHdr       = 22                       // a wide one, behind the len 0xFFFF
+	checkMask     = 0xF0FFFFFF
 
 	statusSize = 4 + 4 + 8 + 8 + 8 + 8 + 4 // magic, ver, gen, areaSize, head, headSeq, crc
 )
 
-// Record types.
+// Record types.  RecTx is the type of every record a scan delivers.
 const (
 	recTx   uint8 = 1 // a committed transaction's new-value records
 	recWrap uint8 = 2 // padding to the end of the record area
+	RecTx         = recTx
 )
-
-// RecTx is the type of every record a scan delivers.
-const RecTx = recTx
 
 var (
 	// ErrLogFull is returned by Append when the record does not fit in the
@@ -112,7 +114,7 @@ type Record struct {
 	Pos    int64 // record-area offset of the record's first byte
 	Len    int64 // encoded size on disk, header through trailer
 	Seq    uint64
-	TID    uint64
+	TID    uint64 // the low 32 bits of the TID appended
 	Type   uint8
 	Flags  uint8
 	Ranges []Range
@@ -193,11 +195,14 @@ func (l *Log) Metrics() *obs.Metrics {
 }
 
 // EncodedLen returns the encoded log size of a transaction record carrying
-// ranges, padding included and any wrap record excluded.
+// ranges, padding included and any wrap record excluded.  A range of no bytes
+// is not encoded.
 func EncodedLen(ranges []Range) int64 {
-	n := int64(headerSize + trailerSize)
+	n := int64(minRecordSize)
 	for _, r := range ranges {
-		n += RangeLen(r.Seg, r.Off, int64(len(r.Data)))
+		if len(r.Data) > 0 {
+			n += RangeLen(r.Seg, r.Off, int64(len(r.Data)))
+		}
 	}
 	return (n + 7) &^ 7 // records are 8-byte aligned
 }
@@ -323,13 +328,7 @@ func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
 			return nil, err
 		}
 	}
-	l := &Log{
-		dev:      dev,
-		areaSize: st.areaSize,
-		head:     st.head,
-		headSeq:  st.headSeq,
-		gen:      st.gen,
-	}
+	l := &Log{dev: dev, areaSize: st.areaSize, head: st.head, headSeq: st.headSeq, gen: st.gen}
 	l.headCond = sync.NewCond(&l.mu)
 	t0 := time.Now()
 	used, next, err := scan(dev, l.areaSize, l.head, l.headSeq, -1, fn)
@@ -345,25 +344,38 @@ func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
 	return l, nil
 }
 
-// upgrade rewrites and syncs both status blocks of a version-1 log as this
-// version's when nothing validates at its head by the framing the versions
-// share (framed).  Nothing reads version-1 records: a log holding any is
-// refused unchanged.
+// upgrade rewrites and syncs both status blocks of a version-1 or version-2
+// log as this version's when nothing validates at its head by the framing
+// those versions share (legacyFramed).  Nothing reads their records: a log
+// holding any is refused unchanged.
 func upgrade(dev Device, st *statusBlock) error {
-	buf := make([]byte, headerSize)
+	buf := make([]byte, legacyMin)
 	_, err := dev.ReadAt(buf, areaOff(st.head))
-	if n := int64(binary.BigEndian.Uint32(buf[4:])); err == nil && n >= minRecordSize && n <= st.areaSize-st.head {
+	if n := int64(binary.BigEndian.Uint32(buf[4:])); err == nil && n >= legacyMin && n <= st.areaSize-st.head {
 		buf = make([]byte, n)
 		_, err = dev.ReadAt(buf, areaOff(st.head))
 	}
 	if err != nil {
 		return fmt.Errorf("wal: read the head of a version-%d log: %w", st.version, err)
 	}
-	if st.version != 1 || framed(buf, st.headSeq) {
-		return fmt.Errorf("%w: the log is version %d, version %d wanted; only a version-1 log with no live record upgrades", ErrLogVersion, st.version, FormatVersion)
+	if (st.version != 1 && st.version != 2) || legacyFramed(buf, st.headSeq) {
+		return fmt.Errorf("%w: the log is version %d, version %d wanted; only a version-1 or version-2 log with no live record upgrades", ErrLogVersion, st.version, FormatVersion)
 	}
 	st.gen++
 	return writeStatuses(dev, *st)
+}
+
+const legacyMin = 40 // the smallest record of versions 1 and 2
+
+// legacyFramed reports whether buf is one whole version-1 or version-2 record
+// carrying seq by the framing those versions share: the magic "RVLG",
+// totalLen in the header and in the trailer's first half, the sequence
+// number at byte 16, and the IEEE CRC of the rest in the last 4 bytes.
+func legacyFramed(buf []byte, seq uint64) bool {
+	n := int64(len(buf))
+	return n >= legacyMin && n%8 == 0 && binary.BigEndian.Uint32(buf[0:]) == 0x52564c47 &&
+		int64(binary.BigEndian.Uint32(buf[4:])) == n && int64(binary.BigEndian.Uint32(buf[n-8:])) == n &&
+		binary.BigEndian.Uint64(buf[16:]) == seq && crc32.ChecksumIEEE(buf[:n-4]) == binary.BigEndian.Uint32(buf[n-4:])
 }
 
 // areaOff converts a record-area offset into a device offset.
@@ -426,7 +438,7 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 		live = areaSize
 	}
 	free := make(chan *Window, ScanWindows)
-	var made int
+	var made, shape int // windows made; ranges in the last record
 	var chunk int64
 	need := int64(minRecordSize) // bytes the next window must hold to make progress
 	for valid := true; valid && used < live; {
@@ -459,11 +471,12 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 		buf, recs := w.buf[:got], w.Recs[:0]
 		need = minRecordSize
 		for used < live && len(buf) >= minRecordSize {
-			// Only the extent is taken from the unvalidated header;
-			// decodeRecord re-reads it, with every other field, once the
-			// CRC has checked out.
-			totalLen := int64(binary.BigEndian.Uint32(buf[4:]))
-			if binary.BigEndian.Uint32(buf[0:]) != recMagic || totalLen < minRecordSize || totalLen > min(areaSize-pos, live-used) {
+			// Only the extent is taken from the unvalidated header, once
+			// its check bits are zero; decodeRecord checks it again, with
+			// the CRC.
+			h := binary.BigEndian.Uint64(buf)
+			totalLen := int64(h >> 32)
+			if h&checkMask != 0 || totalLen < minRecordSize || totalLen > min(areaSize-pos, live-used) {
 				valid = false
 				break
 			}
@@ -471,12 +484,11 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 				need = totalLen // straddles the window's end: the next one starts here
 				break
 			}
-			if len(recs) < cap(recs) {
-				recs = recs[:len(recs)+1] // reuse the slot's range storage
-			} else {
-				recs = append(recs, Record{})
-			}
+			recs = slices.Grow(recs, 1)[:len(recs)+1] // reuse the slot's range storage
 			rec := &recs[len(recs)-1]
+			if cap(rec.Ranges) == 0 { // a new slot: a log's records run in shapes
+				rec.Ranges = make([]Range, 0, shape)
+			}
 			if valid = decodeRecord(rec, buf[:totalLen], pos, seq); !valid {
 				recs = recs[:len(recs)-1]
 				break
@@ -484,7 +496,7 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 			if rec.Type != recTx {
 				recs = recs[:len(recs)-1] // a wrap record
 			}
-			used, seq, buf = used+totalLen, seq+1, buf[totalLen:]
+			used, seq, buf, shape = used+totalLen, seq+1, buf[totalLen:], len(rec.Ranges)
 			if pos += totalLen; pos == areaSize {
 				pos = 0
 			}
@@ -501,70 +513,58 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 	return used, seq, nil
 }
 
-// decodeRecord validates buf as one whole record at area offset pos and
-// decodes it into rec, reusing rec.Ranges' storage; it reports false, with
-// rec in an unspecified state, when buf is not a valid record.  Nothing is
-// trusted before the CRC matches, and every field is parsed from the
-// checked bytes.  A CRC is no defence against a hostile log (an attacker
-// recomputes it), so each length is also bounded by the record's own extent
-// before anything is sized by it, and a range may not end past MaxInt64, the
-// end of a segment's address space.  Range data aliases buf.
-func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
-	if !framed(buf, wantSeq) {
-		return false
-	}
+// decodeRecord validates buf as one whole record at area offset pos, carrying
+// the sequence number seq, and decodes it into rec, reusing rec.Ranges'
+// storage; it reports false, with rec in an unspecified state, when buf is
+// not a valid record.  Nothing is trusted before the CRC matches, and every
+// field is parsed from the checked bytes.  A CRC is no defence against a
+// hostile log (an attacker recomputes it), so each length is also bounded by
+// the record's own extent before anything is sized by it — a range takes at
+// least 9 bytes, so a body of n bytes yields fewer than n/8 ranges — and a
+// range may not end past MaxInt64, the end of a segment's address space.
+// Range data aliases buf.
+func decodeRecord(rec *Record, buf []byte, pos int64, seq uint64) bool {
 	totalLen := int64(len(buf))
-	ranges := rec.Ranges[:0]
-	*rec = Record{
-		Pos:   pos,
-		Len:   totalLen,
-		Seq:   binary.BigEndian.Uint64(buf[16:]),
-		TID:   binary.BigEndian.Uint64(buf[24:]),
-		Type:  buf[8],
-		Flags: buf[9],
-	}
-	nranges := int64(binary.BigEndian.Uint32(buf[12:]))
-	switch rec.Type {
-	case recWrap:
-	case recTx:
-		body := buf[headerSize : totalLen-trailerSize]
-		if nranges > int64(len(body))/shortHdr {
-			return false
-		}
-		rec.Ranges = slices.Grow(ranges, int(nranges))
-		for ; nranges > 0; nranges-- {
-			if len(body) < shortHdr {
-				return false
-			}
-			v := binary.BigEndian.Uint64(body)
-			h, n, seg, off := int64(shortHdr), int64(v>>48), v>>32&0xFFFF, v&0xFFFFFFFF
-			if n == math.MaxUint16 && len(body) >= wideHdr {
-				h, n, seg, off = wideHdr, int64(binary.BigEndian.Uint32(body[18:])), binary.BigEndian.Uint64(body[2:]), binary.BigEndian.Uint64(body[10:])
-			}
-			if n > int64(len(body))-h || off > math.MaxInt64-uint64(n) {
-				return false // past the record (as is a cut-short wide header's 0xFFFF), or past MaxInt64
-			}
-			rec.Ranges = append(rec.Ranges, Range{Seg: seg, Off: off, Data: body[h : h+n : h+n]})
-			body = body[h+n:]
-		}
-		return true
-	default:
+	if totalLen < minRecordSize || totalLen%8 != 0 {
 		return false
 	}
-	return nranges == 0
+	hdr := binary.BigEndian.Uint64(buf)
+	if hdr&checkMask != 0 || int64(hdr>>32) != totalLen ||
+		crc32.Update(crcSeed(seq), castagnoli, buf[:totalLen-trailerSize]) != binary.BigEndian.Uint32(buf[totalLen-trailerSize:]) {
+		return false
+	}
+	kind := uint8(hdr >> 24)
+	*rec = Record{Pos: pos, Len: totalLen, Seq: seq, TID: uint64(binary.BigEndian.Uint32(buf[8:])),
+		Type: kind & 3, Flags: kind >> 2, Ranges: rec.Ranges[:0]}
+	if rec.Type != recTx {
+		return rec.Type == recWrap
+	}
+	// The ranges run to an all-zero header or to fewer than a header's bytes
+	// before the CRC; what follows them is padding.
+	for body := buf[headerSize : totalLen-trailerSize]; len(body) >= shortHdr; {
+		v := binary.BigEndian.Uint64(body)
+		if v == 0 {
+			break
+		}
+		h, n, seg, off := int64(shortHdr), int64(v>>48), v>>32&0xFFFF, v&0xFFFFFFFF
+		if n == math.MaxUint16 && len(body) >= wideHdr {
+			h, n, seg, off = wideHdr, int64(binary.BigEndian.Uint32(body[18:])), binary.BigEndian.Uint64(body[2:]), binary.BigEndian.Uint64(body[10:])
+		}
+		if n == 0 || n > int64(len(body))-h || off > math.MaxInt64-uint64(n) {
+			return false // empty (never encoded), past the record (as is a cut-short wide header's 0xFFFF), or past MaxInt64
+		}
+		rec.Ranges = append(rec.Ranges, Range{Seg: seg, Off: off, Data: body[h : h+n : h+n]})
+		body = body[h+n:]
+	}
+	return true
 }
 
-// framed reports whether buf is one whole record carrying wantSeq (any, if
-// 0) by the framing every format version shares: the magic, totalLen in the
-// header and in the trailer's first half, the sequence number at byte 16, and
-// the CRC of the rest in the last 4 bytes.
-func framed(buf []byte, wantSeq uint64) bool {
-	n := int64(len(buf))
-	return n >= minRecordSize && n%8 == 0 && binary.BigEndian.Uint32(buf[0:]) == recMagic &&
-		int64(binary.BigEndian.Uint32(buf[4:])) == n && int64(binary.BigEndian.Uint32(buf[n-8:])) == n &&
-		(wantSeq == 0 || binary.BigEndian.Uint64(buf[16:]) == wantSeq) &&
-		crc32.ChecksumIEEE(buf[:n-4]) == binary.BigEndian.Uint32(buf[n-4:])
-}
+// castagnoli is the CRC-32C table; crc32 runs it on the processor's
+// instruction where there is one.  A record's CRC starts from its sequence
+// number folded to 32 bits (crcSeed), so it checks out under no other.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func crcSeed(seq uint64) uint32 { return uint32(seq ^ seq>>32) }
 
 // tailPos returns the current append position.
 func (l *Log) tailPos() int64 { return (l.head + l.used.Load()) % l.areaSize }
@@ -634,6 +634,9 @@ func (l *Log) appendLocked(tid uint64, flags uint8, ranges []Range) (pos int64, 
 	if l.dev == nil {
 		return 0, 0, 0, ErrLogClosed
 	}
+	if flags > 3 {
+		return 0, 0, 0, fmt.Errorf("wal: flags %#x do not fit a record's two flag bits", flags)
+	}
 	need := EncodedLen(ranges)
 	pos, add, gap, err := l.planLocked(l.used.Load(), need)
 	if err != nil {
@@ -641,7 +644,7 @@ func (l *Log) appendLocked(tid uint64, flags uint8, ranges []Range) (pos int64, 
 	}
 	seq = l.nextSeq
 	if gap > 0 {
-		if err := l.writeLocked(appendRecord(l.enc[:0], seq, recWrap, 0, 0, nil, gap), pos); err != nil {
+		if err := l.writeLocked(appendRecord(l.enc, seq, recWrap, 0, 0, nil, gap), pos); err != nil {
 			return 0, 0, 0, err
 		}
 		seq++
@@ -649,7 +652,7 @@ func (l *Log) appendLocked(tid uint64, flags uint8, ranges []Range) (pos int64, 
 			return 0, 0, 0, err
 		}
 	}
-	if err := l.writeLocked(appendRecord(l.enc[:0], seq, recTx, tid, flags, ranges, add), pos); err != nil {
+	if err := l.writeLocked(appendRecord(l.enc, seq, recTx, tid, flags, ranges, add), pos); err != nil {
 		return 0, 0, 0, err
 	}
 	l.used.Add(gap + add)
@@ -676,28 +679,24 @@ func (l *Log) writeLocked(buf []byte, pos int64) error {
 }
 
 // appendRecord encodes one record of totalLen bytes, carrying the sequence
-// number seq, onto buf.  It is the only record encoder.  The range data is
+// number seq, into buf's storage, grown as needed.  It is the only record
+// encoder.  The range data is
 // copied, so it need only be stable for the duration of the call — the
-// engine holds the owning region locks across the append.  Padding
-// (alignment, an absorbed gap, the body of a wrap record) is zeroed: reused
-// bytes are stale, and records must be byte-reproducible.
+// engine holds the owning region locks across the append.  A range of no
+// bytes is left out, so no range header is all zeros.  Padding (alignment,
+// an absorbed gap, the body of a wrap record) is zeroed: reused bytes are
+// stale, and records must be byte-reproducible.
 func appendRecord(buf []byte, seq uint64, typ uint8, tid uint64, flags uint8, ranges []Range, totalLen int64) []byte {
-	start := len(buf)
-	buf = slices.Grow(buf, int(totalLen))[:start+int(totalLen)]
-	rec := buf[start:]
-	binary.BigEndian.PutUint32(rec[0:], recMagic)
-	binary.BigEndian.PutUint32(rec[4:], uint32(totalLen))
-	rec[8] = typ
-	rec[9] = flags
-	rec[10], rec[11] = 0, 0
-	binary.BigEndian.PutUint32(rec[12:], uint32(len(ranges)))
-	binary.BigEndian.PutUint64(rec[16:], seq)
-	binary.BigEndian.PutUint64(rec[24:], tid)
+	rec := slices.Grow(buf[:0], int(totalLen))[:totalLen]
+	binary.BigEndian.PutUint64(rec[0:], uint64(totalLen)<<32|uint64(typ|flags<<2)<<24)
+	binary.BigEndian.PutUint32(rec[8:], uint32(tid))
 	p := headerSize
 	for _, r := range ranges {
 		n := int64(len(r.Data))
 		h := RangeLen(r.Seg, r.Off, n) - n
-		if h == shortHdr {
+		if n == 0 {
+			continue
+		} else if h == shortHdr {
 			binary.BigEndian.PutUint64(rec[p:], uint64(n)<<48|r.Seg<<32|r.Off)
 		} else {
 			binary.BigEndian.PutUint16(rec[p:], math.MaxUint16)
@@ -708,9 +707,8 @@ func appendRecord(buf []byte, seq uint64, typ uint8, tid uint64, flags uint8, ra
 		p += int(h) + copy(rec[p+int(h):], r.Data)
 	}
 	clear(rec[p : totalLen-trailerSize])
-	binary.BigEndian.PutUint32(rec[totalLen-8:], uint32(totalLen))
-	binary.BigEndian.PutUint32(rec[totalLen-4:], crc32.ChecksumIEEE(rec[:totalLen-4]))
-	return buf
+	binary.BigEndian.PutUint32(rec[totalLen-trailerSize:], crc32.Update(crcSeed(seq), castagnoli, rec[:totalLen-trailerSize]))
+	return rec
 }
 
 // Force makes all appended records durable (fsync).  It is a no-op when

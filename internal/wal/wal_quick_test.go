@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,7 +31,8 @@ func specsToRanges(specs []rangeSpec) []Range {
 }
 
 // TestQuickAppendRoundTrip: any sequence of transactions survives the
-// encode/write/decode cycle bit-exactly, in both scan directions.
+// encode/write/decode cycle bit-exactly, in both scan directions, less the
+// ranges of no bytes, which are never encoded.
 func TestQuickAppendRoundTrip(t *testing.T) {
 	tmp := t.TempDir()
 	n := 0
@@ -51,10 +53,10 @@ func TestQuickAppendRoundTrip(t *testing.T) {
 				specs = specs[:40]
 			}
 			ranges := specsToRanges(specs)
-			if _, _, _, err := l.Append(uint64(i+1), flags, ranges); err != nil {
+			if _, _, _, err := l.Append(uint64(i+1), flags&3, ranges); err != nil {
 				return false
 			}
-			want = append(want, ranges)
+			want = append(want, slices.DeleteFunc(ranges, func(r Range) bool { return len(r.Data) == 0 }))
 		}
 		var fwd [][]Range
 		err = l.ScanForward(func(r *Record) error {

@@ -61,8 +61,8 @@ func collectForward(t *testing.T, l *Log) []*Record {
 }
 
 // collectBackward returns the live records newest-first, the order the
-// paper's recovery walks: the forward scan reversed (it checks every
-// trailer's reverse displacement against its header).
+// paper's recovery walks: the forward scan reversed, for a record keeps no
+// reverse displacement.
 func collectBackward(t *testing.T, l *Log) []*Record {
 	t.Helper()
 	recs := collectForward(t, l)
@@ -187,14 +187,22 @@ func TestEmptyTransactionRecord(t *testing.T) {
 	}
 }
 
+// TestFlagsRoundTrip: each of the record's two flag bits reads back as
+// appended, and flags that do not fit them are refused.
 func TestFlagsRoundTrip(t *testing.T) {
 	l, _ := newLog(t, 1<<16)
-	if _, _, _, err := l.Append(1, 0xA5, []Range{mkRange(1, 0, 'x', 1)}); err != nil {
-		t.Fatal(err)
+	for f := range uint8(4) {
+		if _, _, _, err := l.Append(1, f, []Range{mkRange(1, 0, 'x', 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	recs := collectForward(t, l)
-	if recs[0].Flags != 0xA5 {
-		t.Fatalf("flags = %x", recs[0].Flags)
+	if _, _, _, err := l.Append(1, 4, []Range{mkRange(1, 0, 'x', 1)}); err == nil {
+		t.Fatal("flags 4 appended")
+	}
+	for i, r := range collectForward(t, l) {
+		if r.Flags != uint8(i) {
+			t.Fatalf("record %d has flags %x", i, r.Flags)
+		}
 	}
 }
 

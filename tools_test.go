@@ -10,7 +10,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -64,7 +66,7 @@ func TestOperatorWorkflow(t *testing.T) {
 	}
 
 	out = runTool(t, "rvmutl", "status", logPath)
-	if !strings.Contains(out, "5 transactions") || !strings.Contains(out, "format:       version 2") {
+	if !strings.Contains(out, "5 transactions") || !strings.Contains(out, "format:       version 3") {
 		t.Fatalf("status: %s", out)
 	}
 	out = runTool(t, "rvmutl", "verify", logPath)
@@ -93,6 +95,15 @@ func TestOperatorWorkflow(t *testing.T) {
 	out = runTool(t, "rvmlogview", "-seg", "7", "-touches", "64", archive)
 	if !strings.Contains(out, "1 record(s)") {
 		t.Fatalf("rvmlogview touches filter: %s", out)
+	}
+	// A record keeps the low 32 bits of its TID, and -tid compares those.
+	tid, err := strconv.ParseInt(regexp.MustCompile(`tid (\d+)`).FindStringSubmatch(out)[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = runTool(t, "rvmlogview", "-tid", strconv.FormatInt(tid+1<<32, 10), archive)
+	if !strings.Contains(out, "1 record(s)") || !strings.Contains(out, fmt.Sprintf("tid %-6d", tid)) {
+		t.Fatalf("rvmlogview -tid %d: %s", tid+1<<32, out)
 	}
 
 	// Truncate the real log; verify it is empty and data survived.
