@@ -135,32 +135,33 @@ type Options struct {
 // the engine's live counters are it on atomics, so the two cannot drift
 // and Stats() is a positional load.
 type statsOf[T any] struct {
-	Begins          T `json:"begins" prom:"rvm_tx_begins_total" help:"Transactions begun."`
-	FlushCommits    T `json:"flush_commits" prom:"rvm_tx_flush_commits_total" help:"Commits in flush mode."`
-	NoFlushCommits  T `json:"noflush_commits" prom:"rvm_tx_noflush_commits_total" help:"Commits in no-flush (lazy) mode."`
-	Aborts          T `json:"aborts" prom:"rvm_tx_aborts_total" help:"Explicit aborts."`
-	SetRanges       T `json:"set_ranges" prom:"rvm_tx_set_ranges_total" help:"Set-range calls."`
-	EmptyCommits    T `json:"empty_commits" prom:"rvm_tx_empty_commits_total" help:"Commits that logged nothing."`
-	LogBytes        T `json:"log_bytes" prom:"rvm_log_appended_bytes_total" help:"Record bytes appended to the log."`
-	LogForces       T `json:"log_forces" prom:"rvm_log_forces_total" help:"Log fsyncs on the commit/flush path."`
-	IntraSavedBytes T `json:"intra_saved_bytes" prom:"rvm_log_intra_saved_bytes_total" help:"Log bytes avoided by intra-transaction optimization."`
-	InterSavedBytes T `json:"inter_saved_bytes" prom:"rvm_log_inter_saved_bytes_total" help:"Log bytes avoided by inter-transaction optimization."`
-	DrainSavedBytes T `json:"drain_saved_bytes" prom:"rvm_log_drain_saved_bytes_total" help:"Log bytes avoided by logging each spooled byte once per drain."`
-	DiffSavedBytes  T `json:"diff_saved_bytes" prom:"rvm_log_diff_saved_bytes_total" help:"Log bytes avoided by leaving out the declared words a restore transaction did not change."`
-	Flushes         T `json:"flushes" prom:"rvm_spool_flushes_total" help:"Explicit or implicit spool flushes."`
-	EpochTruncs     T `json:"epoch_truncs" prom:"rvm_truncation_epochs_total" help:"Epoch truncations completed."`
-	IncrSteps       T `json:"incr_steps" prom:"rvm_truncation_incr_steps_total" help:"Incremental truncation page write-outs."`
-	PagesWritten    T `json:"pages_written" prom:"rvm_pages_written_total" help:"Pages written to segments by truncation and unmap."`
-	Recoveries      T `json:"recoveries" prom:"rvm_recoveries_total" help:"Recoveries performed at open."`
-	RecoveredBytes  T `json:"recovered_bytes" prom:"rvm_recovery_applied_bytes_total" help:"Bytes applied to segments during recovery."`
-	RecoveryScanned T `json:"recovery_scanned" prom:"rvm_recovery_scanned_bytes_total" help:"Log bytes recovery had to consider (head to tail)."`
-	Retries         T `json:"retries" prom:"rvm_io_retries_total" help:"Transient storage faults retried."`
-	TruncFailures   T `json:"trunc_failures" prom:"rvm_truncation_failures_total" help:"Background truncations that failed."`
-	ForcesSaved     T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
-	GroupCommitSize T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
-	JoinExpired     T `json:"join_expired" prom:"rvm_group_commit_join_expired_total" help:"Force-leader join waits that ran out before the predicted committers arrived."`
-	Checkpoints     T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Checkpoints completed."`
-	CheckpointPages T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
+	Begins             T `json:"begins" prom:"rvm_tx_begins_total" help:"Transactions begun."`
+	FlushCommits       T `json:"flush_commits" prom:"rvm_tx_flush_commits_total" help:"Commits in flush mode."`
+	NoFlushCommits     T `json:"noflush_commits" prom:"rvm_tx_noflush_commits_total" help:"Commits in no-flush (lazy) mode."`
+	Aborts             T `json:"aborts" prom:"rvm_tx_aborts_total" help:"Explicit aborts."`
+	SetRanges          T `json:"set_ranges" prom:"rvm_tx_set_ranges_total" help:"Set-range calls."`
+	EmptyCommits       T `json:"empty_commits" prom:"rvm_tx_empty_commits_total" help:"Commits that logged nothing."`
+	LogBytes           T `json:"log_bytes" prom:"rvm_log_appended_bytes_total" help:"Record bytes appended to the log."`
+	LogForces          T `json:"log_forces" prom:"rvm_log_forces_total" help:"Log fsyncs on the commit/flush path."`
+	IntraSavedBytes    T `json:"intra_saved_bytes" prom:"rvm_log_intra_saved_bytes_total" help:"Log bytes avoided by intra-transaction optimization."`
+	InterSavedBytes    T `json:"inter_saved_bytes" prom:"rvm_log_inter_saved_bytes_total" help:"Log bytes avoided by inter-transaction optimization."`
+	DrainSavedBytes    T `json:"drain_saved_bytes" prom:"rvm_log_drain_saved_bytes_total" help:"Log bytes avoided by logging each spooled byte once per drain."`
+	DiffSavedBytes     T `json:"diff_saved_bytes" prom:"rvm_log_diff_saved_bytes_total" help:"Log bytes avoided by leaving out the declared words a restore transaction did not change."`
+	Flushes            T `json:"flushes" prom:"rvm_spool_flushes_total" help:"Explicit or implicit spool flushes."`
+	EpochTruncs        T `json:"epoch_truncs" prom:"rvm_truncation_epochs_total" help:"Epoch truncations completed."`
+	EpochTruncsLogFull T `json:"epoch_truncs_log_full" prom:"rvm_truncation_epochs_log_full_total" help:"Epoch truncations run because an append found the log full (the rest ran for a blocked page cleaner)."`
+	IncrSteps          T `json:"incr_steps" prom:"rvm_truncation_incr_steps_total" help:"Incremental truncation page write-outs."`
+	PagesWritten       T `json:"pages_written" prom:"rvm_pages_written_total" help:"Pages written to segments by truncation and unmap."`
+	Recoveries         T `json:"recoveries" prom:"rvm_recoveries_total" help:"Recoveries performed at open."`
+	RecoveredBytes     T `json:"recovered_bytes" prom:"rvm_recovery_applied_bytes_total" help:"Bytes applied to segments during recovery."`
+	RecoveryScanned    T `json:"recovery_scanned" prom:"rvm_recovery_scanned_bytes_total" help:"Log bytes recovery had to consider (head to tail)."`
+	Retries            T `json:"retries" prom:"rvm_io_retries_total" help:"Transient storage faults retried."`
+	TruncFailures      T `json:"trunc_failures" prom:"rvm_truncation_failures_total" help:"Background truncations that failed."`
+	ForcesSaved        T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
+	GroupCommitSize    T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
+	JoinExpired        T `json:"join_expired" prom:"rvm_group_commit_join_expired_total" help:"Force-leader join waits that ran out before the predicted committers arrived."`
+	Checkpoints        T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Checkpoints completed."`
+	CheckpointPages    T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
 }
 
 // Statistics are cumulative counters since Open, in the spirit of the real
@@ -190,15 +191,10 @@ type counters = statsOf[atomic.Uint64]
 type pipeline struct {
 	mu obs.Mutex // obs.LockPipeline, bound at Open
 	// The spool (spool.go): committed no-flush transactions not yet in the
-	// log, in commit order.  Entries a later commit subsumed stay in the
-	// slice, dead, until a drain empties it or a compaction drops them.
+	// log, in commit order, every one of them until a drain empties it.
 	spool       []*spooled
-	spoolBytes  int64                   // log cost of the live entries
-	deadBytes   int64                   // log cost of the dead entries mem still holds
-	spoolIdx    map[uint64]*spoolBucket // live entries by witness bucket
-	spoolChecks uint64                  // full subsumption checks run; tests pin the cost of a commit with it
-	mem         spoolMem                // what entries are cut from
-	buckets     arena[spoolBucket]      // spoolIdx's buckets
+	spoolBytes  int64    // log cost of the entries
+	mem         spoolMem // what entries are cut from
 	drain       drainScratch
 	queue       pagevec.Queue
 	epochEndSeq uint64 // while an epoch truncation is in flight: its EndSeq
@@ -316,7 +312,7 @@ type Region struct {
 	segOff int64 // region start within the segment's data space
 	length int64
 	pvec   *pagevec.Vector // entries are atomics; mu orders refs-check vs page write
-	// spoolRefs counts, per page, the live spool entries referencing it:
+	// spoolRefs counts, per page, the spool entries referencing it:
 	// bytes committed but not yet logged, which keep the page out of its
 	// segment and its dirty bit set.  Guarded by eng.pipe.mu.
 	spoolRefs []int32

@@ -101,10 +101,11 @@ func TestWrapSplitFreeSpaceTruncates(t *testing.T) {
 	if need <= gap || need <= head || need > gap+head || lg.AreaSize()-lg.Used() < need {
 		t.Fatalf("head %d, tail %d, record %d: not the log this test is about", head, tail, need)
 	}
-	before := v.eng.Stats().EpochTruncs
+	before := v.eng.Stats()
 	v.commit1(r, 0, data)
-	if got := v.eng.Stats().EpochTruncs - before; got != 1 {
-		t.Fatalf("the commit ran %d epoch truncations, want one", got)
+	st := v.eng.Stats()
+	if got, full := st.EpochTruncs-before.EpochTruncs, st.EpochTruncsLogFull-before.EpochTruncsLogFull; got != 1 || full != 1 {
+		t.Fatalf("the commit ran %d epoch truncations, %d of them for a full log; want one, for a full log", got, full)
 	}
 }
 

@@ -274,11 +274,12 @@ func lossyTrial(t *testing.T, seed int64, dir string) {
 }
 
 // TestSpoolDiscardKeepsCommitOrder: of three no-flush commits, A and C
-// write the same bytes and B others in between.  C must not discard A: a
-// Flush drains the spool in one device write, and a crash that tears it
-// after B's record would restart with B's bytes and without A's, a state
-// after no commit (TestLossyCrashProperty found it, seed 722).  The tear
-// falls at every eighth byte of the write.
+// write the same bytes and B others in between, so the drain leaves A out.
+// It must do so in one record: a Flush drains the spool in one device
+// write, and a crash that tore it after B's bytes, were they a record of
+// their own, would restart with B's bytes and without A's, a state after
+// no commit (TestLossyCrashProperty found it, seed 722).  The tear falls at
+// every eighth byte of the write.
 func TestSpoolDiscardKeepsCommitOrder(t *testing.T) {
 	a, b, c := bytes.Repeat([]byte{'a'}, 100), bytes.Repeat([]byte{'b'}, 100), bytes.Repeat([]byte{'c'}, 100)
 	states := [][]lossyWrite{nil, {{0, a}}, {{0, a}, {1000, b}}, {{0, a}, {1000, b}, {0, c}}}

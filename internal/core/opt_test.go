@@ -150,6 +150,48 @@ func TestInterOptMultiRangeSubsumption(t *testing.T) {
 	}
 }
 
+// TestInterOptCoveredByTwoCommits: an entry that no one later commit
+// subsumes, but two together rewrite — [0,10), then [0,5) and [5,10) — is
+// left out of the drain whole, and counts as the inter-transaction
+// optimization's, not as the drain's merge's.
+func TestInterOptCoveredByTwoCommits(t *testing.T) {
+	v := newEnv(t, 1<<18, pageBytes(2), Options{})
+	r := v.mapWhole()
+	var ref verbatimLog
+	for _, c := range [][2]int64{{0, 10}, {0, 5}, {5, 5}} {
+		tx, _ := v.eng.Begin(Restore)
+		if err := tx.SetRange(r, c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
+		ref.setRange(r, c[0], c[1])
+		for i := c[0]; i < c[0]+c[1]; i++ {
+			r.Data()[i]++
+		}
+		if err := tx.Commit(NoFlush); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := v.eng.Stats()
+	if want := uint64(wal.RangeLen(r.SegmentID(), 0, 10)); st.InterSavedBytes != want {
+		t.Fatalf("InterSavedBytes %d, want the first commit's %d (DrainSavedBytes %d)", st.InterSavedBytes, want, st.DrainSavedBytes)
+	}
+	var framing int64
+	err := v.eng.log.ScanForward(func(rec *wal.Record) error {
+		framing += rec.Len
+		for _, rg := range rec.Ranges {
+			framing -= wal.RangeLen(rg.Seg, rg.Off, int64(len(rg.Data)))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.check(t, st, uint64(framing))
+}
+
 func TestInterOptOnlyAppliesToNoFlush(t *testing.T) {
 	// Flush-mode commits go straight to the log; a later no-flush cannot
 	// retroactively save their traffic (paper: servers see no inter-tx
@@ -198,7 +240,7 @@ func (l *verbatimLog) check(t *testing.T, st Statistics, framing uint64) {
 // set-range calls, through the engine and through the verbatim logger.  The
 // saved-bytes counters are the one measure of the optimizations, so they
 // must be exact: a range header too many or too few in either fails here.
-// TestSpoolIndexMatchesScan holds its model to the same identity, and
+// TestSpoolMatchesModel holds its model to the same identity, and
 // TestDiffNeverCostsMore holds it for transactions that leave some of what
 // they declare unchanged.  Here each call changes every byte it declares.
 func TestSavedBytesMatchVerbatimLogger(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,13 @@ func TestRangesetBridgesGap(t *testing.T) {
 	if len(s.spans) != 1 || s.spans[0] != (span{0, 30}) {
 		t.Fatalf("spans %v", s.spans)
 	}
+}
+
+// covers reports whether [off,end) is fully covered: a test's view of the
+// set, which the engine does not need.
+func (s *rangeset) covers(off, end int64) bool {
+	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].end > off })
+	return i < len(s.spans) && s.spans[i].off <= off && s.spans[i].end >= end
 }
 
 func TestRangesetCovers(t *testing.T) {

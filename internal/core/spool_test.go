@@ -186,15 +186,17 @@ func TestSpoolLimitHoldsUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestSpoolMemoryStaysBounded: bursts that subsume each other leave dead
-// entries behind, and with no Flush, and a spool that never fills, no drain
-// recycles the memory they were cut from.  Compaction must: 10⁵ no-flush
-// commits rewriting the same ranges may not grow the heap by more than a
-// few slabs, and an entry no burst subsumes must survive every move.
+// TestSpoolMemoryStaysBounded: a burst of commits that rewrite each other
+// with no Flush counts every entry in the spool until a drain, so the spool
+// limit flushes it, and only a drain recycles the memory its entries were
+// cut from.  10⁵ no-flush commits rewriting the same ranges must flush as
+// often as the limit implies, the spool may never hold more than two limits'
+// worth, and the heap may not grow by more than a few slabs.
 func TestSpoolMemoryStaysBounded(t *testing.T) {
 	v := newEnv(t, 1<<20, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
 	model := make([]byte, pageBytes(2))
+	limit := v.eng.spoolLimit
 	commit := func(i int, offs ...int64) {
 		t.Helper()
 		tx, err := v.eng.Begin(NoRestore)
@@ -211,8 +213,11 @@ func TestSpoolMemoryStaysBounded(t *testing.T) {
 		if err := tx.Commit(NoFlush); err != nil {
 			t.Fatal(err)
 		}
+		if qi, _ := v.eng.Query(nil); qi.SpoolBytes > 2*limit {
+			t.Fatalf("the spool holds %d bytes, more than two limits' worth", qi.SpoolBytes)
+		}
 	}
-	commit(7, 2000) // never subsumed
+	commit(7, 2000) // never rewritten
 	burst := func(n int) {
 		for i := 0; i < n; i++ {
 			commit(i, 64, 4200)
@@ -225,8 +230,11 @@ func TestSpoolMemoryStaysBounded(t *testing.T) {
 	burst(100000)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if got := len(v.eng.spoolTIDs()); got != 2 || v.eng.Stats().Flushes != 0 {
-		t.Fatalf("%d live entries and %d flushes, want 2 and none", got, v.eng.Stats().Flushes)
+	// Each commit costs two 100-byte ranges; the commit that takes the spool
+	// past the limit flushes it.
+	per := limit/(2*wal.RangeLen(r.SegmentID(), 0, 100)) + 1
+	if got, want := v.eng.Stats().Flushes, uint64(101001/per); got != want {
+		t.Fatalf("%d flushes, want %d: one per %d commits", got, want, per)
 	}
 	growth := int64(after.HeapInuse) - int64(before.HeapInuse)
 	t.Logf("heap in use grew by %d KiB over 10⁵ subsuming commits", growth>>10)

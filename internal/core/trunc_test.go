@@ -44,8 +44,9 @@ func TestEpochTruncateReflectsAndEmptiesLog(t *testing.T) {
 	if qi.DirtyPages != 0 || qi.QueuedPages != 0 {
 		t.Fatalf("pages not cleaned: %+v", qi)
 	}
-	if st := v.eng.Stats(); st.EpochTruncs != 1 || st.IncrSteps != 0 {
-		t.Fatalf("%d epoch(s) and %d cleaned page(s); want the pinned page to leave one epoch and no page", st.EpochTruncs, st.IncrSteps)
+	if st := v.eng.Stats(); st.EpochTruncs != 1 || st.EpochTruncsLogFull != 0 || st.IncrSteps != 0 {
+		t.Fatalf("%d epoch(s), %d of them for a full log, and %d cleaned page(s); want the pinned page to leave one epoch of the blocked cleaner and no page",
+			st.EpochTruncs, st.EpochTruncsLogFull, st.IncrSteps)
 	}
 	// Data survives a crash with an empty log: it is in the segment now.
 	v.reopen(Options{})

@@ -88,7 +88,7 @@ func (e *Engine) retryLogFull(err error, attempt int, need int64, claimed bool, 
 	}
 	// The spool is intentionally not drained — there may be no room for it;
 	// it stays in memory and flows into the next truncation.
-	return e.epoch()
+	return e.epoch(epochLogFull)
 }
 
 // Truncate blocks until all committed changes in the write-ahead log have
@@ -121,14 +121,20 @@ func (e *Engine) truncate(target int64) error {
 	return err
 }
 
+// The roads to an epoch truncation, which EvTruncEpoch carries in B.
+const (
+	epochBlocked = 1 + iota // the cleaner stopped at a page that stayed pinned or spooled
+	epochLogFull            // an append found the log full
+)
+
 // epoch runs an epoch truncation — the paper's log-replay fallback — under
-// the caller's truncation claim.  It has two callers: retryLogFull, whose
-// caller's own page references are among the pins, and truncateClaimed,
-// when the cleaner is blocked.  The spool is not touched.  Every record the
-// epoch contains is durable before any of it reaches a segment (the
-// no-undo/redo invariant): collectEpochPipe forces the log through the
-// epoch's end before it returns it.
-func (e *Engine) epoch() error {
+// the caller's truncation claim.  It has two callers, its two roads:
+// truncateClaimed, when the cleaner is blocked, and retryLogFull, whose
+// caller's own page references are among the pins.  The spool is not
+// touched.  Every record the epoch contains is durable before any of it
+// reaches a segment (the no-undo/redo invariant): collectEpochPipe forces
+// the log through the epoch's end before it returns it.
+func (e *Engine) epoch(road uint64) error {
 	t0 := time.Now()
 	fail := func(err error) error {
 		// The head was not advanced, so the log still covers everything
@@ -155,8 +161,11 @@ func (e *Engine) epoch() error {
 	applied := time.Since(applyT)
 	e.completeEpochPipe(ep.EndSeq())
 	e.stats.EpochTruncs.Add(1)
+	if road == epochLogFull {
+		e.stats.EpochTruncsLogFull.Add(1)
+	}
 	e.met.ObserveTruncPause((time.Since(t0) - applied).Nanoseconds())
-	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, uint64(ep.Records()), 0)
+	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, uint64(ep.Records()), road)
 	return nil
 }
 
@@ -451,7 +460,7 @@ func (e *Engine) truncateClaimed(target int64, count *atomic.Uint64, fallback bo
 		return pages, e.maybePoison(err)
 	}
 	if err == nil && blocked {
-		return pages, e.maybePoison(e.epoch())
+		return pages, e.maybePoison(e.epoch(epochBlocked))
 	}
 	e.met.ObserveTruncPause(time.Since(pause).Nanoseconds())
 	e.tr.SpanSince(obs.EvTruncPause, pause, 0, pages, 0)
