@@ -114,15 +114,15 @@ func goodConst(tr *obs.Tracer) {
 // that is their whole point — so Rule A exempts them.
 func contentionOK(l *log) {
 	l.mu.Lock()
-	l.met.LockAcquired(obs.LockWAL)
-	l.met.LockContended(obs.LockWAL, 12)
+	l.met.LockAcquired(obs.LockPipeline)
+	l.met.LockContended(obs.LockPipeline, 12)
 	l.mu.Unlock()
 }
 
 // Rule B still applies to their arguments.
 func contentionAlloc(l *log, name string) {
 	l.mu.Lock()
-	l.met.LockContended(obs.LockWAL, int64(len(fmt.Sprintf("x-%s", name)))) // want `allocates \(fmt.Sprintf\)`
+	l.met.LockContended(obs.LockPipeline, int64(len(fmt.Sprintf("x-%s", name)))) // want `allocates \(fmt.Sprintf\)`
 	l.mu.Unlock()
 }
 

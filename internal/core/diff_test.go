@@ -113,10 +113,10 @@ func TestUnchangedDeclarationNeverSubsumes(t *testing.T) {
 	if err := t2.Commit(NoFlush); err != nil {
 		t.Fatal(err)
 	}
-	st := v.eng.Stats()
 	if err := v.eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	st := v.eng.Stats()
 	v.reopen(Options{})
 	if got := binary.LittleEndian.Uint64(v.mapWhole().Data()[128:]); got != 1993 {
 		t.Fatalf("the restart holds balance %d, T1 committed 1993", got)

@@ -13,11 +13,11 @@
 // region locks the transaction's ranges go through the log pipeline in one
 // section — spooled for a lazy (no-flush) commit the spool can take, else
 // appended as one record behind the spool's, the drain — and then the log
-// is forced holding no lock.  A full log is
-// handled in one place for commits and spool flushes alike (retryLogFull).
-// There is one force protocol too: a flush commit, Flush and an epoch
-// truncation all force through one ticket (waitForced in groupcommit.go),
-// and only the page cleaner's write-ahead force calls the log directly.
+// is forced holding no lock.  A full log is handled in one place for commits
+// and spool flushes alike (retryLogFull).  There is one force protocol too:
+// a flush commit, Flush and an epoch truncation all force through one ticket
+// (waitForced in groupcommit.go), the page cleaner's write-ahead force alone
+// takes none, and both run the one force helper (force), which times it.
 //
 // The public github.com/rvm-go/rvm package is a thin facade over this
 // engine; the split keeps the paper's machinery in one place while the
@@ -46,13 +46,13 @@
 //	    engine lock; holding it while acquiring a region lock is a
 //	    lock-order inversion (flagged by the rvmcheck locksync analyzer).
 //
-// wal.Log's and groupCommit's mutexes are leaves below all three.  Those
-// two, r.mu and e.pipe.mu are obs.Mutex: the lock
-// carries its obs.LockClass and the metrics registry, bound where the lock
-// is created, so every mu.Lock() feeds the class's contention counters and
-// stays a literal Lock call the rvmcheck walkers can follow.  No fsync
-// runs under any engine lock (locksync Rule A/B).  Engine-wide counters,
-// the active-transaction count, the transaction-ID source, the
+// groupCommit's mutex and wal.Log's are leaves below all three.  r.mu,
+// e.pipe.mu and groupCommit's are obs.Mutex, bound to their obs.LockClass
+// and the registry, so every mu.Lock() feeds the class's contention counters
+// and stays a literal Lock call the rvmcheck walkers can follow.  The engine
+// is the only emitter, outside every lock: the log observes nothing.  No
+// fsync runs under any engine lock (locksync Rule A/B).  Engine-wide
+// counters, the active-transaction count, the transaction-ID source, the
 // poisoned/closed flags and the last truncation failure are atomics.
 package core
 
@@ -69,7 +69,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/rvm-go/rvm/internal/iofault"
 	"github.com/rvm-go/rvm/internal/mapping"
 	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/pagevec"
@@ -247,9 +246,8 @@ type Engine struct {
 	// The stall watchdog (stall.go), never started when disabled.
 	stallLoop bgLoop
 
-	// Observability sinks, copied from Options at Open.  Both are
-	// nil-safe.  Emission never runs under a mutex: call sites capture
-	// values under their lock and emit after unlocking (rvmcheck obsleak).
+	// Observability sinks (nil-safe) from Options.  Emission runs under no
+	// mutex: call sites emit what they captured after unlocking (obsleak).
 	tr  *obs.Tracer
 	met *obs.Metrics
 
@@ -341,7 +339,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	// Recovery is as wide as the process: GOMAXPROCS workers replay the redo
 	// trees, and one fewer build them, the log scan being one itself.
-	redo := recovery.NewRestart(recovery.Config{Parallelism: runtime.GOMAXPROCS(0)}, opts.Metrics)
+	redo := recovery.NewRestart(recovery.Config{Parallelism: runtime.GOMAXPROCS(0)}, opts.Tracer, opts.Metrics)
 	defer redo.Abort()
 	dev := opts.LogDevice
 	if dev == nil {
@@ -374,10 +372,6 @@ func Open(opts Options) (*Engine, error) {
 	e.pipe.mu.Bind(obs.LockPipeline, e.met)
 	e.gc.mu.Bind(obs.LockGroupCommit, e.met)
 	e.gc.cond = sync.NewCond(&e.gc.mu)
-	lg.SetObs(e.tr, e.met)
-	if inj, ok := dev.(*iofault.Injector); ok {
-		inj.SetTracer(e.tr)
-	}
 	if lg.Used() > 0 {
 		ep, st, err := redo.Redo(e.lookupSegment)
 		if err != nil {

@@ -113,24 +113,24 @@ func (e *Engine) spoolPipeLocked(sp *spooled) {
 // all, so the restart holds every drained commit or none, and a byte that a
 // later drained commit rewrote is dead in the record.  Every drained page is
 // enqueued at the record, once, as its last spool reference goes, and the
-// spool's memory is recycled.  On an error nothing is logged, the spool is
-// unchanged, and need is the record's encoded size.  Caller holds
-// e.pipe.mu; the regions slice is readable under it (see Engine.regions).
-func (e *Engine) drainSpoolPipeLocked() (need int64, err error) {
+// spool's memory is recycled; rec is the record, if any.  On an error
+// nothing is logged, the spool is unchanged, and need is the record's encoded
+// size.  Caller holds e.pipe.mu; the regions slice is readable under it.
+func (e *Engine) drainSpoolPipeLocked() (rec appended, need int64, err error) {
 	p := &e.pipe
 	if len(p.spool) == 0 {
-		return 0, nil
+		return rec, 0, nil
 	}
 	ranges, logged, inter := p.newestPipeLocked()
 	newest := p.spool[len(p.spool)-1]
-	pos, seq, _, err := e.appendPipeLocked(newest.tid, newest.flags, ranges)
+	rec, err = e.appendPipeLocked(newest.tid, newest.flags, ranges)
 	if err != nil {
 		need = wal.EncodedLen(ranges)
 	}
 	clear(p.drain.ranges)
 	clear(p.drain.out)
 	if err != nil {
-		return need, err
+		return rec, need, err
 	}
 	e.stats.InterSavedBytes.Add(uint64(inter))
 	e.stats.DrainSavedBytes.Add(uint64(p.spoolBytes - logged - inter))
@@ -143,7 +143,7 @@ func (e *Engine) drainSpoolPipeLocked() (need int64, err error) {
 			}
 			refs := &e.regions[id.Region].spoolRefs[id.Page]
 			if *refs--; *refs == 0 {
-				e.enqueuePagePipeLocked(id, pos, seq)
+				e.enqueuePagePipeLocked(id, rec.pos, rec.seq)
 			}
 		}
 	}
@@ -151,7 +151,7 @@ func (e *Engine) drainSpoolPipeLocked() (need int64, err error) {
 	p.spool = p.spool[:0]
 	p.spoolBytes = 0
 	p.mem.reset()
-	return 0, nil
+	return rec, 0, nil
 }
 
 // drainScratch is the memory a drain's merge works in, kept for its

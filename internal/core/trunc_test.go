@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/rvm-go/rvm/internal/iofault"
+	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/segment"
 )
 
@@ -547,12 +548,19 @@ func within[T any](t *testing.T, ch <-chan T, what string) T {
 func TestCleanerForcesDrainedRecords(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		t.Run(map[bool]string{false: "synced", true: "crashed"}[crash], func(t *testing.T) {
-			cleanerForcesDrainedRecords(t, crash)
+			cleanerForcesDrainedRecords(t, crash, nil)
 		})
 	}
 }
 
-func cleanerForcesDrainedRecords(t *testing.T, crash bool) {
+// TestCleanerForceObservedOnce: the flush commit's force and the cleaner's
+// write-ahead force behind it are each timed once, and each covered the two
+// records the commit appended, the drain's and its own.
+func TestCleanerForceObservedOnce(t *testing.T) {
+	cleanerForcesDrainedRecords(t, false, obs.NewMetrics())
+}
+
+func cleanerForcesDrainedRecords(t *testing.T, crash bool, met *obs.Metrics) {
 	dir := t.TempDir()
 	logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
 	if err := CreateLog(logPath, 1<<16); err != nil {
@@ -582,7 +590,7 @@ func cleanerForcesDrainedRecords(t *testing.T, crash bool) {
 	})
 	var mu sync.Mutex
 	var early []int64 // segment writes made while the commit's force is held
-	eng, err := Open(Options{LogPath: logPath, LogDevice: lg, TruncateThreshold: -1,
+	eng, err := Open(Options{LogPath: logPath, LogDevice: lg, TruncateThreshold: -1, Metrics: met,
 		SegmentDevice: func(_ string, sf *os.File) segment.Device {
 			seg := iofault.NewInjector(cache.Join(sf), 1)
 			seg.SetHook(func(op iofault.Op, off int64, _ int) {
@@ -692,5 +700,12 @@ func cleanerForcesDrainedRecords(t *testing.T, crash bool) {
 	}
 	if qi, err := eng.Query(a); err != nil || qi.DirtyPages != 0 {
 		t.Fatalf("the cleaner left %d page(s) of the lazy transaction dirty (%v)", qi.DirtyPages, err)
+	}
+	if met != nil {
+		sn, st := met.Snapshot(), eng.Stats()
+		if st.LogForces != 2 || sn.ForceLatencyNs.Count != st.LogForces || sn.ForceBatch.Sum != 2*st.LogForces {
+			t.Fatalf("%d log forces, %d timed, covering %d records in all; want 2, 2 and 4",
+				st.LogForces, sn.ForceLatencyNs.Count, sn.ForceBatch.Sum)
+		}
 	}
 }

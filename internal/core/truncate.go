@@ -39,9 +39,12 @@ func (e *Engine) flushSpool(claimed bool) error {
 		if attempt == 0 {
 			drained = p.spoolBytes
 		}
-		need, err := e.drainSpoolPipeLocked()
+		rec, need, err := e.drainSpoolPipeLocked()
 		last = e.log.LastSeq()
 		p.mu.Unlock()
+		if rec.n > 0 {
+			e.tr.Record(obs.EvLogAppend, rec.tid, uint64(rec.n), rec.seq)
+		}
 		if err == nil {
 			break
 		}
@@ -374,7 +377,7 @@ func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, po
 			// force ticket"): the cleaner then waits on a client force
 			// instead of stalling it and loses the hot page to re-spooling.
 			r.mu.Unlock()
-			if err = e.retryIO(e.log.Force); err != nil {
+			if _, err = e.force(); err != nil {
 				return pages, 0, 0, false, err
 			}
 			continue

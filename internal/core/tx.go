@@ -554,7 +554,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	var lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs int64
 	var intra, diff, nbytes, spoolBytes int64
 	var led, inSpool bool
-	var seq uint64
+	var drained, own appended // the last attempt's records, traced once it holds no lock
 	var rangeBuf [4]wal.Range // what a transaction of a few ranges builds in
 	var pageBuf [8]pagevec.PageID
 	for attempt := 0; ; attempt++ {
@@ -568,6 +568,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		pipeNs += clk.lap()
 		var err error
 		var need int64
+		drained, own = appended{}, appended{}
 		// A no-flush commit is spooled unless a drain could then outgrow
 		// the log: the spool never holds more than two limits' worth.
 		if inSpool = lazy && logged <= e.spoolLimit && p.spoolBytes <= e.spoolLimit; inSpool {
@@ -576,10 +577,10 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			spoolBytes, nbytes = p.spoolBytes, logged
 			t.markDirtyPipeLocked(nil, 0, 0) // dirty bits only; queue entries at flush
 		} else {
-			need, err = e.drainSpoolPipeLocked() // older commits reach the log first
-			var pos int64
+			drained, need, err = e.drainSpoolPipeLocked() // older commits reach the log first
 			if err == nil {
-				pos, seq, nbytes, err = e.appendPipeLocked(t.id, flags, ranges)
+				own, err = e.appendPipeLocked(t.id, flags, ranges)
+				nbytes = own.n
 			}
 			if err == nil {
 				// Dirty bits and page enqueues happen in the same critical
@@ -589,7 +590,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 				// counts until finish, the cleaner forces the log before it
 				// writes a page queued at an unforced record, and epoch
 				// truncation forces the log before applying records.
-				t.markDirtyPipeLocked(pages, pos, seq)
+				t.markDirtyPipeLocked(pages, own.pos, own.seq)
 			}
 		}
 		p.mu.Unlock()
@@ -615,6 +616,9 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		if err == nil {
 			break
 		}
+		if drained.n > 0 { // the drain got in, the record behind it did not
+			e.tr.Record(obs.EvLogAppend, drained.tid, uint64(drained.n), drained.seq)
+		}
 		if err = e.retryLogFull(err, attempt, need, false, ""); err != nil {
 			// A storage fault poisons the engine and abandons the
 			// transaction; a logical failure (log full) leaves it live for
@@ -625,12 +629,17 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		}
 		appendNs += clk.lap() // making room is part of getting the record in
 	}
+	for _, rec := range [...]appended{drained, own} {
+		if rec.n > 0 {
+			e.tr.Record(obs.EvLogAppend, rec.tid, uint64(rec.n), rec.seq)
+		}
+	}
 	if !lazy {
 		// A force that fails past the transient retries leaves the device
 		// state unknowable, so it has poisoned the engine rather than risk
 		// acknowledging on a log it cannot trust.
 		var err error
-		if led, fsyncNs, err = e.waitForced(seq, true); err != nil {
+		if led, fsyncNs, err = e.waitForced(own.seq, true); err != nil {
 			t.abandonIfPoisoned(err)
 			return err
 		}
@@ -664,7 +673,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		} else {
 			e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, led)
 			e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
-			e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), seq)
+			e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), own.seq)
 		}
 	}
 	if trigger {
@@ -714,16 +723,23 @@ func (e *Engine) enqueuePagePipeLocked(id pagevec.PageID, pos int64, seq uint64)
 	}
 }
 
-// appendPipeLocked appends the transaction's record to the log, retrying
-// transient faults.  Caller holds e.pipe.mu, which is what serializes
-// commit order into the log.
-func (e *Engine) appendPipeLocked(tid uint64, flags uint8, ranges []wal.Range) (pos int64, seq uint64, n int64, err error) {
+// appendPipeLocked appends a record to the log, retrying transient faults.
+// Caller holds e.pipe.mu, which is what serializes commit order into the
+// log.
+func (e *Engine) appendPipeLocked(tid uint64, flags uint8, ranges []wal.Range) (rec appended, err error) {
+	rec.tid = tid
 	err = e.retryIO(func() error {
 		var aerr error
-		pos, seq, n, aerr = e.log.Append(tid, flags, ranges)
+		rec.pos, rec.seq, rec.n, aerr = e.log.Append(tid, flags, ranges)
 		return aerr
 	})
-	return pos, seq, n, err
+	return rec, err
+}
+
+// appended is a record in the log, traced once no lock is held (DESIGN.md §11).
+type appended struct {
+	tid, seq uint64
+	pos, n   int64 // area offset; bytes taken, a wrap's included (0: none)
 }
 
 // UndoRecord is an old-value record returned by CommitUndo: the bytes that

@@ -28,8 +28,6 @@ import (
 	"math/rand"
 	"sync"
 	"syscall"
-
-	"github.com/rvm-go/rvm/internal/obs"
 )
 
 // Device is the storage a log or segment runs on.  *os.File satisfies it.
@@ -112,7 +110,9 @@ type Stats struct {
 // run outside the injector's lock: the injector wraps the WAL device, and
 // group commit depends on a sync (or a hook holding one up) never
 // serializing concurrent appends through the wrapper, the discipline
-// wal.Log.Force follows with its own mutex.
+// wal.Log.Force follows with its own mutex.  It traces nothing: a fault it
+// injects reaches the engine as an error, which the engine records as a
+// retry or as the fault that poisoned it.
 type Injector struct {
 	mu     sync.Mutex
 	dev    Device
@@ -120,15 +120,6 @@ type Injector struct {
 	faults []*Fault
 	stats  Stats
 	hook   func(op Op, off int64, n int)
-	tr     *obs.Tracer // fault events; emission happens outside mu
-}
-
-// SetTracer attaches a tracer; injected faults are recorded as EvFault
-// events.  Call before the injector is shared between goroutines.
-func (in *Injector) SetTracer(tr *obs.Tracer) {
-	in.mu.Lock()
-	in.tr = tr
-	in.mu.Unlock()
 }
 
 // SetHook makes h run before every operation, with the operation's class,
@@ -204,11 +195,8 @@ func (in *Injector) begin(op Op, off int64, n int) *Fault {
 		in.stats.Faults++
 		break
 	}
-	hook, tr := in.hook, in.tr
+	hook := in.hook
 	in.mu.Unlock()
-	if fired != nil {
-		tr.Record(obs.EvFault, 0, uint64(op), 0)
-	}
 	if hook != nil {
 		hook(op, off, n)
 	}

@@ -14,8 +14,7 @@ import (
 //	json   its key in Snapshot JSON (encoding/json reads this one)
 //	prom   its Prometheus family, "rvm_widgets_total"; a fixed label
 //	       follows a comma, "rvm_step_ns,phase=encode"; an empty name,
-//	       ",phase=append", continues the family of the field above;
-//	       "-" keeps the field off /metrics and the text view
+//	       ",phase=append", continues the family of the field above
 //	help   the family's HELP text, on the field that names the family
 //	label  on one field of a []struct or *struct field's element: its
 //	       value labels every sample of that element, `label:"class"`
@@ -70,15 +69,13 @@ func planOf(t reflect.Type) (*plan, error) {
 			if f.sub, err = planOf(ft); err != nil {
 				return nil, err
 			}
-		case tag == "-":
-			continue
 		default:
 			name, fixed, _ := strings.Cut(tag, ",")
 			if name != "" {
 				family, help = name, sf.Tag.Get("help")
 			}
 			if tag == "" || family == "" || help == "" {
-				return nil, fmt.Errorf("obs: %s.%s: a metric needs a prom tag (or \"-\") and its family a help tag", t, sf.Name)
+				return nil, fmt.Errorf("obs: %s.%s: a metric needs a prom tag and its family a help tag", t, sf.Name)
 			}
 			f.Family, f.Help = family, help
 			f.Label, f.LabelValue, _ = strings.Cut(fixed, "=")

@@ -124,8 +124,7 @@ func TestDeclarationErrors(t *testing.T) {
 	ok := struct {
 		A uint64 `json:"a" prom:"rvm_a_total,kind=x" help:"A."`
 		B uint64 `json:"b" prom:",kind=y"`
-		C int    `json:"c" prom:"-"`
-	}{A: 1, B: 2, C: 3}
+	}{A: 1, B: 2}
 	var b strings.Builder
 	if err := WritePrometheus(&b, ok); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func chromeCat(t EventType) string {
 		return "truncation"
 	case EvRecovScan, EvRecovApply:
 		return "recovery"
-	case EvRetry, EvFault, EvPoisoned:
+	case EvRetry, EvPoisoned:
 		return "fault"
 	case EvStall:
 		return "stall"

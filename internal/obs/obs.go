@@ -52,7 +52,6 @@ const (
 	EvRecovScan               // span: recovery log scan (A = records)
 	EvRecovApply              // span: recovery segment apply (A = bytes applied)
 	EvRetry                   // instant: transient fault retried
-	EvFault                   // instant: fault injected (A = op class)
 	EvPoisoned                // instant: engine fail-stopped
 	EvCheckpoint              // span: checkpoint (A = pages written, B = head seq after)
 	EvStall                   // instant: watchdog-detected stall (A = StallClass, B = ns in flight)
@@ -73,7 +72,6 @@ var eventNames = [...]string{
 	EvRecovScan:     "recovery-scan",
 	EvRecovApply:    "recovery-apply",
 	EvRetry:         "retry",
-	EvFault:         "fault-injected",
 	EvPoisoned:      "poisoned",
 	EvCheckpoint:    "checkpoint",
 	EvStall:         "stall",
@@ -153,29 +151,21 @@ func (t *Tracer) Record(typ EventType, tid, a, b uint64) {
 	t.put(typ, t.Now(), 0, tid, a, b)
 }
 
-// Span appends a span event that started at start (a value from Now) and
+// SpanSince appends a span that started at the wall-clock time start and
 // ends now.
-func (t *Tracer) Span(typ EventType, start int64, tid, a, b uint64) {
-	if t == nil {
-		return
+func (t *Tracer) SpanSince(typ EventType, start time.Time, tid, a, b uint64) {
+	if t != nil {
+		t.SpanFor(typ, start, time.Since(start).Nanoseconds(), tid, a, b)
 	}
-	now := t.Now()
-	t.put(typ, start, now-start, tid, a, b)
 }
 
-// SpanSince appends a span that started at the wall-clock time start and
-// ends now.  Callers that also feed a histogram can time with one
-// time.Now() and share it between both sinks.
-func (t *Tracer) SpanSince(typ EventType, start time.Time, tid, a, b uint64) {
-	if t == nil {
-		return
+// SpanFor appends a span that started at the wall-clock time start and
+// lasted dur nanoseconds: a caller that timed an operation feeds the one
+// reading to both sinks.
+func (t *Tracer) SpanFor(typ EventType, start time.Time, dur int64, tid, a, b uint64) {
+	if t != nil {
+		t.put(typ, int64(start.Sub(t.base)), max(dur, 0), tid, a, b)
 	}
-	end := int64(time.Since(t.base))
-	dur := end - int64(start.Sub(t.base)) // one clock read for both
-	if dur < 0 {
-		dur = 0
-	}
-	t.put(typ, end-dur, dur, tid, a, b)
 }
 
 func (t *Tracer) put(typ EventType, ts, dur int64, tid, a, b uint64) {

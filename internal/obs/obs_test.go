@@ -6,13 +6,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTracerRecordAndEvents(t *testing.T) {
 	tr := NewTracer(128)
 	tr.Record(EvTxBegin, 7, 0, 0)
-	start := tr.Now()
-	tr.Span(EvCommitFlush, start, 7, 512, 0)
+	tr.SpanSince(EvCommitFlush, time.Now(), 7, 512, 0)
 	tr.Record(EvTxAbort, 8, 0, 0)
 
 	evs := tr.Events()
@@ -62,7 +62,8 @@ func TestTracerWrapAround(t *testing.T) {
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(EvTxBegin, 1, 2, 3)
-	tr.Span(EvLogForce, tr.Now(), 0, 0, 0)
+	tr.SpanSince(EvLogForce, time.Now(), 0, 0, 0)
+	tr.SpanFor(EvLogForce, time.Now(), 1, 0, 0, 0)
 	if tr.Now() != 0 || tr.Recorded() != 0 || tr.Capacity() != 0 {
 		t.Error("nil tracer accessors should return zero")
 	}
@@ -228,7 +229,7 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 func TestWriteTraceJSON(t *testing.T) {
 	tr := NewTracer(64)
 	tr.Record(EvTxBegin, 1, 0, 0)
-	tr.Span(EvLogForce, tr.Now(), 0, 2, 9)
+	tr.SpanSince(EvLogForce, time.Now(), 0, 2, 9)
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf, FormatJSON); err != nil {
@@ -246,8 +247,7 @@ func TestWriteTraceJSON(t *testing.T) {
 func TestWriteTraceChrome(t *testing.T) {
 	tr := NewTracer(64)
 	tr.Record(EvTxBegin, 1, 0, 0)
-	start := tr.Now()
-	tr.Span(EvTruncEpoch, start, 0, 4, 0)
+	tr.SpanSince(EvTruncEpoch, time.Now(), 0, 4, 0)
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf, FormatChrome); err != nil {

@@ -316,23 +316,24 @@ func (b *builder) epoch(l *wal.Log) *Epoch {
 // builders and returns the trees as an epoch, whose Apply empties the log.
 // Abort releases a restart that will not finish.
 type Restart struct {
-	met    *obs.Metrics
-	scanNs int64 // spent scanning a log that was already open
-	log    *wal.Log
-	b      *builder
+	tr  *obs.Tracer
+	met *obs.Metrics
+	log *wal.Log
+	b   *builder
 }
 
-// NewRestart starts a recovery.  met (nil-safe) is the registry the log
-// gets too; it sees the replayed-record gauge climb while the log is
-// scanned.
-func NewRestart(cfg Config, met *obs.Metrics) *Restart {
-	return &Restart{met: met, b: newBuilder(max(cfg.Parallelism, 1))}
+// NewRestart starts a recovery that reports to tr and met (both nil-safe);
+// met sees the replayed-record gauge climb while the log is scanned.
+func NewRestart(cfg Config, tr *obs.Tracer, met *obs.Metrics) *Restart {
+	return &Restart{tr: tr, met: met, b: newBuilder(max(cfg.Parallelism, 1))}
 }
 
-// Open opens the restart's log on dev.
-func (r *Restart) Open(dev wal.Device) (*wal.Log, error) {
-	var err error
-	r.log, err = wal.OpenScan(dev, r.consume)
+// Open opens the restart's log on dev; its scan is the open-scan phase.
+func (r *Restart) Open(dev wal.Device) (_ *wal.Log, err error) {
+	t0 := time.Now()
+	if r.log, err = wal.OpenScan(dev, r.consume); err == nil {
+		r.met.ObserveOpenScan(time.Since(t0).Nanoseconds())
+	}
 	return r.log, err
 }
 
@@ -351,29 +352,29 @@ func (r *Restart) Abort() { r.b.stop() }
 // will write.  A segment lookup cannot resolve fails it.  On error the
 // Stats are partial.
 //
-// The phases it reports are consecutive stretches of wall time: scan (of a
-// log that was already open; a restart scans at Open, so next to nothing)
-// and build (waiting for the workers); Apply reports the third, apply,
-// whenever it runs.
+// The phases it reports are consecutive stretches of wall time: scan (next
+// to nothing: Open scanned the log, and reported that as the open scan) and
+// build (waiting for the workers); Apply reports the third, apply, whenever
+// it runs.
 func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 	defer r.Abort()
-	tr, met := r.log.Tracer(), r.met
+	tr, met := r.tr, r.met
 	// The replay runs under the recovery stall gate: restart hangs (a dead
 	// segment device, a wedged read) surface through the watchdog like any
 	// other stalled operation.
 	met.OpEnter(obs.StallRecovery)
 	defer met.OpExit(obs.StallRecovery)
 
-	scanStart, t0 := tr.Now(), time.Now()
+	t0 := time.Now()
 	used := r.log.Used()
 	met.SetRecoveryScanBytes(used)
 	t1 := time.Now()
-	tr.Span(obs.EvRecovScan, scanStart, 0, uint64(r.b.records), 0)
-	met.ObserveRecoveryScan(r.scanNs + t1.Sub(t0).Nanoseconds())
+	tr.SpanFor(obs.EvRecovScan, t0, t1.Sub(t0).Nanoseconds(), 0, uint64(r.b.records), 0)
+	met.ObserveRecoveryScan(t1.Sub(t0).Nanoseconds())
 
 	ep = r.b.epoch(r.log)
 	met.ObserveRecoveryBuild(time.Since(t1).Nanoseconds())
-	ep.restart = true
+	ep.tr, ep.met = tr, met
 	ep.stats.ScannedBytes = uint64(used)
 	st = ep.stats
 	for _, ts := range ep.sets {
@@ -390,18 +391,17 @@ func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
 // RecoverParallel replays the live records of a log that is already open
 // onto the external data segments and empties it, before any region is
 // mapped: a scan from the head, Redo, then Apply, with cfg.Parallelism
-// stripe sets built and applied.  retry (optional) wraps each storage
-// operation.  On error the returned Stats hold partial progress.
+// stripe sets built and applied, reported to no sinks.  retry (optional)
+// wraps each storage operation.  On error the returned Stats hold partial
+// progress.
 func RecoverParallel(l *wal.Log, lookup SegmentLookup, retry Retry, cfg Config) (Stats, error) {
-	r := NewRestart(cfg, l.Metrics())
+	r := NewRestart(cfg, nil, nil)
 	defer r.Abort()
-	t0 := time.Now()
 	r.log = l
 	pos, seq := l.Head()
 	if err := l.Scan(pos, seq, r.consume); err != nil {
 		return Stats{}, err
 	}
-	r.scanNs = time.Since(t0).Nanoseconds()
 	ep, st, err := r.Redo(lookup)
 	if err != nil {
 		return st, err
@@ -429,10 +429,11 @@ func CollectEpoch(l *wal.Log) (*Epoch, error) {
 // Epoch is a truncation epoch, or a restart's redo, awaiting application:
 // redo trees, and where the log's head goes once they are in the segments.
 type Epoch struct {
-	sets    []treeSet // stripe-sharded: any page's bytes are in one set, one worker's
-	head    epochHead
-	restart bool // a restart's redo: Apply reports recovery's apply phase
-	stats   Stats
+	sets  []treeSet // stripe-sharded: any page's bytes are in one set, one worker's
+	head  epochHead
+	stats Stats
+	tr    *obs.Tracer  // a restart's: Apply reports recovery's apply phase to
+	met   *obs.Metrics // them; a truncation epoch has no sinks
 }
 
 // epochHead is the log's head move after an Apply.
@@ -464,18 +465,14 @@ func (e *Epoch) Overlay(seg uint64, off int64, dst []byte) {
 // advances the log's head past the epoch.  retry (optional) wraps each
 // storage operation.
 func (e *Epoch) Apply(lookup SegmentLookup, retry Retry) (Stats, error) {
-	var tr *obs.Tracer
-	var met *obs.Metrics
 	h := e.head
-	if e.restart {
-		tr, met = h.log.Tracer(), h.log.Metrics()
-	}
-	start, t0 := tr.Now(), time.Now()
-	if err := applyTrees(e.sets, lookup, retry, met, &e.stats); err != nil {
+	t0 := time.Now()
+	if err := applyTrees(e.sets, lookup, retry, e.met, &e.stats); err != nil {
 		return e.stats, err
 	}
-	tr.Span(obs.EvRecovApply, start, 0, e.stats.TreeBytes, uint64(len(e.sets)))
-	met.ObserveRecoveryApply(time.Since(t0).Nanoseconds())
+	ns := time.Since(t0).Nanoseconds()
+	e.tr.SpanFor(obs.EvRecovApply, t0, ns, 0, e.stats.TreeBytes, uint64(len(e.sets)))
+	e.met.ObserveRecoveryApply(ns)
 	if err := retried(retry, func() error { return h.log.SetHead(h.pos, h.seq) }); err != nil {
 		return e.stats, err
 	}

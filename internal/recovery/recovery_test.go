@@ -316,7 +316,7 @@ func TestOverflowingRangeIsNotRedone(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { dev.Close() })
-		r := NewRestart(Config{Parallelism: 2}, nil)
+		r := NewRestart(Config{Parallelism: 2}, nil, nil)
 		if _, err := r.Open(dev); err != nil {
 			t.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func TestReadRecordMatchesScan(t *testing.T) {
 	if err := l.Scan(l.tailPos()+64, 3, fail); err == nil {
 		t.Fatal("Scan accepted a start beyond the tail")
 	}
-	if recs := scanFrom(t, l, l.tailPos(), l.nextSeq); len(recs) != 0 {
+	if recs := scanFrom(t, l, l.tailPos(), l.nextSeq.Load()); len(recs) != 0 {
 		t.Fatalf("a scan from the tail delivered %d records", len(recs))
 	}
 }

@@ -63,8 +63,8 @@ func checkTailOracle(t testing.TB, dev Device) {
 		t.Fatal(err)
 	}
 	used, next, ref := refFindTail(t, dev, l.areaSize, l.head, l.headSeq)
-	if l.used.Load() != used || l.nextSeq != next {
-		t.Fatalf("scanner found %d live bytes and next seq %d, reference %d and %d", l.used.Load(), l.nextSeq, used, next)
+	if l.used.Load() != used || l.nextSeq.Load() != next {
+		t.Fatalf("scanner found %d live bytes and next seq %d, reference %d and %d", l.used.Load(), l.nextSeq.Load(), used, next)
 	}
 	var want []Record
 	for _, r := range ref {
@@ -110,8 +110,8 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 		img := dev.Bytes()
 		img[areaOff(minReadChunk)+headerSize+RangeLen(1, 0, 0)] ^= 1
 		checkTailOracle(t, iofault.NewMem(img))
-		if l2, _ := openMem(t, img); l2.used.Load() != minReadChunk || l2.nextSeq != 3 {
-			t.Fatalf("reopened to %d live bytes, next seq %d; want %d and 3", l2.used.Load(), l2.nextSeq, minReadChunk)
+		if l2, _ := openMem(t, img); l2.used.Load() != minReadChunk || l2.nextSeq.Load() != 3 {
+			t.Fatalf("reopened to %d live bytes, next seq %d; want %d and 3", l2.used.Load(), l2.nextSeq.Load(), minReadChunk)
 		}
 	})
 	t.Run("full log", func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestScannerMatchesReferenceTail(t *testing.T) {
 			flags := uint8(rnd.Intn(4))
 			if _, _, _, err := l.Append(uint64(round), flags, []Range{mkRange(1, 16, byte(round), 1+rnd.Intn(900))}); err != nil {
 				// Full: drop the older half and go on.
-				mid := l.headSeq + (l.nextSeq-l.headSeq)/2
+				mid := l.headSeq + (l.nextSeq.Load()-l.headSeq)/2
 				if err := l.SetHead(posOf(t, l, mid), mid); err != nil {
 					t.Fatal(err)
 				}

@@ -115,6 +115,11 @@ func TestSnapshotWithoutObservability(t *testing.T) {
 	}
 }
 
+// TestTraceCapturesCommitAndForce: nothing is lost and nothing counted
+// twice.  Three flush commits append a record each; a flush commit behind
+// lazy ones appends the drain's record and its own; Flush appends one more.
+// Each record is one log-append instant, whose bytes add up to the log's,
+// and each force is one log-force span.
 func TestTraceCapturesCommitAndForce(t *testing.T) {
 	s := newStore(t, rvm.Options{TraceEvents: 256})
 	reg, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
@@ -122,15 +127,32 @@ func TestTraceCapturesCommitAndForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitN(t, s.db, reg, 3, rvm.Flush)
+	commitN(t, s.db, reg, 3, rvm.NoFlush)
+	commitN(t, s.db, reg, 1, rvm.Flush)
+	commitN(t, s.db, reg, 2, rvm.NoFlush)
+	if err := s.db.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	byName := map[string]int{}
+	var appendedBytes uint64
 	for _, ev := range s.db.TraceEvents() {
 		byName[ev.Name]++
+		if ev.Name == "log-append" {
+			appendedBytes += ev.A
+		}
 	}
-	for _, want := range []string{"tx-begin", "commit-flush", "log-append", "log-force"} {
+	for _, want := range []string{"tx-begin", "commit-flush", "log-append", "log-force", "commit-noflush", "spool-flush"} {
 		if byName[want] == 0 {
 			t.Errorf("trace has no %q events (got %v)", want, byName)
 		}
+	}
+	st := s.db.Stats()
+	if byName["log-append"] != 6 || appendedBytes != st.LogBytes {
+		t.Errorf("%d log-append events of %d bytes in all; want 6, of the log's %d", byName["log-append"], appendedBytes, st.LogBytes)
+	}
+	if uint64(byName["log-force"]) != st.LogForces {
+		t.Errorf("%d log-force spans, %d log forces", byName["log-force"], st.LogForces)
 	}
 
 	var buf bytes.Buffer
