@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,5 +147,56 @@ func TestAppendDuringForce(t *testing.T) {
 	}
 	if got := l.ForcedThrough(); got != seq2 {
 		t.Fatalf("ForcedThrough = %d after second force, want %d", got, seq2)
+	}
+}
+
+// TestForceBatchCountsOwnSync: a force reports what its own call synced —
+// the records not yet durable when it began, though a concurrent force may
+// make them durable first — and a force of a clean log reports nothing, for
+// it syncs nothing.
+func TestForceBatchCountsOwnSync(t *testing.T) {
+	l, dev := newCountingLog(t, 1<<16)
+	for i := range 2 {
+		if _, _, _, err := l.Append(uint64(i+1), 0, []Range{mkRange(1, uint64(64*i), 'a', 32)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry, gate := make(chan struct{}), make(chan struct{})
+	var syncs atomic.Int32
+	dev.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op == iofault.OpSync && syncs.Add(1) == 1 {
+			close(entry)
+			<-gate
+		}
+	})
+	type result struct {
+		batch uint64
+		err   error
+	}
+	first := make(chan result, 1)
+	go func() {
+		batch, err := l.ForceBatch()
+		first <- result{batch, err}
+	}()
+	select {
+	case <-entry: // the first force's fsync is in flight
+	case <-time.After(5 * time.Second):
+		t.Fatal("Force never reached the device")
+	}
+	if _, _, _, err := l.Append(3, 0, []Range{mkRange(1, 128, 'b', 32)}); err != nil {
+		t.Fatal(err)
+	}
+	if batch, err := l.ForceBatch(); err != nil || batch != 3 {
+		t.Fatalf("force overtaking an in-flight one: batch %d (%v), want 3", batch, err)
+	}
+	close(gate)
+	if r := <-first; r.err != nil || r.batch != 2 {
+		t.Fatalf("overtaken force: batch %d (%v), want its 2", r.batch, r.err)
+	}
+	if batch, err := l.ForceBatch(); err != nil || batch != 0 {
+		t.Fatalf("force of a clean log: batch %d (%v), want 0", batch, err)
+	}
+	if got := l.Stats().Forces; got != 2 || syncs.Load() != 2 {
+		t.Fatalf("%d forces counted, %d syncs; want 2 of each", got, syncs.Load())
 	}
 }
