@@ -62,7 +62,7 @@ type recovReport struct {
 }
 
 // recoveryBench builds crashed stores at several log sizes, measures
-// time-to-recover at parallelism 1 vs N, repeats on checkpointed stores,
+// time-to-recover at GOMAXPROCS 1 vs N, repeats on checkpointed stores,
 // prints the cells, merges a "recovery" key into jsonPath, and enforces
 // the thresholds gate.
 func recoveryBench(jsonPath, thresholdsPath string, quick bool) error {
@@ -95,7 +95,7 @@ func recoveryBench(jsonPath, thresholdsPath string, quick bool) error {
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 	}
 
-	fmt.Printf("Recovery: parallel redo, best of %d trials\n", recovTrials)
+	fmt.Printf("Recovery: redo on the scan's goroutine, best of %d trials\n", recovTrials)
 	fmt.Printf("%7s %12s %12s %10s %10s\n", "log", "parallelism", "recover", "MB/s", "ns/MB")
 	for _, mb := range sizes {
 		dir, err := os.MkdirTemp("", "rvmbench-recov-*")
@@ -273,8 +273,9 @@ func recovCopy(srcDir string) (string, error) {
 }
 
 // recovOpen clones dir and times a recovering Open at the given
-// parallelism.  Recovery is as wide as GOMAXPROCS, so that is what the
-// timed Open is bracketed with.  It returns the wall time and the engine's
+// parallelism, which brackets the timed Open as GOMAXPROCS: redo runs on
+// one goroutine, so the width is what the runtime (its collector) gets
+// beside it.  It returns the wall time and the engine's
 // post-recovery statistics.
 func recovOpen(dir string, parallelism int) (int64, rvm.Statistics, error) {
 	run, err := recovCopy(dir)

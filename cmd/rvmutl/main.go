@@ -200,11 +200,10 @@ func verify(logPath string) {
 		}
 	}
 	headPos, headSeq := l.Head()
-	if err := l.Scan(headPos, headSeq, func(w *wal.Window) error {
-		defer w.Release()
-		for i := range w.Recs {
+	if err := l.Scan(headPos, headSeq, func(recs []wal.Record) error {
+		for i := range recs {
 			records++
-			check(&w.Recs[i])
+			check(&recs[i])
 		}
 		return nil
 	}); err != nil {

@@ -63,7 +63,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -337,10 +336,7 @@ func Open(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Recovery is as wide as the process: GOMAXPROCS workers replay the redo
-	// trees, and one fewer build them, the log scan being one itself.
-	redo := recovery.NewRestart(recovery.Config{Parallelism: runtime.GOMAXPROCS(0)}, opts.Tracer, opts.Metrics)
-	defer redo.Abort()
+	redo := recovery.NewRestart(opts.Tracer, opts.Metrics)
 	dev := opts.LogDevice
 	if dev == nil {
 		f, err := os.OpenFile(opts.LogPath, os.O_RDWR, 0)

@@ -313,16 +313,20 @@ func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, po
 		if !ok || e.log.Used()-e.reclaimableTo(pos) <= targetUsed {
 			break
 		}
+		// Unmap removes its region's descriptors, so a region gone or
+		// unmapped is unreachable; tolerate a stale descriptor by skipping
+		// it.  The region lock is taken outside any branch, where locksync
+		// follows it to every release.
 		r := e.regions[d.ID.Region] // stable under the truncation claim
-		if r != nil {
-			r.mu.Lock()
+		if r == nil {
+			p.mu.Lock()
+			p.queue.PopFirst()
+			p.mu.Unlock()
+			continue
 		}
-		if r == nil || !r.mapped {
-			// Unmap removes its region's descriptors, so this is
-			// unreachable; tolerate a stale descriptor by skipping it.
-			if r != nil {
-				r.mu.Unlock()
-			}
+		r.mu.Lock()
+		if !r.mapped {
+			r.mu.Unlock()
 			p.mu.Lock()
 			p.queue.PopFirst()
 			p.mu.Unlock()

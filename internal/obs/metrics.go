@@ -29,9 +29,7 @@ type metricsOf[H, G any] struct {
 	TruncPauseNs    H `json:"trunc_pause_ns" prom:"rvm_trunc_pause_ns" help:"Forward-processing pause per truncation."`
 	SpoolFlushNs    H `json:"spool_flush_ns" prom:"rvm_spool_flush_ns" help:"Spool flush latency."`
 	CheckpointNs    H `json:"checkpoint_ns" prom:"rvm_checkpoint_ns" help:"Checkpoint latency."`
-	OpenScanNs      H `json:"open_scan_ns" prom:"rvm_open_scan_ns" help:"Scan of one log at Open: finds the tail and feeds the redo builders."`
-	RecoveryScanNs  H `json:"recovery_scan_ns" prom:"rvm_recovery_scan_ns" help:"Recovery scanning of a log already open; a restart scans at Open (open_scan_ns)."`
-	RecoveryBuildNs H `json:"recovery_build_ns" prom:"rvm_recovery_build_ns" help:"Recovery wait for the redo-tree builders after the scan."`
+	RecoveryScanNs  H `json:"recovery_scan_ns" prom:"rvm_recovery_scan_ns" help:"Restart's scan of the log at Open: finds the tail and builds the redo trees."`
 	RecoveryApplyNs H `json:"recovery_apply_ns" prom:"rvm_recovery_apply_ns" help:"Recovery apply phase duration."`
 
 	// Where one commit's latency went (DESIGN.md §14).  The first five
@@ -132,24 +130,10 @@ func (m *Metrics) ObserveCheckpoint(ns int64) {
 	}
 }
 
-// ObserveOpenScan records one log's scan at Open.
-func (m *Metrics) ObserveOpenScan(ns int64) {
-	if m != nil {
-		m.OpenScanNs.Observe(ns)
-	}
-}
-
-// ObserveRecoveryScan records one recovery's scanning after Open's.
+// ObserveRecoveryScan records one restart's scan of its log.
 func (m *Metrics) ObserveRecoveryScan(ns int64) {
 	if m != nil {
 		m.RecoveryScanNs.Observe(ns)
-	}
-}
-
-// ObserveRecoveryBuild records one recovery's wait for its tree builders.
-func (m *Metrics) ObserveRecoveryBuild(ns int64) {
-	if m != nil {
-		m.RecoveryBuildNs.Observe(ns)
 	}
 }
 

@@ -17,16 +17,16 @@ import (
 // every redo path and requires bit-identical segment images and equal
 // counts — records replayed, distinct bytes applied — against a byte-array
 // model that applies the records in log order from the head: a later value
-// wins per byte no matter how the work is divided.  The shapes are a log of
-// plain records from the head it was written with and behind a head a
-// truncation moved.  Each at parallelism 1/2/4/8,
-// over a log that is already open (RecoverParallel) and over a log a Restart
-// opens itself (Redo, then Apply), and as an epoch truncation (CollectEpoch,
-// the same builder at GOMAXPROCS); built by the scan's goroutine, by
-// workers, and by the one and then the others; the logs span several scan
-// windows, which start small.
+// wins per byte whichever path builds it.  The shapes are a log of plain
+// records from the head it was written with and behind a head a truncation
+// moved.  Each over a log that is already open (RecoverParallel), over a log
+// a Restart opens itself (Redo, then Apply), and as an epoch truncation
+// (CollectEpoch, the same build); the logs span several scan windows, which
+// start small.  The cases keep the names of the byte counts at which builds
+// once passed from the scan's goroutine to workers; every build now runs on
+// the scan's goroutine, so each case writes a log of its own instead.
 func TestRedoPathsAgree(t *testing.T) {
-	const segLen = 1 << 17 // 2 stripes per segment, so ranges split
+	const segLen = 1 << 17
 	const nsegs = 3
 	type shape struct {
 		name string
@@ -54,16 +54,11 @@ func TestRedoPathsAgree(t *testing.T) {
 			}
 		}},
 	}
-	// Who builds: the scan's own goroutine all the way (these logs are far
-	// shorter than inlineBytes), workers from the middle of each log on, or
-	// workers from the first window.
-	for _, inline := range []int64{inlineBytes, 20 << 10, 0} {
+	for _, inline := range []int64{4 << 20, 20 << 10, 0} {
 		for _, sh := range shapes {
 			t.Run(fmt.Sprintf("%s/inline %d", sh.name, inline), func(t *testing.T) {
-				defer func(n int64) { inlineBytes = n }(inlineBytes)
-				inlineBytes = inline
-				for _, par := range []int{1, 2, 4, 8, -1, -2, -4, -8, 0} { // 0: epoch truncation; < 0: the Restart opens the log
-					rnd := rand.New(rand.NewSource(7)) // identical log contents per run
+				for _, path := range []string{"recover", "restart", "epoch"} {
+					rnd := rand.New(rand.NewSource(7 + inline)) // identical log contents per path
 					f := newFixture(t, nsegs, segLen)
 					// What the log holds, for the model.
 					type logged struct {
@@ -109,41 +104,42 @@ func TestRedoPathsAgree(t *testing.T) {
 					var st Stats
 					var err error
 					l := f.log
-					if par > 0 {
-						st, err = RecoverParallel(l, f.lookup, nil, Config{Parallelism: par})
-					} else if par < 0 {
-						r := NewRestart(Config{Parallelism: -par}, nil, nil)
+					switch path {
+					case "recover":
+						st, err = RecoverParallel(l, f.lookup, nil, Config{})
+					case "restart":
+						r := NewRestart(nil, nil)
 						dev, oerr := os.OpenFile(f.logPath, os.O_RDWR, 0)
 						if oerr != nil {
 							t.Fatal(oerr)
 						}
 						t.Cleanup(func() { dev.Close() })
 						if l, err = r.Open(dev); err != nil {
-							t.Fatalf("parallelism %d: %v", par, err)
+							t.Fatalf("%s: %v", path, err)
 						}
 						var ep *Epoch
 						if ep, st, err = r.Redo(f.lookup); err == nil {
 							st, err = ep.Apply(f.lookup, nil)
 						}
-					} else {
+					case "epoch":
 						var ep *Epoch
 						if ep, err = CollectEpoch(f.log); err == nil {
 							st, err = ep.Apply(f.lookup, nil)
 						}
 					}
 					if err != nil {
-						t.Fatalf("parallelism %d: %v", par, err)
+						t.Fatalf("%s: %v", path, err)
 					}
 					if st.Records != want.Records || st.TreeBytes != want.TreeBytes {
-						t.Fatalf("parallelism %d: %d records, %d distinct bytes; the model has %d and %d",
-							par, st.Records, st.TreeBytes, want.Records, want.TreeBytes)
+						t.Fatalf("%s: %d records, %d distinct bytes; the model has %d and %d",
+							path, st.Records, st.TreeBytes, want.Records, want.TreeBytes)
 					}
 					if l.Used() != 0 {
-						t.Fatalf("parallelism %d left %d live bytes", par, l.Used())
+						t.Fatalf("%s left %d live bytes", path, l.Used())
 					}
 					for id := uint64(1); id <= nsegs; id++ {
 						if !bytes.Equal(f.read(t, id, 0, segLen), model[id-1]) {
-							t.Fatalf("parallelism %d: segment %d differs from the model", par, id)
+							t.Fatalf("%s: segment %d differs from the model", path, id)
 						}
 					}
 				}
@@ -207,32 +203,11 @@ func TestRecoverPartialStatsOnError(t *testing.T) {
 	}
 }
 
-// TestRecoverParallelismConfigDefaults: zero/negative config values must
-// behave like serial replay rather than crashing or spawning workers.
-func TestRecoverParallelismConfigDefaults(t *testing.T) {
-	for _, par := range []int{-1, 0, 1} {
-		f := newFixture(t, 1, 4096)
-		f.log.Append(1, 0, rng1(1, 0, 'q', 64))
-		f.log.Force()
-		st, err := RecoverParallel(f.log, f.lookup, nil, Config{Parallelism: par})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if st.Records != 1 || st.TreeBytes != 64 {
-			t.Fatalf("parallelism %d: %+v", par, st)
-		}
-		if got := f.read(t, 1, 0, 64); !bytes.Equal(got, bytes.Repeat([]byte{'q'}, 64)) {
-			t.Fatalf("parallelism %d: segment bytes wrong", par)
-		}
-	}
-}
-
 // TestRecoveryPhasesAttributed: a long restart must be explainable from its
-// own metrics, so the four phases it reports — the scan Open runs, with the
-// building it overlaps; the scan after it (next to nothing: Open scanned);
-// the wait for the builders; apply — are consecutive stretches of wall time
-// that account for at least 90 % of the restart and never more than all of
-// it.
+// own metrics, so the two phases it reports — the scan Open runs, which
+// builds the redo as it reads, and apply — are consecutive stretches of wall
+// time that account for at least 90 % of the restart and never more than all
+// of it.
 func TestRecoveryPhasesAttributed(t *testing.T) {
 	const segLen = 1 << 20
 	f := newFixtureLog(t, 2, segLen, 8<<20)
@@ -255,8 +230,7 @@ func TestRecoveryPhasesAttributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	met := obs.NewMetrics()
-	r := NewRestart(Config{Parallelism: 2}, nil, met)
-	defer r.Abort()
+	r := NewRestart(nil, met)
 	t0 := time.Now()
 	l, err := r.Open(mem)
 	if err != nil {
@@ -273,15 +247,15 @@ func TestRecoveryPhasesAttributed(t *testing.T) {
 	}
 	sn := met.Snapshot()
 	for name, h := range map[string]obs.HistStat{
-		"open scan": sn.OpenScanNs, "scan": sn.RecoveryScanNs, "build": sn.RecoveryBuildNs, "apply": sn.RecoveryApplyNs,
+		"scan": sn.RecoveryScanNs, "apply": sn.RecoveryApplyNs,
 	} {
 		if h.Count != 1 || h.Sum == 0 {
 			t.Errorf("%s phase observed %d times, %d ns in all; want one non-zero observation", name, h.Count, h.Sum)
 		}
 	}
-	sum := int64(sn.OpenScanNs.Sum + sn.RecoveryScanNs.Sum + sn.RecoveryBuildNs.Sum + sn.RecoveryApplyNs.Sum)
-	t.Logf("%d records, wall %d us = open scan %d + scan %d + build %d + apply %d + %d unattributed", st.Records, wall/1000,
-		sn.OpenScanNs.Sum/1000, sn.RecoveryScanNs.Sum/1000, sn.RecoveryBuildNs.Sum/1000, sn.RecoveryApplyNs.Sum/1000, (wall-sum)/1000)
+	sum := int64(sn.RecoveryScanNs.Sum + sn.RecoveryApplyNs.Sum)
+	t.Logf("%d records, wall %d us = scan %d + apply %d + %d unattributed", st.Records, wall/1000,
+		sn.RecoveryScanNs.Sum/1000, sn.RecoveryApplyNs.Sum/1000, (wall-sum)/1000)
 	if sum < wall*9/10 || sum > wall {
 		t.Errorf("phases sum to %d ns of a %d ns recovery; want 90-100 %%", sum, wall)
 	}

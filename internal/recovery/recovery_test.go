@@ -299,7 +299,7 @@ func TestOverflowingRangeIsNotRedone(t *testing.T) {
 	}
 	t.Run("recover", func(t *testing.T) {
 		f := setup(t)
-		if _, err := RecoverParallel(f.log, f.lookup, nil, Config{Parallelism: 2}); err == nil {
+		if _, err := RecoverParallel(f.log, f.lookup, nil, Config{}); err == nil {
 			t.Fatal("recovery of a log holding an overflowing range succeeded")
 		}
 	})
@@ -316,7 +316,7 @@ func TestOverflowingRangeIsNotRedone(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { dev.Close() })
-		r := NewRestart(Config{Parallelism: 2}, nil, nil)
+		r := NewRestart(nil, nil)
 		if _, err := r.Open(dev); err != nil {
 			t.Fatal(err)
 		}

@@ -9,10 +9,9 @@ import (
 func scanFrom(t *testing.T, l *Log, pos int64, seq uint64) []*Record {
 	t.Helper()
 	var recs []*Record
-	err := l.Scan(pos, seq, func(w *Window) error {
-		defer w.Release()
-		for i := range w.Recs {
-			recs = append(recs, cloneRecord(&w.Recs[i]))
+	err := l.Scan(pos, seq, func(window []Record) error {
+		for i := range window {
+			recs = append(recs, cloneRecord(&window[i]))
 		}
 		return nil
 	})
@@ -88,7 +87,7 @@ func TestReadRecordMatchesScan(t *testing.T) {
 	}
 	// A start with the wrong seq, or outside the live region, must fail,
 	// not hand back data.
-	fail := func(*Window) error { t.Fatal("a scan from a bad start delivered records"); return nil }
+	fail := func([]Record) error { t.Fatal("a scan from a bad start delivered records"); return nil }
 	if err := l.Scan(fwd[2].Pos, 4, fail); err == nil {
 		t.Fatal("Scan accepted a mismatched seq")
 	}

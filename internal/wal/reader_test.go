@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
-	"sync"
+	"runtime"
 	"testing"
 
 	"github.com/rvm-go/rvm/internal/iofault"
@@ -159,65 +159,10 @@ func TestTornTailMidChunk(t *testing.T) {
 	checkReadPaths(t, l2, path, want[:len(want)-1])
 }
 
-// TestConcurrentReaders walks one log's windows on four workers at once
-// while the scan that delivers them reads on: each worker sees every
-// window, in order, and releases it from its own goroutine; the last
-// release recycles it — how recovery's builders use a scan.  Run under
-// -race.
-func TestConcurrentReaders(t *testing.T) {
-	l, _ := newLog(t, readerArea)
-	want := fillLog(t, l, rand.New(rand.NewSource(4)), readChunk+readChunk/2)
-	const workers = 4
-	type job struct {
-		w     *Window
-		first int // index in want of the window's first record
-	}
-	var wg sync.WaitGroup
-	queues := make([]chan job, workers)
-	for k := range queues {
-		queues[k] = make(chan job, ScanWindows)
-		wg.Add(1)
-		go func(q <-chan job) {
-			defer wg.Done()
-			for j := range q {
-				for i := range j.w.Recs {
-					if !sameRecord(&j.w.Recs[i], want[j.first+i]) {
-						t.Errorf("record %d differs", j.first+i)
-					}
-				}
-				j.w.Release()
-			}
-		}(queues[k])
-	}
-	seen, windows := 0, 0
-	err := l.Scan(l.head, l.headSeq, func(w *Window) error {
-		j := job{w: w, first: seen}
-		seen += len(w.Recs)
-		windows++
-		w.Share(workers)
-		for _, q := range queues {
-			q <- j
-		}
-		return nil
-	})
-	for _, q := range queues {
-		close(q)
-	}
-	wg.Wait()
-	if err != nil || seen != len(want) {
-		t.Fatalf("scan delivered %d of %d records: %v", seen, len(want), err)
-	}
-	if windows <= ScanWindows {
-		t.Fatalf("the log took %d windows; want more than the %d a scan has out, so that some are reused", windows, ScanWindows)
-	}
-}
-
 // TestReaderBatches pins what a scan to the known tail costs: it reads in
 // windows of scanChunk bytes, about one read per window; it reads nothing
 // below the record it starts at nor beyond the tail, across the wrap too;
-// what it reads twice is the records that straddle a window's end; and a
-// consumer that releases each window before returning has the scan refill
-// one buffer.
+// and what it reads twice is the records that straddle a window's end.
 func TestReaderBatches(t *testing.T) {
 	l, _ := newLog(t, readerArea)
 	rnd := rand.New(rand.NewSource(5))
@@ -241,15 +186,10 @@ func TestReaderBatches(t *testing.T) {
 		})
 		l.dev = dev
 		first := want[start]
-		var bufs [][]byte
 		k := start
-		err := l.Scan(first.Pos, first.Seq, func(w *Window) error {
-			defer w.Release()
-			if len(bufs) == 0 || &bufs[len(bufs)-1][0] != &w.buf[:1][0] {
-				bufs = append(bufs, w.buf)
-			}
-			for i := range w.Recs {
-				if !sameRecord(&w.Recs[i], want[k]) {
+		err := l.Scan(first.Pos, first.Seq, func(recs []Record) error {
+			for i := range recs {
+				if !sameRecord(&recs[i], want[k]) {
 					t.Fatalf("from record %d: record %d differs", start, k)
 				}
 				k++
@@ -271,11 +211,44 @@ func TestReaderBatches(t *testing.T) {
 		if first.Pos < l.tailPos() && (lo < areaOff(first.Pos) || hi > areaOff(l.tailPos())) {
 			t.Fatalf("from record %d: read [%d,%d), outside the records' [%d,%d)", start, lo, hi, areaOff(first.Pos), areaOff(l.tailPos()))
 		}
-		// The buffer is regrown while the windows work up to scanChunk and
-		// refilled in place from then on.
-		if grow := 8; len(bufs) > grow {
-			t.Fatalf("from record %d: the scan used %d buffers for a consumer that holds one window at a time", start, len(bufs))
+	}
+}
+
+// TestScanAllocatesWindowOnce: every consumer is done with a window's
+// records when it returns, so a scan over a log of many windows allocates
+// one window buffer and reads each window into it.  Every record here has
+// one range behind a short header, so each window's first range starts at
+// the same offset of the buffer the window was read into.
+func TestScanAllocatesWindowOnce(t *testing.T) {
+	l, _ := newLog(t, readerArea)
+	for i := 0; l.Used() < 6*scanChunk; i++ {
+		if _, _, _, err := l.Append(uint64(i+1), 0, []Range{mkRange(1, uint64(i)*64, byte(i), 1000)}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	bufs := map[*byte]bool{}
+	windows := 0
+	pos, seq := l.Head()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := l.Scan(pos, seq, func(recs []Record) error {
+		windows++
+		bufs[&recs[0].Ranges[0].Data[0]] = true
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d windows, %d buffers, %d bytes allocated", windows, len(bufs), alloc)
+	if windows < 4 || len(bufs) != 1 {
+		t.Fatalf("a scan of %d windows read them into %d buffers; want at least 4 windows and one buffer", windows, len(bufs))
+	}
+	// The buffer, and the records' slots, which a window of these records
+	// keeps to a fifth of the buffer.
+	if alloc > scanChunk+scanChunk/2 {
+		t.Fatalf("a scan of %d windows allocated %d bytes; want at most %d", windows, alloc, scanChunk+scanChunk/2)
 	}
 }
 

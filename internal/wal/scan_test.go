@@ -52,11 +52,10 @@ func refFindTail(t testing.TB, dev Device, areaSize, head int64, headSeq uint64)
 func checkTailOracle(t testing.TB, dev Device) {
 	t.Helper()
 	var got []Record
-	l, err := OpenScan(dev, func(w *Window) error {
-		for i := range w.Recs {
-			got = append(got, *cloneRecord(&w.Recs[i]))
+	l, err := OpenScan(dev, func(recs []Record) error {
+		for i := range recs {
+			got = append(got, *cloneRecord(&recs[i]))
 		}
-		w.Release()
 		return nil
 	})
 	if err != nil {
@@ -191,9 +190,8 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Scan(head, seq, func(w *Window) error {
-			recs += len(w.Recs)
-			w.Release()
+		if err := l.Scan(head, seq, func(window []Record) error {
+			recs += len(window)
 			return nil
 		}); err != nil {
 			b.Fatal(err)

@@ -276,9 +276,9 @@ func OpenDevice(dev Device) (*Log, error) {
 }
 
 // OpenScan is OpenDevice for a caller that wants what the tail-finding scan
-// reads, so that a restart reads its log once: every window of valid records
-// goes to fn as the scan passes it (see Window).
-func OpenScan(dev Device, fn func(*Window) error) (*Log, error) {
+// reads, so that a restart reads its log once: the valid records go to fn a
+// window at a time as the scan passes them (see scan).
+func OpenScan(dev Device, fn func([]Record) error) (*Log, error) {
 	st, ok := readStatus(dev, 0)
 	if b, okB := readStatus(dev, 1); okB && (!ok || b.gen > st.gen) {
 		st, ok = b, true
@@ -346,60 +346,33 @@ func areaOff(pos int64) int64 { return 2*int64(mapping.PageSize) + pos }
 // over the log costs one positional read per window rather than two per
 // record; it works up to that size from minReadChunk, doubling per window,
 // so that opening or truncating a nearly empty log reads next to nothing.
-// ScanWindows bounds the windows one scan has out at a time: the one it is
-// reading into and the ones its consumer still holds.  A consumer that
-// builds from them on other goroutines overlaps with the reading; one that
-// releases each before returning makes the scan refill a single buffer.
-// Eight windows of 128 KiB are deep enough a queue that a scan and builders
-// running at different paces rarely wait for each other, and still stay in
-// a processor's second-level cache from the read through the checksum to
-// the consumer (EXPERIMENTS.md, PR 22).
+// Every consumer is done with a window's records when it returns, so one
+// buffer holds each window in turn; 128 KiB stays in a processor's
+// second-level cache from the read through the checksum to the consumer
+// (EXPERIMENTS.md, "one pass at restart").
 const (
-	ScanWindows  = 8
 	scanChunk    = 128 << 10
 	minReadChunk = 4 << 10
 )
 
-// Window is one stretch of validated records as a scan hands it to its
-// consumer: the transaction records oldest first, their range
-// data aliasing the window's bytes.  The consumer calls Release, from any
-// goroutine, once it is done with them; the scan then reads a later stretch
-// into the same storage, so a pass over a long log holds ScanWindows
-// windows, not the log.
-type Window struct {
-	Recs    []Record
-	buf     []byte
-	holders atomic.Int32 // Releases still to come, less one
-	free    chan *Window // the scan's recycling queue; holds every window it made
-}
-
-// Share makes the window wait for n Releases, one from each goroutine its
-// consumer hands it to.
-func (w *Window) Share(n int) { w.holders.Store(int32(n - 1)) }
-
-// Release gives the window's storage back to the scan that made it.
-func (w *Window) Release() {
-	if w.holders.Add(-1) < 0 {
-		w.holders.Store(0)
-		w.free <- w
-	}
-}
-
 // scan is the one forward pass over a log's records.  From the record at
 // area offset pos, expected to carry seq, it reads the area a window at a
 // time, validates and decodes each record once, and hands each window's
-// transaction records to fn (unless nil; fn owns the window until it
-// releases it).  With live < 0 the pass ends at the first bytes that are not
-// the next record — a torn write or stale data — which is how Open finds the
-// tail; otherwise exactly live bytes must hold valid records.  It returns
-// the bytes walked and the sequence number after the last record.
-func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Window) error) (used int64, next uint64, err error) {
+// transaction records, oldest first, to fn (unless nil).  They and their
+// range data, which aliases the window, are valid until fn returns: the next
+// window is read into the same buffer.  With live < 0 the pass ends at the
+// first bytes that are not the next record — a torn write or stale data —
+// which is how Open finds the tail; otherwise exactly live bytes must hold
+// valid records.  It returns the bytes walked and the sequence number after
+// the last record.
+func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func([]Record) error) (used int64, next uint64, err error) {
 	toTail := live >= 0
 	if !toTail {
 		live = areaSize
 	}
-	free := make(chan *Window, ScanWindows)
-	var made, shape int // windows made; ranges in the last record
+	var win []byte    // the window buffer, sized once for every window
+	var recs []Record // a window's records; each slot keeps its range storage
+	var shape int     // ranges in the last record
 	var chunk int64
 	need := int64(minRecordSize) // bytes the next window must hold to make progress
 	for valid := true; valid && used < live; {
@@ -408,29 +381,20 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 			valid = false // not even a wrap record fits before the area's end
 			break
 		}
-		var w *Window
-		select {
-		case w = <-free:
-		default:
-			if made == ScanWindows {
-				w = <-free
-			} else {
-				w, made = &Window{free: free}, made+1
-			}
-		}
 		chunk = min(max(2*chunk, minReadChunk), scanChunk)
 		n := min(max(need, chunk), limit)
-		if int64(cap(w.buf)) < n {
-			w.buf = make([]byte, n)
+		if int64(cap(win)) < n {
+			// Large enough for every later window, unless a record is larger.
+			win = make([]byte, max(n, min(scanChunk, live-used)))
 		}
-		got, rerr := dev.ReadAt(w.buf[:n], areaOff(pos))
+		got, rerr := dev.ReadAt(win[:n], areaOff(pos))
 		if int64(got) < need {
 			// A window may run past the device's end (a truncated file);
 			// only the bytes the next record needs must be there.
 			return used, seq, fmt.Errorf("wal: read %d bytes at %d: %w", need, pos, rerr)
 		}
-		buf, recs := w.buf[:got], w.Recs[:0]
-		need = minRecordSize
+		buf := win[:got]
+		recs, need = recs[:0], minRecordSize
 		for used < live && len(buf) >= minRecordSize {
 			// Only the extent is taken from the unvalidated header, once
 			// its check bits are zero; decodeRecord checks it again, with
@@ -462,10 +426,10 @@ func scan(dev Device, areaSize, pos int64, seq uint64, live int64, fn func(*Wind
 				pos = 0
 			}
 		}
-		if w.Recs = recs; len(recs) == 0 || fn == nil {
-			w.Release()
-		} else if err := fn(w); err != nil {
-			return used, seq, err
+		if len(recs) > 0 && fn != nil {
+			if err := fn(recs); err != nil {
+				return used, seq, err
+			}
 		}
 	}
 	if toTail && used < live {
@@ -731,16 +695,16 @@ func (l *Log) LastSeq() uint64 { return l.nextSeq.Load() - 1 }
 
 // Scan runs the forward pass over an open log's live records from the one
 // at area offset pos, which carries seq, to the tail: from the head (Head),
-// or from a record an earlier scan delivered.  fn gets every window of
-// records (see Window).  The log stays locked for the pass, so appends wait
-// for it.
-func (l *Log) Scan(pos int64, seq uint64, fn func(*Window) error) error {
+// or from a record an earlier scan delivered.  fn gets the records a window
+// at a time, and may keep none of them past its return (see scan).  The log
+// stays locked for the pass, so appends wait for it.
+func (l *Log) Scan(pos int64, seq uint64, fn func([]Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.scanLocked(pos, seq, fn)
 }
 
-func (l *Log) scanLocked(pos int64, seq uint64, fn func(*Window) error) error {
+func (l *Log) scanLocked(pos int64, seq uint64, fn func([]Record) error) error {
 	if l.dev == nil {
 		return ErrLogClosed
 	}
@@ -763,10 +727,9 @@ func (l *Log) scanLocked(pos int64, seq uint64, fn func(*Window) error) error {
 func (l *Log) ScanForward(fn func(*Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.scanLocked(l.head, l.headSeq, func(w *Window) error {
-		defer w.Release()
-		for i := range w.Recs {
-			if err := fn(&w.Recs[i]); err != nil {
+	return l.scanLocked(l.head, l.headSeq, func(recs []Record) error {
+		for i := range recs {
+			if err := fn(&recs[i]); err != nil {
 				return err
 			}
 		}

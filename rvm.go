@@ -220,8 +220,9 @@ func CreateSegment(path string, id uint64, length int64) error {
 	return core.CreateSegment(path, id, length)
 }
 
-// Open initializes RVM on an existing log, performing crash recovery, as
-// wide as GOMAXPROCS, before returning (the paper's initialize primitive).
+// Open initializes RVM on an existing log, performing crash recovery in the
+// one scan that finds the log's tail, before returning (the paper's
+// initialize primitive).
 // Recovery writes nothing: Map presents the redo over the segment image,
 // and the first truncation writes it to the segments.
 func Open(o Options) (*RVM, error) {

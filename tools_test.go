@@ -278,10 +278,9 @@ func TestRvmstatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoveryPhasesSurface: after a restart that had a log to replay, the
-// scan at Open (which builds as it reads) and recovery's three phases after
-// it (scan, next to nothing since Open read the log; the wait for the
-// builders; and apply, which the first truncation runs) are visible on every
+// TestRecoveryPhasesSurface: after a restart that had a log to replay,
+// recovery's two phases (the scan at Open, which builds the redo as it
+// reads, and apply, which the first truncation runs) are visible on every
 // surface an operator has — Snapshot, /metrics, and rvmstat — so a long
 // restart is explainable afterwards.
 func TestRecoveryPhasesSurface(t *testing.T) {
@@ -312,8 +311,7 @@ func TestRecoveryPhasesSurface(t *testing.T) {
 	}
 	m := sn.Metrics
 	for name, h := range map[string]rvm.HistStat{
-		"open_scan_ns": m.OpenScanNs, "recovery_scan_ns": m.RecoveryScanNs,
-		"recovery_build_ns": m.RecoveryBuildNs, "recovery_apply_ns": m.RecoveryApplyNs,
+		"recovery_scan_ns": m.RecoveryScanNs, "recovery_apply_ns": m.RecoveryApplyNs,
 	} {
 		if h.Count != 1 || h.Sum == 0 {
 			t.Errorf("snapshot %s: %d observations, %d ns in all; want one non-zero", name, h.Count, h.Sum)
@@ -331,8 +329,7 @@ func TestRecoveryPhasesSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"rvm_open_scan_ns_count 1", "rvm_recovery_scan_ns_count 1",
-		"rvm_recovery_build_ns_count 1", "rvm_recovery_apply_ns_count 1"} {
+	for _, want := range []string{"rvm_recovery_scan_ns_count 1", "rvm_recovery_apply_ns_count 1"} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("/metrics body missing %q", want)
 		}
@@ -340,7 +337,7 @@ func TestRecoveryPhasesSurface(t *testing.T) {
 	lintProm(t, string(raw))
 
 	out := runTool(t, "rvmstat", "-url", srv.URL)
-	for _, row := range []string{"open-scan", "recovery-scan", "recovery-build", "recovery-apply"} {
+	for _, row := range []string{"recovery-scan", "recovery-apply"} {
 		if !strings.Contains(out, row) {
 			t.Errorf("rvmstat view missing the %q row:\n%s", row, out)
 		}
