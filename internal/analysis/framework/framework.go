@@ -197,10 +197,10 @@ func PathCovers(cover, use string) bool {
 	return strings.HasPrefix(use, cover+".")
 }
 
-// IsMutexType reports whether t is sync.Mutex, sync.RWMutex, or the
-// engine's class-counting obs.Mutex (or a pointer to one).
+// IsMutexType reports whether t is sync.Mutex or sync.RWMutex (or a pointer
+// to one).
 func IsMutexType(t types.Type) bool {
-	return TypeIs(t, "sync", "Mutex") || TypeIs(t, "sync", "RWMutex") || TypeIs(t, "internal/obs", "Mutex")
+	return TypeIs(t, "sync", "Mutex") || TypeIs(t, "sync", "RWMutex")
 }
 
 // --- suppression directives ---

@@ -1,13 +1,11 @@
 package lockorder_test
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/rvm-go/rvm/internal/analysis/analysistest"
 	"github.com/rvm-go/rvm/internal/analysis/framework"
 	"github.com/rvm-go/rvm/internal/analysis/lockorder"
-	"github.com/rvm-go/rvm/internal/obs"
 )
 
 // testHierarchy mirrors the engine's table, scoped to the golden
@@ -38,27 +36,6 @@ func TestDefaultHierarchyShape(t *testing.T) {
 			t.Errorf("duplicate class name %q", e.Name)
 		}
 		names[e.Name] = true
-	}
-}
-
-// TestHierarchyMatchesLockClasses pins the correspondence between the
-// static table and the runtime contention classes: every obs.LockClass
-// names exactly one entry of DefaultHierarchy — "group_commit" the owner
-// type groupCommit — so the contention profile
-// (Metrics.LockAcquired/LockContended) and the lockorder analyzer cannot
-// call different locks by one name.
-func TestHierarchyMatchesLockClasses(t *testing.T) {
-	seen := map[string]int{}
-	for _, e := range lockorder.DefaultHierarchy.Entries {
-		seen[strings.ToLower(e.Type)]++
-	}
-	for c := obs.LockClass(0); c < obs.NumLockClasses; c++ {
-		if n := seen[strings.ReplaceAll(c.String(), "_", "")]; n != 1 {
-			t.Errorf("lock class %q names %d entries of DefaultHierarchy, want exactly one", c, n)
-		}
-		if c.String() == "unknown" {
-			t.Errorf("lock class %d has no name registered", c)
-		}
 	}
 }
 

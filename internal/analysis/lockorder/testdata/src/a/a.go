@@ -3,11 +3,7 @@
 // (20, ordered) → pipeline.mu (30) → Log.mu (50).
 package a
 
-import (
-	"sync"
-
-	"github.com/rvm-go/rvm/internal/obs"
-)
+import "sync"
 
 type Engine struct {
 	mu   sync.Mutex
@@ -24,16 +20,33 @@ type pipeline struct {
 	mu sync.Mutex
 }
 
-// Log's mutex is an obs.Mutex: its class is still (a, Log, mu), the owner
-// and field of the declaration, exactly as for a sync.Mutex.
 type Log struct {
-	mu obs.Mutex
+	mu sync.Mutex
 }
 
 // stray is a mutex owned by a covered package but missing from the
 // table: any interaction with a table lock is an unknown edge.
 type stray struct {
 	mu sync.Mutex
+}
+
+// A Region lock taken under the pipeline lock inverts the order every
+// committer relies on: it holds its region locks across the pipeline
+// section.
+func badOrder(e *Engine, r *Region) {
+	e.pipe.mu.Lock()
+	defer e.pipe.mu.Unlock()
+	r.mu.Lock() // want `lock-order inversion: r.mu \(level 20, region lock\) acquired while holding e.pipe.mu \(level 30, pipeline lock`
+	r.data[0] = 1
+	r.mu.Unlock()
+}
+
+func goodOrder(e *Engine, r *Region) {
+	r.mu.Lock()
+	e.pipe.mu.Lock()
+	r.data[0] = 1
+	e.pipe.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // Strict descent is legal: engine → region → pipeline → log.
@@ -162,9 +175,9 @@ func allowed(e *Engine) {
 	e.mu.Unlock()
 }
 
-// An obs.Mutex is classed by where it is declared: Log.mu is level 50, so
-// the engine lock under it inverts, lexically and through a summary.
-func badObsMutexInversion(e *Engine) {
+// A lock is classed by where it is declared: Log.mu is level 50, so the
+// engine lock under it inverts, lexically and through a summary.
+func badLogInversion(e *Engine) {
 	e.log.mu.Lock()
 	defer e.log.mu.Unlock()
 	e.mu.Lock() // want `lock-order inversion: e.mu \(level 10, engine lock\) acquired while holding e.log.mu \(level 50, log lock`
@@ -176,7 +189,7 @@ func lockLog(l *Log) {
 	l.mu.Unlock()
 }
 
-func badObsMutexTransitive(e *Engine, l *Log, s *stray) {
+func badLogTransitive(e *Engine, l *Log, s *stray) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lockLog(l) // want `unknown lock edge: table lock a.Log.mu \(log lock\) \(via a.Log.mu.Lock\)`

@@ -9,7 +9,7 @@
 // l.mu around dev.Sync(), and the group-commit leader forces holding
 // neither gc.mu nor e.mu.
 //
-// Three rules:
+// Two rules:
 //
 //   - Rule A: a raw device sync — (*os.File).Sync, a Sync method on a
 //     Device interface, or syscall.Fsync/Fdatasync — under ANY held
@@ -22,15 +22,11 @@
 //     pipeline lock, so a force under wal.Log.mu, groupCommit.mu,
 //     iofault.Injector.mu, Engine.mu, Region.mu, or pipeline.mu is
 //     always a regression that re-serializes group commit.
-//   - Rule C: acquiring a Region lock while holding the log-pipeline
-//     lock.  The engine's lock hierarchy is Engine.mu, then Region
-//     locks in ascending index order, then pipeline.mu innermost; a
-//     commit holds its region locks across the pipeline section, so
-//     taking them in the other order is a lock-order inversion that can
-//     deadlock against every committer.  (The generalized hierarchy
-//     check over every lock class is the lockorder analyzer.)
 //
-// All three rules are interprocedural: each call site under a held
+// Lock order — a Region lock taken under the pipeline lock, say — is the
+// lockorder analyzer's.
+//
+// Both rules are interprocedural: each call site under a held
 // mutex is checked against the callee's whole-program effect summary
 // (framework.Summary), so a sync reached through any chain of helpers —
 // SetHead → setHeadLocked → persistStatusLocked → Device.Sync — is
@@ -53,35 +49,19 @@ import (
 // Analyzer is the locksync pass.
 var Analyzer = &framework.Analyzer{
 	Name: "locksync",
-	Doc:  "no fsync/Force under a held mutex; no Region lock under the log-pipeline lock",
+	Doc:  "no fsync/Force under a held mutex",
 	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
 	w := &walker{pass: pass}
-	hw := &framework.HeldWalker{Info: pass.TypesInfo, Prog: pass.Prog, Lock: w.checkLock, Call: w.checkCall}
+	hw := &framework.HeldWalker{Info: pass.TypesInfo, Prog: pass.Prog, Call: w.checkCall}
 	hw.Files(pass.Files)
 	return nil
 }
 
 type walker struct {
 	pass *framework.Pass
-}
-
-// checkLock applies Rule C to a lexical Lock: pipeline.mu is the innermost
-// lock of the engine hierarchy; a Region lock acquired under it inverts the
-// order every committer relies on.
-func (w *walker) checkLock(h framework.Held, held []framework.Held) {
-	if h.Key.Type != "Region" {
-		return
-	}
-	for _, hold := range held {
-		if hold.Key.Type == "pipeline" {
-			w.pass.Reportf(h.Pos, "Region lock %s acquired while holding log-pipeline lock %s (locked at %s); the hierarchy is Engine, then Region locks, then the pipeline lock innermost — acquire region locks before entering the pipeline",
-				h.Path, hold.Path, w.pass.Fset.Position(hold.Pos))
-			return
-		}
-	}
 }
 
 // checkCall applies Rule A and Rule B to one call: its callee, and any
@@ -138,20 +118,6 @@ func (w *walker) checkFunc(fn *types.Func, pos token.Pos, held []framework.Held)
 				w.pass.Reportf(pos, "call to %s forces the log (via %s) while holding %s (locked at %s); the engine forces holding no lock — release the mutex first or group commit re-serializes",
 					fn.Name(), sum.Forces.Path, h.Path, w.pass.Fset.Position(h.Pos))
 				return
-			}
-		}
-		// Rule C through calls: a callee that acquires a Region lock while
-		// the caller holds the pipeline lock inverts the hierarchy.
-		for key, eff := range sum.Acquires {
-			if key.Type != "Region" {
-				continue
-			}
-			for _, h := range held {
-				if h.Key.Type == "pipeline" {
-					w.pass.Reportf(pos, "call to %s acquires Region lock %s (via %s) while holding log-pipeline lock %s (locked at %s); the hierarchy is Engine, then Region locks, then the pipeline lock innermost",
-						fn.Name(), key, eff.Path, h.Path, w.pass.Fset.Position(h.Pos))
-					return
-				}
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sync"
 
-	"github.com/rvm-go/rvm/internal/obs"
 	"github.com/rvm-go/rvm/internal/wal"
 )
 
@@ -82,9 +81,8 @@ func goodForce(w *wrapper) error {
 // Since the engine-lock decomposition even the Engine's own mutex gets
 // no exemption: the engine forces the log holding no lock at all.
 type Engine struct {
-	mu   sync.Mutex
-	pipe pipeline
-	log  *wal.Log
+	mu  sync.Mutex
+	log *wal.Log
 }
 
 func (e *Engine) flushLocked() error {
@@ -100,31 +98,9 @@ func (e *Engine) flushUnlocked() error {
 	return l.Force()
 }
 
-// Rule C: the engine's lock hierarchy is Engine, then Region locks,
-// then the log-pipeline lock innermost.
-type pipeline struct {
-	mu sync.Mutex
-}
-
 type Region struct {
 	mu   sync.Mutex
 	data []byte
-}
-
-func badOrder(e *Engine, r *Region) {
-	e.pipe.mu.Lock()
-	defer e.pipe.mu.Unlock()
-	r.mu.Lock() // want `Region lock r.mu acquired while holding log-pipeline lock e.pipe.mu`
-	r.data[0] = 1
-	r.mu.Unlock()
-}
-
-func goodOrder(e *Engine, r *Region) {
-	r.mu.Lock()
-	e.pipe.mu.Lock()
-	r.data[0] = 1
-	e.pipe.mu.Unlock()
-	r.mu.Unlock()
 }
 
 // Forcing under a Region lock is Rule B like any other mutex: the
@@ -192,28 +168,6 @@ func badDispatch(s *store, sy syncer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return sy.persist() // want `performs a device sync \(via`
-}
-
-// The engine's instrumented locks are obs.Mutex, whose Lock is a module
-// method, not sync's: it must still be tracked as held.  (A helper taking
-// a *sync.Mutex would pass every rule silently — the walkers would simply
-// stop seeing the lock.)
-type obsPipe struct {
-	mu obs.Mutex
-	f  *os.File
-}
-
-func badObsMutex(p *obsPipe) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.f.Sync() // want `Sync called while holding p.mu`
-}
-
-func goodObsMutex(p *obsPipe) error {
-	p.mu.Lock()
-	f := p.f
-	p.mu.Unlock()
-	return f.Sync()
 }
 
 // Locks taken and released by helpers, as the commit path's region locks

@@ -15,11 +15,8 @@
 //     (wal.Log.mu, groupCommit.mu, iofault.Injector.mu, Engine.mu,
 //     Region.mu, pipeline.mu) must be released before emitting —
 //     capture the handle and the values under the lock, emit after
-//     unlocking.  Reading the tracer clock (Now) and the gauge /
-//     histogram read accessors are exempt: they are single atomic loads.
-//     The per-lock-class contention counters (LockAcquired,
-//     LockContended) are exempt by design: they record the acquisition
-//     of the very lock they run under and cost only atomic adds.
+//     unlocking.  Reading the tracer clock (Now) and the gauge and
+//     tracer read accessors are exempt: they are single atomic loads.
 //   - Rule B: an argument to an emission call that allocates — a fmt or
 //     strconv call, string concatenation, a string/[]byte conversion, a
 //     composite literal, make/new/append, or a closure.  Event payloads
@@ -71,15 +68,6 @@ func (w *walker) checkCall(call *ast.CallExpr, held []framework.Held) {
 				framework.RecvName(fn), fn.Name(), what)
 		}
 	}
-	// The lock-contention counters are the one sanctioned exception to
-	// Rule A: they record the acquisition of the lock that is being
-	// held, so by construction they run under it.  Both are single
-	// atomic adds on the registry (no histogram, no ring write), which
-	// is exactly the footprint the rule tolerates inside a critical
-	// section.  Rule B still applies to their arguments.
-	if fn.Name() == "LockAcquired" || fn.Name() == "LockContended" {
-		return
-	}
 	// Rule A: emission under any held mutex.
 	for _, h := range held {
 		w.pass.Reportf(call.Pos(), "%s.%s called while holding %s (locked at %s); capture values under the lock and emit after unlocking",
@@ -104,7 +92,7 @@ func isObsEmit(fn *types.Func) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Now", "Capacity", "Recorded", "Load", "Count", "Sum":
+	case "Now", "Capacity", "Recorded", "Load":
 		return false
 	}
 	return true

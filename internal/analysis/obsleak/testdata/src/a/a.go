@@ -110,47 +110,10 @@ func goodConst(tr *obs.Tracer) {
 	tr.Record(obs.EvTxBegin, uint64(len("literal")), 0, 0)
 }
 
-// The lock-contention counters run under the lock they just acquired —
-// that is their whole point — so Rule A exempts them.
-func contentionOK(l *log) {
-	l.mu.Lock()
-	l.met.LockAcquired(obs.LockPipeline)
-	l.met.LockContended(obs.LockPipeline, 12)
-	l.mu.Unlock()
-}
-
-// Rule B still applies to their arguments.
-func contentionAlloc(l *log, name string) {
-	l.mu.Lock()
-	l.met.LockContended(obs.LockPipeline, int64(len(fmt.Sprintf("x-%s", name)))) // want `allocates \(fmt.Sprintf\)`
-	l.mu.Unlock()
-}
-
 // The suppression directive waives the analyzer on the next line.
 func allowed(l *log) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	//rvmcheck:allow obsleak -- exercising the directive itself
 	l.tr.Record(obs.EvLogAppend, 1, 0, 0)
-}
-
-// An obs.Mutex is held like the sync.Mutex it replaces: emission under it
-// is Rule A.
-type pipe struct {
-	mu    obs.Mutex
-	met   *obs.Metrics
-	spool int64
-}
-
-func badObsMutex(p *pipe) {
-	p.mu.Lock()
-	p.met.ObserveSpoolFlush(p.spool) // want `ObserveSpoolFlush called while holding p.mu`
-	p.mu.Unlock()
-}
-
-func goodObsMutex(p *pipe) {
-	p.mu.Lock()
-	n, met := p.spool, p.met
-	p.mu.Unlock()
-	met.ObserveSpoolFlush(n)
 }

@@ -33,8 +33,9 @@ func (e *Engine) Checkpoint() error {
 		return err
 	}
 	e.stats.Checkpoints.Add(1)
-	e.met.ObserveCheckpoint(time.Since(t0).Nanoseconds())
+	ns := time.Since(t0).Nanoseconds()
+	e.met.ObserveCheckpoint(ns)
 	_, head := e.log.Head()
-	e.tr.SpanSince(obs.EvCheckpoint, t0, 0, pages, head)
+	e.tr.SpanFor(obs.EvCheckpoint, t0, ns, 0, pages, head)
 	return nil
 }

@@ -13,8 +13,9 @@
 // region locks the transaction's ranges go through the log pipeline in one
 // section — spooled for a lazy (no-flush) commit the spool can take, else
 // appended as one record behind the spool's, the drain — and then the log
-// is forced holding no lock.  A full log is handled in one place for commits
-// and spool flushes alike (retryLogFull).  There is one force protocol too:
+// is forced holding no lock.  A failed append — a full log or a transient
+// fault — is retried in one place for commits and spool flushes alike, once
+// the locks are released (retryAppend).  There is one force protocol too:
 // a flush commit, Flush and an epoch truncation all force through one ticket
 // (waitForced in groupcommit.go), the page cleaner's write-ahead force alone
 // takes none, and both run the one force helper (force), which times it.
@@ -44,14 +45,14 @@
 //	  - e.pipe.mu is the log pipeline: it serializes buildRanges-to-append
 //	    ordering, the spool, and the truncation queue.  It is the innermost
 //	    engine lock; holding it while acquiring a region lock is a
-//	    lock-order inversion (flagged by the rvmcheck locksync analyzer).
+//	    lock-order inversion (flagged by the rvmcheck lockorder analyzer).
 //
-// groupCommit's mutex and wal.Log's are leaves below all three.  r.mu,
-// e.pipe.mu and groupCommit's are obs.Mutex, bound to their obs.LockClass
-// and the registry, so every mu.Lock() feeds the class's contention counters
-// and stays a literal Lock call the rvmcheck walkers can follow.  The engine
-// is the only emitter, outside every lock: the log observes nothing.  No
-// fsync runs under any engine lock (locksync Rule A/B).  Engine-wide
+// groupCommit's mutex and wal.Log's are leaves below all three.  Every
+// engine lock is a plain sync.Mutex.  What a commit waits for them is
+// timed by its phases (lock_wait, pipe_wait, gc_follower; DESIGN.md §14);
+// any lock's contention, with its call stack, is in Go's mutex profile.
+// The engine is the only emitter, outside every lock: the log observes
+// nothing.  No fsync runs under any engine lock (locksync).  Engine-wide
 // counters, the active-transaction count, the transaction-ID source, the
 // poisoned/closed flags and the last truncation failure are atomics.
 package core
@@ -187,7 +188,7 @@ type counters = statsOf[atomic.Uint64]
 // innermost engine lock: code holding pipe.mu must not acquire e.mu or any
 // Region lock, and must never fsync.
 type pipeline struct {
-	mu obs.Mutex // obs.LockPipeline, bound at Open
+	mu sync.Mutex
 	// The spool (spool.go): committed no-flush transactions not yet in the
 	// log, in commit order, every one of them until a drain empties it.
 	spool       []*spooled
@@ -314,7 +315,7 @@ type Region struct {
 	// segment and its dirty bit set.  Guarded by eng.pipe.mu.
 	spoolRefs []int32
 
-	mu     obs.Mutex // obs.LockRegion, bound at Map; guards data/buf stability, nTx, mapped
+	mu     sync.Mutex // guards data/buf stability, nTx, mapped
 	buf    *mapping.Buffer
 	data   []byte
 	nTx    int // active transactions with ranges in this region
@@ -365,8 +366,6 @@ func Open(opts Options) (*Engine, error) {
 	e.truncThreshold.Store(math.Float64bits(opts.TruncateThreshold))
 	e.incremental.Store(opts.Incremental)
 	e.cond = sync.NewCond(&e.mu)
-	e.pipe.mu.Bind(obs.LockPipeline, e.met)
-	e.gc.mu.Bind(obs.LockGroupCommit, e.met)
 	e.gc.cond = sync.NewCond(&e.gc.mu)
 	if lg.Used() > 0 {
 		ep, st, err := redo.Redo(e.lookupSegment)
@@ -536,7 +535,6 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		spoolRefs: make([]int32, length/int64(mapping.PageSize)),
 		mapped:    true,
 	}
-	r.mu.Bind(obs.LockRegion, e.met)
 	e.pipe.mu.Lock()
 	e.regions = append(e.regions, r)
 	e.pipe.mu.Unlock()
@@ -796,9 +794,6 @@ func (e *Engine) Snapshot() (Snapshot, error) {
 
 // Tracer returns the tracer supplied at Open (nil when tracing is off).
 func (e *Engine) Tracer() *obs.Tracer { return e.tr }
-
-// Metrics returns the metrics registry supplied at Open (nil when off).
-func (e *Engine) Metrics() *obs.Metrics { return e.met }
 
 // Close flushes committed work, truncates the log, and releases all files.
 // It fails if transactions are still active.  Mapped regions are released

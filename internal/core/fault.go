@@ -29,17 +29,25 @@ const (
 // retryIO runs op, retrying transient storage faults with exponential
 // backoff.  Non-transient errors return immediately.
 func (e *Engine) retryIO(op func() error) error {
-	backoff := retryBackoff
-	for attempt := 0; ; attempt++ {
+	for retries := 0; ; retries++ {
 		err := op()
-		if err == nil || attempt >= maxRetries || !iofault.IsTransient(err) {
+		if err == nil || e.backoff(err, retries) != nil {
 			return err
 		}
-		e.stats.Retries.Add(1)
-		e.tr.Record(obs.EvRetry, 0, uint64(attempt+1), 0)
-		time.Sleep(backoff)
-		backoff *= 2
 	}
+}
+
+// backoff is the retry policy for a storage operation that failed with err
+// after retries earlier retries: nil once the retry is counted and slept
+// out, else err.  A section that fails under a lock backs off without it.
+func (e *Engine) backoff(err error, retries int) error {
+	if retries >= maxRetries || !iofault.IsTransient(err) {
+		return err
+	}
+	e.stats.Retries.Add(1)
+	e.tr.Record(obs.EvRetry, 0, uint64(retries+1), 0)
+	time.Sleep(retryBackoff << retries)
+	return nil
 }
 
 // isLogicalErr reports the caller/space conditions that flow through the

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,6 +102,48 @@ func TestTransientFaultRetried(t *testing.T) {
 	r2 := v.mapWhole()
 	if got := r2.Data()[64:71]; !bytes.Equal(got, []byte("retried")) {
 		t.Fatalf("recovered %q", got)
+	}
+}
+
+// TestAppendRetryReleasesPipeline: a commit whose record write meets
+// transient faults backs off with the pipeline lock released, so a Query
+// started at the first failed write returns before the last retry reaches
+// the device.  Backing off under the lock would queue every committer
+// behind 1+2+4 ms of sleep.
+func TestAppendRetryReleasesPipeline(t *testing.T) {
+	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := v.mapWhole()
+	v.commit1(r, 0, []byte("clean"))
+
+	var writes atomic.Int32
+	var queried atomic.Bool
+	lastWrite := make(chan bool, 1) // whether the Query had returned by then
+	v.logInj.Add(iofault.Fault{Ops: iofault.OpWrite, Count: maxRetries})
+	v.logInj.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op != iofault.OpWrite {
+			return
+		}
+		switch writes.Add(1) {
+		case 1:
+			go func() {
+				if _, err := v.eng.Query(nil); err == nil {
+					queried.Store(true)
+				}
+			}()
+		case maxRetries + 1:
+			lastWrite <- queried.Load()
+		}
+	})
+	v.commit1(r, 64, []byte("retried"))
+	v.logInj.SetHook(nil)
+	if !<-lastWrite {
+		t.Fatal("a Query started at the first failed append returned only after the last retry: the append backed off holding the pipeline lock")
+	}
+	if st := v.eng.Stats(); st.Retries != maxRetries {
+		t.Fatalf("Stats().Retries = %d, want %d", st.Retries, maxRetries)
 	}
 }
 

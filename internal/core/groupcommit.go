@@ -37,7 +37,7 @@ import (
 // ErrPoisoned.  No waiter can be acknowledged by a failed force, because
 // ForcedThrough only advances when a force completes successfully.
 type groupCommit struct {
-	mu      obs.Mutex  // obs.LockGroupCommit, bound at Open
+	mu      sync.Mutex
 	cond    *sync.Cond // signalled when a force completes (either outcome)
 	forcing bool       // a leader is mid-force
 	err     error      // sticky outcome of a failed force (engine poisoned)

@@ -7,8 +7,8 @@ import (
 )
 
 // The stall watchdog (DESIGN.md §14) watches the engine's long-running
-// operations — log forces, group-commit waits, truncations, checkpoints,
-// recovery — and flags any instance that stays in flight past the
+// operations — log forces, group-commit waits, truncations, checkpoints —
+// and flags any instance that stays in flight past the
 // configured budget.  The watched code paths bracket themselves with
 // Metrics.OpEnter/OpExit (two atomic ops each); the watchdog goroutine
 // polls the resulting gates a few times per budget and, when a gate has
@@ -34,23 +34,14 @@ var stallBudget = time.Second
 func (e *Engine) startStallWatchdog(budget time.Duration) {
 	// Poll several times per budget so detection lags the budget by a
 	// fraction, clamped to keep the idle engine's wakeup rate sane.
-	tick := budget / 8
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
+	tick := min(max(budget/8, 5*time.Millisecond), 250*time.Millisecond)
 	var reported [obs.NumStallClasses]int64 // gate start last reported per class
 	e.stallLoop.start(tick, func() {
 		now := time.Now().UnixNano()
 		for c := obs.StallClass(0); c < obs.NumStallClasses; c++ {
 			start := e.met.OpActiveSince(c)
-			if start == 0 || now-start < budget.Nanoseconds() {
-				continue
-			}
-			if reported[c] == start {
-				continue // this episode was already reported
+			if start == 0 || now-start < budget.Nanoseconds() || reported[c] == start {
+				continue // idle, within budget, or this episode already reported
 			}
 			reported[c] = start
 			dur := now - start

@@ -27,13 +27,14 @@ func (e *Engine) Flush() error {
 // flushSpool drains the spool into the log and forces it through the
 // drain's record, which also covers every record a flush commit drained
 // before it.  claimed says whether the caller already holds the truncation
-// slot, which decides how a full log is handled (retryLogFull).  The force
+// slot, which decides how a full log is handled (retryAppend).  The force
 // is a ticket (waitForced), taken with no lock held.
 func (e *Engine) flushSpool(claimed bool) error {
 	t0 := time.Now()
 	p := &e.pipe
 	var drained int64
 	var last uint64
+	var tries appendTries
 	for attempt := 0; ; attempt++ {
 		p.mu.Lock()
 		if attempt == 0 {
@@ -48,7 +49,7 @@ func (e *Engine) flushSpool(claimed bool) error {
 		if err == nil {
 			break
 		}
-		if err = e.retryLogFull(err, attempt, need, claimed, " while flushing the spool"); err != nil {
+		if err = e.retryAppend(err, &tries, need, claimed, " while flushing the spool"); err != nil {
 			return err
 		}
 	}
@@ -56,30 +57,35 @@ func (e *Engine) flushSpool(claimed bool) error {
 		return err
 	}
 	e.stats.Flushes.Add(1)
-	e.met.ObserveSpoolFlush(time.Since(t0).Nanoseconds())
-	e.tr.SpanSince(obs.EvSpoolFlush, t0, 0, uint64(drained), 0)
+	ns := time.Since(t0).Nanoseconds()
+	e.met.ObserveSpoolFlush(ns)
+	e.tr.SpanFor(obs.EvSpoolFlush, t0, ns, 0, uint64(drained), 0)
 	return nil
 }
 
-// retryLogFull is the one policy for an append that failed: it returns nil
-// once there is room and the caller should try again, otherwise the error
-// to give up with.  Only ErrLogFull is retried, three times, each after an
-// epoch truncation; the give-up error says why, so the
-// caller can tell "log too small for this record" (need bytes) from a log
-// that is merely busy.  A caller that does not hold the truncation slot
-// (claimed false) claims it for the truncation — which also waits out any
-// truncation already in flight, after which the space it freed may already
-// suffice; one that does truncates inline, since waiting for the slot it
-// owns would deadlock.
-func (e *Engine) retryLogFull(err error, attempt int, need int64, claimed bool, doing string) error {
+// appendTries counts an append's retries by cause (retryAppend).
+type appendTries struct{ full, transient int }
+
+// retryAppend is the one policy for an append that failed, called once the
+// caller holds no lock: nil means try again, else the error to give up
+// with.  A transient fault backs off as in retryIO.  ErrLogFull is retried
+// three times, each after an epoch truncation; the give-up error tells "log
+// too small for this record" (need bytes) from a log that is merely busy.
+// A caller that does not hold the truncation slot (claimed false) claims
+// it for the truncation — which also waits out any truncation already in
+// flight, after which the space it freed may already suffice; one that
+// does truncates inline, since waiting for the slot it owns would deadlock.
+func (e *Engine) retryAppend(err error, tries *appendTries, need int64, claimed bool, doing string) error {
 	if !errors.Is(err, wal.ErrLogFull) {
-		return err
+		tries.transient++
+		return e.backoff(err, tries.transient-1)
 	}
-	if attempt >= 3 {
+	if tries.full >= 3 {
 		return fmt.Errorf(
 			"rvm: log full after %d inline truncations%s (record needs %d bytes, log area %d bytes, %d live): %w",
-			attempt, doing, need, e.log.AreaSize(), e.log.Used(), err)
+			tries.full, doing, need, e.log.AreaSize(), e.log.Used(), err)
 	}
+	tries.full++
 	if !claimed {
 		if err := e.claimTruncation(); err != nil {
 			return err
@@ -120,7 +126,7 @@ func (e *Engine) truncate(target int64) error {
 	}
 	pages, err := e.truncateClaimed(target, &e.stats.IncrSteps, true)
 	e.releaseTruncation()
-	e.tr.SpanSince(obs.EvTruncIncr, t0, 0, pages, 0)
+	e.tr.SpanFor(obs.EvTruncIncr, t0, time.Since(t0).Nanoseconds(), 0, pages, 0)
 	return err
 }
 
@@ -132,7 +138,7 @@ const (
 
 // epoch runs an epoch truncation — the paper's log-replay fallback — under
 // the caller's truncation claim.  It has two callers, its two roads:
-// truncateClaimed, when the cleaner is blocked, and retryLogFull, whose
+// truncateClaimed, when the cleaner is blocked, and retryAppend, whose
 // caller's own page references are among the pins.  The spool is not
 // touched.  Every record the epoch contains is durable before any of it
 // reaches a segment (the no-undo/redo invariant): collectEpochPipe forces
@@ -167,8 +173,9 @@ func (e *Engine) epoch(road uint64) error {
 	if road == epochLogFull {
 		e.stats.EpochTruncsLogFull.Add(1)
 	}
-	e.met.ObserveTruncPause((time.Since(t0) - applied).Nanoseconds())
-	e.tr.SpanSince(obs.EvTruncEpoch, t0, 0, uint64(ep.Records()), road)
+	took := time.Since(t0)
+	e.met.ObserveTruncPause((took - applied).Nanoseconds())
+	e.tr.SpanFor(obs.EvTruncEpoch, t0, took.Nanoseconds(), 0, uint64(ep.Records()), road)
 	return nil
 }
 
@@ -195,22 +202,20 @@ func (e *Engine) applyPending() error {
 // collectEpochPipe snapshots the live log as a truncation epoch and
 // publishes its end sequence, both under the pipeline lock: any commit
 // appending after the collection then sees epochEndSeq set and promotes
-// re-modified pages to their new (surviving) log reference.  The epoch may
-// hold records not yet forced, so it takes a ticket through its last
-// record before it is returned to be applied.
-func (e *Engine) collectEpochPipe() (*recovery.Epoch, error) {
+// re-modified pages to their new (surviving) log reference.  A transient
+// fault is backed off with the lock released.  The epoch may hold records
+// not yet forced, so it takes a ticket through its last record before it is
+// returned to be applied.
+func (e *Engine) collectEpochPipe() (ep *recovery.Epoch, err error) {
 	p := &e.pipe
-	p.mu.Lock()
-	var ep *recovery.Epoch
-	err := e.retryIO(func() error {
-		var err error
-		ep, err = recovery.CollectEpoch(e.log)
+	err = e.retryIO(func() (err error) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if ep, err = recovery.CollectEpoch(e.log); err == nil {
+			p.epochEndSeq = ep.EndSeq()
+		}
 		return err
 	})
-	if err == nil {
-		p.epochEndSeq = ep.EndSeq()
-	}
-	p.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +442,7 @@ func (e *Engine) reclaimableTo(pos int64) int64 {
 	return freed
 }
 
-// truncateClaimed is every truncation but retryLogFull's, under the
+// truncateClaimed is every truncation but retryAppend's, under the
 // caller's truncation claim: it flushes the spool, has the cleaner write
 // pages, counting them on count, until at most target log bytes would stay
 // live, and moves the head.  When the cleaner stopped at a page that stayed
@@ -469,8 +474,9 @@ func (e *Engine) truncateClaimed(target int64, count *atomic.Uint64, fallback bo
 	if err == nil && blocked {
 		return pages, e.maybePoison(e.epoch(epochBlocked))
 	}
-	e.met.ObserveTruncPause(time.Since(pause).Nanoseconds())
-	e.tr.SpanSince(obs.EvTruncPause, pause, 0, pages, 0)
+	ns := time.Since(pause).Nanoseconds()
+	e.met.ObserveTruncPause(ns)
+	e.tr.SpanFor(obs.EvTruncPause, pause, ns, 0, pages, 0)
 	return pages, e.maybePoison(err)
 }
 

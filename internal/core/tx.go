@@ -557,7 +557,8 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	var drained, own appended // the last attempt's records, traced once it holds no lock
 	var rangeBuf [4]wal.Range // what a transaction of a few ranges builds in
 	var pageBuf [8]pagevec.PageID
-	for attempt := 0; ; attempt++ {
+	var tries appendTries
+	for {
 		// Ranges are rebuilt per attempt: they alias region memory, which
 		// is only stable while the region locks are held.
 		t.lockRegions()
@@ -619,7 +620,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		if drained.n > 0 { // the drain got in, the record behind it did not
 			e.tr.Record(obs.EvLogAppend, drained.tid, uint64(drained.n), drained.seq)
 		}
-		if err = e.retryLogFull(err, attempt, need, false, ""); err != nil {
+		if err = e.retryAppend(err, &tries, need, false, ""); err != nil {
 			// A storage fault poisons the engine and abandons the
 			// transaction; a logical failure (log full) leaves it live for
 			// the caller to retry or abort.
@@ -627,7 +628,7 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			t.abandonIfPoisoned(err)
 			return err
 		}
-		appendNs += clk.lap() // making room is part of getting the record in
+		appendNs += clk.lap() // making room, or backing off, is part of getting the record in
 	}
 	for _, rec := range [...]appended{drained, own} {
 		if rec.n > 0 {
@@ -664,16 +665,17 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 	}
 	trigger := e.shouldAutoTruncate()
 	if !t0.IsZero() {
-		// Force-wait is observed only when a force ran: a lazy commit's
-		// durability is the later Flush's, timed there.
+		// One clock reading feeds both sinks.  Force-wait is observed only
+		// when a force ran: a lazy commit's is the later Flush's.
+		ns := time.Since(t0).Nanoseconds()
 		if lazy {
 			e.met.ObserveCommitFront(lockNs, encodeNs, pipeNs, appendNs)
-			e.met.ObserveCommitNoFlush(time.Since(t0).Nanoseconds())
-			e.tr.SpanSince(obs.EvCommitNoFlush, t0, t.id, uint64(nbytes), 0)
+			e.met.ObserveCommitNoFlush(ns)
+			e.tr.SpanFor(obs.EvCommitNoFlush, t0, ns, t.id, uint64(nbytes), 0)
 		} else {
 			e.met.ObserveCommitPhases(lockNs, encodeNs, pipeNs, appendNs, forceNs, fsyncNs, led)
-			e.met.ObserveCommitFlush(time.Since(t0).Nanoseconds())
-			e.tr.SpanSince(obs.EvCommitFlush, t0, t.id, uint64(nbytes), own.seq)
+			e.met.ObserveCommitFlush(ns)
+			e.tr.SpanFor(obs.EvCommitFlush, t0, ns, t.id, uint64(nbytes), own.seq)
 		}
 	}
 	if trigger {
@@ -723,16 +725,13 @@ func (e *Engine) enqueuePagePipeLocked(id pagevec.PageID, pos int64, seq uint64)
 	}
 }
 
-// appendPipeLocked appends a record to the log, retrying transient faults.
+// appendPipeLocked appends a record to the log.  A failed append leaves the
+// log as it was; the caller retries it once it holds no lock (retryAppend).
 // Caller holds e.pipe.mu, which is what serializes commit order into the
 // log.
 func (e *Engine) appendPipeLocked(tid uint64, flags uint8, ranges []wal.Range) (rec appended, err error) {
 	rec.tid = tid
-	err = e.retryIO(func() error {
-		var aerr error
-		rec.pos, rec.seq, rec.n, aerr = e.log.Append(tid, flags, ranges)
-		return aerr
-	})
+	rec.pos, rec.seq, rec.n, err = e.log.Append(tid, flags, ranges)
 	return rec, err
 }
 

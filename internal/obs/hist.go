@@ -16,7 +16,6 @@ import (
 // The zero Hist is ready to use.  All methods are safe for concurrent
 // use.
 type Hist struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	max     atomic.Uint64
 	buckets [numBuckets]atomic.Uint64
@@ -54,7 +53,6 @@ func (h *Hist) Observe(v int64) {
 		v = 0
 	}
 	u := uint64(v)
-	h.count.Add(1)
 	h.sum.Add(u)
 	for {
 		cur := h.max.Load()
@@ -65,16 +63,10 @@ func (h *Hist) Observe(v int64) {
 	h.buckets[bucketOf(u)].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Hist) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Hist) Sum() uint64 { return h.sum.Load() }
-
 // HistStat is a JSON-marshalable summary of a histogram: cumulative
-// count and sum plus quantiles estimated from the buckets (each quantile
-// is interpolated inside the bucket it falls in, so it is accurate to
-// within a quarter of its value).
+// count (the sum of the buckets) and sum plus quantiles estimated from the
+// buckets (each quantile is interpolated inside the bucket it falls in, so
+// it is accurate to within a quarter of its value).
 type HistStat struct {
 	Count uint64  `json:"count"`
 	Sum   uint64  `json:"sum"`
@@ -95,13 +87,11 @@ func (h *Hist) Snapshot() HistStat {
 		counts[i] = h.buckets[i].Load()
 		total += counts[i]
 	}
-	st := HistStat{Count: h.count.Load(), Sum: h.sum.Load(), Max: int64(h.max.Load())}
-	if st.Count > 0 {
-		st.Mean = float64(st.Sum) / float64(st.Count)
-	}
+	st := HistStat{Count: total, Sum: h.sum.Load(), Max: int64(h.max.Load())}
 	if total == 0 {
 		return st
 	}
+	st.Mean = float64(st.Sum) / float64(total)
 	st.P50 = quantile(&counts, total, 0.50)
 	st.P90 = quantile(&counts, total, 0.90)
 	st.P99 = quantile(&counts, total, 0.99)

@@ -3,10 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistSingleObservation(t *testing.T) {
@@ -53,105 +50,6 @@ func TestHistQuantileNeverExceedsMax(t *testing.T) {
 	st := h.Snapshot()
 	if st.P99 > st.Max {
 		t.Errorf("p99 = %d exceeds max %d", st.P99, st.Max)
-	}
-}
-
-func TestLockClassNames(t *testing.T) {
-	seen := map[string]bool{}
-	for c := LockClass(0); c < NumLockClasses; c++ {
-		name := c.String()
-		if name == "" || name == "unknown" {
-			t.Errorf("class %d has no name", c)
-		}
-		if seen[name] {
-			t.Errorf("duplicate lock class name %q", name)
-		}
-		seen[name] = true
-	}
-	if LockClass(99).String() != "unknown" || LockClass(-1).String() != "unknown" {
-		t.Error("out-of-range class should be unknown")
-	}
-}
-
-func TestLockCounters(t *testing.T) {
-	m := NewMetrics()
-	m.LockAcquired(LockPipeline)
-	m.LockAcquired(LockPipeline)
-	m.LockContended(LockPipeline, 1500)
-	m.LockAcquired(LockRegion)
-
-	sn := m.Snapshot()
-	if len(sn.Locks) != int(NumLockClasses) {
-		t.Fatalf("locks = %d entries, want %d", len(sn.Locks), NumLockClasses)
-	}
-	byClass := map[string]LockStat{}
-	for _, l := range sn.Locks {
-		byClass[l.Class] = l
-	}
-	w := byClass["pipeline"]
-	// A contended acquisition counts as an acquire too.
-	if w.Acquires != 3 || w.Slow != 1 || w.WaitNs != 1500 {
-		t.Errorf("pipeline = %+v, want acquires=3 slow=1 wait=1500", w)
-	}
-	if r := byClass["region"]; r.Acquires != 1 || r.Slow != 0 {
-		t.Errorf("region = %+v, want acquires=1 slow=0", r)
-	}
-
-	// Nil and out-of-range are no-ops, not panics.
-	var nilM *Metrics
-	nilM.LockAcquired(LockPipeline)
-	nilM.LockContended(LockPipeline, 1)
-	m.LockAcquired(LockClass(250))
-	m.LockContended(LockClass(250), 1)
-	m.LockAcquired(LockClass(-1))
-}
-
-// TestMutexCountsItsClass: an unbound Mutex is a plain mutex; bound, every
-// Lock is one acquisition of its class, a blocked one slow with its wait;
-// and it is the Locker of a sync.Cond, as groupCommit uses it.
-func TestMutexCountsItsClass(t *testing.T) {
-	var mu Mutex
-	mu.Lock()
-	mu.Unlock()
-
-	m := NewMetrics()
-	mu.Bind(LockPipeline, m)
-	stat := func() LockStat { return m.Snapshot().Locks[LockPipeline] }
-	mu.Lock()
-	if s := stat(); s.Acquires != 1 || s.Slow != 0 {
-		t.Fatalf("after one free Lock: %+v", s)
-	}
-	acquired := make(chan struct{})
-	go func() {
-		mu.Lock() // blocks until the Unlock below
-		mu.Unlock()
-		close(acquired)
-	}()
-	for i := 0; i < 1000; i++ {
-		runtime.Gosched() // let the goroutine reach its Lock
-	}
-	time.Sleep(time.Millisecond)
-	mu.Unlock()
-	<-acquired
-	if s := stat(); s.Class != "pipeline" || s.Acquires != 2 || s.Slow > 1 || (s.Slow == 1) != (s.WaitNs > 0) {
-		t.Fatalf("after a second, possibly blocked Lock: %+v", s)
-	}
-
-	cond := sync.NewCond(&mu)
-	ready := false
-	go func() {
-		mu.Lock()
-		ready = true
-		mu.Unlock()
-		cond.Broadcast()
-	}()
-	mu.Lock()
-	for !ready {
-		cond.Wait()
-	}
-	mu.Unlock()
-	if s := stat(); s.Acquires < 4 {
-		t.Fatalf("Locks around a Cond went uncounted: %+v", s)
 	}
 }
 
@@ -252,7 +150,6 @@ func TestRecoveryGauges(t *testing.T) {
 
 func TestLockStallSnapshotJSON(t *testing.T) {
 	m := NewMetrics()
-	m.LockAcquired(LockRegion)
 	m.RecordStall(StallGroupWait, 42)
 	data, err := json.Marshal(m.Snapshot())
 	if err != nil {
@@ -262,8 +159,8 @@ func TestLockStallSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if len(back.Locks) != int(NumLockClasses) {
-		t.Errorf("locks round trip lost entries: %d", len(back.Locks))
+	if len(back.Stalls) != 4 { // force, group_wait, truncation, checkpoint
+		t.Errorf("stalls round trip = %d entries, want 4", len(back.Stalls))
 	}
 	if back.LastStall == nil || back.LastStall.Class != "group_wait" {
 		t.Errorf("last stall round trip = %+v", back.LastStall)

@@ -62,9 +62,7 @@ type metricsOf[H, G any] struct {
 type Metrics struct {
 	metricsOf[Hist, Gauge]
 
-	// Per-lock-class contention counters (lock.go) and stall-watchdog
-	// state (stall.go).
-	locks  [NumLockClasses]lockCounters
+	// Stall-watchdog state (stall.go).
 	gates  [NumStallClasses]opGate
 	stalls [NumStallClasses]Counter
 
@@ -202,11 +200,10 @@ func (m *Metrics) AddRecoveryReplayed(d int64) {
 
 // MetricsSnapshot is the JSON-marshalable summary of a registry: the
 // declaration above with every histogram summarized and every gauge
-// loaded, plus the label-keyed lock and stall tables.
+// loaded, plus the label-keyed stall table.
 type MetricsSnapshot struct {
 	metricsOf[HistStat, int64]
 
-	Locks     []LockStat  `json:"locks,omitempty"`
 	Stalls    []StallStat `json:"stalls,omitempty"`
 	LastStall *LastStall  `json:"last_stall,omitempty"`
 }
@@ -217,7 +214,7 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 	if m == nil {
 		return nil
 	}
-	sn := &MetricsSnapshot{Locks: m.lockStats(), Stalls: m.stallStats(), LastStall: m.lastStall()}
+	sn := &MetricsSnapshot{Stalls: m.stallStats(), LastStall: m.lastStall()}
 	Load(&sn.metricsOf, &m.metricsOf)
 	return sn
 }

@@ -151,14 +151,6 @@ func (t *Tracer) Record(typ EventType, tid, a, b uint64) {
 	t.put(typ, t.Now(), 0, tid, a, b)
 }
 
-// SpanSince appends a span that started at the wall-clock time start and
-// ends now.
-func (t *Tracer) SpanSince(typ EventType, start time.Time, tid, a, b uint64) {
-	if t != nil {
-		t.SpanFor(typ, start, time.Since(start).Nanoseconds(), tid, a, b)
-	}
-}
-
 // SpanFor appends a span that started at the wall-clock time start and
 // lasted dur nanoseconds: a caller that timed an operation feeds the one
 // reading to both sinks.

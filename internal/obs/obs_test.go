@@ -12,7 +12,7 @@ import (
 func TestTracerRecordAndEvents(t *testing.T) {
 	tr := NewTracer(128)
 	tr.Record(EvTxBegin, 7, 0, 0)
-	tr.SpanSince(EvCommitFlush, time.Now(), 7, 512, 0)
+	tr.SpanFor(EvCommitFlush, time.Now(), 3, 7, 512, 0)
 	tr.Record(EvTxAbort, 8, 0, 0)
 
 	evs := tr.Events()
@@ -62,7 +62,6 @@ func TestTracerWrapAround(t *testing.T) {
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(EvTxBegin, 1, 2, 3)
-	tr.SpanSince(EvLogForce, time.Now(), 0, 0, 0)
 	tr.SpanFor(EvLogForce, time.Now(), 1, 0, 0, 0)
 	if tr.Now() != 0 || tr.Recorded() != 0 || tr.Capacity() != 0 {
 		t.Error("nil tracer accessors should return zero")
@@ -118,13 +117,13 @@ func TestHistObserve(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 100, 1000, -5} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
-	}
-	if h.Sum() != 1106 { // -5 clamps to 0
-		t.Fatalf("sum = %d, want 1106", h.Sum())
-	}
 	st := h.Snapshot()
+	if st.Count != 6 {
+		t.Fatalf("count = %d, want 6", st.Count)
+	}
+	if st.Sum != 1106 { // -5 clamps to 0
+		t.Fatalf("sum = %d, want 1106", st.Sum)
+	}
 	if st.Max != 1000 {
 		t.Errorf("max = %d, want 1000", st.Max)
 	}
@@ -181,8 +180,8 @@ func TestHistConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != workers*perWorker {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*perWorker)
+	if n := h.Snapshot().Count; n != workers*perWorker {
+		t.Fatalf("count = %d, want %d", n, workers*perWorker)
 	}
 }
 
@@ -229,7 +228,7 @@ func TestMetricsSnapshotJSON(t *testing.T) {
 func TestWriteTraceJSON(t *testing.T) {
 	tr := NewTracer(64)
 	tr.Record(EvTxBegin, 1, 0, 0)
-	tr.SpanSince(EvLogForce, time.Now(), 0, 2, 9)
+	tr.SpanFor(EvLogForce, time.Now(), 5, 0, 2, 9)
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf, FormatJSON); err != nil {
@@ -247,7 +246,7 @@ func TestWriteTraceJSON(t *testing.T) {
 func TestWriteTraceChrome(t *testing.T) {
 	tr := NewTracer(64)
 	tr.Record(EvTxBegin, 1, 0, 0)
-	tr.SpanSince(EvTruncEpoch, time.Now(), 0, 4, 0)
+	tr.SpanFor(EvTruncEpoch, time.Now(), 5, 0, 4, 0)
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf, FormatChrome); err != nil {

@@ -17,7 +17,6 @@ const (
 	StallGroupWait
 	StallTruncation
 	StallCheckpoint
-	StallRecovery
 	NumStallClasses
 )
 
@@ -26,7 +25,6 @@ var stallNames = [NumStallClasses]string{
 	StallGroupWait:  "group_wait",
 	StallTruncation: "truncation",
 	StallCheckpoint: "checkpoint",
-	StallRecovery:   "recovery",
 }
 
 // String returns the class's stable short name, used as the `class`

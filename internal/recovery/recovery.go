@@ -173,11 +173,6 @@ func (r *Restart) consume(recs []wal.Record) error {
 // phases reported are the scan, which Open ran, and the apply, which Apply
 // reports whenever it runs.
 func (r *Restart) Redo(lookup SegmentLookup) (ep *Epoch, st Stats, err error) {
-	// The lookups run under the recovery stall gate: restart hangs (a dead
-	// segment device) surface through the watchdog like any other stalled
-	// operation.
-	r.met.OpEnter(obs.StallRecovery)
-	defer r.met.OpExit(obs.StallRecovery)
 	ep = r.ep
 	ep.head = tailOf(r.log)
 	ep.stats.ScannedBytes = uint64(r.log.Used())

@@ -112,7 +112,8 @@ func TestWaiverBudget(t *testing.T) {
 // sync/atomic function (atomicfield checked the fields such calls touch;
 // typed atomics need no check, the compiler forbids plain access), and a
 // sync.Pool (poolescape checked that pooled buffers neither outlive their
-// Put nor are used after it).
+// Put nor are used after it).  It also keeps out TryLock and TryRLock, whose
+// locks the lock walkers do not see.
 func TestNoRetiredShapes(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -149,6 +150,10 @@ func TestNoRetiredShapes(t *testing.T) {
 						fset.Position(sel.Pos()), sel.Sel.Name)
 				}
 			case *ast.SelectorExpr:
+				if n.Sel.Name == "TryLock" || n.Sel.Name == "TryRLock" {
+					t.Errorf("%s: %s is back; the held-lock walker and the summaries model only Lock and RLock, so a lock taken this way is held by nothing locksync, obsleak or lockorder can see — bringing it back means teaching the walker to see it",
+						fset.Position(n.Pos()), n.Sel.Name)
+				}
 				if n.Sel.Name == "Pool" && pkgIs(names, n, "sync") {
 					t.Errorf("%s: sync.Pool is back; poolescape, which checked that pooled buffers neither outlive their Put nor are used after it, was deleted when the last pool went — bringing the shape back means bringing the check back",
 						fset.Position(n.Pos()))

@@ -174,7 +174,6 @@ func TestPrometheusEndpoint(t *testing.T) {
 		`rvm_commit_phase_ns{phase="lock_wait",quantile="0.5"}`,
 		`rvm_commit_phase_ns{phase="force_wait",quantile="0.99"}`,
 		`rvm_commit_phase_ns_count{phase="append"}`,
-		`rvm_lock_acquires_total{class="pipeline"}`,
 		`rvm_stalls_total{class="force"}`,
 		"rvm_log_used_bytes",
 		"rvm_recovery_replayed_records",

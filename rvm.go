@@ -37,16 +37,16 @@
 // combination; only permanence is weakened by NoFlush.
 //
 // Duplicate, overlapping and adjacent SetRange calls within a transaction
-// are coalesced (intra-transaction optimization), and a no-flush commit
-// that subsumes an earlier unflushed one replaces it in the spool
-// (inter-transaction optimization), exactly as in §5.2 of the paper.  A
-// flush then writes the spool as one log record holding each spooled byte
-// once, with its newest value, however the spooled commits overlap.  A
-// Restore transaction logs of each declared range only the part from the
-// first to the last 8-byte word it changed: the words still equal to the
-// old values SetRange copied are left out at either end, unless another
-// transaction committed over the region meanwhile.  Stats reports the log
-// bytes each of the four saved.
+// are coalesced (intra-transaction optimization).  A flush writes the
+// spool as one log record holding each spooled byte once, with its newest
+// value, however the spooled commits overlap, so a no-flush commit that a
+// later one subsumes never reaches the log (inter-transaction
+// optimization); both are §5.2 of the paper.  A Restore transaction logs
+// of each declared range only the part from the first to the last 8-byte
+// word it changed: the words still equal to the old values SetRange copied
+// are left out at either end, unless another transaction committed over
+// the region meanwhile.  Stats reports the log bytes each of the four
+// saved.
 package rvm
 
 import (
