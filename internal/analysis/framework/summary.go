@@ -3,7 +3,7 @@
 // discipline analyzers ask about whole call chains:
 //
 //   - does calling this function (transitively) perform a raw device
-//     sync, or call a module Force/Sync method?
+//     sync, call a module Force/Sync method, or sleep?
 //   - which lock classes does it (transitively) acquire?
 //   - which lock classes does its own body hand to its caller — locked
 //     and never unlocked, or unlocked and never locked?
@@ -64,6 +64,8 @@ type Summary struct {
 	// Forces is non-nil when the function transitively calls a module
 	// method named Force or Sync.
 	Forces *Effect
+	// Sleeps is non-nil when the function transitively calls time.Sleep.
+	Sleeps *Effect
 	// Acquires maps each lock class the function transitively acquires
 	// to a witness effect.
 	Acquires map[LockKey]Effect
@@ -165,6 +167,11 @@ func IsForceMethod(fn *types.Func) bool {
 	return IsMethodNamed(fn, "Force", "Sync")
 }
 
+// IsSleepFunc matches time.Sleep.
+func IsSleepFunc(fn *types.Func) bool {
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep"
+}
+
 // FuncDesc names fn for diagnostics: "(*Log).Force", "syscall.Fsync".
 func FuncDesc(fn *types.Func) string {
 	if recv := RecvOf(fn); recv != nil {
@@ -256,6 +263,9 @@ func directEffects(node *Node) *Summary {
 			if IsForceMethod(fn) && sum.Forces == nil {
 				sum.Forces = &Effect{Pos: n.Pos(), Path: FuncDesc(fn)}
 			}
+			if IsSleepFunc(fn) && sum.Sleeps == nil {
+				sum.Sleeps = &Effect{Pos: n.Pos(), Path: FuncDesc(fn)}
+			}
 			// Method values passed as arguments count as calls
 			// (e.retryIO(e.log.Force) forces right there).
 			for _, arg := range n.Args {
@@ -302,6 +312,10 @@ func propagate(g *CallGraph) {
 				}
 				if cs.Forces != nil && sum.Forces == nil {
 					sum.Forces = &Effect{Pos: e.Pos, Path: e.Callee.Name() + " → " + cs.Forces.Path}
+					changed = true
+				}
+				if cs.Sleeps != nil && sum.Sleeps == nil {
+					sum.Sleeps = &Effect{Pos: e.Pos, Path: e.Callee.Name() + " → " + cs.Sleeps.Path}
 					changed = true
 				}
 				for key, eff := range cs.Acquires {

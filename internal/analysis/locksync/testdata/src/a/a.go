@@ -4,6 +4,7 @@ package a
 import (
 	"os"
 	"sync"
+	"time"
 
 	"github.com/rvm-go/rvm/internal/wal"
 )
@@ -205,4 +206,46 @@ func goodHelperLock(t *tx) error {
 	t.regions[0].data[0] = 1
 	t.unlockRegions()
 	return retry(t.e.log.Force)
+}
+
+// Rule C: a sleep under a lock of the engine's hierarchy (the test's table
+// holds Engine.mu and Region.mu), directly or through a helper.
+func badSleep(r *Region) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	time.Sleep(time.Millisecond) // want `time.Sleep called while holding r.mu`
+}
+
+func (e *Engine) backoff(retries int) {
+	time.Sleep(time.Millisecond << retries)
+}
+
+func (e *Engine) retryWrite(r *Region, write func() error) error {
+	err := write()
+	for retries := 0; err != nil && retries < 3; retries++ {
+		e.backoff(retries)
+		err = write()
+	}
+	return err
+}
+
+func (e *Engine) badRetryUnderRegion(r *Region) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return e.retryWrite(r, func() error { return nil }) // want `call to retryWrite sleeps \(via \(\*Engine\)\.backoff → time.Sleep\)`
+}
+
+func (e *Engine) goodRetryUnlocked(r *Region) error {
+	r.mu.Lock()
+	r.data[0] = 1
+	r.mu.Unlock()
+	return e.retryWrite(r, func() error { return nil })
+}
+
+// A lock outside the hierarchy may be slept under: a modelled device
+// serves one sync at a time that way.
+func sleepUnderDeviceLock(s *store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	time.Sleep(time.Millisecond)
 }

@@ -32,6 +32,12 @@ func droppedTruncate(db *rvm.RVM) {
 	db.Truncate() // want `error of Truncate is discarded`
 }
 
+// A checkpoint is a truncation: its error is the one report that the
+// pages did not reach their segments.
+func droppedCheckpoint(db *rvm.RVM) {
+	db.Checkpoint() // want `error of Checkpoint is discarded`
+}
+
 func droppedCreate() {
 	rvm.CreateLog("x.log", 1<<20)        // want `error of CreateLog is discarded`
 	rvm.CreateSegment("x.seg", 1, 1<<16) // want `error of CreateSegment is discarded`

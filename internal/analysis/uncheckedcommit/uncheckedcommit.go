@@ -4,7 +4,7 @@
 // A Commit(Flush) return is the acknowledgement point of the whole
 // design: the transaction is durable if and only if the call returned
 // nil.  Dropping that error (or the error of Flush, Force, Truncate,
-// CreateLog, CreateSegment) turns a reported storage failure into silent
+// Checkpoint, CreateLog, CreateSegment) turns a reported storage failure into silent
 // data loss.  Blank-discarding the error of Begin or Map is flagged too:
 // both return a nil handle on failure, so the discard converts a clean
 // error into a later nil dereference — and after the engine has
@@ -27,7 +27,7 @@ import (
 // Analyzer is the uncheckedcommit pass.
 var Analyzer = &framework.Analyzer{
 	Name: "uncheckedcommit",
-	Doc:  "errors from Commit/Flush/Force/Truncate must be checked; ErrPoisoned must not be retried",
+	Doc:  "errors from Commit/Flush/Force/Truncate/Checkpoint must be checked; ErrPoisoned must not be retried",
 	Run:  run,
 }
 
@@ -35,7 +35,7 @@ var Analyzer = &framework.Analyzer{
 // that must not be dropped even explicitly.
 func isMustCheckMethod(name string) bool {
 	switch name {
-	case "Commit", "CommitUndo", "Flush", "Force", "Truncate", "TruncateIncremental":
+	case "Commit", "CommitUndo", "Flush", "Force", "Truncate", "TruncateIncremental", "Checkpoint":
 		return true
 	}
 	return false

@@ -24,8 +24,8 @@ func TestCheckpointBoundsRecoveryScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := v.eng.Stats()
-	if qi, _ := v.eng.Query(nil); st.Checkpoints != 1 || st.CheckpointPages == 0 || qi.LogUsed != 0 {
-		t.Fatalf("checkpoint stats: runs=%d pages=%d, %d live log bytes", st.Checkpoints, st.CheckpointPages, qi.LogUsed)
+	if qi, _ := v.eng.Query(nil); st.IncrSteps == 0 || qi.LogUsed != 0 {
+		t.Fatalf("checkpoint wrote %d page(s) and left %d live log bytes", st.IncrSteps, qi.LogUsed)
 	}
 	// A handful of post-checkpoint commits are all recovery should replay.
 	v.commit1(r, 0, []byte("after-checkpoint"))
@@ -74,8 +74,8 @@ func TestCheckpointIdempotentWhenClean(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := v.eng.Stats(); st.Checkpoints != 5 || st.CheckpointPages != 1 {
-		t.Fatalf("checkpoint runs = %d, pages = %d; want 5 and 1", st.Checkpoints, st.CheckpointPages)
+	if st := v.eng.Stats(); st.IncrSteps != 1 {
+		t.Fatalf("five checkpoints wrote %d page(s); want 1", st.IncrSteps)
 	}
 	if after := v.eng.log.Stats(); after != before {
 		t.Fatalf("checkpoints of a clean engine touched the log: %+v, then %+v", before, after)

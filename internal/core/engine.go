@@ -159,8 +159,6 @@ type statsOf[T any] struct {
 	ForcesSaved        T `json:"forces_saved" prom:"rvm_group_commit_forces_saved_total" help:"Flush commits acknowledged by another committer's force."`
 	GroupCommitSize    T `json:"group_commit_size" prom:"rvm_group_commit_max_batch" help:"Largest number of flush commits covered by one force."`
 	JoinExpired        T `json:"join_expired" prom:"rvm_group_commit_join_expired_total" help:"Force-leader join waits that ran out before the predicted committers arrived."`
-	Checkpoints        T `json:"checkpoints" prom:"rvm_checkpoints_total" help:"Checkpoints completed."`
-	CheckpointPages    T `json:"checkpoint_pages" prom:"rvm_checkpoint_pages_total" help:"Pages written to segments by checkpoints."`
 }
 
 // Statistics are cumulative counters since Open, in the spirit of the real
@@ -231,6 +229,7 @@ type Engine struct {
 	// pending is the redo of the restart that opened the engine, not yet in
 	// the segments (applyPending).
 	pending *recovery.Epoch
+	page    []byte // the cleaner's copy of the page it writes (clean)
 
 	nextTID  atomic.Uint64
 	active   atomic.Int64 // transactions begun and not yet resolved
@@ -238,10 +237,9 @@ type Engine struct {
 	poisoned atomic.Pointer[boxedErr] // non-nil after an unrecoverable I/O error
 	truncErr atomic.Pointer[boxedErr] // most recent background-truncation failure
 
-	// Runtime-adjustable truncation knobs (SetOptions); read lock-free on
-	// the commit path.
+	// The runtime-adjustable truncation threshold (SetOptions), read
+	// lock-free on the commit path.
 	truncThreshold atomic.Uint64 // math.Float64bits
-	incremental    atomic.Bool
 
 	// The stall watchdog (stall.go), never started when disabled.
 	stallLoop bgLoop
@@ -359,12 +357,12 @@ func Open(opts Options) (*Engine, error) {
 		log:        lg,
 		segs:       make(map[uint64]*segment.Segment),
 		paths:      paths,
+		page:       make([]byte, mapping.PageSize),
 		tr:         opts.Tracer,
 		met:        opts.Metrics,
 	}
 	e.nextTID.Store(1)
 	e.truncThreshold.Store(math.Float64bits(opts.TruncateThreshold))
-	e.incremental.Store(opts.Incremental)
 	e.cond = sync.NewCond(&e.mu)
 	e.gc.cond = sync.NewCond(&e.gc.mu)
 	if lg.Used() > 0 {
@@ -596,23 +594,23 @@ func (e *Engine) Unmap(r *Region) error {
 		return fail(err)
 	}
 	// The region is sealed and the truncation slot claimed, so its dirty
-	// set is stable: write every dirty page and sync with no lock held.
+	// set and its memory are stable: no transaction is open on it or can
+	// begin, and no cleaner runs.  Every dirty page is written straight
+	// from memory and synced with no lock held.
 	if r.pvec.DirtyCount() > 0 {
 		if err := e.applyPending(); err != nil {
 			return fail(err)
 		}
-		r.mu.Lock()
-		var err error
-		for pg := 0; pg < r.pvec.NumPages() && err == nil; pg++ {
-			if r.pvec.IsDirty(pg) {
-				err = e.writePageLocked(r, int64(pg))
+		for pg := range int64(r.pvec.NumPages()) {
+			if !r.pvec.IsDirty(int(pg)) {
+				continue
 			}
+			if err := e.writePage(r, pg, r.pageBytes(pg)); err != nil {
+				return fail(err)
+			}
+			r.pvec.ClearDirty(int(pg))
 		}
-		r.mu.Unlock()
-		if err == nil {
-			err = e.retryIO(r.seg.Sync)
-		}
-		if err != nil {
+		if err := e.retryIO(r.seg.Sync); err != nil {
 			return fail(err)
 		}
 	}
@@ -660,6 +658,12 @@ func (e *Engine) releaseTruncation() {
 // intervention; writes must be covered by a SetRange of an active
 // transaction to be recoverable.
 func (r *Region) Data() []byte { return r.data }
+
+// pageBytes returns page pg of the region's memory.
+func (r *Region) pageBytes(pg int64) []byte {
+	ps := int64(mapping.PageSize)
+	return r.data[pg*ps : (pg+1)*ps]
+}
 
 // Length returns the region length in bytes.
 func (r *Region) Length() int64 { return r.length }
@@ -723,10 +727,9 @@ func (e *Engine) Query(r *Region) (QueryInfo, error) {
 }
 
 // SetOptions adjusts tunables at runtime (paper §4.2 set_options).  Only
-// the truncation knobs may change after Open.
-func (e *Engine) SetOptions(truncateThreshold float64, incremental bool) {
+// the truncation threshold may change after Open.
+func (e *Engine) SetOptions(truncateThreshold float64) {
 	e.truncThreshold.Store(math.Float64bits(truncateThreshold))
-	e.incremental.Store(incremental)
 }
 
 // Stats returns a snapshot of the cumulative counters.  The counters are
@@ -826,7 +829,7 @@ func (e *Engine) Close() error {
 	var first error
 	if cause := e.poisonCause(); cause != nil {
 		first = fmt.Errorf("%w: %w", ErrPoisoned, cause)
-	} else if _, err := e.truncateClaimed(cleanEverything, &e.stats.IncrSteps, true); err != nil {
+	} else if _, err := e.truncateClaimed(cleanEverything, true); err != nil {
 		// Nothing is released yet: the engine goes on running.
 		e.closed.Store(false)
 		e.releaseTruncation()

@@ -105,11 +105,41 @@ func TestTransientFaultRetried(t *testing.T) {
 	}
 }
 
+// queryBeatsLastRetry puts maxRetries transient faults on inj's next
+// writes, runs act, and reports whether query, started from the injector's
+// hook at the first failed write, had returned when the last retry reached
+// the device: whether the retried operation backed off with the lock query
+// needs released.  Backing off under it would queue every committer behind
+// 1+2+4 ms of sleep.
+func queryBeatsLastRetry(inj *iofault.Injector, query func() error, act func()) bool {
+	var writes atomic.Int32
+	var queried atomic.Bool
+	lastWrite := make(chan bool, 1) // whether the query had returned by then
+	inj.Add(iofault.Fault{Ops: iofault.OpWrite, Count: maxRetries})
+	inj.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op != iofault.OpWrite {
+			return
+		}
+		switch writes.Add(1) {
+		case 1:
+			go func() {
+				if query() == nil {
+					queried.Store(true)
+				}
+			}()
+		case maxRetries + 1:
+			lastWrite <- queried.Load()
+		}
+	})
+	act()
+	inj.SetHook(nil)
+	return <-lastWrite
+}
+
 // TestAppendRetryReleasesPipeline: a commit whose record write meets
 // transient faults backs off with the pipeline lock released, so a Query
 // started at the first failed write returns before the last retry reaches
-// the device.  Backing off under the lock would queue every committer
-// behind 1+2+4 ms of sleep.
+// the device.
 func TestAppendRetryReleasesPipeline(t *testing.T) {
 	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil, Options{})
 	if err != nil {
@@ -118,32 +148,34 @@ func TestAppendRetryReleasesPipeline(t *testing.T) {
 	r := v.mapWhole()
 	v.commit1(r, 0, []byte("clean"))
 
-	var writes atomic.Int32
-	var queried atomic.Bool
-	lastWrite := make(chan bool, 1) // whether the Query had returned by then
-	v.logInj.Add(iofault.Fault{Ops: iofault.OpWrite, Count: maxRetries})
-	v.logInj.SetHook(func(op iofault.Op, _ int64, _ int) {
-		if op != iofault.OpWrite {
-			return
-		}
-		switch writes.Add(1) {
-		case 1:
-			go func() {
-				if _, err := v.eng.Query(nil); err == nil {
-					queried.Store(true)
-				}
-			}()
-		case maxRetries + 1:
-			lastWrite <- queried.Load()
-		}
-	})
-	v.commit1(r, 64, []byte("retried"))
-	v.logInj.SetHook(nil)
-	if !<-lastWrite {
+	query := func() error { _, err := v.eng.Query(nil); return err }
+	if !queryBeatsLastRetry(v.logInj, query, func() { v.commit1(r, 64, []byte("retried")) }) {
 		t.Fatal("a Query started at the first failed append returned only after the last retry: the append backed off holding the pipeline lock")
 	}
 	if st := v.eng.Stats(); st.Retries != maxRetries {
 		t.Fatalf("Stats().Retries = %d, want %d", st.Retries, maxRetries)
+	}
+}
+
+// TestPageWriteRetryReleasesRegion: a page write-out that meets transient
+// segment faults backs off with the region's lock released, so a Query of
+// the region started at the first failed write of a Truncate returns before
+// the last retry reaches the device.
+func TestPageWriteRetryReleasesRegion(t *testing.T) {
+	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil, Options{TruncateThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := v.mapWhole()
+	v.commit1(r, 0, []byte("dirty"))
+
+	query := func() error { _, err := v.eng.Query(r); return err }
+	var truncErr error
+	if !queryBeatsLastRetry(v.segInj, query, func() { truncErr = v.eng.Truncate() }) {
+		t.Fatal("a Query of the region started at the first failed page write returned only after the last retry: the write backed off holding the region lock")
+	}
+	if st := v.eng.Stats(); truncErr != nil || st.Retries != maxRetries || st.PagesWritten != 1 {
+		t.Fatalf("Truncate = %v, retries %d, pages written %d; want nil, %d and 1", truncErr, st.Retries, st.PagesWritten, maxRetries)
 	}
 }
 

@@ -419,7 +419,7 @@ func TestSpoolPageRefs(t *testing.T) {
 	// before it writes anything, then writes both pages, and the head goes
 	// to the next append's — the flush commit and the four spool entries are
 	// all reflected, in two records: the flush commit's and the drain's.
-	pages, _, head, _, err := v.eng.clean(cleanEverything, &v.eng.stats.CheckpointPages)
+	pages, _, head, _, err := v.eng.clean(cleanEverything)
 	v.eng.releaseTruncation()
 	if _, next := v.eng.log.Tail(); err != nil || pages != 2 || head != next || head != 3 || v.eng.Stats().Flushes != 1 {
 		t.Fatalf("cleaner wrote %d page(s), head seq %d, %v, %d flush(es); want 2, 3, nil, 1", pages, head, err, v.eng.Stats().Flushes)
@@ -479,7 +479,7 @@ func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	if err := v.eng.claimTruncation(); err != nil {
 		t.Fatal(err)
 	}
-	pages, _, _, _, err := v.eng.clean(0, &v.eng.stats.IncrSteps)
+	pages, _, _, _, err := v.eng.clean(0)
 	v.eng.releaseTruncation()
 	if err != nil || pages != 1 {
 		t.Fatal(pages, err)

@@ -7,8 +7,8 @@ import (
 )
 
 // The stall watchdog (DESIGN.md §14) watches the engine's long-running
-// operations — log forces, group-commit waits, truncations, checkpoints —
-// and flags any instance that stays in flight past the
+// operations — log forces, group-commit waits and truncations, checkpoints
+// among them — and flags any instance that stays in flight past the
 // configured budget.  The watched code paths bracket themselves with
 // Metrics.OpEnter/OpExit (two atomic ops each); the watchdog goroutine
 // polls the resulting gates a few times per budget and, when a gate has

@@ -355,16 +355,39 @@ func TestConcurrentCommitsDuringEpochApply(t *testing.T) {
 	}
 }
 
-func TestSetOptionsChangesTruncationBehaviour(t *testing.T) {
-	v := newEnv(t, 1<<18, pageBytes(2), Options{})
-	v.eng.SetOptions(0.9, true)
-	r := v.mapWhole()
-	v.commit1(r, 0, []byte("x"))
-	if err := v.eng.TruncateIncremental(0); err != nil {
-		t.Fatal(err)
+// TestSetOptionsGovernsBackgroundTruncation: the threshold SetOptions
+// stores is the one a commit starts background truncation by.  A log past
+// the threshold given at Open but short of the new one is left alone, and
+// one past the new threshold but short of the old is truncated.
+func TestSetOptionsGovernsBackgroundTruncation(t *testing.T) {
+	truncations := func(v *env) uint64 {
+		st := v.eng.Stats()
+		return st.EpochTruncs + st.IncrSteps
 	}
-	if v.eng.Stats().IncrSteps == 0 {
-		t.Fatal("incremental truncation did not run after SetOptions")
+	// fill commits until the log is over half full or a background
+	// truncation has run.
+	fill := func(v *env) {
+		r := v.mapWhole()
+		for i := 0; v.eng.log.Used() <= v.eng.log.AreaSize()/2 && truncations(v) == 0; i++ {
+			v.commit1(r, int64(i%2)*4000, bytes.Repeat([]byte{byte(i + 1)}, 4000))
+		}
+	}
+
+	v := newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: 0.3})
+	v.eng.SetOptions(0.9)
+	fill(v)
+	time.Sleep(50 * time.Millisecond) // a truncation the commits started would be under way
+	if n := truncations(v); n != 0 {
+		t.Fatalf("a log past the threshold given at Open (0.3) but short of SetOptions' (0.9) was truncated in the background: %d epoch(s) and page(s)", n)
+	}
+
+	v = newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: 0.9})
+	v.eng.SetOptions(0.3)
+	fill(v)
+	for deadline := time.Now().Add(5 * time.Second); truncations(v) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a log past SetOptions' threshold (0.3) but short of the one given at Open (0.9) was not truncated in the background")
+		}
 	}
 }
 
@@ -649,8 +672,7 @@ func cleanerForcesDrainedRecords(t *testing.T, crash bool, met *obs.Metrics) {
 			cleaned <- err
 			return
 		}
-		var pages atomic.Uint64
-		_, _, _, _, err := eng.clean(cleanEverything, &pages)
+		_, _, _, _, err := eng.clean(cleanEverything)
 		eng.releaseTruncation()
 		cleaned <- err
 	}()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"github.com/rvm-go/rvm/internal/mapping"
@@ -104,29 +103,47 @@ func (e *Engine) retryAppend(err error, tries *appendTries, need int64, claimed 
 // been reflected to the external data segments (paper §4.2 truncate): it is
 // the truncation whose target is an empty log.  Callers must hold no engine
 // lock.
-func (e *Engine) Truncate() error { return e.truncate(cleanEverything) }
+func (e *Engine) Truncate() error { return e.truncate(cleanEverything, true) }
 
 // TruncateIncremental truncates until at most targetFraction of the log
 // size stays live.  Exposed for tests, tools, and benchmarks; background
 // truncation uses the same path.
 func (e *Engine) TruncateIncremental(targetFraction float64) error {
-	return e.truncate(int64(targetFraction * float64(e.log.AreaSize())))
+	return e.truncate(int64(targetFraction*float64(e.log.AreaSize())), true)
 }
 
-// truncate is truncateClaimed, with its epoch fallback, under a claim of its
-// own.  Like Commit, the operation span starts at the call so traces show
-// truncation overlapping the commits it contended with, and it closes after
-// a fallback's apply, the longest part of such a call.
-func (e *Engine) truncate(target int64) error {
+// Checkpoint bounds the next restart by the log written after it: it is an
+// incremental truncation down to an empty log (paper §5.1.2) that never
+// falls back to an epoch.  It drains the spool, writes the queued dirty
+// pages to their segments, syncs them, and moves the log's head past every
+// record they cover; a restart reads from the head.
+//
+// Committers are never stalled: the pages go out through the page cleaner
+// (clean), each page's region lock held only for that page's copy, and a
+// page that stays pinned by an in-flight commit keeps the head at its first
+// log reference instead of blocking anyone.  A checkpoint writes no record:
+// the head in the log's status block is all a restart needs to know.
+func (e *Engine) Checkpoint() error { return e.truncate(cleanEverything, false) }
+
+// truncate is truncateClaimed under a claim of its own, the one entry of
+// every truncation but Close's.  Like Commit, its span starts at the call
+// so traces show truncation overlapping the commits it contended with, and
+// it closes after a fallback's apply, the longest part of such a call; B
+// is 1 for a checkpoint, a call that may not fall back to an epoch.
+func (e *Engine) truncate(target int64, fallback bool) error {
 	t0 := time.Now()
 	e.met.OpEnter(obs.StallTruncation)
 	defer e.met.OpExit(obs.StallTruncation)
 	if err := e.claimTruncation(); err != nil {
 		return err
 	}
-	pages, err := e.truncateClaimed(target, &e.stats.IncrSteps, true)
+	pages, err := e.truncateClaimed(target, fallback)
 	e.releaseTruncation()
-	e.tr.SpanFor(obs.EvTruncIncr, t0, time.Since(t0).Nanoseconds(), 0, pages, 0)
+	var checkpoint uint64
+	if !fallback {
+		checkpoint = 1
+	}
+	e.tr.SpanFor(obs.EvTruncate, t0, time.Since(t0).Nanoseconds(), 0, pages, checkpoint)
 	return err
 }
 
@@ -277,22 +294,25 @@ var cleanPeeked func()
 // FIFO queue to their segments, oldest log reference first,
 // until the live log less what a head move would free is at most targetUsed
 // bytes, or the queue is drained, or its first page stays blocked, which
-// it reports.  It counts each page on the caller's counter as it goes and
+// it reports.  It counts each page in IncrSteps as it goes and
 // returns the pages written and the log position and sequence number of the
 // first reference it did not retire — the next append's when the queue
 // drained.  Everything before that reference is durably in the segments, so
 // truncateClaimed moves the head there.  Caller holds the truncation claim.
 //
-// Each step holds the page's region lock across the write-out, the dirty
-// clear, and the queue pop: the region lock excludes commits on that
-// region, so no commit can re-enqueue (and dedup against) a descriptor in
-// the middle of being retired.  Page write-outs are batched: pages are
-// written without syncing and the touched segments are synced once with no
-// lock held, before the caller may act on the result — a single status
-// write per batch instead of one per page, with the same guarantee (a page
-// is durably in its segment before the head passes its first log
-// reference).
-func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, pos int64, seq uint64, blocked bool, err error) {
+// Each step holds the page's region lock across its checks, the copy of
+// the page into e.page, the dirty clear and the queue pop: the region lock
+// excludes commits on that region, so no commit can re-enqueue (and dedup
+// against) a descriptor in the middle of being retired.  The copy is
+// written with no lock held, so a slow or faulting segment stalls no
+// committer; a commit that re-dirties the page meanwhile enqueues a
+// descriptor of its own, whose newer log reference the head cannot pass.
+// Page write-outs are batched: pages are written without syncing and the
+// touched segments are synced once with no lock held, before the caller
+// may act on the result — a single status write per batch instead of one
+// per page, with the same guarantee (a page is durably in its segment
+// before the head passes its first log reference).
+func (e *Engine) clean(targetUsed int64) (pages uint64, pos int64, seq uint64, blocked bool, err error) {
 	if err := e.applyPending(); err != nil {
 		return 0, 0, 0, false, err
 	}
@@ -391,19 +411,18 @@ func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, po
 			}
 			continue
 		}
-		err = e.writePageLocked(r, d.ID.Page)
-		if err == nil {
-			p.mu.Lock()
-			p.queue.PopFirst()
-			p.mu.Unlock()
-		}
+		copy(e.page, r.pageBytes(d.ID.Page))
+		r.pvec.ClearDirty(int(d.ID.Page))
+		p.mu.Lock()
+		p.queue.PopFirst()
+		p.mu.Unlock()
 		r.mu.Unlock()
-		if err != nil {
+		if err = e.writePage(r, d.ID.Page, e.page); err != nil {
 			return pages, 0, 0, false, err
 		}
 		wrote[r.seg] = true
 		pages++
-		count.Add(1)
+		e.stats.IncrSteps.Add(1)
 	}
 	for seg := range wrote {
 		if err = e.retryIO(seg.Sync); err != nil {
@@ -413,20 +432,15 @@ func (e *Engine) clean(targetUsed int64, count *atomic.Uint64) (pages uint64, po
 	return pages, pos, seq, blocked, nil
 }
 
-// writePageLocked is the one place a page is copied from memory to its
-// segment: write (unsynced — the caller syncs the segment before anything
-// relies on the page being there), clear the dirty bit, count.  Caller
-// holds r.mu, which keeps r.data stable and commits on the region out.
-func (e *Engine) writePageLocked(r *Region, page int64) error {
-	ps := int64(mapping.PageSize)
-	off := page * ps
-	err := e.retryIO(func() error {
-		return r.seg.WriteAt(r.data[off:off+ps], r.segOff+off)
-	})
-	if err != nil {
+// writePage is the one place a page reaches its segment: it writes src,
+// the page's bytes, unsynced (the caller syncs the segment before anything
+// relies on the page being there) and counts it.  Caller holds no lock,
+// since a transient fault backs off inside, and clears the dirty bit.
+func (e *Engine) writePage(r *Region, page int64, src []byte) error {
+	off := r.segOff + page*int64(mapping.PageSize)
+	if err := e.retryIO(func() error { return r.seg.WriteAt(src, off) }); err != nil {
 		return err
 	}
-	r.pvec.ClearDirty(int(page))
 	e.stats.PagesWritten.Add(1)
 	return nil
 }
@@ -444,15 +458,15 @@ func (e *Engine) reclaimableTo(pos int64) int64 {
 
 // truncateClaimed is every truncation but retryAppend's, under the
 // caller's truncation claim: it flushes the spool, has the cleaner write
-// pages, counting them on count, until at most target log bytes would stay
-// live, and moves the head.  When the cleaner stopped at a page that stayed
-// pinned or spooled and fallback is set, an epoch truncation follows (paper
-// §5.1.2: incremental truncation reverts to epoch truncation when blocked).
-// A log left above target with nothing blocked — a commit landed during
-// the walk — stays as it is.  A truncation that walks observes one pause,
-// the epoch's when one follows; a checkpoint (fallback false) observes none
-// and reports its own time.  Errors come back through maybePoison.
-func (e *Engine) truncateClaimed(target int64, count *atomic.Uint64, fallback bool) (pages uint64, err error) {
+// pages until at most target log bytes would stay live, and moves the
+// head.  When the cleaner stopped at a page that stayed pinned or spooled
+// and fallback is set, an epoch truncation follows (paper §5.1.2:
+// incremental truncation reverts to epoch truncation when blocked); a
+// checkpoint (fallback false) leaves the head at that page.  A log left
+// above target with nothing blocked — a commit landed during the walk —
+// stays as it is.  A truncation that walks observes one pause, the epoch's
+// when one follows.  Errors come back through maybePoison.
+func (e *Engine) truncateClaimed(target int64, fallback bool) (pages uint64, err error) {
 	// The spool flush runs even on a log already below target: truncation's
 	// contract includes making spooled no-flush commits durable.
 	if err := e.flushSpool(true); err != nil {
@@ -462,16 +476,13 @@ func (e *Engine) truncateClaimed(target int64, count *atomic.Uint64, fallback bo
 		return 0, nil
 	}
 	pause := time.Now()
-	pages, pos, seq, blocked, err := e.clean(target, count)
+	pages, pos, seq, blocked, err := e.clean(target)
 	// Everything before the first reference the cleaner left is durably in
 	// the segments: that is where the head goes.
 	if hp, hs := e.log.Head(); err == nil && (hp != pos || hs != seq) {
 		err = e.retryIO(func() error { return e.log.SetHead(pos, seq) })
 	}
-	if !fallback {
-		return pages, e.maybePoison(err)
-	}
-	if err == nil && blocked {
+	if err == nil && blocked && fallback {
 		return pages, e.maybePoison(e.epoch(epochBlocked))
 	}
 	ns := time.Since(pause).Nanoseconds()
@@ -498,7 +509,7 @@ func (e *Engine) autoTruncate() {
 	}
 	thr := math.Float64frombits(e.truncThreshold.Load())
 	var err error
-	if e.incremental.Load() {
+	if e.opts.Incremental {
 		// Aim well below the trigger so truncations are not continuous.
 		err = e.TruncateIncremental(thr / 2)
 	} else {

@@ -58,7 +58,7 @@ func chromeCat(t EventType) string {
 		return "tx"
 	case EvLogAppend, EvLogForce, EvSpoolFlush:
 		return "log"
-	case EvTruncEpoch, EvTruncIncr, EvTruncPause:
+	case EvTruncEpoch, EvTruncate, EvTruncPause:
 		return "truncation"
 	case EvRecovScan, EvRecovApply:
 		return "recovery"

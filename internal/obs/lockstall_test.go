@@ -159,8 +159,8 @@ func TestLockStallSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if len(back.Stalls) != 4 { // force, group_wait, truncation, checkpoint
-		t.Errorf("stalls round trip = %d entries, want 4", len(back.Stalls))
+	if len(back.Stalls) != 3 { // force, group_wait, truncation
+		t.Errorf("stalls round trip = %d entries, want 3", len(back.Stalls))
 	}
 	if back.LastStall == nil || back.LastStall.Class != "group_wait" {
 		t.Errorf("last stall round trip = %+v", back.LastStall)

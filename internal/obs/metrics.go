@@ -28,7 +28,6 @@ type metricsOf[H, G any] struct {
 	ForceBatch      H `json:"force_batch" prom:"rvm_force_batch" help:"Records covered per force."`
 	TruncPauseNs    H `json:"trunc_pause_ns" prom:"rvm_trunc_pause_ns" help:"Forward-processing pause per truncation."`
 	SpoolFlushNs    H `json:"spool_flush_ns" prom:"rvm_spool_flush_ns" help:"Spool flush latency."`
-	CheckpointNs    H `json:"checkpoint_ns" prom:"rvm_checkpoint_ns" help:"Checkpoint latency."`
 	RecoveryScanNs  H `json:"recovery_scan_ns" prom:"rvm_recovery_scan_ns" help:"Restart's scan of the log at Open: finds the tail and builds the redo trees."`
 	RecoveryApplyNs H `json:"recovery_apply_ns" prom:"rvm_recovery_apply_ns" help:"Recovery apply phase duration."`
 
@@ -118,13 +117,6 @@ func (m *Metrics) ObserveTruncPause(ns int64) {
 func (m *Metrics) ObserveSpoolFlush(ns int64) {
 	if m != nil {
 		m.SpoolFlushNs.Observe(ns)
-	}
-}
-
-// ObserveCheckpoint records one checkpoint duration.
-func (m *Metrics) ObserveCheckpoint(ns int64) {
-	if m != nil {
-		m.CheckpointNs.Observe(ns)
 	}
 }
 

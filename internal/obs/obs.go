@@ -47,13 +47,12 @@ const (
 	EvLogForce                // span: log fsync (A = commits covered, B = forced-through seq)
 	EvSpoolFlush              // span: spool drained + forced (A = bytes drained)
 	EvTruncEpoch              // span: epoch truncation (A = records applied, B = road: 1 cleaner blocked, 2 log full)
-	EvTruncIncr               // span: incremental truncation call (A = pages written)
+	EvTruncate                // span: truncation call (A = pages written, B = 1 for a checkpoint)
 	EvTruncPause              // span: forward processing paused by truncation (A = pages written)
 	EvRecovScan               // span: recovery log scan (A = records)
 	EvRecovApply              // span: recovery segment apply (A = bytes applied)
 	EvRetry                   // instant: transient fault retried
 	EvPoisoned                // instant: engine fail-stopped
-	EvCheckpoint              // span: checkpoint (A = pages written, B = head seq after)
 	EvStall                   // instant: watchdog-detected stall (A = StallClass, B = ns in flight)
 )
 
@@ -67,13 +66,12 @@ var eventNames = [...]string{
 	EvLogForce:      "log-force",
 	EvSpoolFlush:    "spool-flush",
 	EvTruncEpoch:    "trunc-epoch",
-	EvTruncIncr:     "trunc-incr",
+	EvTruncate:      "truncate",
 	EvTruncPause:    "trunc-pause",
 	EvRecovScan:     "recovery-scan",
 	EvRecovApply:    "recovery-apply",
 	EvRetry:         "retry",
 	EvPoisoned:      "poisoned",
-	EvCheckpoint:    "checkpoint",
 	EvStall:         "stall",
 }
 

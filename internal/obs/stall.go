@@ -16,7 +16,6 @@ const (
 	StallForce StallClass = iota
 	StallGroupWait
 	StallTruncation
-	StallCheckpoint
 	NumStallClasses
 )
 
@@ -24,7 +23,6 @@ var stallNames = [NumStallClasses]string{
 	StallForce:      "force",
 	StallGroupWait:  "group_wait",
 	StallTruncation: "truncation",
-	StallCheckpoint: "checkpoint",
 }
 
 // String returns the class's stable short name, used as the `class`

@@ -226,7 +226,7 @@ func TestTraceShowsTruncationOverlap(t *testing.T) {
 			}
 			sp := span{ev.TS, ev.TS + ev.Dur}
 			switch ev.Name {
-			case "trunc-incr":
+			case "truncate":
 				truncs = append(truncs, sp)
 			case "commit-noflush":
 				commits = append(commits, sp)
@@ -254,7 +254,7 @@ func TestTraceShowsTruncationOverlap(t *testing.T) {
 	// last truncation's spans were collected.
 	collect()
 	if len(truncs) == 0 {
-		t.Fatal("trace has no incremental-truncation spans")
+		t.Fatal("trace has no truncation spans")
 	}
 	if len(commits) == 0 {
 		t.Fatal("trace has no no-flush commit spans")

@@ -76,7 +76,7 @@ type Statistics = core.Statistics
 type Snapshot = core.Snapshot
 
 // MetricsSnapshot summarizes the metric registry: one HistStat per
-// histogram, the recovery-progress gauges, and the lock and stall tables.
+// histogram, the recovery-progress gauges, and the stall table.
 type MetricsSnapshot = obs.MetricsSnapshot
 
 // HistStat is a histogram summary: count, sum, mean, and quantile
@@ -312,10 +312,10 @@ func (r *RVM) Checkpoint() error { return r.eng.Checkpoint() }
 // Query reports engine state, plus region state when reg is non-nil.
 func (r *RVM) Query(reg *Region) (QueryInfo, error) { return r.eng.Query(reg) }
 
-// SetOptions adjusts the truncation tunables at runtime; the threshold
-// reads as Options.TruncateThreshold does (zero selects the default).
-func (r *RVM) SetOptions(threshold float64, incremental bool) {
-	r.eng.SetOptions(truncateThreshold(threshold), incremental)
+// SetOptions adjusts the truncation threshold at runtime; it reads as
+// Options.TruncateThreshold does (zero selects the default).
+func (r *RVM) SetOptions(threshold float64) {
+	r.eng.SetOptions(truncateThreshold(threshold))
 }
 
 // Stats returns a snapshot of cumulative counters, in the spirit of the

@@ -118,7 +118,7 @@ func TestSetOptionsZeroThresholdIsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.db.SetOptions(0, false)
+	s.db.SetOptions(0)
 	// 160 KB into a 256 KiB log: past half, well short of full.
 	payload := bytes.Repeat([]byte{7}, 4000)
 	for i := 0; i < 40; i++ {
@@ -135,7 +135,7 @@ func TestSetOptionsZeroThresholdIsDefault(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no background truncation ran with the log past half: SetOptions(0, ...) disabled it")
+			t.Fatal("no background truncation ran with the log past half: SetOptions(0) disabled it")
 		}
 	}
 }
