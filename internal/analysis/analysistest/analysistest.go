@@ -135,7 +135,7 @@ func runOne(t *testing.T, a *framework.Analyzer, dir, name string, exports map[s
 	sup := framework.CollectSuppressions(fset, pkg.Files)
 	// The golden package is the whole program: interprocedural rules see
 	// its helpers, while module imports resolve through export data only
-	// (no cross-package summaries), exactly like a vet unit.
+	// (no cross-package summaries).
 	prog := framework.BuildProgram(fset, []*framework.Package{pkg})
 	pass := &framework.Pass{
 		Analyzer:  a,

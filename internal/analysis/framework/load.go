@@ -48,8 +48,7 @@ type listPkg struct {
 // has no dependencies outside the standard library.
 //
 // Test files are not loaded: the analyzers guard production discipline,
-// and tests legitimately poke at half-built states.  (Running rvmcheck via
-// `go vet -vettool` does analyze test files; see cmd/rvmcheck.)
+// and tests legitimately poke at half-built states.
 func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}

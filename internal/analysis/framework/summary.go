@@ -79,10 +79,9 @@ type Summary struct {
 
 // Program is the whole-program view handed to every analyzer pass: the
 // loaded packages, the call graph over them, and the per-function
-// summaries.  In standalone mode the program spans every matched
-// package; under go vet's unitchecker (and in analysistest) it is a
-// single package, and cross-package effects degrade to what the
-// name-based lexical rules can see.
+// summaries.  Under rvmcheck the program spans every matched package; in
+// analysistest it is a single package, and cross-package effects degrade
+// to what the name-based lexical rules can see.
 type Program struct {
 	Fset  *token.FileSet
 	Pkgs  []*Package

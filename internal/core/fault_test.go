@@ -106,21 +106,21 @@ func TestTransientFaultRetried(t *testing.T) {
 }
 
 // queryBeatsLastRetry puts maxRetries transient faults on inj's next
-// writes, runs act, and reports whether query, started from the injector's
-// hook at the first failed write, had returned when the last retry reached
-// the device: whether the retried operation backed off with the lock query
-// needs released.  Backing off under it would queue every committer behind
-// 1+2+4 ms of sleep.
-func queryBeatsLastRetry(inj *iofault.Injector, query func() error, act func()) bool {
-	var writes atomic.Int32
+// operations of kind op (a write or a read), runs act, and reports whether
+// query, started from the injector's hook at the first failed operation, had
+// returned when the last retry reached the device: whether the retried
+// operation backed off with the lock query needs released.  Backing off
+// under it would queue every committer behind 1+2+4 ms of sleep.
+func queryBeatsLastRetry(inj *iofault.Injector, op iofault.Op, query func() error, act func()) bool {
+	var ops atomic.Int32
 	var queried atomic.Bool
-	lastWrite := make(chan bool, 1) // whether the query had returned by then
-	inj.Add(iofault.Fault{Ops: iofault.OpWrite, Count: maxRetries})
-	inj.SetHook(func(op iofault.Op, _ int64, _ int) {
-		if op != iofault.OpWrite {
+	lastTry := make(chan bool, 1) // whether the query had returned by then
+	inj.Add(iofault.Fault{Ops: op, Count: maxRetries})
+	inj.SetHook(func(o iofault.Op, _ int64, _ int) {
+		if o != op {
 			return
 		}
-		switch writes.Add(1) {
+		switch ops.Add(1) {
 		case 1:
 			go func() {
 				if query() == nil {
@@ -128,12 +128,12 @@ func queryBeatsLastRetry(inj *iofault.Injector, query func() error, act func()) 
 				}
 			}()
 		case maxRetries + 1:
-			lastWrite <- queried.Load()
+			lastTry <- queried.Load()
 		}
 	})
 	act()
 	inj.SetHook(nil)
-	return <-lastWrite
+	return <-lastTry
 }
 
 // TestAppendRetryReleasesPipeline: a commit whose record write meets
@@ -149,7 +149,7 @@ func TestAppendRetryReleasesPipeline(t *testing.T) {
 	v.commit1(r, 0, []byte("clean"))
 
 	query := func() error { _, err := v.eng.Query(nil); return err }
-	if !queryBeatsLastRetry(v.logInj, query, func() { v.commit1(r, 64, []byte("retried")) }) {
+	if !queryBeatsLastRetry(v.logInj, iofault.OpWrite, query, func() { v.commit1(r, 64, []byte("retried")) }) {
 		t.Fatal("a Query started at the first failed append returned only after the last retry: the append backed off holding the pipeline lock")
 	}
 	if st := v.eng.Stats(); st.Retries != maxRetries {
@@ -171,11 +171,38 @@ func TestPageWriteRetryReleasesRegion(t *testing.T) {
 
 	query := func() error { _, err := v.eng.Query(r); return err }
 	var truncErr error
-	if !queryBeatsLastRetry(v.segInj, query, func() { truncErr = v.eng.Truncate() }) {
+	if !queryBeatsLastRetry(v.segInj, iofault.OpWrite, query, func() { truncErr = v.eng.Truncate() }) {
 		t.Fatal("a Query of the region started at the first failed page write returned only after the last retry: the write backed off holding the region lock")
 	}
 	if st := v.eng.Stats(); truncErr != nil || st.Retries != maxRetries || st.PagesWritten != 1 {
 		t.Fatalf("Truncate = %v, retries %d, pages written %d; want nil, %d and 1", truncErr, st.Retries, st.PagesWritten, maxRetries)
+	}
+}
+
+// TestEpochCollectRetryReleasesPipeline: an epoch truncation whose read of
+// the log meets transient faults backs off with the pipeline lock released,
+// so a Query started at the first failed read returns before the last retry
+// reaches the device.
+func TestEpochCollectRetryReleasesPipeline(t *testing.T) {
+	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil, Options{TruncateThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := v.mapWhole()
+	v.commit1(r, 0, []byte("collected"))
+
+	query := func() error { _, err := v.eng.Query(nil); return err }
+	var epochErr error
+	if !queryBeatsLastRetry(v.logInj, iofault.OpRead, query, func() {
+		if epochErr = v.eng.claimTruncation(); epochErr == nil {
+			epochErr = v.eng.epoch(epochBlocked)
+			v.eng.releaseTruncation()
+		}
+	}) {
+		t.Fatal("a Query started at the epoch's first failed log read returned only after the last retry: the collection backed off holding the pipeline lock")
+	}
+	if st := v.eng.Stats(); epochErr != nil || st.Retries != maxRetries || st.EpochTruncs != 1 {
+		t.Fatalf("epoch = %v, retries %d, epochs %d; want nil, %d and 1", epochErr, st.Retries, st.EpochTruncs, maxRetries)
 	}
 }
 

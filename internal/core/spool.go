@@ -136,11 +136,6 @@ func (e *Engine) drainSpoolPipeLocked() (rec appended, need int64, err error) {
 	e.stats.DrainSavedBytes.Add(uint64(p.spoolBytes - logged - inter))
 	for _, sp := range p.spool {
 		for _, id := range sp.pages {
-			// Unmap flushes the spool before it clears the region's slot, so
-			// the region is still there — but guard against stale slots.
-			if id.Region >= len(e.regions) || e.regions[id.Region] == nil {
-				continue
-			}
 			refs := &e.regions[id.Region].spoolRefs[id.Page]
 			if *refs--; *refs == 0 {
 				e.enqueuePagePipeLocked(id, rec.pos, rec.seq)

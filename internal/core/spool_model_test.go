@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -489,6 +490,57 @@ func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	}
 	if r.spoolRefCount(0) != 0 || r.pvec.IsDirty(0) {
 		t.Fatal("page 0 still referenced or dirty after its write-out")
+	}
+}
+
+// TestCleanerLogsSpooledPageBeforeWritingIt: a page the cleaner finds with
+// spooled bytes reaches its segment only behind a durable record of them.
+// A no-flush transaction writes pages 0 and 1, page 0 first in the queue;
+// the cleaner writes page 0 alone, and a crash then drops every unsynced
+// log write.  The restart must hold the transaction on both pages or on
+// neither.
+func TestCleanerLogsSpooledPageBeforeWritingIt(t *testing.T) {
+	setVar(t, &spoolLimit, math.MaxInt64)
+	v, err := newFaultEnv(t, 1<<18, pageBytes(2), 1, true, nil, nil, Options{TruncateThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := v.mapWhole()
+	// Half a page in one flush commit queues page 0 at a record longer than
+	// a quarter page, and the drain's record is shorter: cleaning to a
+	// quarter page writes page 0 and stops at page 1, queued at the drain.
+	v.commit1(r, 0, bytes.Repeat([]byte("f"), int(pageBytes(1)/2)))
+	lazy, err := v.eng.Begin(Restore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Modify(r, pageBytes(1)-16, []byte("first half")); err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Modify(r, pageBytes(1), []byte("second half")); err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Commit(NoFlush); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.eng.claimTruncation(); err != nil {
+		t.Fatal(err)
+	}
+	pages, _, _, _, err := v.eng.clean(pageBytes(1) / 4)
+	v.eng.releaseTruncation()
+	if err != nil || pages != 1 {
+		t.Fatalf("the cleaner wrote %d page(s) (%v), want page 0 alone", pages, err)
+	}
+	// The log keeps none of its unsynced writes; the segment, all of its.
+	if err := v.cache.CrashKeeping(func(d *iofault.Cache, _ int64) bool { return d != v.cache }); err != nil {
+		t.Fatal(err)
+	}
+	v.reopen(Options{TruncateThreshold: -1})
+	data := v.mapWhole().Data()
+	first := string(data[pageBytes(1)-16:pageBytes(1)-6]) == "first half"
+	second := string(data[pageBytes(1):pageBytes(1)+11]) == "second half"
+	if first != second {
+		t.Fatalf("the restart holds half of the no-flush transaction (page 0 %v, page 1 %v)", first, second)
 	}
 }
 

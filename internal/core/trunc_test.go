@@ -205,6 +205,63 @@ func TestIncrementalBlockedByUncommittedRefFallsBackToEpoch(t *testing.T) {
 	}
 }
 
+// TestRespooledPageDoesNotBlockTruncation: only an uncommitted reference
+// blocks incremental truncation (paper §5.1.2).  A committer that re-spools
+// the queue's first page without pause, and never flushes, leaves the page
+// unpinned between its commits: the cleaner drains the spool under the
+// page's lock and writes the page in that visit, so no truncation reverts to
+// an epoch and each writes a page.
+func TestRespooledPageDoesNotBlockTruncation(t *testing.T) {
+	eng, r, _ := newSleepEngine(t, false)
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			tx, err := eng.Begin(NoRestore)
+			if err == nil {
+				err = tx.Modify(r, 0, []byte{byte(i)})
+			}
+			if err == nil {
+				err = tx.Commit(NoFlush)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	for call := 1; call <= 10 && !t.Failed(); call++ {
+		// Each truncation gets a page of its own to write: a commit that
+		// the last one left in the spool.
+		for spooled := false; !spooled; {
+			select {
+			case err := <-done:
+				t.Fatal(err)
+			default:
+			}
+			qi, _ := eng.Query(nil)
+			spooled = qi.SpoolBytes > 0
+		}
+		before := eng.Stats().PagesWritten
+		if err := eng.TruncateIncremental(0); err != nil {
+			t.Error(err)
+		}
+		if st := eng.Stats(); st.EpochTruncs != 0 || st.PagesWritten == before {
+			t.Errorf("call %d: %d epoch truncation(s) so far, %d page(s) written; want none and at least one",
+				call, st.EpochTruncs, st.PagesWritten-before)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIncrementalPartialLeavesSuffixLive(t *testing.T) {
 	// Truncating to a byte target reclaims only the head of the log; the
 	// remaining records must still recover correctly.
@@ -504,8 +561,10 @@ func TestHeadNeverPassesQueuedPage(t *testing.T) {
 		}(w)
 	}
 	e := v.eng
-	// A truncation that meets a pinned page waits out its grace period, so
-	// the rounds are bounded by time as well as by count.
+	// A truncation that meets a page pinned by a commit in flight waits for
+	// it, up to its grace period (a spooled page it drains and writes in
+	// the same visit), so the rounds are bounded by time as well as by
+	// count.
 	deadline := time.Now().Add(time.Second)
 	for i := 0; i < 200 && time.Now().Before(deadline) && !t.Failed(); i++ {
 		// The checkpoint first: it drains the queue, so both it and the

@@ -149,7 +149,7 @@ func (e *Engine) truncate(target int64, fallback bool) error {
 
 // The roads to an epoch truncation, which EvTruncEpoch carries in B.
 const (
-	epochBlocked = 1 + iota // the cleaner stopped at a page that stayed pinned or spooled
+	epochBlocked = 1 + iota // the cleaner stopped at a page that stayed pinned
 	epochLogFull            // an append found the log full
 )
 
@@ -270,13 +270,11 @@ func (e *Engine) completeEpochPipe(endSeq uint64) {
 	p.mu.Unlock()
 }
 
-// A page pinned by an uncommitted reference is usually mid-commit: the
-// committer holds the reference across its log force (no lock held) and
-// drops it within milliseconds.  The cleaner waits out such transient pins,
-// blockedHeadGrace in all per walk, before it declares the queue blocked.
-// Each retry is paced by blockedHeadPace: a committer re-spooling the page
-// on every visit would otherwise turn the wait into a flush spin that
-// starves the very commits it is waiting on.
+// A page pinned by an uncommitted reference is mid-commit: the committer
+// holds the reference across its log force (no lock held) and drops it
+// within milliseconds.  The cleaner waits out such transient pins,
+// blockedHeadGrace in all per walk, looking again every blockedHeadPace,
+// before it declares the queue blocked.
 const (
 	blockedHeadGrace = 50 * time.Millisecond
 	blockedHeadPace  = 200 * time.Microsecond
@@ -293,25 +291,25 @@ var cleanPeeked func()
 // clean is the page cleaner (paper Figure 7): it writes the pages of the
 // FIFO queue to their segments, oldest log reference first,
 // until the live log less what a head move would free is at most targetUsed
-// bytes, or the queue is drained, or its first page stays blocked, which
+// bytes, or the queue is drained, or its first page stays pinned, which
 // it reports.  It counts each page in IncrSteps as it goes and
 // returns the pages written and the log position and sequence number of the
 // first reference it did not retire — the next append's when the queue
 // drained.  Everything before that reference is durably in the segments, so
 // truncateClaimed moves the head there.  Caller holds the truncation claim.
 //
-// Each step holds the page's region lock across its checks, the copy of
-// the page into e.page, the dirty clear and the queue pop: the region lock
-// excludes commits on that region, so no commit can re-enqueue (and dedup
-// against) a descriptor in the middle of being retired.  The copy is
-// written with no lock held, so a slow or faulting segment stalls no
-// committer; a commit that re-dirties the page meanwhile enqueues a
-// descriptor of its own, whose newer log reference the head cannot pass.
-// Page write-outs are batched: pages are written without syncing and the
-// touched segments are synced once with no lock held, before the caller
-// may act on the result — a single status write per batch instead of one
-// per page, with the same guarantee (a page is durably in its segment
-// before the head passes its first log reference).
+// Each page is written in one visit.  The page's region lock, held across
+// the pin check, the copy of the page into e.page, a spool drain, the dirty
+// clear and the queue pop, excludes commits on that region: none can spool
+// the page again or re-enqueue (and dedup against) its descriptor in the
+// middle of its being retired.  The copy is written with no lock held, so a
+// slow or faulting segment stalls no committer; a commit that re-dirties the
+// page meanwhile enqueues a descriptor of its own, whose newer log reference
+// the head cannot pass.  Page write-outs are batched: pages are written
+// without syncing and the touched segments are synced once with no lock
+// held, before the caller may act on the result — a single status write per
+// batch instead of one per page, with the same guarantee (a page is durably
+// in its segment before the head passes its first log reference).
 func (e *Engine) clean(targetUsed int64) (pages uint64, pos int64, seq uint64, blocked bool, err error) {
 	if err := e.applyPending(); err != nil {
 		return 0, 0, 0, false, err
@@ -319,6 +317,7 @@ func (e *Engine) clean(targetUsed int64) (pages uint64, pos int64, seq uint64, b
 	p := &e.pipe
 	wrote := make(map[*segment.Segment]bool)
 	deadline := time.Now().Add(blockedHeadGrace)
+	var tries appendTries
 	for {
 		p.mu.Lock()
 		d, ok := p.queue.First()
@@ -338,85 +337,63 @@ func (e *Engine) clean(targetUsed int64) (pages uint64, pos int64, seq uint64, b
 		if !ok || e.log.Used()-e.reclaimableTo(pos) <= targetUsed {
 			break
 		}
-		// Unmap removes its region's descriptors, so a region gone or
-		// unmapped is unreachable; tolerate a stale descriptor by skipping
-		// it.  The region lock is taken outside any branch, where locksync
-		// follows it to every release.
-		r := e.regions[d.ID.Region] // stable under the truncation claim
-		if r == nil {
-			p.mu.Lock()
-			p.queue.PopFirst()
-			p.mu.Unlock()
-			continue
-		}
+		// Unmap removes its region's descriptors under the claim the caller
+		// holds, so the region is mapped.
+		r := e.regions[d.ID.Region]
 		r.mu.Lock()
-		if !r.mapped {
-			r.mu.Unlock()
-			p.mu.Lock()
-			p.queue.PopFirst()
-			p.mu.Unlock()
-			continue
-		}
-		pinned := r.pvec.Refs(int(d.ID.Page)) > 0
-		spooled := false
-		if !pinned {
-			// A no-flush transaction committed after the caller's spool
-			// flush may have re-dirtied this page: its bytes are committed
-			// but not yet logged, so writing the page (and moving the head
-			// past its log reference) would break atomicity
-			// on a crash.  The region lock holds the spool state for this
-			// region, and with it the page's newest log reference, steady
-			// across the checks and the copy.
-			p.mu.Lock()
-			spooled = r.spoolRefs[d.ID.Page] > 0
-			d, _ = p.queue.Get(d.ID)
-			p.mu.Unlock()
-		}
-		if pinned || spooled {
-			// The first page in the queue has uncommitted or unlogged
-			// changes and cannot be written without violating no-undo/redo;
-			// nothing may pass it (paper: truncation is blocked until the
-			// count drops to zero).
+		if r.pvec.Refs(int(d.ID.Page)) > 0 {
+			// The first page in the queue has uncommitted changes and cannot
+			// be written without violating no-undo/redo; nothing may pass it
+			// (paper: truncation is blocked until the count drops to zero).
 			r.mu.Unlock()
 			if !time.Now().Before(deadline) {
 				blocked = true
 				break
 			}
-			if spooled {
-				// A spooled reference never drains on its own; turn the
-				// spooled bytes into log records (legal: the caller holds
-				// the truncation claim and no locks are held here) so the
-				// page becomes writable and the walk continues.
-				if err = e.flushSpool(true); err != nil {
-					return pages, 0, 0, false, err
-				}
-			}
 			time.Sleep(blockedHeadPace)
 			continue
 		}
+		copy(e.page, r.pageBytes(d.ID.Page))
+		var rec appended
+		var need int64
+		p.mu.Lock()
+		// A no-flush commit may have re-dirtied the page: its bytes are
+		// committed but in no record yet, so writing the page (and moving the
+		// head past its log reference) would break atomicity on a crash.  The
+		// spool is drained here, as a flush commit drains it under its region
+		// locks, and the drain's record becomes the page's newest reference.
+		if r.spoolRefs[d.ID.Page] > 0 {
+			rec, need, err = e.drainSpoolPipeLocked()
+		}
+		if err == nil {
+			r.pvec.ClearDirty(int(d.ID.Page))
+			d = p.queue.PopFirst()
+		}
+		p.mu.Unlock()
+		r.mu.Unlock()
+		if rec.n > 0 {
+			e.tr.Record(obs.EvLogAppend, rec.tid, uint64(rec.n), rec.seq)
+			e.stats.Flushes.Add(1)
+		}
+		if err != nil {
+			if err = e.retryAppend(err, &tries, need, true, " while cleaning"); err != nil {
+				return pages, 0, 0, false, err
+			}
+			continue // the page is visited again
+		}
+		tries = appendTries{}
 		if d.Last > e.log.ForcedThrough() {
-			// A flush commit drained no-flush records touching this page and
-			// released its locks before its force; the page must not reach its
-			// segment ahead of them (write-ahead rule).  Forcing beats waiting
-			// for that force: the walk goes on with all appended so far durable.
-			// This force alone does not take a ticket.  Riding the client's
-			// force in flight instead, together with the spool flush's and
-			// the epoch's tickets, cost tpca_noflush 6 % of its throughput
-			// and brought back six epochs per window (EXPERIMENTS.md, "One
-			// force ticket"): the cleaner then waits on a client force
-			// instead of stalling it and loses the hot page to re-spooling.
-			r.mu.Unlock()
+			// The page must not reach its segment ahead of the records that
+			// changed it (write-ahead rule): the drain's above, or one a flush
+			// commit appended and has not forced yet.  This force alone does
+			// not take a ticket.  Riding the client's force in flight instead
+			// cost tpca_noflush 6 % of its throughput (EXPERIMENTS.md, "One
+			// force ticket"): the cleaner then waits on a client force instead
+			// of stalling it.
 			if _, err = e.force(); err != nil {
 				return pages, 0, 0, false, err
 			}
-			continue
 		}
-		copy(e.page, r.pageBytes(d.ID.Page))
-		r.pvec.ClearDirty(int(d.ID.Page))
-		p.mu.Lock()
-		p.queue.PopFirst()
-		p.mu.Unlock()
-		r.mu.Unlock()
 		if err = e.writePage(r, d.ID.Page, e.page); err != nil {
 			return pages, 0, 0, false, err
 		}
@@ -459,13 +436,13 @@ func (e *Engine) reclaimableTo(pos int64) int64 {
 // truncateClaimed is every truncation but retryAppend's, under the
 // caller's truncation claim: it flushes the spool, has the cleaner write
 // pages until at most target log bytes would stay live, and moves the
-// head.  When the cleaner stopped at a page that stayed pinned or spooled
-// and fallback is set, an epoch truncation follows (paper §5.1.2:
-// incremental truncation reverts to epoch truncation when blocked); a
-// checkpoint (fallback false) leaves the head at that page.  A log left
-// above target with nothing blocked — a commit landed during the walk —
-// stays as it is.  A truncation that walks observes one pause, the epoch's
-// when one follows.  Errors come back through maybePoison.
+// head.  When the cleaner stopped at a page that stayed pinned and fallback
+// is set, an epoch truncation follows (paper §5.1.2: incremental
+// truncation reverts to epoch truncation when blocked); a checkpoint
+// (fallback false) leaves the head at that page.  A log left above target
+// with nothing blocked — a commit landed during the walk — stays as it is.
+// A truncation that walks observes one pause, the epoch's when one
+// follows.  Errors come back through maybePoison.
 func (e *Engine) truncateClaimed(target int64, fallback bool) (pages uint64, err error) {
 	// The spool flush runs even on a log already below target: truncation's
 	// contract includes making spooled no-flush commits durable.

@@ -46,7 +46,7 @@ const (
 	EvLogAppend               // instant: record appended (A = bytes, B = seq)
 	EvLogForce                // span: log fsync (A = commits covered, B = forced-through seq)
 	EvSpoolFlush              // span: spool drained + forced (A = bytes drained)
-	EvTruncEpoch              // span: epoch truncation (A = records applied, B = road: 1 cleaner blocked, 2 log full)
+	EvTruncEpoch              // span: epoch truncation (A = records applied, B = road: 1 cleaner blocked by a pinned page, 2 log full)
 	EvTruncate                // span: truncation call (A = pages written, B = 1 for a checkpoint)
 	EvTruncPause              // span: forward processing paused by truncation (A = pages written)
 	EvRecovScan               // span: recovery log scan (A = records)

@@ -176,8 +176,7 @@ func pkgIs(names map[string]string, sel *ast.SelectorExpr, path string) bool {
 
 // TestAnalyzerRegistryComplete keeps analysis.All() in sync with the
 // analyzer subpackages on disk: adding a new analyzer package without
-// registering it would silently drop it from rvmcheck, CI, and the vet
-// tool.
+// registering it would silently drop it from rvmcheck and CI.
 func TestAnalyzerRegistryComplete(t *testing.T) {
 	registered := map[string]bool{}
 	for _, a := range analysis.All() {

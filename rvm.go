@@ -194,9 +194,10 @@ type Options struct {
 	// Metrics enables the latency/size histograms and live gauges
 	// reported by Snapshot.  Observation is a handful of atomic adds per
 	// operation; false disables the registry entirely.  With it, a stall
-	// watchdog counts a log force, group-commit wait, truncation,
-	// checkpoint or recovery in flight for over a second as stalled
-	// (Snapshot's stalls/last_stall, trace "stall" events).
+	// watchdog counts a log force, group-commit wait or truncation (a
+	// checkpoint's included) in flight for over a second as stalled
+	// (Snapshot's stalls/last_stall, trace "stall" events; the classes are
+	// force, group_wait and truncation).
 	Metrics bool
 }
 

@@ -17,6 +17,7 @@ rows=(
 	"SetHead's status sync|internal/wal/wal.go|		if err := dev.Sync(); err != nil {|		if err := error(nil); err != nil {|./internal/core|^TestLossyCrashProperty\$"
 	"clean's write-ahead force|internal/core/truncate.go|		if d.Last > e.log.ForcedThrough() {|		if false {|./internal/core|^TestCleanerForcesDrainedRecords\$/^crashed\$"
 	"the epoch's ticket before it applies|internal/core/truncate.go|	if end := ep.EndSeq(); end > 0 {|	if end := ep.EndSeq(); false && end > 0 {|./internal/core|^TestLossyCrashProperty\$"
+	"clean's drain of a spooled page|internal/core/truncate.go|		if r.spoolRefs[d.ID.Page] > 0 {|		if false {|./internal/core|^TestCleanerLogsSpooledPageBeforeWritingIt\$"
 	"Unmap's segment sync|internal/core/engine.go|		if err := e.retryIO(r.seg.Sync); err != nil {|		if err := error(nil); err != nil {|./internal/core|^TestLossyCrashProperty\$"
 )
 
