@@ -32,7 +32,7 @@ lint:
 # Options structs (TestOptionsForwarded is their
 # ratchet; this only prints).  CI's lint job runs it.
 loc:
-	@for d in core wal recovery obs analysis; do \
+	@for d in core wal recovery obs analysis pagevec; do \
 		printf '%-22s %6d lines\n' internal/$$d $$(find internal/$$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); done
 	@printf '%-22s %6d lines\n' internal/iofault $$(find internal/iofault -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 	@printf '%-22s %6d lines\n' cmd/ $$(find cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)

@@ -40,8 +40,9 @@
 //	    held.  Begin/SetRange/Commit/Abort, Query and Snapshot never touch
 //	    e.mu.
 //	  - r.mu is per-region: it guards r.data stability, r.nTx, r.mapped,
-//	    and orders pvec reference-count checks against the page writes they
-//	    gate.  Transactions on disjoint regions share no lock.
+//	    and the uncommitted reference counts (r.refs), so a count checked
+//	    under it gates the page copy made under it.  Transactions on
+//	    disjoint regions share no lock.
 //	  - e.pipe.mu is the log pipeline: it serializes buildRanges-to-append
 //	    ordering, the spool, and the truncation queue.  It is the innermost
 //	    engine lock; holding it while acquiring a region lock is a
@@ -307,17 +308,20 @@ type Region struct {
 	seg    *segment.Segment
 	segOff int64 // region start within the segment's data space
 	length int64
-	pvec   *pagevec.Vector // entries are atomics; mu orders refs-check vs page write
 	// spoolRefs counts, per page, the spool entries referencing it:
 	// bytes committed but not yet logged, which keep the page out of its
-	// segment and its dirty bit set.  Guarded by eng.pipe.mu.
+	// segment.  Guarded by eng.pipe.mu.
 	spoolRefs []int32
 
-	mu     sync.Mutex // guards data/buf stability, nTx, mapped
+	mu     sync.Mutex // guards data/buf stability, refs, nTx, mapped
 	buf    *mapping.Buffer
 	data   []byte
 	nTx    int // active transactions with ranges in this region
 	mapped bool
+	// refs counts, per page, the open transactions with ranges on it (the
+	// uncommitted reference count of the paper's Figure 7): a page with any
+	// must not reach its segment.
+	refs []int32
 	// ends counts the transactions that committed or aborted over the
 	// region.  A restore transaction leaves its unchanged words out of the
 	// log (Tx.buildRanges) while ends is what it was at its first touch.
@@ -529,8 +533,8 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 		length:    length,
 		buf:       buf,
 		data:      buf.Data(),
-		pvec:      pagevec.New(int(length / int64(mapping.PageSize))),
 		spoolRefs: make([]int32, length/int64(mapping.PageSize)),
+		refs:      make([]int32, length/int64(mapping.PageSize)),
 		mapped:    true,
 	}
 	e.pipe.mu.Lock()
@@ -553,7 +557,7 @@ func (e *Engine) overlap(id uint64, off, length int64) *Region {
 
 // Unmap unmaps a quiescent region: no uncommitted transaction may have
 // ranges in it.  Committed no-flush changes are flushed to the log and the
-// region's dirty pages are written to its segment before the memory is
+// region's queued pages are written to its segment before the memory is
 // released, so a subsequent Map sees the committed image.
 func (e *Engine) Unmap(r *Region) error {
 	if err := e.check(); err != nil {
@@ -593,22 +597,27 @@ func (e *Engine) Unmap(r *Region) error {
 	if err := e.flushSpool(true); err != nil {
 		return fail(err)
 	}
-	// The region is sealed and the truncation slot claimed, so its dirty
-	// set and its memory are stable: no transaction is open on it or can
-	// begin, and no cleaner runs.  Every dirty page is written straight
-	// from memory and synced with no lock held.
-	if r.pvec.DirtyCount() > 0 {
+	// With the spool flushed, the region's dirty pages are its queued ones.
+	// The region is sealed and the truncation slot claimed, so they and the
+	// region's memory are stable: no transaction is open on it or can
+	// begin, and no cleaner runs.  Each is written straight from memory and
+	// synced with no lock held.
+	var dirty []int64
+	e.pipe.mu.Lock()
+	e.pipe.queue.Walk(func(d pagevec.Descriptor) {
+		if d.ID.Region == r.idx {
+			dirty = append(dirty, d.ID.Page)
+		}
+	})
+	e.pipe.mu.Unlock()
+	if len(dirty) > 0 {
 		if err := e.applyPending(); err != nil {
 			return fail(err)
 		}
-		for pg := range int64(r.pvec.NumPages()) {
-			if !r.pvec.IsDirty(int(pg)) {
-				continue
-			}
+		for _, pg := range dirty {
 			if err := e.writePage(r, pg, r.pageBytes(pg)); err != nil {
 				return fail(err)
 			}
-			r.pvec.ClearDirty(int(pg))
 		}
 		if err := e.retryIO(r.seg.Sync); err != nil {
 			return fail(err)
@@ -705,12 +714,8 @@ func (e *Engine) Query(r *Region) (QueryInfo, error) {
 	p := &e.pipe
 	p.mu.Lock()
 	qi.SpoolBytes = p.spoolBytes
-	if r != nil {
-		p.queue.Walk(func(d pagevec.Descriptor) {
-			if d.ID.Region == r.idx {
-				qi.QueuedPages++
-			}
-		})
+	if r != nil && r.eng == e {
+		qi.QueuedPages, qi.DirtyPages = e.pagesPipeLocked(r)
 	}
 	p.mu.Unlock()
 	if r != nil {
@@ -721,9 +726,25 @@ func (e *Engine) Query(r *Region) (QueryInfo, error) {
 		}
 		qi.UncommittedTxs = r.nTx
 		r.mu.Unlock()
-		qi.DirtyPages = r.pvec.DirtyCount()
 	}
 	return qi, nil
+}
+
+// pagesPipeLocked counts r's queued pages and its dirty ones: those with
+// committed bytes not yet in the segment, which are exactly the pages queued
+// at the record that first references them or referenced by a spool entry
+// (DESIGN.md §12).  Caller holds e.pipe.mu.
+func (e *Engine) pagesPipeLocked(r *Region) (queued, dirty int) {
+	for pg, n := range r.spoolRefs {
+		q := e.pipe.queue.Has(pagevec.PageID{Region: r.idx, Page: int64(pg)})
+		if q {
+			queued++
+		}
+		if q || n > 0 {
+			dirty++
+		}
+	}
+	return queued, dirty
 }
 
 // SetOptions adjusts tunables at runtime (paper §4.2 set_options).  Only
@@ -767,9 +788,9 @@ type Snapshot struct {
 }
 
 // Snapshot assembles the counters, metric summaries, and live levels.
-// The levels are computed here, each from its one source — the log and
-// the pipeline, the active count, the page vectors — and kept nowhere
-// else, so a snapshot is the moment they are read.
+// The levels are computed here, each from its one source — the log, the
+// pipeline's spool and queue, the active count — and kept nowhere else, so
+// a snapshot is the moment they are read.
 func (e *Engine) Snapshot() (Snapshot, error) {
 	if e.closed.Load() {
 		return Snapshot{}, ErrClosed
@@ -785,7 +806,8 @@ func (e *Engine) Snapshot() (Snapshot, error) {
 	sn.SpoolBytes = e.pipe.spoolBytes
 	for _, r := range e.regions {
 		if r != nil {
-			sn.DirtyPages += r.pvec.DirtyCount()
+			_, dirty := e.pagesPipeLocked(r)
+			sn.DirtyPages += dirty
 		}
 	}
 	e.pipe.mu.Unlock()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -9,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/rvm-go/rvm/internal/iofault"
+	"github.com/rvm-go/rvm/internal/obs"
 )
 
 // tpcaShape is the paper's TPC-A transaction (§7.1.1) as the engine sees
@@ -106,17 +106,26 @@ func (s *tpcaShape) commitMode(tb testing.TB, mode CommitMode) {
 // BenchmarkCommitNoFlush measures a TPC-A-shaped Restore transaction
 // committed no-flush into a spool already holding spool entries; the spool
 // is emptied, off the clock, whenever it has doubled.  A commit's cost must
-// not depend on the spool's length.
+// not depend on the spool's length.  The obs=on case is spool=256 with a
+// Tracer and Metrics: what observability costs a lazy commit.
 func BenchmarkCommitNoFlush(b *testing.B) {
-	for _, spool := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("spool=%d", spool), func(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		spool int
+		obs   bool
+	}{{"spool=16", 16, false}, {"spool=256", 256, false}, {"spool=4096", 4096, false}, {"obs=on", 256, true}} {
+		b.Run(c.name, func(b *testing.B) {
 			setVar(b, &spoolLimit, math.MaxInt64)
-			s := newTPCAShape(b, Options{TruncateThreshold: -1})
+			opts := Options{TruncateThreshold: -1}
+			if c.obs {
+				opts.Tracer, opts.Metrics = obs.NewTracer(4096), obs.NewMetrics()
+			}
+			s := newTPCAShape(b, opts)
 			fill := func() {
 				if err := s.eng.Truncate(); err != nil {
 					b.Fatal(err)
 				}
-				for i := 0; i < spool; i++ {
+				for i := 0; i < c.spool; i++ {
 					s.commit(b)
 				}
 			}
@@ -124,7 +133,7 @@ func BenchmarkCommitNoFlush(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i, n := 0, 0; i < b.N; i++ {
-				if n++; n > spool {
+				if n++; n > c.spool {
 					b.StopTimer()
 					fill()
 					n = 1

@@ -318,7 +318,7 @@ func TestSpoolMatchesModel(t *testing.T) {
 			}
 			// Every page reference the spool took has been given back.
 			for _, r := range regs {
-				for pg := 0; pg < r.pvec.NumPages(); pg++ {
+				for pg := range len(r.spoolRefs) {
 					if n := r.spoolRefCount(pg); n != 0 {
 						t.Fatalf("region %d page %d keeps %d spool references with the spool empty", r.idx, pg, n)
 					}
@@ -382,7 +382,7 @@ func TestNoFlushCommitCostBound(t *testing.T) {
 
 // TestSpoolPageRefs: a page a spool entry references holds bytes that are
 // committed but not logged.  A checkpoint may not write it, an epoch's
-// completion may not clear its dirty bit, and every entry — one a later
+// completion may not leave it clean, and every entry — one a later
 // entry rewrote too — gives its references back exactly once, at the drain.
 func TestSpoolPageRefs(t *testing.T) {
 	setVar(t, &spoolLimit, math.MaxInt64)
@@ -439,7 +439,7 @@ func TestSpoolPageRefs(t *testing.T) {
 	}
 	// An inline epoch truncation leaves the spool alone.  It applies the
 	// flush commit and drops page 0 from the queue — dirty, unqueued, but
-	// spooled: the dirty bit must stay.
+	// spooled: it must stay dirty.
 	err = v.eng.epoch(epochBlocked)
 	v.eng.releaseTruncation()
 	if err != nil {
@@ -488,7 +488,7 @@ func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	if st := v.eng.Stats(); st.Flushes != 1 || st.PagesWritten != 1 {
 		t.Fatalf("flushes %d, pages written %d; want 1 and 1", st.Flushes, st.PagesWritten)
 	}
-	if r.spoolRefCount(0) != 0 || r.pvec.IsDirty(0) {
+	if qi, _ := v.eng.Query(r); r.spoolRefCount(0) != 0 || qi.DirtyPages != 0 {
 		t.Fatal("page 0 still referenced or dirty after its write-out")
 	}
 }
@@ -646,8 +646,8 @@ func TestTxBookkeepingTraps(t *testing.T) {
 		t.Fatalf("the record carries ranges at %v, want %v", offs, want)
 	}
 	for _, r := range regs {
-		if r.nTx != 0 || r.pvec.Refs(0) != 0 {
-			t.Fatalf("region %d left with nTx %d, refs %d", r.idx, r.nTx, r.pvec.Refs(0))
+		if r.nTx != 0 || r.refs[0] != 0 {
+			t.Fatalf("region %d left with nTx %d, refs %d", r.idx, r.nTx, r.refs[0])
 		}
 	}
 	// A Tx is never recycled: a stale handle keeps failing, whatever has

@@ -412,6 +412,45 @@ func TestConcurrentCommitsDuringEpochApply(t *testing.T) {
 	}
 }
 
+// TestEpochPromotesRewrittenPage: a flush commit that rewrites a page queued
+// at a record inside the epoch being applied re-queues the page at its own
+// record, the page's first reference the epoch leaves live.  The queue is
+// the only record that the page is dirty: without the promotion the epoch's
+// completion drops the page from it, and the next truncation moves the head
+// past the rewrite without writing the page.
+func TestEpochPromotesRewrittenPage(t *testing.T) {
+	v := newEnv(t, 1<<18, pageBytes(2), Options{})
+	r := v.mapWhole()
+	v.commit1(r, 0, []byte("before"))
+	if err := v.eng.claimTruncation(); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := v.eng.collectEpochPipe()
+	if err != nil {
+		v.eng.releaseTruncation()
+		t.Fatal(err)
+	}
+	v.commit1(r, 0, []byte("after!"))
+	_, err = ep.Apply(v.eng.lookupSegment, v.eng.retryIO)
+	if err == nil {
+		v.eng.completeEpochPipe(ep.EndSeq())
+	}
+	v.eng.releaseTruncation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qi, _ := v.eng.Query(r); qi.QueuedPages != 1 || qi.DirtyPages != 1 {
+		t.Fatalf("after the epoch: %+v; want page 0 queued and dirty", qi)
+	}
+	if err := v.eng.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	v.reopen(Options{})
+	if got := string(v.mapWhole().Data()[:6]); got != "after!" {
+		t.Fatalf("recovered %q, want the rewrite", got)
+	}
+}
+
 // TestSetOptionsGovernsBackgroundTruncation: the threshold SetOptions
 // stores is the one a commit starts background truncation by.  A log past
 // the threshold given at Open but short of the new one is left alone, and

@@ -8,7 +8,6 @@ import (
 
 	"github.com/rvm-go/rvm/internal/mapping"
 	"github.com/rvm-go/rvm/internal/obs"
-	"github.com/rvm-go/rvm/internal/pagevec"
 	"github.com/rvm-go/rvm/internal/recovery"
 	"github.com/rvm-go/rvm/internal/segment"
 	"github.com/rvm-go/rvm/internal/wal"
@@ -244,28 +243,15 @@ func (e *Engine) collectEpochPipe() (ep *recovery.Epoch, err error) {
 	return ep, nil
 }
 
-// completeEpochPipe drops queue descriptors the epoch made obsolete and
-// clears dirty bits for pages whose committed changes are now fully in
-// their segments.  Callers hold the truncation claim (so the regions slice
-// and mapped-state are stable); the queue/spool/dirty reconciliation runs
-// under the pipeline lock so it cannot interleave with a commit's enqueue.
+// completeEpochPipe drops the queue descriptors the epoch made obsolete:
+// those first referenced by a record it applied.  A page a later record
+// references was promoted past them (enqueuePagePipeLocked), and a spooled
+// page stays dirty by its spool references.  It runs under the pipeline
+// lock so it cannot interleave with a commit's enqueue.
 func (e *Engine) completeEpochPipe(endSeq uint64) {
 	p := &e.pipe
 	p.mu.Lock()
 	p.queue.DropOlderThan(endSeq)
-	for _, r := range e.regions {
-		if r == nil {
-			continue
-		}
-		for pg := 0; pg < r.pvec.NumPages(); pg++ {
-			// Pages referenced by still-spooled transactions keep their
-			// dirty bits: their changes are only in memory and the spool.
-			id := pagevec.PageID{Region: r.idx, Page: int64(pg)}
-			if r.pvec.IsDirty(pg) && r.spoolRefs[pg] == 0 && !p.queue.Has(id) {
-				r.pvec.ClearDirty(pg)
-			}
-		}
-	}
 	p.epochEndSeq = 0
 	p.mu.Unlock()
 }
@@ -299,10 +285,10 @@ var cleanPeeked func()
 // truncateClaimed moves the head there.  Caller holds the truncation claim.
 //
 // Each page is written in one visit.  The page's region lock, held across
-// the pin check, the copy of the page into e.page, a spool drain, the dirty
-// clear and the queue pop, excludes commits on that region: none can spool
-// the page again or re-enqueue (and dedup against) its descriptor in the
-// middle of its being retired.  The copy is written with no lock held, so a
+// the pin check, the copy of the page into e.page, a spool drain and the
+// queue pop, excludes commits on that region: none can spool the page again
+// or re-enqueue (and dedup against) its descriptor in the middle of its
+// being retired.  The copy is written with no lock held, so a
 // slow or faulting segment stalls no committer; a commit that re-dirties the
 // page meanwhile enqueues a descriptor of its own, whose newer log reference
 // the head cannot pass.  Page write-outs are batched: pages are written
@@ -341,7 +327,7 @@ func (e *Engine) clean(targetUsed int64) (pages uint64, pos int64, seq uint64, b
 		// holds, so the region is mapped.
 		r := e.regions[d.ID.Region]
 		r.mu.Lock()
-		if r.pvec.Refs(int(d.ID.Page)) > 0 {
+		if r.refs[d.ID.Page] > 0 {
 			// The first page in the queue has uncommitted changes and cannot
 			// be written without violating no-undo/redo; nothing may pass it
 			// (paper: truncation is blocked until the count drops to zero).
@@ -366,7 +352,6 @@ func (e *Engine) clean(targetUsed int64) (pages uint64, pos int64, seq uint64, b
 			rec, need, err = e.drainSpoolPipeLocked()
 		}
 		if err == nil {
-			r.pvec.ClearDirty(int(d.ID.Page))
 			d = p.queue.PopFirst()
 		}
 		p.mu.Unlock()
@@ -412,7 +397,7 @@ func (e *Engine) clean(targetUsed int64) (pages uint64, pos int64, seq uint64, b
 // writePage is the one place a page reaches its segment: it writes src,
 // the page's bytes, unsynced (the caller syncs the segment before anything
 // relies on the page being there) and counts it.  Caller holds no lock,
-// since a transient fault backs off inside, and clears the dirty bit.
+// since a transient fault backs off inside.
 func (e *Engine) writePage(r *Region, page int64, src []byte) error {
 	off := r.segOff + page*int64(mapping.PageSize)
 	if err := e.retryIO(func() error { return r.seg.WriteAt(src, off) }); err != nil {

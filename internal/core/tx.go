@@ -249,13 +249,14 @@ func (t *Tx) txRegionLocked(r *Region) *txRegion {
 }
 
 // refPages increments uncommitted reference counts for pages of [off,end)
-// not yet referenced by this transaction in this region.
+// not yet referenced by this transaction in this region.  Caller holds the
+// region's lock.
 func (tr *txRegion) refPages(off, end int64) {
 	ps := int64(mapping.PageSize)
 	var buf [1]span
 	for _, sp := range tr.pages.add(off/ps, (end-1)/ps+1, buf[:0]) {
 		for p := sp.off; p < sp.end; p++ {
-			tr.region.pvec.IncRef(int(p))
+			tr.region.refs[p]++
 		}
 	}
 }
@@ -302,7 +303,7 @@ func (t *Tx) finish() {
 	b := t.txBooks
 	for _, tr := range b.regions {
 		r := tr.region
-		tr.eachPage(func(p int64) { r.pvec.DecRef(int(p)) })
+		tr.eachPage(func(p int64) { r.refs[p]-- })
 		r.nTx--
 		r.mu.Unlock()
 		*tr = txRegion{}
@@ -576,7 +577,6 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			// The copy is cut from the spool's memory, which pipe.mu guards.
 			e.spoolPipeLocked(p.mem.clone(&spooled{tid: t.id, flags: flags, ranges: ranges, pages: pages, bytes: logged}))
 			spoolBytes, nbytes = p.spoolBytes, logged
-			t.markDirtyPipeLocked(nil, 0, 0) // dirty bits only; queue entries at flush
 		} else {
 			drained, need, err = e.drainSpoolPipeLocked() // older commits reach the log first
 			if err == nil {
@@ -584,14 +584,16 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 				nbytes = own.n
 			}
 			if err == nil {
-				// Dirty bits and page enqueues happen in the same critical
-				// section as the append, so the truncation queue keeps log
-				// order.  The pages cannot be written out before the record
-				// is forced: a flush commit holds their uncommitted reference
-				// counts until finish, the cleaner forces the log before it
-				// writes a page queued at an unforced record, and epoch
-				// truncation forces the log before applying records.
-				t.markDirtyPipeLocked(pages, own.pos, own.seq)
+				// The pages are enqueued in the same critical section as the
+				// append, so the truncation queue keeps log order.  They
+				// cannot be written out before the record is forced: a flush
+				// commit holds their uncommitted reference counts until
+				// finish, the cleaner forces the log before it writes a page
+				// queued at an unforced record, and epoch truncation forces
+				// the log before applying records.
+				for _, id := range pages {
+					e.enqueuePagePipeLocked(id, own.pos, own.seq)
+				}
 			}
 		}
 		p.mu.Unlock()
@@ -695,24 +697,11 @@ func (t *Tx) abandonIfPoisoned(err error) {
 	}
 }
 
-// markDirtyPipeLocked marks dirty the pages of the transaction's regions;
-// when queue position info is supplied (flush path) the supplied pages are
-// also enqueued for incremental truncation.  Caller holds e.pipe.mu — the
-// dirty bits are atomic, but setting them inside the pipeline section keeps
-// them consistent with the spool/queue state that epoch completion reads.
-func (t *Tx) markDirtyPipeLocked(pages []pagevec.PageID, pos int64, seq uint64) {
-	for i := range t.regions {
-		r := t.regions[i].region
-		t.regions[i].eachPage(func(p int64) { r.pvec.SetDirty(int(p)) })
-	}
-	for _, id := range pages {
-		t.eng.enqueuePagePipeLocked(id, pos, seq)
-	}
-}
-
 // enqueuePagePipeLocked records a page's log reference in the FIFO queue,
-// honouring the no-duplicates rule and the epoch-promotion rule.  Caller
-// holds e.pipe.mu.
+// honouring the no-duplicates rule and the epoch-promotion rule.  The queue
+// is the only record that a page with logged bytes is dirty, so a page the
+// epoch in flight would otherwise drop must stay in it.  Caller holds
+// e.pipe.mu.
 func (e *Engine) enqueuePagePipeLocked(id pagevec.PageID, pos int64, seq uint64) {
 	p := &e.pipe
 	if p.queue.Push(id, pos, seq) || p.epochEndSeq == 0 {

@@ -113,8 +113,9 @@ type slot struct {
 }
 
 // Tracer is a lock-free ring buffer of events.  Recording is wait-free
-// (one atomic increment plus six atomic stores), never allocates, and
-// never blocks: when the ring is full the oldest events are overwritten.
+// (one atomic increment plus eight atomic stores: the slot's sequence
+// cleared, the six payload fields, the sequence sealed), never allocates,
+// and never blocks: when the ring is full the oldest events are overwritten.
 // A nil Tracer discards every call.
 type Tracer struct {
 	base  time.Time

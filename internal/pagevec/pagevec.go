@@ -1,84 +1,19 @@
-// Package pagevec implements the two data structures behind RVM's
-// incremental truncation (paper §5.1.2, Figure 7):
+// Package pagevec implements the page-modification queue behind RVM's
+// incremental truncation (paper §5.1.2, Figure 7): a FIFO Queue of
+// descriptors giving the order in which dirty pages must be written out to
+// move the log head.  Each descriptor records the log position of the first
+// live record referencing its page, and the queue contains no duplicate page
+// references: a page appears only in the earliest descriptor in which it
+// could appear.
 //
-//   - a page Vector per mapped region, loosely analogous to a VM page
-//     table: each entry holds a dirty bit and an uncommitted reference
-//     count.  The count is incremented as set-ranges execute and
-//     decremented on commit or abort; on commit the affected pages are
-//     marked dirty.  To preserve the log's no-undo/redo property, a page
-//     with a non-zero uncommitted reference count must never be written to
-//     the recoverable data segment.
-//
-//   - a FIFO Queue of page-modification descriptors giving the order in
-//     which dirty pages must be written out to move the log head.  Each
-//     descriptor records the log position of the first live record
-//     referencing its page, and the queue contains no duplicate page
-//     references: a page appears only in the earliest descriptor in which
-//     it could appear.
-//
-// The paper's per-entry "reserved" bit is an internal lock; here the
-// Vector entries are atomics, so concurrent transactions on the same
-// region can bump reference counts and dirty bits without a shared lock.
-// Ordering between a reference-count check and the page write it guards
-// is still the caller's job (the engine's region mutex provides it).  The
-// Queue has no internal synchronization; the engine serializes access
-// under its log-pipeline lock.
+// Figure 7's page vector is not here.  Its uncommitted reference count is a
+// per-page counter of the engine's region, guarded by the region's lock.
+// Its dirty bit is kept nowhere: a page is dirty exactly when it is queued
+// here or referenced by a spooled no-flush commit, and the engine reads it
+// from those two (DESIGN.md §12).  The Queue has no internal
+// synchronization; the engine serializes access under its log-pipeline
+// lock.
 package pagevec
-
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// Vector tracks per-page modification state for one mapped region.  All
-// methods are safe for concurrent use.
-type Vector struct {
-	refs  []atomic.Int32
-	dirty []atomic.Bool
-	ndirt atomic.Int64
-}
-
-// New returns a Vector for a region of npages pages.
-func New(npages int) *Vector {
-	return &Vector{refs: make([]atomic.Int32, npages), dirty: make([]atomic.Bool, npages)}
-}
-
-// NumPages returns the region size in pages.
-func (v *Vector) NumPages() int { return len(v.refs) }
-
-// IncRef notes an uncommitted set-range reference to page.
-func (v *Vector) IncRef(page int) { v.refs[page].Add(1) }
-
-// DecRef drops an uncommitted reference on commit or abort.
-func (v *Vector) DecRef(page int) {
-	if v.refs[page].Add(-1) < 0 {
-		panic(fmt.Sprintf("pagevec: DecRef on page %d with zero refs", page))
-	}
-}
-
-// Refs returns the page's uncommitted reference count.
-func (v *Vector) Refs(page int) int { return int(v.refs[page].Load()) }
-
-// SetDirty marks a page as having committed changes not yet reflected to
-// its external data segment.
-func (v *Vector) SetDirty(page int) {
-	if v.dirty[page].CompareAndSwap(false, true) {
-		v.ndirt.Add(1)
-	}
-}
-
-// ClearDirty marks the page clean after it is written to its segment.
-func (v *Vector) ClearDirty(page int) {
-	if v.dirty[page].CompareAndSwap(true, false) {
-		v.ndirt.Add(-1)
-	}
-}
-
-// IsDirty reports whether the page has unreflected committed changes.
-func (v *Vector) IsDirty(page int) bool { return v.dirty[page].Load() }
-
-// DirtyCount returns the number of dirty pages.
-func (v *Vector) DirtyCount() int { return int(v.ndirt.Load()) }
 
 // PageID names a page across all mapped regions.
 type PageID struct {

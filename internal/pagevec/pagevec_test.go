@@ -6,47 +6,6 @@ import (
 	"testing"
 )
 
-func TestVectorRefCounting(t *testing.T) {
-	v := New(4)
-	if v.NumPages() != 4 {
-		t.Fatalf("NumPages=%d", v.NumPages())
-	}
-	v.IncRef(1)
-	v.IncRef(1)
-	v.IncRef(2)
-	if v.Refs(1) != 2 || v.Refs(2) != 1 || v.Refs(0) != 0 {
-		t.Fatal("ref counts wrong")
-	}
-	v.DecRef(1)
-	if v.Refs(1) != 1 {
-		t.Fatal("DecRef wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DecRef below zero did not panic")
-		}
-	}()
-	v.DecRef(0)
-}
-
-func TestVectorDirtyBits(t *testing.T) {
-	v := New(3)
-	v.SetDirty(0)
-	v.SetDirty(0) // idempotent
-	v.SetDirty(2)
-	if !v.IsDirty(0) || v.IsDirty(1) || !v.IsDirty(2) {
-		t.Fatal("dirty bits wrong")
-	}
-	if v.DirtyCount() != 2 {
-		t.Fatalf("DirtyCount=%d", v.DirtyCount())
-	}
-	v.ClearDirty(0)
-	v.ClearDirty(0) // idempotent
-	if v.IsDirty(0) || v.DirtyCount() != 1 {
-		t.Fatal("ClearDirty wrong")
-	}
-}
-
 func TestQueueFIFOAndNoDuplicates(t *testing.T) {
 	var q Queue
 	a := PageID{0, 1}
