@@ -303,7 +303,7 @@ func BenchmarkAblateTruncation(b *testing.B) {
 		}
 	})
 	b.Run("Incremental", func(b *testing.B) {
-		db, reg := benchStore(b, rvm.Options{Incremental: true})
+		db, reg := benchStore(b, rvm.Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -317,9 +317,9 @@ func BenchmarkAblateTruncation(b *testing.B) {
 }
 
 // BenchmarkConcurrentCommit measures flush-mode commit throughput under
-// goroutine concurrency, without and with the join window (GroupCommit);
-// both share forces through the one ticket.  Real fsyncs: the contended
-// log force is exactly what group commit exists to amortize.
+// goroutine concurrency; committers share forces through the one ticket
+// and its join window.  Real fsyncs: the contended log force is exactly
+// what group commit exists to amortize.
 // Each benchmark iteration has every worker commit a fixed number of
 // transactions to its own disjoint slots, so one iteration (-benchtime 1x)
 // already yields a meaningful fsyncs/commit ratio.
@@ -327,55 +327,47 @@ func BenchmarkConcurrentCommit(b *testing.B) {
 	const commitsPerWorker = 8
 	const slotSize = 256
 	payload := bytes.Repeat([]byte{11}, 128)
-	for _, mode := range []struct {
-		name string
-		opts rvm.Options
-	}{
-		{"NoWindow", rvm.Options{}},
-		{"Group", rvm.Options{GroupCommit: true}},
-	} {
-		for _, workers := range []int{1, 2, 4, 8, 16, 32, 64} {
-			b.Run(fmt.Sprintf("%s/g%d", mode.name, workers), func(b *testing.B) {
-				db, reg := benchStore(b, mode.opts)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							base := int64(w) * slotSize
-							for j := 0; j < commitsPerWorker; j++ {
-								tx, err := db.Begin(rvm.NoRestore)
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								if err := tx.Modify(reg, base, payload); err != nil {
-									b.Error(err)
-									return
-								}
-								if err := tx.Commit(rvm.Flush); err != nil {
-									b.Error(err)
-									return
-								}
+	for _, workers := range []int{1, 2, 4, 8, 16, 32, 64} {
+		b.Run(fmt.Sprintf("g%d", workers), func(b *testing.B) {
+			db, reg := benchStore(b, rvm.Options{})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						base := int64(w) * slotSize
+						for j := 0; j < commitsPerWorker; j++ {
+							tx, err := db.Begin(rvm.NoRestore)
+							if err != nil {
+								b.Error(err)
+								return
 							}
-						}(w)
-					}
-					wg.Wait()
+							if err := tx.Modify(reg, base, payload); err != nil {
+								b.Error(err)
+								return
+							}
+							if err := tx.Commit(rvm.Flush); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(w)
 				}
-				b.StopTimer()
-				st := db.Stats()
-				commits := float64(st.FlushCommits)
-				if commits > 0 {
-					b.ReportMetric(float64(st.LogForces)/commits, "fsyncs/commit")
-					b.ReportMetric(commits/b.Elapsed().Seconds(), "commits/s")
-				}
-				if st.GroupCommitSize > 0 {
-					b.ReportMetric(float64(st.GroupCommitSize), "max-batch")
-				}
-			})
-		}
+				wg.Wait()
+			}
+			b.StopTimer()
+			st := db.Stats()
+			commits := float64(st.FlushCommits)
+			if commits > 0 {
+				b.ReportMetric(float64(st.LogForces)/commits, "fsyncs/commit")
+				b.ReportMetric(commits/b.Elapsed().Seconds(), "commits/s")
+			}
+			if st.GroupCommitSize > 0 {
+				b.ReportMetric(float64(st.GroupCommitSize), "max-batch")
+			}
+		})
 	}
 }
 
@@ -397,7 +389,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		observe bool
 	}{{"Off", false}, {"On", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			opts := core.Options{GroupCommit: true}
+			var opts core.Options
 			if mode.observe {
 				opts.Tracer, opts.Metrics = obs.NewTracer(4096), obs.NewMetrics()
 			}

@@ -16,10 +16,10 @@ import (
 )
 
 // The concurrent experiment measures what the paper could not: flush-mode
-// commit throughput under goroutine concurrency, without and with the
-// join window (Options.GroupCommit).  Every flush commit forces through
-// one ticket, so concurrent committers share a force either way; the
-// window only lets a leader wait for committers still arriving.
+// commit throughput under goroutine concurrency.  Every flush commit forces
+// through one ticket, so concurrent committers share a force, and the
+// leader of a force first waits out a join window for committers still
+// arriving.
 //
 // The log's Sync costs a fixed modelSync, one call at a time, as one disk
 // arm would (openModelled): the host's own fsync ranges from microseconds
@@ -58,13 +58,12 @@ func openModelled(logPath string, opts core.Options) (*core.Engine, error) {
 
 var concWorkers = []int{1, 2, 4, 8, 16, 32, 64}
 
-// concCell is one (mode, workers) measurement, serialized to BENCH_ci.json.
+// concCell is one worker-count measurement, serialized to BENCH_ci.json.
 // The latency quantiles come from the engine's log2 histogram layer
 // (Options.Metrics), so every cell reports a distribution, not just a
 // mean derived from elapsed/commits.
 type concCell struct {
 	Workers         int     `json:"workers"`
-	GroupCommit     bool    `json:"group_commit"`
 	Commits         uint64  `json:"commits"`
 	ElapsedNs       int64   `json:"elapsed_ns"`
 	CommitsPerSec   float64 `json:"commits_per_sec"`
@@ -118,25 +117,19 @@ func concurrent(jsonPath, thresholdsPath string) error {
 		NumCPU:    runtime.NumCPU(),
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 	}
-	fmt.Printf("Concurrent flush-mode commit on a %v log sync: without and with the join window\n", modelSync)
-	fmt.Printf("%8s %6s %9s %12s %14s %9s %12s %12s\n",
-		"mode", "goros", "commits", "commits/s", "fsyncs/commit", "max-batch", "p50(ms)", "p99(ms)")
-	for _, group := range []bool{false, true} {
-		for _, workers := range concWorkers {
-			cell, err := concRun(group, workers, concCommitsPerWorker, true)
-			if err != nil {
-				return err
-			}
-			report.Cells = append(report.Cells, cell)
-			mode := "nowindow"
-			if group {
-				mode = "window"
-			}
-			fmt.Printf("%8s %6d %9d %12.0f %14.4f %9d %12.3f %12.3f\n",
-				mode, workers, cell.Commits, cell.CommitsPerSec,
-				cell.FsyncsPerCommit, cell.MaxBatch,
-				float64(cell.CommitP50Ns)/1e6, float64(cell.CommitP99Ns)/1e6)
+	fmt.Printf("Concurrent flush-mode commit on a %v log sync\n", modelSync)
+	fmt.Printf("%6s %9s %12s %14s %9s %12s %12s\n",
+		"goros", "commits", "commits/s", "fsyncs/commit", "max-batch", "p50(ms)", "p99(ms)")
+	for _, workers := range concWorkers {
+		cell, err := concRun(workers, concCommitsPerWorker, true)
+		if err != nil {
+			return err
 		}
+		report.Cells = append(report.Cells, cell)
+		fmt.Printf("%6d %9d %12.0f %14.4f %9d %12.3f %12.3f\n",
+			workers, cell.Commits, cell.CommitsPerSec,
+			cell.FsyncsPerCommit, cell.MaxBatch,
+			float64(cell.CommitP50Ns)/1e6, float64(cell.CommitP99Ns)/1e6)
 	}
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
@@ -158,7 +151,7 @@ func concurrent(jsonPath, thresholdsPath string) error {
 // with the metrics registry (the histogram layer behind the latency
 // quantiles) and the event tracer enabled; without, both are off — the
 // configuration the obs experiment uses as its baseline.
-func concRun(group bool, workers, commitsPerWorker int, observe bool) (concCell, error) {
+func concRun(workers, commitsPerWorker int, observe bool) (concCell, error) {
 	dir, err := os.MkdirTemp("", "rvmbench-conc-*")
 	if err != nil {
 		return concCell{}, err
@@ -172,7 +165,7 @@ func concRun(group bool, workers, commitsPerWorker int, observe bool) (concCell,
 	if err := core.CreateSegment(segPath, 1, 1<<20); err != nil {
 		return concCell{}, err
 	}
-	opts := core.Options{TruncateThreshold: -1, GroupCommit: group}
+	opts := core.Options{TruncateThreshold: -1}
 	if observe {
 		opts.Metrics = obs.NewMetrics()
 		opts.Tracer = obs.NewTracer(4096)
@@ -226,7 +219,6 @@ func concRun(group bool, workers, commitsPerWorker int, observe bool) (concCell,
 	st := db.Stats()
 	cell := concCell{
 		Workers:     workers,
-		GroupCommit: group,
 		Commits:     st.FlushCommits,
 		ElapsedNs:   elapsed.Nanoseconds(),
 		MaxBatch:    st.GroupCommitSize,
@@ -265,7 +257,7 @@ func concGate(report concReport, path string) error {
 		return fmt.Errorf("%s: missing concurrent_commit gate", path)
 	}
 	for _, c := range report.Cells {
-		if c.GroupCommit && c.Workers == g.Workers {
+		if c.Workers == g.Workers {
 			if c.FsyncsPerCommit > g.GroupMaxFsyncsPerCommit {
 				return fmt.Errorf(
 					"bench gate FAILED: group commit at %d workers ran %.4f fsyncs/commit (threshold %.4f)",
@@ -282,7 +274,7 @@ func concGate(report concReport, path string) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("bench gate: no group-commit cell with %d workers", g.Workers)
+	return fmt.Errorf("bench gate: no cell with %d workers", g.Workers)
 }
 
 // Obs-overhead experiment: the acceptance bar for the observability layer
@@ -306,7 +298,7 @@ func obsOverhead(thresholdsPath string) error {
 		var tps [2]float64 // off, on
 		for k := range 2 {
 			on := (i + k) % 2 // even pairs run off first, odd pairs on first
-			cell, err := concRun(true, obsWorkers, obsCommits, on == 1)
+			cell, err := concRun(obsWorkers, obsCommits, on == 1)
 			if err != nil {
 				return err
 			}

@@ -127,7 +127,7 @@ func scalRun(workers int) (scalCell, error) {
 	if err := core.CreateSegment(segPath, 1, int64(workers)*scalRegionLen); err != nil {
 		return scalCell{}, err
 	}
-	db, err := openModelled(logPath, core.Options{TruncateThreshold: -1, GroupCommit: true})
+	db, err := openModelled(logPath, core.Options{TruncateThreshold: -1})
 	if err != nil {
 		return scalCell{}, err
 	}

@@ -19,11 +19,9 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -45,51 +43,12 @@ var (
 func moduleExports(t *testing.T) map[string]string {
 	t.Helper()
 	exportOnce.Do(func() {
-		root, err := moduleRoot()
-		if err != nil {
-			exportErr = err
-			return
-		}
-		_, pkgs, err := listExports(root)
-		if err != nil {
-			exportErr = err
-			return
-		}
-		exportMap = pkgs
+		exportMap, exportErr = framework.Exports("", framework.ModulePath+"/...")
 	})
 	if exportErr != nil {
 		t.Fatalf("analysistest: loading module export data: %v", exportErr)
 	}
 	return exportMap
-}
-
-func moduleRoot() (string, error) {
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		return "", fmt.Errorf("go env GOMOD: %v", err)
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		return "", fmt.Errorf("not in a module")
-	}
-	return filepath.Dir(gomod), nil
-}
-
-func listExports(root string) (string, map[string]string, error) {
-	cmd := exec.Command("go", "list", "-e", "-export", "-deps",
-		"-f", "{{if .Export}}{{.ImportPath}}\t{{.Export}}{{end}}", "./...")
-	cmd.Dir = root
-	out, err := cmd.Output()
-	if err != nil {
-		return "", nil, fmt.Errorf("go list -export: %v", err)
-	}
-	m := map[string]string{}
-	for _, line := range strings.Split(string(out), "\n") {
-		if path, file, ok := strings.Cut(line, "\t"); ok {
-			m[path] = file
-		}
-	}
-	return root, m, nil
 }
 
 // Run loads testdata/src/<pkg> for each named package (relative to the

@@ -40,16 +40,46 @@ type listPkg struct {
 // the current directory), typechecks the matched packages from source, and
 // returns them with full type information.
 //
+// Test files are not loaded: the analyzers guard production discipline,
+// and tests legitimately poke at half-built states.
+func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
+	exports, targets, err := list(dir, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	fset := token.NewFileSet()
+	imp := ExportImporter(fset, exports)
+	var pkgs []*Package
+	for _, t := range targets {
+		if len(t.GoFiles) == 0 {
+			continue
+		}
+		pkg, err := Check(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
+		if err != nil {
+			return nil, nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return fset, pkgs, nil
+}
+
+// Exports returns the import-path → export-file map of the packages
+// matching patterns and everything they depend on, for ExportImporter.
+func Exports(dir string, patterns ...string) (map[string]string, error) {
+	exports, _, err := list(dir, patterns)
+	return exports, err
+}
+
+// list runs the one `go list -export -deps` behind Load and Exports.  It
+// returns the export map and the matched packages, sorted by import path.
+//
 // Dependency types come from compiled export data: `go list -export -deps`
 // places every dependency's export file in the build cache, and the gc
 // importer reads those files directly.  This is the same division of
 // labour as go vet's unitchecker — only the packages under analysis are
 // typechecked from source — and it works fully offline, since this module
 // has no dependencies outside the standard library.
-//
-// Test files are not loaded: the analyzers guard production discipline,
-// and tests legitimately poke at half-built states.
-func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
+func list(dir string, patterns []string) (map[string]string, []listPkg, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
@@ -87,21 +117,7 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
-	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
-	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := Check(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-		if err != nil {
-			return nil, nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return fset, pkgs, nil
+	return exports, targets, nil
 }
 
 // ExportImporter returns a types.Importer that resolves import paths

@@ -77,7 +77,7 @@ func (rs *recordStream) scan(t *testing.T, e *Engine) {
 // pins page 0 of region 0 over the middle of the run, where a checkpoint and
 // an incremental truncation meet it, and finish runs before the crash and
 // must leave every committed byte in the segment (finishedInSegment).
-func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, finish func(*testing.T, *env, []*Region) []*Region) (recovered, model [][]byte, stream string) {
+func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, window bool, finish func(*testing.T, *env, []*Region) []*Region) (recovered, model [][]byte, stream string) {
 	t.Helper()
 	opts.TruncateThreshold = -1
 	v := newEnv(t, 1<<15, pageBytes(2*pathsRegions), opts)
@@ -137,6 +137,12 @@ func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, 
 				t.Fatal(err)
 			}
 		} else {
+			if window {
+				// Predict a second committer, so a flush commit leading
+				// its force waits out the join window for one that never
+				// comes.
+				v.eng.gc.predicted.Store(2)
+			}
 			if err := tx.Commit(modes[step%len(modes)]); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
@@ -158,6 +164,9 @@ func runPathsScript(t *testing.T, seed int64, opts Options, modes []CommitMode, 
 	st := v.eng.Stats()
 	if st.EpochTruncs == 0 {
 		t.Fatal("the script never filled the log: no ErrLogFull retry was exercised")
+	}
+	if window && st.JoinExpired == 0 {
+		t.Fatal("no flush commit waited out the join window")
 	}
 	stream = fmt.Sprintf("%d:%016x", rs.count, rs.sum.Sum64())
 	if finish != nil {
@@ -240,26 +249,26 @@ func finishedInSegment(t *testing.T, v *env, regs []*Region, model [][]byte) {
 }
 
 // TestCommitPathsAgree runs the same script as flush commits, as flush
-// commits with GroupCommit set, and as no-flush commits plus Flush.  All
-// must recover the model's images, and the record stream of the flush runs
-// must hash to the value the three separate commit functions of the commit
-// before the one commit path produced: the one staged commit function logs
-// the same records, not just bytes of the same total size, and the join
-// window changes no record.
+// commits whose every force waits out the join window, and as no-flush
+// commits plus Flush.  All must recover the model's images, and the record
+// stream of the flush runs must hash to the value the three separate commit
+// functions of the commit before the one commit path produced: the one
+// staged commit function logs the same records, not just bytes of the same
+// total size, and the join window changes no record.
 func TestCommitPathsAgree(t *testing.T) {
 	cases := []struct {
 		name   string
 		mode   CommitMode
-		opts   Options
+		window bool   // open the join window on every flush commit's force
 		stream string // record count and FNV-64a, pinned before the one commit path
 	}{
-		{"flush", Flush, Options{}, "226:6d880f600d853047"},
-		{"group", Flush, Options{GroupCommit: true}, "226:6d880f600d853047"},
-		{"noflush+Flush", NoFlush, Options{}, ""},
+		{"flush", Flush, false, "226:6d880f600d853047"},
+		{"group", Flush, true, "226:6d880f600d853047"},
+		{"noflush+Flush", NoFlush, false, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			recovered, model, stream := runPathsScript(t, pathsSeed, c.opts, []CommitMode{c.mode}, nil)
+			recovered, model, stream := runPathsScript(t, pathsSeed, Options{}, []CommitMode{c.mode}, c.window, nil)
 			for i := range model {
 				if !bytes.Equal(recovered[i], model[i]) {
 					t.Errorf("region %d: recovered image differs from the model", i)
@@ -373,7 +382,7 @@ func TestWriteBackPathsAgree(t *testing.T) {
 	var first [][]byte
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			recovered, model, _ := runPathsScript(t, pathsSeed, Options{}, []CommitMode{Flush, NoFlush, NoFlush}, c.finish)
+			recovered, model, _ := runPathsScript(t, pathsSeed, Options{}, []CommitMode{Flush, NoFlush, NoFlush}, false, c.finish)
 			if first == nil {
 				first = recovered
 			}

@@ -36,7 +36,7 @@ func crashDuringIncrementalTruncation(t *testing.T, lossy bool) {
 			t.Fatal(err)
 		}
 		dev := iofault.NewCache(f, -1)
-		eng, err := Open(onMachine(Options{LogPath: logPath, Incremental: true}, dev, lossy))
+		eng, err := Open(onMachine(Options{LogPath: logPath}, dev, lossy))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func TestDemandPagingWithTruncationUnderLiveMapping(t *testing.T) {
 	// Truncation writes committed pages to the file while the private
 	// mapping is live; the mapping must keep showing the right bytes
 	// (the pages it wrote were COWed by the very writes being truncated).
-	v := newEnv(t, 1<<17, pageBytes(2), Options{Backend: mapping.DemandPaging, Incremental: true})
+	v := newEnv(t, 1<<17, pageBytes(2), Options{Backend: mapping.DemandPaging})
 	r := v.mapWhole()
 	for i := 0; i < 20; i++ {
 		v.commit1(r, int64(i*64), []byte{byte(i + 1)})

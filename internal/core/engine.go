@@ -111,15 +111,12 @@ type Options struct {
 	// background truncation after a commit (paper §4.2 set_options knob).
 	// Zero or negative disables automatic truncation.
 	TruncateThreshold float64
-	// Incremental makes background truncation stop at half the threshold
-	// rather than empty the log (paper §5.1.2).
+	// Incremental and GroupCommit are read by nothing: background
+	// truncation always stops at half the threshold (paper §5.1.2), and a
+	// flush commit that leads a log force always waits out the join window
+	// (joinWindow).  They stay only for the benchmark harness, which still
+	// sets them; ROADMAP item 7 deletes them.
 	Incremental bool
-	// GroupCommit makes a flush commit that leads a log force wait out a
-	// join window first (joinWindow), so that committers still arriving
-	// share the force.  It decides nothing else: every flush commit, Flush
-	// and epoch truncation forces through one ticket (waitForced), so
-	// concurrent callers share a force either way, and a failed force
-	// poisons the engine and fails every ticket holder (fail-stop).
 	GroupCommit bool
 	// Tracer records typed engine events (commits, forces, truncation
 	// phases, recovery, faults) into a fixed-size ring.  nil disables

@@ -334,7 +334,7 @@ func TestBackgroundTruncFailureObservable(t *testing.T) {
 func TestGroupCommitForceFaultPoisonsAll(t *testing.T) {
 	const workers = 8
 	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, false, nil, nil,
-		Options{GroupCommit: true})
+		Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,10 +454,7 @@ func TestFaultScheduleProperty(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
 		v, err := newFaultEnv(t, 1<<15, size, int64(trial), false, randomFaults(rng), randomFaults(rng),
-			Options{
-				TruncateThreshold: 0.5,
-				Incremental:       trial%2 == 0,
-			})
+			Options{TruncateThreshold: 0.5})
 
 		acked := make([]byte, size)     // state at the last acknowledged commit
 		attempted := make([]byte, size) // acked + the failed in-flight tx, if any
@@ -531,10 +528,7 @@ func TestCrossShardFaultScheduleProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial)*6271 + 1))
 			v, err := newFaultEnv(t, 1<<15, size, int64(trial), false, randomFaults(rng), randomFaults(rng),
-				Options{
-					TruncateThreshold: 0.5,
-					Incremental:       trial%2 == 0,
-				})
+				Options{TruncateThreshold: 0.5})
 
 			acked := make([]byte, size)     // state at the last acknowledged commit
 			attempted := make([]byte, size) // acked + the failed in-flight tx, if any

@@ -115,10 +115,7 @@ func TestWrapSplitFreeSpaceTruncates(t *testing.T) {
 // truncation bookkeeping.
 func TestCloseRacesAutoTruncate(t *testing.T) {
 	for i := 0; i < 10; i++ {
-		v := newEnv(t, 1<<15, pageBytes(2), Options{
-			TruncateThreshold: 0.2,
-			Incremental:       i%2 == 0,
-		})
+		v := newEnv(t, 1<<15, pageBytes(2), Options{TruncateThreshold: 0.2})
 		r := v.mapWhole()
 		buf := make([]byte, 4096)
 		for j := 0; j < 6; j++ {

@@ -23,12 +23,12 @@ import (
 // a ticket is satisfied the moment any completed force covers its sequence
 // number, whoever issued it.  If no force is in flight, the caller elects
 // itself leader and issues one Force for everyone; a flush commit leading
-// under Options.GroupCommit first waits out a join window (see joinWindow)
-// to let more appends join the batch.  Waiters sleep on the ticket
-// condition until the leader broadcasts the outcome.  Each leader leaves
-// the next one a prediction — how many committers waited on its force,
-// covered by it or queued behind it — and the force's duration, which
-// bounds how long the next window waits for them.
+// it first waits out a join window (see joinWindow) to let more appends
+// join the batch.  Waiters sleep on the ticket condition until the leader
+// broadcasts the outcome.  Each leader leaves the next one a prediction —
+// how many committers waited on its force, covered by it or queued behind
+// it — and the force's duration, which bounds how long the next window
+// waits for them.
 //
 // Failure semantics are fail-stop: a force that fails past the transient
 // retries leaves the device state unknowable, so the leader poisons the
@@ -140,7 +140,7 @@ func (e *Engine) waitForced(seq uint64, commit bool) (led bool, fsyncNs int64, e
 		// Lead: force on behalf of every record appended so far.
 		gc.forcing = true
 		gc.mu.Unlock()
-		if commit && e.opts.GroupCommit {
+		if commit {
 			e.joinWindow()
 		}
 		issued := gc.arrived.Swap(0) // each appended before entering, so this force covers it

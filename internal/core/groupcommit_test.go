@@ -17,7 +17,7 @@ import (
 // group-commit engine still forces before acknowledging — a lone committer
 // leads its own force and the commit survives a crash.
 func TestGroupCommitSingleCommitter(t *testing.T) {
-	v := newEnv(t, 1<<16, pageBytes(2), Options{GroupCommit: true})
+	v := newEnv(t, 1<<16, pageBytes(2), Options{})
 	r := v.mapWhole()
 	v.commit1(r, 0, []byte("alone"))
 	st := v.eng.Stats()
@@ -32,8 +32,8 @@ func TestGroupCommitSingleCommitter(t *testing.T) {
 }
 
 // TestEveryFlushCommitHasARole: every flush commit takes a force ticket, so
-// without the join window too each one is filed as the leader or a
-// follower of the force that covered it.
+// each one is filed as the leader or a follower of the force that covered
+// it.
 func TestEveryFlushCommitHasARole(t *testing.T) {
 	met := obs.NewMetrics()
 	v := newEnv(t, 1<<20, pageBytes(2), Options{Metrics: met, TruncateThreshold: -1})
@@ -88,7 +88,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	const workers = 8
 	const commitsEach = 6
 	v, err := newFaultEnv(t, 1<<20, pageBytes(2), 1, false, nil, nil, Options{
-		GroupCommit:       true,
 		TruncateThreshold: -1,
 	})
 	if err != nil {
@@ -163,10 +162,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 // satisfied by whichever force covers it.
 func TestGroupCommitWithSpoolAndTruncation(t *testing.T) {
 	const workers = 4
-	v := newEnv(t, 1<<20, pageBytes(2), Options{
-		GroupCommit: true,
-		Incremental: true,
-	})
+	v := newEnv(t, 1<<20, pageBytes(2), Options{})
 	r := v.mapWhole()
 
 	var wg sync.WaitGroup
@@ -227,7 +223,7 @@ func TestGroupCommitWithSpoolAndTruncation(t *testing.T) {
 // append-order semantics a serialized engine has — a later commit to the
 // same bytes wins after recovery, even when both commits shared a force.
 func TestGroupCommitOrderPreserved(t *testing.T) {
-	v := newEnv(t, 1<<18, pageBytes(2), Options{GroupCommit: true})
+	v := newEnv(t, 1<<18, pageBytes(2), Options{})
 	r := v.mapWhole()
 	for i := 0; i < 10; i++ {
 		v.commit1(r, 0, []byte(fmt.Sprintf("gen-%03d", i)))
@@ -274,7 +270,7 @@ func (d *sleepLog) sinceSync() time.Duration {
 
 // newSleepEngine opens an engine on a 1 ms sleepLog and maps a two-page
 // region.
-func newSleepEngine(tb testing.TB, group bool) (*Engine, *Region, *sleepLog) {
+func newSleepEngine(tb testing.TB) (*Engine, *Region, *sleepLog) {
 	tb.Helper()
 	dir := tb.TempDir()
 	logPath, segPath := filepath.Join(dir, "log.rvm"), filepath.Join(dir, "seg.rvm")
@@ -291,7 +287,7 @@ func newSleepEngine(tb testing.TB, group bool) (*Engine, *Region, *sleepLog) {
 	dev := &sleepLog{cost: time.Millisecond, born: time.Now()}
 	inj := iofault.NewInjector(mem, 1) // the sleep is the whole Sync
 	inj.SetHook(dev.hook)
-	eng, err := Open(Options{LogPath: logPath, LogDevice: inj, GroupCommit: group, TruncateThreshold: -1})
+	eng, err := Open(Options{LogPath: logPath, LogDevice: inj, TruncateThreshold: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -329,7 +325,7 @@ func flushCommit(eng *Engine, r *Region, off int64, before func()) error {
 // wait for, and is allowed a force of its own.
 func TestGroupCommitKeepsItsBatch(t *testing.T) {
 	const each = 200
-	eng, r, dev := newSleepEngine(t, true)
+	eng, r, dev := newSleepEngine(t)
 	var late atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -377,7 +373,7 @@ func TestGroupCommitKeepsItsBatch(t *testing.T) {
 // wait of half a force, after which its commits cost one force again.
 func TestGroupCommitWaitIsBounded(t *testing.T) {
 	const slack = 300 * time.Microsecond
-	eng, r, dev := newSleepEngine(t, true)
+	eng, r, dev := newSleepEngine(t)
 	// beyond is how much longer than the syncs it waited on one commit
 	// takes when no other committer is running.
 	beyond := func() time.Duration {
@@ -437,41 +433,36 @@ func TestGroupCommitWaitIsBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkForcePaths compares flush commits through the force ticket
-// without and with the join window (GroupCommit) at 1, 2, 8 and 64
-// committers on a log whose Sync sleeps 1 ms one call at a time.  b.N is
-// the number of commits, shared among the committers.
+// BenchmarkForcePaths measures flush commits through the force ticket and
+// its join window at 1, 2, 8 and 64 committers on a log whose Sync sleeps
+// 1 ms one call at a time.  b.N is the number of commits, shared among the
+// committers.
 func BenchmarkForcePaths(b *testing.B) {
-	for _, path := range []struct {
-		name  string
-		group bool
-	}{{"nowindow", false}, {"window", true}} {
-		for _, n := range []int{1, 2, 8, 64} {
-			b.Run(fmt.Sprintf("%s/committers=%d", path.name, n), func(b *testing.B) {
-				eng, r, _ := newSleepEngine(b, path.group)
-				before := eng.Stats()
-				var left atomic.Int64
-				left.Store(int64(b.N))
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for w := range n {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for left.Add(-1) >= 0 {
-							if err := flushCommit(eng, r, int64(w)*64, nil); err != nil {
-								b.Error(err)
-								return
-							}
+	for _, n := range []int{1, 2, 8, 64} {
+		b.Run(fmt.Sprintf("committers=%d", n), func(b *testing.B) {
+			eng, r, _ := newSleepEngine(b)
+			before := eng.Stats()
+			var left atomic.Int64
+			left.Store(int64(b.N))
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := range n {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for left.Add(-1) >= 0 {
+						if err := flushCommit(eng, r, int64(w)*64, nil); err != nil {
+							b.Error(err)
+							return
 						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				st := eng.Stats()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
-				b.ReportMetric(float64(st.LogForces-before.LogForces)/float64(st.FlushCommits-before.FlushCommits), "forces/commit")
-			})
-		}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			st := eng.Stats()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
+			b.ReportMetric(float64(st.LogForces-before.LogForces)/float64(st.FlushCommits-before.FlushCommits), "forces/commit")
+		})
 	}
 }

@@ -87,7 +87,7 @@ func lossyTrial(t *testing.T, seed int64, dir string) {
 		t.Fatal(err)
 	}
 	cache := iofault.NewCache(f, -1)
-	opts := Options{LogPath: logPath, TruncateThreshold: -1, Incremental: rng.Intn(2) == 0, GroupCommit: rng.Intn(2) == 0}
+	opts := Options{LogPath: logPath, TruncateThreshold: -1}
 	eng, err := Open(onMachine(opts, cache, true))
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func lossyTrial(t *testing.T, seed int64, dir string) {
 	k := int(binary.BigEndian.Uint64(got))
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d (%s, incremental %v, group commit %v; %d epochs, %d pages written): %s\nran: %s",
-			seed, how, opts.Incremental, opts.GroupCommit, st.EpochTruncs, st.PagesWritten, fmt.Sprintf(format, args...), strings.Join(trace, "; "))
+		t.Fatalf("seed %d (%s; %d epochs, %d pages written): %s\nran: %s",
+			seed, how, st.EpochTruncs, st.PagesWritten, fmt.Sprintf(format, args...), strings.Join(trace, "; "))
 	}
 	if k < acked || k > len(commits) {
 		fail("recovered commit %d; acknowledged %d, committed %d, tried %d", k, acked, committed, len(commits))

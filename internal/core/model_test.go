@@ -24,12 +24,8 @@ func TestEngineModel(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runEngineModel(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runEngineModelWithOpts(t, seed, Options{}) })
 	}
-}
-
-func runEngineModel(t *testing.T, seed int64) {
-	runEngineModelWithOpts(t, seed, Options{Incremental: seed%2 == 0})
 }
 
 func runEngineModelWithOpts(t *testing.T, seed int64, opts Options) {

@@ -18,7 +18,6 @@ func TestStatsRaceWithTruncation(t *testing.T) {
 	v, err := newFaultEnv(t, 1<<20, pageBytes(2), 42, false,
 		[]iofault.Fault{{Ops: iofault.OpSync, Count: 1 << 30, Prob: 0.05}}, nil,
 		Options{
-			Incremental:       true,
 			TruncateThreshold: -1,
 		})
 	if err != nil {
@@ -152,7 +151,6 @@ func TestStatsRaceWithTruncation(t *testing.T) {
 // decreases as contention grows.
 func TestGroupCommitStatsSweep(t *testing.T) {
 	v := newEnv(t, 1<<22, pageBytes(2), Options{
-		GroupCommit:       true,
 		TruncateThreshold: -1,
 	})
 	r := v.mapWhole()
@@ -228,7 +226,7 @@ func TestGroupCommitStatsSweep(t *testing.T) {
 // Truncate, with no flush commit at all, leave all three at zero.
 func TestForceCountersCountFlushCommitsOnly(t *testing.T) {
 	const workers, iters = 4, 24
-	v := newEnv(t, 1<<20, pageBytes(2), Options{GroupCommit: true, TruncateThreshold: -1})
+	v := newEnv(t, 1<<20, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

@@ -469,7 +469,7 @@ func TestSpoolPageRefs(t *testing.T) {
 // log records before it writes the page — never the page first.
 func TestSpoolRefsBlockIncrementalTruncation(t *testing.T) {
 	setVar(t, &spoolLimit, math.MaxInt64)
-	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true, TruncateThreshold: -1})
+	v := newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
 	v.commit1(r, 0, []byte("logged"))
 	tx, _ := v.eng.Begin(Restore)

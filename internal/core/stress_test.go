@@ -19,9 +19,7 @@ func TestConcurrentStress(t *testing.T) {
 	const workers = 8
 	const iters = 40
 	opts := Options{
-		Incremental:       true,
 		TruncateThreshold: 0.5,
-		GroupCommit:       true,
 	}
 	v := newEnv(t, 1<<22, pageBytes(2*workers), opts)
 

@@ -134,7 +134,7 @@ func TestTruncateAndCloseReadNoLog(t *testing.T) {
 }
 
 func TestIncrementalTruncation(t *testing.T) {
-	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true})
+	v := newEnv(t, 1<<18, pageBytes(2), Options{})
 	r := v.mapWhole()
 	for i := 0; i < 10; i++ {
 		v.commit1(r, int64(i*8), []byte{byte(i + 1)})
@@ -175,7 +175,7 @@ func TestIncrementalBlockedByUncommittedRefFallsBackToEpoch(t *testing.T) {
 		{"Truncate", (*Engine).Truncate},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true})
+			v := newEnv(t, 1<<18, pageBytes(2), Options{})
 			r := v.mapWhole()
 			v.commit1(r, 0, []byte("committed")) // dirties page 0, queues it
 
@@ -212,7 +212,7 @@ func TestIncrementalBlockedByUncommittedRefFallsBackToEpoch(t *testing.T) {
 // page's lock and writes the page in that visit, so no truncation reverts to
 // an epoch and each writes a page.
 func TestRespooledPageDoesNotBlockTruncation(t *testing.T) {
-	eng, r, _ := newSleepEngine(t, false)
+	eng, r, _ := newSleepEngine(t)
 	stop, done := make(chan struct{}), make(chan error, 1)
 	go func() {
 		for i := 0; ; i++ {
@@ -265,7 +265,7 @@ func TestRespooledPageDoesNotBlockTruncation(t *testing.T) {
 func TestIncrementalPartialLeavesSuffixLive(t *testing.T) {
 	// Truncating to a byte target reclaims only the head of the log; the
 	// remaining records must still recover correctly.
-	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true})
+	v := newEnv(t, 1<<18, pageBytes(2), Options{})
 	r := v.mapWhole()
 	// Ten commits to ten different pages... region has 2 pages, so spread
 	// across the two pages alternately to create multiple queue entries.
@@ -344,7 +344,7 @@ func TestAutoTruncation(t *testing.T) {
 }
 
 func TestAutoTruncationIncremental(t *testing.T) {
-	v := newEnv(t, pageBytes(2), pageBytes(2), Options{TruncateThreshold: 0.3, Incremental: true})
+	v := newEnv(t, pageBytes(2), pageBytes(2), Options{TruncateThreshold: 0.3})
 	r := v.mapWhole()
 	for i := 0; i < 10; i++ {
 		tx, _ := v.eng.Begin(Restore)
@@ -495,7 +495,7 @@ func TestSetOptionsGovernsBackgroundTruncation(t *testing.T) {
 // acknowledged commit.  Both head movers meet it: a checkpoint, and the
 // incremental truncation after it.
 func TestCommitInCleanWindowStaysLive(t *testing.T) {
-	v := newEnv(t, 1<<18, pageBytes(2), Options{Incremental: true, TruncateThreshold: -1})
+	v := newEnv(t, 1<<18, pageBytes(2), Options{TruncateThreshold: -1})
 	r := v.mapWhole()
 	e := v.eng
 	var committed []string
@@ -557,7 +557,7 @@ func TestCommitInCleanWindowStaysLive(t *testing.T) {
 // acknowledged commit a crash would lose.
 func TestHeadNeverPassesQueuedPage(t *testing.T) {
 	const workers = 3
-	v := newEnv(t, 1<<19, pageBytes(workers), Options{Incremental: true, TruncateThreshold: -1})
+	v := newEnv(t, 1<<19, pageBytes(workers), Options{TruncateThreshold: -1})
 	r, err := v.eng.Map(v.segPath, 0, pageBytes(workers))
 	if err != nil {
 		t.Fatal(err)

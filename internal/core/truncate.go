@@ -469,14 +469,8 @@ func (e *Engine) autoTruncate() {
 	if e.truncating.Load() || !e.shouldAutoTruncate() {
 		return
 	}
-	thr := math.Float64frombits(e.truncThreshold.Load())
-	var err error
-	if e.opts.Incremental {
-		// Aim well below the trigger so truncations are not continuous.
-		err = e.TruncateIncremental(thr / 2)
-	} else {
-		err = e.Truncate()
-	}
+	// Aim well below the trigger so truncations are not continuous.
+	err := e.TruncateIncremental(math.Float64frombits(e.truncThreshold.Load()) / 2)
 	if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, wal.ErrLogClosed) {
 		// Poisoning (when warranted) already happened inside the truncation
 		// path; here we make the failure observable.  The engine remains

@@ -113,7 +113,9 @@ func TestWaiverBudget(t *testing.T) {
 // typed atomics need no check, the compiler forbids plain access), and a
 // sync.Pool (poolescape checked that pooled buffers neither outlive their
 // Put nor are used after it).  It also keeps out TryLock and TryRLock, whose
-// locks the lock walkers do not see.
+// locks the lock walkers do not see, and, outside benchmark/, the two
+// engine options whose forks were deleted: GroupCommit (the join window is
+// always on) and Incremental (background truncation is always incremental).
 func TestNoRetiredShapes(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -133,6 +135,13 @@ func TestNoRetiredShapes(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		harness := strings.HasPrefix(filepath.ToSlash(path), "benchmark/")
+		retired := func(id *ast.Ident) {
+			if !harness && (id.Name == "GroupCommit" || id.Name == "Incremental") {
+				t.Errorf("%s: %s is back; the engine reads no such option (the join window is always on and background truncation always incremental), and ROADMAP item 7 deletes the field once benchmark/ stops setting it",
+					fset.Position(id.Pos()), id.Name)
+			}
+		}
 		names := map[string]string{} // local import name -> path
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
@@ -149,7 +158,12 @@ func TestNoRetiredShapes(t *testing.T) {
 					t.Errorf("%s: atomic.%s is back; atomicfield, which checked that fields touched through sync/atomic functions are never accessed plainly, was deleted when the last such call went — bringing the shape back means bringing the check back (or use a typed atomic)",
 						fset.Position(sel.Pos()), sel.Sel.Name)
 				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					retired(id)
+				}
 			case *ast.SelectorExpr:
+				retired(n.Sel)
 				if n.Sel.Name == "TryLock" || n.Sel.Name == "TryRLock" {
 					t.Errorf("%s: %s is back; the held-lock walker and the summaries model only Lock and RLock, so a lock taken this way is held by nothing locksync, obsleak or lockorder can see — bringing it back means teaching the walker to see it",
 						fset.Position(n.Pos()), n.Sel.Name)

@@ -175,7 +175,7 @@ func TestTraceCapturesCommitAndForce(t *testing.T) {
 // when Commit is called (before the engine lock), so a commit in flight
 // while truncation holds the engine demonstrates the overlap directly.
 func TestTraceShowsTruncationOverlap(t *testing.T) {
-	s := newStore(t, rvm.Options{TraceEvents: 8192, Metrics: true, Incremental: true})
+	s := newStore(t, rvm.Options{TraceEvents: 8192, Metrics: true})
 	reg, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
 	if err != nil {
 		t.Fatal(err)

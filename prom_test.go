@@ -268,7 +268,6 @@ func TestCommitPhaseAttribution(t *testing.T) {
 	for attempt := 0; attempt < 3; attempt++ {
 		s := newStore(t, rvm.Options{
 			Metrics:           true,
-			GroupCommit:       true,
 			TruncateThreshold: -1,
 		})
 		reg, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))

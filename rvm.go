@@ -47,6 +47,15 @@
 // are left out at either end, unless another transaction committed over
 // the region meanwhile.  Stats reports the log bytes each of the four
 // saved.
+//
+// # Log forces and log space
+//
+// Concurrent flush commits share log forces: the committer that issues a
+// force first yields briefly so that commits still arriving join it, and
+// a lone committer forces at once.  When the log fills past
+// Options.TruncateThreshold, a background truncation writes the oldest
+// committed pages to their segments until the live log is down to half
+// the threshold (incremental truncation, §5.1.2).  Neither is an option.
 package rvm
 
 import (
@@ -173,18 +182,12 @@ type Options struct {
 	// Backend is the memory behind mapped regions: Heap, Mmap or DemandPaging.
 	Backend Backend
 	// TruncateThreshold is the fraction of log capacity that triggers
-	// background truncation (default 0.5; set negative to disable).
+	// background truncation (default 0.5; set negative to disable).  The
+	// truncation is incremental (paper §5.1.2): it writes the oldest pages
+	// out until the live log is down to half the threshold, and falls back
+	// to an epoch truncation only when an uncommitted transaction keeps the
+	// oldest page pinned.
 	TruncateThreshold float64
-	// Incremental makes background truncation stop at half the threshold
-	// rather than empty the log (paper §5.1.2).
-	Incremental bool
-	// GroupCommit makes the committer that issues a log force first wait
-	// briefly for concurrent flush commits still arriving, so that they
-	// share its fsync.  Concurrent committers share a force without it
-	// too, and the durability guarantee is the same either way: a commit
-	// is only acknowledged after a successful force covers its record, and
-	// a failed force fail-stops every waiter (see ErrPoisoned).
-	GroupCommit bool
 	// TraceEvents enables event tracing, retaining the most recent
 	// TraceEvents events in a lock-free ring (rounded up to a power of
 	// two, minimum 64).  Zero disables tracing entirely; recording is
@@ -258,8 +261,6 @@ func (o Options) engine() core.Options {
 		LogPath:           o.LogPath,
 		Backend:           o.Backend,
 		TruncateThreshold: truncateThreshold(o.TruncateThreshold),
-		Incremental:       o.Incremental,
-		GroupCommit:       o.GroupCommit,
 		Tracer:            tracer,
 		Metrics:           metrics,
 	}
@@ -292,8 +293,8 @@ func (r *RVM) Flush() error { return r.eng.Flush() }
 // Truncate blocks until all committed changes in the log are reflected to
 // the external data segments and the log is empty, reverting to epoch
 // truncation only if an open transaction keeps a page pinned.  RVM also
-// truncates in the background; this hands the timing to the application
-// (paper §4.2, §5.1.2).
+// truncates in the background, incrementally (Options.TruncateThreshold);
+// this hands the timing to the application (paper §4.2, §5.1.2).
 func (r *RVM) Truncate() error { return r.eng.Truncate() }
 
 // TruncateIncremental is Truncate stopped once the live log is down to

@@ -140,6 +140,73 @@ func TestSetOptionsZeroThresholdIsDefault(t *testing.T) {
 	}
 }
 
+// TestDefaultBackgroundTruncationIsIncremental pins the default: with every
+// option but LogPath at its zero value, the background truncation a full
+// half of the log sets off writes pages out until the live log is down to
+// half the threshold (paper §5.1.2), not until it is empty.  The commits
+// stop at the one that crosses half: a committer that kept going until the
+// first page was written could, on a single processor, run the log past a
+// second cycle of the 256 pages before the truncation started, and then
+// every page would hold the head back and the target could only be met by
+// writing them all.
+func TestDefaultBackgroundTruncationIsIncremental(t *testing.T) {
+	const pages = 256
+	dir := t.TempDir()
+	logPath, segPath := filepath.Join(dir, "rvm.log"), filepath.Join(dir, "data.seg")
+	if err := rvm.CreateLog(logPath, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := rvm.CreateSegment(segPath, 1, pages*int64(rvm.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	db, err := rvm.Open(rvm.Options{LogPath: logPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	reg, err := db.Map(segPath, 0, pages*int64(rvm.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{5}, 1024)
+	for i := 0; ; i++ {
+		sn, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sn.LogUsed > sn.LogSize/2 || sn.Truncating || db.Stats().PagesWritten > 0 {
+			break
+		}
+		if i == 4096 {
+			t.Fatal("4096 commits into a 1 MiB log and it is not half full")
+		}
+		tx, _ := db.Begin(rvm.NoRestore)
+		if err := tx.Modify(reg, int64(i%pages)*int64(rvm.PageSize), payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(rvm.Flush); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		sn, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sn.Truncating && db.Stats().PagesWritten > 0 {
+			if sn.LogUsed <= 0 || sn.LogUsed > sn.LogSize/4 {
+				st := db.Stats()
+				t.Fatalf("background truncation left %d of %d log bytes, want some and at most a quarter (%d epoch(s), %d on a full log, %d page(s) written)",
+					sn.LogUsed, sn.LogSize, st.EpochTruncs, st.EpochTruncsLogFull, st.PagesWritten)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no background truncation wrote a page and finished within 10 s")
+		}
+	}
+}
+
 func TestPublicErrors(t *testing.T) {
 	s := newStore(t, rvm.Options{})
 	if _, err := s.db.Map(s.segPath, 3, 100); !errors.Is(err, rvm.ErrBadAlignment) {
@@ -246,10 +313,10 @@ func TestStatsAndQueryExposed(t *testing.T) {
 }
 
 func TestGroupCommitPublicAPI(t *testing.T) {
-	// The group-commit options must flow through the facade: concurrent
-	// flush-mode committers share forces (ForcesSaved > 0), and every
-	// acknowledged commit survives a close/reopen.
-	s := newStore(t, rvm.Options{GroupCommit: true})
+	// Through the facade, concurrent flush-mode committers share forces
+	// (ForcesSaved > 0), and every acknowledged commit survives a
+	// close/reopen.
+	s := newStore(t, rvm.Options{})
 	reg, err := s.db.Map(s.segPath, 0, 4*int64(rvm.PageSize))
 	if err != nil {
 		t.Fatal(err)

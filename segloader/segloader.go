@@ -18,7 +18,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,8 +98,11 @@ func Open(db *rvm.RVM, path string) (*Loader, error) {
 	return l, nil
 }
 
-// persist writes the load map durably and atomically.
-func (l *Loader) persist() error {
+// persist makes entries the load map: it writes them to a temporary file,
+// renames that over the map and syncs the directory so that the rename
+// survives a crash.  Only then do Lookup and Load answer from entries; on
+// error the loader keeps the map it had.
+func (l *Loader) persist(entries map[string]Spec) error {
 	tmp := l.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -105,13 +110,13 @@ func (l *Loader) persist() error {
 	}
 	w := bufio.NewWriter(f)
 	fmt.Fprintln(w, catalogHeader)
-	names := make([]string, 0, len(l.entries))
-	for n := range l.entries {
+	names := make([]string, 0, len(entries))
+	for n := range entries {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		s := l.entries[n]
+		s := entries[n]
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\n", s.Name, s.SegPath, s.SegID, s.SegOff, s.Length)
 	}
 	if err := w.Flush(); err != nil {
@@ -125,7 +130,27 @@ func (l *Loader) persist() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, l.path)
+	if err := os.Rename(tmp, l.path); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(l.path)); err != nil {
+		return err
+	}
+	l.entries = entries
+	return nil
+}
+
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // validName rejects names that would corrupt the catalog encoding.
@@ -145,8 +170,9 @@ func (l *Loader) Define(s Spec) error {
 	if strings.ContainsAny(s.SegPath, "\t\n") {
 		return fmt.Errorf("segloader: invalid segment path %q", s.SegPath)
 	}
-	l.entries[s.Name] = s
-	return l.persist()
+	entries := maps.Clone(l.entries)
+	entries[s.Name] = s
+	return l.persist(entries)
 }
 
 // Ensure defines the region if absent, creating the segment file when it
@@ -199,8 +225,9 @@ func (l *Loader) Remove(name string) error {
 	if _, ok := l.entries[name]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	delete(l.entries, name)
-	return l.persist()
+	entries := maps.Clone(l.entries)
+	delete(entries, name)
+	return l.persist(entries)
 }
 
 // Lookup returns the spec for a name.

@@ -174,3 +174,41 @@ func TestOpenRejectsGarbageCatalog(t *testing.T) {
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
+
+// TestFailedWriteKeepsTheMap: the loader answers from the map the disk
+// holds.  With the load map's directory gone every write fails; a failed
+// Define must leave its name out and a failed Remove must keep its name.
+func TestFailedWriteKeepsTheMap(t *testing.T) {
+	dir := t.TempDir()
+	db := openDB(t, dir)
+	sub := filepath.Join(dir, "maps")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(db, filepath.Join(sub, "loadmap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "s.seg")
+	if err := rvm.CreateSegment(seg, 1, page(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Define(Spec{Name: "a", SegPath: seg, SegID: 1, Length: page(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(sub); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Define(Spec{Name: "b", SegPath: seg, SegID: 1, SegOff: page(1), Length: page(1)}); err == nil {
+		t.Fatal("Define succeeded with the load map's directory gone")
+	}
+	if _, ok := l.Lookup("b"); ok {
+		t.Error("failed Define left b in the map")
+	}
+	if err := l.Remove("a"); err == nil {
+		t.Fatal("Remove succeeded with the load map's directory gone")
+	}
+	if _, ok := l.Lookup("a"); !ok {
+		t.Error("failed Remove dropped a from the map")
+	}
+}

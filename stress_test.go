@@ -32,7 +32,6 @@ func TestStressConcurrentMixedLoad(t *testing.T) {
 	db, err := rvm.Open(rvm.Options{
 		LogPath:           logPath,
 		TruncateThreshold: 0.25, // keep background truncation busy
-		Incremental:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
