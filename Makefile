@@ -61,8 +61,9 @@ bench-gates:
 mutants-sync:
 	bash scripts/mutants-sync.sh
 
-# tier1-repeat runs `go clean -testcache && go test ./...` 20 times and
-# names the failing tests of each run, so a flake shows as a count.  About
-# seven minutes on a 2-CPU host, so CI does not call it.
+# tier1-repeat runs `go clean -testcache && go test -cpu 1,N ./...` (N the
+# host's processors) 20 times and names the failing tests of each run, so a
+# flake shows as a count.  About fifteen minutes on a 2-CPU host, so CI does
+# not call it.
 tier1-repeat:
 	bash scripts/tier1-repeat.sh

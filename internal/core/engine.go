@@ -313,7 +313,7 @@ type Region struct {
 	mu     sync.Mutex // guards data/buf stability, refs, nTx, mapped
 	buf    *mapping.Buffer
 	data   []byte
-	nTx    int // active transactions with ranges in this region
+	nTx    int // open transactions with ranges in this region
 	mapped bool
 	// refs counts, per page, the open transactions with ranges on it (the
 	// uncommitted reference count of the paper's Figure 7): a page with any
@@ -555,7 +555,9 @@ func (e *Engine) overlap(id uint64, off, length int64) *Region {
 // Unmap unmaps a quiescent region: no uncommitted transaction may have
 // ranges in it.  Committed no-flush changes are flushed to the log and the
 // region's queued pages are written to its segment before the memory is
-// released, so a subsequent Map sees the committed image.
+// released, so a subsequent Map sees the committed image.  A flush commit
+// still waiting on its force holds no range: the flush waits for that
+// force, which covers its record, before its pages are written.
 func (e *Engine) Unmap(r *Region) error {
 	if err := e.check(); err != nil {
 		return err

@@ -148,12 +148,11 @@ func TestStatsRaceWithTruncation(t *testing.T) {
 // in LogForces) or was acknowledged by someone else's (ForcesSaved), so
 // FlushCommits <= ForcesSaved + LogForces always holds; and
 // GroupCommitSize — the largest batch one force ever covered — never
-// decreases as contention grows.
+// decreases as contention grows.  The log's Sync sleeps 1 ms, so the
+// committers behind a force append while it runs at any GOMAXPROCS: a
+// host fsync can return before one processor is handed to them.
 func TestGroupCommitStatsSweep(t *testing.T) {
-	v := newEnv(t, 1<<22, pageBytes(2), Options{
-		TruncateThreshold: -1,
-	})
-	r := v.mapWhole()
+	eng, r, _ := newSleepEngine(t)
 
 	const commitsEach = 3
 	var wantFlush uint64
@@ -166,7 +165,7 @@ func TestGroupCommitStatsSweep(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < commitsEach; i++ {
-					tx, err := v.eng.Begin(NoRestore)
+					tx, err := eng.Begin(NoRestore)
 					if err != nil {
 						errs[w] = err
 						return
@@ -191,7 +190,7 @@ func TestGroupCommitStatsSweep(t *testing.T) {
 		}
 
 		wantFlush += uint64(workers) * commitsEach
-		st := v.eng.Stats()
+		st := eng.Stats()
 		if st.FlushCommits != wantFlush {
 			t.Fatalf("%d workers: FlushCommits = %d, want %d", workers, st.FlushCommits, wantFlush)
 		}
@@ -210,7 +209,7 @@ func TestGroupCommitStatsSweep(t *testing.T) {
 		prevMax = st.GroupCommitSize
 	}
 
-	st := v.eng.Stats()
+	st := eng.Stats()
 	if st.GroupCommitSize < 2 {
 		t.Fatalf("GroupCommitSize = %d after 64-way contention, want >= 2", st.GroupCommitSize)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -260,6 +261,60 @@ func TestRespooledPageDoesNotBlockTruncation(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSlowForceDoesNotBlockTruncation: only an open transaction pins a page
+// (paper §5.1.2).  A flush commit lets go of its page when its record is
+// appended, so a committer whose every force takes 80 ms, longer than the
+// cleaner waits out a pin, leaves the page unpinned while it waits: the
+// cleaner forces the log itself and writes the page, and no truncation
+// reverts to an epoch.
+func TestSlowForceDoesNotBlockTruncation(t *testing.T) {
+	eng, r, dev := newSleepEngine(t)
+	dev.cost = 80 * time.Millisecond
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := flushCommit(eng, r, 0, nil); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	for call := 1; call <= 5 && !t.Failed(); call++ {
+		// Each truncation gets a page of its own to write: a record that
+		// the last one left in the log.
+		for live := false; !live; {
+			select {
+			case err := <-done:
+				t.Fatal(err)
+			default:
+			}
+			qi, _ := eng.Query(nil)
+			if live = qi.LogUsed > 0; !live {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		before := eng.Stats().PagesWritten
+		if err := eng.TruncateIncremental(0); err != nil {
+			t.Error(err)
+		}
+		if st := eng.Stats(); st.EpochTruncs != 0 || st.PagesWritten == before {
+			t.Errorf("call %d: %d epoch truncation(s) so far, %d page(s) written; want none and at least one",
+				call, st.EpochTruncs, st.PagesWritten-before)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d page(s) written in 5 calls", eng.Stats().PagesWritten)
 }
 
 func TestIncrementalPartialLeavesSuffixLive(t *testing.T) {
@@ -656,6 +711,82 @@ func within[T any](t *testing.T, ch <-chan T, what string) T {
 	}
 	var zero T
 	return zero
+}
+
+// TestCommitParkedInItsForce: a flush commit whose force has not returned
+// has let go of its pages and its region at append, but it is not over.
+// Close refuses the engine with ErrActiveTx until the force returns.  Unmap
+// of the commit's region, which no open transaction holds, goes ahead: its
+// spool flush waits on the parked force, which covers the commit's record,
+// before the page is written.  And once the force has returned, the commit
+// survives a crash that keeps no unsynced sector.
+func TestCommitParkedInItsForce(t *testing.T) {
+	v, err := newFaultEnv(t, 1<<16, pageBytes(2), 1, true, nil, nil, Options{TruncateThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := v.mapWhole()
+	// The first Sync after gating announces itself on entered and waits
+	// for release.
+	var gated atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	var released sync.Once
+	unpark := func() { released.Do(func() { close(release) }) }
+	t.Cleanup(unpark) // before the fixture's Close
+	v.logInj.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op == iofault.OpSync && gated.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-release
+		}
+	})
+	gated.Store(true)
+	committed := make(chan error, 1)
+	go func() {
+		tx, err := v.eng.Begin(Restore)
+		if err == nil {
+			err = tx.Modify(r, 0, []byte("parked"))
+		}
+		if err == nil {
+			err = tx.Commit(Flush)
+		}
+		committed <- err
+	}()
+	within(t, entered, "the flush commit never reached its force")
+
+	if err := v.eng.Close(); !errors.Is(err, ErrActiveTx) {
+		t.Fatalf("Close with a commit in its force: %v, want ErrActiveTx", err)
+	}
+	r.mu.Lock()
+	pins, holders := r.refs[0], r.nTx
+	r.mu.Unlock()
+	if pins != 0 || holders != 0 {
+		t.Fatalf("a commit in its force pins page 0 %d time(s) and holds the region %d time(s), want neither", pins, holders)
+	}
+	unmapped := make(chan error, 1)
+	go func() { unmapped <- v.eng.Unmap(r) }()
+	select {
+	case err := <-unmapped:
+		t.Fatalf("Unmap returned before the commit's force did: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	unpark()
+	if err := within(t, committed, "the flush commit never returned"); err != nil {
+		t.Fatal(err)
+	}
+	if err := within(t, unmapped, "Unmap never returned"); err != nil {
+		t.Fatal(err)
+	}
+	if qi, _ := v.eng.Query(nil); qi.ActiveTxs != 0 {
+		t.Fatalf("%d transaction(s) active once the commit returned, want 0", qi.ActiveTxs)
+	}
+
+	if err := v.cache.Crash(iofault.DropAll); err != nil {
+		t.Fatal(err)
+	}
+	v.reopen(Options{TruncateThreshold: -1})
+	if got := v.mapWhole().Data()[:6]; !bytes.Equal(got, []byte("parked")) {
+		t.Fatalf("recovered %q, want the commit's %q", got, "parked")
+	}
 }
 
 // TestCleanerForcesDrainedRecords: a flush commit drains a no-flush

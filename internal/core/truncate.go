@@ -119,7 +119,7 @@ func (e *Engine) TruncateIncremental(targetFraction float64) error {
 //
 // Committers are never stalled: the pages go out through the page cleaner
 // (clean), each page's region lock held only for that page's copy, and a
-// page that stays pinned by an in-flight commit keeps the head at its first
+// page that stays pinned by an open transaction keeps the head at its first
 // log reference instead of blocking anyone.  A checkpoint writes no record:
 // the head in the log's status block is all a restart needs to know.
 func (e *Engine) Checkpoint() error { return e.truncate(cleanEverything, false) }
@@ -256,11 +256,13 @@ func (e *Engine) completeEpochPipe(endSeq uint64) {
 	p.mu.Unlock()
 }
 
-// A page pinned by an uncommitted reference is mid-commit: the committer
-// holds the reference across its log force (no lock held) and drops it
-// within milliseconds.  The cleaner waits out such transient pins,
-// blockedHeadGrace in all per walk, looking again every blockedHeadPace,
-// before it declares the queue blocked.
+// Only an open transaction pins a page, from its SetRange to its append (a
+// flush commit lets go there too, not after its force).  A committer that
+// re-touches the queue's first page without pause, such as a lazy one on a
+// control page, is met in that window now and then, and leaves it within
+// microseconds.  The cleaner waits out such transient pins, blockedHeadGrace
+// in all per walk, looking again every blockedHeadPace, before it declares
+// the queue blocked.
 const (
 	blockedHeadGrace = 50 * time.Millisecond
 	blockedHeadPace  = 200 * time.Microsecond

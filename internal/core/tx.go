@@ -297,7 +297,8 @@ func (t *Tx) unlockRegions() {
 
 // finish releases per-region bookkeeping common to commit and abort, and
 // with it the region locks, which the caller holds.  The books go back to
-// the engine, emptied.
+// the engine, emptied.  The transaction stays counted in e.active: its
+// caller ends it there once nothing is left to wait for.
 func (t *Tx) finish() {
 	e := t.eng
 	b := t.txBooks
@@ -309,7 +310,6 @@ func (t *Tx) finish() {
 		*tr = txRegion{}
 	}
 	t.done, t.txBooks = true, nil
-	e.active.Add(-1)
 	clear(b.regPtrs[:])
 	b.regions = nil
 	if b.oldData = b.oldData[:0]; cap(b.oldData) > maxOldRetain {
@@ -489,6 +489,7 @@ func (t *Tx) Commit(mode CommitMode) error {
 		// Nothing was modified; no log record is needed.
 		t.lockRegions()
 		t.finish()
+		e.active.Add(-1)
 		e.stats.EmptyCommits.Add(1)
 		if mode == Flush {
 			e.stats.FlushCommits.Add(1)
@@ -542,6 +543,8 @@ func (c *phaseClock) lap() int64 {
 //     larger than the spool's limit, or the spool is past it), which the
 //     implicit flush then forces.
 //  2. Force the log, holding no lock.  This is the acknowledgement point.
+//     The transaction let go of its pages in stage 1, but it ends (leaves
+//     e.active) only here.
 //
 // Region locks are released after stage 1: per-byte redo order is still
 // exact because same-region appends are serialized by the region lock, so
@@ -586,11 +589,10 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			if err == nil {
 				// The pages are enqueued in the same critical section as the
 				// append, so the truncation queue keeps log order.  They
-				// cannot be written out before the record is forced: a flush
-				// commit holds their uncommitted reference counts until
-				// finish, the cleaner forces the log before it writes a page
-				// queued at an unforced record, and epoch truncation forces
-				// the log before applying records.
+				// cannot be written out before the record is forced: the
+				// cleaner forces the log before it writes a page queued at an
+				// unforced record, and epoch truncation forces the log before
+				// applying records.
 				for _, id := range pages {
 					e.enqueuePagePipeLocked(id, own.pos, own.seq)
 				}
@@ -603,31 +605,33 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			for _, tr := range t.regions {
 				tr.region.ends++
 			}
-		} else if need == 0 {
-			need = wal.EncodedLen(ranges)
-		}
-		if lazy && err == nil {
 			// The spool's page references (taken just above), or the queue
 			// entries at a record the cleaner forces before it writes a page,
 			// now keep truncation off these pages, so the transaction's own
-			// can go while the region locks are still held; finish releases
-			// them.
+			// references go here, whichever the commit mode, while the region
+			// locks are still held; finish releases the locks.  Only an open
+			// transaction pins a page: a flush commit in its force pins none.
 			t.finish()
 			break
 		}
-		t.unlockRegions()
-		if err == nil {
-			break
+		if need == 0 {
+			need = wal.EncodedLen(ranges)
 		}
+		t.unlockRegions()
 		if drained.n > 0 { // the drain got in, the record behind it did not
 			e.tr.Record(obs.EvLogAppend, drained.tid, uint64(drained.n), drained.seq)
 		}
 		if err = e.retryAppend(err, &tries, need, false, ""); err != nil {
-			// A storage fault poisons the engine and abandons the
-			// transaction; a logical failure (log full) leaves it live for
-			// the caller to retry or abort.
-			err = e.maybePoison(err)
-			t.abandonIfPoisoned(err)
+			// A logical failure (log full) leaves the transaction live for
+			// the caller to retry or abort.  A storage fault poisons the
+			// engine and abandons the transaction, which could never commit
+			// and would wedge Close behind ErrActiveTx.
+			if err = e.maybePoison(err); !errors.Is(err, ErrPoisoned) {
+				return err
+			}
+			t.lockRegions()
+			t.finish()
+			e.active.Add(-1)
 			return err
 		}
 		appendNs += clk.lap() // making room, or backing off, is part of getting the record in
@@ -637,18 +641,19 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 			e.tr.Record(obs.EvLogAppend, rec.tid, uint64(rec.n), rec.seq)
 		}
 	}
+	var err error
 	if !lazy {
 		// A force that fails past the transient retries leaves the device
 		// state unknowable, so it has poisoned the engine rather than risk
 		// acknowledging on a log it cannot trust.
-		var err error
-		if led, fsyncNs, err = e.waitForced(own.seq, true); err != nil {
-			t.abandonIfPoisoned(err)
-			return err
-		}
+		led, fsyncNs, err = e.waitForced(own.seq, true)
 		forceNs = clk.lap()
-		t.lockRegions()
-		t.finish()
+	}
+	// The commit ends only here, so Close refuses an engine with a flush
+	// commit still waiting on its force.
+	e.active.Add(-1)
+	if err != nil {
+		return err
 	}
 	e.stats.IntraSavedBytes.Add(uint64(intra))
 	e.stats.DiffSavedBytes.Add(uint64(diff))
@@ -684,17 +689,6 @@ func (t *Tx) commit(lazy bool, flags uint8, t0 time.Time) error {
 		go e.autoTruncate()
 	}
 	return nil
-}
-
-// abandonIfPoisoned resolves a transaction whose commit just poisoned the
-// engine: it can never commit, and leaving it active would wedge Close
-// behind ErrActiveTx.  Logical failures (log full) keep the transaction
-// alive so the caller can retry or abort.
-func (t *Tx) abandonIfPoisoned(err error) {
-	if errors.Is(err, ErrPoisoned) {
-		t.lockRegions()
-		t.finish()
-	}
 }
 
 // enqueuePagePipeLocked records a page's log reference in the FIFO queue,
@@ -805,6 +799,7 @@ func (t *Tx) Abort() error {
 		r.ends++
 	}
 	t.finish()
+	e.active.Add(-1)
 	e.stats.Aborts.Add(1)
 	e.tr.Record(obs.EvTxAbort, t.id, 0, 0)
 	return nil

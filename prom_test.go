@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	rvm "github.com/rvm-go/rvm"
 )
@@ -237,7 +238,10 @@ func TestPrometheusMetricsDisabled(t *testing.T) {
 func TestPublishExpvarTwice(t *testing.T) {
 	a := newStore(t, rvm.Options{})
 	b := newStore(t, rvm.Options{})
-	const name = "rvm-test-publish-twice"
+	// expvar names are the process's for good: each run of the test (-count,
+	// -cpu) takes names of its own.
+	run := time.Now().UnixNano()
+	name := fmt.Sprintf("rvm-test-publish-twice-%d", run)
 	if err := a.db.PublishExpvar(name); err != nil {
 		t.Fatalf("first publish: %v", err)
 	}
@@ -247,7 +251,7 @@ func TestPublishExpvarTwice(t *testing.T) {
 	if err := b.db.PublishExpvar(name); err == nil {
 		t.Fatal("publishing another instance under a taken name succeeded")
 	}
-	if err := b.db.PublishExpvar("rvm-test-publish-other"); err != nil {
+	if err := b.db.PublishExpvar(fmt.Sprintf("rvm-test-publish-other-%d", run)); err != nil {
 		t.Fatalf("fresh name: %v", err)
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	rvm "github.com/rvm-go/rvm"
+	"github.com/rvm-go/rvm/internal/iofault"
 )
 
 type store struct {
@@ -315,8 +317,27 @@ func TestStatsAndQueryExposed(t *testing.T) {
 func TestGroupCommitPublicAPI(t *testing.T) {
 	// Through the facade, concurrent flush-mode committers share forces
 	// (ForcesSaved > 0), and every acknowledged commit survives a
-	// close/reopen.
+	// close/reopen.  The log's Sync sleeps 1 ms before it syncs the file,
+	// so the committers behind a force append while it runs at any
+	// GOMAXPROCS: a host fsync can return before one processor is handed
+	// to them.
 	s := newStore(t, rvm.Options{})
+	if err := s.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(s.logPath, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := iofault.NewInjector(f, 1)
+	dev.SetHook(func(op iofault.Op, _ int64, _ int) {
+		if op == iofault.OpSync {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	if s.db, err = rvm.OpenOnLogDevice(rvm.Options{LogPath: s.logPath}, dev); err != nil {
+		t.Fatal(err)
+	}
 	reg, err := s.db.Map(s.segPath, 0, 4*int64(rvm.PageSize))
 	if err != nil {
 		t.Fatal(err)
