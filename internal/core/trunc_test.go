@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -211,7 +212,10 @@ func TestIncrementalBlockedByUncommittedRefFallsBackToEpoch(t *testing.T) {
 // the queue's first page without pause, and never flushes, leaves the page
 // unpinned between its commits: the cleaner drains the spool under the
 // page's lock and writes the page in that visit, so no truncation reverts to
-// an epoch and each writes a page.
+// an epoch and each writes a page.  At one processor the committer yields
+// between its transactions, so the cleaner looks at the page between two of
+// them, as it does from a second processor, and not only where the runtime
+// preempts the committer, which is mid-transaction about half the time.
 func TestRespooledPageDoesNotBlockTruncation(t *testing.T) {
 	eng, r, _ := newSleepEngine(t)
 	stop, done := make(chan struct{}), make(chan error, 1)
@@ -233,6 +237,9 @@ func TestRespooledPageDoesNotBlockTruncation(t *testing.T) {
 			if err != nil {
 				done <- err
 				return
+			}
+			if runtime.GOMAXPROCS(0) == 1 {
+				runtime.Gosched()
 			}
 		}
 	}()
